@@ -29,12 +29,30 @@
 //!
 //! # Eviction
 //!
-//! CLOCK (second chance): frames sit in a circular list; a hit sets the
-//! frame's reference bit; the hand clears reference bits as it sweeps and
-//! evicts the first unreferenced, unpinned frame. Pinned frames are never
-//! evicted — if every frame is pinned the pool temporarily over-allocates
-//! rather than corrupt an in-progress multi-page operation, and shrinks back
-//! on the next admission.
+//! CLOCK (second chance) over a fixed *frame table*: a hit sets the frame's
+//! reference bit; on a miss in a full pool the hand clears reference bits as
+//! it sweeps, stops at the first unreferenced, unpinned frame, and the
+//! incoming frame overwrites that slot in place — nothing shifts and no
+//! other frame is re-keyed. Residency is looked up through a dense *page
+//! table* per registered file (`slot + 1` indexed by page id, `0` = absent;
+//! page ids are arena indexes, so the table is as long as the file has pages
+//! and grows when a page beyond it is admitted). A hit is one indexed load
+//! and one store; a miss adds the sweep, which is amortised O(1) at any
+//! capacity: every hand step either evicts a frame or clears a reference
+//! bit that one admission or one hit set, so a stream of misses costs two
+//! hand steps per eviction.
+//!
+//! Pinned frames are never evicted — if every frame is pinned the pool
+//! over-allocates (a slot from the free list, else one appended to the
+//! table) rather than corrupt an in-progress multi-page operation, and the
+//! next admission evicts down to capacity again, returning the spare slots
+//! to the free list. [`BufferPool::set_capacity`] shrinks in one pass: the
+//! same CLOCK sweep picks every victim, then the table is compacted once.
+//!
+//! Only this directory bookkeeping runs under the pool's mutex. `IoStats`
+//! charges, metric updates, write-back of dirty victims and the returned
+//! [`Access`] are produced after the lock is released, and the steady-state
+//! miss (one victim) allocates nothing.
 //!
 //! # Write-ahead ordering
 //!
@@ -48,9 +66,9 @@
 
 use crate::io::IoStats;
 use crate::wal::{Lsn, Wal};
-use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use instn_obs::{Counter, Gauge, MetricsRegistry};
 
@@ -84,6 +102,43 @@ pub struct Evicted {
     pub key: FrameKey,
     /// Whether the frame was dirty (and therefore written back).
     pub dirty: bool,
+    /// What the write-back, charged after the lock is released, needs.
+    kind: FileKind,
+    rec_lsn: Option<Lsn>,
+}
+
+/// The frames one access evicted, in eviction order; reads as a slice.
+/// Zero or one victim — every access but the shrink-back after an
+/// over-allocation — is held inline, so the miss path does not allocate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Evictions {
+    one: Option<Evicted>,
+    /// Empty unless there are two or more victims; then it holds all.
+    many: Vec<Evicted>,
+}
+
+impl Evictions {
+    fn push(&mut self, victim: Evicted) {
+        if !self.many.is_empty() {
+            self.many.push(victim);
+        } else if let Some(first) = self.one.take() {
+            self.many.extend([first, victim]);
+        } else {
+            self.one = Some(victim);
+        }
+    }
+}
+
+impl Deref for Evictions {
+    type Target = [Evicted];
+
+    fn deref(&self) -> &[Evicted] {
+        if self.many.is_empty() {
+            self.one.as_slice()
+        } else {
+            &self.many
+        }
+    }
 }
 
 /// Outcome of a single pool access.
@@ -93,7 +148,7 @@ pub struct Access {
     /// capacity 0 and for [`BufferPool::alloc`].
     pub hit: bool,
     /// Frames evicted to make room (empty on hits and while under capacity).
-    pub evicted: Vec<Evicted>,
+    pub evicted: Evictions,
 }
 
 #[derive(Debug)]
@@ -107,14 +162,188 @@ struct Frame {
     rec_lsn: Option<Lsn>,
 }
 
+/// One registered file: its counter family and its page table.
+#[derive(Debug)]
+struct FileDir {
+    kind: FileKind,
+    /// `slot + 1` of the frame holding each page, `0` when not resident.
+    slots: Vec<u32>,
+}
+
 #[derive(Debug, Default)]
 struct PoolState {
-    frames: Vec<Frame>,
-    map: HashMap<FrameKey, usize>,
+    /// The frame table the hand walks; `None` marks a vacant slot.
+    frames: Vec<Option<Frame>>,
+    /// Vacant slots of `frames`, left behind when an over-allocated pool
+    /// shrinks back.
+    free: Vec<usize>,
+    resident: usize,
     hand: usize,
-    kinds: Vec<FileKind>,
+    files: Vec<FileDir>,
     /// Log forced ahead of every physical page write when attached.
     wal: Option<Arc<Wal>>,
+}
+
+/// The four access kinds of the charging table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Read,
+    Write,
+    Mutate,
+    Alloc,
+}
+
+impl Op {
+    /// Charges a logical read (and a physical one with capacity 0).
+    fn reads(self) -> bool {
+        matches!(self, Op::Read | Op::Write)
+    }
+
+    /// Charges a logical write and dirties the frame.
+    fn writes(self) -> bool {
+        self != Op::Read
+    }
+
+    /// Counts as a hit or a miss, and a miss fetches the page. A page being
+    /// born has nothing on disk to read.
+    fn fetches(self) -> bool {
+        self != Op::Alloc
+    }
+}
+
+/// What an access found under the lock; charged after it is released.
+enum Outcome {
+    /// Capacity 0. Carries the log an immediate page write must force.
+    Disabled(Option<Arc<Wal>>),
+    Hit,
+    Miss(Reclaimed),
+}
+
+/// Frames reclaimed under the lock, and what settling them afterwards needs.
+#[derive(Default)]
+struct Reclaimed {
+    evicted: Evictions,
+    /// Hand steps the sweeps took.
+    steps: u64,
+    /// Frames resident once the lock was released.
+    resident: usize,
+    /// The log to force first; cloned only when a victim is dirty.
+    wal: Option<Arc<Wal>>,
+}
+
+impl PoolState {
+    fn slot_of(&self, key: FrameKey) -> Option<usize> {
+        let page = usize::try_from(key.page).ok()?;
+        match *self.files[key.file.0 as usize].slots.get(page)? {
+            0 => None,
+            slot => Some(slot as usize - 1),
+        }
+    }
+
+    /// The frame of a slot the page table points at.
+    fn frame_mut(&mut self, slot: usize) -> &mut Frame {
+        self.frames[slot].as_mut().expect("mapped slot is occupied")
+    }
+
+    /// Point `key`'s page-table entry at `slot` (`None` clears it).
+    fn map(&mut self, key: FrameKey, slot: Option<usize>) {
+        let slots = &mut self.files[key.file.0 as usize].slots;
+        let page = usize::try_from(key.page).expect("page ids are arena indexes");
+        if page >= slots.len() {
+            slots.resize(page + 1, 0);
+        }
+        slots[page] = slot.map_or(0, |s| u32::try_from(s + 1).expect("frame table fits u32"));
+    }
+
+    /// Advance the hand to the next victim: clear reference bits until an
+    /// unpinned, unreferenced frame comes under it, and leave the hand just
+    /// past that frame. `None` if every frame is pinned.
+    fn sweep(&mut self, steps: &mut u64) -> Option<usize> {
+        let n = self.frames.len();
+        // Two revolutions suffice: the first clears reference bits, the
+        // second must find a victim unless everything is pinned.
+        for _ in 0..2 * n {
+            let slot = self.hand;
+            self.hand = if slot + 1 == n { 0 } else { slot + 1 };
+            *steps += 1;
+            match &mut self.frames[slot] {
+                Some(frame) if frame.pins == 0 => {
+                    if !frame.referenced {
+                        return Some(slot);
+                    }
+                    frame.referenced = false;
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// Sweep for one victim and take it out of its slot and out of the page
+    /// table; `None` if all are pinned.
+    fn reclaim(&mut self, out: &mut Reclaimed) -> Option<usize> {
+        let slot = self.sweep(&mut out.steps)?;
+        let frame = self.frames[slot].take().expect("victim slot is occupied");
+        self.map(frame.key, None);
+        self.resident -= 1;
+        if frame.dirty && out.wal.is_none() {
+            out.wal = self.wal.clone();
+        }
+        out.evicted.push(Evicted {
+            key: frame.key,
+            dirty: frame.dirty,
+            kind: self.files[frame.key.file.0 as usize].kind,
+            rec_lsn: frame.rec_lsn,
+        });
+        Some(slot)
+    }
+
+    /// Admit `key` (must not be resident), evicting down to `cap - 1` first.
+    fn admit(&mut self, cap: usize, key: FrameKey, dirty: bool, rec_lsn: Option<Lsn>) -> Reclaimed {
+        let mut out = Reclaimed::default();
+        // The incoming frame takes the last victim's slot, just behind the
+        // hand; victims before it (a shrink-back) leave free slots.
+        let mut reused = None;
+        while self.resident >= cap {
+            let Some(slot) = self.reclaim(&mut out) else {
+                break; // all pinned: over-allocate rather than fail
+            };
+            self.free.extend(reused.replace(slot));
+        }
+        let slot = reused.or_else(|| self.free.pop()).unwrap_or_else(|| {
+            self.frames.push(None);
+            self.frames.len() - 1
+        });
+        self.frames[slot] = Some(Frame {
+            key,
+            dirty,
+            pins: 0,
+            referenced: true,
+            rec_lsn,
+        });
+        self.map(key, Some(slot));
+        self.resident += 1;
+        out.resident = self.resident;
+        out
+    }
+
+    /// Evict down to `cap` frames in one pass, then close the vacated slots:
+    /// survivors keep their circular order and the hand its place in it.
+    fn shrink(&mut self, cap: usize) -> Reclaimed {
+        let mut out = Reclaimed::default();
+        while self.resident > cap && self.reclaim(&mut out).is_some() {}
+        let hand = self.frames[..self.hand].iter().flatten().count();
+        self.frames.retain(Option::is_some);
+        self.frames.shrink_to(cap);
+        self.free.clear();
+        self.hand = if hand == self.frames.len() { 0 } else { hand };
+        for slot in 0..self.frames.len() {
+            let key = self.frame_mut(slot).key;
+            self.map(key, Some(slot));
+        }
+        out.resident = self.resident;
+        out
+    }
 }
 
 /// Observability handles resolved once from a [`MetricsRegistry`]
@@ -127,6 +356,7 @@ struct PoolObs {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+    clock_steps: Counter,
     resident: Gauge,
 }
 
@@ -163,31 +393,12 @@ impl BufferPool {
             misses: registry.counter("bufferpool_misses_total", "buffer-pool page misses"),
             evictions: registry
                 .counter("bufferpool_evictions_total", "buffer-pool frame evictions"),
+            clock_steps: registry.counter(
+                "bufferpool_clock_steps_total",
+                "frames the CLOCK hand passed looking for victims",
+            ),
             resident: registry.gauge("bufferpool_resident_pages", "frames currently resident"),
         });
-    }
-
-    #[inline]
-    fn note_hit(&self) {
-        self.stats.cache_hit(1);
-        if let Some(o) = self.obs.get() {
-            o.hits.inc();
-        }
-    }
-
-    #[inline]
-    fn note_miss(&self) {
-        self.stats.cache_miss(1);
-        if let Some(o) = self.obs.get() {
-            o.misses.inc();
-        }
-    }
-
-    #[inline]
-    fn note_resident(&self, frames: usize) {
-        if let Some(o) = self.obs.get() {
-            o.resident.set(frames as i64);
-        }
     }
 
     /// Create a disabled (capacity 0) pool — the compatibility default.
@@ -205,104 +416,56 @@ impl BufferPool {
         self.capacity.load(Ordering::Relaxed)
     }
 
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("buffer pool poisoned")
+    }
+
     /// Resize the pool. Shrinking evicts (with write-back of dirty frames)
     /// until the resident set fits; growing takes effect immediately.
     /// Resizing to 0 flushes and drops every frame, returning the pool to
     /// the disabled, physically-accounted mode.
     pub fn set_capacity(&self, capacity: usize) {
-        // Store under the state lock: accesses re-read capacity while
-        // holding the same lock, so none can admit a frame into a pool
-        // that a racing resize has already disabled.
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        self.capacity.store(capacity, Ordering::Relaxed);
-        while st.frames.len() > capacity {
-            match Self::clock_victim(&mut st) {
-                Some(slot) => {
-                    self.evict_slot(&mut st, slot);
-                }
-                None => break, // every remaining frame is pinned
+        let reclaimed = {
+            // Store under the state lock: accesses re-read capacity while
+            // holding the same lock, so none can admit a frame into a pool
+            // that a racing resize has already disabled.
+            let mut st = self.lock();
+            self.capacity.store(capacity, Ordering::Relaxed);
+            if st.resident <= capacity {
+                return;
             }
-        }
+            st.shrink(capacity)
+        };
+        self.settle(&reclaimed);
     }
 
     /// Register a file (heap or index arena) and obtain its [`FileId`].
     pub fn register_file(&self, kind: FileKind) -> FileId {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        st.kinds.push(kind);
-        FileId((st.kinds.len() - 1) as u32)
+        let mut st = self.lock();
+        st.files.push(FileDir {
+            kind,
+            slots: Vec::new(),
+        });
+        FileId((st.files.len() - 1) as u32)
     }
 
     /// Attach a write-ahead log: from now on every physical page write is
     /// preceded by a log force up to the dirtying operation's position (and
     /// reported to the log's fault injector as a crash point).
     pub fn set_wal(&self, wal: Arc<Wal>) {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        st.wal = Some(wal);
+        self.lock().wal = Some(wal);
     }
 
     /// Fetch a page for reading.
     pub fn read(&self, file: FileId, page: u64) -> Access {
-        // Capacity is read *under* the state lock (here and in the other
-        // access paths): a racing `set_capacity(0)` holds the same lock, so
-        // no access can admit a frame into a pool it already disabled.
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        let cap = self.capacity.load(Ordering::Relaxed);
-        self.stats_logical_read(&st, file);
-        if cap == 0 {
-            self.charge_physical_read(&st, file);
-            return Access::default();
-        }
-        let key = FrameKey { file, page };
-        if let Some(&slot) = st.map.get(&key) {
-            st.frames[slot].referenced = true;
-            self.note_hit();
-            return Access {
-                hit: true,
-                evicted: Vec::new(),
-            };
-        }
-        self.note_miss();
-        self.charge_physical_read(&st, file);
-        let evicted = self.admit(&mut st, cap, key, false);
-        Access {
-            hit: false,
-            evicted,
-        }
+        self.access(file, page, Op::Read)
     }
 
     /// Fetch a page for modification (read-modify-write). This is the charge
     /// the pager's `write` and the B-Tree's `write_node` pay: a logical read
     /// plus a logical write.
     pub fn write(&self, file: FileId, page: u64) -> Access {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        let cap = self.capacity.load(Ordering::Relaxed);
-        self.stats_logical_read(&st, file);
-        self.stats_logical_write(&st, file);
-        if cap == 0 {
-            self.charge_physical_read(&st, file);
-            self.charge_physical_write(&st, file, None);
-            return Access::default();
-        }
-        let key = FrameKey { file, page };
-        let rec_lsn = st.wal.as_ref().map(|w| w.current_lsn());
-        if let Some(&slot) = st.map.get(&key) {
-            let frame = &mut st.frames[slot];
-            frame.referenced = true;
-            frame.dirty = true;
-            frame.rec_lsn = rec_lsn;
-            self.note_hit();
-            return Access {
-                hit: true,
-                evicted: Vec::new(),
-            };
-        }
-        self.note_miss();
-        self.charge_physical_read(&st, file);
-        let evicted = self.admit(&mut st, cap, key, true);
-        Access {
-            hit: false,
-            evicted,
-        }
+        self.access(file, page, Op::Write)
     }
 
     /// Modify a page already fetched earlier in the same operation (e.g. a
@@ -311,80 +474,29 @@ impl BufferPool {
     /// write charge at these sites. If the frame was evicted since the fetch
     /// it is honestly re-read.
     pub fn mutate(&self, file: FileId, page: u64) -> Access {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        let cap = self.capacity.load(Ordering::Relaxed);
-        self.stats_logical_write(&st, file);
-        if cap == 0 {
-            self.charge_physical_write(&st, file, None);
-            return Access::default();
-        }
-        let key = FrameKey { file, page };
-        let rec_lsn = st.wal.as_ref().map(|w| w.current_lsn());
-        if let Some(&slot) = st.map.get(&key) {
-            let frame = &mut st.frames[slot];
-            frame.referenced = true;
-            frame.dirty = true;
-            frame.rec_lsn = rec_lsn;
-            self.note_hit();
-            return Access {
-                hit: true,
-                evicted: Vec::new(),
-            };
-        }
-        self.note_miss();
-        self.charge_physical_read(&st, file);
-        let evicted = self.admit(&mut st, cap, key, true);
-        Access {
-            hit: false,
-            evicted,
-        }
+        self.access(file, page, Op::Mutate)
     }
 
     /// Record creation of a brand-new page (heap allocation, B-Tree node
     /// split, bulk-load node). The page is born dirty in the pool; there is
     /// nothing on disk to read, so no read is ever charged and the access
-    /// counts neither as a hit nor a miss.
+    /// counts neither as a hit nor a miss. Re-allocation of a resident page
+    /// id (possible after a clear) just dirties it.
     pub fn alloc(&self, file: FileId, page: u64) -> Access {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        let cap = self.capacity.load(Ordering::Relaxed);
-        self.stats_logical_write(&st, file);
-        if cap == 0 {
-            self.charge_physical_write(&st, file, None);
-            return Access::default();
-        }
-        let key = FrameKey { file, page };
-        let rec_lsn = st.wal.as_ref().map(|w| w.current_lsn());
-        if let Some(&slot) = st.map.get(&key) {
-            // Re-allocation of a resident page id (possible after a clear):
-            // just dirty it.
-            let frame = &mut st.frames[slot];
-            frame.referenced = true;
-            frame.dirty = true;
-            frame.rec_lsn = rec_lsn;
-            return Access {
-                hit: true,
-                evicted: Vec::new(),
-            };
-        }
-        let evicted = self.admit(&mut st, cap, key, true);
-        Access {
-            hit: false,
-            evicted,
-        }
+        self.access(file, page, Op::Alloc)
     }
 
     /// Pin a resident frame so eviction skips it. Returns `false` (no-op) if
     /// the frame is not resident — with capacity 0 nothing is ever resident,
     /// so pinning is free there. Pins nest; match each with [`Self::unpin`].
     pub fn pin(&self, file: FileId, page: u64) -> bool {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
+        let mut st = self.lock();
         if self.capacity.load(Ordering::Relaxed) == 0 {
             return false;
         }
-        let key = FrameKey { file, page };
-        match st.map.get(&key).copied() {
+        match st.slot_of(FrameKey { file, page }) {
             Some(slot) => {
-                st.frames[slot].pins += 1;
+                st.frame_mut(slot).pins += 1;
                 true
             }
             None => false,
@@ -394,10 +506,9 @@ impl BufferPool {
     /// Release one pin taken by [`Self::pin`]. Harmless if the frame is not
     /// resident or not pinned.
     pub fn unpin(&self, file: FileId, page: u64) {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        let key = FrameKey { file, page };
-        if let Some(slot) = st.map.get(&key).copied() {
-            let frame = &mut st.frames[slot];
+        let mut st = self.lock();
+        if let Some(slot) = st.slot_of(FrameKey { file, page }) {
+            let frame = st.frame_mut(slot);
             frame.pins = frame.pins.saturating_sub(1);
         }
     }
@@ -407,17 +518,22 @@ impl BufferPool {
     /// and clear its dirty bit. Frames stay resident. Returns the keys
     /// written.
     pub fn flush_all(&self) -> Vec<FrameKey> {
-        let mut st = self.state.lock().expect("buffer pool poisoned");
-        let mut dirty = Vec::new();
-        for frame in &mut st.frames {
-            if frame.dirty {
-                frame.dirty = false;
-                dirty.push((frame.key, frame.rec_lsn.take()));
+        let (dirty, wal) = {
+            let mut guard = self.lock();
+            let st = &mut *guard;
+            let mut dirty = Vec::new();
+            for frame in st.frames.iter_mut().flatten() {
+                if frame.dirty {
+                    frame.dirty = false;
+                    let kind = st.files[frame.key.file.0 as usize].kind;
+                    dirty.push((frame.key, kind, frame.rec_lsn.take()));
+                }
             }
-        }
+            (dirty, st.wal.clone())
+        };
         let mut written = Vec::with_capacity(dirty.len());
-        for (key, rec_lsn) in dirty {
-            self.charge_physical_write(&st, key.file, rec_lsn);
+        for (key, kind, rec_lsn) in dirty {
+            self.charge_physical_write(wal.as_deref(), kind, rec_lsn);
             written.push(key);
         }
         written
@@ -425,133 +541,131 @@ impl BufferPool {
 
     /// Number of frames currently resident.
     pub fn resident(&self) -> usize {
-        self.state
-            .lock()
-            .expect("buffer pool poisoned")
-            .frames
-            .len()
+        self.lock().resident
     }
 
     /// Whether `(file, page)` is currently resident.
     pub fn contains(&self, file: FileId, page: u64) -> bool {
-        let st = self.state.lock().expect("buffer pool poisoned");
-        st.map.contains_key(&FrameKey { file, page })
+        self.lock().slot_of(FrameKey { file, page }).is_some()
     }
 
     /// Whether `(file, page)` is resident with at least one pin.
     pub fn is_pinned(&self, file: FileId, page: u64) -> bool {
-        let st = self.state.lock().expect("buffer pool poisoned");
-        st.map
-            .get(&FrameKey { file, page })
-            .is_some_and(|&slot| st.frames[slot].pins > 0)
+        let st = self.lock();
+        st.slot_of(FrameKey { file, page })
+            .and_then(|slot| st.frames[slot].as_ref())
+            .is_some_and(|frame| frame.pins > 0)
     }
 
     // ------------------------------------------------------------------
     // Internals.
     // ------------------------------------------------------------------
 
-    /// Admit `key` (must not be resident), evicting as needed. Returns the
-    /// eviction records.
-    fn admit(&self, st: &mut PoolState, cap: usize, key: FrameKey, dirty: bool) -> Vec<Evicted> {
-        let mut evicted = Vec::new();
-        while st.frames.len() >= cap {
-            match Self::clock_victim(st) {
-                Some(slot) => evicted.push(self.evict_slot(st, slot)),
-                None => break, // all pinned: over-allocate rather than fail
-            }
-        }
-        let rec_lsn = if dirty {
-            st.wal.as_ref().map(|w| w.current_lsn())
-        } else {
-            None
+    /// One access of the charging table: look the page up and update the
+    /// directory under the lock, then charge what that found.
+    fn access(&self, file: FileId, page: u64, op: Op) -> Access {
+        let key = FrameKey { file, page };
+        let (kind, outcome) = {
+            let mut st = self.lock();
+            // Capacity is read *under* the state lock: a racing
+            // `set_capacity(0)` holds the same lock, so no access can admit
+            // a frame into a pool it already disabled.
+            let cap = self.capacity.load(Ordering::Relaxed);
+            let kind = st.files[file.0 as usize].kind;
+            let outcome = if cap == 0 {
+                Outcome::Disabled(if op.writes() { st.wal.clone() } else { None })
+            } else {
+                let rec_lsn = match &st.wal {
+                    Some(wal) if op.writes() => Some(wal.current_lsn()),
+                    _ => None,
+                };
+                match st.slot_of(key) {
+                    Some(slot) => {
+                        let frame = st.frame_mut(slot);
+                        frame.referenced = true;
+                        if op.writes() {
+                            frame.dirty = true;
+                            frame.rec_lsn = rec_lsn;
+                        }
+                        Outcome::Hit
+                    }
+                    None => Outcome::Miss(st.admit(cap, key, op.writes(), rec_lsn)),
+                }
+            };
+            (kind, outcome)
         };
-        let slot = st.frames.len();
-        st.frames.push(Frame {
-            key,
-            dirty,
-            pins: 0,
-            referenced: true,
-            rec_lsn,
-        });
-        st.map.insert(key, slot);
-        self.note_resident(st.frames.len());
-        evicted
+        if op.reads() {
+            match kind {
+                FileKind::Heap => self.stats.logical_heap_read(1),
+                FileKind::Index => self.stats.logical_index_read(1),
+            }
+        }
+        if op.writes() {
+            match kind {
+                FileKind::Heap => self.stats.logical_heap_write(1),
+                FileKind::Index => self.stats.logical_index_write(1),
+            }
+        }
+        match outcome {
+            Outcome::Disabled(wal) => {
+                if op.reads() {
+                    self.charge_physical_read(kind);
+                }
+                if op.writes() {
+                    self.charge_physical_write(wal.as_deref(), kind, None);
+                }
+                Access::default()
+            }
+            Outcome::Hit => {
+                if op.fetches() {
+                    self.stats.cache_hit(1);
+                    if let Some(o) = self.obs.get() {
+                        o.hits.inc();
+                    }
+                }
+                Access {
+                    hit: true,
+                    evicted: Evictions::default(),
+                }
+            }
+            Outcome::Miss(reclaimed) => {
+                if op.fetches() {
+                    self.stats.cache_miss(1);
+                    if let Some(o) = self.obs.get() {
+                        o.misses.inc();
+                    }
+                    self.charge_physical_read(kind);
+                }
+                self.settle(&reclaimed);
+                Access {
+                    hit: false,
+                    evicted: reclaimed.evicted,
+                }
+            }
+        }
     }
 
-    /// One CLOCK sweep: clear reference bits until an unpinned, unreferenced
-    /// frame comes under the hand. `None` if every frame is pinned.
-    fn clock_victim(st: &mut PoolState) -> Option<usize> {
-        let n = st.frames.len();
-        if n == 0 {
-            return None;
+    /// Charge what reclaiming frames cost, once the lock is released: the
+    /// write-back of each dirty victim, the eviction count, the metrics.
+    fn settle(&self, reclaimed: &Reclaimed) {
+        for victim in reclaimed.evicted.iter().filter(|v| v.dirty) {
+            self.charge_physical_write(reclaimed.wal.as_deref(), victim.kind, victim.rec_lsn);
         }
-        // Two full sweeps suffice: the first clears reference bits, the
-        // second must find a victim unless everything is pinned.
-        for _ in 0..2 * n {
-            let slot = st.hand;
-            st.hand = (st.hand + 1) % n;
-            let frame = &mut st.frames[slot];
-            if frame.pins > 0 {
-                continue;
-            }
-            if frame.referenced {
-                frame.referenced = false;
-                continue;
-            }
-            return Some(slot);
+        let evictions = reclaimed.evicted.len() as u64;
+        if evictions > 0 {
+            self.stats.cache_eviction(evictions);
         }
-        None
-    }
-
-    /// Remove the frame at `slot`, writing it back if dirty, and keep the
-    /// slot map and clock hand consistent.
-    fn evict_slot(&self, st: &mut PoolState, slot: usize) -> Evicted {
-        let frame = st.frames.remove(slot);
-        st.map.remove(&frame.key);
-        for i in slot..st.frames.len() {
-            let moved = st.frames[i].key;
-            st.map.insert(moved, i);
-        }
-        if st.hand > slot {
-            st.hand -= 1;
-        }
-        if st.hand >= st.frames.len() {
-            st.hand = 0;
-        }
-        if frame.dirty {
-            self.charge_physical_write(st, frame.key.file, frame.rec_lsn);
-        }
-        self.stats.cache_eviction(1);
         if let Some(o) = self.obs.get() {
-            o.evictions.inc();
-        }
-        self.note_resident(st.frames.len());
-        Evicted {
-            key: frame.key,
-            dirty: frame.dirty,
-        }
-    }
-
-    fn kind_of(st: &PoolState, file: FileId) -> FileKind {
-        st.kinds[file.0 as usize]
-    }
-
-    fn stats_logical_read(&self, st: &PoolState, file: FileId) {
-        match Self::kind_of(st, file) {
-            FileKind::Heap => self.stats.logical_heap_read(1),
-            FileKind::Index => self.stats.logical_index_read(1),
+            if reclaimed.steps > 0 {
+                o.evictions.add(evictions);
+                o.clock_steps.add(reclaimed.steps);
+            }
+            o.resident.set(reclaimed.resident as i64);
         }
     }
 
-    fn stats_logical_write(&self, st: &PoolState, file: FileId) {
-        match Self::kind_of(st, file) {
-            FileKind::Heap => self.stats.logical_heap_write(1),
-            FileKind::Index => self.stats.logical_index_write(1),
-        }
-    }
-
-    fn charge_physical_read(&self, st: &PoolState, file: FileId) {
-        match Self::kind_of(st, file) {
+    fn charge_physical_read(&self, kind: FileKind) {
+        match kind {
             FileKind::Heap => self.stats.heap_read(1),
             FileKind::Index => self.stats.index_read(1),
         }
@@ -563,13 +677,13 @@ impl BufferPool {
     /// is reported to the fault injector as a crash point. Force failures
     /// are swallowed here — a crashed injector latches, and the engine
     /// surfaces it at the next commit force.
-    fn charge_physical_write(&self, st: &PoolState, file: FileId, rec_lsn: Option<Lsn>) {
-        if let Some(wal) = &st.wal {
+    fn charge_physical_write(&self, wal: Option<&Wal>, kind: FileKind, rec_lsn: Option<Lsn>) {
+        if let Some(wal) = wal {
             let upto = rec_lsn.unwrap_or_else(|| wal.current_lsn());
             let _ = wal.force(upto);
             let _ = wal.page_write();
         }
-        match Self::kind_of(st, file) {
+        match kind {
             FileKind::Heap => self.stats.heap_write(1),
             FileKind::Index => self.stats.index_write(1),
         }

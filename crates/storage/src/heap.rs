@@ -32,9 +32,11 @@ pub struct HeapFile {
     /// A real system keeps this in a free space map; consulting it is free.
     insert_hint: Option<PageId>,
     record_count: usize,
-    /// Oversized records whose chunk assembly failed during a scan. Scans
-    /// skip such records rather than yield garbage; this counter is how
-    /// callers (and the recovery sweep) observe that corruption was seen.
+    /// Records a scan could not read or decode: oversized records whose
+    /// chunk assembly failed, and rows a [`crate::Table`] scan found
+    /// unreadable. Scans skip such records rather than yield garbage; this
+    /// counter is how callers (and the recovery sweep) observe that
+    /// corruption was seen.
     corrupt_skipped: AtomicU64,
 }
 
@@ -55,10 +57,15 @@ impl HeapFile {
         }
     }
 
-    /// Number of corrupt oversized records scans have skipped (see
-    /// [`HeapFile::scan`]). Non-zero means the file needs repair.
+    /// Number of corrupt records scans have skipped (see [`HeapFile::scan`]
+    /// and [`crate::Table::scan`]). Non-zero means the file needs repair.
     pub fn corrupt_skipped(&self) -> u64 {
         self.corrupt_skipped.load(Ordering::Relaxed)
+    }
+
+    /// Count one record a scan skipped as corrupt.
+    pub(crate) fn note_corrupt_skipped(&self) {
+        self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The shared I/O counters.
@@ -155,14 +162,14 @@ impl HeapFile {
         Ok(rid)
     }
 
-    fn read_framed(&self, rid: RecordId) -> Result<Vec<u8>> {
+    /// The framed bytes of the record at `rid`, borrowed from its page (one
+    /// page read).
+    fn read_framed(&self, rid: RecordId) -> Result<&[u8]> {
         let page = self.pager.read(rid.page)?;
-        page.get(rid.slot)
-            .map(<[u8]>::to_vec)
-            .ok_or(StorageError::RecordNotFound {
-                page: rid.page.0,
-                slot: rid.slot,
-            })
+        page.get(rid.slot).ok_or(StorageError::RecordNotFound {
+            page: rid.page.0,
+            slot: rid.slot,
+        })
     }
 
     fn directory_chunks(framed: &[u8]) -> Result<(u64, Vec<RecordId>)> {
@@ -207,29 +214,28 @@ impl HeapFile {
     /// records).
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
         let framed = self.read_framed(rid)?;
-        match framed.first() {
-            Some(&TAG_SIMPLE) => Ok(framed[1..].to_vec()),
-            Some(&TAG_DIRECTORY) => {
+        match framed.split_first() {
+            Some((&TAG_SIMPLE, payload)) => Ok(payload.to_vec()),
+            Some((&TAG_DIRECTORY, _)) => {
                 // Pin the directory's page for the duration of chunk
                 // assembly: the chunk reads must not evict the anchor of the
                 // multi-page operation in progress.
                 self.pager.pin(rid.page);
                 let assembled = (|| {
-                    let (total, chunks) = Self::directory_chunks(&framed)?;
+                    let (total, chunks) = Self::directory_chunks(framed)?;
                     let mut out = Vec::with_capacity(total as usize);
                     for c in chunks {
-                        let chunk = self.read_framed(c)?;
-                        if chunk.first() != Some(&TAG_CHUNK) {
-                            return Err(StorageError::Corrupt("expected chunk record".into()));
+                        match self.read_framed(c)?.split_first() {
+                            Some((&TAG_CHUNK, body)) => out.extend_from_slice(body),
+                            _ => return Err(StorageError::Corrupt("expected chunk record".into())),
                         }
-                        out.extend_from_slice(&chunk[1..]);
                     }
                     Ok(out)
                 })();
                 self.pager.unpin(rid.page);
                 assembled
             }
-            Some(&TAG_CHUNK) => Err(StorageError::RecordNotFound {
+            Some((&TAG_CHUNK, _)) => Err(StorageError::RecordNotFound {
                 page: rid.page.0,
                 slot: rid.slot,
             }),
@@ -255,7 +261,7 @@ impl HeapFile {
     pub fn delete(&mut self, rid: RecordId) -> Result<()> {
         let framed = self.read_framed(rid)?;
         let chunks = if framed.first() == Some(&TAG_DIRECTORY) {
-            Self::directory_chunks(&framed)?.1
+            Self::directory_chunks(framed)?.1
         } else {
             Vec::new()
         };
@@ -273,9 +279,9 @@ impl HeapFile {
     /// exactly the "delete + re-insert" behaviour the paper leans on for
     /// Summary-BTree maintenance.
     pub fn update(&mut self, rid: RecordId, data: &[u8]) -> Result<RecordId> {
-        let framed = self.read_framed(rid)?;
+        let simple = self.read_framed(rid)?.first() == Some(&TAG_SIMPLE);
         // In-place only for simple → simple updates that still fit.
-        if framed.first() == Some(&TAG_SIMPLE) && data.len() <= Self::chunk_capacity() {
+        if simple && data.len() <= Self::chunk_capacity() {
             let mut new_framed = Vec::with_capacity(data.len() + 1);
             new_framed.push(TAG_SIMPLE);
             new_framed.extend_from_slice(data);
@@ -316,7 +322,7 @@ impl HeapFile {
                     None => match self.get(rid) {
                         Ok(d) => Some((rid, d)),
                         Err(_) => {
-                            self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+                            self.note_corrupt_skipped();
                             None
                         }
                     },
@@ -504,7 +510,7 @@ mod tests {
     fn break_one_chunk(h: &mut HeapFile, dir: RecordId) -> RecordId {
         let framed = h.read_framed(dir).unwrap();
         assert_eq!(framed.first(), Some(&TAG_DIRECTORY));
-        let (_, chunks) = HeapFile::directory_chunks(&framed).unwrap();
+        let (_, chunks) = HeapFile::directory_chunks(framed).unwrap();
         let victim = chunks[chunks.len() / 2];
         h.pager
             .write(victim.page)
@@ -541,7 +547,7 @@ mod tests {
         let big = vec![6u8; 20_000];
         let dir = h.insert(&big).unwrap();
         let framed = h.read_framed(dir).unwrap();
-        let (_, chunks) = HeapFile::directory_chunks(&framed).unwrap();
+        let (_, chunks) = HeapFile::directory_chunks(framed).unwrap();
         let victim = chunks[0];
         h.pager
             .write(victim.page)

@@ -44,7 +44,7 @@ pub mod tuple;
 pub mod wal;
 
 pub use btree::{BTree, Cursor, CursorDesc};
-pub use buffer::{Access, BufferPool, Evicted, FileId, FileKind, FrameKey};
+pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey};
 pub use catalog::{Catalog, TableId};
 pub use error::StorageError;
 pub use heap::HeapFile;

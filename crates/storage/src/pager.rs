@@ -73,21 +73,27 @@ impl Pager {
         PageId(id)
     }
 
-    /// Read access to a page; charged as one logical read.
+    /// Read access to a page; charged as one logical read. A page id outside
+    /// the arena (a corrupt chunk directory can name one) is an error, not an
+    /// access: the pool's page table is dense, so it never sees such an id.
     pub fn read(&self, id: PageId) -> Result<&Page> {
-        self.pool.read(self.file, u64::from(id.0));
-        self.pages
+        let page = self
+            .pages
             .get(id.0 as usize)
-            .ok_or(StorageError::PageNotFound(id.0))
+            .ok_or(StorageError::PageNotFound(id.0))?;
+        self.pool.read(self.file, u64::from(id.0));
+        Ok(page)
     }
 
     /// Write access to a page; charged as one logical read + one logical
     /// write (a page must be fetched before it can be modified).
     pub fn write(&mut self, id: PageId) -> Result<&mut Page> {
-        self.pool.write(self.file, u64::from(id.0));
-        self.pages
+        let page = self
+            .pages
             .get_mut(id.0 as usize)
-            .ok_or(StorageError::PageNotFound(id.0))
+            .ok_or(StorageError::PageNotFound(id.0))?;
+        self.pool.write(self.file, u64::from(id.0));
+        Ok(page)
     }
 
     /// Pin `id` in the buffer pool so a multi-page operation (e.g. chunked

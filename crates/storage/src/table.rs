@@ -164,12 +164,30 @@ impl Table {
     ///
     /// Implemented as an index-ordered walk so OIDs are recoverable; charges
     /// heap reads per record page as a table scan would.
+    ///
+    /// A row whose record cannot be read or decoded is skipped and counted
+    /// in [`Table::corrupt_skipped`], never dropped silently.
     pub fn scan(&self) -> impl Iterator<Item = (Oid, Tuple)> + '_ {
-        self.oid_index.range(None, None).filter_map(|(k, rid)| {
-            let oid = Oid::from_key(&k)?;
-            let bytes = self.heap.get(rid).ok()?;
-            decode_tuple(&bytes).ok().map(|t| (oid, t))
-        })
+        self.oid_index
+            .range(None, None)
+            .filter_map(|(k, rid)| Some((Oid::from_key(&k)?, self.scan_fetch(rid)?)))
+    }
+
+    /// The tuple a scan found at `rid`; `None`, and one more in the heap's
+    /// corrupt-skipped count, if its record cannot be read or decoded.
+    fn scan_fetch(&self, rid: RecordId) -> Option<Tuple> {
+        let tuple = self.heap.get(rid).and_then(|bytes| decode_tuple(&bytes));
+        if tuple.is_err() {
+            self.heap.note_corrupt_skipped();
+        }
+        tuple.ok()
+    }
+
+    /// Rows scans have skipped because their record was unreadable or
+    /// undecodable (see [`HeapFile::corrupt_skipped`]). Non-zero means the
+    /// table needs repair.
+    pub fn corrupt_skipped(&self) -> u64 {
+        self.heap.corrupt_skipped()
     }
 
     /// All live OIDs in order.
@@ -220,10 +238,7 @@ impl Table {
             let Some(oid) = Oid::from_key(&k) else {
                 continue;
             };
-            let Ok(bytes) = self.heap.get(rid) else {
-                continue;
-            };
-            if let Ok(t) = decode_tuple(&bytes) {
+            if let Some(t) = self.scan_fetch(rid) {
                 return Some((oid, t));
             }
         }
@@ -333,6 +348,38 @@ mod tests {
         t.delete(Oid(5)).unwrap();
         let oids: Vec<u64> = t.scan().map(|(o, _)| o.0).collect();
         assert_eq!(oids, vec![1, 2, 3, 4, 6, 7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn scans_count_the_rows_they_cannot_return() {
+        // Regression: `scan` and `scan_next` dropped a row whose record was
+        // unreadable or undecodable with a bare `continue` — n−1 rows and
+        // nothing to show a row was lost.
+        let mut t = Table::new("birds", birds_schema(), IoStats::new());
+        let oids: Vec<Oid> = (0..10).map(|i| t.insert(bird(i)).unwrap()).collect();
+        // Undecodable: overwrite one record's bytes in place.
+        let rid = t.disk_tuple_loc(oids[3]).unwrap();
+        assert_eq!(t.heap.update(rid, &[0xFF; 5]).unwrap(), rid);
+        assert!(
+            t.get(oids[3]).is_err(),
+            "direct read surfaces the corruption"
+        );
+        let seen: Vec<u64> = t.scan().map(|(o, _)| o.0).collect();
+        assert_eq!(seen, vec![1, 2, 3, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(t.corrupt_skipped(), 1);
+        // Unreadable: delete another record out from under the OID index.
+        t.heap.delete(t.disk_tuple_loc(oids[7]).unwrap()).unwrap();
+        let mut cur = t.scan_open();
+        let mut pulled = 0;
+        while t.scan_next(&mut cur).is_some() {
+            pulled += 1;
+        }
+        assert_eq!(pulled, 8);
+        assert_eq!(
+            t.corrupt_skipped(),
+            3,
+            "one from the scan, two from the cursor"
+        );
     }
 
     #[test]

@@ -233,7 +233,9 @@ pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
 pub fn decode_tuple(bytes: &[u8]) -> Result<Tuple> {
     let mut pos = 0usize;
     let n = read_u32(bytes, &mut pos)? as usize;
-    let mut tuple = Vec::with_capacity(n);
+    // A corrupt count must not size the allocation: every value takes at
+    // least its tag byte.
+    let mut tuple = Vec::with_capacity(n.min(bytes.len()));
     for _ in 0..n {
         let tag = *bytes
             .get(pos)

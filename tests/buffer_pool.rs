@@ -1,14 +1,17 @@
 //! Property-based tests for the storage buffer pool: CLOCK eviction,
-//! pinning, and dirty-page write-back checked against simple models, plus
-//! a pooled-vs-uncached HeapFile oracle under eviction pressure.
+//! pinning, and dirty-page write-back checked against simple models (a
+//! pin/dirty model, and a reference CLOCK that predicts every victim), a
+//! pooled-vs-uncached HeapFile oracle under eviction pressure, and a guard
+//! on the work the hand does per eviction.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use insightnotes::obs::MetricsRegistry;
 use insightnotes::storage::buffer::{BufferPool, FileKind};
-use insightnotes::storage::io::IoStats;
+use insightnotes::storage::io::{IoSnapshot, IoStats};
 use insightnotes::storage::HeapFile;
 
 // --------------------------------------------------------------------
@@ -57,11 +60,11 @@ proptest! {
         let mut dirty_evictions = 0u64;
         for op in ops {
             let evicted = match op {
-                PoolOp::Read(p) => pool.read(file, u64::from(p)).evicted,
+                PoolOp::Read(p) => pool.read(file, u64::from(p)).evicted.to_vec(),
                 PoolOp::Write(p) => {
                     let access = pool.write(file, u64::from(p));
                     dirty.insert(u64::from(p));
-                    access.evicted
+                    access.evicted.to_vec()
                 }
                 PoolOp::Pin(p) => {
                     // Pinning only sticks when the page is resident.
@@ -107,6 +110,50 @@ proptest! {
         prop_assert_eq!(snap.heap_writes, dirty_evictions + flushed.len() as u64);
         // Physical reads are exactly the misses the pool reported.
         prop_assert_eq!(snap.heap_reads, snap.cache_misses);
+    }
+
+    /// Random read/write/pin/unpin/`set_capacity` streams against the
+    /// reference CLOCK below: every access evicts the victims the model
+    /// names, in its order and with its dirty flags, the resident set and
+    /// the `IoStats` counters agree after every step.
+    #[test]
+    fn victims_follow_the_reference_clock(
+        ops in prop::collection::vec(clock_op(), 1..400),
+        cap in 0usize..8,
+    ) {
+        let stats = IoStats::new();
+        let pool = BufferPool::new(Arc::clone(&stats), cap);
+        let file = pool.register_file(FileKind::Heap);
+        let mut model = ClockModel { cap, ..ClockModel::default() };
+        for op in ops {
+            match op {
+                ClockOp::Access(p, write) => {
+                    let page = u64::from(p);
+                    let access = if write { pool.write(file, page) } else { pool.read(file, page) };
+                    let (hit, victims) = model.access(page, write);
+                    prop_assert_eq!(access.hit, hit);
+                    let evicted: Vec<(u64, bool)> =
+                        access.evicted.iter().map(|e| (e.key.page, e.dirty)).collect();
+                    prop_assert_eq!(evicted, victims, "victims of page {}", page);
+                }
+                ClockOp::Pin(p) => {
+                    prop_assert_eq!(pool.pin(file, u64::from(p)), model.pin(u64::from(p), 1));
+                }
+                ClockOp::Unpin(p) => {
+                    pool.unpin(file, u64::from(p));
+                    model.pin(u64::from(p), -1);
+                }
+                ClockOp::SetCapacity(c) => {
+                    pool.set_capacity(c);
+                    model.set_capacity(c);
+                }
+            }
+            prop_assert_eq!(pool.resident(), model.slots.iter().flatten().count());
+            for page in 0..32 {
+                prop_assert_eq!(pool.contains(file, page), model.find(page).is_some());
+            }
+            prop_assert_eq!(stats.snapshot(), model.io);
+        }
     }
 
     // ----------------------------------------------------------------
@@ -191,4 +238,178 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
         any::<usize>().prop_map(HeapOp::Get),
         (any::<usize>(), 0usize..20_000).prop_map(|(i, s)| HeapOp::Update(i, s)),
     ]
+}
+
+// --------------------------------------------------------------------
+// Reference CLOCK: the frame table searched linearly, nothing else shared
+// with the pool.
+// --------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum ClockOp {
+    /// Read (`false`) or write (`true`) a page.
+    Access(u8, bool),
+    Pin(u8),
+    Unpin(u8),
+    SetCapacity(usize),
+}
+
+fn clock_op() -> impl Strategy<Value = ClockOp> {
+    prop_oneof![
+        (any::<u8>(), any::<bool>()).prop_map(|(p, w)| ClockOp::Access(p % 32, w)),
+        (any::<u8>(), any::<bool>()).prop_map(|(p, w)| ClockOp::Access(p % 32, w)),
+        any::<u8>().prop_map(|p| ClockOp::Pin(p % 32)),
+        any::<u8>().prop_map(|p| ClockOp::Unpin(p % 32)),
+        (0usize..8).prop_map(ClockOp::SetCapacity),
+    ]
+}
+
+#[derive(Debug, Default)]
+struct ModelFrame {
+    page: u64,
+    dirty: bool,
+    pins: u32,
+    referenced: bool,
+}
+
+#[derive(Debug, Default)]
+struct ClockModel {
+    cap: usize,
+    slots: Vec<Option<ModelFrame>>,
+    free: Vec<usize>,
+    hand: usize,
+    io: IoSnapshot,
+}
+
+impl ClockModel {
+    fn find(&self, page: u64) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|f| f.page == page))
+    }
+
+    fn pin(&mut self, page: u64, by: i32) -> bool {
+        let slot = if self.cap > 0 || by < 0 {
+            self.find(page)
+        } else {
+            None
+        };
+        let Some(frame) = slot.and_then(|i| self.slots[i].as_mut()) else {
+            return false;
+        };
+        frame.pins = frame.pins.saturating_add_signed(by);
+        true
+    }
+
+    /// Sweep to the next victim, take it out and charge its eviction.
+    fn evict(&mut self, victims: &mut Vec<(u64, bool)>) -> Option<usize> {
+        for _ in 0..2 * self.slots.len() {
+            let i = self.hand;
+            self.hand = (i + 1) % self.slots.len();
+            match &mut self.slots[i] {
+                Some(f) if f.pins == 0 && f.referenced => f.referenced = false,
+                Some(f) if f.pins == 0 => {
+                    victims.push((f.page, f.dirty));
+                    self.io.cache_evictions += 1;
+                    self.io.heap_writes += u64::from(f.dirty);
+                    self.slots[i] = None;
+                    return Some(i);
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    fn access(&mut self, page: u64, write: bool) -> (bool, Vec<(u64, bool)>) {
+        let mut victims = Vec::new();
+        self.io.logical_heap_reads += 1;
+        self.io.logical_heap_writes += u64::from(write);
+        if self.cap == 0 {
+            self.io.heap_reads += 1;
+            self.io.heap_writes += u64::from(write);
+            return (false, victims);
+        }
+        if let Some(i) = self.find(page) {
+            let frame = self.slots[i].as_mut().unwrap();
+            frame.referenced = true;
+            frame.dirty |= write;
+            self.io.cache_hits += 1;
+            return (true, victims);
+        }
+        self.io.cache_misses += 1;
+        self.io.heap_reads += 1;
+        let mut reused = None;
+        while self.slots.iter().flatten().count() >= self.cap {
+            let Some(i) = self.evict(&mut victims) else {
+                break;
+            };
+            self.free.extend(reused.replace(i));
+        }
+        let slot = reused.or_else(|| self.free.pop()).unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[slot] = Some(ModelFrame {
+            page,
+            dirty: write,
+            pins: 0,
+            referenced: true,
+        });
+        (false, victims)
+    }
+
+    fn set_capacity(&mut self, cap: usize) {
+        self.cap = cap;
+        if self.slots.iter().flatten().count() <= cap {
+            return;
+        }
+        let mut victims = Vec::new();
+        while self.slots.iter().flatten().count() > cap && self.evict(&mut victims).is_some() {}
+        let hand = self.slots[..self.hand].iter().flatten().count();
+        self.slots.retain(Option::is_some);
+        self.free.clear();
+        self.hand = if hand == self.slots.len() { 0 } else { hand };
+    }
+}
+
+// --------------------------------------------------------------------
+// Complexity guard: counts hand steps, not time.
+// --------------------------------------------------------------------
+
+/// A cyclic walk over four times the pool defeats CLOCK — every access
+/// misses and every admitted frame is referenced — and still costs at most
+/// two hand steps per eviction at any capacity; shrinking a full pool to
+/// one frame evicts all the others in one linear pass.
+#[test]
+fn clock_work_per_eviction_does_not_grow_with_capacity() {
+    for cap in [8usize, 256, 65_536] {
+        let registry = MetricsRegistry::new();
+        registry.set_enabled(true);
+        let steps = registry.counter("bufferpool_clock_steps_total", "");
+        let stats = IoStats::new();
+        let pool = BufferPool::new(Arc::clone(&stats), cap);
+        pool.attach_metrics(&registry);
+        let file = pool.register_file(FileKind::Heap);
+        for page in 0..4 * cap as u64 {
+            assert!(!pool.read(file, page).hit);
+        }
+        let evictions = stats.snapshot().cache_evictions;
+        assert_eq!(evictions, 3 * cap as u64);
+        assert!(
+            steps.value() <= 2 * evictions,
+            "capacity {cap}: {} hand steps for {evictions} evictions",
+            steps.value()
+        );
+
+        let walked = steps.value();
+        pool.set_capacity(1);
+        assert_eq!(stats.snapshot().cache_evictions - evictions, cap as u64 - 1);
+        assert_eq!(pool.resident(), 1);
+        assert!(
+            steps.value() - walked <= 3 * cap as u64,
+            "capacity {cap}: shrinking took {} hand steps",
+            steps.value() - walked
+        );
+    }
 }

@@ -362,3 +362,36 @@ fn failed_queries_are_counted_timed_and_slow_logged() {
     assert_eq!(get("queries_failed_total"), 1.0, "success must not count");
     assert_eq!(get("query_wall_ns_count"), 2.0);
 }
+
+/// The pool's four series agree with each other and with `IoStats`: after
+/// a scan through a pool too small to hold it, every eviction was counted,
+/// and each cost the CLOCK hand at least one step.
+#[test]
+fn pool_series_count_evictions_and_the_hand_steps_behind_them() {
+    let (db, t) = build(&[3, 1, 4, 1, 5, 2, 0, 3, 6, 2, 4, 1]);
+    db.metrics().set_enabled(true);
+    db.set_cache_capacity(2);
+    let before = db.stats().snapshot();
+    let registry = std::sync::Arc::clone(db.metrics());
+    let shared = SharedDatabase::new(db);
+    shared
+        .session()
+        .execute_observed("small-pool scan", &filter_group_plan(t, 1))
+        .expect("scan");
+
+    let io = shared.with_read(|db| db.stats().snapshot().since(&before));
+    let samples = parse_prometheus(&registry.render_prometheus()).expect("dump parses");
+    let get = |n: &str| {
+        samples
+            .iter()
+            .find(|(s, _)| s == n)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing sample {n}"))
+    };
+    assert!(io.cache_evictions > 0, "a 2-frame pool must evict");
+    assert_eq!(get("bufferpool_evictions_total"), io.cache_evictions as f64);
+    assert_eq!(get("bufferpool_hits_total"), io.cache_hits as f64);
+    assert_eq!(get("bufferpool_misses_total"), io.cache_misses as f64);
+    assert!(get("bufferpool_clock_steps_total") >= get("bufferpool_evictions_total"));
+    assert!(get("bufferpool_resident_pages") <= 2.0);
+}
