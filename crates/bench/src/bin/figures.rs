@@ -175,9 +175,6 @@ fn main() {
     if run_all || exp == "rules-ablation" {
         rules_ablation(scale);
     }
-    if run_all || exp == "keyword-ablation" {
-        keyword_ablation(scale);
-    }
     if run_all || exp == "cache-sweep" {
         cache_sweep(scale);
     }
@@ -1310,71 +1307,6 @@ fn rules_ablation(scale: usize) {
 }
 
 // ====================================================================
-// Extension ablation: the inverted keyword index over snippets — the
-// paper's Fig. 15 notes "no summary-based index can be used" for keyword
-// predicates; this measures what one buys.
-// ====================================================================
-fn keyword_ablation(scale: usize) {
-    header("Extension — inverted keyword index over Snippet objects");
-    let cfg = BenchConfig {
-        scale_down: scale,
-        annots_per_tuple: 100,
-        long_fraction: 0.15, // plenty of snippets
-        ..Default::default()
-    };
-    let b = bench_db(&cfg);
-    let kidx = instn_index::KeywordIndex::bulk_build(
-        &b.db,
-        b.birds,
-        "TextSummary1",
-        PointerMode::Backward,
-    )
-    .unwrap();
-    println!(
-        "index: {} postings over {} tuples",
-        kidx.len(),
-        b.db.table(b.birds).unwrap().len()
-    );
-    let mut ctx = ExecContext::new(&b.db);
-    for kws in [
-        vec!["wikipedia"],
-        vec!["observed", "report"],
-        vec!["wetland", "lake"],
-    ] {
-        // Scan path: containsUnion predicate over every tuple.
-        let pred = Expr::Cmp(
-            Box::new(Expr::Summary(SummaryExpr::Obj {
-                obj: ObjRef::ByName("TextSummary1".into()),
-                func: ObjFunc::ContainsUnion(kws.iter().map(|s| s.to_string()).collect()),
-            })),
-            CmpOp::Eq,
-            Box::new(Expr::Const(instn_storage::Value::Bool(true))),
-        );
-        let scan = PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::SeqScan {
-                table: b.birds,
-                with_summaries: true,
-            }),
-            pred,
-        };
-        let (t_scan, io_scan, rows_scan) = measure(&b.db, || ctx.execute(&scan).unwrap().len());
-        // Index path.
-        let (t_idx, io_idx, rows_idx) = measure(&b.db, || kidx.search_all(&kws).len());
-        assert_eq!(rows_scan, rows_idx, "index agrees with the scan");
-        println!(
-            "{:>24}: scan {:>10} ({:>5} io) | kw index {:>10} ({:>3} io) | {} rows",
-            format!("{kws:?}"),
-            fmt_dur(t_scan),
-            io_scan.total(),
-            fmt_dur(t_idx),
-            io_idx.total(),
-            rows_scan
-        );
-    }
-    println!("(extension: not in the paper — quantifies the gap Fig. 15 leaves open)\n");
-}
-
-// ====================================================================
 // Extension — buffer-pool sweep over the Fig. 10 SP query. Not in the
 // paper (its testbed relies on the OS page cache); this quantifies how
 // much of the simulated physical I/O a real buffer manager absorbs.
@@ -1860,9 +1792,8 @@ fn recovery(quick: bool) {
     let wal_bytes = db.wal().unwrap().durable_bytes();
     let (recovered, report) = instn_core::db::Database::recover(&snapshot, &wal_bytes).unwrap();
     assert_eq!(report.ops_replayed as usize, RECOVERY_STEPS);
-    let mut back = SummaryBTree::bulk_build(&recovered, t, "Cls", PointerMode::Backward).unwrap();
-    let mut conv =
-        SummaryBTree::bulk_build(&recovered, t, "Cls", PointerMode::Conventional).unwrap();
+    let back = SummaryBTree::bulk_build(&recovered, t, "Cls", PointerMode::Backward).unwrap();
+    let conv = SummaryBTree::bulk_build(&recovered, t, "Cls", PointerMode::Conventional).unwrap();
     for label in ["Disease", "Behavior"] {
         let b = back.scan_label(label);
         assert_eq!(

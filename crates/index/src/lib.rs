@@ -11,9 +11,6 @@
 //!   annotated data tuples in the user relation (not to the
 //!   `R_SummaryStorage` row), maintained incrementally from the
 //!   [`instn_core::SummaryDelta`] stream,
-//! * [`keyword`] — an *extension beyond the paper*: an inverted keyword
-//!   index over Snippet-type objects, answering `containsUnion` predicates
-//!   the paper's Fig. 15 notes no index can serve,
 //! * [`baseline`] — the **baseline scheme** the paper compares against: the
 //!   classifier objects are replicated into a normalized table
 //!   `(OID, Label, Count, DerivedCol)` and a standard B-Tree is built on the
@@ -22,12 +19,10 @@
 
 pub mod baseline;
 pub mod itemize;
-pub mod keyword;
 pub mod maintainable;
 pub mod summary_btree;
 
 pub use baseline::BaselineIndex;
 pub use itemize::{itemize_key, max_key, min_key, ItemizeWidth};
-pub use keyword::KeywordIndex;
 pub use maintainable::{EntryOutcome, MaintainableIndex};
 pub use summary_btree::{EntryCursor, IndexEntry, PointerMode, SummaryBTree};

@@ -19,6 +19,7 @@
 //! These are exactly the bounds of the §4.1.3 theorem; the integration test
 //! suite verifies them against the I/O counters.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use instn_core::db::Database;
@@ -64,15 +65,13 @@ impl PartialEq for IndexEntry {
     }
 }
 
-/// Maintenance/search operation counters (bounds verification + Fig. 9).
+/// Maintenance operation counters (bounds verification + Fig. 9).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     /// Keys inserted.
     pub key_inserts: u64,
     /// Keys deleted.
     pub key_deletes: u64,
-    /// Searches answered.
-    pub searches: u64,
     /// Full rebuilds (key-width growth).
     pub rebuilds: u64,
 }
@@ -91,8 +90,11 @@ pub struct SummaryBTree {
     /// [`SummaryBTree::apply_delta`]). Executors compare it against
     /// `Database::revision()` to detect stale registrations.
     built_revision: u64,
-    /// Operation counters.
+    /// Maintenance operation counters.
     pub ops: OpCounters,
+    /// Searches answered. Atomic so that probing needs only `&self`: every
+    /// worker of a parallel plan reads the one registered index.
+    searches: AtomicU64,
 }
 
 impl SummaryBTree {
@@ -158,6 +160,7 @@ impl SummaryBTree {
                 key_inserts: n,
                 ..OpCounters::default()
             },
+            searches: AtomicU64::new(0),
         })
     }
 
@@ -181,6 +184,7 @@ impl SummaryBTree {
             stats,
             built_revision: db.revision(),
             ops: OpCounters::default(),
+            searches: AtomicU64::new(0),
         })
     }
 
@@ -475,8 +479,8 @@ impl SummaryBTree {
     }
 
     /// Equality search: tuples whose `label` count equals `count`.
-    pub fn search_eq(&mut self, label: &str, count: u64) -> Vec<IndexEntry> {
-        self.ops.searches += 1;
+    pub fn search_eq(&self, label: &str, count: u64) -> Vec<IndexEntry> {
+        self.searches.fetch_add(1, Ordering::Relaxed);
         if !self.width.fits(count) {
             return Vec::new();
         }
@@ -491,12 +495,7 @@ impl SummaryBTree {
     /// the `label:000` / `label:999…` sentinel probes of §4.1.2).
     /// Results arrive in ascending count order — the *interesting order*
     /// Rule 5/6 exploit to eliminate sorts.
-    pub fn search_range(
-        &mut self,
-        label: &str,
-        lo: Option<u64>,
-        hi: Option<u64>,
-    ) -> Vec<IndexEntry> {
+    pub fn search_range(&self, label: &str, lo: Option<u64>, hi: Option<u64>) -> Vec<IndexEntry> {
         let mut cur = self.open_range_cursor(label, lo, hi, false);
         std::iter::from_fn(|| self.cursor_next(&mut cur)).collect()
     }
@@ -508,13 +507,13 @@ impl SummaryBTree {
     /// count order. Charges the descent now and counts one search; the
     /// index must not be mutated while the cursor is live.
     pub fn open_range_cursor(
-        &mut self,
+        &self,
         label: &str,
         lo: Option<u64>,
         hi: Option<u64>,
         reverse: bool,
     ) -> EntryCursor {
-        self.ops.searches += 1;
+        self.searches.fetch_add(1, Ordering::Relaxed);
         let lo_key = match lo {
             Some(v) if self.width.fits(v) => itemize_key(label, v, self.width),
             Some(_) => return EntryCursor::Empty,
@@ -542,7 +541,7 @@ impl SummaryBTree {
 
     /// All entries of a label in ascending count order (for summary-based
     /// sorting straight off the index).
-    pub fn scan_label(&mut self, label: &str) -> Vec<IndexEntry> {
+    pub fn scan_label(&self, label: &str) -> Vec<IndexEntry> {
         self.search_range(label, None, None)
     }
 
@@ -569,6 +568,11 @@ impl SummaryBTree {
             PointerMode::Backward => db.summaries_of(self.table, entry.oid),
             PointerMode::Conventional => db.summary_storage(self.table).read_at(entry.loc),
         }
+    }
+
+    /// Searches answered so far (equality probes and opened range cursors).
+    pub fn searches(&self) -> u64 {
+        self.searches.load(Ordering::Relaxed)
     }
 
     /// The shared I/O counters (for bounds verification).
@@ -713,8 +717,7 @@ mod tests {
     #[test]
     fn bulk_build_and_equality_search() {
         let (db, t, oids) = setup(10);
-        let mut idx =
-            SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
+        let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         // Tuple i has exactly i disease annotations.
         for i in 0..10u64 {
             let hits = idx.search_eq("Disease", i);
@@ -729,8 +732,7 @@ mod tests {
     #[test]
     fn range_search_in_count_order() {
         let (db, t, oids) = setup(10);
-        let mut idx =
-            SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
+        let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let hits = idx.search_range("Disease", Some(3), Some(7));
         assert_eq!(hits.len(), 5);
         let got: Vec<Oid> = hits.iter().map(|e| e.oid).collect();
@@ -836,8 +838,7 @@ mod tests {
     #[test]
     fn backward_pointers_reach_tuples_without_oid_index() {
         let (db, t, _) = setup(6);
-        let mut idx =
-            SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
+        let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let hits = idx.search_eq("Disease", 4);
         assert_eq!(hits.len(), 1);
         db.stats().reset();
@@ -851,7 +852,7 @@ mod tests {
     #[test]
     fn conventional_pointers_pay_the_extra_join() {
         let (db, t, _) = setup(6);
-        let mut idx =
+        let idx =
             SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Conventional).unwrap();
         let hits = idx.search_eq("Disease", 4);
         assert_eq!(hits.len(), 1);
@@ -866,7 +867,7 @@ mod tests {
     fn both_modes_propagate_summaries() {
         let (db, t, _) = setup(5);
         for mode in [PointerMode::Backward, PointerMode::Conventional] {
-            let mut idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", mode).unwrap();
+            let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", mode).unwrap();
             let hits = idx.search_eq("Disease", 2);
             let set = idx.fetch_summaries(&db, &hits[0]).unwrap();
             assert_eq!(set.len(), 1);
@@ -952,8 +953,7 @@ mod tests {
     #[test]
     fn search_io_is_logarithmic() {
         let (db, t, _) = setup(64);
-        let mut idx =
-            SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
+        let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         db.stats().reset();
         idx.search_eq("Disease", 30);
         let reads = db.stats().snapshot().index_reads;

@@ -195,8 +195,8 @@ fn apply_step(
 /// and cross-check them entry by entry: the backward pointer must land on
 /// the same data tuple and summary set the conventional path reaches.
 fn check_index_consistency(db: &Database, t: TableId) {
-    let mut back = SummaryBTree::bulk_build(db, t, "Cls", PointerMode::Backward).unwrap();
-    let mut conv = SummaryBTree::bulk_build(db, t, "Cls", PointerMode::Conventional).unwrap();
+    let back = SummaryBTree::bulk_build(db, t, "Cls", PointerMode::Backward).unwrap();
+    let conv = SummaryBTree::bulk_build(db, t, "Cls", PointerMode::Conventional).unwrap();
     for label in ["Disease", "Behavior"] {
         let b = back.scan_label(label);
         let c = conv.scan_label(label);

@@ -19,7 +19,9 @@
 //! * group-by with COUNT(*) and summary merging, and LIMIT,
 //! * exchange/gather: a morsel-driven parallel section (scan → filters →
 //!   partial aggregation across a crossbeam-scoped worker pool) feeding the
-//!   serial pipeline above it. See [`ExecConfig`] and
+//!   serial pipeline above it. Workers run the operators above, compiled
+//!   per morsel with the scan leaf bound to it — there is no second
+//!   implementation of any of them. See [`ExecConfig`] and
 //!   [`PhysicalPlan::Exchange`].
 
 use std::collections::HashMap;
@@ -605,9 +607,7 @@ fn refresh_index<I: MaintainableIndex>(
 pub struct ExecContext<'a> {
     /// The engine.
     pub db: &'a Database,
-    summary_indexes: HashMap<String, SummaryBTree>,
-    baseline_indexes: HashMap<String, BaselineIndex>,
-    column_indexes: HashMap<(TableId, usize), ColumnIndex>,
+    indexes: IndexRegistry,
     /// In-memory sort budget in tuples; larger sorts spill.
     pub sort_mem: usize,
     /// Parallel-execution knobs consulted by [`PhysicalPlan::Exchange`].
@@ -626,9 +626,7 @@ impl<'a> ExecContext<'a> {
     pub fn new(db: &'a Database) -> Self {
         Self {
             db,
-            summary_indexes: HashMap::new(),
-            baseline_indexes: HashMap::new(),
-            column_indexes: HashMap::new(),
+            indexes: IndexRegistry::default(),
             sort_mem: DEFAULT_SORT_MEM,
             config: ExecConfig::default(),
             last_maintenance: MaintenanceReport::default(),
@@ -638,45 +636,22 @@ impl<'a> ExecContext<'a> {
 
     /// A context serving a previously accumulated index registry.
     pub fn with_registry(db: &'a Database, registry: IndexRegistry) -> Self {
-        let mut ctx = Self::new(db);
-        ctx.install_registry(registry);
-        ctx
+        Self {
+            indexes: registry,
+            ..Self::new(db)
+        }
     }
 
     /// Move every registered index out of this context, leaving it empty.
     pub fn take_registry(&mut self) -> IndexRegistry {
-        IndexRegistry {
-            summary: std::mem::take(&mut self.summary_indexes),
-            baseline: std::mem::take(&mut self.baseline_indexes),
-            column: std::mem::take(&mut self.column_indexes),
-        }
-    }
-
-    /// Adopt a registry's indexes (replacing same-named registrations).
-    pub fn install_registry(&mut self, registry: IndexRegistry) {
-        self.summary_indexes.extend(registry.summary);
-        self.baseline_indexes.extend(registry.baseline);
-        self.column_indexes.extend(registry.column);
+        std::mem::take(&mut self.indexes)
     }
 
     /// A planner-oriented snapshot of the indexes installed in this
     /// context (names and targets only) — what seeds `PlannerConfig` when
     /// planning inside an already-open context (EXPLAIN ANALYZE).
     pub fn index_descriptors(&self) -> crate::session::IndexDescriptors {
-        let mut d = crate::session::IndexDescriptors::default();
-        for (name, idx) in &self.summary_indexes {
-            d.summary
-                .push((name.clone(), idx.table(), idx.instance_name().to_string()));
-        }
-        for (name, idx) in &self.baseline_indexes {
-            d.baseline
-                .push((name.clone(), idx.table(), idx.instance_name().to_string()));
-        }
-        d.column = self.column_indexes.keys().copied().collect();
-        d.summary.sort();
-        d.baseline.sort();
-        d.column.sort();
-        d
+        crate::session::IndexDescriptors::from_registry(&self.indexes)
     }
 
     /// Catch every registered index up with the database's revision.
@@ -701,24 +676,24 @@ impl<'a> ExecContext<'a> {
         let mut report = MaintenanceReport::default();
         let before = self.db.stats().snapshot();
         let mut dead_summary = Vec::new();
-        for (name, idx) in self.summary_indexes.iter_mut() {
+        for (name, idx) in self.indexes.summary.iter_mut() {
             if !refresh_index(self.db, idx, &mut report)? {
                 dead_summary.push(name.clone());
             }
         }
         for name in dead_summary {
-            self.summary_indexes.remove(&name);
+            self.indexes.summary.remove(&name);
         }
         let mut dead_baseline = Vec::new();
-        for (name, idx) in self.baseline_indexes.iter_mut() {
+        for (name, idx) in self.indexes.baseline.iter_mut() {
             if !refresh_index(self.db, idx, &mut report)? {
                 dead_baseline.push(name.clone());
             }
         }
         for name in dead_baseline {
-            self.baseline_indexes.remove(&name);
+            self.indexes.baseline.remove(&name);
         }
-        for idx in self.column_indexes.values_mut() {
+        for idx in self.indexes.column.values_mut() {
             // Column indexes reference no summary instance; eviction
             // cannot trigger.
             refresh_index(self.db, idx, &mut report)?;
@@ -770,33 +745,39 @@ impl<'a> ExecContext<'a> {
 
     /// Register a Summary-BTree under a name.
     pub fn register_summary_index(&mut self, name: &str, index: SummaryBTree) {
-        self.summary_indexes.insert(name.to_string(), index);
+        self.indexes.summary.insert(name.to_string(), index);
     }
 
     /// Register a baseline-scheme index under a name.
     pub fn register_baseline_index(&mut self, name: &str, index: BaselineIndex) {
-        self.baseline_indexes.insert(name.to_string(), index);
+        self.indexes.baseline.insert(name.to_string(), index);
     }
 
     /// Register a data-column index.
     pub fn register_column_index(&mut self, index: ColumnIndex) {
-        self.column_indexes
+        self.indexes
+            .column
             .insert((index.table(), index.column()), index);
     }
 
     /// Whether a Summary-BTree is registered under `name`.
     pub fn has_summary_index(&self, name: &str) -> bool {
-        self.summary_indexes.contains_key(name)
+        self.indexes.summary.contains_key(name)
     }
 
     /// Whether a column index exists on `(table, col)`.
     pub fn has_column_index(&self, table: TableId, col: usize) -> bool {
-        self.column_indexes.contains_key(&(table, col))
+        self.indexes.column.contains_key(&(table, col))
     }
 
     /// Borrow a registered Summary-BTree.
     pub fn summary_index(&self, name: &str) -> Option<&SummaryBTree> {
-        self.summary_indexes.get(name)
+        self.indexes.summary.get(name)
+    }
+
+    fn require_summary_index(&self, name: &str) -> Result<&SummaryBTree> {
+        self.summary_index(name)
+            .ok_or_else(|| QueryError::UnknownIndex(name.to_string()))
     }
 
     /// Execute a physical plan to completion, materializing its output.
@@ -822,7 +803,7 @@ impl<'a> ExecContext<'a> {
             }
         }
         let exec_span = self.trace.as_mut().map(|t| t.begin("execute"));
-        let mut root = compile(plan);
+        let mut root = compile(plan, None);
         root.open(self)?;
         let mut out = Vec::new();
         while let Some(t) = root.next(self)? {
@@ -842,7 +823,7 @@ impl<'a> ExecContext<'a> {
     /// early; no I/O happens beyond what the pulled tuples require.
     pub fn open_stream<'c>(&'c mut self, plan: &PhysicalPlan) -> Result<TupleStream<'c, 'a>> {
         self.refresh_stale_indexes()?;
-        let mut root = compile(plan);
+        let mut root = compile(plan, None);
         root.open(self)?;
         Ok(TupleStream {
             ctx: self,
@@ -853,7 +834,8 @@ impl<'a> ExecContext<'a> {
 
     fn table_of_baseline(&self, index: &str) -> Result<TableId> {
         let idx = self
-            .baseline_indexes
+            .indexes
+            .baseline
             .get(index)
             .ok_or_else(|| QueryError::UnknownIndex(index.to_string()))?;
         // Find the table with this instance linked.
@@ -1019,32 +1001,68 @@ impl OpMetrics {
 /// `open` acquires cursors or materializes pipeline-breaker state, `next`
 /// yields one tuple at a time, `close` releases state. Operators receive the
 /// [`ExecContext`] on every call instead of borrowing it, so the compiled
-/// tree carries no lifetimes.
+/// tree carries no lifetimes — and they receive it *shared*: every worker
+/// of an Exchange pulls its own tree against the one context.
 trait Operator {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()>;
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>>;
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()>;
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()>;
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>>;
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()>;
     fn children(&self) -> Vec<&OpNode>;
 
-    /// Metrics of child subtrees that did not run as `OpNode`s (the
-    /// worker-merged fragment under an Exchange). Empty for serial ops.
-    fn merged_children(&self) -> Vec<OpMetrics> {
-        Vec::new()
+    /// Enumerate this leaf's input as morsels of at most `rows` tuples, in
+    /// output order. Only the scan leaves a parallel fragment may sit on
+    /// ([`split_fragment`]) can; the Exchange coordinator calls this once
+    /// and workers read the morsels through [`Bound`] trees.
+    fn morsels(&mut self, _ctx: &ExecContext<'_>, _rows: usize) -> Result<Vec<Morsel>> {
+        Err(QueryError::BadPlan(
+            "operator cannot be split into morsels".into(),
+        ))
     }
 
-    /// Per-worker metric rows (Exchange only). Empty for serial ops.
-    fn worker_metrics(&self) -> Vec<OpMetrics> {
-        Vec::new()
-    }
-
-    /// Self-measured inclusive `(physical, logical)` I/O overriding the
-    /// node's global-snapshot diff. An Exchange measures its subtree from
-    /// per-worker counter stripes instead, so concurrent sessions charging
-    /// the shared stats between the node's before/after snapshots cannot
-    /// pollute (or double into) its attribution.
-    fn measured_io(&self) -> Option<(u64, u64)> {
+    /// What an Exchange that ran parallel reports in place of metered
+    /// children and I/O. `None` for every other operator.
+    fn parallel_run(&self) -> Option<&ParallelRun> {
         None
     }
+}
+
+/// The metrics of one parallel Exchange run.
+struct ParallelRun {
+    /// The workers' fragment trees merged into one, the Exchange's child.
+    fragment: OpMetrics,
+    /// One `[worker N]` row per worker: chain-top rows, morsels claimed (in
+    /// `opens`), and the worker's stripe delta.
+    workers: Vec<OpMetrics>,
+    /// Inclusive I/O summed from the coordinator's and the workers' pinned
+    /// counter stripes, so concurrent sessions charging the shared stats
+    /// cannot pollute (or double into) the Exchange's attribution.
+    io: instn_storage::IoSnapshot,
+}
+
+/// One unit of a parallel fragment's work queue: a slice of the leaf's
+/// input, enumerated once by the coordinator ([`Operator::morsels`]).
+#[derive(Clone)]
+enum Morsel {
+    /// Inclusive OID range of a heap scan.
+    Range(instn_storage::Oid, instn_storage::Oid),
+    /// OID list in data-index key order.
+    Oids(Vec<instn_storage::Oid>),
+    /// Summary-BTree leaf entries in count order.
+    Entries(Vec<instn_index::IndexEntry>),
+}
+
+/// What confines an Exchange worker's operator tree: the morsel its leaf
+/// reads instead of enumerating its own input, and the pinned [`IoStats`]
+/// stripe its nodes meter against.
+#[derive(Clone, Copy)]
+struct Bound<'m> {
+    morsel: &'m Morsel,
+    stripe: usize,
+}
+
+/// A leaf was bound to a morsel another kind of leaf enumerated.
+fn foreign_morsel() -> QueryError {
+    QueryError::BadPlan("morsel does not match the scan leaf it is bound to".into())
 }
 
 /// An operator plus its runtime counters. All pulls go through the node so
@@ -1052,6 +1070,9 @@ trait Operator {
 struct OpNode {
     label: String,
     op: Box<dyn Operator>,
+    /// The pinned counter stripe this node meters against (a worker's tree
+    /// under an Exchange); `None` meters the sum of every stripe.
+    stripe: Option<usize>,
     rows: u64,
     opens: u64,
     physical_io: u64,
@@ -1059,16 +1080,16 @@ struct OpNode {
 }
 
 impl OpNode {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.opens += 1;
-        let before = ctx.db.stats().snapshot();
+        let before = self.io_snapshot(ctx);
         let r = self.op.open(ctx);
         self.charge(&before, ctx);
         r
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
-        let before = ctx.db.stats().snapshot();
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+        let before = self.io_snapshot(ctx);
         let r = self.op.next(ctx);
         self.charge(&before, ctx);
         if let Ok(Some(_)) = &r {
@@ -1077,38 +1098,51 @@ impl OpNode {
         r
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.op.close(ctx)
     }
 
+    fn io_snapshot(&self, ctx: &ExecContext<'_>) -> instn_storage::IoSnapshot {
+        match self.stripe {
+            Some(w) => ctx.db.stats().worker_snapshot(w),
+            None => ctx.db.stats().snapshot(),
+        }
+    }
+
     fn charge(&mut self, before: &instn_storage::IoSnapshot, ctx: &ExecContext<'_>) {
-        let delta = ctx.db.stats().snapshot().since(before);
+        let delta = self.io_snapshot(ctx).since(before);
         self.physical_io += delta.total();
         self.logical_io += delta.logical_total();
     }
 
     fn metrics(&self) -> OpMetrics {
-        let mut children: Vec<OpMetrics> = self.op.children().iter().map(|c| c.metrics()).collect();
-        children.extend(self.op.merged_children());
-        let (physical_io, logical_io) = self
-            .op
-            .measured_io()
-            .unwrap_or((self.physical_io, self.logical_io));
-        OpMetrics {
+        let mut m = OpMetrics {
             label: self.label.clone(),
             rows: self.rows,
             opens: self.opens,
-            physical_io,
-            logical_io,
-            children,
-            workers: self.op.worker_metrics(),
+            physical_io: self.physical_io,
+            logical_io: self.logical_io,
+            children: self.op.children().iter().map(|c| c.metrics()).collect(),
+            workers: Vec::new(),
+        };
+        if let Some(run) = self.op.parallel_run() {
+            m.physical_io = run.io.total();
+            m.logical_io = run.io.logical_total();
+            m.children.push(run.fragment.clone());
+            m.workers = run.workers.clone();
         }
+        m
     }
 }
 
 /// Compile a plan tree into an operator tree. Plan parameters are cloned
 /// into the operators (plans are small), keeping the tree `'static`.
-fn compile(plan: &PhysicalPlan) -> OpNode {
+/// `bound` is `None` for the serial pipeline; an Exchange worker passes the
+/// morsel and stripe its tree is confined to. It threads through the
+/// per-tuple stages of a [`split_fragment`] chain to the one scan leaf that
+/// reads it, and nowhere else.
+fn compile(plan: &PhysicalPlan, bound: Option<Bound<'_>>) -> OpNode {
+    let morsel = || bound.map(|b| b.morsel.clone());
     let op: Box<dyn Operator> = match plan {
         PhysicalPlan::SeqScan {
             table,
@@ -1116,6 +1150,7 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
         } => Box::new(SeqScanOp {
             table: *table,
             with_summaries: *with_summaries,
+            morsel: morsel(),
             cursor: None,
         }),
         PhysicalPlan::SummaryIndexScan {
@@ -1132,8 +1167,10 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
             hi: *hi,
             propagate: *propagate,
             reverse: *reverse,
+            morsel: morsel(),
             table: None,
             cursor: None,
+            pos: 0,
         }),
         PhysicalPlan::BaselineIndexScan {
             index,
@@ -1169,15 +1206,16 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
             lo_strict: *lo_strict,
             hi_strict: *hi_strict,
             with_summaries: *with_summaries,
+            morsel: morsel(),
             oids: Vec::new(),
             pos: 0,
         }),
         PhysicalPlan::Filter { input, pred } => Box::new(FilterOp {
-            child: compile(input),
+            child: compile(input, bound),
             pred: pred.clone(),
         }),
         PhysicalPlan::SummaryObjectFilter { input, pred } => Box::new(SummaryObjectFilterOp {
-            child: compile(input),
+            child: compile(input, bound),
             pred: pred.clone(),
         }),
         PhysicalPlan::Project {
@@ -1185,13 +1223,13 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
             cols,
             eliminate,
         } => Box::new(ProjectOp {
-            child: compile(input),
+            child: compile(input, bound),
             cols: cols.clone(),
             eliminate: *eliminate,
         }),
         PhysicalPlan::NestedLoopJoin { left, right, pred } => Box::new(NestedLoopJoinOp {
-            left: compile(left),
-            right: compile(right),
+            left: compile(left, None),
+            right: compile(right, None),
             pred: pred.clone(),
             block: Vec::new(),
             inner: Vec::new(),
@@ -1208,7 +1246,7 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
             residual,
             with_summaries,
         } => Box::new(IndexJoinOp {
-            left: compile(left),
+            left: compile(left, None),
             right_table: *right_table,
             left_col: *left_col,
             right_col: *right_col,
@@ -1224,7 +1262,7 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
             residual,
             with_summaries,
         } => Box::new(SummaryIndexJoinOp {
-            left: compile(left),
+            left: compile(left, None),
             left_key: left_key.clone(),
             index: index.clone(),
             label: label.clone(),
@@ -1239,23 +1277,23 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
             desc,
             disk,
         } => Box::new(SortOp {
-            child: compile(input),
+            child: compile(input, None),
             key: key.clone(),
             desc: *desc,
             disk: *disk,
             out: None,
         }),
         PhysicalPlan::GroupBy { input, cols } => Box::new(GroupByOp {
-            child: compile(input),
+            child: compile(input, None),
             cols: cols.clone(),
             out: None,
         }),
         PhysicalPlan::Distinct { input } => Box::new(DistinctOp {
-            child: compile(input),
+            child: compile(input, None),
             out: None,
         }),
         PhysicalPlan::Limit { input, n } => Box::new(LimitOp {
-            child: compile(input),
+            child: compile(input, None),
             n: *n,
             emitted: 0,
         }),
@@ -1264,14 +1302,13 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
             dop: *dop,
             serial: None,
             out: None,
-            worker_stats: Vec::new(),
-            fragment_metrics: None,
-            measured: None,
+            parallel: None,
         }),
     };
     OpNode {
         label: plan.head(),
         op,
+        stripe: bound.map(|b| b.stripe),
         rows: 0,
         opens: 0,
         physical_io: 0,
@@ -1279,20 +1316,27 @@ fn compile(plan: &PhysicalPlan) -> OpNode {
     }
 }
 
-/// Streaming sequential scan (OID order).
+/// Streaming sequential scan (OID order) — of the whole table, or of the one
+/// OID range a worker's tree is bound to.
 struct SeqScanOp {
     table: TableId,
     with_summaries: bool,
+    morsel: Option<Morsel>,
     cursor: Option<instn_storage::ScanCursor>,
 }
 
 impl Operator for SeqScanOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.cursor = Some(ctx.db.table(self.table)?.scan_open());
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+        let (lo, hi) = match self.morsel {
+            None => (None, None),
+            Some(Morsel::Range(lo, hi)) => (Some(lo), Some(hi)),
+            Some(_) => return Err(foreign_morsel()),
+        };
+        self.cursor = Some(ctx.db.table(self.table)?.scan_open_range(lo, hi));
         Ok(())
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         let cur = self.cursor.as_mut().expect("open() before next()");
         let Some((oid, values)) = ctx.db.table(self.table)?.scan_next(cur) else {
             return Ok(None);
@@ -1309,7 +1353,7 @@ impl Operator for SeqScanOp {
         }
     }
 
-    fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
         self.cursor = None;
         Ok(())
     }
@@ -1317,11 +1361,20 @@ impl Operator for SeqScanOp {
     fn children(&self) -> Vec<&OpNode> {
         Vec::new()
     }
+
+    fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
+        let ranges = ctx.db.table(self.table)?.morsel_ranges(rows);
+        Ok(ranges
+            .into_iter()
+            .map(|(lo, hi)| Morsel::Range(lo, hi))
+            .collect())
+    }
 }
 
 /// Streaming Summary-BTree scan: a cursor is opened over the count range and
 /// entries are fetched lazily, so a LIMIT above stops both the leaf walk and
-/// the per-entry heap reads after k tuples.
+/// the per-entry heap reads after k tuples. A worker's tree reads the
+/// entries of its bound morsel instead of walking the leaves.
 struct SummaryIndexScanOp {
     index: String,
     label: String,
@@ -1329,28 +1382,41 @@ struct SummaryIndexScanOp {
     hi: Option<u64>,
     propagate: bool,
     reverse: bool,
+    morsel: Option<Morsel>,
     table: Option<TableId>,
     cursor: Option<instn_index::EntryCursor>,
+    pos: usize,
+}
+
+impl SummaryIndexScanOp {
+    fn next_entry(&mut self, idx: &SummaryBTree) -> Option<instn_index::IndexEntry> {
+        if let Some(Morsel::Entries(entries)) = &self.morsel {
+            let entry = entries.get(self.pos).copied();
+            self.pos += 1;
+            return entry;
+        }
+        idx.cursor_next(self.cursor.as_mut().expect("open() before next()"))
+    }
 }
 
 impl Operator for SummaryIndexScanOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        let idx = ctx
-            .summary_indexes
-            .get_mut(&self.index)
-            .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+        let idx = ctx.require_summary_index(&self.index)?;
         self.table = Some(idx.table());
-        self.cursor = Some(idx.open_range_cursor(&self.label, self.lo, self.hi, self.reverse));
+        match self.morsel {
+            None => {
+                self.cursor =
+                    Some(idx.open_range_cursor(&self.label, self.lo, self.hi, self.reverse));
+            }
+            Some(Morsel::Entries(_)) => self.pos = 0,
+            Some(_) => return Err(foreign_morsel()),
+        }
         Ok(())
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
-        let idx = ctx
-            .summary_indexes
-            .get(&self.index)
-            .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
-        let cur = self.cursor.as_mut().expect("open() before next()");
-        let Some(e) = idx.cursor_next(cur) else {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+        let idx = ctx.require_summary_index(&self.index)?;
+        let Some(e) = self.next_entry(idx) else {
             return Ok(None);
         };
         let values = idx.fetch_data_tuple(ctx.db, &e)?;
@@ -1366,13 +1432,23 @@ impl Operator for SummaryIndexScanOp {
         }))
     }
 
-    fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
         self.cursor = None;
         Ok(())
     }
 
     fn children(&self) -> Vec<&OpNode> {
         Vec::new()
+    }
+
+    fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
+        self.open(ctx)?;
+        let idx = ctx.require_summary_index(&self.index)?;
+        let entries: Vec<_> = std::iter::from_fn(|| self.next_entry(idx)).collect();
+        Ok(entries
+            .chunks(rows)
+            .map(|c| Morsel::Entries(c.to_vec()))
+            .collect())
     }
 }
 
@@ -1392,9 +1468,10 @@ struct BaselineIndexScanOp {
 }
 
 impl Operator for BaselineIndexScanOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         let idx = ctx
-            .baseline_indexes
+            .indexes
+            .baseline
             .get(&self.index)
             .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
         // The baseline index only knows OIDs; the owning table is resolved
@@ -1409,7 +1486,7 @@ impl Operator for BaselineIndexScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         let Some(&oid) = self.oids.get(self.pos) else {
             return Ok(None);
         };
@@ -1422,7 +1499,8 @@ impl Operator for BaselineIndexScanOp {
                 // Re-assemble the classifier object from normalized rows
                 // (the paper's Fig. 12 measures exactly this).
                 let idx = ctx
-                    .baseline_indexes
+                    .indexes
+                    .baseline
                     .get(&self.index)
                     .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
                 idx.rebuild_object(ctx.db, oid)?
@@ -1441,7 +1519,7 @@ impl Operator for BaselineIndexScanOp {
         }))
     }
 
-    fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
         self.oids = Vec::new();
         self.pos = 0;
         Ok(())
@@ -1453,8 +1531,9 @@ impl Operator for BaselineIndexScanOp {
 }
 
 /// Data-column index scan: the qualifying OID list (already in key order,
-/// NULL band skipped) is materialized at open; heap reads happen lazily per
-/// pull so a LIMIT above stops them.
+/// NULL band skipped) is materialized at open — or taken from the morsel a
+/// worker's tree is bound to; heap reads happen lazily per pull so a LIMIT
+/// above stops them.
 struct DataIndexScanOp {
     table: TableId,
     col: usize,
@@ -1463,29 +1542,37 @@ struct DataIndexScanOp {
     lo_strict: bool,
     hi_strict: bool,
     with_summaries: bool,
+    morsel: Option<Morsel>,
     oids: Vec<instn_storage::Oid>,
     pos: usize,
 }
 
 impl Operator for DataIndexScanOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        let idx = ctx
-            .column_indexes
-            .get(&(self.table, self.col))
-            .ok_or_else(|| {
-                QueryError::UnknownIndex(format!("table#{}.col{}", self.table.0, self.col))
-            })?;
-        self.oids = idx.range(
-            self.lo.as_ref(),
-            self.hi.as_ref(),
-            self.lo_strict,
-            self.hi_strict,
-        );
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+        self.oids = match &self.morsel {
+            None => {
+                let idx = ctx
+                    .indexes
+                    .column
+                    .get(&(self.table, self.col))
+                    .ok_or_else(|| {
+                        QueryError::UnknownIndex(format!("table#{}.col{}", self.table.0, self.col))
+                    })?;
+                idx.range(
+                    self.lo.as_ref(),
+                    self.hi.as_ref(),
+                    self.lo_strict,
+                    self.hi_strict,
+                )
+            }
+            Some(Morsel::Oids(oids)) => oids.clone(),
+            Some(_) => return Err(foreign_morsel()),
+        };
         self.pos = 0;
         Ok(())
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         let Some(&oid) = self.oids.get(self.pos) else {
             return Ok(None);
         };
@@ -1503,7 +1590,7 @@ impl Operator for DataIndexScanOp {
         }
     }
 
-    fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
         self.oids = Vec::new();
         self.pos = 0;
         Ok(())
@@ -1511,6 +1598,15 @@ impl Operator for DataIndexScanOp {
 
     fn children(&self) -> Vec<&OpNode> {
         Vec::new()
+    }
+
+    fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
+        self.open(ctx)?;
+        Ok(self
+            .oids
+            .chunks(rows)
+            .map(|c| Morsel::Oids(c.to_vec()))
+            .collect())
     }
 }
 
@@ -1521,11 +1617,11 @@ struct FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         loop {
             let Some(t) = self.child.next(ctx)? else {
                 return Ok(None);
@@ -1536,7 +1632,7 @@ impl Operator for FilterOp {
         }
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -1552,11 +1648,11 @@ struct SummaryObjectFilterOp {
 }
 
 impl Operator for SummaryObjectFilterOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         let t = self.child.next(ctx)?;
         Ok(t.map(|mut t| {
             t.summaries.retain(|o| self.pred.matches(o));
@@ -1564,7 +1660,7 @@ impl Operator for SummaryObjectFilterOp {
         }))
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -1581,11 +1677,11 @@ struct ProjectOp {
 }
 
 impl Operator for ProjectOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         let Some(mut t) = self.child.next(ctx)? else {
             return Ok(None);
         };
@@ -1609,7 +1705,7 @@ impl Operator for ProjectOp {
         Ok(Some(t))
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -1635,7 +1731,7 @@ struct NestedLoopJoinOp {
 }
 
 impl Operator for NestedLoopJoinOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.block.clear();
         self.inner.clear();
         self.inner_cached = false;
@@ -1645,7 +1741,7 @@ impl Operator for NestedLoopJoinOp {
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         loop {
             // Emit pending matches of the current block × inner.
             while self.li < self.block.len() {
@@ -1693,7 +1789,7 @@ impl Operator for NestedLoopJoinOp {
         }
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.block = Vec::new();
         self.inner = Vec::new();
         self.inner_cached = false;
@@ -1719,7 +1815,7 @@ struct IndexJoinOp {
 }
 
 impl Operator for IndexJoinOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         if !ctx.has_column_index(self.right_table, self.right_col) {
             return Err(QueryError::BadPlan(format!(
                 "index join requires a column index on table {:?} col {}",
@@ -1730,7 +1826,7 @@ impl Operator for IndexJoinOp {
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         loop {
             if self.current.is_some() {
                 let (l, oids, pos) = self.current.as_mut().expect("checked above");
@@ -1757,7 +1853,7 @@ impl Operator for IndexJoinOp {
                     let Some(key) = l.values.get(self.left_col) else {
                         continue;
                     };
-                    let oids = ctx.column_indexes[&(self.right_table, self.right_col)].lookup(key);
+                    let oids = ctx.indexes.column[&(self.right_table, self.right_col)].lookup(key);
                     self.current = Some((l, oids, 0));
                 }
                 None => return Ok(None),
@@ -1765,7 +1861,7 @@ impl Operator for IndexJoinOp {
         }
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.current = None;
         self.left.close(ctx)
     }
@@ -1789,17 +1885,15 @@ struct SummaryIndexJoinOp {
 }
 
 impl Operator for SummaryIndexJoinOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        let idx = ctx
-            .summary_indexes
-            .get(&self.index)
-            .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+        let idx = ctx.require_summary_index(&self.index)?;
         self.right_table = Some(idx.table());
         self.current = None;
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+        let idx = ctx.require_summary_index(&self.index)?;
         loop {
             if self.current.is_some() {
                 let right_table = self.right_table.expect("set in open");
@@ -1807,10 +1901,6 @@ impl Operator for SummaryIndexJoinOp {
                 while *pos < entries.len() {
                     let e = &entries[*pos];
                     *pos += 1;
-                    let idx = ctx
-                        .summary_indexes
-                        .get(&self.index)
-                        .expect("checked in open");
                     let values = idx.fetch_data_tuple(ctx.db, e)?;
                     let summaries = if self.with_summaries {
                         idx.fetch_summaries(ctx.db, e)?
@@ -1839,10 +1929,6 @@ impl Operator for SummaryIndexJoinOp {
                     if count < 0 {
                         continue;
                     }
-                    let idx = ctx
-                        .summary_indexes
-                        .get_mut(&self.index)
-                        .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
                     let entries = idx.search_eq(&self.label, count as u64);
                     self.current = Some((l, entries, 0));
                 }
@@ -1851,7 +1937,7 @@ impl Operator for SummaryIndexJoinOp {
         }
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.current = None;
         self.left.close(ctx)
     }
@@ -1872,7 +1958,7 @@ struct SortOp {
 }
 
 impl Operator for SortOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)?;
         let mut rows = Vec::new();
         while let Some(t) = self.child.next(ctx)? {
@@ -1887,11 +1973,11 @@ impl Operator for SortOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.out = None;
         self.child.close(ctx)
     }
@@ -1910,7 +1996,7 @@ struct GroupByOp {
 }
 
 impl Operator for GroupByOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)?;
         let mut rows = Vec::new();
         while let Some(t) = self.child.next(ctx)? {
@@ -1920,11 +2006,11 @@ impl Operator for GroupByOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.out = None;
         self.child.close(ctx)
     }
@@ -1942,7 +2028,7 @@ struct DistinctOp {
 }
 
 impl Operator for DistinctOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)?;
         let mut rows = Vec::new();
         while let Some(t) = self.child.next(ctx)? {
@@ -1952,11 +2038,11 @@ impl Operator for DistinctOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.out = None;
         self.child.close(ctx)
     }
@@ -1976,12 +2062,12 @@ struct LimitOp {
 }
 
 impl Operator for LimitOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.emitted = 0;
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         if self.emitted >= self.n {
             return Ok(None);
         }
@@ -1994,7 +2080,7 @@ impl Operator for LimitOp {
         }
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -2126,575 +2212,282 @@ pub fn parallelize_plan_where(
     }
 }
 
-/// One worker-side stage of a parallel fragment (applied per tuple).
-#[derive(Clone)]
-enum FragStage {
-    Filter(Expr),
-    ObjFilter(ObjectPred),
-    Project { cols: Vec<usize>, eliminate: bool },
+/// A decomposed parallel fragment (see [`parallel_fragment_shape`]).
+struct FragSpec<'p> {
+    /// The per-tuple stages over the leaf — what each worker compiles and
+    /// pulls once per morsel.
+    chain: &'p PhysicalPlan,
+    /// The scan leaf the coordinator enumerates into morsels.
+    leaf: &'p PhysicalPlan,
+    /// Grouping columns of the `GroupBy` head, which runs as per-morsel
+    /// partial aggregation merged at the gather.
+    group_cols: Option<&'p [usize]>,
 }
 
-/// A decomposed parallel fragment: the leaf scan, the per-tuple stages in
-/// bottom-up application order, the optional partial-aggregation columns,
-/// and the plan-node labels (bottom-up, scan first) for metrics.
-struct FragSpec {
-    scan: PhysicalPlan,
-    stages: Vec<FragStage>,
-    group_cols: Option<Vec<usize>>,
-    heads: Vec<String>,
-}
-
-fn split_fragment(plan: &PhysicalPlan) -> Option<FragSpec> {
-    let (group_cols, group_head, mut node) = match plan {
-        PhysicalPlan::GroupBy { input, cols } => (Some(cols.clone()), Some(plan.head()), &**input),
-        other => (None, None, other),
+fn split_fragment(plan: &PhysicalPlan) -> Option<FragSpec<'_>> {
+    let (group_cols, chain) = match plan {
+        PhysicalPlan::GroupBy { input, cols } => (Some(&cols[..]), &**input),
+        other => (None, other),
     };
-    let mut top_down: Vec<(FragStage, String)> = Vec::new();
+    let mut leaf = chain;
     loop {
-        match node {
-            PhysicalPlan::Filter { input, pred } => {
-                top_down.push((FragStage::Filter(pred.clone()), node.head()));
-                node = input;
-            }
-            PhysicalPlan::SummaryObjectFilter { input, pred } => {
-                top_down.push((FragStage::ObjFilter(pred.clone()), node.head()));
-                node = input;
-            }
-            PhysicalPlan::Project {
-                input,
-                cols,
-                eliminate,
-            } => {
-                top_down.push((
-                    FragStage::Project {
-                        cols: cols.clone(),
-                        eliminate: *eliminate,
-                    },
-                    node.head(),
-                ));
-                node = input;
-            }
+        match leaf {
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::SummaryObjectFilter { input, .. }
+            | PhysicalPlan::Project { input, .. } => leaf = input,
             PhysicalPlan::SeqScan { .. }
             | PhysicalPlan::DataIndexScan { .. }
             | PhysicalPlan::SummaryIndexScan { .. } => break,
             _ => return None,
         }
     }
-    let scan = node.clone();
-    let mut heads = vec![scan.head()];
-    let mut stages = Vec::with_capacity(top_down.len());
-    for (stage, head) in top_down.into_iter().rev() {
-        stages.push(stage);
-        heads.push(head);
-    }
-    heads.extend(group_head);
     Some(FragSpec {
-        scan,
-        stages,
+        chain,
+        leaf,
         group_cols,
-        heads,
     })
-}
-
-/// Leaf parameters resolved by the coordinator before spawning workers.
-enum ResolvedSource {
-    Heap {
-        table: TableId,
-        with_summaries: bool,
-    },
-    ByOid {
-        table: TableId,
-        with_summaries: bool,
-    },
-    Entries {
-        table: TableId,
-        propagate: bool,
-    },
-}
-
-/// One unit of the shared work queue.
-enum MorselInput {
-    /// Inclusive OID range of a heap scan.
-    Range(instn_storage::Oid, instn_storage::Oid),
-    /// Explicit OID list (data-index scan output order).
-    Oids(Vec<instn_storage::Oid>),
-    /// Summary-BTree leaf entries (count order).
-    Entries(Vec<instn_index::IndexEntry>),
-}
-
-/// What one morsel produced: pipelined rows, or a partial aggregate.
-enum MorselOut {
-    Rows(Vec<AnnotatedTuple>),
-    Agg(AggState),
 }
 
 /// Everything one worker brings back from the pool.
-struct WorkerOut {
-    /// Rows surviving each fragment level: `[0]` = scan output, `[i+1]` =
-    /// after stage `i`.
-    stage_rows: Vec<u64>,
-    /// Morsels this worker claimed.
-    morsels: u64,
-    /// Tuples (or partial groups) this worker contributed to the gather.
-    rows_out: u64,
+struct WorkerOut<T> {
     /// Morsel outputs tagged with their queue index.
-    outs: Vec<(usize, MorselOut)>,
+    outs: Vec<(usize, T)>,
+    /// The metrics of this worker's fragment trees, merged over the morsels
+    /// it claimed (so `opens` counts them).
+    fragment: OpMetrics,
     /// I/O charged to this worker's counter stripe.
     io: instn_storage::IoSnapshot,
-}
-
-/// Run one morsel through the fragment: produce source tuples, apply the
-/// stages, collect rows or fold into a partial [`AggState`].
-fn run_morsel(
-    db: &Database,
-    sidx: Option<&SummaryBTree>,
-    source: &ResolvedSource,
-    frag: &FragSpec,
-    input: &MorselInput,
-    stage_rows: &mut [u64],
-) -> Result<MorselOut> {
-    let mut rows = Vec::new();
-    let mut agg = frag.group_cols.clone().map(AggState::new);
-    let mut sink = |t: AnnotatedTuple| match &mut agg {
-        Some(st) => st.absorb(db, t),
-        None => rows.push(t),
-    };
-    match (input, source) {
-        (
-            MorselInput::Range(lo, hi),
-            ResolvedSource::Heap {
-                table,
-                with_summaries,
-            },
-        ) => {
-            let tbl = db.table(*table)?;
-            let mut cur = tbl.scan_open_range(Some(*lo), Some(*hi));
-            while let Some((oid, values)) = tbl.scan_next(&mut cur) {
-                let t = annotate(db, *table, oid, values, *with_summaries)?;
-                if let Some(t) = apply_stages(db, &frag.stages, t, stage_rows)? {
-                    sink(t);
-                }
-            }
-        }
-        (
-            MorselInput::Oids(oids),
-            ResolvedSource::ByOid {
-                table,
-                with_summaries,
-            },
-        ) => {
-            for &oid in oids {
-                let values = db.table(*table)?.get(oid)?;
-                let t = annotate(db, *table, oid, values, *with_summaries)?;
-                if let Some(t) = apply_stages(db, &frag.stages, t, stage_rows)? {
-                    sink(t);
-                }
-            }
-        }
-        (MorselInput::Entries(entries), ResolvedSource::Entries { table, propagate }) => {
-            let idx = sidx.expect("coordinator resolved the summary index");
-            for e in entries {
-                let values = idx.fetch_data_tuple(db, e)?;
-                let summaries = if *propagate {
-                    idx.fetch_summaries(db, e)?
-                } else {
-                    Vec::new()
-                };
-                let t = AnnotatedTuple {
-                    source: Some((*table, e.oid)),
-                    values,
-                    summaries,
-                };
-                if let Some(t) = apply_stages(db, &frag.stages, t, stage_rows)? {
-                    sink(t);
-                }
-            }
-        }
-        _ => unreachable!("morsel kind always matches the resolved source"),
-    }
-    Ok(match agg {
-        Some(st) => MorselOut::Agg(st),
-        None => MorselOut::Rows(rows),
-    })
-}
-
-/// Assemble a scanned tuple exactly as the serial scan operators do.
-fn annotate(
-    db: &Database,
-    table: TableId,
-    oid: instn_storage::Oid,
-    values: Vec<Value>,
-    with_summaries: bool,
-) -> Result<AnnotatedTuple> {
-    if with_summaries {
-        Ok(AnnotatedTuple {
-            source: Some((table, oid)),
-            values,
-            summaries: db.summary_storage(table).read(oid)?,
-        })
-    } else {
-        Ok(AnnotatedTuple::bare(table, oid, values))
-    }
-}
-
-/// Apply the fragment's per-tuple stages, replicating the serial
-/// `FilterOp` / `SummaryObjectFilterOp` / `ProjectOp` semantics.
-fn apply_stages(
-    db: &Database,
-    stages: &[FragStage],
-    mut t: AnnotatedTuple,
-    stage_rows: &mut [u64],
-) -> Result<Option<AnnotatedTuple>> {
-    stage_rows[0] += 1;
-    for (i, stage) in stages.iter().enumerate() {
-        match stage {
-            FragStage::Filter(pred) => {
-                if !pred.eval_bool(&t)? {
-                    return Ok(None);
-                }
-            }
-            FragStage::ObjFilter(pred) => {
-                t.summaries.retain(|o| pred.matches(o));
-            }
-            FragStage::Project { cols, eliminate } => {
-                if *eliminate {
-                    if let Some((table, oid)) = t.source {
-                        let (_kept, removed) = db
-                            .annotation_store(table)
-                            .partition_by_projection(oid, cols);
-                        if !removed.is_empty() {
-                            let resolver = db.text_resolver();
-                            project_eliminate(&mut t.summaries, &removed, &resolver);
-                        }
-                    }
-                }
-                t.values = cols
-                    .iter()
-                    .map(|&c| t.values.get(c).cloned().unwrap_or(Value::Null))
-                    .collect();
-            }
-        }
-        stage_rows[i + 1] += 1;
-    }
-    Ok(Some(t))
 }
 
 /// The exchange/gather operator. At open it resolves the effective DOP:
 /// `1` (and no simulated stall) delegates the fragment to the ordinary
 /// serial operator tree — bit-identical output, metrics, and I/O charges —
 /// while anything else splits the leaf into morsels on a shared queue and
-/// drains it with a crossbeam-scoped worker pool. Workers return per-morsel
-/// outputs which the gather reassembles **in morsel order**, so parallel
-/// output equals the serial pipeline row for row, and partial aggregates
-/// merge associatively in that same order.
+/// drains it with a crossbeam-scoped worker pool. A worker runs the same
+/// compiled operators as the serial pipeline, one [`Bound`] tree per morsel.
+/// Workers return per-morsel outputs which the gather reassembles **in
+/// morsel order**, so parallel output equals the serial pipeline row for
+/// row, and partial aggregates merge associatively in that same order.
 struct ExchangeOp {
     plan: PhysicalPlan,
     dop: usize,
     serial: Option<OpNode>,
     out: Option<std::vec::IntoIter<AnnotatedTuple>>,
-    worker_stats: Vec<OpMetrics>,
-    fragment_metrics: Option<OpMetrics>,
-    measured: Option<(u64, u64)>,
+    parallel: Option<ParallelRun>,
 }
 
-impl ExchangeOp {
-    fn run_parallel(&mut self, ctx: &mut ExecContext<'_>, dop: usize) -> Result<()> {
-        let frag = split_fragment(&self.plan).expect("shape checked by open");
-        let db: &Database = ctx.db;
-        let stats = Arc::clone(db.stats());
-        // The coordinator pins the last stripe so fragment enumeration
-        // (OID-index walk, index leaf drain) is attributable too; workers
-        // are capped below at `PIN_STRIPES - 1` so no worker ever shares
-        // it (a shared stripe would double-count in `measured_io`).
-        let coord_slot = instn_storage::io::PIN_STRIPES - 1;
-        let _coord_pin = IoStats::pin_worker(coord_slot);
-        let coord_before = stats.worker_snapshot(coord_slot);
-        let morsel_rows = ctx.config.morsel_rows.max(1);
-        let (source, morsels, sidx): (ResolvedSource, Vec<MorselInput>, Option<&SummaryBTree>) =
-            match &frag.scan {
-                PhysicalPlan::SeqScan {
-                    table,
-                    with_summaries,
-                } => (
-                    ResolvedSource::Heap {
-                        table: *table,
-                        with_summaries: *with_summaries,
-                    },
-                    db.table(*table)?
-                        .morsel_ranges(morsel_rows)
-                        .into_iter()
-                        .map(|(lo, hi)| MorselInput::Range(lo, hi))
-                        .collect(),
-                    None,
-                ),
-                PhysicalPlan::DataIndexScan {
-                    table,
-                    col,
-                    lo,
-                    hi,
-                    lo_strict,
-                    hi_strict,
-                    with_summaries,
-                } => {
-                    let idx = ctx.column_indexes.get(&(*table, *col)).ok_or_else(|| {
-                        QueryError::UnknownIndex(format!("table#{}.col{}", table.0, col))
-                    })?;
-                    let oids = idx.range(lo.as_ref(), hi.as_ref(), *lo_strict, *hi_strict);
-                    (
-                        ResolvedSource::ByOid {
-                            table: *table,
-                            with_summaries: *with_summaries,
-                        },
-                        oids.chunks(morsel_rows)
-                            .map(|c| MorselInput::Oids(c.to_vec()))
-                            .collect(),
-                        None,
-                    )
-                }
-                PhysicalPlan::SummaryIndexScan {
-                    index,
-                    label,
-                    lo,
-                    hi,
-                    propagate,
-                    reverse,
-                } => {
-                    let idx = ctx
-                        .summary_indexes
-                        .get_mut(index)
-                        .ok_or_else(|| QueryError::UnknownIndex(index.clone()))?;
-                    let table = idx.table();
-                    let mut cur = idx.open_range_cursor(label, *lo, *hi, *reverse);
-                    let mut entries = Vec::new();
-                    while let Some(e) = idx.cursor_next(&mut cur) {
-                        entries.push(e);
-                    }
-                    (
-                        ResolvedSource::Entries {
-                            table,
-                            propagate: *propagate,
-                        },
-                        entries
-                            .chunks(morsel_rows)
-                            .map(|c| MorselInput::Entries(c.to_vec()))
-                            .collect(),
-                        ctx.summary_indexes.get(index),
-                    )
-                }
-                _ => unreachable!("split_fragment only admits the three scan leaves"),
-            };
+/// Run `frag` across `dop` workers. Each worker claims morsels off a shared
+/// queue, pulls the compiled chain bounded to the morsel through `drain`,
+/// and the per-morsel results meet in `gather` in morsel order.
+fn run_parallel<T: Send>(
+    ctx: &ExecContext<'_>,
+    frag: &FragSpec<'_>,
+    dop: usize,
+    drain: impl Fn(&mut OpNode) -> Result<T> + Sync,
+    gather: impl FnOnce(Vec<T>) -> Vec<AnnotatedTuple>,
+) -> Result<(Vec<AnnotatedTuple>, ParallelRun)> {
+    let stats = ctx.db.stats();
+    // The coordinator pins the last stripe so fragment enumeration
+    // (OID-index walk, index leaf drain) is attributable too; workers
+    // are capped below at `PIN_STRIPES - 1` so no worker ever shares
+    // it (a shared stripe would double-count in the measured total).
+    let coord_slot = instn_storage::io::PIN_STRIPES - 1;
+    let _coord_pin = IoStats::pin_worker(coord_slot);
+    let coord_before = stats.worker_snapshot(coord_slot);
+    let morsels = compile(frag.leaf, None)
+        .op
+        .morsels(ctx, ctx.config.morsel_rows.max(1))?;
 
-        // Workers are bounded by the morsel count and by the reserved
-        // stripes minus the coordinator's own; an empty morsel list still
-        // gets one worker so the gather path is uniform.
-        let worker_cap = morsels.len().clamp(1, instn_storage::io::PIN_STRIPES - 1);
-        let n_workers = dop.clamp(1, worker_cap);
-        // Morsel/gather timing handles, resolved once per Exchange run (the
-        // registry mutex is never taken inside the worker loop). `None`
-        // when observability is off: workers then skip the clock entirely.
-        let obs = db.metrics();
-        let morsel_obs = if obs.is_enabled() {
-            Some((
-                obs.histogram(
-                    "exchange_morsel_ns",
-                    "Per-morsel worker execution wall time (ns)",
-                ),
-                obs.counter(
-                    "exchange_morsels_total",
-                    "Morsels executed by parallel workers",
-                ),
-            ))
-        } else {
-            None
-        };
-        let gather_hist = obs.is_enabled().then(|| {
+    // Workers are bounded by the morsel count and by the reserved
+    // stripes minus the coordinator's own; an empty morsel list still
+    // gets one worker so the gather path is uniform.
+    let worker_cap = morsels.len().clamp(1, instn_storage::io::PIN_STRIPES - 1);
+    let n_workers = dop.clamp(1, worker_cap);
+    // Morsel/gather timing handles, resolved once per Exchange run (the
+    // registry mutex is never taken inside the worker loop). `None`
+    // when observability is off: workers then skip the clock entirely.
+    let obs = ctx.db.metrics();
+    let morsel_obs = obs.is_enabled().then(|| {
+        (
             obs.histogram(
-                "exchange_gather_ns",
-                "Gather-phase merge wall time per Exchange run (ns)",
-            )
-        });
-        let next = AtomicUsize::new(0);
-        let stall = ctx.config.io_stall;
-        let frag_ref = &frag;
-        let source_ref = &source;
-        let morsels_ref = &morsels;
-        let next_ref = &next;
-        let joined: Vec<std::thread::Result<Result<WorkerOut>>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|w| {
-                        let stats = Arc::clone(&stats);
-                        let morsel_obs = morsel_obs.clone();
-                        scope.spawn(move |_| -> Result<WorkerOut> {
-                            let _pin = IoStats::pin_worker(w);
-                            let before = stats.worker_snapshot(w);
-                            let mut wo = WorkerOut {
-                                stage_rows: vec![0; frag_ref.stages.len() + 1],
-                                morsels: 0,
-                                rows_out: 0,
-                                outs: Vec::new(),
-                                io: Default::default(),
+                "exchange_morsel_ns",
+                "Per-morsel worker execution wall time (ns)",
+            ),
+            obs.counter(
+                "exchange_morsels_total",
+                "Morsels executed by parallel workers",
+            ),
+        )
+    });
+    let gather_hist = obs.is_enabled().then(|| {
+        obs.histogram(
+            "exchange_gather_ns",
+            "Gather-phase merge wall time per Exchange run (ns)",
+        )
+    });
+    // The chain's metrics before any pull: the identity every merge of
+    // worker trees starts from, so a fragment with no morsels at all
+    // still reports its levels (with zero rows).
+    let unopened = compile(frag.chain, None).metrics();
+    let next = AtomicUsize::new(0);
+    let stall = ctx.config.io_stall;
+    let joined: Vec<std::thread::Result<Result<WorkerOut<T>>>> =
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n_workers)
+                .map(|w| {
+                    let (morsels, next, drain) = (&morsels, &next, &drain);
+                    let (morsel_obs, unopened) = (&morsel_obs, &unopened);
+                    scope.spawn(move |_| -> Result<WorkerOut<T>> {
+                        let _pin = IoStats::pin_worker(w);
+                        let before = stats.worker_snapshot(w);
+                        let mut outs = Vec::new();
+                        let mut fragment = unopened.clone();
+                        loop {
+                            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+                            let Some(morsel) = morsels.get(i) else {
+                                break;
                             };
-                            loop {
-                                let i = next_ref.fetch_add(1, AtomicOrdering::Relaxed);
-                                if i >= morsels_ref.len() {
-                                    break;
-                                }
-                                let t0 = morsel_obs.as_ref().map(|_| std::time::Instant::now());
-                                let m = run_morsel(
-                                    db,
-                                    sidx,
-                                    source_ref,
-                                    frag_ref,
-                                    &morsels_ref[i],
-                                    &mut wo.stage_rows,
-                                )?;
-                                if let (Some((hist, count)), Some(t0)) = (morsel_obs.as_ref(), t0) {
-                                    hist.record(instn_obs::elapsed_ns(t0));
-                                    count.inc();
-                                }
-                                wo.rows_out += match &m {
-                                    MorselOut::Rows(r) => r.len() as u64,
-                                    MorselOut::Agg(st) => st.len() as u64,
-                                };
-                                wo.outs.push((i, m));
-                                wo.morsels += 1;
-                                if !stall.is_zero() {
-                                    std::thread::sleep(stall);
-                                }
+                            let t0 = morsel_obs.as_ref().map(|_| std::time::Instant::now());
+                            let mut node = compile(frag.chain, Some(Bound { morsel, stripe: w }));
+                            node.open(ctx)?;
+                            outs.push((i, drain(&mut node)?));
+                            node.close(ctx)?;
+                            fragment.merge(&node.metrics());
+                            if let (Some((hist, count)), Some(t0)) = (morsel_obs, t0) {
+                                hist.record(instn_obs::elapsed_ns(t0));
+                                count.inc();
                             }
-                            wo.io = stats.worker_snapshot(w).since(&before);
-                            Ok(wo)
+                            if !stall.is_zero() {
+                                std::thread::sleep(stall);
+                            }
+                        }
+                        Ok(WorkerOut {
+                            outs,
+                            fragment,
+                            io: stats.worker_snapshot(w).since(&before),
                         })
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            })
-            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+        .unwrap_or_else(|e| std::panic::resume_unwind(e));
 
-        let mut workers = Vec::with_capacity(n_workers);
-        for j in joined {
-            match j {
-                Ok(Ok(wo)) => workers.push(wo),
-                Ok(Err(e)) => return Err(e),
-                Err(p) => std::panic::resume_unwind(p),
-            }
+    let mut workers = Vec::with_capacity(n_workers);
+    for j in joined {
+        match j {
+            Ok(Ok(wo)) => workers.push(wo),
+            Ok(Err(e)) => return Err(e),
+            Err(p) => std::panic::resume_unwind(p),
         }
-
-        // Gather in morsel order: deterministic, serial-identical output.
-        let gather_t0 = gather_hist.as_ref().map(|_| std::time::Instant::now());
-        let mut slots: Vec<Option<MorselOut>> = morsels.iter().map(|_| None).collect();
-        for wo in &mut workers {
-            for (i, m) in wo.outs.drain(..) {
-                slots[i] = Some(m);
-            }
-        }
-        let gathered = if let Some(cols) = &frag.group_cols {
-            let mut acc = AggState::new(cols.clone());
-            for slot in slots.into_iter().flatten() {
-                let MorselOut::Agg(st) = slot else {
-                    unreachable!("grouped fragments emit partial aggregates")
-                };
-                acc.merge(db, st);
-            }
-            acc.finish()
-        } else {
-            let mut v = Vec::new();
-            for slot in slots.into_iter().flatten() {
-                let MorselOut::Rows(r) = slot else {
-                    unreachable!("ungrouped fragments emit rows")
-                };
-                v.extend(r);
-            }
-            v
-        };
-        if let (Some(hist), Some(t0)) = (gather_hist.as_ref(), gather_t0) {
-            hist.record(instn_obs::elapsed_ns(t0));
-        }
-
-        let coord_io = stats.worker_snapshot(coord_slot).since(&coord_before);
-        let mut total_io = coord_io;
-        for wo in &workers {
-            total_io.add_assign(&wo.io);
-        }
-        self.measured = Some((total_io.total(), total_io.logical_total()));
-        self.worker_stats = workers
-            .iter()
-            .enumerate()
-            .map(|(w, wo)| OpMetrics {
-                label: format!("worker {w}"),
-                rows: wo.rows_out,
-                opens: wo.morsels,
-                physical_io: wo.io.total(),
-                logical_io: wo.io.logical_total(),
-                children: Vec::new(),
-                workers: Vec::new(),
-            })
-            .collect();
-        let mut merged: Option<OpMetrics> = None;
-        for wo in &workers {
-            let m = fragment_metrics(&frag, wo);
-            match &mut merged {
-                None => merged = Some(m),
-                Some(acc) => acc.merge(&m),
-            }
-        }
-        self.fragment_metrics = merged;
-        self.out = Some(gathered.into_iter());
-        Ok(())
     }
-}
 
-/// One worker's view of the fragment as a metrics chain (scan innermost).
-/// Inclusive I/O at every level is the worker's whole fragment I/O — all of
-/// it happened at or below each chain node.
-fn fragment_metrics(frag: &FragSpec, wo: &WorkerOut) -> OpMetrics {
-    let (p, l) = (wo.io.total(), wo.io.logical_total());
-    let mut node: Option<OpMetrics> = None;
-    for (i, head) in frag.heads.iter().enumerate() {
-        let rows = if i < wo.stage_rows.len() {
-            wo.stage_rows[i]
-        } else {
-            wo.rows_out
-        };
-        node = Some(OpMetrics {
-            label: head.clone(),
-            rows,
-            opens: wo.morsels,
-            physical_io: p,
-            logical_io: l,
-            children: node.map(|n| vec![n]).unwrap_or_default(),
+    // Gather in morsel order: deterministic, serial-identical output.
+    let gather_t0 = gather_hist.as_ref().map(|_| std::time::Instant::now());
+    let mut slots: Vec<Option<T>> = morsels.iter().map(|_| None).collect();
+    for wo in &mut workers {
+        for (i, out) in wo.outs.drain(..) {
+            slots[i] = Some(out);
+        }
+    }
+    let rows = gather(slots.into_iter().flatten().collect());
+    if let (Some(hist), Some(t0)) = (gather_hist.as_ref(), gather_t0) {
+        hist.record(instn_obs::elapsed_ns(t0));
+    }
+
+    let mut run = ParallelRun {
+        fragment: unopened,
+        workers: Vec::with_capacity(workers.len()),
+        io: stats.worker_snapshot(coord_slot).since(&coord_before),
+    };
+    for (w, wo) in workers.iter().enumerate() {
+        run.io.add_assign(&wo.io);
+        run.fragment.merge(&wo.fragment);
+        run.workers.push(OpMetrics {
+            label: format!("worker {w}"),
+            rows: wo.fragment.rows,
+            opens: wo.fragment.opens,
+            physical_io: wo.io.total(),
+            logical_io: wo.io.logical_total(),
+            children: Vec::new(),
             workers: Vec::new(),
         });
     }
-    node.expect("a fragment has at least its scan level")
+    Ok((rows, run))
 }
 
 impl Operator for ExchangeOp {
-    fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        let requested = if self.dop == 0 {
+    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+        let dop = if self.dop == 0 {
             ctx.config.dop
         } else {
             self.dop
         };
         let force_morsel = !ctx.config.io_stall.is_zero();
-        if (requested <= 1 && !force_morsel) || split_fragment(&self.plan).is_none() {
-            let mut node = compile(&self.plan);
+        let Some(frag) = split_fragment(&self.plan).filter(|_| dop > 1 || force_morsel) else {
+            let mut node = compile(&self.plan, None);
             node.open(ctx)?;
             self.serial = Some(node);
             return Ok(());
+        };
+        let db = ctx.db;
+        let (rows, mut run) = match frag.group_cols {
+            None => run_parallel(
+                ctx,
+                &frag,
+                dop,
+                |node| {
+                    let mut rows = Vec::new();
+                    while let Some(t) = node.next(ctx)? {
+                        rows.push(t);
+                    }
+                    Ok(rows)
+                },
+                |chunks| chunks.into_iter().flatten().collect(),
+            )?,
+            Some(cols) => run_parallel(
+                ctx,
+                &frag,
+                dop,
+                |node| {
+                    let mut partial = AggState::new(cols.to_vec());
+                    while let Some(t) = node.next(ctx)? {
+                        partial.absorb(db, t);
+                    }
+                    Ok(partial)
+                },
+                |partials| {
+                    let mut acc = AggState::new(cols.to_vec());
+                    for partial in partials {
+                        acc.merge(db, partial);
+                    }
+                    acc.finish()
+                },
+            )?,
+        };
+        if frag.group_cols.is_some() {
+            // The two-phase GroupBy heads the merged chain, reporting the
+            // groups left after the gather merge.
+            run.fragment = OpMetrics {
+                label: self.plan.head(),
+                rows: rows.len() as u64,
+                children: vec![run.fragment.clone()],
+                ..run.fragment
+            };
         }
-        self.run_parallel(ctx, requested.max(1))
+        self.parallel = Some(run);
+        self.out = Some(rows.into_iter());
+        Ok(())
     }
 
-    fn next(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
         if let Some(node) = &mut self.serial {
             return node.next(ctx);
         }
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.out = None;
         match &mut self.serial {
             Some(node) => node.close(ctx),
@@ -2706,16 +2499,8 @@ impl Operator for ExchangeOp {
         self.serial.as_ref().map(|n| vec![n]).unwrap_or_default()
     }
 
-    fn merged_children(&self) -> Vec<OpMetrics> {
-        self.fragment_metrics.clone().into_iter().collect()
-    }
-
-    fn worker_metrics(&self) -> Vec<OpMetrics> {
-        self.worker_stats.clone()
-    }
-
-    fn measured_io(&self) -> Option<(u64, u64)> {
-        self.measured
+    fn parallel_run(&self) -> Option<&ParallelRun> {
+        self.parallel.as_ref()
     }
 }
 
@@ -2807,10 +2592,6 @@ impl AggState {
             order: Vec::new(),
             groups: HashMap::new(),
         }
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
     }
 
     /// Fold one input tuple into the state (the serial per-row step).

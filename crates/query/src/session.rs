@@ -220,8 +220,9 @@ impl Session {
     /// [`ExecContext::refresh_stale_indexes`]).
     ///
     /// Panic containment: if `f` panics, the panic propagates, but the
-    /// session's index registry is restored first (see [`RegistryRestore`])
-    /// — a caught panic leaves the session fully usable. Engine-lock
+    /// session's index registry is restored first (by a drop guard around
+    /// the transient context) — a caught panic leaves the session fully
+    /// usable. Engine-lock
     /// poisoning still panics here; serving paths that must degrade
     /// gracefully use [`Session::try_with_ctx`].
     pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut ExecContext<'_>) -> R) -> R {

@@ -361,7 +361,8 @@ mod tests {
             PlanSource::CacheMiss
         );
         // A DOP change is part of the fingerprint: no stale-shape reuse.
-        session.exec_config.dop = 4;
+        // (Relative, so the test also holds under `INSTN_DOP=4`.)
+        session.exec_config.dop += 3;
         assert_eq!(
             plan_statement(&mut session, sql).unwrap().unwrap().source,
             PlanSource::CacheMiss

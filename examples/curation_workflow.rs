@@ -189,7 +189,9 @@ fn main() {
     }
     println!(
         "index ops so far: {} inserts, {} deletes, {} searches",
-        index.ops.key_inserts, index.ops.key_deletes, index.ops.searches
+        index.ops.key_inserts,
+        index.ops.key_deletes,
+        index.searches()
     );
     println!("\ncuration_workflow OK");
 }

@@ -3,9 +3,6 @@
 //! * **multi-level summarization** (`TableRollup`) — the paper's stated
 //!   future work: a level-2 summary object per table, queryable with the
 //!   same manipulation functions,
-//! * the **inverted keyword index** over Snippet objects — filling the gap
-//!   Fig. 15 notes ("no summary-based index can be used" for keyword
-//!   predicates),
 //! * the **index-based summary join** (the second `J` implementation §5.2
 //!   names), chosen automatically by the optimizer,
 //! * `SELECT DISTINCT` with summary merging, and `EXPLAIN`-style plan
@@ -16,7 +13,6 @@
 //! ```
 
 use insightnotes::core::rollup::TableRollup;
-use insightnotes::index::KeywordIndex;
 use insightnotes::prelude::*;
 
 fn main() {
@@ -108,17 +104,6 @@ fn main() {
         "after one more annotation: Disease={} (approximate={})",
         c.count("Disease").unwrap(),
         rollup.is_approximate()
-    );
-
-    // --- Keyword index ---------------------------------------------------
-    println!("\n== inverted keyword index over snippets ==");
-    let kidx = KeywordIndex::bulk_build(&db, birds, "TextSummary1", PointerMode::Backward)
-        .expect("instance linked");
-    let hits = kidx.search_all(&["wikipedia", "hormone"]);
-    println!(
-        "containsUnion('wikipedia','hormone'): {} tuples via {} postings",
-        hits.len(),
-        kidx.len()
     );
 
     // --- Index-based summary join + EXPLAIN ------------------------------

@@ -490,23 +490,15 @@ fn reader_index_replay_vs_writer_stays_oracle_identical() {
 fn parallel_index_probes_agree_with_sequential() {
     let (db, t) = build(50);
     let index = SummaryBTree::bulk_build(&db, t, "C", PointerMode::Backward).unwrap();
-    // Sequential ground truth (search_eq needs &mut for op counters, so
-    // probe tuples via per-thread contexts with their own index handles).
+    // Probing takes `&self`, so every thread shares the one index.
     let sequential: Vec<usize> = (0..7u64)
-        .map(|c| {
-            let mut idx = SummaryBTree::bulk_build(&db, t, "C", PointerMode::Backward).unwrap();
-            idx.search_eq("Disease", c).len()
-        })
+        .map(|c| index.search_eq("Disease", c).len())
         .collect();
     let parallel: Vec<usize> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..7u64)
             .map(|c| {
-                let db = &db;
-                scope.spawn(move |_| {
-                    let mut idx =
-                        SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap();
-                    idx.search_eq("Disease", c).len()
-                })
+                let index = &index;
+                scope.spawn(move |_| index.search_eq("Disease", c).len())
             })
             .collect();
         handles
@@ -516,7 +508,7 @@ fn parallel_index_probes_agree_with_sequential() {
     })
     .expect("scope");
     assert_eq!(sequential, parallel);
-    drop(index);
+    assert_eq!(index.searches(), 14);
 }
 
 /// A query that panics mid-execution must not wedge the session layer:

@@ -189,8 +189,7 @@ fn incremental_index_stays_consistent_with_engine_state() {
     index.apply_delta(&db, &delta).unwrap();
 
     // The index must agree with a fresh bulk build over the final state.
-    let mut fresh =
-        SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).unwrap();
+    let fresh = SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).unwrap();
     assert_eq!(index.len(), fresh.len());
     for c in 0..13u64 {
         let mut a: Vec<Oid> = index

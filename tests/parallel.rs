@@ -3,7 +3,8 @@
 //! Exchange/Gather pipeline must reproduce the serial executor's output —
 //! row for row for pipelined fragments, and group for group for the
 //! two-phase partial-aggregate merge (the serial single-phase `GroupBy`
-//! is the oracle).
+//! is the oracle). Workers run the serial pipeline's own operators, so the
+//! merged fragment's per-level row counts must equal the serial tree's too.
 
 use std::time::Duration;
 
@@ -14,12 +15,15 @@ use insightnotes::core::db::Database;
 use insightnotes::core::instance::InstanceKind;
 use insightnotes::mining::nb::NaiveBayes;
 use insightnotes::prelude::{
-    CmpOp, ExecConfig, ExecContext, Expr, PhysicalPlan, PointerMode, SummaryBTree,
+    CmpOp, ColumnIndex, ExecConfig, ExecContext, Expr, ObjectPred, PhysicalPlan, PointerMode,
+    SummaryBTree,
 };
+use insightnotes::query::exec::OpMetrics;
 use insightnotes::storage::{ColumnType, Schema, TableId, Value};
 
 /// Birds(id, family); tuple i carries `counts[i]` disease annotations and
-/// one behavior annotation, all row-attached.
+/// one behavior annotation, all row-attached, plus one disease annotation
+/// on the cell of column `i % 2` (what an eliminating projection removes).
 fn build(counts: &[usize]) -> (Database, TableId) {
     let mut db = Database::new();
     let t = db
@@ -58,8 +62,24 @@ fn build(counts: &[usize]) -> (Database, TableId) {
             vec![Attachment::row(oid)],
         )
         .unwrap();
+        db.add_annotation(
+            t,
+            "disease virus",
+            Category::Disease,
+            "u",
+            vec![Attachment::cells(oid, &[i % 2])],
+        )
+        .unwrap();
     }
     (db, t)
+}
+
+/// `(label, rows)` of every level of a single-child metrics chain, root
+/// first.
+fn level_rows(m: &OpMetrics) -> Vec<(String, u64)> {
+    let mut out = vec![(m.label.clone(), m.rows)];
+    out.extend(m.children.first().map(level_rows).unwrap_or_default());
+    out
 }
 
 fn parallel_ctx_config(morsel_rows: usize) -> ExecConfig {
@@ -146,6 +166,91 @@ proptest! {
             .execute(&PhysicalPlan::Exchange { input: Box::new(plan), dop })
             .unwrap();
         prop_assert_eq!(parallel, serial);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any fragment shape the Exchange admits — a random chain of `Filter`
+    /// (summary `S` or data σ), `SummaryObjectFilter` and `Project` (with
+    /// and without annotation-effect elimination) over each of the three
+    /// morsel-able leaves, optionally headed by a `GroupBy` — gathers rows
+    /// byte-identical to the serial tree, and its merged fragment reports
+    /// the serial tree's row count at every level.
+    #[test]
+    fn random_fragment_matches_serial_rows_and_level_counts(
+        counts in prop::collection::vec(0usize..6, 1..28),
+        leaf in 0u8..3,
+        stages in prop::collection::vec((0u8..5, 0i64..6), 0..5),
+        group in any::<bool>(),
+        reverse in any::<bool>(),
+        lo in 0u64..4,
+        morsel_rows in 1usize..12,
+        dop in 1usize..=8,
+    ) {
+        let (db, t) = build(&counts);
+        let mut ctx = ExecContext::new(&db);
+        let mut plan = match leaf {
+            0 => PhysicalPlan::SeqScan { table: t, with_summaries: true },
+            1 => {
+                ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap());
+                PhysicalPlan::DataIndexScan {
+                    table: t,
+                    col: 0,
+                    lo: Some(Value::Int(lo as i64)),
+                    hi: None,
+                    lo_strict: reverse,
+                    hi_strict: false,
+                    with_summaries: true,
+                }
+            }
+            _ => {
+                let idx = SummaryBTree::bulk_build(&db, t, "C", PointerMode::Backward).unwrap();
+                ctx.register_summary_index("idx", idx);
+                PhysicalPlan::SummaryIndexScan {
+                    index: "idx".into(),
+                    label: "Disease".into(),
+                    lo: Some(lo),
+                    hi: None,
+                    propagate: true,
+                    reverse,
+                }
+            }
+        };
+        let mut width = 2;
+        for (kind, k) in stages {
+            let input = Box::new(plan);
+            plan = match kind {
+                0 => PhysicalPlan::Filter {
+                    input,
+                    pred: Expr::label_cmp("C", "Disease", CmpOp::Ge, k),
+                },
+                1 => PhysicalPlan::Filter {
+                    input,
+                    pred: Expr::col_cmp(0, CmpOp::Ge, Value::Int(k)),
+                },
+                2 => PhysicalPlan::SummaryObjectFilter {
+                    input,
+                    pred: ObjectPred::SizeCmp(CmpOp::Ge, k),
+                },
+                _ => {
+                    let cols = [vec![0, 1], vec![1], vec![0]][k as usize % 3].clone();
+                    width = cols.len();
+                    PhysicalPlan::Project { input, cols, eliminate: kind == 3 }
+                }
+            };
+        }
+        if group {
+            plan = PhysicalPlan::GroupBy { input: Box::new(plan), cols: vec![width - 1] };
+        }
+        let (serial, serial_metrics) = ctx.execute_with_metrics(&plan).unwrap();
+        ctx.config = parallel_ctx_config(morsel_rows);
+        let (parallel, metrics) = ctx
+            .execute_with_metrics(&PhysicalPlan::Exchange { input: Box::new(plan), dop })
+            .unwrap();
+        prop_assert_eq!(parallel, serial);
+        prop_assert_eq!(level_rows(&metrics.children[0]), level_rows(&serial_metrics));
     }
 }
 
