@@ -647,13 +647,6 @@ impl<'a> ExecContext<'a> {
         std::mem::take(&mut self.indexes)
     }
 
-    /// A planner-oriented snapshot of the indexes installed in this
-    /// context (names and targets only) — what seeds `PlannerConfig` when
-    /// planning inside an already-open context (EXPLAIN ANALYZE).
-    pub fn index_descriptors(&self) -> crate::session::IndexDescriptors {
-        crate::session::IndexDescriptors::from_registry(&self.indexes)
-    }
-
     /// Catch every registered index up with the database's revision.
     ///
     /// An index registration outlives the mutations that happen around it;

@@ -49,6 +49,9 @@ pub use plan_cache::{
 };
 pub use session::{IndexDescriptors, Session, SharedDatabase};
 
+/// Named by [`Session::register_summary_index`].
+pub use instn_index::PointerMode;
+
 /// Errors raised during planning or execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {

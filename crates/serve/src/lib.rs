@@ -25,5 +25,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{is_error_code, Client, ClientError, ClientResult};
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{statement_response, ServeConfig, Server, ServerHandle};
 pub use wire::{ErrorCode, HandshakeStatus, Request, Response, WireRow, PROTOCOL_VERSION};

@@ -46,9 +46,9 @@ use instn_core::instance::InstanceKind;
 use instn_obs::{Counter, Gauge, Histogram};
 use instn_query::session::{Session, SharedDatabase};
 use instn_query::QueryError;
-use instn_sql::lower::{execute_statement, explain_analyze_statement, SqlOutcome};
-use instn_sql::plan::{plan_select, refresh_statistics, render_explain};
-use instn_sql::{SqlError, Statement};
+use instn_sql::{
+    plan_select, run_statement, SqlError, Statement, StatementError, StatementOutcome,
+};
 
 use crate::wire::{
     read_frame, write_frame, ClientHello, ErrorCode, HandshakeStatus, Request, Response,
@@ -66,9 +66,9 @@ const MAX_PREPARED_PER_CONN: usize = 256;
 /// plan cache (usually a hit — then the optimizer is skipped too).
 struct PreparedEntry {
     /// Original text, kept for slow-log tagging.
-    statement: String,
-    /// The parsed SELECT.
-    select: instn_sql::SelectStmt,
+    text: String,
+    /// The parsed statement (always a `SELECT`).
+    stmt: Statement,
 }
 
 /// Serving knobs. The defaults favor robustness over raw capacity; every
@@ -534,7 +534,10 @@ fn serve_connection(
                 } else {
                     Duration::from_millis(deadline_ms as u64)
                 };
-                serve_query(sv, &mut session, conn_id, &statement, started + budget)
+                let deadline = started + budget;
+                contained(deadline, || {
+                    dispatch_statement(sv, &mut session, conn_id, &statement, deadline)
+                })
             }
             Ok(Request::Prepare { statement }) => {
                 contained(started + sv.config.default_deadline, || {
@@ -555,8 +558,11 @@ fn serve_connection(
                         code: ErrorCode::UnknownHandle,
                         message: format!("handle {handle} was never prepared on this connection"),
                     },
+                    // No parse, and `plan_select` revalidates the cached
+                    // plan's journal stamp on every call: DML since prepare
+                    // forces a replan, never stale rows.
                     Some(entry) => contained(started + budget, || {
-                        dispatch_execute_prepared(sv, &mut session, conn_id, entry)
+                        run_parsed(sv, &mut session, conn_id, &entry.text, &entry.stmt)
                     }),
                 }
             }
@@ -617,18 +623,6 @@ fn contained(deadline: Instant, f: impl FnOnce() -> Response) -> Response {
     response
 }
 
-fn serve_query(
-    sv: &ServeShared,
-    session: &mut Session,
-    conn_id: u64,
-    statement: &str,
-    deadline: Instant,
-) -> Response {
-    contained(deadline, || {
-        dispatch_statement(sv, session, conn_id, statement, deadline)
-    })
-}
-
 /// Parse + validate + plan once, then park the parsed SELECT under a
 /// handle. Planning at prepare time both surfaces bind errors immediately
 /// and warms the plan cache, so the first `ExecutePrepared` is already a
@@ -647,66 +641,43 @@ fn dispatch_prepare(
             ),
         };
     }
-    let line = statement.trim();
-    match instn_sql::parse(line) {
-        Err(e) => sql_error(&e),
-        Ok(Statement::Select(sel)) => match plan_select(session, &sel) {
-            Err(e) => sql_error(&e),
-            Ok(planned) => {
-                let handle = *next_handle;
-                *next_handle += 1;
-                prepared.insert(
-                    handle,
-                    PreparedEntry {
-                        statement: line.to_string(),
-                        select: sel,
-                    },
-                );
-                Response::Prepared {
-                    handle,
-                    columns: planned.plan.columns.clone(),
-                }
-            }
-        },
-        Ok(_) => Response::Error {
+    let text = statement.trim();
+    let stmt = match instn_sql::parse(text) {
+        Ok(stmt) => stmt,
+        Err(e) => return error_response(&e.into()),
+    };
+    let Statement::Select(sel) = &stmt else {
+        return Response::Error {
             code: ErrorCode::Unsupported,
             message: "only SELECT statements can be prepared".into(),
-        },
-    }
-}
-
-/// Execute a prepared statement: no parse, and `plan_select` revalidates
-/// the cached plan's journal stamp on every call — DML since prepare
-/// forces a replan, never stale rows.
-fn dispatch_execute_prepared(
-    sv: &ServeShared,
-    session: &mut Session,
-    conn_id: u64,
-    entry: &PreparedEntry,
-) -> Response {
-    if !sv.config.query_stall.is_zero() {
-        // Benchmark calibration: stand in for a disk-bound engine.
-        std::thread::sleep(sv.config.query_stall);
-    }
-    match plan_select(session, &entry.select) {
-        Err(e) => sql_error(&e),
+        };
+    };
+    match plan_select(session, sel) {
+        Err(e) => error_response(&e),
         Ok(planned) => {
-            let tagged = format!("[conn {conn_id}] {}", entry.statement);
-            match session.execute_observed(&tagged, &planned.plan.plan) {
-                Ok(rows) => Response::Rows {
-                    columns: planned.plan.columns.clone(),
-                    rows: rows.iter().map(WireRow::from_tuple).collect(),
+            let handle = *next_handle;
+            *next_handle += 1;
+            prepared.insert(
+                handle,
+                PreparedEntry {
+                    text: text.to_string(),
+                    stmt,
                 },
-                Err(e) => query_error(&e),
+            );
+            Response::Prepared {
+                handle,
+                columns: planned.plan.columns.clone(),
             }
         }
     }
 }
 
-fn sql_error(e: &SqlError) -> Response {
+fn error_response(e: &StatementError) -> Response {
     let code = match e {
-        SqlError::Lex(_) | SqlError::Parse(_) => ErrorCode::Parse,
-        SqlError::Bind(_) => ErrorCode::Bind,
+        StatementError::Sql(SqlError::Lex(_) | SqlError::Parse(_)) => ErrorCode::Parse,
+        StatementError::Sql(SqlError::Bind(_)) => ErrorCode::Bind,
+        StatementError::Query(QueryError::EnginePoisoned) => ErrorCode::EnginePoisoned,
+        StatementError::Query(_) | StatementError::IndexBuild { .. } => ErrorCode::Exec,
     };
     Response::Error {
         code,
@@ -714,15 +685,54 @@ fn sql_error(e: &SqlError) -> Response {
     }
 }
 
-fn query_error(e: &QueryError) -> Response {
-    let code = match e {
-        QueryError::EnginePoisoned => ErrorCode::EnginePoisoned,
-        _ => ErrorCode::Exec,
+/// The wire answer to one statement: what the server sends for what
+/// [`run_statement`] returned.
+pub fn statement_response(result: Result<StatementOutcome, StatementError>) -> Response {
+    let text = match result {
+        Err(e) => return error_response(&e),
+        Ok(StatementOutcome::Rows { columns, rows }) => {
+            return Response::Rows {
+                columns,
+                rows: rows.iter().map(WireRow::from_tuple).collect(),
+            }
+        }
+        Ok(StatementOutcome::Explain(text)) => text,
+        Ok(StatementOutcome::ExplainAnalyze(analysis)) => analysis.to_string(),
+        Ok(StatementOutcome::Analyzed { rescanned: true }) => {
+            "statistics collected (full scan)".into()
+        }
+        Ok(StatementOutcome::Analyzed { rescanned: false }) => {
+            "statistics caught up from the journal".into()
+        }
+        Ok(StatementOutcome::Zoom(annots)) => {
+            let mut out = String::new();
+            for a in annots.iter().take(50) {
+                out.push_str(&format!("[{}] {}\n", a.author, a.text));
+            }
+            out.push_str(&format!("({} annotations)\n", annots.len()));
+            out
+        }
+        Ok(StatementOutcome::Altered(altered)) => altered.to_string(),
     };
-    Response::Error {
-        code,
-        message: e.to_string(),
+    Response::Text(text)
+}
+
+/// Run one parsed statement — text or prepared — through the front door.
+/// `text` tags it in the engine slow log with its connection, so
+/// `\slowlog` attributes offenders.
+fn run_parsed(
+    sv: &ServeShared,
+    session: &mut Session,
+    conn_id: u64,
+    text: &str,
+    stmt: &Statement,
+) -> Response {
+    if !sv.config.query_stall.is_zero() {
+        // Benchmark calibration: stand in for a disk-bound engine.
+        std::thread::sleep(sv.config.query_stall);
     }
+    let tag = format!("[conn {conn_id}] {text}");
+    statement_response(run_statement(session, &sv.instances, &tag, stmt))
 }
 
 fn dispatch_statement(
@@ -777,120 +787,11 @@ fn dispatch_statement(
     if line == "\\metrics" {
         return match sv.shared.try_read() {
             Ok(db) => Response::Text(db.metrics().render_prometheus()),
-            Err(e) => query_error(&e),
+            Err(e) => error_response(&e.into()),
         };
     }
-    let stmt = match instn_sql::parse(line) {
-        Ok(s) => s,
-        Err(e) => return sql_error(&e),
-    };
-    if !sv.config.query_stall.is_zero() {
-        // Benchmark calibration: stand in for a disk-bound engine.
-        std::thread::sleep(sv.config.query_stall);
-    }
-    match stmt {
-        Statement::Select(sel) => {
-            // Plan through the cost-based optimizer with the session's
-            // plan cache (DESIGN.md §12): a repeat statement skips the
-            // optimizer entirely unless a touched table advanced. The DOP
-            // post-pass runs inside the optimizer, cost-gated.
-            match plan_select(session, &sel) {
-                Err(e) => sql_error(&e),
-                Ok(planned) => {
-                    // The statement enters the engine slow log tagged with
-                    // its connection, so `\slowlog` attributes offenders.
-                    let tagged = format!("[conn {conn_id}] {line}");
-                    match session.execute_observed(&tagged, &planned.plan.plan) {
-                        Ok(rows) => Response::Rows {
-                            columns: planned.plan.columns.clone(),
-                            rows: rows.iter().map(WireRow::from_tuple).collect(),
-                        },
-                        Err(e) => query_error(&e),
-                    }
-                }
-            }
-        }
-        Statement::Explain(sel) => {
-            // Render the *actual* optimized (possibly parallelized)
-            // physical plan this session would execute, plus cache
-            // status — not the naive logical plan the executor ignores.
-            match plan_select(session, &sel) {
-                Err(e) => sql_error(&e),
-                Ok(planned) => Response::Text(render_explain(&planned)),
-            }
-        }
-        Statement::ExplainAnalyze(_) => match explain_analyze_statement(session, line) {
-            Err(e) => sql_error(&e),
-            Ok(Some(analysis)) => Response::Text(format!("{analysis}")),
-            Ok(None) => Response::Error {
-                code: ErrorCode::Unsupported,
-                message: "not an EXPLAIN ANALYZE statement".into(),
-            },
-        },
-        Statement::Analyze => match sv.shared.try_read() {
-            Err(e) => query_error(&e),
-            Ok(db) => match refresh_statistics(session, &db) {
-                Ok((_, true)) => Response::Text("statistics collected (full scan)".into()),
-                Ok((_, false)) => Response::Text("statistics caught up from the journal".into()),
-                Err(e) => sql_error(&e),
-            },
-        },
-        Statement::ZoomIn { .. } | Statement::AlterTable { .. } => {
-            // Both go through `execute_statement`, which needs `&mut` for
-            // the DDL arm; zoom is read-only but rare enough that the
-            // uniform path wins. The guard is dropped before any index
-            // registration re-acquires a read guard.
-            let outcome = match sv.shared.try_write() {
-                Err(e) => return query_error(&e),
-                Ok(mut db) => execute_statement(&mut db, &sv.instances, line),
-            };
-            match outcome {
-                Err(e) => sql_error(&e),
-                Ok(SqlOutcome::Zoom(annots)) => {
-                    let mut out = String::new();
-                    for a in annots.iter().take(50) {
-                        out.push_str(&format!("[{}] {}\n", a.author, a.text));
-                    }
-                    out.push_str(&format!("({} annotations)\n", annots.len()));
-                    Response::Text(out)
-                }
-                Ok(SqlOutcome::Altered {
-                    instance,
-                    table,
-                    name,
-                    deltas,
-                    indexable,
-                }) => {
-                    if instance.is_some() && indexable {
-                        match session.register_summary_index(
-                            &name,
-                            table,
-                            &name,
-                            instn_index::PointerMode::Backward,
-                        ) {
-                            Ok(()) => Response::Text(format!(
-                                "ok (linked {name}, {} deltas journaled, summary index \
-                                 registered)",
-                                deltas.len()
-                            )),
-                            Err(e) => Response::Error {
-                                code: ErrorCode::Exec,
-                                message: format!("linked {name}, but index build failed: {e}"),
-                            },
-                        }
-                    } else {
-                        Response::Text(format!(
-                            "ok (instance={instance:?}, {} deltas journaled, \
-                             indexable={indexable})",
-                            deltas.len()
-                        ))
-                    }
-                }
-                Ok(_) => Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: "unexpected outcome for statement kind".into(),
-                },
-            }
-        }
+    match instn_sql::parse(line) {
+        Ok(stmt) => run_parsed(sv, session, conn_id, line, &stmt),
+        Err(e) => error_response(&e.into()),
     }
 }

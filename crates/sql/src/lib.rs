@@ -15,7 +15,10 @@
 //! * [`lower`] — name resolution and lowering of `SELECT` statements into
 //!   [`instn_query::plan::LogicalPlan`]s (splitting data vs summary
 //!   predicates into σ vs `S`, recognizing data- and summary-based join
-//!   conjuncts), plus execution of DDL and zoom-in statements.
+//!   conjuncts), plus the DDL and zoom-in helpers,
+//! * [`plan`] — cost-based planning through the session's plan cache,
+//! * [`statement`] — [`run_statement`], the one front door every caller
+//!   (shell, wire server, examples) hands a parsed [`Statement`] to.
 //!
 //! Supported grammar (keywords case-insensitive):
 //!
@@ -33,17 +36,13 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 pub mod plan;
+pub mod statement;
 
 pub use ast::{AstExpr, SelectStmt, Statement};
-pub use lower::{
-    execute_statement, explain_analyze_in_ctx, explain_analyze_statement, lower_select,
-    ExplainAnalysis, LoweredQuery, SqlOutcome,
-};
+pub use lower::{execute_statement, lower_select, Altered, LoweredQuery, SqlOutcome};
 pub use parser::parse;
-pub use plan::{
-    plan_select, plan_statement, refresh_statistics, render_explain, statement_fingerprint,
-    PlanSource, PlannedStatement,
-};
+pub use plan::{plan_select, statement_fingerprint, PlanSource, PlannedStatement};
+pub use statement::{run_statement, ExplainAnalysis, StatementError, StatementOutcome};
 
 /// Errors raised by the SQL front end.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +66,14 @@ impl std::fmt::Display for SqlError {
 }
 
 impl std::error::Error for SqlError {}
+
+/// Every engine call the front end makes while binding — table and
+/// instance lookup, DDL, zoom-in — fails on a name the statement got wrong.
+impl From<instn_core::CoreError> for SqlError {
+    fn from(e: instn_core::CoreError) -> Self {
+        SqlError::Bind(e.to_string())
+    }
+}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SqlError>;

@@ -27,7 +27,7 @@ use instn_core::summary::InstanceId;
 use instn_core::zoom::{zoom_in, ZoomTarget};
 use instn_query::expr::{CmpOp, Expr, ObjFunc, ObjRef, SummaryExpr};
 use instn_query::plan::{JoinPredicate, LogicalPlan, SortKey};
-use instn_storage::{TableId, Value};
+use instn_storage::{Oid, TableId, Value};
 
 use crate::ast::{
     AlterAction, AstExpr, CmpOpAst, ColRef, Lit, MethodCall, SelectList, SelectStmt, Statement,
@@ -44,108 +44,72 @@ pub struct LoweredQuery {
     pub columns: Vec<String>,
 }
 
-/// Outcome of executing one statement.
+/// What one `ALTER TABLE` did.
+#[derive(Debug)]
+pub struct Altered {
+    /// The linked instance, if an ADD; `None` for a DROP.
+    pub instance: Option<InstanceId>,
+    /// The table the statement altered.
+    pub table: TableId,
+    /// The instance name named in the statement.
+    pub name: String,
+    /// Maintenance deltas for index layers. The engine journals the same
+    /// deltas revision-stamped (see `instn_core::DeltaJournal`), so session
+    /// indexes refresh from the journal; this copy is for callers that
+    /// maintain out-of-engine structures directly.
+    pub deltas: Vec<SummaryDelta>,
+    /// Whether an index was requested (`INDEXABLE`).
+    pub indexable: bool,
+}
+
+/// [`crate::run_statement`]'s one-line report: there, an `ADD INDEXABLE`
+/// that came back `Ok` has also registered the session's Summary-BTree.
+impl std::fmt::Display for Altered {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (name, deltas) = (&self.name, self.deltas.len());
+        if self.instance.is_some() && self.indexable {
+            write!(
+                f,
+                "ok (linked {name}, {deltas} deltas journaled, summary index registered)"
+            )
+        } else {
+            write!(
+                f,
+                "ok (instance={:?}, {deltas} deltas journaled, indexable={})",
+                self.instance, self.indexable
+            )
+        }
+    }
+}
+
+/// Outcome of [`execute_statement`].
 #[derive(Debug)]
 pub enum SqlOutcome {
     /// A query plan, ready for the optimizer/executor.
     Query(LoweredQuery),
-    /// DDL completed: instance linked (deltas for index creation) or
-    /// dropped (`None`).
+    /// DDL completed; the fields are [`Altered`]'s.
     Altered {
         /// The linked instance, if an ADD.
         instance: Option<InstanceId>,
         /// The table the statement altered.
         table: TableId,
-        /// The instance name named in the statement (for registering a
-        /// session-level index over the new instance).
+        /// The instance name named in the statement.
         name: String,
-        /// Maintenance deltas for index layers. The engine journals the
-        /// same deltas revision-stamped (see `instn_core::DeltaJournal`),
-        /// so session indexes refresh from the journal; this copy is for
-        /// callers that maintain out-of-engine structures directly.
+        /// Maintenance deltas for index layers.
         deltas: Vec<SummaryDelta>,
         /// Whether an index was requested (`INDEXABLE`).
         indexable: bool,
     },
     /// Zoom-in result: the raw annotations.
     Zoom(Vec<Annotation>),
-    /// `EXPLAIN` output: the rendered logical plan.
-    Explain(String),
-    /// `EXPLAIN ANALYZE` output: the executed plan plus observed I/O.
-    ExplainAnalyzed(ExplainAnalysis),
-    /// `ANALYZE` output: freshly collected optimizer statistics.
-    Analyzed(Box<instn_opt::Statistics>),
 }
 
-/// What `EXPLAIN ANALYZE` observed while executing the query.
-#[derive(Debug, Clone)]
-pub struct ExplainAnalysis {
-    /// The executed physical plan, rendered.
-    pub plan: String,
-    /// Per-operator runtime metrics (rows emitted, loops, inclusive I/O)
-    /// observed by the streaming executor, rendered as an annotated tree.
-    pub operators: instn_query::OpMetrics,
-    /// Rows the query produced.
-    pub rows: usize,
-    /// Wall-clock execution time.
-    pub elapsed: std::time::Duration,
-    /// I/O charged during execution: physical transfers, logical accesses,
-    /// and buffer-pool traffic.
-    pub io: instn_storage::IoSnapshot,
-    /// Index-maintenance work performed before the plan opened: stale
-    /// registered indexes caught up by journal replay or bulk rebuild
-    /// (see `instn_query::MaintenanceReport`).
-    pub maintenance: instn_query::MaintenanceReport,
-    /// Where the executed plan came from — the plan-cache status
-    /// (`cache hit (reused)`, `cache miss (optimized)`, …) rendered as the
-    /// `plan:` line. Paths planning outside a session report
-    /// `optimized (no plan cache)`.
-    pub plan_source: String,
-}
-
-impl std::fmt::Display for ExplainAnalysis {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "plan: {}", self.plan_source)?;
-        if self.maintenance.indexes_checked > 0 {
-            write!(f, "{}", self.maintenance.render())?;
-        }
-        write!(f, "{}", self.operators.render())?;
-        writeln!(
-            f,
-            "rows: {}  time: {:.3} ms",
-            self.rows,
-            self.elapsed.as_secs_f64() * 1e3
-        )?;
-        writeln!(
-            f,
-            "physical I/O: heap {}r/{}w, index {}r/{}w (total {})",
-            self.io.heap_reads,
-            self.io.heap_writes,
-            self.io.index_reads,
-            self.io.index_writes,
-            self.io.total()
-        )?;
-        writeln!(
-            f,
-            "logical I/O:  heap {}r/{}w, index {}r/{}w (total {})",
-            self.io.logical_heap_reads,
-            self.io.logical_heap_writes,
-            self.io.logical_index_reads,
-            self.io.logical_index_writes,
-            self.io.logical_total()
-        )?;
-        writeln!(
-            f,
-            "buffer pool:  {} hits, {} misses, {} evictions (hit ratio {:.1}%)",
-            self.io.cache_hits,
-            self.io.cache_misses,
-            self.io.cache_evictions,
-            self.io.hit_ratio() * 100.0
-        )
-    }
-}
-
-/// Parse + lower + (for DDL/zoom) execute one statement.
+/// The session-less helper: parse, then lower a `SELECT`, or run an
+/// `ALTER TABLE` / `ZOOM IN` directly against `db`. Nothing is planned,
+/// cached or executed here, which is what the differential oracles want;
+/// everything that serves statements goes through
+/// [`crate::run_statement`] instead, and `EXPLAIN` / `ANALYZE`, which need
+/// a session's planner state, exist only there.
 ///
 /// `registry` maps instance names to their definitions, standing in for the
 /// catalog of summary instances a deployed system would hold; `ALTER TABLE
@@ -155,178 +119,83 @@ pub fn execute_statement(
     registry: &HashMap<String, InstanceKind>,
     input: &str,
 ) -> Result<SqlOutcome> {
-    let stmt = crate::parser::parse(input)?;
-    match stmt {
+    match crate::parser::parse(input)? {
         Statement::Select(sel) => Ok(SqlOutcome::Query(lower_select(db, &sel)?)),
-        Statement::Explain(sel) => {
-            let lowered = lower_select(db, &sel)?;
-            Ok(SqlOutcome::Explain(format!("{}", lowered.plan)))
-        }
-        Statement::ExplainAnalyze(sel) => {
-            // A throwaway context: no registered indexes, so no
-            // maintenance work will show. Callers holding a session should
-            // prefer [`explain_analyze_in_ctx`], which runs against the
-            // session's registry and surfaces the `maintenance:` section.
-            let mut ctx = instn_query::exec::ExecContext::new(db);
-            let analysis = run_explain_analyze(&mut ctx, &sel)?;
-            Ok(SqlOutcome::ExplainAnalyzed(analysis))
-        }
-        Statement::Analyze => {
-            let stats =
-                instn_opt::Statistics::analyze(db).map_err(|e| SqlError::Bind(e.to_string()))?;
-            Ok(SqlOutcome::Analyzed(Box::new(stats)))
-        }
         Statement::AlterTable { table, action } => {
-            let tid = db
-                .table_id(&table)
-                .map_err(|e| SqlError::Bind(e.to_string()))?;
-            match action {
-                AlterAction::Add {
-                    instance,
-                    indexable,
-                } => {
-                    let kind = registry.get(&instance).ok_or_else(|| {
-                        SqlError::Bind(format!("unknown summary instance {instance}"))
-                    })?;
-                    let (id, deltas) = db
-                        .link_instance(tid, &instance, kind.clone(), indexable)
-                        .map_err(|e| SqlError::Bind(e.to_string()))?;
-                    Ok(SqlOutcome::Altered {
-                        instance: Some(id),
-                        table: tid,
-                        name: instance,
-                        deltas,
-                        indexable,
-                    })
-                }
-                AlterAction::Drop { instance } => {
-                    db.drop_instance(tid, &instance)
-                        .map_err(|e| SqlError::Bind(e.to_string()))?;
-                    Ok(SqlOutcome::Altered {
-                        instance: None,
-                        table: tid,
-                        name: instance,
-                        deltas: Vec::new(),
-                        indexable: false,
-                    })
-                }
-            }
+            let a = alter_table(db, registry, &table, &action)?;
+            Ok(SqlOutcome::Altered {
+                instance: a.instance,
+                table: a.table,
+                name: a.name,
+                deltas: a.deltas,
+                indexable: a.indexable,
+            })
         }
         Statement::ZoomIn {
             table,
             instance,
             oid,
             target,
+        } => Ok(SqlOutcome::Zoom(zoom(db, &table, &instance, oid, &target)?)),
+        Statement::Explain(_) | Statement::ExplainAnalyze(_) | Statement::Analyze => Err(
+            SqlError::Bind("EXPLAIN and ANALYZE need a session: use run_statement".into()),
+        ),
+    }
+}
+
+/// Run one `ALTER TABLE <table> ADD [INDEXABLE] | DROP <instance>`.
+pub(crate) fn alter_table(
+    db: &mut Database,
+    registry: &HashMap<String, InstanceKind>,
+    table: &str,
+    action: &AlterAction,
+) -> Result<Altered> {
+    let table = db.table_id(table)?;
+    match action {
+        AlterAction::Add {
+            instance,
+            indexable,
         } => {
-            let tid = db
-                .table_id(&table)
-                .map_err(|e| SqlError::Bind(e.to_string()))?;
-            let target = match target {
-                ZoomTargetAst::All => ZoomTarget::All,
-                ZoomTargetAst::Label(l) => ZoomTarget::ClassLabel(l),
-                ZoomTargetAst::Rep(i) => ZoomTarget::Representative(i),
-            };
-            let annots = zoom_in(db, tid, instn_storage::Oid(oid), &instance, &target)
-                .map_err(|e| SqlError::Bind(e.to_string()))?;
-            Ok(SqlOutcome::Zoom(annots))
+            let kind = registry
+                .get(instance)
+                .ok_or_else(|| SqlError::Bind(format!("unknown summary instance {instance}")))?;
+            let (id, deltas) = db.link_instance(table, instance, kind.clone(), *indexable)?;
+            Ok(Altered {
+                instance: Some(id),
+                table,
+                name: instance.clone(),
+                deltas,
+                indexable: *indexable,
+            })
+        }
+        AlterAction::Drop { instance } => {
+            db.drop_instance(table, instance)?;
+            Ok(Altered {
+                instance: None,
+                table,
+                name: instance.clone(),
+                deltas: Vec::new(),
+                indexable: false,
+            })
         }
     }
 }
 
-/// Parse `input` and, when it is an `EXPLAIN ANALYZE SELECT …`, execute it
-/// inside the caller's [`instn_query::ExecContext`] — typically one
-/// borrowed from a `Session`, so the session's registered indexes are
-/// refreshed from the delta journal before the plan opens and the work
-/// shows up in the analysis' `maintenance:` section.
-///
-/// Returns `Ok(None)` when `input` is any other statement (or does not
-/// parse): the caller should fall through to [`execute_statement`].
-pub fn explain_analyze_in_ctx(
-    ctx: &mut instn_query::ExecContext<'_>,
-    input: &str,
-) -> Result<Option<ExplainAnalysis>> {
-    let Ok(Statement::ExplainAnalyze(sel)) = crate::parser::parse(input) else {
-        return Ok(None);
+/// Run one `ZOOM IN`: from a summary object back to its raw annotations.
+pub(crate) fn zoom(
+    db: &Database,
+    table: &str,
+    instance: &str,
+    oid: u64,
+    target: &ZoomTargetAst,
+) -> Result<Vec<Annotation>> {
+    let table = db.table_id(table)?;
+    let target = match target {
+        ZoomTargetAst::All => ZoomTarget::All,
+        ZoomTargetAst::Label(l) => ZoomTarget::ClassLabel(l.clone()),
+        ZoomTargetAst::Rep(i) => ZoomTarget::Representative(*i),
     };
-    run_explain_analyze(ctx, &sel).map(Some)
-}
-
-/// Lower and execute one `EXPLAIN ANALYZE` body against `ctx`, collecting
-/// plan text, operator metrics, observed I/O, and the index-maintenance
-/// report of the refresh pass the executor ran before the plan opened.
-///
-/// Planning goes through `instn_opt::Optimizer`, seeded with the indexes
-/// installed in `ctx` and its sort/DOP settings — the plan analyzed is the
-/// plan a serving path would run, not the naive lowering. There is no
-/// session here, so no plan cache participates; session holders get cache
-/// status through [`explain_analyze_statement`].
-fn run_explain_analyze(
-    ctx: &mut instn_query::ExecContext<'_>,
-    sel: &SelectStmt,
-) -> Result<ExplainAnalysis> {
-    let lowered = lower_select(ctx.db, sel)?;
-    let stats =
-        instn_opt::Statistics::analyze(ctx.db).map_err(|e| SqlError::Bind(e.to_string()))?;
-    let descriptors = ctx.index_descriptors();
-    let config =
-        crate::plan::planner_config(ctx.db, &descriptors, ctx.sort_mem, ctx.config.dop.max(1));
-    let optimized = instn_opt::Optimizer::with_stats(ctx.db, stats, config)
-        .optimize(&lowered.plan)
-        .map_err(|e| SqlError::Bind(e.to_string()))?;
-    let physical = optimized.physical;
-    let before = ctx.db.stats().snapshot();
-    let start = std::time::Instant::now();
-    let (rows, operators) = ctx
-        .execute_with_metrics(&physical)
-        .map_err(|e| SqlError::Bind(e.to_string()))?;
-    let elapsed = start.elapsed();
-    let io = ctx.db.stats().snapshot().since(&before);
-    Ok(ExplainAnalysis {
-        plan: format!("{physical}"),
-        operators,
-        rows: rows.len(),
-        elapsed,
-        io,
-        maintenance: ctx.maintenance_report(),
-        plan_source: "optimized (no plan cache)".to_string(),
-    })
-}
-
-/// Parse `input` and, when it is an `EXPLAIN ANALYZE SELECT …`, plan it
-/// through the session's plan cache ([`crate::plan::plan_select`]) and
-/// execute it against the session's registered indexes, reporting the
-/// cache status on the `plan:` line. Any other statement comes back as
-/// `Ok(None)` — fall through to [`execute_statement`].
-pub fn explain_analyze_statement(
-    session: &mut instn_query::Session,
-    input: &str,
-) -> Result<Option<ExplainAnalysis>> {
-    let Ok(Statement::ExplainAnalyze(sel)) = crate::parser::parse(input) else {
-        return Ok(None);
-    };
-    let planned = crate::plan::plan_select(session, &sel)?;
-    let physical = std::sync::Arc::clone(&planned.plan.plan);
-    let analysis = session
-        .try_with_ctx(|ctx| -> Result<ExplainAnalysis> {
-            let before = ctx.db.stats().snapshot();
-            let start = std::time::Instant::now();
-            let (rows, operators) = ctx
-                .execute_with_metrics(&physical)
-                .map_err(|e| SqlError::Bind(e.to_string()))?;
-            let elapsed = start.elapsed();
-            let io = ctx.db.stats().snapshot().since(&before);
-            Ok(ExplainAnalysis {
-                plan: format!("{physical}"),
-                operators,
-                rows: rows.len(),
-                elapsed,
-                io,
-                maintenance: ctx.maintenance_report(),
-                plan_source: planned.source.describe().to_string(),
-            })
-        })
-        .map_err(|e| SqlError::Bind(e.to_string()))??;
-    Ok(Some(analysis))
+    Ok(zoom_in(db, table, Oid(oid), instance, &target)?)
 }
 
 /// One bound FROM item.
@@ -334,8 +203,6 @@ pub fn explain_analyze_statement(
 struct Binding {
     table: String,
     alias: String,
-    #[allow(dead_code)]
-    id: TableId,
     columns: Vec<String>,
 }
 
@@ -348,14 +215,10 @@ pub fn lower_select(db: &Database, stmt: &SelectStmt) -> Result<LoweredQuery> {
     }
     let mut bindings = Vec::new();
     for (table, alias) in &stmt.from {
-        let id = db
-            .table_id(table)
-            .map_err(|e| SqlError::Bind(e.to_string()))?;
-        let schema = db.table(id).map_err(|e| SqlError::Bind(e.to_string()))?;
+        let schema = db.table(db.table_id(table)?)?;
         bindings.push(Binding {
             table: table.clone(),
             alias: alias.clone().unwrap_or_else(|| table.clone()),
-            id,
             columns: schema
                 .schema()
                 .columns()
@@ -760,7 +623,7 @@ fn object_func(m: &MethodCall) -> Result<ObjFunc> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use instn_annot::{Attachment, Category};
     use instn_mining::nb::NaiveBayes;
@@ -775,7 +638,7 @@ mod tests {
         InstanceKind::Classifier { model }
     }
 
-    fn setup() -> Database {
+    pub(crate) fn setup() -> Database {
         let mut db = Database::new();
         let birds = db
             .create_table(
@@ -975,20 +838,17 @@ mod tests {
     }
 
     #[test]
-    fn explain_statement_renders_logical_plan() {
-        let mut db = setup();
-        let registry: HashMap<String, InstanceKind> = HashMap::new();
-        let out = execute_statement(
-            &mut db,
-            &registry,
-            "EXPLAIN SELECT id FROM Birds r WHERE \
+    fn lowered_plan_renders_every_operator() {
+        let db = setup();
+        let Statement::Select(sel) = crate::parser::parse(
+            "SELECT id FROM Birds r WHERE \
              r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 3 \
              ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 2",
         )
-        .unwrap();
-        let SqlOutcome::Explain(text) = out else {
-            panic!("{out:?}")
+        .unwrap() else {
+            panic!("not a select")
         };
+        let text = lower_select(&db, &sel).unwrap().plan.to_string();
         assert!(text.contains("SummarySelect(S)"), "{text}");
         assert!(text.contains("Sort(O desc)"), "{text}");
         assert!(text.contains("Limit(2)"), "{text}");
@@ -996,65 +856,12 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_executes_and_reports_io() {
+    fn explain_and_analyze_need_a_session() {
         let mut db = setup();
-        let registry: HashMap<String, InstanceKind> = HashMap::new();
-        let sql = "EXPLAIN ANALYZE SELECT * FROM Birds r WHERE \
-                   r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 5";
-        let out = execute_statement(&mut db, &registry, sql).unwrap();
-        let SqlOutcome::ExplainAnalyzed(a) = out else {
-            panic!("{out:?}")
-        };
-        assert_eq!(a.rows, 2, "same result as executing the SELECT");
-        assert!(a.plan.contains("SeqScan"), "{}", a.plan);
-        assert!(a.io.logical_total() > 0, "{:?}", a.io);
-        // Uncached database: every logical access is a physical transfer.
-        assert_eq!(a.io.total(), a.io.logical_total());
-        assert_eq!(a.io.cache_hits, 0);
-        let text = format!("{a}");
-        assert!(text.contains("physical I/O"), "{text}");
-        assert!(text.contains("hit ratio"), "{text}");
-    }
-
-    #[test]
-    fn explain_analyze_shows_warm_cache_hits() {
-        let mut db = setup();
-        db.set_cache_capacity(4096);
-        let registry: HashMap<String, InstanceKind> = HashMap::new();
-        let sql = "EXPLAIN ANALYZE SELECT * FROM Birds r WHERE \
-                   r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 5";
-        // First run faults pages in; the repeat runs against a warm pool.
-        execute_statement(&mut db, &registry, sql).unwrap();
-        let out = execute_statement(&mut db, &registry, sql).unwrap();
-        let SqlOutcome::ExplainAnalyzed(a) = out else {
-            panic!("{out:?}")
-        };
-        assert_eq!(a.rows, 2);
-        assert!(a.io.cache_hits > 0, "{:?}", a.io);
-        assert_eq!(a.io.total(), 0, "warm run pays no physical I/O: {:?}", a.io);
-        assert!((a.io.hit_ratio() - 1.0).abs() < f64::EPSILON, "{:?}", a.io);
-    }
-
-    #[test]
-    fn explain_analyze_reports_rows_per_operator() {
-        let mut db = setup();
-        let registry: HashMap<String, InstanceKind> = HashMap::new();
-        let sql = "EXPLAIN ANALYZE SELECT * FROM Birds r WHERE \
-                   r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 5";
-        let out = execute_statement(&mut db, &registry, sql).unwrap();
-        let SqlOutcome::ExplainAnalyzed(a) = out else {
-            panic!("{out:?}")
-        };
-        // The metrics tree mirrors the plan: a filter over the base scan,
-        // with per-operator row counts.
-        assert_eq!(a.operators.rows as usize, a.rows);
-        assert!(!a.operators.children.is_empty(), "{:?}", a.operators);
-        let text = format!("{a}");
-        assert!(text.contains("(rows=2"), "{text}");
-        assert!(text.contains("SeqScan"), "{text}");
-        // Root I/O is inclusive: it accounts for the whole execution.
-        assert_eq!(a.operators.logical_io, a.io.logical_total());
-        assert_eq!(a.operators.physical_io, a.io.total());
+        for sql in ["EXPLAIN SELECT id FROM Birds", "ANALYZE"] {
+            let err = execute_statement(&mut db, &HashMap::new(), sql).unwrap_err();
+            assert!(matches!(err, SqlError::Bind(_)), "{err}");
+        }
     }
 
     #[test]

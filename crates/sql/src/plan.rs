@@ -1,9 +1,10 @@
 //! Cost-based planning on the live query path (DESIGN.md §12).
 //!
-//! Every interactive `SELECT` — shell, wire server, prepared statements —
-//! funnels through [`plan_statement`]: parse, fingerprint, probe the
-//! session's [`PlanCache`](instn_query::PlanCache), and only on a miss run
-//! the full `instn_opt::Optimizer` pipeline. The optimizer is seeded with
+//! Every `SELECT`, `EXPLAIN` and `EXPLAIN ANALYZE` — from the shell, the
+//! wire server or a prepared statement — is planned by [`plan_select`],
+//! which [`crate::run_statement`] calls: fingerprint, probe the session's
+//! [`PlanCache`](instn_query::PlanCache), and only on a miss run the full
+//! `instn_opt::Optimizer` pipeline. The optimizer is seeded with
 //! the session's registered indexes, the engine's buffer-pool capacity,
 //! and the session DOP, so the plan that runs is the plan the cost model
 //! actually chose — `lower_naive` stays a bench baseline, not a serving
@@ -24,14 +25,14 @@ use std::time::Instant;
 
 use instn_core::db::Database;
 use instn_opt::{Optimizer, PlannerConfig, Statistics};
-use instn_query::plan_cache::{normalize_statement, CachedPlan, PlanLookup, PlanStamp};
+use instn_query::plan_cache::{CachedPlan, PlanLookup, PlanStamp};
 use instn_query::session::IndexDescriptors;
 use instn_query::Session;
 use instn_storage::TableId;
 
-use crate::ast::{SelectStmt, Statement};
+use crate::ast::SelectStmt;
 use crate::lower::lower_select;
-use crate::{Result, SqlError};
+use crate::StatementError;
 
 /// How a [`PlannedStatement`] obtained its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +80,6 @@ struct PlannerState {
     stats: Statistics,
 }
 
-fn bind<E: std::fmt::Display>(e: E) -> SqlError {
-    SqlError::Bind(e.to_string())
-}
-
 /// The plan-cache key for `sel` under this session's planner-relevant
 /// state. The statement body is the parsed AST's debug form, so layout and
 /// keyword-case differences (and an `EXPLAIN` prefix) share an entry while
@@ -104,13 +101,16 @@ pub fn statement_fingerprint(session: &Session, sel: &SelectStmt) -> String {
 /// the cheap replacement for the full `Statistics::analyze` rescan.
 /// Returns the statistics plus whether a full re-analyze was needed
 /// (first use, journal truncated past the gap, or a structural change).
-pub fn refresh_statistics(session: &mut Session, db: &Database) -> Result<(Statistics, bool)> {
+pub(crate) fn refresh_statistics(
+    session: &mut Session,
+    db: &Database,
+) -> instn_query::Result<(Statistics, bool)> {
     let slot = session.planner_state_mut();
     if let Some(state) = slot.as_mut().and_then(|b| b.downcast_mut::<PlannerState>()) {
-        let rescanned = state.stats.catch_up(db).map_err(bind)?;
+        let rescanned = state.stats.catch_up(db)?;
         return Ok((state.stats.clone(), rescanned));
     }
-    let stats = Statistics::analyze(db).map_err(bind)?;
+    let stats = Statistics::analyze(db)?;
     *slot = Some(Box::new(PlannerState {
         stats: stats.clone(),
     }));
@@ -121,7 +121,7 @@ pub fn refresh_statistics(session: &mut Session, db: &Database) -> Result<(Stati
 /// (labels-`k` looked up from each instance's definition), its sort
 /// budget, and its DOP. Buffer-pool capacity is filled in by
 /// [`Optimizer::with_stats`] from the engine itself.
-pub(crate) fn planner_config(
+fn planner_config(
     db: &Database,
     descriptors: &IndexDescriptors,
     sort_mem: usize,
@@ -163,11 +163,11 @@ fn build_plan(
     dop: usize,
     stats: Statistics,
     sel: &SelectStmt,
-) -> Result<CachedPlan> {
+) -> Result<CachedPlan, StatementError> {
     let lowered = lower_select(db, sel)?;
     let config = planner_config(db, descriptors, sort_mem, dop);
     let optimizer = Optimizer::with_stats(db, stats, config);
-    let optimized = optimizer.optimize(&lowered.plan).map_err(bind)?;
+    let optimized = optimizer.optimize(&lowered.plan)?;
     let tables = sel.from.iter().filter_map(|(t, _)| db.table_id(t).ok());
     let stamp = PlanStamp::capture(db, tables);
     Ok(CachedPlan {
@@ -188,12 +188,13 @@ fn build_plan(
 /// Cache events are mirrored into the engine's metrics registry when it
 /// is enabled (`plan_cache_{hits,misses,invalidations}_total`; fresh
 /// planning time lands in the `plan_wall_ns` histogram).
-pub fn plan_select(session: &mut Session, sel: &SelectStmt) -> Result<PlannedStatement> {
+pub fn plan_select(
+    session: &mut Session,
+    sel: &SelectStmt,
+) -> Result<PlannedStatement, StatementError> {
     let fingerprint = statement_fingerprint(session, sel);
     let shared = session.shared().clone();
-    let db = shared
-        .try_read()
-        .map_err(|_| SqlError::Bind("engine lock poisoned".into()))?;
+    let db = shared.try_read()?;
     let metrics = Arc::clone(db.metrics());
     let observed = metrics.is_enabled();
     let lookup = session.plan_cache.lookup(&fingerprint, &db);
@@ -226,7 +227,7 @@ pub fn plan_select(session: &mut Session, sel: &SelectStmt) -> Result<PlannedSta
     // harness compares against; enabled sessions instead ride
     // `Statistics::catch_up` over the journal gap.
     let stats = if matches!(source, PlanSource::CacheDisabled) {
-        Statistics::analyze(&db).map_err(bind)?
+        Statistics::analyze(&db).map_err(instn_query::QueryError::from)?
     } else {
         refresh_statistics(session, &db)?.0
     };
@@ -268,43 +269,19 @@ pub fn plan_select(session: &mut Session, sel: &SelectStmt) -> Result<PlannedSta
     })
 }
 
-/// Parse `input` and, when it is a `SELECT`, plan it through
-/// [`plan_select`]. Any other statement — or input that does not parse —
-/// comes back as `Ok(None)`: the caller falls through to
-/// [`crate::lower::execute_statement`], which re-parses and surfaces the
-/// real error.
-pub fn plan_statement(session: &mut Session, input: &str) -> Result<Option<PlannedStatement>> {
-    let Ok(Statement::Select(sel)) = crate::parser::parse(input) else {
-        return Ok(None);
-    };
-    plan_select(session, &sel).map(Some)
-}
-
-/// Render the `EXPLAIN` view of a planned statement: the *actual*
-/// optimized (possibly parallelized) physical plan that would execute,
-/// followed by the cache-status and cost line — not the naive logical
-/// plan the serving layer used to show.
-pub fn render_explain(planned: &PlannedStatement) -> String {
-    format!(
-        "{}plan: {}  cost={:.1}\n",
-        planned.plan.plan,
-        planned.source.describe(),
-        planned.plan.cost
-    )
-}
-
-/// Normalize a statement for display/dedup purposes (re-exported next to
-/// the planning entry points for callers that key UI state off statement
-/// text rather than the AST fingerprint).
-pub fn normalized(input: &str) -> String {
-    normalize_statement(input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Statement;
     use instn_query::SharedDatabase;
     use instn_storage::{ColumnType, Schema, Value};
+
+    fn plan(session: &mut Session, sql: &str) -> PlannedStatement {
+        let Statement::Select(sel) = crate::parser::parse(sql).unwrap() else {
+            panic!("not a select: {sql}")
+        };
+        plan_select(session, &sel).unwrap()
+    }
 
     fn shared() -> (SharedDatabase, TableId) {
         let mut db = Database::new();
@@ -326,24 +303,18 @@ mod tests {
         let (shared, t) = shared();
         let mut session = shared.session();
         session.plan_cache.set_enabled(true);
-        let p1 = plan_statement(&mut session, "SELECT id FROM T")
-            .unwrap()
-            .unwrap();
+        let p1 = plan(&mut session, "SELECT id FROM T");
         assert_eq!(p1.source, PlanSource::CacheMiss);
         assert_eq!(p1.plan.columns, vec!["id".to_string()]);
         // Layout and keyword case differences share the entry.
-        let p2 = plan_statement(&mut session, "select  id\nfrom T ;")
-            .unwrap()
-            .unwrap();
+        let p2 = plan(&mut session, "select  id\nfrom T ;");
         assert_eq!(p2.source, PlanSource::CacheHit);
         assert_eq!(p2.plan_wall_ns, 0);
         // DML on T invalidates it.
         shared
             .with_write(|db| db.insert_tuple(t, vec![Value::Int(9), Value::Text("x".into())]))
             .unwrap();
-        let p3 = plan_statement(&mut session, "SELECT id FROM T")
-            .unwrap()
-            .unwrap();
+        let p3 = plan(&mut session, "SELECT id FROM T");
         assert_eq!(p3.source, PlanSource::Invalidated);
         // Executing the cached plan yields the fresh rows.
         let rows = session.execute(&p3.plan.plan).unwrap();
@@ -356,31 +327,14 @@ mod tests {
         let mut session = shared.session();
         session.plan_cache.set_enabled(true);
         let sql = "SELECT id FROM T";
-        assert_eq!(
-            plan_statement(&mut session, sql).unwrap().unwrap().source,
-            PlanSource::CacheMiss
-        );
+        assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);
         // A DOP change is part of the fingerprint: no stale-shape reuse.
         // (Relative, so the test also holds under `INSTN_DOP=4`.)
         session.exec_config.dop += 3;
-        assert_eq!(
-            plan_statement(&mut session, sql).unwrap().unwrap().source,
-            PlanSource::CacheMiss
-        );
+        assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);
         // Registering an index bumps the epoch and forces a replan.
         session.register_column_index(_t, 0).unwrap();
-        assert_eq!(
-            plan_statement(&mut session, sql).unwrap().unwrap().source,
-            PlanSource::CacheMiss
-        );
-    }
-
-    #[test]
-    fn non_select_and_unparsable_fall_through() {
-        let (shared, _t) = shared();
-        let mut session = shared.session();
-        assert!(plan_statement(&mut session, "ANALYZE").unwrap().is_none());
-        assert!(plan_statement(&mut session, "not sql").unwrap().is_none());
+        assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn main() {
     println!("\n== summary-aware DISTINCT ==");
     let plan = LogicalPlan::scan("Birds").project(vec![1]).distinct();
     let rows = ctx
-        .execute(&lower_naive(&db, &plan).expect("lowers"))
+        .execute(&optimizer.optimize(&plan).expect("plans").physical)
         .expect("executes");
     for r in &rows {
         println!(

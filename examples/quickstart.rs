@@ -96,7 +96,8 @@ fn main() {
         CmpOp::Ge,
         2,
     ));
-    let physical = lower_naive(&db, &plan).expect("lowers");
+    let optimizer = Optimizer::new(&db, PlannerConfig::default()).expect("stats collected");
+    let physical = optimizer.optimize(&plan).expect("plans").physical;
     let rows = ExecContext::new(&db).execute(&physical).expect("executes");
     println!("birds with ≥2 disease annotations:");
     for r in &rows {

@@ -1,9 +1,10 @@
 //! A scripted session against the extended SQL front end: the paper's DDL
 //! (`ALTER TABLE … ADD [INDEXABLE] <Instance>`), summary method chains in
-//! `WHERE`/`ORDER BY`, and the zoom-in command — served through the
-//! multi-session layer: statements that write take the [`SharedDatabase`]
-//! write guard, queries run through a [`Session`] so each executes against
-//! one consistent snapshot with the session's own index registry.
+//! `WHERE`/`ORDER BY`, and the zoom-in command — served the way the shell
+//! and the wire server serve them: parse once, then [`run_statement`]
+//! plans each query through the cost-based optimizer and runs it in a
+//! [`Session`] against one consistent snapshot; only the DDL takes the
+//! [`SharedDatabase`] write guard.
 //!
 //! ```text
 //! cargo run --example sql_session
@@ -74,58 +75,44 @@ fn main() {
 
     let mut run = |sql: &str| {
         println!("sql> {sql}");
-        match shared.with_write(|db| execute_statement(db, &registry, sql)) {
-            Ok(SqlOutcome::Altered {
-                instance,
-                deltas,
-                indexable,
-                ..
-            }) => {
-                println!(
-                    "     linked/dropped (instance={instance:?}, {} deltas, indexable={indexable})\n",
-                    deltas.len()
-                );
+        let outcome = match parse(sql) {
+            Ok(stmt) => run_statement(&mut session, &registry, sql, &stmt),
+            Err(e) => Err(e.into()),
+        };
+        match outcome {
+            Ok(StatementOutcome::Altered(altered)) => println!("     {altered}"),
+            Ok(StatementOutcome::Analyzed { rescanned }) => {
+                println!("     statistics current (full scan: {rescanned})");
             }
-            Ok(SqlOutcome::Analyzed(_)) => {
-                println!("     statistics collected\n");
+            Ok(StatementOutcome::Explain(text)) => {
+                println!("     {}", text.trim_end().replace('\n', "\n     "));
             }
-            Ok(SqlOutcome::Explain(text)) => {
-                println!("     plan:\n{}", text.trim_end());
-                println!();
-            }
-            Ok(SqlOutcome::ExplainAnalyzed(analysis)) => {
+            Ok(StatementOutcome::ExplainAnalyze(analysis)) => {
                 println!(
                     "     {}",
                     format!("{analysis}").trim_end().replace('\n', "\n     ")
                 );
-                println!();
             }
-            Ok(SqlOutcome::Zoom(annots)) => {
+            Ok(StatementOutcome::Zoom(annots)) => {
                 println!("     {} raw annotations:", annots.len());
                 for a in annots.iter().take(3) {
                     println!("       - {}", a.text);
                 }
-                println!();
             }
-            Ok(SqlOutcome::Query(q)) => {
-                let rows = session
-                    .with_ctx(|ctx| {
-                        let physical = lower_naive(ctx.db, &q.plan)?;
-                        ctx.execute(&physical)
-                    })
-                    .expect("executes");
-                println!("     {} rows  (columns: {:?})", rows.len(), q.columns);
+            Ok(StatementOutcome::Rows { columns, rows }) => {
+                println!("     {} rows  (columns: {columns:?})", rows.len());
                 for r in rows.iter().take(5) {
                     let vals: Vec<String> = r.values.iter().map(|v| format!("{v}")).collect();
                     println!("       {}", vals.join(" | "));
                 }
-                println!();
             }
-            Err(e) => println!("     ERROR: {e}\n"),
+            Err(e) => println!("     ERROR: {e}"),
         }
+        println!();
     };
 
-    // 1. The extended DDL links and summarizes in one statement.
+    // 1. The extended DDL links and summarizes in one statement; INDEXABLE
+    //    also registers a Summary-BTree in this session.
     run("ALTER TABLE Birds ADD INDEXABLE ClassBird1;");
 
     // 2. Summary-based selection: the paper's flagship predicate form.
@@ -145,7 +132,8 @@ fn main() {
     // 5. Grouping merges the groups' summaries on the fly.
     run("SELECT family FROM Birds GROUP BY family;");
 
-    // 6. EXPLAIN shows the lowered logical plan.
+    // 6. EXPLAIN shows the optimized physical plan this session would run,
+    //    with the plan-cache verdict and the estimated cost.
     run("EXPLAIN SELECT common_name FROM Birds r WHERE \
          r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 3 \
          ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC;");

@@ -54,10 +54,10 @@ const SET_USAGE: &str = "usage: \\set dop <N>       (0 = available cores)\n     
 
 fn main() {
     let (db, registry) = demo_db();
-    // The shell serves through the multi-session layer: reads run through a
-    // Session (consistent snapshot + owned index registry), writes through
-    // the exclusive guard. A second shell thread could clone `shared` and
-    // serve concurrently.
+    // The shell serves through the multi-session layer: every statement
+    // runs through a Session (consistent snapshot + owned index registry),
+    // and only DDL takes the exclusive guard. A second shell thread could
+    // clone `shared` and serve concurrently.
     let mut shared = SharedDatabase::new(db);
     // Observability on for the interactive engine: buffer-pool, WAL,
     // index-maintenance, and per-session counters are live from the first
@@ -206,138 +206,57 @@ fn main() {
             );
             continue;
         }
-        // EXPLAIN ANALYZE plans through the session's plan cache and runs
-        // against the session's own registry, so the registered indexes are
-        // refreshed from the delta journal first, the work shows up in the
-        // `maintenance:` section, and the `plan:` line reports cache status.
-        match explain_analyze_statement(&mut session, line) {
-            Ok(Some(analysis)) => {
-                println!("dop: {}", session.exec_config.dop);
-                print!("{analysis}");
-                continue;
-            }
-            Ok(None) => {} // not EXPLAIN ANALYZE — fall through
-            Err(e) => {
-                eprintln!("error: {e}");
-                continue;
-            }
-        }
-        // EXPLAIN renders the actual optimized (possibly parallelized)
-        // physical plan the session would execute, plus cache status.
-        if let Ok(Statement::Explain(sel)) = parse(line) {
-            match plan_select(&mut session, &sel) {
-                Ok(planned) => {
-                    println!("dop: {}", session.exec_config.dop);
-                    print!("{}", render_explain(&planned));
-                }
-                Err(e) => eprintln!("error: {e}"),
-            }
-            continue;
-        }
-        // ANALYZE rides the session's cached statistics over the journal
-        // gap instead of rescanning the database.
-        if let Ok(Statement::Analyze) = parse(line) {
-            let res = {
-                let engine = session.shared().clone();
-                let db = engine.read();
-                refresh_statistics(&mut session, &db)
-            };
-            match res {
-                Ok((_, true)) => println!("statistics collected (full scan)"),
-                Ok((_, false)) => println!("statistics caught up from the journal"),
-                Err(e) => eprintln!("error: {e}"),
-            }
-            continue;
-        }
-        // SELECTs plan through the cost-based optimizer with the session's
-        // plan cache (DESIGN.md §12) and never take the write lock. The
-        // DOP post-pass runs inside the optimizer, cost-gated.
-        match plan_statement(&mut session, line) {
-            Ok(Some(planned)) => {
-                let res = session.execute_observed(line, &planned.plan.plan);
-                match res {
-                    Ok(rows) => {
-                        println!("{}", planned.plan.columns.join(" | "));
-                        for r in rows.iter().take(50) {
-                            let vals: Vec<String> =
-                                r.values.iter().map(|v| format!("{v}")).collect();
-                            let summaries = if r.summaries.is_empty() {
-                                String::new()
-                            } else {
-                                format!(
-                                    "   [{}]",
-                                    r.summaries
-                                        .iter()
-                                        .map(|o| format!("{}:{}", o.summary_name(), o.size()))
-                                        .collect::<Vec<_>>()
-                                        .join(", ")
-                                )
-                            };
-                            println!("{}{summaries}", vals.join(" | "));
-                        }
-                        println!("({} rows)", rows.len());
-                    }
-                    Err(e) => eprintln!("query error: {e}"),
-                }
-                continue;
-            }
-            Ok(None) => {} // not a SELECT — fall through to DDL/zoom
-            Err(e) => {
-                eprintln!("error: {e}");
-                continue;
-            }
-        }
-        match shared.with_write(|db| execute_statement(db, &registry, line)) {
-            Ok(SqlOutcome::Query(_)) => {
-                // SELECTs are intercepted by `plan_statement` above;
-                // `execute_statement` only sees non-SELECTs here.
-                eprintln!("internal: SELECT fell through the planner");
-            }
-            Ok(SqlOutcome::Explain(text)) => {
-                println!("dop: {}", session.exec_config.dop);
-                print!("{text}");
-            }
-            Ok(SqlOutcome::ExplainAnalyzed(analysis)) => {
-                println!("dop: {}", session.exec_config.dop);
-                print!("{analysis}");
-            }
-            Ok(SqlOutcome::Analyzed(_)) => println!("statistics collected"),
-            Ok(SqlOutcome::Altered {
-                instance,
-                table,
-                name,
-                deltas,
-                indexable,
-            }) => {
-                // The engine journals the link's deltas revision-stamped,
-                // so they maintain session indexes instead of being
-                // dropped on the floor here. An INDEXABLE link also gets a
-                // Summary-BTree registered in this session, kept fresh by
-                // journal replay on every later query.
-                if instance.is_some() && indexable {
-                    match session.register_summary_index(&name, table, &name, PointerMode::Backward)
-                    {
-                        Ok(()) => println!(
-                            "ok (linked {name}, {} deltas journaled, summary index registered)",
-                            deltas.len()
-                        ),
-                        Err(e) => eprintln!("linked {name}, but index build failed: {e}"),
-                    }
-                } else {
-                    println!(
-                        "ok (instance={instance:?}, {} deltas journaled, indexable={indexable})",
-                        deltas.len()
-                    );
-                }
-            }
-            Ok(SqlOutcome::Zoom(annots)) => {
-                for a in annots.iter().take(20) {
-                    println!("[{}] {}", a.author, a.text);
-                }
-                println!("({} annotations)", annots.len());
-            }
+        // One statement lifecycle (DESIGN.md §11): parse once, then the
+        // front door picks the lock, plans, executes; the shell only renders.
+        let outcome = match parse(line) {
+            Ok(stmt) => run_statement(&mut session, &registry, line, &stmt),
+            Err(e) => Err(e.into()),
+        };
+        match outcome {
+            Ok(outcome) => render(session.exec_config.dop, outcome),
             Err(e) => eprintln!("error: {e}"),
         }
+    }
+}
+
+/// Print one statement's outcome. `dop` heads the EXPLAIN views.
+fn render(dop: usize, outcome: StatementOutcome) {
+    match outcome {
+        StatementOutcome::Rows { columns, rows } => {
+            println!("{}", columns.join(" | "));
+            for r in rows.iter().take(50) {
+                let vals: Vec<String> = r.values.iter().map(|v| format!("{v}")).collect();
+                let summaries = if r.summaries.is_empty() {
+                    String::new()
+                } else {
+                    format!(
+                        "   [{}]",
+                        r.summaries
+                            .iter()
+                            .map(|o| format!("{}:{}", o.summary_name(), o.size()))
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    )
+                };
+                println!("{}{summaries}", vals.join(" | "));
+            }
+            println!("({} rows)", rows.len());
+        }
+        StatementOutcome::Explain(text) => print!("dop: {dop}\n{text}"),
+        StatementOutcome::ExplainAnalyze(analysis) => print!("dop: {dop}\n{analysis}"),
+        StatementOutcome::Analyzed { rescanned: true } => {
+            println!("statistics collected (full scan)")
+        }
+        StatementOutcome::Analyzed { rescanned: false } => {
+            println!("statistics caught up from the journal")
+        }
+        StatementOutcome::Zoom(annots) => {
+            for a in annots.iter().take(20) {
+                println!("[{}] {}", a.author, a.text);
+            }
+            println!("({} annotations)", annots.len());
+        }
+        StatementOutcome::Altered(altered) => println!("{altered}"),
     }
 }
 

@@ -58,8 +58,11 @@
 //! // Query the summaries as first-class citizens.
 //! let sel = Expr::label_cmp("ClassBird1", "Disease", CmpOp::Ge, 1);
 //! let plan = LogicalPlan::scan("Birds").summary_select(sel);
-//! let physical = lower_naive(&db, &plan).unwrap();
-//! let rows = ExecContext::new(&db).execute(&physical).unwrap();
+//! let optimized = Optimizer::new(&db, PlannerConfig::default())
+//!     .unwrap()
+//!     .optimize(&plan)
+//!     .unwrap();
+//! let rows = ExecContext::new(&db).execute(&optimized.physical).unwrap();
 //! assert_eq!(rows.len(), 1);
 //! ```
 
@@ -95,7 +98,6 @@ pub mod prelude {
         default_dop, parallelize_plan, ExecConfig, ExecContext, IndexRegistry, PhysicalPlan,
     };
     pub use instn_query::expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, SummaryExpr};
-    pub use instn_query::lower::lower_naive;
     pub use instn_query::plan::{JoinPredicate, LogicalPlan, SortKey};
     pub use instn_query::plan_cache::{
         normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanLookup, PlanStamp,
@@ -104,15 +106,9 @@ pub mod prelude {
     pub use instn_query::ColumnIndex;
     pub use instn_query::MaintenanceReport;
     pub use instn_serve::{Client, ServeConfig, Server, ServerHandle};
-    pub use instn_sql::lower::{
-        execute_statement, explain_analyze_in_ctx, explain_analyze_statement, lower_select,
-        ExplainAnalysis, SqlOutcome,
+    pub use instn_sql::{
+        execute_statement, lower_select, parse, plan_select, run_statement, ExplainAnalysis,
+        PlanSource, PlannedStatement, SqlOutcome, Statement, StatementError, StatementOutcome,
     };
-    pub use instn_sql::parse;
-    pub use instn_sql::plan::{
-        plan_select, plan_statement, refresh_statistics, render_explain, PlanSource,
-        PlannedStatement,
-    };
-    pub use instn_sql::Statement;
     pub use instn_storage::{ColumnType, IoStats, Oid, Schema, TableId, Value};
 }

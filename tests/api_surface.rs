@@ -3,6 +3,7 @@
 //! surfaces, and generator edge cases.
 
 use insightnotes::prelude::*;
+use insightnotes::query::lower::lower_naive;
 
 fn snippet_db() -> (Database, TableId, Oid) {
     let mut db = Database::new();

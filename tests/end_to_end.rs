@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use insightnotes::prelude::*;
+use insightnotes::query::lower::lower_naive;
 
 /// Build a database with the paper's two-instance setup and a deterministic
 /// annotation pattern: bird `i` gets `i % 13` disease-flavored and

@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 
 use insightnotes::demo::demo_db;
 use insightnotes::prelude::*;
+use insightnotes::query::lower::lower_naive;
 use insightnotes::serve::{
-    is_error_code, ClientError, ErrorCode, HandshakeStatus, Response, WireRow,
+    is_error_code, statement_response, ClientError, ErrorCode, HandshakeStatus, Response, WireRow,
 };
 use insightnotes::sql::Statement;
 
@@ -340,5 +341,145 @@ fn prepared_statement_replans_after_dml_never_stale_rows() {
         before + 1,
         "prepared execution never serves stale rows"
     );
+    server.shutdown().expect("drain");
+}
+
+const ZOOM: &str = "ZOOM IN ON ClassBird1 OF Birds TUPLE 8 LABEL 'Disease'";
+
+/// A wire payload with `EXPLAIN ANALYZE`'s wall-clock figure blanked: the
+/// one field of any response that differs between two identical runs.
+fn without_time(payload: &[u8]) -> Vec<u8> {
+    match Response::decode(payload).expect("well-formed payload") {
+        Response::Text(text) => text
+            .lines()
+            .map(|l| l.split("  time: ").next().expect("split yields a head"))
+            .collect::<Vec<_>>()
+            .join("\n")
+            .into_bytes(),
+        _ => payload.to_vec(),
+    }
+}
+
+#[test]
+fn every_statement_kind_answers_what_the_front_door_returns() {
+    let server = start_server(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("admitted");
+    // The twin: a second demo database driven in-process through
+    // `run_statement`, in the same order, so plan-cache verdicts, journal
+    // state and session indexes line up statement for statement.
+    let (db, instances) = demo_db();
+    let shared = SharedDatabase::new(db);
+    shared.with_read(|db| db.metrics().set_enabled(true));
+    let mut twin = shared.session();
+    twin.exec_config.dop = 1;
+    let explain = format!("EXPLAIN {SELECT_DISEASE}");
+    let explain_analyze = format!("EXPLAIN ANALYZE {SELECT_DISEASE}");
+    let cases = [
+        (SELECT_DISEASE, None),
+        (explain.as_str(), None),
+        (explain_analyze.as_str(), None),
+        ("ANALYZE", None),
+        (ZOOM, None),
+        ("ALTER TABLE Birds ADD INDEXABLE TextSummary1", None),
+        // The index the ALTER registered serves this session from now on.
+        (explain_analyze.as_str(), None),
+        ("ALTER TABLE Birds DROP TextSummary1", None),
+        ("SELECT id FROM Birds WHERE id = #", Some(ErrorCode::Parse)),
+        ("SELECT * FROM Nope", Some(ErrorCode::Bind)),
+    ];
+    for (stmt, error) in cases {
+        let wire = client
+            .query_raw(stmt, Duration::ZERO)
+            .expect("query roundtrip");
+        let local = match parse(stmt) {
+            Ok(parsed) => run_statement(&mut twin, &instances, stmt, &parsed),
+            Err(e) => Err(e.into()),
+        };
+        let local = statement_response(local);
+        match error {
+            Some(code) => assert!(is_error_code(&local, code), "{stmt}: {local:?}"),
+            None => assert!(
+                !matches!(local, Response::Error { .. }),
+                "{stmt}: {local:?}"
+            ),
+        }
+        assert_eq!(
+            String::from_utf8_lossy(&without_time(&wire)),
+            String::from_utf8_lossy(&without_time(&local.encode())),
+            "{stmt}"
+        );
+    }
+    server.shutdown().expect("drain");
+}
+
+#[test]
+fn poisoned_engine_is_engine_poisoned_for_every_statement_kind() {
+    let (db, instances) = demo_db();
+    let shared = SharedDatabase::new(db);
+    let server = Server::start(
+        shared.clone(),
+        instances,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(server.local_addr()).expect("admitted");
+    let (handle, _) = client.prepare(SELECT_ALL).expect("prepares");
+    // A writer panics while holding the exclusive guard.
+    let poisoner = shared.clone();
+    std::thread::spawn(move || poisoner.with_write(|_| panic!("writer dies mid-mutation")))
+        .join()
+        .expect_err("the writer panicked");
+    let explain = format!("EXPLAIN {SELECT_ALL}");
+    let explain_analyze = format!("EXPLAIN ANALYZE {SELECT_ALL}");
+    for stmt in [
+        SELECT_ALL,
+        explain.as_str(),
+        explain_analyze.as_str(),
+        "ANALYZE",
+        ZOOM,
+        "ALTER TABLE Birds ADD TextSummary1",
+    ] {
+        let resp = client.query(stmt).expect("roundtrip");
+        assert!(
+            is_error_code(&resp, ErrorCode::EnginePoisoned),
+            "{stmt}: {resp:?}"
+        );
+    }
+    let resp = client.execute_prepared(handle).expect("roundtrip");
+    assert!(
+        is_error_code(&resp, ErrorCode::EnginePoisoned),
+        "prepared: {resp:?}"
+    );
+    // No checkpoint is possible; dropping the handle still joins every thread.
+    drop(server);
+}
+
+#[test]
+fn zoom_is_served_beside_an_open_read_guard() {
+    let (db, instances) = demo_db();
+    let shared = SharedDatabase::new(db);
+    let server = Server::start(
+        shared.clone(),
+        instances,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(server.local_addr()).expect("admitted");
+    // Bound the wait: a ZOOM that asked for the exclusive guard would block
+    // behind `held` forever.
+    client
+        .set_response_timeout(Some(Duration::from_secs(5)))
+        .expect("socket option");
+    let held = shared.read();
+    match client
+        .query(ZOOM)
+        .expect("ZOOM IN must not wait for readers")
+    {
+        Response::Text(t) => assert!(t.ends_with("(4 annotations)\n"), "{t}"),
+        other => panic!("{other:?}"),
+    }
+    drop(held);
     server.shutdown().expect("drain");
 }
