@@ -44,8 +44,8 @@ pub use recover::RecoveryReport;
 pub use rollup::TableRollup;
 pub use storage::SummaryStorage;
 pub use summary::{
-    ClassifierRep, ClusterGroup, ClusterRep, InstanceId, ObjId, Rep, SnippetEntry, SnippetRep,
-    SummaryObject, SummaryType,
+    ClassifierRep, ClusterGroup, ClusterRep, EncodedSummaries, InstanceId, ObjId, ObjectView, Rep,
+    SnippetEntry, SnippetRep, SummaryObject, SummaryRef, SummarySetView, SummaryType,
 };
 
 /// Crate-wide error type (storage errors plus engine-level conditions).

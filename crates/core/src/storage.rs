@@ -16,7 +16,7 @@ use instn_storage::io::IoStats;
 use instn_storage::page::RecordId;
 use instn_storage::{BufferPool, HeapFile, Oid, StorageError};
 
-use crate::summary::{decode_objects, encode_objects, SummaryObject};
+use crate::summary::{decode_objects, encode_objects, EncodedSummaries, SummaryObject};
 use crate::Result;
 
 /// De-normalized summary storage for one user relation.
@@ -75,18 +75,28 @@ impl SummaryStorage {
     /// Returns an empty set for unannotated tuples.
     pub fn read(&self, oid: Oid) -> Result<Vec<SummaryObject>> {
         match self.rows.get(&oid) {
-            Some(rid) => {
-                let bytes = self.heap.get(*rid)?;
-                decode_objects(&bytes)
-            }
+            Some(rid) => self.read_at(*rid),
             None => Ok(Vec::new()),
+        }
+    }
+
+    /// [`SummaryStorage::read`] without the decode: the same row read, the
+    /// checked row kept as bytes.
+    pub fn read_raw(&self, oid: Oid) -> Result<EncodedSummaries> {
+        match self.rows.get(&oid) {
+            Some(rid) => self.read_at_raw(*rid),
+            None => Ok(EncodedSummaries::default()),
         }
     }
 
     /// Read a summary set directly by row location.
     pub fn read_at(&self, rid: RecordId) -> Result<Vec<SummaryObject>> {
-        let bytes = self.heap.get(rid)?;
-        decode_objects(&bytes)
+        decode_objects(&self.heap.get(rid)?)
+    }
+
+    /// [`SummaryStorage::read_at`] without the decode.
+    pub fn read_at_raw(&self, rid: RecordId) -> Result<EncodedSummaries> {
+        EncodedSummaries::new(self.heap.get(rid)?)
     }
 
     /// Write (insert or replace) the summary set of `oid`. Returns `true`

@@ -25,12 +25,12 @@ use std::sync::Arc;
 use instn_core::db::Database;
 use instn_core::journal::{DataChange, JournalEntry};
 use instn_core::maintain::SummaryDelta;
-use instn_core::summary::{InstanceId, Rep};
+use instn_core::summary::{EncodedSummaries, InstanceId, Rep};
 use instn_core::{CoreError, Result};
 use instn_storage::btree::BTree;
 use instn_storage::io::IoStats;
 use instn_storage::page::RecordId;
-use instn_storage::{Oid, TableId, Tuple};
+use instn_storage::{EncodedTuple, Oid, TableId, Tuple};
 
 use crate::itemize::{itemize_key, max_key, min_key, ItemizeWidth};
 use crate::maintainable::{EntryOutcome, MaintainableIndex};
@@ -534,7 +534,7 @@ impl SummaryBTree {
     pub fn cursor_next(&self, cur: &mut EntryCursor) -> Option<IndexEntry> {
         match cur {
             EntryCursor::Empty => None,
-            EntryCursor::Asc(c) => self.tree.cursor_next(c).map(|(_, e)| e),
+            EntryCursor::Asc(c) => self.tree.cursor_next_ref(c).map(|(_, e)| *e),
             EntryCursor::Desc(c) => self.tree.cursor_desc_next(c).map(|(_, e)| e),
         }
     }
@@ -555,6 +555,14 @@ impl SummaryBTree {
         }
     }
 
+    /// [`SummaryBTree::fetch_data_tuple`] without the decode.
+    pub fn fetch_data_tuple_raw(&self, db: &Database, entry: &IndexEntry) -> Result<EncodedTuple> {
+        match self.mode {
+            PointerMode::Backward => Ok(db.table(self.table)?.get_at_raw(entry.loc)?),
+            PointerMode::Conventional => Ok(db.table(self.table)?.get_raw(entry.oid)?),
+        }
+    }
+
     /// Fetch the summary set behind an entry (propagation path). With
     /// conventional pointers the row is read directly; with backward
     /// pointers the 1-1 join with SummaryStorage is performed — the paper
@@ -564,9 +572,23 @@ impl SummaryBTree {
         db: &Database,
         entry: &IndexEntry,
     ) -> Result<Vec<instn_core::summary::SummaryObject>> {
+        let storage = db.summary_storage(self.table);
         match self.mode {
-            PointerMode::Backward => db.summaries_of(self.table, entry.oid),
-            PointerMode::Conventional => db.summary_storage(self.table).read_at(entry.loc),
+            PointerMode::Backward => storage.read(entry.oid),
+            PointerMode::Conventional => storage.read_at(entry.loc),
+        }
+    }
+
+    /// [`SummaryBTree::fetch_summaries`] without the decode.
+    pub fn fetch_summaries_raw(
+        &self,
+        db: &Database,
+        entry: &IndexEntry,
+    ) -> Result<EncodedSummaries> {
+        let storage = db.summary_storage(self.table);
+        match self.mode {
+            PointerMode::Backward => storage.read_raw(entry.oid),
+            PointerMode::Conventional => storage.read_at_raw(entry.loc),
         }
     }
 

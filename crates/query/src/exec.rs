@@ -1,9 +1,13 @@
 //! Physical operators and the executor.
 //!
-//! The executor materializes operator outputs (vectors of
-//! [`AnnotatedTuple`]); all "disk" cost flows through the shared
-//! [`instn_storage::IoStats`], so the benchmark harness can report simulated
-//! I/O next to wall time. Implemented operators:
+//! Operators pull rows from one another one at a time; all "disk" cost flows
+//! through the shared [`instn_storage::IoStats`], so the benchmark harness
+//! can report simulated I/O next to wall time. Between operators a row is
+//! the executor-private lazy row (`row.rs`) — the records a leaf
+//! fetched, still encoded; predicates and sort keys read them in place and
+//! only rows that survive to a point needing ownership are decoded into an
+//! [`AnnotatedTuple`] (fetch eagerly, decode lazily: I/O counts never depend
+//! on laziness). Implemented operators:
 //!
 //! * sequential scan (with or without summary propagation),
 //! * Summary-BTree index scan (equality / range, in count order — the
@@ -31,16 +35,16 @@ use std::time::Duration;
 
 use instn_core::algebra::{merge_summary_sets, project_eliminate};
 use instn_core::db::Database;
-use instn_core::summary::{decode_objects, encode_objects};
+use instn_core::summary::{EncodedSummaries, SummaryObject};
 use instn_core::{AnnotatedTuple, CoreError};
 use instn_index::{BaselineIndex, MaintainableIndex, SummaryBTree};
 use instn_storage::io::IoStats;
-use instn_storage::tuple::{decode_tuple, encode_tuple};
-use instn_storage::{HeapFile, TableId, Value};
+use instn_storage::{EncodedTuple, HeapFile, Oid, TableId, Value, ValueRef};
 
 use crate::dataindex::ColumnIndex;
-use crate::expr::{Expr, ObjectPred};
-use crate::plan::{JoinPredicate, SortKey};
+use crate::expr::{Expr, ObjectPred, RowRead};
+use crate::plan::{JoinPredicate, Side, SortKey};
+use crate::row::{Row, RowTally};
 use crate::{QueryError, Result};
 
 /// Tuples per block for the block nested-loop join (the inner plan is
@@ -799,10 +803,13 @@ impl<'a> ExecContext<'a> {
         let mut root = compile(plan, None);
         root.open(self)?;
         let mut out = Vec::new();
-        while let Some(t) = root.next(self)? {
-            out.push(t);
+        let mut top = RowTally::default();
+        while let Some(row) = root.next(self)? {
+            out.push(row.into_tuple(&mut top));
         }
         root.close(self)?;
+        top.add(root.tally());
+        self.publish_row_tally(top);
         let metrics = root.metrics();
         if let (Some(id), Some(t)) = (exec_span, self.trace.as_mut()) {
             t.end_with_io(id, metrics.logical_io, metrics.physical_io);
@@ -821,8 +828,28 @@ impl<'a> ExecContext<'a> {
         Ok(TupleStream {
             ctx: self,
             root,
+            top: RowTally::default(),
             done: false,
         })
+    }
+
+    /// Add one finished plan's row tally to the registry: what its leaves
+    /// fetched against what had to become owned. Once per plan close, so
+    /// nothing is counted per row, and nothing at all with the registry off.
+    fn publish_row_tally(&self, tally: RowTally) {
+        let obs = self.db.metrics();
+        if obs.is_enabled() {
+            obs.counter(
+                "exec_rows_fetched_total",
+                "Rows scan leaves and index-join probes fetched from storage",
+            )
+            .add(tally.fetched);
+            obs.counter(
+                "exec_rows_materialized_total",
+                "Fetched rows decoded or copied into owned form (the rest were rejected as bytes)",
+            )
+            .add(tally.materialized);
+        }
     }
 
     fn table_of_baseline(&self, index: &str) -> Result<TableId> {
@@ -856,6 +883,8 @@ impl<'a> ExecContext<'a> {
 pub struct TupleStream<'c, 'a> {
     ctx: &'c mut ExecContext<'a>,
     root: OpNode,
+    /// Rows this stream's consumer made owned by pulling them.
+    top: RowTally,
     done: bool,
 }
 
@@ -865,11 +894,11 @@ impl TupleStream<'_, '_> {
         if self.done {
             return Ok(None);
         }
-        let t = self.root.next(self.ctx)?;
-        if t.is_none() {
+        let row = self.root.next(self.ctx)?;
+        if row.is_none() {
             self.done = true;
         }
-        Ok(t)
+        Ok(row.map(|r| r.into_tuple(&mut self.top)))
     }
 
     /// Snapshot of the per-operator counters accumulated so far.
@@ -881,6 +910,8 @@ impl TupleStream<'_, '_> {
     /// counters.
     pub fn close(mut self) -> Result<OpMetrics> {
         self.root.close(self.ctx)?;
+        self.top.add(self.root.tally());
+        self.ctx.publish_row_tally(self.top);
         Ok(self.root.metrics())
     }
 }
@@ -996,9 +1027,13 @@ impl OpMetrics {
 /// [`ExecContext`] on every call instead of borrowing it, so the compiled
 /// tree carries no lifetimes — and they receive it *shared*: every worker
 /// of an Exchange pulls its own tree against the one context.
+///
+/// What travels between operators is the lazy [`Row`]; `open` and `next`
+/// also receive their node's [`RowTally`] to note the rows they fetch and
+/// the rows they turn owned.
 trait Operator {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()>;
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>>;
+    fn open(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<()>;
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>>;
     fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()>;
     fn children(&self) -> Vec<&OpNode>;
 
@@ -1030,6 +1065,8 @@ struct ParallelRun {
     /// counter stripes, so concurrent sessions charging the shared stats
     /// cannot pollute (or double into) the Exchange's attribution.
     io: instn_storage::IoSnapshot,
+    /// The workers' row tallies, summed.
+    tally: RowTally,
 }
 
 /// One unit of a parallel fragment's work queue: a slice of the leaf's
@@ -1070,20 +1107,22 @@ struct OpNode {
     opens: u64,
     physical_io: u64,
     logical_io: u64,
+    /// Rows this operator itself fetched or turned owned.
+    tally: RowTally,
 }
 
 impl OpNode {
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.opens += 1;
         let before = self.io_snapshot(ctx);
-        let r = self.op.open(ctx);
+        let r = self.op.open(ctx, &mut self.tally);
         self.charge(&before, ctx);
         r
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
         let before = self.io_snapshot(ctx);
-        let r = self.op.next(ctx);
+        let r = self.op.next(ctx, &mut self.tally);
         self.charge(&before, ctx);
         if let Ok(Some(_)) = &r {
             self.rows += 1;
@@ -1106,6 +1145,18 @@ impl OpNode {
         let delta = self.io_snapshot(ctx).since(before);
         self.physical_io += delta.total();
         self.logical_io += delta.logical_total();
+    }
+
+    /// This subtree's row tally (a parallel Exchange's workers included).
+    fn tally(&self) -> RowTally {
+        let mut total = self.tally;
+        for child in self.op.children() {
+            total.add(child.tally());
+        }
+        if let Some(run) = self.op.parallel_run() {
+            total.add(run.tally);
+        }
+        total
     }
 
     fn metrics(&self) -> OpMetrics {
@@ -1224,8 +1275,8 @@ fn compile(plan: &PhysicalPlan, bound: Option<Bound<'_>>) -> OpNode {
             left: compile(left, None),
             right: compile(right, None),
             pred: pred.clone(),
-            block: Vec::new(),
-            inner: Vec::new(),
+            block: KeyedRows::default(),
+            inner: KeyedRows::default(),
             inner_cached: false,
             li: 0,
             ri: 0,
@@ -1306,7 +1357,57 @@ fn compile(plan: &PhysicalPlan, bound: Option<Bound<'_>>) -> OpNode {
         opens: 0,
         physical_io: 0,
         logical_io: 0,
+        tally: RowTally::default(),
     }
+}
+
+/// A leaf's pull arrived before its `open`.
+fn unopened() -> QueryError {
+    QueryError::BadPlan("scan leaf pulled before it was opened".into())
+}
+
+/// The row of `(table, oid)`: OID-index probe + heap read, then (when
+/// propagating) the summary row.
+fn fetch_row(
+    db: &Database,
+    table: TableId,
+    oid: Oid,
+    with_summaries: bool,
+    tally: &mut RowTally,
+) -> Result<Row> {
+    let tuple = db.table(table)?.get_raw(oid)?;
+    let summaries = fetch_summaries(db, table, oid, with_summaries)?;
+    Ok(Row::fetched(table, oid, tuple, summaries, tally))
+}
+
+/// The row behind a Summary-BTree entry: the data tuple, then (when
+/// propagating) its summary row, each through the index's pointer mode.
+fn fetch_entry(
+    db: &Database,
+    idx: &SummaryBTree,
+    table: TableId,
+    e: &instn_index::IndexEntry,
+    propagate: bool,
+    tally: &mut RowTally,
+) -> Result<Row> {
+    let tuple = idx.fetch_data_tuple_raw(db, e)?;
+    let summaries = propagate
+        .then(|| idx.fetch_summaries_raw(db, e))
+        .transpose()?;
+    Ok(Row::fetched(table, e.oid, tuple, summaries, tally))
+}
+
+/// The `R_SummaryStorage` row of `(table, oid)` as stored — read only when
+/// the plan propagates summaries, and then always: a fetch never waits to
+/// see whether the row will be looked at.
+fn fetch_summaries(
+    db: &Database,
+    table: TableId,
+    oid: Oid,
+    propagate: bool,
+) -> Result<Option<EncodedSummaries>> {
+    let stored = propagate.then(|| db.summary_storage(table).read_raw(oid));
+    Ok(stored.transpose()?)
 }
 
 /// Streaming sequential scan (OID order) — of the whole table, or of the one
@@ -1319,7 +1420,7 @@ struct SeqScanOp {
 }
 
 impl Operator for SeqScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         let (lo, hi) = match self.morsel {
             None => (None, None),
             Some(Morsel::Range(lo, hi)) => (Some(lo), Some(hi)),
@@ -1329,21 +1430,13 @@ impl Operator for SeqScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
-        let cur = self.cursor.as_mut().expect("open() before next()");
-        let Some((oid, values)) = ctx.db.table(self.table)?.scan_next(cur) else {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+        let cur = self.cursor.as_mut().ok_or_else(unopened)?;
+        let Some((oid, tuple)) = ctx.db.table(self.table)?.scan_next_raw(cur) else {
             return Ok(None);
         };
-        if self.with_summaries {
-            let summaries = ctx.db.summary_storage(self.table).read(oid)?;
-            Ok(Some(AnnotatedTuple {
-                source: Some((self.table, oid)),
-                values,
-                summaries,
-            }))
-        } else {
-            Ok(Some(AnnotatedTuple::bare(self.table, oid, values)))
-        }
+        let summaries = fetch_summaries(ctx.db, self.table, oid, self.with_summaries)?;
+        Ok(Some(Row::fetched(self.table, oid, tuple, summaries, tally)))
     }
 
     fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
@@ -1382,18 +1475,18 @@ struct SummaryIndexScanOp {
 }
 
 impl SummaryIndexScanOp {
-    fn next_entry(&mut self, idx: &SummaryBTree) -> Option<instn_index::IndexEntry> {
+    fn next_entry(&mut self, idx: &SummaryBTree) -> Result<Option<instn_index::IndexEntry>> {
         if let Some(Morsel::Entries(entries)) = &self.morsel {
             let entry = entries.get(self.pos).copied();
             self.pos += 1;
-            return entry;
+            return Ok(entry);
         }
-        idx.cursor_next(self.cursor.as_mut().expect("open() before next()"))
+        Ok(idx.cursor_next(self.cursor.as_mut().ok_or_else(unopened)?))
     }
 }
 
 impl Operator for SummaryIndexScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         let idx = ctx.require_summary_index(&self.index)?;
         self.table = Some(idx.table());
         match self.morsel {
@@ -1407,22 +1500,20 @@ impl Operator for SummaryIndexScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let idx = ctx.require_summary_index(&self.index)?;
-        let Some(e) = self.next_entry(idx) else {
+        let table = self.table.ok_or_else(unopened)?;
+        let Some(e) = self.next_entry(idx)? else {
             return Ok(None);
         };
-        let values = idx.fetch_data_tuple(ctx.db, &e)?;
-        let summaries = if self.propagate {
-            idx.fetch_summaries(ctx.db, &e)?
-        } else {
-            Vec::new()
-        };
-        Ok(Some(AnnotatedTuple {
-            source: Some((self.table.expect("set in open"), e.oid)),
-            values,
-            summaries,
-        }))
+        Ok(Some(fetch_entry(
+            ctx.db,
+            idx,
+            table,
+            &e,
+            self.propagate,
+            tally,
+        )?))
     }
 
     fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
@@ -1435,9 +1526,12 @@ impl Operator for SummaryIndexScanOp {
     }
 
     fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
-        self.open(ctx)?;
+        self.open(ctx, &mut RowTally::default())?;
         let idx = ctx.require_summary_index(&self.index)?;
-        let entries: Vec<_> = std::iter::from_fn(|| self.next_entry(idx)).collect();
+        let mut entries = Vec::new();
+        while let Some(e) = self.next_entry(idx)? {
+            entries.push(e);
+        }
         Ok(entries
             .chunks(rows)
             .map(|c| Morsel::Entries(c.to_vec()))
@@ -1461,7 +1555,7 @@ struct BaselineIndexScanOp {
 }
 
 impl Operator for BaselineIndexScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         let idx = ctx
             .indexes
             .baseline
@@ -1479,37 +1573,27 @@ impl Operator for BaselineIndexScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let Some(&oid) = self.oids.get(self.pos) else {
             return Ok(None);
         };
         self.pos += 1;
-        let table = self.table.expect("resolved in open");
+        let table = self.table.ok_or_else(unopened)?;
         // Extra indirection: OID-index probe + heap read.
-        let values = ctx.db.table(table)?.get(oid)?;
-        let summaries = if self.propagate {
-            if self.from_normalized {
-                // Re-assemble the classifier object from normalized rows
-                // (the paper's Fig. 12 measures exactly this).
-                let idx = ctx
-                    .indexes
-                    .baseline
-                    .get(&self.index)
-                    .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
-                idx.rebuild_object(ctx.db, oid)?
-                    .map(|o| vec![o])
-                    .unwrap_or_default()
-            } else {
-                ctx.db.summaries_of(table, oid)?
-            }
-        } else {
-            Vec::new()
-        };
-        Ok(Some(AnnotatedTuple {
-            source: Some((table, oid)),
-            values,
-            summaries,
-        }))
+        let rebuild = self.propagate && self.from_normalized;
+        let mut row = fetch_row(ctx.db, table, oid, self.propagate && !rebuild, tally)?;
+        if rebuild {
+            // Re-assemble the classifier object from normalized rows
+            // (the paper's Fig. 12 measures exactly this).
+            let idx = ctx
+                .indexes
+                .baseline
+                .get(&self.index)
+                .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
+            row.summaries_mut(tally)
+                .extend(idx.rebuild_object(ctx.db, oid)?);
+        }
+        Ok(Some(row))
     }
 
     fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
@@ -1541,7 +1625,7 @@ struct DataIndexScanOp {
 }
 
 impl Operator for DataIndexScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.oids = match &self.morsel {
             None => {
                 let idx = ctx
@@ -1565,22 +1649,18 @@ impl Operator for DataIndexScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let Some(&oid) = self.oids.get(self.pos) else {
             return Ok(None);
         };
         self.pos += 1;
-        let values = ctx.db.table(self.table)?.get(oid)?;
-        if self.with_summaries {
-            let summaries = ctx.db.summary_storage(self.table).read(oid)?;
-            Ok(Some(AnnotatedTuple {
-                source: Some((self.table, oid)),
-                values,
-                summaries,
-            }))
-        } else {
-            Ok(Some(AnnotatedTuple::bare(self.table, oid, values)))
-        }
+        Ok(Some(fetch_row(
+            ctx.db,
+            self.table,
+            oid,
+            self.with_summaries,
+            tally,
+        )?))
     }
 
     fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
@@ -1594,7 +1674,7 @@ impl Operator for DataIndexScanOp {
     }
 
     fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
-        self.open(ctx)?;
+        self.open(ctx, &mut RowTally::default())?;
         Ok(self
             .oids
             .chunks(rows)
@@ -1610,17 +1690,17 @@ struct FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         loop {
-            let Some(t) = self.child.next(ctx)? else {
+            let Some(row) = self.child.next(ctx)? else {
                 return Ok(None);
             };
-            if self.pred.eval_bool(&t)? {
-                return Ok(Some(t));
+            if self.pred.eval_bool(&row)? {
+                return Ok(Some(row));
             }
         }
     }
@@ -1641,15 +1721,15 @@ struct SummaryObjectFilterOp {
 }
 
 impl Operator for SummaryObjectFilterOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
-        let t = self.child.next(ctx)?;
-        Ok(t.map(|mut t| {
-            t.summaries.retain(|o| self.pred.matches(o));
-            t
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+        let row = self.child.next(ctx)?;
+        Ok(row.map(|mut row| {
+            row.retain_summaries(&self.pred, tally);
+            row
         }))
     }
 
@@ -1670,32 +1750,30 @@ struct ProjectOp {
 }
 
 impl Operator for ProjectOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
-        let Some(mut t) = self.child.next(ctx)? else {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+        let Some(mut row) = self.child.next(ctx)? else {
             return Ok(None);
         };
         if self.eliminate {
-            if let Some((table, oid)) = t.source {
+            if let Some((table, oid)) = row.source() {
                 let (_kept, removed) = ctx
                     .db
                     .annotation_store(table)
                     .partition_by_projection(oid, &self.cols);
+                // The summary set is decoded only when there is an effect
+                // to strip from it.
                 if !removed.is_empty() {
                     let resolver = ctx.db.text_resolver();
-                    project_eliminate(&mut t.summaries, &removed, &resolver);
+                    project_eliminate(row.summaries_mut(tally), &removed, &resolver);
                 }
             }
         }
-        t.values = self
-            .cols
-            .iter()
-            .map(|&i| t.values.get(i).cloned().unwrap_or(Value::Null))
-            .collect();
-        Ok(Some(t))
+        row.project(&self.cols, tally);
+        Ok(Some(row))
     }
 
     fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
@@ -1715,16 +1793,39 @@ struct NestedLoopJoinOp {
     left: OpNode,
     right: OpNode,
     pred: JoinPredicate,
-    block: Vec<AnnotatedTuple>,
-    inner: Vec<AnnotatedTuple>,
+    block: KeyedRows,
+    inner: KeyedRows,
     inner_cached: bool,
     li: usize,
     ri: usize,
     outer_done: bool,
 }
 
+/// One side of a nested-loop join: the rows, and beside them — dense,
+/// [`JoinPredicate::key_width`] per row — what the join predicate reads of
+/// each, extracted once when the row came in. The (block × inner)
+/// comparisons run over the key array alone and never go back to a row's
+/// bytes; a row is decoded when (and if) it first matches.
+#[derive(Default)]
+struct KeyedRows {
+    rows: Vec<Row>,
+    keys: Vec<Value>,
+}
+
+impl KeyedRows {
+    fn push(&mut self, row: Row, pred: &JoinPredicate, side: Side) {
+        pred.side_keys(side, &row, &mut self.keys);
+        self.rows.push(row);
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.keys.clear();
+    }
+}
+
 impl Operator for NestedLoopJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.block.clear();
         self.inner.clear();
         self.inner_cached = false;
@@ -1734,16 +1835,19 @@ impl Operator for NestedLoopJoinOp {
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+        let width = self.pred.key_width();
         loop {
             // Emit pending matches of the current block × inner.
-            while self.li < self.block.len() {
-                let l = &self.block[self.li];
-                while self.ri < self.inner.len() {
-                    let r = &self.inner[self.ri];
+            let mut outer_keys = self.block.keys.chunks_exact(width).skip(self.li);
+            while let (Some(l), Some(lk)) = (self.block.rows.get_mut(self.li), outer_keys.next()) {
+                let inner_keys = self.inner.keys.chunks_exact(width).skip(self.ri);
+                for rk in inner_keys {
                     self.ri += 1;
-                    if self.pred.matches(l, r) {
-                        return Ok(Some(merge_pair(ctx.db, l, r)));
+                    if self.pred.matches_keys(lk, rk) {
+                        if let Some(r) = self.inner.rows.get_mut(self.ri - 1) {
+                            return Ok(Some(merge_pair(ctx.db, l, r, tally)));
+                        }
                     }
                 }
                 self.li += 1;
@@ -1756,16 +1860,16 @@ impl Operator for NestedLoopJoinOp {
             self.block.clear();
             self.li = 0;
             self.ri = 0;
-            while self.block.len() < NL_BLOCK_SIZE.max(1) {
+            while self.block.rows.len() < NL_BLOCK_SIZE.max(1) {
                 match self.left.next(ctx)? {
-                    Some(t) => self.block.push(t),
+                    Some(row) => self.block.push(row, &self.pred, Side::Left),
                     None => {
                         self.outer_done = true;
                         break;
                     }
                 }
             }
-            if self.block.is_empty() {
+            if self.block.rows.is_empty() {
                 return Ok(None);
             }
             // Block NL: the inner is re-executed (re-read) once per block —
@@ -1773,18 +1877,18 @@ impl Operator for NestedLoopJoinOp {
             if !self.inner_cached {
                 self.right.open(ctx)?;
                 self.inner.clear();
-                while let Some(t) = self.right.next(ctx)? {
-                    self.inner.push(t);
+                while let Some(row) = self.right.next(ctx)? {
+                    self.inner.push(row, &self.pred, Side::Right);
                 }
                 self.right.close(ctx)?;
-                self.inner_cached = self.inner.len() <= ctx.sort_mem;
+                self.inner_cached = self.inner.rows.len() <= ctx.sort_mem;
             }
         }
     }
 
     fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.block = Vec::new();
-        self.inner = Vec::new();
+        self.block = KeyedRows::default();
+        self.inner = KeyedRows::default();
         self.inner_cached = false;
         self.left.close(ctx)?;
         self.right.close(ctx)
@@ -1804,11 +1908,11 @@ struct IndexJoinOp {
     right_col: usize,
     residual: Option<JoinPredicate>,
     with_summaries: bool,
-    current: Option<(AnnotatedTuple, Vec<instn_storage::Oid>, usize)>,
+    current: Option<(Row, Vec<Oid>, usize)>,
 }
 
 impl Operator for IndexJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         if !ctx.has_column_index(self.right_table, self.right_col) {
             return Err(QueryError::BadPlan(format!(
                 "index join requires a column index on table {:?} col {}",
@@ -1819,35 +1923,36 @@ impl Operator for IndexJoinOp {
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         loop {
-            if self.current.is_some() {
-                let (l, oids, pos) = self.current.as_mut().expect("checked above");
-                while *pos < oids.len() {
-                    let oid = oids[*pos];
+            if let Some((l, oids, pos)) = &mut self.current {
+                while let Some(&oid) = oids.get(*pos) {
                     *pos += 1;
-                    let r = if self.with_summaries {
-                        ctx.db.annotated_tuple(self.right_table, oid)?
-                    } else {
-                        let values = ctx.db.table(self.right_table)?.get(oid)?;
-                        AnnotatedTuple::bare(self.right_table, oid, values)
-                    };
-                    if let Some(p) = &self.residual {
-                        if !p.matches(l, &r) {
-                            continue;
-                        }
+                    let mut r =
+                        fetch_row(ctx.db, self.right_table, oid, self.with_summaries, tally)?;
+                    if self.residual.as_ref().is_some_and(|p| !p.matches(l, &r)) {
+                        continue;
                     }
-                    return Ok(Some(merge_pair(ctx.db, l, &r)));
+                    return Ok(Some(merge_pair(ctx.db, l, &mut r, tally)));
                 }
                 self.current = None;
             }
             match self.left.next(ctx)? {
                 Some(l) => {
-                    let Some(key) = l.values.get(self.left_col) else {
+                    let Some(key) = l.column(self.left_col).map(ValueRef::to_owned) else {
                         continue;
                     };
-                    let oids = ctx.indexes.column[&(self.right_table, self.right_col)].lookup(key);
-                    self.current = Some((l, oids, 0));
+                    let idx = ctx
+                        .indexes
+                        .column
+                        .get(&(self.right_table, self.right_col))
+                        .ok_or_else(|| {
+                            QueryError::UnknownIndex(format!(
+                                "table#{}.col{}",
+                                self.right_table.0, self.right_col
+                            ))
+                        })?;
+                    self.current = Some((l, idx.lookup(&key), 0));
                 }
                 None => return Ok(None),
             }
@@ -1874,43 +1979,30 @@ struct SummaryIndexJoinOp {
     residual: Option<JoinPredicate>,
     with_summaries: bool,
     right_table: Option<TableId>,
-    current: Option<(AnnotatedTuple, Vec<instn_index::IndexEntry>, usize)>,
+    current: Option<(Row, Vec<instn_index::IndexEntry>, usize)>,
 }
 
 impl Operator for SummaryIndexJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         let idx = ctx.require_summary_index(&self.index)?;
         self.right_table = Some(idx.table());
         self.current = None;
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let idx = ctx.require_summary_index(&self.index)?;
+        let right_table = self.right_table.ok_or_else(unopened)?;
         loop {
-            if self.current.is_some() {
-                let right_table = self.right_table.expect("set in open");
-                let (l, entries, pos) = self.current.as_mut().expect("checked above");
-                while *pos < entries.len() {
-                    let e = &entries[*pos];
+            if let Some((l, entries, pos)) = &mut self.current {
+                while let Some(e) = entries.get(*pos) {
                     *pos += 1;
-                    let values = idx.fetch_data_tuple(ctx.db, e)?;
-                    let summaries = if self.with_summaries {
-                        idx.fetch_summaries(ctx.db, e)?
-                    } else {
-                        Vec::new()
-                    };
-                    let r = AnnotatedTuple {
-                        source: Some((right_table, e.oid)),
-                        values,
-                        summaries,
-                    };
-                    if let Some(p) = &self.residual {
-                        if !p.matches(l, &r) {
-                            continue;
-                        }
+                    let mut r =
+                        fetch_entry(ctx.db, idx, right_table, e, self.with_summaries, tally)?;
+                    if self.residual.as_ref().is_some_and(|p| !p.matches(l, &r)) {
+                        continue;
                     }
-                    return Ok(Some(merge_pair(ctx.db, l, &r)));
+                    return Ok(Some(merge_pair(ctx.db, l, &mut r, tally)));
                 }
                 self.current = None;
             }
@@ -1947,26 +2039,29 @@ struct SortOp {
     key: SortKey,
     desc: bool,
     disk: bool,
-    out: Option<std::vec::IntoIter<AnnotatedTuple>>,
+    out: Option<std::vec::IntoIter<Row>>,
 }
 
 impl Operator for SortOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)?;
+        // Decorate: the key is evaluated once per row, here, not once per
+        // comparison — and the row itself stays as fetched.
         let mut rows = Vec::new();
-        while let Some(t) = self.child.next(ctx)? {
-            rows.push(t);
+        while let Some(row) = self.child.next(ctx)? {
+            rows.push((self.key.eval(&row), row));
         }
         let sorted = if self.disk || rows.len() > ctx.sort_mem {
             external_sort(ctx.db, ctx.sort_mem, rows, &self.key, self.desc)?
         } else {
-            mem_sort(rows, &self.key, self.desc)
+            mem_sort(&mut rows, self.desc);
+            rows.into_iter().map(|(_, row)| row).collect()
         };
         self.out = Some(sorted.into_iter());
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, _ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
@@ -1985,21 +2080,21 @@ impl Operator for SortOp {
 struct GroupByOp {
     child: OpNode,
     cols: Vec<usize>,
-    out: Option<std::vec::IntoIter<AnnotatedTuple>>,
+    out: Option<std::vec::IntoIter<Row>>,
 }
 
 impl Operator for GroupByOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)?;
-        let mut rows = Vec::new();
-        while let Some(t) = self.child.next(ctx)? {
-            rows.push(t);
+        let mut groups = AggState::new(self.cols.clone());
+        while let Some(row) = self.child.next(ctx)? {
+            groups.absorb(ctx.db, row, tally);
         }
-        self.out = Some(group_rows(ctx.db, rows, &self.cols).into_iter());
+        self.out = Some(groups.finish().into_iter());
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, _ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
@@ -2017,21 +2112,21 @@ impl Operator for GroupByOp {
 /// survivors in first-occurrence order.
 struct DistinctOp {
     child: OpNode,
-    out: Option<std::vec::IntoIter<AnnotatedTuple>>,
+    out: Option<std::vec::IntoIter<Row>>,
 }
 
 impl Operator for DistinctOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)?;
         let mut rows = Vec::new();
-        while let Some(t) = self.child.next(ctx)? {
-            rows.push(t);
+        while let Some(row) = self.child.next(ctx)? {
+            rows.push(row);
         }
-        self.out = Some(distinct_rows(ctx.db, rows).into_iter());
+        self.out = Some(distinct_rows(ctx.db, rows, tally).into_iter());
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, _ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
@@ -2055,12 +2150,12 @@ struct LimitOp {
 }
 
 impl Operator for LimitOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.emitted = 0;
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         if self.emitted >= self.n {
             return Ok(None);
         }
@@ -2250,6 +2345,8 @@ struct WorkerOut<T> {
     fragment: OpMetrics,
     /// I/O charged to this worker's counter stripe.
     io: instn_storage::IoSnapshot,
+    /// Rows this worker's trees (and its `drain`) fetched and turned owned.
+    tally: RowTally,
 }
 
 /// The exchange/gather operator. At open it resolves the effective DOP:
@@ -2265,7 +2362,7 @@ struct ExchangeOp {
     plan: PhysicalPlan,
     dop: usize,
     serial: Option<OpNode>,
-    out: Option<std::vec::IntoIter<AnnotatedTuple>>,
+    out: Option<std::vec::IntoIter<Row>>,
     parallel: Option<ParallelRun>,
 }
 
@@ -2276,9 +2373,9 @@ fn run_parallel<T: Send>(
     ctx: &ExecContext<'_>,
     frag: &FragSpec<'_>,
     dop: usize,
-    drain: impl Fn(&mut OpNode) -> Result<T> + Sync,
-    gather: impl FnOnce(Vec<T>) -> Vec<AnnotatedTuple>,
-) -> Result<(Vec<AnnotatedTuple>, ParallelRun)> {
+    drain: impl Fn(&mut OpNode, &mut RowTally) -> Result<T> + Sync,
+    gather: impl FnOnce(Vec<T>) -> Vec<Row>,
+) -> Result<(Vec<Row>, ParallelRun)> {
     let stats = ctx.db.stats();
     // The coordinator pins the last stripe so fragment enumeration
     // (OID-index walk, index leaf drain) is attributable too; workers
@@ -2335,6 +2432,7 @@ fn run_parallel<T: Send>(
                         let before = stats.worker_snapshot(w);
                         let mut outs = Vec::new();
                         let mut fragment = unopened.clone();
+                        let mut tally = RowTally::default();
                         loop {
                             let i = next.fetch_add(1, AtomicOrdering::Relaxed);
                             let Some(morsel) = morsels.get(i) else {
@@ -2343,9 +2441,10 @@ fn run_parallel<T: Send>(
                             let t0 = morsel_obs.as_ref().map(|_| std::time::Instant::now());
                             let mut node = compile(frag.chain, Some(Bound { morsel, stripe: w }));
                             node.open(ctx)?;
-                            outs.push((i, drain(&mut node)?));
+                            outs.push((i, drain(&mut node, &mut tally)?));
                             node.close(ctx)?;
                             fragment.merge(&node.metrics());
+                            tally.add(node.tally());
                             if let (Some((hist, count)), Some(t0)) = (morsel_obs, t0) {
                                 hist.record(instn_obs::elapsed_ns(t0));
                                 count.inc();
@@ -2358,6 +2457,7 @@ fn run_parallel<T: Send>(
                             outs,
                             fragment,
                             io: stats.worker_snapshot(w).since(&before),
+                            tally,
                         })
                     })
                 })
@@ -2392,10 +2492,12 @@ fn run_parallel<T: Send>(
         fragment: unopened,
         workers: Vec::with_capacity(workers.len()),
         io: stats.worker_snapshot(coord_slot).since(&coord_before),
+        tally: RowTally::default(),
     };
     for (w, wo) in workers.iter().enumerate() {
         run.io.add_assign(&wo.io);
         run.fragment.merge(&wo.fragment);
+        run.tally.add(wo.tally);
         run.workers.push(OpMetrics {
             label: format!("worker {w}"),
             rows: wo.fragment.rows,
@@ -2410,7 +2512,7 @@ fn run_parallel<T: Send>(
 }
 
 impl Operator for ExchangeOp {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         let dop = if self.dop == 0 {
             ctx.config.dop
         } else {
@@ -2429,10 +2531,16 @@ impl Operator for ExchangeOp {
                 ctx,
                 &frag,
                 dop,
-                |node| {
+                |node, tally| {
+                    // Whatever serial operator sits above a gather (the
+                    // pipeline top, a sort feeding it, a join, DISTINCT)
+                    // owns the rows it is handed, so the worker that
+                    // fetched a surviving row decodes it — in parallel with
+                    // the other workers, not one by one after the gather.
                     let mut rows = Vec::new();
-                    while let Some(t) = node.next(ctx)? {
-                        rows.push(t);
+                    while let Some(mut row) = node.next(ctx)? {
+                        row.decode(tally);
+                        rows.push(row);
                     }
                     Ok(rows)
                 },
@@ -2442,10 +2550,10 @@ impl Operator for ExchangeOp {
                 ctx,
                 &frag,
                 dop,
-                |node| {
+                |node, tally| {
                     let mut partial = AggState::new(cols.to_vec());
-                    while let Some(t) = node.next(ctx)? {
-                        partial.absorb(db, t);
+                    while let Some(row) = node.next(ctx)? {
+                        partial.absorb(db, row, tally);
                     }
                     Ok(partial)
                 },
@@ -2473,7 +2581,7 @@ impl Operator for ExchangeOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<AnnotatedTuple>> {
+    fn next(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         if let Some(node) = &mut self.serial {
             return node.next(ctx);
         }
@@ -2497,72 +2605,89 @@ impl Operator for ExchangeOp {
     }
 }
 
-/// Merge a joined pair: concatenate values; merge the summary sets with
-/// common-annotation de-duplication.
-fn merge_pair(db: &Database, l: &AnnotatedTuple, r: &AnnotatedTuple) -> AnnotatedTuple {
-    let common: std::collections::HashSet<instn_annot::AnnotId> = match (l.source, r.source) {
-        (Some((tl, ol)), Some((tr, or))) => {
-            db.common_annotations(tl, ol, tr, or).into_iter().collect()
+/// Annotations attached to both source tuples (counted once by a merge);
+/// empty as soon as either side has fused provenance.
+fn common_annotations(
+    db: &Database,
+    a: Option<(TableId, Oid)>,
+    b: Option<(TableId, Oid)>,
+) -> std::collections::HashSet<instn_annot::AnnotId> {
+    match (a, b) {
+        (Some((ta, oa)), Some((tb, ob))) => {
+            db.common_annotations(ta, oa, tb, ob).into_iter().collect()
         }
         _ => Default::default(),
-    };
+    }
+}
+
+/// Merge a joined pair: concatenate values; merge the summary sets with
+/// common-annotation de-duplication. Both inputs are decoded in place (a
+/// row that matches again is not decoded again).
+fn merge_pair(db: &Database, l: &mut Row, r: &mut Row, tally: &mut RowTally) -> Row {
+    let common = common_annotations(db, l.source(), r.source());
     let resolver = db.text_resolver();
-    let mut values = l.values.clone();
-    values.extend(r.values.iter().cloned());
-    AnnotatedTuple {
+    let mut values = l.values_mut(tally).clone();
+    values.extend(r.values_mut(tally).iter().cloned());
+    let summaries = merge_summary_sets(
+        l.summaries_mut(tally),
+        r.summaries_mut(tally),
+        &common,
+        &resolver,
+    );
+    Row::owned(AnnotatedTuple {
         source: None,
         values,
-        summaries: merge_summary_sets(&l.summaries, &r.summaries, &common, &resolver),
-    }
+        summaries,
+    })
 }
 
 /// Duplicate elimination with summary merging: equal data values collapse;
 /// their summary sets merge with common-annotation dedup.
-fn distinct_rows(db: &Database, rows: Vec<AnnotatedTuple>) -> Vec<AnnotatedTuple> {
+fn distinct_rows(db: &Database, rows: Vec<Row>, tally: &mut RowTally) -> Vec<Row> {
     let resolver = db.text_resolver();
     let mut order: Vec<Vec<u8>> = Vec::new();
-    let mut seen: HashMap<Vec<u8>, AnnotatedTuple> = HashMap::new();
-    for t in rows {
+    let mut seen: HashMap<Vec<u8>, Row> = HashMap::new();
+    for mut row in rows {
         // Typed, injective key: `Display` concatenation collided
         // `Int(1)` with `Text("1")` and separator-embedding strings
         // across columns.
-        let key = crate::dataindex::composite_key(&t.values);
+        let key = crate::dataindex::composite_key(row.values_mut(tally));
         match seen.get_mut(&key) {
             None => {
                 order.push(key.clone());
-                seen.insert(key, t);
+                seen.insert(key, row);
             }
             Some(acc) => {
-                let common: std::collections::HashSet<instn_annot::AnnotId> =
-                    match (acc.source, t.source) {
-                        (Some((ta, oa)), Some((tb, ob))) => {
-                            db.common_annotations(ta, oa, tb, ob).into_iter().collect()
-                        }
-                        _ => Default::default(),
-                    };
-                acc.summaries =
-                    merge_summary_sets(&acc.summaries, &t.summaries, &common, &resolver);
-                acc.source = None;
+                let common = common_annotations(db, acc.source(), row.source());
+                let merged = merge_summary_sets(
+                    acc.summaries_mut(tally),
+                    row.summaries_mut(tally),
+                    &common,
+                    &resolver,
+                );
+                *acc = Row::owned(AnnotatedTuple {
+                    source: None,
+                    values: std::mem::take(acc.values_mut(tally)),
+                    summaries: merged,
+                });
             }
         }
     }
-    order
-        .into_iter()
-        .map(|k| seen.remove(&k).expect("inserted above"))
-        .collect()
+    order.iter().filter_map(|key| seen.remove(key)).collect()
 }
 
-/// Group-by with COUNT(*) and summary merging, in first-occurrence order.
-fn group_rows(db: &Database, rows: Vec<AnnotatedTuple>, cols: &[usize]) -> Vec<AnnotatedTuple> {
-    let mut st = AggState::new(cols.to_vec());
-    for t in rows {
-        st.absorb(db, t);
-    }
-    st.finish()
+/// One group of a (possibly partial) COUNT(*) group-by: the first
+/// occurrence's key values, the count, and the members' merged summaries.
+struct Group {
+    key: Vec<Value>,
+    count: u64,
+    /// The one member's source while the group has a single member.
+    source: Option<(TableId, Oid)>,
+    summaries: Vec<SummaryObject>,
 }
 
 /// A (possibly partial) COUNT(*) group-by state. The serial `GroupBy`
-/// operator feeds one of these every input tuple; under the parallel
+/// operator feeds one of these every input row; under the parallel
 /// executor each worker builds one per morsel and the gather folds them
 /// together with [`AggState::merge`] in morsel order. Merging counts is
 /// exact, and merging summary sets matches the serial fold bit for bit
@@ -2575,7 +2700,7 @@ fn group_rows(db: &Database, rows: Vec<AnnotatedTuple>, cols: &[usize]) -> Vec<A
 struct AggState {
     cols: Vec<usize>,
     order: Vec<Vec<u8>>,
-    groups: HashMap<Vec<u8>, (Vec<Value>, u64, AnnotatedTuple)>,
+    groups: HashMap<Vec<u8>, Group>,
 }
 
 impl AggState {
@@ -2587,8 +2712,10 @@ impl AggState {
         }
     }
 
-    /// Fold one input tuple into the state (the serial per-row step).
-    fn absorb(&mut self, db: &Database, t: AnnotatedTuple) {
+    /// Fold one input row into the state (the serial per-row step). Of the
+    /// row's columns only the grouping ones are read; its summary set is
+    /// decoded, since a group merges it.
+    fn absorb(&mut self, db: &Database, mut row: Row, tally: &mut RowTally) {
         // Group keys must hash; encode values with the typed, injective
         // `composite_key` (a `Display`-string key collided across types
         // and columns) while keeping the first occurrence's values for
@@ -2596,17 +2723,25 @@ impl AggState {
         let key_vals: Vec<Value> = self
             .cols
             .iter()
-            .map(|&i| t.values.get(i).cloned().unwrap_or(Value::Null))
+            .map(|&i| row.column(i).map_or(Value::Null, ValueRef::to_owned))
             .collect();
         let key = crate::dataindex::composite_key(&key_vals);
+        let source = row.source();
+        let summaries = row.summaries_mut(tally);
         match self.groups.get_mut(&key) {
             None => {
                 self.order.push(key.clone());
-                self.groups.insert(key, (key_vals, 1, t));
+                let group = Group {
+                    key: key_vals,
+                    count: 1,
+                    source,
+                    summaries: std::mem::take(summaries),
+                };
+                self.groups.insert(key, group);
             }
-            Some((_, count, acc)) => {
-                *count += 1;
-                fold_group(db, acc, &t);
+            Some(group) => {
+                group.count += 1;
+                fold_group(db, group, source, summaries);
             }
         }
     }
@@ -2614,111 +2749,110 @@ impl AggState {
     /// Associatively combine another partial state into this one. `other`'s
     /// groups arrive in its first-occurrence order, so merging partials in
     /// morsel order reproduces the serial first-occurrence order exactly.
-    fn merge(&mut self, db: &Database, other: AggState) {
-        let AggState {
-            order: other_order,
-            groups: mut other_groups,
-            ..
-        } = other;
-        for key in other_order {
-            let (key_vals, count, acc) = other_groups.remove(&key).expect("listed in order");
+    fn merge(&mut self, db: &Database, mut other: AggState) {
+        for key in other.order {
+            let Some(theirs) = other.groups.remove(&key) else {
+                continue;
+            };
             match self.groups.get_mut(&key) {
                 None => {
                     self.order.push(key.clone());
-                    self.groups.insert(key, (key_vals, count, acc));
+                    self.groups.insert(key, theirs);
                 }
-                Some((_, c, mine)) => {
-                    *c += count;
-                    fold_group(db, mine, &acc);
+                Some(mine) => {
+                    mine.count += theirs.count;
+                    fold_group(db, mine, theirs.source, &theirs.summaries);
                 }
             }
         }
     }
 
     /// Emit the grouped rows: key values plus the COUNT(*) column.
-    fn finish(mut self) -> Vec<AnnotatedTuple> {
+    fn finish(mut self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.order.len());
-        for key in self.order {
-            let (mut key_vals, count, acc) = self.groups.remove(&key).expect("inserted above");
-            key_vals.push(Value::Int(count as i64));
-            out.push(AnnotatedTuple {
+        for key in &self.order {
+            let Some(mut group) = self.groups.remove(key) else {
+                continue;
+            };
+            group.key.push(Value::Int(group.count as i64));
+            out.push(Row::owned(AnnotatedTuple {
                 source: None,
-                values: key_vals,
-                summaries: acc.summaries,
-            });
+                values: group.key,
+                summaries: group.summaries,
+            }));
         }
         out
     }
 }
 
-/// Merge one more tuple's summaries into a group accumulator with
-/// common-annotation de-duplication (the serial `group_rows` fold step).
-fn fold_group(db: &Database, acc: &mut AnnotatedTuple, t: &AnnotatedTuple) {
+/// Merge one more member's summaries into a group with common-annotation
+/// de-duplication (the serial group-by fold step).
+fn fold_group(
+    db: &Database,
+    group: &mut Group,
+    source: Option<(TableId, Oid)>,
+    summaries: &[SummaryObject],
+) {
     let resolver = db.text_resolver();
-    let common: std::collections::HashSet<instn_annot::AnnotId> = match (acc.source, t.source) {
-        (Some((ta, oa)), Some((tb, ob))) => {
-            db.common_annotations(ta, oa, tb, ob).into_iter().collect()
-        }
-        _ => Default::default(),
-    };
-    acc.summaries = merge_summary_sets(&acc.summaries, &t.summaries, &common, &resolver);
-    acc.source = None;
+    let common = common_annotations(db, group.source, source);
+    group.summaries = merge_summary_sets(&group.summaries, summaries, &common, &resolver);
+    group.source = None;
 }
+
+/// A row with its sort key, evaluated once when the row entered the sort.
+type SortRow = (Value, Row);
 
 /// External merge sort: spill sorted runs to a heap file, then k-way
 /// merge reading them back (every spilled tuple is written and re-read,
-/// charging I/O — the "Disk" sort of Figure 14).
+/// charging I/O — the "Disk" sort of Figure 14). A row that is still
+/// encoded spills as the bytes it was fetched as.
 fn external_sort(
     db: &Database,
     sort_mem: usize,
-    rows: Vec<AnnotatedTuple>,
+    rows: Vec<SortRow>,
     key: &SortKey,
     desc: bool,
-) -> Result<Vec<AnnotatedTuple>> {
+) -> Result<Vec<Row>> {
     let stats: Arc<IoStats> = Arc::clone(db.stats());
     let mut spill = HeapFile::new(stats);
     let run_size = sort_mem.max(2);
     let mut runs: Vec<Vec<instn_storage::page::RecordId>> = Vec::new();
-    let mut total = 0usize;
-    for chunk in rows.chunks(run_size) {
-        let sorted = mem_sort(chunk.to_vec(), key, desc);
-        let mut run = Vec::with_capacity(sorted.len());
-        for t in &sorted {
-            run.push(spill.insert(&encode_annotated(t))?);
+    let total = rows.len();
+    let mut rows = rows.into_iter();
+    loop {
+        let mut chunk: Vec<SortRow> = rows.by_ref().take(run_size).collect();
+        if chunk.is_empty() {
+            break;
         }
-        total += run.len();
+        mem_sort(&mut chunk, desc);
+        let mut run = Vec::with_capacity(chunk.len());
+        for (_, row) in &chunk {
+            run.push(spill.insert(&encode_annotated(row))?);
+        }
         runs.push(run);
     }
     // K-way merge over run heads.
     let mut heads: Vec<usize> = vec![0; runs.len()];
     let mut out = Vec::with_capacity(total);
-    let mut head_vals: Vec<Option<(Value, AnnotatedTuple)>> = Vec::with_capacity(runs.len());
+    let mut head_vals: Vec<Option<SortRow>> = Vec::with_capacity(runs.len());
     for (ri, run) in runs.iter().enumerate() {
         head_vals.push(read_head(&spill, run, heads[ri], key)?);
     }
     loop {
-        let mut best: Option<usize> = None;
+        let mut best: Option<(usize, &Value)> = None;
         for (ri, hv) in head_vals.iter().enumerate() {
             let Some((v, _)) = hv else { continue };
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let (bv, _) = head_vals[*b].as_ref().unwrap();
-                    let ord = v.cmp_sql(bv);
-                    if desc {
-                        ord == std::cmp::Ordering::Greater
-                    } else {
-                        ord == std::cmp::Ordering::Less
-                    }
-                }
+            let wanted = if desc {
+                std::cmp::Ordering::Greater
+            } else {
+                std::cmp::Ordering::Less
             };
-            if better {
-                best = Some(ri);
+            if best.is_none_or(|(_, bv)| v.cmp_sql(bv) == wanted) {
+                best = Some((ri, v));
             }
         }
-        let Some(ri) = best else { break };
-        let (_, t) = head_vals[ri].take().unwrap();
-        out.push(t);
+        let Some((ri, _)) = best else { break };
+        out.extend(head_vals[ri].take().map(|(_, row)| row));
         heads[ri] += 1;
         head_vals[ri] = read_head(&spill, &runs[ri], heads[ri], key)?;
     }
@@ -2730,89 +2864,90 @@ fn read_head(
     run: &[instn_storage::page::RecordId],
     pos: usize,
     key: &SortKey,
-) -> Result<Option<(Value, AnnotatedTuple)>> {
+) -> Result<Option<SortRow>> {
     match run.get(pos) {
         Some(rid) => {
-            let t = decode_annotated(&spill.get(*rid)?)?;
-            Ok(Some((key.eval(&t), t)))
+            let row = decode_annotated(&spill.get(*rid)?)?;
+            Ok(Some((key.eval(&row), row)))
         }
         None => Ok(None),
     }
 }
 
-/// Stable in-memory sort by key.
-fn mem_sort(mut rows: Vec<AnnotatedTuple>, key: &SortKey, desc: bool) -> Vec<AnnotatedTuple> {
-    rows.sort_by(|a, b| {
-        let ord = key.eval(a).cmp_sql(&key.eval(b));
+/// Stable in-memory sort of rows decorated with their keys.
+fn mem_sort(rows: &mut [SortRow], desc: bool) {
+    rows.sort_by(|(a, _), (b, _)| {
+        let ord = a.cmp_sql(b);
         if desc {
             ord.reverse()
         } else {
             ord
         }
     });
-    rows
 }
 
-/// Serialize a tuple + summaries for sort spills.
-fn encode_annotated(t: &AnnotatedTuple) -> Vec<u8> {
-    let mut out = Vec::new();
-    match t.source {
+/// Spill-record flag bits: the row has a source; nothing of the row has
+/// been decoded yet (so reading it back owes the row tally nothing new).
+const SPILL_HAS_SOURCE: u8 = 1;
+const SPILL_UNTOUCHED: u8 = 2;
+
+/// Serialize a row for sort spills: source, tuple record, summary row.
+fn encode_annotated(row: &Row) -> Vec<u8> {
+    let (values, summaries) = (row.tuple_bytes(), row.summary_bytes());
+    let mut out = Vec::with_capacity(17 + values.len() + summaries.len());
+    let untouched = if row.is_untouched() {
+        SPILL_UNTOUCHED
+    } else {
+        0
+    };
+    match row.source() {
         Some((table, oid)) => {
-            out.push(1);
+            out.push(SPILL_HAS_SOURCE | untouched);
             out.extend_from_slice(&table.0.to_le_bytes());
             out.extend_from_slice(&oid.0.to_le_bytes());
         }
-        None => out.push(0),
+        None => out.push(untouched),
     }
-    let values = encode_tuple(&t.values);
     out.extend_from_slice(&(values.len() as u32).to_le_bytes());
     out.extend_from_slice(&values);
-    out.extend_from_slice(&encode_objects(&t.summaries));
+    out.extend_from_slice(&summaries);
     out
 }
 
-fn decode_annotated(bytes: &[u8]) -> Result<AnnotatedTuple> {
-    let corrupt = || QueryError::Core(instn_core::CoreError::Corrupt("spill record".into()));
-    let mut pos = 0usize;
-    let flag = *bytes.first().ok_or_else(corrupt)?;
-    pos += 1;
-    let source = if flag == 1 {
-        let table = u32::from_le_bytes(
-            bytes
-                .get(pos..pos + 4)
-                .ok_or_else(corrupt)?
-                .try_into()
-                .unwrap(),
-        );
-        pos += 4;
-        let oid = u64::from_le_bytes(
-            bytes
-                .get(pos..pos + 8)
-                .ok_or_else(corrupt)?
-                .try_into()
-                .unwrap(),
-        );
-        pos += 8;
-        Some((TableId(table), instn_storage::Oid(oid)))
+fn decode_annotated(bytes: &[u8]) -> Result<Row> {
+    let corrupt = || QueryError::Core(CoreError::Corrupt("spill record".into()));
+    let mut rest = bytes;
+    let mut take = |n: usize| {
+        let (head, tail) = rest.split_at_checked(n).ok_or_else(corrupt)?;
+        rest = tail;
+        Ok::<_, QueryError>(head)
+    };
+    let flag = *take(1)?.first().ok_or_else(corrupt)?;
+    if flag & !(SPILL_HAS_SOURCE | SPILL_UNTOUCHED) != 0 {
+        return Err(corrupt());
+    }
+    let source = if flag & SPILL_HAS_SOURCE != 0 {
+        let mut table = [0u8; 4];
+        table.copy_from_slice(take(4)?);
+        let mut oid = [0u8; 8];
+        oid.copy_from_slice(take(8)?);
+        Some((
+            TableId(u32::from_le_bytes(table)),
+            Oid(u64::from_le_bytes(oid)),
+        ))
     } else {
         None
     };
-    let vlen = u32::from_le_bytes(
-        bytes
-            .get(pos..pos + 4)
-            .ok_or_else(corrupt)?
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    pos += 4;
-    let values = decode_tuple(bytes.get(pos..pos + vlen).ok_or_else(corrupt)?)?;
-    pos += vlen;
-    let summaries = decode_objects(bytes.get(pos..).ok_or_else(corrupt)?)?;
-    Ok(AnnotatedTuple {
+    let mut vlen = [0u8; 4];
+    vlen.copy_from_slice(take(4)?);
+    let values = EncodedTuple::new(take(u32::from_le_bytes(vlen) as usize)?.to_vec())?;
+    let summaries = EncodedSummaries::new(rest.to_vec())?;
+    Ok(Row::encoded(
         source,
         values,
-        summaries,
-    })
+        Some(summaries),
+        flag & SPILL_UNTOUCHED != 0,
+    ))
 }
 
 #[cfg(test)]
@@ -3628,10 +3763,26 @@ mod tests {
     fn spill_roundtrip_preserves_tuples() {
         let (db, t, _) = setup(3);
         let rows = db.scan_annotated(t).unwrap();
+        let mut tally = RowTally::default();
         for r in &rows {
-            let back = decode_annotated(&encode_annotated(r)).unwrap();
-            assert_eq!(&back, r);
+            let spilled = encode_annotated(&Row::owned(r.clone()));
+            let back = decode_annotated(&spilled).unwrap();
+            assert!(!back.is_untouched(), "an owned row was counted already");
+            assert_eq!(&back.into_tuple(&mut tally), r);
         }
+        assert_eq!(
+            tally,
+            RowTally::default(),
+            "reading back owes the tally nothing"
+        );
+        // Any cut and any unknown flag bit is Corrupt, never a panic.
+        let spilled = encode_annotated(&Row::owned(rows[0].clone()));
+        for cut in 0..spilled.len() {
+            assert!(decode_annotated(&spilled[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut bad_flag = spilled.clone();
+        bad_flag[0] |= 0x80;
+        assert!(decode_annotated(&bad_flag).is_err());
     }
 
     /// The tentpole regression: LIMIT k over a (backward-pointer) summary

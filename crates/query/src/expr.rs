@@ -12,19 +12,55 @@
 //! * **Cluster functions** (the natural analogues): `getGroupSize(i)`,
 //!   `getRepresentative(i)`.
 //!
-//! Expressions evaluate against an [`AnnotatedTuple`]; predicates built from
-//! the system-defined functions (rather than opaque UDFs) are what the
-//! optimizer can reason about (§3.2) — mirrored here by
-//! [`Expr::indexable_range`], which recognizes `getLabelValue` comparisons
-//! the Summary-BTree can answer.
+//! Expressions evaluate against anything that is [`RowRead`] — an owned
+//! [`AnnotatedTuple`], or the executor's lazy row, whose columns and summary
+//! objects are still the stored bytes — and each function has one body,
+//! written against [`RowRead`] and [`SummaryRef`]. Evaluation borrows
+//! ([`Expr::eval_ref`] returns a [`ValueRef`] into the row or the
+//! expression), so a predicate allocates nothing; [`Expr::eval`] copies the
+//! result out. Predicates built from the system-defined functions (rather
+//! than opaque UDFs) are what the optimizer can reason about (§3.2) —
+//! mirrored here by [`Expr::indexable_range`], which recognizes
+//! `getLabelValue` comparisons the Summary-BTree can answer.
 
 use std::fmt;
 
-use instn_core::summary::{Rep, SummaryObject, SummaryType};
+use instn_core::summary::{SummaryRef, SummaryType};
 use instn_core::AnnotatedTuple;
-use instn_storage::Value;
+use instn_storage::{Value, ValueRef};
 
 use crate::{QueryError, Result};
+
+/// What an expression may read of a row: its data columns and its summary
+/// set (the `$` variable of §3.1). Nothing here decodes or allocates.
+pub trait RowRead {
+    /// Data column `i`, or `None` past the last one.
+    fn column(&self, i: usize) -> Option<ValueRef<'_>>;
+    /// `$.getSize()`: number of attached summary objects.
+    fn summary_count(&self) -> usize;
+    /// `$.getSummaryObject(name)`: the object of the named instance.
+    fn summary_by_name(&self, name: &str) -> Option<SummaryRef<'_>>;
+    /// `$.getSummaryObject(i)`: the object at position `i`.
+    fn summary_by_index(&self, i: usize) -> Option<SummaryRef<'_>>;
+}
+
+impl RowRead for AnnotatedTuple {
+    fn column(&self, i: usize) -> Option<ValueRef<'_>> {
+        self.values.get(i).map(Value::as_ref)
+    }
+
+    fn summary_count(&self) -> usize {
+        self.summaries.len()
+    }
+
+    fn summary_by_name(&self, name: &str) -> Option<SummaryRef<'_>> {
+        AnnotatedTuple::summary_by_name(self, name).map(SummaryRef::Owned)
+    }
+
+    fn summary_by_index(&self, i: usize) -> Option<SummaryRef<'_>> {
+        AnnotatedTuple::summary_by_index(self, i).map(SummaryRef::Owned)
+    }
+}
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +121,11 @@ pub enum ObjRef {
 }
 
 impl ObjRef {
-    /// Resolve against a tuple's summary set.
-    pub fn resolve<'a>(&self, tuple: &'a AnnotatedTuple) -> Option<&'a SummaryObject> {
+    /// Resolve against a row's summary set.
+    pub fn resolve<'r, R: RowRead + ?Sized>(&self, row: &'r R) -> Option<SummaryRef<'r>> {
         match self {
-            ObjRef::ByName(n) => tuple.summary_by_name(n),
-            ObjRef::ByIndex(i) => tuple.summary_by_index(*i),
+            ObjRef::ByName(n) => row.summary_by_name(n),
+            ObjRef::ByIndex(i) => row.summary_by_index(*i),
         }
     }
 }
@@ -125,82 +161,41 @@ pub enum ObjFunc {
 }
 
 impl ObjFunc {
-    /// Apply to one summary object.
-    pub fn apply(&self, obj: &SummaryObject) -> Value {
+    /// Apply to one summary object, owned or still encoded. Text results
+    /// borrow from the object.
+    pub fn apply<'a>(&self, obj: impl Into<SummaryRef<'a>>) -> ValueRef<'a> {
+        let obj = obj.into();
+        let text = |t: Option<&'a str>| t.map_or(ValueRef::Null, ValueRef::Text);
+        let int = |n: Option<u64>| n.map_or(ValueRef::Null, |n| ValueRef::Int(n as i64));
         match self {
-            ObjFunc::GetSummaryType => Value::Text(obj.summary_type().name().to_string()),
-            ObjFunc::GetSummaryName => Value::Text(obj.summary_name().to_string()),
-            ObjFunc::GetSize => Value::Int(obj.size() as i64),
-            ObjFunc::GetLabelName(i) => match &obj.rep {
-                Rep::Classifier(c) => c
-                    .labels
-                    .get(*i)
-                    .map(|l| Value::Text(l.clone()))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            },
-            ObjFunc::GetLabelValueAt(i) => match &obj.rep {
-                Rep::Classifier(c) => c
-                    .counts
-                    .get(*i)
-                    .map(|&v| Value::Int(v as i64))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            },
-            ObjFunc::GetLabelValue(label) => match &obj.rep {
-                Rep::Classifier(c) => c
-                    .count(label)
-                    .map(|v| Value::Int(v as i64))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            },
-            ObjFunc::GetSnippet(i) => match &obj.rep {
-                Rep::Snippet(s) => s
-                    .entries
-                    .get(*i)
-                    .map(|e| Value::Text(e.snippet.clone()))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            },
-            ObjFunc::ContainsSingle(kws) => match &obj.rep {
-                Rep::Snippet(s) => Value::Bool(s.entries.iter().any(|e| {
-                    let lower = e.snippet.to_lowercase();
-                    kws.iter().all(|k| lower.contains(&k.to_lowercase()))
-                })),
-                _ => Value::Bool(false),
-            },
-            ObjFunc::ContainsUnion(kws) => match &obj.rep {
-                Rep::Snippet(s) => {
-                    let union: String = s
-                        .entries
-                        .iter()
-                        .map(|e| e.snippet.to_lowercase())
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    Value::Bool(kws.iter().all(|k| union.contains(&k.to_lowercase())))
+            ObjFunc::GetSummaryType => ValueRef::Text(obj.summary_type().name()),
+            ObjFunc::GetSummaryName => ValueRef::Text(obj.summary_name()),
+            ObjFunc::GetSize => ValueRef::Int(obj.size() as i64),
+            ObjFunc::GetLabelName(i) => text(obj.labels().nth(*i).map(|(label, _)| label)),
+            ObjFunc::GetLabelValueAt(i) => int(obj.labels().nth(*i).map(|(_, count)| count)),
+            ObjFunc::GetLabelValue(label) => int(obj.label_count(label)),
+            ObjFunc::GetSnippet(i) => text(obj.snippets().nth(*i)),
+            ObjFunc::ContainsSingle(kws) => ValueRef::Bool(obj.snippets().any(|snippet| {
+                let lower = snippet.to_lowercase();
+                kws.iter().all(|k| lower.contains(&k.to_lowercase()))
+            })),
+            ObjFunc::ContainsUnion(kws) => {
+                if obj.summary_type() != SummaryType::Snippet {
+                    return ValueRef::Bool(false);
                 }
-                _ => Value::Bool(false),
-            },
-            ObjFunc::GetGroupSize(i) => match &obj.rep {
-                Rep::Cluster(c) => c
-                    .groups
-                    .get(*i)
-                    .map(|g| Value::Int(g.size as i64))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            },
-            ObjFunc::GetRepresentative(i) => match &obj.rep {
-                Rep::Cluster(c) => c
-                    .groups
-                    .get(*i)
-                    .map(|g| Value::Text(g.rep_text.clone()))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            },
-            ObjFunc::TotalCount => Value::Int(match &obj.rep {
-                Rep::Classifier(c) => c.total() as i64,
-                Rep::Snippet(s) => s.entries.len() as i64,
-                Rep::Cluster(c) => c.groups.iter().map(|g| g.size as i64).sum(),
+                let union: String = obj
+                    .snippets()
+                    .map(str::to_lowercase)
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                ValueRef::Bool(kws.iter().all(|k| union.contains(&k.to_lowercase())))
+            }
+            ObjFunc::GetGroupSize(i) => int(obj.groups().nth(*i).map(|(_, size)| size)),
+            ObjFunc::GetRepresentative(i) => text(obj.groups().nth(*i).map(|(rep, _)| rep)),
+            ObjFunc::TotalCount => ValueRef::Int(match obj.summary_type() {
+                SummaryType::Classifier => obj.labels().map(|(_, count)| count).sum::<u64>() as i64,
+                SummaryType::Snippet => obj.size() as i64,
+                SummaryType::Cluster => obj.groups().map(|(_, size)| size as i64).sum(),
             }),
         }
     }
@@ -230,15 +225,20 @@ impl SummaryExpr {
         }
     }
 
-    /// Evaluate against a tuple's summaries.
-    pub fn eval(&self, tuple: &AnnotatedTuple) -> Value {
+    /// Evaluate against a row's summaries, borrowing text results from it.
+    pub fn eval_ref<'r, R: RowRead + ?Sized>(&self, row: &'r R) -> ValueRef<'r> {
         match self {
-            SummaryExpr::SetSize => Value::Int(tuple.summary_count() as i64),
-            SummaryExpr::Obj { obj, func } => match obj.resolve(tuple) {
+            SummaryExpr::SetSize => ValueRef::Int(row.summary_count() as i64),
+            SummaryExpr::Obj { obj, func } => match obj.resolve(row) {
                 Some(o) => func.apply(o),
-                None => Value::Null,
+                None => ValueRef::Null,
             },
         }
+    }
+
+    /// Evaluate against a row's summaries.
+    pub fn eval<R: RowRead + ?Sized>(&self, row: &R) -> Value {
+        self.eval_ref(row).to_owned()
     }
 }
 
@@ -283,38 +283,42 @@ impl Expr {
         Expr::And(Box::new(a), Box::new(b))
     }
 
-    /// Evaluate to a value.
-    pub fn eval(&self, tuple: &AnnotatedTuple) -> Value {
+    /// Evaluate to a value borrowed from the row or from this expression.
+    pub fn eval_ref<'r, R: RowRead + ?Sized>(&'r self, row: &'r R) -> ValueRef<'r> {
         match self {
-            Expr::Const(v) => v.clone(),
-            Expr::Column(i) => tuple.values.get(*i).cloned().unwrap_or(Value::Null),
+            Expr::Const(v) => v.as_ref(),
+            Expr::Column(i) => row.column(*i).unwrap_or(ValueRef::Null),
             Expr::Cmp(a, op, b) => {
-                let va = a.eval(tuple);
-                let vb = b.eval(tuple);
-                if matches!(va, Value::Null) || matches!(vb, Value::Null) {
-                    return Value::Bool(false);
-                }
-                Value::Bool(op.matches(va.cmp_sql(&vb)))
+                let va = a.eval_ref(row);
+                let vb = b.eval_ref(row);
+                ValueRef::Bool(!va.is_null() && !vb.is_null() && op.matches(va.cmp_sql(vb)))
             }
-            Expr::And(a, b) => Value::Bool(a.eval(tuple).is_truthy() && b.eval(tuple).is_truthy()),
-            Expr::Or(a, b) => Value::Bool(a.eval(tuple).is_truthy() || b.eval(tuple).is_truthy()),
-            Expr::Not(a) => Value::Bool(!a.eval(tuple).is_truthy()),
-            Expr::Like(e, pattern) => {
-                let v = e.eval(tuple);
-                match v.as_text() {
-                    Some(s) => Value::Bool(like_match(s, pattern)),
-                    None => Value::Bool(false),
-                }
+            Expr::And(a, b) => {
+                ValueRef::Bool(a.eval_ref(row).is_truthy() && b.eval_ref(row).is_truthy())
             }
-            Expr::Summary(se) => se.eval(tuple),
+            Expr::Or(a, b) => {
+                ValueRef::Bool(a.eval_ref(row).is_truthy() || b.eval_ref(row).is_truthy())
+            }
+            Expr::Not(a) => ValueRef::Bool(!a.eval_ref(row).is_truthy()),
+            Expr::Like(e, pattern) => ValueRef::Bool(
+                e.eval_ref(row)
+                    .as_text()
+                    .is_some_and(|s| like_match(s, pattern)),
+            ),
+            Expr::Summary(se) => se.eval_ref(row),
         }
     }
 
+    /// Evaluate to a value.
+    pub fn eval<R: RowRead + ?Sized>(&self, row: &R) -> Value {
+        self.eval_ref(row).to_owned()
+    }
+
     /// Evaluate as a boolean predicate.
-    pub fn eval_bool(&self, tuple: &AnnotatedTuple) -> Result<bool> {
-        match self.eval(tuple) {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
+    pub fn eval_bool<R: RowRead + ?Sized>(&self, row: &R) -> Result<bool> {
+        match self.eval_ref(row) {
+            ValueRef::Bool(b) => Ok(b),
+            ValueRef::Null => Ok(false),
             other => Err(QueryError::NotBoolean(format!("{other}"))),
         }
     }
@@ -470,8 +474,9 @@ pub enum ObjectPred {
 }
 
 impl ObjectPred {
-    /// Evaluate against one summary object.
-    pub fn matches(&self, obj: &SummaryObject) -> bool {
+    /// Evaluate against one summary object, owned or still encoded.
+    pub fn matches<'a>(&self, obj: impl Into<SummaryRef<'a>>) -> bool {
+        let obj = obj.into();
         match self {
             ObjectPred::NameEq(n) => obj.summary_name() == n,
             ObjectPred::TypeEq(t) => obj.summary_type() == *t,
@@ -515,7 +520,8 @@ mod tests {
     use super::*;
     use instn_annot::AnnotId;
     use instn_core::summary::{
-        ClassifierRep, ClusterGroup, ClusterRep, InstanceId, ObjId, SnippetEntry, SnippetRep,
+        ClassifierRep, ClusterGroup, ClusterRep, InstanceId, ObjId, Rep, SnippetEntry, SnippetRep,
+        SummaryObject,
     };
     use instn_storage::Oid;
 
@@ -749,11 +755,17 @@ mod tests {
     fn object_predicates() {
         let t = tuple();
         let by_name = ObjectPred::NameEq("SimCluster".into());
-        assert_eq!(t.summaries.iter().filter(|o| by_name.matches(o)).count(), 1);
+        assert_eq!(
+            t.summaries.iter().filter(|o| by_name.matches(*o)).count(),
+            1
+        );
         let by_type = ObjectPred::TypeEq(SummaryType::Classifier);
-        assert_eq!(t.summaries.iter().filter(|o| by_type.matches(o)).count(), 1);
+        assert_eq!(
+            t.summaries.iter().filter(|o| by_type.matches(*o)).count(),
+            1
+        );
         let size = ObjectPred::SizeCmp(CmpOp::Ge, 2);
-        assert_eq!(t.summaries.iter().filter(|o| size.matches(o)).count(), 2);
+        assert_eq!(t.summaries.iter().filter(|o| size.matches(*o)).count(), 2);
         assert!(by_name.is_structural());
         assert!(by_type.is_structural());
         assert!(!size.is_structural());

@@ -33,6 +33,7 @@ pub mod expr;
 pub mod lower;
 pub mod plan;
 pub mod plan_cache;
+mod row;
 pub mod session;
 
 pub use dataindex::ColumnIndex;
@@ -41,7 +42,7 @@ pub use exec::{
     ExecContext, IndexRegistry, MaintenanceReport, OpMetrics, PhysicalPlan, TupleStream,
     DEFAULT_MORSEL_ROWS,
 };
-pub use expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, SummaryExpr};
+pub use expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, RowRead, SummaryExpr};
 pub use plan::{JoinPredicate, LogicalPlan, SortKey};
 pub use plan_cache::{
     normalize_statement, plan_cache_enabled_from_env, CachedPlan, PlanCache, PlanCacheStats,

@@ -14,9 +14,9 @@
 
 use std::fmt;
 
-use instn_core::AnnotatedTuple;
+use instn_storage::{Value, ValueRef};
 
-use crate::expr::{CmpOp, Expr, ObjectPred, SummaryExpr};
+use crate::expr::{CmpOp, Expr, ObjectPred, RowRead, SummaryExpr};
 
 /// Sort key: a data column or a summary expression (the `O` operator).
 #[derive(Debug, Clone, PartialEq)]
@@ -28,15 +28,11 @@ pub enum SortKey {
 }
 
 impl SortKey {
-    /// Evaluate the key for a tuple.
-    pub fn eval(&self, tuple: &AnnotatedTuple) -> instn_storage::Value {
+    /// Evaluate the key for a row.
+    pub fn eval<R: RowRead + ?Sized>(&self, row: &R) -> Value {
         match self {
-            SortKey::Column(i) => tuple
-                .values
-                .get(*i)
-                .cloned()
-                .unwrap_or(instn_storage::Value::Null),
-            SortKey::Summary(se) => se.eval(tuple),
+            SortKey::Column(i) => row.column(*i).map_or(Value::Null, ValueRef::to_owned),
+            SortKey::Summary(se) => se.eval(row),
         }
     }
 
@@ -88,49 +84,105 @@ pub enum JoinPredicate {
     And(Box<JoinPredicate>, Box<JoinPredicate>),
 }
 
+/// Which input of a join a row came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The outer input.
+    Left,
+    /// The inner input.
+    Right,
+}
+
 impl JoinPredicate {
-    /// Evaluate over a pair of tuples.
-    pub fn matches(&self, left: &AnnotatedTuple, right: &AnnotatedTuple) -> bool {
+    /// Evaluate over a pair of rows.
+    pub fn matches<L, R>(&self, left: &L, right: &R) -> bool
+    where
+        L: RowRead + ?Sized,
+        R: RowRead + ?Sized,
+    {
+        let (mut l, mut r) = (Vec::new(), Vec::new());
+        self.side_keys(Side::Left, left, &mut l);
+        self.side_keys(Side::Right, right, &mut r);
+        self.matches_keys(&l, &r)
+    }
+
+    /// Append what this predicate reads of one side's row: one value per
+    /// leaf conjunct, in conjunct order. A pair is then decided from its two
+    /// key lists alone ([`JoinPredicate::matches_keys`]), so a join that
+    /// compares a row many times reads it once.
+    pub fn side_keys<R: RowRead + ?Sized>(&self, side: Side, row: &R, out: &mut Vec<Value>) {
         match self {
             JoinPredicate::DataEq {
                 left_col,
                 right_col,
-            } => match (left.values.get(*left_col), right.values.get(*right_col)) {
-                (Some(a), Some(b)) => {
-                    !matches!(a, instn_storage::Value::Null)
-                        && a.cmp_sql(b) == std::cmp::Ordering::Equal
-                }
-                _ => false,
-            },
-            JoinPredicate::SummaryCmp {
-                left: l,
-                op,
-                right: r,
             } => {
-                let va = l.eval(left);
-                let vb = r.eval(right);
-                if matches!(va, instn_storage::Value::Null)
-                    || matches!(vb, instn_storage::Value::Null)
-                {
-                    return false;
-                }
-                op.matches(va.cmp_sql(&vb))
+                let col = match side {
+                    Side::Left => *left_col,
+                    Side::Right => *right_col,
+                };
+                out.push(row.column(col).map_or(Value::Null, ValueRef::to_owned));
             }
-            JoinPredicate::CombinedContains { instance, keywords } => {
-                let mut union = String::new();
-                for t in [left, right] {
-                    if let Some(obj) = t.summary_by_name(instance) {
-                        if let instn_core::summary::Rep::Snippet(s) = &obj.rep {
-                            for e in &s.entries {
-                                union.push_str(&e.snippet.to_lowercase());
-                                union.push(' ');
-                            }
-                        }
-                    }
+            JoinPredicate::SummaryCmp { left, right, .. } => out.push(match side {
+                Side::Left => left.eval(row),
+                Side::Right => right.eval(row),
+            }),
+            // This side's share of the combined text: its snippets,
+            // lowercased, a space after each.
+            JoinPredicate::CombinedContains { instance, .. } => {
+                let mut text = String::new();
+                for snippet in row
+                    .summary_by_name(instance)
+                    .into_iter()
+                    .flat_map(|o| o.snippets())
+                {
+                    text.push_str(&snippet.to_lowercase());
+                    text.push(' ');
                 }
+                out.push(Value::Text(text));
+            }
+            JoinPredicate::And(a, b) => {
+                a.side_keys(side, row, out);
+                b.side_keys(side, row, out);
+            }
+        }
+    }
+
+    /// How many keys [`JoinPredicate::side_keys`] appends per row: one per
+    /// leaf conjunct.
+    pub fn key_width(&self) -> usize {
+        match self {
+            JoinPredicate::And(a, b) => a.key_width() + b.key_width(),
+            _ => 1,
+        }
+    }
+
+    /// Decide a pair from the key lists [`JoinPredicate::side_keys`] built
+    /// for its two rows.
+    #[inline]
+    pub fn matches_keys(&self, left: &[Value], right: &[Value]) -> bool {
+        match (self, left, right) {
+            (JoinPredicate::DataEq { .. }, [l], [r]) => {
+                !matches!(l, Value::Null) && l.cmp_sql(r) == std::cmp::Ordering::Equal
+            }
+            (JoinPredicate::SummaryCmp { op, .. }, [l], [r]) => {
+                !matches!(l, Value::Null) && !matches!(r, Value::Null) && op.matches(l.cmp_sql(r))
+            }
+            (JoinPredicate::CombinedContains { keywords, .. }, [l], [r]) => {
+                let union = [l.as_text().unwrap_or(""), r.as_text().unwrap_or("")].concat();
                 keywords.iter().all(|k| union.contains(&k.to_lowercase()))
             }
-            JoinPredicate::And(a, b) => a.matches(left, right) && b.matches(left, right),
+            (JoinPredicate::And(a, b), _, _) => Self::both_match(a, b, left, right),
+            // A leaf conjunct reads exactly one key of each side.
+            _ => false,
+        }
+    }
+
+    /// `a AND b` over key lists that hold `a`'s keys, then `b`'s.
+    fn both_match(a: &JoinPredicate, b: &JoinPredicate, left: &[Value], right: &[Value]) -> bool {
+        let width = a.key_width();
+        match (left.split_at_checked(width), right.split_at_checked(width)) {
+            (Some((la, lb)), Some((ra, rb))) => a.matches_keys(la, ra) && b.matches_keys(lb, rb),
+            _ => false,
         }
     }
 

@@ -693,7 +693,7 @@ pub fn statement_response(result: Result<StatementOutcome, StatementError>) -> R
         Ok(StatementOutcome::Rows { columns, rows }) => {
             return Response::Rows {
                 columns,
-                rows: rows.iter().map(WireRow::from_tuple).collect(),
+                rows: rows.into_iter().map(WireRow::from).collect(),
             }
         }
         Ok(StatementOutcome::Explain(text)) => text,

@@ -254,15 +254,30 @@ pub struct WireRow {
 impl WireRow {
     /// The canonical wire projection of an executor row.
     pub fn from_tuple(t: &AnnotatedTuple) -> Self {
+        WireRow::project(t, t.values.clone())
+    }
+
+    /// The projection of `t`, given its values (borrowers clone them,
+    /// owners move them).
+    fn project(t: &AnnotatedTuple, values: Vec<Value>) -> Self {
         WireRow {
             source: t.source.map(|(tid, oid)| (tid.0, oid.0)),
-            values: t.values.clone(),
+            values,
             summaries: t
                 .summaries
                 .iter()
                 .map(|o| format!("{}:{}", o.summary_name(), o.size()))
                 .collect(),
         }
+    }
+}
+
+impl From<AnnotatedTuple> for WireRow {
+    /// [`WireRow::from_tuple`] for a caller that owns the row: the values
+    /// move into the wire row instead of being cloned.
+    fn from(mut t: AnnotatedTuple) -> Self {
+        let values = std::mem::take(&mut t.values);
+        WireRow::project(&t, values)
     }
 }
 

@@ -293,6 +293,14 @@ impl<V: Clone + PartialEq> BTree<V> {
 
     /// Advance an ascending cursor, returning the next entry in key order.
     pub fn cursor_next(&self, cur: &mut Cursor) -> Option<(Key, V)> {
+        self.cursor_next_ref(cur)
+            .map(|(k, v)| (k.to_vec(), v.clone()))
+    }
+
+    /// [`BTree::cursor_next`] borrowing the entry from its leaf instead of
+    /// cloning it (a scan that only needs the value, or a fixed-width part
+    /// of the key, allocates nothing per entry). Same order, same charges.
+    pub fn cursor_next_ref(&self, cur: &mut Cursor) -> Option<(&[u8], &V)> {
         loop {
             let leaf = cur.leaf?;
             let Node::Leaf { entries, next } = &self.nodes[leaf] else {
@@ -307,7 +315,7 @@ impl<V: Clone + PartialEq> BTree<V> {
                     }
                 }
                 cur.pos += 1;
-                return Some((k.clone(), v.clone()));
+                return Some((k, v));
             }
             cur.leaf = *next;
             cur.pos = 0;

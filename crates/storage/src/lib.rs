@@ -52,7 +52,7 @@ pub use io::{IoScope, IoSnapshot, IoStats};
 pub use page::{PageId, RecordId, PAGE_SIZE};
 pub use pager::Pager;
 pub use table::{Oid, ScanCursor, Table};
-pub use tuple::{ColumnType, Schema, Tuple, Value};
+pub use tuple::{ColumnType, EncodedTuple, Schema, Tuple, TupleView, Value, ValueRef};
 pub use wal::{crc32, FaultInjector, Lsn, Wal, WalRecordKind, WalScan};
 
 /// Convenient crate-wide result alias.

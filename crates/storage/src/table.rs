@@ -14,7 +14,7 @@ use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::io::IoStats;
 use crate::page::RecordId;
-use crate::tuple::{decode_tuple, encode_tuple, Schema, Tuple};
+use crate::tuple::{decode_tuple, encode_tuple, EncodedTuple, Schema, Tuple};
 use crate::Result;
 
 /// System-assigned, stable tuple identifier (PostgreSQL-style OID).
@@ -129,14 +129,24 @@ impl Table {
 
     /// Fetch a tuple by OID (index probe + heap read).
     pub fn get(&self, oid: Oid) -> Result<Tuple> {
-        let rid = self.disk_tuple_loc(oid)?;
-        decode_tuple(&self.heap.get(rid)?)
+        self.get_at(self.disk_tuple_loc(oid)?)
+    }
+
+    /// [`Table::get`] without the decode: the same reads, the checked
+    /// record kept as bytes.
+    pub fn get_raw(&self, oid: Oid) -> Result<EncodedTuple> {
+        self.get_at_raw(self.disk_tuple_loc(oid)?)
     }
 
     /// Fetch a tuple directly by heap location (what backward pointers do:
     /// no OID-index probe, one heap page read).
     pub fn get_at(&self, rid: RecordId) -> Result<Tuple> {
         decode_tuple(&self.heap.get(rid)?)
+    }
+
+    /// [`Table::get_at`] without the decode.
+    pub fn get_at_raw(&self, rid: RecordId) -> Result<EncodedTuple> {
+        EncodedTuple::new(self.heap.get(rid)?)
     }
 
     /// Update the tuple with `oid`, maintaining the OID index if the record
@@ -170,13 +180,18 @@ impl Table {
     pub fn scan(&self) -> impl Iterator<Item = (Oid, Tuple)> + '_ {
         self.oid_index
             .range(None, None)
-            .filter_map(|(k, rid)| Some((Oid::from_key(&k)?, self.scan_fetch(rid)?)))
+            .filter_map(|(k, rid)| Some((Oid::from_key(&k)?, self.scan_fetch(rid, Self::get_at)?)))
     }
 
-    /// The tuple a scan found at `rid`; `None`, and one more in the heap's
-    /// corrupt-skipped count, if its record cannot be read or decoded.
-    fn scan_fetch(&self, rid: RecordId) -> Option<Tuple> {
-        let tuple = self.heap.get(rid).and_then(|bytes| decode_tuple(&bytes));
+    /// What `fetch` makes of the record a scan found at `rid`; `None`, and
+    /// one more in the heap's corrupt-skipped count, if the record cannot
+    /// be read or is not a tuple.
+    fn scan_fetch<T>(
+        &self,
+        rid: RecordId,
+        fetch: impl Fn(&Self, RecordId) -> Result<T>,
+    ) -> Option<T> {
+        let tuple = fetch(self, rid);
         if tuple.is_err() {
             self.heap.note_corrupt_skipped();
         }
@@ -233,12 +248,26 @@ impl Table {
 
     /// Pull the next `(oid, tuple)` from a resumable scan.
     pub fn scan_next(&self, cur: &mut ScanCursor) -> Option<(Oid, Tuple)> {
+        self.scan_step(cur, Self::get_at)
+    }
+
+    /// [`Table::scan_next`] without the decode: same pages, same order, same
+    /// skipping of unreadable rows, but the checked record stays bytes.
+    pub fn scan_next_raw(&self, cur: &mut ScanCursor) -> Option<(Oid, EncodedTuple)> {
+        self.scan_step(cur, Self::get_at_raw)
+    }
+
+    fn scan_step<T>(
+        &self,
+        cur: &mut ScanCursor,
+        fetch: impl Fn(&Self, RecordId) -> Result<T>,
+    ) -> Option<(Oid, T)> {
         loop {
-            let (k, rid) = self.oid_index.cursor_next(&mut cur.0)?;
-            let Some(oid) = Oid::from_key(&k) else {
+            let (k, &rid) = self.oid_index.cursor_next_ref(&mut cur.0)?;
+            let Some(oid) = Oid::from_key(k) else {
                 continue;
             };
-            if let Some(t) = self.scan_fetch(rid) {
+            if let Some(t) = self.scan_fetch(rid, &fetch) {
                 return Some((oid, t));
             }
         }

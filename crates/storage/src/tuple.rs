@@ -3,6 +3,17 @@
 //! Tuples are stored in heap files as length-prefixed byte records; the
 //! encoding is deliberately simple (tag byte + little-endian payloads) so
 //! page counts reflect realistic record sizes.
+//!
+//! [`TupleView`] is *the* parser of that encoding: a borrowed reader that
+//! checks a record once (count, tags, lengths, UTF-8) and then answers
+//! "value `i`" from the bytes as a [`ValueRef`], allocating nothing. The
+//! tags are known to `read_value` and to nothing else: checking a record is
+//! stepping over it with that function, [`decode_tuple`] is the same steps
+//! copying every value out as they go (one pass over bytes nobody has
+//! checked), and a checked view copies out without checking its texts
+//! again. [`EncodedTuple`] keeps a checked record as bytes for callers that
+//! read a column or two and may never need the rest (the executor's scan
+//! leaves).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -61,19 +72,12 @@ impl Value {
 
     /// Float view (Float or Int widened), if applicable.
     pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
+        self.as_ref().as_float()
     }
 
     /// Text view, if applicable.
     pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
+        self.as_ref().as_text()
     }
 
     /// Boolean view, if applicable.
@@ -86,19 +90,102 @@ impl Value {
 
     /// Truthiness for predicate evaluation (NULL is false).
     pub fn is_truthy(&self) -> bool {
-        matches!(self, Value::Bool(true))
+        self.as_ref().is_truthy()
     }
 
     /// SQL-style comparison: NULL compares less than everything, numeric
     /// types compare cross-type, text lexicographically.
+    #[inline]
     pub fn cmp_sql(&self, other: &Value) -> Ordering {
-        use Value::*;
+        self.as_ref().cmp_sql(other.as_ref())
+    }
+
+    /// This value, borrowed.
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+        }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// A column value borrowed from wherever it lives — an owned [`Value`] or
+/// the bytes of an encoded tuple ([`TupleView`]). Comparison and display
+/// are defined here, once; [`Value`] delegates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Integer value.
+    Int(i64),
+    /// Float value.
+    Float(f64),
+    /// Text value.
+    Text(&'a str),
+    /// Boolean value.
+    Bool(bool),
+}
+
+impl<'a> ValueRef<'a> {
+    /// Copy into an owned [`Value`].
+    pub fn to_owned(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
+            ValueRef::Bool(b) => Value::Bool(b),
+        }
+    }
+
+    /// Whether this is NULL.
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// Float view (Float or Int widened), if applicable.
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            ValueRef::Float(f) => Some(f),
+            ValueRef::Int(i) => Some(i as f64),
+            _ => None,
+        }
+    }
+
+    /// Text view, if applicable.
+    pub fn as_text(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Truthiness for predicate evaluation (NULL is false).
+    pub fn is_truthy(self) -> bool {
+        matches!(self, ValueRef::Bool(true))
+    }
+
+    /// SQL-style comparison: NULL compares less than everything, numeric
+    /// types compare cross-type, text lexicographically.
+    #[inline]
+    pub fn cmp_sql(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
-            (Int(a), Int(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Bool(a), Bool(b)) => a.cmp(&b),
             (Text(a), Text(b)) => a.cmp(b),
             (a, b) => match (a.as_float(), b.as_float()) {
                 (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
@@ -108,14 +195,14 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
+impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Text(s) => write!(f, "{s}"),
-            Value::Bool(b) => write!(f, "{b}"),
+            ValueRef::Null => write!(f, "NULL"),
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Float(x) => write!(f, "{x}"),
+            ValueRef::Text(s) => write!(f, "{s}"),
+            ValueRef::Bool(b) => write!(f, "{b}"),
         }
     }
 }
@@ -229,62 +316,196 @@ pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
     out
 }
 
-/// Decode a tuple previously produced by [`encode_tuple`].
+/// Decode a tuple previously produced by [`encode_tuple`]: one walk of the
+/// record's reader that checks and copies out as it goes.
 pub fn decode_tuple(bytes: &[u8]) -> Result<Tuple> {
-    let mut pos = 0usize;
-    let n = read_u32(bytes, &mut pos)? as usize;
+    let (arity, values) = split_count(bytes).ok_or_else(truncated)?;
+    decode_values(values, arity, |t| {
+        String::from_utf8(t.to_vec()).map_err(|e| StorageError::Corrupt(e.to_string()))
+    })
+}
+
+/// Copy out the `arity` values at the front of `rest`, making each text's
+/// bytes a `String` with `text`.
+fn decode_values(
+    mut rest: &[u8],
+    arity: usize,
+    text: impl Fn(&[u8]) -> Result<String>,
+) -> Result<Tuple> {
     // A corrupt count must not size the allocation: every value takes at
     // least its tag byte.
-    let mut tuple = Vec::with_capacity(n.min(bytes.len()));
-    for _ in 0..n {
-        let tag = *bytes
-            .get(pos)
-            .ok_or_else(|| StorageError::Corrupt("truncated tag".into()))?;
-        pos += 1;
-        let v = match tag {
-            0 => Value::Null,
-            1 => Value::Int(i64::from_le_bytes(read_array(bytes, &mut pos)?)),
-            2 => Value::Float(f64::from_le_bytes(read_array(bytes, &mut pos)?)),
-            3 => {
-                let len = read_u32(bytes, &mut pos)? as usize;
-                let end = pos + len;
-                let s = bytes
-                    .get(pos..end)
-                    .ok_or_else(|| StorageError::Corrupt("truncated text".into()))?;
-                pos = end;
-                Value::Text(
-                    String::from_utf8(s.to_vec())
-                        .map_err(|e| StorageError::Corrupt(e.to_string()))?,
-                )
-            }
-            4 => {
-                let b = *bytes
-                    .get(pos)
-                    .ok_or_else(|| StorageError::Corrupt("truncated bool".into()))?;
-                pos += 1;
-                Value::Bool(b != 0)
-            }
-            t => return Err(StorageError::Corrupt(format!("unknown tag {t}"))),
-        };
-        tuple.push(v);
+    let mut tuple = Vec::with_capacity(arity.min(rest.len()));
+    for _ in 0..arity {
+        tuple.push(match read_value(&mut rest)? {
+            RawValue::Plain(v) => v.to_owned(),
+            RawValue::Text(t) => Value::Text(text(t)?),
+        });
     }
     Ok(tuple)
 }
 
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    let arr: [u8; 4] = read_array(bytes, pos)?;
-    Ok(u32::from_le_bytes(arr))
+/// A borrowed reader over one encoded tuple — the parser of the encoding.
+///
+/// [`TupleView::parse`] walks the whole record once (count, tags, lengths,
+/// UTF-8) without allocating, so a view exists only over a well-formed
+/// record and its accessors cannot fail; column `i` is found by stepping
+/// over the values before it.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleView<'a> {
+    /// The values, after the count prefix.
+    values: &'a [u8],
+    arity: usize,
 }
 
-fn read_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    let end = *pos + N;
-    let slice = bytes
-        .get(*pos..end)
-        .ok_or_else(|| StorageError::Corrupt("truncated value".into()))?;
-    *pos = end;
-    let mut arr = [0u8; N];
-    arr.copy_from_slice(slice);
-    Ok(arr)
+impl<'a> TupleView<'a> {
+    /// Check `bytes` as an encoded tuple. A corrupt count sizes nothing: the
+    /// walk fails at the first value the record does not hold.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
+        let (arity, values) = split_count(bytes).ok_or_else(truncated)?;
+        let mut rest = values;
+        for _ in 0..arity {
+            if let RawValue::Text(t) = read_value(&mut rest)? {
+                // ASCII needs no decoding to be known valid.
+                if !t.is_ascii() {
+                    std::str::from_utf8(t).map_err(|e| StorageError::Corrupt(e.to_string()))?;
+                }
+            }
+        }
+        Ok(Self { values, arity })
+    }
+
+    /// Number of values.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The values in order.
+    pub fn iter(&self) -> impl Iterator<Item = ValueRef<'a>> + 'a {
+        let mut rest = self.values;
+        (0..self.arity).map_while(move |_| read_value(&mut rest).ok().map(RawValue::checked))
+    }
+
+    /// Value `i`, or `None` past the last one. Only that value's text, if
+    /// it is one, is looked at.
+    pub fn get(&self, i: usize) -> Option<ValueRef<'a>> {
+        if i >= self.arity {
+            return None;
+        }
+        let mut rest = self.values;
+        for _ in 0..i {
+            read_value(&mut rest).ok()?;
+        }
+        read_value(&mut rest).ok().map(RawValue::checked)
+    }
+
+    /// Copy every value out. The texts were checked once, by
+    /// [`TupleView::parse`]; they are not checked again.
+    pub fn to_owned(&self) -> Tuple {
+        let trust_text = |t: &[u8]| {
+            debug_assert!(std::str::from_utf8(t).is_ok());
+            // SAFETY: `values` and `arity` are private and set only by
+            // `TupleView::parse` and `EncodedTuple::view`, both from bytes
+            // `parse` walked with the same `read_value` this decode uses,
+            // finding every text — this one among them — to be UTF-8; the
+            // bytes are borrowed immutably for `'a`, so they have not
+            // changed since.
+            Ok(unsafe { String::from_utf8_unchecked(t.to_vec()) })
+        };
+        // `parse` accepted these bytes, so the decode cannot fail.
+        decode_values(self.values, self.arity, trust_text).unwrap_or_default()
+    }
+}
+
+/// An encoded tuple record that [`TupleView::parse`] accepted, kept as
+/// bytes: what a raw fetch ([`crate::Table::scan_next_raw`]) hands up so a
+/// caller can read single columns without decoding the rest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedTuple(Vec<u8>);
+
+impl EncodedTuple {
+    /// Check and keep `bytes`.
+    pub fn new(bytes: Vec<u8>) -> Result<Self> {
+        TupleView::parse(&bytes)?;
+        Ok(Self(bytes))
+    }
+
+    /// The reader over the record.
+    #[inline]
+    pub fn view(&self) -> TupleView<'_> {
+        let (arity, values) = split_count(&self.0).unwrap_or_default();
+        TupleView { values, arity }
+    }
+
+    /// The record as stored.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// Bytes of the value-count prefix of an encoded tuple.
+const COUNT_LEN: usize = 4;
+
+/// One value as [`read_value`] finds it: a text's bytes are delimited but
+/// not yet known to be UTF-8.
+enum RawValue<'a> {
+    Plain(ValueRef<'a>),
+    Text(&'a [u8]),
+}
+
+impl<'a> RawValue<'a> {
+    /// The value of a record [`TupleView::parse`] accepted (whose texts are
+    /// therefore UTF-8).
+    fn checked(self) -> ValueRef<'a> {
+        match self {
+            RawValue::Plain(v) => v,
+            RawValue::Text(t) => ValueRef::Text(std::str::from_utf8(t).unwrap_or_default()),
+        }
+    }
+}
+
+fn truncated() -> StorageError {
+    StorageError::Corrupt("truncated value".into())
+}
+
+/// The count prefix and what follows it.
+fn split_count(bytes: &[u8]) -> Option<(usize, &[u8])> {
+    let (count, rest) = bytes.split_first_chunk::<COUNT_LEN>()?;
+    Some((u32::from_le_bytes(*count) as usize, rest))
+}
+
+/// Read the tagged value at the front of `rest`, advancing past it — the
+/// only place that knows the tags.
+#[inline]
+fn read_value<'a>(rest: &mut &'a [u8]) -> Result<RawValue<'a>> {
+    let (&tag, tail) = rest.split_first().ok_or_else(truncated)?;
+    let (value, tail) = match tag {
+        0 => (RawValue::Plain(ValueRef::Null), tail),
+        1 => {
+            let (v, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+            (RawValue::Plain(ValueRef::Int(i64::from_le_bytes(*v))), tail)
+        }
+        2 => {
+            let (v, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+            (
+                RawValue::Plain(ValueRef::Float(f64::from_le_bytes(*v))),
+                tail,
+            )
+        }
+        3 => {
+            let (len, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
+            let (text, tail) = tail
+                .split_at_checked(u32::from_le_bytes(*len) as usize)
+                .ok_or_else(truncated)?;
+            (RawValue::Text(text), tail)
+        }
+        4 => {
+            let (&b, tail) = tail.split_first().ok_or_else(truncated)?;
+            (RawValue::Plain(ValueRef::Bool(b != 0)), tail)
+        }
+        t => return Err(StorageError::Corrupt(format!("unknown tag {t}"))),
+    };
+    *rest = tail;
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -1,0 +1,172 @@
+//! Work-counting guard for the executor's lazy row (not a timing): a scan
+//! whose predicate rejects a row must not pay for decoding it.
+//!
+//! This binary installs a counting `#[global_allocator]`. Counts are kept
+//! per thread, so they see only the query that the measuring test itself
+//! runs (the serial pipeline runs on the caller's thread); CI still runs the
+//! binary with `--test-threads=1`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use insightnotes::annot::{Attachment, Category};
+use insightnotes::core::db::Database;
+use insightnotes::core::instance::InstanceKind;
+use insightnotes::mining::nb::NaiveBayes;
+use insightnotes::prelude::{CmpOp, ExecContext, Expr, PhysicalPlan, SortKey, SummaryExpr};
+use insightnotes::storage::{ColumnType, Schema, TableId, Value};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // A thread being torn down has no counter left; nothing measures it.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local cell that
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations this thread makes while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const TUPLES: usize = 2_000;
+
+/// Birds(id, family, habitat); every tuple carries a classifier object with
+/// `i % 7` disease annotations and one behavior annotation.
+fn build() -> (Database, TableId) {
+    let mut db = Database::new();
+    let t = db
+        .create_table(
+            "Birds",
+            Schema::of(&[
+                ("id", ColumnType::Int),
+                ("family", ColumnType::Text),
+                ("habitat", ColumnType::Text),
+            ]),
+        )
+        .unwrap();
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Behavior".into()]);
+    model.train("disease outbreak infection virus", "Disease");
+    model.train("eating foraging migration song", "Behavior");
+    db.link_instance(t, "C", InstanceKind::Classifier { model }, true)
+        .unwrap();
+    for i in 0..TUPLES {
+        let row = vec![
+            Value::Int(i as i64),
+            Value::Text(format!("family-{}", i % 9)),
+            Value::Text("reed beds and shallow freshwater margins".into()),
+        ];
+        let oid = db.insert_tuple(t, row).unwrap();
+        for (text, category, n) in [
+            ("disease outbreak infection", Category::Disease, i % 7),
+            ("eating foraging song", Category::Behavior, 1),
+        ] {
+            for _ in 0..n {
+                db.add_annotation(t, text, category, "u", vec![Attachment::row(oid)])
+                    .unwrap();
+            }
+        }
+    }
+    (db, t)
+}
+
+#[test]
+fn rejected_rows_are_not_decoded() {
+    let (db, t) = build();
+    db.metrics().set_enabled(true);
+    let materialized = db.metrics().counter("exec_rows_materialized_total", "");
+    let fetched = db.metrics().counter("exec_rows_fetched_total", "");
+    let scan = PhysicalPlan::SeqScan {
+        table: t,
+        with_summaries: true,
+    };
+    let mut ctx = ExecContext::new(&db);
+
+    // Filter(SeqScan(+summaries)) rejecting every row, on a summary
+    // predicate and on a data predicate: per row, the index key and the two
+    // fetched records are all that may be allocated. (Eager materialization
+    // spent about 30: every text column, label, element list and object.)
+    for pred in [
+        Expr::label_cmp("C", "Disease", CmpOp::Gt, 100),
+        Expr::and(
+            Expr::col_cmp(0, CmpOp::Lt, Value::Int(0)),
+            Expr::Like(Box::new(Expr::Column(2)), "%tundra%".into()),
+        ),
+    ] {
+        let plan = PhysicalPlan::Filter {
+            input: Box::new(scan.clone()),
+            pred,
+        };
+        assert!(
+            ctx.execute(&plan).unwrap().is_empty(),
+            "warm-up rejects all"
+        );
+        let decoded_before = materialized.value();
+        let (rows, allocated) = allocations(|| ctx.execute(&plan).unwrap());
+        assert!(rows.is_empty());
+        assert_eq!(materialized.value(), decoded_before, "nothing decoded");
+        let per_row = allocated as f64 / TUPLES as f64;
+        println!("allocations per rejected row: {per_row:.3}");
+        assert!(
+            allocated <= 4 * TUPLES as u64,
+            "{allocated} allocations for {TUPLES} rejected rows ({per_row:.2} per row)"
+        );
+    }
+
+    // Limit(10) over Sort on a summary key reads 2 000 keys off the bytes
+    // and decodes exactly the ten rows that leave the pipeline.
+    let top10 = PhysicalPlan::Limit {
+        input: Box::new(PhysicalPlan::Sort {
+            input: Box::new(scan),
+            key: SortKey::Summary(SummaryExpr::label_value("C", "Disease")),
+            desc: true,
+            disk: false,
+        }),
+        n: 10,
+    };
+    let (fetched_before, decoded_before) = (fetched.value(), materialized.value());
+    let (rows, allocated) = allocations(|| ctx.execute(&top10).unwrap());
+    assert_eq!(rows.len(), 10);
+    assert!(rows.iter().all(|r| r.summary_count() == 1));
+    assert_eq!(fetched.value() - fetched_before, TUPLES as u64);
+    assert_eq!(
+        materialized.value() - decoded_before,
+        10,
+        "ten summary sets decoded"
+    );
+    println!(
+        "allocations per sorted row: {:.3}",
+        allocated as f64 / TUPLES as f64
+    );
+    assert!(allocated <= 5 * TUPLES as u64, "{allocated} allocations");
+}

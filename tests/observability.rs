@@ -19,7 +19,7 @@ use insightnotes::core::instance::InstanceKind;
 use insightnotes::mining::nb::NaiveBayes;
 use insightnotes::prelude::{
     parse_prometheus, plan_select, CmpOp, ExecConfig, ExecContext, Expr, PhysicalPlan, Session,
-    SharedDatabase,
+    SharedDatabase, SortKey, SummaryExpr,
 };
 use insightnotes::query::QueryError;
 use insightnotes::sql::{parse, Statement};
@@ -394,4 +394,68 @@ fn pool_series_count_evictions_and_the_hand_steps_behind_them() {
     assert_eq!(get("bufferpool_misses_total"), io.cache_misses as f64);
     assert!(get("bufferpool_clock_steps_total") >= get("bufferpool_evictions_total"));
     assert!(get("bufferpool_resident_pages") <= 2.0);
+}
+
+/// Useful outcomes ÷ attempts on the row path: a plan reports what its
+/// leaves fetched and what of that had to be decoded into owned form. A
+/// selective scan decodes only what its predicate lets through; a scan
+/// without a predicate decodes everything it fetches; a top-k over a summary
+/// key decodes k rows however many it sorts.
+#[test]
+fn row_series_report_fetched_against_materialized() {
+    let counts: Vec<usize> = (0..60).map(|i| i % 6).collect();
+    let (db, t) = build(&counts);
+    db.metrics().set_enabled(true);
+    let registry = std::sync::Arc::clone(db.metrics());
+    let fetched = registry.counter("exec_rows_fetched_total", "");
+    let materialized = registry.counter("exec_rows_materialized_total", "");
+    let scan = PhysicalPlan::SeqScan {
+        table: t,
+        with_summaries: true,
+    };
+    let run = |plan: &PhysicalPlan| {
+        let mut ctx = ExecContext::new(&db);
+        ctx.config = ExecConfig {
+            dop: 3,
+            morsel_rows: 7,
+            io_stall: Duration::ZERO,
+        };
+        let before = (fetched.value(), materialized.value());
+        let rows = ctx.execute(plan).expect("plan runs").len() as u64;
+        (
+            rows,
+            fetched.value() - before.0,
+            materialized.value() - before.1,
+        )
+    };
+
+    let selective = PhysicalPlan::Filter {
+        input: Box::new(scan.clone()),
+        pred: Expr::label_cmp("C", "Disease", CmpOp::Eq, 5),
+    };
+    assert_eq!(run(&selective), (10, 60, 10), "rejected rows stay bytes");
+    assert_eq!(run(&scan), (60, 60, 60), "SELECT * decodes what it fetches");
+    let top3 = PhysicalPlan::Limit {
+        input: Box::new(PhysicalPlan::Sort {
+            input: Box::new(scan.clone()),
+            key: SortKey::Summary(SummaryExpr::label_value("C", "Disease")),
+            desc: true,
+            disk: false,
+        }),
+        n: 3,
+    };
+    assert_eq!(run(&top3), (3, 60, 3), "a sort reads keys, not rows");
+
+    // The same tallies come back from Exchange workers' trees.
+    let parallel = PhysicalPlan::Exchange {
+        input: Box::new(selective),
+        dop: 0,
+    };
+    assert_eq!(run(&parallel), (10, 60, 10));
+
+    // And nothing is recorded with the registry off.
+    db.metrics().set_enabled(false);
+    let before = fetched.value();
+    ExecContext::new(&db).execute(&scan).expect("scan");
+    assert_eq!(fetched.value(), before);
 }
