@@ -8,10 +8,12 @@
 //!   dropped annotations disappear, cluster groups shrink and re-elect their
 //!   representative if it was dropped. Per the paper's Theorems 1–2 this
 //!   must happen *before* any merge for plan-equivalence to hold.
-//! * [`merge_summary_sets`] — when a join combines two tuples, summary
-//!   objects of the *same instance* merge; objects with no counterpart
-//!   propagate unchanged. Annotations attached to both input tuples are
-//!   counted once (the `Comment: 22 not 27` example of Fig. 3).
+//! * [`SummaryAccumulator`] — when a join combines two tuples (or a
+//!   group-by, DISTINCT or rollup folds many), summary objects of the *same
+//!   instance* merge; objects with no counterpart propagate unchanged.
+//!   Annotations attached to several input tuples are counted once (the
+//!   `Comment: 22 not 27` example of Fig. 3). [`merge_summary_sets`] and
+//!   [`merge_objects`] are its one-step forms.
 
 use std::collections::HashSet;
 
@@ -129,59 +131,163 @@ pub fn project_eliminate(
     }
 }
 
+/// Annotation ids already folded into one accumulated object — what lets a
+/// merge append to the object without re-reading what it holds.
+#[derive(Debug)]
+enum Seen {
+    /// One id set per label, in label order.
+    Classifier(Vec<HashSet<AnnotId>>),
+    /// The entries' source annotations.
+    Snippet(HashSet<AnnotId>),
+    /// Cluster groups re-partition as a whole ([`merge_cluster_groups`]).
+    Cluster,
+}
+
+impl Seen {
+    fn of(rep: &Rep) -> Seen {
+        match rep {
+            Rep::Classifier(c) => Seen::Classifier(
+                c.elements
+                    .iter()
+                    .map(|ids| ids.iter().copied().collect())
+                    .collect(),
+            ),
+            Rep::Snippet(s) => Seen::Snippet(s.entries.iter().map(|e| e.source).collect()),
+            Rep::Cluster(_) => Seen::Cluster,
+        }
+    }
+}
+
+/// One object of a [`SummaryAccumulator`].
+#[derive(Debug)]
+struct AccObject {
+    obj: SummaryObject,
+    /// Built from `obj` by the first merge into it, kept current by every
+    /// merge after: an object nothing merges into never pays for it.
+    seen: Option<Seen>,
+}
+
+impl AccObject {
+    fn new(obj: SummaryObject) -> Self {
+        AccObject { obj, seen: None }
+    }
+
+    /// Merge `b`, a counterpart object of the same instance, into this one.
+    /// Every arm dedups by annotation id against everything merged so far
+    /// (elements per label, snippet sources, cluster members) — annotations
+    /// attached to both inputs count once (Fig. 3's "sum 22 instead of
+    /// 27") — and appends in first-occurrence order, which keeps the merge
+    /// associative for the parallel gather (DESIGN.md §8).
+    fn absorb(&mut self, b: &SummaryObject, resolver: TextResolver<'_>) {
+        debug_assert_eq!(
+            self.obj.instance_name, b.instance_name,
+            "merge requires counterpart objects of the same summary instance"
+        );
+        let seen = match &mut self.seen {
+            Some(seen) => seen,
+            None => self.seen.insert(Seen::of(&self.obj.rep)),
+        };
+        match (&mut self.obj.rep, &b.rep, seen) {
+            (Rep::Classifier(ca), Rep::Classifier(cb), Seen::Classifier(seen)) => {
+                let per_label = ca
+                    .labels
+                    .iter()
+                    .zip(ca.elements.iter_mut().zip(ca.counts.iter_mut()))
+                    .zip(seen.iter_mut());
+                for ((label, (elements, count)), seen) in per_label {
+                    if let Some(bi) = cb.labels.iter().position(|l| l == label) {
+                        for &id in &cb.elements[bi] {
+                            if seen.insert(id) {
+                                elements.push(id);
+                            }
+                        }
+                    }
+                    *count = elements.len() as u64;
+                }
+            }
+            (Rep::Snippet(sa), Rep::Snippet(sb), Seen::Snippet(seen)) => {
+                let kept = sa.entries.len();
+                for e in &sb.entries {
+                    if !seen.contains(&e.source) {
+                        sa.entries.push(e.clone());
+                    }
+                }
+                seen.extend(sa.entries[kept..].iter().map(|e| e.source));
+            }
+            (Rep::Cluster(ca), Rep::Cluster(cb), Seen::Cluster) => {
+                // Groups overlap iff they share a member annotation; the
+                // transitive closure is taken so the result is a *partition*
+                // of the member annotations (see `merge_cluster_groups`).
+                let mut inputs = std::mem::take(&mut ca.groups);
+                inputs.extend(cb.groups.iter().cloned());
+                ca.groups = merge_cluster_groups(inputs, resolver);
+            }
+            _ => unreachable!("same instance implies same rep type"),
+        }
+    }
+}
+
+/// A summary set that other sets merge into, in place — the one
+/// implementation of the Fig. 3 merge. A join merges two sets through it
+/// ([`merge_summary_sets`]); a group-by, DISTINCT or rollup keeps one per
+/// group and [`absorb`](Self::absorb)s member after member, at a cost that
+/// follows the member, not the group gathered so far: the accumulated side
+/// is never cloned or re-hashed, only appended to.
+///
+/// Folding sets `s1..sn` into an accumulator equals the pairwise left fold
+/// `merge(..merge(merge(s1, s2), s3).., sn)` bit for bit, order included.
+#[derive(Debug, Default)]
+pub struct SummaryAccumulator {
+    objects: Vec<AccObject>,
+}
+
+impl SummaryAccumulator {
+    /// Start from `first` (a group's first member, a join's left side).
+    pub fn new(first: Vec<SummaryObject>) -> Self {
+        SummaryAccumulator {
+            objects: first.into_iter().map(AccObject::new).collect(),
+        }
+    }
+
+    /// Merge the set `b` in: objects of the same instance merge; the rest
+    /// propagate unchanged, after the objects already here (Fig. 3 step 3:
+    /// `ClassBird1` and `TextSummary1` pass through, `ClassBird2` and
+    /// `SimCluster` combine).
+    pub fn absorb(&mut self, b: &[SummaryObject], resolver: TextResolver<'_>) {
+        let mut b_used = vec![false; b.len()];
+        for acc in &mut self.objects {
+            // Counterparts are identified by instance NAME: "the same summary
+            // instance" may be linked to several relations (the two-revision
+            // join of Fig. 16 Q2, the ClassBird2-on-both-sides merge of Fig. 3).
+            let name = &acc.obj.instance_name;
+            if let Some(bi) = b.iter().position(|ob| &ob.instance_name == name) {
+                b_used[bi] = true;
+                acc.absorb(&b[bi], resolver);
+            }
+        }
+        for (ob, used) in b.iter().zip(b_used) {
+            if !used {
+                self.objects.push(AccObject::new(ob.clone()));
+            }
+        }
+    }
+
+    /// The merged set.
+    pub fn finish(self) -> Vec<SummaryObject> {
+        self.objects.into_iter().map(|acc| acc.obj).collect()
+    }
+}
+
 /// Merge two summary objects of the *same instance* attached to two joined
-/// tuples. `common` holds the annotations attached to both input tuples;
-/// it is advisory — every arm below dedups by annotation id globally
-/// (elements per label, snippet sources, cluster members), which subsumes
-/// the common set and is what keeps the merge associative for the
-/// parallel gather (DESIGN.md §8).
+/// tuples (one [`SummaryAccumulator`] step on a copy of `a`).
 pub fn merge_objects(
     a: &SummaryObject,
     b: &SummaryObject,
-    common: &HashSet<AnnotId>,
     resolver: TextResolver<'_>,
 ) -> SummaryObject {
-    let _ = common;
-    debug_assert_eq!(
-        a.instance_name, b.instance_name,
-        "merge requires counterpart objects of the same summary instance"
-    );
-    let mut out = a.clone();
-    match (&mut out.rep, &b.rep) {
-        (Rep::Classifier(ca), Rep::Classifier(cb)) => {
-            // Union the element lists per label; annotations present on both
-            // sides appear once (the paper's "sum 22 instead of 27").
-            for li in 0..ca.labels.len() {
-                let mut seen: HashSet<AnnotId> = ca.elements[li].iter().copied().collect();
-                if let Some(bi) = cb.labels.iter().position(|l| l == &ca.labels[li]) {
-                    for &id in &cb.elements[bi] {
-                        if seen.insert(id) {
-                            ca.elements[li].push(id);
-                        }
-                    }
-                }
-                ca.counts[li] = ca.elements[li].len() as u64;
-            }
-        }
-        (Rep::Snippet(sa), Rep::Snippet(sb)) => {
-            let seen: HashSet<AnnotId> = sa.entries.iter().map(|e| e.source).collect();
-            for e in &sb.entries {
-                if !seen.contains(&e.source) {
-                    sa.entries.push(e.clone());
-                }
-            }
-        }
-        (Rep::Cluster(ca), Rep::Cluster(cb)) => {
-            // Groups overlap iff they share a member annotation; the
-            // transitive closure is taken so the result is a *partition*
-            // of the member annotations (see `merge_cluster_groups`).
-            let inputs: Vec<ClusterGroup> =
-                ca.groups.iter().chain(cb.groups.iter()).cloned().collect();
-            ca.groups = merge_cluster_groups(inputs, resolver);
-        }
-        _ => unreachable!("same instance implies same rep type"),
-    }
-    out
+    let mut acc = AccObject::new(a.clone());
+    acc.absorb(b, resolver);
+    acc.obj
 }
 
 /// Canonically merge a list of cluster groups: connected components of the
@@ -282,35 +388,16 @@ fn merge_cluster_groups(
     out
 }
 
-/// Merge two summary *sets* for a join: objects of the same instance merge;
-/// the rest propagate unchanged (Fig. 3 step 3: `ClassBird1` and
-/// `TextSummary1` pass through, `ClassBird2` and `SimCluster` combine).
+/// Merge two summary *sets* for a join: [`SummaryAccumulator::absorb`] of
+/// `b` into a copy of `a`.
 pub fn merge_summary_sets(
     a: &[SummaryObject],
     b: &[SummaryObject],
-    common: &HashSet<AnnotId>,
     resolver: TextResolver<'_>,
 ) -> Vec<SummaryObject> {
-    let mut out: Vec<SummaryObject> = Vec::with_capacity(a.len() + b.len());
-    let mut b_used = vec![false; b.len()];
-    for oa in a {
-        // Counterparts are identified by instance NAME: "the same summary
-        // instance" may be linked to several relations (the two-revision
-        // join of Fig. 16 Q2, the ClassBird2-on-both-sides merge of Fig. 3).
-        match b.iter().position(|ob| ob.instance_name == oa.instance_name) {
-            Some(bi) => {
-                b_used[bi] = true;
-                out.push(merge_objects(oa, &b[bi], common, resolver));
-            }
-            None => out.push(oa.clone()),
-        }
-    }
-    for (bi, ob) in b.iter().enumerate() {
-        if !b_used[bi] {
-            out.push(ob.clone());
-        }
-    }
-    out
+    let mut acc = SummaryAccumulator::new(a.to_vec());
+    acc.absorb(b, resolver);
+    acc.finish()
 }
 
 #[cfg(test)]
@@ -344,8 +431,7 @@ mod tests {
         // r: Comment {1,2,3}; s: Comment {3,4}. Common {3} counted once.
         let a = classifier(7, &[("Comment", &[1, 2, 3])]);
         let b = classifier(7, &[("Comment", &[3, 4])]);
-        let common: HashSet<AnnotId> = [AnnotId(3)].into();
-        let m = merge_objects(&a, &b, &common, &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Classifier(c) = &m.rep else { panic!() };
         assert_eq!(c.counts[0], 4, "3 must not be double counted");
         assert_eq!(c.elements[0].len(), 4);
@@ -359,8 +445,7 @@ mod tests {
         let b_ids: Vec<u64> = (3..=12).collect(); // shares 3..=7 (5 ids)
         let a = classifier(1, &[("Comment", &a_ids)]);
         let b = classifier(1, &[("Comment", &b_ids)]);
-        let common: HashSet<AnnotId> = (3..=7).map(AnnotId).collect();
-        let m = merge_objects(&a, &b, &common, &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Classifier(c) = &m.rep else { panic!() };
         assert_eq!(c.counts[0], 12, "7 + 10 - 5 common");
     }
@@ -382,7 +467,7 @@ mod tests {
                     .collect(),
             }),
         };
-        let m = merge_objects(&mk(&[1, 2]), &mk(&[2, 3]), &HashSet::new(), &no_text);
+        let m = merge_objects(&mk(&[1, 2]), &mk(&[2, 3]), &no_text);
         let Rep::Snippet(s) = &m.rep else { panic!() };
         let mut src: Vec<u64> = s.entries.iter().map(|e| e.source.0).collect();
         src.sort_unstable();
@@ -415,8 +500,7 @@ mod tests {
         // a: {A1: 1,2,5}, {A5: 5is not here...}; per Fig 3:
         let a = cluster(&[("A1", 1, &[1, 2]), ("A5", 5, &[5, 6])]);
         let b = cluster(&[("B5", 7, &[2, 7]), ("B7", 8, &[8, 9])]);
-        let common: HashSet<AnnotId> = [AnnotId(2)].into();
-        let m = merge_objects(&a, &b, &common, &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Cluster(c) = &m.rep else { panic!() };
         // A1 and B5 share member 2 -> combined; A5, B7 propagate separately.
         assert_eq!(c.groups.len(), 3);
@@ -443,7 +527,7 @@ mod tests {
         // the bridged group and in a's second group.
         let a = cluster(&[("A1", 1, &[1]), ("A2", 2, &[2])]);
         let b = cluster(&[("B1", 1, &[1, 2])]);
-        let m = merge_objects(&a, &b, &HashSet::from([AnnotId(1), AnnotId(2)]), &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Cluster(c) = &m.rep else { panic!() };
         let mut seen = HashSet::new();
         for g in &c.groups {
@@ -467,9 +551,8 @@ mod tests {
         let x = cluster(&[("A1", 1, &[1, 2]), ("A5", 5, &[5])]);
         let y = cluster(&[("B2", 2, &[2, 3])]);
         let z = cluster(&[("C3", 3, &[3, 4]), ("C9", 9, &[9])]);
-        let none = HashSet::new();
-        let xy_z = merge_objects(&merge_objects(&x, &y, &none, &texts), &z, &none, &texts);
-        let x_yz = merge_objects(&x, &merge_objects(&y, &z, &none, &texts), &none, &texts);
+        let xy_z = merge_objects(&merge_objects(&x, &y, &texts), &z, &texts);
+        let x_yz = merge_objects(&x, &merge_objects(&y, &z, &texts), &texts);
         assert_eq!(xy_z, x_yz);
         let Rep::Cluster(c) = &xy_z.rep else { panic!() };
         // 1-2, 2-3, 3-4 chain transitively into one group; 5 and 9 stay.
@@ -485,7 +568,7 @@ mod tests {
         // r has instances 1 and 2; s has instance 1 and 9.
         let a = vec![classifier(1, &[("X", &[1])]), classifier(2, &[("Y", &[2])])];
         let b = vec![classifier(1, &[("X", &[3])]), classifier(9, &[("Z", &[4])])];
-        let m = merge_summary_sets(&a, &b, &HashSet::new(), &no_text);
+        let m = merge_summary_sets(&a, &b, &no_text);
         assert_eq!(m.len(), 3);
         let merged = m.iter().find(|o| o.instance_id == InstanceId(1)).unwrap();
         let Rep::Classifier(c) = &merged.rep else {
@@ -538,16 +621,15 @@ mod tests {
         // then eliminating X, for classifier objects (set semantics).
         let a = classifier(1, &[("L", &[1, 2, 3])]);
         let b = classifier(1, &[("L", &[3, 4])]);
-        let common: HashSet<AnnotId> = [AnnotId(3)].into();
         let removed = [AnnotId(2), AnnotId(3)];
 
         let mut ea = vec![a.clone()];
         let mut eb = vec![b.clone()];
         project_eliminate(&mut ea, &removed, &no_text);
         project_eliminate(&mut eb, &removed, &no_text);
-        let m1 = merge_objects(&ea[0], &eb[0], &common, &no_text);
+        let m1 = merge_objects(&ea[0], &eb[0], &no_text);
 
-        let mut m2 = vec![merge_objects(&a, &b, &common, &no_text)];
+        let mut m2 = vec![merge_objects(&a, &b, &no_text)];
         project_eliminate(&mut m2, &removed, &no_text);
 
         assert_eq!(m1.rep, m2[0].rep);

@@ -29,13 +29,14 @@
 //!   [`PhysicalPlan::Exchange`].
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use instn_core::algebra::{merge_summary_sets, project_eliminate};
+use instn_core::algebra::{merge_summary_sets, project_eliminate, SummaryAccumulator};
 use instn_core::db::Database;
-use instn_core::summary::{EncodedSummaries, SummaryObject};
+use instn_core::summary::EncodedSummaries;
 use instn_core::{AnnotatedTuple, CoreError};
 use instn_index::{BaselineIndex, MaintainableIndex, SummaryBTree};
 use instn_storage::io::IoStats;
@@ -849,6 +850,11 @@ impl<'a> ExecContext<'a> {
                 "Fetched rows decoded or copied into owned form (the rest were rejected as bytes)",
             )
             .add(tally.materialized);
+            obs.counter(
+                "exec_join_pairs_compared_total",
+                "Key pairs nested-loop joins evaluated their predicate on (a hashed block skips the rest)",
+            )
+            .add(tally.pairs_compared);
         }
     }
 
@@ -1040,7 +1046,8 @@ trait Operator {
     /// Enumerate this leaf's input as morsels of at most `rows` tuples, in
     /// output order. Only the scan leaves a parallel fragment may sit on
     /// ([`split_fragment`]) can; the Exchange coordinator calls this once
-    /// and workers read the morsels through [`Bound`] trees.
+    /// and workers read the morsels through trees bound to one each
+    /// ([`compile`]).
     fn morsels(&mut self, _ctx: &ExecContext<'_>, _rows: usize) -> Result<Vec<Morsel>> {
         Err(QueryError::BadPlan(
             "operator cannot be split into morsels".into(),
@@ -1081,15 +1088,6 @@ enum Morsel {
     Entries(Vec<instn_index::IndexEntry>),
 }
 
-/// What confines an Exchange worker's operator tree: the morsel its leaf
-/// reads instead of enumerating its own input, and the pinned [`IoStats`]
-/// stripe its nodes meter against.
-#[derive(Clone, Copy)]
-struct Bound<'m> {
-    morsel: &'m Morsel,
-    stripe: usize,
-}
-
 /// A leaf was bound to a morsel another kind of leaf enumerated.
 fn foreign_morsel() -> QueryError {
     QueryError::BadPlan("morsel does not match the scan leaf it is bound to".into())
@@ -1100,9 +1098,6 @@ fn foreign_morsel() -> QueryError {
 struct OpNode {
     label: String,
     op: Box<dyn Operator>,
-    /// The pinned counter stripe this node meters against (a worker's tree
-    /// under an Exchange); `None` meters the sum of every stripe.
-    stripe: Option<usize>,
     rows: u64,
     opens: u64,
     physical_io: u64,
@@ -1114,14 +1109,14 @@ struct OpNode {
 impl OpNode {
     fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.opens += 1;
-        let before = self.io_snapshot(ctx);
+        let before = Self::io_snapshot(ctx);
         let r = self.op.open(ctx, &mut self.tally);
         self.charge(&before, ctx);
         r
     }
 
     fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
-        let before = self.io_snapshot(ctx);
+        let before = Self::io_snapshot(ctx);
         let r = self.op.next(ctx, &mut self.tally);
         self.charge(&before, ctx);
         if let Ok(Some(_)) = &r {
@@ -1134,15 +1129,18 @@ impl OpNode {
         self.op.close(ctx)
     }
 
-    fn io_snapshot(&self, ctx: &ExecContext<'_>) -> instn_storage::IoSnapshot {
-        match self.stripe {
-            Some(w) => ctx.db.stats().worker_snapshot(w),
-            None => ctx.db.stats().snapshot(),
-        }
+    /// The meter: the calling thread's own counter stripe. A tree is pulled
+    /// by one thread — the session's, or an Exchange worker pinned to its
+    /// stripe — and whatever a pull reads, that thread charges; reading one
+    /// stripe instead of summing all of them keeps the meter's cost off the
+    /// row path. What an Exchange's workers charged to *their* stripes joins
+    /// in [`OpNode::metrics`].
+    fn io_snapshot(ctx: &ExecContext<'_>) -> instn_storage::IoSnapshot {
+        ctx.db.stats().thread_snapshot()
     }
 
     fn charge(&mut self, before: &instn_storage::IoSnapshot, ctx: &ExecContext<'_>) {
-        let delta = self.io_snapshot(ctx).since(before);
+        let delta = Self::io_snapshot(ctx).since(before);
         self.physical_io += delta.total();
         self.logical_io += delta.logical_total();
     }
@@ -1159,17 +1157,31 @@ impl OpNode {
         total
     }
 
+    /// The I/O of every parallel Exchange run in this subtree: charged to
+    /// the coordinator's and workers' pinned stripes, which this tree's own
+    /// thread — pinned elsewhere while it coordinated — never metered.
+    fn exchange_io(&self) -> instn_storage::IoSnapshot {
+        let mut io = self.op.parallel_run().map(|run| run.io).unwrap_or_default();
+        for child in self.op.children() {
+            io.add_assign(&child.exchange_io());
+        }
+        io
+    }
+
     fn metrics(&self) -> OpMetrics {
+        let exchange_io = self.exchange_io();
         let mut m = OpMetrics {
             label: self.label.clone(),
             rows: self.rows,
             opens: self.opens,
-            physical_io: self.physical_io,
-            logical_io: self.logical_io,
+            physical_io: self.physical_io + exchange_io.total(),
+            logical_io: self.logical_io + exchange_io.logical_total(),
             children: self.op.children().iter().map(|c| c.metrics()).collect(),
             workers: Vec::new(),
         };
         if let Some(run) = self.op.parallel_run() {
+            // The Exchange row itself is its run, stripe-scoped: nothing a
+            // concurrent session charges to this thread's stripe leaks in.
             m.physical_io = run.io.total();
             m.logical_io = run.io.logical_total();
             m.children.push(run.fragment.clone());
@@ -1182,11 +1194,11 @@ impl OpNode {
 /// Compile a plan tree into an operator tree. Plan parameters are cloned
 /// into the operators (plans are small), keeping the tree `'static`.
 /// `bound` is `None` for the serial pipeline; an Exchange worker passes the
-/// morsel and stripe its tree is confined to. It threads through the
-/// per-tuple stages of a [`split_fragment`] chain to the one scan leaf that
-/// reads it, and nowhere else.
-fn compile(plan: &PhysicalPlan, bound: Option<Bound<'_>>) -> OpNode {
-    let morsel = || bound.map(|b| b.morsel.clone());
+/// morsel its tree is confined to. It threads through the per-tuple stages
+/// of a [`split_fragment`] chain to the one scan leaf that reads it instead
+/// of enumerating its own input, and nowhere else.
+fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
+    let morsel = || bound.cloned();
     let op: Box<dyn Operator> = match plan {
         PhysicalPlan::SeqScan {
             table,
@@ -1277,9 +1289,10 @@ fn compile(plan: &PhysicalPlan, bound: Option<Bound<'_>>) -> OpNode {
             pred: pred.clone(),
             block: KeyedRows::default(),
             inner: KeyedRows::default(),
+            buckets: None,
             inner_cached: false,
             li: 0,
-            ri: 0,
+            candidates: None,
             outer_done: false,
         }),
         PhysicalPlan::IndexJoin {
@@ -1352,7 +1365,6 @@ fn compile(plan: &PhysicalPlan, bound: Option<Bound<'_>>) -> OpNode {
     OpNode {
         label: plan.head(),
         op,
-        stripe: bound.map(|b| b.stripe),
         rows: 0,
         opens: 0,
         physical_io: 0,
@@ -1789,23 +1801,32 @@ impl Operator for ProjectOp {
 /// [`NL_BLOCK_SIZE`]; the inner build side is a pipeline breaker,
 /// materialized once per block. When the first materialization fits the
 /// sort budget the inner is cached and later blocks skip the re-scan.
+///
+/// Under a predicate with a `DataEq` conjunct the materialized inner is
+/// also bucketed by that conjunct's key ([`KeyBuckets`]), and an outer row
+/// is compared with its bucket only — the pairs the loop would have found,
+/// in the order it would have found them. A row whose key cannot be
+/// bucketed, and any inner that cannot, take the loop over the whole inner.
 struct NestedLoopJoinOp {
     left: OpNode,
     right: OpNode,
     pred: JoinPredicate,
     block: KeyedRows,
     inner: KeyedRows,
+    buckets: Option<KeyBuckets>,
     inner_cached: bool,
+    /// The current outer row, and what of the inner it has still to meet
+    /// (`None` until looked up).
     li: usize,
-    ri: usize,
+    candidates: Option<Candidates>,
     outer_done: bool,
 }
 
 /// One side of a nested-loop join: the rows, and beside them — dense,
 /// [`JoinPredicate::key_width`] per row — what the join predicate reads of
-/// each, extracted once when the row came in. The (block × inner)
-/// comparisons run over the key array alone and never go back to a row's
-/// bytes; a row is decoded when (and if) it first matches.
+/// each, extracted once when the row came in. Pairs are decided from the
+/// key array alone and never go back to a row's bytes; a row is decoded
+/// when (and if) it first matches.
 #[derive(Default)]
 struct KeyedRows {
     rows: Vec<Row>,
@@ -1824,13 +1845,117 @@ impl KeyedRows {
     }
 }
 
+/// Row `i`'s keys in a dense key array of `width` per row.
+fn key_row(keys: &[Value], i: usize, width: usize) -> &[Value] {
+    keys.get(i * width..(i + 1) * width).unwrap_or_default()
+}
+
+/// The inner rows of a join bucketed by one `DataEq` key: `(bucket, inner
+/// position)` pairs, sorted, so a bucket is a run and keeps inner order.
+///
+/// A bucket must hold every row `cmp_sql` calls equal to the probing key,
+/// and `cmp_sql` equality is not an equivalence across types (`Int(1)` =
+/// `Float(1.0)` = `Text("1")` by its numeric and display-string fallbacks,
+/// NaN equal to every number). So the inner is bucketed only when all its
+/// keys are `Int` (or all `Text`), `Null`s aside, which equal nothing; and
+/// only an outer key of that same type — equal exactly when the payloads
+/// are — is looked up.
+struct KeyBuckets {
+    /// Which of a row's keys is the `DataEq` conjunct's.
+    key: usize,
+    /// The bucketed keys are `Text`; otherwise `Int`.
+    text: bool,
+    runs: Vec<(u64, usize)>,
+}
+
+impl KeyBuckets {
+    /// Bucket key `key` of every row in `keys`, if the column is uniform.
+    fn build(keys: &[Value], width: usize, key: usize) -> Option<KeyBuckets> {
+        let column = || keys.iter().skip(key).step_by(width.max(1));
+        let text = match column().find(|v| !matches!(v, Value::Null))? {
+            Value::Int(_) => false,
+            Value::Text(_) => true,
+            _ => return None,
+        };
+        let mut runs = Vec::with_capacity(keys.len() / width.max(1));
+        for (i, v) in column().enumerate() {
+            if !matches!(v, Value::Null) {
+                runs.push((Self::bucket(v, text)?, i));
+            }
+        }
+        runs.sort_unstable();
+        Some(KeyBuckets { key, text, runs })
+    }
+
+    /// The bucket of a key of the bucketed type; `None` for any other.
+    fn bucket(v: &Value, text: bool) -> Option<u64> {
+        match v {
+            Value::Int(i) if !text => Some(*i as u64),
+            Value::Text(s) if text => {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                s.hash(&mut h);
+                Some(h.finish())
+            }
+            _ => None,
+        }
+    }
+
+    /// Where in `runs` the rows an outer row with keys `outer` can match
+    /// are; `None` when only the whole inner will do.
+    fn run_of(&self, outer: &[Value]) -> Option<std::ops::Range<usize>> {
+        match outer.get(self.key)? {
+            // `DataEq` holds for no pair with a NULL in it.
+            Value::Null => Some(0..0),
+            v => {
+                let bucket = Self::bucket(v, self.text)?;
+                let start = self.runs.partition_point(|&(b, _)| b < bucket);
+                let len = self.runs[start..].partition_point(|&(b, _)| b == bucket);
+                Some(start..start + len)
+            }
+        }
+    }
+}
+
+/// The inner positions one outer row has still to be compared with.
+struct Candidates {
+    /// `rest` counts through the row's run of [`KeyBuckets::runs`], not
+    /// through the inner itself.
+    bucketed: bool,
+    rest: std::ops::Range<usize>,
+}
+
+impl Candidates {
+    fn of(buckets: Option<&KeyBuckets>, outer: &[Value], inner_rows: usize) -> Candidates {
+        match buckets.and_then(|b| b.run_of(outer)) {
+            Some(run) => Candidates {
+                bucketed: true,
+                rest: run,
+            },
+            None => Candidates {
+                bucketed: false,
+                rest: 0..inner_rows,
+            },
+        }
+    }
+
+    /// The next inner position, in inner order.
+    fn next(&mut self, buckets: Option<&KeyBuckets>) -> Option<usize> {
+        let at = self.rest.next()?;
+        match buckets.filter(|_| self.bucketed) {
+            Some(b) => b.runs.get(at).map(|&(_, inner)| inner),
+            None => Some(at),
+        }
+    }
+}
+
 impl Operator for NestedLoopJoinOp {
     fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
         self.block.clear();
         self.inner.clear();
+        self.buckets = None;
         self.inner_cached = false;
         self.li = 0;
-        self.ri = 0;
+        self.candidates = None;
         self.outer_done = false;
         self.left.open(ctx)
     }
@@ -1839,19 +1964,25 @@ impl Operator for NestedLoopJoinOp {
         let width = self.pred.key_width();
         loop {
             // Emit pending matches of the current block × inner.
-            let mut outer_keys = self.block.keys.chunks_exact(width).skip(self.li);
-            while let (Some(l), Some(lk)) = (self.block.rows.get_mut(self.li), outer_keys.next()) {
-                let inner_keys = self.inner.keys.chunks_exact(width).skip(self.ri);
-                for rk in inner_keys {
-                    self.ri += 1;
-                    if self.pred.matches_keys(lk, rk) {
-                        if let Some(r) = self.inner.rows.get_mut(self.ri - 1) {
+            while let Some(l) = self.block.rows.get_mut(self.li) {
+                let lk = key_row(&self.block.keys, self.li, width);
+                let buckets = self.buckets.as_ref();
+                let candidates = self
+                    .candidates
+                    .get_or_insert_with(|| Candidates::of(buckets, lk, self.inner.rows.len()));
+                while let Some(ri) = candidates.next(buckets) {
+                    tally.pairs_compared += 1;
+                    if self
+                        .pred
+                        .matches_keys(lk, key_row(&self.inner.keys, ri, width))
+                    {
+                        if let Some(r) = self.inner.rows.get_mut(ri) {
                             return Ok(Some(merge_pair(ctx.db, l, r, tally)));
                         }
                     }
                 }
                 self.li += 1;
-                self.ri = 0;
+                self.candidates = None;
             }
             if self.outer_done {
                 return Ok(None);
@@ -1859,7 +1990,7 @@ impl Operator for NestedLoopJoinOp {
             // Pull the next outer block.
             self.block.clear();
             self.li = 0;
-            self.ri = 0;
+            self.candidates = None;
             while self.block.rows.len() < NL_BLOCK_SIZE.max(1) {
                 match self.left.next(ctx)? {
                     Some(row) => self.block.push(row, &self.pred, Side::Left),
@@ -1882,6 +2013,10 @@ impl Operator for NestedLoopJoinOp {
                 }
                 self.right.close(ctx)?;
                 self.inner_cached = self.inner.rows.len() <= ctx.sort_mem;
+                self.buckets = self
+                    .pred
+                    .data_eq_key()
+                    .and_then(|key| KeyBuckets::build(&self.inner.keys, width, key));
             }
         }
     }
@@ -1889,6 +2024,7 @@ impl Operator for NestedLoopJoinOp {
     fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.block = KeyedRows::default();
         self.inner = KeyedRows::default();
+        self.buckets = None;
         self.inner_cached = false;
         self.left.close(ctx)?;
         self.right.close(ctx)
@@ -2354,7 +2490,7 @@ struct WorkerOut<T> {
 /// serial operator tree — bit-identical output, metrics, and I/O charges —
 /// while anything else splits the leaf into morsels on a shared queue and
 /// drains it with a crossbeam-scoped worker pool. A worker runs the same
-/// compiled operators as the serial pipeline, one [`Bound`] tree per morsel.
+/// compiled operators as the serial pipeline, one bound tree per morsel.
 /// Workers return per-morsel outputs which the gather reassembles **in
 /// morsel order**, so parallel output equals the serial pipeline row for
 /// row, and partial aggregates merge associatively in that same order.
@@ -2439,7 +2575,7 @@ fn run_parallel<T: Send>(
                                 break;
                             };
                             let t0 = morsel_obs.as_ref().map(|_| std::time::Instant::now());
-                            let mut node = compile(frag.chain, Some(Bound { morsel, stripe: w }));
+                            let mut node = compile(frag.chain, Some(morsel));
                             node.open(ctx)?;
                             outs.push((i, drain(&mut node, &mut tally)?));
                             node.close(ctx)?;
@@ -2605,34 +2741,16 @@ impl Operator for ExchangeOp {
     }
 }
 
-/// Annotations attached to both source tuples (counted once by a merge);
-/// empty as soon as either side has fused provenance.
-fn common_annotations(
-    db: &Database,
-    a: Option<(TableId, Oid)>,
-    b: Option<(TableId, Oid)>,
-) -> std::collections::HashSet<instn_annot::AnnotId> {
-    match (a, b) {
-        (Some((ta, oa)), Some((tb, ob))) => {
-            db.common_annotations(ta, oa, tb, ob).into_iter().collect()
-        }
-        _ => Default::default(),
-    }
-}
-
-/// Merge a joined pair: concatenate values; merge the summary sets with
-/// common-annotation de-duplication. Both inputs are decoded in place (a
-/// row that matches again is not decoded again).
+/// Merge a joined pair: concatenate values; merge the summary sets (an
+/// annotation attached to both tuples counts once). Both inputs are decoded
+/// in place (a row that matches again is not decoded again).
 fn merge_pair(db: &Database, l: &mut Row, r: &mut Row, tally: &mut RowTally) -> Row {
-    let common = common_annotations(db, l.source(), r.source());
-    let resolver = db.text_resolver();
     let mut values = l.values_mut(tally).clone();
     values.extend(r.values_mut(tally).iter().cloned());
     let summaries = merge_summary_sets(
         l.summaries_mut(tally),
         r.summaries_mut(tally),
-        &common,
-        &resolver,
+        &db.text_resolver(),
     );
     Row::owned(AnnotatedTuple {
         source: None,
@@ -2642,48 +2760,48 @@ fn merge_pair(db: &Database, l: &mut Row, r: &mut Row, tally: &mut RowTally) -> 
 }
 
 /// Duplicate elimination with summary merging: equal data values collapse;
-/// their summary sets merge with common-annotation dedup.
+/// their summary sets merge into the first occurrence's. A row that stays
+/// alone goes out as it came in.
 fn distinct_rows(db: &Database, rows: Vec<Row>, tally: &mut RowTally) -> Vec<Row> {
     let resolver = db.text_resolver();
-    let mut order: Vec<Vec<u8>> = Vec::new();
-    let mut seen: HashMap<Vec<u8>, Row> = HashMap::new();
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut kept: Vec<(Row, Option<SummaryAccumulator>)> = Vec::new();
     for mut row in rows {
         // Typed, injective key: `Display` concatenation collided
         // `Int(1)` with `Text("1")` and separator-embedding strings
         // across columns.
         let key = crate::dataindex::composite_key(row.values_mut(tally));
-        match seen.get_mut(&key) {
+        match index.get(&key).and_then(|&i| kept.get_mut(i)) {
             None => {
-                order.push(key.clone());
-                seen.insert(key, row);
+                index.insert(key, kept.len());
+                kept.push((row, None));
             }
-            Some(acc) => {
-                let common = common_annotations(db, acc.source(), row.source());
-                let merged = merge_summary_sets(
-                    acc.summaries_mut(tally),
-                    row.summaries_mut(tally),
-                    &common,
-                    &resolver,
-                );
-                *acc = Row::owned(AnnotatedTuple {
-                    source: None,
-                    values: std::mem::take(acc.values_mut(tally)),
-                    summaries: merged,
-                });
-            }
+            Some((first, merged)) => merged
+                .get_or_insert_with(|| {
+                    SummaryAccumulator::new(std::mem::take(first.summaries_mut(tally)))
+                })
+                .absorb(row.summaries_mut(tally), &resolver),
         }
     }
-    order.iter().filter_map(|key| seen.remove(key)).collect()
+    kept.into_iter()
+        .map(|(mut first, merged)| match merged {
+            None => first,
+            Some(merged) => Row::owned(AnnotatedTuple {
+                source: None,
+                values: std::mem::take(first.values_mut(tally)),
+                summaries: merged.finish(),
+            }),
+        })
+        .collect()
 }
 
 /// One group of a (possibly partial) COUNT(*) group-by: the first
-/// occurrence's key values, the count, and the members' merged summaries.
+/// occurrence's key values, the count, and the members' summaries, merged
+/// as they arrive.
 struct Group {
     key: Vec<Value>,
     count: u64,
-    /// The one member's source while the group has a single member.
-    source: Option<(TableId, Oid)>,
-    summaries: Vec<SummaryObject>,
+    summaries: SummaryAccumulator,
 }
 
 /// A (possibly partial) COUNT(*) group-by state. The serial `GroupBy`
@@ -2699,16 +2817,20 @@ struct Group {
 /// the fold is associative — see DESIGN.md §8.
 struct AggState {
     cols: Vec<usize>,
-    order: Vec<Vec<u8>>,
-    groups: HashMap<Vec<u8>, Group>,
+    /// Position in `groups` by the grouping values' typed, injective
+    /// `composite_key` (a `Display`-string key collided across types and
+    /// columns).
+    index: HashMap<Vec<u8>, usize>,
+    /// The groups, in first-occurrence order.
+    groups: Vec<Group>,
 }
 
 impl AggState {
     fn new(cols: Vec<usize>) -> Self {
         AggState {
             cols,
-            order: Vec::new(),
-            groups: HashMap::new(),
+            index: HashMap::new(),
+            groups: Vec::new(),
         }
     }
 
@@ -2716,87 +2838,72 @@ impl AggState {
     /// row's columns only the grouping ones are read; its summary set is
     /// decoded, since a group merges it.
     fn absorb(&mut self, db: &Database, mut row: Row, tally: &mut RowTally) {
-        // Group keys must hash; encode values with the typed, injective
-        // `composite_key` (a `Display`-string key collided across types
-        // and columns) while keeping the first occurrence's values for
-        // output.
-        let key_vals: Vec<Value> = self
+        let key: Vec<Value> = self
             .cols
             .iter()
             .map(|&i| row.column(i).map_or(Value::Null, ValueRef::to_owned))
             .collect();
-        let key = crate::dataindex::composite_key(&key_vals);
-        let source = row.source();
         let summaries = row.summaries_mut(tally);
-        match self.groups.get_mut(&key) {
-            None => {
-                self.order.push(key.clone());
-                let group = Group {
-                    key: key_vals,
-                    count: 1,
-                    source,
-                    summaries: std::mem::take(summaries),
-                };
-                self.groups.insert(key, group);
-            }
-            Some(group) => {
+        match self.group_mut(&key) {
+            Ok(group) => {
                 group.count += 1;
-                fold_group(db, group, source, summaries);
+                group.summaries.absorb(summaries, &db.text_resolver());
             }
+            Err(slot) => self.insert(
+                slot,
+                Group {
+                    key,
+                    count: 1,
+                    summaries: SummaryAccumulator::new(std::mem::take(summaries)),
+                },
+            ),
         }
     }
 
     /// Associatively combine another partial state into this one. `other`'s
     /// groups arrive in its first-occurrence order, so merging partials in
     /// morsel order reproduces the serial first-occurrence order exactly.
-    fn merge(&mut self, db: &Database, mut other: AggState) {
-        for key in other.order {
-            let Some(theirs) = other.groups.remove(&key) else {
-                continue;
-            };
-            match self.groups.get_mut(&key) {
-                None => {
-                    self.order.push(key.clone());
-                    self.groups.insert(key, theirs);
-                }
-                Some(mine) => {
+    fn merge(&mut self, db: &Database, other: AggState) {
+        for theirs in other.groups {
+            match self.group_mut(&theirs.key) {
+                Ok(mine) => {
                     mine.count += theirs.count;
-                    fold_group(db, mine, theirs.source, &theirs.summaries);
+                    mine.summaries
+                        .absorb(&theirs.summaries.finish(), &db.text_resolver());
                 }
+                Err(slot) => self.insert(slot, theirs),
             }
         }
     }
 
-    /// Emit the grouped rows: key values plus the COUNT(*) column.
-    fn finish(mut self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.order.len());
-        for key in &self.order {
-            let Some(mut group) = self.groups.remove(key) else {
-                continue;
-            };
-            group.key.push(Value::Int(group.count as i64));
-            out.push(Row::owned(AnnotatedTuple {
-                source: None,
-                values: group.key,
-                summaries: group.summaries,
-            }));
+    /// The group of `key`, or the index slot a new group of it goes under.
+    fn group_mut(&mut self, key: &[Value]) -> std::result::Result<&mut Group, Vec<u8>> {
+        let slot = crate::dataindex::composite_key(key);
+        match self.index.get(&slot).and_then(|&i| self.groups.get_mut(i)) {
+            Some(group) => Ok(group),
+            None => Err(slot),
         }
-        out
     }
-}
 
-/// Merge one more member's summaries into a group with common-annotation
-/// de-duplication (the serial group-by fold step).
-fn fold_group(
-    db: &Database,
-    group: &mut Group,
-    source: Option<(TableId, Oid)>,
-    summaries: &[SummaryObject],
-) {
-    let resolver = db.text_resolver();
-    let common = common_annotations(db, group.source, source);
-    group.summaries = merge_summary_sets(&group.summaries, summaries, &common, &resolver);
-    group.source = None;
+    fn insert(&mut self, slot: Vec<u8>, group: Group) {
+        self.index.insert(slot, self.groups.len());
+        self.groups.push(group);
+    }
+
+    /// Emit the grouped rows: key values plus the COUNT(*) column.
+    fn finish(self) -> Vec<Row> {
+        self.groups
+            .into_iter()
+            .map(|mut group| {
+                group.key.push(Value::Int(group.count as i64));
+                Row::owned(AnnotatedTuple {
+                    source: None,
+                    values: group.key,
+                    summaries: group.summaries.finish(),
+                })
+            })
+            .collect()
+    }
 }
 
 /// A row with its sort key, evaluated once when the row entered the sort.
@@ -3920,6 +4027,79 @@ mod tests {
         assert!(
             io_rescan > io_cached,
             "re-scanning the inner costs I/O: {io_rescan} <= {io_cached}"
+        );
+    }
+
+    /// The hashed block against key columns no typed table can hold (types
+    /// mixed within one column): for every inner column and every outer
+    /// key, the candidates the buckets leave are a superset of what
+    /// `cmp_sql` equality accepts, in inner order — and a column that mixes
+    /// types, or holds floats or booleans, is not bucketed at all.
+    #[test]
+    fn key_buckets_agree_with_cmp_sql_equality() {
+        let text = |s: &str| Value::Text(s.into());
+        let pool = [
+            Value::Null,
+            Value::Int(1),
+            Value::Int(0),
+            Value::Int(2),
+            Value::Float(1.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            text("1"),
+            text("1.0"),
+            text("0"),
+            text("NaN"),
+            text("true"),
+            Value::Bool(true),
+        ];
+        let pred = JoinPredicate::DataEq {
+            left_col: 0,
+            right_col: 0,
+        };
+        let of_type = |keep: fn(&Value) -> bool| -> Vec<Value> {
+            let mut col: Vec<Value> = pool.iter().filter(|v| keep(v)).cloned().collect();
+            col.extend(col.clone()); // duplicates: a bucket of several rows
+            col
+        };
+        let ints = of_type(|v| matches!(v, Value::Int(_) | Value::Null));
+        let texts = of_type(|v| matches!(v, Value::Text(_) | Value::Null));
+        let floats = of_type(|v| matches!(v, Value::Float(_) | Value::Null));
+        let mixed = of_type(|_| true);
+        for (inner, bucketed) in [
+            (&ints, true),
+            (&texts, true),
+            (&floats, false),
+            (&mixed, false),
+            (&vec![Value::Null; 3], false),
+        ] {
+            let buckets = KeyBuckets::build(inner, 1, 0);
+            assert_eq!(buckets.is_some(), bucketed, "{inner:?}");
+            for outer in &pool {
+                let outer = std::slice::from_ref(outer);
+                let want: Vec<usize> = (0..inner.len())
+                    .filter(|&ri| pred.matches_keys(outer, key_row(inner, ri, 1)))
+                    .collect();
+                let mut candidates = Candidates::of(buckets.as_ref(), outer, inner.len());
+                let mut got = Vec::new();
+                while let Some(ri) = candidates.next(buckets.as_ref()) {
+                    if pred.matches_keys(outer, key_row(inner, ri, 1)) {
+                        got.push(ri);
+                    }
+                }
+                assert_eq!(got, want, "outer {outer:?} against {inner:?}");
+            }
+        }
+        // Same-typed keys probe their bucket and nothing else.
+        let buckets = KeyBuckets::build(&ints, 1, 0);
+        let candidates = Candidates::of(buckets.as_ref(), &[Value::Int(1)], ints.len());
+        assert_eq!(candidates.rest.len(), 2, "the two Int(1) rows");
+        let candidates = Candidates::of(buckets.as_ref(), &[Value::Float(1.0)], ints.len());
+        assert_eq!(
+            candidates.rest.len(),
+            ints.len(),
+            "a float key takes the loop"
         );
     }
 

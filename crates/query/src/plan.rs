@@ -207,6 +207,19 @@ impl JoinPredicate {
         }
     }
 
+    /// Where in a row's [`JoinPredicate::side_keys`] the first
+    /// data-equality conjunct's key sits — the key a nested-loop join can
+    /// bucket its inner by.
+    pub fn data_eq_key(&self) -> Option<usize> {
+        match self {
+            JoinPredicate::DataEq { .. } => Some(0),
+            JoinPredicate::And(a, b) => a
+                .data_eq_key()
+                .or_else(|| b.data_eq_key().map(|k| a.key_width() + k)),
+            _ => None,
+        }
+    }
+
     /// Summary instance names referenced (side conditions of Rules 6/11).
     pub fn referenced_instances(&self) -> Vec<String> {
         fn se_inst(se: &SummaryExpr, out: &mut Vec<String>) {

@@ -29,12 +29,15 @@ pub(crate) struct RowTally {
     pub fetched: u64,
     /// Fetched rows of which anything was decoded or copied into owned form.
     pub materialized: u64,
+    /// Key pairs the nested-loop joins put to their predicate.
+    pub pairs_compared: u64,
 }
 
 impl RowTally {
     pub fn add(&mut self, other: RowTally) {
         self.fetched += other.fetched;
         self.materialized += other.materialized;
+        self.pairs_compared += other.pairs_compared;
     }
 }
 

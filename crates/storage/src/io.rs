@@ -32,7 +32,8 @@
 //!
 //! [`IoStats::snapshot`] sums all stripes, so totals are exact regardless of
 //! which threads did the charging and `IoSnapshot::since` keeps its meaning
-//! unchanged. A single-threaded caller always lands in one stripe, making
+//! unchanged; [`IoStats::thread_snapshot`] reads the calling thread's stripe
+//! alone, for a meter that only wants what that thread did. A single-threaded caller always lands in one stripe, making
 //! serial counts bit-identical to the pre-striping flat counters.
 
 use std::cell::Cell;
@@ -173,6 +174,16 @@ impl IoStats {
     /// distinct `w < PIN_STRIPES`.
     pub fn worker_snapshot(&self, w: usize) -> IoSnapshot {
         self.stripes[HASH_STRIPES + w % PIN_STRIPES].snapshot()
+    }
+
+    /// Snapshot of the one stripe the *calling thread* charges — its pinned
+    /// worker stripe, or else its hash-band stripe. Deltas of this are the
+    /// I/O the thread did itself (plus that of any thread hashed to the same
+    /// stripe), at one stripe's cost instead of [`IoStats::snapshot`]'s
+    /// sum over all of them: what a per-pull meter wants.
+    #[inline]
+    pub fn thread_snapshot(&self) -> IoSnapshot {
+        self.cell().snapshot()
     }
 
     /// Record `n` physical heap page reads.

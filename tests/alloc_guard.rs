@@ -1,5 +1,7 @@
-//! Work-counting guard for the executor's lazy row (not a timing): a scan
-//! whose predicate rejects a row must not pay for decoding it.
+//! Work-counting guards for the executor (not timings): a scan whose
+//! predicate rejects a row must not pay for decoding it; an equi-join puts
+//! to its predicate the pairs that can match, not outer × inner; folding one
+//! more member into a group costs that member, not the group so far.
 //!
 //! This binary installs a counting `#[global_allocator]`. Counts are kept
 //! per thread, so they see only the query that the measuring test itself
@@ -13,18 +15,22 @@ use insightnotes::annot::{Attachment, Category};
 use insightnotes::core::db::Database;
 use insightnotes::core::instance::InstanceKind;
 use insightnotes::mining::nb::NaiveBayes;
-use insightnotes::prelude::{CmpOp, ExecContext, Expr, PhysicalPlan, SortKey, SummaryExpr};
+use insightnotes::prelude::{
+    CmpOp, ExecContext, Expr, JoinPredicate, PhysicalPlan, SortKey, SummaryExpr,
+};
 use insightnotes::storage::{ColumnType, Schema, TableId, Value};
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_allocation() {
+fn note_allocation(bytes: usize) {
     // A thread being torn down has no counter left; nothing measures it.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
@@ -32,7 +38,7 @@ fn note_allocation() {
 // neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note_allocation(layout.size());
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +49,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
+        note_allocation(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,6 +63,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Allocations, and the bytes they asked for, while `f` runs.
+fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = BYTES.with(Cell::get);
+    let (out, count) = allocations(f);
+    (out, count, BYTES.with(Cell::get) - before)
 }
 
 const TUPLES: usize = 2_000;
@@ -169,4 +182,106 @@ fn rejected_rows_are_not_decoded() {
         allocated as f64 / TUPLES as f64
     );
     assert!(allocated <= 5 * TUPLES as u64, "{allocated} allocations");
+}
+
+/// An Int-keyed equi-join buckets its inner: the predicate sees the pairs
+/// that share a key, not the 1 000 000 a 100 × 10 000 loop would try.
+#[test]
+fn equi_join_compares_only_its_buckets() {
+    const OUTER: usize = 100;
+    const INNER: usize = 10_000;
+    let mut db = Database::new();
+    let mut table = |name: &str, rows: usize, key: fn(usize) -> i64| {
+        let t = db
+            .create_table(name, Schema::of(&[("k", ColumnType::Int)]))
+            .unwrap();
+        for i in 0..rows {
+            db.insert_tuple(t, vec![Value::Int(key(i))]).unwrap();
+        }
+        t
+    };
+    // Every outer key meets four inner rows; most inner rows meet nobody.
+    let outer = table("Outer", OUTER, |i| i as i64);
+    let inner = table("Inner", INNER, |i| (i % (INNER / 4)) as i64);
+    db.metrics().set_enabled(true);
+    let compared = db.metrics().counter("exec_join_pairs_compared_total", "");
+    let scan = |table| PhysicalPlan::SeqScan {
+        table,
+        with_summaries: false,
+    };
+    let plan = PhysicalPlan::NestedLoopJoin {
+        left: Box::new(scan(outer)),
+        right: Box::new(scan(inner)),
+        pred: JoinPredicate::DataEq {
+            left_col: 0,
+            right_col: 0,
+        },
+    };
+    let mut ctx = ExecContext::new(&db);
+    let rows = ctx.execute(&plan).unwrap();
+    assert_eq!(rows.len(), 4 * OUTER);
+    let pairs = compared.value();
+    println!("key pairs compared: {pairs} for {} matches", rows.len());
+    assert!(
+        pairs <= (OUTER + INNER + rows.len()) as u64,
+        "{pairs} key pairs compared for {OUTER} x {INNER} rows, {} matches",
+        rows.len()
+    );
+}
+
+/// The group-by fold appends a member to its group in place: a member of a
+/// 512-member group costs the allocations, and the bytes, of a member of a
+/// 64-member group. (Merging by clone-and-rebuild copied the group gathered
+/// so far for every member: bytes per member grew with the group.)
+#[test]
+fn group_fold_costs_the_member_not_the_group() {
+    let (db, t) = build();
+    let mut ctx = ExecContext::new(&db);
+    // One group (every habitat is the same text) of the first `members` rows.
+    let group_of = |members: usize| PhysicalPlan::GroupBy {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::SeqScan {
+                table: t,
+                with_summaries: true,
+            }),
+            pred: Expr::col_cmp(0, CmpOp::Lt, Value::Int(members as i64)),
+        }),
+        cols: vec![2],
+    };
+    let mut fold = |members: usize| {
+        let plan = group_of(members);
+        ctx.execute(&plan).unwrap(); // warm-up
+        let (rows, count, bytes) = allocated(|| ctx.execute(&plan).unwrap());
+        let counted: Vec<Value> = rows.iter().map(|r| r.values[1].clone()).collect();
+        let want: Vec<Value> = (members > 0)
+            .then_some(Value::Int(members as i64))
+            .into_iter()
+            .collect();
+        assert_eq!(counted, want, "one group of {members}");
+        (count as f64, bytes as f64)
+    };
+    // What the scan spends on the rows the filter rejects is the same
+    // whatever the group, so the empty group's cost comes off first.
+    let (base_count, base_bytes) = fold(0);
+    let mut cost = |members: usize| {
+        let (count, bytes) = fold(members);
+        (
+            (count - base_count) / members as f64,
+            (bytes - base_bytes) / members as f64,
+        )
+    };
+    let (small_count, small_bytes) = cost(64);
+    let (large_count, large_bytes) = cost(512);
+    println!(
+        "per member: {small_count:.1} allocations / {small_bytes:.0} B at 64, \
+         {large_count:.1} / {large_bytes:.0} B at 512"
+    );
+    assert!(
+        large_count <= 1.5 * small_count,
+        "{large_count:.1} allocations per member at 512 against {small_count:.1} at 64"
+    );
+    assert!(
+        large_bytes <= 1.5 * small_bytes,
+        "{large_bytes:.0} B per member at 512 against {small_bytes:.0} B at 64"
+    );
 }

@@ -15,8 +15,8 @@ use insightnotes::core::db::Database;
 use insightnotes::core::instance::InstanceKind;
 use insightnotes::mining::nb::NaiveBayes;
 use insightnotes::prelude::{
-    CmpOp, ColumnIndex, ExecConfig, ExecContext, Expr, ObjectPred, PhysicalPlan, PointerMode,
-    SummaryBTree,
+    CmpOp, ColumnIndex, ExecConfig, ExecContext, Expr, JoinPredicate, ObjectPred, PhysicalPlan,
+    PointerMode, SummaryBTree,
 };
 use insightnotes::query::exec::OpMetrics;
 use insightnotes::storage::{ColumnType, Schema, TableId, Value};
@@ -281,5 +281,82 @@ fn io_stall_changes_timing_not_results() {
             })
             .unwrap();
         assert_eq!(rows, serial, "dop {dop}");
+    }
+}
+
+/// Every node's inclusive I/O covers each child's, all the way down.
+fn assert_io_inclusive(m: &OpMetrics) {
+    for child in &m.children {
+        assert!(
+            m.logical_io >= child.logical_io && m.physical_io >= child.physical_io,
+            "{} ({} physical / {} logical) reports less than its child {} ({} / {})",
+            m.label,
+            m.physical_io,
+            m.logical_io,
+            child.label,
+            child.physical_io,
+            child.logical_io
+        );
+        assert_io_inclusive(child);
+    }
+}
+
+/// A serial operator meters the thread that pulls it; an Exchange's workers
+/// charge their own pinned stripes. The serial nodes *above* an Exchange
+/// must still report what ran beneath them: inclusive at every level, the
+/// Exchange row included, and the root equal to what the query as a whole
+/// did to the engine's counters.
+#[test]
+fn serial_nodes_above_an_exchange_include_its_workers_io() {
+    let counts: Vec<usize> = (0..48).map(|i| i % 5).collect();
+    let (db, t) = build(&counts);
+    let fragment = PhysicalPlan::Exchange {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::SeqScan {
+                table: t,
+                with_summaries: true,
+            }),
+            pred: Expr::label_cmp("C", "Disease", CmpOp::Ge, 2),
+        }),
+        dop: 4,
+    };
+    let join = PhysicalPlan::NestedLoopJoin {
+        left: Box::new(fragment.clone()),
+        right: Box::new(PhysicalPlan::SeqScan {
+            table: t,
+            with_summaries: false,
+        }),
+        pred: JoinPredicate::DataEq {
+            left_col: 0,
+            right_col: 0,
+        },
+    };
+    let limit = PhysicalPlan::Limit {
+        input: Box::new(fragment),
+        n: 3,
+    };
+    let mut ctx = ExecContext::new(&db);
+    ctx.config = parallel_ctx_config(5);
+    // Disease counts `i % 5` plus the cell annotation: all but every fifth.
+    for (plan, rows) in [(join, 38), (limit, 3)] {
+        let before = db.stats().snapshot();
+        let (out, metrics) = ctx.execute_with_metrics(&plan).unwrap();
+        let io = db.stats().snapshot().since(&before);
+        assert_eq!(out.len(), rows);
+        let exchange = &metrics.children[0];
+        assert_eq!(
+            exchange.workers.len(),
+            4,
+            "ran parallel:\n{}",
+            metrics.render()
+        );
+        assert!(exchange.logical_io > 0);
+        assert_io_inclusive(&metrics);
+        assert_eq!(
+            (metrics.physical_io, metrics.logical_io),
+            (io.total(), io.logical_total()),
+            "the root reports the whole query:\n{}",
+            metrics.render()
+        );
     }
 }

@@ -6,10 +6,12 @@ use std::collections::{BTreeMap, HashSet};
 use proptest::prelude::*;
 
 use insightnotes::annot::AnnotId;
-use insightnotes::core::algebra::{merge_objects, project_eliminate};
+use insightnotes::core::algebra::{
+    merge_objects, merge_summary_sets, project_eliminate, SummaryAccumulator,
+};
 use insightnotes::core::summary::{
-    decode_objects, encode_objects, ClassifierRep, InstanceId, ObjId, Rep, SnippetEntry,
-    SnippetRep, SummaryObject,
+    decode_objects, encode_objects, ClassifierRep, ClusterGroup, ClusterRep, InstanceId, ObjId,
+    Rep, SnippetEntry, SnippetRep, SummaryObject,
 };
 use insightnotes::index::itemize::{itemize_key, ItemizeWidth};
 use insightnotes::opt::stats::LabelStats;
@@ -165,10 +167,9 @@ proptest! {
     ) {
         let a = classifier_with("L", &a_ids);
         let b = classifier_with("L", &b_ids);
-        let common: HashSet<AnnotId> = a_ids.intersection(&b_ids).map(|&i| AnnotId(i)).collect();
         let resolver = |_: AnnotId| None;
-        let ab = merge_objects(&a, &b, &common, &resolver);
-        let ba = merge_objects(&b, &a, &common, &resolver);
+        let ab = merge_objects(&a, &b, &resolver);
+        let ba = merge_objects(&b, &a, &resolver);
         let count = |o: &SummaryObject| match &o.rep {
             Rep::Classifier(c) => c.counts.clone(),
             _ => vec![],
@@ -187,7 +188,6 @@ proptest! {
     ) {
         let a = classifier_with("L", &a_ids);
         let b = classifier_with("L", &b_ids);
-        let common: HashSet<AnnotId> = a_ids.intersection(&b_ids).map(|&i| AnnotId(i)).collect();
         let removed_ids: Vec<AnnotId> = removed.iter().map(|&i| AnnotId(i)).collect();
         let resolver = |_: AnnotId| None;
 
@@ -196,10 +196,10 @@ proptest! {
         let mut eb = vec![b.clone()];
         project_eliminate(&mut ea, &removed_ids, &resolver);
         project_eliminate(&mut eb, &removed_ids, &resolver);
-        let m1 = merge_objects(&ea[0], &eb[0], &common, &resolver);
+        let m1 = merge_objects(&ea[0], &eb[0], &resolver);
 
         // merge-then-eliminate
-        let mut m2 = vec![merge_objects(&a, &b, &common, &resolver)];
+        let mut m2 = vec![merge_objects(&a, &b, &resolver)];
         project_eliminate(&mut m2, &removed_ids, &resolver);
 
         let count = |o: &SummaryObject| match &o.rep {
@@ -221,12 +221,36 @@ proptest! {
         let a = snippet_with(&a_ids);
         let b = snippet_with(&b_ids);
         let resolver = |_: AnnotId| None;
-        let m = merge_objects(&a, &b, &HashSet::new(), &resolver);
+        let m = merge_objects(&a, &b, &resolver);
         let Rep::Snippet(s) = &m.rep else { panic!() };
         let got: HashSet<u64> = s.entries.iter().map(|e| e.source.0).collect();
         let want: HashSet<u64> = a_ids.union(&b_ids).copied().collect();
         prop_assert_eq!(got.len(), s.entries.len(), "no duplicate sources");
         prop_assert_eq!(got, want);
+    }
+
+    // ----------------------------------------------------------------
+    // The accumulating merge: folding sets into one accumulator, in place,
+    // equals the pairwise left fold — of `merge_summary_sets`, and of the
+    // merge's definition spelled out naively (clone the left side, re-read
+    // it whole, append what it has not seen) — bit for bit, order included,
+    // for classifier, snippet and cluster objects.
+    // ----------------------------------------------------------------
+
+    #[test]
+    fn accumulator_fold_equals_pairwise_left_fold(sets in prop::collection::vec(summary_set(), 1..7)) {
+        let resolver = |id: AnnotId| Some(format!("word{} tok{}", id.0, id.0 % 3));
+        let mut acc = SummaryAccumulator::new(sets[0].clone());
+        let mut pairwise = sets[0].clone();
+        let mut naive = sets[0].clone();
+        for set in &sets[1..] {
+            acc.absorb(set, &resolver);
+            pairwise = merge_summary_sets(&pairwise, set, &resolver);
+            naive = naive_merge_sets(&naive, set, &resolver);
+        }
+        let folded = acc.finish();
+        prop_assert_eq!(&folded, &pairwise);
+        prop_assert_eq!(&folded, &naive);
     }
 
     // ----------------------------------------------------------------
@@ -458,4 +482,124 @@ fn snippet_with(ids: &HashSet<u64>) -> SummaryObject {
                 .collect(),
         }),
     }
+}
+
+/// One tuple's summary set: any of a classifier `C` (ids may repeat across
+/// and within labels), a snippet object `S` (sources may repeat) and a
+/// cluster object `K`, in a fixed order; ids from a small range so sets
+/// overlap.
+fn summary_set() -> impl Strategy<Value = Vec<SummaryObject>> {
+    let ids = || prop::collection::vec(0u64..24, 0..8);
+    (
+        prop::option::of((ids(), ids())),
+        prop::option::of(ids()),
+        prop::option::of(prop::collection::vec(
+            prop::collection::vec(0u64..24, 1..4),
+            0..4,
+        )),
+    )
+        .prop_map(|(classifier, snippet, cluster)| {
+            let object = |name: &str, n: u32, rep| SummaryObject {
+                obj_id: ObjId(n as u64),
+                instance_id: InstanceId(n),
+                instance_name: name.into(),
+                tuple_id: insightnotes::storage::Oid(1),
+                rep,
+            };
+            let annots = |ids: Vec<u64>| ids.into_iter().map(AnnotId).collect::<Vec<_>>();
+            let mut set = Vec::new();
+            if let Some((disease, behavior)) = classifier {
+                set.push(object(
+                    "C",
+                    1,
+                    Rep::Classifier(ClassifierRep {
+                        labels: vec!["Disease".into(), "Behavior".into()],
+                        counts: vec![disease.len() as u64, behavior.len() as u64],
+                        elements: vec![annots(disease), annots(behavior)],
+                    }),
+                ));
+            }
+            if let Some(sources) = snippet {
+                let entries = sources
+                    .into_iter()
+                    .map(|i| SnippetEntry {
+                        snippet: format!("snippet {i}"),
+                        source: AnnotId(i),
+                    })
+                    .collect();
+                set.push(object("S", 2, Rep::Snippet(SnippetRep { entries })));
+            }
+            if let Some(groups) = cluster {
+                let groups = groups
+                    .into_iter()
+                    .map(|members| ClusterGroup {
+                        rep_annot: AnnotId(members[0]),
+                        rep_text: format!("rep {}", members[0]),
+                        size: members.len() as u64,
+                        ls: vec![members.len() as f32; 4],
+                        members: annots(members),
+                    })
+                    .collect();
+                set.push(object("K", 3, Rep::Cluster(ClusterRep { groups })));
+            }
+            set
+        })
+}
+
+/// The set merge by its definition, nothing kept between steps: objects of
+/// the same instance merge, the rest propagate — `a`'s first, then `b`'s.
+fn naive_merge_sets(
+    a: &[SummaryObject],
+    b: &[SummaryObject],
+    resolver: &dyn Fn(AnnotId) -> Option<String>,
+) -> Vec<SummaryObject> {
+    let mut out: Vec<SummaryObject> = a
+        .iter()
+        .map(
+            |oa| match b.iter().find(|ob| ob.instance_name == oa.instance_name) {
+                Some(ob) => naive_merge(oa, ob, resolver),
+                None => oa.clone(),
+            },
+        )
+        .collect();
+    let unmatched = |ob: &&SummaryObject| a.iter().all(|oa| oa.instance_name != ob.instance_name);
+    out.extend(b.iter().filter(unmatched).cloned());
+    out
+}
+
+/// The object merge by its definition: a copy of `a`, re-read whole, plus
+/// what of `b` it does not hold yet (cluster groups go through the one
+/// canonical partition either way).
+fn naive_merge(
+    a: &SummaryObject,
+    b: &SummaryObject,
+    resolver: &dyn Fn(AnnotId) -> Option<String>,
+) -> SummaryObject {
+    let mut out = a.clone();
+    match (&mut out.rep, &b.rep) {
+        (Rep::Classifier(ca), Rep::Classifier(cb)) => {
+            for li in 0..ca.labels.len() {
+                let mut seen: HashSet<AnnotId> = ca.elements[li].iter().copied().collect();
+                if let Some(bi) = cb.labels.iter().position(|l| l == &ca.labels[li]) {
+                    for &id in &cb.elements[bi] {
+                        if seen.insert(id) {
+                            ca.elements[li].push(id);
+                        }
+                    }
+                }
+                ca.counts[li] = ca.elements[li].len() as u64;
+            }
+        }
+        (Rep::Snippet(sa), Rep::Snippet(sb)) => {
+            let seen: HashSet<AnnotId> = sa.entries.iter().map(|e| e.source).collect();
+            for e in &sb.entries {
+                if !seen.contains(&e.source) {
+                    sa.entries.push(e.clone());
+                }
+            }
+        }
+        (Rep::Cluster(_), Rep::Cluster(_)) => return merge_objects(a, b, resolver),
+        _ => unreachable!("same instance, same representation"),
+    }
+    out
 }
