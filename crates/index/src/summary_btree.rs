@@ -504,7 +504,8 @@ impl SummaryBTree {
     /// [`SummaryBTree::search_range`], but leaf entries are pulled one at a
     /// time so an early-terminating consumer (top-k under LIMIT) pays only
     /// for the leaves it visits. `reverse` walks the range in descending
-    /// count order. Charges the descent now and counts one search; the
+    /// count order. Charges the descent now and counts one search (an
+    /// inverted range, `lo > hi`, holds nothing and reads nothing); the
     /// index must not be mutated while the cursor is live.
     pub fn open_range_cursor(
         &self,
@@ -514,6 +515,9 @@ impl SummaryBTree {
         reverse: bool,
     ) -> EntryCursor {
         self.searches.fetch_add(1, Ordering::Relaxed);
+        if matches!((lo, hi), (Some(lo), Some(hi)) if lo > hi) {
+            return EntryCursor::Empty;
+        }
         let lo_key = match lo {
             Some(v) if self.width.fits(v) => itemize_key(label, v, self.width),
             Some(_) => return EntryCursor::Empty,

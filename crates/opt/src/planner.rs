@@ -7,6 +7,7 @@
 //! candidate (§5.2) → return the cheapest.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use instn_core::db::Database;
 use instn_query::exec::PhysicalPlan;
@@ -128,7 +129,7 @@ pub struct OptimizedPlan {
 /// The extended, summary-aware optimizer.
 pub struct Optimizer<'a> {
     db: &'a Database,
-    stats: Statistics,
+    stats: Arc<Statistics>,
     config: PlannerConfig,
     rule_ctx: RuleContext,
 }
@@ -140,8 +141,13 @@ impl<'a> Optimizer<'a> {
         Ok(Self::with_stats(db, stats, config))
     }
 
-    /// Use pre-collected statistics.
-    pub fn with_stats(db: &'a Database, stats: Statistics, mut config: PlannerConfig) -> Self {
+    /// Use pre-collected statistics: owned, or shared with a caller that
+    /// keeps them current across statements (the optimizer only reads them).
+    pub fn with_stats(
+        db: &'a Database,
+        stats: impl Into<Arc<Statistics>>,
+        mut config: PlannerConfig,
+    ) -> Self {
         if config.cache_pages == 0 {
             // Cost with the pool the engine actually runs with. A disabled
             // pool (capacity 0) leaves every cost bit-identical.
@@ -150,7 +156,7 @@ impl<'a> Optimizer<'a> {
         Self {
             rule_ctx: RuleContext::from_db(db),
             db,
-            stats,
+            stats: stats.into(),
             config,
         }
     }
@@ -446,7 +452,11 @@ impl<'a> Optimizer<'a> {
         }))
     }
 
-    /// Try to answer (part of) a predicate with a Summary-BTree scan.
+    /// Try to answer (part of) a predicate with a Summary-BTree scan. The
+    /// first conjunct an index can answer picks the (instance, label); every
+    /// conjunct on that pair then narrows the one probe to `[lo, hi]`, so a
+    /// two-sided range fetches the tuples inside it and nothing else. Bounds
+    /// that contradict each other (`lo > hi`) are an empty scan.
     fn try_index_path(
         &self,
         table: TableId,
@@ -454,31 +464,36 @@ impl<'a> Optimizer<'a> {
         summaries: bool,
     ) -> Option<(PhysicalPlan, Option<Expr>)> {
         let conjuncts = flatten_and(pred);
-        for (i, c) in conjuncts.iter().enumerate() {
-            let Some(range) = c.indexable_range() else {
-                continue;
-            };
-            let Some(index) = self.config.summary_index_on(table, &range.instance) else {
-                continue;
-            };
-            let scan = PhysicalPlan::SummaryIndexScan {
-                index: index.to_string(),
-                label: range.label.clone(),
-                lo: range.lo,
-                hi: range.hi,
-                propagate: summaries,
-                reverse: false,
-            };
-            let rest: Vec<Expr> = conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, e)| (*e).clone())
-                .collect();
-            let residual = rest.into_iter().reduce(Expr::and);
-            return Some((scan, residual));
+        let ranges: Vec<_> = conjuncts.iter().map(|c| c.indexable_range()).collect();
+        let (index, probe) = ranges.iter().flatten().find_map(|r| {
+            let index = self.config.summary_index_on(table, &r.instance)?;
+            Some((index, r))
+        })?;
+        let (mut lo, mut hi): (Option<u64>, Option<u64>) = (None, None);
+        let mut rest = Vec::new();
+        for (c, r) in conjuncts.iter().zip(&ranges) {
+            match r {
+                Some(r) if r.instance == probe.instance && r.label == probe.label => {
+                    // `None` is the open end: below every `Some` for `lo`
+                    // (so `max` keeps the tighter bound), above for `hi`.
+                    lo = lo.max(r.lo);
+                    hi = match (hi, r.hi) {
+                        (Some(a), Some(b)) => Some(a.min(b)),
+                        (a, b) => a.or(b),
+                    };
+                }
+                _ => rest.push((*c).clone()),
+            }
         }
-        None
+        let scan = PhysicalPlan::SummaryIndexScan {
+            index: index.to_string(),
+            label: probe.label.clone(),
+            lo,
+            hi,
+            propagate: summaries,
+            reverse: false,
+        };
+        Some((scan, rest.into_iter().reduce(Expr::and)))
     }
 }
 
@@ -1055,6 +1070,110 @@ mod tests {
             model.cost(&plan.physical).total(),
             model.cost(&naive).total()
         );
+    }
+
+    /// Conjuncts on one (instance, label) become one `[lo, hi]` probe: the
+    /// scan fetches the tuples inside the range and nothing else (it used to
+    /// take the first bound, scan to the end of the label and filter the
+    /// other bound: `>= 30 AND <= 30` fetched 170 tuples here to return 1).
+    /// Every shape answers what the naive lowering answers.
+    #[test]
+    fn same_label_conjuncts_merge_into_one_probe() {
+        let (db, birds, _, _) = setup(200);
+        let config = PlannerConfig::default().with_summary_index("idx", birds, "ClassBird1", 2);
+        let opt = Optimizer::new(&db, config).unwrap();
+        let index = SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward);
+        let mut ctx = ExecContext::new(&db);
+        ctx.register_summary_index("idx", index.unwrap());
+        let disease = |op, n| Expr::label_cmp("ClassBird1", "Disease", op, n);
+        let id_below = |n| Expr::col_cmp(0, CmpOp::Lt, Value::Int(n));
+        use CmpOp::{Eq, Ge, Gt, Le, Lt};
+        let all = |conjuncts: Vec<Expr>| conjuncts.into_iter().reduce(Expr::and).unwrap();
+        // (conjuncts, the probe they plan to, whether a residual filter stays)
+        let cases = [
+            (
+                vec![disease(Ge, 30), disease(Le, 30)],
+                (Some(30), Some(30)),
+                false,
+            ),
+            (
+                vec![disease(Gt, 10), disease(Lt, 20)],
+                (Some(11), Some(19)),
+                false,
+            ),
+            (
+                vec![disease(Le, 5), disease(Ge, 3)],
+                (Some(3), Some(5)),
+                false,
+            ),
+            (vec![disease(Ge, 190)], (Some(190), None), false),
+            (vec![disease(Le, 4)], (None, Some(4)), false),
+            (
+                vec![disease(Eq, 7), disease(Ge, 3)],
+                (Some(7), Some(7)),
+                false,
+            ),
+            // Three bounds: the tightest of each side.
+            (
+                vec![disease(Ge, 3), disease(Ge, 6), disease(Le, 9)],
+                (Some(6), Some(9)),
+                false,
+            ),
+            // A conjunct on something else stays behind as the residual.
+            (
+                vec![disease(Ge, 40), id_below(45), disease(Le, 50)],
+                (Some(40), Some(50)),
+                true,
+            ),
+            // No tuple has 500 annotations; and bounds that contradict.
+            (
+                vec![disease(Ge, 500), disease(Le, 600)],
+                (Some(500), Some(600)),
+                false,
+            ),
+            (
+                vec![disease(Ge, 40), disease(Le, 30)],
+                (Some(40), Some(30)),
+                false,
+            ),
+            (
+                vec![disease(Eq, 3), disease(Eq, 4)],
+                (Some(4), Some(3)),
+                false,
+            ),
+        ];
+        for (conjuncts, (want_lo, want_hi), residual) in cases {
+            let pred = all(conjuncts);
+            let logical = LogicalPlan::scan("Birds").summary_select(pred.clone());
+            let plan = opt.optimize(&logical).unwrap().physical;
+            let scan = match &plan {
+                PhysicalPlan::Filter { input, .. } if residual => input.as_ref(),
+                other => other,
+            };
+            let PhysicalPlan::SummaryIndexScan { lo, hi, .. } = scan else {
+                panic!("{pred:?} planned to\n{plan}");
+            };
+            assert_eq!((*lo, *hi), (want_lo, want_hi), "{pred:?}");
+            let reads_before = db.stats().snapshot().logical_index_reads;
+            let (rows, metrics) = ctx.execute_with_metrics(&plan).unwrap();
+            let reads = db.stats().snapshot().logical_index_reads - reads_before;
+            let naive = lower_naive(&db, &logical).unwrap();
+            let ids = |rows: &[instn_core::AnnotatedTuple]| {
+                let mut ids: Vec<_> = rows.iter().map(|r| r.values[0].clone()).collect();
+                ids.sort_by(Value::cmp_sql);
+                ids
+            };
+            assert_eq!(ids(&rows), ids(&ctx.execute(&naive).unwrap()), "{pred:?}");
+            if !residual {
+                // Rows examined per row returned is 1: the leaf fetched
+                // exactly what the plan answered.
+                assert_eq!(metrics.rows, rows.len() as u64, "{pred:?}");
+            }
+            if matches!((want_lo, want_hi), (Some(lo), Some(hi)) if lo > hi) {
+                assert!(rows.is_empty(), "{pred:?}");
+                assert_eq!(reads, 0, "an inverted range reads no index node: {pred:?}");
+            }
+        }
     }
 
     #[test]

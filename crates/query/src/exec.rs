@@ -44,8 +44,9 @@ use instn_storage::{EncodedTuple, HeapFile, Oid, TableId, Value, ValueRef};
 
 use crate::dataindex::ColumnIndex;
 use crate::expr::{Expr, ObjectPred, RowRead};
+use crate::metrics::QueryMetrics;
 use crate::plan::{JoinPredicate, Side, SortKey};
-use crate::row::{Row, RowTally};
+use crate::row::{FinishedRow, Row, RowSink, RowTally};
 use crate::{QueryError, Result};
 
 /// Tuples per block for the block nested-loop join (the inner plan is
@@ -624,6 +625,8 @@ pub struct ExecContext<'a> {
     /// `execute_with_metrics` adds refresh/execute spans and imports the
     /// finished `OpMetrics` tree as per-operator child spans.
     pub trace: Option<instn_obs::QueryTrace>,
+    /// Metric handles: a session's, or resolved here on first use.
+    pub(crate) metrics: Option<Arc<QueryMetrics>>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -636,6 +639,7 @@ impl<'a> ExecContext<'a> {
             config: ExecConfig::default(),
             last_maintenance: MaintenanceReport::default(),
             trace: None,
+            metrics: None,
         }
     }
 
@@ -702,35 +706,16 @@ impl<'a> ExecContext<'a> {
         self.last_maintenance = report;
         // Publish the refresh ladder's decisions (replay vs rebuild vs
         // skip, and how many journal deltas were folded in) so `\metrics`
-        // can show maintenance behavior across sessions. Registration is
-        // idempotent; the lock here is per plan open, off the row path.
-        let obs = self.db.metrics();
-        if obs.is_enabled() && report.indexes_checked > 0 {
-            obs.counter(
-                "index_refresh_replays_total",
-                "Indexes caught up by replaying the journal gap",
-            )
-            .add(report.indexes_replayed);
-            obs.counter(
-                "index_refresh_rebuilds_total",
-                "Indexes bulk-rebuilt (journal truncated, replay costlier, or forced mid-replay)",
-            )
-            .add(report.indexes_rebuilt + report.forced_rebuilds);
-            obs.counter(
-                "index_refresh_skips_total",
-                "Stale-stamped indexes re-stamped with zero work (table untouched)",
-            )
-            .add(report.indexes_skipped);
-            obs.counter(
-                "index_refresh_deltas_total",
-                "Journal changes folded into replayed indexes",
-            )
-            .add(report.deltas_applied);
-            obs.counter(
-                "index_refresh_evictions_total",
-                "Registrations dropped because their instance no longer exists",
-            )
-            .add(report.indexes_evicted);
+        // can show maintenance behavior across sessions.
+        if report.indexes_checked > 0 {
+            if let Some(obs) = self.observed() {
+                obs.refresh_replays.add(report.indexes_replayed);
+                obs.refresh_rebuilds
+                    .add(report.indexes_rebuilt + report.forced_rebuilds);
+                obs.refresh_skips.add(report.indexes_skipped);
+                obs.refresh_deltas.add(report.deltas_applied);
+                obs.refresh_evictions.add(report.indexes_evicted);
+            }
         }
         Ok(())
     }
@@ -779,9 +764,6 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Execute a physical plan to completion, materializing its output.
-    ///
-    /// Runs the pull-based pipeline underneath: the plan is compiled to a
-    /// tree of operators which is opened, drained, and closed.
     pub fn execute(&mut self, plan: &PhysicalPlan) -> Result<Vec<AnnotatedTuple>> {
         Ok(self.execute_with_metrics(plan)?.0)
     }
@@ -792,6 +774,22 @@ impl<'a> ExecContext<'a> {
         &mut self,
         plan: &PhysicalPlan,
     ) -> Result<(Vec<AnnotatedTuple>, OpMetrics)> {
+        let mut out = Vec::new();
+        let metrics = self.execute_into(plan, &mut out)?;
+        Ok((out, metrics))
+    }
+
+    /// Execute a plan to completion, handing each finished row to `sink`
+    /// as the top operator produced it (see [`FinishedRow`]).
+    ///
+    /// This is the executor's one drain loop: the plan is compiled to a
+    /// tree of pull-based operators which is opened, drained into the sink,
+    /// and closed. Materializing callers pass a `Vec<AnnotatedTuple>`.
+    pub fn execute_into(
+        &mut self,
+        plan: &PhysicalPlan,
+        sink: &mut dyn RowSink,
+    ) -> Result<OpMetrics> {
         let refresh_span = self.trace.as_mut().map(|t| t.begin("index-refresh"));
         self.refresh_stale_indexes()?;
         if let Some(id) = refresh_span {
@@ -803,10 +801,9 @@ impl<'a> ExecContext<'a> {
         let exec_span = self.trace.as_mut().map(|t| t.begin("execute"));
         let mut root = compile(plan, None);
         root.open(self)?;
-        let mut out = Vec::new();
         let mut top = RowTally::default();
         while let Some(row) = root.next(self)? {
-            out.push(row.into_tuple(&mut top));
+            sink.row(FinishedRow::new(row, &mut top))?;
         }
         root.close(self)?;
         top.add(root.tally());
@@ -816,7 +813,7 @@ impl<'a> ExecContext<'a> {
             t.end_with_io(id, metrics.logical_io, metrics.physical_io);
             metrics.attach_spans(t, Some(id));
         }
-        Ok((out, metrics))
+        Ok(metrics)
     }
 
     /// Open a plan as a pull stream without draining it. The caller pulls
@@ -834,27 +831,19 @@ impl<'a> ExecContext<'a> {
         })
     }
 
+    /// The metric handles, while the registry is enabled.
+    fn observed(&mut self) -> Option<&QueryMetrics> {
+        QueryMetrics::observed(&mut self.metrics, self.db.metrics()).map(|m| &**m)
+    }
+
     /// Add one finished plan's row tally to the registry: what its leaves
     /// fetched against what had to become owned. Once per plan close, so
     /// nothing is counted per row, and nothing at all with the registry off.
-    fn publish_row_tally(&self, tally: RowTally) {
-        let obs = self.db.metrics();
-        if obs.is_enabled() {
-            obs.counter(
-                "exec_rows_fetched_total",
-                "Rows scan leaves and index-join probes fetched from storage",
-            )
-            .add(tally.fetched);
-            obs.counter(
-                "exec_rows_materialized_total",
-                "Fetched rows decoded or copied into owned form (the rest were rejected as bytes)",
-            )
-            .add(tally.materialized);
-            obs.counter(
-                "exec_join_pairs_compared_total",
-                "Key pairs nested-loop joins evaluated their predicate on (a hashed block skips the rest)",
-            )
-            .add(tally.pairs_compared);
+    fn publish_row_tally(&mut self, tally: RowTally) {
+        if let Some(obs) = self.observed() {
+            obs.rows_fetched.add(tally.fetched);
+            obs.rows_materialized.add(tally.materialized);
+            obs.join_pairs_compared.add(tally.pairs_compared);
         }
     }
 

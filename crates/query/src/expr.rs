@@ -42,6 +42,11 @@ pub trait RowRead {
     fn summary_by_name(&self, name: &str) -> Option<SummaryRef<'_>>;
     /// `$.getSummaryObject(i)`: the object at position `i`.
     fn summary_by_index(&self, i: usize) -> Option<SummaryRef<'_>>;
+    /// Every data column in order: one walk of an encoded record, where
+    /// `column(i)` for each `i` steps over the values before it every time.
+    fn for_each_column(&self, f: &mut dyn FnMut(ValueRef<'_>));
+    /// Every object of the `$` set in stored order, likewise in one walk.
+    fn for_each_summary(&self, f: &mut dyn FnMut(SummaryRef<'_>));
 }
 
 impl RowRead for AnnotatedTuple {
@@ -59,6 +64,14 @@ impl RowRead for AnnotatedTuple {
 
     fn summary_by_index(&self, i: usize) -> Option<SummaryRef<'_>> {
         AnnotatedTuple::summary_by_index(self, i).map(SummaryRef::Owned)
+    }
+
+    fn for_each_column(&self, f: &mut dyn FnMut(ValueRef<'_>)) {
+        self.values.iter().map(Value::as_ref).for_each(f);
+    }
+
+    fn for_each_summary(&self, f: &mut dyn FnMut(SummaryRef<'_>)) {
+        self.summaries.iter().map(SummaryRef::Owned).for_each(f);
     }
 }
 

@@ -31,6 +31,7 @@ pub mod dataindex;
 pub mod exec;
 pub mod expr;
 pub mod lower;
+pub mod metrics;
 pub mod plan;
 pub mod plan_cache;
 mod row;
@@ -43,11 +44,13 @@ pub use exec::{
     DEFAULT_MORSEL_ROWS,
 };
 pub use expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, RowRead, SummaryExpr};
+pub use metrics::QueryMetrics;
 pub use plan::{JoinPredicate, LogicalPlan, SortKey};
 pub use plan_cache::{
     normalize_statement, plan_cache_enabled_from_env, CachedPlan, PlanCache, PlanCacheStats,
-    PlanLookup, PlanStamp, DEFAULT_PLAN_CACHE_CAPACITY,
+    PlanKey, PlanLookup, PlanStamp, DEFAULT_PLAN_CACHE_CAPACITY,
 };
+pub use row::{FinishedRow, RowSink};
 pub use session::{IndexDescriptors, Session, SharedDatabase};
 
 /// Named by [`Session::register_summary_index`].
@@ -72,6 +75,9 @@ pub enum QueryError {
     /// exclusive write guard, so the engine state is unknown. Serving paths
     /// surface this as a fail-fast error instead of a process abort.
     EnginePoisoned,
+    /// The [`RowSink`] the plan was draining into refused a row (a wire
+    /// result outgrew its frame, say); the plan stopped there.
+    Sink(String),
 }
 
 impl std::fmt::Display for QueryError {
@@ -88,6 +94,7 @@ impl std::fmt::Display for QueryError {
                 "engine lock poisoned: a writer panicked mid-mutation and the \
                  engine state is unknown"
             ),
+            QueryError::Sink(m) => write!(f, "result not delivered: {m}"),
         }
     }
 }

@@ -5,10 +5,13 @@
 //! and costing can dwarf execution itself. This module supplies the cache
 //! a [`Session`](crate::session::Session) holds across queries:
 //!
-//! * Entries are keyed by a caller-built **fingerprint** — normalized
-//!   statement text prefixed with the planner-relevant session state (DOP,
-//!   sort budget, index-registry epoch), so a changed setting or a newly
-//!   registered index can never pick up a plan chosen under the old state.
+//! * Entries are keyed by a [`PlanKey`] — the planner-relevant session
+//!   state (DOP, sort budget, index-registry epoch), so a changed setting or
+//!   a newly registered index can never pick up a plan chosen under the old
+//!   state, plus a caller-computed hash of the statement. The statement
+//!   itself is kept beside the plan and compared on every probe, so two
+//!   statements that collide on the hash evict each other instead of
+//!   sharing a plan.
 //! * Each entry is stamped with the planning-time database revision and
 //!   the per-table high-water marks from the engine's `DeltaJournal`. A
 //!   cached plan is reused **iff** no touched table has advanced
@@ -24,6 +27,7 @@
 //! [`PlanCache::set_enabled`]), in which case every lookup misses and
 //! nothing is stored: behavior is bit-identical to always replanning.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -152,13 +156,35 @@ pub struct PlanCacheStats {
     pub insertions: u64,
 }
 
-/// Bounded LRU of [`CachedPlan`]s, keyed by statement fingerprint.
+/// What a cached plan was chosen under and for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlanKey {
+    /// The session's degree of parallelism.
+    pub dop: usize,
+    /// The session's in-memory sort budget.
+    pub sort_mem: usize,
+    /// The session's index-registry epoch.
+    pub registry_epoch: u64,
+    /// The caller's hash of the statement (equal statements hash equal).
+    pub statement_hash: u64,
+}
+
+#[derive(Debug)]
+struct Entry {
+    /// LRU tick of the last hit (or the insertion).
+    used: u64,
+    /// The statement the plan is for, as the caller's own type.
+    statement: Box<dyn Any + Send + Sync>,
+    plan: Arc<CachedPlan>,
+}
+
+/// Bounded LRU of [`CachedPlan`]s, keyed by [`PlanKey`].
 #[derive(Debug)]
 pub struct PlanCache {
     enabled: bool,
     capacity: usize,
     tick: u64,
-    entries: HashMap<String, (u64, Arc<CachedPlan>)>,
+    entries: HashMap<PlanKey, Entry>,
     stats: PlanCacheStats,
 }
 
@@ -227,56 +253,68 @@ impl PlanCache {
         self.entries.clear();
     }
 
-    /// Look up `key`, revalidating the entry's [`PlanStamp`] against the
-    /// engine's journal. A current entry is a [`PlanLookup::Hit`] (and is
-    /// touched as most-recently-used); a stale one is dropped and comes
-    /// back as [`PlanLookup::Invalidated`]; an unknown key — or any lookup
-    /// on a disabled cache — is a [`PlanLookup::Miss`].
-    pub fn lookup(&mut self, key: &str, db: &Database) -> PlanLookup {
+    /// Look up `statement` under `key`, revalidating the entry's
+    /// [`PlanStamp`] against the engine's journal. A current entry is a
+    /// [`PlanLookup::Hit`] (and is touched as most-recently-used); a stale
+    /// one is dropped and comes back as [`PlanLookup::Invalidated`]; an
+    /// unknown key, a key held by a different statement (a hash collision),
+    /// or any lookup on a disabled cache is a [`PlanLookup::Miss`].
+    pub fn lookup<S: PartialEq + 'static>(
+        &mut self,
+        key: PlanKey,
+        statement: &S,
+        db: &Database,
+    ) -> PlanLookup {
         if !self.enabled {
             return PlanLookup::Miss;
         }
-        match self.entries.get_mut(key) {
-            None => {
-                self.stats.misses += 1;
-                PlanLookup::Miss
-            }
-            Some((used, entry)) => {
-                if entry.stamp.is_current(db) {
+        match self.entries.get_mut(&key) {
+            Some(entry) if entry.statement.downcast_ref::<S>() == Some(statement) => {
+                if entry.plan.stamp.is_current(db) {
                     self.tick += 1;
-                    *used = self.tick;
+                    entry.used = self.tick;
                     self.stats.hits += 1;
-                    PlanLookup::Hit(Arc::clone(entry))
+                    PlanLookup::Hit(Arc::clone(&entry.plan))
                 } else {
-                    self.entries.remove(key);
+                    self.entries.remove(&key);
                     self.stats.invalidations += 1;
                     PlanLookup::Invalidated
                 }
             }
+            _ => {
+                self.stats.misses += 1;
+                PlanLookup::Miss
+            }
         }
     }
 
-    /// Store `plan` under `key`, evicting the least-recently-used entry if
-    /// the cache is full. Returns the shared handle (also returned when
-    /// the cache is disabled, in which case nothing is stored).
-    pub fn insert(&mut self, key: &str, plan: CachedPlan) -> Arc<CachedPlan> {
+    /// Store `plan` for `statement` under `key` (replacing whatever held the
+    /// key), evicting the least-recently-used entry if the cache is full.
+    /// Returns the shared handle (also returned when the cache is disabled,
+    /// in which case nothing is stored).
+    pub fn insert<S: Clone + Send + Sync + 'static>(
+        &mut self,
+        key: PlanKey,
+        statement: &S,
+        plan: CachedPlan,
+    ) -> Arc<CachedPlan> {
         let plan = Arc::new(plan);
         if !self.enabled {
             return plan;
         }
-        if !self.entries.contains_key(key) && self.entries.len() >= self.capacity {
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (used, _))| *used)
-                .map(|(k, _)| k.clone())
-            {
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+            let lru = self.entries.iter().min_by_key(|(_, e)| e.used);
+            if let Some(lru) = lru.map(|(k, _)| *k) {
                 self.entries.remove(&lru);
             }
         }
         self.tick += 1;
-        self.entries
-            .insert(key.to_string(), (self.tick, Arc::clone(&plan)));
+        let entry = Entry {
+            used: self.tick,
+            statement: Box::new(statement.clone()),
+            plan: Arc::clone(&plan),
+        };
+        self.entries.insert(key, entry);
         self.stats.insertions += 1;
         plan
     }
@@ -307,6 +345,16 @@ mod tests {
         c
     }
 
+    /// A key for statement `q` that hashes to `hash`.
+    fn key(hash: u64) -> PlanKey {
+        PlanKey {
+            dop: 1,
+            sort_mem: 0,
+            registry_epoch: 0,
+            statement_hash: hash,
+        }
+    }
+
     #[test]
     fn normalize_collapses_layout_only() {
         assert_eq!(
@@ -323,15 +371,43 @@ mod tests {
             .create_table("T", Schema::of(&[("x", ColumnType::Int)]))
             .unwrap();
         let mut cache = cache();
-        assert!(matches!(cache.lookup("q", &db), PlanLookup::Miss));
-        cache.insert("q", entry(&db, &[t]));
-        assert!(matches!(cache.lookup("q", &db), PlanLookup::Hit(_)));
+        assert!(matches!(cache.lookup(key(1), &"q", &db), PlanLookup::Miss));
+        cache.insert(key(1), &"q", entry(&db, &[t]));
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Hit(_)
+        ));
         db.insert_tuple(t, vec![Value::Int(1)]).unwrap();
-        assert!(matches!(cache.lookup("q", &db), PlanLookup::Invalidated));
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Invalidated
+        ));
         // The entry is gone: the next lookup is a plain miss.
-        assert!(matches!(cache.lookup("q", &db), PlanLookup::Miss));
+        assert!(matches!(cache.lookup(key(1), &"q", &db), PlanLookup::Miss));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (1, 2, 1));
+    }
+
+    #[test]
+    fn colliding_statements_never_share_a_plan() {
+        let db = Database::new();
+        let mut cache = cache();
+        cache.insert(key(7), &"q", entry(&db, &[]));
+        // Same key, another statement: a miss, and its plan takes the slot.
+        assert!(matches!(cache.lookup(key(7), &"r", &db), PlanLookup::Miss));
+        cache.insert(key(7), &"r", entry(&db, &[]));
+        assert_eq!(cache.len(), 1);
+        assert!(matches!(
+            cache.lookup(key(7), &"r", &db),
+            PlanLookup::Hit(_)
+        ));
+        assert!(matches!(cache.lookup(key(7), &"q", &db), PlanLookup::Miss));
+        // Session state is part of the key, not of the statement.
+        let other_dop = PlanKey { dop: 4, ..key(7) };
+        assert!(matches!(
+            cache.lookup(other_dop, &"r", &db),
+            PlanLookup::Miss
+        ));
     }
 
     #[test]
@@ -344,10 +420,13 @@ mod tests {
             .create_table("U", Schema::of(&[("x", ColumnType::Int)]))
             .unwrap();
         let mut cache = cache();
-        cache.insert("q", entry(&db, &[t]));
+        cache.insert(key(1), &"q", entry(&db, &[t]));
         db.insert_tuple(u, vec![Value::Int(1)]).unwrap();
         // DML on U advanced the revision but not T's high-water mark.
-        assert!(matches!(cache.lookup("q", &db), PlanLookup::Hit(_)));
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Hit(_)
+        ));
         assert_eq!(cache.stats().invalidations, 0);
     }
 
@@ -356,12 +435,15 @@ mod tests {
         let db = Database::new();
         let mut cache = cache();
         for i in 0..6 {
-            cache.insert(&format!("q{i}"), entry(&db, &[]));
+            cache.insert(key(i), &i, entry(&db, &[]));
         }
         assert_eq!(cache.len(), 4);
-        // q0/q1 were least recently used and are gone; q5 survives.
-        assert!(matches!(cache.lookup("q0", &db), PlanLookup::Miss));
-        assert!(matches!(cache.lookup("q5", &db), PlanLookup::Hit(_)));
+        // 0 and 1 were least recently used and are gone; 5 survives.
+        assert!(matches!(cache.lookup(key(0), &0u64, &db), PlanLookup::Miss));
+        assert!(matches!(
+            cache.lookup(key(5), &5u64, &db),
+            PlanLookup::Hit(_)
+        ));
     }
 
     #[test]
@@ -369,8 +451,8 @@ mod tests {
         let db = Database::new();
         let mut cache = cache();
         cache.set_enabled(false);
-        cache.insert("q", entry(&db, &[]));
-        assert!(matches!(cache.lookup("q", &db), PlanLookup::Miss));
+        cache.insert(key(1), &"q", entry(&db, &[]));
+        assert!(matches!(cache.lookup(key(1), &"q", &db), PlanLookup::Miss));
         assert_eq!(cache.len(), 0);
         // Disabled lookups do not skew the counters either.
         assert_eq!(cache.stats().misses, 0);

@@ -18,6 +18,7 @@ use instn_storage::tuple::encode_tuple;
 use instn_storage::{EncodedTuple, Oid, TableId, Tuple, Value, ValueRef};
 
 use crate::expr::{ObjectPred, RowRead};
+use crate::Result;
 
 /// What a plan fetched and what of that it needed in owned form — the
 /// "useful outcomes ÷ attempts" pair behind `exec_rows_fetched_total` and
@@ -203,6 +204,65 @@ impl Row {
     }
 }
 
+/// A row leaving the pipeline, handed to a [`RowSink`] exactly as the plan's
+/// top operator produced it: what a leaf fetched is still bytes. A sink that
+/// only reads ([`RowRead`]: the wire encoder writes values and `name:size`
+/// digests straight off the record) decodes nothing; a sink that keeps the
+/// row takes it whole with [`FinishedRow::into_tuple`].
+pub struct FinishedRow<'t> {
+    row: Row,
+    top: &'t mut RowTally,
+}
+
+impl<'t> FinishedRow<'t> {
+    pub(crate) fn new(row: Row, top: &'t mut RowTally) -> Self {
+        FinishedRow { row, top }
+    }
+
+    /// Lend `f` a row as a scan leaf hands it up — `tuple` and `summaries`
+    /// still the stored bytes — without a plan to produce it: how a sink
+    /// outside this crate is tested against the lazy form.
+    pub fn lend_fetched<R>(
+        source: Option<(TableId, Oid)>,
+        tuple: EncodedTuple,
+        summaries: Option<EncodedSummaries>,
+        f: impl FnOnce(FinishedRow<'_>) -> R,
+    ) -> R {
+        let row = Row::encoded(source, tuple, summaries, true);
+        f(FinishedRow::new(row, &mut RowTally::default()))
+    }
+
+    /// Source `(table, oid)` while the row is single-sourced.
+    pub fn source(&self) -> Option<(TableId, Oid)> {
+        self.row.source()
+    }
+
+    /// The row as a reader over whatever form its parts are in.
+    pub fn read(&self) -> &dyn RowRead {
+        &self.row
+    }
+
+    /// The row, owned (decoding whatever is still bytes).
+    pub fn into_tuple(self) -> AnnotatedTuple {
+        self.row.into_tuple(self.top)
+    }
+}
+
+/// Where a plan's finished rows go, one at a time, in output order. An `Err`
+/// stops the plan and becomes the execution's error.
+pub trait RowSink {
+    /// Take the next row.
+    fn row(&mut self, row: FinishedRow<'_>) -> Result<()>;
+}
+
+/// The collecting sink: every row becomes an owned [`AnnotatedTuple`].
+impl RowSink for Vec<AnnotatedTuple> {
+    fn row(&mut self, row: FinishedRow<'_>) -> Result<()> {
+        self.push(row.into_tuple());
+        Ok(())
+    }
+}
+
 impl RowRead for Row {
     fn column(&self, i: usize) -> Option<ValueRef<'_>> {
         match &self.0.raw_values {
@@ -238,6 +298,20 @@ impl RowRead for Row {
         match &self.0.raw_summaries {
             Some(raw) => raw.view().iter().nth(i).map(SummaryRef::Encoded),
             None => self.0.summaries.get(i).map(SummaryRef::Owned),
+        }
+    }
+
+    fn for_each_column(&self, f: &mut dyn FnMut(ValueRef<'_>)) {
+        match &self.0.raw_values {
+            Some(raw) => raw.view().iter().for_each(f),
+            None => self.0.values.iter().map(Value::as_ref).for_each(f),
+        }
+    }
+
+    fn for_each_summary(&self, f: &mut dyn FnMut(SummaryRef<'_>)) {
+        match &self.0.raw_summaries {
+            Some(raw) => raw.view().iter().map(SummaryRef::Encoded).for_each(f),
+            None => self.0.summaries.iter().map(SummaryRef::Owned).for_each(f),
         }
     }
 }

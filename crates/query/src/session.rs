@@ -41,7 +41,9 @@ use crate::dataindex::ColumnIndex;
 use crate::exec::{
     ExecConfig, ExecContext, IndexRegistry, OpMetrics, PhysicalPlan, DEFAULT_SORT_MEM,
 };
+use crate::metrics::QueryMetrics;
 use crate::plan_cache::PlanCache;
+use crate::row::RowSink;
 use crate::{QueryError, Result};
 
 /// A shareable, thread-safe handle over one [`Database`]: concurrent
@@ -70,6 +72,7 @@ impl SharedDatabase {
             id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
             query_counter: None,
             failed_counter: None,
+            metrics: None,
             plan_cache: PlanCache::new(),
             planner_state: None,
             registry_epoch: 0,
@@ -141,6 +144,9 @@ pub struct Session {
     query_counter: Option<Counter>,
     /// Lazily registered `session_<id>_queries_failed_total` handle.
     failed_counter: Option<Counter>,
+    /// The query layer's engine-wide handles, resolved the first time this
+    /// session finds the registry enabled and lent to every context after.
+    metrics: Option<Arc<QueryMetrics>>,
     /// Revision-keyed cache of optimized plans (DESIGN.md §12). Owned here
     /// so entries survive across queries; keyed and filled by the planning
     /// layer in `instn-sql`.
@@ -150,7 +156,7 @@ pub struct Session {
     /// `instn-opt` types without a dependency cycle).
     planner_state: Option<Box<dyn std::any::Any + Send>>,
     /// Bumped on every index (de)registration; part of the plan-cache
-    /// fingerprint so a new index forces a replan instead of reusing a
+    /// key so a new index forces a replan instead of reusing a
     /// plan chosen without it.
     registry_epoch: u64,
 }
@@ -241,6 +247,8 @@ impl Session {
             .inner
             .read()
             .map_err(|_| QueryError::EnginePoisoned)?;
+        // By field, not through `self`: `guard` borrows `self.shared`.
+        let metrics = QueryMetrics::observed(&mut self.metrics, guard.metrics()).cloned();
         let taken = std::mem::take(&mut self.registry);
         let mut hold = RegistryRestore {
             slot: &mut self.registry,
@@ -249,6 +257,7 @@ impl Session {
         let ctx = hold.ctx.as_mut().expect("installed above");
         ctx.sort_mem = self.sort_mem;
         ctx.config = self.exec_config;
+        ctx.metrics = metrics;
         let out = f(ctx);
         // Normal path: the guard's Drop moves the registry back right here;
         // on unwind the same Drop runs during unwinding.
@@ -297,18 +306,32 @@ impl Session {
     /// making exactly the statements an operator needs to see invisible.)
     pub fn execute_observed(
         &mut self,
-        statement: &str,
+        statement: impl std::fmt::Display,
         plan: &PhysicalPlan,
     ) -> Result<Vec<AnnotatedTuple>> {
+        let mut rows = Vec::new();
+        self.execute_observed_into(statement, plan, &mut rows)?;
+        Ok(rows)
+    }
+
+    /// [`Session::execute_observed`] with the rows handed to `sink` as they
+    /// finish instead of collected (what `sink` took before an error stays
+    /// taken). `statement` is rendered only if the slow log captures.
+    pub fn execute_observed_into(
+        &mut self,
+        statement: impl std::fmt::Display,
+        plan: &PhysicalPlan,
+        sink: &mut dyn RowSink,
+    ) -> Result<()> {
         let enabled = self.shared.try_read().map(|db| db.metrics().is_enabled())?;
         if !enabled {
-            return self.try_with_ctx(|ctx| ctx.execute(plan))?;
+            return self.try_with_ctx(|ctx| ctx.execute_into(plan, sink).map(drop))?;
         }
         let started = std::time::Instant::now();
         let (res, maintenance, trace, registry) = self.try_with_ctx(|ctx| {
             let registry = Arc::clone(ctx.db.metrics());
             ctx.trace = Some(QueryTrace::new());
-            let res = ctx.execute_with_metrics(plan);
+            let res = ctx.execute_into(plan, sink);
             let trace = ctx.trace.take().expect("installed above");
             let maintenance = ctx.maintenance_report();
             (res, maintenance, trace, registry)
@@ -322,17 +345,15 @@ impl Session {
                 )
             })
             .inc();
-        registry
-            .counter("queries_total", "Queries executed across all sessions")
-            .inc();
-        registry
-            .histogram("query_wall_ns", "End-to-end query wall time (ns)")
-            .record(wall);
+        let obs = Arc::clone(QueryMetrics::resolved(&mut self.metrics, &registry));
+        obs.queries.inc();
+        obs.query_wall_ns.record(wall);
+        let captured = registry.slow_log().should_capture(wall);
         match res {
-            Ok((rows, metrics)) => {
-                if registry.slow_log().should_capture(wall) {
+            Ok(metrics) => {
+                if captured {
                     registry.slow_log().record(
-                        statement,
+                        &statement.to_string(),
                         wall,
                         &plan.to_string(),
                         &metrics.render(),
@@ -340,7 +361,7 @@ impl Session {
                         &trace.render(),
                     );
                 }
-                Ok(rows)
+                Ok(())
             }
             Err(e) => {
                 self.failed_counter
@@ -351,15 +372,10 @@ impl Session {
                         )
                     })
                     .inc();
-                registry
-                    .counter(
-                        "queries_failed_total",
-                        "Queries that returned an error across all sessions",
-                    )
-                    .inc();
-                if registry.slow_log().should_capture(wall) {
+                obs.queries_failed.inc();
+                if captured {
                     registry.slow_log().record(
-                        statement,
+                        &statement.to_string(),
                         wall,
                         &format!("error: {e}\n"),
                         "",
@@ -370,6 +386,12 @@ impl Session {
                 Err(e)
             }
         }
+    }
+
+    /// The query layer's metric handles while `db`'s registry is enabled:
+    /// resolved by name once per session, then only cloned.
+    pub fn metrics(&mut self, db: &Database) -> Option<Arc<QueryMetrics>> {
+        QueryMetrics::observed(&mut self.metrics, db.metrics()).cloned()
     }
 
     /// Build and register a Summary-BTree over `instance` on `table`.
@@ -418,7 +440,7 @@ impl Session {
     }
 
     /// Monotonic count of index (de)registrations; folded into plan-cache
-    /// fingerprints so registering an index forces fresh plans.
+    /// keys so registering an index forces fresh plans.
     pub fn registry_epoch(&self) -> u64 {
         self.registry_epoch
     }

@@ -5,12 +5,13 @@
 //! surfaces as [`ClientError::Rejected`] so callers can retry or back
 //! off. All calls are synchronous request/response over one socket.
 
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::wire::{
-    read_frame, write_frame, ClientHello, ErrorCode, HandshakeStatus, Request, Response, WireError,
-    PROTOCOL_VERSION,
+    write_frame, ClientHello, ErrorCode, FrameBuf, FrameReader, HandshakeStatus, Request, Response,
+    ServerHello, WireError, PROTOCOL_VERSION,
 };
 
 /// Client-side failure modes.
@@ -54,10 +55,15 @@ impl From<WireError> for ClientError {
 /// Crate-level client result alias.
 pub type ClientResult<T> = Result<T, ClientError>;
 
-/// A connected, handshaken client session.
+/// A connected, handshaken client session over a byte stream (a TCP socket
+/// outside tests). Each request leaves in one `write`; responses arrive
+/// through the connection's [`FrameReader`].
 #[derive(Debug)]
-pub struct Client {
-    stream: TcpStream,
+pub struct Client<S = TcpStream> {
+    stream: S,
+    /// The outgoing request frame, reused.
+    frame: FrameBuf,
+    reader: FrameReader,
 }
 
 impl Client {
@@ -65,20 +71,9 @@ impl Client {
     /// server is at capacity, draining, or speaks another protocol
     /// version.
     pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Self> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        write_frame(
-            &mut stream,
-            &ClientHello {
-                version: PROTOCOL_VERSION,
-            }
-            .encode(),
-        )?;
-        let hello = crate::wire::ServerHello::decode(&read_frame(&mut stream)?)?;
-        if hello.status != HandshakeStatus::Ok {
-            return Err(ClientError::Rejected(hello.status));
-        }
-        Ok(Client { stream })
+        Client::handshake(stream)
     }
 
     /// Set a socket read timeout for responses (`None` blocks forever).
@@ -88,10 +83,39 @@ impl Client {
         self.stream.set_read_timeout(t)?;
         Ok(())
     }
+}
+
+impl<S: Read + Write> Client<S> {
+    /// Handshake over an already connected stream.
+    pub fn handshake(stream: S) -> ClientResult<Self> {
+        let mut client = Client {
+            stream,
+            frame: FrameBuf::new(),
+            reader: FrameReader::new(),
+        };
+        ClientHello {
+            version: PROTOCOL_VERSION,
+        }
+        .encode_into(client.frame.begin());
+        let hello = ServerHello::decode(client.exchange()?)?;
+        if hello.status != HandshakeStatus::Ok {
+            return Err(ClientError::Rejected(hello.status));
+        }
+        Ok(client)
+    }
+
+    /// Send the frame under construction, then wait for one frame back.
+    fn exchange(&mut self) -> ClientResult<&[u8]> {
+        write_frame(&mut self.stream, &mut self.frame)?;
+        if !self.reader.fill(&mut self.stream)? {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
+        Ok(self.reader.take())
+    }
 
     fn roundtrip(&mut self, req: &Request) -> ClientResult<Vec<u8>> {
-        write_frame(&mut self.stream, &req.encode())?;
-        Ok(read_frame(&mut self.stream)?)
+        req.encode_into(self.frame.begin());
+        Ok(self.exchange()?.to_vec())
     }
 
     /// Run `statement` under the server's default deadline and decode the
@@ -206,4 +230,60 @@ impl Client {
 /// Convenience: true when `resp` is the structured error `code`.
 pub fn is_error_code(resp: &Response, code: ErrorCode) -> bool {
     matches!(resp, Response::Error { code: c, .. } if *c == code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::testing::{framed, Scripted};
+
+    #[test]
+    fn a_request_is_one_write_and_its_small_response_one_read() {
+        let hello = ServerHello {
+            version: PROTOCOL_VERSION,
+            status: HandshakeStatus::Ok,
+        };
+        let pong = Response::Text("pong".into());
+        let replies = [hello.encode(), pong.encode(), pong.encode()];
+        let stream = Scripted::new(replies.iter().map(|p| framed(p)));
+        let mut client = Client::handshake(stream).expect("admitted");
+        client.ping().expect("served");
+        let raw = client
+            .query_raw("SELECT 1", Duration::ZERO)
+            .expect("served");
+        assert_eq!(raw, pong.encode());
+        let stream = &client.stream;
+        assert_eq!(stream.reads, 3, "one read per response");
+        let sent = [
+            ClientHello {
+                version: PROTOCOL_VERSION,
+            }
+            .encode(),
+            Request::Ping.encode(),
+            Request::Query {
+                deadline_ms: 0,
+                statement: "SELECT 1".into(),
+            }
+            .encode(),
+        ];
+        // One write per request, each a whole frame.
+        assert_eq!(stream.writes, sent.map(|p| framed(&p)));
+        // The server going away mid-session is an I/O error, not a hang.
+        assert!(matches!(client.ping(), Err(ClientError::Io(_))));
+    }
+
+    #[test]
+    fn an_oversized_response_prefix_is_refused_before_it_is_buffered() {
+        let hello = ServerHello {
+            version: PROTOCOL_VERSION,
+            status: HandshakeStatus::Ok,
+        };
+        let huge = (crate::wire::MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
+        let stream = Scripted::new([framed(&hello.encode()), huge.to_vec()]);
+        let mut client = Client::handshake(stream).expect("admitted");
+        match client.ping() {
+            Err(ClientError::Protocol(m)) => assert!(m.contains("exceeds 16 MiB"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+    }
 }

@@ -25,7 +25,16 @@
 //!   deadline is discarded and answered with `DeadlineExceeded`.
 //! * **Slow clients** — socket writes carry `write_timeout`; a peer that
 //!   stalls mid-frame for longer than `read_timeout` is disconnected.
-//!   Idle connections (no frame in progress) are kept alive.
+//!   Idle connections (no frame in progress) are kept alive. A frame
+//!   prefix beyond the 16 MiB cap is neither: it is answered with
+//!   `ErrorCode::Protocol` before the connection closes, and no buffer is
+//!   ever sized from it.
+//! * **One syscall each way** — a request is read through the connection's
+//!   buffered frame reader (prefix and payload in one `read`), and every
+//!   response is encoded behind its length prefix in the connection's one
+//!   frame buffer and leaves in one `write`. A `SELECT`'s rows are encoded
+//!   into that buffer as the executor finishes them, read off its lazy rows
+//!   in place: the serving path builds no collection of rows.
 //! * **Poisoning** — if a writer panics and poisons the engine lock,
 //!   requests fail fast with `ErrorCode::EnginePoisoned` instead of
 //!   aborting workers.
@@ -36,6 +45,7 @@
 //! threads, then checkpoint the engine.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,14 +55,15 @@ use std::time::{Duration, Instant};
 use instn_core::instance::InstanceKind;
 use instn_obs::{Counter, Gauge, Histogram};
 use instn_query::session::{Session, SharedDatabase};
-use instn_query::QueryError;
+use instn_query::{FinishedRow, QueryError, RowSink};
 use instn_sql::{
-    plan_select, run_statement, SqlError, Statement, StatementError, StatementOutcome,
+    plan_select, run_statement_into, SelectSink, SqlError, Statement, StatementError,
+    StatementOutcome,
 };
 
 use crate::wire::{
-    read_frame, write_frame, ClientHello, ErrorCode, HandshakeStatus, Request, Response,
-    ServerHello, WireRow, PROTOCOL_VERSION,
+    write_frame, ClientHello, ErrorCode, FrameBuf, FrameReader, HandshakeStatus, Request, Response,
+    RowsEncoder, ServerHello, WireError, WireRow, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 
 /// How often blocked reads and queue waits re-check the drain flag.
@@ -130,6 +141,7 @@ struct ServeMetrics {
     rejected_total: Counter,
     request_ns: Histogram,
     slow_client_disconnects_total: Counter,
+    oversized_frames_total: Counter,
 }
 
 /// Accept-queue state guarded by one mutex: sockets waiting for a worker
@@ -152,6 +164,56 @@ struct ServeShared {
 }
 
 impl ServeShared {
+    fn new(
+        shared: SharedDatabase,
+        instances: HashMap<String, InstanceKind>,
+        config: ServeConfig,
+    ) -> std::io::Result<Self> {
+        let metrics = {
+            let db = shared
+                .try_read()
+                .map_err(|e| std::io::Error::other(e.to_string()))?;
+            let m = db.metrics();
+            ServeMetrics {
+                connections: m.gauge("serve_connections", "Active client connections"),
+                requests_total: m.counter("serve_requests_total", "Requests served"),
+                requests_failed_total: m.counter(
+                    "serve_requests_failed_total",
+                    "Requests answered with an error",
+                ),
+                rejected_total: m.counter(
+                    "serve_rejected_total",
+                    "Connections rejected by admission control",
+                ),
+                request_ns: m.histogram(
+                    "serve_request_ns",
+                    "Request latency, frame receipt to response write (ns)",
+                ),
+                slow_client_disconnects_total: m.counter(
+                    "serve_slow_client_disconnects_total",
+                    "Connections dropped for stalling mid-frame or mid-write",
+                ),
+                oversized_frames_total: m.counter(
+                    "serve_oversized_frames_total",
+                    "Connections closed over a frame prefix beyond the 16 MiB cap",
+                ),
+            }
+        };
+        Ok(ServeShared {
+            shared,
+            instances,
+            config,
+            shutting_down: AtomicBool::new(false),
+            state: Mutex::new(AcceptState {
+                queue: VecDeque::new(),
+                active: 0,
+            }),
+            cv: Condvar::new(),
+            metrics,
+            next_conn_id: AtomicU64::new(1),
+        })
+    }
+
     fn draining(&self) -> bool {
         self.shutting_down.load(Ordering::SeqCst)
     }
@@ -183,45 +245,7 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let metrics = {
-            let db = shared
-                .try_read()
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            let m = db.metrics();
-            ServeMetrics {
-                connections: m.gauge("serve_connections", "Active client connections"),
-                requests_total: m.counter("serve_requests_total", "Requests served"),
-                requests_failed_total: m.counter(
-                    "serve_requests_failed_total",
-                    "Requests answered with an error",
-                ),
-                rejected_total: m.counter(
-                    "serve_rejected_total",
-                    "Connections rejected by admission control",
-                ),
-                request_ns: m.histogram(
-                    "serve_request_ns",
-                    "Request latency, frame receipt to response write (ns)",
-                ),
-                slow_client_disconnects_total: m.counter(
-                    "serve_slow_client_disconnects_total",
-                    "Connections dropped for stalling mid-frame or mid-write",
-                ),
-            }
-        };
-        let inner = Arc::new(ServeShared {
-            shared,
-            instances,
-            config: config.clone(),
-            shutting_down: AtomicBool::new(false),
-            state: Mutex::new(AcceptState {
-                queue: VecDeque::new(),
-                active: 0,
-            }),
-            cv: Condvar::new(),
-            metrics,
-            next_conn_id: AtomicU64::new(1),
-        });
+        let inner = Arc::new(ServeShared::new(shared, instances, config.clone())?);
         let workers = (0..config.max_connections.max(1))
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -306,15 +330,14 @@ fn reject(stream: TcpStream, status: HandshakeStatus, write_timeout: Duration) {
     let t = write_timeout.min(Duration::from_secs(1));
     let _ = stream.set_read_timeout(Some(t));
     let _ = stream.set_write_timeout(Some(t));
-    let _ = read_frame(&mut stream);
-    let _ = write_frame(
-        &mut stream,
-        &ServerHello {
-            version: PROTOCOL_VERSION,
-            status,
-        }
-        .encode(),
-    );
+    let _ = FrameReader::new().fill(&mut stream);
+    let mut frame = FrameBuf::new();
+    ServerHello {
+        version: PROTOCOL_VERSION,
+        status,
+    }
+    .encode_into(frame.begin());
+    let _ = write_frame(&mut stream, &mut frame);
 }
 
 fn accept_loop(listener: &TcpListener, sv: &ServeShared) {
@@ -373,9 +396,10 @@ fn worker_loop(sv: &ServeShared) {
     }
 }
 
-/// Outcome of waiting for one request frame.
+/// Outcome of waiting for one frame.
 enum ReadOutcome {
-    Frame(Vec<u8>),
+    /// A whole frame is buffered; [`FrameReader::take`] hands it out.
+    Frame,
     /// Clean end-of-stream between frames.
     Eof,
     /// The server started draining while the connection was idle.
@@ -383,75 +407,47 @@ enum ReadOutcome {
     /// The peer stalled mid-frame past the read timeout (or the socket
     /// errored).
     SlowClient,
+    /// The peer announced a frame beyond [`MAX_FRAME_BYTES`].
+    Oversized(usize),
 }
 
-/// Read one length-prefixed frame in [`POLL_SLICE`] steps so the worker
-/// notices a drain promptly, distinguishing an *idle* peer (kept alive
-/// indefinitely) from a *stalled* one (mid-frame, disconnected after
-/// `read_timeout`).
-fn read_request(stream: &mut TcpStream, sv: &ServeShared) -> ReadOutcome {
-    use std::io::Read;
-    if stream.set_read_timeout(Some(POLL_SLICE)).is_err() {
-        return ReadOutcome::SlowClient;
-    }
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    let mut body: Option<(Vec<u8>, usize)> = None;
+/// Wait for one frame in [`POLL_SLICE`] steps (the stream's read timeout,
+/// set once per connection) so the worker notices a drain promptly,
+/// distinguishing an *idle* peer (kept alive indefinitely) from a *stalled*
+/// one (mid-frame, disconnected after `read_timeout`). During the handshake
+/// (`idle_ok` false) the peer is on the clock from the start and a drain
+/// does not interrupt: the whole hello must arrive within `read_timeout`.
+fn await_frame(
+    stream: &mut impl Read,
+    reader: &mut FrameReader,
+    sv: &ServeShared,
+    idle_ok: bool,
+) -> ReadOutcome {
     let mut stalled = Duration::ZERO;
+    let mut seen = reader.buffered();
     loop {
-        let mid_frame = got > 0 || body.is_some();
-        if sv.draining() && !mid_frame {
+        if idle_ok && sv.draining() && reader.buffered() == 0 {
             return ReadOutcome::Draining;
         }
-        let res = match &mut body {
-            None => stream.read(&mut header[got..]),
-            Some((buf, filled)) => stream.read(&mut buf[*filled..]),
-        };
-        match res {
-            Ok(0) => {
-                return if mid_frame {
-                    ReadOutcome::SlowClient
-                } else {
-                    ReadOutcome::Eof
-                };
-            }
-            Ok(n) => {
-                stalled = Duration::ZERO;
-                match &mut body {
-                    None => {
-                        got += n;
-                        if got == 4 {
-                            let len = u32::from_le_bytes(header) as usize;
-                            if len > crate::wire::MAX_FRAME_BYTES {
-                                return ReadOutcome::SlowClient;
-                            }
-                            if len == 0 {
-                                return ReadOutcome::Frame(Vec::new());
-                            }
-                            body = Some((vec![0u8; len], 0));
-                        }
-                    }
-                    Some((buf, filled)) => {
-                        *filled += n;
-                        if *filled == buf.len() {
-                            let (buf, _) = body.take().expect("just matched");
-                            return ReadOutcome::Frame(buf);
-                        }
-                    }
-                }
-            }
-            Err(e)
+        match reader.fill(stream) {
+            Ok(true) => return ReadOutcome::Frame,
+            Ok(false) => return ReadOutcome::Eof,
+            Err(WireError::FrameTooLarge(n)) => return ReadOutcome::Oversized(n),
+            Err(WireError::Io(e))
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if mid_frame {
+                if reader.buffered() != seen {
+                    // Bytes arrived during the slice: not stalled.
+                    seen = reader.buffered();
+                    stalled = Duration::ZERO;
+                } else if seen > 0 || !idle_ok {
                     stalled += POLL_SLICE;
                     if stalled >= sv.config.read_timeout {
                         return ReadOutcome::SlowClient;
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return ReadOutcome::SlowClient,
         }
     }
@@ -461,12 +457,33 @@ fn serve_connection(
     sv: &ServeShared,
     mut stream: TcpStream,
     conn_id: u64,
-) -> Result<(), crate::wire::WireError> {
+) -> Result<(), WireError> {
     let _ = stream.set_nodelay(true);
     stream.set_write_timeout(Some(sv.config.write_timeout))?;
-    // Handshake: the whole hello must arrive within the read timeout.
-    stream.set_read_timeout(Some(sv.config.read_timeout))?;
-    let hello = ClientHello::decode(&read_frame(&mut stream)?)?;
+    stream.set_read_timeout(Some(POLL_SLICE))?;
+    let addr = stream.local_addr()?;
+    // A throwaway connection wakes the acceptor so a remote `Shutdown`
+    // starts the drain now, not at the next incoming connection.
+    serve_stream(sv, &mut stream, conn_id, &|| {
+        let _ = TcpStream::connect(addr);
+    })
+}
+
+/// Serve one admitted connection over `stream` until it ends.
+fn serve_stream<S: Read + Write>(
+    sv: &ServeShared,
+    stream: &mut S,
+    conn_id: u64,
+    wake_acceptor: &dyn Fn(),
+) -> Result<(), WireError> {
+    let mut reader = FrameReader::new();
+    // The one response frame of this connection: every response is encoded
+    // into it behind its length prefix and leaves in one `write`.
+    let mut frame = FrameBuf::new();
+    let ReadOutcome::Frame = await_frame(stream, &mut reader, sv, false) else {
+        return Ok(());
+    };
+    let hello = ClientHello::decode(reader.take())?;
     let status = if hello.version != PROTOCOL_VERSION {
         HandshakeStatus::VersionMismatch
     } else if sv.draining() {
@@ -474,14 +491,12 @@ fn serve_connection(
     } else {
         HandshakeStatus::Ok
     };
-    write_frame(
-        &mut stream,
-        &ServerHello {
-            version: PROTOCOL_VERSION,
-            status,
-        }
-        .encode(),
-    )?;
+    ServerHello {
+        version: PROTOCOL_VERSION,
+        status,
+    }
+    .encode_into(frame.begin());
+    write_frame(stream, &mut frame)?;
     if status != HandshakeStatus::Ok {
         return Ok(());
     }
@@ -495,87 +510,104 @@ fn serve_connection(
     let mut prepared: HashMap<u64, PreparedEntry> = HashMap::new();
     let mut next_handle: u64 = 1;
     loop {
-        let payload = match read_request(&mut stream, sv) {
-            ReadOutcome::Frame(p) => p,
+        match await_frame(stream, &mut reader, sv, true) {
+            ReadOutcome::Frame => {}
             ReadOutcome::Eof | ReadOutcome::Draining => return Ok(()),
             ReadOutcome::SlowClient => {
                 sv.metrics.slow_client_disconnects_total.inc();
                 return Ok(());
             }
-        };
+            ReadOutcome::Oversized(n) => {
+                // Nothing after a bad prefix can be trusted to be a frame
+                // boundary: say why, then close.
+                sv.metrics.oversized_frames_total.inc();
+                Response::Error {
+                    code: ErrorCode::Protocol,
+                    message: WireError::FrameTooLarge(n).to_string(),
+                }
+                .encode_into(frame.begin());
+                let _ = write_frame(stream, &mut frame);
+                return Ok(());
+            }
+        }
         let started = Instant::now();
-        let response = match Request::decode(&payload) {
-            Err(e) => Response::Error {
+        let budget = |deadline_ms: u32| match deadline_ms {
+            0 => sv.config.default_deadline,
+            ms => Duration::from_millis(ms as u64),
+        };
+        // `None`: the frame already holds the answer (a `SELECT`'s rows,
+        // encoded as the executor produced them).
+        let response = match Request::decode(reader.take()) {
+            Err(e) => Some(Response::Error {
                 code: ErrorCode::Protocol,
                 message: e.to_string(),
-            },
-            Ok(Request::Ping) => Response::Text("pong".into()),
-            Ok(Request::Shutdown) => {
-                if sv.config.allow_remote_shutdown {
-                    sv.shutting_down.store(true, Ordering::SeqCst);
-                    sv.cv.notify_all();
-                    // Wake the acceptor so the drain starts now, not at
-                    // the next incoming connection.
-                    let _ = TcpStream::connect(stream.local_addr()?);
-                    Response::Text("draining".into())
-                } else {
-                    Response::Error {
-                        code: ErrorCode::Unsupported,
-                        message: "remote shutdown not enabled".into(),
-                    }
+            }),
+            Ok(Request::Ping) => Some(Response::Text("pong".into())),
+            Ok(Request::Shutdown) => Some(if sv.config.allow_remote_shutdown {
+                sv.shutting_down.store(true, Ordering::SeqCst);
+                sv.cv.notify_all();
+                wake_acceptor();
+                Response::Text("draining".into())
+            } else {
+                Response::Error {
+                    code: ErrorCode::Unsupported,
+                    message: "remote shutdown not enabled".into(),
                 }
-            }
+            }),
             Ok(Request::Query {
                 deadline_ms,
                 statement,
             }) => {
-                let budget = if deadline_ms == 0 {
-                    sv.config.default_deadline
-                } else {
-                    Duration::from_millis(deadline_ms as u64)
-                };
-                let deadline = started + budget;
+                let deadline = started + budget(deadline_ms);
                 contained(deadline, || {
-                    dispatch_statement(sv, &mut session, conn_id, &statement, deadline)
+                    dispatch_statement(sv, &mut session, conn_id, &statement, deadline, &mut frame)
                 })
             }
             Ok(Request::Prepare { statement }) => {
                 contained(started + sv.config.default_deadline, || {
-                    dispatch_prepare(&mut session, &mut prepared, &mut next_handle, &statement)
+                    Some(dispatch_prepare(
+                        &mut session,
+                        &mut prepared,
+                        &mut next_handle,
+                        &statement,
+                    ))
                 })
             }
             Ok(Request::ExecutePrepared {
                 handle,
                 deadline_ms,
-            }) => {
-                let budget = if deadline_ms == 0 {
-                    sv.config.default_deadline
-                } else {
-                    Duration::from_millis(deadline_ms as u64)
-                };
-                match prepared.get(&handle) {
-                    None => Response::Error {
-                        code: ErrorCode::UnknownHandle,
-                        message: format!("handle {handle} was never prepared on this connection"),
-                    },
-                    // No parse, and `plan_select` revalidates the cached
-                    // plan's journal stamp on every call: DML since prepare
-                    // forces a replan, never stale rows.
-                    Some(entry) => contained(started + budget, || {
-                        run_parsed(sv, &mut session, conn_id, &entry.text, &entry.stmt)
-                    }),
-                }
-            }
-            Ok(Request::ClosePrepared { handle }) => match prepared.remove(&handle) {
+            }) => match prepared.get(&handle) {
+                None => Some(Response::Error {
+                    code: ErrorCode::UnknownHandle,
+                    message: format!("handle {handle} was never prepared on this connection"),
+                }),
+                // No parse, and `plan_select` revalidates the cached
+                // plan's journal stamp on every call: DML since prepare
+                // forces a replan, never stale rows.
+                Some(entry) => contained(started + budget(deadline_ms), || {
+                    run_parsed(
+                        sv,
+                        &mut session,
+                        conn_id,
+                        &entry.text,
+                        &entry.stmt,
+                        &mut frame,
+                    )
+                }),
+            },
+            Ok(Request::ClosePrepared { handle }) => Some(match prepared.remove(&handle) {
                 Some(_) => Response::Text("closed".into()),
                 None => Response::Error {
                     code: ErrorCode::UnknownHandle,
                     message: format!("handle {handle} was never prepared on this connection"),
                 },
-            },
+            }),
         };
-        let failed = matches!(response, Response::Error { .. });
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        let failed = matches!(response, Some(Response::Error { .. }));
+        if let Some(response) = response {
+            response.encode_into(frame.begin());
+        }
+        if write_frame(stream, &mut frame).is_err() {
             sv.metrics.slow_client_disconnects_total.inc();
             sv.metrics.requests_failed_total.inc();
             return Ok(());
@@ -596,7 +628,11 @@ fn serve_connection(
 /// The panic-containment boundary: everything a statement can do runs
 /// inside `catch_unwind`, so one malformed or adversarial query cannot
 /// take the worker (or the process) down.
-fn contained(deadline: Instant, f: impl FnOnce() -> Response) -> Response {
+///
+/// `None` from `f` says the connection's frame already holds the answer;
+/// whatever comes back as `Some` (an error, a panic, a missed deadline)
+/// replaces what the frame held.
+fn contained(deadline: Instant, f: impl FnOnce() -> Option<Response>) -> Option<Response> {
     let out = catch_unwind(AssertUnwindSafe(f));
     let response = match out {
         Ok(r) => r,
@@ -606,19 +642,19 @@ fn contained(deadline: Instant, f: impl FnOnce() -> Response) -> Response {
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "opaque panic payload".into());
-            Response::Error {
+            Some(Response::Error {
                 code: ErrorCode::Panicked,
                 message: format!("query panicked (contained at the serve boundary): {msg}"),
-            }
+            })
         }
     };
     // The engine cannot be preempted, so a result that arrives after its
     // deadline is discarded rather than delivered late.
-    if Instant::now() > deadline && !matches!(&response, Response::Error { .. }) {
-        return Response::Error {
+    if Instant::now() > deadline && !matches!(&response, Some(Response::Error { .. })) {
+        return Some(Response::Error {
             code: ErrorCode::DeadlineExceeded,
             message: "request exceeded its wall-clock deadline; result discarded".into(),
-        };
+        });
     }
     response
 }
@@ -686,7 +722,10 @@ fn error_response(e: &StatementError) -> Response {
 }
 
 /// The wire answer to one statement: what the server sends for what
-/// [`run_statement`] returned.
+/// [`instn_sql::run_statement`] returned. For in-process twins of a
+/// connection (tests, oracles) and for every outcome but a `SELECT`'s on the
+/// serving path — there the rows never exist as a collection: the
+/// connection's sink encodes each into its frame as the executor finishes it.
 pub fn statement_response(result: Result<StatementOutcome, StatementError>) -> Response {
     let text = match result {
         Err(e) => return error_response(&e),
@@ -717,7 +756,39 @@ pub fn statement_response(result: Result<StatementOutcome, StatementError>) -> R
     Response::Text(text)
 }
 
-/// Run one parsed statement — text or prepared — through the front door.
+/// The serving sink: a `SELECT`'s header and rows go straight into the
+/// connection's frame, each row read off the executor's lazy row in place —
+/// source, values, and every summary object's `name:size` — through the same
+/// [`RowsEncoder`] as [`Response::encode`], so the payload is byte-identical
+/// to encoding the collected rows and nothing is decoded or copied to get it.
+struct FrameSink<'f> {
+    out: &'f mut Vec<u8>,
+    rows: Option<RowsEncoder>,
+}
+
+impl SelectSink for FrameSink<'_> {
+    fn columns(&mut self, columns: &[String]) {
+        self.rows = Some(RowsEncoder::begin(self.out, columns));
+    }
+}
+
+impl RowSink for FrameSink<'_> {
+    fn row(&mut self, row: FinishedRow<'_>) -> instn_query::Result<()> {
+        let rows = self
+            .rows
+            .as_mut()
+            .ok_or_else(|| QueryError::Sink("a row arrived before the header".into()))?;
+        rows.row(self.out, &(row.source(), row.read()));
+        let len = rows.len(self.out);
+        if len > MAX_FRAME_BYTES {
+            return Err(QueryError::Sink(WireError::FrameTooLarge(len).to_string()));
+        }
+        Ok(())
+    }
+}
+
+/// Run one parsed statement — text or prepared — through the front door,
+/// a `SELECT`'s answer into `frame` (`None`), anything else returned.
 /// `text` tags it in the engine slow log with its connection, so
 /// `\slowlog` attributes offenders.
 fn run_parsed(
@@ -726,13 +797,32 @@ fn run_parsed(
     conn_id: u64,
     text: &str,
     stmt: &Statement,
-) -> Response {
+    frame: &mut FrameBuf,
+) -> Option<Response> {
     if !sv.config.query_stall.is_zero() {
         // Benchmark calibration: stand in for a disk-bound engine.
         std::thread::sleep(sv.config.query_stall);
     }
-    let tag = format!("[conn {conn_id}] {text}");
-    statement_response(run_statement(session, &sv.instances, &tag, stmt))
+    let mut sink = FrameSink {
+        out: frame.begin(),
+        rows: None,
+    };
+    let result = run_statement_into(
+        session,
+        &sv.instances,
+        format_args!("[conn {conn_id}] {text}"),
+        stmt,
+        &mut sink,
+    );
+    match result {
+        Ok(None) => {
+            let rows = sink.rows.take()?;
+            rows.finish(sink.out);
+            None
+        }
+        Ok(Some(outcome)) => Some(statement_response(Ok(outcome))),
+        Err(e) => Some(error_response(&e)),
+    }
 }
 
 fn dispatch_statement(
@@ -741,7 +831,8 @@ fn dispatch_statement(
     conn_id: u64,
     statement: &str,
     deadline: Instant,
-) -> Response {
+    frame: &mut FrameBuf,
+) -> Option<Response> {
     let line = statement.trim();
     if sv.config.debug_statements {
         if line == "\\panic" {
@@ -754,17 +845,17 @@ fn dispatch_statement(
             unreachable!("try_with_ctx propagates the closure's panic");
         }
         if line == "\\registry" {
-            return Response::Text(format!(
+            return Some(Response::Text(format!(
                 "{} indexes registered",
                 session.registered_indexes()
-            ));
+            )));
         }
         if let Some(arg) = line.strip_prefix("\\sleep ") {
             let Ok(ms) = arg.trim().parse::<u64>() else {
-                return Response::Error {
+                return Some(Response::Error {
                     code: ErrorCode::Protocol,
                     message: "usage: \\sleep <ms>".into(),
-                };
+                });
             };
             // Cooperative: sleep in slices so the deadline is honored
             // mid-request instead of only at completion.
@@ -772,26 +863,308 @@ fn dispatch_statement(
             loop {
                 let now = Instant::now();
                 if now >= until {
-                    return Response::Text(format!("slept {ms} ms"));
+                    return Some(Response::Text(format!("slept {ms} ms")));
                 }
                 if now >= deadline {
-                    return Response::Error {
+                    return Some(Response::Error {
                         code: ErrorCode::DeadlineExceeded,
                         message: format!("\\sleep {ms} interrupted by request deadline"),
-                    };
+                    });
                 }
                 std::thread::sleep((until - now).min(Duration::from_millis(5)));
             }
         }
     }
     if line == "\\metrics" {
-        return match sv.shared.try_read() {
+        return Some(match sv.shared.try_read() {
             Ok(db) => Response::Text(db.metrics().render_prometheus()),
             Err(e) => error_response(&e.into()),
-        };
+        });
     }
     match instn_sql::parse(line) {
-        Ok(stmt) => run_parsed(sv, session, conn_id, line, &stmt),
-        Err(e) => error_response(&e.into()),
+        Ok(stmt) => run_parsed(sv, session, conn_id, line, &stmt, frame),
+        Err(e) => Some(error_response(&e.into())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::testing::{framed, Scripted};
+    use instn_annot::AnnotId;
+    use instn_core::db::Database;
+    use instn_core::summary::encode_objects;
+    use instn_core::{
+        AnnotatedTuple, ClassifierRep, ClusterGroup, ClusterRep, EncodedSummaries, InstanceId,
+        ObjId, Rep, SnippetEntry, SnippetRep, SummaryObject,
+    };
+    use instn_query::RowRead;
+    use instn_storage::tuple::encode_tuple;
+    use instn_storage::{ColumnType, EncodedTuple, Oid, Schema, TableId, Value};
+    use proptest::prelude::*;
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0u8..1).prop_map(|_| Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            // Every bit pattern: NaNs, infinities and both zeros included.
+            any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+            "[ -~éß✓]{0,12}".prop_map(Value::Text),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    fn ids() -> impl Strategy<Value = Vec<AnnotId>> {
+        prop::collection::vec(any::<u64>().prop_map(AnnotId), 0..4)
+    }
+
+    fn object(rep: impl Strategy<Value = Rep>) -> impl Strategy<Value = SummaryObject> {
+        (
+            any::<u64>(),
+            any::<u32>(),
+            "[A-Za-z0-9é✓]{0,8}",
+            any::<u64>(),
+            rep,
+        )
+            .prop_map(|(obj_id, instance_id, instance_name, tuple_id, rep)| {
+                SummaryObject {
+                    obj_id: ObjId(obj_id),
+                    instance_id: InstanceId(instance_id),
+                    instance_name,
+                    tuple_id: Oid(tuple_id),
+                    rep,
+                }
+            })
+    }
+
+    fn classifier() -> impl Strategy<Value = Rep> {
+        prop::collection::vec(("[a-zé]{0,6}", 0u64..40, ids()), 0..5).prop_map(|labels| {
+            let mut c = ClassifierRep::default();
+            for (label, count, elements) in labels {
+                c.labels.push(label);
+                c.counts.push(count);
+                c.elements.push(elements);
+            }
+            Rep::Classifier(c)
+        })
+    }
+
+    fn snippet() -> impl Strategy<Value = Rep> {
+        prop::collection::vec(("[ -~é✓]{0,24}", any::<u64>()), 0..4).prop_map(|entries| {
+            Rep::Snippet(SnippetRep {
+                entries: entries
+                    .into_iter()
+                    .map(|(snippet, source)| SnippetEntry {
+                        snippet,
+                        source: AnnotId(source),
+                    })
+                    .collect(),
+            })
+        })
+    }
+
+    fn cluster() -> impl Strategy<Value = Rep> {
+        let group = (any::<u64>(), "[ -~é]{0,16}", 0u64..9, ids());
+        prop::collection::vec(group, 0..3).prop_map(|groups| {
+            Rep::Cluster(ClusterRep {
+                groups: groups
+                    .into_iter()
+                    .map(|(rep_annot, rep_text, size, members)| ClusterGroup {
+                        rep_annot: AnnotId(rep_annot),
+                        rep_text,
+                        size,
+                        members,
+                        ls: vec![0.5; 2],
+                    })
+                    .collect(),
+            })
+        })
+    }
+
+    /// A result row: absent or present source, every value kind, and 0–4
+    /// summary objects of each family.
+    fn tuple() -> impl Strategy<Value = AnnotatedTuple> {
+        (
+            prop::option::of((any::<u32>(), any::<u64>())),
+            prop::collection::vec(value(), 0..6),
+            prop::collection::vec(object(classifier()), 0..5),
+            prop::collection::vec(object(snippet()), 0..5),
+            prop::collection::vec(object(cluster()), 0..5),
+        )
+            .prop_map(
+                |(source, values, classifiers, snippets, clusters)| AnnotatedTuple {
+                    source: source.map(|(t, o)| (TableId(t), Oid(o))),
+                    values,
+                    summaries: [classifiers, snippets, clusters].concat(),
+                },
+            )
+    }
+
+    /// `rows` through the serving sink, each lent as the executor lends it:
+    /// as a lazy row over its stored bytes (`Some(bare)`: whether an
+    /// unannotated tuple comes without a summary row, as a scan fetches it,
+    /// or with an empty one) or as an owned row (`None`).
+    fn streamed(columns: &[String], rows: &[AnnotatedTuple], lazy: Option<bool>) -> Vec<u8> {
+        let mut frame = FrameBuf::new();
+        let mut sink = FrameSink {
+            out: frame.begin(),
+            rows: None,
+        };
+        sink.columns(columns);
+        for t in rows {
+            let Some(bare) = lazy else {
+                let rows = sink.rows.as_mut().expect("header written");
+                rows.row(sink.out, &(t.source, t as &dyn RowRead));
+                continue;
+            };
+            let tuple = EncodedTuple::new(encode_tuple(&t.values)).expect("well-formed");
+            let summaries = (!bare || !t.summaries.is_empty())
+                .then(|| EncodedSummaries::new(encode_objects(&t.summaries)).expect("well-formed"));
+            FinishedRow::lend_fetched(t.source, tuple, summaries, |row| sink.row(row))
+                .expect("under the cap");
+        }
+        sink.rows.take().expect("header written").finish(sink.out);
+        frame.payload().to_vec()
+    }
+
+    proptest! {
+        /// The serving path's payload is the collected path's, byte for byte:
+        /// rows encoded off the lazy row (or an owned one) as they finish ≡
+        /// `WireRow::from_tuple` of every row, then `Response::encode`.
+        #[test]
+        fn streamed_rows_encode_as_collected_rows_do(
+            columns in prop::collection::vec("[a-zé_]{0,10}", 0..5),
+            rows in prop::collection::vec(tuple(), 0..6),
+            bare in any::<bool>(),
+        ) {
+            let collected = Response::Rows {
+                columns: columns.clone(),
+                rows: rows.iter().map(WireRow::from_tuple).collect(),
+            }
+            .encode();
+            prop_assert_eq!(&streamed(&columns, &rows, Some(bare)), &collected, "lazy rows");
+            prop_assert_eq!(&streamed(&columns, &rows, None), &collected, "owned rows");
+            // Canonical: what the client decodes re-encodes to the same bytes
+            // (compared as bytes, since NaN is not equal to itself).
+            let decoded = Response::decode(&collected).expect("decodes");
+            prop_assert_eq!(decoded.encode(), collected);
+        }
+    }
+
+    /// The client's side of a session: its hello, then `requests`, one frame
+    /// per `read`.
+    fn session(requests: &[Request]) -> Scripted {
+        let hello = ClientHello {
+            version: PROTOCOL_VERSION,
+        };
+        let payloads = std::iter::once(hello.encode()).chain(requests.iter().map(Request::encode));
+        Scripted::new(payloads.map(|p| framed(&p)))
+    }
+
+    /// The payload of written frame `i`, checked to be exactly one frame.
+    fn written(stream: &Scripted, i: usize) -> &[u8] {
+        let (prefix, payload) = stream.writes[i].split_at(4);
+        assert_eq!(
+            u32::from_le_bytes(prefix.try_into().expect("four bytes")) as usize,
+            payload.len(),
+            "write {i} is one whole frame"
+        );
+        payload
+    }
+
+    /// T(id, name) with three rows, metrics on (the server's default).
+    fn shared() -> SharedDatabase {
+        let mut db = Database::new();
+        let schema = Schema::of(&[("id", ColumnType::Int), ("name", ColumnType::Text)]);
+        let t = db.create_table("T", schema).expect("fresh table");
+        for i in 0..3i64 {
+            db.insert_tuple(t, vec![Value::Int(i), Value::Text(format!("n{i}"))])
+                .expect("inserts");
+        }
+        db.metrics().set_enabled(true);
+        SharedDatabase::new(db)
+    }
+
+    fn serve(stream: &mut Scripted) -> ServeShared {
+        let sv = ServeShared::new(shared(), HashMap::new(), ServeConfig::default())
+            .expect("engine is healthy");
+        serve_stream(&sv, stream, 1, &|| {}).expect("session ends cleanly");
+        sv
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_a_small_request_one_read() {
+        const SELECT: &str = "SELECT id, name FROM T";
+        let requests = [
+            Request::Ping,
+            Request::Query {
+                deadline_ms: 0,
+                statement: SELECT.into(),
+            },
+            Request::Prepare {
+                statement: SELECT.into(),
+            },
+            Request::ExecutePrepared {
+                handle: 1,
+                deadline_ms: 0,
+            },
+            Request::Query {
+                deadline_ms: 0,
+                statement: "SELECT nope FROM T".into(),
+            },
+        ];
+        let mut stream = session(&requests);
+        serve(&mut stream);
+        // One write per frame: the hello, then one per request…
+        assert_eq!(stream.writes.len(), 1 + requests.len());
+        // …and one read per frame, plus the read that found the stream over.
+        assert_eq!(stream.reads, 1 + requests.len() + 1);
+        let hello = ServerHello::decode(written(&stream, 0)).expect("hello");
+        assert_eq!(hello.status, HandshakeStatus::Ok);
+        assert_eq!(
+            Response::decode(written(&stream, 1)).expect("pong"),
+            Response::Text("pong".into())
+        );
+        // The streamed `SELECT` is what the in-process front door collects,
+        // text and prepared alike.
+        let mut twin = shared().session();
+        let stmt = instn_sql::parse(SELECT).expect("parses");
+        let local = instn_sql::run_statement(&mut twin, &HashMap::new(), SELECT, &stmt);
+        let local = statement_response(local).encode();
+        assert_eq!(written(&stream, 2), local);
+        assert_eq!(written(&stream, 4), local);
+        // A failed statement leaves no half-encoded rows behind.
+        let failed = Response::decode(written(&stream, 5)).expect("error");
+        assert!(
+            matches!(
+                failed,
+                Response::Error {
+                    code: ErrorCode::Bind,
+                    ..
+                }
+            ),
+            "{failed:?}"
+        );
+    }
+
+    #[test]
+    fn an_oversized_frame_is_a_protocol_error_not_a_slow_client() {
+        let mut stream = session(&[Request::Ping]);
+        let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
+        stream.input.push_back(huge.to_vec());
+        // Never read: the connection closes at the bad prefix.
+        stream.input.push_back(framed(&Request::Ping.encode()));
+        let sv = serve(&mut stream);
+        assert_eq!(stream.writes.len(), 3, "hello, pong, the refusal");
+        match Response::decode(written(&stream, 2)).expect("refusal") {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Protocol);
+                assert!(message.contains("exceeds 16 MiB"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(sv.metrics.oversized_frames_total.value(), 1);
+        assert_eq!(sv.metrics.slow_client_disconnects_total.value(), 0);
+        assert_eq!(stream.input.len(), 1, "nothing is read past the bad prefix");
     }
 }

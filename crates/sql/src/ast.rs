@@ -13,8 +13,22 @@ pub enum Lit {
     Bool(bool),
 }
 
+/// Equal literals hash equal (`f64` has no `Hash`, so a float hashes by its
+/// bit pattern with the two zeros, which compare equal, folded together).
+impl std::hash::Hash for Lit {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Lit::Int(i) => i.hash(state),
+            Lit::Float(x) => (if *x == 0.0 { 0.0 } else { *x }).to_bits().hash(state),
+            Lit::Str(s) => s.hash(state),
+            Lit::Bool(b) => b.hash(state),
+        }
+    }
+}
+
 /// A possibly-qualified column reference `alias.column` / `column`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ColRef {
     /// Table alias, when qualified.
     pub alias: Option<String>,
@@ -23,7 +37,7 @@ pub struct ColRef {
 }
 
 /// One call in a `$` method chain, e.g. `getLabelValue('Disease')`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct MethodCall {
     /// Method name.
     pub name: String,
@@ -32,7 +46,7 @@ pub struct MethodCall {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum AstExpr {
     /// Literal.
     Lit(Lit),
@@ -58,7 +72,7 @@ pub enum AstExpr {
 }
 
 /// AST-level comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOpAst {
     /// `=`
     Eq,
@@ -75,7 +89,7 @@ pub enum CmpOpAst {
 }
 
 /// SELECT output list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum SelectList {
     /// `*`
     Star,
@@ -84,7 +98,7 @@ pub enum SelectList {
 }
 
 /// A parsed `SELECT` statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct SelectStmt {
     /// `SELECT DISTINCT`: duplicate rows collapse and their summary sets
     /// merge (the summary-aware duplicate elimination of §2.2).

@@ -41,8 +41,11 @@ pub mod statement;
 pub use ast::{AstExpr, SelectStmt, Statement};
 pub use lower::{execute_statement, lower_select, Altered, LoweredQuery, SqlOutcome};
 pub use parser::parse;
-pub use plan::{plan_select, statement_fingerprint, PlanSource, PlannedStatement};
-pub use statement::{run_statement, ExplainAnalysis, StatementError, StatementOutcome};
+pub use plan::{plan_select, statement_key, PlanSource, PlannedStatement};
+pub use statement::{
+    run_statement, run_statement_into, ExplainAnalysis, SelectSink, StatementError,
+    StatementOutcome,
+};
 
 /// Errors raised by the SQL front end.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,7 +2,7 @@
 //!
 //! Every `SELECT`, `EXPLAIN` and `EXPLAIN ANALYZE` — from the shell, the
 //! wire server or a prepared statement — is planned by [`plan_select`],
-//! which [`crate::run_statement`] calls: fingerprint, probe the session's
+//! which [`crate::run_statement`] calls: key the statement, probe the session's
 //! [`PlanCache`](instn_query::PlanCache), and only on a miss run the full
 //! `instn_opt::Optimizer` pipeline. The optimizer is seeded with
 //! the session's registered indexes, the engine's buffer-pool capacity,
@@ -12,20 +12,23 @@
 //!
 //! Planning cost on repeat is bounded by two caches:
 //!
-//! * **Plans** — keyed by an AST-normalized statement fingerprint prefixed
-//!   with the planner-relevant session state (DOP, sort budget, registry
-//!   epoch), revalidated against per-table journal high-water marks on
-//!   every use (see `instn_query::plan_cache`).
+//! * **Plans** — keyed by a hash of the parsed statement plus the
+//!   planner-relevant session state (DOP, sort budget, registry epoch),
+//!   with the statement itself compared on every probe, and revalidated
+//!   against per-table journal high-water marks on every use (see
+//!   `instn_query::plan_cache`).
 //! * **Statistics** — a per-session [`Statistics`] snapshot that rides
 //!   [`Statistics::catch_up`] over the journal gap instead of re-scanning
-//!   the database (`Statistics::analyze`) for every plan.
+//!   the database (`Statistics::analyze`) for every plan; the optimizer
+//!   shares it, it does not copy it.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
 use instn_core::db::Database;
 use instn_opt::{Optimizer, PlannerConfig, Statistics};
-use instn_query::plan_cache::{CachedPlan, PlanLookup, PlanStamp};
+use instn_query::plan_cache::{CachedPlan, PlanKey, PlanLookup, PlanStamp};
 use instn_query::session::IndexDescriptors;
 use instn_query::Session;
 use instn_storage::TableId;
@@ -39,7 +42,7 @@ use crate::StatementError;
 pub enum PlanSource {
     /// Served from the session plan cache; the optimizer did not run.
     CacheHit,
-    /// No cached entry under this fingerprint; freshly optimized and
+    /// No cached entry under this key; freshly optimized and
     /// stored.
     CacheMiss,
     /// A cached entry existed but a touched table advanced past its
@@ -77,24 +80,26 @@ pub struct PlannedStatement {
 /// Cross-query planner state a session carries in its opaque slot:
 /// the cached optimizer statistics.
 struct PlannerState {
-    stats: Statistics,
+    stats: Arc<Statistics>,
 }
 
 /// The plan-cache key for `sel` under this session's planner-relevant
-/// state. The statement body is the parsed AST's debug form, so layout and
+/// state. The statement part is a hash of the parsed AST, so layout and
 /// keyword-case differences (and an `EXPLAIN` prefix) share an entry while
-/// identifier case stays significant; the prefix folds in everything else
-/// a plan depends on — DOP, sort budget, and the index-registry epoch
-/// (registering an index must force a replan, not reuse a plan chosen
-/// without it).
-pub fn statement_fingerprint(session: &Session, sel: &SelectStmt) -> String {
-    format!(
-        "dop={};sort={};epoch={}|{:?}",
-        session.exec_config.dop,
-        session.sort_mem,
-        session.registry_epoch(),
-        sel
-    )
+/// identifier case stays significant; the rest is everything else a plan
+/// depends on — DOP, sort budget, and the index-registry epoch (registering
+/// an index must force a replan, not reuse a plan chosen without it).
+pub fn statement_key(session: &Session, sel: &SelectStmt) -> PlanKey {
+    // Fixed keys: the hash only has to be the same for the same statement
+    // within one process, and a collision costs a replan, never a wrong plan.
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    sel.hash(&mut hasher);
+    PlanKey {
+        dop: session.exec_config.dop,
+        sort_mem: session.sort_mem,
+        registry_epoch: session.registry_epoch(),
+        statement_hash: hasher.finish(),
+    }
 }
 
 /// This session's optimizer statistics, caught up over the journal gap —
@@ -104,15 +109,17 @@ pub fn statement_fingerprint(session: &Session, sel: &SelectStmt) -> String {
 pub(crate) fn refresh_statistics(
     session: &mut Session,
     db: &Database,
-) -> instn_query::Result<(Statistics, bool)> {
+) -> instn_query::Result<(Arc<Statistics>, bool)> {
     let slot = session.planner_state_mut();
     if let Some(state) = slot.as_mut().and_then(|b| b.downcast_mut::<PlannerState>()) {
-        let rescanned = state.stats.catch_up(db)?;
-        return Ok((state.stats.clone(), rescanned));
+        // No optimizer outlives the statement it planned, so this is the
+        // only handle and `make_mut` updates in place.
+        let rescanned = Arc::make_mut(&mut state.stats).catch_up(db)?;
+        return Ok((Arc::clone(&state.stats), rescanned));
     }
-    let stats = Statistics::analyze(db)?;
+    let stats = Arc::new(Statistics::analyze(db)?);
     *slot = Some(Box::new(PlannerState {
-        stats: stats.clone(),
+        stats: Arc::clone(&stats),
     }));
     Ok((stats, true))
 }
@@ -161,7 +168,7 @@ fn build_plan(
     descriptors: &IndexDescriptors,
     sort_mem: usize,
     dop: usize,
-    stats: Statistics,
+    stats: Arc<Statistics>,
     sel: &SelectStmt,
 ) -> Result<CachedPlan, StatementError> {
     let lowered = lower_select(db, sel)?;
@@ -192,20 +199,14 @@ pub fn plan_select(
     session: &mut Session,
     sel: &SelectStmt,
 ) -> Result<PlannedStatement, StatementError> {
-    let fingerprint = statement_fingerprint(session, sel);
+    let key = statement_key(session, sel);
     let shared = session.shared().clone();
     let db = shared.try_read()?;
-    let metrics = Arc::clone(db.metrics());
-    let observed = metrics.is_enabled();
-    let lookup = session.plan_cache.lookup(&fingerprint, &db);
+    let observed = session.metrics(&db);
+    let lookup = session.plan_cache.lookup(key, sel, &db);
     if let PlanLookup::Hit(entry) = lookup {
-        if observed {
-            metrics
-                .counter(
-                    "plan_cache_hits_total",
-                    "Statements served from a cached plan (no optimizer run)",
-                )
-                .inc();
+        if let Some(obs) = &observed {
+            obs.plan_cache_hits.inc();
         }
         return Ok(PlannedStatement {
             plan: entry,
@@ -227,7 +228,7 @@ pub fn plan_select(
     // harness compares against; enabled sessions instead ride
     // `Statistics::catch_up` over the journal gap.
     let stats = if matches!(source, PlanSource::CacheDisabled) {
-        Statistics::analyze(&db).map_err(instn_query::QueryError::from)?
+        Arc::new(Statistics::analyze(&db).map_err(instn_query::QueryError::from)?)
     } else {
         refresh_statistics(session, &db)?.0
     };
@@ -241,27 +242,15 @@ pub fn plan_select(
         sel,
     )?;
     let plan_wall = instn_obs::elapsed_ns(started);
-    if observed {
+    if let Some(obs) = &observed {
         match source {
-            PlanSource::Invalidated => metrics
-                .counter(
-                    "plan_cache_invalidations_total",
-                    "Cached plans dropped because a touched table advanced",
-                )
-                .inc(),
-            PlanSource::CacheMiss => metrics
-                .counter(
-                    "plan_cache_misses_total",
-                    "Statements planned because no cached plan existed",
-                )
-                .inc(),
+            PlanSource::Invalidated => obs.plan_cache_invalidations.inc(),
+            PlanSource::CacheMiss => obs.plan_cache_misses.inc(),
             PlanSource::CacheDisabled | PlanSource::CacheHit => {}
         }
-        metrics
-            .histogram("plan_wall_ns", "Fresh statement-planning wall time (ns)")
-            .record(plan_wall);
+        obs.plan_wall_ns.record(plan_wall);
     }
-    let plan = session.plan_cache.insert(&fingerprint, entry);
+    let plan = session.plan_cache.insert(key, sel, entry);
     Ok(PlannedStatement {
         plan,
         source,
@@ -328,7 +317,7 @@ mod tests {
         session.plan_cache.set_enabled(true);
         let sql = "SELECT id FROM T";
         assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);
-        // A DOP change is part of the fingerprint: no stale-shape reuse.
+        // A DOP change is part of the key: no stale-shape reuse.
         // (Relative, so the test also holds under `INSTN_DOP=4`.)
         session.exec_config.dop += 3;
         assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use instn_annot::Annotation;
 use instn_core::instance::InstanceKind;
 use instn_core::AnnotatedTuple;
-use instn_query::{PointerMode, QueryError, Session};
+use instn_query::{FinishedRow, PointerMode, QueryError, RowSink, Session};
 
 use crate::ast::{SelectStmt, Statement};
 use crate::lower::{alter_table, zoom, Altered};
@@ -159,6 +159,33 @@ impl std::fmt::Display for ExplainAnalysis {
     }
 }
 
+/// Where a `SELECT`'s answer goes for a caller that encodes it as it is
+/// produced: the header once, then each row still as the executor fetched it
+/// (see [`FinishedRow`]).
+pub trait SelectSink: RowSink {
+    /// The output column names; called once, before the first row.
+    fn columns(&mut self, columns: &[String]);
+}
+
+/// The collecting sink behind [`run_statement`].
+#[derive(Default)]
+struct Collected {
+    columns: Vec<String>,
+    rows: Vec<AnnotatedTuple>,
+}
+
+impl RowSink for Collected {
+    fn row(&mut self, row: FinishedRow<'_>) -> instn_query::Result<()> {
+        self.rows.row(row)
+    }
+}
+
+impl SelectSink for Collected {
+    fn columns(&mut self, columns: &[String]) {
+        self.columns = columns.to_vec();
+    }
+}
+
 /// Run one parsed statement for `session`.
 ///
 /// Only `ALTER TABLE` takes the engine's exclusive guard; every other
@@ -168,40 +195,58 @@ impl std::fmt::Display for ExplainAnalysis {
 ///
 /// `instances` is the catalog of summary-instance definitions `ALTER TABLE …
 /// ADD <name>` may link. `tag` names a `SELECT` in the engine's slow-query
-/// log (the server prefixes the connection).
+/// log (the server prefixes the connection); it is rendered only if the log
+/// captures the statement.
 pub fn run_statement(
     session: &mut Session,
     instances: &HashMap<String, InstanceKind>,
-    tag: &str,
+    tag: impl std::fmt::Display,
     stmt: &Statement,
 ) -> Result<StatementOutcome, StatementError> {
-    match stmt {
+    let mut collected = Collected::default();
+    let outcome = run_statement_into(session, instances, tag, stmt, &mut collected)?;
+    Ok(outcome.unwrap_or(StatementOutcome::Rows {
+        columns: collected.columns,
+        rows: collected.rows,
+    }))
+}
+
+/// [`run_statement`] with a `SELECT`'s header and rows handed to `sink` as
+/// they are produced: `Ok(None)` says that happened, every other statement
+/// kind comes back as its outcome. On an `Err` the sink may already hold the
+/// header and some rows; the caller discards them.
+pub fn run_statement_into<S: SelectSink>(
+    session: &mut Session,
+    instances: &HashMap<String, InstanceKind>,
+    tag: impl std::fmt::Display,
+    stmt: &Statement,
+    sink: &mut S,
+) -> Result<Option<StatementOutcome>, StatementError> {
+    Ok(Some(match stmt {
         Statement::Select(sel) => {
             let planned = plan_select(session, sel)?;
-            let rows = session.execute_observed(tag, &planned.plan.plan)?;
-            Ok(StatementOutcome::Rows {
-                columns: planned.plan.columns.clone(),
-                rows,
-            })
+            sink.columns(&planned.plan.columns);
+            session.execute_observed_into(tag, &planned.plan.plan, sink)?;
+            return Ok(None);
         }
         Statement::Explain(sel) => {
             let planned = plan_select(session, sel)?;
-            Ok(StatementOutcome::Explain(format!(
+            StatementOutcome::Explain(format!(
                 "{}plan: {}  cost={:.1}\n",
                 planned.plan.plan,
                 planned.source.describe(),
                 planned.plan.cost
-            )))
+            ))
         }
         Statement::ExplainAnalyze(sel) => {
             let analysis = explain_analyze(session, sel)?;
-            Ok(StatementOutcome::ExplainAnalyze(Box::new(analysis)))
+            StatementOutcome::ExplainAnalyze(Box::new(analysis))
         }
         Statement::Analyze => {
             let shared = session.shared().clone();
             let db = shared.try_read()?;
             let (_, rescanned) = refresh_statistics(session, &db)?;
-            Ok(StatementOutcome::Analyzed { rescanned })
+            StatementOutcome::Analyzed { rescanned }
         }
         Statement::ZoomIn {
             table,
@@ -210,9 +255,7 @@ pub fn run_statement(
             target,
         } => {
             let db = session.shared().try_read()?;
-            Ok(StatementOutcome::Zoom(zoom(
-                &db, table, instance, *oid, target,
-            )?))
+            StatementOutcome::Zoom(zoom(&db, table, instance, *oid, target)?)
         }
         Statement::AlterTable { table, action } => {
             // The write guard is a temporary of this one statement: it is
@@ -232,9 +275,9 @@ pub fn run_statement(
                         source,
                     })?;
             }
-            Ok(StatementOutcome::Altered(altered))
+            StatementOutcome::Altered(altered)
         }
-    }
+    }))
 }
 
 /// Plan `sel` through the session's plan cache, execute it against the

@@ -100,15 +100,17 @@ pub mod prelude {
     pub use instn_query::expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, SummaryExpr};
     pub use instn_query::plan::{JoinPredicate, LogicalPlan, SortKey};
     pub use instn_query::plan_cache::{
-        normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanLookup, PlanStamp,
+        normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanKey, PlanLookup, PlanStamp,
     };
     pub use instn_query::session::{IndexDescriptors, Session, SharedDatabase};
     pub use instn_query::ColumnIndex;
     pub use instn_query::MaintenanceReport;
+    pub use instn_query::{FinishedRow, RowSink};
     pub use instn_serve::{Client, ServeConfig, Server, ServerHandle};
     pub use instn_sql::{
-        execute_statement, lower_select, parse, plan_select, run_statement, ExplainAnalysis,
-        PlanSource, PlannedStatement, SqlOutcome, Statement, StatementError, StatementOutcome,
+        execute_statement, lower_select, parse, plan_select, run_statement, run_statement_into,
+        ExplainAnalysis, PlanSource, PlannedStatement, SelectSink, SqlOutcome, Statement,
+        StatementError, StatementOutcome,
     };
     pub use instn_storage::{ColumnType, IoStats, Oid, Schema, TableId, Value};
 }

@@ -3,21 +3,32 @@
 //! to its predicate the pairs that can match, not outer × inner; folding one
 //! more member into a group costs that member, not the group so far.
 //!
+//! And one for the serving layer: a result row costs the server the
+//! records it fetched, not a decoded summary set and a `String` per object.
+//!
 //! This binary installs a counting `#[global_allocator]`. Counts are kept
 //! per thread, so they see only the query that the measuring test itself
 //! runs (the serial pipeline runs on the caller's thread); CI still runs the
-//! binary with `--test-threads=1`.
+//! binary with `--test-threads=1`. The serving test measures another
+//! thread's work through a process-wide count, so the tests of this binary
+//! take turns ([`alone`]) however the harness schedules them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use insightnotes::annot::{Attachment, Category};
 use insightnotes::core::db::Database;
 use insightnotes::core::instance::InstanceKind;
 use insightnotes::mining::nb::NaiveBayes;
 use insightnotes::prelude::{
-    CmpOp, ExecContext, Expr, JoinPredicate, PhysicalPlan, SortKey, SummaryExpr,
+    Client, CmpOp, ExecContext, Expr, JoinPredicate, PhysicalPlan, ServeConfig, Server,
+    SharedDatabase, SortKey, SummaryExpr,
 };
+use insightnotes::serve::Response;
 use insightnotes::storage::{ColumnType, Schema, TableId, Value};
 
 struct Counting;
@@ -27,7 +38,11 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocations of every thread of the process.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+
 fn note_allocation(bytes: usize) {
+    ALL_THREADS.fetch_add(1, Ordering::Relaxed);
     // A thread being torn down has no counter left; nothing measures it.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
@@ -57,6 +72,14 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Held by each test for as long as it runs: a test waiting for its turn
+/// allocates nothing, so the process-wide count sees one test at a time.
+fn alone() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    // A test that failed holding the lock has told its own story.
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Heap allocations this thread makes while `f` runs.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -115,6 +138,7 @@ fn build() -> (Database, TableId) {
 
 #[test]
 fn rejected_rows_are_not_decoded() {
+    let _turn = alone();
     let (db, t) = build();
     db.metrics().set_enabled(true);
     let materialized = db.metrics().counter("exec_rows_materialized_total", "");
@@ -188,6 +212,7 @@ fn rejected_rows_are_not_decoded() {
 /// that share a key, not the 1 000 000 a 100 × 10 000 loop would try.
 #[test]
 fn equi_join_compares_only_its_buckets() {
+    let _turn = alone();
     const OUTER: usize = 100;
     const INNER: usize = 10_000;
     let mut db = Database::new();
@@ -235,6 +260,7 @@ fn equi_join_compares_only_its_buckets() {
 /// so far for every member: bytes per member grew with the group.)
 #[test]
 fn group_fold_costs_the_member_not_the_group() {
+    let _turn = alone();
     let (db, t) = build();
     let mut ctx = ExecContext::new(&db);
     // One group (every habitat is the same text) of the first `members` rows.
@@ -284,4 +310,96 @@ fn group_fold_costs_the_member_not_the_group() {
         large_bytes <= 1.5 * small_bytes,
         "{large_bytes:.0} B per member at 512 against {small_bytes:.0} B at 64"
     );
+}
+
+/// Serving a result row costs the server what fetching it costs — the
+/// record, the summary row, the handle — and nothing per summary object: the
+/// row is encoded into the connection's frame off the bytes the index scan
+/// fetched. (Collecting it first decoded the whole summary set — every
+/// label, every element list — cloned the values into a `WireRow` and
+/// rendered one `String` per object: 16.6 allocations a row here.)
+#[test]
+fn a_served_row_allocates_what_fetching_it_does() {
+    let _turn = alone();
+    // Ten tuples in 4 000 carry disease annotations, nine of them one and
+    // one five — so `>= 1` answers ten rows and `= 5` one, and through the
+    // Summary-BTree each statement fetches exactly the rows it answers.
+    let mut db = Database::new();
+    let schema = Schema::of(&[("id", ColumnType::Int), ("habitat", ColumnType::Text)]);
+    let t = db.create_table("Birds", schema).unwrap();
+    for i in 0..4_000usize {
+        let habitat = "reed beds and shallow freshwater margins; ".repeat(4);
+        let row = vec![Value::Int(i as i64), Value::Text(habitat)];
+        let oid = db.insert_tuple(t, row).unwrap();
+        let diseases = match i {
+            0 => 5,
+            1..10 => 1,
+            _ => 0,
+        };
+        for (text, category, n) in [
+            ("disease outbreak infection", Category::Disease, diseases),
+            ("eating foraging song", Category::Behavior, 1),
+        ] {
+            for _ in 0..n {
+                db.add_annotation(t, text, category, "u", vec![Attachment::row(oid)])
+                    .unwrap();
+            }
+        }
+    }
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Behavior".into()]);
+    model.train("disease outbreak infection virus", "Disease");
+    model.train("eating foraging migration song", "Behavior");
+    let instances = HashMap::from([("C".to_string(), InstanceKind::Classifier { model })]);
+    let mut config = ServeConfig {
+        max_connections: 1,
+        ..ServeConfig::default()
+    };
+    config.exec_config.dop = 1;
+    let server = Server::start(SharedDatabase::new(db), instances, "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.query("ALTER TABLE Birds ADD INDEXABLE C").unwrap() {
+        Response::Text(t) => assert!(t.contains("summary index registered"), "{t}"),
+        other => panic!("{other:?}"),
+    }
+    let select = |bound: &str| {
+        format!(
+            "SELECT * FROM Birds r \
+             WHERE r.$.getSummaryObject('C').getLabelValue('Disease') {bound}"
+        )
+    };
+    for bound in ["= 5", ">= 1"] {
+        match client.query(&format!("EXPLAIN {}", select(bound))).unwrap() {
+            Response::Text(plan) => assert!(plan.contains("SummaryIndexScan"), "{plan}"),
+            other => panic!("{other:?}"),
+        }
+    }
+    // Allocations of the *other* threads per request: the process-wide count
+    // less this thread's own. The harness reporting a finished test can only
+    // add to a window, so the least of several is the server's own cost.
+    let mut served = |sql: &str, rows: usize| {
+        const REQUESTS: u64 = 50;
+        let mut run = || match client.query_deadline(sql, Duration::ZERO).unwrap() {
+            Response::Rows { rows: got, .. } => assert_eq!(got.len(), rows, "{sql}"),
+            other => panic!("{other:?}"),
+        };
+        run(); // plans, and grows the connection's buffers
+        let window = |run: &mut dyn FnMut()| {
+            let everyone = ALL_THREADS.load(Ordering::Relaxed);
+            let ((), mine) = allocations(|| (0..REQUESTS).for_each(|_| run()));
+            (ALL_THREADS.load(Ordering::Relaxed) - everyone - mine) as f64 / REQUESTS as f64
+        };
+        (0..5).map(|_| window(&mut run)).fold(f64::MAX, f64::min)
+    };
+    let one = served(&select("= 5"), 1);
+    let ten = served(&select(">= 1"), 10);
+    let per_row = (ten - one) / 9.0;
+    println!(
+        "server allocations per request: {one:.1} for 1 row, {ten:.1} for 10: {per_row:.2} a row"
+    );
+    assert!(
+        per_row <= 4.0,
+        "{per_row:.2} allocations per served row ({one:.1} for 1 row, {ten:.1} for 10)"
+    );
+    drop(client);
+    server.shutdown().unwrap();
 }
