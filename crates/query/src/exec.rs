@@ -32,7 +32,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use instn_core::algebra::{merge_summary_sets, project_eliminate, SummaryAccumulator};
 use instn_core::db::Database;
@@ -89,12 +88,6 @@ pub struct ExecConfig {
     pub dop: usize,
     /// Tuples per morsel pulled from the shared work queue.
     pub morsel_rows: usize,
-    /// Simulated disk stall slept once per processed morsel. Zero (the
-    /// default) in normal operation; the benchmark harness sets it so
-    /// single-core hosts exhibit the overlap a disk-bound multi-spindle
-    /// testbed would. Any non-zero stall forces the morsel path even at
-    /// DOP 1 so sweeps compare like against like.
-    pub io_stall: Duration,
 }
 
 impl Default for ExecConfig {
@@ -102,7 +95,6 @@ impl Default for ExecConfig {
         Self {
             dop: default_dop(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            io_stall: Duration::ZERO,
         }
     }
 }
@@ -2475,11 +2467,11 @@ struct WorkerOut<T> {
 }
 
 /// The exchange/gather operator. At open it resolves the effective DOP:
-/// `1` (and no simulated stall) delegates the fragment to the ordinary
-/// serial operator tree — bit-identical output, metrics, and I/O charges —
-/// while anything else splits the leaf into morsels on a shared queue and
-/// drains it with a crossbeam-scoped worker pool. A worker runs the same
-/// compiled operators as the serial pipeline, one bound tree per morsel.
+/// `1` delegates the fragment to the ordinary serial operator tree —
+/// bit-identical output, metrics, and I/O charges — while anything else
+/// splits the leaf into morsels on a shared queue and drains it with a
+/// crossbeam-scoped worker pool. A worker runs the same compiled
+/// operators as the serial pipeline, one bound tree per morsel.
 /// Workers return per-morsel outputs which the gather reassembles **in
 /// morsel order**, so parallel output equals the serial pipeline row for
 /// row, and partial aggregates merge associatively in that same order.
@@ -2545,7 +2537,6 @@ fn run_parallel<T: Send>(
     // still reports its levels (with zero rows).
     let unopened = compile(frag.chain, None).metrics();
     let next = AtomicUsize::new(0);
-    let stall = ctx.config.io_stall;
     let joined: Vec<std::thread::Result<Result<WorkerOut<T>>>> =
         crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..n_workers)
@@ -2573,9 +2564,6 @@ fn run_parallel<T: Send>(
                             if let (Some((hist, count)), Some(t0)) = (morsel_obs, t0) {
                                 hist.record(instn_obs::elapsed_ns(t0));
                                 count.inc();
-                            }
-                            if !stall.is_zero() {
-                                std::thread::sleep(stall);
                             }
                         }
                         Ok(WorkerOut {
@@ -2643,8 +2631,7 @@ impl Operator for ExchangeOp {
         } else {
             self.dop
         };
-        let force_morsel = !ctx.config.io_stall.is_zero();
-        let Some(frag) = split_fragment(&self.plan).filter(|_| dop > 1 || force_morsel) else {
+        let Some(frag) = split_fragment(&self.plan).filter(|_| dop > 1) else {
             let mut node = compile(&self.plan, None);
             node.open(ctx)?;
             self.serial = Some(node);
@@ -4368,25 +4355,6 @@ mod tests {
             noisy, quiet,
             "stripe-scoped attribution is immune to concurrent sessions"
         );
-    }
-
-    #[test]
-    fn io_stall_forces_morsel_path_and_keeps_results_identical() {
-        let (db, t, _) = setup(15);
-        let mut ctx = ExecContext::new(&db);
-        let serial = ctx.execute(&frag_plan(t)).unwrap();
-        ctx.config.morsel_rows = 4;
-        ctx.config.io_stall = Duration::from_micros(50);
-        // Even at DOP 1 a non-zero stall takes the morsel path (the bench
-        // harness needs like-for-like plumbing across the sweep).
-        let (rows, metrics) = ctx
-            .execute_with_metrics(&PhysicalPlan::Exchange {
-                input: Box::new(frag_plan(t)),
-                dop: 1,
-            })
-            .unwrap();
-        assert_eq!(rows, serial);
-        assert!(!metrics.workers.is_empty(), "morsel path ran");
     }
 
     #[test]

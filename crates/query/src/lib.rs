@@ -47,8 +47,8 @@ pub use expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, RowRead, SummaryExpr};
 pub use metrics::QueryMetrics;
 pub use plan::{JoinPredicate, LogicalPlan, SortKey};
 pub use plan_cache::{
-    normalize_statement, plan_cache_enabled_from_env, CachedPlan, PlanCache, PlanCacheStats,
-    PlanKey, PlanLookup, PlanStamp, DEFAULT_PLAN_CACHE_CAPACITY,
+    normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanKey, PlanLookup, PlanStamp,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use row::{FinishedRow, RowSink};
 pub use session::{IndexDescriptors, Session, SharedDatabase};

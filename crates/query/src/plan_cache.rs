@@ -23,9 +23,9 @@
 //! * The cache is a bounded LRU ([`DEFAULT_PLAN_CACHE_CAPACITY`] entries);
 //!   the least-recently-used entry is evicted on overflow.
 //!
-//! The whole cache can be disabled (`INSTN_PLAN_CACHE=0`, or
-//! [`PlanCache::set_enabled`]), in which case every lookup misses and
-//! nothing is stored: behavior is bit-identical to always replanning.
+//! The whole cache can be disabled ([`PlanCache::set_enabled`]), in which
+//! case every lookup misses and nothing is stored: behavior is
+//! bit-identical to always replanning.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -38,13 +38,6 @@ use crate::exec::PhysicalPlan;
 
 /// Default bound on cached plans per session.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
-
-/// Whether the plan cache should start enabled, per the `INSTN_PLAN_CACHE`
-/// environment variable (`0` disables; anything else — including unset —
-/// enables).
-pub fn plan_cache_enabled_from_env() -> bool {
-    !matches!(std::env::var("INSTN_PLAN_CACHE"), Ok(v) if v.trim() == "0")
-}
 
 /// Normalize statement text for fingerprinting: collapse every whitespace
 /// run to a single space, trim the ends, and strip a trailing `;`. Two
@@ -195,16 +188,15 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// A cache with the default capacity, enabled per `INSTN_PLAN_CACHE`.
+    /// An enabled cache with the default capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY)
     }
 
-    /// A cache bounded to `capacity` entries, enabled per
-    /// `INSTN_PLAN_CACHE`.
+    /// An enabled cache bounded to `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            enabled: plan_cache_enabled_from_env(),
+            enabled: true,
             capacity: capacity.max(1),
             tick: 0,
             entries: HashMap::new(),
@@ -218,7 +210,7 @@ impl PlanCache {
     }
 
     /// Turn the cache on or off at runtime (the shell's `\plancache`
-    /// command, the server's `plan_cache` knob). Disabling drops every
+    /// command, the always-replan oracle of the tests). Disabling drops every
     /// entry so a later re-enable starts cold.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;

@@ -105,15 +105,6 @@ pub struct ServeConfig {
     pub debug_statements: bool,
     /// Honor `Request::Shutdown` from clients.
     pub allow_remote_shutdown: bool,
-    /// Simulated per-query disk stall slept while serving each `Query`
-    /// (benchmark calibration, mirrors the concurrency experiment's
-    /// disk-bound stand-in). Zero in normal operation.
-    pub query_stall: Duration,
-    /// Whether per-connection sessions keep a plan cache. `true` (the
-    /// default) still honors `INSTN_PLAN_CACHE=0`; `false` force-disables
-    /// caching so every statement replans (the always-replan oracle the
-    /// benches compare against).
-    pub plan_cache: bool,
 }
 
 impl Default for ServeConfig {
@@ -127,8 +118,6 @@ impl Default for ServeConfig {
             exec_config: instn_query::ExecConfig::default(),
             debug_statements: false,
             allow_remote_shutdown: false,
-            query_stall: Duration::ZERO,
-            plan_cache: true,
         }
     }
 }
@@ -502,9 +491,6 @@ fn serve_stream<S: Read + Write>(
     }
     let mut session = sv.shared.session();
     session.exec_config = sv.config.exec_config;
-    if !sv.config.plan_cache {
-        session.plan_cache.set_enabled(false);
-    }
     // Per-connection prepared statements; handles are meaningless on any
     // other connection and die with this one.
     let mut prepared: HashMap<u64, PreparedEntry> = HashMap::new();
@@ -799,10 +785,6 @@ fn run_parsed(
     stmt: &Statement,
     frame: &mut FrameBuf,
 ) -> Option<Response> {
-    if !sv.config.query_stall.is_zero() {
-        // Benchmark calibration: stand in for a disk-bound engine.
-        std::thread::sleep(sv.config.query_stall);
-    }
     let mut sink = FrameSink {
         out: frame.begin(),
         rows: None,

@@ -48,8 +48,8 @@ pub enum PlanSource {
     /// A cached entry existed but a touched table advanced past its
     /// stamp; the entry was dropped and the statement replanned.
     Invalidated,
-    /// The plan cache is disabled (`INSTN_PLAN_CACHE=0` or `\plancache
-    /// off`); freshly optimized, nothing stored.
+    /// The plan cache is disabled (`\plancache off`); freshly optimized,
+    /// nothing stored.
     CacheDisabled,
 }
 
@@ -224,8 +224,8 @@ pub fn plan_select(
     let started = Instant::now();
     // With the cache disabled the session plans like the pre-cache engine:
     // fresh statistics (a full analyze rescan) plus a fresh optimizer pass
-    // on every statement. That is the always-replan baseline the figures
-    // harness compares against; enabled sessions instead ride
+    // on every statement. That is the always-replan oracle
+    // `tests/plan_cache.rs` compares against; enabled sessions instead ride
     // `Statistics::catch_up` over the journal gap.
     let stats = if matches!(source, PlanSource::CacheDisabled) {
         Arc::new(Statistics::analyze(&db).map_err(instn_query::QueryError::from)?)

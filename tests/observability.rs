@@ -9,7 +9,6 @@
 //!   (no lost or duplicated increments).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -104,7 +103,7 @@ proptest! {
 
         let (db_off, t_off) = build(&counts);
         let mut ctx = ExecContext::new(&db_off);
-        ctx.config = ExecConfig { dop, morsel_rows, io_stall: Duration::ZERO };
+        ctx.config = ExecConfig { dop, morsel_rows };
         let (rows_off, metrics_off) = ctx.execute_with_metrics(&plan_of(t_off)).unwrap();
         let io_off = db_off.stats().snapshot();
 
@@ -112,7 +111,7 @@ proptest! {
         db_on.metrics().set_enabled(true);
         db_on.metrics().slow_log().set_threshold_ns(0);
         let mut ctx = ExecContext::new(&db_on);
-        ctx.config = ExecConfig { dop, morsel_rows, io_stall: Duration::ZERO };
+        ctx.config = ExecConfig { dop, morsel_rows };
         ctx.trace = Some(insightnotes::prelude::QueryTrace::new());
         let (rows_on, metrics_on) = ctx.execute_with_metrics(&plan_of(t_on)).unwrap();
         let io_on = db_on.stats().snapshot();
@@ -345,8 +344,12 @@ fn failed_queries_are_counted_timed_and_slow_logged() {
     );
 
     // A subsequent successful query on the same session keeps both
-    // counters moving independently.
-    let ok_plan = filter_group_plan(t, 1);
+    // counters moving independently. It runs under an Exchange, so the
+    // morsel and gather histograms and the slow log see it too.
+    let ok_plan = PhysicalPlan::Exchange {
+        input: Box::new(filter_group_plan(t, 1)),
+        dop: 2,
+    };
     session
         .execute_observed("recovery query", &ok_plan)
         .expect("engine is intact after the failure");
@@ -361,6 +364,11 @@ fn failed_queries_are_counted_timed_and_slow_logged() {
     assert_eq!(get("queries_total"), 2.0);
     assert_eq!(get("queries_failed_total"), 1.0, "success must not count");
     assert_eq!(get("query_wall_ns_count"), 2.0);
+    assert!(get("exchange_morsel_ns_count") >= 1.0);
+    assert_eq!(get("exchange_gather_ns_count"), 1.0);
+    let entries = registry.slow_log().entries();
+    assert_eq!(entries.len(), 2);
+    assert_eq!(entries[1].statement, "recovery query");
 }
 
 /// The pool's four series agree with each other and with `IoStats`: after
@@ -418,7 +426,6 @@ fn row_series_report_fetched_against_materialized() {
         ctx.config = ExecConfig {
             dop: 3,
             morsel_rows: 7,
-            io_stall: Duration::ZERO,
         };
         let before = (fetched.value(), materialized.value());
         let rows = ctx.execute(plan).expect("plan runs").len() as u64;

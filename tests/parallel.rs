@@ -6,8 +6,6 @@
 //! is the oracle). Workers run the serial pipeline's own operators, so the
 //! merged fragment's per-level row counts must equal the serial tree's too.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 
 use insightnotes::annot::{Attachment, Category};
@@ -251,36 +249,6 @@ proptest! {
             .unwrap();
         prop_assert_eq!(parallel, serial);
         prop_assert_eq!(level_rows(&metrics.children[0]), level_rows(&serial_metrics));
-    }
-}
-
-/// A simulated per-morsel stall must not change results — only wall-clock.
-#[test]
-fn io_stall_changes_timing_not_results() {
-    let counts: Vec<usize> = (0..30).map(|i| i % 5).collect();
-    let (db, t) = build(&counts);
-    let plan = PhysicalPlan::Filter {
-        input: Box::new(PhysicalPlan::SeqScan {
-            table: t,
-            with_summaries: true,
-        }),
-        pred: Expr::label_cmp("C", "Disease", CmpOp::Ge, 2),
-    };
-    let mut ctx = ExecContext::new(&db);
-    let serial = ctx.execute(&plan).unwrap();
-    ctx.config = ExecConfig {
-        morsel_rows: 5,
-        io_stall: Duration::from_micros(200),
-        ..ExecConfig::default()
-    };
-    for dop in [1, 2, 4] {
-        let rows = ctx
-            .execute(&PhysicalPlan::Exchange {
-                input: Box::new(plan.clone()),
-                dop,
-            })
-            .unwrap();
-        assert_eq!(rows, serial, "dop {dop}");
     }
 }
 

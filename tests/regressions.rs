@@ -14,7 +14,6 @@
 //!    (DESIGN.md §8). The merge is now a canonical connected-components
 //!    partition, making two-phase `GroupBy` exact for multi-tuple
 //!    attachments — parallel output is bit-identical to serial.
-use std::time::Duration;
 
 use insightnotes::annot::{Attachment, Category};
 use insightnotes::core::db::Database;
@@ -204,7 +203,6 @@ fn parallel_group_by_multituple_annotations_match_serial() {
         ctx.config = ExecConfig {
             dop: 1,
             morsel_rows: 1,
-            io_stall: Duration::ZERO,
         };
         let serial = ctx.execute(&plan).unwrap();
         for mr in [1usize, 2, 3] {
@@ -217,7 +215,6 @@ fn parallel_group_by_multituple_annotations_match_serial() {
                 ctx2.config = ExecConfig {
                     dop,
                     morsel_rows: mr,
-                    io_stall: Duration::ZERO,
                 };
                 let parallel = ctx2.execute(&par).unwrap();
                 assert_eq!(

@@ -129,19 +129,50 @@ fn over_limit_connection_is_rejected_busy() {
     // poll slice; retry briefly rather than racing it.
     drop(first);
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
+    let mut readmitted = loop {
         match Client::connect(addr) {
-            Ok(mut c) => {
-                c.ping().expect("served after slot freed");
-                break;
-            }
+            Ok(c) => break c,
             Err(ClientError::Rejected(HandshakeStatus::Busy)) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) => panic!("unexpected error while re-admitting: {e}"),
         }
-    }
+    };
+    readmitted.ping().expect("served after slot freed");
+    // The server counts what it did, and says so over the wire: the two
+    // pings answered so far, and at least the one Busy handshake.
+    let Response::Text(dump) = readmitted.query("\\metrics").expect("metrics roundtrip") else {
+        panic!("\\metrics must answer text")
+    };
+    let samples = parse_prometheus(&dump).expect("wire metrics dump parses");
+    let sample = |name: &str| samples.iter().find(|(s, _)| s == name).map(|(_, v)| *v);
+    assert!(sample("serve_requests_total") >= Some(2.0), "{dump}");
+    assert!(sample("serve_rejected_total") >= Some(1.0), "{dump}");
+    drop(readmitted);
     server.shutdown().expect("drain");
+}
+
+/// Every serving knob, named: a new `ServeConfig` (or `ExecConfig`) field
+/// fails to compile here until someone decides what it is for.
+#[test]
+fn serve_config_has_exactly_these_knobs() {
+    let ServeConfig {
+        max_connections: _,
+        accept_backlog: _,
+        default_deadline: _,
+        read_timeout: _,
+        write_timeout: _,
+        exec_config: ExecConfig {
+            dop: _,
+            morsel_rows: _,
+        },
+        debug_statements,
+        allow_remote_shutdown,
+    } = ServeConfig::default();
+    assert!(
+        !debug_statements && !allow_remote_shutdown,
+        "debug statements and remote shutdown are opt-in"
+    );
 }
 
 #[test]
