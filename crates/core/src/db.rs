@@ -34,6 +34,11 @@ use crate::storage::SummaryStorage;
 use crate::summary::{InstanceId, ObjId, SummaryObject};
 use crate::{AnnotatedTuple, CoreError, Result};
 
+/// The error a mutator returns for a table id it does not know.
+fn table_not_found(table: TableId) -> CoreError {
+    StorageError::TableNotFound(format!("#{}", table.0)).into()
+}
+
 /// The InsightNotes database engine.
 #[derive(Debug)]
 pub struct Database {
@@ -159,6 +164,16 @@ impl Database {
         // mutation surfaces it; recovery discards this uncommitted bump.
         let _ = self.wal_finish(Ok(()));
         self.revision
+    }
+
+    /// Check that `table` is in the catalog and in every per-table map, so
+    /// a mutator can fail before it allocates an id or changes anything.
+    fn check_table(&self, table: TableId) -> Result<()> {
+        self.catalog.table(table)?;
+        let known = self.annotations.contains_key(&table)
+            && self.instances.contains_key(&table)
+            && self.summaries.contains_key(&table);
+        known.then_some(()).ok_or_else(|| table_not_found(table))
     }
 
     /// Seal a top-level mutation: WAL-commit it, then advance the revision
@@ -306,6 +321,7 @@ impl Database {
     }
 
     fn delete_tuple_inner(&mut self, table: TableId, oid: Oid) -> Result<(SummaryDelta, Tuple)> {
+        self.check_table(table)?;
         // Capture the data values (for column-index maintenance) and final
         // label counts (for summary-index cleanup) before anything is gone.
         let values = self.catalog.table(table)?.get(oid)?;
@@ -325,7 +341,10 @@ impl Database {
             }
         }
         // Remove annotation postings (bodies survive if attached elsewhere).
-        let store = self.annotations.get_mut(&table).expect("store exists");
+        let store = self
+            .annotations
+            .get_mut(&table)
+            .ok_or_else(|| table_not_found(table))?;
         for id in store.detach_tuple(oid) {
             self.annot_home.remove(&id);
             if let Some(tables) = self.annot_tables.get_mut(&id) {
@@ -335,13 +354,12 @@ impl Database {
                 }
             }
         }
-        if self
+        let storage = self
             .summaries
-            .get(&table)
-            .expect("storage exists")
-            .contains(oid)
-        {
-            self.summaries.get_mut(&table).unwrap().delete(oid)?;
+            .get_mut(&table)
+            .ok_or_else(|| table_not_found(table))?;
+        if storage.contains(oid) {
+            storage.delete(oid)?;
         }
         self.catalog.table_mut(table)?.delete(oid)?;
         Ok((
@@ -395,8 +413,11 @@ impl Database {
         let res = self.link_instance_scoped_inner(table, name, kind, indexable, scope);
         let res = self.finish_mutation(res);
         if let Ok((_, deltas)) = &res {
+            // Indexes replay the link's deltas like any others; cached
+            // plans see the DDL mark and replan.
             self.journal
                 .record(self.revision, false, Vec::new(), deltas.clone());
+            self.journal.record_ddl(self.revision, table);
         }
         res
     }
@@ -413,11 +434,11 @@ impl Database {
         // any per-table map: an unknown table must come back as a proper
         // `Err`, not a panic on the instances-map lookup (and without
         // leaking an instance-id or half-linked state).
-        self.catalog.table(table)?;
+        self.check_table(table)?;
         let list = self
             .instances
             .get_mut(&table)
-            .ok_or_else(|| StorageError::TableNotFound(format!("#{}", table.0)))?;
+            .ok_or_else(|| table_not_found(table))?;
         let id = InstanceId(self.next_instance);
         self.next_instance += 1;
         let inst = SummaryInstance {
@@ -427,28 +448,23 @@ impl Database {
             indexable,
             scope: scope.unwrap_or_default(),
         };
-        list.push(inst);
-        let inst = self.instances.get(&table).unwrap().last().unwrap().clone();
+        list.push(inst.clone());
 
         // Summarize existing annotations tuple by tuple.
         let store = self
             .annotations
             .get(&table)
-            .ok_or_else(|| StorageError::TableNotFound(format!("#{}", table.0)))?;
-        let annotated: Vec<Oid> = {
-            let mut oids: Vec<Oid> = self
-                .catalog
-                .table(table)?
-                .oids()
-                .into_iter()
-                .filter(|o| !store.for_tuple(*o).is_empty())
-                .collect();
+            .ok_or_else(|| table_not_found(table))?;
+        let annotated: Vec<(Oid, Vec<AnnotId>)> = {
+            let mut oids = self.catalog.table(table)?.oids();
             oids.sort_unstable();
-            oids
+            oids.into_iter()
+                .map(|o| (o, store.for_tuple(o)))
+                .filter(|(_, ids)| !ids.is_empty())
+                .collect()
         };
         let mut deltas = Vec::with_capacity(annotated.len());
-        for oid in annotated {
-            let annot_ids = self.annotations.get(&table).unwrap().for_tuple(oid);
+        for (oid, annot_ids) in annotated {
             let mut obj = inst.new_object(ObjId(self.next_obj), oid);
             self.next_obj += 1;
             for aid in annot_ids {
@@ -470,7 +486,10 @@ impl Database {
                     });
                 }
             }
-            let storage = self.summaries.get_mut(&table).unwrap();
+            let storage = self
+                .summaries
+                .get_mut(&table)
+                .ok_or_else(|| table_not_found(table))?;
             let mut set = storage.read(oid)?;
             set.push(obj);
             let created = storage.write(oid, &set)?;
@@ -503,13 +522,19 @@ impl Database {
     }
 
     fn drop_instance_inner(&mut self, table: TableId, name: &str) -> Result<()> {
-        let list = self.instances.get_mut(&table).expect("table exists");
+        // Resolve everything before unlinking: an unknown table or instance
+        // leaves the database as it was.
+        self.check_table(table)?;
+        let (Some(list), Some(storage)) = (
+            self.instances.get_mut(&table),
+            self.summaries.get_mut(&table),
+        ) else {
+            return Err(table_not_found(table));
+        };
         let Some(pos) = list.iter().position(|i| i.name == name) else {
             return Err(CoreError::InstanceNotFound(name.to_string()));
         };
-        let id = list[pos].id;
-        list.remove(pos);
-        let storage = self.summaries.get_mut(&table).unwrap();
+        let id = list.remove(pos).id;
         for oid in storage.oids() {
             let mut set = storage.read(oid)?;
             let before = set.len();
@@ -575,11 +600,16 @@ impl Database {
         author: &str,
         attachments: Vec<Attachment>,
     ) -> Result<(AnnotId, Vec<SummaryDelta>)> {
+        // Validate before the store allocates an annotation id.
+        self.check_table(table)?;
         let revision = self.revision;
         let mut oids: Vec<Oid> = attachments.iter().map(|a| a.oid).collect();
         oids.sort_unstable();
         oids.dedup();
-        let store = self.annotations.get_mut(&table).expect("store exists");
+        let store = self
+            .annotations
+            .get_mut(&table)
+            .ok_or_else(|| table_not_found(table))?;
         let id = store.add(
             text.to_string(),
             category,
@@ -623,13 +653,14 @@ impl Database {
         id: AnnotId,
         attachments: Vec<Attachment>,
     ) -> Result<Vec<SummaryDelta>> {
+        self.check_table(table)?;
         let annot = self.get_annotation(id)?;
         let mut oids: Vec<Oid> = attachments.iter().map(|a| a.oid).collect();
         oids.sort_unstable();
         oids.dedup();
         self.annotations
             .get_mut(&table)
-            .expect("store exists")
+            .ok_or_else(|| table_not_found(table))?
             .attach_external(id, attachments);
         let tables = self.annot_tables.entry(id).or_default();
         if !tables.contains(&table) {
@@ -644,10 +675,17 @@ impl Database {
         annot: &Annotation,
         oids: &[Oid],
     ) -> Result<Vec<SummaryDelta>> {
-        let insts = self.instances.get(&table).expect("table exists").clone();
+        let insts = self
+            .instances
+            .get(&table)
+            .ok_or_else(|| table_not_found(table))?
+            .clone();
         let mut deltas = Vec::with_capacity(oids.len());
         for &oid in oids {
-            let storage = self.summaries.get_mut(&table).unwrap();
+            let storage = self
+                .summaries
+                .get_mut(&table)
+                .ok_or_else(|| table_not_found(table))?;
             let mut set = storage.read(oid)?;
             // Materialize missing objects for linked instances.
             for inst in &insts {
@@ -678,7 +716,10 @@ impl Database {
             let created = if set.is_empty() {
                 false
             } else {
-                self.summaries.get_mut(&table).unwrap().write(oid, &set)?
+                self.summaries
+                    .get_mut(&table)
+                    .ok_or_else(|| table_not_found(table))?
+                    .write(oid, &set)?
             };
             if created {
                 // First annotation on this tuple: indexes insert all k label
@@ -774,16 +815,25 @@ impl Database {
     fn delete_annotation_inner(&mut self, id: AnnotId) -> Result<Vec<SummaryDelta>> {
         let tables = self
             .annot_tables
-            .remove(&id)
+            .get(&id)
+            .cloned()
             .ok_or(CoreError::AnnotationNotFound(id.0))?;
+        for &table in &tables {
+            self.check_table(table)?;
+        }
+        self.annot_tables.remove(&id);
         let mut deltas = Vec::new();
         for table in &tables {
             let oids = self
                 .annotations
                 .get(table)
-                .expect("store exists")
+                .ok_or_else(|| table_not_found(*table))?
                 .tuples_of(id);
-            let insts = self.instances.get(table).expect("table exists").clone();
+            let insts = self
+                .instances
+                .get(table)
+                .ok_or_else(|| table_not_found(*table))?
+                .clone();
             for oid in oids {
                 let annotations = &self.annotations;
                 let annot_home = &self.annot_home;
@@ -791,7 +841,10 @@ impl Database {
                     let home = annot_home.get(&aid)?;
                     annotations.get(home)?.get(aid).ok().map(|a| a.text)
                 };
-                let storage = self.summaries.get_mut(table).unwrap();
+                let storage = self
+                    .summaries
+                    .get_mut(table)
+                    .ok_or_else(|| table_not_found(*table))?;
                 let mut set = storage.read(oid)?;
                 let mut changes = Vec::new();
                 for inst in &insts {
@@ -821,7 +874,7 @@ impl Database {
         for table in &tables {
             self.annotations
                 .get_mut(table)
-                .expect("store exists")
+                .ok_or_else(|| table_not_found(*table))?
                 .delete(id)?;
         }
         self.annot_home.remove(&id);
@@ -834,7 +887,11 @@ impl Database {
             .annot_home
             .get(&id)
             .ok_or(CoreError::AnnotationNotFound(id.0))?;
-        Ok(self.annotations.get(home).expect("store exists").get(id)?)
+        let store = self
+            .annotations
+            .get(home)
+            .ok_or_else(|| table_not_found(*home))?;
+        Ok(store.get(id)?)
     }
 
     /// The annotation store of `table`.
@@ -880,7 +937,10 @@ impl Database {
 
     /// Read the summary set of a tuple from de-normalized storage.
     pub fn summaries_of(&self, table: TableId, oid: Oid) -> Result<Vec<SummaryObject>> {
-        self.summaries.get(&table).expect("table exists").read(oid)
+        self.summaries
+            .get(&table)
+            .ok_or_else(|| table_not_found(table))?
+            .read(oid)
     }
 
     /// The de-normalized summary storage of `table` (index layers read it
@@ -903,7 +963,10 @@ impl Database {
     /// Scan all tuples of a table with their summaries.
     pub fn scan_annotated(&self, table: TableId) -> Result<Vec<AnnotatedTuple>> {
         let t = self.catalog.table(table)?;
-        let storage = self.summaries.get(&table).expect("table exists");
+        let storage = self
+            .summaries
+            .get(&table)
+            .ok_or_else(|| table_not_found(table))?;
         let mut out = Vec::with_capacity(t.len());
         for (oid, values) in t.scan() {
             out.push(AnnotatedTuple {
@@ -1088,6 +1151,76 @@ mod tests {
         // at 1) and the real table still accepts a link afterwards.
         let (inst, _) = db.link_instance(t, "C", classifier_kind(), true).unwrap();
         assert_eq!(inst.0, 1);
+    }
+
+    fn is_table_not_found<T: std::fmt::Debug>(res: Result<T>) -> bool {
+        matches!(res, Err(CoreError::Storage(StorageError::TableNotFound(_))))
+    }
+
+    #[test]
+    fn drop_instance_unknown_table_is_err_not_panic() {
+        let (mut db, t, _) = setup();
+        let revision = db.revision();
+        assert!(is_table_not_found(
+            db.drop_instance(TableId(t.0 + 100), "ClassBird1")
+        ));
+        assert_eq!(db.revision(), revision, "nothing committed");
+        assert!(db.instance_by_name(t, "ClassBird1").is_ok());
+        db.drop_instance(t, "ClassBird1").unwrap();
+    }
+
+    #[test]
+    fn add_annotation_unknown_table_is_err_not_panic() {
+        let (mut db, t, oids) = setup();
+        let revision = db.revision();
+        let marks = db.journal().table_marks(t);
+        let bogus = TableId(t.0 + 100);
+        assert!(is_table_not_found(db.add_annotation(
+            bogus,
+            "disease",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oids[0])],
+        )));
+        assert_eq!(db.revision(), revision, "nothing committed");
+        assert_eq!(db.journal().table_marks(t), marks);
+        // No annotation id was allocated: the first real one is still 1.
+        let (id, _) = db
+            .add_annotation(
+                t,
+                "disease",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(oids[0])],
+            )
+            .unwrap();
+        assert_eq!(id, AnnotId(1));
+    }
+
+    #[test]
+    fn attach_annotation_unknown_table_is_err_not_panic() {
+        let (mut db, t, oids) = setup();
+        let (id, _) = db
+            .add_annotation(
+                t,
+                "disease",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(oids[0])],
+            )
+            .unwrap();
+        let revision = db.revision();
+        let bogus = TableId(t.0 + 100);
+        assert!(is_table_not_found(db.attach_annotation(
+            bogus,
+            id,
+            vec![Attachment::row(oids[0])]
+        )));
+        assert_eq!(db.revision(), revision, "nothing committed");
+        // The annotation was not recorded as living on the unknown table,
+        // so deleting it still walks only real tables.
+        db.delete_annotation(id).unwrap();
+        assert!(db.get_annotation(id).is_err());
     }
 
     #[test]

@@ -8,11 +8,21 @@
 //! at revision `B` can tell the difference between "nothing happened since
 //! `B`" and "things happened but the evidence is gone — bulk rebuild".
 //!
-//! Per-table revision high-water marks survive truncation: they are the
-//! cheap staleness filter (`table_high_water(t) <= built_revision` means no
-//! committed mutation has touched `t` since the index was built, so the
-//! index needs *zero* maintenance work — the fix for the historical
-//! rebuild-everything-on-any-bump behavior).
+//! Three per-table marks ([`TableMarks`]) live outside the ring and survive
+//! truncation, including a retention of zero:
+//!
+//! * the revision high-water mark — the cheap staleness filter
+//!   (`table_high_water(t) <= built_revision` means no committed mutation
+//!   has touched `t` since the index was built, so the index needs *zero*
+//!   maintenance work — the fix for the historical
+//!   rebuild-everything-on-any-bump behavior);
+//! * a running count of the table's changes (data changes plus summary
+//!   deltas), which the plan cache measures drift with;
+//! * the revision of the table's last DDL (an instance linked or dropped),
+//!   which no cached plan survives.
+//!
+//! [`DeltaJournal::reset`] (restore / recovery) discards history, lifts the
+//! revision marks to a floor and starts a new [`DeltaJournal::generation`].
 //!
 //! An entry carries two change streams:
 //!
@@ -22,6 +32,7 @@
 //!   consumed by data-column indexes, which summary deltas do not describe.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use instn_storage::{Oid, TableId, Tuple};
 
@@ -110,7 +121,27 @@ impl JournalEntry {
     }
 }
 
-/// Bounded ring of [`JournalEntry`]s plus per-table high-water marks.
+/// One table's marks, kept outside the ring (never truncated).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableMarks {
+    /// Last revision that touched the table.
+    pub high_water: u64,
+    /// Changes recorded against the table so far: its data changes plus its
+    /// summary deltas.
+    pub changes: u64,
+    /// Revision of the table's last DDL (an instance linked or dropped).
+    pub ddl: u64,
+}
+
+/// Source of [`DeltaJournal::generation`]s: process-wide, so no two
+/// journals — nor one journal before and after a reset — share one.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn next_generation() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Bounded ring of [`JournalEntry`]s plus per-table [`TableMarks`].
 #[derive(Debug)]
 pub struct DeltaJournal {
     entries: VecDeque<JournalEntry>,
@@ -119,12 +150,15 @@ pub struct DeltaJournal {
     /// when nothing was ever dropped): replay is possible for an index
     /// built at `B` iff `truncated_through <= B`.
     truncated_through: u64,
-    /// Last revision that touched each table. Never truncated.
-    high_water: HashMap<TableId, u64>,
-    /// Conservative floor for unknown tables after a [`DeltaJournal::reset`]
-    /// (restore / recovery): tables with no recorded mark report this, so a
-    /// pre-reset index can never be silently treated as fresh.
+    /// Per-table marks. Never truncated; cleared only by a reset.
+    marks: HashMap<TableId, TableMarks>,
+    /// Conservative floor for the revision marks after a
+    /// [`DeltaJournal::reset`] (restore / recovery): tables with no later
+    /// mark report this, so a pre-reset index can never be silently treated
+    /// as fresh.
     floor: u64,
+    /// Identity of this journal's history (see [`DeltaJournal::generation`]).
+    generation: u64,
 }
 
 impl DeltaJournal {
@@ -134,8 +168,9 @@ impl DeltaJournal {
             entries: VecDeque::new(),
             retention,
             truncated_through: 0,
-            high_water: HashMap::new(),
+            marks: HashMap::new(),
             floor: 0,
+            generation: next_generation(),
         }
     }
 
@@ -170,7 +205,8 @@ impl DeltaJournal {
     }
 
     /// Seal a structural change on explicit tables (e.g. an instance drop,
-    /// whose effect deltas cannot express).
+    /// whose effect deltas cannot express). A structural change is DDL: it
+    /// also moves each table's DDL mark.
     pub fn record_structural(&mut self, revision: u64, tables: Vec<TableId>) {
         let mut tables = tables;
         tables.sort_unstable();
@@ -184,10 +220,25 @@ impl DeltaJournal {
         });
     }
 
+    /// Move `table`'s DDL mark to `revision` for DDL whose effect the
+    /// entry's deltas do express (an instance link: its deltas carry the
+    /// new label counts, so indexes still replay rather than rebuild).
+    pub(crate) fn record_ddl(&mut self, revision: u64, table: TableId) {
+        let marks = self.marks.entry(table).or_default();
+        marks.ddl = marks.ddl.max(revision);
+    }
+
     fn record_entry(&mut self, entry: JournalEntry) {
+        let changed = entry.data.iter().map(DataChange::table);
+        for t in changed.chain(entry.summary.iter().map(|d| d.table)) {
+            self.marks.entry(t).or_default().changes += 1;
+        }
         for &t in &entry.tables {
-            let hw = self.high_water.entry(t).or_insert(0);
-            *hw = (*hw).max(entry.revision);
+            let marks = self.marks.entry(t).or_default();
+            marks.high_water = marks.high_water.max(entry.revision);
+            if entry.structural {
+                marks.ddl = marks.ddl.max(entry.revision);
+            }
         }
         if entry.tables.is_empty() && !entry.structural {
             // A pure revision bump (e.g. `bump_revision`) moves no table's
@@ -204,11 +255,28 @@ impl DeltaJournal {
     /// Last revision that touched `table` (0 if never touched — or the
     /// reset floor when history was discarded by restore/recovery).
     pub fn table_high_water(&self, table: TableId) -> u64 {
-        self.high_water
-            .get(&table)
-            .copied()
-            .unwrap_or(0)
-            .max(self.floor)
+        self.table_marks(table).high_water
+    }
+
+    /// All of `table`'s marks in one lookup, the revision marks lifted to
+    /// the reset floor (a never-touched table reports zeros before any
+    /// reset).
+    pub fn table_marks(&self, table: TableId) -> TableMarks {
+        let marks = self.marks.get(&table).copied().unwrap_or_default();
+        TableMarks {
+            high_water: marks.high_water.max(self.floor),
+            changes: marks.changes,
+            ddl: marks.ddl.max(self.floor),
+        }
+    }
+
+    /// Identity of this journal's history: drawn fresh by
+    /// [`DeltaJournal::new`] and by every [`DeltaJournal::reset`], unique
+    /// within the process. Revisions and change counts are comparable only
+    /// within one generation — a restored database may sit at a lower
+    /// revision than the one it replaced.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Highest revision whose entry was truncated away. Replay for an index
@@ -269,14 +337,16 @@ impl DeltaJournal {
 
     /// Discard all history and declare everything up to `revision` as
     /// truncated — used when a database is rebuilt from a snapshot, where
-    /// per-entry history does not survive. High-water marks are reset to a
-    /// conservative floor of `revision` so unknown tables are never treated
-    /// as untouched.
+    /// per-entry history does not survive. High-water and DDL marks are
+    /// reset to a conservative floor of `revision` so unknown tables are
+    /// never treated as untouched; change counts restart from zero under a
+    /// new generation.
     pub fn reset(&mut self, revision: u64) {
         self.entries.clear();
-        self.high_water.clear();
+        self.marks.clear();
         self.truncated_through = revision;
         self.floor = revision;
+        self.generation = next_generation();
     }
 }
 
@@ -364,6 +434,78 @@ mod tests {
         assert_eq!(j.table_high_water(TableId(7)), 10);
         assert!(j.replay_range(9).is_none());
         assert_eq!(j.replay_range(10).unwrap().count(), 0);
+    }
+
+    fn summary_delta(table: u32, oid: u64) -> SummaryDelta {
+        SummaryDelta {
+            table: TableId(table),
+            oid: Oid(oid),
+            created_row: false,
+            deleted_row: false,
+            changes: vec![],
+        }
+    }
+
+    #[test]
+    fn change_counts_add_data_changes_and_summary_deltas_per_table() {
+        let mut j = DeltaJournal::new(16);
+        let (r, d) = entry_ins(2, 0, 1);
+        j.record(r, false, d, vec![summary_delta(0, 1), summary_delta(1, 7)]);
+        j.record(3, false, vec![], vec![summary_delta(0, 1)]);
+        assert_eq!(j.table_marks(TableId(0)).changes, 3);
+        assert_eq!(j.table_marks(TableId(1)).changes, 1);
+        assert_eq!(j.table_marks(TableId(9)), TableMarks::default());
+    }
+
+    #[test]
+    fn change_counts_and_ddl_marks_survive_truncation() {
+        for retention in [0, 2] {
+            let mut j = DeltaJournal::new(retention);
+            j.record(2, false, vec![], vec![summary_delta(0, 1)]);
+            j.record_ddl(2, TableId(0));
+            j.record_structural(3, vec![TableId(1)]);
+            for rev in 4..=9 {
+                let (r, d) = entry_ins(rev, 0, rev);
+                j.record(r, false, d, vec![]);
+            }
+            assert!(j.len() <= retention);
+            assert!(j.replay_range(3).is_none(), "the ring lost the DDL entries");
+            let t0 = j.table_marks(TableId(0));
+            assert_eq!((t0.high_water, t0.changes, t0.ddl), (9, 7, 2));
+            let t1 = j.table_marks(TableId(1));
+            assert_eq!((t1.high_water, t1.changes, t1.ddl), (3, 0, 3));
+        }
+    }
+
+    #[test]
+    fn ddl_marks_move_only_on_ddl() {
+        let mut j = DeltaJournal::new(16);
+        j.record(2, false, vec![], vec![summary_delta(0, 1)]);
+        assert_eq!(j.table_marks(TableId(0)).ddl, 0, "a delta is not DDL");
+        // An instance link with no annotated rows records no delta but is
+        // still DDL.
+        j.record(3, false, vec![], vec![]);
+        j.record_ddl(3, TableId(0));
+        assert_eq!(j.table_marks(TableId(0)).ddl, 3);
+        assert_eq!(j.table_high_water(TableId(0)), 2);
+    }
+
+    #[test]
+    fn reset_floors_ddl_marks_and_starts_a_new_generation() {
+        let mut j = DeltaJournal::new(4);
+        let (r, d) = entry_ins(2, 0, 1);
+        j.record(r, false, d, vec![]);
+        j.record_ddl(2, TableId(0));
+        let before = j.generation();
+        assert_ne!(before, DeltaJournal::new(4).generation());
+        j.reset(10);
+        assert_ne!(j.generation(), before);
+        for t in [TableId(0), TableId(7)] {
+            let marks = j.table_marks(t);
+            assert_eq!((marks.high_water, marks.changes, marks.ddl), (10, 0, 10));
+        }
+        j.record_ddl(12, TableId(0));
+        assert_eq!(j.table_marks(TableId(0)).ddl, 12);
     }
 
     #[test]

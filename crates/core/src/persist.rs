@@ -36,6 +36,14 @@ use crate::{CoreError, Result};
 /// replay to assign the same identifiers the original run did.
 const MAGIC: &[u8; 8] = b"INSTNDB2";
 
+/// The format tag heading `bytes` when it names another version of this
+/// dump format (`INSTNDB` plus a version other than [`MAGIC`]'s).
+fn other_format_version(bytes: &[u8]) -> Option<String> {
+    let tag = bytes.get(..MAGIC.len())?;
+    let stem = &MAGIC[..MAGIC.len() - 1];
+    (tag.starts_with(stem) && tag != MAGIC).then(|| tag.escape_ascii().to_string())
+}
+
 // ---------------------------------------------------------------------
 // Primitive writers/readers.
 // ---------------------------------------------------------------------
@@ -298,8 +306,16 @@ impl Database {
 
     /// Rebuild a database from a [`Database::dump`] snapshot. Any damage —
     /// truncation, bit flips, or a replay that no longer makes sense — is
-    /// reported as [`CoreError::Corrupt`]; nothing is partially applied.
+    /// reported as [`CoreError::Corrupt`]; nothing is partially applied. A
+    /// dump in another version of the format is rejected by name, before
+    /// the checksum (whose layout that version may not share) is read.
     pub fn restore(bytes: &[u8]) -> Result<Database> {
+        if let Some(found) = other_format_version(bytes) {
+            return Err(CoreError::Corrupt(format!(
+                "dump format {found}, this build reads {}",
+                MAGIC.escape_ascii()
+            )));
+        }
         // Integrity gate: verify the CRC-32 trailer before parsing anything,
         // so corrupt bytes never reach the decoders below.
         let Some(body_len) = bytes.len().checked_sub(4) else {
@@ -566,6 +582,43 @@ mod tests {
         let mut bytes = db.dump().unwrap();
         bytes.truncate(bytes.len() / 2);
         assert!(Database::restore(&bytes).is_err());
+    }
+
+    fn restore_error(bytes: &[u8]) -> String {
+        Database::restore(bytes)
+            .map(|_| ())
+            .expect_err("not a restorable dump")
+            .to_string()
+    }
+
+    #[test]
+    fn older_dump_format_is_named_in_the_error() {
+        // An INSTNDB1 dump had no CRC trailer; the version check comes first.
+        let err = restore_error(b"INSTNDB1\x07\0\0\0\0\0\0\0");
+        assert!(
+            err.contains("dump format INSTNDB1, this build reads INSTNDB2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn newer_dump_format_is_named_in_the_error() {
+        let mut bytes = build().dump().unwrap();
+        bytes[7] = b'3';
+        let err = restore_error(&bytes);
+        assert!(
+            err.contains("dump format INSTNDB3, this build reads INSTNDB2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn foreign_bytes_keep_the_unversioned_error() {
+        for garbage in [&b"not a dump at all"[..], b"INSTN", b"XNSTNDB2rest"] {
+            let err = restore_error(garbage);
+            assert!(!err.contains("dump format"), "{err}");
+            assert!(err.contains("checksum") || err.contains("trailer"), "{err}");
+        }
     }
 
     #[test]

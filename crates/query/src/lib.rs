@@ -48,7 +48,7 @@ pub use metrics::QueryMetrics;
 pub use plan::{JoinPredicate, LogicalPlan, SortKey};
 pub use plan_cache::{
     normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanKey, PlanLookup, PlanStamp,
-    DEFAULT_PLAN_CACHE_CAPACITY,
+    TableStamp, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_DRIFT_DIVISOR,
 };
 pub use row::{FinishedRow, RowSink};
 pub use session::{IndexDescriptors, Session, SharedDatabase};

@@ -17,6 +17,8 @@ use instn_obs::{Counter, Histogram, MetricsRegistry};
 pub struct QueryMetrics {
     /// `plan_cache_hits_total`.
     pub plan_cache_hits: Counter,
+    /// `plan_cache_kept_total` (a subset of the hits).
+    pub plan_cache_kept: Counter,
     /// `plan_cache_misses_total`.
     pub plan_cache_misses: Counter,
     /// `plan_cache_invalidations_total`.
@@ -63,13 +65,17 @@ impl QueryMetrics {
                 "plan_cache_hits_total",
                 "Statements served from a cached plan (no optimizer run)",
             ),
+            plan_cache_kept: registry.counter(
+                "plan_cache_kept_total",
+                "Cache hits whose tables took DML within the drift bound (a subset of the hits)",
+            ),
             plan_cache_misses: registry.counter(
                 "plan_cache_misses_total",
                 "Statements planned because no cached plan existed",
             ),
             plan_cache_invalidations: registry.counter(
                 "plan_cache_invalidations_total",
-                "Cached plans dropped because a touched table advanced",
+                "Cached plans dropped for DDL, a journal reset, or drift past the bound",
             ),
             plan_wall_ns: registry
                 .histogram("plan_wall_ns", "Fresh statement-planning wall time (ns)"),

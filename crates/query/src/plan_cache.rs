@@ -12,14 +12,21 @@
 //!   itself is kept beside the plan and compared on every probe, so two
 //!   statements that collide on the hash evict each other instead of
 //!   sharing a plan.
-//! * Each entry is stamped with the planning-time database revision and
-//!   the per-table high-water marks from the engine's `DeltaJournal`. A
-//!   cached plan is reused **iff** no touched table has advanced
-//!   (`table_high_water(t) <= stamp`); otherwise the entry is dropped and
-//!   the caller replans — the fallback is always a fresh plan, never a
-//!   stale result. High-water marks survive journal truncation (they are
-//!   kept outside the ring), so the check is exact at every retention,
-//!   including a retention of zero.
+//! * Each entry is stamped ([`PlanStamp`]) with the planning-time database
+//!   revision, the journal's generation, and, per touched table, the
+//!   journal's running change count and the table's row count. A lookup
+//!   keeps the entry **iff** the journal is the same generation (no
+//!   restore or recovery since), no DDL has landed on a touched table since
+//!   planning, and each touched table has taken at most
+//!   `rows_at_plan / `[`PLAN_DRIFT_DIVISOR`] changes; otherwise the entry
+//!   is dropped and the caller replans. DML never makes a plan *wrong* —
+//!   a physical plan names tables, instances and indexes and carries
+//!   literals, while everything data-dependent (index contents, morsels,
+//!   page counts, inner materializations) is computed when the plan opens —
+//!   it only ages the statistics the plan was costed on, and the bound caps
+//!   that age. The marks live outside the journal's ring, so the check is
+//!   exact at every retention, including a retention of zero, and costs one
+//!   map probe per touched table.
 //! * The cache is a bounded LRU ([`DEFAULT_PLAN_CACHE_CAPACITY`] entries);
 //!   the least-recently-used entry is evicted on overflow.
 //!
@@ -38,6 +45,12 @@ use crate::exec::PhysicalPlan;
 
 /// Default bound on cached plans per session.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+
+/// A cached plan survives DML on a touched table while the table's changes
+/// since planning are at most its planning-time row count divided by this;
+/// past it the statistics the plan was costed on are too old and the
+/// statement replans. Tables under this many rows replan on every change.
+pub const PLAN_DRIFT_DIVISOR: u64 = 8;
 
 /// Normalize statement text for fingerprinting: collapse every whitespace
 /// run to a single space, trim the ends, and strip a trailing `;`. Two
@@ -67,40 +80,70 @@ pub fn normalize_statement(input: &str) -> String {
     out
 }
 
-/// The journal position a plan was chosen at: the database revision plus
-/// the high-water mark of every table the plan touches.
+/// One touched table as a plan saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableStamp {
+    /// The table.
+    pub table: TableId,
+    /// The journal's change count for the table at planning time.
+    pub changes: u64,
+    /// The table's row count at planning time.
+    pub rows: u64,
+}
+
+/// The journal position a plan was chosen at: the database revision, the
+/// journal generation, and the marks of every table the plan touches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanStamp {
     /// `Database::revision()` at planning time.
     pub revision: u64,
-    /// `(table, table_high_water(table))` at planning time, one entry per
-    /// distinct touched table.
-    pub tables: Vec<(TableId, u64)>,
+    /// `DeltaJournal::generation()` at planning time.
+    pub generation: u64,
+    /// One entry per distinct touched table.
+    pub tables: Vec<TableStamp>,
 }
 
 impl PlanStamp {
     /// Capture the current stamp for the given touched tables.
     pub fn capture(db: &Database, tables: impl IntoIterator<Item = TableId>) -> Self {
-        let mut seen: Vec<(TableId, u64)> = Vec::new();
-        for t in tables {
-            if !seen.iter().any(|(s, _)| *s == t) {
-                seen.push((t, db.journal().table_high_water(t)));
+        let mut seen: Vec<TableStamp> = Vec::new();
+        for table in tables {
+            if !seen.iter().any(|s| s.table == table) {
+                seen.push(TableStamp {
+                    table,
+                    changes: db.journal().table_marks(table).changes,
+                    rows: db.table(table).map_or(0, |t| t.len() as u64),
+                });
             }
         }
         Self {
             revision: db.revision(),
+            generation: db.journal().generation(),
             tables: seen,
         }
     }
 
-    /// Whether every touched table is still at (or before) its stamped
-    /// high-water mark — i.e. no DML or DDL has landed on any of them
-    /// since planning. Mutations to *other* tables advance the database
-    /// revision but not these marks, so they never invalidate this plan.
-    pub fn is_current(&self, db: &Database) -> bool {
-        self.tables
-            .iter()
-            .all(|(t, hw)| db.journal().table_high_water(*t) <= *hw)
+    /// Changes the touched tables have taken since planning, or `None` when
+    /// the plan must be replanned: the journal was reset (restore /
+    /// recovery), DDL landed on a touched table, or a touched table drifted
+    /// past `rows / PLAN_DRIFT_DIVISOR` changes. Mutations to *other*
+    /// tables never count.
+    pub fn drift(&self, db: &Database) -> Option<u64> {
+        let journal = db.journal();
+        if journal.generation() != self.generation {
+            return None;
+        }
+        let mut drift = 0;
+        for stamp in &self.tables {
+            let marks = journal.table_marks(stamp.table);
+            // Counts only grow within a generation.
+            let changed = marks.changes.checked_sub(stamp.changes)?;
+            if marks.ddl > self.revision || changed > stamp.rows / PLAN_DRIFT_DIVISOR {
+                return None;
+            }
+            drift += changed;
+        }
+        Some(drift)
     }
 }
 
@@ -124,10 +167,15 @@ pub struct CachedPlan {
 /// Outcome of a [`PlanCache::lookup`].
 #[derive(Debug, Clone)]
 pub enum PlanLookup {
-    /// A stamped-current entry was found; execute it as-is.
+    /// An entry was found and no touched table changed since planning;
+    /// execute it as-is.
     Hit(Arc<CachedPlan>),
-    /// An entry existed but a touched table advanced past its stamp; the
-    /// entry has been dropped and the caller must replan.
+    /// An entry was found whose touched tables took DML within the drift
+    /// bound; execute it as-is (a hit, counted as kept too).
+    Kept(Arc<CachedPlan>),
+    /// An entry existed but DDL, a journal reset, or drift past the bound
+    /// landed since planning; the entry has been dropped and the caller
+    /// must replan.
     Invalidated,
     /// No entry under this fingerprint (or the cache is disabled).
     Miss,
@@ -139,11 +187,13 @@ pub enum PlanLookup {
 /// pins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups served from a stamped-current entry.
+    /// Lookups served from a cached entry (kept ones included).
     pub hits: u64,
+    /// The hits whose touched tables took DML within the drift bound.
+    pub kept: u64,
     /// Lookups with no entry under the fingerprint.
     pub misses: u64,
-    /// Entries dropped because a touched table advanced.
+    /// Entries dropped for DDL, a journal reset, or drift past the bound.
     pub invalidations: u64,
     /// Entries stored (including replacements after invalidation).
     pub insertions: u64,
@@ -246,11 +296,13 @@ impl PlanCache {
     }
 
     /// Look up `statement` under `key`, revalidating the entry's
-    /// [`PlanStamp`] against the engine's journal. A current entry is a
-    /// [`PlanLookup::Hit`] (and is touched as most-recently-used); a stale
-    /// one is dropped and comes back as [`PlanLookup::Invalidated`]; an
-    /// unknown key, a key held by a different statement (a hash collision),
-    /// or any lookup on a disabled cache is a [`PlanLookup::Miss`].
+    /// [`PlanStamp`] against the engine's journal. An entry whose tables did
+    /// not move is a [`PlanLookup::Hit`], one whose tables drifted within
+    /// the bound is [`PlanLookup::Kept`] (either is touched as
+    /// most-recently-used); a stale one is dropped and comes back as
+    /// [`PlanLookup::Invalidated`]; an unknown key, a key held by a
+    /// different statement (a hash collision), or any lookup on a disabled
+    /// cache is a [`PlanLookup::Miss`].
     pub fn lookup<S: PartialEq + 'static>(
         &mut self,
         key: PlanKey,
@@ -262,15 +314,24 @@ impl PlanCache {
         }
         match self.entries.get_mut(&key) {
             Some(entry) if entry.statement.downcast_ref::<S>() == Some(statement) => {
-                if entry.plan.stamp.is_current(db) {
-                    self.tick += 1;
-                    entry.used = self.tick;
-                    self.stats.hits += 1;
-                    PlanLookup::Hit(Arc::clone(&entry.plan))
-                } else {
-                    self.entries.remove(&key);
-                    self.stats.invalidations += 1;
-                    PlanLookup::Invalidated
+                match entry.plan.stamp.drift(db) {
+                    Some(drift) => {
+                        self.tick += 1;
+                        entry.used = self.tick;
+                        self.stats.hits += 1;
+                        let plan = Arc::clone(&entry.plan);
+                        if drift == 0 {
+                            PlanLookup::Hit(plan)
+                        } else {
+                            self.stats.kept += 1;
+                            PlanLookup::Kept(plan)
+                        }
+                    }
+                    None => {
+                        self.entries.remove(&key);
+                        self.stats.invalidations += 1;
+                        PlanLookup::Invalidated
+                    }
                 }
             }
             _ => {
@@ -316,6 +377,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use instn_core::db::Database;
+    use instn_core::instance::InstanceKind;
     use instn_storage::{ColumnType, Schema, Value};
 
     fn entry(db: &Database, tables: &[TableId]) -> CachedPlan {
@@ -399,6 +461,85 @@ mod tests {
         assert!(matches!(
             cache.lookup(other_dop, &"r", &db),
             PlanLookup::Miss
+        ));
+    }
+
+    /// `T(x)` with `rows` rows.
+    fn table_with_rows(rows: i64) -> (Database, TableId) {
+        let mut db = Database::new();
+        let t = db
+            .create_table("T", Schema::of(&[("x", ColumnType::Int)]))
+            .unwrap();
+        for i in 0..rows {
+            db.insert_tuple(t, vec![Value::Int(i)]).unwrap();
+        }
+        (db, t)
+    }
+
+    #[test]
+    fn dml_within_the_drift_bound_keeps_the_plan() {
+        // 16 rows: up to 16 / 8 = 2 changes keep the plan.
+        let (mut db, t) = table_with_rows(16);
+        let mut cache = cache();
+        cache.insert(key(1), &"q", entry(&db, &[t]));
+        db.insert_tuple(t, vec![Value::Int(100)]).unwrap();
+        let first = db.table(t).unwrap().oids()[0];
+        db.update_tuple(t, first, vec![Value::Int(7)]).unwrap();
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Kept(_)
+        ));
+        db.insert_tuple(t, vec![Value::Int(101)]).unwrap();
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Invalidated
+        ));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.kept, s.invalidations), (1, 1, 1));
+    }
+
+    #[test]
+    fn ddl_invalidates_at_zero_drift() {
+        let (mut db, t) = table_with_rows(64);
+        let mut cache = cache();
+        cache.insert(key(1), &"q", entry(&db, &[t]));
+        let snippet = InstanceKind::Snippet {
+            min_chars: 10,
+            max_chars: 40,
+        };
+        // No annotations: the link records no delta, only the DDL mark.
+        db.link_instance(t, "S", snippet, false).unwrap();
+        assert_eq!(db.journal().table_marks(t).changes, 64);
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Invalidated
+        ));
+        cache.insert(key(1), &"q", entry(&db, &[t]));
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Hit(_)
+        ));
+        db.drop_instance(t, "S").unwrap();
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &db),
+            PlanLookup::Invalidated
+        ));
+    }
+
+    #[test]
+    fn a_restored_database_replans() {
+        let (db, t) = table_with_rows(64);
+        // A restored database starts its change counts from zero, so a
+        // second restore matches the first on revision, rows and counts:
+        // only the journal generation tells the two histories apart.
+        let db = Database::restore(&db.dump().unwrap()).unwrap();
+        let mut cache = cache();
+        cache.insert(key(1), &"q", entry(&db, &[t]));
+        let restored = Database::restore(&db.dump().unwrap()).unwrap();
+        assert_eq!(restored.revision(), db.revision());
+        assert!(matches!(
+            cache.lookup(key(1), &"q", &restored),
+            PlanLookup::Invalidated
         ));
     }
 

@@ -15,7 +15,8 @@
 //! * **Plans** — keyed by a hash of the parsed statement plus the
 //!   planner-relevant session state (DOP, sort budget, registry epoch),
 //!   with the statement itself compared on every probe, and revalidated
-//!   against per-table journal high-water marks on every use (see
+//!   against per-table journal marks on every use: DML within a drift
+//!   bound keeps the plan, DDL or drift past the bound replans (see
 //!   `instn_query::plan_cache`).
 //! * **Statistics** — a per-session [`Statistics`] snapshot that rides
 //!   [`Statistics::catch_up`] over the journal gap instead of re-scanning
@@ -40,13 +41,15 @@ use crate::StatementError;
 /// How a [`PlannedStatement`] obtained its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanSource {
-    /// Served from the session plan cache; the optimizer did not run.
+    /// Served from the session plan cache (possibly kept across DML within
+    /// the drift bound); the optimizer did not run.
     CacheHit,
     /// No cached entry under this key; freshly optimized and
     /// stored.
     CacheMiss,
-    /// A cached entry existed but a touched table advanced past its
-    /// stamp; the entry was dropped and the statement replanned.
+    /// A cached entry existed but DDL, a journal reset, or drift past the
+    /// bound landed since planning; the entry was dropped and the
+    /// statement replanned.
     Invalidated,
     /// The plan cache is disabled (`\plancache off`); freshly optimized,
     /// nothing stored.
@@ -193,7 +196,7 @@ fn build_plan(
 /// session DOP — and store the result.
 ///
 /// Cache events are mirrored into the engine's metrics registry when it
-/// is enabled (`plan_cache_{hits,misses,invalidations}_total`; fresh
+/// is enabled (`plan_cache_{hits,kept,misses,invalidations}_total`; fresh
 /// planning time lands in the `plan_wall_ns` histogram).
 pub fn plan_select(
     session: &mut Session,
@@ -204,9 +207,13 @@ pub fn plan_select(
     let db = shared.try_read()?;
     let observed = session.metrics(&db);
     let lookup = session.plan_cache.lookup(key, sel, &db);
-    if let PlanLookup::Hit(entry) = lookup {
+    let kept = matches!(lookup, PlanLookup::Kept(_));
+    if let PlanLookup::Hit(entry) | PlanLookup::Kept(entry) = lookup {
         if let Some(obs) = &observed {
             obs.plan_cache_hits.inc();
+            if kept {
+                obs.plan_cache_kept.inc();
+            }
         }
         return Ok(PlannedStatement {
             plan: entry,
@@ -299,7 +306,7 @@ mod tests {
         let p2 = plan(&mut session, "select  id\nfrom T ;");
         assert_eq!(p2.source, PlanSource::CacheHit);
         assert_eq!(p2.plan_wall_ns, 0);
-        // DML on T invalidates it.
+        // T has fewer rows than the drift divisor: any DML invalidates it.
         shared
             .with_write(|db| db.insert_tuple(t, vec![Value::Int(9), Value::Text("x".into())]))
             .unwrap();

@@ -173,10 +173,10 @@ fn main() {
                     "" => {
                         let s = session.plan_cache.stats();
                         println!(
-                            "plan cache: {} ({} entries)\nhits={} misses={} invalidations={} insertions={}",
+                            "plan cache: {} ({} entries)\nhits={} (kept={}) misses={} invalidations={} insertions={}",
                             if session.plan_cache.enabled() { "on" } else { "off" },
                             session.plan_cache.len(),
-                            s.hits, s.misses, s.invalidations, s.insertions
+                            s.hits, s.kept, s.misses, s.invalidations, s.insertions
                         );
                     }
                     "on" => {

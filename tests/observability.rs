@@ -141,7 +141,7 @@ proptest! {
     /// The plan-cache counters are observers too: the same statement
     /// stream with the registry enabled vs disabled yields identical
     /// result rows and identical cache verdicts, and the enabled side's
-    /// `plan_cache_{hits,misses,invalidations}_total` counters (plus the
+    /// `plan_cache_{hits,kept,misses,invalidations}_total` counters (plus the
     /// `plan_wall_ns` histogram count) mirror the session's own
     /// `PlanCacheStats` exactly.
     #[test]
@@ -193,6 +193,7 @@ proptest! {
         let on = s_on.plan_cache.stats();
         let off = s_off.plan_cache.stats();
         prop_assert_eq!(on.hits, off.hits);
+        prop_assert_eq!(on.kept, off.kept);
         prop_assert_eq!(on.misses, off.misses);
         prop_assert_eq!(on.invalidations, off.invalidations);
 
@@ -205,6 +206,8 @@ proptest! {
                 .unwrap_or(0.0)
         };
         prop_assert_eq!(get("plan_cache_hits_total"), on.hits as f64);
+        prop_assert_eq!(get("plan_cache_kept_total"), on.kept as f64);
+        prop_assert!(on.kept <= on.hits, "kept plans are a subset of the hits");
         prop_assert_eq!(get("plan_cache_misses_total"), on.misses as f64);
         prop_assert_eq!(get("plan_cache_invalidations_total"), on.invalidations as f64);
         prop_assert_eq!(

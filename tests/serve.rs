@@ -361,8 +361,9 @@ fn prepared_statement_replans_after_dml_never_stale_rows() {
         )
         .expect("inserts");
     });
-    // The journal stamp is revalidated on every execute: the cached plan
-    // is invalidated, the statement replans, and the new row is visible.
+    // The journal stamp is revalidated on every execute. Whether the
+    // insert keeps the cached plan (within the drift bound) or replans, the
+    // plan reads the table as it is now.
     let after = match client.execute_prepared(handle).expect("executes") {
         Response::Rows { rows, .. } => rows.len(),
         other => panic!("expected rows: {other:?}"),
