@@ -621,6 +621,48 @@ mod tests {
         }
     }
 
+    /// A dump of [`build`] whose first classifier model is `model`, with the
+    /// length prefix and checksum made right so only the model is at fault.
+    fn dump_with_model(model: &[u8]) -> Vec<u8> {
+        let InstanceKind::Classifier { model: linked } = classifier_kind() else {
+            unreachable!()
+        };
+        let framed = |m: &[u8]| [&(m.len() as u32).to_le_bytes()[..], m].concat();
+        let old = framed(&linked.to_bytes());
+        let mut bytes = build().dump().unwrap();
+        bytes.truncate(bytes.len() - 4);
+        let at = bytes.windows(old.len()).position(|w| w == old).unwrap();
+        bytes.splice(at..at + old.len(), framed(model));
+        let crc = instn_storage::crc32(&bytes);
+        put_u32(&mut bytes, crc);
+        bytes
+    }
+
+    #[test]
+    fn restore_refuses_hostile_classifier_models() {
+        // Model bytes: labels, each (name, doc and token counts, tokens
+        // claimed but absent), then total docs and an empty vocabulary.
+        let model = |labels: &[(&str, u32)]| {
+            let mut out = Vec::new();
+            put_u32(&mut out, labels.len() as u32);
+            for &(name, tokens) in labels {
+                put_str(&mut out, name);
+                out.extend_from_slice(&[0; 16]);
+                put_u32(&mut out, tokens);
+            }
+            out.extend_from_slice(&[0; 12]);
+            out
+        };
+        assert!(Database::restore(&dump_with_model(&model(&[("A", 0), ("B", 0)]))).is_ok());
+        // Fewer than two labels (with none, the first annotation replayed
+        // indexes past its object's counts), and 2³² − 1 tokens promised by
+        // a few bytes.
+        for hostile in [&[][..], &[("A", 0)], &[("A", u32::MAX), ("B", 0)]] {
+            let err = restore_error(&dump_with_model(&model(hostile)));
+            assert!(err.contains("bad classifier model"), "{err}");
+        }
+    }
+
     #[test]
     fn dump_is_deterministic() {
         let db = build();

@@ -6,8 +6,10 @@
 //! cites Manning et al.'s standard formulation \[10\]; this is that algorithm.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::sync::{Arc, OnceLock};
 
-use crate::tokenize::tokenize;
+use crate::tokenize::{for_each_token, Fnv1a};
 
 /// A trained multinomial Naive Bayes model over string labels.
 #[derive(Debug, Clone)]
@@ -22,6 +24,76 @@ pub struct NaiveBayes {
     token_totals: Vec<u64>,
     /// Global vocabulary size (for Laplace smoothing).
     vocabulary: HashMap<String, ()>,
+    /// The log-probabilities [`NaiveBayes::scores`] adds up, derived from
+    /// the counts above on first use and never persisted. Clones share it
+    /// (core clones a table's instances for every annotation it adds);
+    /// [`NaiveBayes::train`] gives the trained model a fresh one.
+    log_table: Arc<OnceLock<LogTable>>,
+}
+
+/// Every term of the score formula, computed once: a score is its label's
+/// prior plus one looked-up term per token.
+#[derive(Debug)]
+struct LogTable {
+    /// Per label: the smoothed log prior.
+    priors: Vec<f64>,
+    /// Per label: the term of a token the label never saw.
+    unseen: Vec<f64>,
+    /// Row of each token some label saw; row `r` is
+    /// `terms[r * labels..(r + 1) * labels]`.
+    rows: HashMap<Box<str>, usize, BuildHasherDefault<Fnv1a>>,
+    terms: Vec<f64>,
+}
+
+impl LogTable {
+    /// Each term is the expression `scores` evaluated per token before the
+    /// table existed, so adding them up in token order gives the same bits.
+    fn build(nb: &NaiveBayes) -> LogTable {
+        let n = nb.labels.len();
+        let vocab = nb.vocabulary.len().max(1) as f64;
+        let denoms: Vec<f64> = nb.token_totals.iter().map(|&t| t as f64 + vocab).collect();
+        // Smoothed prior (classes with no training data get a floor).
+        let priors = nb
+            .doc_counts
+            .iter()
+            .map(|&d| ((d + 1) as f64 / (nb.total_docs + n as u64) as f64).ln())
+            .collect();
+        let term = |count: u64, li: usize| ((count + 1) as f64 / denoms[li]).ln();
+        let unseen: Vec<f64> = (0..n).map(|li| term(0, li)).collect();
+        let mut rows = HashMap::default();
+        let mut terms = Vec::new();
+        for (li, counts) in nb.token_counts.iter().enumerate() {
+            for (tok, &count) in counts {
+                let row = match rows.get(tok.as_str()) {
+                    Some(&row) => row,
+                    None => {
+                        let row = terms.len() / n;
+                        rows.insert(tok.as_str().into(), row);
+                        terms.extend_from_slice(&unseen);
+                        row
+                    }
+                };
+                terms[row * n + li] = term(count, li);
+            }
+        }
+        LogTable {
+            priors,
+            unseen,
+            rows,
+            terms,
+        }
+    }
+
+    /// The per-label terms of one token.
+    fn row(&self, tok: &str) -> &[f64] {
+        match self.rows.get(tok) {
+            Some(&row) => {
+                let n = self.unseen.len();
+                &self.terms[row * n..(row + 1) * n]
+            }
+            None => &self.unseen,
+        }
+    }
 }
 
 impl NaiveBayes {
@@ -39,6 +111,7 @@ impl NaiveBayes {
             token_counts: vec![HashMap::new(); n],
             token_totals: vec![0; n],
             vocabulary: HashMap::new(),
+            log_table: Arc::default(),
         }
     }
 
@@ -59,11 +132,23 @@ impl NaiveBayes {
             .unwrap_or_else(|| panic!("unknown label {label}"));
         self.doc_counts[li] += 1;
         self.total_docs += 1;
-        for tok in tokenize(text) {
-            *self.token_counts[li].entry(tok.clone()).or_insert(0) += 1;
-            self.token_totals[li] += 1;
-            self.vocabulary.insert(tok, ());
-        }
+        let (counts, total) = (&mut self.token_counts[li], &mut self.token_totals[li]);
+        let vocabulary = &mut self.vocabulary;
+        for_each_token(text, |tok| {
+            match counts.get_mut(tok) {
+                Some(count) => *count += 1,
+                None => {
+                    counts.insert(tok.to_string(), 1);
+                }
+            }
+            *total += 1;
+            if !vocabulary.contains_key(tok) {
+                vocabulary.insert(tok.to_string(), ());
+            }
+        });
+        // A new cell even when this one is still empty: a clone sharing it
+        // could fill it from counts this model no longer has.
+        self.log_table = Arc::default();
     }
 
     /// Train from a batch of `(text, label)` pairs.
@@ -73,25 +158,18 @@ impl NaiveBayes {
         }
     }
 
-    /// Log-probability scores per label for `text` (label order).
+    /// Log-probability scores per label for `text` (label order): the
+    /// label's log prior plus, per token, `ln((count + 1) / (label tokens +
+    /// vocabulary))`, summed in token order.
     pub fn scores(&self, text: &str) -> Vec<f64> {
-        let vocab = self.vocabulary.len().max(1) as f64;
-        let tokens = tokenize(text);
-        (0..self.labels.len())
-            .map(|li| {
-                // Smoothed prior (classes with no training data get a floor).
-                let prior = ((self.doc_counts[li] + 1) as f64
-                    / (self.total_docs + self.labels.len() as u64) as f64)
-                    .ln();
-                let denom = self.token_totals[li] as f64 + vocab;
-                let mut score = prior;
-                for tok in &tokens {
-                    let count = self.token_counts[li].get(tok).copied().unwrap_or(0);
-                    score += ((count + 1) as f64 / denom).ln();
-                }
-                score
-            })
-            .collect()
+        let table = self.log_table.get_or_init(|| LogTable::build(self));
+        let mut scores = table.priors.clone();
+        for_each_token(text, |tok| {
+            for (score, term) in scores.iter_mut().zip(table.row(tok)) {
+                *score += term;
+            }
+        });
+        scores
     }
 
     /// Classify `text`, returning the label index with the highest score.
@@ -141,7 +219,8 @@ impl NaiveBayes {
     }
 
     /// Deserialize a model produced by [`NaiveBayes::to_bytes`], advancing
-    /// `pos` past it.
+    /// `pos` past it. `None` for bytes no model produces: a truncated one,
+    /// or fewer than two labels.
     pub fn from_bytes(bytes: &[u8], pos: &mut usize) -> Option<NaiveBayes> {
         fn get_u32(b: &[u8], p: &mut usize) -> Option<u32> {
             let v = u32::from_le_bytes(b.get(*p..*p + 4)?.try_into().ok()?);
@@ -159,17 +238,27 @@ impl NaiveBayes {
             *p += len;
             Some(s)
         }
-        let n = get_u32(bytes, pos)? as usize;
-        let mut labels = Vec::with_capacity(n);
-        let mut doc_counts = Vec::with_capacity(n);
-        let mut token_totals = Vec::with_capacity(n);
-        let mut token_counts = Vec::with_capacity(n);
+        /// A count read off the bytes, and what may be reserved for it: every
+        /// entry takes at least 4 bytes, so a count past the bytes left
+        /// (a hostile one) cannot reserve more than they could hold.
+        fn get_len(b: &[u8], p: &mut usize) -> Option<(usize, usize)> {
+            let n = get_u32(b, p)? as usize;
+            Some((n, n.min(b.len().saturating_sub(*p) / 4)))
+        }
+        let (n, cap) = get_len(bytes, pos)?;
+        if n < 2 {
+            return None;
+        }
+        let mut labels = Vec::with_capacity(cap);
+        let mut doc_counts = Vec::with_capacity(cap);
+        let mut token_totals = Vec::with_capacity(cap);
+        let mut token_counts = Vec::with_capacity(cap);
         for _ in 0..n {
             labels.push(get_str(bytes, pos)?);
             doc_counts.push(get_u64(bytes, pos)?);
             token_totals.push(get_u64(bytes, pos)?);
-            let m = get_u32(bytes, pos)? as usize;
-            let mut map = HashMap::with_capacity(m);
+            let (m, cap) = get_len(bytes, pos)?;
+            let mut map = HashMap::with_capacity(cap);
             for _ in 0..m {
                 let tok = get_str(bytes, pos)?;
                 let count = get_u64(bytes, pos)?;
@@ -178,8 +267,8 @@ impl NaiveBayes {
             token_counts.push(map);
         }
         let total_docs = get_u64(bytes, pos)?;
-        let v = get_u32(bytes, pos)? as usize;
-        let mut vocabulary = HashMap::with_capacity(v);
+        let (v, cap) = get_len(bytes, pos)?;
+        let mut vocabulary = HashMap::with_capacity(cap);
         for _ in 0..v {
             vocabulary.insert(get_str(bytes, pos)?, ());
         }
@@ -190,6 +279,7 @@ impl NaiveBayes {
             token_counts,
             token_totals,
             vocabulary,
+            log_table: Arc::default(),
         })
     }
 
@@ -322,6 +412,34 @@ mod tests {
         }
         let acc = nb.accuracy(test.iter().map(|(d, l)| (d.as_str(), l.as_str())));
         assert!(acc > 0.9, "accuracy {acc}");
+    }
+
+    /// Model bytes with one label entry per `(name, tokens claimed)`, each
+    /// claiming tokens it does not carry.
+    fn model_bytes(labels: &[(&str, u32)]) -> Vec<u8> {
+        let mut out = (labels.len() as u32).to_le_bytes().to_vec();
+        for (name, tokens) in labels {
+            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&[0; 16]); // doc and token counts
+            out.extend_from_slice(&tokens.to_le_bytes());
+        }
+        out.extend_from_slice(&[0; 12]); // total docs, empty vocabulary
+        out
+    }
+
+    #[test]
+    fn hostile_models_are_refused() {
+        // Fewer than two labels: `new` refuses such a model, and with none
+        // the first annotation classified indexes past its object's counts.
+        for labels in [&[][..], &[("A", 0)][..]] {
+            assert!(NaiveBayes::from_bytes(&model_bytes(labels), &mut 0).is_none());
+        }
+        assert!(NaiveBayes::from_bytes(&model_bytes(&[("A", 0), ("B", 0)]), &mut 0).is_some());
+        // 2³² − 1 tokens claimed in a few bytes: refused for the missing
+        // entries, without first reserving a table for them all.
+        let hostile = model_bytes(&[("A", u32::MAX), ("B", 0)]);
+        assert!(NaiveBayes::from_bytes(&hostile, &mut 0).is_none());
     }
 
     #[test]

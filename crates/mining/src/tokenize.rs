@@ -1,6 +1,7 @@
 //! Tokenization and term-frequency vectors shared by all mining techniques.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// Stopwords removed before any mining step.
 const STOPWORDS: &[&str] = &[
@@ -10,11 +11,35 @@ const STOPWORDS: &[&str] = &[
 
 /// Lowercase word tokens with punctuation stripped and stopwords removed.
 pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|w| !w.is_empty())
-        .map(str::to_lowercase)
-        .filter(|w| !STOPWORDS.contains(&w.as_str()) && w.len() > 1)
-        .collect()
+    let mut tokens = Vec::new();
+    for_each_token(text, |tok| tokens.push(tok.to_string()));
+    tokens
+}
+
+/// Calls `f` with each of [`tokenize`]'s tokens, in order, without
+/// allocating one per token: an ASCII word is lent as a slice of `text` when
+/// it is already lower case, else lowercased into one buffer reused for the
+/// whole text. Any other word goes through `str::to_lowercase`, per word
+/// (it may change the word's length).
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    let mut buf = String::new();
+    for word in text.split(|c: char| !c.is_alphanumeric()) {
+        let unicode;
+        let tok = if !word.is_ascii() {
+            unicode = word.to_lowercase();
+            &unicode
+        } else if word.bytes().any(|b| b.is_ascii_uppercase()) {
+            buf.clear();
+            buf.push_str(word);
+            buf.make_ascii_lowercase();
+            &buf
+        } else {
+            word
+        };
+        if tok.len() > 1 && !STOPWORDS.contains(&tok) {
+            f(tok);
+        }
+    }
 }
 
 /// Sparse term counts of one document.
@@ -23,9 +48,12 @@ pub type TermCounts = HashMap<String, u32>;
 /// Term-frequency map of `text`.
 pub fn term_counts(text: &str) -> TermCounts {
     let mut tf = TermCounts::new();
-    for tok in tokenize(text) {
-        *tf.entry(tok).or_insert(0) += 1;
-    }
+    for_each_token(text, |tok| match tf.get_mut(tok) {
+        Some(n) => *n += 1,
+        None => {
+            tf.insert(tok.to_string(), 1);
+        }
+    });
     tf
 }
 
@@ -39,10 +67,12 @@ pub const HASH_DIM: usize = 64;
 /// stable, cheap embedding.
 pub fn hash_tf_vector(text: &str) -> [f64; HASH_DIM] {
     let mut v = [0.0f64; HASH_DIM];
-    for tok in tokenize(&text.to_lowercase()) {
+    // Lowercasing the whole text first is not redundant: context-sensitive
+    // mappings (a final `Σ`, say) can see across a word boundary.
+    for_each_token(&text.to_lowercase(), |tok| {
         let h = fnv1a(tok.as_bytes());
         v[(h % HASH_DIM as u64) as usize] += 1.0;
-    }
+    });
     let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
     if norm > 0.0 {
         for x in &mut v {
@@ -54,12 +84,32 @@ pub fn hash_tf_vector(text: &str) -> [f64; HASH_DIM] {
 
 /// FNV-1a hash (stable across runs, unlike `DefaultHasher`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] as a [`Hasher`]. Unkeyed, so only for maps whose keys the
+/// hashed input cannot choose (a trained vocabulary, not the text it scores).
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Split text into sentences on `.`, `!`, `?`.
@@ -109,6 +159,15 @@ mod tests {
         assert_eq!(v1, v2);
         let norm: f64 = v1.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!((norm - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hash_vector_lowercases_the_text_before_splitting_it() {
+        // Alone, the word `ΑΣ` ends in a final sigma (`ας`); in the text the
+        // apostrophe is case-ignorable and a letter follows, so it is `σ`.
+        assert_eq!(tokenize("ΑΣ'Α"), ["ας", "α"]);
+        assert_eq!(tokenize(&"ΑΣ'Α".to_lowercase()), ["ασ", "α"]);
+        assert_eq!(hash_tf_vector("ΑΣ'Α"), hash_tf_vector("ασ'α"));
     }
 
     #[test]

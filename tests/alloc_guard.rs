@@ -5,6 +5,8 @@
 //!
 //! And one for the serving layer: a result row costs the server the
 //! records it fetched, not a decoded summary set and a `String` per object.
+//! And one for the summary engine: classifying an annotation costs its score
+//! vector, not a `String` per token.
 //!
 //! This binary installs a counting `#[global_allocator]`. Counts are kept
 //! per thread, so they see only the query that the measuring test itself
@@ -309,6 +311,31 @@ fn group_fold_costs_the_member_not_the_group() {
     assert!(
         large_bytes <= 1.5 * small_bytes,
         "{large_bytes:.0} B per member at 512 against {small_bytes:.0} B at 64"
+    );
+}
+
+/// Classifying an annotation allocates its score vector and at most one
+/// word buffer, whatever its length: tokens are lent, not collected, and
+/// each is one lookup in a precomputed table. (Collecting them allocated a
+/// `String` per token: about 300 for this annotation.)
+#[test]
+fn classifying_allocates_per_annotation_not_per_token() {
+    let _turn = alone();
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Behavior".into()]);
+    model.train("disease outbreak infection virus", "Disease");
+    model.train("eating foraging migration song", "Behavior");
+    let sentence =
+        "Avian Disease outbreak observed near the Lake, infection spreading in a Flock. ";
+    let annotation = sentence.repeat(2_400 / sentence.len() + 1)[..2_400].to_string();
+    let tokens = insightnotes::mining::tokenize(&annotation).len();
+    let warm = model.classify("outbreak"); // fills the table
+    let (label, allocated) = allocations(|| model.classify(&annotation));
+    assert_eq!((warm, label), (0, 0));
+    println!("allocations classifying {tokens} tokens: {allocated}");
+    assert!(tokens > 250, "{tokens} tokens");
+    assert!(
+        allocated <= 2,
+        "{allocated} allocations classifying one annotation of {tokens} tokens"
     );
 }
 
