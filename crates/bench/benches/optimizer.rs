@@ -30,8 +30,9 @@ fn bench_rules(c: &mut Criterion) {
         .expect("instance linked");
     let cidx = ColumnIndex::build(&b.db, b.synonyms, 1).expect("column exists");
     let mut ctx = ExecContext::new(&b.db);
-    ctx.register_summary_index("sb", sb);
-    ctx.register_column_index(cidx);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
+    ctx.register_column_index(cidx).expect("private registry");
 
     let logical = LogicalPlan::scan("Birds")
         .join(

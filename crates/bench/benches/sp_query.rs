@@ -23,8 +23,10 @@ fn bench_sp_query(c: &mut Criterion) {
     let stats = Statistics::analyze(&b.db).expect("analyzable");
     let count = count_at_selectivity(&stats, b.birds, "ClassBird1", "Disease", 0.01);
     let mut ctx = ExecContext::new(&b.db);
-    ctx.register_summary_index("sb", sb);
-    ctx.register_baseline_index("bl", bl);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
+    ctx.register_baseline_index("bl", bl)
+        .expect("private registry");
 
     let noindex = PhysicalPlan::Filter {
         input: Box::new(PhysicalPlan::SeqScan {
@@ -79,7 +81,8 @@ fn bench_sp_query_cached(c: &mut Criterion) {
     let stats = Statistics::analyze(&b.db).expect("analyzable");
     let count = count_at_selectivity(&stats, b.birds, "ClassBird1", "Disease", 0.01);
     let mut ctx = ExecContext::new(&b.db);
-    ctx.register_summary_index("sb", sb);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
     let sbtree = PhysicalPlan::SummaryIndexScan {
         index: "sb".into(),
         label: "Disease".into(),

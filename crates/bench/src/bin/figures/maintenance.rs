@@ -15,13 +15,13 @@ use std::time::{Duration, Instant};
 use instn_annot::{text, Attachment, Category};
 use instn_bench::workloads::BenchConfig;
 use instn_index::{BaselineIndex, PointerMode, SummaryBTree};
-use instn_query::dataindex::ColumnIndex;
-use instn_query::exec::{ExecContext, PhysicalPlan};
+use instn_query::exec::PhysicalPlan;
+use instn_query::SharedDatabase;
 use instn_storage::Value;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::{build_indexes, header, write_artifact, Args};
+use crate::{header, write_artifact, Args};
 
 /// Refresh-pass counters accumulated over one maintenance workload run.
 #[derive(Default)]
@@ -56,17 +56,19 @@ fn maintenance_run(
         b.db.set_journal_retention(0);
     }
     let birds = b.birds;
-    let mut registry = {
-        let (sb, bl) = build_indexes(&b);
-        let ci = ColumnIndex::build(&b.db, birds, 0).expect("table exists");
-        let mut ctx = ExecContext::new(&b.db);
-        ctx.register_summary_index("sb", sb);
-        ctx.register_baseline_index("bl", bl);
-        ctx.register_column_index(ci);
-        ctx.take_registry()
-    };
-
     let mut live = b.bird_oids.clone();
+    let shared = SharedDatabase::new(b.db);
+    let mut session = shared.session();
+    session
+        .register_summary_index("sb", birds, "ClassBird1", PointerMode::Backward)
+        .expect("instance linked");
+    session
+        .register_baseline_index("bl", birds, "ClassBird1")
+        .expect("instance linked");
+    session
+        .register_column_index(birds, 0)
+        .expect("table exists");
+
     let mut next_id = live.len() as i64;
     // Same seed in both modes: the mutation streams are bit-identical, so
     // any divergence in the digests is a maintenance bug, not noise.
@@ -81,9 +83,10 @@ fn maintenance_run(
         if is_write {
             run.writes += 1;
             let pick = rng.random_range(0..live.len());
+            let mut db = shared.write();
             if run.writes % 7 == 3 {
-                let oid =
-                    b.db.insert_tuple(
+                let oid = db
+                    .insert_tuple(
                         birds,
                         vec![
                             Value::Int(next_id),
@@ -105,7 +108,7 @@ fn maintenance_run(
                 next_id += 1;
             } else if run.writes % 5 == 0 && live.len() > 8 {
                 let victim = live.swap_remove(pick);
-                b.db.delete_tuple(birds, victim).expect("oid is live");
+                db.delete_tuple(birds, victim).expect("oid is live");
             } else {
                 let cat = if rng.random_bool(0.6) {
                     Category::Disease
@@ -114,7 +117,7 @@ fn maintenance_run(
                 };
                 let len = rng.random_range(80..260);
                 let body = text::generate(&mut rng, cat, len);
-                b.db.add_annotation(
+                db.add_annotation(
                     birds,
                     &body,
                     cat,
@@ -145,10 +148,10 @@ fn maintenance_run(
                     with_summaries: false,
                 }
             };
-            let mut ctx = ExecContext::with_registry(&b.db, registry);
-            let rows = ctx.execute(&plan).expect("plan executes");
-            let report = ctx.maintenance_report();
-            registry = ctx.take_registry();
+            let (rows, report) = session.with_ctx(|ctx| {
+                let rows = ctx.execute(&plan).expect("plan executes");
+                (rows, ctx.maintenance_report())
+            });
             run.refresh_phys += report.physical_io;
             run.refresh_logical += report.logical_io;
             run.replays += report.indexes_replayed;
@@ -172,18 +175,19 @@ fn maintenance_run(
 
     // Final oracle: after one last refresh the maintained indexes must be
     // indistinguishable from fresh bulk builds over the end state.
-    let mut ctx = ExecContext::with_registry(&b.db, registry);
-    ctx.execute(&PhysicalPlan::SummaryIndexScan {
-        index: "sb".into(),
-        label: "Disease".into(),
-        lo: None,
-        hi: None,
-        propagate: false,
-        reverse: false,
-    })
-    .expect("final probe executes");
-    let registry = ctx.take_registry();
-    let fresh_sb = SummaryBTree::bulk_build(&b.db, birds, "ClassBird1", PointerMode::Backward)
+    session
+        .execute(&PhysicalPlan::SummaryIndexScan {
+            index: "sb".into(),
+            label: "Disease".into(),
+            lo: None,
+            hi: None,
+            propagate: false,
+            reverse: false,
+        })
+        .expect("final probe executes");
+    let db = shared.read();
+    let registry = shared.indexes().read().expect("registry lock");
+    let fresh_sb = SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward)
         .expect("instance linked");
     assert_eq!(
         registry
@@ -193,7 +197,7 @@ fn maintenance_run(
         fresh_sb.dump_entries(),
         "maintained Summary-BTree must match a fresh bulk build"
     );
-    let fresh_bl = BaselineIndex::bulk_build(&b.db, birds, "ClassBird1").expect("instance linked");
+    let fresh_bl = BaselineIndex::bulk_build(&db, birds, "ClassBird1").expect("instance linked");
     assert_eq!(
         registry
             .baseline_index("bl")

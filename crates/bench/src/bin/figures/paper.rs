@@ -311,8 +311,10 @@ pub(crate) fn fig10(args: &Args) {
         let stats = Statistics::analyze(&b.db).unwrap();
         let c = count_at_selectivity(&stats, b.birds, "ClassBird1", "Disease", 0.01);
         let mut ctx = ExecContext::new(&b.db);
-        ctx.register_summary_index("sb", sb);
-        ctx.register_baseline_index("bl", bl);
+        ctx.register_summary_index("sb", sb)
+            .expect("private registry");
+        ctx.register_baseline_index("bl", bl)
+            .expect("private registry");
         let noindex = PhysicalPlan::Filter {
             input: Box::new(PhysicalPlan::SeqScan {
                 table: b.birds,
@@ -387,8 +389,10 @@ pub(crate) fn fig11(args: &Args) {
                 Expr::label_cmp("ClassBird1", "Anatomy", CmpOp::Le, hi as i64),
             );
             let mut ctx = ExecContext::new(&b.db);
-            ctx.register_summary_index("sb", sb);
-            ctx.register_baseline_index("bl", bl);
+            ctx.register_summary_index("sb", sb)
+                .expect("private registry");
+            ctx.register_baseline_index("bl", bl)
+                .expect("private registry");
             let noindex = PhysicalPlan::Filter {
                 input: Box::new(PhysicalPlan::SeqScan {
                     table: b.birds,
@@ -453,8 +457,10 @@ pub(crate) fn fig12(args: &Args) {
         let stats = Statistics::analyze(&b.db).unwrap();
         let (lo, hi) = range_at_selectivity(&stats, b.birds, "ClassBird1", "Anatomy", 0.05);
         let mut ctx = ExecContext::new(&b.db);
-        ctx.register_summary_index("sb", sb);
-        ctx.register_baseline_index("bl", bl);
+        ctx.register_summary_index("sb", sb)
+            .expect("private registry");
+        ctx.register_baseline_index("bl", bl)
+            .expect("private registry");
         let from_norm = PhysicalPlan::BaselineIndexScan {
             index: "bl".into(),
             label: "Anatomy".into(),
@@ -507,8 +513,10 @@ pub(crate) fn fig13(args: &Args) {
             SummaryBTree::bulk_build(&b.db, b.birds, "ClassBird1", PointerMode::Conventional)
                 .unwrap();
         let mut ctx = ExecContext::new(&b.db);
-        ctx.register_summary_index("bwd", backward);
-        ctx.register_summary_index("conv", conventional);
+        ctx.register_summary_index("bwd", backward)
+            .expect("private registry");
+        ctx.register_summary_index("conv", conventional)
+            .expect("private registry");
         let mk = |index: &str, propagate: bool| PhysicalPlan::SummaryIndexScan {
             index: index.into(),
             label: "Disease".into(),
@@ -551,8 +559,9 @@ pub(crate) fn fig14(args: &Args) {
     let sb = SummaryBTree::bulk_build(&b.db, b.birds, "ClassBird1", PointerMode::Backward).unwrap();
     let cidx = ColumnIndex::build(&b.db, b.synonyms, 1).unwrap();
     let mut ctx = ExecContext::new(&b.db);
-    ctx.register_summary_index("sb", sb);
-    ctx.register_column_index(cidx);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
+    ctx.register_column_index(cidx).expect("private registry");
 
     let sort_key = SortKey::Summary(SummaryExpr::label_value("ClassBird1", "Disease"));
     let pred = disease_expr(CmpOp::Gt, lo as i64);
@@ -705,7 +714,7 @@ pub(crate) fn fig15(args: &Args) {
 
         let cidx = ColumnIndex::build(&b.db, t_table, 0).unwrap();
         let mut ctx = ExecContext::new(&b.db);
-        ctx.register_column_index(cidx);
+        ctx.register_column_index(cidx).expect("private registry");
 
         let j_pred = JoinPredicate::CombinedContains {
             instance: "TextSummary1".into(),
@@ -814,7 +823,8 @@ pub(crate) fn fig16(args: &Args) {
     let db = &b.db;
     let sb = SummaryBTree::bulk_build(db, b.birds, "ClassBird1", PointerMode::Backward).unwrap();
     let mut ctx = ExecContext::new(db);
-    ctx.register_summary_index("sb", sb);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
 
     // Q1: sort by disease count.
     let (t_plus, _, n) = measure(db, || {

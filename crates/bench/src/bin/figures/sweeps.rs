@@ -79,8 +79,9 @@ pub(crate) fn rules_ablation(args: &Args) {
     let sb = SummaryBTree::bulk_build(&b.db, b.birds, "ClassBird1", PointerMode::Backward).unwrap();
     let cidx = ColumnIndex::build(&b.db, b.synonyms, 1).unwrap();
     let mut ctx = ExecContext::new(&b.db);
-    ctx.register_summary_index("sb", sb);
-    ctx.register_column_index(cidx);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
+    ctx.register_column_index(cidx).expect("private registry");
     let logical = LogicalPlan::scan("Birds")
         .join(
             LogicalPlan::scan("Synonyms"),
@@ -149,7 +150,8 @@ pub(crate) fn cache_sweep(args: &Args) {
     let stats = Statistics::analyze(&b.db).unwrap();
     let c = count_at_selectivity(&stats, b.birds, "ClassBird1", "Disease", 0.01);
     let mut ctx = ExecContext::new(&b.db);
-    ctx.register_summary_index("sb", sb);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
     let sbtree = PhysicalPlan::SummaryIndexScan {
         index: "sb".into(),
         label: "Disease".into(),
@@ -252,7 +254,8 @@ pub(crate) fn limit_sweep(args: &Args) {
     let b = args.bench_db(&cfg);
     let (sb, _) = build_indexes(&b);
     let mut ctx = ExecContext::new(&b.db);
-    ctx.register_summary_index("sb", sb);
+    ctx.register_summary_index("sb", sb)
+        .expect("private registry");
     let n = b.db.table(b.birds).unwrap().len();
     let sort_key = SortKey::Summary(SummaryExpr::label_value("ClassBird1", "Disease"));
     let streamed = |k: usize| PhysicalPlan::Limit {

@@ -1084,7 +1084,7 @@ mod tests {
         let opt = Optimizer::new(&db, config).unwrap();
         let index = SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward);
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("idx", index.unwrap());
+        ctx.register_summary_index("idx", index.unwrap()).unwrap();
         let disease = |op, n| Expr::label_cmp("ClassBird1", "Disease", op, n);
         let id_below = |n| Expr::col_cmp(0, CmpOp::Lt, Value::Int(n));
         use CmpOp::{Eq, Ge, Gt, Le, Lt};
@@ -1204,10 +1204,12 @@ mod tests {
             ctx.register_summary_index(
                 "idx",
                 SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).unwrap(),
-            );
+            )
+            .unwrap();
             ctx.register_column_index(
                 instn_query::dataindex::ColumnIndex::build(&db, syn, 1).unwrap(),
-            );
+            )
+            .unwrap();
             ctx.execute(plan).unwrap()
         };
         let a = run(&optimized.physical);

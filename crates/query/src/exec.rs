@@ -37,7 +37,7 @@ use instn_core::algebra::{merge_summary_sets, project_eliminate, SummaryAccumula
 use instn_core::db::Database;
 use instn_core::summary::EncodedSummaries;
 use instn_core::{AnnotatedTuple, CoreError};
-use instn_index::{BaselineIndex, MaintainableIndex, SummaryBTree};
+use instn_index::{BaselineIndex, SummaryBTree};
 use instn_storage::io::IoStats;
 use instn_storage::{EncodedTuple, HeapFile, Oid, TableId, Value, ValueRef};
 
@@ -45,6 +45,7 @@ use crate::dataindex::ColumnIndex;
 use crate::expr::{Expr, ObjectPred, RowRead};
 use crate::metrics::QueryMetrics;
 use crate::plan::{JoinPredicate, Side, SortKey};
+use crate::registry::{IndexRegistry, MaintenanceReport, SharedRegistry};
 use crate::row::{FinishedRow, Row, RowSink, RowTally};
 use crate::{QueryError, Result};
 
@@ -408,204 +409,11 @@ impl std::fmt::Display for PhysicalPlan {
     }
 }
 
-/// The indexes a session owns across queries. A context borrows the
-/// database for one query at a time, but indexes are expensive to build and
-/// live longer than any single borrow — `Session` (see [`crate::session`])
-/// moves a registry into a short-lived context, runs queries, and takes the
-/// registry back when the read guard drops.
-#[derive(Default)]
-pub struct IndexRegistry {
-    pub(crate) summary: HashMap<String, SummaryBTree>,
-    pub(crate) baseline: HashMap<String, BaselineIndex>,
-    pub(crate) column: HashMap<(TableId, usize), ColumnIndex>,
-}
-
-impl IndexRegistry {
-    /// Registered indexes across all three kinds.
-    pub fn len(&self) -> usize {
-        self.summary.len() + self.baseline.len() + self.column.len()
-    }
-
-    /// A registered Summary-BTree, by name.
-    pub fn summary_index(&self, name: &str) -> Option<&SummaryBTree> {
-        self.summary.get(name)
-    }
-
-    /// A registered baseline index, by name.
-    pub fn baseline_index(&self, name: &str) -> Option<&BaselineIndex> {
-        self.baseline.get(name)
-    }
-
-    /// A registered data-column index.
-    pub fn column_index(&self, table: TableId, col: usize) -> Option<&ColumnIndex> {
-        self.column.get(&(table, col))
-    }
-
-    /// Whether no index is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Work performed by one index-maintenance pass at plan open (the
-/// `maintenance:` section of EXPLAIN ANALYZE).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceReport {
-    /// Registered indexes examined.
-    pub indexes_checked: u64,
-    /// Indexes already stamped at the current revision (no work).
-    pub indexes_fresh: u64,
-    /// Stale-stamped indexes whose table's high-water mark proved untouched:
-    /// re-stamped with zero maintenance work.
-    pub indexes_skipped: u64,
-    /// Indexes caught up by replaying the journal gap.
-    pub indexes_replayed: u64,
-    /// Individual journal changes folded into replayed indexes.
-    pub deltas_applied: u64,
-    /// Indexes bulk-rebuilt because the journal was truncated past their
-    /// gap or replay was estimated costlier than a fresh build.
-    pub indexes_rebuilt: u64,
-    /// Rebuilds forced mid-replay (key-width growth, structural change).
-    pub forced_rebuilds: u64,
-    /// Registrations dropped because their summary instance no longer
-    /// exists (an `ALTER TABLE … DROP` landed since the index was built).
-    pub indexes_evicted: u64,
-    /// Physical page transfers charged to the whole pass.
-    pub physical_io: u64,
-    /// Logical page accesses charged to the whole pass.
-    pub logical_io: u64,
-}
-
-impl MaintenanceReport {
-    /// Whether the pass did any index work at all (skips are free).
-    pub fn did_work(&self) -> bool {
-        self.indexes_replayed + self.indexes_rebuilt + self.forced_rebuilds > 0
-    }
-
-    /// Render as the indented `maintenance:` block of EXPLAIN ANALYZE.
-    pub fn render(&self) -> String {
-        let mut out = String::from("maintenance:\n");
-        out.push_str(&format!(
-            "  indexes: {} checked, {} fresh, {} skipped (untouched table), {} replayed, {} rebuilt\n",
-            self.indexes_checked,
-            self.indexes_fresh,
-            self.indexes_skipped,
-            self.indexes_replayed,
-            self.indexes_rebuilt + self.forced_rebuilds,
-        ));
-        out.push_str(&format!(
-            "  replay: {} deltas applied; io: {} physical, {} logical\n",
-            self.deltas_applied, self.physical_io, self.logical_io,
-        ));
-        if self.indexes_evicted > 0 {
-            out.push_str(&format!(
-                "  evicted: {} (instance dropped)\n",
-                self.indexes_evicted
-            ));
-        }
-        out
-    }
-}
-
-/// Replay beats a bulk rebuild when the gap is small relative to the
-/// table: one replayed change costs a few B-Tree node touches, a rebuild
-/// scans the whole summary storage / heap and re-sorts every key. The
-/// optimizer's `CostModel::refresh_cost` (in `instn-opt`) prices the same
-/// trade in io/cpu units; this is the executor's dimensionless mirror of
-/// it, kept inline because `instn-query` cannot depend on `instn-opt`.
-pub(crate) const REPLAY_CHANGE_FACTOR: u64 = 4;
-
-/// Whether replaying `gap_changes` journal changes is estimated cheaper
-/// than bulk-rebuilding an index over a table of `table_rows` rows.
-pub(crate) fn replay_cheaper(gap_changes: u64, table_rows: u64) -> bool {
-    gap_changes.saturating_mul(REPLAY_CHANGE_FACTOR) <= table_rows.max(16)
-}
-
-/// Catch one index up with the database: skip if its table is untouched,
-/// replay the journal gap when possible and cheap, bulk rebuild otherwise.
-///
-/// Returns `Ok(false)` when the index's summary instance no longer exists
-/// (an `ALTER TABLE … DROP` landed since it was built) — the registration
-/// is unsalvageable and the caller must evict it.
-fn refresh_index<I: MaintainableIndex>(
-    db: &Database,
-    idx: &mut I,
-    report: &mut MaintenanceReport,
-) -> Result<bool> {
-    let rev = db.revision();
-    report.indexes_checked += 1;
-    let built = idx.built_revision();
-    if built == rev {
-        report.indexes_fresh += 1;
-        return Ok(true);
-    }
-    let journal = db.journal();
-    let table = idx.table();
-    if journal.table_high_water(table) <= built {
-        // Nothing touched this table since the index was built: the stamp
-        // alone advances. This is the zero-work case the per-table
-        // high-water marks exist for.
-        idx.mark_synced(rev);
-        report.indexes_skipped += 1;
-        return Ok(true);
-    }
-    let table_rows = db.table(table)?.len() as u64;
-    let replayable = journal
-        .gap_changes(built, table)
-        .is_some_and(|gap| replay_cheaper(gap, table_rows));
-    if !replayable {
-        return match idx.bulk_rebuild(db) {
-            Ok(()) => {
-                report.indexes_rebuilt += 1;
-                Ok(true)
-            }
-            Err(CoreError::InstanceNotFound(_)) => {
-                report.indexes_evicted += 1;
-                Ok(false)
-            }
-            Err(e) => Err(e.into()),
-        };
-    }
-    let mut rebuilt_mid_replay = false;
-    for entry in journal
-        .replay_range(built)
-        .expect("gap verified replayable")
-    {
-        if !entry.touches(table) {
-            continue;
-        }
-        match idx.apply_entry(db, entry) {
-            Ok(out) => {
-                report.deltas_applied += out.changes_applied;
-                if out.rebuilt {
-                    // The rebuild reflects the current state; later entries
-                    // are already in and replaying them would double-apply.
-                    report.forced_rebuilds += 1;
-                    rebuilt_mid_replay = true;
-                    break;
-                }
-            }
-            // A structural entry whose forced rebuild finds the instance
-            // gone: the registration points at a dropped instance.
-            Err(CoreError::InstanceNotFound(_)) => {
-                report.indexes_evicted += 1;
-                return Ok(false);
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if !rebuilt_mid_replay {
-        idx.mark_synced(rev);
-        report.indexes_replayed += 1;
-    }
-    Ok(true)
-}
-
-/// Execution context: the database plus registered indexes.
+/// Execution context: the database plus the registry of indexes it serves.
 pub struct ExecContext<'a> {
     /// The engine.
     pub db: &'a Database,
-    indexes: IndexRegistry,
+    indexes: SharedRegistry,
     /// In-memory sort budget in tuples; larger sorts spill.
     pub sort_mem: usize,
     /// Parallel-execution knobs consulted by [`PhysicalPlan::Exchange`].
@@ -622,11 +430,17 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// A context with no registered indexes.
+    /// A context serving a private registry, empty until indexes are
+    /// registered through it.
     pub fn new(db: &'a Database) -> Self {
+        Self::serving(db, SharedRegistry::default())
+    }
+
+    /// A context serving `indexes` (a session's: the engine's registry).
+    pub(crate) fn serving(db: &'a Database, indexes: SharedRegistry) -> Self {
         Self {
             db,
-            indexes: IndexRegistry::default(),
+            indexes,
             sort_mem: DEFAULT_SORT_MEM,
             config: ExecConfig::default(),
             last_maintenance: MaintenanceReport::default(),
@@ -635,66 +449,13 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// A context serving a previously accumulated index registry.
-    pub fn with_registry(db: &'a Database, registry: IndexRegistry) -> Self {
-        Self {
-            indexes: registry,
-            ..Self::new(db)
-        }
-    }
-
-    /// Move every registered index out of this context, leaving it empty.
-    pub fn take_registry(&mut self) -> IndexRegistry {
-        std::mem::take(&mut self.indexes)
-    }
-
-    /// Catch every registered index up with the database's revision.
-    ///
-    /// An index registration outlives the mutations that happen around it;
-    /// without this check a scan over a stale tree silently returns
-    /// pre-mutation rows (deleted tuples resurface, inserts are invisible).
-    /// Runs at every plan open. Per index, in order of preference:
-    ///
-    /// 1. fresh stamp → nothing,
-    /// 2. table high-water mark `<= built_revision` → re-stamp, zero work
-    ///    (a mutation elsewhere cannot invalidate this index),
-    /// 3. journal gap `(built_revision, current]` retained and small →
-    ///    replay it delta by delta ([`MaintainableIndex::apply_entry`]),
-    /// 4. otherwise (journal truncated past the gap, or replay estimated
-    ///    costlier than a fresh build) → bulk rebuild.
-    ///
-    /// The pass's work is recorded in the [`MaintenanceReport`] available
-    /// from [`ExecContext::maintenance_report`] (EXPLAIN ANALYZE's
+    /// Catch every registered index up with the database's revision (see
+    /// [`SharedRegistry::refresh`]). Runs at every plan open; the pass's
+    /// work is recorded in the [`MaintenanceReport`] available from
+    /// [`ExecContext::maintenance_report`] (EXPLAIN ANALYZE's
     /// `maintenance:` section).
     pub fn refresh_stale_indexes(&mut self) -> Result<()> {
-        let mut report = MaintenanceReport::default();
-        let before = self.db.stats().snapshot();
-        let mut dead_summary = Vec::new();
-        for (name, idx) in self.indexes.summary.iter_mut() {
-            if !refresh_index(self.db, idx, &mut report)? {
-                dead_summary.push(name.clone());
-            }
-        }
-        for name in dead_summary {
-            self.indexes.summary.remove(&name);
-        }
-        let mut dead_baseline = Vec::new();
-        for (name, idx) in self.indexes.baseline.iter_mut() {
-            if !refresh_index(self.db, idx, &mut report)? {
-                dead_baseline.push(name.clone());
-            }
-        }
-        for name in dead_baseline {
-            self.indexes.baseline.remove(&name);
-        }
-        for idx in self.indexes.column.values_mut() {
-            // Column indexes reference no summary instance; eviction
-            // cannot trigger.
-            refresh_index(self.db, idx, &mut report)?;
-        }
-        let spent = self.db.stats().snapshot().since(&before);
-        report.physical_io = spent.total();
-        report.logical_io = spent.logical_total();
+        let report = self.indexes.refresh(self.db)?;
         self.last_maintenance = report;
         // Publish the refresh ladder's decisions (replay vs rebuild vs
         // skip, and how many journal deltas were folded in) so `\metrics`
@@ -719,40 +480,18 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Register a Summary-BTree under a name.
-    pub fn register_summary_index(&mut self, name: &str, index: SummaryBTree) {
-        self.indexes.summary.insert(name.to_string(), index);
+    pub fn register_summary_index(&mut self, name: &str, index: SummaryBTree) -> Result<()> {
+        self.indexes.register_summary(name, index)
     }
 
     /// Register a baseline-scheme index under a name.
-    pub fn register_baseline_index(&mut self, name: &str, index: BaselineIndex) {
-        self.indexes.baseline.insert(name.to_string(), index);
+    pub fn register_baseline_index(&mut self, name: &str, index: BaselineIndex) -> Result<()> {
+        self.indexes.register_baseline(name, index)
     }
 
     /// Register a data-column index.
-    pub fn register_column_index(&mut self, index: ColumnIndex) {
-        self.indexes
-            .column
-            .insert((index.table(), index.column()), index);
-    }
-
-    /// Whether a Summary-BTree is registered under `name`.
-    pub fn has_summary_index(&self, name: &str) -> bool {
-        self.indexes.summary.contains_key(name)
-    }
-
-    /// Whether a column index exists on `(table, col)`.
-    pub fn has_column_index(&self, table: TableId, col: usize) -> bool {
-        self.indexes.column.contains_key(&(table, col))
-    }
-
-    /// Borrow a registered Summary-BTree.
-    pub fn summary_index(&self, name: &str) -> Option<&SummaryBTree> {
-        self.indexes.summary.get(name)
-    }
-
-    fn require_summary_index(&self, name: &str) -> Result<&SummaryBTree> {
-        self.summary_index(name)
-            .ok_or_else(|| QueryError::UnknownIndex(name.to_string()))
+    pub fn register_column_index(&mut self, index: ColumnIndex) -> Result<()> {
+        self.indexes.register_column(index)
     }
 
     /// Execute a physical plan to completion, materializing its output.
@@ -792,12 +531,21 @@ impl<'a> ExecContext<'a> {
         }
         let exec_span = self.trace.as_mut().map(|t| t.begin("execute"));
         let mut root = compile(plan, None);
-        root.open(self)?;
         let mut top = RowTally::default();
-        while let Some(row) = root.next(self)? {
-            sink.row(FinishedRow::new(row, &mut top))?;
+        {
+            let indexes = self.indexes.read()?;
+            let run = Run {
+                db: self.db,
+                indexes: &indexes,
+                sort_mem: self.sort_mem,
+                config: self.config,
+            };
+            root.open(&run)?;
+            while let Some(row) = root.next(&run)? {
+                sink.row(FinishedRow::new(row, &mut top))?;
+            }
+            root.close(&run)?;
         }
-        root.close(self)?;
         top.add(root.tally());
         self.publish_row_tally(top);
         let metrics = root.metrics();
@@ -806,21 +554,6 @@ impl<'a> ExecContext<'a> {
             metrics.attach_spans(t, Some(id));
         }
         Ok(metrics)
-    }
-
-    /// Open a plan as a pull stream without draining it. The caller pulls
-    /// tuples one at a time with [`TupleStream::next_tuple`] and may stop
-    /// early; no I/O happens beyond what the pulled tuples require.
-    pub fn open_stream<'c>(&'c mut self, plan: &PhysicalPlan) -> Result<TupleStream<'c, 'a>> {
-        self.refresh_stale_indexes()?;
-        let mut root = compile(plan, None);
-        root.open(self)?;
-        Ok(TupleStream {
-            ctx: self,
-            root,
-            top: RowTally::default(),
-            done: false,
-        })
     }
 
     /// The metric handles, while the registry is enabled.
@@ -838,68 +571,36 @@ impl<'a> ExecContext<'a> {
             obs.join_pairs_compared.add(tally.pairs_compared);
         }
     }
-
-    fn table_of_baseline(&self, index: &str) -> Result<TableId> {
-        let idx = self
-            .indexes
-            .baseline
-            .get(index)
-            .ok_or_else(|| QueryError::UnknownIndex(index.to_string()))?;
-        // Find the table with this instance linked.
-        for (tid, _) in self.db_tables() {
-            if self.db.instance_by_name(tid, idx.instance_name()).is_ok() {
-                return Ok(tid);
-            }
-        }
-        Err(QueryError::UnknownIndex(index.to_string()))
-    }
-
-    fn db_tables(&self) -> Vec<(TableId, String)> {
-        // The catalog enumerates tables densely from 0.
-        let mut out = Vec::new();
-        let mut i = 0u32;
-        while let Ok(t) = self.db.table(TableId(i)) {
-            out.push((TableId(i), t.name().to_string()));
-            i += 1;
-        }
-        out
-    }
 }
 
-/// A live, pull-based execution of a plan (see [`ExecContext::open_stream`]).
-pub struct TupleStream<'c, 'a> {
-    ctx: &'c mut ExecContext<'a>,
-    root: OpNode,
-    /// Rows this stream's consumer made owned by pulling them.
-    top: RowTally,
-    done: bool,
+/// What the operators of one running plan read: the engine, the context's
+/// knobs, and the registered indexes through the registry's read guard,
+/// taken once when the plan opens and held until it closes. Every worker of
+/// an Exchange reads the same guard, so no refresh moves a tree mid-plan.
+struct Run<'r> {
+    db: &'r Database,
+    indexes: &'r IndexRegistry,
+    sort_mem: usize,
+    config: ExecConfig,
 }
 
-impl TupleStream<'_, '_> {
-    /// Pull the next output tuple, or `None` once the plan is exhausted.
-    pub fn next_tuple(&mut self) -> Result<Option<AnnotatedTuple>> {
-        if self.done {
-            return Ok(None);
-        }
-        let row = self.root.next(self.ctx)?;
-        if row.is_none() {
-            self.done = true;
-        }
-        Ok(row.map(|r| r.into_tuple(&mut self.top)))
+impl Run<'_> {
+    fn require_summary_index(&self, name: &str) -> Result<&SummaryBTree> {
+        self.indexes
+            .summary_index(name)
+            .ok_or_else(|| QueryError::UnknownIndex(name.to_string()))
     }
 
-    /// Snapshot of the per-operator counters accumulated so far.
-    pub fn metrics(&self) -> OpMetrics {
-        self.root.metrics()
+    fn require_baseline_index(&self, name: &str) -> Result<&BaselineIndex> {
+        self.indexes
+            .baseline_index(name)
+            .ok_or_else(|| QueryError::UnknownIndex(name.to_string()))
     }
 
-    /// Close the pipeline, releasing operator state, and return the final
-    /// counters.
-    pub fn close(mut self) -> Result<OpMetrics> {
-        self.root.close(self.ctx)?;
-        self.top.add(self.root.tally());
-        self.ctx.publish_row_tally(self.top);
-        Ok(self.root.metrics())
+    fn require_column_index(&self, table: TableId, col: usize) -> Result<&ColumnIndex> {
+        self.indexes
+            .column_index(table, col)
+            .ok_or_else(|| QueryError::UnknownIndex(format!("table#{}.col{col}", table.0)))
     }
 }
 
@@ -1011,17 +712,17 @@ impl OpMetrics {
 ///
 /// `open` acquires cursors or materializes pipeline-breaker state, `next`
 /// yields one tuple at a time, `close` releases state. Operators receive the
-/// [`ExecContext`] on every call instead of borrowing it, so the compiled
+/// plan's [`Run`] on every call instead of borrowing it, so the compiled
 /// tree carries no lifetimes — and they receive it *shared*: every worker
-/// of an Exchange pulls its own tree against the one context.
+/// of an Exchange pulls its own tree against the one run.
 ///
 /// What travels between operators is the lazy [`Row`]; `open` and `next`
 /// also receive their node's [`RowTally`] to note the rows they fetch and
 /// the rows they turn owned.
 trait Operator {
-    fn open(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<()>;
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>>;
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()>;
+    fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()>;
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>>;
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()>;
     fn children(&self) -> Vec<&OpNode>;
 
     /// Enumerate this leaf's input as morsels of at most `rows` tuples, in
@@ -1029,7 +730,7 @@ trait Operator {
     /// ([`split_fragment`]) can; the Exchange coordinator calls this once
     /// and workers read the morsels through trees bound to one each
     /// ([`compile`]).
-    fn morsels(&mut self, _ctx: &ExecContext<'_>, _rows: usize) -> Result<Vec<Morsel>> {
+    fn morsels(&mut self, _ctx: &Run<'_>, _rows: usize) -> Result<Vec<Morsel>> {
         Err(QueryError::BadPlan(
             "operator cannot be split into morsels".into(),
         ))
@@ -1088,7 +789,7 @@ struct OpNode {
 }
 
 impl OpNode {
-    fn open(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.opens += 1;
         let before = Self::io_snapshot(ctx);
         let r = self.op.open(ctx, &mut self.tally);
@@ -1096,7 +797,7 @@ impl OpNode {
         r
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>) -> Result<Option<Row>> {
         let before = Self::io_snapshot(ctx);
         let r = self.op.next(ctx, &mut self.tally);
         self.charge(&before, ctx);
@@ -1106,7 +807,7 @@ impl OpNode {
         r
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.op.close(ctx)
     }
 
@@ -1116,11 +817,11 @@ impl OpNode {
     /// stripe instead of summing all of them keeps the meter's cost off the
     /// row path. What an Exchange's workers charged to *their* stripes joins
     /// in [`OpNode::metrics`].
-    fn io_snapshot(ctx: &ExecContext<'_>) -> instn_storage::IoSnapshot {
+    fn io_snapshot(ctx: &Run<'_>) -> instn_storage::IoSnapshot {
         ctx.db.stats().thread_snapshot()
     }
 
-    fn charge(&mut self, before: &instn_storage::IoSnapshot, ctx: &ExecContext<'_>) {
+    fn charge(&mut self, before: &instn_storage::IoSnapshot, ctx: &Run<'_>) {
         let delta = Self::io_snapshot(ctx).since(before);
         self.physical_io += delta.total();
         self.logical_io += delta.logical_total();
@@ -1413,7 +1114,7 @@ struct SeqScanOp {
 }
 
 impl Operator for SeqScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         let (lo, hi) = match self.morsel {
             None => (None, None),
             Some(Morsel::Range(lo, hi)) => (Some(lo), Some(hi)),
@@ -1423,7 +1124,7 @@ impl Operator for SeqScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let cur = self.cursor.as_mut().ok_or_else(unopened)?;
         let Some((oid, tuple)) = ctx.db.table(self.table)?.scan_next_raw(cur) else {
             return Ok(None);
@@ -1432,7 +1133,7 @@ impl Operator for SeqScanOp {
         Ok(Some(Row::fetched(self.table, oid, tuple, summaries, tally)))
     }
 
-    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.cursor = None;
         Ok(())
     }
@@ -1441,7 +1142,7 @@ impl Operator for SeqScanOp {
         Vec::new()
     }
 
-    fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
+    fn morsels(&mut self, ctx: &Run<'_>, rows: usize) -> Result<Vec<Morsel>> {
         let ranges = ctx.db.table(self.table)?.morsel_ranges(rows);
         Ok(ranges
             .into_iter()
@@ -1479,7 +1180,7 @@ impl SummaryIndexScanOp {
 }
 
 impl Operator for SummaryIndexScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         let idx = ctx.require_summary_index(&self.index)?;
         self.table = Some(idx.table());
         match self.morsel {
@@ -1493,7 +1194,7 @@ impl Operator for SummaryIndexScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let idx = ctx.require_summary_index(&self.index)?;
         let table = self.table.ok_or_else(unopened)?;
         let Some(e) = self.next_entry(idx)? else {
@@ -1509,7 +1210,7 @@ impl Operator for SummaryIndexScanOp {
         )?))
     }
 
-    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.cursor = None;
         Ok(())
     }
@@ -1518,7 +1219,7 @@ impl Operator for SummaryIndexScanOp {
         Vec::new()
     }
 
-    fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
+    fn morsels(&mut self, ctx: &Run<'_>, rows: usize) -> Result<Vec<Morsel>> {
         self.open(ctx, &mut RowTally::default())?;
         let idx = ctx.require_summary_index(&self.index)?;
         let mut entries = Vec::new();
@@ -1548,25 +1249,15 @@ struct BaselineIndexScanOp {
 }
 
 impl Operator for BaselineIndexScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
-        let idx = ctx
-            .indexes
-            .baseline
-            .get(&self.index)
-            .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
-        // The baseline index only knows OIDs; the owning table is resolved
-        // through the instance the index was built on.
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
+        let idx = ctx.require_baseline_index(&self.index)?;
         self.oids = idx.search_range(&self.label, self.lo, self.hi);
         self.pos = 0;
-        self.table = if self.oids.is_empty() {
-            None
-        } else {
-            Some(ctx.table_of_baseline(&self.index)?)
-        };
+        self.table = Some(idx.table());
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let Some(&oid) = self.oids.get(self.pos) else {
             return Ok(None);
         };
@@ -1578,18 +1269,14 @@ impl Operator for BaselineIndexScanOp {
         if rebuild {
             // Re-assemble the classifier object from normalized rows
             // (the paper's Fig. 12 measures exactly this).
-            let idx = ctx
-                .indexes
-                .baseline
-                .get(&self.index)
-                .ok_or_else(|| QueryError::UnknownIndex(self.index.clone()))?;
+            let idx = ctx.require_baseline_index(&self.index)?;
             row.summaries_mut(tally)
                 .extend(idx.rebuild_object(ctx.db, oid)?);
         }
         Ok(Some(row))
     }
 
-    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.oids = Vec::new();
         self.pos = 0;
         Ok(())
@@ -1618,23 +1305,14 @@ struct DataIndexScanOp {
 }
 
 impl Operator for DataIndexScanOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.oids = match &self.morsel {
-            None => {
-                let idx = ctx
-                    .indexes
-                    .column
-                    .get(&(self.table, self.col))
-                    .ok_or_else(|| {
-                        QueryError::UnknownIndex(format!("table#{}.col{}", self.table.0, self.col))
-                    })?;
-                idx.range(
-                    self.lo.as_ref(),
-                    self.hi.as_ref(),
-                    self.lo_strict,
-                    self.hi_strict,
-                )
-            }
+            None => ctx.require_column_index(self.table, self.col)?.range(
+                self.lo.as_ref(),
+                self.hi.as_ref(),
+                self.lo_strict,
+                self.hi_strict,
+            ),
             Some(Morsel::Oids(oids)) => oids.clone(),
             Some(_) => return Err(foreign_morsel()),
         };
@@ -1642,7 +1320,7 @@ impl Operator for DataIndexScanOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let Some(&oid) = self.oids.get(self.pos) else {
             return Ok(None);
         };
@@ -1656,7 +1334,7 @@ impl Operator for DataIndexScanOp {
         )?))
     }
 
-    fn close(&mut self, _ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.oids = Vec::new();
         self.pos = 0;
         Ok(())
@@ -1666,7 +1344,7 @@ impl Operator for DataIndexScanOp {
         Vec::new()
     }
 
-    fn morsels(&mut self, ctx: &ExecContext<'_>, rows: usize) -> Result<Vec<Morsel>> {
+    fn morsels(&mut self, ctx: &Run<'_>, rows: usize) -> Result<Vec<Morsel>> {
         self.open(ctx, &mut RowTally::default())?;
         Ok(self
             .oids
@@ -1683,11 +1361,11 @@ struct FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         loop {
             let Some(row) = self.child.next(ctx)? else {
                 return Ok(None);
@@ -1698,7 +1376,7 @@ impl Operator for FilterOp {
         }
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -1714,11 +1392,11 @@ struct SummaryObjectFilterOp {
 }
 
 impl Operator for SummaryObjectFilterOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let row = self.child.next(ctx)?;
         Ok(row.map(|mut row| {
             row.retain_summaries(&self.pred, tally);
@@ -1726,7 +1404,7 @@ impl Operator for SummaryObjectFilterOp {
         }))
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -1743,11 +1421,11 @@ struct ProjectOp {
 }
 
 impl Operator for ProjectOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let Some(mut row) = self.child.next(ctx)? else {
             return Ok(None);
         };
@@ -1769,7 +1447,7 @@ impl Operator for ProjectOp {
         Ok(Some(row))
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -1930,7 +1608,7 @@ impl Candidates {
 }
 
 impl Operator for NestedLoopJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.block.clear();
         self.inner.clear();
         self.buckets = None;
@@ -1941,7 +1619,7 @@ impl Operator for NestedLoopJoinOp {
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let width = self.pred.key_width();
         loop {
             // Emit pending matches of the current block × inner.
@@ -2002,7 +1680,7 @@ impl Operator for NestedLoopJoinOp {
         }
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.block = KeyedRows::default();
         self.inner = KeyedRows::default();
         self.buckets = None;
@@ -2029,8 +1707,12 @@ struct IndexJoinOp {
 }
 
 impl Operator for IndexJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
-        if !ctx.has_column_index(self.right_table, self.right_col) {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
+        if ctx
+            .indexes
+            .column_index(self.right_table, self.right_col)
+            .is_none()
+        {
             return Err(QueryError::BadPlan(format!(
                 "index join requires a column index on table {:?} col {}",
                 self.right_table, self.right_col
@@ -2040,7 +1722,7 @@ impl Operator for IndexJoinOp {
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         loop {
             if let Some((l, oids, pos)) = &mut self.current {
                 while let Some(&oid) = oids.get(*pos) {
@@ -2059,16 +1741,7 @@ impl Operator for IndexJoinOp {
                     let Some(key) = l.column(self.left_col).map(ValueRef::to_owned) else {
                         continue;
                     };
-                    let idx = ctx
-                        .indexes
-                        .column
-                        .get(&(self.right_table, self.right_col))
-                        .ok_or_else(|| {
-                            QueryError::UnknownIndex(format!(
-                                "table#{}.col{}",
-                                self.right_table.0, self.right_col
-                            ))
-                        })?;
+                    let idx = ctx.require_column_index(self.right_table, self.right_col)?;
                     self.current = Some((l, idx.lookup(&key), 0));
                 }
                 None => return Ok(None),
@@ -2076,7 +1749,7 @@ impl Operator for IndexJoinOp {
         }
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.current = None;
         self.left.close(ctx)
     }
@@ -2100,14 +1773,14 @@ struct SummaryIndexJoinOp {
 }
 
 impl Operator for SummaryIndexJoinOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         let idx = ctx.require_summary_index(&self.index)?;
         self.right_table = Some(idx.table());
         self.current = None;
         self.left.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let idx = ctx.require_summary_index(&self.index)?;
         let right_table = self.right_table.ok_or_else(unopened)?;
         loop {
@@ -2139,7 +1812,7 @@ impl Operator for SummaryIndexJoinOp {
         }
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.current = None;
         self.left.close(ctx)
     }
@@ -2160,7 +1833,7 @@ struct SortOp {
 }
 
 impl Operator for SortOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)?;
         // Decorate: the key is evaluated once per row, here, not once per
         // comparison — and the row itself stays as fetched.
@@ -2178,11 +1851,11 @@ impl Operator for SortOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.out = None;
         self.child.close(ctx)
     }
@@ -2201,7 +1874,7 @@ struct GroupByOp {
 }
 
 impl Operator for GroupByOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)?;
         let mut groups = AggState::new(self.cols.clone());
         while let Some(row) = self.child.next(ctx)? {
@@ -2211,11 +1884,11 @@ impl Operator for GroupByOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.out = None;
         self.child.close(ctx)
     }
@@ -2233,7 +1906,7 @@ struct DistinctOp {
 }
 
 impl Operator for DistinctOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)?;
         let mut rows = Vec::new();
         while let Some(row) = self.child.next(ctx)? {
@@ -2243,11 +1916,11 @@ impl Operator for DistinctOp {
         Ok(())
     }
 
-    fn next(&mut self, _ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.out = None;
         self.child.close(ctx)
     }
@@ -2267,12 +1940,12 @@ struct LimitOp {
 }
 
 impl Operator for LimitOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.emitted = 0;
         self.child.open(ctx)
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         if self.emitted >= self.n {
             return Ok(None);
         }
@@ -2285,7 +1958,7 @@ impl Operator for LimitOp {
         }
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.child.close(ctx)
     }
 
@@ -2487,7 +2160,7 @@ struct ExchangeOp {
 /// queue, pulls the compiled chain bounded to the morsel through `drain`,
 /// and the per-morsel results meet in `gather` in morsel order.
 fn run_parallel<T: Send>(
-    ctx: &ExecContext<'_>,
+    ctx: &Run<'_>,
     frag: &FragSpec<'_>,
     dop: usize,
     drain: impl Fn(&mut OpNode, &mut RowTally) -> Result<T> + Sync,
@@ -2625,7 +2298,7 @@ fn run_parallel<T: Send>(
 }
 
 impl Operator for ExchangeOp {
-    fn open(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         let dop = if self.dop == 0 {
             ctx.config.dop
         } else {
@@ -2693,14 +2366,14 @@ impl Operator for ExchangeOp {
         Ok(())
     }
 
-    fn next(&mut self, ctx: &ExecContext<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
+    fn next(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
         if let Some(node) = &mut self.serial {
             return node.next(ctx);
         }
         Ok(self.out.as_mut().and_then(|it| it.next()))
     }
 
-    fn close(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.out = None;
         match &mut self.serial {
             Some(node) => node.close(ctx),
@@ -3141,7 +2814,7 @@ mod tests {
         let (db, t, oids) = setup(8);
         let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("idx", idx);
+        ctx.register_summary_index("idx", idx).unwrap();
         let plan = PhysicalPlan::SummaryIndexScan {
             index: "idx".into(),
             label: "Disease".into(),
@@ -3177,8 +2850,8 @@ mod tests {
         let sb = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let bl = BaselineIndex::bulk_build(&db, t, "ClassBird1").unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("sb", sb);
-        ctx.register_baseline_index("bl", bl);
+        ctx.register_summary_index("sb", sb).unwrap();
+        ctx.register_baseline_index("bl", bl).unwrap();
         let q = |ctx: &mut ExecContext, index: &str, baseline: bool| {
             let plan = if baseline {
                 PhysicalPlan::BaselineIndexScan {
@@ -3215,8 +2888,8 @@ mod tests {
         let sb = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let bl = BaselineIndex::bulk_build(&db, t, "ClassBird1").unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("sb", sb);
-        ctx.register_baseline_index("bl", bl);
+        ctx.register_summary_index("sb", sb).unwrap();
+        ctx.register_baseline_index("bl", bl).unwrap();
         db.stats().reset();
         ctx.execute(&PhysicalPlan::SummaryIndexScan {
             index: "sb".into(),
@@ -3366,7 +3039,7 @@ mod tests {
         }
         let cidx = ColumnIndex::build(&db, s, 0).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_column_index(cidx);
+        ctx.register_column_index(cidx).unwrap();
         let left = PhysicalPlan::SeqScan {
             table: t,
             with_summaries: true,
@@ -3407,7 +3080,7 @@ mod tests {
         let (db, t, _) = setup(8);
         let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("sij", idx);
+        ctx.register_summary_index("sij", idx).unwrap();
         let probe_key = SummaryExpr::label_value("ClassBird1", "Disease");
         let pred = JoinPredicate::SummaryCmp {
             left: probe_key.clone(),
@@ -3453,7 +3126,7 @@ mod tests {
         let (db, t, _) = setup(8);
         let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("sij", idx);
+        ctx.register_summary_index("sij", idx).unwrap();
         let plan = PhysicalPlan::SummaryIndexJoin {
             left: Box::new(PhysicalPlan::SeqScan {
                 table: t,
@@ -3787,7 +3460,7 @@ mod tests {
         }
         let cidx = ColumnIndex::build(&db, s, 0).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_column_index(cidx);
+        ctx.register_column_index(cidx).unwrap();
         // Join on id with a residual restricting to odd inner flags.
         let plan = PhysicalPlan::IndexJoin {
             left: Box::new(PhysicalPlan::SeqScan {
@@ -3876,7 +3549,7 @@ mod tests {
         let (db, t, _) = setup(30);
         let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("idx", idx);
+        ctx.register_summary_index("idx", idx).unwrap();
         let limited = |k: usize| PhysicalPlan::Limit {
             input: Box::new(PhysicalPlan::SummaryIndexScan {
                 index: "idx".into(),
@@ -3910,7 +3583,7 @@ mod tests {
         let (db, t, _) = setup(12);
         let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("idx", idx);
+        ctx.register_summary_index("idx", idx).unwrap();
         let plan = PhysicalPlan::Limit {
             input: Box::new(PhysicalPlan::SummaryIndexScan {
                 index: "idx".into(),
@@ -3922,25 +3595,31 @@ mod tests {
             }),
             n: 5,
         };
-        let mut stream = ctx.open_stream(&plan).unwrap();
-        for _ in 0..5 {
-            assert!(stream.next_tuple().unwrap().is_some());
-        }
-        let at_cap = db.stats().snapshot();
-        assert!(stream.next_tuple().unwrap().is_none());
-        assert!(stream.next_tuple().unwrap().is_none());
-        let after = db.stats().snapshot();
-        assert_eq!(
-            after.since(&at_cap).total(),
-            0,
-            "exhausted LIMIT performs no physical I/O"
+        // The drain loop is the stream: snapshot the I/O as the k-th row
+        // reaches the sink; the pulls and the close after it charge nothing.
+        struct AtCap<'d>(
+            &'d Database,
+            Vec<AnnotatedTuple>,
+            Option<instn_storage::IoSnapshot>,
         );
+        impl RowSink for AtCap<'_> {
+            fn row(&mut self, row: FinishedRow<'_>) -> Result<()> {
+                self.1.row(row)?;
+                if self.1.len() == 5 {
+                    self.2 = Some(self.0.stats().snapshot());
+                }
+                Ok(())
+            }
+        }
+        let mut sink = AtCap(&db, Vec::new(), None);
+        let metrics = ctx.execute_into(&plan, &mut sink).unwrap();
+        let spent = db.stats().snapshot().since(&sink.2.unwrap());
+        assert_eq!(spent.total(), 0, "exhausted LIMIT performs no physical I/O");
         assert_eq!(
-            after.since(&at_cap).logical_total(),
+            spent.logical_total(),
             0,
             "exhausted LIMIT performs no logical I/O either"
         );
-        let metrics = stream.close().unwrap();
         assert_eq!(metrics.rows, 5);
         assert_eq!(metrics.children[0].rows, 5, "scan produced only k tuples");
     }
@@ -4163,7 +3842,7 @@ mod tests {
         let (db, t, _) = setup(25);
         let idx = crate::dataindex::ColumnIndex::build(&db, t, 0).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_column_index(idx);
+        ctx.register_column_index(idx).unwrap();
         ctx.config.morsel_rows = 3;
         let scan = PhysicalPlan::DataIndexScan {
             table: t,
@@ -4190,7 +3869,7 @@ mod tests {
         let (db, t, _) = setup(20);
         let idx = SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("idx", idx);
+        ctx.register_summary_index("idx", idx).unwrap();
         ctx.config.morsel_rows = 3;
         let scan = PhysicalPlan::SummaryIndexScan {
             index: "idx".into(),

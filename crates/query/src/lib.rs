@@ -22,10 +22,13 @@
 //! * [`lower`] — the naive logical → physical lowering (the
 //!   "optimization-disabled" baseline; the real optimizer lives in
 //!   `instn-opt`),
+//! * [`registry`] — the index registry: the engine's Summary-BTrees,
+//!   baseline schemes and column indexes behind one lock, refreshed from
+//!   the delta journal once per revision,
 //! * [`session`] — the multi-session layer: [`session::SharedDatabase`]
-//!   (readers-writer over the engine) and [`session::Session`] (per-client
-//!   index registry with revision-stamped staleness detection), through
-//!   which N threads run the executor concurrently.
+//!   (readers-writer over the engine and its registry) and
+//!   [`session::Session`] (one client's planning and execution settings),
+//!   through which N threads run the executor concurrently.
 
 pub mod dataindex;
 pub mod exec;
@@ -34,14 +37,14 @@ pub mod lower;
 pub mod metrics;
 pub mod plan;
 pub mod plan_cache;
+pub mod registry;
 mod row;
 pub mod session;
 
 pub use dataindex::ColumnIndex;
 pub use exec::{
     default_dop, parallel_fragment_shape, parallelize_plan, parallelize_plan_where, ExecConfig,
-    ExecContext, IndexRegistry, MaintenanceReport, OpMetrics, PhysicalPlan, TupleStream,
-    DEFAULT_MORSEL_ROWS,
+    ExecContext, OpMetrics, PhysicalPlan, DEFAULT_MORSEL_ROWS,
 };
 pub use expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, RowRead, SummaryExpr};
 pub use metrics::QueryMetrics;
@@ -50,8 +53,9 @@ pub use plan_cache::{
     normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanKey, PlanLookup, PlanStamp,
     TableStamp, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_DRIFT_DIVISOR,
 };
+pub use registry::{IndexDescriptors, IndexRegistry, MaintenanceReport, SharedRegistry};
 pub use row::{FinishedRow, RowSink};
-pub use session::{IndexDescriptors, Session, SharedDatabase};
+pub use session::{Session, SharedDatabase};
 
 /// Named by [`Session::register_summary_index`].
 pub use instn_index::PointerMode;

@@ -206,7 +206,7 @@ pub struct PlanKey {
     pub dop: usize,
     /// The session's in-memory sort budget.
     pub sort_mem: usize,
-    /// The session's index-registry epoch.
+    /// The engine's index-registry epoch.
     pub registry_epoch: u64,
     /// The caller's hash of the statement (equal statements hash equal).
     pub statement_hash: u64,

@@ -1,32 +1,36 @@
-//! Multi-session serving: a readers-writer handle over the engine.
+//! Multi-session serving: a readers-writer handle over the engine and its
+//! index registry.
 //!
 //! Everything below the executor is already `Send + Sync` (asserted at
 //! compile time in `instn-storage` and `instn-core`), so N threads may read
 //! one [`Database`] concurrently — what was missing is a protocol for *who
 //! may write and when indexes go stale*. This module supplies it:
 //!
-//! * [`SharedDatabase`] — a cloneable `Arc<RwLock<Database>>`: any number of
-//!   concurrent readers, one writer at a time. Every successful top-level
-//!   mutation advances `Database::revision()` (done inside `instn-core`),
-//!   which is the staleness signal the read side keys off.
-//! * [`Session`] — one logical client. A session owns an [`IndexRegistry`]
-//!   (its Summary-BTrees, baseline schemes, and column indexes) that
-//!   outlives any single query: for each query the session takes a read
-//!   guard, moves the registry into a transient [`ExecContext`], executes,
-//!   and takes the registry back. The context rebuilds any index whose
-//!   `built_revision` no longer matches the database before the plan opens,
-//!   so a registration from before a writer's mutations is refreshed instead
-//!   of silently serving old rows.
+//! * [`SharedDatabase`] — a cloneable handle over the engine's `RwLock`
+//!   (any number of concurrent readers, one writer at a time) and, beside
+//!   it behind a lock of its own, the engine's one [`SharedRegistry`] of
+//!   indexes. Every successful top-level mutation advances
+//!   `Database::revision()` (done inside `instn-core`), which is the
+//!   staleness signal the read side keys off.
+//! * [`Session`] — one logical client: its sort budget, DOP, plan cache
+//!   and planner state. For each query it takes a read guard and runs a
+//!   transient [`ExecContext`] serving the engine's registry, which catches
+//!   every stale index up once per revision before the plan opens. An index
+//!   one session registers (or an `ALTER TABLE … ADD INDEXABLE` builds)
+//!   exists once, and every session plans and executes with it.
 //!
-//! Lock order (see DESIGN.md §7): the engine `RwLock` is acquired *before*
-//! any interior lock (buffer-pool state mutex, WAL state mutex), and those
-//! interior locks are never held across calls back into the engine, so the
+//! Lock order (see DESIGN.md §7): the engine `RwLock` first, then the
+//! registry lock, then any interior lock (buffer-pool state mutex, WAL state
+//! mutex); none is held across a call that acquires one before it, so the
 //! hierarchy is acyclic. Lock poisoning is not papered over: a thread that
-//! panicked mid-mutation leaves the engine in an unknown state, and every
-//! later acquisition fails fast instead of serving it — as a panic through
-//! [`SharedDatabase::read`]/[`SharedDatabase::write`], or as a structured
-//! [`QueryError::EnginePoisoned`] through the `try_*` variants serving
-//! layers use (`instn-serve` turns it into a wire error, not an abort).
+//! panicked mid-mutation or mid-refresh leaves the engine or the registry in
+//! an unknown state, and every later acquisition fails fast instead of
+//! serving it — as a panic through [`SharedDatabase::read`] /
+//! [`SharedDatabase::write`], or as a structured
+//! [`QueryError::EnginePoisoned`] through the `try_*` paths serving layers
+//! use (`instn-serve` turns it into a wire error, not an abort).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -38,19 +42,20 @@ use instn_obs::{Counter, QueryTrace};
 use instn_storage::TableId;
 
 use crate::dataindex::ColumnIndex;
-use crate::exec::{
-    ExecConfig, ExecContext, IndexRegistry, OpMetrics, PhysicalPlan, DEFAULT_SORT_MEM,
-};
+use crate::exec::{ExecConfig, ExecContext, OpMetrics, PhysicalPlan, DEFAULT_SORT_MEM};
 use crate::metrics::QueryMetrics;
 use crate::plan_cache::PlanCache;
+use crate::registry::SharedRegistry;
 use crate::row::RowSink;
 use crate::{QueryError, Result};
 
-/// A shareable, thread-safe handle over one [`Database`]: concurrent
-/// readers, single writer. Clones are cheap and refer to the same engine.
+/// A shareable, thread-safe handle over one [`Database`] and its index
+/// registry: concurrent readers, single writer. Clones are cheap and refer
+/// to the same engine.
 #[derive(Clone)]
 pub struct SharedDatabase {
     inner: Arc<RwLock<Database>>,
+    indexes: SharedRegistry,
 }
 
 impl SharedDatabase {
@@ -58,15 +63,16 @@ impl SharedDatabase {
     pub fn new(db: Database) -> Self {
         Self {
             inner: Arc::new(RwLock::new(db)),
+            indexes: SharedRegistry::default(),
         }
     }
 
-    /// Open a new session (its own index registry, its own sort budget).
+    /// Open a new session (its own sort budget, DOP and plan cache; the
+    /// engine's indexes).
     pub fn session(&self) -> Session {
         static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
         Session {
             shared: self.clone(),
-            registry: IndexRegistry::default(),
             sort_mem: DEFAULT_SORT_MEM,
             exec_config: ExecConfig::default(),
             id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
@@ -75,18 +81,25 @@ impl SharedDatabase {
             metrics: None,
             plan_cache: PlanCache::new(),
             planner_state: None,
-            registry_epoch: 0,
         }
     }
 
+    /// The engine's index registry. Lock order: take the engine guard
+    /// before the registry's lock.
+    pub fn indexes(&self) -> &SharedRegistry {
+        &self.indexes
+    }
+
     /// Acquire a shared read guard. Any number may be live at once.
+    #[allow(clippy::expect_used, reason = "poisoned only by a panicking writer")]
     pub fn read(&self) -> RwLockReadGuard<'_, Database> {
         self.inner.read().expect("engine lock poisoned")
     }
 
     /// Acquire the exclusive write guard. Mutations through it advance the
     /// engine's revision counter, which readers use to refresh stale
-    /// index registrations.
+    /// indexes.
+    #[allow(clippy::expect_used, reason = "poisoned only by a panicking writer")]
     pub fn write(&self) -> RwLockWriteGuard<'_, Database> {
         self.inner.write().expect("engine lock poisoned")
     }
@@ -116,23 +129,24 @@ impl SharedDatabase {
     }
 
     /// Recover exclusive ownership if this is the last handle.
+    #[allow(clippy::expect_used, reason = "poisoned only by a panicking writer")]
     pub fn try_unwrap(self) -> std::result::Result<Database, SharedDatabase> {
-        match Arc::try_unwrap(self.inner) {
+        let SharedDatabase { inner, indexes } = self;
+        match Arc::try_unwrap(inner) {
             Ok(lock) => Ok(lock.into_inner().expect("engine lock poisoned")),
-            Err(inner) => Err(SharedDatabase { inner }),
+            Err(inner) => Err(SharedDatabase { inner, indexes }),
         }
     }
 }
 
-/// One logical client of a [`SharedDatabase`]: owns the indexes it has
-/// registered and runs plans against consistent snapshots of the engine.
+/// One logical client of a [`SharedDatabase`]: runs plans against
+/// consistent snapshots of the engine with the engine's indexes.
 ///
 /// A session is `Send` (hand one to each worker thread) but not shared
 /// between threads; concurrency comes from many sessions over one
 /// [`SharedDatabase`].
 pub struct Session {
     shared: SharedDatabase,
-    registry: IndexRegistry,
     /// In-memory sort budget handed to each per-query context.
     pub sort_mem: usize,
     /// Parallel-execution settings (DOP, morsel size) handed to each
@@ -155,62 +169,6 @@ pub struct Session {
     /// optimizer statistics ride here; `instn-query` cannot name the
     /// `instn-opt` types without a dependency cycle).
     planner_state: Option<Box<dyn std::any::Any + Send>>,
-    /// Bumped on every index (de)registration; part of the plan-cache
-    /// key so a new index forces a replan instead of reusing a
-    /// plan chosen without it.
-    registry_epoch: u64,
-}
-
-/// A planner-oriented snapshot of a session's registered indexes: just the
-/// names and targets, no index payloads. This is what seeds
-/// `PlannerConfig` without the planning layer reaching into the registry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IndexDescriptors {
-    /// Summary-BTrees: `(name, table, instance)`.
-    pub summary: Vec<(String, TableId, String)>,
-    /// Baseline schemes: `(name, table, instance)`.
-    pub baseline: Vec<(String, TableId, String)>,
-    /// Data-column indexes: `(table, column)`.
-    pub column: Vec<(TableId, usize)>,
-}
-
-impl IndexDescriptors {
-    pub(crate) fn from_registry(registry: &IndexRegistry) -> Self {
-        let mut d = IndexDescriptors::default();
-        for (name, idx) in &registry.summary {
-            d.summary
-                .push((name.clone(), idx.table(), idx.instance_name().to_string()));
-        }
-        for (name, idx) in &registry.baseline {
-            d.baseline
-                .push((name.clone(), idx.table(), idx.instance_name().to_string()));
-        }
-        d.column = registry.column.keys().copied().collect();
-        // Deterministic order regardless of hash-map iteration.
-        d.summary.sort();
-        d.baseline.sort();
-        d.column.sort();
-        d
-    }
-}
-
-/// Drop-guard for [`Session::with_ctx`]: holds the transient
-/// [`ExecContext`] and unconditionally moves the index registry back into
-/// the session's slot when dropped — including during a panic unwind. A
-/// panicking query used to unwind past `std::mem::take(&mut self.registry)`
-/// and silently drop every index the session had registered; with this
-/// guard the registry survives the panic and the session keeps serving.
-struct RegistryRestore<'s, 'g> {
-    slot: &'s mut IndexRegistry,
-    ctx: Option<ExecContext<'g>>,
-}
-
-impl Drop for RegistryRestore<'_, '_> {
-    fn drop(&mut self) {
-        if let Some(mut ctx) = self.ctx.take() {
-            *self.slot = ctx.take_registry();
-        }
-    }
 }
 
 impl Session {
@@ -219,50 +177,31 @@ impl Session {
         &self.shared
     }
 
-    /// Run a closure against a transient [`ExecContext`] holding this
-    /// session's indexes, under a read guard. The guard spans the whole
+    /// Run a closure against a transient [`ExecContext`] serving the
+    /// engine's indexes, under a read guard. The guard spans the whole
     /// closure, so every query inside sees one consistent snapshot; stale
     /// indexes are refreshed when a plan opens (see
     /// [`ExecContext::refresh_stale_indexes`]).
     ///
-    /// Panic containment: if `f` panics, the panic propagates, but the
-    /// session's index registry is restored first (by a drop guard around
-    /// the transient context) — a caught panic leaves the session fully
-    /// usable. Engine-lock
-    /// poisoning still panics here; serving paths that must degrade
-    /// gracefully use [`Session::try_with_ctx`].
+    /// A panic in `f` propagates and leaves nothing to restore: the session
+    /// owns no index, and a read guard does not poison. Engine-lock
+    /// poisoning panics here; serving paths that must degrade gracefully
+    /// use [`Session::try_with_ctx`].
+    #[allow(clippy::expect_used, reason = "poisoned only by a panicking writer")]
     pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut ExecContext<'_>) -> R) -> R {
-        match self.try_with_ctx(f) {
-            Ok(out) => out,
-            Err(_) => panic!("engine lock poisoned"),
-        }
+        self.try_with_ctx(f).expect("engine lock poisoned")
     }
 
     /// [`Session::with_ctx`], but engine-lock poisoning comes back as
-    /// `Err(QueryError::EnginePoisoned)` instead of a panic. The registry
-    /// drop-guard applies on this path too.
+    /// `Err(QueryError::EnginePoisoned)` instead of a panic.
     pub fn try_with_ctx<R>(&mut self, f: impl FnOnce(&mut ExecContext<'_>) -> R) -> Result<R> {
-        let guard = self
-            .shared
-            .inner
-            .read()
-            .map_err(|_| QueryError::EnginePoisoned)?;
+        let guard = self.shared.try_read()?;
         // By field, not through `self`: `guard` borrows `self.shared`.
-        let metrics = QueryMetrics::observed(&mut self.metrics, guard.metrics()).cloned();
-        let taken = std::mem::take(&mut self.registry);
-        let mut hold = RegistryRestore {
-            slot: &mut self.registry,
-            ctx: Some(ExecContext::with_registry(&guard, taken)),
-        };
-        let ctx = hold.ctx.as_mut().expect("installed above");
+        let mut ctx = ExecContext::serving(&guard, self.shared.indexes.clone());
         ctx.sort_mem = self.sort_mem;
         ctx.config = self.exec_config;
-        ctx.metrics = metrics;
-        let out = f(ctx);
-        // Normal path: the guard's Drop moves the registry back right here;
-        // on unwind the same Drop runs during unwinding.
-        drop(hold);
-        Ok(out)
+        ctx.metrics = QueryMetrics::observed(&mut self.metrics, guard.metrics()).cloned();
+        Ok(f(&mut ctx))
     }
 
     /// Execute a plan against the current snapshot, materializing its rows.
@@ -332,7 +271,7 @@ impl Session {
             let registry = Arc::clone(ctx.db.metrics());
             ctx.trace = Some(QueryTrace::new());
             let res = ctx.execute_into(plan, sink);
-            let trace = ctx.trace.take().expect("installed above");
+            let trace = ctx.trace.take().unwrap_or_default();
             let maintenance = ctx.maintenance_report();
             (res, maintenance, trace, registry)
         })?;
@@ -394,7 +333,9 @@ impl Session {
         QueryMetrics::observed(&mut self.metrics, db.metrics()).cloned()
     }
 
-    /// Build and register a Summary-BTree over `instance` on `table`.
+    /// Build a Summary-BTree over `instance` on `table` and register it in
+    /// the engine's registry, for every session. The read guard is held
+    /// until the index is in, so it enters stamped at the current revision.
     pub fn register_summary_index(
         &mut self,
         name: &str,
@@ -402,47 +343,30 @@ impl Session {
         instance: &str,
         mode: PointerMode,
     ) -> Result<()> {
-        let idx = SummaryBTree::bulk_build(&self.shared.read(), table, instance, mode)?;
-        self.registry.summary.insert(name.to_string(), idx);
-        self.registry_epoch += 1;
-        Ok(())
+        let db = self.shared.try_read()?;
+        let idx = SummaryBTree::bulk_build(&db, table, instance, mode)?;
+        self.shared.indexes.register_summary(name, idx)
     }
 
-    /// Build and register a baseline scheme over `instance` on `table`.
+    /// Build a baseline scheme over `instance` on `table` and register it
+    /// in the engine's registry.
     pub fn register_baseline_index(
         &mut self,
         name: &str,
         table: TableId,
         instance: &str,
     ) -> Result<()> {
-        let idx = BaselineIndex::bulk_build(&self.shared.read(), table, instance)?;
-        self.registry.baseline.insert(name.to_string(), idx);
-        self.registry_epoch += 1;
-        Ok(())
+        let db = self.shared.try_read()?;
+        let idx = BaselineIndex::bulk_build(&db, table, instance)?;
+        self.shared.indexes.register_baseline(name, idx)
     }
 
-    /// Build and register a data-column index on `table.col`.
+    /// Build a data-column index on `table.col` and register it in the
+    /// engine's registry.
     pub fn register_column_index(&mut self, table: TableId, col: usize) -> Result<()> {
-        let idx = ColumnIndex::build(&self.shared.read(), table, col)?;
-        self.registry.column.insert((table, col), idx);
-        self.registry_epoch += 1;
-        Ok(())
-    }
-
-    /// Indexes currently registered in this session.
-    pub fn registered_indexes(&self) -> usize {
-        self.registry.len()
-    }
-
-    /// A planner-oriented snapshot of this session's registered indexes.
-    pub fn index_descriptors(&self) -> IndexDescriptors {
-        IndexDescriptors::from_registry(&self.registry)
-    }
-
-    /// Monotonic count of index (de)registrations; folded into plan-cache
-    /// keys so registering an index forces fresh plans.
-    pub fn registry_epoch(&self) -> u64 {
-        self.registry_epoch
+        let db = self.shared.try_read()?;
+        let idx = ColumnIndex::build(&db, table, col)?;
+        self.shared.indexes.register_column(idx)
     }
 
     /// The planning layer's opaque cross-query state slot (cached

@@ -8,16 +8,16 @@
 //! that is answered with a `Busy` handshake frame and closed immediately,
 //! so overload degrades into fast rejections instead of a pile-up. Each
 //! admitted connection is owned end-to-end by one worker, which gives it
-//! its own [`Session`] (own index registry, own exec config) for the
-//! connection's lifetime.
+//! its own [`Session`] (own exec config and plan cache; the engine's one
+//! index registry) for the connection's lifetime.
 //!
 //! Robustness contract per request:
 //!
 //! * **Panic containment** — the statement handler runs under
 //!   `catch_unwind`; a panicking query becomes a structured
-//!   `ErrorCode::Panicked` response, the session's index registry
-//!   survives (drop-guard in `Session::with_ctx`), and every other
-//!   connection keeps serving.
+//!   `ErrorCode::Panicked` response, the engine's index registry is
+//!   untouched (a session owns no index, and a read guard does not
+//!   poison), and every other connection keeps serving.
 //! * **Deadlines** — each request carries a wall-clock budget (or
 //!   inherits the server default). The engine is non-preemptible, so the
 //!   deadline is enforced cooperatively: checked at dispatch, inside
@@ -35,9 +35,9 @@
 //!   frame buffer and leaves in one `write`. A `SELECT`'s rows are encoded
 //!   into that buffer as the executor finishes them, read off its lazy rows
 //!   in place: the serving path builds no collection of rows.
-//! * **Poisoning** — if a writer panics and poisons the engine lock,
-//!   requests fail fast with `ErrorCode::EnginePoisoned` instead of
-//!   aborting workers.
+//! * **Poisoning** — if a writer panics and poisons the engine lock (or an
+//!   index refresh panics and poisons the registry lock), requests fail
+//!   fast with `ErrorCode::EnginePoisoned` instead of aborting workers.
 //!
 //! Graceful drain ([`ServerHandle::shutdown`]): stop accepting (queued
 //! but unserved sockets get a `ShuttingDown` handshake), let every worker
@@ -818,19 +818,18 @@ fn dispatch_statement(
     let line = statement.trim();
     if sv.config.debug_statements {
         if line == "\\panic" {
-            // Panic from *inside* the execution context, with the session's
-            // registry moved into the transient ctx — the worst case for
-            // state loss. The drop-guard in `try_with_ctx` restores the
-            // registry during unwind; `catch_unwind` upstairs contains it.
+            // Panic from *inside* the execution context, under the engine's
+            // read guard. Nothing is lost: the indexes live in the engine's
+            // registry, not the ctx. `catch_unwind` upstairs contains it.
             let _ = session
                 .try_with_ctx(|_| -> () { panic!("deliberate panic via \\panic debug statement") });
             unreachable!("try_with_ctx propagates the closure's panic");
         }
         if line == "\\registry" {
-            return Some(Response::Text(format!(
-                "{} indexes registered",
-                session.registered_indexes()
-            )));
+            return Some(match session.shared().indexes().read() {
+                Ok(registry) => Response::Text(format!("{} indexes registered", registry.len())),
+                Err(e) => error_response(&StatementError::Query(e)),
+            });
         }
         if let Some(arg) = line.strip_prefix("\\sleep ") {
             let Ok(ms) = arg.trim().parse::<u64>() else {

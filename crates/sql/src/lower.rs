@@ -54,7 +54,7 @@ pub struct Altered {
     /// The instance name named in the statement.
     pub name: String,
     /// Maintenance deltas for index layers. The engine journals the same
-    /// deltas revision-stamped (see `instn_core::DeltaJournal`), so session
+    /// deltas revision-stamped (see `instn_core::DeltaJournal`), so registered
     /// indexes refresh from the journal; this copy is for callers that
     /// maintain out-of-engine structures directly.
     pub deltas: Vec<SummaryDelta>,
@@ -63,7 +63,8 @@ pub struct Altered {
 }
 
 /// [`crate::run_statement`]'s one-line report: there, an `ADD INDEXABLE`
-/// that came back `Ok` has also registered the session's Summary-BTree.
+/// that came back `Ok` has also registered its Summary-BTree for every
+/// session.
 impl std::fmt::Display for Altered {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (name, deltas) = (&self.name, self.deltas.len());

@@ -5,7 +5,7 @@
 //! which [`crate::run_statement`] calls: key the statement, probe the session's
 //! [`PlanCache`](instn_query::PlanCache), and only on a miss run the full
 //! `instn_opt::Optimizer` pipeline. The optimizer is seeded with
-//! the session's registered indexes, the engine's buffer-pool capacity,
+//! the engine's registered indexes and buffer-pool capacity
 //! and the session DOP, so the plan that runs is the plan the cost model
 //! actually chose — `lower_naive` stays a bench baseline, not a serving
 //! path.
@@ -13,7 +13,8 @@
 //! Planning cost on repeat is bounded by two caches:
 //!
 //! * **Plans** — keyed by a hash of the parsed statement plus the
-//!   planner-relevant session state (DOP, sort budget, registry epoch),
+//!   planner-relevant state (the session's DOP and sort budget, the
+//!   engine's index-registry epoch),
 //!   with the statement itself compared on every probe, and revalidated
 //!   against per-table journal marks on every use: DML within a drift
 //!   bound keeps the plan, DDL or drift past the bound replans (see
@@ -30,8 +31,7 @@ use std::time::Instant;
 use instn_core::db::Database;
 use instn_opt::{Optimizer, PlannerConfig, Statistics};
 use instn_query::plan_cache::{CachedPlan, PlanKey, PlanLookup, PlanStamp};
-use instn_query::session::IndexDescriptors;
-use instn_query::Session;
+use instn_query::{IndexDescriptors, Session};
 use instn_storage::TableId;
 
 use crate::ast::SelectStmt;
@@ -90,19 +90,20 @@ struct PlannerState {
 /// state. The statement part is a hash of the parsed AST, so layout and
 /// keyword-case differences (and an `EXPLAIN` prefix) share an entry while
 /// identifier case stays significant; the rest is everything else a plan
-/// depends on — DOP, sort budget, and the index-registry epoch (registering
-/// an index must force a replan, not reuse a plan chosen without it).
-pub fn statement_key(session: &Session, sel: &SelectStmt) -> PlanKey {
+/// depends on — DOP, sort budget, and the engine's index-registry epoch
+/// (registering an index in any session must force a replan, not reuse a
+/// plan chosen without it).
+pub fn statement_key(session: &Session, sel: &SelectStmt) -> instn_query::Result<PlanKey> {
     // Fixed keys: the hash only has to be the same for the same statement
     // within one process, and a collision costs a replan, never a wrong plan.
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     sel.hash(&mut hasher);
-    PlanKey {
+    Ok(PlanKey {
         dop: session.exec_config.dop,
         sort_mem: session.sort_mem,
-        registry_epoch: session.registry_epoch(),
+        registry_epoch: session.shared().indexes().read()?.epoch(),
         statement_hash: hasher.finish(),
-    }
+    })
 }
 
 /// This session's optimizer statistics, caught up over the journal gap —
@@ -127,7 +128,7 @@ pub(crate) fn refresh_statistics(
     Ok((stats, true))
 }
 
-/// Build a [`PlannerConfig`] mirroring the session's registered indexes
+/// Build a [`PlannerConfig`] mirroring the engine's registered indexes
 /// (labels-`k` looked up from each instance's definition), its sort
 /// budget, and its DOP. Buffer-pool capacity is filled in by
 /// [`Optimizer::with_stats`] from the engine itself.
@@ -192,8 +193,8 @@ fn build_plan(
 /// Plan one parsed `SELECT` for this session: probe the plan cache
 /// (revalidating the entry's journal stamp), and on a miss or
 /// invalidation run the optimizer — with statistics caught up over the
-/// journal gap, the session's indexes, the engine's buffer pool, and the
-/// session DOP — and store the result.
+/// journal gap, the engine's indexes and buffer pool, and the session
+/// DOP — and store the result.
 ///
 /// Cache events are mirrored into the engine's metrics registry when it
 /// is enabled (`plan_cache_{hits,kept,misses,invalidations}_total`; fresh
@@ -202,9 +203,9 @@ pub fn plan_select(
     session: &mut Session,
     sel: &SelectStmt,
 ) -> Result<PlannedStatement, StatementError> {
-    let key = statement_key(session, sel);
     let shared = session.shared().clone();
     let db = shared.try_read()?;
+    let key = statement_key(session, sel)?;
     let observed = session.metrics(&db);
     let lookup = session.plan_cache.lookup(key, sel, &db);
     let kept = matches!(lookup, PlanLookup::Kept(_));
@@ -239,7 +240,7 @@ pub fn plan_select(
     } else {
         refresh_statistics(session, &db)?.0
     };
-    let descriptors = session.index_descriptors();
+    let descriptors = shared.indexes().read()?.descriptors();
     let entry = build_plan(
         &db,
         &descriptors,
@@ -328,7 +329,7 @@ mod tests {
         // (Relative, so the test also holds under `INSTN_DOP=4`.)
         session.exec_config.dop += 3;
         assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);
-        // Registering an index bumps the epoch and forces a replan.
+        // Registering an index bumps the engine's epoch and forces a replan.
         session.register_column_index(_t, 0).unwrap();
         assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);
     }

@@ -5,7 +5,8 @@
 //! statement once and hand the [`Statement`] to [`run_statement`]. Nothing
 //! else decides which engine lock a statement takes, plans a `SELECT`,
 //! executes a plan on behalf of a client, refreshes the session's
-//! statistics, or registers the Summary-BTree an `ADD INDEXABLE` asked for.
+//! statistics, or registers in the engine's registry the Summary-BTree an
+//! `ADD INDEXABLE` asked for (and evicts it again at the `DROP`).
 
 use std::collections::HashMap;
 
@@ -43,8 +44,8 @@ pub enum StatementOutcome {
     /// `ZOOM IN`: the raw annotations behind a summary object.
     Zoom(Vec<Annotation>),
     /// `ALTER TABLE`: the instance was linked or dropped — and, for an
-    /// `ADD INDEXABLE`, a Summary-BTree over it is registered in the
-    /// session, kept fresh by journal replay on every later query.
+    /// `ADD INDEXABLE`, a Summary-BTree over it is registered for every
+    /// session, kept fresh by journal replay once per revision.
     Altered(Altered),
 }
 
@@ -56,7 +57,7 @@ pub enum StatementError {
     Sql(SqlError),
     /// Planning or execution failed, or the engine lock is poisoned.
     Query(QueryError),
-    /// `ADD INDEXABLE` linked the instance, but building the session's
+    /// `ADD INDEXABLE` linked the instance, but building the
     /// Summary-BTree over it failed.
     IndexBuild {
         /// The linked instance.
@@ -274,6 +275,10 @@ pub fn run_statement_into<S: SelectSink>(
                         name: name.clone(),
                         source,
                     })?;
+            } else if altered.instance.is_none() {
+                // A DROP: the refresh ladder evicts the indexes over the
+                // dropped instance now, before any session plans with them.
+                session.try_with_ctx(|ctx| ctx.refresh_stale_indexes())??;
             }
             StatementOutcome::Altered(altered)
         }
@@ -281,9 +286,9 @@ pub fn run_statement_into<S: SelectSink>(
 }
 
 /// Plan `sel` through the session's plan cache, execute it against the
-/// session's registered indexes — refreshed from the delta journal before
-/// the plan opens, which is the `maintenance:` section — and report what
-/// the execution did.
+/// engine's registered indexes — refreshed from the delta journal before
+/// the plan opens, which is the `maintenance:` section when this statement
+/// was the one to do it — and report what the execution did.
 fn explain_analyze(
     session: &mut Session,
     sel: &SelectStmt,

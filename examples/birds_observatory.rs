@@ -98,7 +98,8 @@ fn main() {
         index.height()
     );
     let mut ctx = ExecContext::new(&db);
-    ctx.register_summary_index("disease_idx", index);
+    ctx.register_summary_index("disease_idx", index)
+        .expect("private registry");
     let config = PlannerConfig::default().with_summary_index("disease_idx", birds, "ClassBird1", 4);
     let optimizer = Optimizer::new(&db, config.clone()).expect("stats collected");
 

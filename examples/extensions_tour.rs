@@ -126,7 +126,8 @@ fn main() {
     ctx.register_summary_index(
         "idx",
         SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).expect("built"),
-    );
+    )
+    .expect("private registry");
     let rows = ctx.execute(&chosen.physical).expect("executes");
     println!(
         "bird 7 joins {} partner(s) with equal disease counts",

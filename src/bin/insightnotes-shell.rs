@@ -55,7 +55,7 @@ const SET_USAGE: &str = "usage: \\set dop <N>       (0 = available cores)\n     
 fn main() {
     let (db, registry) = demo_db();
     // The shell serves through the multi-session layer: every statement
-    // runs through a Session (consistent snapshot + owned index registry),
+    // runs through a Session (consistent snapshot + the engine's indexes),
     // and only DDL takes the exclusive guard. A second shell thread could
     // clone `shared` and serve concurrently.
     let mut shared = SharedDatabase::new(db);

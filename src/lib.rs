@@ -95,16 +95,18 @@ pub mod prelude {
     pub use instn_obs::{parse_prometheus, MetricsRegistry, QueryTrace, SlowLog, SlowQueryEntry};
     pub use instn_opt::{Optimizer, PlannerConfig, Statistics};
     pub use instn_query::exec::{
-        default_dop, parallelize_plan, ExecConfig, ExecContext, IndexRegistry, PhysicalPlan,
+        default_dop, parallelize_plan, ExecConfig, ExecContext, PhysicalPlan,
     };
     pub use instn_query::expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, SummaryExpr};
     pub use instn_query::plan::{JoinPredicate, LogicalPlan, SortKey};
     pub use instn_query::plan_cache::{
         normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanKey, PlanLookup, PlanStamp,
     };
-    pub use instn_query::session::{IndexDescriptors, Session, SharedDatabase};
+    pub use instn_query::registry::{
+        IndexDescriptors, IndexRegistry, MaintenanceReport, SharedRegistry,
+    };
+    pub use instn_query::session::{Session, SharedDatabase};
     pub use instn_query::ColumnIndex;
-    pub use instn_query::MaintenanceReport;
     pub use instn_query::{FinishedRow, RowSink};
     pub use instn_serve::{Client, ServeConfig, Server, ServerHandle};
     pub use instn_sql::{

@@ -98,10 +98,10 @@ fn io_accounting_tallies_exactly_under_parallelism() {
     );
 }
 
-/// Eight [`Session`]s over one [`SharedDatabase`], each with its own
-/// registered Summary-BTree, must serve result sets bit-identical to the
-/// single-threaded oracle — both through the index and through a plain
-/// filtered scan.
+/// Eight [`Session`]s over one [`SharedDatabase`], all serving the one
+/// Summary-BTree the oracle session registered, must serve result sets
+/// bit-identical to the single-threaded oracle — both through the index and
+/// through a plain filtered scan.
 #[test]
 fn shared_sessions_serve_identical_result_sets() {
     let (db, t) = build(80);
@@ -141,8 +141,6 @@ fn shared_sessions_serve_identical_result_sets() {
                     let (index_plan, scan_plan) = (&index_plan, &scan_plan);
                     scope.spawn(move |_| {
                         let mut sess = shared.session();
-                        sess.register_summary_index("C_idx", t, "C", PointerMode::Backward)
-                            .unwrap();
                         // Both queries under one read guard: one snapshot.
                         sess.with_ctx(|ctx| {
                             (
@@ -378,8 +376,8 @@ fn parallel_executor_vs_writers_matches_serial_snapshot() {
     assert_eq!(par, serial);
 }
 
-/// N reader sessions, each owning a registered Summary-BTree kept current
-/// by delta-journal replay, race one writer applying the scripted mutation
+/// N reader sessions, sharing one registered Summary-BTree kept current by
+/// delta-journal replay, race one writer applying the scripted mutation
 /// stream with interleaved checkpoints. Every iteration runs the index
 /// scan and the filter-scan oracle under one read guard (one snapshot), so
 /// a single stale, lost, or double-applied delta surfaces as a row diff.
@@ -395,6 +393,10 @@ fn reader_index_replay_vs_writer_stays_oracle_identical() {
     db.enable_wal();
     let oid0 = db.scan_annotated(t).unwrap()[0].source.unwrap().1;
     let shared = SharedDatabase::new(db);
+    shared
+        .session()
+        .register_summary_index("C_idx", t, "C", PointerMode::Backward)
+        .unwrap();
 
     let index_plan = PhysicalPlan::SummaryIndexScan {
         index: "C_idx".into(),
@@ -428,8 +430,6 @@ fn reader_index_replay_vs_writer_stays_oracle_identical() {
             let (index_plan, scan_plan, keyed) = (&index_plan, &scan_plan, &keyed);
             scope.spawn(move |_| {
                 let mut sess = shared.session();
-                sess.register_summary_index("C_idx", t, "C", PointerMode::Backward)
-                    .unwrap();
                 for _ in 0..READS_PER_READER {
                     sess.with_ctx(|ctx| {
                         let via_index = ctx.execute(index_plan).expect("index scan");
@@ -511,16 +511,29 @@ fn parallel_index_probes_agree_with_sequential() {
     assert_eq!(index.searches(), 14);
 }
 
-/// A query that panics mid-execution must not wedge the session layer:
-/// the panicking session's index registry — moved into the transient
-/// `ExecContext` for the query — is restored during unwind by the
-/// drop-guard, the read guard is released (no poisoning: only write
-/// guards poison), and concurrent sessions keep serving throughout.
+/// A row sink that panics on the first row: a query that dies mid-plan,
+/// with the registry's read guard held.
+struct PanicsMidQuery;
+
+impl RowSink for PanicsMidQuery {
+    fn row(&mut self, _row: FinishedRow<'_>) -> insightnotes::query::Result<()> {
+        panic!("deliberate mid-query panic")
+    }
+}
+
+/// A query that panics mid-execution leaves nothing to restore: the index
+/// lives in the engine's registry, not in the session or its transient
+/// `ExecContext`, and the registry's read guard is released (no poisoning:
+/// only write guards poison). The one tree stays registered and current —
+/// no rebuild is counted afterwards — and concurrent sessions keep serving
+/// throughout.
 #[test]
 fn panicking_query_preserves_registry_and_concurrent_sessions() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let (db, t) = build(60);
+    db.metrics().set_enabled(true);
+    let rebuilds = db.metrics().counter("index_refresh_rebuilds_total", "");
     let shared = SharedDatabase::new(db);
     let index_plan = PhysicalPlan::SummaryIndexScan {
         index: "C_idx".into(),
@@ -530,18 +543,20 @@ fn panicking_query_preserves_registry_and_concurrent_sessions() {
         propagate: true,
         reverse: false,
     };
+    let registered = || shared.indexes().read().unwrap().len();
 
     let mut victim = shared.session();
     victim
         .register_summary_index("C_idx", t, "C", PointerMode::Backward)
         .unwrap();
-    assert_eq!(victim.registered_indexes(), 1);
+    assert_eq!(registered(), 1);
     let oracle = victim.execute(&index_plan).unwrap();
     assert!(!oracle.is_empty());
+    let rebuilds_before = rebuilds.value();
 
     let stop = std::sync::atomic::AtomicBool::new(false);
     crossbeam::thread::scope(|scope| {
-        // Concurrent sessions hammer the engine while the victim panics.
+        // Concurrent sessions hammer the same index while the victim panics.
         let stop = &stop;
         let mut others = Vec::new();
         for _ in 0..3 {
@@ -549,8 +564,6 @@ fn panicking_query_preserves_registry_and_concurrent_sessions() {
             let (index_plan, oracle) = (&index_plan, &oracle);
             others.push(scope.spawn(move |_| {
                 let mut sess = shared.session();
-                sess.register_summary_index("C_idx", t, "C", PointerMode::Backward)
-                    .unwrap();
                 let mut reads = 0usize;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) || reads < 5 {
                     let rows = sess.execute(index_plan).expect("unaffected session");
@@ -563,12 +576,11 @@ fn panicking_query_preserves_registry_and_concurrent_sessions() {
 
         for _ in 0..4 {
             let unwound = catch_unwind(AssertUnwindSafe(|| {
-                victim.with_ctx(|_| -> () { panic!("deliberate mid-query panic") })
+                victim.with_ctx(|ctx| ctx.execute_into(&index_plan, &mut PanicsMidQuery))
             }));
             assert!(unwound.is_err(), "panic must propagate, not vanish");
-            // The drop-guard restored the registry during unwind: the same
-            // session still serves index scans without rebuilding.
-            assert_eq!(victim.registered_indexes(), 1);
+            // The same tree still serves the same session, unrebuilt.
+            assert_eq!(registered(), 1);
             let rows = victim.execute(&index_plan).expect("session still works");
             assert_eq!(rows, oracle);
         }
@@ -579,6 +591,73 @@ fn panicking_query_preserves_registry_and_concurrent_sessions() {
         }
     })
     .expect("scope");
+    assert_eq!(
+        rebuilds.value(),
+        rebuilds_before,
+        "no rebuild after the panics"
+    );
+}
+
+/// Birds(id, habitat): `n` tuples with one note each, the first ten with a
+/// disease annotation too, and the classifier `D` in the instance catalog,
+/// not yet linked. Once `ADD INDEXABLE D` builds its Summary-BTree, the
+/// tree beats a scan for `Disease >= 1`.
+fn sparse(n: usize) -> (Database, std::collections::HashMap<String, InstanceKind>) {
+    let mut db = Database::new();
+    let schema = Schema::of(&[("id", ColumnType::Int), ("habitat", ColumnType::Text)]);
+    let t = db.create_table("Birds", schema).unwrap();
+    for i in 0..n {
+        let habitat = Value::Text("reed beds and shallow freshwater margins; ".repeat(4));
+        let oid = db
+            .insert_tuple(t, vec![Value::Int(i as i64), habitat])
+            .unwrap();
+        let notes = [
+            ("field station note", Category::Other),
+            ("disease outbreak", Category::Disease),
+        ];
+        for (text, category) in &notes[..1 + usize::from(i < 10)] {
+            db.add_annotation(t, text, *category, "u", vec![Attachment::row(oid)])
+                .unwrap();
+        }
+    }
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Other".into()]);
+    model.train("disease outbreak infection virus", "Disease");
+    model.train("field station weather note", "Other");
+    let instances = [("D".to_string(), InstanceKind::Classifier { model })].into();
+    (db, instances)
+}
+
+/// The in-process twin of the wire test in `tests/serve.rs`: the
+/// Summary-BTree session A's `ADD INDEXABLE` builds is the one session B
+/// plans with, and B stops seeing it in the statement after A's `DROP`.
+#[test]
+fn an_index_one_session_builds_serves_another_until_dropped() {
+    let (db, instances) = sparse(600);
+    let shared = SharedDatabase::new(db);
+    let (mut a, mut b) = (shared.session(), shared.session());
+    let run = |session: &mut Session, sql: &str| {
+        let stmt = parse(sql).expect("parses");
+        match run_statement(session, &instances, sql, &stmt).expect("runs") {
+            StatementOutcome::Explain(plan) => plan,
+            StatementOutcome::Rows { rows, .. } => format!("{} rows", rows.len()),
+            other => format!("{other:?}"),
+        }
+    };
+    let select =
+        "SELECT * FROM Birds r WHERE r.$.getSummaryObject('D').getLabelValue('Disease') >= 1";
+    let explain = format!("EXPLAIN {select}");
+    run(&mut a, "ALTER TABLE Birds ADD INDEXABLE D");
+    let plan = run(&mut b, &explain);
+    assert!(plan.contains("SummaryIndexScan(D"), "{plan}");
+    assert_eq!(run(&mut b, select), "10 rows");
+    run(&mut a, "ALTER TABLE Birds DROP D");
+    assert!(shared.indexes().read().unwrap().is_empty());
+    let plan = run(&mut b, "EXPLAIN SELECT * FROM Birds r WHERE r.id < 5");
+    assert!(plan.contains("SeqScan"), "{plan}");
+    assert_eq!(
+        run(&mut b, "SELECT * FROM Birds r WHERE r.id < 5"),
+        "5 rows"
+    );
 }
 
 /// A writer that panics while holding the exclusive guard poisons the
@@ -589,7 +668,7 @@ fn panicking_query_preserves_registry_and_concurrent_sessions() {
 fn poisoned_engine_lock_fails_fast_on_try_paths() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let (db, _t) = build(10);
+    let (db, t) = build(10);
     let shared = SharedDatabase::new(db);
     let mut session = shared.session();
 
@@ -608,6 +687,10 @@ fn poisoned_engine_lock_fails_fast_on_try_paths() {
     ));
     assert!(matches!(
         session.try_with_ctx(|_| ()),
+        Err(QueryError::EnginePoisoned)
+    ));
+    assert!(matches!(
+        session.register_summary_index("C_idx", t, "C", PointerMode::Backward),
         Err(QueryError::EnginePoisoned)
     ));
 }

@@ -134,7 +134,7 @@ fn sql_through_optimizer_matches_naive_execution() {
     // Optimizer path with a live Summary-BTree.
     let index = SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).unwrap();
     let mut ctx2 = ExecContext::new(&db);
-    ctx2.register_summary_index("idx", index);
+    ctx2.register_summary_index("idx", index).unwrap();
     let config = PlannerConfig::default().with_summary_index("idx", birds, "ClassBird1", 3);
     let optimizer = Optimizer::new(&db, config).unwrap();
     let chosen = optimizer.optimize(&lowered.plan).unwrap();
@@ -282,7 +282,7 @@ fn io_accounting_shows_index_advantage() {
     let (db, birds, _) = build(60);
     let index = SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).unwrap();
     let mut ctx = ExecContext::new(&db);
-    ctx.register_summary_index("idx", index);
+    ctx.register_summary_index("idx", index).unwrap();
 
     let scan_plan = PhysicalPlan::Filter {
         input: Box::new(PhysicalPlan::SeqScan {

@@ -33,19 +33,18 @@ fn stale_column_index_registration_is_refreshed_on_execute() {
     let vals: Vec<Value> = (0..20).map(Value::Int).collect();
     let (t, oids) = int_table(&mut db, "S", &vals);
 
-    // Register an index, then park the session's registry while writing.
-    let mut ctx = ExecContext::new(&db);
-    ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap());
-    let registry = ctx.take_registry();
-    drop(ctx);
-
-    for oid in &oids[..5] {
-        db.delete_tuple(t, *oid).unwrap();
-    }
-    let kept = db.insert_tuple(t, vec![Value::Int(100)]).unwrap();
+    // Register an index in the engine's registry, then write.
+    let shared = SharedDatabase::new(db);
+    let mut session = shared.session();
+    session.register_column_index(t, 0).unwrap();
+    let kept = shared.with_write(|db| {
+        for oid in &oids[..5] {
+            db.delete_tuple(t, *oid).unwrap();
+        }
+        db.insert_tuple(t, vec![Value::Int(100)]).unwrap()
+    });
 
     // Same registration, post-mutation engine.
-    let mut ctx = ExecContext::with_registry(&db, registry);
     let plan = PhysicalPlan::DataIndexScan {
         table: t,
         col: 0,
@@ -55,8 +54,8 @@ fn stale_column_index_registration_is_refreshed_on_execute() {
         hi_strict: false,
         with_summaries: false,
     };
-    let rows = ctx.execute(&plan).unwrap();
-    let oracle = ctx
+    let rows = session.execute(&plan).unwrap();
+    let oracle = session
         .execute(&PhysicalPlan::SeqScan {
             table: t,
             with_summaries: false,
@@ -81,15 +80,15 @@ fn stale_index_join_probe_is_refreshed_on_execute() {
     let (s, s_oids) = int_table(&mut db, "S", &(0..10).map(Value::Int).collect::<Vec<_>>());
     let (k, _) = int_table(&mut db, "K", &[Value::Int(3), Value::Int(7)]);
 
-    let mut ctx = ExecContext::new(&db);
-    ctx.register_column_index(ColumnIndex::build(&db, s, 0).unwrap());
-    let registry = ctx.take_registry();
-    drop(ctx);
+    let shared = SharedDatabase::new(db);
+    let mut session = shared.session();
+    session.register_column_index(s, 0).unwrap();
 
     // Delete the tuple holding value 3; the stale index still points at it.
-    db.delete_tuple(s, s_oids[3]).unwrap();
+    shared
+        .with_write(|db| db.delete_tuple(s, s_oids[3]))
+        .unwrap();
 
-    let mut ctx = ExecContext::with_registry(&db, registry);
     let plan = PhysicalPlan::IndexJoin {
         left: Box::new(PhysicalPlan::SeqScan {
             table: k,
@@ -101,7 +100,7 @@ fn stale_index_join_probe_is_refreshed_on_execute() {
         residual: None,
         with_summaries: false,
     };
-    let rows = ctx.execute(&plan).unwrap();
+    let rows = session.execute(&plan).unwrap();
     // Only K=7 still has a partner; a stale probe would also emit (or
     // fail on) the deleted S=3 tuple.
     assert_eq!(rows.len(), 1);
@@ -124,7 +123,8 @@ fn null_rows_never_qualify_index_range_scans() {
         .collect();
     let (t, _) = int_table(&mut db, "S", &vals);
     let mut ctx = ExecContext::new(&db);
-    ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap());
+    ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap())
+        .unwrap();
 
     for (hi, hi_strict, op) in [(0i64, true, CmpOp::Lt), (5, false, CmpOp::Le)] {
         let scan = ctx
@@ -167,7 +167,8 @@ fn float_range_scan_agrees_with_oracle_across_signed_zero() {
         db.insert_tuple(t, vec![Value::Float(v)]).unwrap();
     }
     let mut ctx = ExecContext::new(&db);
-    ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap());
+    ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap())
+        .unwrap();
 
     let scan = ctx
         .execute(&PhysicalPlan::DataIndexScan {

@@ -223,7 +223,8 @@ fn physical(
             with_summaries: true,
         },
         Leaf::Data { lo, strict } => {
-            ctx.register_column_index(ColumnIndex::build(db, t, 0).unwrap());
+            ctx.register_column_index(ColumnIndex::build(db, t, 0).unwrap())
+                .unwrap();
             PhysicalPlan::DataIndexScan {
                 table: t,
                 col: 0,
@@ -236,7 +237,7 @@ fn physical(
         }
         Leaf::Summary { lo, reverse } => {
             let idx = SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap();
-            ctx.register_summary_index("idx", idx);
+            ctx.register_summary_index("idx", idx).unwrap();
             PhysicalPlan::SummaryIndexScan {
                 index: "idx".into(),
                 label: "Disease".into(),

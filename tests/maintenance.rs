@@ -3,6 +3,8 @@
 //! * The over-rebuild regression: a mutation on table B must cause *zero*
 //!   maintenance work on indexes over table A (the per-table high-water
 //!   marks), and small gaps must replay instead of rebuilding.
+//! * Maintenance happens once: N sessions share the engine's indexes, and
+//!   a write is replayed into each by one of them.
 //! * The proptest oracle: after an arbitrary interleaved stream of
 //!   inserts/updates/deletes/annotations, every registered index caught up
 //!   by journal replay is entry-for-entry identical to a fresh bulk build —
@@ -52,28 +54,27 @@ fn annotated_table(db: &mut Database, name: &str, n: usize) -> (TableId, Vec<Oid
 }
 
 /// Register all three index kinds over `t` in a registry.
-fn build_registry(db: &Database, t: TableId) -> IndexRegistry {
-    let mut ctx = ExecContext::new(db);
-    ctx.register_summary_index(
-        "sb",
-        SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap(),
-    );
-    ctx.register_baseline_index("bl", BaselineIndex::bulk_build(db, t, "C").unwrap());
-    ctx.register_column_index(ColumnIndex::build(db, t, 0).unwrap());
-    ctx.take_registry()
+fn build_registry(db: &Database, t: TableId) -> SharedRegistry {
+    let registry = SharedRegistry::default();
+    let sb = SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap();
+    registry.register_summary("sb", sb).unwrap();
+    let bl = BaselineIndex::bulk_build(db, t, "C").unwrap();
+    registry.register_baseline("bl", bl).unwrap();
+    registry
+        .register_column(ColumnIndex::build(db, t, 0).unwrap())
+        .unwrap();
+    registry
 }
 
-/// Run one maintenance pass over the registry and hand both back.
-fn refresh(db: &Database, registry: IndexRegistry) -> (IndexRegistry, MaintenanceReport) {
-    let mut ctx = ExecContext::with_registry(db, registry);
-    ctx.refresh_stale_indexes().unwrap();
-    let report = ctx.maintenance_report();
-    (ctx.take_registry(), report)
+/// Run one maintenance pass over the registry.
+fn refresh(db: &Database, registry: &SharedRegistry) -> MaintenanceReport {
+    registry.refresh(db).unwrap()
 }
 
 /// Assert every registered index equals a fresh bulk build, entry for
 /// entry (decoded, so a wider-than-necessary key format still matches).
-fn assert_oracle_identical(db: &Database, t: TableId, registry: &IndexRegistry) {
+fn assert_oracle_identical(db: &Database, t: TableId, registry: &SharedRegistry) {
+    let registry = registry.read().unwrap();
     let fresh_sb = SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap();
     assert_eq!(
         registry.summary_index("sb").unwrap().dump_entries(),
@@ -105,7 +106,8 @@ fn untouched_table_mutations_cause_zero_index_work() {
     let (b, b_oids) = annotated_table(&mut db, "B", 5);
     let registry = build_registry(&db, a);
     let (rebuilds_before, inserts_before) = {
-        let sb = registry.summary_index("sb").unwrap();
+        let indexes = registry.read().unwrap();
+        let sb = indexes.summary_index("sb").unwrap();
         (sb.ops.rebuilds, sb.ops.key_inserts)
     };
 
@@ -125,7 +127,7 @@ fn untouched_table_mutations_cause_zero_index_work() {
     .unwrap();
 
     let io_before = db.stats().snapshot();
-    let (registry, report) = refresh(&db, registry);
+    let report = refresh(&db, &registry);
     let io_spent = db.stats().snapshot().since(&io_before);
 
     assert_eq!(report.indexes_checked, 3);
@@ -142,14 +144,16 @@ fn untouched_table_mutations_cause_zero_index_work() {
         0,
         "zero physical I/O for untouched tables"
     );
-    let sb = registry.summary_index("sb").unwrap();
+    let indexes = registry.read().unwrap();
+    let sb = indexes.summary_index("sb").unwrap();
     assert_eq!(
         (sb.ops.rebuilds, sb.ops.key_inserts),
         (rebuilds_before, inserts_before),
         "pre-journal executors rebuilt here; the journal must not"
     );
+    drop(indexes);
     // And the pass left the stamps current: a second pass is all-fresh.
-    let (_, report) = refresh(&db, registry);
+    let report = refresh(&db, &registry);
     assert_eq!(report.indexes_fresh, 3);
 }
 
@@ -158,7 +162,13 @@ fn small_gap_replays_instead_of_rebuilding() {
     let mut db = Database::new();
     let (t, oids) = annotated_table(&mut db, "A", 40);
     let registry = build_registry(&db, t);
-    let rebuilds_before = registry.summary_index("sb").unwrap().ops.rebuilds;
+    let rebuilds_before = registry
+        .read()
+        .unwrap()
+        .summary_index("sb")
+        .unwrap()
+        .ops
+        .rebuilds;
 
     // A small gap: 2 annotations on a 40-row table (2×4 ≤ 40 → replay).
     for _ in 0..2 {
@@ -172,12 +182,18 @@ fn small_gap_replays_instead_of_rebuilding() {
         .unwrap();
     }
 
-    let (registry, report) = refresh(&db, registry);
+    let report = refresh(&db, &registry);
     assert_eq!(report.indexes_replayed, 3, "summary + baseline + column");
     assert_eq!(report.indexes_rebuilt + report.forced_rebuilds, 0);
     assert!(report.deltas_applied > 0);
     assert_eq!(
-        registry.summary_index("sb").unwrap().ops.rebuilds,
+        registry
+            .read()
+            .unwrap()
+            .summary_index("sb")
+            .unwrap()
+            .ops
+            .rebuilds,
         rebuilds_before,
         "replay must not bulk-rebuild"
     );
@@ -195,7 +211,7 @@ fn truncated_journal_falls_back_to_rebuild() {
     db.set_journal_retention(0);
     db.delete_tuple(t, oids[3]).unwrap();
 
-    let (registry, report) = refresh(&db, registry);
+    let report = refresh(&db, &registry);
     assert_eq!(
         report.indexes_rebuilt, 3,
         "truncated past the gap: replay impossible"
@@ -220,7 +236,16 @@ fn width_growth_forces_rebuild_mid_replay() {
         .unwrap();
     }
     let registry = build_registry(&db, t);
-    assert_eq!(registry.summary_index("sb").unwrap().width().0, 3);
+    assert_eq!(
+        registry
+            .read()
+            .unwrap()
+            .summary_index("sb")
+            .unwrap()
+            .width()
+            .0,
+        3
+    );
 
     // A 3-change gap (3×4 ≤ 20... no: 12 ≤ 20 → replay) crossing count
     // 1000, which no 3-character key can hold.
@@ -235,13 +260,84 @@ fn width_growth_forces_rebuild_mid_replay() {
         .unwrap();
     }
 
-    let (registry, report) = refresh(&db, registry);
+    let report = refresh(&db, &registry);
     assert!(
         report.forced_rebuilds >= 1,
         "width growth mid-replay must force a rebuild: {report:?}"
     );
-    assert!(registry.summary_index("sb").unwrap().width().0 >= 4);
+    assert!(
+        registry
+            .read()
+            .unwrap()
+            .summary_index("sb")
+            .unwrap()
+            .width()
+            .0
+            >= 4
+    );
     assert_oracle_identical(&db, t, &registry);
+}
+
+/// Indexes are the engine's, and so is their maintenance: with four
+/// sessions reading, a one-change write is replayed into each of the three
+/// indexes once — by the first session to read after it — and the other
+/// sessions find them fresh.
+#[test]
+fn maintenance_happens_once_per_write_across_sessions() {
+    const SESSIONS: usize = 4;
+    const WRITES: usize = 6;
+    let mut db = Database::new();
+    let (t, oids) = annotated_table(&mut db, "A", 40);
+    db.metrics().set_enabled(true);
+    let replays = db.metrics().counter("index_refresh_replays_total", "");
+    let shared = SharedDatabase::new(db);
+    let mut sessions: Vec<Session> = (0..SESSIONS).map(|_| shared.session()).collect();
+    sessions[0]
+        .register_summary_index("sb", t, "C", PointerMode::Backward)
+        .unwrap();
+    sessions[0].register_baseline_index("bl", t, "C").unwrap();
+    sessions[0].register_column_index(t, 0).unwrap();
+    let plan = PhysicalPlan::SummaryIndexScan {
+        index: "sb".into(),
+        label: "Disease".into(),
+        lo: Some(1),
+        hi: None,
+        propagate: false,
+        reverse: false,
+    };
+    let read = |session: &mut Session| {
+        session.with_ctx(|ctx| {
+            ctx.execute(&plan).unwrap();
+            ctx.maintenance_report()
+        })
+    };
+    for session in &mut sessions {
+        assert_eq!(
+            read(session).indexes_fresh,
+            3,
+            "every session sees all three"
+        );
+    }
+    let before = replays.value();
+    for &oid in &oids[..WRITES] {
+        shared
+            .with_write(|db| {
+                db.add_annotation(
+                    t,
+                    "disease outbreak",
+                    Category::Disease,
+                    "u",
+                    vec![Attachment::row(oid)],
+                )
+            })
+            .unwrap();
+        let reports: Vec<MaintenanceReport> = sessions.iter_mut().map(read).collect();
+        let replayed = reports.iter().filter(|r| r.indexes_replayed == 3);
+        assert_eq!(replayed.count(), 1, "{reports:?}");
+        let fresh = reports.iter().filter(|r| r.indexes_fresh == 3);
+        assert_eq!(fresh.count(), SESSIONS - 1, "{reports:?}");
+    }
+    assert_eq!(replays.value() - before, 3 * WRITES as u64);
 }
 
 // --------------------------------------------------------------------
@@ -333,11 +429,11 @@ proptest! {
         apply_ops(&mut db, t, &mut oids, &before);
         let registry = build_registry(&db, t);
         apply_ops(&mut db, t, &mut oids, &after);
-        let (registry, report) = refresh(&db, registry);
+        let report = refresh(&db, &registry);
         prop_assert_eq!(report.indexes_checked, 3);
         assert_oracle_identical(&db, t, &registry);
         // A second pass over the caught-up registry is free.
-        let (_, report) = refresh(&db, registry);
+        let report = refresh(&db, &registry);
         prop_assert_eq!(report.indexes_fresh, 3);
         prop_assert_eq!(report.deltas_applied, 0);
     }

@@ -149,7 +149,7 @@ proptest! {
         let (db, t) = build(&counts);
         let idx = SummaryBTree::bulk_build(&db, t, "C", PointerMode::Backward).unwrap();
         let mut ctx = ExecContext::new(&db);
-        ctx.register_summary_index("idx", idx);
+        ctx.register_summary_index("idx", idx).unwrap();
         let plan = PhysicalPlan::SummaryIndexScan {
             index: "idx".into(),
             label: "Disease".into(),
@@ -192,7 +192,7 @@ proptest! {
         let mut plan = match leaf {
             0 => PhysicalPlan::SeqScan { table: t, with_summaries: true },
             1 => {
-                ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap());
+                ctx.register_column_index(ColumnIndex::build(&db, t, 0).unwrap()).unwrap();
                 PhysicalPlan::DataIndexScan {
                     table: t,
                     col: 0,
@@ -205,7 +205,7 @@ proptest! {
             }
             _ => {
                 let idx = SummaryBTree::bulk_build(&db, t, "C", PointerMode::Backward).unwrap();
-                ctx.register_summary_index("idx", idx);
+                ctx.register_summary_index("idx", idx).unwrap();
                 PhysicalPlan::SummaryIndexScan {
                     index: "idx".into(),
                     label: "Disease".into(),

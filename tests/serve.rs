@@ -5,8 +5,9 @@
 //! byte-identical result payloads vs an in-process serial oracle,
 //! admission control answers `Busy` fast, a deadline-exceeding request
 //! times out while a concurrent one proceeds, a panicking statement comes
-//! back as a structured error with the server (and the session's index
-//! registry) intact, and a graceful drain answers in-flight requests.
+//! back as a structured error with the server (and the engine's index
+//! registry) intact, an index one connection builds serves every
+//! connection, and a graceful drain answers in-flight requests.
 
 use std::time::{Duration, Instant};
 
@@ -40,7 +41,7 @@ fn oracle_payload(stmt: &str) -> Vec<u8> {
 
 /// Like [`oracle_payload`], but replays `alters` (the DDL the server-side
 /// connection ran) against the oracle database first, so summaries and
-/// session indexes line up.
+/// registered indexes line up.
 fn oracle_payload_after(alters: &[&str], stmt: &str) -> Vec<u8> {
     let (db, instances) = demo_db();
     let shared = SharedDatabase::new(db);
@@ -220,7 +221,7 @@ fn panicking_statement_is_contained_and_registry_survives() {
     });
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("admitted");
-    // Register a summary index in this connection's session, so a lost
+    // Register a summary index in the engine's registry, so a lost
     // registry would be observable.
     match client
         .query("ALTER TABLE Birds ADD INDEXABLE TextSummary1")
@@ -233,14 +234,14 @@ fn panicking_statement_is_contained_and_registry_survives() {
         Response::Text(t) => assert_eq!(t, "1 indexes registered"),
         other => panic!("{other:?}"),
     }
-    // The panic unwinds from inside the execution context (registry moved
-    // into the transient ctx) and must come back as a structured error.
+    // The panic unwinds from inside the execution context and must come
+    // back as a structured error.
     let resp = client.query("\\panic").expect("connection survives");
     assert!(
         is_error_code(&resp, ErrorCode::Panicked),
         "expected Panicked, got {resp:?}"
     );
-    // Same connection, same session: the registry was restored mid-unwind.
+    // Same connection, same session: the registry never left the engine.
     match client.query("\\registry").expect("roundtrip") {
         Response::Text(t) => assert_eq!(t, "1 indexes registered"),
         other => panic!("{other:?}"),
@@ -376,6 +377,105 @@ fn prepared_statement_replans_after_dml_never_stale_rows() {
     server.shutdown().expect("drain");
 }
 
+/// Birds(id, habitat): 600 tuples with one note each, the first ten with a
+/// disease annotation too, and the classifier `D` in the instance catalog,
+/// not yet linked. Once `ADD INDEXABLE D` builds its Summary-BTree, the
+/// tree beats a scan for `Disease >= 1` ([`SELECT_D`]).
+fn sparse_db() -> (Database, std::collections::HashMap<String, InstanceKind>) {
+    let mut db = Database::new();
+    let schema = Schema::of(&[("id", ColumnType::Int), ("habitat", ColumnType::Text)]);
+    let t = db.create_table("Birds", schema).expect("fresh database");
+    for i in 0..600 {
+        let habitat = Value::Text("reed beds and shallow freshwater margins; ".repeat(4));
+        let oid = db
+            .insert_tuple(t, vec![Value::Int(i), habitat])
+            .expect("fits");
+        let notes = [
+            ("field station note", Category::Other),
+            ("disease outbreak", Category::Disease),
+        ];
+        for (text, category) in &notes[..1 + usize::from(i < 10)] {
+            db.add_annotation(t, text, *category, "u", vec![Attachment::row(oid)])
+                .expect("fits");
+        }
+    }
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Other".into()]);
+    model.train("disease outbreak infection virus", "Disease");
+    model.train("field station weather note", "Other");
+    let instances = [("D".to_string(), InstanceKind::Classifier { model })].into();
+    (db, instances)
+}
+
+const SELECT_D: &str =
+    "SELECT * FROM Birds r WHERE r.$.getSummaryObject('D').getLabelValue('Disease') >= 1";
+
+/// Indexes are catalog objects: the Summary-BTree connection one's
+/// `ADD INDEXABLE` builds is the one connection two plans and executes
+/// with, and connection one's `DROP` takes it away from connection two in
+/// its next statement.
+#[test]
+fn an_index_built_over_one_connection_serves_every_connection() {
+    let (db, instances) = sparse_db();
+    let mut config = ServeConfig {
+        max_connections: 2,
+        debug_statements: true,
+        ..ServeConfig::default()
+    };
+    config.exec_config.dop = 1;
+    let server = Server::start(
+        SharedDatabase::new(db),
+        instances.clone(),
+        "127.0.0.1:0",
+        config,
+    )
+    .expect("bind loopback");
+    let mut one = Client::connect(server.local_addr()).expect("admitted");
+    let mut two = Client::connect(server.local_addr()).expect("admitted");
+    // The oracle: a twin database driven in-process through
+    // `run_statement`, through the same DDL.
+    let (db, _) = sparse_db();
+    let twin_db = SharedDatabase::new(db);
+    let mut twin = twin_db.session();
+    twin.exec_config.dop = 1;
+    let mut oracle = |sql: &str| {
+        let stmt = parse(sql).expect("parses");
+        statement_response(run_statement(&mut twin, &instances, sql, &stmt)).encode()
+    };
+    let text = |client: &mut Client, sql: &str| match client.query(sql).expect("roundtrip") {
+        Response::Text(t) => t,
+        other => panic!("{sql}: {other:?}"),
+    };
+
+    let add = "ALTER TABLE Birds ADD INDEXABLE D";
+    assert!(text(&mut one, add).contains("summary index registered"));
+    oracle(add);
+    let plan = text(&mut two, &format!("EXPLAIN {SELECT_D}"));
+    assert!(plan.contains("SummaryIndexScan(D, Disease"), "{plan}");
+    let raw = two.query_raw(SELECT_D, Duration::ZERO).expect("served");
+    assert_eq!(raw, oracle(SELECT_D), "payload bytes match the oracle");
+
+    let drop_d = "ALTER TABLE Birds DROP D";
+    text(&mut one, drop_d);
+    assert_eq!(text(&mut two, "\\registry"), "0 indexes registered");
+    for sql in [
+        "SELECT id FROM Birds WHERE id < 3",
+        "EXPLAIN SELECT id FROM Birds WHERE id < 3",
+        "EXPLAIN ANALYZE SELECT id FROM Birds WHERE id < 3",
+    ] {
+        let resp = two.query(sql).expect("roundtrip");
+        assert!(!matches!(resp, Response::Error { .. }), "{sql}: {resp:?}");
+    }
+    // The statement that ran through the index is replanned without it: the
+    // instance is gone, so no tuple carries its object.
+    let plan = text(&mut two, &format!("EXPLAIN {SELECT_D}"));
+    assert!(!plan.contains("SummaryIndexScan"), "{plan}");
+    match two.query(SELECT_D).expect("roundtrip") {
+        Response::Rows { rows, .. } => assert!(rows.is_empty()),
+        other => panic!("{other:?}"),
+    }
+    server.shutdown().expect("drain");
+}
+
 const ZOOM: &str = "ZOOM IN ON ClassBird1 OF Birds TUPLE 8 LABEL 'Disease'";
 
 /// A wire payload with `EXPLAIN ANALYZE`'s wall-clock figure blanked: the
@@ -398,7 +498,7 @@ fn every_statement_kind_answers_what_the_front_door_returns() {
     let mut client = Client::connect(server.local_addr()).expect("admitted");
     // The twin: a second demo database driven in-process through
     // `run_statement`, in the same order, so plan-cache verdicts, journal
-    // state and session indexes line up statement for statement.
+    // state and registered indexes line up statement for statement.
     let (db, instances) = demo_db();
     let shared = SharedDatabase::new(db);
     shared.with_read(|db| db.metrics().set_enabled(true));
