@@ -35,7 +35,7 @@ use crate::summary::{InstanceId, ObjId, SummaryObject};
 use crate::{AnnotatedTuple, CoreError, Result};
 
 /// The error a mutator returns for a table id it does not know.
-fn table_not_found(table: TableId) -> CoreError {
+pub(crate) fn table_not_found(table: TableId) -> CoreError {
     StorageError::TableNotFound(format!("#{}", table.0)).into()
 }
 

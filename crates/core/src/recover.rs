@@ -16,21 +16,23 @@
 //!
 //! [`Database::checkpoint`] truncates the log: it flushes the pool, takes a
 //! dump, resets the log to a fresh generation, and writes a `Checkpoint`
-//! head record binding the new generation to that exact snapshot (length +
-//! CRC-32). [`Database::recover`] restores the snapshot and replays every
-//! *committed* op group from the log tail, discarding uncommitted ones —
-//! including half-appended groups cut off by a torn final write.
+//! head record binding the new generation to that exact snapshot (its
+//! length and body CRC-32, read off the dump's trailer). [`Database::recover`]
+//! restores the snapshot — which verifies that trailer — checks the head
+//! against it, and replays every *committed* op group from the log tail,
+//! discarding uncommitted ones — including half-appended groups cut off by a
+//! torn final write. One checksum pass per checkpoint and per recovery.
 
 use std::sync::Arc;
 
 use instn_annot::{AnnotId, Attachment, Category, ColumnSet};
 use instn_storage::tuple::{decode_tuple, encode_tuple};
-use instn_storage::{crc32, FaultInjector, Oid, TableId, Tuple, Wal, WalRecordKind};
+use instn_storage::{FaultInjector, Oid, TableId, Tuple, Wal, WalRecordKind};
 
 use crate::instance::{InstanceKind, InstanceScope};
 use crate::persist::{
     column_type_from, column_type_tag, get_kind, get_scope, get_str, get_u32, get_u64, get_u8,
-    put_kind, put_scope, put_str, put_u32, put_u64,
+    put_kind, put_scope, put_str, put_u32, put_u64, split_trailer,
 };
 use crate::{CoreError, Database, Result};
 
@@ -97,6 +99,20 @@ pub(crate) enum WalOp {
         id: AnnotId,
     },
     BumpRevision,
+}
+
+/// The payload of the `Checkpoint` record heading the log generation that
+/// extends `snapshot`: its length and its body CRC — the trailer `dump`
+/// wrote and `restore` verifies, so binding costs no pass over the snapshot.
+/// (The CRC of a whole dump, trailer included, is the CRC-32 residue for
+/// every dump: it would bind the length alone.)
+fn checkpoint_head(snapshot: &[u8]) -> Result<Vec<u8>> {
+    let (_, body_crc) = split_trailer(snapshot)
+        .ok_or_else(|| CoreError::Corrupt("dump shorter than its trailer".into()))?;
+    let mut head = Vec::with_capacity(12);
+    put_u64(&mut head, snapshot.len() as u64);
+    put_u32(&mut head, body_crc);
+    Ok(head)
 }
 
 fn put_tuple(out: &mut Vec<u8>, tuple: &Tuple) {
@@ -375,10 +391,7 @@ impl Database {
         let snapshot = self.dump()?;
         if let Some(wal) = &self.wal {
             wal.reset();
-            let mut head = Vec::new();
-            put_u64(&mut head, snapshot.len() as u64);
-            put_u32(&mut head, crc32(&snapshot));
-            let lsn = wal.append(WalRecordKind::Checkpoint, &head);
+            let lsn = wal.append(WalRecordKind::Checkpoint, &checkpoint_head(&snapshot)?);
             wal.force(lsn)?;
         }
         Ok(snapshot)
@@ -406,10 +419,7 @@ impl Database {
                 return Ok((db, report));
             }
             Some((WalRecordKind::Checkpoint, head)) => {
-                let mut pos = 0usize;
-                let len = get_u64(&head, &mut pos)?;
-                let crc = get_u32(&head, &mut pos)?;
-                if len != snapshot.len() as u64 || crc != crc32(snapshot) {
+                if head != checkpoint_head(snapshot)? {
                     return Err(CoreError::Corrupt(
                         "wal checkpoint does not match snapshot".into(),
                     ));
@@ -668,6 +678,53 @@ mod tests {
             Database::recover(&other, &wal_bytes),
             Err(CoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn checkpoint_head_carries_the_snapshot_trailer() {
+        let mut db = Database::new();
+        let t = db.create_table("birds", schema()).unwrap();
+        db.insert_tuple(t, tuple("sparrow", 24.0)).unwrap();
+        db.enable_wal();
+        let snapshot = db.checkpoint().unwrap();
+        let scan = Wal::scan(&db.wal().unwrap().durable_bytes());
+        let (kind, head) = &scan.records[0];
+        assert_eq!(*kind, WalRecordKind::Checkpoint);
+        assert_eq!(head[..8], (snapshot.len() as u64).to_le_bytes());
+        assert_eq!(head[8..], snapshot[snapshot.len() - 4..]);
+    }
+
+    /// Two snapshots of one length: a log generation recovers over its own
+    /// and is refused over the other. (A head holding the CRC of the whole
+    /// dump — the same residue for every dump — bound only the length, and
+    /// the older snapshot silently lost the update.)
+    #[test]
+    fn a_log_generation_only_recovers_over_its_own_snapshot() {
+        let mut db = Database::new();
+        let t = db.create_table("birds", schema()).unwrap();
+        let oid = db.insert_tuple(t, tuple("aaaa", 1.0)).unwrap();
+        db.enable_wal();
+        let a = db.checkpoint().unwrap();
+        db.update_tuple(t, oid, tuple("bbbb", 1.0)).unwrap();
+        let b = db.checkpoint().unwrap();
+        assert_eq!(a.len(), b.len());
+        db.add_annotation(
+            t,
+            "after b",
+            Category::Comment,
+            "ann",
+            vec![Attachment::row(oid)],
+        )
+        .unwrap();
+
+        let wal_bytes = db.wal().unwrap().durable_bytes();
+        assert!(matches!(
+            Database::recover(&a, &wal_bytes).map(|_| ()),
+            Err(CoreError::Corrupt(msg)) if msg == "wal checkpoint does not match snapshot"
+        ));
+        let (recovered, report) = Database::recover(&b, &wal_bytes).unwrap();
+        assert_eq!(report.ops_replayed, 1);
+        assert_eq!(recovered.dump().unwrap(), db.dump().unwrap());
     }
 
     #[test]

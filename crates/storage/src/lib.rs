@@ -53,7 +53,7 @@ pub use page::{PageId, RecordId, PAGE_SIZE};
 pub use pager::Pager;
 pub use table::{Oid, ScanCursor, Table};
 pub use tuple::{ColumnType, EncodedTuple, Schema, Tuple, TupleView, Value, ValueRef};
-pub use wal::{crc32, FaultInjector, Lsn, Wal, WalRecordKind, WalScan};
+pub use wal::{crc32, Crc32, FaultInjector, Lsn, Wal, WalRecordKind, WalScan};
 
 /// Convenient crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -6,7 +6,8 @@
 //! And one for the serving layer: a result row costs the server the
 //! records it fetched, not a decoded summary set and a `String` per object.
 //! And one for the summary engine: classifying an annotation costs its score
-//! vector, not a `String` per token.
+//! vector, not a `String` per token. And one for the log: appending and
+//! forcing a record costs nothing once the log's buffers have grown.
 //!
 //! This binary installs a counting `#[global_allocator]`. Counts are kept
 //! per thread, so they see only the query that the measuring test itself
@@ -31,7 +32,8 @@ use insightnotes::prelude::{
     SharedDatabase, SortKey, SummaryExpr,
 };
 use insightnotes::serve::Response;
-use insightnotes::storage::{ColumnType, Schema, TableId, Value};
+use insightnotes::storage::wal::WAL_RECORD_HEADER;
+use insightnotes::storage::{ColumnType, IoStats, Schema, TableId, Value, Wal, WalRecordKind};
 
 struct Counting;
 
@@ -336,6 +338,37 @@ fn classifying_allocates_per_annotation_not_per_token() {
     assert!(
         allocated <= 2,
         "{allocated} allocations classifying one annotation of {tokens} tokens"
+    );
+}
+
+/// Logging a write allocates nothing once the log's buffers have grown: the
+/// record's CRC is streamed over `kind ‖ payload` in place, and a force moves
+/// bytes from the pending tail to the durable buffer directly. (Building the
+/// checksummed body, then collecting the forced bytes, cost two a record.)
+#[test]
+fn a_logged_write_allocates_nothing_on_a_warm_log() {
+    let _turn = alone();
+    const PAIRS: u64 = 1_000;
+    let op = [0x5A; 426];
+    let wal = Wal::new(IoStats::new());
+    let log = |wal: &Wal| {
+        for _ in 0..PAIRS {
+            let lsn = wal.append(WalRecordKind::Op, &op);
+            wal.force(lsn).unwrap();
+        }
+    };
+    log(&wal);
+    wal.reset(); // a new generation keeps the buffers
+    let ((), allocated) = allocations(|| log(&wal));
+    assert_eq!(
+        wal.durable_len(),
+        PAIRS * (op.len() + WAL_RECORD_HEADER) as u64
+    );
+    let per_pair = allocated as f64 / PAIRS as f64;
+    println!("allocations per append + force: {per_pair:.3}");
+    assert!(
+        per_pair < 0.1,
+        "{allocated} allocations for {PAIRS} append + force pairs"
     );
 }
 
