@@ -675,27 +675,28 @@ impl Database {
         annot: &Annotation,
         oids: &[Oid],
     ) -> Result<Vec<SummaryDelta>> {
+        // Disjoint fields: the instances are read while the summary rows and
+        // the object counter change, so no instance (and no model) is cloned.
         let insts = self
             .instances
             .get(&table)
-            .ok_or_else(|| table_not_found(table))?
-            .clone();
+            .ok_or_else(|| table_not_found(table))?;
+        let storage = self
+            .summaries
+            .get_mut(&table)
+            .ok_or_else(|| table_not_found(table))?;
         let mut deltas = Vec::with_capacity(oids.len());
         for &oid in oids {
-            let storage = self
-                .summaries
-                .get_mut(&table)
-                .ok_or_else(|| table_not_found(table))?;
             let mut set = storage.read(oid)?;
             // Materialize missing objects for linked instances.
-            for inst in &insts {
+            for inst in insts {
                 if !set.iter().any(|o| o.instance_id == inst.id) {
                     set.push(inst.new_object(ObjId(self.next_obj), oid));
                     self.next_obj += 1;
                 }
             }
             let mut changes = Vec::new();
-            for inst in &insts {
+            for inst in insts {
                 if !inst.scope.includes(&annot.text) {
                     continue;
                 }
@@ -713,14 +714,7 @@ impl Database {
                     });
                 }
             }
-            let created = if set.is_empty() {
-                false
-            } else {
-                self.summaries
-                    .get_mut(&table)
-                    .ok_or_else(|| table_not_found(table))?
-                    .write(oid, &set)?
-            };
+            let created = !set.is_empty() && storage.write(oid, &set)?;
             if created {
                 // First annotation on this tuple: indexes insert all k label
                 // keys (the §4.1.2 "Adding Annotation−Insertion" case), so

@@ -8,6 +8,10 @@
 //!    queries that don't propagate annotations pay no extra I/O, and
 //! 2. a propagating query reconstructs a tuple's whole summary set with one
 //!    row read — no joins over primitive components.
+//!
+//! That row read shares the heap page's record rather than copying it, and
+//! checks it only once per record version (see
+//! [`instn_storage::HeapFile::get_checked`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +20,7 @@ use instn_storage::io::IoStats;
 use instn_storage::page::RecordId;
 use instn_storage::{BufferPool, HeapFile, Oid, StorageError};
 
-use crate::summary::{decode_objects, encode_objects, EncodedSummaries, SummaryObject};
+use crate::summary::{encode_objects, EncodedSummaries, SummaryObject, SummarySetFormat};
 use crate::Result;
 
 /// De-normalized summary storage for one user relation.
@@ -35,7 +39,7 @@ impl SummaryStorage {
     /// Empty storage whose heap pages are cached by `pool`.
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         Self {
-            heap: HeapFile::with_pool(pool),
+            heap: HeapFile::sharing(pool),
             rows: HashMap::new(),
         }
     }
@@ -89,14 +93,19 @@ impl SummaryStorage {
         }
     }
 
-    /// Read a summary set directly by row location.
+    /// Read a summary set directly by row location, decoded straight from
+    /// the page's record.
     pub fn read_at(&self, rid: RecordId) -> Result<Vec<SummaryObject>> {
-        decode_objects(&self.heap.get(rid)?)
+        Ok(self.read_at_raw(rid)?.view().to_owned())
     }
 
-    /// [`SummaryStorage::read_at`] without the decode.
+    /// [`SummaryStorage::read_at`] without the decode: the page's record,
+    /// shared, and checked only if no read of this record version has
+    /// checked it yet.
     pub fn read_at_raw(&self, rid: RecordId) -> Result<EncodedSummaries> {
-        EncodedSummaries::new(self.heap.get(rid)?)
+        self.heap
+            .get_checked::<SummarySetFormat>(rid)
+            .map(EncodedSummaries::checked)
     }
 
     /// Write (insert or replace) the summary set of `oid`. Returns `true`

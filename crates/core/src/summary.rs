@@ -27,12 +27,16 @@
 //! steps copying out as they go (one pass over bytes nobody has checked),
 //! and a checked view copies out without checking its texts again.
 //! [`EncodedSummaries`] keeps a checked row as bytes for callers that may
-//! never need the owned objects (the executor's scan leaves). [`SummaryRef`]
+//! never need the owned objects (the executor's scan leaves); a fetched one
+//! is the heap page's own record, shared, and checked once per record
+//! version ([`instn_storage::HeapFile::get_checked`]). [`SummaryRef`]
 //! is one object seen either way — owned or still encoded — so the §3.1
 //! functions are written once against it.
 
+use std::sync::Arc;
+
 use instn_annot::AnnotId;
-use instn_storage::Oid;
+use instn_storage::{Oid, RecordFormat, SharedRecord};
 
 use crate::{CoreError, Result};
 
@@ -412,11 +416,20 @@ impl<'a> SummarySetView<'a> {
         let trust_text = |t: &[u8]| {
             debug_assert!(std::str::from_utf8(t).is_ok());
             // SAFETY: `objects` and `count` are private and set only by
-            // `SummarySetView::parse` and `EncodedSummaries::view`, both
-            // from bytes `parse` walked with the same `ObjectView::read`
-            // and `RepView::read`s this decode uses, finding every text —
-            // this one among them — to be UTF-8; the bytes are borrowed
-            // immutably for `'a`, so they have not changed since.
+            // `SummarySetView::parse` and `EncodedSummaries::view`. `parse`
+            // walked these bytes with the same `ObjectView::read` and
+            // `RepView::read`s this decode uses, finding every text — this
+            // one among them — to be UTF-8. An `EncodedSummaries` holds bytes
+            // `parse` accepted too: `new` runs it; `checked` takes a record a
+            // heap handed up through `get_checked::<SummarySetFormat>`, which
+            // returns a record only once `SummarySetFormat::check` (that is,
+            // `parse`) accepted it — in that read, or in an earlier one whose
+            // verdict the page slot kept. A slot stores the verdict (Release)
+            // only after the check succeeded, a reader loads it with
+            // Acquire, the record's bytes are an immutable `Arc<[u8]>`, and
+            // replacing a record installs a new, unset verdict with it; the
+            // bytes are borrowed immutably for `'a`, so they have not
+            // changed since.
             Some(unsafe { String::from_utf8_unchecked(t.to_vec()) })
         };
         // `parse` accepted these bytes, so the decode cannot fail.
@@ -424,31 +437,51 @@ impl<'a> SummarySetView<'a> {
     }
 }
 
+/// The format of an `R_SummaryStorage` heap's records: an encoded summary
+/// set, checked by [`SummarySetView::parse`].
+pub(crate) struct SummarySetFormat;
+
+impl RecordFormat for SummarySetFormat {
+    const VERDICT: u8 = 2;
+    type Error = CoreError;
+
+    fn check(payload: &[u8]) -> Result<()> {
+        SummarySetView::parse(payload).map(drop)
+    }
+}
+
 /// An encoded summary set that [`SummarySetView::parse`] accepted, kept as
 /// bytes: what a raw fetch ([`crate::SummaryStorage::read_raw`]) hands up.
+/// A fetched one shares its heap page's record; cloning it is a refcount.
 /// The default value is the empty set of an unannotated tuple (no row, no
 /// bytes).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EncodedSummaries(Vec<u8>);
+pub struct EncodedSummaries(SharedRecord);
 
 impl EncodedSummaries {
     /// Check and keep `bytes`.
-    pub fn new(bytes: Vec<u8>) -> Result<Self> {
-        SummarySetView::parse(&bytes)?;
-        Ok(Self(bytes))
+    pub fn new(bytes: impl Into<Arc<[u8]>>) -> Result<Self> {
+        let record = SharedRecord::new(bytes);
+        SummarySetFormat::check(record.payload())?;
+        Ok(Self(record))
+    }
+
+    /// A record a heap handed up through `get_checked::<SummarySetFormat>`.
+    pub(crate) fn checked(record: SharedRecord) -> Self {
+        Self(record)
     }
 
     /// The reader over the row.
     #[inline]
     pub fn view(&self) -> SummarySetView<'_> {
-        let mut objects = &self.0[..];
+        let mut objects = self.as_bytes();
         let count = take_u32(&mut objects).unwrap_or_default() as usize;
         SummarySetView { objects, count }
     }
 
     /// The row as stored (empty for an unannotated tuple).
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        self.0.payload()
     }
 }
 

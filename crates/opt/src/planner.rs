@@ -131,6 +131,8 @@ pub struct Optimizer<'a> {
     db: &'a Database,
     stats: Arc<Statistics>,
     config: PlannerConfig,
+    /// The cost model's view of `config`'s indexes, built once.
+    info: IndexInfo,
     rule_ctx: RuleContext,
 }
 
@@ -157,6 +159,7 @@ impl<'a> Optimizer<'a> {
             rule_ctx: RuleContext::from_db(db),
             db,
             stats: stats.into(),
+            info: config.index_info(),
             config,
         }
     }
@@ -167,8 +170,8 @@ impl<'a> Optimizer<'a> {
     }
 
     /// The cost model this optimizer prices plans with.
-    fn model<'b>(&'b self, info: &'b IndexInfo) -> CostModel<'b> {
-        CostModel::with_cache_pages(&self.stats, info, self.config.cache_pages)
+    fn model(&self) -> CostModel<'_> {
+        CostModel::with_cache_pages(&self.stats, &self.info, self.config.cache_pages)
             .with_dop(self.config.dop)
     }
 
@@ -176,8 +179,7 @@ impl<'a> Optimizer<'a> {
     pub fn optimize(&self, logical: &LogicalPlan) -> Result<OptimizedPlan> {
         let alternatives =
             enumerate_equivalent(logical, &self.rule_ctx, self.config.max_alternatives);
-        let info = self.config.index_info();
-        let model = self.model(&info);
+        let model = self.model();
         let uses_summaries = self.config.propagate_output || plan_uses_summaries(logical);
         let mut best: Option<(PhysicalPlan, PlanCost, String)> = None;
         for alt in &alternatives {
@@ -386,8 +388,7 @@ impl<'a> Optimizer<'a> {
         b: PhysicalPlan,
         limit: Option<usize>,
     ) -> PhysicalPlan {
-        let info = self.config.index_info();
-        let model = self.model(&info);
+        let model = self.model();
         if model.cost_with_limit(&a, limit).total() <= model.cost_with_limit(&b, limit).total() {
             a
         } else {
@@ -398,9 +399,7 @@ impl<'a> Optimizer<'a> {
     /// Wrap a lowered subtree in the blocking sort operator, spilling to
     /// disk when the estimated input exceeds the in-memory budget.
     fn blocking_sort(&self, lowered: PhysicalPlan, key: &SortKey, desc: bool) -> PhysicalPlan {
-        let info = self.config.index_info();
-        let model = self.model(&info);
-        let rows = model.cost(&lowered).rows;
+        let rows = self.model().cost(&lowered).rows;
         PhysicalPlan::Sort {
             input: Box::new(lowered),
             key: key.clone(),
@@ -1061,8 +1060,7 @@ mod tests {
         assert!(has_index_scan(&plan.physical), "{:?}", plan.physical);
 
         // The naive plan costs strictly more.
-        let info = opt.config.index_info();
-        let model = CostModel::new(opt.stats(), &info);
+        let model = CostModel::new(opt.stats(), &opt.info);
         let naive = lower_naive(&db, &logical).unwrap();
         assert!(
             model.cost(&plan.physical).total() < model.cost(&naive).total(),

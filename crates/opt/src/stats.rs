@@ -151,8 +151,9 @@ pub struct InstanceStats {
 /// Database-wide optimizer statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Statistics {
-    /// Per (table, instance name) statistics.
-    instances: HashMap<(TableId, String), InstanceStats>,
+    /// Per table, per instance name statistics (keyed in two levels so a
+    /// lookup borrows the name instead of building a key).
+    instances: HashMap<TableId, HashMap<String, InstanceStats>>,
     /// Per-table tuple counts.
     table_rows: HashMap<TableId, u64>,
     /// Per-table heap pages.
@@ -183,10 +184,7 @@ impl Statistics {
                     e.0 += buf.len() as u64;
                     e.1 += 1;
                     if let Rep::Classifier(c) = &obj.rep {
-                        let inst = stats
-                            .instances
-                            .entry((t, obj.instance_name.clone()))
-                            .or_default();
+                        let inst = stats.instance_mut(t, &obj.instance_name);
                         for (label, &count) in c.labels.iter().zip(c.counts.iter()) {
                             inst.labels.entry(label.clone()).or_default().add(count);
                         }
@@ -194,7 +192,7 @@ impl Statistics {
                 }
             }
             for (name, (bytes, n)) in sizes {
-                let inst = stats.instances.entry((t, name)).or_default();
+                let inst = stats.instance_mut(t, &name);
                 inst.avg_object_size = if n > 0 { bytes as f64 / n as f64 } else { 0.0 };
             }
             tid += 1;
@@ -269,10 +267,7 @@ impl Statistics {
     /// Incrementally fold a summary delta into the statistics.
     pub fn apply_delta(&mut self, delta: &SummaryDelta) {
         for ch in &delta.changes {
-            let inst = self
-                .instances
-                .entry((delta.table, ch.instance_name.clone()))
-                .or_default();
+            let inst = self.instance_mut(delta.table, &ch.instance_name);
             let label = inst.labels.entry(ch.label.clone()).or_default();
             if let Some(old) = ch.old {
                 label.remove(old);
@@ -298,18 +293,28 @@ impl Statistics {
         self.summary_pages.get(&table).copied().unwrap_or(0) as f64
     }
 
+    /// The statistics of `instance` on `table`, if collected.
+    fn instance(&self, table: TableId, instance: &str) -> Option<&InstanceStats> {
+        self.instances.get(&table)?.get(instance)
+    }
+
+    /// The statistics of `instance` on `table`, created empty if missing.
+    fn instance_mut(&mut self, table: TableId, instance: &str) -> &mut InstanceStats {
+        self.instances
+            .entry(table)
+            .or_default()
+            .entry(instance.to_string())
+            .or_default()
+    }
+
     /// Per-label statistics, if collected.
     pub fn label_stats(&self, table: TableId, instance: &str, label: &str) -> Option<&LabelStats> {
-        self.instances
-            .get(&(table, instance.to_string()))?
-            .labels
-            .get(label)
+        self.instance(table, instance)?.labels.get(label)
     }
 
     /// Average object size of an instance.
     pub fn avg_object_size(&self, table: TableId, instance: &str) -> f64 {
-        self.instances
-            .get(&(table, instance.to_string()))
+        self.instance(table, instance)
             .map(|i| i.avg_object_size)
             .unwrap_or(0.0)
     }
@@ -317,7 +322,7 @@ impl Statistics {
     /// Whether a table has the given summary instance linked (for the
     /// "L is not defined on S" rule side conditions).
     pub fn has_instance(&self, table: TableId, instance: &str) -> bool {
-        self.instances.contains_key(&(table, instance.to_string()))
+        self.instance(table, instance).is_some()
     }
 }
 

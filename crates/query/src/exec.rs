@@ -2696,8 +2696,8 @@ fn decode_annotated(bytes: &[u8]) -> Result<Row> {
     };
     let mut vlen = [0u8; 4];
     vlen.copy_from_slice(take(4)?);
-    let values = EncodedTuple::new(take(u32::from_le_bytes(vlen) as usize)?.to_vec())?;
-    let summaries = EncodedSummaries::new(rest.to_vec())?;
+    let values = EncodedTuple::new(take(u32::from_le_bytes(vlen) as usize)?)?;
+    let summaries = EncodedSummaries::new(rest)?;
     Ok(Row::encoded(
         source,
         values,

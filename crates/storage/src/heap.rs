@@ -5,6 +5,13 @@
 //! baseline scheme's normalized replica table. Records are addressed by
 //! stable [`RecordId`]s, which is what makes the Summary-BTree's backward
 //! pointers possible.
+//!
+//! [`HeapFile::get`] copies a record out. A heap built with
+//! [`HeapFile::sharing`] keeps its records shareable, and
+//! [`HeapFile::get_checked`] then hands up a [`SharedRecord`] — a refcount
+//! clone of the page's own bytes — checked against a [`RecordFormat`] once
+//! per record version: the page slot keeps the verdict of the check that
+//! accepted it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,7 +19,7 @@ use std::sync::Arc;
 use crate::buffer::BufferPool;
 use crate::error::StorageError;
 use crate::io::IoStats;
-use crate::page::{Page, PageId, RecordId};
+use crate::page::{Page, PageId, RecordId, SharedSlot};
 use crate::pager::Pager;
 use crate::Result;
 
@@ -24,6 +31,65 @@ const TAG_SIMPLE: u8 = 0;
 const TAG_CHUNK: u8 = 1;
 const TAG_DIRECTORY: u8 = 2;
 
+/// A record encoding whose check a heap's reads run once per record version
+/// and then vouch for: the page slot keeps the check's verdict beside the
+/// record until the record is replaced.
+pub trait RecordFormat {
+    /// The verdict a slot keeps once [`RecordFormat::check`] accepted its
+    /// record: non-zero (zero is "not checked") and distinct per format —
+    /// `1` is the tuple encoding ([`crate::tuple`]), `2` the summary-set
+    /// encoding of `instn_core::summary`.
+    const VERDICT: u8;
+    /// What a failed check (or a failed read) answers.
+    type Error: From<StorageError>;
+    /// Accept `payload` only if it is a well-formed record of this format.
+    /// The answer must depend on the bytes alone: it is remembered.
+    fn check(payload: &[u8]) -> std::result::Result<(), Self::Error>;
+}
+
+/// A record as a fetch hands it up: the bytes its page holds — shared, not
+/// copied — and where the payload starts in them (after the heap's framing).
+/// Equality compares payloads; the default is the empty record, and
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SharedRecord {
+    bytes: Arc<[u8]>,
+    start: usize,
+}
+
+impl SharedRecord {
+    /// A record no page holds (a spilled or hand-built one): `payload` itself.
+    pub fn new(payload: impl Into<Arc<[u8]>>) -> Self {
+        Self {
+            bytes: payload.into(),
+            start: 0,
+        }
+    }
+
+    /// The payload: the record without its framing.
+    #[inline]
+    pub fn payload(&self) -> &[u8] {
+        self.bytes.get(self.start..).unwrap_or_default()
+    }
+}
+
+impl PartialEq for SharedRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.payload() == other.payload()
+    }
+}
+
+impl Eq for SharedRecord {}
+
+/// The record at a location, as a read finds it.
+enum Fetched<'a> {
+    /// A simple record a page shares.
+    Shared(SharedSlot<'a>),
+    /// A copy: of an owned simple record, or of an oversized record's
+    /// chunks, assembled.
+    Copied(Vec<u8>),
+}
+
 /// An unordered record file over slotted pages.
 #[derive(Debug)]
 pub struct HeapFile {
@@ -32,6 +98,8 @@ pub struct HeapFile {
     /// A real system keeps this in a free space map; consulting it is free.
     insert_hint: Option<PageId>,
     record_count: usize,
+    /// Whether records are inserted shared (see [`HeapFile::sharing`]).
+    shares: bool,
     /// Records a scan could not read or decode: oversized records whose
     /// chunk assembly failed, and rows a [`crate::Table`] scan found
     /// unreadable. Scans skip such records rather than yield garbage; this
@@ -47,13 +115,26 @@ impl HeapFile {
         Self::with_pool(BufferPool::disabled(stats))
     }
 
-    /// Create an empty heap file whose pages are cached by `pool`.
+    /// Create an empty heap file whose pages are cached by `pool`. Its
+    /// records are owned: every read copies.
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         Self {
             pager: Pager::with_pool(pool),
             insert_hint: None,
             record_count: 0,
+            shares: false,
             corrupt_skipped: AtomicU64::new(0),
+        }
+    }
+
+    /// [`HeapFile::with_pool`] for records that [`HeapFile::get_checked`]
+    /// hands up shared instead of copied: each costs a refcount header (16
+    /// bytes) more than an owned one, which a heap that is only ever copied
+    /// out of (annotation bodies, the baseline's replica) does not pay.
+    pub fn sharing(pool: Arc<BufferPool>) -> Self {
+        Self {
+            shares: true,
+            ..Self::with_pool(pool)
         }
     }
 
@@ -121,7 +202,12 @@ impl HeapFile {
                 pid
             }
         };
-        let slot = self.pager.write(pid)?.insert(framed)?;
+        let page = self.pager.write(pid)?;
+        let slot = if self.shares {
+            page.insert_shared(framed)?
+        } else {
+            page.insert(framed)?
+        };
         Ok(RecordId { page: pid, slot })
     }
 
@@ -210,12 +296,65 @@ impl HeapFile {
         Ok((total, rids))
     }
 
-    /// Fetch the record at `rid` (one page read per chunk for oversized
-    /// records).
+    /// Fetch the record at `rid`, copied out (one page read per chunk for
+    /// oversized records).
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
-        let framed = self.read_framed(rid)?;
+        Ok(match self.fetch(rid)? {
+            Fetched::Shared(record) => record.bytes()[1..].to_vec(),
+            Fetched::Copied(payload) => payload,
+        })
+    }
+
+    /// Fetch the record at `rid` as `F` accepts it, shared with its page
+    /// instead of copied: the same page reads as [`HeapFile::get`].
+    ///
+    /// `F::check` runs only while the slot's verdict is not `F`'s; when it
+    /// accepts, the verdict is stored (Release, read back with Acquire), so
+    /// every later read of this record version skips it. A record that
+    /// fails is never marked and fails every read. Nothing else stores a
+    /// verdict, and replacing a record resets it (see [`crate::page`]), so
+    /// a verdict speaks only for bytes its format's check accepted. A record
+    /// of a heap that is not [`HeapFile::sharing`] is copied and checked on
+    /// every read, and so is an oversized record, assembled: its chunks can
+    /// change apart from its directory, so no one slot's verdict could speak
+    /// for it.
+    pub fn get_checked<F: RecordFormat>(
+        &self,
+        rid: RecordId,
+    ) -> std::result::Result<SharedRecord, F::Error> {
+        const { assert!(F::VERDICT != 0, "verdict 0 means unchecked") };
+        match self.fetch(rid)? {
+            Fetched::Shared(record) => {
+                let shared = SharedRecord {
+                    bytes: Arc::clone(record.bytes()),
+                    start: 1,
+                };
+                if record.verdict() != F::VERDICT {
+                    F::check(shared.payload())?;
+                    record.accept(F::VERDICT);
+                }
+                Ok(shared)
+            }
+            Fetched::Copied(payload) => {
+                F::check(&payload)?;
+                Ok(SharedRecord::new(payload))
+            }
+        }
+    }
+
+    /// The record at `rid` as stored: one page read, plus one per chunk for
+    /// an oversized record.
+    fn fetch(&self, rid: RecordId) -> Result<Fetched<'_>> {
+        let page = self.pager.read(rid.page)?;
+        let framed = page.get(rid.slot).ok_or(StorageError::RecordNotFound {
+            page: rid.page.0,
+            slot: rid.slot,
+        })?;
         match framed.split_first() {
-            Some((&TAG_SIMPLE, payload)) => Ok(payload.to_vec()),
+            Some((&TAG_SIMPLE, payload)) => Ok(match page.shared(rid.slot) {
+                Some(record) => Fetched::Shared(record),
+                None => Fetched::Copied(payload.to_vec()),
+            }),
             Some((&TAG_DIRECTORY, _)) => {
                 // Pin the directory's page for the duration of chunk
                 // assembly: the chunk reads must not evict the anchor of the
@@ -233,7 +372,7 @@ impl HeapFile {
                     Ok(out)
                 })();
                 self.pager.unpin(rid.page);
-                assembled
+                assembled.map(Fetched::Copied)
             }
             Some((&TAG_CHUNK, _)) => Err(StorageError::RecordNotFound {
                 page: rid.page.0,
@@ -337,6 +476,10 @@ mod tests {
 
     fn heap() -> HeapFile {
         HeapFile::new(IoStats::new())
+    }
+
+    fn sharing_heap() -> HeapFile {
+        HeapFile::sharing(BufferPool::disabled(IoStats::new()))
     }
 
     #[test]
@@ -579,6 +722,121 @@ mod tests {
         assert_eq!(h.scan().count(), 0, "and from scans");
         assert!(h.get(dir).is_err());
         assert!(h.delete(dir).is_err(), "double delete stays an error");
+    }
+
+    thread_local! {
+        static CHECKS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    fn checks() -> u32 {
+        CHECKS.with(std::cell::Cell::get)
+    }
+
+    /// A test format: anything but a leading `0xFF`, each check counted.
+    struct Counted;
+
+    impl RecordFormat for Counted {
+        const VERDICT: u8 = 250;
+        type Error = StorageError;
+
+        fn check(payload: &[u8]) -> Result<()> {
+            CHECKS.with(|c| c.set(c.get() + 1));
+            match payload.first() {
+                Some(0xFF) => Err(StorageError::Corrupt("refused".into())),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    /// Another test format, accepting everything, each check counted.
+    struct Anything;
+
+    impl RecordFormat for Anything {
+        const VERDICT: u8 = 251;
+        type Error = StorageError;
+
+        fn check(_: &[u8]) -> Result<()> {
+            CHECKS.with(|c| c.set(c.get() + 1));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_record_is_checked_once_per_version() {
+        let mut h = sharing_heap();
+        let rid = h.insert(b"alpha").unwrap();
+        let start = checks();
+        for _ in 0..3 {
+            assert_eq!(h.get_checked::<Counted>(rid).unwrap().payload(), b"alpha");
+        }
+        assert_eq!(checks() - start, 1, "checked by the first read only");
+        // An in-place update is a new version: checked again, once.
+        assert_eq!(h.update(rid, b"beta").unwrap(), rid);
+        for _ in 0..2 {
+            assert_eq!(h.get_checked::<Counted>(rid).unwrap().payload(), b"beta");
+        }
+        assert_eq!(checks() - start, 2);
+        // Bytes the check refuses are never marked: every read fails.
+        assert_eq!(h.update(rid, &[0xFF, 1]).unwrap(), rid);
+        for _ in 0..2 {
+            assert!(h.get_checked::<Counted>(rid).is_err());
+        }
+        assert_eq!(checks() - start, 4);
+        assert_eq!(
+            h.get(rid).unwrap(),
+            [0xFF, 1],
+            "the copying read is unchecked"
+        );
+    }
+
+    #[test]
+    fn a_shared_read_is_the_page_record_not_a_copy() {
+        let mut h = sharing_heap();
+        let rid = h.insert(b"shared").unwrap();
+        let a = h.get_checked::<Counted>(rid).unwrap();
+        let b = h.get_checked::<Counted>(rid).unwrap();
+        assert_eq!(a.payload().as_ptr(), b.payload().as_ptr());
+        // Replacing the record leaves a fetched one as it was.
+        h.update(rid, b"change").unwrap();
+        assert_eq!(a.payload(), b"shared");
+        assert_eq!(h.get_checked::<Counted>(rid).unwrap().payload(), b"change");
+    }
+
+    #[test]
+    fn an_owned_record_is_copied_and_checked_on_every_read() {
+        let mut h = heap();
+        let rid = h.insert(b"owned").unwrap();
+        let start = checks();
+        let a = h.get_checked::<Counted>(rid).unwrap();
+        let b = h.get_checked::<Counted>(rid).unwrap();
+        assert_eq!((a.payload(), b.payload()), (&b"owned"[..], &b"owned"[..]));
+        assert_ne!(a.payload().as_ptr(), b.payload().as_ptr());
+        assert_eq!(checks() - start, 2);
+    }
+
+    #[test]
+    fn a_verdict_speaks_only_for_its_own_format() {
+        let mut h = sharing_heap();
+        let rid = h.insert(b"x").unwrap();
+        let start = checks();
+        h.get_checked::<Counted>(rid).unwrap();
+        h.get_checked::<Anything>(rid).unwrap();
+        h.get_checked::<Counted>(rid).unwrap();
+        assert_eq!(checks() - start, 3, "each format's check ran for itself");
+    }
+
+    #[test]
+    fn an_oversized_record_is_checked_on_every_read() {
+        let mut h = sharing_heap();
+        let big = (0..20_000u32).map(|i| i as u8).collect::<Vec<u8>>();
+        let rid = h.insert(&big).unwrap();
+        let start = checks();
+        for _ in 0..2 {
+            assert_eq!(h.get_checked::<Counted>(rid).unwrap().payload(), &big[..]);
+        }
+        assert_eq!(checks() - start, 2, "no one slot vouches for its chunks");
+        break_one_chunk(&mut h, rid);
+        assert!(h.get_checked::<Counted>(rid).is_err());
     }
 
     #[test]

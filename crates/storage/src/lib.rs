@@ -15,7 +15,8 @@
 //!   files and B-Trees of a database, splitting accounting into logical
 //!   accesses vs physical transfers (capacity 0 reproduces the uncached
 //!   engine's counters exactly),
-//! * [`heap`] — heap files (unordered record storage) built on the pager,
+//! * [`heap`] — heap files (unordered record storage) built on the pager;
+//!   a fetch shares the page's record and checks it once per record version,
 //! * [`btree`] — an order-B multi-map B-Tree with byte-string keys whose node
 //!   visits are charged to the same I/O accounting,
 //! * [`mod@tuple`] — values, tuples, schemas, and their byte encoding,
@@ -47,7 +48,7 @@ pub use btree::{BTree, Cursor, CursorDesc};
 pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey};
 pub use catalog::{Catalog, TableId};
 pub use error::StorageError;
-pub use heap::HeapFile;
+pub use heap::{HeapFile, RecordFormat, SharedRecord};
 pub use io::{IoScope, IoSnapshot, IoStats};
 pub use page::{PageId, RecordId, PAGE_SIZE};
 pub use pager::Pager;
@@ -68,6 +69,8 @@ const _: () = {
     assert_send_sync::<BufferPool>();
     assert_send_sync::<Pager>();
     assert_send_sync::<HeapFile>();
+    assert_send_sync::<SharedRecord>();
+    assert_send_sync::<EncodedTuple>();
     assert_send_sync::<BTree<u64>>();
     assert_send_sync::<BTree<Oid>>();
     assert_send_sync::<Table>();

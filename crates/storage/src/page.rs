@@ -5,6 +5,17 @@
 //! the page toward the front, the slot array grows from the front toward the
 //! end, and deleting a record leaves a dead slot so that [`RecordId`]s of the
 //! surviving records remain stable.
+//!
+//! A page keeps each record as one allocation, in one of two ways. An
+//! *owned* record is only ever copied out. A *shared* record (the pages of
+//! a heap built with [`crate::HeapFile::sharing`]) is an `Arc<[u8]>` beside
+//! a *verdict* — which format check, if any, has accepted exactly those
+//! bytes — so a fetch hands up a refcount clone instead of a copy, and
+//! checks it only while the verdict is unset (see
+//! [`crate::HeapFile::get_checked`]).
+
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 
 use crate::error::StorageError;
 use crate::Result;
@@ -42,19 +53,76 @@ impl RecordId {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A slot's record, or the hole a deleted one left.
+///
+/// A record's bytes never change while it lives: an update installs a new
+/// slot value, and for a shared record a new, unset verdict with it. So a
+/// verdict, once stored, speaks for exactly the bytes beside it.
+#[derive(Debug)]
 enum Slot {
-    Live(Vec<u8>),
+    /// A record fetches share, and the verdict of the format check that
+    /// accepted it: `0` none yet, otherwise that format's
+    /// [`crate::RecordFormat::VERDICT`].
+    Shared {
+        bytes: Arc<[u8]>,
+        verdict: AtomicU8,
+    },
+    /// A record only ever copied out (no refcount header to pay for).
+    Owned(Box<[u8]>),
     Dead,
+}
+
+impl Slot {
+    fn shared(data: &[u8]) -> Self {
+        Slot::Shared {
+            bytes: Arc::from(data),
+            verdict: AtomicU8::new(0),
+        }
+    }
+
+    fn bytes(&self) -> Option<&[u8]> {
+        match self {
+            Slot::Shared { bytes, .. } => Some(bytes),
+            Slot::Owned(bytes) => Some(bytes),
+            Slot::Dead => None,
+        }
+    }
+}
+
+/// A shared record as its slot holds it: the bytes and their verdict.
+pub(crate) struct SharedSlot<'a> {
+    bytes: &'a Arc<[u8]>,
+    verdict: &'a AtomicU8,
+}
+
+impl<'a> SharedSlot<'a> {
+    /// The record's bytes (framing included).
+    pub(crate) fn bytes(&self) -> &'a Arc<[u8]> {
+        self.bytes
+    }
+
+    /// Which format's check has accepted the bytes (`0`: none). Acquire
+    /// pairs with [`SharedSlot::accept`]'s Release: a reader that sees a
+    /// verdict sees everything the accepting thread did before storing it.
+    pub(crate) fn verdict(&self) -> u8 {
+        self.verdict.load(Ordering::Acquire)
+    }
+
+    /// Record that the check of the format `verdict` names accepted the
+    /// bytes. Only a caller that has just run that check, successfully, on
+    /// these very bytes may call this.
+    pub(crate) fn accept(&self, verdict: u8) {
+        self.verdict.store(verdict, Ordering::Release);
+    }
 }
 
 /// A slotted page holding variable-length records.
 ///
-/// The implementation keeps records as owned byte vectors but enforces the
-/// [`PAGE_SIZE`] byte budget (record bytes + slot overhead), so page counts —
-/// and therefore the simulated I/O of every experiment — match what a real
-/// on-disk layout would produce.
-#[derive(Debug, Clone, Default)]
+/// The implementation keeps each record as its own allocation but
+/// enforces the [`PAGE_SIZE`] byte budget (record bytes + slot overhead), so
+/// page counts — and therefore the simulated I/O of every experiment — match
+/// what a real on-disk layout would produce.
+#[derive(Debug, Default)]
 pub struct Page {
     slots: Vec<Slot>,
     used: usize,
@@ -92,8 +160,18 @@ impl Page {
         PAGE_SIZE - SLOT_OVERHEAD
     }
 
-    /// Insert a record, returning its slot number.
+    /// Insert an owned record, returning its slot number.
     pub fn insert(&mut self, data: &[u8]) -> Result<u16> {
+        self.insert_slot(data, |d| Slot::Owned(d.into()))
+    }
+
+    /// Insert a shared record (see the module docs), returning its slot
+    /// number.
+    pub fn insert_shared(&mut self, data: &[u8]) -> Result<u16> {
+        self.insert_slot(data, Slot::shared)
+    }
+
+    fn insert_slot(&mut self, data: &[u8], slot: fn(&[u8]) -> Slot) -> Result<u16> {
         if data.len() > Self::max_record_len() {
             return Err(StorageError::RecordTooLarge {
                 size: data.len(),
@@ -111,66 +189,68 @@ impl Page {
         // Reuse a dead slot if available to keep the slot array compact.
         for (i, s) in self.slots.iter_mut().enumerate() {
             if matches!(s, Slot::Dead) {
-                *s = Slot::Live(data.to_vec());
+                *s = slot(data);
                 // Dead slot directory entries were already paid for.
                 self.used -= SLOT_OVERHEAD;
                 return Ok(i as u16);
             }
         }
-        self.slots.push(Slot::Live(data.to_vec()));
+        self.slots.push(slot(data));
         Ok((self.slots.len() - 1) as u16)
     }
 
     /// Fetch the record in `slot`.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
+        self.slots.get(slot as usize)?.bytes()
+    }
+
+    /// The record in `slot` with its verdict, if it is a live shared one.
+    pub(crate) fn shared(&self, slot: u16) -> Option<SharedSlot<'_>> {
         match self.slots.get(slot as usize) {
-            Some(Slot::Live(d)) => Some(d.as_slice()),
+            Some(Slot::Shared { bytes, verdict }) => Some(SharedSlot { bytes, verdict }),
             _ => None,
         }
     }
 
     /// Delete the record in `slot`. Returns the payload length freed.
     pub fn delete(&mut self, slot: u16) -> Option<usize> {
-        match self.slots.get_mut(slot as usize) {
-            Some(s @ Slot::Live(_)) => {
-                let len = match s {
-                    Slot::Live(d) => d.len(),
-                    Slot::Dead => unreachable!(),
-                };
-                *s = Slot::Dead;
-                // Slot directory entry stays (keeps other RecordIds stable);
-                // only the payload bytes are reclaimed.
-                self.used -= len;
-                self.live -= 1;
-                Some(len)
-            }
-            _ => None,
-        }
+        let len = self.get(slot)?.len();
+        // Slot directory entry stays (keeps other RecordIds stable); only
+        // the payload bytes are reclaimed.
+        self.slots[slot as usize] = Slot::Dead;
+        self.used -= len;
+        self.live -= 1;
+        Some(len)
     }
 
-    /// Replace the record in `slot` in place, if the new payload fits.
+    /// Replace the record in `slot` in place, if the new payload fits. The
+    /// record stays owned or shared as it was; a shared one starts over
+    /// unchecked.
     ///
     /// Returns `false` when it does not fit (caller must relocate).
     pub fn update(&mut self, slot: u16, data: &[u8]) -> Result<bool> {
-        let old_len = match self.slots.get(slot as usize) {
-            Some(Slot::Live(d)) => d.len(),
-            _ => return Err(StorageError::RecordNotFound { page: 0, slot }),
+        let Some(old_len) = self.get(slot).map(<[u8]>::len) else {
+            return Err(StorageError::RecordNotFound { page: 0, slot });
         };
         let new_used = self.used - old_len + data.len();
         if new_used > PAGE_SIZE {
             return Ok(false);
         }
-        self.slots[slot as usize] = Slot::Live(data.to_vec());
+        let s = &mut self.slots[slot as usize];
+        *s = match s {
+            Slot::Shared { .. } => Slot::shared(data),
+            _ => Slot::Owned(data.into()),
+        };
         self.used = new_used;
         Ok(true)
     }
 
     /// Iterate over `(slot, payload)` for live records.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Live(d) => Some((i as u16, d.as_slice())),
-            Slot::Dead => None,
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i as u16, s.bytes()?)))
     }
 }
 
@@ -248,6 +328,31 @@ mod tests {
         assert!(!p.update(s, &huge).unwrap());
         // Original survives a failed update.
         assert_eq!(p.get(s), Some(&b"tiny"[..]));
+    }
+
+    #[test]
+    fn a_replaced_record_starts_unchecked() {
+        let mut p = Page::new();
+        let s = p.insert_shared(b"abc").unwrap();
+        assert_eq!(p.shared(s).unwrap().verdict(), 0);
+        p.shared(s).unwrap().accept(7);
+        assert_eq!(p.shared(s).unwrap().verdict(), 7);
+        assert!(p.update(s, b"abd").unwrap());
+        assert_eq!(p.get(s), Some(&b"abd"[..]));
+        assert_eq!(p.shared(s).unwrap().verdict(), 0, "update resets it");
+        p.shared(s).unwrap().accept(7);
+        p.delete(s).unwrap();
+        assert_eq!(p.insert_shared(b"x").unwrap(), s);
+        assert_eq!(p.shared(s).unwrap().verdict(), 0, "so does reuse");
+    }
+
+    #[test]
+    fn an_owned_record_stays_owned() {
+        let mut p = Page::new();
+        let s = p.insert(b"abc").unwrap();
+        assert!(p.update(s, b"abcd").unwrap());
+        assert_eq!(p.get(s), Some(&b"abcd"[..]));
+        assert!(p.shared(s).is_none(), "no verdict to keep");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::io::IoStats;
 use crate::page::RecordId;
-use crate::tuple::{decode_tuple, encode_tuple, EncodedTuple, Schema, Tuple};
+use crate::tuple::{encode_tuple, EncodedTuple, Schema, Tuple, TupleFormat};
 use crate::Result;
 
 /// System-assigned, stable tuple identifier (PostgreSQL-style OID).
@@ -55,7 +55,7 @@ impl Table {
         Self {
             name: name.into(),
             schema,
-            heap: HeapFile::with_pool(Arc::clone(&pool)),
+            heap: HeapFile::sharing(Arc::clone(&pool)),
             oid_index: BTree::new_in(pool),
             next_oid: 1,
             tuple_count: 0,
@@ -139,14 +139,18 @@ impl Table {
     }
 
     /// Fetch a tuple directly by heap location (what backward pointers do:
-    /// no OID-index probe, one heap page read).
+    /// no OID-index probe, one heap page read), decoded straight from the
+    /// page's record.
     pub fn get_at(&self, rid: RecordId) -> Result<Tuple> {
-        decode_tuple(&self.heap.get(rid)?)
+        Ok(self.get_at_raw(rid)?.view().to_owned())
     }
 
-    /// [`Table::get_at`] without the decode.
+    /// [`Table::get_at`] without the decode: the page's record, shared, and
+    /// checked only if no read of this record version has checked it yet.
     pub fn get_at_raw(&self, rid: RecordId) -> Result<EncodedTuple> {
-        EncodedTuple::new(self.heap.get(rid)?)
+        self.heap
+            .get_checked::<TupleFormat>(rid)
+            .map(EncodedTuple::checked)
     }
 
     /// Update the tuple with `oid`, maintaining the OID index if the record
@@ -409,6 +413,64 @@ mod tests {
             3,
             "one from the scan, two from the cursor"
         );
+    }
+
+    #[test]
+    fn a_record_that_fails_the_check_fails_every_read() {
+        let mut t = Table::new("birds", birds_schema(), IoStats::new());
+        for i in 0..5 {
+            t.insert(bird(i)).unwrap();
+        }
+        let rid = t.disk_tuple_loc(Oid(2)).unwrap();
+        assert_eq!(t.heap.update(rid, &[0xFF; 5]).unwrap(), rid);
+        for scans in 1..=3 {
+            assert!(t.get_at_raw(rid).is_err());
+            assert!(t.get(Oid(2)).is_err());
+            assert_eq!(t.scan().count(), 4);
+            assert_eq!(t.corrupt_skipped(), scans, "one more per scan");
+        }
+    }
+
+    #[test]
+    fn breaking_a_checked_record_fails_the_next_read() {
+        let mut t = Table::new("birds", birds_schema(), IoStats::new());
+        let oid = t.insert(bird(1)).unwrap();
+        let rid = t.disk_tuple_loc(oid).unwrap();
+        let kept = t.get_at_raw(rid).unwrap();
+        assert_eq!(
+            t.get(oid).unwrap(),
+            bird(1),
+            "checked, and its verdict kept"
+        );
+        assert_eq!(t.heap.update(rid, &[0xFF; 5]).unwrap(), rid);
+        assert!(t.get_at_raw(rid).is_err());
+        assert!(t.get(oid).is_err());
+        // A record fetched before the update still reads as it was.
+        assert_eq!(kept.view().to_owned(), bird(1));
+    }
+
+    #[test]
+    fn readers_of_an_unchecked_record_agree() {
+        let mut t = Table::new("birds", birds_schema(), IoStats::new());
+        let oids: Vec<Oid> = (0..200).map(|i| t.insert(bird(i)).unwrap()).collect();
+        let rids: Vec<RecordId> = oids.iter().map(|&o| t.disk_tuple_loc(o).unwrap()).collect();
+        let start = std::sync::Barrier::new(2);
+        let read_all = || {
+            start.wait();
+            rids.iter()
+                .map(|&rid| t.get_at_raw(rid).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(read_all);
+            let b = s.spawn(read_all);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(a.view().to_owned(), bird(i as i64));
+            assert_eq!(b.view().to_owned(), bird(i as i64));
+        }
     }
 
     #[test]

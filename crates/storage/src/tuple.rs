@@ -13,12 +13,15 @@
 //! checked), and a checked view copies out without checking its texts
 //! again. [`EncodedTuple`] keeps a checked record as bytes for callers that
 //! read a column or two and may never need the rest (the executor's scan
-//! leaves).
+//! leaves); a table fetch's is the heap page's own record, shared, and
+//! checked once per record version ([`crate::HeapFile::get_checked`]).
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::StorageError;
+use crate::heap::{RecordFormat, SharedRecord};
 use crate::Result;
 
 /// Column data types supported by the engine.
@@ -404,11 +407,19 @@ impl<'a> TupleView<'a> {
         let trust_text = |t: &[u8]| {
             debug_assert!(std::str::from_utf8(t).is_ok());
             // SAFETY: `values` and `arity` are private and set only by
-            // `TupleView::parse` and `EncodedTuple::view`, both from bytes
-            // `parse` walked with the same `read_value` this decode uses,
-            // finding every text — this one among them — to be UTF-8; the
-            // bytes are borrowed immutably for `'a`, so they have not
-            // changed since.
+            // `TupleView::parse` and `EncodedTuple::view`. `parse` walked
+            // these bytes with the same `read_value` this decode uses,
+            // finding every text — this one among them — to be UTF-8. An
+            // `EncodedTuple` holds bytes `parse` accepted too: `new` runs it;
+            // `checked` takes a record a heap handed up through
+            // `get_checked::<TupleFormat>`, which returns a record only once
+            // `TupleFormat::check` (that is, `parse`) accepted it — in that
+            // read, or in an earlier one whose verdict the page slot kept.
+            // A slot stores the verdict (Release) only after the check
+            // succeeded, a reader loads it with Acquire, the record's bytes
+            // are an immutable `Arc<[u8]>`, and replacing a record installs
+            // a new, unset verdict with it; the bytes are borrowed
+            // immutably for `'a`, so they have not changed since.
             Ok(unsafe { String::from_utf8_unchecked(t.to_vec()) })
         };
         // `parse` accepted these bytes, so the decode cannot fail.
@@ -416,29 +427,49 @@ impl<'a> TupleView<'a> {
     }
 }
 
+/// The format of a table heap's records: an encoded tuple, checked by
+/// [`TupleView::parse`].
+pub(crate) struct TupleFormat;
+
+impl RecordFormat for TupleFormat {
+    const VERDICT: u8 = 1;
+    type Error = StorageError;
+
+    fn check(payload: &[u8]) -> Result<()> {
+        TupleView::parse(payload).map(drop)
+    }
+}
+
 /// An encoded tuple record that [`TupleView::parse`] accepted, kept as
 /// bytes: what a raw fetch ([`crate::Table::scan_next_raw`]) hands up so a
-/// caller can read single columns without decoding the rest.
+/// caller can read single columns without decoding the rest. A fetched one
+/// shares its heap page's record; cloning it is a refcount.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedTuple(Vec<u8>);
+pub struct EncodedTuple(SharedRecord);
 
 impl EncodedTuple {
     /// Check and keep `bytes`.
-    pub fn new(bytes: Vec<u8>) -> Result<Self> {
-        TupleView::parse(&bytes)?;
-        Ok(Self(bytes))
+    pub fn new(bytes: impl Into<Arc<[u8]>>) -> Result<Self> {
+        let record = SharedRecord::new(bytes);
+        TupleFormat::check(record.payload())?;
+        Ok(Self(record))
+    }
+
+    /// A record a heap handed up through `get_checked::<TupleFormat>`.
+    pub(crate) fn checked(record: SharedRecord) -> Self {
+        Self(record)
     }
 
     /// The reader over the record.
     #[inline]
     pub fn view(&self) -> TupleView<'_> {
-        let (arity, values) = split_count(&self.0).unwrap_or_default();
+        let (arity, values) = split_count(self.0.payload()).unwrap_or_default();
         TupleView { values, arity }
     }
 
     /// The record as stored.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        self.0.payload()
     }
 }
 

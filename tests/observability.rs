@@ -231,13 +231,18 @@ fn concurrent_sessions_never_deadlock_or_skew_counters() {
     let registry = std::sync::Arc::clone(db.metrics());
     let shared = SharedDatabase::new(db);
     let stop = AtomicBool::new(false);
+    // Everyone starts together, so the renderer's first dump overlaps the
+    // first queries however fast they are and however threads are scheduled.
+    let start = std::sync::Barrier::new(SESSIONS + 1);
 
     std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for _ in 0..SESSIONS {
             let mut session = shared.session();
             let plan = filter_group_plan(t, 1);
+            let start = &start;
             workers.push(scope.spawn(move || {
+                start.wait();
                 for _ in 0..QUERIES {
                     let rows = session
                         .execute_observed("stress", &plan)
@@ -248,13 +253,16 @@ fn concurrent_sessions_never_deadlock_or_skew_counters() {
         }
         // Concurrent renders take the registry mutex against registration.
         let renderer = scope.spawn(|| {
+            start.wait();
             let mut dumps = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let text = registry.render_prometheus();
                 parse_prometheus(&text).expect("mid-flight dump parses");
                 dumps += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break dumps;
+                }
             }
-            dumps
         });
         for w in workers {
             w.join().expect("worker panicked");
