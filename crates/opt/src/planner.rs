@@ -6,7 +6,7 @@
 //! already provides the interesting order (Rules 3–6) → cost every
 //! candidate (§5.2) → return the cheapest.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use instn_core::db::Database;
@@ -21,26 +21,17 @@ use crate::cost::{CostModel, IndexInfo, PlanCost};
 use crate::rules::{enumerate_equivalent, RuleContext};
 use crate::stats::Statistics;
 
-/// What the planner knows about the available indexes and memory.
+/// What the planner knows about the available indexes and memory. The
+/// buffer-pool capacity the cost model assumes is the engine's own
+/// ([`Optimizer`] reads it from the database it plans for).
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Registered Summary-BTrees: name → (table, instance, labels `k`).
-    pub summary_indexes: HashMap<String, (TableId, String, usize)>,
-    /// Registered baseline indexes: name → (table, instance, labels `k`).
-    pub baseline_indexes: HashMap<String, (TableId, String, usize)>,
-    /// Available data-column indexes.
-    pub column_indexes: HashSet<(TableId, usize)>,
+    /// The indexes the planner may use, in the cost model's terms.
+    pub indexes: IndexInfo,
     /// Bound on rule-enumeration alternatives.
     pub max_alternatives: usize,
     /// Tuples that fit the in-memory sort budget.
     pub sort_mem_tuples: usize,
-    /// Whether the final output must carry summaries (InsightNotes
-    /// propagates by default).
-    pub propagate_output: bool,
-    /// Buffer-pool capacity (pages) the cost model should assume. `0`
-    /// keeps costs identical to the uncached model; [`Optimizer::new`]
-    /// fills it in from the database's pool when left at `0`.
-    pub cache_pages: usize,
     /// Degree of parallelism available to the executor. `1` (the default)
     /// disables the parallelization post-pass and keeps every plan
     /// identical to the serial planner's output.
@@ -50,13 +41,9 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
-            summary_indexes: HashMap::new(),
-            baseline_indexes: HashMap::new(),
-            column_indexes: HashSet::new(),
+            indexes: IndexInfo::default(),
             max_alternatives: 64,
             sort_mem_tuples: instn_query::exec::DEFAULT_SORT_MEM,
-            propagate_output: true,
-            cache_pages: 0,
             dop: 1,
         }
     }
@@ -71,20 +58,15 @@ impl PlannerConfig {
         instance: &str,
         k: usize,
     ) -> Self {
-        self.summary_indexes
+        self.indexes
+            .summary
             .insert(name.to_string(), (table, instance.to_string(), k));
         self
     }
 
     /// Register a data-column index.
     pub fn with_column_index(mut self, table: TableId, col: usize) -> Self {
-        self.column_indexes.insert((table, col));
-        self
-    }
-
-    /// Assume a buffer pool of `pages` when costing repeated index probes.
-    pub fn with_cache_pages(mut self, pages: usize) -> Self {
-        self.cache_pages = pages;
+        self.indexes.columns.insert((table, col));
         self
     }
 
@@ -96,17 +78,9 @@ impl PlannerConfig {
         self
     }
 
-    /// The cost model's view of the indexes.
-    pub fn index_info(&self) -> IndexInfo {
-        IndexInfo {
-            summary: self.summary_indexes.clone(),
-            baseline: self.baseline_indexes.clone(),
-            columns: self.column_indexes.clone(),
-        }
-    }
-
     fn summary_index_on(&self, table: TableId, instance: &str) -> Option<&str> {
-        self.summary_indexes
+        self.indexes
+            .summary
             .iter()
             .find(|(_, (t, i, _))| *t == table && i == instance)
             .map(|(name, _)| name.as_str())
@@ -131,8 +105,6 @@ pub struct Optimizer<'a> {
     db: &'a Database,
     stats: Arc<Statistics>,
     config: PlannerConfig,
-    /// The cost model's view of `config`'s indexes, built once.
-    info: IndexInfo,
     rule_ctx: RuleContext,
 }
 
@@ -148,18 +120,12 @@ impl<'a> Optimizer<'a> {
     pub fn with_stats(
         db: &'a Database,
         stats: impl Into<Arc<Statistics>>,
-        mut config: PlannerConfig,
+        config: PlannerConfig,
     ) -> Self {
-        if config.cache_pages == 0 {
-            // Cost with the pool the engine actually runs with. A disabled
-            // pool (capacity 0) leaves every cost bit-identical.
-            config.cache_pages = db.buffer_pool().capacity();
-        }
         Self {
             rule_ctx: RuleContext::from_db(db),
             db,
             stats: stats.into(),
-            info: config.index_info(),
             config,
         }
     }
@@ -169,9 +135,12 @@ impl<'a> Optimizer<'a> {
         &self.stats
     }
 
-    /// The cost model this optimizer prices plans with.
+    /// The cost model this optimizer prices plans with: the pool the
+    /// engine actually runs with (a disabled pool, capacity 0, leaves every
+    /// cost bit-identical to the uncached model).
     fn model(&self) -> CostModel<'_> {
-        CostModel::with_cache_pages(&self.stats, &self.info, self.config.cache_pages)
+        let cache_pages = self.db.buffer_pool().capacity();
+        CostModel::with_cache_pages(&self.stats, &self.config.indexes, cache_pages)
             .with_dop(self.config.dop)
     }
 
@@ -180,10 +149,9 @@ impl<'a> Optimizer<'a> {
         let alternatives =
             enumerate_equivalent(logical, &self.rule_ctx, self.config.max_alternatives);
         let model = self.model();
-        let uses_summaries = self.config.propagate_output || plan_uses_summaries(logical);
         let mut best: Option<(PhysicalPlan, PlanCost, String)> = None;
         for alt in &alternatives {
-            let physical = self.lower_opt(alt, uses_summaries, None)?;
+            let physical = self.lower_opt(alt, None)?;
             let cost = model.cost(&physical);
             let better = match &best {
                 None => true,
@@ -201,7 +169,7 @@ impl<'a> Optimizer<'a> {
         // outweighs the divided scan cost).
         let physical = if self.config.dop > 1 {
             let dop = self.config.dop;
-            let wrapped = instn_query::exec::parallelize_plan_where(&physical, dop, &|frag| {
+            let wrapped = instn_query::exec::parallelize_plan_where(physical, dop, &|frag| {
                 let candidate = PhysicalPlan::Exchange {
                     input: Box::new(frag.clone()),
                     dop,
@@ -221,27 +189,23 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// Cost-aware lowering of one logical alternative.
+    /// Cost-aware lowering of one logical alternative. Every scan and
+    /// index probe propagates summaries (InsightNotes always does).
     ///
     /// `limit` is the tightest LIMIT known to sit above this subtree with
     /// only pipelined operators in between — access-path decisions below a
     /// top-k can then credit early termination (the streaming executor
     /// stops pulling once the limit is satisfied). Pipeline breakers
     /// (GroupBy, Distinct, join inputs) clear it; LIMIT nodes tighten it.
-    fn lower_opt(
-        &self,
-        plan: &LogicalPlan,
-        summaries: bool,
-        limit: Option<usize>,
-    ) -> Result<PhysicalPlan> {
+    fn lower_opt(&self, plan: &LogicalPlan, limit: Option<usize>) -> Result<PhysicalPlan> {
         Ok(match plan {
             LogicalPlan::Scan { table } => PhysicalPlan::SeqScan {
                 table: self.db.table_id(table)?,
-                with_summaries: summaries,
+                with_summaries: true,
             },
             LogicalPlan::Select { input, pred } | LogicalPlan::SummarySelect { input, pred } => {
                 let seq = PhysicalPlan::Filter {
-                    input: Box::new(self.lower_opt(input, summaries, limit)?),
+                    input: Box::new(self.lower_opt(input, limit)?),
                     pred: pred.clone(),
                 };
                 // Index path: predicate conjunct answerable by a
@@ -249,7 +213,7 @@ impl<'a> Optimizer<'a> {
                 // paths are costed and the cheaper one wins.
                 if let LogicalPlan::Scan { table } = input.as_ref() {
                     let tid = self.db.table_id(table)?;
-                    if let Some((scan, residual)) = self.try_index_path(tid, pred, summaries) {
+                    if let Some((scan, residual)) = self.try_index_path(tid, pred) {
                         let indexed = match residual {
                             Some(r) => PhysicalPlan::Filter {
                                 input: Box::new(scan),
@@ -263,11 +227,11 @@ impl<'a> Optimizer<'a> {
                 seq
             }
             LogicalPlan::SummaryFilter { input, pred } => PhysicalPlan::SummaryObjectFilter {
-                input: Box::new(self.lower_opt(input, summaries, limit)?),
+                input: Box::new(self.lower_opt(input, limit)?),
                 pred: pred.clone(),
             },
             LogicalPlan::Project { input, cols } => PhysicalPlan::Project {
-                input: Box::new(self.lower_opt(input, summaries, limit)?),
+                input: Box::new(self.lower_opt(input, limit)?),
                 cols: cols.clone(),
                 eliminate: is_base_shape(input),
             },
@@ -277,8 +241,8 @@ impl<'a> Optimizer<'a> {
                 // (match multiplicity is unknown at lowering time); the
                 // whole-join candidates are still compared under it.
                 let nl = PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(self.lower_opt(left, summaries, None)?),
-                    right: Box::new(self.lower_opt(right, summaries, None)?),
+                    left: Box::new(self.lower_opt(left, None)?),
+                    right: Box::new(self.lower_opt(right, None)?),
                     pred: pred.clone(),
                 };
                 // Index join when the inner is a base scan with an index on
@@ -287,15 +251,15 @@ impl<'a> Optimizer<'a> {
                     (pred.data_eq(), right.as_ref())
                 {
                     let rt = self.db.table_id(table)?;
-                    if self.config.column_indexes.contains(&(rt, rc)) {
+                    if self.config.indexes.columns.contains(&(rt, rc)) {
                         let residual = strip_data_eq(pred);
                         let indexed = PhysicalPlan::IndexJoin {
-                            left: Box::new(self.lower_opt(left, summaries, None)?),
+                            left: Box::new(self.lower_opt(left, None)?),
                             right_table: rt,
                             left_col: lc,
                             right_col: rc,
                             residual,
-                            with_summaries: summaries,
+                            with_summaries: true,
                         };
                         return Ok(self.cheaper_under(indexed, nl, limit));
                     }
@@ -309,12 +273,12 @@ impl<'a> Optimizer<'a> {
                     let rt = self.db.table_id(table)?;
                     if let Some(index) = self.config.summary_index_on(rt, &inst) {
                         let indexed = PhysicalPlan::SummaryIndexJoin {
-                            left: Box::new(self.lower_opt(left, summaries, None)?),
+                            left: Box::new(self.lower_opt(left, None)?),
                             left_key: lk,
                             index: index.to_string(),
                             label,
                             residual: strip_summary_eq(pred),
-                            with_summaries: summaries,
+                            with_summaries: true,
                         };
                         return Ok(self.cheaper_under(indexed, nl, limit));
                     }
@@ -329,16 +293,15 @@ impl<'a> Optimizer<'a> {
                         // elimination fires, the order-providing index scan
                         // IS the streamed subtree the limit terminates
                         // early.
-                        let lowered = self.lower_opt(input, summaries, limit)?;
+                        let mut lowered = self.lower_opt(input, limit)?;
                         if let Some(order) =
-                            provided_order(&lowered, self.db, &self.config.summary_indexes)
+                            provided_order(&lowered, self.db, &self.config.indexes.summary)
                         {
                             if order.instance == instance && order.label == label {
-                                return Ok(if order.reversed == *desc {
-                                    lowered
-                                } else {
-                                    flip_scan_direction(lowered)
-                                });
+                                if order.reversed != *desc {
+                                    flip_order(&mut lowered);
+                                }
+                                return Ok(lowered);
                             }
                         }
                         // The lowering didn't come out ordered, but an
@@ -347,34 +310,25 @@ impl<'a> Optimizer<'a> {
                         // Under a top-k limit the streamed, early-
                         // terminating scan often beats sorting everything;
                         // cost both under the limit and keep the winner.
-                        if let Some(ordered) =
-                            self.order_path(input, &instance, &label, *desc, summaries)?
-                        {
-                            let sorted = self.blocking_sort(
-                                self.lower_opt(input, summaries, None)?,
-                                key,
-                                *desc,
-                            );
+                        if let Some(ordered) = self.order_path(input, &instance, &label, *desc)? {
+                            let sorted =
+                                self.blocking_sort(self.lower_opt(input, None)?, key, *desc);
                             return Ok(self.cheaper_under(ordered, sorted, limit));
                         }
                     }
                 }
                 // A limit above a blocking sort cannot shrink its input.
-                self.blocking_sort(self.lower_opt(input, summaries, None)?, key, *desc)
+                self.blocking_sort(self.lower_opt(input, None)?, key, *desc)
             }
             LogicalPlan::GroupBy { input, cols } => PhysicalPlan::GroupBy {
-                input: Box::new(self.lower_opt(input, summaries, None)?),
+                input: Box::new(self.lower_opt(input, None)?),
                 cols: cols.clone(),
             },
             LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-                input: Box::new(self.lower_opt(input, summaries, None)?),
+                input: Box::new(self.lower_opt(input, None)?),
             },
             LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-                input: Box::new(self.lower_opt(
-                    input,
-                    summaries,
-                    Some(limit.map_or(*n, |l| l.min(*n))),
-                )?),
+                input: Box::new(self.lower_opt(input, Some(limit.map_or(*n, |l| l.min(*n))))?),
                 n: *n,
             },
         })
@@ -418,7 +372,6 @@ impl<'a> Optimizer<'a> {
         instance: &str,
         label: &str,
         desc: bool,
-        summaries: bool,
     ) -> Result<Option<PhysicalPlan>> {
         let (table, pred) = match input {
             LogicalPlan::Scan { table } => (table, None),
@@ -439,7 +392,7 @@ impl<'a> Optimizer<'a> {
             label: label.to_string(),
             lo: None,
             hi: None,
-            propagate: summaries,
+            propagate: true,
             reverse: desc,
         };
         Ok(Some(match pred {
@@ -456,12 +409,7 @@ impl<'a> Optimizer<'a> {
     /// conjunct on that pair then narrows the one probe to `[lo, hi]`, so a
     /// two-sided range fetches the tuples inside it and nothing else. Bounds
     /// that contradict each other (`lo > hi`) are an empty scan.
-    fn try_index_path(
-        &self,
-        table: TableId,
-        pred: &Expr,
-        summaries: bool,
-    ) -> Option<(PhysicalPlan, Option<Expr>)> {
+    fn try_index_path(&self, table: TableId, pred: &Expr) -> Option<(PhysicalPlan, Option<Expr>)> {
         let conjuncts = flatten_and(pred);
         let ranges: Vec<_> = conjuncts.iter().map(|c| c.indexable_range()).collect();
         let (index, probe) = ranges.iter().flatten().find_map(|r| {
@@ -489,7 +437,7 @@ impl<'a> Optimizer<'a> {
             label: probe.label.clone(),
             lo,
             hi,
-            propagate: summaries,
+            propagate: true,
             reverse: false,
         };
         Some((scan, rest.into_iter().reduce(Expr::and)))
@@ -566,24 +514,6 @@ fn strip_data_eq(pred: &JoinPredicate) -> Option<JoinPredicate> {
     }
 }
 
-/// Whether the query references summaries anywhere.
-pub fn plan_uses_summaries(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Scan { .. } => false,
-        LogicalPlan::Select { input, pred } => pred.uses_summaries() || plan_uses_summaries(input),
-        LogicalPlan::SummarySelect { .. } | LogicalPlan::SummaryFilter { .. } => true,
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::GroupBy { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Limit { input, .. } => plan_uses_summaries(input),
-        LogicalPlan::Join { left, right, pred } => {
-            pred.is_summary_based() || plan_uses_summaries(left) || plan_uses_summaries(right)
-        }
-        LogicalPlan::SummaryJoin { .. } => true,
-        LogicalPlan::Sort { input, key, .. } => key.is_summary() || plan_uses_summaries(input),
-    }
-}
-
 /// The `(instance, label)` a summary sort key orders by, if recognizable.
 fn summary_sort_target(se: &instn_query::expr::SummaryExpr) -> Option<(String, String)> {
     use instn_query::expr::{ObjFunc, ObjRef, SummaryExpr};
@@ -607,10 +537,29 @@ pub struct ProvidedOrder {
     pub reversed: bool,
 }
 
-/// Order-propagation analysis (the physical half of Rules 3–6): σ, `S`, `F`,
-/// π, and LIMIT preserve order; joins preserve the *outer* order when the
-/// ordering instance is not linked to the inner relation. `index_instances`
-/// maps registered Summary-BTree names to `(table, instance, k)`.
+/// The operators that hand their outer input's order up: the one list
+/// both [`provided_order`] and the direction flip read. A join keeps its
+/// outer order only while its inner lacks the ordering instance, which
+/// [`provided_order`] checks. DISTINCT is not one: it sums its duplicates'
+/// label counts, so its output is not in the order its input was.
+fn keeps_outer_order(plan: &PhysicalPlan) -> bool {
+    matches!(
+        plan,
+        PhysicalPlan::Filter { .. }
+            | PhysicalPlan::SummaryObjectFilter { .. }
+            | PhysicalPlan::Project { .. }
+            | PhysicalPlan::Limit { .. }
+            | PhysicalPlan::NestedLoopJoin { .. }
+            | PhysicalPlan::IndexJoin { .. }
+            | PhysicalPlan::SummaryIndexJoin { .. }
+    )
+}
+
+/// Order-propagation analysis (the physical half of Rules 3–6): a
+/// Summary-BTree scan or a summary sort provides an order; σ/`S`, `F`, π
+/// and LIMIT hand it up, and so do the joins whose inner lacks the
+/// ordering instance. DISTINCT does not. `index_instances` maps registered
+/// Summary-BTree names to `(table, instance, k)`.
 pub fn provided_order(
     plan: &PhysicalPlan,
     db: &Database,
@@ -630,38 +579,6 @@ pub fn provided_order(
                 reversed: *reverse,
             })
         }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::SummaryObjectFilter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Distinct { input }
-        | PhysicalPlan::Limit { input, .. } => provided_order(input, db, index_instances),
-        PhysicalPlan::NestedLoopJoin { left, right, .. } => {
-            let order = provided_order(left, db, index_instances)?;
-            if inner_lacks_instance(right, &order.instance, db) {
-                Some(order)
-            } else {
-                None
-            }
-        }
-        PhysicalPlan::IndexJoin {
-            left, right_table, ..
-        } => {
-            let order = provided_order(left, db, index_instances)?;
-            if db.instance_by_name(*right_table, &order.instance).is_err() {
-                Some(order)
-            } else {
-                None
-            }
-        }
-        PhysicalPlan::SummaryIndexJoin { left, index, .. } => {
-            let order = provided_order(left, db, index_instances)?;
-            let inner_table = index_instances.get(index).map(|(t, _, _)| *t)?;
-            if db.instance_by_name(inner_table, &order.instance).is_err() {
-                Some(order)
-            } else {
-                None
-            }
-        }
         PhysicalPlan::Sort {
             key: SortKey::Summary(se),
             desc,
@@ -671,6 +588,21 @@ pub fn provided_order(
             label,
             reversed: *desc,
         }),
+        _ if keeps_outer_order(plan) => {
+            let order = provided_order(plan.children().next()?, db, index_instances)?;
+            let lacks = |table: TableId| db.instance_by_name(table, &order.instance).is_err();
+            let inner_lacks = match plan {
+                PhysicalPlan::NestedLoopJoin { right, .. } => {
+                    inner_lacks_instance(right, &order.instance, db)
+                }
+                PhysicalPlan::IndexJoin { right_table, .. } => lacks(*right_table),
+                PhysicalPlan::SummaryIndexJoin { index, .. } => {
+                    lacks(index_instances.get(index)?.0)
+                }
+                _ => true,
+            };
+            inner_lacks.then_some(order)
+        }
         _ => None,
     }
 }
@@ -679,110 +611,39 @@ fn inner_lacks_instance(plan: &PhysicalPlan, instance: &str, db: &Database) -> b
     if instance.is_empty() {
         return true;
     }
+    let lacks = |table: TableId| db.instance_by_name(table, instance).is_err();
     match plan {
         PhysicalPlan::SeqScan { table, .. } | PhysicalPlan::DataIndexScan { table, .. } => {
-            db.instance_by_name(*table, instance).is_err()
+            lacks(*table)
         }
-        PhysicalPlan::SummaryIndexScan { .. } | PhysicalPlan::BaselineIndexScan { .. } => false,
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::SummaryObjectFilter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::GroupBy { input, .. }
-        | PhysicalPlan::Distinct { input }
-        | PhysicalPlan::Limit { input, .. }
-        | PhysicalPlan::Exchange { input, .. } => inner_lacks_instance(input, instance, db),
-        PhysicalPlan::NestedLoopJoin { left, right, .. } => {
-            inner_lacks_instance(left, instance, db) && inner_lacks_instance(right, instance, db)
-        }
-        PhysicalPlan::IndexJoin {
-            left, right_table, ..
-        } => {
-            inner_lacks_instance(left, instance, db)
-                && db.instance_by_name(*right_table, instance).is_err()
-        }
-        // Conservative: an index-based summary join materializes the inner
-        // table's summary objects, so assume the instance may be present.
-        PhysicalPlan::SummaryIndexJoin { .. } => false,
+        // Conservative: an index probe reads summaries of a table the plan
+        // does not name, so assume the instance may be present.
+        PhysicalPlan::SummaryIndexScan { .. }
+        | PhysicalPlan::BaselineIndexScan { .. }
+        | PhysicalPlan::SummaryIndexJoin { .. } => false,
+        PhysicalPlan::IndexJoin { right_table, .. } if !lacks(*right_table) => false,
+        _ => plan
+            .children()
+            .all(|child| inner_lacks_instance(child, instance, db)),
     }
 }
 
-/// Flip the direction of the ordering index scan beneath order-preserving
-/// operators (used when the provided order is the mirror of the wanted one).
-fn flip_scan_direction(plan: PhysicalPlan) -> PhysicalPlan {
+/// Reverse the order [`provided_order`] found, along the same path: flip
+/// the index scan or summary sort that provides it.
+fn flip_order(plan: &mut PhysicalPlan) {
     match plan {
-        PhysicalPlan::SummaryIndexScan {
-            index,
-            label,
-            lo,
-            hi,
-            propagate,
-            reverse,
-        } => PhysicalPlan::SummaryIndexScan {
-            index,
-            label,
-            lo,
-            hi,
-            propagate,
-            reverse: !reverse,
-        },
-        PhysicalPlan::Filter { input, pred } => PhysicalPlan::Filter {
-            input: Box::new(flip_scan_direction(*input)),
-            pred,
-        },
-        PhysicalPlan::SummaryObjectFilter { input, pred } => PhysicalPlan::SummaryObjectFilter {
-            input: Box::new(flip_scan_direction(*input)),
-            pred,
-        },
-        PhysicalPlan::Project {
-            input,
-            cols,
-            eliminate,
-        } => PhysicalPlan::Project {
-            input: Box::new(flip_scan_direction(*input)),
-            cols,
-            eliminate,
-        },
-        PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(flip_scan_direction(*input)),
-            n,
-        },
-        PhysicalPlan::NestedLoopJoin { left, right, pred } => PhysicalPlan::NestedLoopJoin {
-            left: Box::new(flip_scan_direction(*left)),
-            right,
-            pred,
-        },
-        PhysicalPlan::IndexJoin {
-            left,
-            right_table,
-            left_col,
-            right_col,
-            residual,
-            with_summaries,
-        } => PhysicalPlan::IndexJoin {
-            left: Box::new(flip_scan_direction(*left)),
-            right_table,
-            left_col,
-            right_col,
-            residual,
-            with_summaries,
-        },
-        PhysicalPlan::SummaryIndexJoin {
-            left,
-            left_key,
-            index,
-            label,
-            residual,
-            with_summaries,
-        } => PhysicalPlan::SummaryIndexJoin {
-            left: Box::new(flip_scan_direction(*left)),
-            left_key,
-            index,
-            label,
-            residual,
-            with_summaries,
-        },
-        other => other,
+        PhysicalPlan::SummaryIndexScan { reverse, .. } => *reverse = !*reverse,
+        PhysicalPlan::Sort {
+            key: SortKey::Summary(_),
+            desc,
+            ..
+        } => *desc = !*desc,
+        _ if keeps_outer_order(plan) => {
+            if let Some(outer) = plan.children_mut().next() {
+                flip_order(outer);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -1060,7 +921,7 @@ mod tests {
         assert!(has_index_scan(&plan.physical), "{:?}", plan.physical);
 
         // The naive plan costs strictly more.
-        let model = CostModel::new(opt.stats(), &opt.info);
+        let model = CostModel::new(opt.stats(), &opt.config.indexes);
         let naive = lower_naive(&db, &logical).unwrap();
         assert!(
             model.cost(&plan.physical).total() < model.cost(&naive).total(),
@@ -1256,15 +1117,104 @@ mod tests {
         );
     }
 
+    /// Run `plan` with the ClassBird1 Summary-BTree registered as `idx` and
+    /// return each row's Disease count, in output order.
+    fn disease_counts(db: &Database, birds: TableId, plan: &PhysicalPlan) -> Vec<i64> {
+        let mut ctx = ExecContext::new(db);
+        let index = SummaryBTree::bulk_build(db, birds, "ClassBird1", PointerMode::Backward);
+        ctx.register_summary_index("idx", index.unwrap()).unwrap();
+        let disease = SummaryExpr::label_value("ClassBird1", "Disease");
+        let rows = ctx.execute(plan).unwrap();
+        rows.iter()
+            .map(|r| disease.eval(r).as_int().unwrap())
+            .collect()
+    }
+
+    /// A descending sort eliminated through a join reverses the outer index
+    /// scan and nothing on the inner side: the inner's own (data) sort keeps
+    /// its direction.
     #[test]
-    fn plan_uses_summaries_detection() {
-        let p1 = LogicalPlan::scan("Birds").select(Expr::col_cmp(0, CmpOp::Eq, Value::Int(1)));
-        assert!(!plan_uses_summaries(&p1));
-        let p2 = LogicalPlan::scan("Birds").summary_select(Expr::label_cmp("C", "D", CmpOp::Gt, 1));
-        assert!(plan_uses_summaries(&p2));
-        let p3 = LogicalPlan::scan("Birds")
-            .sort(SortKey::Summary(SummaryExpr::label_value("C", "D")), false);
-        assert!(plan_uses_summaries(&p3));
+    fn desc_sort_eliminated_through_a_join_flips_only_the_outer_scan() {
+        let (db, birds, _, _) = setup(200);
+        let config = PlannerConfig::default().with_summary_index("idx", birds, "ClassBird1", 2);
+        let opt = Optimizer::new(&db, config).unwrap();
+        let logical = LogicalPlan::scan("Birds")
+            .join(
+                LogicalPlan::scan("Synonyms").sort(SortKey::Column(0), false),
+                JoinPredicate::DataEq {
+                    left_col: 0,
+                    right_col: 1,
+                },
+            )
+            .summary_select(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Ge, 190))
+            .sort(
+                SortKey::Summary(SummaryExpr::label_value("ClassBird1", "Disease")),
+                true,
+            );
+        let plan = opt.optimize(&logical).unwrap().physical;
+        let PhysicalPlan::NestedLoopJoin { left, right, .. } = &plan else {
+            panic!("expected the join on top, sort eliminated:\n{plan}");
+        };
+        assert!(scan_reversed(left), "outer scan reversed:\n{plan}");
+        assert!(
+            matches!(right.as_ref(), PhysicalPlan::Sort { desc: false, .. }),
+            "inner sort untouched:\n{plan}"
+        );
+        let counts = disease_counts(&db, birds, &plan);
+        assert_eq!(counts.len(), 30);
+        assert!(counts.windows(2).all(|w| w[0] >= w[1]), "{counts:?}");
+    }
+
+    /// DISTINCT sums its duplicates' label counts, so an index order below
+    /// it is not the order of its output: a summary sort above a DISTINCT
+    /// is never eliminated, in either direction.
+    #[test]
+    fn summary_sort_above_distinct_is_not_eliminated() {
+        let (db, birds, _, _) = setup(200);
+        let config = PlannerConfig::default().with_summary_index("idx", birds, "ClassBird1", 2);
+        let opt = Optimizer::new(&db, config).unwrap();
+        for desc in [false, true] {
+            let logical = LogicalPlan::scan("Birds")
+                .summary_select(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Ge, 180))
+                .project(vec![1])
+                .distinct()
+                .sort(
+                    SortKey::Summary(SummaryExpr::label_value("ClassBird1", "Disease")),
+                    desc,
+                );
+            let plan = opt.optimize(&logical).unwrap().physical;
+            let naive = lower_naive(&db, &logical).unwrap();
+            let mut want = vec![1137, 1323, 1330];
+            if desc {
+                want.reverse();
+            }
+            assert_eq!(disease_counts(&db, birds, &naive), want, "desc={desc}");
+            assert_eq!(
+                disease_counts(&db, birds, &plan),
+                want,
+                "desc={desc}:\n{plan}"
+            );
+        }
+    }
+
+    /// A summary sort is an order source too: when the one above it wants
+    /// the other direction, the inner sort is the one reversed.
+    #[test]
+    fn summary_sort_over_the_mirror_sort_reverses_it() {
+        let (db, birds, _, _) = setup(20);
+        let opt = Optimizer::new(&db, PlannerConfig::default()).unwrap();
+        let key = SortKey::Summary(SummaryExpr::label_value("ClassBird1", "Disease"));
+        let logical = LogicalPlan::scan("Birds")
+            .summary_select(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Ge, 1))
+            .sort(key.clone(), false)
+            .sort(key, true);
+        let plan = opt.optimize(&logical).unwrap().physical;
+        assert!(
+            matches!(plan, PhysicalPlan::Sort { desc: true, .. }),
+            "{plan}"
+        );
+        let counts = disease_counts(&db, birds, &plan);
+        assert_eq!(counts, (1..20).rev().collect::<Vec<i64>>());
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn instances_only_on(
 /// All plans reachable from `plan` by applying one rule at one node.
 pub fn apply_rules_once(plan: &LogicalPlan, ctx: &RuleContext) -> Vec<LogicalPlan> {
     let mut out = Vec::new();
-    rewrite_node(plan, ctx, &mut out);
+    rewrite_node(&mut plan.clone(), ctx, &mut out);
     out
 }
 
@@ -146,11 +146,13 @@ pub fn enumerate_equivalent(
     let mut frontier = vec![plan.clone()];
     seen.insert(format!("{plan:?}"));
     all.push(plan.clone());
-    while let Some(p) = frontier.pop() {
+    while let Some(mut p) = frontier.pop() {
         if all.len() >= limit {
             break;
         }
-        for alt in apply_rules_once(&p, ctx) {
+        let mut alts = Vec::new();
+        rewrite_node(&mut p, ctx, &mut alts);
+        for alt in alts {
             let key = format!("{alt:?}");
             if seen.insert(key) {
                 all.push(alt.clone());
@@ -164,117 +166,37 @@ pub fn enumerate_equivalent(
     all
 }
 
-/// Produce rewrites of the whole plan with one rule applied somewhere.
-fn rewrite_node(plan: &LogicalPlan, ctx: &RuleContext, out: &mut Vec<LogicalPlan>) {
-    // Rewrites at this node.
-    for alt in local_rewrites(plan, ctx) {
-        out.push(alt);
-    }
-    // Rewrites within children, re-wrapped.
-    match plan {
-        LogicalPlan::Scan { .. } => {}
-        LogicalPlan::Select { input, pred } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::Select {
-                    input: Box::new(alt),
-                    pred: pred.clone(),
-                });
-            }
+/// Push every rewrite of the whole plan with one rule applied somewhere:
+/// first at this node, then inside each input (outer first), re-wrapped.
+/// `plan` is taken apart while its inputs are rewritten and is as it was
+/// on return.
+fn rewrite_node(plan: &mut LogicalPlan, ctx: &RuleContext, out: &mut Vec<LogicalPlan>) {
+    local_rewrites(plan, ctx, out);
+    for i in 0..plan.children_mut().count() {
+        let slot = child(plan, i);
+        // An empty scan (no allocation) holds the slot, so copying the node
+        // per alternative copies the other inputs and never this one.
+        let mut input = std::mem::replace(slot, LogicalPlan::scan(""));
+        let mut alts = Vec::new();
+        rewrite_node(&mut input, ctx, &mut alts);
+        for alt in alts {
+            let mut rewrapped = plan.clone();
+            *child(&mut rewrapped, i) = alt;
+            out.push(rewrapped);
         }
-        LogicalPlan::SummarySelect { input, pred } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::SummarySelect {
-                    input: Box::new(alt),
-                    pred: pred.clone(),
-                });
-            }
-        }
-        LogicalPlan::SummaryFilter { input, pred } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::SummaryFilter {
-                    input: Box::new(alt),
-                    pred: pred.clone(),
-                });
-            }
-        }
-        LogicalPlan::Project { input, cols } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::Project {
-                    input: Box::new(alt),
-                    cols: cols.clone(),
-                });
-            }
-        }
-        LogicalPlan::Join { left, right, pred } => {
-            for alt in apply_rules_once(left, ctx) {
-                out.push(LogicalPlan::Join {
-                    left: Box::new(alt),
-                    right: right.clone(),
-                    pred: pred.clone(),
-                });
-            }
-            for alt in apply_rules_once(right, ctx) {
-                out.push(LogicalPlan::Join {
-                    left: left.clone(),
-                    right: Box::new(alt),
-                    pred: pred.clone(),
-                });
-            }
-        }
-        LogicalPlan::SummaryJoin { left, right, pred } => {
-            for alt in apply_rules_once(left, ctx) {
-                out.push(LogicalPlan::SummaryJoin {
-                    left: Box::new(alt),
-                    right: right.clone(),
-                    pred: pred.clone(),
-                });
-            }
-            for alt in apply_rules_once(right, ctx) {
-                out.push(LogicalPlan::SummaryJoin {
-                    left: left.clone(),
-                    right: Box::new(alt),
-                    pred: pred.clone(),
-                });
-            }
-        }
-        LogicalPlan::Sort { input, key, desc } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::Sort {
-                    input: Box::new(alt),
-                    key: key.clone(),
-                    desc: *desc,
-                });
-            }
-        }
-        LogicalPlan::GroupBy { input, cols } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::GroupBy {
-                    input: Box::new(alt),
-                    cols: cols.clone(),
-                });
-            }
-        }
-        LogicalPlan::Distinct { input } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::Distinct {
-                    input: Box::new(alt),
-                });
-            }
-        }
-        LogicalPlan::Limit { input, n } => {
-            for alt in apply_rules_once(input, ctx) {
-                out.push(LogicalPlan::Limit {
-                    input: Box::new(alt),
-                    n: *n,
-                });
-            }
-        }
+        *child(plan, i) = input;
     }
 }
 
-/// Rule applications rooted at this node.
-fn local_rewrites(plan: &LogicalPlan, ctx: &RuleContext) -> Vec<LogicalPlan> {
-    let mut out = Vec::new();
+/// Input `i` of `plan` (see [`LogicalPlan::children_mut`]).
+fn child(plan: &mut LogicalPlan, i: usize) -> &mut LogicalPlan {
+    plan.children_mut()
+        .nth(i)
+        .expect("index below the node's input count")
+}
+
+/// Push the rule applications rooted at this node.
+fn local_rewrites(plan: &LogicalPlan, ctx: &RuleContext, out: &mut Vec<LogicalPlan>) {
     match plan {
         // Rule 1 (→): S(σ(R)) = σ(S(R)).
         LogicalPlan::SummarySelect { input, pred } => {
@@ -298,14 +220,14 @@ fn local_rewrites(plan: &LogicalPlan, ctx: &RuleContext) -> Vec<LogicalPlan> {
                     right,
                     pred: jp,
                 } => {
-                    push_selection_sides(pred, left, right, jp, ctx, false, &mut out);
+                    push_selection_sides(pred, left, right, jp, ctx, false, out);
                 }
                 LogicalPlan::SummaryJoin {
                     left,
                     right,
                     pred: jp,
                 } => {
-                    push_selection_sides(pred, left, right, jp, ctx, true, &mut out);
+                    push_selection_sides(pred, left, right, jp, ctx, true, out);
                 }
                 _ => {}
             }
@@ -325,8 +247,7 @@ fn local_rewrites(plan: &LogicalPlan, ctx: &RuleContext) -> Vec<LogicalPlan> {
                     pred: sum_pred.clone(),
                 });
             }
-            // Rule 9: σ_c(J(R,S)) = J(σ_c(R), S) when c is on R's columns
-            // (and the mirrored push to S with shifted columns).
+            // Rule 9: σ_c(J(R,S)) = J(σ_c(R), S) when c is on R's columns.
             if let LogicalPlan::SummaryJoin {
                 left,
                 right,
@@ -428,7 +349,6 @@ fn local_rewrites(plan: &LogicalPlan, ctx: &RuleContext) -> Vec<LogicalPlan> {
         }
         _ => {}
     }
-    out
 }
 
 /// Rules 2/10: push a summary selection to the join side carrying all of its
@@ -703,6 +623,43 @@ mod tests {
             LogicalPlan::SummaryJoin { left, .. }
                 if matches!(left.as_ref(), LogicalPlan::Join { .. })
         )));
+    }
+
+    /// Rewrites inside a join's inputs come back re-wrapped in the join, the
+    /// outer side's before the inner's, each leaving the other side as it
+    /// was.
+    #[test]
+    fn rewrites_reach_inside_both_sides_of_every_join() {
+        let c = ctx();
+        let side = |table: &str| {
+            LogicalPlan::scan(table)
+                .select(Expr::col_cmp(1, CmpOp::Eq, Value::Int(2)))
+                .summary_select(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Gt, 5))
+        };
+        // Rule 1 (→) is the one rewrite each side admits on its own.
+        let commuted = |table: &str| {
+            LogicalPlan::scan(table)
+                .summary_select(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Gt, 5))
+                .select(Expr::col_cmp(1, CmpOp::Eq, Value::Int(2)))
+        };
+        assert_eq!(apply_rules_once(&side("T"), &c), vec![commuted("T")]);
+        let summary_pred = JoinPredicate::CombinedContains {
+            instance: "TextSummary1".into(),
+            keywords: vec!["k".into()],
+        };
+        let joins: [fn(LogicalPlan, LogicalPlan, JoinPredicate) -> LogicalPlan; 2] =
+            [LogicalPlan::join, LogicalPlan::summary_join];
+        for (build, pred) in joins.into_iter().zip([jp(), summary_pred]) {
+            let plan = build(side("T"), side("S"), pred.clone());
+            assert_eq!(
+                apply_rules_once(&plan, &c),
+                vec![
+                    build(commuted("T"), side("S"), pred.clone()),
+                    build(side("T"), commuted("S"), pred),
+                ],
+                "{plan}"
+            );
+        }
     }
 
     #[test]

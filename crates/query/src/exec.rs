@@ -100,6 +100,35 @@ impl Default for ExecConfig {
     }
 }
 
+/// The one list of a physical node's input subtrees, outer first, behind
+/// both [`PhysicalPlan::children`] and [`PhysicalPlan::children_mut`]
+/// (`plan_children!(node)` borrows them shared, `plan_children!(node, mut)`
+/// mutably).
+macro_rules! plan_children {
+    ($plan:expr $(, $m:tt)?) => {{
+        let (outer, inner) = match $plan {
+            PhysicalPlan::SeqScan { .. }
+            | PhysicalPlan::SummaryIndexScan { .. }
+            | PhysicalPlan::BaselineIndexScan { .. }
+            | PhysicalPlan::DataIndexScan { .. } => (None, None),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::SummaryObjectFilter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::GroupBy { input, .. }
+            | PhysicalPlan::Distinct { input }
+            | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Exchange { input, .. }
+            | PhysicalPlan::IndexJoin { left: input, .. }
+            | PhysicalPlan::SummaryIndexJoin { left: input, .. } => (Some(&$($m)? **input), None),
+            PhysicalPlan::NestedLoopJoin { left, right, .. } => {
+                (Some(&$($m)? **left), Some(&$($m)? **right))
+            }
+        };
+        outer.into_iter().chain(inner)
+    }};
+}
+
 /// The physical plan tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
@@ -371,26 +400,17 @@ impl PhysicalPlan {
         }
     }
 
-    /// Child subtrees in display order (outer before inner).
-    pub fn children(&self) -> Vec<&PhysicalPlan> {
-        match self {
-            PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::SummaryIndexScan { .. }
-            | PhysicalPlan::BaselineIndexScan { .. }
-            | PhysicalPlan::DataIndexScan { .. } => Vec::new(),
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::SummaryObjectFilter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::GroupBy { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Exchange { input, .. } => vec![input],
-            PhysicalPlan::NestedLoopJoin { left, right, .. } => vec![left, right],
-            PhysicalPlan::IndexJoin { left, .. } | PhysicalPlan::SummaryIndexJoin { left, .. } => {
-                vec![left]
-            }
-        }
+    /// The node's input subtrees, the outer one first: a nested-loop join's
+    /// inner follows its outer, and the index joins' inner is a table, not
+    /// a subtree.
+    pub fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        plan_children!(self)
+    }
+
+    /// [`PhysicalPlan::children`], mutably: every walk that rewrites a plan
+    /// in place recurses through here rather than matching variants.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut PhysicalPlan> {
+        plan_children!(self, mut)
     }
 
     fn fmt_indent(&self, f: &mut std::fmt::Formatter<'_>, indent: usize) -> std::fmt::Result {
@@ -1984,109 +2004,50 @@ pub fn parallel_fragment_shape(plan: &PhysicalPlan) -> bool {
 /// an Exchange materializes its fragment, which would defeat the executor's
 /// early-termination guarantee.
 pub fn parallelize_plan(plan: &PhysicalPlan, dop: usize) -> PhysicalPlan {
-    parallelize_plan_where(plan, dop, &|_| true)
+    parallelize_plan_where(plan.clone(), dop, &|_| true)
 }
 
-/// [`parallelize_plan`] with a gate: `approve` sees each candidate fragment
-/// and may veto the wrap (the optimizer passes a cost comparison here).
+/// [`parallelize_plan`] with a gate, rewriting `plan` in place: `approve`
+/// sees each candidate fragment and may veto the wrap (the optimizer passes
+/// a cost comparison here).
 pub fn parallelize_plan_where(
-    plan: &PhysicalPlan,
+    mut plan: PhysicalPlan,
     dop: usize,
     approve: &dyn Fn(&PhysicalPlan) -> bool,
 ) -> PhysicalPlan {
-    if dop == 1 {
-        return plan.clone();
+    if dop != 1 {
+        wrap_fragments(&mut plan, dop, approve);
     }
+    plan
+}
+
+fn wrap_fragments(plan: &mut PhysicalPlan, dop: usize, approve: &dyn Fn(&PhysicalPlan) -> bool) {
     if parallel_fragment_shape(plan) {
         if approve(plan) {
-            return PhysicalPlan::Exchange {
-                input: Box::new(plan.clone()),
+            // A placeholder leaf holds the slot while the fragment moves
+            // under its Exchange.
+            let placeholder = PhysicalPlan::SeqScan {
+                table: TableId(0),
+                with_summaries: false,
+            };
+            let fragment = std::mem::replace(plan, placeholder);
+            *plan = PhysicalPlan::Exchange {
+                input: Box::new(fragment),
                 dop,
             };
         }
-        return plan.clone();
+        return;
     }
-    let rec = |p: &PhysicalPlan| Box::new(parallelize_plan_where(p, dop, approve));
-    match plan {
-        PhysicalPlan::Filter { input, pred } => PhysicalPlan::Filter {
-            input: rec(input),
-            pred: pred.clone(),
-        },
-        PhysicalPlan::SummaryObjectFilter { input, pred } => PhysicalPlan::SummaryObjectFilter {
-            input: rec(input),
-            pred: pred.clone(),
-        },
-        PhysicalPlan::Project {
-            input,
-            cols,
-            eliminate,
-        } => PhysicalPlan::Project {
-            input: rec(input),
-            cols: cols.clone(),
-            eliminate: *eliminate,
-        },
-        PhysicalPlan::Sort {
-            input,
-            key,
-            desc,
-            disk,
-        } => PhysicalPlan::Sort {
-            input: rec(input),
-            key: key.clone(),
-            desc: *desc,
-            disk: *disk,
-        },
-        PhysicalPlan::GroupBy { input, cols } => PhysicalPlan::GroupBy {
-            input: rec(input),
-            cols: cols.clone(),
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct { input: rec(input) },
-        // Only the probe (outer) side parallelizes; the inner of a block NL
-        // join is re-executed per block and join build sides stay serial.
-        PhysicalPlan::NestedLoopJoin { left, right, pred } => PhysicalPlan::NestedLoopJoin {
-            left: rec(left),
-            right: right.clone(),
-            pred: pred.clone(),
-        },
-        PhysicalPlan::IndexJoin {
-            left,
-            right_table,
-            left_col,
-            right_col,
-            residual,
-            with_summaries,
-        } => PhysicalPlan::IndexJoin {
-            left: rec(left),
-            right_table: *right_table,
-            left_col: *left_col,
-            right_col: *right_col,
-            residual: residual.clone(),
-            with_summaries: *with_summaries,
-        },
-        PhysicalPlan::SummaryIndexJoin {
-            left,
-            left_key,
-            index,
-            label,
-            residual,
-            with_summaries,
-        } => PhysicalPlan::SummaryIndexJoin {
-            left: rec(left),
-            left_key: left_key.clone(),
-            index: index.clone(),
-            label: label.clone(),
-            residual: residual.clone(),
-            with_summaries: *with_summaries,
-        },
-        // LIMIT keeps its whole subtree serial (early termination), an
-        // existing Exchange is left as placed, and bare non-fragment
-        // leaves have nothing to parallelize.
-        PhysicalPlan::Limit { .. }
-        | PhysicalPlan::Exchange { .. }
-        | PhysicalPlan::SeqScan { .. }
-        | PhysicalPlan::SummaryIndexScan { .. }
-        | PhysicalPlan::BaselineIndexScan { .. }
-        | PhysicalPlan::DataIndexScan { .. } => plan.clone(),
+    // LIMIT keeps its whole subtree serial (early termination) and an
+    // existing Exchange is left as placed. Elsewhere only the outer side
+    // parallelizes: the inner of a block NL join is re-executed per block.
+    if !matches!(
+        plan,
+        PhysicalPlan::Limit { .. } | PhysicalPlan::Exchange { .. }
+    ) {
+        if let Some(outer) = plan.children_mut().next() {
+            wrap_fragments(outer, dop, approve);
+        }
     }
 }
 
@@ -4070,5 +4031,56 @@ mod tests {
             }
             other => panic!("sort stays on top, got {other:?}"),
         }
+    }
+
+    /// Under every join only the outer side parallelizes: the nested loop's
+    /// inner is re-executed per block and stays serial even when it is a
+    /// fragment, and the index joins have no inner subtree to touch.
+    #[test]
+    fn parallelize_plan_wraps_only_the_outer_side_of_joins() {
+        let (_, t, _) = setup(1);
+        let wrapped = || PhysicalPlan::Exchange {
+            input: Box::new(frag_plan(t)),
+            dop: 4,
+        };
+        let pred = JoinPredicate::DataEq {
+            left_col: 0,
+            right_col: 0,
+        };
+        let nl = |left| PhysicalPlan::NestedLoopJoin {
+            left: Box::new(left),
+            right: Box::new(frag_plan(t)),
+            pred: pred.clone(),
+        };
+        assert_eq!(parallelize_plan(&nl(frag_plan(t)), 4), nl(wrapped()));
+        let index_join = |left| PhysicalPlan::IndexJoin {
+            left: Box::new(left),
+            right_table: t,
+            left_col: 0,
+            right_col: 0,
+            residual: None,
+            with_summaries: true,
+        };
+        assert_eq!(
+            parallelize_plan(&index_join(frag_plan(t)), 4),
+            index_join(wrapped())
+        );
+        let summary_join = |left| PhysicalPlan::SummaryIndexJoin {
+            left: Box::new(left),
+            left_key: SummaryExpr::label_value("ClassBird1", "Disease"),
+            index: "idx".into(),
+            label: "Disease".into(),
+            residual: None,
+            with_summaries: true,
+        };
+        assert_eq!(
+            parallelize_plan(&summary_join(frag_plan(t)), 4),
+            summary_join(wrapped())
+        );
+        // Nested: the outer join's outer is itself a join, whose outer wraps.
+        assert_eq!(
+            parallelize_plan(&nl(nl(frag_plan(t))), 4),
+            nl(nl(wrapped()))
+        );
     }
 }

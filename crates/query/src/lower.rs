@@ -12,20 +12,9 @@ use crate::exec::PhysicalPlan;
 use crate::plan::LogicalPlan;
 use crate::Result;
 
-/// Lowering options for the naive path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LowerOpts {
-    /// Force external (disk) sorts.
-    pub disk_sort: bool,
-}
-
 /// Lower a logical plan with default physical choices.
 pub fn lower_naive(db: &Database, plan: &LogicalPlan) -> Result<PhysicalPlan> {
-    lower_with(db, plan, LowerOpts::default())
-}
-
-/// Lower with explicit options.
-pub fn lower_with(db: &Database, plan: &LogicalPlan, opts: LowerOpts) -> Result<PhysicalPlan> {
+    let lower = |p: &LogicalPlan| lower_naive(db, p).map(Box::new);
     Ok(match plan {
         LogicalPlan::Scan { table } => PhysicalPlan::SeqScan {
             table: db.table_id(table)?,
@@ -33,40 +22,40 @@ pub fn lower_with(db: &Database, plan: &LogicalPlan, opts: LowerOpts) -> Result<
         },
         LogicalPlan::Select { input, pred } | LogicalPlan::SummarySelect { input, pred } => {
             PhysicalPlan::Filter {
-                input: Box::new(lower_with(db, input, opts)?),
+                input: lower(input)?,
                 pred: pred.clone(),
             }
         }
         LogicalPlan::SummaryFilter { input, pred } => PhysicalPlan::SummaryObjectFilter {
-            input: Box::new(lower_with(db, input, opts)?),
+            input: lower(input)?,
             pred: pred.clone(),
         },
         LogicalPlan::Project { input, cols } => PhysicalPlan::Project {
-            input: Box::new(lower_with(db, input, opts)?),
+            input: lower(input)?,
             cols: cols.clone(),
             eliminate: is_base_shape(input),
         },
         LogicalPlan::Join { left, right, pred }
         | LogicalPlan::SummaryJoin { left, right, pred } => PhysicalPlan::NestedLoopJoin {
-            left: Box::new(lower_with(db, left, opts)?),
-            right: Box::new(lower_with(db, right, opts)?),
+            left: lower(left)?,
+            right: lower(right)?,
             pred: pred.clone(),
         },
         LogicalPlan::Sort { input, key, desc } => PhysicalPlan::Sort {
-            input: Box::new(lower_with(db, input, opts)?),
+            input: lower(input)?,
             key: key.clone(),
             desc: *desc,
-            disk: opts.disk_sort,
+            disk: false,
         },
         LogicalPlan::GroupBy { input, cols } => PhysicalPlan::GroupBy {
-            input: Box::new(lower_with(db, input, opts)?),
+            input: lower(input)?,
             cols: cols.clone(),
         },
         LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(lower_with(db, input, opts)?),
+            input: lower(input)?,
         },
         LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(lower_with(db, input, opts)?),
+            input: lower(input)?,
             n: *n,
         },
     })

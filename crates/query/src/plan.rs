@@ -186,15 +186,6 @@ impl JoinPredicate {
         }
     }
 
-    /// Whether any conjunct is summary-based.
-    pub fn is_summary_based(&self) -> bool {
-        match self {
-            JoinPredicate::DataEq { .. } => false,
-            JoinPredicate::SummaryCmp { .. } | JoinPredicate::CombinedContains { .. } => true,
-            JoinPredicate::And(a, b) => a.is_summary_based() || b.is_summary_based(),
-        }
-    }
-
     /// The first data-equality conjunct, if any (index-join opportunity).
     pub fn data_eq(&self) -> Option<(usize, usize)> {
         match self {
@@ -433,6 +424,27 @@ impl LogicalPlan {
         self.sort(key, desc).limit(n)
     }
 
+    /// The node's inputs, the outer (left) one first. Every rewriting walk
+    /// over the tree recurses through here rather than matching variants.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut LogicalPlan> {
+        let (outer, inner) = match self {
+            LogicalPlan::Scan { .. } => (None, None),
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::SummarySelect { input, .. }
+            | LogicalPlan::SummaryFilter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::GroupBy { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Limit { input, .. } => (Some(&mut **input), None),
+            LogicalPlan::Join { left, right, .. }
+            | LogicalPlan::SummaryJoin { left, right, .. } => {
+                (Some(&mut **left), Some(&mut **right))
+            }
+        };
+        outer.into_iter().chain(inner)
+    }
+
     /// Names of all base tables referenced.
     pub fn tables(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -556,7 +568,6 @@ mod tests {
             right_col: 0,
         };
         assert!(p.matches(&l, &r));
-        assert!(!p.is_summary_based());
         assert_eq!(p.data_eq(), Some((0, 0)));
         let p2 = JoinPredicate::DataEq {
             left_col: 1,
@@ -593,7 +604,6 @@ mod tests {
         };
         assert!(p.matches(&mk(3), &mk(5)));
         assert!(!p.matches(&mk(3), &mk(3)));
-        assert!(p.is_summary_based());
         assert_eq!(p.referenced_instances(), vec!["C".to_string()]);
     }
 
@@ -609,7 +619,6 @@ mod tests {
                 keywords: vec!["wikipedia".into()],
             }),
         );
-        assert!(p.is_summary_based());
         assert_eq!(p.data_eq(), Some((0, 0)));
         assert_eq!(p.referenced_instances(), vec!["T".to_string()]);
     }

@@ -273,9 +273,12 @@ impl ServerHandle {
     }
 
     /// Graceful drain: stop accepting, answer every in-flight request,
-    /// close connections, join all threads, then checkpoint the engine.
-    /// Returns once the engine state is durably on disk.
-    pub fn shutdown(mut self) -> std::io::Result<()> {
+    /// close connections, join all threads, then checkpoint the engine and
+    /// return the checkpoint image ([`Database::restore`] reads it back).
+    /// Nothing is written anywhere: keeping the image is the caller's job.
+    ///
+    /// [`Database::restore`]: instn_core::db::Database::restore
+    pub fn shutdown(mut self) -> std::io::Result<Vec<u8>> {
         self.stop_and_join();
         let inner = Arc::clone(&self.inner);
         let mut db = inner
@@ -283,7 +286,6 @@ impl ServerHandle {
             .try_write()
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         db.checkpoint()
-            .map(|_| ())
             .map_err(|e| std::io::Error::other(e.to_string()))
     }
 

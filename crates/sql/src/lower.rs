@@ -88,19 +88,8 @@ impl std::fmt::Display for Altered {
 pub enum SqlOutcome {
     /// A query plan, ready for the optimizer/executor.
     Query(LoweredQuery),
-    /// DDL completed; the fields are [`Altered`]'s.
-    Altered {
-        /// The linked instance, if an ADD.
-        instance: Option<InstanceId>,
-        /// The table the statement altered.
-        table: TableId,
-        /// The instance name named in the statement.
-        name: String,
-        /// Maintenance deltas for index layers.
-        deltas: Vec<SummaryDelta>,
-        /// Whether an index was requested (`INDEXABLE`).
-        indexable: bool,
-    },
+    /// DDL completed.
+    Altered(Altered),
     /// Zoom-in result: the raw annotations.
     Zoom(Vec<Annotation>),
 }
@@ -122,16 +111,9 @@ pub fn execute_statement(
 ) -> Result<SqlOutcome> {
     match crate::parser::parse(input)? {
         Statement::Select(sel) => Ok(SqlOutcome::Query(lower_select(db, &sel)?)),
-        Statement::AlterTable { table, action } => {
-            let a = alter_table(db, registry, &table, &action)?;
-            Ok(SqlOutcome::Altered {
-                instance: a.instance,
-                table: a.table,
-                name: a.name,
-                deltas: a.deltas,
-                indexable: a.indexable,
-            })
-        }
+        Statement::AlterTable { table, action } => Ok(SqlOutcome::Altered(alter_table(
+            db, registry, &table, &action,
+        )?)),
         Statement::ZoomIn {
             table,
             instance,
@@ -786,16 +768,11 @@ pub(crate) mod tests {
             "ALTER TABLE Birds ADD INDEXABLE ClassBird2",
         )
         .unwrap();
-        let SqlOutcome::Altered {
-            instance,
-            indexable,
-            ..
-        } = out
-        else {
+        let SqlOutcome::Altered(altered) = out else {
             panic!()
         };
-        assert!(instance.is_some());
-        assert!(indexable);
+        assert!(altered.instance.is_some());
+        assert!(altered.indexable);
         // Zoom into tuple 8 (7 disease annotations).
         let out = execute_statement(
             &mut db,
@@ -810,7 +787,10 @@ pub(crate) mod tests {
         // Drop.
         let out =
             execute_statement(&mut db, &registry, "ALTER TABLE Birds DROP ClassBird2").unwrap();
-        assert!(matches!(out, SqlOutcome::Altered { instance: None, .. }));
+        assert!(matches!(
+            out,
+            SqlOutcome::Altered(Altered { instance: None, .. })
+        ));
     }
 
     #[test]

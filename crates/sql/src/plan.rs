@@ -153,7 +153,7 @@ fn planner_config(
         config = config.with_summary_index(name, *table, instance, labels_k(*table, instance));
     }
     for (name, table, instance) in &descriptors.baseline {
-        config.baseline_indexes.insert(
+        config.indexes.baseline.insert(
             name.clone(),
             (*table, instance.clone(), labels_k(*table, instance)),
         );

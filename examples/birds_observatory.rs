@@ -7,7 +7,7 @@
 //! cargo run --release --example birds_observatory
 //! ```
 
-use insightnotes::opt::cost::{CostModel, IndexInfo};
+use insightnotes::opt::cost::CostModel;
 use insightnotes::prelude::*;
 
 fn main() {
@@ -167,8 +167,7 @@ fn main() {
 
     // Show the cost model's view of the chosen Q1 plan.
     let stats = Statistics::analyze(&db).expect("analyzable");
-    let info: IndexInfo = config.index_info();
-    let model = CostModel::new(&stats, &info);
+    let model = CostModel::new(&stats, &config.indexes);
     // The rule-free lowering is the test suites' oracle, not a serving
     // path; priced here only to show what the optimizer saved.
     let naive = insightnotes::query::lower::lower_naive(&db, &q1).expect("lowers");

@@ -24,8 +24,9 @@
 //! There is no signal handling in this build (no libc dependency):
 //! shutdown is `quit` (or end-of-file) on stdin, or a remote `Shutdown`
 //! request when `--remote-shutdown` is set. Either way the server drains
-//! gracefully — in-flight requests are answered, then the engine is
-//! checkpointed.
+//! gracefully: in-flight requests are answered, then the engine takes a
+//! checkpoint image. Nothing is written to disk, so writes accepted over
+//! the wire are gone when the process exits.
 
 use std::io::BufRead;
 use std::sync::mpsc;
@@ -99,7 +100,7 @@ fn main() {
         std::process::exit(1);
     });
     println!("insightnotes-server listening on {}", handle.local_addr());
-    println!("type 'quit' (or close stdin) for graceful drain + checkpoint");
+    println!("type 'quit' (or close stdin) for a graceful drain");
 
     // Stdin watcher: lets the main thread poll for a remote-initiated
     // drain while still reacting to `quit`/EOF promptly.
@@ -127,7 +128,10 @@ fn main() {
     }
     println!("draining…");
     match handle.shutdown() {
-        Ok(()) => println!("drained and checkpointed; bye"),
+        Ok(image) => println!(
+            "drained; {} byte checkpoint image not saved (no disk storage); bye",
+            image.len()
+        ),
         Err(e) => {
             eprintln!("drain failed: {e}");
             std::process::exit(1);

@@ -242,10 +242,10 @@ fn ddl_statements_drive_the_engine() {
         "ALTER TABLE Birds ADD INDEXABLE ClassBird2",
     )
     .unwrap();
-    let SqlOutcome::Altered { instance, .. } = out else {
+    let SqlOutcome::Altered(altered) = out else {
         panic!()
     };
-    assert!(instance.is_some());
+    assert!(altered.instance.is_some());
     // The new instance produced objects for every annotated tuple.
     let set = db.summaries_of(birds, oids[9]).unwrap();
     assert!(set.iter().any(|o| o.instance_name == "ClassBird2"));

@@ -51,17 +51,12 @@ fn oracle_payload_after(alters: &[&str], stmt: &str) -> Vec<u8> {
         let outcome = shared
             .with_write(|db| execute_statement(db, &instances, alter))
             .expect("oracle DDL binds");
-        if let SqlOutcome::Altered {
-            instance: Some(_),
-            table,
-            name,
-            indexable: true,
-            ..
-        } = outcome
-        {
-            session
-                .register_summary_index(&name, table, &name, PointerMode::Backward)
-                .expect("oracle index builds");
+        if let SqlOutcome::Altered(a) = outcome {
+            if a.instance.is_some() && a.indexable {
+                session
+                    .register_summary_index(&a.name, a.table, &a.name, PointerMode::Backward)
+                    .expect("oracle index builds");
+            }
         }
     }
     let Ok(Statement::Select(sel)) = parse(stmt) else {
@@ -281,6 +276,29 @@ fn graceful_drain_answers_in_flight_request() {
     }
     // The listener is gone: new connections fail outright.
     assert!(Client::connect(addr).is_err());
+}
+
+/// The drain hands back the checkpoint image instead of claiming it wrote
+/// one: DDL accepted over the wire survives a restore from it.
+#[test]
+fn shutdown_returns_a_restorable_checkpoint_image() {
+    let server = start_server(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("admitted");
+    match client
+        .query("ALTER TABLE Birds ADD TextSummary1")
+        .expect("roundtrip")
+    {
+        Response::Text(t) => assert!(t.starts_with("ok"), "{t}"),
+        other => panic!("ALTER failed: {other:?}"),
+    }
+    drop(client);
+    let image = server.shutdown().expect("drain + checkpoint");
+    let db = Database::restore(&image).expect("the image restores");
+    let birds = db.table_id("Birds").expect("table survives");
+    assert!(
+        db.instance_by_name(birds, "TextSummary1").is_ok(),
+        "the instance linked over the wire is in the image"
+    );
 }
 
 #[test]
