@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use instn_storage::codec::{put_str, put_u64, Reader};
+
 /// Identifier of a raw annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AnnotId(pub u64);
@@ -13,23 +15,23 @@ pub struct AnnotId(pub u64);
 /// assign labels with a trained Naive Bayes model — but the generator uses it
 /// to produce themed text and the test suite uses it to measure classifier
 /// accuracy, mirroring how the paper's AKN annotations have human-judged
-/// topics.
+/// topics. The discriminant is the category's stored tag ([`Category::tag`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Observed diseases.
-    Disease,
+    Disease = 0,
     /// Body shape, weight, plumage.
-    Anatomy,
+    Anatomy = 1,
     /// Behavior, sound, eating habits.
-    Behavior,
+    Behavior = 2,
     /// Data lineage notes.
-    Provenance,
+    Provenance = 3,
     /// Free-form remarks.
-    Comment,
+    Comment = 4,
     /// Questions raised by curators.
-    Question,
+    Question = 5,
     /// Anything else (geography, misc).
-    Other,
+    Other = 6,
 }
 
 impl Category {
@@ -60,6 +62,16 @@ impl Category {
     /// Parse from a label string.
     pub fn parse(s: &str) -> Option<Category> {
         Category::ALL.into_iter().find(|c| c.label() == s)
+    }
+
+    /// The byte every stored format writes for this category.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The category whose [`Category::tag`] is `tag`.
+    pub fn from_tag(tag: u8) -> Option<Category> {
+        Category::ALL.into_iter().find(|c| c.tag() == tag)
     }
 }
 
@@ -95,43 +107,28 @@ impl Annotation {
     /// Serialize for heap storage.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.stored_size() + 16);
-        out.extend_from_slice(&self.id.0.to_le_bytes());
-        out.push(
-            Category::ALL
-                .iter()
-                .position(|c| c == &self.category)
-                .unwrap() as u8,
-        );
-        out.extend_from_slice(&self.revision.to_le_bytes());
-        out.extend_from_slice(&(self.author.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.author.as_bytes());
-        out.extend_from_slice(&(self.text.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.text.as_bytes());
+        put_u64(&mut out, self.id.0);
+        out.push(self.category.tag());
+        put_u64(&mut out, self.revision);
+        put_str(&mut out, &self.author);
+        put_str(&mut out, &self.text);
         out
     }
 
-    /// Deserialize from heap storage.
+    /// Deserialize from heap storage: `None` for bytes [`Annotation::encode`]
+    /// does not write.
     pub fn decode(bytes: &[u8]) -> Option<Annotation> {
-        let mut pos = 0usize;
-        let id = AnnotId(u64::from_le_bytes(
-            bytes.get(pos..pos + 8)?.try_into().ok()?,
-        ));
-        pos += 8;
-        let cat = Category::ALL.get(*bytes.get(pos)? as usize).copied()?;
-        pos += 1;
-        let revision = u64::from_le_bytes(bytes.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        let alen = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let author = String::from_utf8(bytes.get(pos..pos + alen)?.to_vec()).ok()?;
-        pos += alen;
-        let tlen = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let text = String::from_utf8(bytes.get(pos..pos + tlen)?.to_vec()).ok()?;
+        let mut r = Reader::new(bytes);
+        let id = AnnotId(r.u64().ok()?);
+        let category = Category::from_tag(r.u8().ok()?)?;
+        let revision = r.u64().ok()?;
+        let author = r.str().ok()?.to_owned();
+        let text = r.str().ok()?.to_owned();
+        r.done().ok()?;
         Some(Annotation {
             id,
             text,
-            category: cat,
+            category,
             author,
             revision,
         })
@@ -174,5 +171,56 @@ mod tests {
             assert_eq!(Category::parse(c.label()), Some(c));
         }
         assert_eq!(Category::parse("Nope"), None);
+    }
+
+    #[test]
+    fn category_tags_are_positions_in_all() {
+        for (i, c) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(c.tag() as usize, i);
+            assert_eq!(Category::from_tag(c.tag()), Some(c));
+        }
+        assert_eq!(Category::from_tag(Category::ALL.len() as u8), None);
+    }
+
+    /// The bytes a decoder is handed in the property below: arbitrary
+    /// ones (`mode` 0), a cut of `valid` (1), or `valid` with one bit
+    /// flipped (2).
+    fn hostile(valid: Vec<u8>, mode: u8, at: usize, noise: Vec<u8>) -> Vec<u8> {
+        match mode {
+            0 => noise,
+            1 => valid[..at % (valid.len() + 1)].to_vec(),
+            _ => {
+                let mut bytes = valid;
+                let bit = at % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                bytes
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn decode_is_err_or_gives_its_input_back(
+            id in any::<u64>(),
+            category in 0u8..7,
+            text in prop_oneof![Just("t"), Just("signs of disease"), Just("héron — gris")],
+            mode in 0u8..3,
+            at in any::<usize>(),
+            noise in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let valid = Annotation {
+                id: AnnotId(id),
+                text: text.into(),
+                category: Category::from_tag(category).unwrap(),
+                author: "curator".into(),
+                revision: id / 3,
+            };
+            let bytes = hostile(valid.encode(), mode, at, noise);
+            if let Some(decoded) = Annotation::decode(&bytes) {
+                prop_assert_eq!(decoded.encode(), bytes);
+            }
+        }
     }
 }

@@ -80,6 +80,12 @@ impl From<instn_storage::StorageError> for CoreError {
     }
 }
 
+impl From<instn_storage::codec::CodecError> for CoreError {
+    fn from(e: instn_storage::codec::CodecError) -> Self {
+        CoreError::Corrupt(e.to_string())
+    }
+}
+
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
 

@@ -23,7 +23,9 @@
 use instn_annot::{AnnotId, AnnotationStore, Attachment, Category, ColumnSet};
 use instn_mining::clustream::ClusterParams;
 use instn_mining::nb::NaiveBayes;
-use instn_storage::{ColumnType, Oid, Schema, TableId};
+use instn_storage::codec::{put_bytes, put_f64, put_str, put_u32, put_u64, Reader};
+use instn_storage::tuple::{decode_tuple, encode_tuple};
+use instn_storage::{ColumnType, Oid, Schema, TableId, Tuple};
 
 use crate::db::{table_not_found, Database};
 use crate::instance::{InstanceKind, InstanceScope};
@@ -43,79 +45,104 @@ fn other_format_version(bytes: &[u8]) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------
-// Primitive writers/readers.
+// The pieces the dump and the WAL's op records share. Each is written and
+// read here and nowhere else; `recover` builds its records from them.
 // ---------------------------------------------------------------------
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn get_arr<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    let end = *pos + N;
-    let s = bytes
-        .get(*pos..end)
-        .ok_or_else(|| CoreError::Corrupt("truncated dump".into()))?;
-    *pos = end;
-    Ok(s.try_into().expect("length checked"))
-}
-
-pub(crate) fn get_u8(bytes: &[u8], pos: &mut usize) -> Result<u8> {
-    Ok(get_arr::<1>(bytes, pos)?[0])
-}
-
-pub(crate) fn get_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    Ok(u32::from_le_bytes(get_arr(bytes, pos)?))
-}
-
-pub(crate) fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-    Ok(u64::from_le_bytes(get_arr(bytes, pos)?))
-}
-
-pub(crate) fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    let len = get_u32(bytes, pos)? as usize;
-    let end = *pos + len;
-    let s = bytes
-        .get(*pos..end)
-        .ok_or_else(|| CoreError::Corrupt("truncated string".into()))?;
-    *pos = end;
-    String::from_utf8(s.to_vec()).map_err(|e| CoreError::Corrupt(e.to_string()))
-}
-
-pub(crate) fn column_type_tag(t: ColumnType) -> u8 {
-    match t {
-        ColumnType::Int => 0,
-        ColumnType::Float => 1,
-        ColumnType::Text => 2,
-        ColumnType::Bool => 3,
+/// A byte that is a bool: 0 or 1.
+pub(crate) fn get_bool(r: &mut Reader<'_>) -> Result<bool> {
+    match r.u8()? {
+        b @ (0 | 1) => Ok(b == 1),
+        b => Err(CoreError::Corrupt(format!("bool byte {b}"))),
     }
 }
 
-pub(crate) fn column_type_from(tag: u8) -> Result<ColumnType> {
-    Ok(match tag {
-        0 => ColumnType::Int,
-        1 => ColumnType::Float,
-        2 => ColumnType::Text,
-        3 => ColumnType::Bool,
-        t => return Err(CoreError::Corrupt(format!("bad column type {t}"))),
-    })
+/// An encoded tuple behind its length.
+pub(crate) fn put_tuple(out: &mut Vec<u8>, tuple: &Tuple) {
+    put_bytes(out, &encode_tuple(tuple));
+}
+
+pub(crate) fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
+    decode_tuple(r.len_prefixed()?).map_err(|e| CoreError::Corrupt(format!("bad tuple: {e}")))
+}
+
+pub(crate) fn get_category(r: &mut Reader<'_>) -> Result<Category> {
+    let tag = r.u8()?;
+    Category::from_tag(tag).ok_or_else(|| CoreError::Corrupt(format!("bad category {tag}")))
+}
+
+/// A table's columns: names and types.
+pub(crate) fn put_columns(out: &mut Vec<u8>, cols: &[(String, ColumnType)]) {
+    put_u32(out, cols.len() as u32);
+    for (name, ty) in cols {
+        put_str(out, name);
+        out.push(match ty {
+            ColumnType::Int => 0,
+            ColumnType::Float => 1,
+            ColumnType::Text => 2,
+            ColumnType::Bool => 3,
+        });
+    }
+}
+
+pub(crate) fn get_columns(r: &mut Reader<'_>) -> Result<Vec<(String, ColumnType)>> {
+    // A name's length and a type tag.
+    let (n, cap) = r.count(4 + 1)?;
+    let mut cols = Vec::with_capacity(cap);
+    for _ in 0..n {
+        let name = r.str()?.to_owned();
+        let ty = match r.u8()? {
+            0 => ColumnType::Int,
+            1 => ColumnType::Float,
+            2 => ColumnType::Text,
+            3 => ColumnType::Bool,
+            t => return Err(CoreError::Corrupt(format!("bad column type {t}"))),
+        };
+        cols.push((name, ty));
+    }
+    Ok(cols)
+}
+
+/// One table's attachments of an annotation: tuples and the columns each
+/// covers.
+pub(crate) fn put_attachments<'a>(
+    out: &mut Vec<u8>,
+    atts: impl ExactSizeIterator<Item = (Oid, &'a ColumnSet)>,
+) {
+    put_u32(out, atts.len() as u32);
+    for (oid, columns) in atts {
+        put_u64(out, oid.0);
+        match columns {
+            ColumnSet::Row => out.push(0),
+            ColumnSet::Cells(mask) => {
+                out.push(1);
+                put_u64(out, *mask);
+            }
+        }
+    }
+}
+
+pub(crate) fn get_attachments(r: &mut Reader<'_>) -> Result<Vec<Attachment>> {
+    // An oid and a column-set tag.
+    let (n, cap) = r.count(8 + 1)?;
+    let mut atts = Vec::with_capacity(cap);
+    for _ in 0..n {
+        let oid = Oid(r.u64()?);
+        let columns = match r.u8()? {
+            0 => ColumnSet::Row,
+            1 => ColumnSet::Cells(r.u64()?),
+            t => return Err(CoreError::Corrupt(format!("bad column set {t}"))),
+        };
+        atts.push(Attachment { oid, columns });
+    }
+    Ok(atts)
 }
 
 pub(crate) fn put_kind(out: &mut Vec<u8>, kind: &InstanceKind) {
     match kind {
         InstanceKind::Classifier { model } => {
             out.push(0);
-            let bytes = model.to_bytes();
-            put_u32(out, bytes.len() as u32);
-            out.extend_from_slice(&bytes);
+            put_bytes(out, &model.to_bytes());
         }
         InstanceKind::Snippet {
             min_chars,
@@ -128,33 +155,30 @@ pub(crate) fn put_kind(out: &mut Vec<u8>, kind: &InstanceKind) {
         InstanceKind::Cluster { params } => {
             out.push(2);
             put_u64(out, params.max_clusters as u64);
-            out.extend_from_slice(&params.boundary_factor.to_le_bytes());
+            put_f64(out, params.boundary_factor);
         }
     }
 }
 
-pub(crate) fn get_kind(bytes: &[u8], pos: &mut usize) -> Result<InstanceKind> {
-    Ok(match get_u8(bytes, pos)? {
+pub(crate) fn get_kind(r: &mut Reader<'_>) -> Result<InstanceKind> {
+    Ok(match r.u8()? {
         0 => {
-            let len = get_u32(bytes, pos)? as usize;
-            let end = *pos + len;
-            let slice = bytes
-                .get(*pos..end)
-                .ok_or_else(|| CoreError::Corrupt("truncated model".into()))?;
-            let mut mpos = 0usize;
-            let model = NaiveBayes::from_bytes(slice, &mut mpos)
+            // Only the bytes `to_bytes` writes for the model they decode to:
+            // a replayed log or dump gives back what it was given.
+            let bytes = r.len_prefixed()?;
+            let model = NaiveBayes::from_bytes(bytes, &mut 0)
+                .filter(|model| model.to_bytes() == bytes)
                 .ok_or_else(|| CoreError::Corrupt("bad classifier model".into()))?;
-            *pos = end;
             InstanceKind::Classifier { model }
         }
         1 => InstanceKind::Snippet {
-            min_chars: get_u64(bytes, pos)? as usize,
-            max_chars: get_u64(bytes, pos)? as usize,
+            min_chars: r.u64()? as usize,
+            max_chars: r.u64()? as usize,
         },
         2 => InstanceKind::Cluster {
             params: ClusterParams {
-                max_clusters: get_u64(bytes, pos)? as usize,
-                boundary_factor: f64::from_le_bytes(get_arr(bytes, pos)?),
+                max_clusters: r.u64()? as usize,
+                boundary_factor: r.f64()?,
             },
         },
         t => return Err(CoreError::Corrupt(format!("bad instance kind {t}"))),
@@ -174,14 +198,15 @@ pub(crate) fn put_scope(out: &mut Vec<u8>, scope: &InstanceScope) {
     }
 }
 
-pub(crate) fn get_scope(bytes: &[u8], pos: &mut usize) -> Result<InstanceScope> {
-    Ok(match get_u8(bytes, pos)? {
+pub(crate) fn get_scope(r: &mut Reader<'_>) -> Result<InstanceScope> {
+    Ok(match r.u8()? {
         0 => InstanceScope::All,
         1 => {
-            let n = get_u32(bytes, pos)? as usize;
-            let mut markers = Vec::with_capacity(n);
+            // A marker's length.
+            let (n, cap) = r.count(4)?;
+            let mut markers = Vec::with_capacity(cap);
             for _ in 0..n {
-                markers.push(get_str(bytes, pos)?);
+                markers.push(r.str()?.to_owned());
             }
             InstanceScope::ContainsAny(markers)
         }
@@ -192,8 +217,8 @@ pub(crate) fn get_scope(bytes: &[u8], pos: &mut usize) -> Result<InstanceScope> 
 /// Split a dump into its body and its CRC-32 trailer (the checksum of the
 /// body). `None` when `bytes` is shorter than a trailer.
 pub(crate) fn split_trailer(bytes: &[u8]) -> Option<(&[u8], u32)> {
-    let (body, trailer) = bytes.split_last_chunk::<4>()?;
-    Some((body, u32::from_le_bytes(*trailer)))
+    let (body, trailer) = bytes.split_at_checked(bytes.len().checked_sub(4)?)?;
+    Some((body, Reader::new(trailer).u32().ok()?))
 }
 
 /// One table's annotation store and its postings sorted by (annotation,
@@ -246,19 +271,12 @@ impl Database {
         for (tid, _) in &tables {
             let table = self.catalog.table(*tid)?;
             put_str(&mut out, table.name());
-            let cols = table.schema().columns();
-            put_u32(&mut out, cols.len() as u32);
-            for (name, ty) in cols {
-                put_str(&mut out, name);
-                out.push(column_type_tag(*ty));
-            }
+            put_columns(&mut out, table.schema().columns());
             let oids = table.oids();
             put_u64(&mut out, oids.len() as u64);
             for (oid, tuple) in table.scan() {
                 put_u64(&mut out, oid.0);
-                let bytes = instn_storage::tuple::encode_tuple(&tuple);
-                put_u32(&mut out, bytes.len() as u32);
-                out.extend_from_slice(&bytes);
+                put_tuple(&mut out, &tuple);
             }
         }
 
@@ -300,12 +318,7 @@ impl Database {
                 .get(id)?;
             put_u64(&mut out, id.0);
             put_u32(&mut out, home.0);
-            out.push(
-                Category::ALL
-                    .iter()
-                    .position(|c| *c == annot.category)
-                    .expect("known category") as u8,
-            );
+            out.push(annot.category.tag());
             put_u64(&mut out, annot.revision);
             put_str(&mut out, &annot.author);
             put_str(&mut out, &annot.text);
@@ -320,17 +333,7 @@ impl Database {
                     .iter_mut()
                     .find(|a| a.table == *t)
                     .map_or(&[][..], |a| a.postings_of(id));
-                put_u32(&mut out, atts.len() as u32);
-                for (oid, _, cs) in atts {
-                    put_u64(&mut out, oid.0);
-                    match cs {
-                        ColumnSet::Row => out.push(0),
-                        ColumnSet::Cells(mask) => {
-                            out.push(1);
-                            put_u64(&mut out, *mask);
-                        }
-                    }
-                }
+                put_attachments(&mut out, atts.iter().map(|(oid, _, cs)| (*oid, cs)));
             }
         }
         let crc = instn_storage::crc32(&out);
@@ -365,88 +368,60 @@ impl Database {
     }
 
     fn restore_body(bytes: &[u8]) -> Result<Database> {
-        let mut pos = 0usize;
-        let magic: [u8; 8] = get_arr(bytes, &mut pos)?;
-        if &magic != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.bytes(MAGIC.len())? != MAGIC {
             return Err(CoreError::Corrupt("not an insightnotes dump".into()));
         }
-        let revision = get_u64(bytes, &mut pos)?;
-        let annot_counter = get_u64(bytes, &mut pos)?;
-        let next_instance = get_u32(bytes, &mut pos)?;
-        let next_obj = get_u64(bytes, &mut pos)?;
+        let revision = r.u64()?;
+        let annot_counter = r.u64()?;
+        let next_instance = r.u32()?;
+        let next_obj = r.u64()?;
         let mut db = Database::new();
 
-        // Tables + tuples.
-        let n_tables = get_u32(bytes, &mut pos)? as usize;
-        let mut table_ids = Vec::with_capacity(n_tables);
+        // Tables + tuples. A table is at least a name's length, a column
+        // count and a tuple count.
+        let (n_tables, cap) = r.count(4 + 4 + 8)?;
+        let mut table_ids = Vec::with_capacity(cap);
         for _ in 0..n_tables {
-            let name = get_str(bytes, &mut pos)?;
-            let n_cols = get_u32(bytes, &mut pos)? as usize;
-            let mut cols = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                let cname = get_str(bytes, &mut pos)?;
-                let ty = column_type_from(get_u8(bytes, &mut pos)?)?;
-                cols.push((cname, ty));
-            }
-            let tid = db.create_table(&name, Schema::new(cols))?;
+            let name = r.str()?;
+            let tid = db.create_table(name, Schema::new(get_columns(&mut r)?))?;
             table_ids.push(tid);
-            let n_tuples = get_u64(bytes, &mut pos)? as usize;
-            for _ in 0..n_tuples {
-                let oid = Oid(get_u64(bytes, &mut pos)?);
-                let len = get_u32(bytes, &mut pos)? as usize;
-                let end = pos + len;
-                let tbytes = bytes
-                    .get(pos..end)
-                    .ok_or_else(|| CoreError::Corrupt("truncated tuple".into()))?;
-                pos = end;
-                let tuple = instn_storage::tuple::decode_tuple(tbytes)?;
+            for _ in 0..r.u64()? {
+                let oid = Oid(r.u64()?);
+                let tuple = get_tuple(&mut r)?;
                 db.table_mut(tid)?.restore(oid, tuple)?;
             }
         }
 
         // Instances (linked before any annotation exists: no summarize pass).
         for &tid in &table_ids {
-            let n = get_u32(bytes, &mut pos)? as usize;
-            for _ in 0..n {
-                let name = get_str(bytes, &mut pos)?;
-                let indexable = get_u8(bytes, &mut pos)? != 0;
-                let scope = get_scope(bytes, &mut pos)?;
-                let kind = get_kind(bytes, &mut pos)?;
-                db.link_instance_scoped(tid, &name, kind, indexable, Some(scope))?;
+            for _ in 0..r.u32()? {
+                let name = r.str()?;
+                let indexable = get_bool(&mut r)?;
+                let scope = get_scope(&mut r)?;
+                let kind = get_kind(&mut r)?;
+                db.link_instance_scoped(tid, name, kind, indexable, Some(scope))?;
             }
         }
 
         // Annotations, replayed in id order.
-        let n_annots = get_u64(bytes, &mut pos)? as usize;
-        for _ in 0..n_annots {
-            let id = AnnotId(get_u64(bytes, &mut pos)?);
-            let home = TableId(get_u32(bytes, &mut pos)?);
-            let cat = Category::ALL
-                .get(get_u8(bytes, &mut pos)? as usize)
-                .copied()
-                .ok_or_else(|| CoreError::Corrupt("bad category".into()))?;
-            let ann_revision = get_u64(bytes, &mut pos)?;
-            let author = get_str(bytes, &mut pos)?;
-            let text = get_str(bytes, &mut pos)?;
-            let n_att_tables = get_u32(bytes, &mut pos)? as usize;
-            let mut per_table: Vec<(TableId, Vec<Attachment>)> = Vec::with_capacity(n_att_tables);
+        for _ in 0..r.u64()? {
+            let id = AnnotId(r.u64()?);
+            let home = TableId(r.u32()?);
+            let cat = get_category(&mut r)?;
+            let ann_revision = r.u64()?;
+            let author = r.str()?;
+            let text = r.str()?;
+            // A table id and an attachment count.
+            let (n_att_tables, cap) = r.count(4 + 4)?;
+            let mut per_table: Vec<(TableId, Vec<Attachment>)> = Vec::with_capacity(cap);
             for _ in 0..n_att_tables {
-                let t = TableId(get_u32(bytes, &mut pos)?);
-                let n_atts = get_u32(bytes, &mut pos)? as usize;
-                let mut atts = Vec::with_capacity(n_atts);
-                for _ in 0..n_atts {
-                    let oid = Oid(get_u64(bytes, &mut pos)?);
-                    let columns = match get_u8(bytes, &mut pos)? {
-                        0 => ColumnSet::Row,
-                        1 => ColumnSet::Cells(get_u64(bytes, &mut pos)?),
-                        t => return Err(CoreError::Corrupt(format!("bad colset {t}"))),
-                    };
-                    atts.push(Attachment { oid, columns });
-                }
-                per_table.push((t, atts));
+                let t = TableId(r.u32()?);
+                per_table.push((t, get_attachments(&mut r)?));
             }
-            db.restore_annotation(id, home, cat, ann_revision, &author, &text, per_table)?;
+            db.restore_annotation(id, home, cat, ann_revision, author, text, per_table)?;
         }
+        r.done()?;
         db.revision = revision;
         // Per-entry history does not survive a snapshot: declare everything
         // up to the restored revision truncated so no consumer replays a
@@ -693,6 +668,25 @@ mod tests {
             let err = restore_error(&dump_with_model(&model(hostile)));
             assert!(err.contains("bad classifier model"), "{err}");
         }
+    }
+
+    /// A dump whose checksum is right and whose first table claims
+    /// 2³² − 1 columns: the count reserves nothing, and the read of the
+    /// first column runs short.
+    #[test]
+    fn a_sealed_dump_with_a_hostile_count_is_corrupt() {
+        let empty = Database::new().dump().unwrap();
+        let mut bytes = empty[..36].to_vec();
+        put_u32(&mut bytes, 1);
+        put_str(&mut bytes, "T");
+        put_u32(&mut bytes, u32::MAX);
+        let crc = instn_storage::crc32(&bytes);
+        put_u32(&mut bytes, crc);
+        assert_eq!(bytes.len(), 53);
+        assert!(matches!(
+            Database::restore(&bytes).map(drop),
+            Err(CoreError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -25,14 +25,14 @@
 
 use std::sync::Arc;
 
-use instn_annot::{AnnotId, Attachment, Category, ColumnSet};
-use instn_storage::tuple::{decode_tuple, encode_tuple};
+use instn_annot::{AnnotId, Attachment, Category};
+use instn_storage::codec::{put_str, put_u32, put_u64, Reader};
 use instn_storage::{FaultInjector, Oid, TableId, Tuple, Wal, WalRecordKind};
 
 use crate::instance::{InstanceKind, InstanceScope};
 use crate::persist::{
-    column_type_from, column_type_tag, get_kind, get_scope, get_str, get_u32, get_u64, get_u8,
-    put_kind, put_scope, put_str, put_u32, put_u64, split_trailer,
+    get_attachments, get_bool, get_category, get_columns, get_kind, get_scope, get_tuple,
+    put_attachments, put_columns, put_kind, put_scope, put_tuple, split_trailer,
 };
 use crate::{CoreError, Database, Result};
 
@@ -115,68 +115,6 @@ fn checkpoint_head(snapshot: &[u8]) -> Result<Vec<u8>> {
     Ok(head)
 }
 
-fn put_tuple(out: &mut Vec<u8>, tuple: &Tuple) {
-    let bytes = encode_tuple(tuple);
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(&bytes);
-}
-
-fn get_tuple(bytes: &[u8], pos: &mut usize) -> Result<Tuple> {
-    let len = get_u32(bytes, pos)? as usize;
-    let end = *pos + len;
-    let slice = bytes
-        .get(*pos..end)
-        .ok_or_else(|| CoreError::Corrupt("truncated tuple".into()))?;
-    *pos = end;
-    decode_tuple(slice).map_err(|e| CoreError::Corrupt(format!("bad tuple in log: {e}")))
-}
-
-fn put_category(out: &mut Vec<u8>, category: Category) {
-    out.push(
-        Category::ALL
-            .iter()
-            .position(|c| *c == category)
-            .expect("category in ALL") as u8,
-    );
-}
-
-fn get_category(bytes: &[u8], pos: &mut usize) -> Result<Category> {
-    let tag = get_u8(bytes, pos)? as usize;
-    Category::ALL
-        .get(tag)
-        .copied()
-        .ok_or_else(|| CoreError::Corrupt(format!("bad category {tag}")))
-}
-
-fn put_attachments(out: &mut Vec<u8>, atts: &[Attachment]) {
-    put_u32(out, atts.len() as u32);
-    for att in atts {
-        put_u64(out, att.oid.0);
-        match att.columns {
-            ColumnSet::Row => out.push(0),
-            ColumnSet::Cells(mask) => {
-                out.push(1);
-                put_u64(out, mask);
-            }
-        }
-    }
-}
-
-fn get_attachments(bytes: &[u8], pos: &mut usize) -> Result<Vec<Attachment>> {
-    let n = get_u32(bytes, pos)? as usize;
-    let mut atts = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let oid = Oid(get_u64(bytes, pos)?);
-        let columns = match get_u8(bytes, pos)? {
-            0 => ColumnSet::Row,
-            1 => ColumnSet::Cells(get_u64(bytes, pos)?),
-            t => return Err(CoreError::Corrupt(format!("bad column set {t}"))),
-        };
-        atts.push(Attachment { oid, columns });
-    }
-    Ok(atts)
-}
-
 impl WalOp {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -184,11 +122,7 @@ impl WalOp {
             WalOp::CreateTable { name, cols } => {
                 out.push(1);
                 put_str(&mut out, name);
-                put_u32(&mut out, cols.len() as u32);
-                for (col, ty) in cols {
-                    put_str(&mut out, col);
-                    out.push(column_type_tag(*ty));
-                }
+                put_columns(&mut out, cols);
             }
             WalOp::InsertTuple { table, tuple } => {
                 out.push(2);
@@ -235,9 +169,9 @@ impl WalOp {
                 out.push(7);
                 put_u32(&mut out, table.0);
                 put_str(&mut out, text);
-                put_category(&mut out, *category);
+                out.push(category.tag());
                 put_str(&mut out, author);
-                put_attachments(&mut out, attachments);
+                put_attachments(&mut out, attachments.iter().map(|a| (a.oid, &a.columns)));
             }
             WalOp::AttachAnnotation {
                 table,
@@ -247,7 +181,7 @@ impl WalOp {
                 out.push(8);
                 put_u32(&mut out, table.0);
                 put_u64(&mut out, id.0);
-                put_attachments(&mut out, attachments);
+                put_attachments(&mut out, attachments.iter().map(|a| (a.oid, &a.columns)));
             }
             WalOp::DeleteAnnotation { id } => {
                 out.push(9);
@@ -259,64 +193,55 @@ impl WalOp {
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<WalOp> {
-        let mut pos = 0usize;
-        let op = match get_u8(bytes, &mut pos)? {
-            1 => {
-                let name = get_str(bytes, &mut pos)?;
-                let n = get_u32(bytes, &mut pos)? as usize;
-                let mut cols = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let col = get_str(bytes, &mut pos)?;
-                    let ty = column_type_from(get_u8(bytes, &mut pos)?)?;
-                    cols.push((col, ty));
-                }
-                WalOp::CreateTable { name, cols }
-            }
+        let mut r = Reader::new(bytes);
+        let op = match r.u8()? {
+            1 => WalOp::CreateTable {
+                name: r.str()?.to_owned(),
+                cols: get_columns(&mut r)?,
+            },
             2 => WalOp::InsertTuple {
-                table: TableId(get_u32(bytes, &mut pos)?),
-                tuple: get_tuple(bytes, &mut pos)?,
+                table: TableId(r.u32()?),
+                tuple: get_tuple(&mut r)?,
             },
             3 => WalOp::UpdateTuple {
-                table: TableId(get_u32(bytes, &mut pos)?),
-                oid: Oid(get_u64(bytes, &mut pos)?),
-                tuple: get_tuple(bytes, &mut pos)?,
+                table: TableId(r.u32()?),
+                oid: Oid(r.u64()?),
+                tuple: get_tuple(&mut r)?,
             },
             4 => WalOp::DeleteTuple {
-                table: TableId(get_u32(bytes, &mut pos)?),
-                oid: Oid(get_u64(bytes, &mut pos)?),
+                table: TableId(r.u32()?),
+                oid: Oid(r.u64()?),
             },
             5 => WalOp::LinkInstance {
-                table: TableId(get_u32(bytes, &mut pos)?),
-                name: get_str(bytes, &mut pos)?,
-                kind: get_kind(bytes, &mut pos)?,
-                indexable: get_u8(bytes, &mut pos)? != 0,
-                scope: get_scope(bytes, &mut pos)?,
+                table: TableId(r.u32()?),
+                name: r.str()?.to_owned(),
+                kind: get_kind(&mut r)?,
+                indexable: get_bool(&mut r)?,
+                scope: get_scope(&mut r)?,
             },
             6 => WalOp::DropInstance {
-                table: TableId(get_u32(bytes, &mut pos)?),
-                name: get_str(bytes, &mut pos)?,
+                table: TableId(r.u32()?),
+                name: r.str()?.to_owned(),
             },
             7 => WalOp::AddAnnotation {
-                table: TableId(get_u32(bytes, &mut pos)?),
-                text: get_str(bytes, &mut pos)?,
-                category: get_category(bytes, &mut pos)?,
-                author: get_str(bytes, &mut pos)?,
-                attachments: get_attachments(bytes, &mut pos)?,
+                table: TableId(r.u32()?),
+                text: r.str()?.to_owned(),
+                category: get_category(&mut r)?,
+                author: r.str()?.to_owned(),
+                attachments: get_attachments(&mut r)?,
             },
             8 => WalOp::AttachAnnotation {
-                table: TableId(get_u32(bytes, &mut pos)?),
-                id: AnnotId(get_u64(bytes, &mut pos)?),
-                attachments: get_attachments(bytes, &mut pos)?,
+                table: TableId(r.u32()?),
+                id: AnnotId(r.u64()?),
+                attachments: get_attachments(&mut r)?,
             },
             9 => WalOp::DeleteAnnotation {
-                id: AnnotId(get_u64(bytes, &mut pos)?),
+                id: AnnotId(r.u64()?),
             },
             10 => WalOp::BumpRevision,
             t => return Err(CoreError::Corrupt(format!("bad wal op tag {t}"))),
         };
-        if pos != bytes.len() {
-            return Err(CoreError::Corrupt("trailing bytes in wal op".into()));
-        }
+        r.done()?;
         Ok(op)
     }
 }
@@ -590,6 +515,107 @@ mod tests {
             let bytes = op.encode();
             let back = WalOp::decode(&bytes).unwrap();
             assert_eq!(bytes, back.encode(), "unstable codec for {op:?}");
+        }
+    }
+
+    /// One op of every kind, `i` picking among a few of each.
+    fn sample_op(i: usize) -> WalOp {
+        let table = TableId(i as u32 % 3);
+        let name = ["birds", "héron", ""][i % 3].to_string();
+        let attachments = vec![Attachment::row(Oid(1)), Attachment::cells(Oid(2), &[0, 5])];
+        match i % 12 {
+            0 => WalOp::CreateTable {
+                name,
+                cols: vec![
+                    ("name".into(), instn_storage::ColumnType::Text),
+                    ("seen".into(), instn_storage::ColumnType::Bool),
+                ],
+            },
+            1 => WalOp::InsertTuple {
+                table,
+                tuple: vec![Value::Text(name), Value::Bool(true), Value::Null],
+            },
+            2 => WalOp::UpdateTuple {
+                table,
+                oid: Oid(i as u64),
+                tuple: vec![Value::Int(-(i as i64)), Value::Float(0.25)],
+            },
+            3 => WalOp::DeleteTuple { table, oid: Oid(7) },
+            4..=6 => WalOp::LinkInstance {
+                table,
+                name,
+                kind: match i % 12 {
+                    4 => {
+                        let mut model =
+                            instn_mining::nb::NaiveBayes::new(vec!["A".into(), "B".into()]);
+                        model.train("disease outbreak", "A");
+                        model.train("eating song", "B");
+                        InstanceKind::Classifier { model }
+                    }
+                    5 => InstanceKind::Snippet {
+                        min_chars: 8,
+                        max_chars: 40,
+                    },
+                    _ => InstanceKind::Cluster {
+                        params: instn_mining::clustream::ClusterParams {
+                            max_clusters: 4,
+                            boundary_factor: 1.5,
+                        },
+                    },
+                },
+                indexable: i.is_multiple_of(2),
+                scope: InstanceScope::ContainsAny(vec!["disease".into()]),
+            },
+            7 => WalOp::DropInstance { table, name },
+            8 => WalOp::AddAnnotation {
+                table,
+                text: name,
+                category: Category::ALL[i % Category::ALL.len()],
+                author: "ann".into(),
+                attachments,
+            },
+            9 => WalOp::AttachAnnotation {
+                table,
+                id: AnnotId(i as u64),
+                attachments,
+            },
+            10 => WalOp::DeleteAnnotation {
+                id: AnnotId(i as u64),
+            },
+            _ => WalOp::BumpRevision,
+        }
+    }
+
+    /// The bytes a decoder is handed in the property below: arbitrary
+    /// ones (`mode` 0), a cut of `valid` (1), or `valid` with one bit
+    /// flipped (2).
+    fn hostile(valid: Vec<u8>, mode: u8, at: usize, noise: Vec<u8>) -> Vec<u8> {
+        match mode {
+            0 => noise,
+            1 => valid[..at % (valid.len() + 1)].to_vec(),
+            _ => {
+                let mut bytes = valid;
+                let bit = at % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                bytes
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn walop_decode_is_err_or_gives_its_input_back(
+            op in 0usize..36,
+            mode in 0u8..3,
+            at in any::<usize>(),
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let bytes = hostile(sample_op(op).encode(), mode, at, noise);
+            if let Ok(decoded) = WalOp::decode(&bytes) {
+                prop_assert_eq!(decoded.encode(), bytes);
+            }
         }
     }
 

@@ -3,75 +3,19 @@
 //! The dump carries a CRC-32 trailer, so *any* truncation or bit flip must
 //! be rejected up front as [`CoreError::Corrupt`] — never a panic, never a
 //! silently wrong database. This is the contract crash recovery leans on:
-//! a half-written snapshot is detected, not replayed over.
+//! a half-written snapshot is detected, not replayed over. The trailer is a
+//! checksum, not a MAC, so the parser behind it is held to the same
+//! contract on bytes whose checksum was made right again.
 
-use instn_annot::{Attachment, Category};
 use instn_core::db::Database;
-use instn_core::instance::{InstanceKind, InstanceScope};
 use instn_core::CoreError;
-use instn_mining::nb::NaiveBayes;
-use instn_storage::{ColumnType, Schema, Value};
 use proptest::prelude::*;
 
-fn build_dump() -> Vec<u8> {
-    let mut db = Database::new();
-    let birds = db
-        .create_table(
-            "Birds",
-            Schema::of(&[("name", ColumnType::Text), ("weight", ColumnType::Float)]),
-        )
-        .unwrap();
-    let mut oids = Vec::new();
-    for (i, name) in ["sparrow", "hawk", "owl"].iter().enumerate() {
-        oids.push(
-            db.insert_tuple(
-                birds,
-                vec![Value::Text(name.to_string()), Value::Float(i as f64 * 10.0)],
-            )
-            .unwrap(),
-        );
-    }
-    let mut model = NaiveBayes::new(vec!["Disease".into(), "Behavior".into()]);
-    model.train("disease outbreak infection", "Disease");
-    model.train("eating foraging song", "Behavior");
-    db.link_instance(birds, "C", InstanceKind::Classifier { model }, true)
-        .unwrap();
-    db.link_instance_scoped(
-        birds,
-        "S",
-        InstanceKind::Snippet {
-            min_chars: 8,
-            max_chars: 40,
-        },
-        false,
-        Some(InstanceScope::ContainsAny(vec!["disease".into()])),
-    )
-    .unwrap();
-    let (doomed, _) = db
-        .add_annotation(
-            birds,
-            "eating steadily all week",
-            Category::Behavior,
-            "bob",
-            vec![Attachment::row(oids[1])],
-        )
-        .unwrap();
-    db.add_annotation(
-        birds,
-        "signs of disease outbreak",
-        Category::Disease,
-        "ann",
-        vec![Attachment::row(oids[0]), Attachment::cells(oids[2], &[1])],
-    )
-    .unwrap();
-    // Leave an id gap so the persisted counters matter.
-    db.delete_annotation(doomed).unwrap();
-    db.dump().unwrap()
-}
+#[path = "fixture/dump.rs"]
+mod fixture;
+use fixture::build_dump;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn truncated_dump_is_rejected_not_panicking(cut in 0usize..4096) {
         let dump = build_dump();
@@ -94,6 +38,23 @@ proptest! {
             "bit flip at byte {} bit {bit} must surface as Corrupt, got {err:?}",
             pos % len
         );
+    }
+
+    /// Past the trailer: a flipped bit with the checksum made right again
+    /// reaches the parser, which restores something or names the dump
+    /// corrupt — it never panics and never reserves what the bytes do not
+    /// hold.
+    #[test]
+    fn resealed_bit_flips_restore_or_are_corrupt(pos in 0usize..4096, bit in 0u8..8) {
+        let mut dump = build_dump();
+        let body = dump.len() - 4;
+        dump[pos % body] ^= 1 << bit;
+        let crc = instn_storage::crc32(&dump[..body]);
+        dump[body..].copy_from_slice(&crc.to_le_bytes());
+        match Database::restore(&dump) {
+            Ok(_) | Err(CoreError::Corrupt(_)) => {}
+            Err(other) => prop_assert!(false, "flip at byte {} bit {bit}: {other:?}", pos % body),
+        }
     }
 }
 

@@ -24,6 +24,7 @@ use instn_core::maintain::SummaryDelta;
 use instn_core::summary::{ClassifierRep, InstanceId, ObjId, Rep, SummaryObject};
 use instn_core::Result;
 use instn_storage::btree::BTree;
+use instn_storage::codec::{put_str, put_u64, Reader};
 use instn_storage::page::RecordId;
 use instn_storage::{HeapFile, Oid, TableId};
 
@@ -41,23 +42,21 @@ struct NormRow {
 impl NormRow {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20 + self.label.len());
-        out.extend_from_slice(&self.oid.0.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&(self.label.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.label.as_bytes());
+        put_u64(&mut out, self.oid.0);
+        put_u64(&mut out, self.count);
+        put_str(&mut out, &self.label);
         // The derived column is materialized on disk too (the paper's
         // "system-maintained (derived) column"), doubling per-row text.
-        let derived = format!("{}-{:03}", self.label, self.count);
-        out.extend_from_slice(&(derived.len() as u32).to_le_bytes());
-        out.extend_from_slice(derived.as_bytes());
+        put_str(&mut out, &format!("{}-{:03}", self.label, self.count));
         out
     }
 
+    /// The row's `(OID, Label, Count)`; the derived column is not read.
     fn decode(bytes: &[u8]) -> Option<NormRow> {
-        let oid = Oid(u64::from_le_bytes(bytes.get(0..8)?.try_into().ok()?));
-        let count = u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?);
-        let llen = u32::from_le_bytes(bytes.get(16..20)?.try_into().ok()?) as usize;
-        let label = String::from_utf8(bytes.get(20..20 + llen)?.to_vec()).ok()?;
+        let mut r = Reader::new(bytes);
+        let oid = Oid(r.u64().ok()?);
+        let count = r.u64().ok()?;
+        let label = r.str().ok()?.to_owned();
         Some(NormRow { oid, label, count })
     }
 }

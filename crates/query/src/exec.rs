@@ -38,6 +38,7 @@ use instn_core::db::Database;
 use instn_core::summary::EncodedSummaries;
 use instn_core::{AnnotatedTuple, CoreError};
 use instn_index::{BaselineIndex, SummaryBTree};
+use instn_storage::codec::{put_bytes, put_u32, put_u64, Reader};
 use instn_storage::io::IoStats;
 use instn_storage::{EncodedTuple, HeapFile, Oid, TableId, Value, ValueRef};
 
@@ -2620,45 +2621,29 @@ fn encode_annotated(row: &Row) -> Vec<u8> {
     match row.source() {
         Some((table, oid)) => {
             out.push(SPILL_HAS_SOURCE | untouched);
-            out.extend_from_slice(&table.0.to_le_bytes());
-            out.extend_from_slice(&oid.0.to_le_bytes());
+            put_u32(&mut out, table.0);
+            put_u64(&mut out, oid.0);
         }
         None => out.push(untouched),
     }
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    out.extend_from_slice(&values);
+    put_bytes(&mut out, &values);
     out.extend_from_slice(&summaries);
     out
 }
 
 fn decode_annotated(bytes: &[u8]) -> Result<Row> {
-    let corrupt = || QueryError::Core(CoreError::Corrupt("spill record".into()));
-    let mut rest = bytes;
-    let mut take = |n: usize| {
-        let (head, tail) = rest.split_at_checked(n).ok_or_else(corrupt)?;
-        rest = tail;
-        Ok::<_, QueryError>(head)
-    };
-    let flag = *take(1)?.first().ok_or_else(corrupt)?;
+    let mut r = Reader::new(bytes);
+    let flag = r.u8()?;
     if flag & !(SPILL_HAS_SOURCE | SPILL_UNTOUCHED) != 0 {
-        return Err(corrupt());
+        return Err(QueryError::Core(CoreError::Corrupt("spill record".into())));
     }
     let source = if flag & SPILL_HAS_SOURCE != 0 {
-        let mut table = [0u8; 4];
-        table.copy_from_slice(take(4)?);
-        let mut oid = [0u8; 8];
-        oid.copy_from_slice(take(8)?);
-        Some((
-            TableId(u32::from_le_bytes(table)),
-            Oid(u64::from_le_bytes(oid)),
-        ))
+        Some((TableId(r.u32()?), Oid(r.u64()?)))
     } else {
         None
     };
-    let mut vlen = [0u8; 4];
-    vlen.copy_from_slice(take(4)?);
-    let values = EncodedTuple::new(take(u32::from_le_bytes(vlen) as usize)?)?;
-    let summaries = EncodedSummaries::new(rest)?;
+    let values = EncodedTuple::new(r.len_prefixed()?)?;
+    let summaries = EncodedSummaries::new(r.rest())?;
     Ok(Row::encoded(
         source,
         values,

@@ -117,5 +117,11 @@ impl From<instn_storage::StorageError> for QueryError {
     }
 }
 
+impl From<instn_storage::codec::CodecError> for QueryError {
+    fn from(e: instn_storage::codec::CodecError) -> Self {
+        QueryError::Core(e.into())
+    }
+}
+
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, QueryError>;

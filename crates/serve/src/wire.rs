@@ -25,15 +25,19 @@
 //!   machine-readable [`ErrorCode`].
 //!
 //! Values cross the wire with a one-byte type tag (`NULL`, `i64`, `f64`
-//! bit pattern, UTF-8 text, bool), so the encoding is canonical: the same
-//! row always encodes to the same bytes, which is what lets the serve
-//! benchmark assert byte-identical results against an in-process oracle.
+//! bit pattern, UTF-8 text, bool) — the stored tuples' value encoding,
+//! written and read by `instn_storage::tuple` — so the encoding is
+//! canonical: the same row always encodes to the same bytes, which is what
+//! lets the serve benchmark assert byte-identical results against an
+//! in-process oracle.
 
 use std::fmt;
 use std::io::{Read, Write};
 
 use instn_core::AnnotatedTuple;
 use instn_query::RowRead;
+use instn_storage::codec::{patch_u32, put_str, put_u16, put_u32, put_u64, CodecError, Reader};
+use instn_storage::tuple::{put_value, read_owned_value};
 use instn_storage::{Oid, TableId, Value, ValueRef};
 
 /// Protocol version spoken by this build. Bumped on any frame-layout
@@ -49,99 +53,81 @@ pub const SERVER_MAGIC: [u8; 4] = *b"INSO";
 /// set here, small enough to bound a malicious length prefix.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-/// Outcome of the handshake, from the server's point of view.
+/// Outcome of the handshake, from the server's point of view. The
+/// discriminant is the byte on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandshakeStatus {
     /// Connection admitted; requests may follow.
-    Ok,
+    Ok = 0,
     /// The client's protocol version is not this server's.
-    VersionMismatch,
+    VersionMismatch = 1,
     /// Admission control rejected the connection (worker pool and accept
     /// queue both full). Retry later.
-    Busy,
+    Busy = 2,
     /// The server is draining and accepts no new connections.
-    ShuttingDown,
+    ShuttingDown = 3,
 }
 
 impl HandshakeStatus {
-    fn to_byte(self) -> u8 {
-        match self {
-            HandshakeStatus::Ok => 0,
-            HandshakeStatus::VersionMismatch => 1,
-            HandshakeStatus::Busy => 2,
-            HandshakeStatus::ShuttingDown => 3,
-        }
-    }
-
     fn from_byte(b: u8) -> Result<Self, WireError> {
-        Ok(match b {
-            0 => HandshakeStatus::Ok,
-            1 => HandshakeStatus::VersionMismatch,
-            2 => HandshakeStatus::Busy,
-            3 => HandshakeStatus::ShuttingDown,
-            other => return Err(WireError::Malformed(format!("handshake status {other}"))),
-        })
+        [
+            Self::Ok,
+            Self::VersionMismatch,
+            Self::Busy,
+            Self::ShuttingDown,
+        ]
+        .into_iter()
+        .find(|s| *s as u8 == b)
+        .ok_or_else(|| WireError::Malformed(format!("handshake status {b}")))
     }
 }
 
 /// Machine-readable error classification carried in [`Response::Error`].
+/// The discriminant is the `u16` on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The statement did not lex/parse.
-    Parse,
+    Parse = 1,
     /// The statement parsed but referenced unknown names.
-    Bind,
+    Bind = 2,
     /// The engine returned an error during execution.
-    Exec,
+    Exec = 3,
     /// The request missed its wall-clock deadline.
-    DeadlineExceeded,
+    DeadlineExceeded = 4,
     /// The request panicked; the panic was contained at the serve boundary
     /// and the connection (and every other one) keeps serving.
-    Panicked,
+    Panicked = 5,
     /// The engine lock is poisoned (a writer panicked mid-mutation);
     /// the server fails requests fast instead of aborting workers.
-    EnginePoisoned,
+    EnginePoisoned = 6,
     /// The peer violated the protocol (bad opcode, oversized frame…).
-    Protocol,
+    Protocol = 7,
     /// The server is draining; no further requests will be served.
-    ShuttingDown,
+    ShuttingDown = 8,
     /// The statement kind is not servable over the wire.
-    Unsupported,
+    Unsupported = 9,
     /// An `ExecutePrepared`/`ClosePrepared` named a handle this connection
     /// never prepared (or already closed).
-    UnknownHandle,
+    UnknownHandle = 10,
 }
 
 impl ErrorCode {
-    fn to_u16(self) -> u16 {
-        match self {
-            ErrorCode::Parse => 1,
-            ErrorCode::Bind => 2,
-            ErrorCode::Exec => 3,
-            ErrorCode::DeadlineExceeded => 4,
-            ErrorCode::Panicked => 5,
-            ErrorCode::EnginePoisoned => 6,
-            ErrorCode::Protocol => 7,
-            ErrorCode::ShuttingDown => 8,
-            ErrorCode::Unsupported => 9,
-            ErrorCode::UnknownHandle => 10,
-        }
-    }
-
     fn from_u16(v: u16) -> Result<Self, WireError> {
-        Ok(match v {
-            1 => ErrorCode::Parse,
-            2 => ErrorCode::Bind,
-            3 => ErrorCode::Exec,
-            4 => ErrorCode::DeadlineExceeded,
-            5 => ErrorCode::Panicked,
-            6 => ErrorCode::EnginePoisoned,
-            7 => ErrorCode::Protocol,
-            8 => ErrorCode::ShuttingDown,
-            9 => ErrorCode::Unsupported,
-            10 => ErrorCode::UnknownHandle,
-            other => return Err(WireError::Malformed(format!("error code {other}"))),
-        })
+        [
+            Self::Parse,
+            Self::Bind,
+            Self::Exec,
+            Self::DeadlineExceeded,
+            Self::Panicked,
+            Self::EnginePoisoned,
+            Self::Protocol,
+            Self::ShuttingDown,
+            Self::Unsupported,
+            Self::UnknownHandle,
+        ]
+        .into_iter()
+        .find(|c| *c as u16 == v)
+        .ok_or_else(|| WireError::Malformed(format!("error code {v}")))
     }
 }
 
@@ -171,6 +157,12 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Malformed(e.to_string())
     }
 }
 
@@ -338,7 +330,7 @@ pub fn write_frame(w: &mut impl Write, frame: &mut FrameBuf) -> Result<(), WireE
     if len > MAX_FRAME_BYTES {
         return Err(WireError::FrameTooLarge(len));
     }
-    frame.0[..PREFIX].copy_from_slice(&(len as u32).to_le_bytes());
+    patch_u32(&mut frame.0, 0, len as u32);
     w.write_all(&frame.0)?;
     w.flush()?;
     Ok(())
@@ -372,14 +364,13 @@ impl FrameReader {
     /// Length of the whole frame (prefix included) at the front of the
     /// buffer, once its prefix is here and within the cap.
     fn frame_len(&self) -> Result<Option<usize>, WireError> {
-        let Some(prefix) = self.buf[self.start..self.end].first_chunk::<PREFIX>() else {
-            return Ok(None);
-        };
-        let len = u32::from_le_bytes(*prefix) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(WireError::FrameTooLarge(len));
+        match Reader::new(&self.buf[self.start..self.end]).u32() {
+            Err(_) => Ok(None),
+            Ok(len) if len as usize > MAX_FRAME_BYTES => {
+                Err(WireError::FrameTooLarge(len as usize))
+            }
+            Ok(len) => Ok(Some(PREFIX + len as usize)),
         }
-        Ok(Some(PREFIX + len))
     }
 
     /// Read until one whole frame is buffered: `Ok(true)` when
@@ -436,22 +427,7 @@ impl FrameReader {
     }
 }
 
-// ---- primitive encoders ----------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Overwrite the `u32` at `at`: a count or length written as a placeholder
-/// before what it counts was known.
-fn patch_u32(out: &mut [u8], at: usize, v: u32) {
-    out[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
+// ---- encoders --------------------------------------------------------
 
 /// [`put_str`] of text that is formatted straight into `out`, its length
 /// patched in behind it.
@@ -471,92 +447,15 @@ fn put_strs(out: &mut Vec<u8>, strs: &[String]) {
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+/// A `u32` count of strings and the strings.
+fn get_strs(r: &mut Reader<'_>) -> Result<Vec<String>, WireError> {
+    // A string's length.
+    let (n, cap) = r.count(4)?;
+    let mut strs = Vec::with_capacity(cap);
+    for _ in 0..n {
+        strs.push(r.str()?.to_owned());
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| WireError::Malformed("truncated payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string".into()))
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} trailing bytes",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
-    match v {
-        ValueRef::Null => out.push(0),
-        ValueRef::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        ValueRef::Float(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        ValueRef::Text(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-        ValueRef::Bool(b) => {
-            out.push(4);
-            out.push(b as u8);
-        }
-    }
-}
-
-fn get_value(c: &mut Cursor<'_>) -> Result<Value, WireError> {
-    Ok(match c.u8()? {
-        0 => Value::Null,
-        1 => Value::Int(i64::from_le_bytes(c.take(8)?.try_into().unwrap())),
-        2 => Value::Float(f64::from_bits(c.u64()?)),
-        3 => Value::Text(c.str()?),
-        4 => Value::Bool(c.u8()? != 0),
-        other => return Err(WireError::Malformed(format!("value tag {other}"))),
-    })
+    Ok(strs)
 }
 
 // ---- handshake -------------------------------------------------------
@@ -578,16 +477,16 @@ impl ClientHello {
     /// Append the payload to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&CLIENT_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
+        put_u16(out, self.version);
     }
 
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(payload);
-        if c.take(4)? != CLIENT_MAGIC {
+        let mut r = Reader::new(payload);
+        if r.bytes(4)? != CLIENT_MAGIC {
             return Err(WireError::Malformed("bad client magic".into()));
         }
-        let version = c.u16()?;
-        c.done()?;
+        let version = r.u16()?;
+        r.done()?;
         Ok(ClientHello { version })
     }
 }
@@ -611,18 +510,18 @@ impl ServerHello {
     /// Append the payload to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&SERVER_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.push(self.status.to_byte());
+        put_u16(out, self.version);
+        out.push(self.status as u8);
     }
 
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(payload);
-        if c.take(4)? != SERVER_MAGIC {
+        let mut r = Reader::new(payload);
+        if r.bytes(4)? != SERVER_MAGIC {
             return Err(WireError::Malformed("bad server magic".into()));
         }
-        let version = c.u16()?;
-        let status = HandshakeStatus::from_byte(c.u8()?)?;
-        c.done()?;
+        let version = r.u16()?;
+        let status = HandshakeStatus::from_byte(r.u8()?)?;
+        r.done()?;
         Ok(ServerHello { version, status })
     }
 }
@@ -644,7 +543,7 @@ impl Request {
                 statement,
             } => {
                 out.push(0);
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
+                put_u32(out, *deadline_ms);
                 put_str(out, statement);
             }
             Request::Ping => out.push(1),
@@ -658,36 +557,36 @@ impl Request {
                 deadline_ms,
             } => {
                 out.push(4);
-                out.extend_from_slice(&handle.to_le_bytes());
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
+                put_u64(out, *handle);
+                put_u32(out, *deadline_ms);
             }
             Request::ClosePrepared { handle } => {
                 out.push(5);
-                out.extend_from_slice(&handle.to_le_bytes());
+                put_u64(out, *handle);
             }
         }
     }
 
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(payload);
-        let req = match c.u8()? {
+        let mut r = Reader::new(payload);
+        let req = match r.u8()? {
             0 => Request::Query {
-                deadline_ms: c.u32()?,
-                statement: c.str()?,
+                deadline_ms: r.u32()?,
+                statement: r.str()?.to_owned(),
             },
             1 => Request::Ping,
             2 => Request::Shutdown,
             3 => Request::Prepare {
-                statement: c.str()?,
+                statement: r.str()?.to_owned(),
             },
             4 => Request::ExecutePrepared {
-                handle: c.u64()?,
-                deadline_ms: c.u32()?,
+                handle: r.u64()?,
+                deadline_ms: r.u32()?,
             },
-            5 => Request::ClosePrepared { handle: c.u64()? },
+            5 => Request::ClosePrepared { handle: r.u64()? },
             other => return Err(WireError::Malformed(format!("request opcode {other}"))),
         };
-        c.done()?;
+        r.done()?;
         Ok(req)
     }
 }
@@ -771,8 +670,8 @@ impl RowsEncoder {
         match row.source() {
             Some((t, o)) => {
                 out.push(1);
-                out.extend_from_slice(&t.to_le_bytes());
-                out.extend_from_slice(&o.to_le_bytes());
+                put_u32(out, t);
+                put_u64(out, o);
             }
             None => out.push(0),
         }
@@ -829,69 +728,60 @@ impl Response {
             }
             Response::Error { code, message } => {
                 out.push(2);
-                out.extend_from_slice(&code.to_u16().to_le_bytes());
+                put_u16(out, *code as u16);
                 put_str(out, message);
             }
             Response::Prepared { handle, columns } => {
                 out.push(3);
-                out.extend_from_slice(&handle.to_le_bytes());
+                put_u64(out, *handle);
                 put_strs(out, columns);
             }
         }
     }
 
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(payload);
-        let resp = match c.u8()? {
+        let mut r = Reader::new(payload);
+        let resp = match r.u8()? {
             0 => {
-                let ncols = c.u32()? as usize;
-                let mut columns = Vec::with_capacity(ncols.min(1024));
-                for _ in 0..ncols {
-                    columns.push(c.str()?);
-                }
-                let nrows = c.u32()? as usize;
-                let mut rows = Vec::with_capacity(nrows.min(4096));
+                let columns = get_strs(&mut r)?;
+                // A source tag and two counts.
+                let (nrows, cap) = r.count(1 + 4 + 4)?;
+                let mut rows = Vec::with_capacity(cap);
                 for _ in 0..nrows {
-                    let source = match c.u8()? {
+                    let source = match r.u8()? {
                         0 => None,
-                        1 => Some((c.u32()?, c.u64()?)),
+                        1 => Some((r.u32()?, r.u64()?)),
                         other => return Err(WireError::Malformed(format!("source tag {other}"))),
                     };
-                    let nvals = c.u32()? as usize;
-                    let mut values = Vec::with_capacity(nvals.min(1024));
+                    // A value's tag.
+                    let (nvals, cap) = r.count(1)?;
+                    let mut values = Vec::with_capacity(cap);
                     for _ in 0..nvals {
-                        values.push(get_value(&mut c)?);
-                    }
-                    let nsums = c.u32()? as usize;
-                    let mut summaries = Vec::with_capacity(nsums.min(1024));
-                    for _ in 0..nsums {
-                        summaries.push(c.str()?);
+                        values.push(
+                            read_owned_value(&mut r)
+                                .map_err(|e| WireError::Malformed(e.to_string()))?,
+                        );
                     }
                     rows.push(WireRow {
                         source,
                         values,
-                        summaries,
+                        summaries: get_strs(&mut r)?,
                     });
                 }
                 Response::Rows { columns, rows }
             }
-            1 => Response::Text(c.str()?),
+            1 => Response::Text(r.str()?.to_owned()),
             2 => Response::Error {
-                code: ErrorCode::from_u16(c.u16()?)?,
-                message: c.str()?,
+                code: ErrorCode::from_u16(r.u16()?)?,
+                message: r.str()?.to_owned(),
             },
-            3 => {
-                let handle = c.u64()?;
-                let ncols = c.u32()? as usize;
-                let mut columns = Vec::with_capacity(ncols.min(1024));
-                for _ in 0..ncols {
-                    columns.push(c.str()?);
-                }
-                Response::Prepared { handle, columns }
-            }
+            3 => Response::Prepared {
+                handle: r.u64()?,
+                columns: get_strs(&mut r)?,
+            },
             other => return Err(WireError::Malformed(format!("response tag {other}"))),
         };
-        c.done()?;
+        r.done()?;
         Ok(resp)
     }
 }
@@ -1204,5 +1094,105 @@ mod tests {
         .encode();
         enc.push(0);
         assert!(Response::decode(&enc).is_err());
+    }
+
+    /// A request of every kind, `i` picking among a few of each.
+    fn sample_request(i: usize) -> Request {
+        let statement = ["SELECT * FROM Birds r;", "", "héron"][i % 3].to_string();
+        match i % 6 {
+            0 => Request::Query {
+                deadline_ms: i as u32,
+                statement,
+            },
+            1 => Request::Ping,
+            2 => Request::Shutdown,
+            3 => Request::Prepare { statement },
+            4 => Request::ExecutePrepared {
+                handle: i as u64,
+                deadline_ms: 7,
+            },
+            _ => Request::ClosePrepared { handle: u64::MAX },
+        }
+    }
+
+    /// A response of every kind — rows carrying every value type among
+    /// them — `i` picking among a few of each.
+    fn sample_response(i: usize) -> Response {
+        let columns: Vec<String> = ["id", "name", "é"][..i % 4]
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        match i % 4 {
+            0 => Response::Rows {
+                columns,
+                rows: vec![
+                    WireRow {
+                        source: Some((3, i as u64)),
+                        values: vec![
+                            Value::Int(-(i as i64)),
+                            Value::Text("héllo".into()),
+                            Value::Float(-0.0),
+                            Value::Bool(i.is_multiple_of(2)),
+                            Value::Null,
+                        ],
+                        summaries: vec!["ClassBird1:4".into()],
+                    },
+                    WireRow {
+                        source: None,
+                        values: vec![Value::Text(String::new())],
+                        summaries: vec![],
+                    },
+                ],
+            },
+            1 => Response::Text("pong".into()),
+            2 => Response::Error {
+                code: ErrorCode::from_u16(1 + (i % 10) as u16).unwrap(),
+                message: "no such table".into(),
+            },
+            _ => Response::Prepared {
+                handle: i as u64,
+                columns,
+            },
+        }
+    }
+
+    /// The bytes a decoder is handed in the property below: arbitrary
+    /// ones (`mode` 0), a cut of `valid` (1), or `valid` with one bit
+    /// flipped (2).
+    fn hostile(valid: Vec<u8>, mode: u8, at: usize, noise: Vec<u8>) -> Vec<u8> {
+        match mode {
+            0 => noise,
+            1 => valid[..at % (valid.len() + 1)].to_vec(),
+            _ => {
+                let mut bytes = valid;
+                let bit = at % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                bytes
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Whatever a peer sends, a decode is an error or a message that
+        /// encodes back to exactly what was sent: never a panic, never an
+        /// allocation past what the payload could hold.
+        #[test]
+        fn decode_is_err_or_gives_its_input_back(
+            i in 0usize..48,
+            mode in 0u8..3,
+            at in any::<usize>(),
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let bytes = hostile(sample_request(i).encode(), mode, at, noise.clone());
+            if let Ok(decoded) = Request::decode(&bytes) {
+                prop_assert_eq!(decoded.encode(), bytes);
+            }
+            let bytes = hostile(sample_response(i).encode(), mode, at, noise);
+            if let Ok(decoded) = Response::decode(&bytes) {
+                prop_assert_eq!(decoded.encode(), bytes);
+            }
+        }
     }
 }

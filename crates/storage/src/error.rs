@@ -50,3 +50,9 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
+
+impl From<crate::codec::CodecError> for StorageError {
+    fn from(e: crate::codec::CodecError) -> Self {
+        StorageError::Corrupt(e.to_string())
+    }
+}

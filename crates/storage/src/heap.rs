@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::buffer::BufferPool;
+use crate::codec::{put_u16, put_u32, put_u64, Reader};
 use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::page::{Page, PageId, RecordId, SharedSlot};
@@ -30,6 +31,11 @@ use crate::Result;
 const TAG_SIMPLE: u8 = 0;
 const TAG_CHUNK: u8 = 1;
 const TAG_DIRECTORY: u8 = 2;
+
+/// `data` behind its framing tag.
+fn framed(tag: u8, data: &[u8]) -> Vec<u8> {
+    [&[tag], data].concat()
+}
 
 /// A record encoding whose check a heap's reads run once per record version
 /// and then vouch for: the page slot keeps the check's verdict beside the
@@ -216,25 +222,19 @@ impl HeapFile {
     pub fn insert(&mut self, data: &[u8]) -> Result<RecordId> {
         let cap = Self::chunk_capacity();
         let rid = if data.len() <= cap {
-            let mut framed = Vec::with_capacity(data.len() + 1);
-            framed.push(TAG_SIMPLE);
-            framed.extend_from_slice(data);
-            self.insert_framed(&framed)?
+            self.insert_framed(&framed(TAG_SIMPLE, data))?
         } else {
             let mut chunk_rids: Vec<RecordId> = Vec::new();
             for chunk in data.chunks(cap) {
-                let mut framed = Vec::with_capacity(chunk.len() + 1);
-                framed.push(TAG_CHUNK);
-                framed.extend_from_slice(chunk);
-                chunk_rids.push(self.insert_framed(&framed)?);
+                chunk_rids.push(self.insert_framed(&framed(TAG_CHUNK, chunk))?);
             }
             let mut dir = Vec::with_capacity(1 + 8 + chunk_rids.len() * 6);
             dir.push(TAG_DIRECTORY);
-            dir.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            dir.extend_from_slice(&(chunk_rids.len() as u32).to_le_bytes());
+            put_u64(&mut dir, data.len() as u64);
+            put_u32(&mut dir, chunk_rids.len() as u32);
             for c in &chunk_rids {
-                dir.extend_from_slice(&c.page.0.to_le_bytes());
-                dir.extend_from_slice(&c.slot.to_le_bytes());
+                put_u32(&mut dir, c.page.0);
+                put_u16(&mut dir, c.slot);
             }
             if dir.len() > cap {
                 return Err(StorageError::RecordTooLarge {
@@ -258,40 +258,15 @@ impl HeapFile {
         })
     }
 
+    /// The total length and the chunks of a directory record (`framed`
+    /// includes its tag byte).
     fn directory_chunks(framed: &[u8]) -> Result<(u64, Vec<RecordId>)> {
-        let total = u64::from_le_bytes(
-            framed
-                .get(1..9)
-                .ok_or_else(|| StorageError::Corrupt("directory header".into()))?
-                .try_into()
-                .expect("slice is 8 bytes"),
-        );
-        let n = u32::from_le_bytes(
-            framed
-                .get(9..13)
-                .ok_or_else(|| StorageError::Corrupt("directory count".into()))?
-                .try_into()
-                .expect("slice is 4 bytes"),
-        ) as usize;
-        let mut rids = Vec::with_capacity(n);
-        let mut pos = 13;
+        let mut r = Reader::new(framed.get(1..).unwrap_or_default());
+        let total = r.u64()?;
+        let (n, cap) = r.count(6)?;
+        let mut rids = Vec::with_capacity(cap);
         for _ in 0..n {
-            let page = u32::from_le_bytes(
-                framed
-                    .get(pos..pos + 4)
-                    .ok_or_else(|| StorageError::Corrupt("directory entry".into()))?
-                    .try_into()
-                    .expect("slice is 4 bytes"),
-            );
-            let slot = u16::from_le_bytes(
-                framed
-                    .get(pos + 4..pos + 6)
-                    .ok_or_else(|| StorageError::Corrupt("directory entry".into()))?
-                    .try_into()
-                    .expect("slice is 2 bytes"),
-            );
-            rids.push(RecordId::new(page, slot));
-            pos += 6;
+            rids.push(RecordId::new(r.u32()?, r.u16()?));
         }
         Ok((total, rids))
     }
@@ -421,10 +396,10 @@ impl HeapFile {
         let simple = self.read_framed(rid)?.first() == Some(&TAG_SIMPLE);
         // In-place only for simple → simple updates that still fit.
         if simple && data.len() <= Self::chunk_capacity() {
-            let mut new_framed = Vec::with_capacity(data.len() + 1);
-            new_framed.push(TAG_SIMPLE);
-            new_framed.extend_from_slice(data);
-            let fitted = self.pager.write(rid.page)?.update(rid.slot, &new_framed)?;
+            let fitted = self
+                .pager
+                .write(rid.page)?
+                .update(rid.slot, &framed(TAG_SIMPLE, data))?;
             if fitted {
                 return Ok(rid);
             }

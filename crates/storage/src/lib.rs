@@ -8,6 +8,8 @@
 //! data tuple it annotates. This crate therefore provides a faithful,
 //! self-contained stand-in for the PostgreSQL storage layer:
 //!
+//! * [`codec`] — the byte codec every binary format is written in: one
+//!   bounds-checked [`codec::Reader`] and its writers,
 //! * [`page`] — slotted 8 KiB pages holding variable-length records,
 //! * [`pager`] — a page arena with an [`io::IoStats`] accounting layer that
 //!   counts every logical page read and write,
@@ -35,6 +37,7 @@
 pub mod btree;
 pub mod buffer;
 pub mod catalog;
+pub mod codec;
 pub mod error;
 pub mod heap;
 pub mod io;

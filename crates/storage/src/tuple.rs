@@ -7,8 +7,9 @@
 //! [`TupleView`] is *the* parser of that encoding: a borrowed reader that
 //! checks a record once (count, tags, lengths, UTF-8) and then answers
 //! "value `i`" from the bytes as a [`ValueRef`], allocating nothing. The
-//! tags are known to `read_value` and to nothing else: checking a record is
-//! stepping over it with that function, [`decode_tuple`] is the same steps
+//! tags are known to [`put_value`] and `read_value` and to nothing else —
+//! the wire's rows carry values through the same two: checking a record is
+//! stepping over it with `read_value`, [`decode_tuple`] is the same steps
 //! copying every value out as they go (one pass over bytes nobody has
 //! checked), and a checked view copies out without checking its texts
 //! again. [`EncodedTuple`] keeps a checked record as bytes for callers that
@@ -20,6 +21,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::codec::{self, put_f64, put_i64, put_str, put_u32, CodecError, Reader};
 use crate::error::StorageError;
 use crate::heap::{RecordFormat, SharedRecord};
 use crate::Result;
@@ -293,53 +295,68 @@ impl Schema {
 /// Encode a tuple to bytes for heap storage.
 pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 * tuple.len());
-    out.extend_from_slice(&(tuple.len() as u32).to_le_bytes());
+    put_u32(&mut out, tuple.len() as u32);
     for v in tuple {
-        match v {
-            Value::Null => out.push(0),
-            Value::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                out.push(2);
-                out.extend_from_slice(&f.to_le_bytes());
-            }
-            Value::Text(s) => {
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Bool(b) => {
-                out.push(4);
-                out.push(*b as u8);
-            }
-        }
+        put_value(&mut out, v.as_ref());
     }
     out
+}
+
+/// Append one tagged value: the writer of the tags `read_value` reads.
+#[inline]
+pub fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
+    match v {
+        ValueRef::Null => out.push(0),
+        ValueRef::Int(i) => {
+            out.push(1);
+            put_i64(out, i);
+        }
+        ValueRef::Float(f) => {
+            out.push(2);
+            put_f64(out, f);
+        }
+        ValueRef::Text(s) => {
+            out.push(3);
+            put_str(out, s);
+        }
+        ValueRef::Bool(b) => {
+            out.push(4);
+            out.push(b as u8);
+        }
+    }
+}
+
+/// Read one [`put_value`] value off `r`, copied out.
+pub fn read_owned_value(r: &mut Reader<'_>) -> Result<Value> {
+    Ok(match read_value(r)? {
+        RawValue::Plain(v) => v.to_owned(),
+        RawValue::Text(t) => Value::Text(codec::string(t)?),
+    })
 }
 
 /// Decode a tuple previously produced by [`encode_tuple`]: one walk of the
 /// record's reader that checks and copies out as it goes.
 pub fn decode_tuple(bytes: &[u8]) -> Result<Tuple> {
-    let (arity, values) = split_count(bytes).ok_or_else(truncated)?;
-    decode_values(values, arity, |t| {
-        String::from_utf8(t.to_vec()).map_err(|e| StorageError::Corrupt(e.to_string()))
-    })
-}
-
-/// Copy out the `arity` values at the front of `rest`, making each text's
-/// bytes a `String` with `text`.
-fn decode_values(
-    mut rest: &[u8],
-    arity: usize,
-    text: impl Fn(&[u8]) -> Result<String>,
-) -> Result<Tuple> {
+    let mut values = Reader::new(bytes);
     // A corrupt count must not size the allocation: every value takes at
     // least its tag byte.
-    let mut tuple = Vec::with_capacity(arity.min(rest.len()));
+    let (arity, cap) = values.count(1)?;
+    let tuple = decode_values(&mut values, arity, cap, |t| Ok(codec::string(t)?))?;
+    values.done()?;
+    Ok(tuple)
+}
+
+/// Copy out the `arity` values `r` is at into a `Vec` of `cap`, making each
+/// text's bytes a `String` with `text`.
+fn decode_values(
+    r: &mut Reader<'_>,
+    arity: usize,
+    cap: usize,
+    text: impl Fn(&[u8]) -> Result<String>,
+) -> Result<Tuple> {
+    let mut tuple = Vec::with_capacity(cap);
     for _ in 0..arity {
-        tuple.push(match read_value(&mut rest)? {
+        tuple.push(match read_value(r)? {
             RawValue::Plain(v) => v.to_owned(),
             RawValue::Text(t) => Value::Text(text(t)?),
         });
@@ -355,25 +372,26 @@ fn decode_values(
 /// over the values before it.
 #[derive(Debug, Clone, Copy)]
 pub struct TupleView<'a> {
-    /// The values, after the count prefix.
-    values: &'a [u8],
+    /// At the values, after the count prefix.
+    values: Reader<'a>,
     arity: usize,
 }
 
 impl<'a> TupleView<'a> {
-    /// Check `bytes` as an encoded tuple. A corrupt count sizes nothing: the
-    /// walk fails at the first value the record does not hold.
+    /// Check `bytes` as an encoded tuple, every byte of it. A corrupt count
+    /// sizes nothing: the walk fails at the first value the record does
+    /// not hold.
     pub fn parse(bytes: &'a [u8]) -> Result<Self> {
-        let (arity, values) = split_count(bytes).ok_or_else(truncated)?;
-        let mut rest = values;
+        let mut rest = Reader::new(bytes);
+        let arity = rest.u32()? as usize;
+        let values = rest;
         for _ in 0..arity {
-            if let RawValue::Text(t) = read_value(&mut rest)? {
-                // ASCII needs no decoding to be known valid.
-                if !t.is_ascii() {
-                    std::str::from_utf8(t).map_err(|e| StorageError::Corrupt(e.to_string()))?;
-                }
+            match read_value(&mut rest)? {
+                RawValue::Text(t) if !codec::is_utf8(t) => return Err(CodecError::NotUtf8.into()),
+                _ => {}
             }
         }
+        rest.done()?;
         Ok(Self { values, arity })
     }
 
@@ -423,7 +441,8 @@ impl<'a> TupleView<'a> {
             Ok(unsafe { String::from_utf8_unchecked(t.to_vec()) })
         };
         // `parse` accepted these bytes, so the decode cannot fail.
-        decode_values(self.values, self.arity, trust_text).unwrap_or_default()
+        let mut values = self.values;
+        decode_values(&mut values, self.arity, self.arity, trust_text).unwrap_or_default()
     }
 }
 
@@ -463,7 +482,8 @@ impl EncodedTuple {
     /// The reader over the record.
     #[inline]
     pub fn view(&self) -> TupleView<'_> {
-        let (arity, values) = split_count(self.0.payload()).unwrap_or_default();
+        let mut values = Reader::new(self.0.payload());
+        let arity = values.u32().unwrap_or_default() as usize;
         TupleView { values, arity }
     }
 
@@ -472,9 +492,6 @@ impl EncodedTuple {
         self.0.payload()
     }
 }
-
-/// Bytes of the value-count prefix of an encoded tuple.
-const COUNT_LEN: usize = 4;
 
 /// One value as [`read_value`] finds it: a text's bytes are delimited but
 /// not yet known to be UTF-8.
@@ -489,54 +506,27 @@ impl<'a> RawValue<'a> {
     fn checked(self) -> ValueRef<'a> {
         match self {
             RawValue::Plain(v) => v,
-            RawValue::Text(t) => ValueRef::Text(std::str::from_utf8(t).unwrap_or_default()),
+            RawValue::Text(t) => ValueRef::Text(codec::utf8(t).unwrap_or_default()),
         }
     }
 }
 
-fn truncated() -> StorageError {
-    StorageError::Corrupt("truncated value".into())
-}
-
-/// The count prefix and what follows it.
-fn split_count(bytes: &[u8]) -> Option<(usize, &[u8])> {
-    let (count, rest) = bytes.split_first_chunk::<COUNT_LEN>()?;
-    Some((u32::from_le_bytes(*count) as usize, rest))
-}
-
-/// Read the tagged value at the front of `rest`, advancing past it — the
-/// only place that knows the tags.
+/// Read the tagged value `r` is at, advancing past it — the only place
+/// that reads the tags. A bool is its byte, 0 or 1, so that every value has
+/// one encoding.
 #[inline]
-fn read_value<'a>(rest: &mut &'a [u8]) -> Result<RawValue<'a>> {
-    let (&tag, tail) = rest.split_first().ok_or_else(truncated)?;
-    let (value, tail) = match tag {
-        0 => (RawValue::Plain(ValueRef::Null), tail),
-        1 => {
-            let (v, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
-            (RawValue::Plain(ValueRef::Int(i64::from_le_bytes(*v))), tail)
-        }
-        2 => {
-            let (v, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
-            (
-                RawValue::Plain(ValueRef::Float(f64::from_le_bytes(*v))),
-                tail,
-            )
-        }
-        3 => {
-            let (len, tail) = tail.split_first_chunk().ok_or_else(truncated)?;
-            let (text, tail) = tail
-                .split_at_checked(u32::from_le_bytes(*len) as usize)
-                .ok_or_else(truncated)?;
-            (RawValue::Text(text), tail)
-        }
-        4 => {
-            let (&b, tail) = tail.split_first().ok_or_else(truncated)?;
-            (RawValue::Plain(ValueRef::Bool(b != 0)), tail)
-        }
+fn read_value<'a>(r: &mut Reader<'a>) -> Result<RawValue<'a>> {
+    Ok(match r.u8()? {
+        0 => RawValue::Plain(ValueRef::Null),
+        1 => RawValue::Plain(ValueRef::Int(r.i64()?)),
+        2 => RawValue::Plain(ValueRef::Float(r.f64()?)),
+        3 => RawValue::Text(r.len_prefixed()?),
+        4 => match r.u8()? {
+            b @ (0 | 1) => RawValue::Plain(ValueRef::Bool(b == 1)),
+            b => return Err(StorageError::Corrupt(format!("bool byte {b}"))),
+        },
         t => return Err(StorageError::Corrupt(format!("unknown tag {t}"))),
-    };
-    *rest = tail;
-    Ok(value)
+    })
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::codec::{put_u32, Reader};
 use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::Result;
@@ -140,42 +141,29 @@ impl Crc32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct Lsn(pub u64);
 
-/// Kinds of log records.
+/// Kinds of log records. The discriminant is the record's tag byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecordKind {
     /// A logical redo operation (payload encoded by the engine layer).
-    Op,
+    Op = 1,
     /// Commit marker: every op record before it (since the previous commit
     /// or abort) is atomic with it. Ops without a following durable commit
     /// are discarded at recovery.
-    Commit,
+    Commit = 2,
     /// Log head: binds this log generation to a checkpoint snapshot
     /// (payload: snapshot length + the snapshot's body CRC-32, i.e. its
     /// trailer).
-    Checkpoint,
+    Checkpoint = 3,
     /// Abort marker: the ops since the previous commit/abort failed to
     /// apply and must not be grouped into a later commit during replay.
-    Abort,
+    Abort = 4,
 }
 
 impl WalRecordKind {
-    fn tag(self) -> u8 {
-        match self {
-            WalRecordKind::Op => 1,
-            WalRecordKind::Commit => 2,
-            WalRecordKind::Checkpoint => 3,
-            WalRecordKind::Abort => 4,
-        }
-    }
-
     fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            1 => WalRecordKind::Op,
-            2 => WalRecordKind::Commit,
-            3 => WalRecordKind::Checkpoint,
-            4 => WalRecordKind::Abort,
-            _ => return None,
-        })
+        [Self::Op, Self::Commit, Self::Checkpoint, Self::Abort]
+            .into_iter()
+            .find(|k| *k as u8 == tag)
     }
 }
 
@@ -352,12 +340,11 @@ impl Wal {
             .get()
             .filter(|o| o.append_ns.is_enabled())
             .map(|_| std::time::Instant::now());
-        let tag = [kind.tag()];
+        let tag = [kind as u8];
         let crc = Crc32::new().update(&tag).update(payload).finish();
         let mut st = self.state.lock().expect("wal poisoned");
-        st.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        st.pending.extend_from_slice(&crc.to_le_bytes());
+        put_u32(&mut st.pending, payload.len() as u32);
+        put_u32(&mut st.pending, crc);
         st.pending.extend_from_slice(&tag);
         st.pending.extend_from_slice(payload);
         let end = st.flushed + st.pending.len() as u64;
@@ -480,28 +467,30 @@ impl Wal {
     /// first short or corrupt frame — a torn tail, by construction,
     /// invalidates only records past the last clean force.
     pub fn scan(bytes: &[u8]) -> WalScan {
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while bytes.len() - pos >= WAL_RECORD_HEADER {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            let body_end = pos + 8 + 1 + len;
-            let Some(body) = bytes.get(pos + 8..body_end) else {
-                break; // torn: record extends past the durable bytes
-            };
+        /// The record `r` is at, once whole and checksum-valid.
+        fn record<'a>(r: &mut Reader<'a>) -> Option<(WalRecordKind, &'a [u8])> {
+            let len = r.u32().ok()? as usize;
+            let crc = r.u32().ok()?;
+            // Torn: the record extends past the durable bytes.
+            let body = r.bytes(1 + len).ok()?;
+            // Bit rot, or a torn frame that still parsed.
             if crc32(body) != crc {
-                break; // bit rot or a torn frame that still parsed
+                return None;
             }
-            let Some(kind) = WalRecordKind::from_tag(body[0]) else {
-                break;
-            };
-            records.push((kind, body[1..].to_vec()));
-            pos = body_end;
+            let (&tag, payload) = body.split_first()?;
+            Some((WalRecordKind::from_tag(tag)?, payload))
+        }
+        let mut records = Vec::new();
+        let mut clean = Reader::new(bytes);
+        let mut next = clean;
+        while let Some((kind, payload)) = record(&mut next) {
+            records.push((kind, payload.to_vec()));
+            clean = next;
         }
         WalScan {
             records,
-            valid_bytes: pos,
-            trailing_bytes: bytes.len() - pos,
+            valid_bytes: bytes.len() - clean.rest().len(),
+            trailing_bytes: clean.rest().len(),
         }
     }
 }
