@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use instn_annot::{Attachment, Category};
 use instn_bench::workloads::{build_db, BenchConfig};
-use instn_index::{BaselineIndex, PointerMode, SummaryBTree};
+use instn_index::{BaselineIndex, MaintainableIndex, PointerMode, SummaryBTree};
 
 fn bench_bulk_creation(c: &mut Criterion) {
     let cfg = BenchConfig {
@@ -56,18 +56,15 @@ fn bench_incremental_insert(c: &mut Criterion) {
             },
             |(mut b, mut sb)| {
                 let oid = b.bird_oids[0];
-                let (_, deltas) =
-                    b.db.add_annotation(
-                        b.birds,
-                        "disease outbreak infection spotted",
-                        Category::Disease,
-                        "bench",
-                        vec![Attachment::row(oid)],
-                    )
-                    .expect("fits a page");
-                for d in &deltas {
-                    sb.apply_delta(&b.db, d).expect("maintains");
-                }
+                b.db.add_annotation(
+                    b.birds,
+                    "disease outbreak infection spotted",
+                    Category::Disease,
+                    "bench",
+                    vec![Attachment::row(oid)],
+                )
+                .expect("fits a page");
+                sb.catch_up(&b.db).expect("maintains");
                 black_box(sb.len())
             },
             BatchSize::LargeInput,
@@ -83,18 +80,15 @@ fn bench_incremental_insert(c: &mut Criterion) {
             },
             |(mut b, mut bl)| {
                 let oid = b.bird_oids[0];
-                let (_, deltas) =
-                    b.db.add_annotation(
-                        b.birds,
-                        "disease outbreak infection spotted",
-                        Category::Disease,
-                        "bench",
-                        vec![Attachment::row(oid)],
-                    )
-                    .expect("fits a page");
-                for d in &deltas {
-                    bl.apply_delta(&b.db, d).expect("maintains");
-                }
+                b.db.add_annotation(
+                    b.birds,
+                    "disease outbreak infection spotted",
+                    Category::Disease,
+                    "bench",
+                    vec![Attachment::row(oid)],
+                )
+                .expect("fits a page");
+                bl.catch_up(&b.db).expect("maintains");
                 black_box(bl.row_count())
             },
             BatchSize::LargeInput,

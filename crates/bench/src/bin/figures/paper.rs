@@ -9,7 +9,7 @@ use instn_bench::workloads::{
     textsummary1_kind, BenchConfig,
 };
 use instn_core::zoom::{zoom_in, ZoomTarget};
-use instn_index::{BaselineIndex, PointerMode, SummaryBTree};
+use instn_index::{BaselineIndex, MaintainableIndex, PointerMode, SummaryBTree};
 use instn_opt::{Optimizer, PlannerConfig, Statistics};
 use instn_query::dataindex::ColumnIndex;
 use instn_query::exec::{ExecContext, PhysicalPlan};
@@ -265,21 +265,23 @@ pub(crate) fn fig9(args: &Args) {
             };
             let body = text::generate(&mut rng, cat, 150);
             let t0 = Instant::now();
-            let (_, deltas) =
-                b.db.add_annotation(b.birds, &body, cat, "inc", vec![Attachment::row(oid)])
-                    .unwrap();
+            b.db.add_annotation(b.birds, &body, cat, "inc", vec![Attachment::row(oid)])
+                .unwrap();
             t_add += t0.elapsed();
             let t0 = Instant::now();
-            for d in &deltas {
-                sb.apply_delta(&b.db, d).unwrap();
-            }
+            sb.catch_up(&b.db).unwrap();
             t_sb += t0.elapsed();
             let t0 = Instant::now();
-            for d in &deltas {
-                bl.apply_delta(&b.db, d).unwrap();
-            }
+            bl.catch_up(&b.db).unwrap();
             t_bl += t0.elapsed();
         }
+        let (fresh_sb, fresh_bl) = build_indexes(&b);
+        assert_eq!(
+            sb.dump_entries(),
+            fresh_sb.dump_entries(),
+            "sb = fresh build"
+        );
+        assert_eq!(bl.dump_rows(), fresh_bl.dump_rows(), "bl = fresh build");
         let per = |d: Duration| d / INSERTS as u32;
         println!(
             "{:>13} {:>12} {:>14} {:>9.1}% {:>14} {:>9.1}%",

@@ -5,7 +5,7 @@
 
 use instn_annot::{Attachment, Category};
 use instn_bench::workloads::{count_at_selectivity, fmt_dur, range_at_selectivity};
-use instn_index::{PointerMode, SummaryBTree};
+use instn_index::{CatchUp, MaintainableIndex, PointerMode, SummaryBTree};
 use instn_opt::{Optimizer, PlannerConfig, Statistics};
 use instn_query::dataindex::ColumnIndex;
 use instn_query::exec::{ExecContext, PhysicalPlan};
@@ -36,20 +36,20 @@ pub(crate) fn bounds(args: &Args) {
         let search_reads = b.db.stats().snapshot().index_reads;
         // Update cost (delete + insert of one key).
         let oid = b.bird_oids[0];
-        let (_, deltas) =
-            b.db.add_annotation(
-                b.birds,
-                "disease outbreak infection",
-                Category::Disease,
-                "u",
-                vec![Attachment::row(oid)],
-            )
-            .unwrap();
+        b.db.add_annotation(
+            b.birds,
+            "disease outbreak infection",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oid)],
+        )
+        .unwrap();
         b.db.stats().reset();
-        for d in &deltas {
-            sb.apply_delta(&b.db, d).unwrap();
-        }
+        assert!(matches!(sb.catch_up(&b.db).unwrap(), CatchUp::Replayed(_)));
         let insert_writes = b.db.stats().snapshot().index_writes;
+        let fresh =
+            SummaryBTree::bulk_build(&b.db, b.birds, "ClassBird1", PointerMode::Backward).unwrap();
+        assert_eq!(sb.dump_entries(), fresh.dump_entries(), "sb = fresh build");
         println!(
             "{:>8} {:>8} {:>10} {:>16} {:>16} {:>16}",
             cfg.n_tuples(),

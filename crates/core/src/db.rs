@@ -256,9 +256,9 @@ impl Database {
     }
 
     /// Update a data tuple's values in place. Returns `true` when the tuple
-    /// physically relocated (grew past its page) — callers maintaining
-    /// backward-pointer indexes must refresh that tuple's pointers then
-    /// (see `SummaryBTree::refresh_tuple` in `instn-index`).
+    /// physically relocated (grew past its page). The journal records the
+    /// relocation, and a backward-pointer index re-points that tuple when it
+    /// catches up (`MaintainableIndex::catch_up` in `instn-index`).
     pub fn update_tuple(&mut self, table: TableId, oid: Oid, tuple: Tuple) -> Result<bool> {
         self.wal_log(|| WalOp::UpdateTuple {
             table,

@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use instn_core::db::Database;
 use instn_core::journal::JournalEntry;
-use instn_core::maintain::SummaryDelta;
 use instn_core::summary::{ClassifierRep, InstanceId, ObjId, Rep, SummaryObject};
 use instn_core::Result;
 use instn_storage::btree::BTree;
@@ -76,7 +75,7 @@ pub struct BaselineIndex {
     /// find a tuple's rows for maintenance and for object re-assembly).
     oid_index: BTree<RecordId>,
     /// Database revision this scheme was built at (or last caught up to via
-    /// [`BaselineIndex::apply_delta`]); executors use it for staleness checks.
+    /// [`MaintainableIndex::catch_up`]).
     built_revision: u64,
 }
 
@@ -106,14 +105,15 @@ impl BaselineIndex {
                     continue;
                 };
                 for (label, &count) in c.labels.iter().zip(c.counts.iter()) {
-                    idx.insert_row(oid, label, count);
+                    idx.insert_row(oid, label, count)?;
                 }
             }
         }
         Ok(idx)
     }
 
-    /// An empty scheme for incremental maintenance.
+    /// An empty scheme stamped at the current revision, to be maintained
+    /// incrementally via [`MaintainableIndex::catch_up`].
     pub fn empty(db: &Database, table: TableId, instance_name: &str) -> Result<BaselineIndex> {
         let instance = db.instance_by_name(table, instance_name)?;
         let pool = db.buffer_pool();
@@ -139,11 +139,6 @@ impl BaselineIndex {
         self.table
     }
 
-    /// Database revision this scheme last matched (build or delta time).
-    pub fn built_revision(&self) -> u64 {
-        self.built_revision
-    }
-
     /// Normalized rows stored.
     pub fn row_count(&self) -> usize {
         self.norm.len()
@@ -160,22 +155,20 @@ impl BaselineIndex {
         self.derived_index.used_bytes() + self.oid_index.used_bytes()
     }
 
-    fn insert_row(&mut self, oid: Oid, label: &str, count: u64) {
+    fn insert_row(&mut self, oid: Oid, label: &str, count: u64) -> Result<()> {
         self.width = self.width.grown_for(count);
-        let rid = self
-            .norm
-            .insert(
-                &NormRow {
-                    oid,
-                    label: label.to_string(),
-                    count,
-                }
-                .encode(),
-            )
-            .expect("normalized rows are small");
+        let rid = self.norm.insert(
+            &NormRow {
+                oid,
+                label: label.to_string(),
+                count,
+            }
+            .encode(),
+        )?;
         self.derived_index
             .insert(&itemize_key(label, count, self.width), rid);
         self.oid_index.insert(&oid.to_key(), rid);
+        Ok(())
     }
 
     fn delete_row(&mut self, oid: Oid, label: &str, count: u64) {
@@ -197,76 +190,6 @@ impl BaselineIndex {
                 return;
             }
         }
-    }
-
-    /// Maintain from a summary delta (de-normalization step included, which
-    /// is why Fig. 9 shows 20–37% insert overhead vs 10–15% for the
-    /// Summary-BTree).
-    pub fn apply_delta(&mut self, db: &Database, delta: &SummaryDelta) -> Result<()> {
-        if delta.table != self.table {
-            // A mutation elsewhere cannot invalidate this scheme; seeing its
-            // delta means we are caught up with that revision too.
-            self.built_revision = db.revision();
-            return Ok(());
-        }
-        for change in &delta.changes {
-            if change.instance != self.instance {
-                continue;
-            }
-            if let Some(new) = change.new {
-                if !self.width.fits(new) {
-                    self.grow_width(self.width.grown_for(new));
-                }
-            }
-            if let Some(old) = change.old {
-                if !(delta.created_row && change.new.is_some()) {
-                    self.delete_row(delta.oid, &change.label, old);
-                }
-            }
-            if let Some(new) = change.new {
-                self.insert_row(delta.oid, &change.label, new);
-            }
-        }
-        self.built_revision = db.revision();
-        Ok(())
-    }
-
-    /// Declare the scheme consistent with `revision` without touching rows
-    /// (sound only when no journal entry in the gap touches this table).
-    pub fn mark_synced(&mut self, revision: u64) {
-        self.built_revision = revision;
-    }
-
-    /// Full rebuild from the database's current state, in place.
-    pub fn rebuild_in_place(&mut self, db: &Database) -> Result<()> {
-        *self = BaselineIndex::bulk_build(db, self.table, &self.instance_name)?;
-        Ok(())
-    }
-
-    /// Fold one journal entry in (revision order). The baseline's delta
-    /// maintenance is purely local (normalized rows carry everything, width
-    /// growth re-keys from the replica without reading the database), so
-    /// replay never jumps ahead of the entry — only structural changes
-    /// force a rebuild.
-    pub fn apply_journal_entry(
-        &mut self,
-        db: &Database,
-        entry: &JournalEntry,
-    ) -> Result<EntryOutcome> {
-        if entry.structural && entry.touches(self.table) {
-            self.rebuild_in_place(db)?;
-            return Ok(EntryOutcome::rebuilt());
-        }
-        let mut applied = 0u64;
-        for delta in &entry.summary {
-            if delta.table != self.table {
-                continue;
-            }
-            self.apply_delta(db, delta)?;
-            applied += 1;
-        }
-        self.built_revision = entry.revision;
-        Ok(EntryOutcome::applied(applied))
     }
 
     /// Every normalized `(label, count, oid)` triple, sorted — the oracle
@@ -362,19 +285,51 @@ impl MaintainableIndex for BaselineIndex {
     }
 
     fn built_revision(&self) -> u64 {
-        BaselineIndex::built_revision(self)
+        self.built_revision
     }
 
     fn mark_synced(&mut self, revision: u64) {
-        BaselineIndex::mark_synced(self, revision);
+        self.built_revision = revision;
     }
 
+    /// The baseline's delta maintenance is purely local (normalized rows
+    /// carry everything, width growth re-keys from the replica without
+    /// reading the database), so replay never jumps ahead of the entry —
+    /// only structural changes force a rebuild. Each delta is
+    /// de-normalized into row deletes and inserts: the paper's Fig. 9 puts
+    /// that at 20–37% of insert time vs 10–15% for the Summary-BTree.
     fn apply_entry(&mut self, db: &Database, entry: &JournalEntry) -> Result<EntryOutcome> {
-        self.apply_journal_entry(db, entry)
+        if entry.structural && entry.touches(self.table) {
+            self.bulk_rebuild(db)?;
+            return Ok(EntryOutcome::rebuilt());
+        }
+        let (table, instance) = (self.table, self.instance);
+        let mut applied = 0u64;
+        for delta in entry.summary.iter().filter(|d| d.table == table) {
+            for change in delta.changes.iter().filter(|c| c.instance == instance) {
+                if let Some(new) = change.new {
+                    if !self.width.fits(new) {
+                        self.grow_width(self.width.grown_for(new));
+                    }
+                }
+                if let Some(old) = change.old {
+                    if !(delta.created_row && change.new.is_some()) {
+                        self.delete_row(delta.oid, &change.label, old);
+                    }
+                }
+                if let Some(new) = change.new {
+                    self.insert_row(delta.oid, &change.label, new)?;
+                }
+            }
+            applied += 1;
+        }
+        self.built_revision = entry.revision;
+        Ok(EntryOutcome::applied(applied))
     }
 
     fn bulk_rebuild(&mut self, db: &Database) -> Result<()> {
-        self.rebuild_in_place(db)
+        *self = BaselineIndex::bulk_build(db, self.table, &self.instance_name)?;
+        Ok(())
     }
 }
 
@@ -455,18 +410,15 @@ mod tests {
     fn incremental_maintenance() {
         let (mut db, t, oids) = setup(5);
         let mut idx = BaselineIndex::bulk_build(&db, t, "C").unwrap();
-        let (_, deltas) = db
-            .add_annotation(
-                t,
-                "disease outbreak virus",
-                Category::Disease,
-                "u",
-                vec![Attachment::row(oids[1])],
-            )
-            .unwrap();
-        for d in &deltas {
-            idx.apply_delta(&db, d).unwrap();
-        }
+        db.add_annotation(
+            t,
+            "disease outbreak virus",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oids[1])],
+        )
+        .unwrap();
+        idx.catch_up(&db).unwrap();
         assert_eq!(
             idx.search_eq("Disease", 2).len(),
             2,
@@ -515,18 +467,15 @@ mod tests {
         db.link_instance(t, "C", classifier_kind(), true).unwrap();
         let mut idx = BaselineIndex::empty(&db, t, "C").unwrap();
         for _ in 0..1002 {
-            let (_, deltas) = db
-                .add_annotation(
-                    t,
-                    "disease outbreak virus",
-                    Category::Disease,
-                    "u",
-                    vec![Attachment::row(oid)],
-                )
-                .unwrap();
-            for d in &deltas {
-                idx.apply_delta(&db, d).unwrap();
-            }
+            db.add_annotation(
+                t,
+                "disease outbreak virus",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(oid)],
+            )
+            .unwrap();
+            idx.catch_up(&db).unwrap();
         }
         assert_eq!(idx.search_eq("Disease", 1002), vec![oid]);
     }

@@ -9,13 +9,18 @@
 //! * [`summary_btree`] — the **Summary-BTree**: a B-Tree over the itemized
 //!   keys whose leaf entries carry *backward pointers* straight to the
 //!   annotated data tuples in the user relation (not to the
-//!   `R_SummaryStorage` row), maintained incrementally from the
-//!   [`instn_core::SummaryDelta`] stream,
+//!   `R_SummaryStorage` row),
 //! * [`baseline`] — the **baseline scheme** the paper compares against: the
 //!   classifier objects are replicated into a normalized table
 //!   `(OID, Label, Count, DerivedCol)` and a standard B-Tree is built on the
 //!   derived column; reaching a data tuple then costs extra joins, and
-//!   propagating summaries from this normalized form costs a rebuild.
+//!   propagating summaries from this normalized form costs a rebuild,
+//! * [`maintainable`] — the one maintenance path of every index kind:
+//!   [`MaintainableIndex::catch_up`] replays the delta journal's gap since
+//!   the index's revision stamp, or rebuilds when replay cannot or should
+//!   not vouch for it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baseline;
 pub mod itemize;
@@ -24,5 +29,5 @@ pub mod summary_btree;
 
 pub use baseline::BaselineIndex;
 pub use itemize::{itemize_key, max_key, min_key, ItemizeWidth};
-pub use maintainable::{EntryOutcome, MaintainableIndex};
+pub use maintainable::{CatchUp, EntryOutcome, MaintainableIndex};
 pub use summary_btree::{EntryCursor, IndexEntry, PointerMode, SummaryBTree};

@@ -1,11 +1,14 @@
-//! Uniform incremental-maintenance surface over every index kind.
+//! The one way every index kind is maintained: catch up from the delta
+//! journal.
 //!
 //! The delta journal (`instn_core::journal`) retains each sealed mutation's
-//! changes keyed by revision; an executor holding an index built at revision
-//! `B` catches it up by replaying the gap `(B, current]` entry by entry.
-//! [`MaintainableIndex`] is the contract that replay loop drives, so the
-//! Summary-BTree, the baseline scheme, and the data-column index (in
-//! `instn-query`) all maintain through one code path:
+//! changes keyed by revision; an index built at revision `B` catches up by
+//! replaying the gap `(B, current]` entry by entry. [`MaintainableIndex`] is
+//! the contract that replay drives, so the Summary-BTree, the baseline
+//! scheme and the data-column index (in `instn-query`) all maintain through
+//! one ladder, [`MaintainableIndex::catch_up`] — whether the engine's index
+//! registry calls it at plan open or a standalone index calls it after a
+//! mutation:
 //!
 //! * [`MaintainableIndex::apply_entry`] — fold one journal entry in. The
 //!   returned [`EntryOutcome`] says whether the entry was applied as deltas
@@ -21,7 +24,7 @@
 
 use instn_core::db::Database;
 use instn_core::journal::JournalEntry;
-use instn_core::Result;
+use instn_core::{CoreError, Result};
 use instn_storage::TableId;
 
 /// What applying one journal entry did to an index.
@@ -53,6 +56,39 @@ impl EntryOutcome {
     }
 }
 
+/// Which rung of the ladder [`MaintainableIndex::catch_up`] took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CatchUp {
+    /// Already stamped at the current revision: no work.
+    Fresh,
+    /// Stale stamp, but nothing touched the index's table since: re-stamped
+    /// with zero work.
+    Skipped,
+    /// The journal gap was replayed, folding in this many changes.
+    Replayed(u64),
+    /// Bulk-rebuilt: the journal was truncated past the gap, or replay was
+    /// estimated costlier than a fresh build.
+    Rebuilt,
+    /// A replayed entry forced a rebuild (key-width growth, structural
+    /// change) after this many changes had been folded in.
+    ForcedRebuild(u64),
+    /// The index's summary instance no longer exists (an `ALTER TABLE …
+    /// DROP` landed since it was built): the index is unsalvageable and
+    /// its owner must drop it.
+    Evicted,
+}
+
+/// Replay beats a bulk rebuild when the gap is small relative to the
+/// table: one replayed change costs a few B-Tree node touches, a rebuild
+/// scans the whole summary storage / heap and re-sorts every key.
+const REPLAY_CHANGE_FACTOR: u64 = 4;
+
+/// Whether replaying `gap_changes` journal changes is estimated cheaper
+/// than bulk-rebuilding an index over a table of `table_rows` rows.
+fn replay_cheaper(gap_changes: u64, table_rows: u64) -> bool {
+    gap_changes.saturating_mul(REPLAY_CHANGE_FACTOR) <= table_rows.max(16)
+}
+
 /// An index that can be caught up from the delta journal.
 pub trait MaintainableIndex {
     /// The table whose mutations invalidate this index.
@@ -75,4 +111,73 @@ pub trait MaintainableIndex {
     /// Rebuild from the database's current state (the fallback when the
     /// journal cannot vouch for the gap).
     fn bulk_rebuild(&mut self, db: &Database) -> Result<()>;
+
+    /// Bring the index level with `db`'s revision. In order of preference:
+    ///
+    /// 1. fresh stamp → nothing,
+    /// 2. table high-water mark `<= built_revision` → re-stamp, zero work
+    ///    (a mutation elsewhere cannot invalidate this index),
+    /// 3. journal gap `(built_revision, current]` retained and small →
+    ///    replay it entry by entry ([`MaintainableIndex::apply_entry`]),
+    /// 4. otherwise (journal truncated past the gap, or replay estimated
+    ///    costlier than a fresh build) → bulk rebuild.
+    ///
+    /// An index whose summary instance is gone reports
+    /// [`CatchUp::Evicted`] instead of an error.
+    fn catch_up(&mut self, db: &Database) -> Result<CatchUp> {
+        let rev = db.revision();
+        let built = self.built_revision();
+        if built == rev {
+            return Ok(CatchUp::Fresh);
+        }
+        let journal = db.journal();
+        let table = self.table();
+        if journal.table_high_water(table) <= built {
+            // Nothing touched this table since the index was built: the
+            // stamp alone advances. This is the zero-work case the
+            // per-table high-water marks exist for.
+            self.mark_synced(rev);
+            return Ok(CatchUp::Skipped);
+        }
+        let table_rows = db.table(table)?.len() as u64;
+        let replayable = journal
+            .gap_changes(built, table)
+            .is_some_and(|gap| replay_cheaper(gap, table_rows));
+        let outcome = if replayable {
+            replay_gap(self, db, built)
+        } else {
+            self.bulk_rebuild(db).map(|()| CatchUp::Rebuilt)
+        };
+        match outcome {
+            Err(CoreError::InstanceNotFound(_)) => Ok(CatchUp::Evicted),
+            other => other,
+        }
+    }
+}
+
+/// Rung 3 of [`MaintainableIndex::catch_up`]: apply every journal entry
+/// after `built` that touches the index's table, stopping at a forced
+/// rebuild — it reflects the current state, so later entries are already
+/// in and replaying them would double-apply.
+fn replay_gap<I: MaintainableIndex + ?Sized>(
+    idx: &mut I,
+    db: &Database,
+    built: u64,
+) -> Result<CatchUp> {
+    let table = idx.table();
+    let gap = db.journal().replay_range(built).ok_or_else(|| {
+        CoreError::Corrupt(format!(
+            "delta journal stopped covering the gap after revision {built} mid-refresh"
+        ))
+    })?;
+    let mut applied = 0u64;
+    for entry in gap.filter(|e| e.touches(table)) {
+        let out = idx.apply_entry(db, entry)?;
+        applied += out.changes_applied;
+        if out.rebuilt {
+            return Ok(CatchUp::ForcedRebuild(applied));
+        }
+    }
+    idx.mark_synced(db.revision());
+    Ok(CatchUp::Replayed(applied))
 }

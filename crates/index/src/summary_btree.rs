@@ -9,7 +9,8 @@
 //! doesn't propagate summaries this saves the entire join with the
 //! SummaryStorage table — the 4× of Figure 13.
 //!
-//! The index is maintained from the [`SummaryDelta`] stream:
+//! The index catches up from the delta journal's [`SummaryDelta`]s
+//! ([`crate::maintainable`]):
 //!
 //! * new summary row → insert all `k` label keys (cost `O(k·log kN + log M)`),
 //! * label count update → delete + re-insert only that label's key
@@ -87,8 +88,7 @@ pub struct SummaryBTree {
     tree: BTree<IndexEntry>,
     stats: Arc<IoStats>,
     /// Database revision this index was built at (or last caught up to via
-    /// [`SummaryBTree::apply_delta`]). Executors compare it against
-    /// `Database::revision()` to detect stale registrations.
+    /// [`MaintainableIndex::catch_up`]).
     built_revision: u64,
     /// Maintenance operation counters.
     pub ops: OpCounters,
@@ -106,40 +106,33 @@ impl SummaryBTree {
         instance_name: &str,
         mode: PointerMode,
     ) -> Result<SummaryBTree> {
-        let instance = db.instance_by_name(table, instance_name)?;
-        let instance_id = instance.id;
+        let instance_id = indexable_instance(db, table, instance_name)?;
         let stats = Arc::clone(db.stats());
         let storage = db.summary_storage(table);
-        // Itemization pass: collect all (key, entry) pairs and the width.
+        // Itemization pass: collect every (label, count, entry) and the
+        // width the largest count needs, then key each at that width.
         let mut width = ItemizeWidth::default();
-        let mut pairs: Vec<(Vec<u8>, IndexEntry)> = Vec::new();
+        let mut found: Vec<(String, u64, IndexEntry)> = Vec::new();
         for oid in storage.oids() {
-            let set = storage.read(oid)?;
-            for obj in &set {
+            for obj in storage.read(oid)? {
                 if obj.instance_id != instance_id {
                     continue;
                 }
-                let Rep::Classifier(c) = &obj.rep else {
+                let Rep::Classifier(c) = obj.rep else {
                     continue;
                 };
                 let entry = resolve_entry(db, table, oid, mode)?;
-                for (label, &count) in c.labels.iter().zip(c.counts.iter()) {
-                    assert!(!label.contains(':'), "labels must not contain ':'");
+                for (label, count) in c.labels.into_iter().zip(c.counts) {
                     width = width.grown_for(count);
-                    pairs.push((Vec::new(), entry)); // placeholder, keyed below
-                    let last = pairs.len() - 1;
-                    pairs[last].0 = itemize_key(label, count, width);
+                    found.push((label, count, entry));
                 }
             }
         }
-        // Re-itemize at the final width (a later object may have grown it).
         let final_width = width;
-        for (key, _) in pairs.iter_mut() {
-            // Keys already rendered at their growth-time width; re-render
-            // uniformly by decoding label + count.
-            let (label, count) = split_key(key);
-            *key = itemize_key(&label, count, final_width);
-        }
+        let mut pairs: Vec<(Vec<u8>, IndexEntry)> = found
+            .into_iter()
+            .map(|(label, count, entry)| (itemize_key(&label, count, final_width), entry))
+            .collect();
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         let n = pairs.len() as u64;
         let tree = BTree::bulk_load_in(
@@ -164,19 +157,19 @@ impl SummaryBTree {
         })
     }
 
-    /// An empty index, to be maintained incrementally via
-    /// [`SummaryBTree::apply_delta`] (the Figure 9 "incremental mode").
+    /// An empty index stamped at the current revision, to be maintained
+    /// incrementally via [`MaintainableIndex::catch_up`].
     pub fn empty(
         db: &Database,
         table: TableId,
         instance_name: &str,
         mode: PointerMode,
     ) -> Result<SummaryBTree> {
-        let instance = db.instance_by_name(table, instance_name)?;
+        let instance = indexable_instance(db, table, instance_name)?;
         let stats = Arc::clone(db.stats());
         Ok(SummaryBTree {
             table,
-            instance: instance.id,
+            instance,
             instance_name: instance_name.to_string(),
             mode,
             width: ItemizeWidth::default(),
@@ -186,11 +179,6 @@ impl SummaryBTree {
             ops: OpCounters::default(),
             searches: AtomicU64::new(0),
         })
-    }
-
-    /// Database revision this index last matched (build or delta time).
-    pub fn built_revision(&self) -> u64 {
-        self.built_revision
     }
 
     /// The indexed instance's name.
@@ -238,67 +226,10 @@ impl SummaryBTree {
         self.tree.used_bytes()
     }
 
-    /// Maintain the index from one summary delta (§4.1.2). Applying the
-    /// delta of a mutation also advances [`SummaryBTree::built_revision`] to
-    /// the database's current revision — apply deltas as mutations happen,
-    /// before the next one, or the stamp over-claims freshness.
-    pub fn apply_delta(&mut self, db: &Database, delta: &SummaryDelta) -> Result<()> {
-        if delta.table != self.table {
-            // A mutation elsewhere cannot invalidate this index; seeing its
-            // delta means we are caught up with that revision too.
-            self.built_revision = db.revision();
-            return Ok(());
-        }
-        // Width growth check first (footnote 1): rare full rebuild.
-        let needs = delta
-            .changes
-            .iter()
-            .filter(|c| c.instance == self.instance)
-            .filter_map(|c| c.new)
-            .max()
-            .unwrap_or(0);
-        if !self.width.fits(needs) {
-            self.rebuild(db, self.width.grown_for(needs))?;
-            // The rebuilt tree already reflects the post-delta storage state
-            // (deltas are applied after the storage write), so we're done.
-            self.built_revision = db.revision();
-            return Ok(());
-        }
-        let entry = if delta.deleted_row {
-            // The tuple is already gone; deletes match on OID alone.
-            IndexEntry {
-                oid: delta.oid,
-                loc: RecordId::new(0, 0),
-            }
-        } else {
-            resolve_entry(db, self.table, delta.oid, self.mode)?
-        };
-        for change in &delta.changes {
-            if change.instance != self.instance {
-                continue;
-            }
-            if let Some(old) = change.old {
-                if !(delta.created_row && change.new.is_some()) {
-                    let key = itemize_key(&change.label, old, self.width);
-                    if self.tree.delete(&key, &entry).is_ok() {
-                        self.ops.key_deletes += 1;
-                    }
-                }
-            }
-            if let Some(new) = change.new {
-                let key = itemize_key(&change.label, new, self.width);
-                self.tree.insert(&key, entry);
-                self.ops.key_inserts += 1;
-            }
-        }
-        self.built_revision = db.revision();
-        Ok(())
-    }
-
     /// Re-point all of one tuple's index entries after the tuple physically
     /// relocated (a data update that outgrew its page). Deletes match on
     /// OID, so the stale locations are found and replaced with fresh ones.
-    pub fn refresh_tuple(&mut self, db: &Database, oid: instn_storage::Oid) -> Result<()> {
+    fn refresh_tuple(&mut self, db: &Database, oid: Oid) -> Result<()> {
         let storage = db.summary_storage(self.table);
         let entry = resolve_entry(db, self.table, oid, self.mode)?;
         for obj in storage.read(oid)? {
@@ -317,111 +248,12 @@ impl SummaryBTree {
                 }
             }
         }
-        self.built_revision = db.revision();
         Ok(())
     }
 
-    /// Full rebuild at a wider key format.
-    fn rebuild(&mut self, db: &Database, new_width: ItemizeWidth) -> Result<()> {
-        let rebuilt = SummaryBTree::bulk_build(db, self.table, &self.instance_name, self.mode)?;
-        self.tree = rebuilt.tree;
-        self.width = if rebuilt.width.0 >= new_width.0 {
-            rebuilt.width
-        } else {
-            new_width
-        };
-        self.ops.rebuilds += 1;
-        self.ops.key_inserts += rebuilt.ops.key_inserts;
-        Ok(())
-    }
-
-    /// Declare the index consistent with `revision` without touching keys
-    /// (sound only when no journal entry in the gap touches this table).
-    pub fn mark_synced(&mut self, revision: u64) {
-        self.built_revision = revision;
-    }
-
-    /// Full rebuild from the database's current state, *in place*: the
-    /// operation counters survive (the rebuild is counted, not forgotten),
-    /// which is what lets regression tests pin rebuild counts across the
-    /// executor's refresh path.
-    pub fn rebuild_in_place(&mut self, db: &Database) -> Result<()> {
-        let rebuilt = SummaryBTree::bulk_build(db, self.table, &self.instance_name, self.mode)?;
-        self.tree = rebuilt.tree;
-        self.width = rebuilt.width;
-        self.ops.rebuilds += 1;
-        self.ops.key_inserts += rebuilt.ops.key_inserts;
-        self.built_revision = db.revision();
-        Ok(())
-    }
-
-    /// Fold one journal entry in (revision order). Differs from the live
-    /// [`SummaryBTree::apply_delta`] path in three ways replay demands:
-    ///
-    /// * width growth rebuilds from the *current* database state and
-    ///   reports [`EntryOutcome::rebuilt`] so the caller stops replaying
-    ///   (later entries are already reflected and would double-apply),
-    /// * a tuple that vanished later in the gap resolves to a placeholder
-    ///   location — deletes match on OID alone, so the gap's own deletion
-    ///   entry removes those keys before any search can chase the pointer,
-    /// * `built_revision` advances to the entry's revision, not the
-    ///   database's (the index has only vouched for the prefix it replayed).
-    pub fn apply_journal_entry(
-        &mut self,
-        db: &Database,
-        entry: &JournalEntry,
-    ) -> Result<EntryOutcome> {
-        if entry.structural && entry.touches(self.table) {
-            self.rebuild_in_place(db)?;
-            return Ok(EntryOutcome::rebuilt());
-        }
-        let needs = entry
-            .summary
-            .iter()
-            .filter(|d| d.table == self.table)
-            .flat_map(|d| d.changes.iter())
-            .filter(|c| c.instance == self.instance)
-            .filter_map(|c| c.new)
-            .max()
-            .unwrap_or(0);
-        if !self.width.fits(needs) {
-            self.rebuild_in_place(db)?;
-            return Ok(EntryOutcome::rebuilt());
-        }
-        let mut applied = 0u64;
-        for change in &entry.data {
-            if let DataChange::Update {
-                table,
-                oid,
-                relocated: true,
-                ..
-            } = change
-            {
-                if *table == self.table {
-                    match self.refresh_tuple(db, *oid) {
-                        Ok(()) => applied += 1,
-                        // Deleted later in the gap: the deletion entry
-                        // removes its keys, nothing to re-point.
-                        Err(e) if is_oid_missing(&e) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-        for delta in &entry.summary {
-            if delta.table != self.table {
-                continue;
-            }
-            self.apply_delta_replay(db, delta)?;
-            applied += 1;
-        }
-        self.built_revision = entry.revision;
-        Ok(EntryOutcome::applied(applied))
-    }
-
-    /// [`SummaryBTree::apply_delta`]'s key maintenance, minus the width
-    /// check (pre-checked per entry) and revision stamping, tolerating
-    /// tuples the gap later deletes.
+    /// Fold one summary delta's key changes in (the three cases of the
+    /// module docs). The key width is checked per journal entry
+    /// beforehand; a tuple the gap later deletes is tolerated.
     fn apply_delta_replay(&mut self, db: &Database, delta: &SummaryDelta) -> Result<()> {
         let entry = if delta.deleted_row {
             IndexEntry {
@@ -465,13 +297,22 @@ impl SummaryBTree {
     /// Every indexed `(label, count, oid)` triple, sorted — the oracle form
     /// for entry-for-entry comparison against a fresh bulk build (decoded,
     /// so two indexes at different key widths still compare equal).
+    #[allow(clippy::expect_used)] // every key is `label:digits`, itemized by this index
     pub fn dump_entries(&self) -> Vec<(String, u64, Oid)> {
         let mut out: Vec<(String, u64, Oid)> = self
             .tree
             .range(None, None)
             .map(|(key, e)| {
-                let (label, count) = split_key(&key);
-                (label, count, e.oid)
+                let pos = key.iter().rposition(|&b| b == b':').expect("':'");
+                let count = std::str::from_utf8(&key[pos + 1..])
+                    .ok()
+                    .and_then(|digits| digits.parse().ok())
+                    .expect("digits");
+                (
+                    String::from_utf8_lossy(&key[..pos]).into_owned(),
+                    count,
+                    e.oid,
+                )
             })
             .collect();
         out.sort();
@@ -624,20 +465,101 @@ impl MaintainableIndex for SummaryBTree {
     }
 
     fn built_revision(&self) -> u64 {
-        SummaryBTree::built_revision(self)
+        self.built_revision
     }
 
     fn mark_synced(&mut self, revision: u64) {
-        SummaryBTree::mark_synced(self, revision);
+        self.built_revision = revision;
     }
 
+    /// Replay over a gap demands three things of an entry:
+    ///
+    /// * width growth rebuilds from the *current* database state and
+    ///   reports [`EntryOutcome::rebuilt`] so the caller stops replaying
+    ///   (later entries are already reflected and would double-apply),
+    /// * a tuple that vanished later in the gap resolves to a placeholder
+    ///   location — deletes match on OID alone, so the gap's own deletion
+    ///   entry removes those keys before any search can chase the pointer,
+    /// * `built_revision` advances to the entry's revision, not the
+    ///   database's (the index has only vouched for the prefix it replayed).
     fn apply_entry(&mut self, db: &Database, entry: &JournalEntry) -> Result<EntryOutcome> {
-        self.apply_journal_entry(db, entry)
+        if entry.structural && entry.touches(self.table) {
+            self.bulk_rebuild(db)?;
+            return Ok(EntryOutcome::rebuilt());
+        }
+        let needs = entry
+            .summary
+            .iter()
+            .filter(|d| d.table == self.table)
+            .flat_map(|d| d.changes.iter())
+            .filter(|c| c.instance == self.instance)
+            .filter_map(|c| c.new)
+            .max()
+            .unwrap_or(0);
+        if !self.width.fits(needs) {
+            self.bulk_rebuild(db)?;
+            return Ok(EntryOutcome::rebuilt());
+        }
+        let mut applied = 0u64;
+        for change in &entry.data {
+            if let DataChange::Update {
+                table,
+                oid,
+                relocated: true,
+                ..
+            } = change
+            {
+                if *table == self.table {
+                    match self.refresh_tuple(db, *oid) {
+                        Ok(()) => applied += 1,
+                        // Deleted later in the gap: the deletion entry
+                        // removes its keys, nothing to re-point.
+                        Err(e) if is_oid_missing(&e) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+            }
+        }
+        for delta in &entry.summary {
+            if delta.table != self.table {
+                continue;
+            }
+            self.apply_delta_replay(db, delta)?;
+            applied += 1;
+        }
+        self.built_revision = entry.revision;
+        Ok(EntryOutcome::applied(applied))
     }
 
+    /// Full rebuild from the database's current state, *in place*: the
+    /// operation counters survive (the rebuild is counted, not forgotten),
+    /// which is what lets regression tests pin rebuild counts across the
+    /// registry's refresh path.
     fn bulk_rebuild(&mut self, db: &Database) -> Result<()> {
-        self.rebuild_in_place(db)
+        let rebuilt = SummaryBTree::bulk_build(db, self.table, &self.instance_name, self.mode)?;
+        self.tree = rebuilt.tree;
+        self.width = rebuilt.width;
+        self.ops.rebuilds += 1;
+        self.ops.key_inserts += rebuilt.ops.key_inserts;
+        self.built_revision = db.revision();
+        Ok(())
     }
+}
+
+/// The id of `instance_name` on `table`, checked indexable: an itemized
+/// key is `label:count`, so a classifier label holding `':'` could not be
+/// told apart from another label's keys.
+fn indexable_instance(db: &Database, table: TableId, instance_name: &str) -> Result<InstanceId> {
+    let instance = db.instance_by_name(table, instance_name)?;
+    if let Some(label) = instance
+        .labels()
+        .and_then(|labels| labels.iter().find(|l| l.contains(':')))
+    {
+        return Err(CoreError::Corrupt(format!(
+            "classifier label {label:?} of {instance_name} contains ':', which itemized keys reserve"
+        )));
+    }
+    Ok(instance.id)
 }
 
 /// Whether an error means "this OID no longer exists" (tolerated during
@@ -665,23 +587,10 @@ fn resolve_entry(db: &Database, table: TableId, oid: Oid, mode: PointerMode) -> 
     Ok(IndexEntry { oid, loc })
 }
 
-/// Decode an itemized key back into `(label, count)`.
-fn split_key(key: &[u8]) -> (String, u64) {
-    let pos = key
-        .iter()
-        .rposition(|&b| b == b':')
-        .expect("itemized keys contain ':'");
-    let label = String::from_utf8_lossy(&key[..pos]).into_owned();
-    let count: u64 = std::str::from_utf8(&key[pos + 1..])
-        .expect("digits")
-        .parse()
-        .expect("digits");
-    (label, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintainable::CatchUp;
     use instn_annot::{Attachment, Category};
     use instn_core::instance::InstanceKind;
     use instn_mining::nb::NaiveBayes;
@@ -788,31 +697,25 @@ mod tests {
         let mut idx = SummaryBTree::empty(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         for (i, &oid) in oids.iter().enumerate() {
             for _ in 0..i {
-                let (_, deltas) = db
-                    .add_annotation(
-                        t,
-                        "disease outbreak infection",
-                        Category::Disease,
-                        "u",
-                        vec![Attachment::row(oid)],
-                    )
-                    .unwrap();
-                for d in &deltas {
-                    idx.apply_delta(&db, d).unwrap();
-                }
-            }
-            let (_, deltas) = db
-                .add_annotation(
+                db.add_annotation(
                     t,
-                    "eating stonewort foraging",
-                    Category::Behavior,
+                    "disease outbreak infection",
+                    Category::Disease,
                     "u",
                     vec![Attachment::row(oid)],
                 )
                 .unwrap();
-            for d in &deltas {
-                idx.apply_delta(&db, d).unwrap();
+                idx.catch_up(&db).unwrap();
             }
+            db.add_annotation(
+                t,
+                "eating stonewort foraging",
+                Category::Behavior,
+                "u",
+                vec![Attachment::row(oid)],
+            )
+            .unwrap();
+            idx.catch_up(&db).unwrap();
         }
         assert_eq!(idx.len(), bulk.len());
         for i in 0..8u64 {
@@ -827,18 +730,15 @@ mod tests {
         let mut idx =
             SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let before = idx.ops;
-        let (_, deltas) = db
-            .add_annotation(
-                t,
-                "disease outbreak infection",
-                Category::Disease,
-                "u",
-                vec![Attachment::row(oids[2])],
-            )
-            .unwrap();
-        for d in &deltas {
-            idx.apply_delta(&db, d).unwrap();
-        }
+        db.add_annotation(
+            t,
+            "disease outbreak infection",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oids[2])],
+        )
+        .unwrap();
+        idx.catch_up(&db).unwrap();
         // One delete + one insert: the paper's "only for the modified label".
         assert_eq!(idx.ops.key_deletes, before.key_deletes + 1);
         assert_eq!(idx.ops.key_inserts, before.key_inserts + 1);
@@ -855,8 +755,8 @@ mod tests {
         let mut idx =
             SummaryBTree::bulk_build(&db, t, "ClassBird1", PointerMode::Backward).unwrap();
         let len_before = idx.len();
-        let delta = db.delete_tuple(t, oids[3]).unwrap();
-        idx.apply_delta(&db, &delta).unwrap();
+        db.delete_tuple(t, oids[3]).unwrap();
+        idx.catch_up(&db).unwrap();
         assert_eq!(idx.len(), len_before - 3, "all 3 label keys removed");
         assert!(idx.search_eq("Disease", 3).is_empty());
     }
@@ -936,7 +836,7 @@ mod tests {
             .update_tuple(t, oid, vec![Value::Int(1), Value::Text("y".repeat(5000))])
             .unwrap();
         assert!(relocated, "the update must relocate for this test to bite");
-        idx.refresh_tuple(&db, oid).unwrap();
+        assert_eq!(idx.catch_up(&db).unwrap(), CatchUp::Replayed(1));
         let hits = idx.search_eq("Disease", 1);
         assert_eq!(hits.len(), 1);
         let tuple = idx.fetch_data_tuple(&db, &hits[0]).unwrap();
@@ -955,18 +855,15 @@ mod tests {
         let mut idx = SummaryBTree::empty(&db, t, "C", PointerMode::Backward).unwrap();
         // Drive the Disease count past 999.
         for i in 0..1005 {
-            let (_, deltas) = db
-                .add_annotation(
-                    t,
-                    "disease outbreak infection",
-                    Category::Disease,
-                    "u",
-                    vec![Attachment::row(oid)],
-                )
-                .unwrap();
-            for d in &deltas {
-                idx.apply_delta(&db, d).unwrap();
-            }
+            db.add_annotation(
+                t,
+                "disease outbreak infection",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(oid)],
+            )
+            .unwrap();
+            idx.catch_up(&db).unwrap();
             if i == 800 {
                 assert_eq!(idx.width().0, 3);
             }
@@ -974,6 +871,41 @@ mod tests {
         assert!(idx.width().0 >= 4, "width grew");
         assert!(idx.ops.rebuilds >= 1);
         assert_eq!(idx.search_eq("Disease", 1005).len(), 1);
+    }
+
+    #[test]
+    fn a_label_with_a_colon_is_an_error() {
+        let mut db = Database::new();
+        let t = db
+            .create_table("T", Schema::of(&[("x", ColumnType::Int)]))
+            .unwrap();
+        let oid = db.insert_tuple(t, vec![Value::Int(0)]).unwrap();
+        let mut model = NaiveBayes::new(vec!["Dis:ease".into(), "Other".into()]);
+        model.train("disease outbreak infection", "Dis:ease");
+        model.train("field station weather note", "Other");
+        db.link_instance(t, "C", InstanceKind::Classifier { model }, true)
+            .unwrap();
+        db.add_annotation(
+            t,
+            "disease outbreak infection",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oid)],
+        )
+        .unwrap();
+        let corrupt = |r: Result<SummaryBTree>| matches!(r, Err(CoreError::Corrupt(_)));
+        assert!(corrupt(SummaryBTree::bulk_build(
+            &db,
+            t,
+            "C",
+            PointerMode::Backward
+        )));
+        assert!(corrupt(SummaryBTree::empty(
+            &db,
+            t,
+            "C",
+            PointerMode::Backward
+        )));
     }
 
     #[test]

@@ -46,18 +46,6 @@ pub const DEFAULT_EQ_SEL: f64 = 0.01;
 /// B-Tree fanout assumed by the bound-based index cost.
 pub const BTREE_FANOUT: f64 = 64.0;
 
-/// Page I/Os charged per replayed journal change during index refresh:
-/// one descent to retire the old key, one to insert the new one, plus the
-/// heap/summary resolution the delta carries. Mirrors the executor's
-/// replay-vs-rebuild factor (`instn_query::exec`) so the model and the
-/// runtime maintenance ladder pick the same side of the threshold.
-pub const REPLAY_CHANGE_IO: f64 = 4.0;
-
-/// Minimum page I/Os charged for a bulk index rebuild (fixed per-build
-/// overhead: catalog lookups, root split, stats refresh). Matches the
-/// executor's `rows.max(16)` floor.
-pub const MIN_REBUILD_IO: f64 = 16.0;
-
 /// CPU tuple-operations charged per morsel claimed from the shared queue
 /// (queue contention, per-morsel cursor open).
 pub const MORSEL_STARTUP_CPU: f64 = 50.0;
@@ -600,58 +588,6 @@ impl<'a> CostModel<'a> {
                     },
                     base,
                 )
-            }
-        }
-    }
-
-    /// Cost of replaying a journal gap of `gap_changes` deltas into an
-    /// index over `table` (the incremental-maintenance arm).
-    ///
-    /// Each change pays [`REPLAY_CHANGE_IO`] physical pages and one tree
-    /// descent of CPU. The CPU term is proportional to the I/O term with
-    /// the same per-table constant as [`CostModel::rebuild_cost`], so the
-    /// ordering of `total()` between the two arms is *exactly* the
-    /// executor's `gap × factor ≤ max(rows, floor)` ladder — the model
-    /// never disagrees with the runtime about which side is cheaper.
-    pub fn replay_cost(&self, table: TableId, gap_changes: u64) -> PlanCost {
-        let rows = self.stats.rows(table);
-        let io = gap_changes as f64 * REPLAY_CHANGE_IO;
-        PlanCost {
-            io,
-            cpu: io * Self::btree_height(rows.max(1.0)),
-            rows,
-        }
-    }
-
-    /// Cost of bulk-rebuilding an index over `table` from scratch: every
-    /// tuple's summary is resolved and itemized (one page touch each, the
-    /// dominant term), floored at the fixed per-build overhead.
-    pub fn rebuild_cost(&self, table: TableId) -> PlanCost {
-        let rows = self.stats.rows(table);
-        let io = rows.max(MIN_REBUILD_IO);
-        PlanCost {
-            io,
-            cpu: io * Self::btree_height(rows.max(1.0)),
-            rows,
-        }
-    }
-
-    /// Cost of bringing a stale index over `table` up to date. `gap_changes`
-    /// is the number of journal changes in the index's staleness gap, or
-    /// `None` when the journal has been truncated past the index's built
-    /// revision (replay impossible — rebuild is the only arm). With a
-    /// retained gap the model returns whichever arm is cheaper.
-    pub fn refresh_cost(&self, table: TableId, gap_changes: Option<u64>) -> PlanCost {
-        match gap_changes {
-            None => self.rebuild_cost(table),
-            Some(gap) => {
-                let replay = self.replay_cost(table, gap);
-                let rebuild = self.rebuild_cost(table);
-                if replay.total() <= rebuild.total() {
-                    replay
-                } else {
-                    rebuild
-                }
             }
         }
     }
@@ -1231,36 +1167,5 @@ mod tests {
             io_outer,
             io_big
         );
-    }
-
-    #[test]
-    fn refresh_cost_matches_executor_ladder() {
-        let (db, t) = setup(200);
-        let stats = Statistics::analyze(&db).unwrap();
-        let info = index_info(t);
-        let model = CostModel::new(&stats, &info);
-        let rows = stats.rows(t) as u64;
-        assert_eq!(rows, 200);
-        // The executor's maintenance ladder replays iff
-        // gap × 4 ≤ max(rows, 16); the model must agree at every gap.
-        for gap in [0u64, 1, 10, 49, 50, 51, 100, 1000] {
-            let replay = model.replay_cost(t, gap);
-            let rebuild = model.rebuild_cost(t);
-            let executor_replays = gap * 4 <= rows.max(16);
-            assert_eq!(
-                replay.total() <= rebuild.total(),
-                executor_replays,
-                "gap {gap}: model and executor disagree"
-            );
-            let chosen = model.refresh_cost(t, Some(gap));
-            let want = if executor_replays { replay } else { rebuild };
-            assert_eq!(chosen, want, "gap {gap}");
-        }
-        // Truncated journal: replay impossible, only the rebuild arm.
-        assert_eq!(model.refresh_cost(t, None), model.rebuild_cost(t));
-        // Rebuild never drops below the fixed floor.
-        let empty = Statistics::default();
-        let model = CostModel::new(&empty, &info);
-        assert_eq!(model.rebuild_cost(t).io, MIN_REBUILD_IO);
     }
 }

@@ -209,8 +209,7 @@ impl Statistics {
     /// Bring the statistics up to the database's current revision by
     /// replaying the delta journal over the gap `(as_of, current]`.
     ///
-    /// Summary deltas fold into the per-label structures exactly as the
-    /// live [`Statistics::apply_delta`] path would; tuple inserts and
+    /// Summary deltas fold into the per-label structures; tuple inserts and
     /// deletes adjust the per-table row counts; page counts of touched
     /// tables are re-read from the live tables (an O(1) accessor). A
     /// structural change (instance drop) or a journal truncated past
@@ -230,7 +229,7 @@ impl Statistics {
         };
         let mut touched: HashSet<TableId> = HashSet::new();
         let mut row_adjust: HashMap<TableId, i64> = HashMap::new();
-        let mut deltas: Vec<SummaryDelta> = Vec::new();
+        let mut deltas: Vec<&SummaryDelta> = Vec::new();
         for entry in entries {
             if entry.structural {
                 *self = Statistics::analyze(db)?;
@@ -244,9 +243,9 @@ impl Statistics {
                     DataChange::Update { .. } => {}
                 }
             }
-            deltas.extend(entry.summary.iter().cloned());
+            deltas.extend(&entry.summary);
         }
-        for d in &deltas {
+        for d in deltas {
             self.apply_delta(d);
         }
         for (table, adj) in row_adjust {
@@ -265,7 +264,7 @@ impl Statistics {
     }
 
     /// Incrementally fold a summary delta into the statistics.
-    pub fn apply_delta(&mut self, delta: &SummaryDelta) {
+    fn apply_delta(&mut self, delta: &SummaryDelta) {
         for ch in &delta.changes {
             let inst = self.instance_mut(delta.table, &ch.instance_name);
             let label = inst.labels.entry(ch.label.clone()).or_default();

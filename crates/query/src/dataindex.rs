@@ -11,11 +11,10 @@ use std::sync::Arc;
 
 use instn_core::db::Database;
 use instn_core::journal::{DataChange, JournalEntry};
+use instn_core::Result;
 use instn_index::{EntryOutcome, MaintainableIndex};
 use instn_storage::btree::BTree;
 use instn_storage::{Oid, TableId, Value};
-
-use crate::Result;
 
 /// Order-preserving byte encoding of a value for index keys.
 ///
@@ -77,7 +76,7 @@ pub struct ColumnIndex {
     column: usize,
     tree: BTree<Oid>,
     /// Database revision this index was built at (or last caught up to via
-    /// [`ColumnIndex::mark_synced`]); executors use it for staleness checks.
+    /// [`MaintainableIndex::catch_up`]).
     built_revision: u64,
 }
 
@@ -101,18 +100,6 @@ impl ColumnIndex {
             tree,
             built_revision: db.revision(),
         })
-    }
-
-    /// Database revision this index last matched (build time, or whatever
-    /// the caller last passed to [`ColumnIndex::mark_synced`]).
-    pub fn built_revision(&self) -> u64 {
-        self.built_revision
-    }
-
-    /// Record that manual maintenance ([`ColumnIndex::insert`] /
-    /// [`ColumnIndex::delete`]) has caught this index up to `revision`.
-    pub fn mark_synced(&mut self, revision: u64) {
-        self.built_revision = revision;
     }
 
     /// The indexed table.
@@ -174,31 +161,40 @@ impl ColumnIndex {
             .collect()
     }
 
-    /// Maintain on insert.
-    pub fn insert(&mut self, v: &Value, oid: Oid) {
+    fn insert(&mut self, v: &Value, oid: Oid) {
         self.tree.insert(&value_key(v), oid);
     }
 
-    /// Maintain on delete.
-    pub fn delete(&mut self, v: &Value, oid: Oid) {
+    fn delete(&mut self, v: &Value, oid: Oid) {
         let _ = self.tree.delete(&value_key(v), &oid);
     }
 
-    /// Full rebuild from the table's current contents, in place.
-    pub fn rebuild_in_place(&mut self, db: &Database) -> Result<()> {
-        *self = ColumnIndex::build(db, self.table, self.column)?;
-        Ok(())
+    /// Every indexed `(key, oid)` pair, sorted — the oracle form for
+    /// entry-for-entry comparison against a fresh build.
+    pub fn dump_entries(&self) -> Vec<(Vec<u8>, Oid)> {
+        let mut out: Vec<(Vec<u8>, Oid)> = self.tree.range(None, None).collect();
+        out.sort();
+        out
+    }
+}
+
+impl MaintainableIndex for ColumnIndex {
+    fn table(&self) -> TableId {
+        self.table
     }
 
-    /// Fold one journal entry in (revision order): data-column indexes
-    /// consume the raw [`DataChange`] stream — summary deltas carry label
-    /// counts, not column values, so they are irrelevant here, as are
-    /// structural (instance) changes.
-    pub fn apply_journal_entry(
-        &mut self,
-        _db: &Database,
-        entry: &JournalEntry,
-    ) -> Result<EntryOutcome> {
+    fn built_revision(&self) -> u64 {
+        self.built_revision
+    }
+
+    fn mark_synced(&mut self, revision: u64) {
+        self.built_revision = revision;
+    }
+
+    /// Data-column indexes consume the raw [`DataChange`] stream — summary
+    /// deltas carry label counts, not column values, so they are irrelevant
+    /// here, as are structural (instance) changes.
+    fn apply_entry(&mut self, _db: &Database, entry: &JournalEntry) -> Result<EntryOutcome> {
         let mut applied = 0u64;
         for change in &entry.data {
             if change.table() != self.table {
@@ -226,44 +222,9 @@ impl ColumnIndex {
         Ok(EntryOutcome::applied(applied))
     }
 
-    /// Every indexed `(key, oid)` pair, sorted — the oracle form for
-    /// entry-for-entry comparison against a fresh build.
-    pub fn dump_entries(&self) -> Vec<(Vec<u8>, Oid)> {
-        let mut out: Vec<(Vec<u8>, Oid)> = self.tree.range(None, None).collect();
-        out.sort();
-        out
-    }
-}
-
-impl MaintainableIndex for ColumnIndex {
-    fn table(&self) -> TableId {
-        ColumnIndex::table(self)
-    }
-
-    fn built_revision(&self) -> u64 {
-        ColumnIndex::built_revision(self)
-    }
-
-    fn mark_synced(&mut self, revision: u64) {
-        ColumnIndex::mark_synced(self, revision);
-    }
-
-    fn apply_entry(
-        &mut self,
-        db: &Database,
-        entry: &JournalEntry,
-    ) -> instn_core::Result<EntryOutcome> {
-        self.apply_journal_entry(db, entry).map_err(|e| match e {
-            crate::QueryError::Core(c) => c,
-            other => instn_core::CoreError::Corrupt(other.to_string()),
-        })
-    }
-
-    fn bulk_rebuild(&mut self, db: &Database) -> instn_core::Result<()> {
-        self.rebuild_in_place(db).map_err(|e| match e {
-            crate::QueryError::Core(c) => c,
-            other => instn_core::CoreError::Corrupt(other.to_string()),
-        })
+    fn bulk_rebuild(&mut self, db: &Database) -> Result<()> {
+        *self = ColumnIndex::build(db, self.table, self.column)?;
+        Ok(())
     }
 }
 

@@ -7,18 +7,19 @@
 //! and behind a lock of its own; [`ExecContext::new`](crate::exec::ExecContext::new)
 //! serves a private one. Refresh runs once per revision: a plan open checks
 //! the stamps under the read lock, and only the first one after a write takes
-//! the write lock and runs the ladder. Lock order: the engine guard first,
+//! the write lock and catches every index up through the one maintenance
+//! ladder, [`MaintainableIndex::catch_up`]. Lock order: the engine guard first,
 //! then this lock. A panic under the write lock poisons it, and every later
 //! acquisition answers [`QueryError::EnginePoisoned`], as the engine's does.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use instn_core::db::Database;
-use instn_core::CoreError;
-use instn_index::{BaselineIndex, MaintainableIndex, SummaryBTree};
+use instn_index::{BaselineIndex, CatchUp, MaintainableIndex, SummaryBTree};
 use instn_storage::TableId;
 
 use crate::dataindex::ColumnIndex;
@@ -104,49 +105,38 @@ impl IndexRegistry {
     /// An index registration outlives the mutations that happen around it;
     /// without this pass a scan over a stale tree silently returns
     /// pre-mutation rows (deleted tuples resurface, inserts are invisible).
-    /// Per index, in order of preference:
-    ///
-    /// 1. fresh stamp → nothing,
-    /// 2. table high-water mark `<= built_revision` → re-stamp, zero work
-    ///    (a mutation elsewhere cannot invalidate this index),
-    /// 3. journal gap `(built_revision, current]` retained and small →
-    ///    replay it delta by delta ([`MaintainableIndex::apply_entry`]),
-    /// 4. otherwise (journal truncated past the gap, or replay estimated
-    ///    costlier than a fresh build) → bulk rebuild.
-    ///
     /// A registration whose summary instance is gone is evicted.
     fn refresh(&mut self, db: &Database) -> Result<MaintenanceReport> {
         let mut report = MaintenanceReport::default();
         let before = db.stats().snapshot();
-        let mut dead_summary = Vec::new();
-        for (name, idx) in self.summary.iter_mut() {
-            if !refresh_index(db, idx, &mut report)? {
-                dead_summary.push(name.clone());
-            }
-        }
-        for name in dead_summary {
-            self.summary.remove(&name);
-        }
-        let mut dead_baseline = Vec::new();
-        for (name, idx) in self.baseline.iter_mut() {
-            if !refresh_index(db, idx, &mut report)? {
-                dead_baseline.push(name.clone());
-            }
-        }
-        for name in dead_baseline {
-            self.baseline.remove(&name);
-        }
-        for idx in self.column.values_mut() {
-            // Column indexes reference no summary instance; eviction
-            // cannot trigger.
-            refresh_index(db, idx, &mut report)?;
-        }
+        catch_up_all(&mut self.summary, db, &mut report)?;
+        catch_up_all(&mut self.baseline, db, &mut report)?;
+        catch_up_all(&mut self.column, db, &mut report)?;
         self.epoch += report.indexes_evicted;
         let spent = db.stats().snapshot().since(&before);
         report.physical_io = spent.total();
         report.logical_io = spent.logical_total();
         Ok(report)
     }
+}
+
+/// Catch up every index of one kind, counting each outcome into `report`
+/// and dropping the evicted ones.
+fn catch_up_all<K: Clone + Eq + Hash, I: MaintainableIndex>(
+    indexes: &mut HashMap<K, I>,
+    db: &Database,
+    report: &mut MaintenanceReport,
+) -> Result<()> {
+    let mut evicted = Vec::new();
+    for (key, idx) in indexes.iter_mut() {
+        if report.count(idx.catch_up(db)?) {
+            evicted.push(key.clone());
+        }
+    }
+    for key in evicted {
+        indexes.remove(&key);
+    }
+    Ok(())
 }
 
 /// A handle to one [`IndexRegistry`] and its lock. Clones are cheap and
@@ -257,6 +247,27 @@ pub struct MaintenanceReport {
 }
 
 impl MaintenanceReport {
+    /// Count one index's [`MaintainableIndex::catch_up`] outcome; `true`
+    /// when the index was evicted.
+    fn count(&mut self, outcome: CatchUp) -> bool {
+        self.indexes_checked += 1;
+        match outcome {
+            CatchUp::Fresh => self.indexes_fresh += 1,
+            CatchUp::Skipped => self.indexes_skipped += 1,
+            CatchUp::Replayed(n) => {
+                self.indexes_replayed += 1;
+                self.deltas_applied += n;
+            }
+            CatchUp::Rebuilt => self.indexes_rebuilt += 1,
+            CatchUp::ForcedRebuild(n) => {
+                self.forced_rebuilds += 1;
+                self.deltas_applied += n;
+            }
+            CatchUp::Evicted => self.indexes_evicted += 1,
+        }
+        outcome == CatchUp::Evicted
+    }
+
     /// Whether the pass did any index work at all (skips are free).
     pub fn did_work(&self) -> bool {
         self.indexes_replayed + self.indexes_rebuilt + self.forced_rebuilds > 0
@@ -285,102 +296,6 @@ impl MaintenanceReport {
         }
         out
     }
-}
-
-/// Replay beats a bulk rebuild when the gap is small relative to the
-/// table: one replayed change costs a few B-Tree node touches, a rebuild
-/// scans the whole summary storage / heap and re-sorts every key. The
-/// optimizer's `CostModel::refresh_cost` (in `instn-opt`) prices the same
-/// trade in io/cpu units; this is the executor's dimensionless mirror of
-/// it, kept inline because `instn-query` cannot depend on `instn-opt`.
-pub(crate) const REPLAY_CHANGE_FACTOR: u64 = 4;
-
-/// Whether replaying `gap_changes` journal changes is estimated cheaper
-/// than bulk-rebuilding an index over a table of `table_rows` rows.
-pub(crate) fn replay_cheaper(gap_changes: u64, table_rows: u64) -> bool {
-    gap_changes.saturating_mul(REPLAY_CHANGE_FACTOR) <= table_rows.max(16)
-}
-
-/// Catch one index up with the database: skip if its table is untouched,
-/// replay the journal gap when possible and cheap, bulk rebuild otherwise.
-///
-/// Returns `Ok(false)` when the index's summary instance no longer exists
-/// (an `ALTER TABLE … DROP` landed since it was built) — the registration
-/// is unsalvageable and the caller must evict it.
-fn refresh_index<I: MaintainableIndex>(
-    db: &Database,
-    idx: &mut I,
-    report: &mut MaintenanceReport,
-) -> Result<bool> {
-    let rev = db.revision();
-    report.indexes_checked += 1;
-    let built = idx.built_revision();
-    if built == rev {
-        report.indexes_fresh += 1;
-        return Ok(true);
-    }
-    let journal = db.journal();
-    let table = idx.table();
-    if journal.table_high_water(table) <= built {
-        // Nothing touched this table since the index was built: the stamp
-        // alone advances. This is the zero-work case the per-table
-        // high-water marks exist for.
-        idx.mark_synced(rev);
-        report.indexes_skipped += 1;
-        return Ok(true);
-    }
-    let table_rows = db.table(table)?.len() as u64;
-    let replayable = journal
-        .gap_changes(built, table)
-        .is_some_and(|gap| replay_cheaper(gap, table_rows));
-    if !replayable {
-        return match idx.bulk_rebuild(db) {
-            Ok(()) => {
-                report.indexes_rebuilt += 1;
-                Ok(true)
-            }
-            Err(CoreError::InstanceNotFound(_)) => {
-                report.indexes_evicted += 1;
-                Ok(false)
-            }
-            Err(e) => Err(e.into()),
-        };
-    }
-    let mut rebuilt_mid_replay = false;
-    let gap = journal.replay_range(built).ok_or_else(|| {
-        CoreError::Corrupt(format!(
-            "delta journal stopped covering the gap after revision {built} mid-refresh"
-        ))
-    })?;
-    for entry in gap {
-        if !entry.touches(table) {
-            continue;
-        }
-        match idx.apply_entry(db, entry) {
-            Ok(out) => {
-                report.deltas_applied += out.changes_applied;
-                if out.rebuilt {
-                    // The rebuild reflects the current state; later entries
-                    // are already in and replaying them would double-apply.
-                    report.forced_rebuilds += 1;
-                    rebuilt_mid_replay = true;
-                    break;
-                }
-            }
-            // A structural entry whose forced rebuild finds the instance
-            // gone: the registration points at a dropped instance.
-            Err(CoreError::InstanceNotFound(_)) => {
-                report.indexes_evicted += 1;
-                return Ok(false);
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if !rebuilt_mid_replay {
-        idx.mark_synced(rev);
-        report.indexes_replayed += 1;
-    }
-    Ok(true)
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ fn main() {
         )
         .expect("matches schema");
 
-    // The index is maintained live from the delta stream.
+    // The index catches up from the delta journal after each mutation.
     let mut index =
         SummaryBTree::empty(&db, specimens, "Class1", PointerMode::Backward).expect("instance");
 
@@ -76,12 +76,10 @@ fn main() {
                 Some(c) => Attachment::cells(oid, c),
                 None => Attachment::row(oid),
             };
-            let (id, deltas) = db
+            let (id, _) = db
                 .add_annotation(specimens, text, Category::Other, "curator", vec![att])
                 .expect("fits a page");
-            for d in &deltas {
-                index.apply_delta(db, d).expect("maintains");
-            }
+            index.catch_up(db).expect("maintains");
             println!(
                 "+ annotated {oid:?}: \"{text}\" ({} index keys now)",
                 index.len()
@@ -114,12 +112,9 @@ fn main() {
         None,
     );
     // The same annotation also attached to specimen A (multi-tuple).
-    let deltas = db
-        .attach_annotation(specimens, shared, vec![Attachment::row(a)])
+    db.attach_annotation(specimens, shared, vec![Attachment::row(a)])
         .expect("annotation exists");
-    for d in &deltas {
-        index.apply_delta(&db, d).expect("maintains");
-    }
+    index.catch_up(&db).expect("maintains");
     println!("+ attached the outbreak note to both specimens");
 
     // Query through the index.
@@ -172,10 +167,8 @@ fn main() {
     }
 
     println!("\n== deletion reverses everything ==");
-    let deltas = db.delete_annotation(a1).expect("annotation exists");
-    for d in &deltas {
-        index.apply_delta(&db, d).expect("maintains");
-    }
+    db.delete_annotation(a1).expect("annotation exists");
+    index.catch_up(&db).expect("maintains");
     let set = db.summaries_of(specimens, a).expect("row exists");
     let class1 = set
         .iter()

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use instn_core::summary::{Rep, SummaryObject, SummaryType};
     pub use instn_core::zoom::{zoom_in, ZoomTarget};
     pub use instn_core::AnnotatedTuple;
-    pub use instn_index::{BaselineIndex, PointerMode, SummaryBTree};
+    pub use instn_index::{BaselineIndex, CatchUp, MaintainableIndex, PointerMode, SummaryBTree};
     pub use instn_mining::clustream::ClusterParams;
     pub use instn_mining::nb::NaiveBayes;
     pub use instn_obs::{parse_prometheus, MetricsRegistry, QueryTrace, SlowLog, SlowQueryEntry};

@@ -170,7 +170,7 @@ fn incremental_index_stays_consistent_with_engine_state() {
         SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).unwrap();
 
     // Mutate: add annotations, delete an annotation, delete a tuple.
-    let (added, deltas) = db
+    let (added, _) = db
         .add_annotation(
             birds,
             "disease outbreak confirmed",
@@ -179,15 +179,11 @@ fn incremental_index_stays_consistent_with_engine_state() {
             vec![Attachment::row(oids[3])],
         )
         .unwrap();
-    for d in &deltas {
-        index.apply_delta(&db, d).unwrap();
-    }
-    let deltas = db.delete_annotation(added).unwrap();
-    for d in &deltas {
-        index.apply_delta(&db, d).unwrap();
-    }
-    let delta = db.delete_tuple(birds, oids[7]).unwrap();
-    index.apply_delta(&db, &delta).unwrap();
+    index.catch_up(&db).unwrap();
+    db.delete_annotation(added).unwrap();
+    index.catch_up(&db).unwrap();
+    db.delete_tuple(birds, oids[7]).unwrap();
+    index.catch_up(&db).unwrap();
 
     // The index must agree with a fresh bulk build over the final state.
     let fresh = SummaryBTree::bulk_build(&db, birds, "ClassBird1", PointerMode::Backward).unwrap();

@@ -9,7 +9,8 @@
 //!   inserts/updates/deletes/annotations, every registered index caught up
 //!   by journal replay is entry-for-entry identical to a fresh bulk build —
 //!   for all three index kinds, including the journal-truncation fallback
-//!   and the key-width-growth forced-rebuild paths.
+//!   and the key-width-growth forced-rebuild paths, and whether they catch
+//!   up once after the stream or standalone after every op.
 
 use proptest::prelude::*;
 
@@ -53,16 +54,25 @@ fn annotated_table(db: &mut Database, name: &str, n: usize) -> (TableId, Vec<Oid
     (t, oids)
 }
 
+/// Fresh builds of all three index kinds over `t`.
+fn build_all(db: &Database, t: TableId) -> (SummaryBTree, BaselineIndex, ColumnIndex) {
+    (
+        SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap(),
+        BaselineIndex::bulk_build(db, t, "C").unwrap(),
+        ColumnIndex::build(db, t, 0).unwrap(),
+    )
+}
+
 /// Register all three index kinds over `t` in a registry.
 fn build_registry(db: &Database, t: TableId) -> SharedRegistry {
+    register_all(build_all(db, t))
+}
+
+fn register_all((sb, bl, col): (SummaryBTree, BaselineIndex, ColumnIndex)) -> SharedRegistry {
     let registry = SharedRegistry::default();
-    let sb = SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap();
     registry.register_summary("sb", sb).unwrap();
-    let bl = BaselineIndex::bulk_build(db, t, "C").unwrap();
     registry.register_baseline("bl", bl).unwrap();
-    registry
-        .register_column(ColumnIndex::build(db, t, 0).unwrap())
-        .unwrap();
+    registry.register_column(col).unwrap();
     registry
 }
 
@@ -75,19 +85,17 @@ fn refresh(db: &Database, registry: &SharedRegistry) -> MaintenanceReport {
 /// entry (decoded, so a wider-than-necessary key format still matches).
 fn assert_oracle_identical(db: &Database, t: TableId, registry: &SharedRegistry) {
     let registry = registry.read().unwrap();
-    let fresh_sb = SummaryBTree::bulk_build(db, t, "C", PointerMode::Backward).unwrap();
+    let (fresh_sb, fresh_bl, fresh_col) = build_all(db, t);
     assert_eq!(
         registry.summary_index("sb").unwrap().dump_entries(),
         fresh_sb.dump_entries(),
         "Summary-BTree diverged from fresh build"
     );
-    let fresh_bl = BaselineIndex::bulk_build(db, t, "C").unwrap();
     assert_eq!(
         registry.baseline_index("bl").unwrap().dump_rows(),
         fresh_bl.dump_rows(),
         "baseline index diverged from fresh build"
     );
-    let fresh_col = ColumnIndex::build(db, t, 0).unwrap();
     assert_eq!(
         registry.column_index(t, 0).unwrap().dump_entries(),
         fresh_col.dump_entries(),
@@ -411,24 +419,37 @@ fn apply_ops(db: &mut Database, t: TableId, oids: &mut Vec<Oid>, ops: &[Op]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
     /// The pipeline's core guarantee: whatever interleaving of mutations
-    /// lands in the journal gap — and whatever ladder arm the executor
-    /// picks (skip, replay, truncation fallback, forced rebuild) — the
-    /// refreshed indexes are entry-for-entry identical to fresh builds.
+    /// lands in the journal gap, whatever ladder arm `catch_up` picks
+    /// (skip, replay, truncation fallback, forced rebuild), and whether the
+    /// indexes catch up once through a registry refresh after the stream or
+    /// standalone after every op, they end entry-for-entry identical to
+    /// fresh builds.
     #[test]
     fn replayed_indexes_match_fresh_builds(
         before in prop::collection::vec(op(), 0..12),
         after in prop::collection::vec(op(), 1..25),
         retention in prop_oneof![Just(0usize), Just(3), Just(4096)],
+        after_every_op in any::<bool>(),
     ) {
         let mut db = Database::new();
         db.set_journal_retention(retention);
         let (t, mut oids) = annotated_table(&mut db, "A", 8);
         apply_ops(&mut db, t, &mut oids, &before);
-        let registry = build_registry(&db, t);
-        apply_ops(&mut db, t, &mut oids, &after);
+        let registry = if after_every_op {
+            let (mut sb, mut bl, mut col) = build_all(&db, t);
+            for op in &after {
+                apply_ops(&mut db, t, &mut oids, std::slice::from_ref(op));
+                sb.catch_up(&db).unwrap();
+                bl.catch_up(&db).unwrap();
+                col.catch_up(&db).unwrap();
+            }
+            register_all((sb, bl, col))
+        } else {
+            let registry = build_registry(&db, t);
+            apply_ops(&mut db, t, &mut oids, &after);
+            registry
+        };
         let report = refresh(&db, &registry);
         prop_assert_eq!(report.indexes_checked, 3);
         assert_oracle_identical(&db, t, &registry);
