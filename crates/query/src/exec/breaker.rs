@@ -19,111 +19,85 @@ use crate::plan::SortKey;
 use crate::row::{Row, RowTally};
 use crate::{QueryError, Result};
 
-/// Sort — a pipeline breaker: the input is drained at open, sorted (spilling
-/// when over budget), and replayed.
-pub(super) struct SortOp {
+/// A pipeline breaker — behind Sort, GroupBy and DISTINCT alike: drains its
+/// input into its fold at open, then replays what the fold made of it.
+pub(super) struct BreakerOp<F: Fold> {
     pub(super) child: OpNode,
+    pub(super) fold: F,
+    pub(super) out: Option<std::vec::IntoIter<Row>>,
+}
+
+/// What a pipeline breaker folds its input into: every row as it arrives,
+/// then the output, whole, once the input ends.
+pub(super) trait Fold {
+    /// Take in one input row.
+    fn absorb(&mut self, db: &Database, row: Row, tally: &mut RowTally);
+    /// The output rows, in order; leaves the fold empty for the next open.
+    fn finish(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Vec<Row>>;
+}
+
+impl<F: Fold> Operator for BreakerOp<F> {
+    fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()> {
+        self.child.open(ctx)?;
+        while let Some(row) = self.child.next(ctx)? {
+            self.fold.absorb(ctx.db, row, tally);
+        }
+        self.out = Some(self.fold.finish(ctx, tally)?.into_iter());
+        Ok(())
+    }
+
+    fn next(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
+        Ok(self.out.as_mut().and_then(|it| it.next()))
+    }
+
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
+        self.out = None;
+        self.child.close(ctx)
+    }
+
+    fn children(&self) -> Vec<&OpNode> {
+        vec![&self.child]
+    }
+}
+
+/// Sort's fold: every row decorated with its key — evaluated once, as the
+/// row comes in, not once per comparison — and the row itself left as
+/// fetched; sorted at the end, spilling when over budget.
+pub(super) struct SortFold {
     pub(super) key: SortKey,
     pub(super) desc: bool,
+    /// Force the external (spilling) algorithm.
     pub(super) disk: bool,
-    pub(super) out: Option<std::vec::IntoIter<Row>>,
+    pub(super) rows: Vec<SortRow>,
 }
 
-impl Operator for SortOp {
-    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
-        self.child.open(ctx)?;
-        // Decorate: the key is evaluated once per row, here, not once per
-        // comparison — and the row itself stays as fetched.
-        let mut rows = Vec::new();
-        while let Some(row) = self.child.next(ctx)? {
-            rows.push((self.key.eval(&row), row));
+impl Fold for SortFold {
+    fn absorb(&mut self, _db: &Database, row: Row, _tally: &mut RowTally) {
+        self.rows.push((self.key.eval(&row), row));
+    }
+
+    fn finish(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Vec<Row>> {
+        let mut rows = std::mem::take(&mut self.rows);
+        if self.disk || rows.len() > ctx.sort_mem {
+            return external_sort(ctx.db, ctx.sort_mem, rows, &self.key, self.desc);
         }
-        let sorted = if self.disk || rows.len() > ctx.sort_mem {
-            external_sort(ctx.db, ctx.sort_mem, rows, &self.key, self.desc)?
-        } else {
-            mem_sort(&mut rows, self.desc);
-            rows.into_iter().map(|(_, row)| row).collect()
-        };
-        self.out = Some(sorted.into_iter());
-        Ok(())
-    }
-
-    fn next(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
-        Ok(self.out.as_mut().and_then(|it| it.next()))
-    }
-
-    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.out = None;
-        self.child.close(ctx)
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        vec![&self.child]
+        mem_sort(&mut rows, self.desc);
+        Ok(rows.into_iter().map(|(_, row)| row).collect())
     }
 }
 
-/// Group-by — a pipeline breaker: drains its input at open, then replays
-/// the groups in first-occurrence order.
-pub(super) struct GroupByOp {
-    pub(super) child: OpNode,
-    pub(super) cols: Vec<usize>,
-    pub(super) out: Option<std::vec::IntoIter<Row>>,
-}
+/// DISTINCT's fold: the rows, collected for [`distinct_rows`], whose
+/// survivors leave in first-occurrence order.
+#[derive(Default)]
+pub(super) struct DistinctFold(Vec<Row>);
 
-impl Operator for GroupByOp {
-    fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()> {
-        self.child.open(ctx)?;
-        let mut groups = AggState::new(self.cols.clone());
-        while let Some(row) = self.child.next(ctx)? {
-            groups.absorb(ctx.db, row, tally);
-        }
-        self.out = Some(groups.finish().into_iter());
-        Ok(())
+impl Fold for DistinctFold {
+    fn absorb(&mut self, _db: &Database, row: Row, _tally: &mut RowTally) {
+        self.0.push(row);
     }
 
-    fn next(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
-        Ok(self.out.as_mut().and_then(|it| it.next()))
-    }
-
-    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.out = None;
-        self.child.close(ctx)
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        vec![&self.child]
-    }
-}
-
-/// DISTINCT — a pipeline breaker: drains its input at open, then replays the
-/// survivors in first-occurrence order.
-pub(super) struct DistinctOp {
-    pub(super) child: OpNode,
-    pub(super) out: Option<std::vec::IntoIter<Row>>,
-}
-
-impl Operator for DistinctOp {
-    fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()> {
-        self.child.open(ctx)?;
-        let mut rows = Vec::new();
-        while let Some(row) = self.child.next(ctx)? {
-            rows.push(row);
-        }
-        self.out = Some(distinct_rows(ctx.db, rows, tally).into_iter());
-        Ok(())
-    }
-
-    fn next(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
-        Ok(self.out.as_mut().and_then(|it| it.next()))
-    }
-
-    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.out = None;
-        self.child.close(ctx)
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        vec![&self.child]
+    fn finish(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Vec<Row>> {
+        Ok(distinct_rows(ctx.db, std::mem::take(&mut self.0), tally))
     }
 }
 
@@ -202,32 +176,6 @@ impl AggState {
         }
     }
 
-    /// Fold one input row into the state (the serial per-row step). Of the
-    /// row's columns only the grouping ones are read; its summary set is
-    /// decoded, since a group merges it.
-    pub(super) fn absorb(&mut self, db: &Database, mut row: Row, tally: &mut RowTally) {
-        let key: Vec<Value> = self
-            .cols
-            .iter()
-            .map(|&i| row.column(i).map_or(Value::Null, ValueRef::to_owned))
-            .collect();
-        let summaries = row.summaries_mut(tally);
-        match self.group_mut(&key) {
-            Ok(group) => {
-                group.count += 1;
-                group.summaries.absorb(summaries, &db.text_resolver());
-            }
-            Err(slot) => self.insert(
-                slot,
-                Group {
-                    key,
-                    count: 1,
-                    summaries: SummaryAccumulator::new(std::mem::take(summaries)),
-                },
-            ),
-        }
-    }
-
     /// Associatively combine another partial state into this one. `other`'s
     /// groups arrive in its first-occurrence order, so merging partials in
     /// morsel order reproduces the serial first-occurrence order exactly.
@@ -257,11 +205,40 @@ impl AggState {
         self.index.insert(slot, self.groups.len());
         self.groups.push(group);
     }
+}
 
-    /// Emit the grouped rows: key values plus the COUNT(*) column.
-    pub(super) fn finish(self) -> Vec<Row> {
-        self.groups
-            .into_iter()
+impl Fold for AggState {
+    /// Fold one input row into the state (the serial per-row step). Of the
+    /// row's columns only the grouping ones are read; its summary set is
+    /// decoded, since a group merges it.
+    fn absorb(&mut self, db: &Database, mut row: Row, tally: &mut RowTally) {
+        let key: Vec<Value> = self
+            .cols
+            .iter()
+            .map(|&i| row.column(i).map_or(Value::Null, ValueRef::to_owned))
+            .collect();
+        let summaries = row.summaries_mut(tally);
+        match self.group_mut(&key) {
+            Ok(group) => {
+                group.count += 1;
+                group.summaries.absorb(summaries, &db.text_resolver());
+            }
+            Err(slot) => self.insert(
+                slot,
+                Group {
+                    key,
+                    count: 1,
+                    summaries: SummaryAccumulator::new(std::mem::take(summaries)),
+                },
+            ),
+        }
+    }
+
+    /// The grouped rows: key values plus the COUNT(*) column.
+    fn finish(&mut self, _ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Vec<Row>> {
+        self.index.clear();
+        let groups = std::mem::take(&mut self.groups).into_iter();
+        Ok(groups
             .map(|mut group| {
                 group.key.push(Value::Int(group.count as i64));
                 Row::owned(AnnotatedTuple {
@@ -270,7 +247,7 @@ impl AggState {
                     summaries: group.summaries.finish(),
                 })
             })
-            .collect()
+            .collect())
     }
 }
 

@@ -6,34 +6,21 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use instn_storage::io::IoStats;
 use instn_storage::TableId;
 
-use super::breaker::AggState;
+use super::breaker::{AggState, Fold};
 use super::{compile, OpMetrics, OpNode, Operator, ParallelRun, PhysicalPlan, Run};
 use crate::row::{Row, RowTally};
 use crate::Result;
 
-/// Whether `plan` is a fragment the morsel-driven parallel executor can run
-/// worker-side: a chain of `Filter` / `SummaryObjectFilter` / `Project`
-/// over a `SeqScan`, `DataIndexScan`, or `SummaryIndexScan` leaf, optionally
-/// topped by one `GroupBy` (which runs as per-worker partial aggregation
-/// merged at the gather). Everything else — sorts, top-k, join build sides,
-/// the baseline scheme — keeps its serial semantics above the Exchange.
-pub fn parallel_fragment_shape(plan: &PhysicalPlan) -> bool {
-    split_fragment(plan).is_some()
-}
-
-/// Wrap every maximal parallelizable fragment of `plan` (see
-/// [`parallel_fragment_shape`](super::parallel_fragment_shape)) in a [`PhysicalPlan::Exchange`] with `dop`
-/// workers (`0` = inherit the executing context's [`ExecConfig::dop`](super::ExecConfig::dop)).
+/// Wrap, in place, every maximal fragment of `plan` the morsel-driven
+/// executor can run worker-side — a chain of `Filter` /
+/// `SummaryObjectFilter` / `Project` over a `SeqScan`, `DataIndexScan` or
+/// `SummaryIndexScan` leaf, optionally topped by one `GroupBy` — that
+/// `approve` lets through (the optimizer passes a cost comparison) in a
+/// [`PhysicalPlan::Exchange`] with `dop` workers (`0` = inherit the
+/// executing context's [`ExecConfig::dop`](super::ExecConfig::dop)).
 /// `dop == 1` returns the plan unchanged. `LIMIT` subtrees are left serial:
 /// an Exchange materializes its fragment, which would defeat the executor's
 /// early-termination guarantee.
-pub fn parallelize_plan(plan: &PhysicalPlan, dop: usize) -> PhysicalPlan {
-    parallelize_plan_where(plan.clone(), dop, &|_| true)
-}
-
-/// [`parallelize_plan`] with a gate, rewriting `plan` in place: `approve`
-/// sees each candidate fragment and may veto the wrap (the optimizer passes
-/// a cost comparison here).
 pub fn parallelize_plan_where(
     mut plan: PhysicalPlan,
     dop: usize,
@@ -46,7 +33,7 @@ pub fn parallelize_plan_where(
 }
 
 fn wrap_fragments(plan: &mut PhysicalPlan, dop: usize, approve: &dyn Fn(&PhysicalPlan) -> bool) {
-    if parallel_fragment_shape(plan) {
+    if split_fragment(plan).is_some() {
         if approve(plan) {
             // A placeholder leaf holds the slot while the fragment moves
             // under its Exchange.
@@ -75,7 +62,7 @@ fn wrap_fragments(plan: &mut PhysicalPlan, dop: usize, approve: &dyn Fn(&Physica
     }
 }
 
-/// A decomposed parallel fragment (see [`parallel_fragment_shape`](super::parallel_fragment_shape)).
+/// A decomposed parallel fragment (see [`split_fragment`]).
 struct FragSpec<'p> {
     /// The per-tuple stages over the leaf — what each worker compiles and
     /// pulls once per morsel.
@@ -87,6 +74,13 @@ struct FragSpec<'p> {
     group_cols: Option<&'p [usize]>,
 }
 
+/// `plan` taken apart as a fragment the morsel-driven executor can run
+/// worker-side: a chain of `Filter` / `SummaryObjectFilter` / `Project`
+/// over a `SeqScan`, `DataIndexScan`, or `SummaryIndexScan` leaf,
+/// optionally topped by one `GroupBy` (which runs as per-worker partial
+/// aggregation merged at the gather). Everything else — sorts, top-k, join
+/// build sides, the baseline scheme — is `None`, and keeps its serial
+/// semantics above the Exchange.
 fn split_fragment(plan: &PhysicalPlan) -> Option<FragSpec<'_>> {
     let (group_cols, chain) = match plan {
         PhysicalPlan::GroupBy { input, cols } => (Some(&cols[..]), &**input),
@@ -149,7 +143,7 @@ fn run_parallel<T: Send>(
     frag: &FragSpec<'_>,
     dop: usize,
     drain: impl Fn(&mut OpNode, &mut RowTally) -> Result<T> + Sync,
-    gather: impl FnOnce(Vec<T>) -> Vec<Row>,
+    gather: impl FnOnce(Vec<T>) -> Result<Vec<Row>>,
 ) -> Result<(Vec<Row>, ParallelRun)> {
     let stats = ctx.db.stats();
     // The coordinator pins the last stripe so fragment enumeration
@@ -254,7 +248,7 @@ fn run_parallel<T: Send>(
             slots[i] = Some(out);
         }
     }
-    let rows = gather(slots.into_iter().flatten().collect());
+    let rows = gather(slots.into_iter().flatten().collect())?;
     if let (Some(hist), Some(t0)) = (gather_hist.as_ref(), gather_t0) {
         hist.record(instn_obs::elapsed_ns(t0));
     }
@@ -283,7 +277,7 @@ fn run_parallel<T: Send>(
 }
 
 impl Operator for ExchangeOp {
-    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
+    fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()> {
         let dop = if self.dop == 0 {
             ctx.config.dop
         } else {
@@ -314,7 +308,7 @@ impl Operator for ExchangeOp {
                     }
                     Ok(rows)
                 },
-                |chunks| chunks.into_iter().flatten().collect(),
+                |chunks| Ok(chunks.into_iter().flatten().collect()),
             )?,
             Some(cols) => run_parallel(
                 ctx,
@@ -332,7 +326,7 @@ impl Operator for ExchangeOp {
                     for partial in partials {
                         acc.merge(db, partial);
                     }
-                    acc.finish()
+                    acc.finish(ctx, tally)
                 },
             )?,
         };
@@ -360,10 +354,7 @@ impl Operator for ExchangeOp {
 
     fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         self.out = None;
-        match &mut self.serial {
-            Some(node) => node.close(ctx),
-            None => Ok(()),
-        }
+        self.serial.as_mut().map_or(Ok(()), |node| node.close(ctx))
     }
 
     fn children(&self) -> Vec<&OpNode> {

@@ -255,8 +255,8 @@ fn parallelize_plan_wraps_fragments_and_skips_limits() {
         input: Box::new(frag_plan(t)),
         n: 3,
     };
-    assert_eq!(parallelize_plan(&lim, 4), lim);
-    let wrapped = parallelize_plan(&frag_plan(t), 4);
+    assert_eq!(parallelize_plan_where(lim.clone(), 4, &|_| true), lim);
+    let wrapped = parallelize_plan_where(frag_plan(t), 4, &|_| true);
     assert_eq!(
         wrapped,
         PhysicalPlan::Exchange {
@@ -265,7 +265,10 @@ fn parallelize_plan_wraps_fragments_and_skips_limits() {
         }
     );
     // DOP 1 never wraps anything.
-    assert_eq!(parallelize_plan(&frag_plan(t), 1), frag_plan(t));
+    assert_eq!(
+        parallelize_plan_where(frag_plan(t), 1, &|_| true),
+        frag_plan(t)
+    );
     // A sort above a fragment: the fragment below the sort wraps, the
     // sort itself stays serial above the gather.
     let sort = PhysicalPlan::Sort {
@@ -274,7 +277,7 @@ fn parallelize_plan_wraps_fragments_and_skips_limits() {
         desc: false,
         disk: false,
     };
-    let par = parallelize_plan(&sort, 2);
+    let par = parallelize_plan_where(sort, 2, &|_| true);
     match par {
         PhysicalPlan::Sort { input, .. } => {
             assert!(matches!(*input, PhysicalPlan::Exchange { dop: 2, .. }))
@@ -302,7 +305,10 @@ fn parallelize_plan_wraps_only_the_outer_side_of_joins() {
         right: Box::new(frag_plan(t)),
         pred: pred.clone(),
     };
-    assert_eq!(parallelize_plan(&nl(frag_plan(t)), 4), nl(wrapped()));
+    assert_eq!(
+        parallelize_plan_where(nl(frag_plan(t)), 4, &|_| true),
+        nl(wrapped())
+    );
     let index_join = |left| PhysicalPlan::IndexJoin {
         left: Box::new(left),
         right_table: t,
@@ -312,7 +318,7 @@ fn parallelize_plan_wraps_only_the_outer_side_of_joins() {
         with_summaries: true,
     };
     assert_eq!(
-        parallelize_plan(&index_join(frag_plan(t)), 4),
+        parallelize_plan_where(index_join(frag_plan(t)), 4, &|_| true),
         index_join(wrapped())
     );
     let summary_join = |left| PhysicalPlan::SummaryIndexJoin {
@@ -324,12 +330,12 @@ fn parallelize_plan_wraps_only_the_outer_side_of_joins() {
         with_summaries: true,
     };
     assert_eq!(
-        parallelize_plan(&summary_join(frag_plan(t)), 4),
+        parallelize_plan_where(summary_join(frag_plan(t)), 4, &|_| true),
         summary_join(wrapped())
     );
     // Nested: the outer join's outer is itself a join, whose outer wraps.
     assert_eq!(
-        parallelize_plan(&nl(nl(frag_plan(t))), 4),
+        parallelize_plan_where(nl(nl(frag_plan(t))), 4, &|_| true),
         nl(nl(wrapped()))
     );
 }

@@ -6,11 +6,12 @@ use std::hash::{Hash, Hasher};
 use instn_core::algebra::merge_summary_sets;
 use instn_core::db::Database;
 use instn_core::AnnotatedTuple;
+use instn_index::IndexEntry;
 use instn_storage::{Oid, TableId, Value, ValueRef};
 
-use super::scan::{fetch_entry, fetch_row, unopened};
+use super::scan::{fetch_entry, fetch_row};
 use super::{OpNode, Operator, Run, NL_BLOCK_SIZE};
-use crate::expr::RowRead;
+use crate::expr::{RowRead, SummaryExpr};
 use crate::plan::{JoinPredicate, Side};
 use crate::row::{Row, RowTally};
 use crate::{QueryError, Result};
@@ -257,131 +258,133 @@ impl Operator for NestedLoopJoinOp {
     }
 }
 
-/// Index join: streams the outer, probing a column index on the inner table
-/// per outer tuple.
-pub(super) struct IndexJoinOp {
+/// An index join — behind IndexJoin and SummaryIndexJoin alike: streams
+/// the outer, probes an index on the inner table per outer row, and merges
+/// the row with each fetched hit the residual predicate lets through.
+pub(super) struct ProbeJoinOp<P: Probe> {
     pub(super) left: OpNode,
-    pub(super) right_table: TableId,
-    pub(super) left_col: usize,
-    pub(super) right_col: usize,
+    pub(super) probe: P,
     pub(super) residual: Option<JoinPredicate>,
-    pub(super) with_summaries: bool,
-    pub(super) current: Option<(Row, Vec<Oid>, usize)>,
+    /// The current outer row, its hits, and how many are taken.
+    pub(super) current: Option<(Row, Vec<P::Hit>, usize)>,
 }
 
-impl Operator for IndexJoinOp {
+/// An index a probe join looks its outer rows up in.
+pub(super) trait Probe {
+    type Hit;
+    /// Check the index is registered, at the join's open.
+    fn open(&self, ctx: &Run<'_>) -> Result<()>;
+    /// The hits of exactly the inner rows the probed predicate holds for.
+    fn lookup(&self, ctx: &Run<'_>, outer: &Row) -> Result<Vec<Self::Hit>>;
+    /// The inner row behind a hit.
+    fn fetch(&self, ctx: &Run<'_>, hit: &Self::Hit, tally: &mut RowTally) -> Result<Row>;
+}
+
+impl<P: Probe> Operator for ProbeJoinOp<P> {
     fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
-        if ctx
-            .indexes
-            .column_index(self.right_table, self.right_col)
-            .is_none()
-        {
-            return Err(QueryError::BadPlan(format!(
+        self.probe.open(ctx)?;
+        self.current = None;
+        self.left.open(ctx)
+    }
+
+    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+        loop {
+            if let Some((l, hits, pos)) = &mut self.current {
+                while let Some(hit) = hits.get(*pos) {
+                    *pos += 1;
+                    let mut r = self.probe.fetch(ctx, hit, tally)?;
+                    if self.residual.as_ref().is_some_and(|p| !p.matches(l, &r)) {
+                        continue;
+                    }
+                    return Ok(Some(merge_pair(ctx.db, l, &mut r, tally)));
+                }
+                self.current = None;
+            }
+            let Some(l) = self.left.next(ctx)? else {
+                return Ok(None);
+            };
+            let hits = self.probe.lookup(ctx, &l)?;
+            self.current = Some((l, hits, 0));
+        }
+    }
+
+    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
+        self.current = None;
+        self.left.close(ctx)
+    }
+
+    fn children(&self) -> Vec<&OpNode> {
+        vec![&self.left]
+    }
+}
+
+/// IndexJoin's probe: the outer key looked up exactly in a column index on
+/// the inner. That agrees with `DataEq` only for a key that is not NULL —
+/// `DataEq` holds for no NULL — and where `cmp_sql` equality is payload
+/// equality: two `Int` or two `Text` columns, the only ones planned.
+pub(super) struct ColumnProbe {
+    pub(super) left_col: usize,
+    pub(super) right_table: TableId,
+    pub(super) right_col: usize,
+    pub(super) with_summaries: bool,
+}
+
+impl Probe for ColumnProbe {
+    type Hit = Oid;
+
+    fn open(&self, ctx: &Run<'_>) -> Result<()> {
+        match ctx.indexes.column_index(self.right_table, self.right_col) {
+            Some(_) => Ok(()),
+            None => Err(QueryError::BadPlan(format!(
                 "index join requires a column index on table {:?} col {}",
                 self.right_table, self.right_col
-            )));
-        }
-        self.current = None;
-        self.left.open(ctx)
-    }
-
-    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
-        loop {
-            if let Some((l, oids, pos)) = &mut self.current {
-                while let Some(&oid) = oids.get(*pos) {
-                    *pos += 1;
-                    let mut r =
-                        fetch_row(ctx.db, self.right_table, oid, self.with_summaries, tally)?;
-                    if self.residual.as_ref().is_some_and(|p| !p.matches(l, &r)) {
-                        continue;
-                    }
-                    return Ok(Some(merge_pair(ctx.db, l, &mut r, tally)));
-                }
-                self.current = None;
-            }
-            match self.left.next(ctx)? {
-                Some(l) => {
-                    let Some(key) = l.column(self.left_col).map(ValueRef::to_owned) else {
-                        continue;
-                    };
-                    let idx = ctx.require_column_index(self.right_table, self.right_col)?;
-                    self.current = Some((l, idx.lookup(&key), 0));
-                }
-                None => return Ok(None),
-            }
+            ))),
         }
     }
 
-    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.current = None;
-        self.left.close(ctx)
+    fn lookup(&self, ctx: &Run<'_>, outer: &Row) -> Result<Vec<Oid>> {
+        let key = match outer.column(self.left_col) {
+            None | Some(ValueRef::Null) => return Ok(Vec::new()),
+            Some(key) => key.to_owned(),
+        };
+        let idx = ctx.require_column_index(self.right_table, self.right_col)?;
+        Ok(idx.lookup(&key))
     }
 
-    fn children(&self) -> Vec<&OpNode> {
-        vec![&self.left]
+    fn fetch(&self, ctx: &Run<'_>, oid: &Oid, tally: &mut RowTally) -> Result<Row> {
+        fetch_row(ctx.db, self.right_table, *oid, self.with_summaries, tally)
     }
 }
 
-/// Index-based summary join (§5.2): streams the outer, probing a
-/// Summary-BTree on the inner table per outer tuple.
-pub(super) struct SummaryIndexJoinOp {
-    pub(super) left: OpNode,
-    pub(super) left_key: crate::expr::SummaryExpr,
+/// SummaryIndexJoin's probe (the index-based `J` of §5.2): the outer row's
+/// summary expression, as a count, searched in a Summary-BTree on the inner.
+pub(super) struct SummaryProbe {
+    pub(super) left_key: SummaryExpr,
     pub(super) index: String,
     pub(super) label: String,
-    pub(super) residual: Option<JoinPredicate>,
     pub(super) with_summaries: bool,
-    pub(super) right_table: Option<TableId>,
-    pub(super) current: Option<(Row, Vec<instn_index::IndexEntry>, usize)>,
 }
 
-impl Operator for SummaryIndexJoinOp {
-    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
-        let idx = ctx.require_summary_index(&self.index)?;
-        self.right_table = Some(idx.table());
-        self.current = None;
-        self.left.open(ctx)
+impl Probe for SummaryProbe {
+    type Hit = IndexEntry;
+
+    fn open(&self, ctx: &Run<'_>) -> Result<()> {
+        ctx.require_summary_index(&self.index).map(drop)
     }
 
-    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
-        let idx = ctx.require_summary_index(&self.index)?;
-        let right_table = self.right_table.ok_or_else(unopened)?;
-        loop {
-            if let Some((l, entries, pos)) = &mut self.current {
-                while let Some(e) = entries.get(*pos) {
-                    *pos += 1;
-                    let mut r =
-                        fetch_entry(ctx.db, idx, right_table, e, self.with_summaries, tally)?;
-                    if self.residual.as_ref().is_some_and(|p| !p.matches(l, &r)) {
-                        continue;
-                    }
-                    return Ok(Some(merge_pair(ctx.db, l, &mut r, tally)));
-                }
-                self.current = None;
+    fn lookup(&self, ctx: &Run<'_>, outer: &Row) -> Result<Vec<IndexEntry>> {
+        match self.left_key.eval(outer).as_int() {
+            Some(count) if count >= 0 => {
+                let idx = ctx.require_summary_index(&self.index)?;
+                Ok(idx.search_eq(&self.label, count as u64))
             }
-            match self.left.next(ctx)? {
-                Some(l) => {
-                    let Some(count) = self.left_key.eval(&l).as_int() else {
-                        continue;
-                    };
-                    if count < 0 {
-                        continue;
-                    }
-                    let entries = idx.search_eq(&self.label, count as u64);
-                    self.current = Some((l, entries, 0));
-                }
-                None => return Ok(None),
-            }
+            _ => Ok(Vec::new()),
         }
     }
 
-    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.current = None;
-        self.left.close(ctx)
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        vec![&self.left]
+    fn fetch(&self, ctx: &Run<'_>, e: &IndexEntry, tally: &mut RowTally) -> Result<Row> {
+        let idx = ctx.require_summary_index(&self.index)?;
+        fetch_entry(ctx.db, idx, idx.table(), e, self.with_summaries, tally)
     }
 }
 

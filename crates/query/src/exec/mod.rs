@@ -7,26 +7,24 @@
 //! fetched, still encoded; predicates and sort keys read them in place and
 //! only rows that survive to a point needing ownership are decoded into an
 //! [`AnnotatedTuple`] (fetch eagerly, decode lazily: I/O counts never depend
-//! on laziness). Implemented operators:
+//! on laziness).
 //!
-//! * sequential scan (with or without summary propagation),
-//! * Summary-BTree index scan (equality / range, in count order — the
-//!   *interesting order* the optimizer exploits),
-//! * baseline-scheme index scan (with its extra join indirection, and the
-//!   optional propagate-from-normalized mode of Figure 12),
-//! * data filter σ / summary selection `S` (one physical node — the
-//!   distinction is logical), summary object filter `F`,
-//! * projection with annotation-effect elimination (Fig. 3 step 1),
-//! * block nested-loop join and index join, both merging summary sets with
-//!   common-annotation de-duplication,
-//! * in-memory and external (spilling) sort, data- or summary-keyed,
-//! * group-by with COUNT(*) and summary merging, and LIMIT,
-//! * exchange/gather: a morsel-driven parallel section (scan → filters →
-//!   partial aggregation across a crossbeam-scoped worker pool) feeding the
-//!   serial pipeline above it. Workers run the operators above, compiled
-//!   per morsel with the scan leaf bound to it — there is no second
-//!   implementation of any of them. See [`ExecConfig`] and
-//!   [`PhysicalPlan::Exchange`].
+//! One module per seam, each operator shape written once:
+//!
+//! * `physical` — the [`PhysicalPlan`] and its EXPLAIN rendering;
+//! * here — [`ExecContext`] and its drain loop, the `Operator` trait, the
+//!   metering `OpNode`, `compile`, and [`OpMetrics`];
+//! * `scan` — the leaves (heap, Summary-BTree, baseline scheme with the
+//!   Fig. 12 propagate-from-normalized mode, data index) and their fetches;
+//! * `pipeline` — σ / `S`, `F` and projection with annotation-effect
+//!   elimination as stages of one pipelined operator, and LIMIT;
+//! * `join` — the block nested loop with its hashed block, and one probe
+//!   join behind both index joins (the second `J` of §5.2);
+//! * `breaker` — one pipeline breaker behind sort (in memory or external),
+//!   group-by with summary merging, and DISTINCT;
+//! * `exchange` — the morsel-driven parallel section and where plans get
+//!   one. Workers run the operators above, compiled per morsel with the
+//!   scan leaf bound to it — there is no second implementation of any.
 
 mod breaker;
 mod exchange;
@@ -50,13 +48,13 @@ use crate::registry::{IndexRegistry, MaintenanceReport, SharedRegistry};
 use crate::row::{FinishedRow, Row, RowSink, RowTally};
 use crate::{QueryError, Result};
 
-use breaker::{DistinctOp, GroupByOp, SortOp};
+use breaker::{AggState, BreakerOp, DistinctFold, SortFold};
 use exchange::ExchangeOp;
-use join::{IndexJoinOp, KeyedRows, NestedLoopJoinOp, SummaryIndexJoinOp};
-use pipeline::{FilterOp, LimitOp, ProjectOp, SummaryObjectFilterOp};
+use join::{ColumnProbe, KeyedRows, NestedLoopJoinOp, ProbeJoinOp, SummaryProbe};
+use pipeline::{LimitOp, PipeOp, Projection};
 use scan::{BaselineIndexScanOp, DataIndexScanOp, Morsel, SeqScanOp, SummaryIndexScanOp};
 
-pub use exchange::{parallel_fragment_shape, parallelize_plan, parallelize_plan_where};
+pub use exchange::parallelize_plan_where;
 pub use physical::PhysicalPlan;
 
 /// Tuples per block for the block nested-loop join (the inner plan is
@@ -424,13 +422,17 @@ trait Operator {
     fn open(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<()>;
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>>;
     fn close(&mut self, ctx: &Run<'_>) -> Result<()>;
-    fn children(&self) -> Vec<&OpNode>;
+
+    /// The input operators, outer first; a leaf has none.
+    fn children(&self) -> Vec<&OpNode> {
+        Vec::new()
+    }
 
     /// Enumerate this leaf's input as morsels of at most `rows` tuples, in
     /// output order. Only the scan leaves a parallel fragment may sit on
-    /// ([`split_fragment`]) can; the Exchange coordinator calls this once
-    /// and workers read the morsels through trees bound to one each
-    /// ([`compile`]).
+    /// ([`split_fragment`](exchange::split_fragment)) can; the Exchange
+    /// coordinator calls this once and workers read the morsels through
+    /// trees bound to one each ([`compile`]).
     fn morsels(&mut self, _ctx: &Run<'_>, _rows: usize) -> Result<Vec<Morsel>> {
         Err(QueryError::BadPlan(
             "operator cannot be split into morsels".into(),
@@ -561,8 +563,9 @@ impl OpNode {
 /// into the operators (plans are small), keeping the tree `'static`.
 /// `bound` is `None` for the serial pipeline; an Exchange worker passes the
 /// morsel its tree is confined to. It threads through the per-tuple stages
-/// of a [`split_fragment`] chain to the one scan leaf that reads it instead
-/// of enumerating its own input, and nowhere else.
+/// of a [`split_fragment`](exchange::split_fragment) chain to the one scan
+/// leaf that reads it instead of enumerating its own input, and nowhere
+/// else.
 fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
     let morsel = || bound.cloned();
     let op: Box<dyn Operator> = match plan {
@@ -590,7 +593,6 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             propagate: *propagate,
             reverse: *reverse,
             morsel: morsel(),
-            table: None,
             cursor: None,
             pos: 0,
         }),
@@ -608,9 +610,7 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             hi: *hi,
             propagate: *propagate,
             from_normalized: *from_normalized,
-            table: None,
-            oids: Vec::new(),
-            pos: 0,
+            oids: Default::default(),
         }),
         PhysicalPlan::DataIndexScan {
             table,
@@ -629,25 +629,26 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             hi_strict: *hi_strict,
             with_summaries: *with_summaries,
             morsel: morsel(),
-            oids: Vec::new(),
-            pos: 0,
+            oids: Default::default(),
         }),
-        PhysicalPlan::Filter { input, pred } => Box::new(FilterOp {
+        PhysicalPlan::Filter { input, pred } => Box::new(PipeOp {
             child: compile(input, bound),
-            pred: pred.clone(),
+            stage: pred.clone(),
         }),
-        PhysicalPlan::SummaryObjectFilter { input, pred } => Box::new(SummaryObjectFilterOp {
+        PhysicalPlan::SummaryObjectFilter { input, pred } => Box::new(PipeOp {
             child: compile(input, bound),
-            pred: pred.clone(),
+            stage: pred.clone(),
         }),
         PhysicalPlan::Project {
             input,
             cols,
             eliminate,
-        } => Box::new(ProjectOp {
+        } => Box::new(PipeOp {
             child: compile(input, bound),
-            cols: cols.clone(),
-            eliminate: *eliminate,
+            stage: Projection {
+                cols: cols.clone(),
+                eliminate: *eliminate,
+            },
         }),
         PhysicalPlan::NestedLoopJoin { left, right, pred } => Box::new(NestedLoopJoinOp {
             left: compile(left, None),
@@ -668,13 +669,15 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             right_col,
             residual,
             with_summaries,
-        } => Box::new(IndexJoinOp {
+        } => Box::new(ProbeJoinOp {
             left: compile(left, None),
-            right_table: *right_table,
-            left_col: *left_col,
-            right_col: *right_col,
+            probe: ColumnProbe {
+                left_col: *left_col,
+                right_table: *right_table,
+                right_col: *right_col,
+                with_summaries: *with_summaries,
+            },
             residual: residual.clone(),
-            with_summaries: *with_summaries,
             current: None,
         }),
         PhysicalPlan::SummaryIndexJoin {
@@ -684,14 +687,15 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             label,
             residual,
             with_summaries,
-        } => Box::new(SummaryIndexJoinOp {
+        } => Box::new(ProbeJoinOp {
             left: compile(left, None),
-            left_key: left_key.clone(),
-            index: index.clone(),
-            label: label.clone(),
+            probe: SummaryProbe {
+                left_key: left_key.clone(),
+                index: index.clone(),
+                label: label.clone(),
+                with_summaries: *with_summaries,
+            },
             residual: residual.clone(),
-            with_summaries: *with_summaries,
-            right_table: None,
             current: None,
         }),
         PhysicalPlan::Sort {
@@ -699,20 +703,24 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             key,
             desc,
             disk,
-        } => Box::new(SortOp {
+        } => Box::new(BreakerOp {
             child: compile(input, None),
-            key: key.clone(),
-            desc: *desc,
-            disk: *disk,
+            fold: SortFold {
+                key: key.clone(),
+                desc: *desc,
+                disk: *disk,
+                rows: Vec::new(),
+            },
             out: None,
         }),
-        PhysicalPlan::GroupBy { input, cols } => Box::new(GroupByOp {
+        PhysicalPlan::GroupBy { input, cols } => Box::new(BreakerOp {
             child: compile(input, None),
-            cols: cols.clone(),
+            fold: AggState::new(cols.clone()),
             out: None,
         }),
-        PhysicalPlan::Distinct { input } => Box::new(DistinctOp {
+        PhysicalPlan::Distinct { input } => Box::new(BreakerOp {
             child: compile(input, None),
+            fold: DistinctFold::default(),
             out: None,
         }),
         PhysicalPlan::Limit { input, n } => Box::new(LimitOp {

@@ -198,11 +198,13 @@ pub enum PhysicalPlan {
         n: usize,
     },
     /// Exchange/gather boundary: the input fragment (scan → filters →
-    /// optional group-by — see [`parallel_fragment_shape`](super::parallel_fragment_shape)) runs across a
-    /// morsel-driven worker pool; this node gathers worker output (in morsel
-    /// order, so results match the serial pipeline row for row) and feeds
-    /// the serial operators above. With an effective DOP of 1 the fragment
-    /// is delegated to the ordinary serial operators, bit-identically.
+    /// optional group-by — see
+    /// [`parallelize_plan_where`](super::parallelize_plan_where)) runs
+    /// across a morsel-driven worker pool; this node gathers worker output
+    /// (in morsel order, so results match the serial pipeline row for row)
+    /// and feeds the serial operators above. With an effective DOP of 1 the
+    /// fragment is delegated to the ordinary serial operators,
+    /// bit-identically.
     Exchange {
         /// The parallel fragment.
         input: Box<PhysicalPlan>,

@@ -1,5 +1,5 @@
-//! The fully pipelined operators: filter, summary object filter,
-//! projection and LIMIT.
+//! The fully pipelined operators: filter, summary object filter and
+//! projection, one operator over three stages, and LIMIT.
 
 use instn_core::algebra::project_eliminate;
 
@@ -8,54 +8,32 @@ use crate::expr::{Expr, ObjectPred};
 use crate::row::{Row, RowTally};
 use crate::Result;
 
-/// Tuple filter σ / summary selection `S` — fully pipelined.
-pub(super) struct FilterOp {
+/// A pipelined operator — behind Filter, SummaryObjectFilter and Project
+/// alike: every row its child yields goes through its stage, which passes
+/// it on, possibly changed, or drops it.
+pub(super) struct PipeOp<S: Stage> {
     pub(super) child: OpNode,
-    pub(super) pred: Expr,
+    pub(super) stage: S,
 }
 
-impl Operator for FilterOp {
-    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
-        self.child.open(ctx)
-    }
-
-    fn next(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<Option<Row>> {
-        loop {
-            let Some(row) = self.child.next(ctx)? else {
-                return Ok(None);
-            };
-            if self.pred.eval_bool(&row)? {
-                return Ok(Some(row));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.child.close(ctx)
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        vec![&self.child]
-    }
+/// The per-row step of a pipelined operator.
+pub(super) trait Stage {
+    /// The row to pass on, or `None` to drop it.
+    fn apply(&self, ctx: &Run<'_>, row: Row, tally: &mut RowTally) -> Result<Option<Row>>;
 }
 
-/// Summary object filter `F` — fully pipelined.
-pub(super) struct SummaryObjectFilterOp {
-    pub(super) child: OpNode,
-    pub(super) pred: ObjectPred,
-}
-
-impl Operator for SummaryObjectFilterOp {
+impl<S: Stage> Operator for PipeOp<S> {
     fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         self.child.open(ctx)
     }
 
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
-        let row = self.child.next(ctx)?;
-        Ok(row.map(|mut row| {
-            row.retain_summaries(&self.pred, tally);
-            row
-        }))
+        while let Some(row) = self.child.next(ctx)? {
+            if let Some(row) = self.stage.apply(ctx, row, tally)? {
+                return Ok(Some(row));
+            }
+        }
+        Ok(None)
     }
 
     fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
@@ -67,22 +45,30 @@ impl Operator for SummaryObjectFilterOp {
     }
 }
 
-/// Projection with annotation-effect elimination — fully pipelined.
-pub(super) struct ProjectOp {
-    pub(super) child: OpNode,
+/// Tuple filter σ / summary selection `S`: the rows the predicate holds for.
+impl Stage for Expr {
+    fn apply(&self, _ctx: &Run<'_>, row: Row, _tally: &mut RowTally) -> Result<Option<Row>> {
+        Ok(self.eval_bool(&row)?.then_some(row))
+    }
+}
+
+/// Summary object filter `F`: every row, with only the summary objects the
+/// predicate holds for.
+impl Stage for ObjectPred {
+    fn apply(&self, _ctx: &Run<'_>, mut row: Row, tally: &mut RowTally) -> Result<Option<Row>> {
+        row.retain_summaries(self, tally);
+        Ok(Some(row))
+    }
+}
+
+/// Projection, with annotation-effect elimination when `eliminate` is set.
+pub(super) struct Projection {
     pub(super) cols: Vec<usize>,
     pub(super) eliminate: bool,
 }
 
-impl Operator for ProjectOp {
-    fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
-        self.child.open(ctx)
-    }
-
-    fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
-        let Some(mut row) = self.child.next(ctx)? else {
-            return Ok(None);
-        };
+impl Stage for Projection {
+    fn apply(&self, ctx: &Run<'_>, mut row: Row, tally: &mut RowTally) -> Result<Option<Row>> {
         if self.eliminate {
             if let Some((table, oid)) = row.source() {
                 let (_kept, removed) = ctx
@@ -99,14 +85,6 @@ impl Operator for ProjectOp {
         }
         row.project(&self.cols, tally);
         Ok(Some(row))
-    }
-
-    fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.child.close(ctx)
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        vec![&self.child]
     }
 }
 

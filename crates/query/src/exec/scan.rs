@@ -7,7 +7,7 @@ use instn_core::summary::EncodedSummaries;
 use instn_index::SummaryBTree;
 use instn_storage::{Oid, TableId, Value};
 
-use super::{OpNode, Operator, Run};
+use super::{Operator, Run};
 use crate::row::{Row, RowTally};
 use crate::{QueryError, Result};
 
@@ -16,9 +16,9 @@ use crate::{QueryError, Result};
 #[derive(Clone)]
 pub(super) enum Morsel {
     /// Inclusive OID range of a heap scan.
-    Range(instn_storage::Oid, instn_storage::Oid),
+    Range(Oid, Oid),
     /// OID list in data-index key order.
-    Oids(Vec<instn_storage::Oid>),
+    Oids(Vec<Oid>),
     /// Summary-BTree leaf entries in count order.
     Entries(Vec<instn_index::IndexEntry>),
 }
@@ -29,7 +29,7 @@ fn foreign_morsel() -> QueryError {
 }
 
 /// A leaf's pull arrived before its `open`.
-pub(super) fn unopened() -> QueryError {
+fn unopened() -> QueryError {
     QueryError::BadPlan("scan leaf pulled before it was opened".into())
 }
 
@@ -111,10 +111,6 @@ impl Operator for SeqScanOp {
         Ok(())
     }
 
-    fn children(&self) -> Vec<&OpNode> {
-        Vec::new()
-    }
-
     fn morsels(&mut self, ctx: &Run<'_>, rows: usize) -> Result<Vec<Morsel>> {
         let ranges = ctx.db.table(self.table)?.morsel_ranges(rows);
         Ok(ranges
@@ -136,7 +132,6 @@ pub(super) struct SummaryIndexScanOp {
     pub(super) propagate: bool,
     pub(super) reverse: bool,
     pub(super) morsel: Option<Morsel>,
-    pub(super) table: Option<TableId>,
     pub(super) cursor: Option<instn_index::EntryCursor>,
     pub(super) pos: usize,
 }
@@ -155,7 +150,6 @@ impl SummaryIndexScanOp {
 impl Operator for SummaryIndexScanOp {
     fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         let idx = ctx.require_summary_index(&self.index)?;
-        self.table = Some(idx.table());
         match self.morsel {
             None => {
                 self.cursor =
@@ -169,27 +163,16 @@ impl Operator for SummaryIndexScanOp {
 
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let idx = ctx.require_summary_index(&self.index)?;
-        let table = self.table.ok_or_else(unopened)?;
         let Some(e) = self.next_entry(idx)? else {
             return Ok(None);
         };
-        Ok(Some(fetch_entry(
-            ctx.db,
-            idx,
-            table,
-            &e,
-            self.propagate,
-            tally,
-        )?))
+        let row = fetch_entry(ctx.db, idx, idx.table(), &e, self.propagate, tally)?;
+        Ok(Some(row))
     }
 
     fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.cursor = None;
         Ok(())
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        Vec::new()
     }
 
     fn morsels(&mut self, ctx: &Run<'_>, rows: usize) -> Result<Vec<Morsel>> {
@@ -216,33 +199,27 @@ pub(super) struct BaselineIndexScanOp {
     pub(super) hi: Option<u64>,
     pub(super) propagate: bool,
     pub(super) from_normalized: bool,
-    pub(super) table: Option<TableId>,
-    pub(super) oids: Vec<instn_storage::Oid>,
-    pub(super) pos: usize,
+    pub(super) oids: std::vec::IntoIter<Oid>,
 }
 
 impl Operator for BaselineIndexScanOp {
     fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
         let idx = ctx.require_baseline_index(&self.index)?;
-        self.oids = idx.search_range(&self.label, self.lo, self.hi);
-        self.pos = 0;
-        self.table = Some(idx.table());
+        self.oids = idx.search_range(&self.label, self.lo, self.hi).into_iter();
         Ok(())
     }
 
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
-        let Some(&oid) = self.oids.get(self.pos) else {
+        let Some(oid) = self.oids.next() else {
             return Ok(None);
         };
-        self.pos += 1;
-        let table = self.table.ok_or_else(unopened)?;
+        let idx = ctx.require_baseline_index(&self.index)?;
         // Extra indirection: OID-index probe + heap read.
         let rebuild = self.propagate && self.from_normalized;
-        let mut row = fetch_row(ctx.db, table, oid, self.propagate && !rebuild, tally)?;
+        let mut row = fetch_row(ctx.db, idx.table(), oid, self.propagate && !rebuild, tally)?;
         if rebuild {
             // Re-assemble the classifier object from normalized rows
             // (the paper's Fig. 12 measures exactly this).
-            let idx = ctx.require_baseline_index(&self.index)?;
             row.summaries_mut(tally)
                 .extend(idx.rebuild_object(ctx.db, oid)?);
         }
@@ -250,13 +227,8 @@ impl Operator for BaselineIndexScanOp {
     }
 
     fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
-        self.oids = Vec::new();
-        self.pos = 0;
+        self.oids = Default::default();
         Ok(())
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        Vec::new()
     }
 }
 
@@ -273,13 +245,12 @@ pub(super) struct DataIndexScanOp {
     pub(super) hi_strict: bool,
     pub(super) with_summaries: bool,
     pub(super) morsel: Option<Morsel>,
-    pub(super) oids: Vec<instn_storage::Oid>,
-    pub(super) pos: usize,
+    pub(super) oids: std::vec::IntoIter<Oid>,
 }
 
 impl Operator for DataIndexScanOp {
     fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
-        self.oids = match &self.morsel {
+        let oids = match &self.morsel {
             None => ctx.require_column_index(self.table, self.col)?.range(
                 self.lo.as_ref(),
                 self.hi.as_ref(),
@@ -289,15 +260,14 @@ impl Operator for DataIndexScanOp {
             Some(Morsel::Oids(oids)) => oids.clone(),
             Some(_) => return Err(foreign_morsel()),
         };
-        self.pos = 0;
+        self.oids = oids.into_iter();
         Ok(())
     }
 
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
-        let Some(&oid) = self.oids.get(self.pos) else {
+        let Some(oid) = self.oids.next() else {
             return Ok(None);
         };
-        self.pos += 1;
         Ok(Some(fetch_row(
             ctx.db,
             self.table,
@@ -308,19 +278,15 @@ impl Operator for DataIndexScanOp {
     }
 
     fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
-        self.oids = Vec::new();
-        self.pos = 0;
+        self.oids = Default::default();
         Ok(())
-    }
-
-    fn children(&self) -> Vec<&OpNode> {
-        Vec::new()
     }
 
     fn morsels(&mut self, ctx: &Run<'_>, rows: usize) -> Result<Vec<Morsel>> {
         self.open(ctx, &mut RowTally::default())?;
         Ok(self
             .oids
+            .as_slice()
             .chunks(rows)
             .map(|c| Morsel::Oids(c.to_vec()))
             .collect())

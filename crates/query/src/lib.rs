@@ -43,8 +43,8 @@ pub mod session;
 
 pub use dataindex::ColumnIndex;
 pub use exec::{
-    default_dop, parallel_fragment_shape, parallelize_plan, parallelize_plan_where, ExecConfig,
-    ExecContext, OpMetrics, PhysicalPlan, DEFAULT_MORSEL_ROWS,
+    default_dop, parallelize_plan_where, ExecConfig, ExecContext, OpMetrics, PhysicalPlan,
+    DEFAULT_MORSEL_ROWS,
 };
 pub use expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, RowRead, SummaryExpr};
 pub use metrics::QueryMetrics;

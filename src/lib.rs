@@ -94,9 +94,7 @@ pub mod prelude {
     pub use instn_mining::nb::NaiveBayes;
     pub use instn_obs::{parse_prometheus, MetricsRegistry, QueryTrace, SlowLog, SlowQueryEntry};
     pub use instn_opt::{Optimizer, PlannerConfig, Statistics};
-    pub use instn_query::exec::{
-        default_dop, parallelize_plan, ExecConfig, ExecContext, PhysicalPlan,
-    };
+    pub use instn_query::exec::{default_dop, ExecConfig, ExecContext, PhysicalPlan};
     pub use instn_query::expr::{CmpOp, Expr, ObjFunc, ObjRef, ObjectPred, SummaryExpr};
     pub use instn_query::plan::{JoinPredicate, LogicalPlan, SortKey};
     pub use instn_query::plan_cache::{
