@@ -230,8 +230,9 @@ impl Database {
         Ok(self.catalog.table(id)?)
     }
 
-    /// Mutably borrow a table (schema changes go through the catalog).
-    pub fn table_mut(&mut self, id: TableId) -> Result<&mut Table> {
+    /// Mutably borrow a table. A write through it bypasses the WAL, the
+    /// delta journal and the revision, so only a restore may make one.
+    pub(crate) fn table_mut(&mut self, id: TableId) -> Result<&mut Table> {
         Ok(self.catalog.table_mut(id)?)
     }
 

@@ -25,7 +25,7 @@
 //! With `cache_pages == 0` every cost expression is bit-identical to the
 //! uncached model.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use instn_query::exec::{PhysicalPlan, DEFAULT_MORSEL_ROWS, DEFAULT_SORT_MEM, NL_BLOCK_SIZE};
 use instn_query::expr::Expr;
@@ -75,10 +75,12 @@ impl PlanCost {
 /// Index metadata the cost model needs (mirrors the executor registry).
 #[derive(Debug, Clone, Default)]
 pub struct IndexInfo {
-    /// Summary-BTree name → (table, instance, labels-per-object `k`).
-    pub summary: HashMap<String, (TableId, String, usize)>,
+    /// Summary-BTree name → (table, instance, labels-per-object `k`), in
+    /// name order: where two indexes serve one instance, the lowest name
+    /// is the one planned, whatever order they were registered in.
+    pub summary: BTreeMap<String, (TableId, String, usize)>,
     /// Baseline index name → (table, instance, labels-per-object `k`).
-    pub baseline: HashMap<String, (TableId, String, usize)>,
+    pub baseline: BTreeMap<String, (TableId, String, usize)>,
     /// Available data-column indexes.
     pub columns: HashSet<(TableId, usize)>,
 }

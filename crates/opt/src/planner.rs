@@ -6,7 +6,7 @@
 //! already provides the interesting order (Rules 3–6) → cost every
 //! candidate (§5.2) → return the cheapest.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use instn_core::db::Database;
@@ -15,7 +15,7 @@ use instn_query::expr::Expr;
 use instn_query::lower::is_base_shape;
 use instn_query::plan::{JoinPredicate, LogicalPlan, SortKey};
 use instn_query::{QueryError, Result};
-use instn_storage::TableId;
+use instn_storage::{ColumnType, TableId};
 
 use crate::cost::{CostModel, IndexInfo, PlanCost};
 use crate::rules::{enumerate_equivalent, RuleContext};
@@ -246,12 +246,18 @@ impl<'a> Optimizer<'a> {
                     pred: pred.clone(),
                 };
                 // Index join when the inner is a base scan with an index on
-                // the join column; costed against the nested loop.
+                // the join column; costed against the nested loop. Its exact
+                // key lookup answers `DataEq` as `cmp_sql` does only for two
+                // `Int` or two `Text` columns (the rule `KeyBuckets` keeps).
                 if let (Some((lc, rc)), LogicalPlan::Scan { table }) =
                     (pred.data_eq(), right.as_ref())
                 {
                     let rt = self.db.table_id(table)?;
-                    if self.config.indexes.columns.contains(&(rt, rc)) {
+                    let key_type = self.rule_ctx.column_type(right, rc);
+                    if self.config.indexes.columns.contains(&(rt, rc))
+                        && matches!(key_type, Some(ColumnType::Int | ColumnType::Text))
+                        && self.rule_ctx.column_type(left, lc) == key_type
+                    {
                         let residual = strip_data_eq(pred);
                         let indexed = PhysicalPlan::IndexJoin {
                             left: Box::new(self.lower_opt(left, None)?),
@@ -563,7 +569,7 @@ fn keeps_outer_order(plan: &PhysicalPlan) -> bool {
 pub fn provided_order(
     plan: &PhysicalPlan,
     db: &Database,
-    index_instances: &HashMap<String, (TableId, String, usize)>,
+    index_instances: &BTreeMap<String, (TableId, String, usize)>,
 ) -> Option<ProvidedOrder> {
     match plan {
         PhysicalPlan::SummaryIndexScan {
@@ -1288,5 +1294,92 @@ mod tests {
             right_col: 0
         })
         .is_none());
+    }
+
+    fn plans(p: &PhysicalPlan, node: &dyn Fn(&PhysicalPlan) -> bool) -> bool {
+        node(p) || p.children().any(|c| plans(c, node))
+    }
+
+    /// The index join's exact key lookup answers `DataEq` as `cmp_sql`
+    /// does only between two `Int` or two `Text` columns, so only there is
+    /// it offered; a `Float` or mixed-type equi-join stays a nested loop
+    /// however cheap the probe.
+    #[test]
+    fn index_join_is_planned_only_for_int_or_text_keys_of_one_type() {
+        let mut db = Database::new();
+        // Fat inner rows and one outer row: a probe costs far less than
+        // scanning the inner.
+        let schema = || {
+            Schema::of(&[
+                ("i", ColumnType::Int),
+                ("f", ColumnType::Float),
+                ("t", ColumnType::Text),
+                ("descr", ColumnType::Text),
+            ])
+        };
+        let outer = db.create_table("L", schema()).unwrap();
+        let inner = db.create_table("R", schema()).unwrap();
+        for (table, n) in [(outer, 100), (inner, 1_000)] {
+            for i in 0..n {
+                let row = vec![
+                    Value::Int(i),
+                    Value::Float(i as f64),
+                    Value::Text(i.to_string()),
+                    Value::Text("d".repeat(1200)),
+                ];
+                db.insert_tuple(table, row).unwrap();
+            }
+        }
+        let stats = Arc::new(Statistics::analyze(&db).unwrap());
+        for rc in 0..3 {
+            let config = PlannerConfig::default().with_column_index(inner, rc);
+            let opt = Optimizer::with_stats(&db, Arc::clone(&stats), config);
+            for lc in 0..3 {
+                let logical = LogicalPlan::scan("L")
+                    .select(Expr::col_cmp(0, CmpOp::Eq, Value::Int(5)))
+                    .join(
+                        LogicalPlan::scan("R"),
+                        JoinPredicate::DataEq {
+                            left_col: lc,
+                            right_col: rc,
+                        },
+                    );
+                let plan = opt.optimize(&logical).unwrap().physical;
+                let index_join = plans(&plan, &|p| matches!(p, PhysicalPlan::IndexJoin { .. }));
+                assert_eq!(index_join, lc == rc && rc != 1, "L.{lc} = R.{rc}: {plan:?}");
+            }
+        }
+    }
+
+    /// Two Summary-BTrees over one instance: the plan names the lowest,
+    /// whatever order they were registered in and however many times the
+    /// planner's configuration is built afresh (the engine builds one per
+    /// plan-cache miss).
+    #[test]
+    fn of_two_indexes_on_one_instance_the_lowest_name_is_planned() {
+        let (db, birds, _, _) = setup(200);
+        let stats = Arc::new(Statistics::analyze(&db).unwrap());
+        let logical = LogicalPlan::scan("Birds").summary_select(Expr::label_cmp(
+            "ClassBird1",
+            "Disease",
+            CmpOp::Gt,
+            190,
+        ));
+        for round in 0..32 {
+            let (first, second) = if round % 2 == 0 {
+                ("a_idx", "b_idx")
+            } else {
+                ("b_idx", "a_idx")
+            };
+            let config = PlannerConfig::default()
+                .with_summary_index(first, birds, "ClassBird1", 2)
+                .with_summary_index(second, birds, "ClassBird1", 2);
+            let opt = Optimizer::with_stats(&db, Arc::clone(&stats), config);
+            let plan = opt.optimize(&logical).unwrap().physical;
+            assert!(
+                matches!(&plan, PhysicalPlan::SummaryIndexScan { index, .. } if index == "a_idx"),
+                "round {round}: {plan:?}"
+            );
+        }
     }
 }

@@ -27,14 +27,14 @@ use std::collections::{HashMap, HashSet};
 
 use instn_core::db::Database;
 use instn_query::plan::{JoinPredicate, LogicalPlan};
-use instn_storage::TableId;
+use instn_storage::{ColumnType, TableId};
 
 /// Side-condition context: which instances each table carries, and base
-/// table arities (for attribute-side tests).
+/// table column types (for attribute-side tests and join-key types).
 #[derive(Debug, Clone, Default)]
 pub struct RuleContext {
     table_instances: HashMap<String, HashSet<String>>,
-    table_arities: HashMap<String, usize>,
+    table_columns: HashMap<String, Vec<ColumnType>>,
 }
 
 impl RuleContext {
@@ -44,8 +44,9 @@ impl RuleContext {
         let mut tid = 0u32;
         while let Ok(table) = db.table(TableId(tid)) {
             let name = table.name().to_string();
-            ctx.table_arities
-                .insert(name.clone(), table.schema().arity());
+            let schema = table.schema();
+            let columns = (0..schema.arity()).filter_map(|i| schema.column_type(i));
+            ctx.table_columns.insert(name.clone(), columns.collect());
             let insts: HashSet<String> = db
                 .instances(TableId(tid))
                 .iter()
@@ -55,16 +56,6 @@ impl RuleContext {
             tid += 1;
         }
         ctx
-    }
-
-    /// Manual construction (tests).
-    pub fn with_table(mut self, name: &str, arity: usize, instances: &[&str]) -> Self {
-        self.table_arities.insert(name.to_string(), arity);
-        self.table_instances.insert(
-            name.to_string(),
-            instances.iter().map(|s| s.to_string()).collect(),
-        );
-        self
     }
 
     /// Instances available on a plan subtree (union over its base tables).
@@ -78,7 +69,7 @@ impl RuleContext {
     /// Output arity of a plan.
     pub fn output_arity(&self, plan: &LogicalPlan) -> usize {
         match plan {
-            LogicalPlan::Scan { table } => self.table_arities.get(table).copied().unwrap_or(0),
+            LogicalPlan::Scan { table } => self.table_columns.get(table).map_or(0, Vec::len),
             LogicalPlan::Select { input, .. }
             | LogicalPlan::SummarySelect { input, .. }
             | LogicalPlan::SummaryFilter { input, .. }
@@ -91,6 +82,33 @@ impl RuleContext {
                 self.output_arity(left) + self.output_arity(right)
             }
             LogicalPlan::GroupBy { cols, .. } => cols.len() + 1,
+        }
+    }
+
+    /// Declared type of output column `col` of a plan, followed down to
+    /// the base-table column it reads (`COUNT(*)` is `Int`); `None` past
+    /// the end.
+    pub fn column_type(&self, plan: &LogicalPlan, col: usize) -> Option<ColumnType> {
+        match plan {
+            LogicalPlan::Scan { table } => self.table_columns.get(table)?.get(col).copied(),
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::SummarySelect { input, .. }
+            | LogicalPlan::SummaryFilter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Limit { input, .. } => self.column_type(input, col),
+            LogicalPlan::Project { input, cols } => self.column_type(input, *cols.get(col)?),
+            LogicalPlan::Join { left, right, .. }
+            | LogicalPlan::SummaryJoin { left, right, .. } => {
+                match col.checked_sub(self.output_arity(left)) {
+                    None => self.column_type(left, col),
+                    Some(rc) => self.column_type(right, rc),
+                }
+            }
+            LogicalPlan::GroupBy { input, cols } => match cols.get(col) {
+                Some(&c) => self.column_type(input, c),
+                None => (col == cols.len()).then_some(ColumnType::Int),
+            },
         }
     }
 }
@@ -403,6 +421,19 @@ mod tests {
     use super::*;
     use instn_query::expr::{CmpOp, Expr, ObjectPred, SummaryExpr};
     use instn_storage::Value;
+
+    impl RuleContext {
+        /// `name` with `arity` columns, all `Int`, carrying `instances`.
+        fn with_table(mut self, name: &str, arity: usize, instances: &[&str]) -> Self {
+            self.table_columns
+                .insert(name.to_string(), vec![ColumnType::Int; arity]);
+            self.table_instances.insert(
+                name.to_string(),
+                instances.iter().map(|s| s.to_string()).collect(),
+            );
+            self
+        }
+    }
 
     fn ctx() -> RuleContext {
         RuleContext::default()

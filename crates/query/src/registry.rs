@@ -75,14 +75,9 @@ impl IndexRegistry {
             d.summary
                 .push((name.clone(), idx.table(), idx.instance_name().to_string()));
         }
-        for (name, idx) in &self.baseline {
-            d.baseline
-                .push((name.clone(), idx.table(), idx.instance_name().to_string()));
-        }
         d.column = self.column.keys().copied().collect();
         // Deterministic order regardless of hash-map iteration.
         d.summary.sort();
-        d.baseline.sort();
         d.column.sort();
         d
     }
@@ -211,8 +206,6 @@ impl SharedRegistry {
 pub struct IndexDescriptors {
     /// Summary-BTrees: `(name, table, instance)`.
     pub summary: Vec<(String, TableId, String)>,
-    /// Baseline schemes: `(name, table, instance)`.
-    pub baseline: Vec<(String, TableId, String)>,
     /// Data-column indexes: `(table, column)`.
     pub column: Vec<(TableId, usize)>,
 }

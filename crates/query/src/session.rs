@@ -32,13 +32,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use instn_core::db::Database;
 use instn_core::AnnotatedTuple;
 use instn_index::{BaselineIndex, PointerMode, SummaryBTree};
-use instn_obs::{Counter, QueryTrace};
+use instn_obs::QueryTrace;
 use instn_storage::TableId;
 
 use crate::dataindex::ColumnIndex;
@@ -70,14 +69,10 @@ impl SharedDatabase {
     /// Open a new session (its own sort budget, DOP and plan cache; the
     /// engine's indexes).
     pub fn session(&self) -> Session {
-        static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
         Session {
             shared: self.clone(),
             sort_mem: DEFAULT_SORT_MEM,
             exec_config: ExecConfig::default(),
-            id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
-            query_counter: None,
-            failed_counter: None,
             metrics: None,
             plan_cache: PlanCache::new(),
             planner_state: None,
@@ -152,12 +147,6 @@ pub struct Session {
     /// Parallel-execution settings (DOP, morsel size) handed to each
     /// per-query context.
     pub exec_config: ExecConfig,
-    /// Process-unique session number (used to name per-session metrics).
-    id: u64,
-    /// Lazily registered `session_<id>_queries_total` handle.
-    query_counter: Option<Counter>,
-    /// Lazily registered `session_<id>_queries_failed_total` handle.
-    failed_counter: Option<Counter>,
     /// The query layer's engine-wide handles, resolved the first time this
     /// session finds the registry enabled and lent to every context after.
     metrics: Option<Arc<QueryMetrics>>,
@@ -217,15 +206,11 @@ impl Session {
         self.with_ctx(|ctx| ctx.execute_with_metrics(plan))
     }
 
-    /// This session's process-unique number.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The observed execution path (DESIGN.md §10): [`Session::execute`]
     /// plus, when the engine's metrics registry is enabled,
     ///
-    /// * per-session and engine-wide query counters,
+    /// * the engine-wide query counters (`queries_total`,
+    ///   `queries_failed_total`),
     /// * an end-to-end wall-clock histogram (`query_wall_ns`),
     /// * a span trace (index-refresh ladder, execute, per-operator and
     ///   per-worker subtrees), and
@@ -238,10 +223,9 @@ impl Session {
     ///
     /// Both outcomes are observed: a query that returns `Err` still
     /// records its wall time in `query_wall_ns`, increments
-    /// `queries_total` plus the global and per-session
-    /// `queries_failed_total` counters, and — when over the slow-log
-    /// threshold — lands in the slow log with the error text in place of
-    /// the plan. (Failed queries used to early-return before any of this,
+    /// `queries_total` and `queries_failed_total`, and — when over the
+    /// slow-log threshold — lands in the slow log with the error text in
+    /// place of the plan. (Failed queries used to early-return before any of this,
     /// making exactly the statements an operator needs to see invisible.)
     pub fn execute_observed(
         &mut self,
@@ -276,14 +260,6 @@ impl Session {
             (res, maintenance, trace, registry)
         })?;
         let wall = instn_obs::elapsed_ns(started);
-        self.query_counter
-            .get_or_insert_with(|| {
-                registry.counter(
-                    &format!("session_{}_queries_total", self.id),
-                    "Queries executed by this session",
-                )
-            })
-            .inc();
         let obs = Arc::clone(QueryMetrics::resolved(&mut self.metrics, &registry));
         obs.queries.inc();
         obs.query_wall_ns.record(wall);
@@ -303,14 +279,6 @@ impl Session {
                 Ok(())
             }
             Err(e) => {
-                self.failed_counter
-                    .get_or_insert_with(|| {
-                        registry.counter(
-                            &format!("session_{}_queries_failed_total", self.id),
-                            "Queries that returned an error in this session",
-                        )
-                    })
-                    .inc();
                 obs.queries_failed.inc();
                 if captured {
                     registry.slow_log().record(

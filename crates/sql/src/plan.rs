@@ -152,12 +152,6 @@ fn planner_config(
     for (name, table, instance) in &descriptors.summary {
         config = config.with_summary_index(name, *table, instance, labels_k(*table, instance));
     }
-    for (name, table, instance) in &descriptors.baseline {
-        config.indexes.baseline.insert(
-            name.clone(),
-            (*table, instance.clone(), labels_k(*table, instance)),
-        );
-    }
     for (table, col) in &descriptors.column {
         config = config.with_column_index(*table, *col);
     }

@@ -13,6 +13,11 @@
 //! order and report, at every node, the rows, opens and I/O the block
 //! nested loop has always reported — with more than one outer block, and
 //! with an inner both small enough to be kept across blocks and too large.
+//!
+//! The index join is the nested loop's other implementation of the same
+//! `DataEq`: over the key columns the planner offers it for — two `Int` or
+//! two `Text` columns, NULLs in both — probing a column index on the inner
+//! must return the nested loop's rows, in the nested loop's order.
 
 use proptest::prelude::*;
 
@@ -22,7 +27,9 @@ use insightnotes::core::db::Database;
 use insightnotes::core::instance::InstanceKind;
 use insightnotes::core::AnnotatedTuple;
 use insightnotes::mining::nb::NaiveBayes;
-use insightnotes::prelude::{CmpOp, ExecContext, JoinPredicate, PhysicalPlan, SummaryExpr};
+use insightnotes::prelude::{
+    CmpOp, ColumnIndex, ExecContext, JoinPredicate, PhysicalPlan, SummaryExpr,
+};
 use insightnotes::query::exec::{OpMetrics, NL_BLOCK_SIZE};
 use insightnotes::storage::tuple::encode_tuple;
 use insightnotes::storage::{ColumnType, Schema, TableId, Value};
@@ -256,5 +263,44 @@ proptest! {
         prop_assert_eq!(&metrics, &want_metrics);
         prop_assert_eq!(io.total(), want_metrics.physical_io);
         prop_assert_eq!(io.logical_total(), want_metrics.logical_io);
+    }
+
+    #[test]
+    fn index_join_equals_nested_loop_join(
+        outer in picks(0..40),
+        inner in picks(0..40),
+        text in any::<bool>(),
+        residual in prop::option::of(cmp_op()),
+    ) {
+        let mut db = Database::new();
+        let left = build_table(&mut db, "L", "L", &outer, outer.len());
+        let right = build_table(&mut db, "R", "R", &inner, inner.len());
+        // Key column 0 is the `Int` one, 2 the `Text` one.
+        let key = if text { 2 } else { 0 };
+        let col = key + 1;
+        let mut ctx = ExecContext::new(&db);
+        ctx.register_column_index(ColumnIndex::build(&db, right, col).unwrap())
+            .unwrap();
+        let residual = residual.map(summary_cmp);
+        let pred = match &residual {
+            Some(r) => and(data_eq(key, key), r.clone()),
+            None => data_eq(key, key),
+        };
+        let nested_loop = PhysicalPlan::NestedLoopJoin {
+            left: Box::new(scan(left)),
+            right: Box::new(scan(right)),
+            pred,
+        };
+        let index_join = PhysicalPlan::IndexJoin {
+            left: Box::new(scan(left)),
+            right_table: right,
+            left_col: col,
+            right_col: col,
+            residual,
+            with_summaries: true,
+        };
+        let want = ctx.execute(&nested_loop).unwrap();
+        let got = ctx.execute(&index_join).unwrap();
+        assert_same_rows(&got, &want)?;
     }
 }
