@@ -1,6 +1,6 @@
-//! The pipeline breakers: sort — in memory, or external through the spill
-//! codec — group-by with its (possibly partial) aggregation state, and
-//! DISTINCT.
+//! The pipeline breaker, one operator over three folds: sort — in memory,
+//! or external through the spill codec — group-by with its (possibly
+//! partial) aggregation state, and DISTINCT.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,5 +1,6 @@
-//! The joins: the block nested loop with its hashed block, and the index
-//! joins probing a column index or a Summary-BTree per outer row.
+//! The joins: the block nested loop with its hashed block, and one probe
+//! join behind both index joins, looking each outer row up in a column
+//! index or a Summary-BTree.
 
 use std::hash::{Hash, Hasher};
 
@@ -30,15 +31,22 @@ pub(super) struct NestedLoopJoinOp {
     pub(super) left: OpNode,
     pub(super) right: OpNode,
     pub(super) pred: JoinPredicate,
-    pub(super) block: KeyedRows,
-    pub(super) inner: KeyedRows,
-    pub(super) buckets: Option<KeyBuckets>,
-    pub(super) inner_cached: bool,
+    pub(super) state: NlState,
+}
+
+/// What a nested-loop join holds while it runs: empty at open, and dropped
+/// at close.
+#[derive(Default)]
+pub(super) struct NlState {
+    block: KeyedRows,
+    inner: KeyedRows,
+    buckets: Option<KeyBuckets>,
+    inner_cached: bool,
     /// The current outer row, and what of the inner it has still to meet
     /// (`None` until looked up).
-    pub(super) li: usize,
-    pub(super) candidates: Option<Candidates>,
-    pub(super) outer_done: bool,
+    li: usize,
+    candidates: Option<Candidates>,
+    outer_done: bool,
 }
 
 /// One side of a nested-loop join: the rows, and beside them — dense,
@@ -47,7 +55,7 @@ pub(super) struct NestedLoopJoinOp {
 /// key array alone and never go back to a row's bytes; a row is decoded
 /// when (and if) it first matches.
 #[derive(Default)]
-pub(super) struct KeyedRows {
+struct KeyedRows {
     rows: Vec<Row>,
     keys: Vec<Value>,
 }
@@ -173,82 +181,74 @@ impl Candidates {
 
 impl Operator for NestedLoopJoinOp {
     fn open(&mut self, ctx: &Run<'_>, _tally: &mut RowTally) -> Result<()> {
-        self.block.clear();
-        self.inner.clear();
-        self.buckets = None;
-        self.inner_cached = false;
-        self.li = 0;
-        self.candidates = None;
-        self.outer_done = false;
+        self.state = NlState::default();
         self.left.open(ctx)
     }
 
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
         let width = self.pred.key_width();
+        let s = &mut self.state;
         loop {
             // Emit pending matches of the current block × inner.
-            while let Some(l) = self.block.rows.get_mut(self.li) {
-                let lk = key_row(&self.block.keys, self.li, width);
-                let buckets = self.buckets.as_ref();
-                let candidates = self
+            while let Some(l) = s.block.rows.get_mut(s.li) {
+                let lk = key_row(&s.block.keys, s.li, width);
+                let buckets = s.buckets.as_ref();
+                let candidates = s
                     .candidates
-                    .get_or_insert_with(|| Candidates::of(buckets, lk, self.inner.rows.len()));
+                    .get_or_insert_with(|| Candidates::of(buckets, lk, s.inner.rows.len()));
                 while let Some(ri) = candidates.next(buckets) {
                     tally.pairs_compared += 1;
                     if self
                         .pred
-                        .matches_keys(lk, key_row(&self.inner.keys, ri, width))
+                        .matches_keys(lk, key_row(&s.inner.keys, ri, width))
                     {
-                        if let Some(r) = self.inner.rows.get_mut(ri) {
+                        if let Some(r) = s.inner.rows.get_mut(ri) {
                             return Ok(Some(merge_pair(ctx.db, l, r, tally)));
                         }
                     }
                 }
-                self.li += 1;
-                self.candidates = None;
+                s.li += 1;
+                s.candidates = None;
             }
-            if self.outer_done {
+            if s.outer_done {
                 return Ok(None);
             }
             // Pull the next outer block.
-            self.block.clear();
-            self.li = 0;
-            self.candidates = None;
-            while self.block.rows.len() < NL_BLOCK_SIZE.max(1) {
+            s.block.clear();
+            s.li = 0;
+            s.candidates = None;
+            while s.block.rows.len() < NL_BLOCK_SIZE.max(1) {
                 match self.left.next(ctx)? {
-                    Some(row) => self.block.push(row, &self.pred, Side::Left),
+                    Some(row) => s.block.push(row, &self.pred, Side::Left),
                     None => {
-                        self.outer_done = true;
+                        s.outer_done = true;
                         break;
                     }
                 }
             }
-            if self.block.rows.is_empty() {
+            if s.block.rows.is_empty() {
                 return Ok(None);
             }
             // Block NL: the inner is re-executed (re-read) once per block —
             // unless an earlier materialization fit in memory and was kept.
-            if !self.inner_cached {
+            if !s.inner_cached {
                 self.right.open(ctx)?;
-                self.inner.clear();
+                s.inner.clear();
                 while let Some(row) = self.right.next(ctx)? {
-                    self.inner.push(row, &self.pred, Side::Right);
+                    s.inner.push(row, &self.pred, Side::Right);
                 }
                 self.right.close(ctx)?;
-                self.inner_cached = self.inner.rows.len() <= ctx.sort_mem;
-                self.buckets = self
+                s.inner_cached = s.inner.rows.len() <= ctx.sort_mem;
+                s.buckets = self
                     .pred
                     .data_eq_key()
-                    .and_then(|key| KeyBuckets::build(&self.inner.keys, width, key));
+                    .and_then(|key| KeyBuckets::build(&s.inner.keys, width, key));
             }
         }
     }
 
     fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.block = KeyedRows::default();
-        self.inner = KeyedRows::default();
-        self.buckets = None;
-        self.inner_cached = false;
+        self.state = NlState::default();
         self.left.close(ctx)?;
         self.right.close(ctx)
     }

@@ -50,7 +50,7 @@ use crate::{QueryError, Result};
 
 use breaker::{AggState, BreakerOp, DistinctFold, SortFold};
 use exchange::ExchangeOp;
-use join::{ColumnProbe, KeyedRows, NestedLoopJoinOp, ProbeJoinOp, SummaryProbe};
+use join::{ColumnProbe, NestedLoopJoinOp, NlState, ProbeJoinOp, SummaryProbe};
 use pipeline::{LimitOp, PipeOp, Projection};
 use scan::{BaselineIndexScanOp, DataIndexScanOp, Morsel, SeqScanOp, SummaryIndexScanOp};
 
@@ -654,13 +654,7 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             left: compile(left, None),
             right: compile(right, None),
             pred: pred.clone(),
-            block: KeyedRows::default(),
-            inner: KeyedRows::default(),
-            buckets: None,
-            inner_cached: false,
-            li: 0,
-            candidates: None,
-            outer_done: false,
+            state: NlState::default(),
         }),
         PhysicalPlan::IndexJoin {
             left,
