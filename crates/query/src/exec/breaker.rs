@@ -72,6 +72,7 @@ pub(super) struct SortFold {
 }
 
 impl Fold for SortFold {
+    #[inline]
     fn absorb(&mut self, _db: &Database, row: Row, _tally: &mut RowTally) {
         self.rows.push((self.key.eval(&row), row));
     }
@@ -92,6 +93,7 @@ impl Fold for SortFold {
 pub(super) struct DistinctFold(Vec<Row>);
 
 impl Fold for DistinctFold {
+    #[inline]
     fn absorb(&mut self, _db: &Database, row: Row, _tally: &mut RowTally) {
         self.0.push(row);
     }
@@ -193,6 +195,7 @@ impl AggState {
     }
 
     /// The group of `key`, or the index slot a new group of it goes under.
+    #[inline]
     fn group_mut(&mut self, key: &[Value]) -> std::result::Result<&mut Group, Vec<u8>> {
         let slot = crate::dataindex::composite_key(key);
         match self.index.get(&slot).and_then(|&i| self.groups.get_mut(i)) {

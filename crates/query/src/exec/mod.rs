@@ -284,18 +284,21 @@ struct Run<'r> {
 }
 
 impl Run<'_> {
+    #[inline]
     fn require_summary_index(&self, name: &str) -> Result<&SummaryBTree> {
         self.indexes
             .summary_index(name)
             .ok_or_else(|| QueryError::UnknownIndex(name.to_string()))
     }
 
+    #[inline]
     fn require_baseline_index(&self, name: &str) -> Result<&BaselineIndex> {
         self.indexes
             .baseline_index(name)
             .ok_or_else(|| QueryError::UnknownIndex(name.to_string()))
     }
 
+    #[inline]
     fn require_column_index(&self, table: TableId, col: usize) -> Result<&ColumnIndex> {
         self.indexes
             .column_index(table, col)

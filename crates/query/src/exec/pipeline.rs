@@ -9,8 +9,8 @@ use crate::row::{Row, RowTally};
 use crate::Result;
 
 /// A pipelined operator — behind Filter, SummaryObjectFilter and Project
-/// alike: every row its child yields goes through its stage, which passes
-/// it on, possibly changed, or drops it.
+/// alike: every row its child yields goes through its stage, which may
+/// change it in place and passes it on or drops it.
 pub(super) struct PipeOp<S: Stage> {
     pub(super) child: OpNode,
     pub(super) stage: S,
@@ -18,8 +18,8 @@ pub(super) struct PipeOp<S: Stage> {
 
 /// The per-row step of a pipelined operator.
 pub(super) trait Stage {
-    /// The row to pass on, or `None` to drop it.
-    fn apply(&self, ctx: &Run<'_>, row: Row, tally: &mut RowTally) -> Result<Option<Row>>;
+    /// Whether to pass `row` on.
+    fn apply(&self, ctx: &Run<'_>, row: &mut Row, tally: &mut RowTally) -> Result<bool>;
 }
 
 impl<S: Stage> Operator for PipeOp<S> {
@@ -28,8 +28,8 @@ impl<S: Stage> Operator for PipeOp<S> {
     }
 
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
-        while let Some(row) = self.child.next(ctx)? {
-            if let Some(row) = self.stage.apply(ctx, row, tally)? {
+        while let Some(mut row) = self.child.next(ctx)? {
+            if self.stage.apply(ctx, &mut row, tally)? {
                 return Ok(Some(row));
             }
         }
@@ -47,17 +47,19 @@ impl<S: Stage> Operator for PipeOp<S> {
 
 /// Tuple filter σ / summary selection `S`: the rows the predicate holds for.
 impl Stage for Expr {
-    fn apply(&self, _ctx: &Run<'_>, row: Row, _tally: &mut RowTally) -> Result<Option<Row>> {
-        Ok(self.eval_bool(&row)?.then_some(row))
+    #[inline]
+    fn apply(&self, _ctx: &Run<'_>, row: &mut Row, _tally: &mut RowTally) -> Result<bool> {
+        self.eval_bool(row)
     }
 }
 
 /// Summary object filter `F`: every row, with only the summary objects the
 /// predicate holds for.
 impl Stage for ObjectPred {
-    fn apply(&self, _ctx: &Run<'_>, mut row: Row, tally: &mut RowTally) -> Result<Option<Row>> {
+    #[inline]
+    fn apply(&self, _ctx: &Run<'_>, row: &mut Row, tally: &mut RowTally) -> Result<bool> {
         row.retain_summaries(self, tally);
-        Ok(Some(row))
+        Ok(true)
     }
 }
 
@@ -68,7 +70,8 @@ pub(super) struct Projection {
 }
 
 impl Stage for Projection {
-    fn apply(&self, ctx: &Run<'_>, mut row: Row, tally: &mut RowTally) -> Result<Option<Row>> {
+    #[inline]
+    fn apply(&self, ctx: &Run<'_>, row: &mut Row, tally: &mut RowTally) -> Result<bool> {
         if self.eliminate {
             if let Some((table, oid)) = row.source() {
                 let (_kept, removed) = ctx
@@ -84,7 +87,7 @@ impl Stage for Projection {
             }
         }
         row.project(&self.cols, tally);
-        Ok(Some(row))
+        Ok(true)
     }
 }
 
