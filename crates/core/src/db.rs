@@ -456,14 +456,15 @@ impl Database {
             .annotations
             .get(&table)
             .ok_or_else(|| table_not_found(table))?;
-        let annotated: Vec<(Oid, Vec<AnnotId>)> = {
-            let mut oids = self.catalog.table(table)?.oids();
-            oids.sort_unstable();
-            oids.into_iter()
-                .map(|o| (o, store.for_tuple(o)))
-                .filter(|(_, ids)| !ids.is_empty())
-                .collect()
-        };
+        // `oids` comes in OID order: the index keys are big-endian.
+        let annotated: Vec<(Oid, Vec<AnnotId>)> = self
+            .catalog
+            .table(table)?
+            .oids()
+            .into_iter()
+            .map(|o| (o, store.for_tuple(o)))
+            .filter(|(_, ids)| !ids.is_empty())
+            .collect();
         let mut deltas = Vec::with_capacity(annotated.len());
         for (oid, annot_ids) in annotated {
             let mut obj = inst.new_object(ObjId(self.next_obj), oid);

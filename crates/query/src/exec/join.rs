@@ -27,6 +27,11 @@ use crate::{QueryError, Result};
 /// is compared with its bucket only — the pairs the loop would have found,
 /// in the order it would have found them. A row whose key cannot be
 /// bucketed, and any inner that cannot, take the loop over the whole inner.
+///
+/// A read of the inner that no later block will reuse — the block is the
+/// last, or an earlier read overflowed the budget — keeps only the rows the
+/// block can meet: the block's keys are bucketed the same way, and an inner
+/// row whose key finds no bucket there is dropped as it arrives.
 pub(super) struct NestedLoopJoinOp {
     pub(super) left: OpNode,
     pub(super) right: OpNode,
@@ -41,12 +46,23 @@ pub(super) struct NlState {
     block: KeyedRows,
     inner: KeyedRows,
     buckets: Option<KeyBuckets>,
-    inner_cached: bool,
+    inner_reads: InnerReads,
     /// The current outer row, and what of the inner it has still to meet
     /// (`None` until looked up).
     li: usize,
     candidates: Option<Candidates>,
     outer_done: bool,
+}
+
+/// Whether the inner, once read, is kept across outer blocks.
+#[derive(Default, PartialEq)]
+enum InnerReads {
+    #[default]
+    Unread,
+    /// The first read fit the sort budget: no block reads it again.
+    Kept,
+    /// The first read overflowed it: every block reads it again.
+    Again,
 }
 
 /// One side of a nested-loop join: the rows, and beside them — dense,
@@ -58,6 +74,10 @@ pub(super) struct NlState {
 struct KeyedRows {
     rows: Vec<Row>,
     keys: Vec<Value>,
+    /// How many rows a sieve dropped just before row `i`, at `i` (at
+    /// `rows.len()`: after the last; past the end: none). A loop over the
+    /// whole side counts them as compared, as it would have.
+    dropped: Vec<u64>,
 }
 
 impl KeyedRows {
@@ -66,9 +86,30 @@ impl KeyedRows {
         self.rows.push(row);
     }
 
+    /// Push an inner row unless `sieve` — the block's keys, bucketed —
+    /// shows it meets no row of the block.
+    fn push_sieved(&mut self, row: Row, pred: &JoinPredicate, sieve: &KeyBuckets) {
+        let at = self.keys.len();
+        pred.side_keys(Side::Right, &row, &mut self.keys);
+        if sieve.misses(self.keys.get(at..).unwrap_or_default()) {
+            self.keys.truncate(at);
+            self.dropped.resize(self.rows.len() + 1, 0);
+            if let Some(n) = self.dropped.last_mut() {
+                *n += 1;
+            }
+        } else {
+            self.rows.push(row);
+        }
+    }
+
+    fn dropped_before(&self, i: usize) -> u64 {
+        self.dropped.get(i).copied().unwrap_or(0)
+    }
+
     fn clear(&mut self) {
         self.rows.clear();
         self.keys.clear();
+        self.dropped.clear();
     }
 }
 
@@ -141,6 +182,14 @@ impl KeyBuckets {
             }
         }
     }
+
+    /// Whether a row with keys `other`, from the side these buckets were
+    /// not built over, meets none of the bucketed rows: its key is NULL, or
+    /// of the bucketed type with no bucket of its own. `DataEq` is
+    /// symmetric, so this is `run_of` from the other side.
+    pub(super) fn misses(&self, other: &[Value]) -> bool {
+        self.run_of(other).is_some_and(|run| run.is_empty())
+    }
 }
 
 /// The inner positions one outer row has still to be compared with.
@@ -198,6 +247,9 @@ impl Operator for NestedLoopJoinOp {
                     .get_or_insert_with(|| Candidates::of(buckets, lk, s.inner.rows.len()));
                 while let Some(ri) = candidates.next(buckets) {
                     tally.pairs_compared += 1;
+                    if !candidates.bucketed {
+                        tally.pairs_compared += s.inner.dropped_before(ri);
+                    }
                     if self
                         .pred
                         .matches_keys(lk, key_row(&s.inner.keys, ri, width))
@@ -206,6 +258,9 @@ impl Operator for NestedLoopJoinOp {
                             return Ok(Some(merge_pair(ctx.db, l, r, tally)));
                         }
                     }
+                }
+                if !candidates.bucketed {
+                    tally.pairs_compared += s.inner.dropped_before(s.inner.rows.len());
                 }
                 s.li += 1;
                 s.candidates = None;
@@ -231,18 +286,29 @@ impl Operator for NestedLoopJoinOp {
             }
             // Block NL: the inner is re-executed (re-read) once per block —
             // unless an earlier materialization fit in memory and was kept.
-            if !s.inner_cached {
+            if s.inner_reads != InnerReads::Kept {
+                let key = self.pred.data_eq_key();
+                let sieve = key
+                    .filter(|_| s.outer_done || s.inner_reads == InnerReads::Again)
+                    .and_then(|key| KeyBuckets::build(&s.block.keys, width, key));
                 self.right.open(ctx)?;
                 s.inner.clear();
                 while let Some(row) = self.right.next(ctx)? {
-                    s.inner.push(row, &self.pred, Side::Right);
+                    match &sieve {
+                        Some(sieve) => s.inner.push_sieved(row, &self.pred, sieve),
+                        None => s.inner.push(row, &self.pred, Side::Right),
+                    }
                 }
                 self.right.close(ctx)?;
-                s.inner_cached = s.inner.rows.len() <= ctx.sort_mem;
-                s.buckets = self
-                    .pred
-                    .data_eq_key()
-                    .and_then(|key| KeyBuckets::build(&s.inner.keys, width, key));
+                // A sieved inner is never kept: it holds this block's rows.
+                if sieve.is_none() {
+                    s.inner_reads = if s.inner.rows.len() <= ctx.sort_mem {
+                        InnerReads::Kept
+                    } else {
+                        InnerReads::Again
+                    };
+                }
+                s.buckets = key.and_then(|key| KeyBuckets::build(&s.inner.keys, width, key));
             }
         }
     }

@@ -380,15 +380,11 @@ fn nl_join_caches_small_inner_across_blocks() {
     );
 }
 
-/// The hashed block against key columns no typed table can hold (types
-/// mixed within one column): for every inner column and every outer
-/// key, the candidates the buckets leave are a superset of what
-/// `cmp_sql` equality accepts, in inner order — and a column that mixes
-/// types, or holds floats or booleans, is not bucketed at all.
-#[test]
-fn key_buckets_agree_with_cmp_sql_equality() {
+/// Keys `cmp_sql` calls equal across types, or to everything, or to
+/// nothing.
+fn key_pool() -> Vec<Value> {
     let text = |s: &str| Value::Text(s.into());
-    let pool = [
+    vec![
         Value::Null,
         Value::Int(1),
         Value::Int(0),
@@ -403,29 +399,45 @@ fn key_buckets_agree_with_cmp_sql_equality() {
         text("NaN"),
         text("true"),
         Value::Bool(true),
-    ];
-    let pred = JoinPredicate::DataEq {
-        left_col: 0,
-        right_col: 0,
-    };
+    ]
+}
+
+/// Key columns of the pool's values — ints, texts, floats, mixed types,
+/// all NULL — each with whether [`KeyBuckets`] may bucket it.
+fn key_columns(pool: &[Value]) -> Vec<(Vec<Value>, bool)> {
     let of_type = |keep: fn(&Value) -> bool| -> Vec<Value> {
         let mut col: Vec<Value> = pool.iter().filter(|v| keep(v)).cloned().collect();
         col.extend(col.clone()); // duplicates: a bucket of several rows
         col
     };
-    let ints = of_type(|v| matches!(v, Value::Int(_) | Value::Null));
-    let texts = of_type(|v| matches!(v, Value::Text(_) | Value::Null));
-    let floats = of_type(|v| matches!(v, Value::Float(_) | Value::Null));
-    let mixed = of_type(|_| true);
-    for (inner, bucketed) in [
-        (&ints, true),
-        (&texts, true),
-        (&floats, false),
-        (&mixed, false),
-        (&vec![Value::Null; 3], false),
-    ] {
+    vec![
+        (of_type(|v| matches!(v, Value::Int(_) | Value::Null)), true),
+        (of_type(|v| matches!(v, Value::Text(_) | Value::Null)), true),
+        (
+            of_type(|v| matches!(v, Value::Float(_) | Value::Null)),
+            false,
+        ),
+        (of_type(|_| true), false),
+        (vec![Value::Null; 3], false),
+    ]
+}
+
+/// The hashed block against key columns no typed table can hold (types
+/// mixed within one column): for every inner column and every outer
+/// key, the candidates the buckets leave are a superset of what
+/// `cmp_sql` equality accepts, in inner order — and a column that mixes
+/// types, or holds floats or booleans, is not bucketed at all.
+#[test]
+fn key_buckets_agree_with_cmp_sql_equality() {
+    let pool = key_pool();
+    let pred = JoinPredicate::DataEq {
+        left_col: 0,
+        right_col: 0,
+    };
+    let columns = key_columns(&pool);
+    for (inner, bucketed) in &columns {
         let buckets = KeyBuckets::build(inner, 1, 0);
-        assert_eq!(buckets.is_some(), bucketed, "{inner:?}");
+        assert_eq!(buckets.is_some(), *bucketed, "{inner:?}");
         for outer in &pool {
             let outer = std::slice::from_ref(outer);
             let want: Vec<usize> = (0..inner.len())
@@ -442,7 +454,8 @@ fn key_buckets_agree_with_cmp_sql_equality() {
         }
     }
     // Same-typed keys probe their bucket and nothing else.
-    let buckets = KeyBuckets::build(&ints, 1, 0);
+    let ints = &columns[0].0;
+    let buckets = KeyBuckets::build(ints, 1, 0);
     let candidates = Candidates::of(buckets.as_ref(), &[Value::Int(1)], ints.len());
     assert_eq!(candidates.rest.len(), 2, "the two Int(1) rows");
     let candidates = Candidates::of(buckets.as_ref(), &[Value::Float(1.0)], ints.len());
@@ -451,4 +464,84 @@ fn key_buckets_agree_with_cmp_sql_equality() {
         ints.len(),
         "a float key takes the loop"
     );
+}
+
+/// [`key_buckets_agree_with_cmp_sql_equality`] from the block side: a
+/// block's keys bucketed as the sieve buckets them, and every key of the
+/// pool put to them as an inner key. The sieve may drop an inner key only
+/// when no row of the block matches it; a block of floats, of mixed types
+/// or of NULLs sieves nothing.
+#[test]
+fn block_sieve_drops_only_keys_no_block_row_meets() {
+    let pool = key_pool();
+    let pred = JoinPredicate::DataEq {
+        left_col: 0,
+        right_col: 0,
+    };
+    for (block, bucketed) in key_columns(&pool) {
+        let sieve = KeyBuckets::build(&block, 1, 0);
+        assert_eq!(sieve.is_some(), bucketed, "{block:?}");
+        for inner in &pool {
+            let inner = std::slice::from_ref(inner);
+            let meets = (0..block.len()).any(|li| pred.matches_keys(key_row(&block, li, 1), inner));
+            let dropped = sieve.as_ref().is_some_and(|s| s.misses(inner));
+            assert!(
+                !(dropped && meets),
+                "block {block:?} drops {inner:?}, which it meets"
+            );
+        }
+    }
+    // A uniform block drops what it cannot meet: NULL, and a key of its
+    // own type that none of its rows holds. Another type is kept.
+    let ints = KeyBuckets::build(&[Value::Int(1), Value::Null], 1, 0).unwrap();
+    assert!(ints.misses(&[Value::Null]));
+    assert!(ints.misses(&[Value::Int(2)]));
+    assert!(!ints.misses(&[Value::Int(1)]));
+    assert!(!ints.misses(&[Value::Float(1.0)]));
+    assert!(!ints.misses(&[Value::Text("1".into())]));
+}
+
+/// A sieved inner that cannot be bucketed against its block still counts
+/// every pair the loop over the whole inner compares: an `Int` block
+/// against a `Text` inner with NULLs keeps the texts, drops the NULLs, and
+/// reports outer × inner pairs, as the unsieved loop did.
+#[test]
+fn a_sieved_inner_counts_the_pairs_of_the_whole_loop() {
+    let mut db = Database::new();
+    let outer = db
+        .create_table("Outer", Schema::of(&[("k", ColumnType::Int)]))
+        .unwrap();
+    let inner = db
+        .create_table("Inner", Schema::of(&[("k", ColumnType::Text)]))
+        .unwrap();
+    for k in [1, 2, 3] {
+        db.insert_tuple(outer, vec![Value::Int(k)]).unwrap();
+    }
+    for k in [
+        Value::Null,
+        Value::Text("1".into()),
+        Value::Null,
+        Value::Text("x".into()),
+        Value::Null,
+    ] {
+        db.insert_tuple(inner, vec![k]).unwrap();
+    }
+    db.metrics().set_enabled(true);
+    let compared = db.metrics().counter("exec_join_pairs_compared_total", "");
+    let scan = |table| PhysicalPlan::SeqScan {
+        table,
+        with_summaries: false,
+    };
+    let plan = PhysicalPlan::NestedLoopJoin {
+        left: Box::new(scan(outer)),
+        right: Box::new(scan(inner)),
+        pred: JoinPredicate::DataEq {
+            left_col: 0,
+            right_col: 0,
+        },
+    };
+    let mut ctx = ExecContext::new(&db);
+    let rows = ctx.execute(&plan).unwrap();
+    assert_eq!(rows.len(), 1, "Int(1) = Text(\"1\")");
+    assert_eq!(compared.value(), 3 * 5);
 }

@@ -30,6 +30,8 @@
 //!   [`session::Session`] (one client's planning and execution settings),
 //!   through which N threads run the executor concurrently.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dataindex;
 pub mod exec;
 pub mod expr;

@@ -12,8 +12,6 @@
 //! then this lock. A panic under the write lock poisons it, and every later
 //! acquisition answers [`QueryError::EnginePoisoned`], as the engine's does.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};

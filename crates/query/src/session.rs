@@ -30,8 +30,6 @@
 //! [`QueryError::EnginePoisoned`] through the `try_*` paths serving layers
 //! use (`instn-serve` turns it into a wire error, not an abort).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use instn_core::db::Database;

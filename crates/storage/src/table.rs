@@ -211,9 +211,9 @@ impl Table {
 
     /// All live OIDs in order.
     pub fn oids(&self) -> Vec<Oid> {
-        self.oid_index
-            .range(None, None)
-            .filter_map(|(k, _)| Oid::from_key(&k))
+        let mut cur = self.oid_index.cursor(None, None);
+        std::iter::from_fn(|| self.oid_index.cursor_next_ref(&mut cur))
+            .filter_map(|(k, _)| Oid::from_key(k))
             .collect()
     }
 

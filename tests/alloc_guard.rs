@@ -1,7 +1,9 @@
 //! Work-counting guards for the executor (not timings): a scan whose
 //! predicate rejects a row must not pay for decoding it; an equi-join puts
-//! to its predicate the pairs that can match, not outer × inner; folding one
-//! more member into a group costs that member, not the group so far.
+//! to its predicate the pairs that can match, not outer × inner, and its
+//! last block holds the inner rows it can meet, not the whole inner;
+//! folding one more member into a group costs that member, not the group so
+//! far.
 //!
 //! And one for the storage layer: a fetched record is the page's own,
 //! shared, so a scanned row costs its handle and nothing per record.
@@ -42,6 +44,11 @@ struct Counting;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed: a block freed on another thread
+    /// than its own counts against the freeing one.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since [`peak_live`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Allocations of every thread of the process.
@@ -54,23 +61,34 @@ fn note_allocation(bytes: usize) {
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
+fn note_live(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter is a plain thread-local cell that
 // neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation(layout.size());
+        note_live(layout.size() as i64);
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_allocation(new_size);
+        note_live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -99,6 +117,15 @@ fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let before = BYTES.with(Cell::get);
     let (out, count) = allocations(f);
     (out, count, BYTES.with(Cell::get) - before)
+}
+
+/// The most heap this thread held at once while `f` ran, over what it held
+/// when `f` began (what `f` returns still held).
+fn peak_live<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - base).max(0) as u64)
 }
 
 const TUPLES: usize = 2_000;
@@ -220,13 +247,15 @@ fn rejected_rows_are_not_decoded() {
     );
 }
 
-/// An Int-keyed equi-join buckets its inner: the predicate sees the pairs
-/// that share a key, not the 1 000 000 a 100 × 10 000 loop would try.
-#[test]
-fn equi_join_compares_only_its_buckets() {
-    let _turn = alone();
-    const OUTER: usize = 100;
-    const INNER: usize = 10_000;
+const OUTER: usize = 100;
+const INNER: usize = 10_000;
+/// Live heap the last-block join may hold per outer or matched row: a row
+/// costs a few hundred bytes, so the 10 000-row inner alone is megabytes.
+const PEAK_BYTES_PER_ROW: u64 = 1024;
+
+/// A 100 × 10 000 Int-keyed equi-join, outer first: every outer key meets
+/// four inner rows; most inner rows meet nobody.
+fn equi_join() -> (Database, PhysicalPlan) {
     let mut db = Database::new();
     let mut table = |name: &str, rows: usize, key: fn(usize) -> i64| {
         let t = db
@@ -237,11 +266,8 @@ fn equi_join_compares_only_its_buckets() {
         }
         t
     };
-    // Every outer key meets four inner rows; most inner rows meet nobody.
     let outer = table("Outer", OUTER, |i| i as i64);
     let inner = table("Inner", INNER, |i| (i % (INNER / 4)) as i64);
-    db.metrics().set_enabled(true);
-    let compared = db.metrics().counter("exec_join_pairs_compared_total", "");
     let scan = |table| PhysicalPlan::SeqScan {
         table,
         with_summaries: false,
@@ -254,6 +280,17 @@ fn equi_join_compares_only_its_buckets() {
             right_col: 0,
         },
     };
+    (db, plan)
+}
+
+/// An Int-keyed equi-join buckets its inner: the predicate sees the pairs
+/// that share a key, not the 1 000 000 a 100 × 10 000 loop would try.
+#[test]
+fn equi_join_compares_only_its_buckets() {
+    let _turn = alone();
+    let (db, plan) = equi_join();
+    db.metrics().set_enabled(true);
+    let compared = db.metrics().counter("exec_join_pairs_compared_total", "");
     let mut ctx = ExecContext::new(&db);
     let rows = ctx.execute(&plan).unwrap();
     assert_eq!(rows.len(), 4 * OUTER);
@@ -262,6 +299,27 @@ fn equi_join_compares_only_its_buckets() {
     assert!(
         pairs <= (OUTER + INNER + rows.len()) as u64,
         "{pairs} key pairs compared for {OUTER} x {INNER} rows, {} matches",
+        rows.len()
+    );
+}
+
+/// The same join's outer is one block, its last: the inner read will not
+/// be reused, so the join keeps of it only the rows the block can meet.
+/// The most heap the join holds at once is bounded by its outer and its
+/// matches, not by its inner.
+#[test]
+fn a_last_block_keeps_only_the_inner_it_can_meet() {
+    let _turn = alone();
+    let (db, plan) = equi_join();
+    let mut ctx = ExecContext::new(&db);
+    ctx.execute(&plan).unwrap(); // warm-up
+    let (rows, peak) = peak_live(|| ctx.execute(&plan).unwrap());
+    assert_eq!(rows.len(), 4 * OUTER);
+    let per_row = peak as f64 / (OUTER + rows.len()) as f64;
+    println!("peak live bytes: {peak} ({per_row:.0} per outer or matched row)");
+    assert!(
+        peak <= PEAK_BYTES_PER_ROW * (OUTER + rows.len()) as u64,
+        "{peak} bytes live at once for {OUTER} outer rows and {} matches",
         rows.len()
     );
 }
