@@ -298,8 +298,8 @@ pub fn count_at_selectivity(
     let Some(ls) = stats.label_stats(table, instance, label) else {
         return 0;
     };
-    let mut best = (ls.min, f64::MAX);
-    for c in ls.min..=ls.max {
+    let mut best = (ls.min(), f64::MAX);
+    for c in ls.min()..=ls.max() {
         let sel = ls.selectivity(Some(c), Some(c));
         let diff = (sel - target).abs();
         if diff < best.1 {
@@ -309,7 +309,8 @@ pub fn count_at_selectivity(
     best.0
 }
 
-/// Pick a range `[lo, hi]` on a label with roughly the target selectivity.
+/// Pick the narrowest top range `[lo, max]` on a label whose selectivity
+/// reaches the target (or the whole range, if none does).
 pub fn range_at_selectivity(
     stats: &instn_opt::Statistics,
     table: TableId,
@@ -320,12 +321,12 @@ pub fn range_at_selectivity(
     let Some(ls) = stats.label_stats(table, instance, label) else {
         return (0, 0);
     };
-    // Shrink from the top until the selectivity is near the target.
-    let mut lo = ls.max;
-    while lo > ls.min && ls.selectivity(Some(lo), None) < target {
+    // Widen from the top until the selectivity reaches the target.
+    let mut lo = ls.max();
+    while lo > ls.min() && ls.selectivity(Some(lo), None) < target {
         lo -= 1;
     }
-    (lo, ls.max)
+    (lo, ls.max())
 }
 
 /// Format a byte count human-readably.
@@ -385,11 +386,54 @@ mod tests {
         let stats = instn_opt::Statistics::analyze(&b.db).unwrap();
         let c = count_at_selectivity(&stats, b.birds, "ClassBird1", "Disease", 0.05);
         let ls = stats.label_stats(b.birds, "ClassBird1", "Disease").unwrap();
-        assert!(c >= ls.min && c <= ls.max);
+        assert!(c >= ls.min() && c <= ls.max());
         let (lo, hi) = range_at_selectivity(&stats, b.birds, "ClassBird1", "Disease", 0.2);
         assert!(lo <= hi);
         let sel = ls.selectivity(Some(lo), Some(hi));
         assert!(sel > 0.05 && sel < 0.6, "range selectivity {sel}");
+    }
+
+    #[test]
+    fn label_selectivity_is_the_count_in_range() {
+        let cfg = BenchConfig {
+            scale_down: 500, // 90 birds
+            annots_per_tuple: 20,
+            ..Default::default()
+        };
+        let b = build_db(&cfg);
+        let stats = instn_opt::Statistics::analyze(&b.db).unwrap();
+        // Every classifier label's per-tuple counts, read off the objects.
+        let mut counts: HashMap<(String, String), Vec<u64>> = HashMap::new();
+        let storage = b.db.summary_storage(b.birds);
+        for oid in storage.oids() {
+            for obj in storage.read(oid).unwrap() {
+                if let Rep::Classifier(c) = &obj.rep {
+                    for (label, &n) in c.labels.iter().zip(&c.counts) {
+                        let key = (obj.instance_name.clone(), label.clone());
+                        counts.entry(key).or_default().push(n);
+                    }
+                }
+            }
+        }
+        assert!(!counts.is_empty());
+        for ((instance, label), counts) in &counts {
+            let ls = stats.label_stats(b.birds, instance, label).unwrap();
+            let bounds = || std::iter::once(None).chain((0..=ls.max() + 1).map(Some));
+            for lo in bounds() {
+                for hi in bounds() {
+                    let in_range =
+                        |&&c: &&u64| lo.is_none_or(|lo| c >= lo) && hi.is_none_or(|hi| c <= hi);
+                    let actual = counts.iter().filter(in_range).count() as u64;
+                    let estimate = ls.selectivity(lo, hi) * ls.total() as f64;
+                    assert_eq!(
+                        estimate.round() as u64,
+                        actual,
+                        "{label} in [{lo:?}, {hi:?}]"
+                    );
+                    assert_eq!(ls.selectivity(lo, hi), actual as f64 / counts.len() as f64);
+                }
+            }
+        }
     }
 
     #[test]

@@ -78,6 +78,13 @@ pub enum CatchUp {
     Evicted,
 }
 
+impl CatchUp {
+    /// Whether this rung rebuilt from the database's current state.
+    pub fn rebuilt(self) -> bool {
+        matches!(self, CatchUp::Rebuilt | CatchUp::ForcedRebuild(_))
+    }
+}
+
 /// Replay beats a bulk rebuild when the gap is small relative to the
 /// table: one replayed change costs a few B-Tree node touches, a rebuild
 /// scans the whole summary storage / heap and re-sorts every key.

@@ -5,8 +5,9 @@
 //! SQL operators use". Concretely:
 //!
 //! * summary-based selection `S` estimates like σ, using the per-label
-//!   `{Min, Max, NumDistinct, Histogram}` statistics,
-//! * the filter `F` estimates like π, using `AvgObjectSize`,
+//!   statistics (exact range selectivities),
+//! * the filter `F` estimates like π: one CPU unit per row (summary I/O is
+//!   sized by summary pages, not by an average object size),
 //! * the summary join `J` estimates like ⋈, dividing the cross product by
 //!   the larger `NumDistinct` of the joined label,
 //! * index-answerable predicates are costed from the Summary-BTree's
@@ -471,7 +472,7 @@ impl<'a> CostModel<'a> {
                 let nd = self
                     .stats
                     .label_stats(*table, instance, label)
-                    .map(|ls| ls.num_distinct.max(1) as f64)
+                    .map(|ls| ls.num_distinct().max(1) as f64)
                     .unwrap_or(1.0);
                 let matches = (n_r / nd).max(0.0);
                 // Streamed outer: a cap translates to fewer probes.

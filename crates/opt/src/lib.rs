@@ -3,8 +3,9 @@
 //! The extended, summary-aware query optimizer (§5 of the paper).
 //!
 //! * [`stats`] — statistics over the summary objects: per classifier label
-//!   `{Min, Max, NumDistinct, Equi-Width Histogram}` plus `AvgObjectSize`
-//!   per instance, maintained incrementally from summary deltas (Fig. 6),
+//!   the exact frequency of every count, giving `{Min, Max, NumDistinct}`
+//!   and exact range selectivities, kept per table and caught up from the
+//!   delta journal through the ladder every index shares (Fig. 6),
 //! * [`cost`] — cardinality estimation and an I/O-based cost model that
 //!   reuses the standard operators' heuristics for the new summary-based
 //!   operators (§5.2),
@@ -16,6 +17,8 @@
 //!   plans, pick physical implementations (index scans, index joins,
 //!   memory/disk sorts, sort elimination) per the cost model, return the
 //!   cheapest plan with an `EXPLAIN`-able rationale.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cost;
 pub mod planner;

@@ -206,7 +206,10 @@ fn rewrite_node(plan: &mut LogicalPlan, ctx: &RuleContext, out: &mut Vec<Logical
     }
 }
 
-/// Input `i` of `plan` (see [`LogicalPlan::children_mut`]).
+/// Input `i` of `plan` (see [`LogicalPlan::children_mut`]). `i` is below
+/// the input count: [`rewrite_node`] takes it from that count, and a
+/// re-wrapped clone has the same inputs.
+#[allow(clippy::expect_used, reason = "every caller's `i` is in range")]
 fn child(plan: &mut LogicalPlan, i: usize) -> &mut LogicalPlan {
     plan.children_mut()
         .nth(i)

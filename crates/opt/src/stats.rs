@@ -1,63 +1,35 @@
 //! Statistics over summary objects (§5.2, Fig. 6).
 //!
 //! For every classifier instance linked to a relation, the optimizer keeps
-//! one structure per class label holding `{Min, Max, NumDistinct,
-//! Equi-Width Histogram}` over that label's per-tuple counts, plus the
-//! instance's `AvgObjectSize`. The statistics are built by an ANALYZE-style
-//! pass and maintained incrementally "whenever a summary object is updated"
-//! — driven here by the same [`SummaryDelta`] stream the indexes consume.
+//! one structure per class label: how many objects hold each per-tuple
+//! count. `{Min, Max, NumDistinct}` are read off those frequencies, and so
+//! is a range's selectivity — exactly, where the paper interpolates in an
+//! equi-width histogram (DESIGN.md row 17).
 //!
-//! Since the delta-journal refactor the statistics are *revision-stamped*:
-//! [`Statistics::analyze`] records the database revision it observed, and
-//! [`Statistics::catch_up`] replays the [`instn_core::DeltaJournal`] gap
-//! `(as_of, current]` — folding summary deltas into the per-label
-//! structures and tuple-level changes into the row counts — so planner
-//! statistics stop going stale between explicit ANALYZE passes. When the
-//! journal has been truncated past the stamp, `catch_up` falls back to a
-//! full re-analyze.
+//! The statistics are kept per table, and each table's share is one more
+//! consumer of the delta journal: it implements [`MaintainableIndex`], so
+//! it is maintained "whenever a summary object is updated" through the
+//! ladder every index shares — fresh, high-water skip, replay, rebuild.
+//! [`Statistics::catch_up`] analyzes the tables it has not seen and takes
+//! each of the others up that ladder.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use instn_core::db::Database;
-use instn_core::journal::DataChange;
+use instn_core::journal::{DataChange, JournalEntry};
 use instn_core::maintain::SummaryDelta;
 use instn_core::summary::Rep;
 use instn_core::Result;
+use instn_index::{CatchUp, EntryOutcome, MaintainableIndex};
 use instn_storage::TableId;
 
-/// Histogram buckets per label.
-pub const HISTOGRAM_BUCKETS: usize = 16;
-
-/// Per-label statistics over annotation counts.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-label statistics: the exact frequency of every observed count.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LabelStats {
-    /// Smallest observed count.
-    pub min: u64,
-    /// Largest observed count.
-    pub max: u64,
-    /// Number of distinct counts.
-    pub num_distinct: u64,
-    /// Equi-width histogram over `[min, max]`.
-    pub histogram: Vec<u64>,
-    /// Total objects observed.
-    pub total: u64,
-    /// Exact count frequencies (kept to rebuild the histogram and
-    /// `num_distinct` under incremental updates; a real system would
-    /// approximate — the accuracy experiments don't depend on it).
-    freq: HashMap<u64, u64>,
-}
-
-impl Default for LabelStats {
-    fn default() -> Self {
-        Self {
-            min: 0,
-            max: 0,
-            num_distinct: 0,
-            histogram: vec![0; HISTOGRAM_BUCKETS],
-            total: 0,
-            freq: HashMap::new(),
-        }
-    }
+    /// Count → objects holding it, sorted so a range is one walk.
+    freq: BTreeMap<u64, u64>,
+    /// Objects observed (the sum of `freq`).
+    total: u64,
 }
 
 impl LabelStats {
@@ -65,10 +37,9 @@ impl LabelStats {
     pub fn add(&mut self, count: u64) {
         *self.freq.entry(count).or_insert(0) += 1;
         self.total += 1;
-        self.refresh();
     }
 
-    /// Remove one observed count.
+    /// Remove one observed count (one never observed is ignored).
     pub fn remove(&mut self, count: u64) {
         if let Some(f) = self.freq.get_mut(&count) {
             *f -= 1;
@@ -76,252 +47,225 @@ impl LabelStats {
                 self.freq.remove(&count);
             }
             self.total -= 1;
-            self.refresh();
         }
     }
 
-    fn refresh(&mut self) {
-        self.num_distinct = self.freq.len() as u64;
-        self.min = self.freq.keys().min().copied().unwrap_or(0);
-        self.max = self.freq.keys().max().copied().unwrap_or(0);
-        let span = (self.max - self.min + 1).max(1);
-        let width = span.div_ceil(HISTOGRAM_BUCKETS as u64).max(1);
-        self.histogram = vec![0; HISTOGRAM_BUCKETS];
-        for (&count, &f) in &self.freq {
-            let b = (((count - self.min) / width) as usize).min(HISTOGRAM_BUCKETS - 1);
-            self.histogram[b] += f;
-        }
+    /// Objects observed.
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
-    /// Estimated fraction of objects with count in `[lo, hi]` (inclusive,
-    /// open bounds allowed) using the histogram with intra-bucket
-    /// interpolation.
+    /// Smallest observed count (0 when empty).
+    pub fn min(&self) -> u64 {
+        self.freq.keys().next().copied().unwrap_or(0)
+    }
+
+    /// Largest observed count (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.freq.keys().next_back().copied().unwrap_or(0)
+    }
+
+    /// Number of distinct counts.
+    pub fn num_distinct(&self) -> u64 {
+        self.freq.len() as u64
+    }
+
+    /// Fraction of objects with count in `[lo, hi]` (inclusive, open bounds
+    /// allowed): the objects in range over [`LabelStats::total`], exactly.
     pub fn selectivity(&self, lo: Option<u64>, hi: Option<u64>) -> f64 {
-        if self.total == 0 {
+        let (lo, hi) = (lo.unwrap_or(0), hi.unwrap_or(u64::MAX));
+        if self.total == 0 || lo > hi {
             return 0.0;
         }
-        let lo = lo.unwrap_or(self.min).max(self.min);
-        let hi = hi.unwrap_or(self.max).min(self.max);
-        if lo > hi {
-            return 0.0;
-        }
-        let span = (self.max - self.min + 1).max(1);
-        let width = span.div_ceil(HISTOGRAM_BUCKETS as u64).max(1) as f64;
-        // A bound saturated at the observed extreme covers its whole bucket:
-        // without this, intra-bucket interpolation would undercount mass
-        // sitting exactly at min/max.
-        let hi = if hi >= self.max {
-            self.min + (width as u64) * HISTOGRAM_BUCKETS as u64 - 1
-        } else {
-            hi
+        let matched: u64 = self.freq.range(lo..=hi).map(|(_, f)| f).sum();
+        matched as f64 / self.total as f64
+    }
+}
+
+/// One table's statistics: a consumer of the delta journal, caught up
+/// through [`MaintainableIndex::catch_up`] like any index over the table.
+#[derive(Debug, Clone, PartialEq)]
+struct TableStats {
+    table: TableId,
+    rows: u64,
+    pages: u64,
+    summary_pages: u64,
+    /// Per instance name, per label (two levels so a lookup borrows the
+    /// names instead of building a key). Holds only labels with objects,
+    /// as a fresh analyze does.
+    labels: HashMap<String, HashMap<String, LabelStats>>,
+    built_revision: u64,
+}
+
+impl TableStats {
+    /// ANALYZE one table.
+    fn analyze(db: &Database, table: TableId) -> Result<TableStats> {
+        let mut stats = TableStats {
+            table,
+            rows: db.table(table)?.len() as u64,
+            pages: 0,
+            summary_pages: 0,
+            labels: HashMap::new(),
+            built_revision: db.revision(),
         };
-        let mut matched = 0.0f64;
-        for (b, &f) in self.histogram.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            let b_lo = self.min + b as u64 * width as u64;
-            let b_hi = b_lo + width as u64 - 1;
-            let o_lo = lo.max(b_lo);
-            let o_hi = hi.min(b_hi);
-            if o_lo > o_hi {
-                continue;
-            }
-            let frac = (o_hi - o_lo + 1) as f64 / width;
-            matched += f as f64 * frac.min(1.0);
-        }
-        (matched / self.total as f64).clamp(0.0, 1.0)
-    }
-
-    /// Estimated rows selected from `n` input rows.
-    pub fn estimate_rows(&self, n: f64, lo: Option<u64>, hi: Option<u64>) -> f64 {
-        n * self.selectivity(lo, hi)
-    }
-}
-
-/// Per-instance statistics.
-#[derive(Debug, Clone, Default)]
-pub struct InstanceStats {
-    /// Average serialized object size in bytes.
-    pub avg_object_size: f64,
-    /// Per-label count statistics.
-    pub labels: HashMap<String, LabelStats>,
-}
-
-/// Database-wide optimizer statistics.
-#[derive(Debug, Clone, Default)]
-pub struct Statistics {
-    /// Per table, per instance name statistics (keyed in two levels so a
-    /// lookup borrows the name instead of building a key).
-    instances: HashMap<TableId, HashMap<String, InstanceStats>>,
-    /// Per-table tuple counts.
-    table_rows: HashMap<TableId, u64>,
-    /// Per-table heap pages.
-    table_pages: HashMap<TableId, u64>,
-    /// Per-table SummaryStorage pages.
-    summary_pages: HashMap<TableId, u64>,
-    /// Database revision these statistics reflect (0 = never analyzed).
-    as_of: u64,
-}
-
-impl Statistics {
-    /// ANALYZE: collect statistics over every table of the database.
-    pub fn analyze(db: &Database) -> Result<Statistics> {
-        let mut stats = Statistics::default();
-        let mut tid = 0u32;
-        while let Ok(table) = db.table(TableId(tid)) {
-            let t = TableId(tid);
-            stats.table_rows.insert(t, table.len() as u64);
-            stats.table_pages.insert(t, table.page_count() as u64);
-            let storage = db.summary_storage(t);
-            stats.summary_pages.insert(t, storage.page_count() as u64);
-            let mut sizes: HashMap<String, (u64, u64)> = HashMap::new(); // (bytes, n)
-            for oid in storage.oids() {
-                for obj in storage.read(oid)? {
-                    let mut buf = Vec::new();
-                    obj.encode(&mut buf);
-                    let e = sizes.entry(obj.instance_name.clone()).or_insert((0, 0));
-                    e.0 += buf.len() as u64;
-                    e.1 += 1;
-                    if let Rep::Classifier(c) = &obj.rep {
-                        let inst = stats.instance_mut(t, &obj.instance_name);
-                        for (label, &count) in c.labels.iter().zip(c.counts.iter()) {
-                            inst.labels.entry(label.clone()).or_default().add(count);
-                        }
+        stats.read_pages(db)?;
+        let storage = db.summary_storage(table);
+        for oid in storage.oids() {
+            for obj in storage.read(oid)? {
+                if let Rep::Classifier(c) = &obj.rep {
+                    let inst = stats.labels.entry(obj.instance_name).or_default();
+                    for (label, &count) in c.labels.iter().zip(&c.counts) {
+                        inst.entry(label.clone()).or_default().add(count);
                     }
                 }
             }
-            for (name, (bytes, n)) in sizes {
-                let inst = stats.instance_mut(t, &name);
-                inst.avg_object_size = if n > 0 { bytes as f64 / n as f64 } else { 0.0 };
-            }
-            tid += 1;
         }
-        stats.as_of = db.revision();
         Ok(stats)
     }
 
-    /// The database revision these statistics reflect.
-    pub fn as_of(&self) -> u64 {
-        self.as_of
+    /// Re-read the heap and SummaryStorage page counts (O(1) accessors).
+    fn read_pages(&mut self, db: &Database) -> Result<()> {
+        self.pages = db.table(self.table)?.page_count() as u64;
+        self.summary_pages = db.summary_storage(self.table).page_count() as u64;
+        Ok(())
     }
 
-    /// Bring the statistics up to the database's current revision by
-    /// replaying the delta journal over the gap `(as_of, current]`.
-    ///
-    /// Summary deltas fold into the per-label structures; tuple inserts and
-    /// deletes adjust the per-table row counts; page counts of touched
-    /// tables are re-read from the live tables (an O(1) accessor). A
-    /// structural change (instance drop) or a journal truncated past
-    /// `as_of` cannot be replayed — those fall back to a full re-analyze.
-    ///
-    /// Returns `true` when the fallback re-analyze ran, `false` when the
-    /// gap was replayed (or there was no gap at all).
-    pub fn catch_up(&mut self, db: &Database) -> Result<bool> {
-        let current = db.revision();
-        if current == self.as_of {
-            return Ok(false);
-        }
-        let journal = db.journal();
-        let Some(entries) = journal.replay_range(self.as_of) else {
-            *self = Statistics::analyze(db)?;
-            return Ok(true);
-        };
-        let mut touched: HashSet<TableId> = HashSet::new();
-        let mut row_adjust: HashMap<TableId, i64> = HashMap::new();
-        let mut deltas: Vec<&SummaryDelta> = Vec::new();
-        for entry in entries {
-            if entry.structural {
-                *self = Statistics::analyze(db)?;
-                return Ok(true);
-            }
-            touched.extend(entry.tables.iter().copied());
-            for ch in &entry.data {
-                match ch {
-                    DataChange::Insert { table, .. } => *row_adjust.entry(*table).or_insert(0) += 1,
-                    DataChange::Delete { table, .. } => *row_adjust.entry(*table).or_insert(0) -= 1,
-                    DataChange::Update { .. } => {}
-                }
-            }
-            deltas.extend(&entry.summary);
-        }
-        for d in deltas {
-            self.apply_delta(d);
-        }
-        for (table, adj) in row_adjust {
-            let rows = self.table_rows.entry(table).or_insert(0);
-            *rows = rows.saturating_add_signed(adj);
-        }
-        for table in touched {
-            if let Ok(t) = db.table(table) {
-                self.table_pages.insert(table, t.page_count() as u64);
-                self.summary_pages
-                    .insert(table, db.summary_storage(table).page_count() as u64);
-            }
-        }
-        self.as_of = current;
-        Ok(false)
-    }
-
-    /// Incrementally fold a summary delta into the statistics.
-    fn apply_delta(&mut self, delta: &SummaryDelta) {
+    /// Fold one summary delta's label transitions in. A label whose last
+    /// object went away is dropped, and an instance left without labels:
+    /// a fresh analyze holds neither, and the cost model must answer the
+    /// same for both (its default selectivity, not 0).
+    fn fold(&mut self, delta: &SummaryDelta) {
         for ch in &delta.changes {
-            let inst = self.instance_mut(delta.table, &ch.instance_name);
-            let label = inst.labels.entry(ch.label.clone()).or_default();
+            let inst = self.labels.entry(ch.instance_name.clone()).or_default();
+            let label = inst.entry(ch.label.clone()).or_default();
             if let Some(old) = ch.old {
                 label.remove(old);
             }
             if let Some(new) = ch.new {
                 label.add(new);
             }
+            if label.total == 0 {
+                inst.remove(&ch.label);
+                if inst.is_empty() {
+                    self.labels.remove(&ch.instance_name);
+                }
+            }
         }
+    }
+}
+
+impl MaintainableIndex for TableStats {
+    fn table(&self) -> TableId {
+        self.table
+    }
+
+    fn built_revision(&self) -> u64 {
+        self.built_revision
+    }
+
+    fn mark_synced(&mut self, revision: u64) {
+        self.built_revision = revision;
+    }
+
+    /// Summary deltas fold into the per-label frequencies, inserts and
+    /// deletes move the row count, and the page counts are re-read. An
+    /// instance drop cannot be expressed as deltas: it re-analyzes.
+    fn apply_entry(&mut self, db: &Database, entry: &JournalEntry) -> Result<EntryOutcome> {
+        if entry.structural {
+            self.bulk_rebuild(db)?;
+            return Ok(EntryOutcome::rebuilt());
+        }
+        let table = self.table;
+        let mut applied = 0u64;
+        for delta in entry.summary.iter().filter(|d| d.table == table) {
+            self.fold(delta);
+            applied += 1;
+        }
+        for change in entry.data.iter().filter(|c| c.table() == table) {
+            match change {
+                DataChange::Insert { .. } => self.rows += 1,
+                DataChange::Delete { .. } => self.rows = self.rows.saturating_sub(1),
+                DataChange::Update { .. } => {}
+            }
+            applied += 1;
+        }
+        self.read_pages(db)?;
+        self.built_revision = entry.revision;
+        Ok(EntryOutcome::applied(applied))
+    }
+
+    fn bulk_rebuild(&mut self, db: &Database) -> Result<()> {
+        *self = TableStats::analyze(db, self.table)?;
+        Ok(())
+    }
+}
+
+/// Database-wide optimizer statistics: one journal consumer per table,
+/// indexed by table id (tables are numbered densely from 0).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Statistics {
+    tables: Vec<TableStats>,
+}
+
+impl Statistics {
+    /// ANALYZE: collect statistics over every table of the database.
+    pub fn analyze(db: &Database) -> Result<Statistics> {
+        let mut stats = Statistics::default();
+        stats.analyze_unseen(db)?;
+        Ok(stats)
+    }
+
+    /// Analyze every table of `db` past the ones already held.
+    fn analyze_unseen(&mut self, db: &Database) -> Result<()> {
+        loop {
+            let table = TableId(self.tables.len() as u32);
+            if db.table(table).is_err() {
+                return Ok(());
+            }
+            self.tables.push(TableStats::analyze(db, table)?);
+        }
+    }
+
+    /// Bring the statistics level with `db`: analyze the tables not seen
+    /// before, then take each of the others up the ladder every index
+    /// shares ([`MaintainableIndex::catch_up`]) — so a write to one table
+    /// costs another table's statistics no journal walk at all.
+    ///
+    /// Returns each table's rung, indexed by table id; a table seen for the
+    /// first time reports [`CatchUp::Rebuilt`].
+    pub fn catch_up(&mut self, db: &Database) -> Result<Vec<CatchUp>> {
+        let seen = self.tables.len();
+        self.analyze_unseen(db)?;
+        let (old, new) = self.tables.split_at_mut(seen);
+        let rungs = old.iter_mut().map(|stats| stats.catch_up(db));
+        rungs
+            .chain(new.iter().map(|_| Ok(CatchUp::Rebuilt)))
+            .collect()
+    }
+
+    fn table_stats(&self, table: TableId) -> Option<&TableStats> {
+        self.tables.get(table.0 as usize)
     }
 
     /// Tuple count of a table (0 when unknown).
     pub fn rows(&self, table: TableId) -> f64 {
-        self.table_rows.get(&table).copied().unwrap_or(0) as f64
+        self.table_stats(table).map_or(0.0, |t| t.rows as f64)
     }
 
     /// Heap pages of a table.
     pub fn pages(&self, table: TableId) -> f64 {
-        self.table_pages.get(&table).copied().unwrap_or(0) as f64
+        self.table_stats(table).map_or(0.0, |t| t.pages as f64)
     }
 
     /// SummaryStorage pages of a table.
     pub fn summary_pages(&self, table: TableId) -> f64 {
-        self.summary_pages.get(&table).copied().unwrap_or(0) as f64
+        self.table_stats(table)
+            .map_or(0.0, |t| t.summary_pages as f64)
     }
 
-    /// The statistics of `instance` on `table`, if collected.
-    fn instance(&self, table: TableId, instance: &str) -> Option<&InstanceStats> {
-        self.instances.get(&table)?.get(instance)
-    }
-
-    /// The statistics of `instance` on `table`, created empty if missing.
-    fn instance_mut(&mut self, table: TableId, instance: &str) -> &mut InstanceStats {
-        self.instances
-            .entry(table)
-            .or_default()
-            .entry(instance.to_string())
-            .or_default()
-    }
-
-    /// Per-label statistics, if collected.
+    /// Per-label statistics, if the label has objects on `table`.
     pub fn label_stats(&self, table: TableId, instance: &str, label: &str) -> Option<&LabelStats> {
-        self.instance(table, instance)?.labels.get(label)
-    }
-
-    /// Average object size of an instance.
-    pub fn avg_object_size(&self, table: TableId, instance: &str) -> f64 {
-        self.instance(table, instance)
-            .map(|i| i.avg_object_size)
-            .unwrap_or(0.0)
-    }
-
-    /// Whether a table has the given summary instance linked (for the
-    /// "L is not defined on S" rule side conditions).
-    pub fn has_instance(&self, table: TableId, instance: &str) -> bool {
-        self.instance(table, instance).is_some()
+        self.table_stats(table)?.labels.get(instance)?.get(label)
     }
 }
 
@@ -373,39 +317,38 @@ mod tests {
         (db, t, oids)
     }
 
+    fn disease(stats: &Statistics, t: TableId) -> Option<&LabelStats> {
+        stats.label_stats(t, "C", "Disease")
+    }
+
     #[test]
     fn analyze_collects_min_max_ndistinct() {
         let (db, t, _) = setup(10);
         let stats = Statistics::analyze(&db).unwrap();
-        let ls = stats.label_stats(t, "C", "Disease").unwrap();
-        assert_eq!(ls.min, 0);
-        assert_eq!(ls.max, 9);
-        assert_eq!(ls.num_distinct, 10);
-        assert_eq!(ls.total, 10);
+        let ls = disease(&stats, t).unwrap();
+        assert_eq!(
+            (ls.min(), ls.max(), ls.num_distinct(), ls.total()),
+            (0, 9, 10, 10)
+        );
         let lb = stats.label_stats(t, "C", "Behavior").unwrap();
-        assert_eq!((lb.min, lb.max, lb.num_distinct), (1, 1, 1));
-        assert!(stats.avg_object_size(t, "C") > 0.0);
+        assert_eq!((lb.min(), lb.max(), lb.num_distinct()), (1, 1, 1));
         assert_eq!(stats.rows(t), 10.0);
-        assert!(stats.has_instance(t, "C"));
-        assert!(!stats.has_instance(t, "Nope"));
+        assert!(stats.label_stats(t, "Nope", "Disease").is_none());
     }
 
     #[test]
     fn selectivity_estimates_ranges() {
         let (db, t, _) = setup(100);
         let stats = Statistics::analyze(&db).unwrap();
-        let ls = stats.label_stats(t, "C", "Disease").unwrap();
-        // Counts are uniform 0..=99: [90, inf) is ~10%.
-        let sel = ls.selectivity(Some(90), None);
-        assert!((sel - 0.10).abs() < 0.04, "selectivity {sel}");
-        // Full range is ~100%.
-        assert!(ls.selectivity(None, None) > 0.95);
-        // Empty range.
+        let ls = disease(&stats, t).unwrap();
+        // Counts are 0..=99, one object each.
+        assert_eq!(ls.selectivity(Some(90), None), 0.10);
+        assert_eq!(ls.selectivity(None, Some(9)), 0.10);
+        assert_eq!(ls.selectivity(Some(40), Some(40)), 0.01);
+        assert_eq!(ls.selectivity(None, None), 1.0);
+        // Empty ranges.
         assert_eq!(ls.selectivity(Some(500), Some(600)), 0.0);
         assert_eq!(ls.selectivity(Some(50), Some(10)), 0.0);
-        // Row estimate.
-        let rows = ls.estimate_rows(stats.rows(t), Some(90), None);
-        assert!((rows - 10.0).abs() < 4.0, "rows {rows}");
     }
 
     #[test]
@@ -422,20 +365,18 @@ mod tests {
             )
             .unwrap();
         for d in &deltas {
-            stats.apply_delta(d);
+            stats.tables[t.0 as usize].fold(d);
         }
-        let ls = stats.label_stats(t, "C", "Disease").unwrap();
-        assert_eq!(ls.max, 5, "tuple 4 moved from 4 to 5 disease annots");
-        assert_eq!(ls.total, 5);
+        let ls = disease(&stats, t).unwrap();
+        assert_eq!(ls.max(), 5, "tuple 4 moved from 4 to 5 disease annots");
+        assert_eq!(ls.total(), 5);
     }
 
     #[test]
     fn catch_up_replays_journal_gap() {
         let (mut db, t, oids) = setup(5);
         let mut stats = Statistics::analyze(&db).unwrap();
-        assert_eq!(stats.as_of(), db.revision());
-        // No gap: nothing to do.
-        assert!(!stats.catch_up(&db).unwrap());
+        assert_eq!(stats.catch_up(&db).unwrap(), vec![CatchUp::Fresh]);
         // Mutate past the stamp: annotations + a tuple insert + a delete.
         db.add_annotation(
             t,
@@ -447,17 +388,12 @@ mod tests {
         .unwrap();
         db.insert_tuple(t, vec![Value::Int(99)]).unwrap();
         db.delete_tuple(t, oids[0]).unwrap();
-        assert!(stats.as_of() < db.revision());
-        let reanalyzed = stats.catch_up(&db).unwrap();
-        assert!(!reanalyzed, "retained gap must replay, not re-analyze");
-        assert_eq!(stats.as_of(), db.revision());
-        let fresh = Statistics::analyze(&db).unwrap();
-        assert_eq!(stats.rows(t), fresh.rows(t), "row counts track the journal");
-        let (ls, lf) = (
-            stats.label_stats(t, "C", "Disease").unwrap(),
-            fresh.label_stats(t, "C", "Disease").unwrap(),
+        let rungs = stats.catch_up(&db).unwrap();
+        assert!(
+            matches!(rungs[..], [CatchUp::Replayed(n)] if n > 0),
+            "a small retained gap replays: {rungs:?}"
         );
-        assert_eq!((ls.min, ls.max, ls.total), (lf.min, lf.max, lf.total));
+        assert_eq!(stats, Statistics::analyze(&db).unwrap());
     }
 
     #[test]
@@ -465,12 +401,12 @@ mod tests {
         let (mut db, t, oids) = setup(5);
         let mut stats = Statistics::analyze(&db).unwrap();
         // Retention 0: every entry is truncated immediately, so the gap
-        // is unreplayable and catch_up must re-analyze.
+        // is unreplayable and the table re-analyzes.
         db.set_journal_retention(0);
         db.delete_tuple(t, oids[0]).unwrap();
-        assert!(stats.catch_up(&db).unwrap(), "truncated gap re-analyzes");
-        assert_eq!(stats.as_of(), db.revision());
+        assert_eq!(stats.catch_up(&db).unwrap(), vec![CatchUp::Rebuilt]);
         assert_eq!(stats.rows(t), 4.0);
+        assert_eq!(stats, Statistics::analyze(&db).unwrap());
     }
 
     #[test]
@@ -478,15 +414,51 @@ mod tests {
         let (mut db, t, _) = setup(5);
         let mut stats = Statistics::analyze(&db).unwrap();
         db.drop_instance(t, "C").unwrap();
-        assert!(stats.catch_up(&db).unwrap(), "instance drop re-analyzes");
-        assert!(!stats.has_instance(t, "C"));
+        assert_eq!(
+            stats.catch_up(&db).unwrap(),
+            vec![CatchUp::ForcedRebuild(0)]
+        );
+        assert!(disease(&stats, t).is_none());
+    }
+
+    #[test]
+    fn catch_up_analyzes_a_table_created_since() {
+        let (mut db, t, _) = setup(3);
+        let mut stats = Statistics::analyze(&db).unwrap();
+        let u = db
+            .create_table("Later", Schema::of(&[("id", ColumnType::Int)]))
+            .unwrap();
+        db.insert_tuple(u, vec![Value::Int(1)]).unwrap();
+        let rungs = stats.catch_up(&db).unwrap();
+        assert_eq!(rungs[t.0 as usize], CatchUp::Skipped);
+        assert_eq!(rungs[u.0 as usize], CatchUp::Rebuilt);
+        assert_eq!(stats.rows(u), 1.0);
+        assert_eq!(stats, Statistics::analyze(&db).unwrap());
+    }
+
+    #[test]
+    fn emptied_label_answers_as_a_fresh_analyze() {
+        // Deleting every annotated tuple takes each label's last object:
+        // the caught-up statistics must hold no entry, as a fresh analyze
+        // does, so the cost model falls back to its default selectivity in
+        // both (an empty entry would answer 0).
+        let (mut db, t, oids) = setup(4);
+        let mut stats = Statistics::analyze(&db).unwrap();
+        for oid in oids {
+            db.delete_tuple(t, oid).unwrap();
+        }
+        stats.catch_up(&db).unwrap();
+        let fresh = Statistics::analyze(&db).unwrap();
+        assert!(disease(&fresh, t).is_none());
+        assert!(disease(&stats, t).is_none(), "{:?}", disease(&stats, t));
+        assert_eq!(stats, fresh);
     }
 
     #[test]
     fn empty_label_stats() {
         let ls = LabelStats::default();
         assert_eq!(ls.selectivity(None, None), 0.0);
-        assert_eq!(ls.estimate_rows(100.0, Some(1), None), 0.0);
+        assert_eq!((ls.min(), ls.max(), ls.num_distinct()), (0, 0, 0));
     }
 
     #[test]
@@ -495,13 +467,14 @@ mod tests {
         for c in [3u64, 5, 5, 9] {
             ls.add(c);
         }
-        assert_eq!((ls.min, ls.max, ls.num_distinct, ls.total), (3, 9, 3, 4));
+        let shape = |ls: &LabelStats| (ls.min(), ls.max(), ls.num_distinct(), ls.total());
+        assert_eq!(shape(&ls), (3, 9, 3, 4));
+        assert_eq!(ls.selectivity(Some(5), Some(5)), 0.5);
         ls.remove(9);
-        assert_eq!((ls.min, ls.max, ls.num_distinct, ls.total), (3, 5, 2, 3));
+        assert_eq!(shape(&ls), (3, 5, 2, 3));
         ls.remove(3);
         ls.remove(5);
         ls.remove(5);
-        assert_eq!(ls.total, 0);
-        assert_eq!(ls.num_distinct, 0);
+        assert_eq!(ls, LabelStats::default());
     }
 }

@@ -37,8 +37,9 @@ pub enum StatementOutcome {
     ExplainAnalyze(Box<ExplainAnalysis>),
     /// `ANALYZE`: the session's optimizer statistics are current.
     Analyzed {
-        /// `true` after a full scan (first use, or the journal no longer
-        /// covers the gap); `false` when the journal gap was replayed.
+        /// `true` when some table was analyzed afresh (first use, or the
+        /// journal could not replay its gap); `false` when every table was
+        /// fresh, skipped or replayed.
         rescanned: bool,
     },
     /// `ZOOM IN`: the raw annotations behind a summary object.

@@ -10,7 +10,8 @@
 //!   by journal replay is entry-for-entry identical to a fresh bulk build —
 //!   for all three index kinds, including the journal-truncation fallback
 //!   and the key-width-growth forced-rebuild paths, and whether they catch
-//!   up once after the stream or standalone after every op.
+//!   up once after the stream or standalone after every op. The optimizer
+//!   statistics ride the same ladder and must equal a fresh analyze.
 
 use proptest::prelude::*;
 
@@ -163,6 +164,34 @@ fn untouched_table_mutations_cause_zero_index_work() {
     // And the pass left the stamps current: a second pass is all-fresh.
     let report = refresh(&db, &registry);
     assert_eq!(report.indexes_fresh, 3);
+}
+
+#[test]
+fn untouched_table_mutations_leave_its_statistics_skipped() {
+    let mut db = Database::new();
+    let (a, _) = annotated_table(&mut db, "A", 20);
+    let (b, b_oids) = annotated_table(&mut db, "B", 5);
+    let mut stats = Statistics::analyze(&db).unwrap();
+
+    db.insert_tuple(b, vec![Value::Int(100), Value::Text("x".into())])
+        .unwrap();
+    db.add_annotation(
+        b,
+        "disease outbreak",
+        Category::Disease,
+        "u",
+        vec![Attachment::row(b_oids[1])],
+    )
+    .unwrap();
+
+    let rungs = stats.catch_up(&db).unwrap();
+    assert_eq!(
+        rungs[a.0 as usize],
+        CatchUp::Skipped,
+        "a write to B walks no journal for A's statistics"
+    );
+    assert!(matches!(rungs[b.0 as usize], CatchUp::Replayed(n) if n > 0));
+    assert_eq!(stats, Statistics::analyze(&db).unwrap());
 }
 
 #[test]
@@ -424,7 +453,8 @@ proptest! {
     /// (skip, replay, truncation fallback, forced rebuild), and whether the
     /// indexes catch up once through a registry refresh after the stream or
     /// standalone after every op, they end entry-for-entry identical to
-    /// fresh builds.
+    /// fresh builds — and the optimizer statistics, caught up the same two
+    /// ways, equal a fresh analyze.
     #[test]
     fn replayed_indexes_match_fresh_builds(
         before in prop::collection::vec(op(), 0..12),
@@ -436,6 +466,7 @@ proptest! {
         db.set_journal_retention(retention);
         let (t, mut oids) = annotated_table(&mut db, "A", 8);
         apply_ops(&mut db, t, &mut oids, &before);
+        let mut stats = Statistics::analyze(&db).unwrap();
         let registry = if after_every_op {
             let (mut sb, mut bl, mut col) = build_all(&db, t);
             for op in &after {
@@ -443,6 +474,7 @@ proptest! {
                 sb.catch_up(&db).unwrap();
                 bl.catch_up(&db).unwrap();
                 col.catch_up(&db).unwrap();
+                stats.catch_up(&db).unwrap();
             }
             register_all((sb, bl, col))
         } else {
@@ -453,6 +485,8 @@ proptest! {
         let report = refresh(&db, &registry);
         prop_assert_eq!(report.indexes_checked, 3);
         assert_oracle_identical(&db, t, &registry);
+        stats.catch_up(&db).unwrap();
+        prop_assert_eq!(&stats, &Statistics::analyze(&db).unwrap());
         // A second pass over the caught-up registry is free.
         let report = refresh(&db, &registry);
         prop_assert_eq!(report.indexes_fresh, 3);

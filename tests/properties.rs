@@ -254,12 +254,18 @@ proptest! {
     }
 
     // ----------------------------------------------------------------
-    // Optimizer statistics: add/remove sequences keep min/max/ndistinct
-    // consistent with a naive recomputation.
+    // Optimizer statistics: add/remove sequences answer exactly what a
+    // naive recomputation over the surviving counts answers.
     // ----------------------------------------------------------------
 
     #[test]
-    fn label_stats_match_naive_model(counts in prop::collection::vec(0u64..50, 1..60)) {
+    fn label_stats_match_naive_model(
+        counts in prop::collection::vec(0u64..50, 1..60),
+        bounds in prop::collection::vec(
+            (prop::option::of(0u64..60), prop::option::of(0u64..60)),
+            1..12,
+        ),
+    ) {
         let mut ls = LabelStats::default();
         for &c in &counts {
             ls.add(c);
@@ -269,28 +275,24 @@ proptest! {
         for &c in &counts[..counts.len() / 3] {
             ls.remove(c);
         }
-        if keep.is_empty() {
-            prop_assert_eq!(ls.total, 0);
-            return Ok(());
-        }
-        prop_assert_eq!(ls.total as usize, keep.len());
-        prop_assert_eq!(ls.min, *keep.iter().min().unwrap());
-        prop_assert_eq!(ls.max, *keep.iter().max().unwrap());
+        let total = keep.len() as u64;
+        prop_assert_eq!(ls.total(), total);
+        prop_assert_eq!(ls.min(), keep.iter().min().copied().unwrap_or(0));
+        prop_assert_eq!(ls.max(), keep.iter().max().copied().unwrap_or(0));
         let distinct: HashSet<u64> = keep.iter().copied().collect();
-        prop_assert_eq!(ls.num_distinct as usize, distinct.len());
-        // Selectivity over the full range covers (almost) everything.
-        let sel = ls.selectivity(None, None);
-        prop_assert!(sel > 0.99, "full-range selectivity {sel}");
-        // Every present value has non-zero point selectivity; values outside
-        // the observed range have exactly zero. (Equi-width histograms
-        // interpolate within buckets, so point estimates under-count — the
-        // invariants are positivity and bounded support, not exactness.)
-        for &c in &distinct {
-            let p = ls.selectivity(Some(c), Some(c));
-            prop_assert!(p > 0.0, "present value {c} has zero selectivity");
-            prop_assert!(p <= 1.0);
+        prop_assert_eq!(ls.num_distinct() as usize, distinct.len());
+        // Every range, open bounds included, selects exactly the counts in
+        // it: `selectivity × total` is the naive count.
+        for &(lo, hi) in &bounds {
+            let naive = keep
+                .iter()
+                .filter(|&&c| lo.is_none_or(|lo| c >= lo) && hi.is_none_or(|hi| c <= hi))
+                .count() as u64;
+            let expected = if total == 0 { 0.0 } else { naive as f64 / total as f64 };
+            let sel = ls.selectivity(lo, hi);
+            prop_assert_eq!(sel, expected, "[{:?}, {:?}]", lo, hi);
+            prop_assert_eq!((sel * total as f64).round() as u64, naive);
         }
-        prop_assert_eq!(ls.selectivity(Some(ls.max + 100), Some(ls.max + 200)), 0.0);
     }
 }
 
