@@ -28,7 +28,7 @@ use instn_storage::page::RecordId;
 use instn_storage::{HeapFile, Oid, TableId};
 
 use crate::itemize::{itemize_key, max_key, min_key, ItemizeWidth};
-use crate::maintainable::{EntryOutcome, MaintainableIndex};
+use crate::maintainable::{EntryOutcome, MaintainableIndex, Stamp};
 
 /// One normalized row: `(OID, Label, Count)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,9 +74,9 @@ pub struct BaselineIndex {
     /// Standard B-Tree on the OID column of the normalized table (needed to
     /// find a tuple's rows for maintenance and for object re-assembly).
     oid_index: BTree<RecordId>,
-    /// Database revision this scheme was built at (or last caught up to via
-    /// [`MaintainableIndex::catch_up`]).
-    built_revision: u64,
+    /// Where in the database's history this scheme was built (or last
+    /// caught up to via [`MaintainableIndex::catch_up`]).
+    built: Stamp,
 }
 
 impl BaselineIndex {
@@ -93,7 +93,7 @@ impl BaselineIndex {
             norm: HeapFile::with_pool(Arc::clone(pool)),
             derived_index: BTree::new_in(Arc::clone(pool)),
             oid_index: BTree::new_in(Arc::clone(pool)),
-            built_revision: db.revision(),
+            built: Stamp::of(db),
         };
         let storage = db.summary_storage(table);
         for oid in storage.oids() {
@@ -125,7 +125,7 @@ impl BaselineIndex {
             norm: HeapFile::with_pool(Arc::clone(pool)),
             derived_index: BTree::new_in(Arc::clone(pool)),
             oid_index: BTree::new_in(Arc::clone(pool)),
-            built_revision: db.revision(),
+            built: Stamp::of(db),
         })
     }
 
@@ -284,12 +284,12 @@ impl MaintainableIndex for BaselineIndex {
         BaselineIndex::table(self)
     }
 
-    fn built_revision(&self) -> u64 {
-        self.built_revision
+    fn built_stamp(&self) -> Stamp {
+        self.built
     }
 
-    fn mark_synced(&mut self, revision: u64) {
-        self.built_revision = revision;
+    fn mark_synced(&mut self, stamp: Stamp) {
+        self.built = stamp;
     }
 
     /// The baseline's delta maintenance is purely local (normalized rows
@@ -323,7 +323,7 @@ impl MaintainableIndex for BaselineIndex {
             }
             applied += 1;
         }
-        self.built_revision = entry.revision;
+        self.built.revision = entry.revision;
         Ok(EntryOutcome::applied(applied))
     }
 

@@ -17,17 +17,21 @@
 //!   propagating summaries from this normalized form costs a rebuild,
 //! * [`maintainable`] — the one maintenance path of every index kind:
 //!   [`MaintainableIndex::catch_up`] replays the delta journal's gap since
-//!   the index's revision stamp, or rebuilds when replay cannot or should
-//!   not vouch for it.
+//!   the index's [`Stamp`], or rebuilds when replay cannot or should not
+//!   vouch for it,
+//! * [`stats`] — the optimizer's statistics (§5.2, Fig. 6), caught up by
+//!   the same ladder and owned, like the indexes, by the engine's registry.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baseline;
 pub mod itemize;
 pub mod maintainable;
+pub mod stats;
 pub mod summary_btree;
 
 pub use baseline::BaselineIndex;
 pub use itemize::{itemize_key, max_key, min_key, ItemizeWidth};
-pub use maintainable::{CatchUp, EntryOutcome, MaintainableIndex};
+pub use maintainable::{CatchUp, EntryOutcome, MaintainableIndex, Stamp};
+pub use stats::{LabelStats, Statistics};
 pub use summary_btree::{EntryCursor, IndexEntry, PointerMode, SummaryBTree};

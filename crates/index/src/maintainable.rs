@@ -5,10 +5,10 @@
 //! changes keyed by revision; an index built at revision `B` catches up by
 //! replaying the gap `(B, current]` entry by entry. [`MaintainableIndex`] is
 //! the contract that replay drives, so the Summary-BTree, the baseline
-//! scheme and the data-column index (in `instn-query`) all maintain through
-//! one ladder, [`MaintainableIndex::catch_up`] — whether the engine's index
-//! registry calls it at plan open or a standalone index calls it after a
-//! mutation:
+//! scheme, the data-column index (in `instn-query`) and each table's
+//! optimizer [`crate::stats`] all maintain through one ladder,
+//! [`MaintainableIndex::catch_up`] — whether the engine's index registry
+//! calls it or a standalone index calls it after a mutation:
 //!
 //! * [`MaintainableIndex::apply_entry`] — fold one journal entry in. The
 //!   returned [`EntryOutcome`] says whether the entry was applied as deltas
@@ -16,16 +16,34 @@
 //!   rebuild the index reflects the database's *current* state, so the
 //!   caller must stop replaying — later entries would double-apply.
 //! * [`MaintainableIndex::bulk_rebuild`] — the fallback when the journal
-//!   was truncated past the gap or replay is estimated costlier than a
-//!   fresh build.
-//! * [`MaintainableIndex::mark_synced`] — stamp freshness without touching
-//!   keys (used when the table's high-water mark proves nothing relevant
-//!   happened — the zero-work case).
+//!   was truncated past the gap, replay is estimated costlier than a fresh
+//!   build, or the database took on another history (a restore).
+//! * [`MaintainableIndex::mark_synced`] — advance the [`Stamp`] without
+//!   touching keys (used when the table's high-water mark proves nothing
+//!   relevant happened — the zero-work case).
 
 use instn_core::db::Database;
 use instn_core::journal::JournalEntry;
 use instn_core::{CoreError, Result};
-use instn_storage::TableId;
+use instn_storage::{StorageError, TableId};
+
+/// A point of the database's history: the journal's
+/// [generation](instn_core::journal::DeltaJournal::generation), a revision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    pub generation: u64,
+    pub revision: u64,
+}
+
+impl Stamp {
+    /// Where `db` stands now.
+    pub fn of(db: &Database) -> Stamp {
+        Stamp {
+            generation: db.journal().generation(),
+            revision: db.revision(),
+        }
+    }
+}
 
 /// What applying one journal entry did to an index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,62 +119,74 @@ pub trait MaintainableIndex {
     /// The table whose mutations invalidate this index.
     fn table(&self) -> TableId;
 
-    /// Revision the index last matched (build, replay, or sync time).
-    fn built_revision(&self) -> u64;
+    /// Where in the database's history the index last matched (build,
+    /// replay, or sync time).
+    fn built_stamp(&self) -> Stamp;
 
-    /// Declare the index consistent with `revision` without touching keys.
-    /// Only sound when no journal entry in `(built_revision, revision]`
-    /// touches [`MaintainableIndex::table`].
-    fn mark_synced(&mut self, revision: u64);
+    /// The revision of [`MaintainableIndex::built_stamp`].
+    fn built_revision(&self) -> u64 {
+        self.built_stamp().revision
+    }
+
+    /// Declare the index consistent with `stamp` without touching keys.
+    /// Only sound when no journal entry between the built stamp and
+    /// `stamp` touches [`MaintainableIndex::table`].
+    fn mark_synced(&mut self, stamp: Stamp);
 
     /// Fold one journal entry into the index. Entries must be applied in
-    /// revision order; on success `built_revision` advances to the entry's
-    /// revision (or the database's current revision if the entry forced a
-    /// rebuild — see [`EntryOutcome::rebuilt`]).
+    /// revision order; on success the stamp's revision advances to the
+    /// entry's (or the stamp to the database's current one if the entry
+    /// forced a rebuild — see [`EntryOutcome::rebuilt`]).
     fn apply_entry(&mut self, db: &Database, entry: &JournalEntry) -> Result<EntryOutcome>;
 
-    /// Rebuild from the database's current state (the fallback when the
-    /// journal cannot vouch for the gap).
+    /// Rebuild from the database's current state and stamp it (the
+    /// fallback when the journal cannot vouch for the gap).
     fn bulk_rebuild(&mut self, db: &Database) -> Result<()>;
 
-    /// Bring the index level with `db`'s revision. In order of preference:
+    /// Bring the index level with `db`'s [`Stamp`]. In order of preference:
     ///
     /// 1. fresh stamp → nothing,
-    /// 2. table high-water mark `<= built_revision` → re-stamp, zero work
-    ///    (a mutation elsewhere cannot invalidate this index),
-    /// 3. journal gap `(built_revision, current]` retained and small →
-    ///    replay it entry by entry ([`MaintainableIndex::apply_entry`]),
+    /// 2. table high-water mark `<=` the built revision → re-stamp, zero
+    ///    work (a mutation elsewhere cannot invalidate this index),
+    /// 3. journal gap `(built, current]` retained and small → replay it
+    ///    entry by entry ([`MaintainableIndex::apply_entry`]),
     /// 4. otherwise (journal truncated past the gap, or replay estimated
     ///    costlier than a fresh build) → bulk rebuild.
     ///
-    /// An index whose summary instance is gone reports
+    /// Rungs 2 and 3 compare revisions, which hold only within one
+    /// generation: across a restore in place the index rebuilds.
+    ///
+    /// An index whose table or summary instance is gone reports
     /// [`CatchUp::Evicted`] instead of an error.
     fn catch_up(&mut self, db: &Database) -> Result<CatchUp> {
-        let rev = db.revision();
-        let built = self.built_revision();
-        if built == rev {
+        let now = Stamp::of(db);
+        let built = self.built_stamp();
+        if built == now {
             return Ok(CatchUp::Fresh);
         }
-        let journal = db.journal();
-        let table = self.table();
-        if journal.table_high_water(table) <= built {
+        let (journal, table) = (db.journal(), self.table());
+        let same_history = built.generation == now.generation;
+        if same_history && journal.table_high_water(table) <= built.revision {
             // Nothing touched this table since the index was built: the
             // stamp alone advances. This is the zero-work case the
             // per-table high-water marks exist for.
-            self.mark_synced(rev);
+            self.mark_synced(now);
             return Ok(CatchUp::Skipped);
         }
-        let table_rows = db.table(table)?.len() as u64;
-        let replayable = journal
-            .gap_changes(built, table)
-            .is_some_and(|gap| replay_cheaper(gap, table_rows));
+        let replayable = same_history && {
+            let table_rows = db.table(table)?.len() as u64;
+            journal
+                .gap_changes(built.revision, table)
+                .is_some_and(|gap| replay_cheaper(gap, table_rows))
+        };
         let outcome = if replayable {
-            replay_gap(self, db, built)
+            replay_gap(self, db, built.revision)
         } else {
             self.bulk_rebuild(db).map(|()| CatchUp::Rebuilt)
         };
         match outcome {
-            Err(CoreError::InstanceNotFound(_)) => Ok(CatchUp::Evicted),
+            Err(CoreError::InstanceNotFound(_))
+            | Err(CoreError::Storage(StorageError::TableNotFound(_))) => Ok(CatchUp::Evicted),
             other => other,
         }
     }
@@ -185,6 +215,6 @@ fn replay_gap<I: MaintainableIndex + ?Sized>(
             return Ok(CatchUp::ForcedRebuild(applied));
         }
     }
-    idx.mark_synced(db.revision());
+    idx.mark_synced(Stamp::of(db));
     Ok(CatchUp::Replayed(applied))
 }

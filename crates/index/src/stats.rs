@@ -11,7 +11,9 @@
 //! it is maintained "whenever a summary object is updated" through the
 //! ladder every index shares — fresh, high-water skip, replay, rebuild.
 //! [`Statistics::catch_up`] analyzes the tables it has not seen and takes
-//! each of the others up that ladder.
+//! each of the others up that ladder. The engine keeps one copy beside its
+//! indexes (`instn_query::SharedRegistry::statistics`), which every
+//! session's planner reads.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -20,8 +22,9 @@ use instn_core::journal::{DataChange, JournalEntry};
 use instn_core::maintain::SummaryDelta;
 use instn_core::summary::Rep;
 use instn_core::Result;
-use instn_index::{CatchUp, EntryOutcome, MaintainableIndex};
 use instn_storage::TableId;
+
+use crate::maintainable::{CatchUp, EntryOutcome, MaintainableIndex, Stamp};
 
 /// Per-label statistics: the exact frequency of every observed count.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,7 +97,7 @@ struct TableStats {
     /// names instead of building a key). Holds only labels with objects,
     /// as a fresh analyze does.
     labels: HashMap<String, HashMap<String, LabelStats>>,
-    built_revision: u64,
+    built: Stamp,
 }
 
 impl TableStats {
@@ -106,7 +109,7 @@ impl TableStats {
             pages: 0,
             summary_pages: 0,
             labels: HashMap::new(),
-            built_revision: db.revision(),
+            built: Stamp::of(db),
         };
         stats.read_pages(db)?;
         let storage = db.summary_storage(table);
@@ -159,12 +162,12 @@ impl MaintainableIndex for TableStats {
         self.table
     }
 
-    fn built_revision(&self) -> u64 {
-        self.built_revision
+    fn built_stamp(&self) -> Stamp {
+        self.built
     }
 
-    fn mark_synced(&mut self, revision: u64) {
-        self.built_revision = revision;
+    fn mark_synced(&mut self, stamp: Stamp) {
+        self.built = stamp;
     }
 
     /// Summary deltas fold into the per-label frequencies, inserts and
@@ -190,7 +193,7 @@ impl MaintainableIndex for TableStats {
             applied += 1;
         }
         self.read_pages(db)?;
-        self.built_revision = entry.revision;
+        self.built.revision = entry.revision;
         Ok(EntryOutcome::applied(applied))
     }
 
@@ -234,6 +237,9 @@ impl Statistics {
     /// Returns each table's rung, indexed by table id; a table seen for the
     /// first time reports [`CatchUp::Rebuilt`].
     pub fn catch_up(&mut self, db: &Database) -> Result<Vec<CatchUp>> {
+        // Tables are numbered densely and never dropped, so only a restore
+        // from an older dump can leave some behind: forget them.
+        self.tables.retain(|t| db.table(t.table).is_ok());
         let seen = self.tables.len();
         self.analyze_unseen(db)?;
         let (old, new) = self.tables.split_at_mut(seen);

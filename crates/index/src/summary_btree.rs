@@ -34,7 +34,7 @@ use instn_storage::page::RecordId;
 use instn_storage::{EncodedTuple, Oid, TableId, Tuple};
 
 use crate::itemize::{itemize_key, max_key, min_key, ItemizeWidth};
-use crate::maintainable::{EntryOutcome, MaintainableIndex};
+use crate::maintainable::{EntryOutcome, MaintainableIndex, Stamp};
 
 /// Where leaf entries point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,9 +87,9 @@ pub struct SummaryBTree {
     width: ItemizeWidth,
     tree: BTree<IndexEntry>,
     stats: Arc<IoStats>,
-    /// Database revision this index was built at (or last caught up to via
-    /// [`MaintainableIndex::catch_up`]).
-    built_revision: u64,
+    /// Where in the database's history this index was built (or last
+    /// caught up to via [`MaintainableIndex::catch_up`]).
+    built: Stamp,
     /// Maintenance operation counters.
     pub ops: OpCounters,
     /// Searches answered. Atomic so that probing needs only `&self`: every
@@ -148,7 +148,7 @@ impl SummaryBTree {
             width: final_width,
             tree,
             stats,
-            built_revision: db.revision(),
+            built: Stamp::of(db),
             ops: OpCounters {
                 key_inserts: n,
                 ..OpCounters::default()
@@ -175,7 +175,7 @@ impl SummaryBTree {
             width: ItemizeWidth::default(),
             tree: BTree::new_in(Arc::clone(db.buffer_pool())),
             stats,
-            built_revision: db.revision(),
+            built: Stamp::of(db),
             ops: OpCounters::default(),
             searches: AtomicU64::new(0),
         })
@@ -464,12 +464,12 @@ impl MaintainableIndex for SummaryBTree {
         SummaryBTree::table(self)
     }
 
-    fn built_revision(&self) -> u64 {
-        self.built_revision
+    fn built_stamp(&self) -> Stamp {
+        self.built
     }
 
-    fn mark_synced(&mut self, revision: u64) {
-        self.built_revision = revision;
+    fn mark_synced(&mut self, stamp: Stamp) {
+        self.built = stamp;
     }
 
     /// Replay over a gap demands three things of an entry:
@@ -480,8 +480,8 @@ impl MaintainableIndex for SummaryBTree {
     /// * a tuple that vanished later in the gap resolves to a placeholder
     ///   location — deletes match on OID alone, so the gap's own deletion
     ///   entry removes those keys before any search can chase the pointer,
-    /// * `built_revision` advances to the entry's revision, not the
-    ///   database's (the index has only vouched for the prefix it replayed).
+    /// * the stamp's revision advances to the entry's, not the database's
+    ///   (the index has only vouched for the prefix it replayed).
     fn apply_entry(&mut self, db: &Database, entry: &JournalEntry) -> Result<EntryOutcome> {
         if entry.structural && entry.touches(self.table) {
             self.bulk_rebuild(db)?;
@@ -527,7 +527,7 @@ impl MaintainableIndex for SummaryBTree {
             self.apply_delta_replay(db, delta)?;
             applied += 1;
         }
-        self.built_revision = entry.revision;
+        self.built.revision = entry.revision;
         Ok(EntryOutcome::applied(applied))
     }
 
@@ -537,11 +537,12 @@ impl MaintainableIndex for SummaryBTree {
     /// registry's refresh path.
     fn bulk_rebuild(&mut self, db: &Database) -> Result<()> {
         let rebuilt = SummaryBTree::bulk_build(db, self.table, &self.instance_name, self.mode)?;
+        self.instance = rebuilt.instance;
         self.tree = rebuilt.tree;
         self.width = rebuilt.width;
         self.ops.rebuilds += 1;
         self.ops.key_inserts += rebuilt.ops.key_inserts;
-        self.built_revision = db.revision();
+        self.built = rebuilt.built;
         Ok(())
     }
 }
@@ -662,6 +663,32 @@ mod tests {
         assert!(idx.search_eq("Disease", 42).is_empty());
         // 10 tuples × 3 labels.
         assert_eq!(idx.len(), 30);
+    }
+
+    #[test]
+    fn a_rebuild_follows_an_instance_relinked_under_its_name() {
+        let (mut db, t, oids) = setup(4);
+        let name = "ClassBird1";
+        let mut idx = SummaryBTree::bulk_build(&db, t, name, PointerMode::Backward).unwrap();
+        db.drop_instance(t, name).unwrap();
+        db.link_instance(t, name, classifier_kind(), true).unwrap();
+        assert!(idx.catch_up(&db).unwrap().rebuilt());
+        // The relinked instance has a new id: the deltas replayed after
+        // the rebuild carry it.
+        db.add_annotation(
+            t,
+            "disease outbreak infection",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oids[0])],
+        )
+        .unwrap();
+        assert!(matches!(
+            idx.catch_up(&db).unwrap(),
+            crate::CatchUp::Replayed(_)
+        ));
+        let fresh = SummaryBTree::bulk_build(&db, t, name, PointerMode::Backward).unwrap();
+        assert_eq!(idx.dump_entries(), fresh.dump_entries());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * [`stats`] — statistics over the summary objects: per classifier label
 //!   the exact frequency of every count, giving `{Min, Max, NumDistinct}`
-//!   and exact range selectivities, kept per table and caught up from the
-//!   delta journal through the ladder every index shares (Fig. 6),
+//!   and exact range selectivities (Fig. 6); defined in `instn-index`,
+//!   caught up like an index and owned by the engine's index registry,
 //! * [`cost`] — cardinality estimation and an I/O-based cost model that
 //!   reuses the standard operators' heuristics for the new summary-based
 //!   operators (§5.2),
@@ -23,7 +23,8 @@
 pub mod cost;
 pub mod planner;
 pub mod rules;
-pub mod stats;
+
+pub use instn_index::stats;
 
 pub use cost::{CostModel, PlanCost};
 pub use planner::{Optimizer, PlannerConfig};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use instn_core::db::Database;
 use instn_core::journal::{DataChange, JournalEntry};
 use instn_core::Result;
-use instn_index::{EntryOutcome, MaintainableIndex};
+use instn_index::{EntryOutcome, MaintainableIndex, Stamp};
 use instn_storage::btree::BTree;
 use instn_storage::{Oid, TableId, Value};
 
@@ -75,9 +75,9 @@ pub struct ColumnIndex {
     table: TableId,
     column: usize,
     tree: BTree<Oid>,
-    /// Database revision this index was built at (or last caught up to via
-    /// [`MaintainableIndex::catch_up`]).
-    built_revision: u64,
+    /// Where in the database's history this index was built (or last
+    /// caught up to via [`MaintainableIndex::catch_up`]).
+    built: Stamp,
 }
 
 impl ColumnIndex {
@@ -98,7 +98,7 @@ impl ColumnIndex {
             table,
             column,
             tree,
-            built_revision: db.revision(),
+            built: Stamp::of(db),
         })
     }
 
@@ -183,12 +183,12 @@ impl MaintainableIndex for ColumnIndex {
         self.table
     }
 
-    fn built_revision(&self) -> u64 {
-        self.built_revision
+    fn built_stamp(&self) -> Stamp {
+        self.built
     }
 
-    fn mark_synced(&mut self, revision: u64) {
-        self.built_revision = revision;
+    fn mark_synced(&mut self, stamp: Stamp) {
+        self.built = stamp;
     }
 
     /// Data-column indexes consume the raw [`DataChange`] stream — summary
@@ -218,7 +218,7 @@ impl MaintainableIndex for ColumnIndex {
                 }
             }
         }
-        self.built_revision = entry.revision;
+        self.built.revision = entry.revision;
         Ok(EntryOutcome::applied(applied))
     }
 

@@ -55,7 +55,7 @@ pub use plan_cache::{
     normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanKey, PlanLookup, PlanStamp,
     TableStamp, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_DRIFT_DIVISOR,
 };
-pub use registry::{IndexDescriptors, IndexRegistry, MaintenanceReport, SharedRegistry};
+pub use registry::{IndexRegistry, MaintenanceReport, SharedRegistry};
 pub use row::{FinishedRow, RowSink};
 pub use session::{Session, SharedDatabase};
 

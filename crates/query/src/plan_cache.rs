@@ -39,6 +39,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use instn_core::db::Database;
+use instn_index::Stamp;
 use instn_storage::TableId;
 
 use crate::exec::PhysicalPlan;
@@ -91,14 +92,12 @@ pub struct TableStamp {
     pub rows: u64,
 }
 
-/// The journal position a plan was chosen at: the database revision, the
-/// journal generation, and the marks of every table the plan touches.
+/// The journal position a plan was chosen at, and the marks of every table
+/// the plan touches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanStamp {
-    /// `Database::revision()` at planning time.
-    pub revision: u64,
-    /// `DeltaJournal::generation()` at planning time.
-    pub generation: u64,
+    /// Where the database stood at planning time.
+    pub at: Stamp,
     /// One entry per distinct touched table.
     pub tables: Vec<TableStamp>,
 }
@@ -117,8 +116,7 @@ impl PlanStamp {
             }
         }
         Self {
-            revision: db.revision(),
-            generation: db.journal().generation(),
+            at: Stamp::of(db),
             tables: seen,
         }
     }
@@ -130,7 +128,7 @@ impl PlanStamp {
     /// tables never count.
     pub fn drift(&self, db: &Database) -> Option<u64> {
         let journal = db.journal();
-        if journal.generation() != self.generation {
+        if journal.generation() != self.at.generation {
             return None;
         }
         let mut drift = 0;
@@ -138,7 +136,7 @@ impl PlanStamp {
             let marks = journal.table_marks(stamp.table);
             // Counts only grow within a generation.
             let changed = marks.changes.checked_sub(stamp.changes)?;
-            if marks.ddl > self.revision || changed > stamp.rows / PLAN_DRIFT_DIVISOR {
+            if marks.ddl > self.at.revision || changed > stamp.rows / PLAN_DRIFT_DIVISOR {
                 return None;
             }
             drift += changed;

@@ -1,6 +1,7 @@
 //! The engine's index registry (DESIGN.md §7, §9). Indexes are catalog
 //! objects: `ALTER TABLE … ADD INDEXABLE` or a `Session::register_*` call
-//! builds one once, and every session plans and executes with it.
+//! builds one once, and every session plans and executes with it, as every
+//! planner reads the one copy of the optimizer's [`Statistics`] here.
 //!
 //! A [`SharedRegistry`] is the handle: one per
 //! [`SharedDatabase`](crate::session::SharedDatabase), beside the engine lock
@@ -8,29 +9,32 @@
 //! serves a private one. Refresh runs once per revision: a plan open checks
 //! the stamps under the read lock, and only the first one after a write takes
 //! the write lock and catches every index up through the one maintenance
-//! ladder, [`MaintainableIndex::catch_up`]. Lock order: the engine guard first,
-//! then this lock. A panic under the write lock poisons it, and every later
-//! acquisition answers [`QueryError::EnginePoisoned`], as the engine's does.
+//! ladder, [`MaintainableIndex::catch_up`] — the statistics too, but only when
+//! a planner asks. Lock order: the engine guard first, then this lock. A panic
+//! under the write lock poisons it, and every later acquisition answers
+//! [`QueryError::EnginePoisoned`], as the engine's does.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use instn_core::db::Database;
-use instn_index::{BaselineIndex, CatchUp, MaintainableIndex, SummaryBTree};
+use instn_index::{BaselineIndex, CatchUp, MaintainableIndex, Stamp, Statistics, SummaryBTree};
 use instn_storage::TableId;
 
 use crate::dataindex::ColumnIndex;
 use crate::{QueryError, Result};
 
-/// The registered indexes: what the registry lock guards, and what the
-/// operators of a running plan read.
+/// The registered indexes and the optimizer statistics: what the registry
+/// lock guards, and what the operators of a running plan read.
 #[derive(Default)]
 pub struct IndexRegistry {
     summary: HashMap<String, SummaryBTree>,
     baseline: HashMap<String, BaselineIndex>,
     column: HashMap<(TableId, usize), ColumnIndex>,
     epoch: u64,
+    /// Analyzed on a planner's first ask; stamped where last caught up.
+    statistics: Option<(Stamp, Arc<Statistics>)>,
 }
 
 impl IndexRegistry {
@@ -59,6 +63,16 @@ impl IndexRegistry {
         self.column.get(&(table, col))
     }
 
+    /// Every registered Summary-BTree with its name.
+    pub fn summary_indexes(&self) -> impl Iterator<Item = (&str, &SummaryBTree)> {
+        self.summary.iter().map(|(name, idx)| (name.as_str(), idx))
+    }
+
+    /// Every registered data-column index.
+    pub fn column_indexes(&self) -> impl Iterator<Item = &ColumnIndex> {
+        self.column.values()
+    }
+
     /// Monotonic count of registrations and evictions; part of the
     /// plan-cache key, so a plan chosen without an index is not reused once
     /// it exists, nor one chosen with it once it is gone.
@@ -66,31 +80,12 @@ impl IndexRegistry {
         self.epoch
     }
 
-    /// A planner-oriented snapshot: names and targets, no index payloads.
-    pub fn descriptors(&self) -> IndexDescriptors {
-        let mut d = IndexDescriptors::default();
-        for (name, idx) in &self.summary {
-            d.summary
-                .push((name.clone(), idx.table(), idx.instance_name().to_string()));
-        }
-        d.column = self.column.keys().copied().collect();
-        // Deterministic order regardless of hash-map iteration.
-        d.summary.sort();
-        d.column.sort();
-        d
-    }
-
-    /// Whether every index is stamped at `revision`: the refresh check a
-    /// plan open makes under the read lock.
-    fn is_current(&self, revision: u64) -> bool {
-        self.summary
-            .values()
-            .all(|i| i.built_revision() == revision)
-            && self
-                .baseline
-                .values()
-                .all(|i| i.built_revision() == revision)
-            && self.column.values().all(|i| i.built_revision() == revision)
+    /// Whether every index is stamped at `now`: the refresh check a plan
+    /// open makes under the read lock.
+    fn is_current(&self, now: Stamp) -> bool {
+        self.summary.values().all(|i| i.built_stamp() == now)
+            && self.baseline.values().all(|i| i.built_stamp() == now)
+            && self.column.values().all(|i| i.built_stamp() == now)
     }
 
     /// Catch every registered index up with the database's revision.
@@ -184,7 +179,7 @@ impl SharedRegistry {
     pub fn refresh(&self, db: &Database) -> Result<MaintenanceReport> {
         {
             let registry = self.read()?;
-            if registry.is_current(db.revision()) {
+            if registry.is_current(Stamp::of(db)) {
                 let n = registry.len() as u64;
                 return Ok(MaintenanceReport {
                     indexes_checked: n,
@@ -195,17 +190,33 @@ impl SharedRegistry {
         }
         self.write()?.refresh(db)
     }
-}
 
-/// A planner-oriented snapshot of the registered indexes: just the names
-/// and targets, no index payloads. This is what seeds `PlannerConfig`
-/// without the planning layer reaching into the registry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IndexDescriptors {
-    /// Summary-BTrees: `(name, table, instance)`.
-    pub summary: Vec<(String, TableId, String)>,
-    /// Data-column indexes: `(table, column)`.
-    pub column: Vec<(TableId, usize)>,
+    /// The engine's optimizer statistics, current at `db`'s revision, and
+    /// whether some table was analyzed afresh. Current ones take only the
+    /// read lock; otherwise the write lock serializes the analyze or the
+    /// [`Statistics::catch_up`], and the callers queued behind find them
+    /// current.
+    pub fn statistics(&self, db: &Database) -> Result<(Arc<Statistics>, bool)> {
+        let now = Stamp::of(db);
+        if let Some((_, stats)) = self.read()?.statistics.iter().find(|(at, _)| *at == now) {
+            return Ok((Arc::clone(stats), false));
+        }
+        let mut registry = self.write()?;
+        // Taken out, so a failed catch-up leaves none behind to trust: the
+        // next ask analyzes afresh.
+        let (stats, rescanned) = match registry.statistics.take() {
+            Some((_, mut stats)) => {
+                // An optimizer still holding the old copy keeps it; the
+                // rest of the time this is the only handle and updates in
+                // place.
+                let rungs = Arc::make_mut(&mut stats).catch_up(db)?;
+                (stats, rungs.into_iter().any(CatchUp::rebuilt))
+            }
+            None => (Arc::new(Statistics::analyze(db)?), true),
+        };
+        registry.statistics = Some((now, Arc::clone(&stats)));
+        Ok((stats, rescanned))
+    }
 }
 
 /// Work performed by one index-maintenance pass at plan open (the
@@ -315,7 +326,7 @@ mod tests {
             .unwrap();
         let r = registry.read().unwrap();
         assert_eq!((r.len(), r.epoch()), (1, 1));
-        assert_eq!(r.descriptors().column, vec![(t, 0)]);
+        assert!(r.column_index(t, 0).is_some());
     }
 
     #[test]

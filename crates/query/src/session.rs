@@ -9,11 +9,11 @@
 //! * [`SharedDatabase`] — a cloneable handle over the engine's `RwLock`
 //!   (any number of concurrent readers, one writer at a time) and, beside
 //!   it behind a lock of its own, the engine's one [`SharedRegistry`] of
-//!   indexes. Every successful top-level mutation advances
-//!   `Database::revision()` (done inside `instn-core`), which is the
-//!   staleness signal the read side keys off.
+//!   indexes and optimizer statistics. Every successful top-level mutation
+//!   advances `Database::revision()` (done inside `instn-core`), which is
+//!   the staleness signal the read side keys off.
 //! * [`Session`] — one logical client: its sort budget, DOP, plan cache
-//!   and planner state. For each query it takes a read guard and runs a
+//!   and metric handles. For each query it takes a read guard and runs a
 //!   transient [`ExecContext`] serving the engine's registry, which catches
 //!   every stale index up once per revision before the plan opens. An index
 //!   one session registers (or an `ALTER TABLE … ADD INDEXABLE` builds)
@@ -65,7 +65,7 @@ impl SharedDatabase {
     }
 
     /// Open a new session (its own sort budget, DOP and plan cache; the
-    /// engine's indexes).
+    /// engine's indexes and statistics).
     pub fn session(&self) -> Session {
         Session {
             shared: self.clone(),
@@ -73,12 +73,11 @@ impl SharedDatabase {
             exec_config: ExecConfig::default(),
             metrics: None,
             plan_cache: PlanCache::new(),
-            planner_state: None,
         }
     }
 
-    /// The engine's index registry. Lock order: take the engine guard
-    /// before the registry's lock.
+    /// The engine's index registry, its optimizer statistics too. Lock
+    /// order: take the engine guard before the registry's lock.
     pub fn indexes(&self) -> &SharedRegistry {
         &self.indexes
     }
@@ -152,10 +151,6 @@ pub struct Session {
     /// so entries survive across queries; keyed and filled by the planning
     /// layer in `instn-sql`.
     pub plan_cache: PlanCache,
-    /// Opaque slot for the planning layer's cross-query state (cached
-    /// optimizer statistics ride here; `instn-query` cannot name the
-    /// `instn-opt` types without a dependency cycle).
-    planner_state: Option<Box<dyn std::any::Any + Send>>,
 }
 
 impl Session {
@@ -333,12 +328,6 @@ impl Session {
         let db = self.shared.try_read()?;
         let idx = ColumnIndex::build(&db, table, col)?;
         self.shared.indexes.register_column(idx)
-    }
-
-    /// The planning layer's opaque cross-query state slot (cached
-    /// optimizer statistics live here; see `instn-sql`).
-    pub fn planner_state_mut(&mut self) -> &mut Option<Box<dyn std::any::Any + Send>> {
-        &mut self.planner_state
     }
 }
 

@@ -31,6 +31,8 @@
 //! ZOOM IN ON InstanceName OF t TUPLE <oid> [LABEL 'x' | REP <i>];
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ast;
 pub mod lexer;
 pub mod lower;

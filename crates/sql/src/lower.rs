@@ -235,18 +235,19 @@ pub fn lower_select(db: &Database, stmt: &SelectStmt) -> Result<LoweredQuery> {
     }
 
     // Join, if two tables.
-    let mut plan = if bindings.len() == 2 {
-        let right = sides.pop().expect("two sides");
-        let left = sides.pop().expect("two sides");
+    let last = sides
+        .pop()
+        .ok_or_else(|| SqlError::Bind("a query needs a FROM table".into()))?;
+    let mut plan = if let Some(left) = sides.pop() {
         let pred = join_preds
             .clone()
             .into_iter()
             .reduce(|a, b| JoinPredicate::And(Box::new(a), Box::new(b)))
             .ok_or_else(|| SqlError::Bind("two-table query needs a join predicate".into()))?;
         if pred.data_eq().is_some() {
-            left.join(right, pred)
+            left.join(last, pred)
         } else {
-            left.summary_join(right, pred)
+            left.summary_join(last, pred)
         }
     } else {
         if !join_preds.is_empty() {
@@ -254,7 +255,7 @@ pub fn lower_select(db: &Database, stmt: &SelectStmt) -> Result<LoweredQuery> {
                 "join predicate in a single-table query".into(),
             ));
         }
-        sides.pop().expect("one side")
+        last
     };
 
     // GROUP BY.
@@ -424,9 +425,9 @@ fn classify_conjunct(
             let is_summary = e.uses_summaries();
             side_preds[1].push((e, is_summary));
         }
-        3 => {
-            // Cross-side: must be a comparison of column/column or
-            // chain/chain.
+        _ => {
+            // Cross-side (mask 3: two FROM items give no other): must be a
+            // comparison of column/column or chain/chain.
             let AstExpr::Cmp(a, op, b) = conj else {
                 return Err(SqlError::Bind(format!(
                     "unsupported cross-table predicate {conj:?}"
@@ -462,7 +463,6 @@ fn classify_conjunct(
                 }
             }
         }
-        _ => unreachable!("two FROM items yield masks 0..=3"),
     }
     Ok(())
 }

@@ -19,10 +19,12 @@
 //!   against per-table journal marks on every use: DML within a drift
 //!   bound keeps the plan, DDL or drift past the bound replans (see
 //!   `instn_query::plan_cache`).
-//! * **Statistics** — a per-session [`Statistics`] snapshot that rides
-//!   [`Statistics::catch_up`] over the journal gap instead of re-scanning
-//!   the database (`Statistics::analyze`) for every plan; the optimizer
-//!   shares it, it does not copy it.
+//! * **Statistics** — the engine's one [`Statistics`], which its index
+//!   registry keeps ([`SharedRegistry::statistics`](instn_query::SharedRegistry::statistics)):
+//!   analyzed by the first planner that asks, then caught up over the
+//!   journal gap instead of re-scanning the database (`Statistics::analyze`)
+//!   for every plan, whichever session asks; the optimizer shares it, it
+//!   does not copy it.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -31,8 +33,7 @@ use std::time::Instant;
 use instn_core::db::Database;
 use instn_opt::{Optimizer, PlannerConfig, Statistics};
 use instn_query::plan_cache::{CachedPlan, PlanKey, PlanLookup, PlanStamp};
-use instn_query::{IndexDescriptors, Session};
-use instn_storage::TableId;
+use instn_query::{IndexRegistry, Session};
 
 use crate::ast::SelectStmt;
 use crate::lower::lower_select;
@@ -80,12 +81,6 @@ pub struct PlannedStatement {
     pub plan_wall_ns: u64,
 }
 
-/// Cross-query planner state a session carries in its opaque slot:
-/// the cached optimizer statistics.
-struct PlannerState {
-    stats: Arc<Statistics>,
-}
-
 /// The plan-cache key for `sel` under this session's planner-relevant
 /// state. The statement part is a hash of the parsed AST, so layout and
 /// keyword-case differences (and an `EXPLAIN` prefix) share an entry while
@@ -106,58 +101,29 @@ pub fn statement_key(session: &Session, sel: &SelectStmt) -> instn_query::Result
     })
 }
 
-/// This session's optimizer statistics, caught up over the journal gap —
-/// the cheap replacement for the full `Statistics::analyze` rescan.
-/// Returns the statistics plus whether some table was analyzed afresh
-/// (first use, a new table, a gap truncated away or too large to replay,
-/// or a structural change).
-pub(crate) fn refresh_statistics(
-    session: &mut Session,
-    db: &Database,
-) -> instn_query::Result<(Arc<Statistics>, bool)> {
-    let slot = session.planner_state_mut();
-    if let Some(state) = slot.as_mut().and_then(|b| b.downcast_mut::<PlannerState>()) {
-        // No optimizer outlives the statement it planned, so this is the
-        // only handle and `make_mut` updates in place.
-        let rungs = Arc::make_mut(&mut state.stats).catch_up(db)?;
-        let rescanned = rungs.into_iter().any(|rung| rung.rebuilt());
-        return Ok((Arc::clone(&state.stats), rescanned));
-    }
-    let stats = Arc::new(Statistics::analyze(db)?);
-    *slot = Some(Box::new(PlannerState {
-        stats: Arc::clone(&stats),
-    }));
-    Ok((stats, true))
-}
-
-/// Build a [`PlannerConfig`] mirroring the engine's registered indexes
-/// (labels-`k` looked up from each instance's definition), its sort
-/// budget, and its DOP. Buffer-pool capacity is filled in by
-/// [`Optimizer::with_stats`] from the engine itself.
-fn planner_config(
-    db: &Database,
-    descriptors: &IndexDescriptors,
-    sort_mem: usize,
-    dop: usize,
-) -> PlannerConfig {
-    let labels_k = |table: TableId, instance: &str| {
-        db.instance_by_name(table, instance)
-            .ok()
-            .and_then(|i| i.labels())
-            .map(|l| l.len())
-            .unwrap_or(2)
-    };
+/// Build a [`PlannerConfig`] mirroring the engine's registered
+/// Summary-BTrees and data-column indexes (labels-`k` looked up from each
+/// instance's definition) and the session's sort budget and DOP.
+/// Buffer-pool capacity is filled in by [`Optimizer::with_stats`] from the
+/// engine itself.
+fn planner_config(db: &Database, registry: &IndexRegistry, session: &Session) -> PlannerConfig {
     let mut config = PlannerConfig {
-        sort_mem_tuples: sort_mem,
+        sort_mem_tuples: session.sort_mem,
         ..PlannerConfig::default()
     };
-    for (name, table, instance) in &descriptors.summary {
-        config = config.with_summary_index(name, *table, instance, labels_k(*table, instance));
+    for (name, idx) in registry.summary_indexes() {
+        let (table, instance) = (idx.table(), idx.instance_name());
+        let k = db
+            .instance_by_name(table, instance)
+            .ok()
+            .and_then(|i| i.labels())
+            .map_or(2, |l| l.len());
+        config = config.with_summary_index(name, table, instance, k);
     }
-    for (table, col) in &descriptors.column {
-        config = config.with_column_index(*table, *col);
+    for idx in registry.column_indexes() {
+        config = config.with_column_index(idx.table(), idx.column());
     }
-    config.with_dop(dop)
+    config.with_dop(session.exec_config.dop)
 }
 
 /// Lower + optimize `sel` into a cache-ready entry. The DOP post-pass runs
@@ -165,14 +131,11 @@ fn planner_config(
 /// physical plan is final — callers do not re-parallelize it.
 fn build_plan(
     db: &Database,
-    descriptors: &IndexDescriptors,
-    sort_mem: usize,
-    dop: usize,
+    config: PlannerConfig,
     stats: Arc<Statistics>,
     sel: &SelectStmt,
 ) -> Result<CachedPlan, StatementError> {
     let lowered = lower_select(db, sel)?;
-    let config = planner_config(db, descriptors, sort_mem, dop);
     let optimizer = Optimizer::with_stats(db, stats, config);
     let optimized = optimizer.optimize(&lowered.plan)?;
     let tables = sel.from.iter().filter_map(|(t, _)| db.table_id(t).ok());
@@ -229,22 +192,15 @@ pub fn plan_select(
     // With the cache disabled the session plans like the pre-cache engine:
     // fresh statistics (a full analyze rescan) plus a fresh optimizer pass
     // on every statement. That is the always-replan oracle
-    // `tests/plan_cache.rs` compares against; enabled sessions instead ride
-    // `Statistics::catch_up` over the journal gap.
+    // `tests/plan_cache.rs` compares against; enabled sessions instead read
+    // the engine's statistics, caught up over the journal gap.
     let stats = if matches!(source, PlanSource::CacheDisabled) {
         Arc::new(Statistics::analyze(&db).map_err(instn_query::QueryError::from)?)
     } else {
-        refresh_statistics(session, &db)?.0
+        shared.indexes().statistics(&db)?.0
     };
-    let descriptors = shared.indexes().read()?.descriptors();
-    let entry = build_plan(
-        &db,
-        &descriptors,
-        session.sort_mem,
-        session.exec_config.dop,
-        stats,
-        sel,
-    )?;
+    let config = planner_config(&db, &*shared.indexes().read()?, session);
+    let entry = build_plan(&db, config, stats, sel)?;
     let plan_wall = instn_obs::elapsed_ns(started);
     if let Some(obs) = &observed {
         match source {
@@ -267,7 +223,7 @@ mod tests {
     use super::*;
     use crate::ast::Statement;
     use instn_query::SharedDatabase;
-    use instn_storage::{ColumnType, Schema, Value};
+    use instn_storage::{ColumnType, Schema, TableId, Value};
 
     fn plan(session: &mut Session, sql: &str) -> PlannedStatement {
         let Statement::Select(sel) = crate::parser::parse(sql).unwrap() else {
@@ -333,18 +289,18 @@ mod tests {
     #[test]
     fn statistics_ride_the_journal_gap() {
         let (shared, t) = shared();
-        let mut session = shared.session();
-        let (s1, rescanned) = shared
-            .with_read(|db| refresh_statistics(&mut session, db))
-            .unwrap();
+        let statistics = || shared.with_read(|db| shared.indexes().statistics(db).unwrap());
+        let (s1, rescanned) = statistics();
         assert!(rescanned, "first use analyzes from scratch");
         shared
             .with_write(|db| db.insert_tuple(t, vec![Value::Int(9), Value::Text("x".into())]))
             .unwrap();
-        let (s2, rescanned) = shared
-            .with_read(|db| refresh_statistics(&mut session, db))
-            .unwrap();
+        let (s2, rescanned) = statistics();
         assert!(!rescanned, "gap replayed from the journal, no rescan");
         assert_eq!(s2.rows(t), s1.rows(t) + 1.0, "the insert is counted");
+        // Current statistics are the one copy, handed out as they are.
+        let (s3, rescanned) = statistics();
+        assert!(!rescanned);
+        assert!(Arc::ptr_eq(&s2, &s3));
     }
 }

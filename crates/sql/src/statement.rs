@@ -4,7 +4,7 @@
 //! shell, the wire server (text and prepared) and the examples parse a
 //! statement once and hand the [`Statement`] to [`run_statement`]. Nothing
 //! else decides which engine lock a statement takes, plans a `SELECT`,
-//! executes a plan on behalf of a client, refreshes the session's
+//! executes a plan on behalf of a client, refreshes the engine's
 //! statistics, or registers in the engine's registry the Summary-BTree an
 //! `ADD INDEXABLE` asked for (and evicts it again at the `DROP`).
 
@@ -17,7 +17,7 @@ use instn_query::{FinishedRow, PointerMode, QueryError, RowSink, Session};
 
 use crate::ast::{SelectStmt, Statement};
 use crate::lower::{alter_table, zoom, Altered};
-use crate::plan::{plan_select, refresh_statistics};
+use crate::plan::plan_select;
 use crate::SqlError;
 
 /// What one statement produced; callers only render it.
@@ -35,7 +35,7 @@ pub enum StatementOutcome {
     Explain(String),
     /// `EXPLAIN ANALYZE`: the executed plan plus what it was observed doing.
     ExplainAnalyze(Box<ExplainAnalysis>),
-    /// `ANALYZE`: the session's optimizer statistics are current.
+    /// `ANALYZE`: the engine's optimizer statistics are current.
     Analyzed {
         /// `true` when some table was analyzed afresh (first use, or the
         /// journal could not replay its gap); `false` when every table was
@@ -245,9 +245,9 @@ pub fn run_statement_into<S: SelectSink>(
             StatementOutcome::ExplainAnalyze(Box::new(analysis))
         }
         Statement::Analyze => {
-            let shared = session.shared().clone();
+            let shared = session.shared();
             let db = shared.try_read()?;
-            let (_, rescanned) = refresh_statistics(session, &db)?;
+            let (_, rescanned) = shared.indexes().statistics(&db)?;
             StatementOutcome::Analyzed { rescanned }
         }
         Statement::ZoomIn {
@@ -320,6 +320,7 @@ mod tests {
     use super::*;
     use crate::lower::tests::setup;
     use instn_query::SharedDatabase;
+    use std::sync::Arc;
 
     const DISEASE_OVER_5: &str = "EXPLAIN ANALYZE SELECT * FROM Birds r WHERE \
                                   r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 5";
@@ -379,6 +380,27 @@ mod tests {
         // Root I/O is inclusive: it accounts for the whole execution.
         assert_eq!(a.operators.logical_io, a.io.logical_total());
         assert_eq!(a.operators.physical_io, a.io.total());
+    }
+
+    #[test]
+    fn a_second_session_finds_the_engines_statistics_current() {
+        let shared = SharedDatabase::new(setup());
+        let (mut first, mut second) = (shared.session(), shared.session());
+        let rescanned = |session: &mut Session| match run(session, "ANALYZE") {
+            Ok(StatementOutcome::Analyzed { rescanned }) => rescanned,
+            other => panic!("{other:?}"),
+        };
+        assert!(rescanned(&mut first), "the engine's first ANALYZE scans");
+        assert!(
+            !rescanned(&mut second),
+            "a second session finds the engine's one copy current"
+        );
+        // Nor does its first plan analyze again: it plans on that copy.
+        let statistics = || shared.with_read(|db| shared.indexes().statistics(db).unwrap());
+        let (held, _) = statistics();
+        run(&mut second, "SELECT id FROM Birds").unwrap();
+        let (after, rescanned) = statistics();
+        assert!(!rescanned && Arc::ptr_eq(&held, &after));
     }
 
     #[test]

@@ -89,7 +89,9 @@ pub mod prelude {
     pub use instn_core::summary::{Rep, SummaryObject, SummaryType};
     pub use instn_core::zoom::{zoom_in, ZoomTarget};
     pub use instn_core::AnnotatedTuple;
-    pub use instn_index::{BaselineIndex, CatchUp, MaintainableIndex, PointerMode, SummaryBTree};
+    pub use instn_index::{
+        BaselineIndex, CatchUp, MaintainableIndex, PointerMode, Stamp, SummaryBTree,
+    };
     pub use instn_mining::clustream::ClusterParams;
     pub use instn_mining::nb::NaiveBayes;
     pub use instn_obs::{parse_prometheus, MetricsRegistry, QueryTrace, SlowLog, SlowQueryEntry};
@@ -100,9 +102,7 @@ pub mod prelude {
     pub use instn_query::plan_cache::{
         normalize_statement, CachedPlan, PlanCache, PlanCacheStats, PlanKey, PlanLookup, PlanStamp,
     };
-    pub use instn_query::registry::{
-        IndexDescriptors, IndexRegistry, MaintenanceReport, SharedRegistry,
-    };
+    pub use instn_query::registry::{IndexRegistry, MaintenanceReport, SharedRegistry};
     pub use instn_query::session::{Session, SharedDatabase};
     pub use instn_query::ColumnIndex;
     pub use instn_query::{FinishedRow, RowSink};

@@ -1,6 +1,8 @@
 //! Index-correctness regressions: a `ColumnIndex` registration must track
-//! engine mutations (the revision-stamp protocol), and index range scans
-//! must agree with the filter-scan oracle on NULL and signed-zero rows.
+//! engine mutations (the revision-stamp protocol) — also across a restore
+//! in place, which starts another journal generation at a lower revision,
+//! as must the engine's optimizer statistics — and index range scans must
+//! agree with the filter-scan oracle on NULL and signed-zero rows.
 
 use insightnotes::prelude::*;
 use insightnotes::storage::Oid;
@@ -105,6 +107,130 @@ fn stale_index_join_probe_is_refreshed_on_execute() {
     // fail on) the deleted S=3 tuple.
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].values, vec![Value::Int(7), Value::Int(7)]);
+}
+
+/// Register a `ColumnIndex` over 20 rows, dump, write with `write`, and
+/// run an index scan (which catches the index up past the dump); then
+/// restore the dump in place and scan again. The restored database sits at
+/// the dump's revision, at or below the index's stamp, under a new journal
+/// generation: the index must rebuild and answer as the restored table.
+fn index_scan_after_restoring_an_older_dump(write: impl FnOnce(&mut Database, TableId, &[Oid])) {
+    let mut db = Database::new();
+    let vals: Vec<Value> = (0..20).map(Value::Int).collect();
+    let (t, oids) = int_table(&mut db, "S", &vals);
+    let dump = db.dump().unwrap();
+    let shared = SharedDatabase::new(db);
+    let mut session = shared.session();
+    session.register_column_index(t, 0).unwrap();
+    shared.with_write(|db| write(db, t, &oids));
+    let scan = PhysicalPlan::DataIndexScan {
+        table: t,
+        col: 0,
+        lo: None,
+        hi: None,
+        lo_strict: false,
+        hi_strict: false,
+        with_summaries: false,
+    };
+    session.execute(&scan).unwrap();
+
+    shared.with_write(|db| *db = Database::restore(&dump).unwrap());
+    let rows = session.execute(&scan).unwrap();
+    let oracle = session
+        .execute(&PhysicalPlan::SeqScan {
+            table: t,
+            with_summaries: false,
+        })
+        .unwrap();
+    assert_eq!(rows.len(), vals.len());
+    assert_eq!(sorted_values(&rows), sorted_values(&oracle));
+}
+
+#[test]
+fn column_index_forgets_inserts_an_in_place_restore_undid() {
+    index_scan_after_restoring_an_older_dump(|db, t, _| {
+        for i in 100..110 {
+            db.insert_tuple(t, vec![Value::Int(i)]).unwrap();
+        }
+    });
+}
+
+#[test]
+fn column_index_recovers_deletes_an_in_place_restore_undid() {
+    index_scan_after_restoring_an_older_dump(|db, t, oids| {
+        for oid in &oids[..5] {
+            db.delete_tuple(t, *oid).unwrap();
+        }
+    });
+}
+
+/// An index on a table created after the dump: restoring the dump in place
+/// takes the table away, so the index is evicted — not rebuilt, which would
+/// fail every later plan open — and the engine's statistics forget the table.
+#[test]
+fn an_index_on_a_table_an_in_place_restore_undid_is_evicted() {
+    let mut db = Database::new();
+    let (s, _) = int_table(&mut db, "S", &[Value::Int(1), Value::Int(2)]);
+    let dump = db.dump().unwrap();
+    let (u, _) = int_table(&mut db, "U", &[Value::Int(3)]);
+    let shared = SharedDatabase::new(db);
+    let mut session = shared.session();
+    session.register_column_index(u, 0).unwrap();
+    let statistics = || shared.with_read(|db| shared.indexes().statistics(db).unwrap().0);
+    assert_eq!(statistics().rows(u), 1.0);
+
+    shared.with_write(|db| *db = Database::restore(&dump).unwrap());
+    let rows = session
+        .execute(&PhysicalPlan::SeqScan {
+            table: s,
+            with_summaries: false,
+        })
+        .unwrap();
+    assert_eq!(rows.len(), 2);
+    assert!(shared.indexes().read().unwrap().is_empty());
+    let fresh = shared.with_read(|db| Statistics::analyze(db).unwrap());
+    assert_eq!(*statistics(), fresh);
+}
+
+/// The engine's statistics, caught up past a dump, equal a fresh analyze
+/// of the dump restored in place — not the pre-restore state that the
+/// restored revision would otherwise pass for.
+#[test]
+fn engine_statistics_answer_an_in_place_restore_as_a_fresh_analyze() {
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Behavior".into()]);
+    model.train("disease outbreak infection virus", "Disease");
+    model.train("eating foraging migration song", "Behavior");
+    let mut db = Database::new();
+    let (t, oids) = int_table(&mut db, "S", &(0..8).map(Value::Int).collect::<Vec<_>>());
+    db.link_instance(t, "C", InstanceKind::Classifier { model }, true)
+        .unwrap();
+    let annotate = |db: &mut Database, oid: Oid| {
+        db.add_annotation(
+            t,
+            "disease outbreak",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oid)],
+        )
+        .unwrap();
+    };
+    annotate(&mut db, oids[0]);
+    let dump = db.dump().unwrap();
+    let shared = SharedDatabase::new(db);
+    let statistics = || shared.with_read(|db| shared.indexes().statistics(db).unwrap().0);
+    statistics();
+    shared.with_write(|db| {
+        for &oid in &oids[..3] {
+            annotate(db, oid);
+        }
+        db.delete_tuple(t, oids[7]).unwrap();
+    });
+    assert_eq!(statistics().rows(t), 7.0);
+
+    shared.with_write(|db| *db = Database::restore(&dump).unwrap());
+    let fresh = shared.with_read(|db| Statistics::analyze(db).unwrap());
+    assert_eq!(*statistics(), fresh);
+    assert_eq!(fresh.rows(t), 8.0);
 }
 
 /// `col < k` through the index must agree with the filter-scan oracle even

@@ -17,6 +17,9 @@
 //!   is the same at every retention.
 //! * **Session-state keying** — DOP changes and index registration force
 //!   replans instead of reusing plans chosen under different state.
+//! * **One engine, many sessions** — a second cached session planning the
+//!   same stream, before or after the first, reads the engine's one copy
+//!   of the optimizer statistics and returns the oracle's bytes too.
 
 use std::collections::HashMap;
 
@@ -258,18 +261,26 @@ proptest! {
     /// cache verdict is exactly predicted from the DDL and drift since the
     /// statement was last planned — including at retention 0, where the
     /// journal ring holds nothing but the per-table marks still date every
-    /// entry.
+    /// entry. With `second_pick` 1 (2) a second cached session over the
+    /// same engine runs every statement after (before) the first one, and
+    /// its payloads match the oracle's as well.
     #[test]
     fn cached_results_match_replan_oracle_with_exact_invalidation(
         ops in prop::collection::vec(op_strategy(), 1..120),
         retention_pick in 0usize..3,
+        second_pick in 0usize..3,
     ) {
         let retention = [0usize, 3, 4096][retention_pick];
         let (db, ..) = build(retention);
         let cached = SharedDatabase::new(db);
-        let mut cached_session = cached.session();
-        cached_session.exec_config.dop = 1;
-        cached_session.plan_cache.set_enabled(true);
+        let cached_session = || {
+            let mut session = cached.session();
+            session.exec_config.dop = 1;
+            session.plan_cache.set_enabled(true);
+            session
+        };
+        let mut first = cached_session();
+        let mut second = (second_pick > 0).then(cached_session);
 
         let (db, ..) = build(retention);
         let oracle = SharedDatabase::new(db);
@@ -300,8 +311,21 @@ proptest! {
                 continue;
             };
             let (stmt, tables) = STATEMENTS[i];
-            let (got, source) = run(&mut cached_session, stmt);
+            let mut run_second = |when: usize| match &mut second {
+                Some(session) if second_pick == when => Some(run(session, stmt).0),
+                _ => None,
+            };
+            let before = run_second(2);
+            let (got, source) = run(&mut first, stmt);
+            let second_got = before.or_else(|| run_second(1));
             let (want, oracle_source) = run(&mut oracle_session, stmt);
+            if let Some(second_got) = second_got {
+                prop_assert_eq!(
+                    &second_got, &want,
+                    "the second session's payload diverged from the replan \
+                     oracle for {} at retention {}", stmt, retention
+                );
+            }
             prop_assert_eq!(
                 got, want,
                 "cached payload diverged from the replan oracle for {} \
@@ -328,14 +352,14 @@ proptest! {
         // Hits + misses + invalidations account for every lookup, kept
         // plans are a subset of the hits, and nothing was ever evicted (the
         // pool is smaller than the cache).
-        let stats = cached_session.plan_cache.stats();
+        let stats = first.plan_cache.stats();
         prop_assert_eq!(
             stats.insertions,
             stats.misses + stats.invalidations,
             "every fresh plan is stored"
         );
         prop_assert!(stats.kept <= stats.hits);
-        prop_assert!(cached_session.plan_cache.len() <= STATEMENTS.len());
+        prop_assert!(first.plan_cache.len() <= STATEMENTS.len());
     }
 }
 
