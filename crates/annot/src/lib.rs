@@ -14,18 +14,15 @@
 //!   projection operator (paper Fig. 3, step 1) relies on,
 //! * [`text`] — deterministic themed text generation (disease / anatomy /
 //!   behavior / provenance / comment / question vocabularies standing in for
-//!   the AKN ornithology corpus),
-//! * [`gen`] — the synthetic birds corpus generator: Birds (12 attributes),
-//!   Synonyms (many-to-one), and annotation workloads with the paper's
-//!   10–200 annotations-per-tuple scaling knob.
+//!   the AKN ornithology corpus).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod annotation;
-pub mod gen;
 pub mod store;
 pub mod target;
 pub mod text;
 
 pub use annotation::{AnnotId, Annotation, Category};
-pub use gen::{Corpus, CorpusConfig};
 pub use store::AnnotationStore;
 pub use target::{Attachment, ColumnSet};

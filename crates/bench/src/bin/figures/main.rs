@@ -105,6 +105,9 @@ impl Args {
         if args.scale == 0 {
             return Err("--scale must be at least 1".into());
         }
+        if args.sweep.contains(&0) {
+            return Err("--sweep values must be at least 1".into());
+        }
         if args.exp != "all" && !EXPERIMENTS.iter().any(|(name, ..)| *name == args.exp) {
             return Err(format!("unknown experiment {}", args.exp));
         }

@@ -1,4 +1,6 @@
-//! Shared workload builders for the figure harness and Criterion benches.
+//! The workspace's one Birds corpus builder, [`build_db`], and the helpers
+//! the figure harness, the Criterion benches and
+//! `examples/birds_observatory.rs` share.
 //!
 //! The paper's evaluation (§6) uses the AKN-derived Birds table (45 000
 //! tuples × 12 attributes) with 9×10⁶ annotations, the Synonyms table
@@ -8,8 +10,10 @@
 //! at a configurable scale: [`BenchConfig::scale_down`] divides the paper's
 //! tuple count while [`BenchConfig::annots_per_tuple`] sweeps the paper's
 //! x-axis (10 → 200 annotations per tuple ⇒ 450 K → 9 M at full scale).
+//! The end-to-end benchmark's `bench/src/corpus.rs` is a frozen copy of the
+//! same RNG stream: a change to the stream here moves every figure, not the
+//! benchmark.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -19,8 +23,6 @@ use instn_annot::text;
 use instn_annot::{Attachment, Category};
 use instn_core::db::Database;
 use instn_core::instance::InstanceKind;
-use instn_core::maintain::SummaryDelta;
-use instn_mining::clustream::ClusterParams;
 use instn_mining::nb::NaiveBayes;
 use instn_storage::{ColumnType, Oid, Schema, TableId, Value};
 
@@ -86,43 +88,35 @@ pub struct BenchDb {
     pub load_time: Duration,
     /// Wall time spent creating the summary objects (instance linking).
     pub summarize_time: Duration,
-    /// The deltas emitted while linking instances (feed bulk index builds).
-    pub link_deltas: Vec<SummaryDelta>,
+}
+
+/// A Naive Bayes classifier over `labels`, trained on 20 rounds of one
+/// 200-char document per label, drawn from that label's theme in `themes`.
+fn classifier(seed: u64, labels: &[&str], themes: &[Category]) -> InstanceKind {
+    let mut model = NaiveBayes::new(labels.iter().map(|s| s.to_string()).collect());
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..20 {
+        for (&cat, &label) in themes.iter().zip(labels) {
+            model.train(&text::generate(&mut rng, cat, 200), label);
+        }
+    }
+    InstanceKind::Classifier { model }
 }
 
 /// Train the `ClassBird1` classifier on synthetic themed text.
 pub fn classbird1_kind(seed: u64) -> InstanceKind {
-    let mut model = NaiveBayes::new(CLASSBIRD1_LABELS.iter().map(|s| s.to_string()).collect());
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..20 {
-        for (cat, label) in [
-            (Category::Disease, "Disease"),
-            (Category::Anatomy, "Anatomy"),
-            (Category::Behavior, "Behavior"),
-            (Category::Other, "Other"),
-        ] {
-            let doc = text::generate(&mut rng, cat, 200);
-            model.train(&doc, label);
-        }
-    }
-    InstanceKind::Classifier { model }
+    use Category::*;
+    classifier(
+        seed,
+        &CLASSBIRD1_LABELS,
+        &[Disease, Anatomy, Behavior, Other],
+    )
 }
 
 /// Train the `ClassBird2` classifier.
 pub fn classbird2_kind(seed: u64) -> InstanceKind {
-    let mut model = NaiveBayes::new(CLASSBIRD2_LABELS.iter().map(|s| s.to_string()).collect());
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..20 {
-        for (cat, label) in [
-            (Category::Provenance, "Provenance"),
-            (Category::Comment, "Comment"),
-            (Category::Question, "Question"),
-        ] {
-            let doc = text::generate(&mut rng, cat, 200);
-            model.train(&doc, label);
-        }
-    }
-    InstanceKind::Classifier { model }
+    use Category::*;
+    classifier(seed, &CLASSBIRD2_LABELS, &[Provenance, Comment, Question])
 }
 
 /// The `TextSummary1` snippet instance (paper: >1 000 chars → ≤400 chars).
@@ -131,23 +125,6 @@ pub fn textsummary1_kind() -> InstanceKind {
         min_chars: 1_000,
         max_chars: 400,
     }
-}
-
-/// A `SimCluster` instance.
-pub fn simcluster_kind() -> InstanceKind {
-    InstanceKind::Cluster {
-        params: ClusterParams::default(),
-    }
-}
-
-/// The instance registry used by the SQL DDL path.
-pub fn instance_registry(seed: u64) -> HashMap<String, InstanceKind> {
-    let mut m = HashMap::new();
-    m.insert("ClassBird1".to_string(), classbird1_kind(seed));
-    m.insert("ClassBird2".to_string(), classbird2_kind(seed));
-    m.insert("TextSummary1".to_string(), textsummary1_kind());
-    m.insert("SimCluster".to_string(), simcluster_kind());
-    m
 }
 
 /// Category mix matching the corpus defaults.
@@ -165,8 +142,7 @@ fn sample_category(rng: &mut StdRng) -> Category {
 
 /// Build the benchmark database in **bulk mode** (paper Fig. 8): raw data
 /// and annotations are loaded first, then the summary instances are linked
-/// (one summarization pass), producing the link deltas a bulk index build
-/// consumes.
+/// (one summarization pass).
 pub fn build_db(cfg: &BenchConfig) -> BenchDb {
     let mut db = Database::new();
     let birds = db
@@ -242,7 +218,6 @@ pub fn build_db(cfg: &BenchConfig) -> BenchDb {
             )
             .expect("schema is static");
             syn_id += 1;
-            let _ = s;
         }
     }
     // Raw annotations (no instances linked yet: store-only writes).
@@ -266,13 +241,10 @@ pub fn build_db(cfg: &BenchConfig) -> BenchDb {
 
     // Summarize: link ClassBird1 + TextSummary1 (exactly the paper's setup).
     let start = Instant::now();
-    let (_, mut deltas) = db
-        .link_instance(birds, "ClassBird1", classbird1_kind(cfg.seed), true)
+    db.link_instance(birds, "ClassBird1", classbird1_kind(cfg.seed), true)
         .expect("instance name fresh");
-    let (_, d2) = db
-        .link_instance(birds, "TextSummary1", textsummary1_kind(), false)
+    db.link_instance(birds, "TextSummary1", textsummary1_kind(), false)
         .expect("instance name fresh");
-    deltas.extend(d2);
     let summarize_time = start.elapsed();
 
     BenchDb {
@@ -282,7 +254,6 @@ pub fn build_db(cfg: &BenchConfig) -> BenchDb {
         bird_oids,
         load_time,
         summarize_time,
-        link_deltas: deltas,
     }
 }
 
@@ -356,6 +327,7 @@ pub fn fmt_dur(d: Duration) -> String {
 mod tests {
     use super::*;
     use instn_core::summary::Rep;
+    use std::collections::HashMap;
 
     #[test]
     fn build_db_produces_expected_shape() {
@@ -367,12 +339,55 @@ mod tests {
         let b = build_db(&cfg);
         assert_eq!(b.db.table(b.birds).unwrap().len(), cfg.n_tuples());
         assert_eq!(b.db.table(b.synonyms).unwrap().len(), cfg.n_synonyms());
-        assert!(!b.link_deltas.is_empty());
         // Every bird carries both summary objects.
         let set = b.db.summaries_of(b.birds, b.bird_oids[0]).unwrap();
         assert_eq!(set.len(), 2);
         assert!(set.iter().any(|o| matches!(o.rep, Rep::Classifier(_))));
         assert!(set.iter().any(|o| matches!(o.rep, Rep::Snippet(_))));
+        // Every bird is annotated, the volume tracks the mean, some
+        // annotations are snippet inputs, and the category mix follows
+        // `sample_category`'s weights.
+        let store = b.db.annotation_store(b.birds);
+        for &oid in &b.bird_oids {
+            assert!(!store.for_tuple(oid).is_empty(), "bird {oid:?} unannotated");
+        }
+        let expected = (cfg.n_tuples() * cfg.annots_per_tuple) as f64;
+        let volume = store.len() as f64;
+        assert!(
+            (volume - expected).abs() < expected * 0.25,
+            "{volume} annotations"
+        );
+        let annots: Vec<_> = store
+            .ids()
+            .into_iter()
+            .map(|id| store.get(id).unwrap())
+            .collect();
+        assert!(annots.iter().any(|a| a.text.len() > 1_000));
+        let behavior = annots
+            .iter()
+            .filter(|a| a.category == Category::Behavior)
+            .count();
+        let share = behavior as f64 / annots.len() as f64;
+        assert!((share - 0.25).abs() < 0.05, "Behavior share {share}");
+    }
+
+    #[test]
+    fn build_db_is_a_pure_function_of_its_config() {
+        let cfg = BenchConfig {
+            scale_down: 1000, // 45 birds
+            annots_per_tuple: 6,
+            ..Default::default()
+        };
+        let dump = |cfg: &BenchConfig| build_db(cfg).db.dump().unwrap();
+        let first = dump(&cfg);
+        assert_eq!(first, dump(&cfg));
+        assert_ne!(
+            first,
+            dump(&BenchConfig {
+                seed: cfg.seed + 1,
+                ..cfg.clone()
+            })
+        );
     }
 
     #[test]

@@ -81,6 +81,8 @@ fn malformed_arguments_are_errors_not_defaults() {
         &["--scale"],
         &["--sweep", "10,x"],
         &["--sweep", ""],
+        &["--sweep", "0"],
+        &["--sweep", "10,0"],
         &["--cache-pages", "-1"],
         &["--exp"],
         &["--bogus"],

@@ -19,6 +19,8 @@
 //! module; the engine above treats them as black boxes that produce and
 //! incrementally maintain `Rep[]` / `Elements[][]` structures.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod clustream;
 pub mod lsa;
 pub mod nb;

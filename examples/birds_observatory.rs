@@ -1,7 +1,8 @@
-//! The paper's ornithology scenario end-to-end: a generated birds corpus,
-//! a Summary-BTree over the disease classifier, and the three analytical
-//! queries of the usability case study (Fig. 2 / Fig. 16) answered with
-//! summary-based operators and the extended optimizer.
+//! The paper's ornithology scenario end-to-end: the figures' Birds corpus
+//! (`instn_bench::workloads::build_db`, with `ClassBird1` and
+//! `TextSummary1` linked), a Summary-BTree over the disease classifier, and
+//! the three analytical queries of the usability case study (Fig. 2 /
+//! Fig. 16) answered with summary-based operators and the extended optimizer.
 //!
 //! ```text
 //! cargo run --release --example birds_observatory
@@ -9,85 +10,28 @@
 
 use insightnotes::opt::cost::CostModel;
 use insightnotes::prelude::*;
+use instn_bench::workloads::{build_db, BenchConfig, BenchDb};
 
 fn main() {
-    // A corpus the size of the paper's case study: 100 birds with dozens of
-    // annotations each.
-    println!("generating the observatory corpus…");
-    let corpus = Corpus::build(&CorpusConfig {
-        n_tuples: 100,
-        avg_annots_per_tuple: 60,
-        seed: 7,
-        ..CorpusConfig::default()
+    // A corpus the size of the paper's case study: 45 000 / 450 = 100 birds
+    // with dozens of annotations each.
+    println!("building the observatory corpus…");
+    let BenchDb {
+        db,
+        birds,
+        synonyms,
+        ..
+    } = build_db(&BenchConfig {
+        scale_down: 450,
+        annots_per_tuple: 60,
+        ..Default::default()
     });
     println!(
         "  {} birds, {} synonyms, {} raw annotations",
-        corpus.birds.len(),
-        corpus.synonyms.len(),
-        corpus.annotation_count()
+        db.table(birds).expect("built").len(),
+        db.table(synonyms).expect("built").len(),
+        db.annotation_store(birds).len()
     );
-
-    // Load it into an engine instance with the paper's summary instances.
-    let mut db = Database::new();
-    let birds = db
-        .create_table("Birds", insightnotes::annot::gen::birds_schema())
-        .expect("fresh database");
-    let mut oid_map = Vec::new();
-    for (_, tuple) in corpus.birds.scan() {
-        oid_map.push(db.insert_tuple(birds, tuple).expect("same schema"));
-    }
-    for (i, &src_oid) in corpus.bird_oids.iter().enumerate() {
-        for id in corpus.annotations.for_tuple(src_oid) {
-            let a = corpus.annotations.get(id).expect("annotation exists");
-            db.add_annotation(
-                birds,
-                &a.text,
-                a.category,
-                &a.author,
-                vec![Attachment::row(oid_map[i])],
-            )
-            .expect("fits a page");
-        }
-    }
-    // Train a classifier on themed text and link the instances.
-    let mut model = NaiveBayes::new(vec![
-        "Disease".into(),
-        "Anatomy".into(),
-        "Behavior".into(),
-        "Other".into(),
-    ]);
-    {
-        use insightnotes::annot::text;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for _ in 0..25 {
-            for (cat, label) in [
-                (Category::Disease, "Disease"),
-                (Category::Anatomy, "Anatomy"),
-                (Category::Behavior, "Behavior"),
-                (Category::Other, "Other"),
-            ] {
-                model.train(&text::generate(&mut rng, cat, 200), label);
-            }
-        }
-    }
-    db.link_instance(
-        birds,
-        "ClassBird1",
-        InstanceKind::Classifier { model },
-        true,
-    )
-    .expect("instance name fresh");
-    db.link_instance(
-        birds,
-        "TextSummary1",
-        InstanceKind::Snippet {
-            min_chars: 1000,
-            max_chars: 400,
-        },
-        false,
-    )
-    .expect("instance name fresh");
 
     // Index + optimizer.
     let index =

@@ -81,9 +81,7 @@ pub mod demo;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use instn_annot::{
-        AnnotId, Annotation, AnnotationStore, Attachment, Category, ColumnSet, Corpus, CorpusConfig,
-    };
+    pub use instn_annot::{AnnotId, Annotation, AnnotationStore, Attachment, Category, ColumnSet};
     pub use instn_core::db::Database;
     pub use instn_core::instance::{InstanceKind, SummaryInstance};
     pub use instn_core::summary::{Rep, SummaryObject, SummaryType};

@@ -101,22 +101,6 @@ fn summary_object_filter_via_sql_pipeline() {
 }
 
 #[test]
-fn corpus_generator_edge_cases() {
-    use insightnotes::annot::{Corpus, CorpusConfig};
-    // Zero annotations per tuple: tables exist, stores empty.
-    let cfg = CorpusConfig {
-        n_tuples: 5,
-        avg_annots_per_tuple: 0,
-        ..CorpusConfig::tiny()
-    };
-    let c = Corpus::build(&cfg);
-    assert_eq!(c.birds.len(), 5);
-    // avg 0 still emits the minimum of 1..=1? The generator clamps at
-    // zero annotations when the average is zero.
-    assert_eq!(c.annotation_count(), 0);
-}
-
-#[test]
 fn text_generation_tiny_targets() {
     use insightnotes::annot::text;
     use rand::rngs::StdRng;
