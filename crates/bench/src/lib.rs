@@ -7,3 +7,6 @@
 //! micro-benchmarks live under `benches/`.
 
 pub mod workloads;
+
+#[cfg(test)]
+mod gen;

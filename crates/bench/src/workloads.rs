@@ -344,31 +344,6 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert!(set.iter().any(|o| matches!(o.rep, Rep::Classifier(_))));
         assert!(set.iter().any(|o| matches!(o.rep, Rep::Snippet(_))));
-        // Every bird is annotated, the volume tracks the mean, some
-        // annotations are snippet inputs, and the category mix follows
-        // `sample_category`'s weights.
-        let store = b.db.annotation_store(b.birds);
-        for &oid in &b.bird_oids {
-            assert!(!store.for_tuple(oid).is_empty(), "bird {oid:?} unannotated");
-        }
-        let expected = (cfg.n_tuples() * cfg.annots_per_tuple) as f64;
-        let volume = store.len() as f64;
-        assert!(
-            (volume - expected).abs() < expected * 0.25,
-            "{volume} annotations"
-        );
-        let annots: Vec<_> = store
-            .ids()
-            .into_iter()
-            .map(|id| store.get(id).unwrap())
-            .collect();
-        assert!(annots.iter().any(|a| a.text.len() > 1_000));
-        let behavior = annots
-            .iter()
-            .filter(|a| a.category == Category::Behavior)
-            .count();
-        let share = behavior as f64 / annots.len() as f64;
-        assert!((share - 0.25).abs() < 0.05, "Behavior share {share}");
     }
 
     #[test]
