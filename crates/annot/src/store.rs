@@ -211,27 +211,26 @@ impl AnnotationStore {
         Ok(())
     }
 
-    /// Remove every posting on tuple `oid` (tuple deletion). Annotations
-    /// whose only attachment was this tuple lose their body too; annotations
-    /// attached elsewhere keep it. Returns the ids fully deleted.
+    /// Remove every posting on tuple `oid` (tuple deletion). Returns the
+    /// annotations that have no posting left in this store. No body is
+    /// deleted here: another table may still hold postings for one, so
+    /// deleting a body is up to whoever knows every table (the database's
+    /// placement map), through [`AnnotationStore::delete`].
     pub fn detach_tuple(&mut self, oid: Oid) -> Vec<AnnotId> {
         let Some(list) = self.postings.remove(&oid) else {
             return Vec::new();
         };
-        let mut fully_deleted = Vec::new();
+        let mut ran_out = Vec::new();
         for (id, _) in list {
             if let Some(oids) = self.attachments.get_mut(&id) {
                 oids.retain(|o| *o != oid);
                 if oids.is_empty() {
                     self.attachments.remove(&id);
-                    if let Some(rid) = self.locations.remove(&id) {
-                        let _ = self.heap.delete(rid);
-                    }
-                    fully_deleted.push(id);
+                    ran_out.push(id);
                 }
             }
         }
-        fully_deleted
+        ran_out
     }
 
     /// Annotation ids attached (anywhere) to `oid`.
@@ -374,6 +373,23 @@ mod tests {
         assert!(s.for_tuple(Oid(1)).is_empty());
         assert!(s.for_tuple(Oid(2)).is_empty());
         assert!(s.delete(id).is_err());
+    }
+
+    #[test]
+    fn detach_tuple_reports_ran_out_ids_and_keeps_bodies() {
+        let mut s = store();
+        let shared = add(
+            &mut s,
+            "shared",
+            vec![Attachment::row(Oid(1)), Attachment::row(Oid(2))],
+        );
+        let single = add(&mut s, "single", vec![Attachment::row(Oid(1))]);
+        assert_eq!(s.detach_tuple(Oid(1)), vec![single]);
+        assert_eq!(s.tuples_of(shared), vec![Oid(2)]);
+        // The body stays until the owner of every table's postings deletes it.
+        assert_eq!(s.get(single).unwrap().text, "single");
+        s.delete(single).unwrap();
+        assert!(s.get(single).is_err());
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //! de-normalized summary storage under one roof.
 //!
 //! This is the engine object every higher layer (indexes, query executor,
-//! optimizer, SQL front end) operates on. It owns:
+//! optimizer, SQL front end) operates on. It owns one `TableEntry` per
+//! user relation, indexed by [`TableId`]:
 //!
-//! * an [`instn_storage::Catalog`] of user relations,
-//! * one [`AnnotationStore`] per relation (ids globally unique),
-//! * the [`SummaryInstance`]s linked to each relation (the extended
+//! * the relation's [`Table`],
+//! * its [`AnnotationStore`] (ids globally unique),
+//! * the [`SummaryInstance`]s linked to it (the extended
 //!   `Alter Table … Add [Indexable] <InstanceName>` DDL of §4), and
-//! * one de-normalized [`SummaryStorage`] per relation.
+//! * its de-normalized [`SummaryStorage`];
+//!
+//! plus one `Placement` per raw annotation: the table whose store holds
+//! its body and every table with a posting for it.
 //!
 //! Every mutation returns [`SummaryDelta`]s so index layers can maintain
 //! their structures without this crate depending on them — and, since the
@@ -24,7 +28,7 @@ use std::sync::Arc;
 use instn_annot::{AnnotId, Annotation, AnnotationStore, Attachment, Category};
 use instn_obs::MetricsRegistry;
 use instn_storage::io::IoStats;
-use instn_storage::{BufferPool, Catalog, Oid, Schema, StorageError, Table, TableId, Tuple, Wal};
+use instn_storage::{BufferPool, Oid, Schema, StorageError, Table, TableId, Tuple, Wal};
 
 use crate::instance::{InstanceKind, SummaryInstance};
 use crate::journal::{DataChange, DeltaJournal, DEFAULT_JOURNAL_RETENTION};
@@ -34,9 +38,26 @@ use crate::storage::SummaryStorage;
 use crate::summary::{InstanceId, ObjId, SummaryObject};
 use crate::{AnnotatedTuple, CoreError, Result};
 
-/// The error a mutator returns for a table id it does not know.
-pub(crate) fn table_not_found(table: TableId) -> CoreError {
-    StorageError::TableNotFound(format!("#{}", table.0)).into()
+/// Everything one user relation holds.
+#[derive(Debug)]
+pub(crate) struct TableEntry {
+    pub(crate) table: Table,
+    /// The postings on this table's tuples, and the bodies of the
+    /// annotations whose home this table is.
+    pub(crate) annotations: AnnotationStore,
+    /// Linked instances, in link order.
+    pub(crate) instances: Vec<SummaryInstance>,
+    pub(crate) summaries: SummaryStorage,
+}
+
+/// Where one annotation lives. Its body stays in `home`'s store for as long
+/// as any table holds a posting for it, `home` included or not; the body is
+/// deleted when `tables` runs empty.
+#[derive(Debug)]
+pub(crate) struct Placement {
+    pub(crate) home: TableId,
+    /// Every table with postings for the annotation, in attach order.
+    pub(crate) tables: Vec<TableId>,
 }
 
 /// The InsightNotes database engine.
@@ -44,14 +65,10 @@ pub(crate) fn table_not_found(table: TableId) -> CoreError {
 pub struct Database {
     pub(crate) stats: Arc<IoStats>,
     pub(crate) pool: Arc<BufferPool>,
-    pub(crate) catalog: Catalog,
-    pub(crate) annotations: HashMap<TableId, AnnotationStore>,
-    /// Which table's store holds each annotation's body.
-    pub(crate) annot_home: HashMap<AnnotId, TableId>,
-    /// All tables holding postings for each annotation.
-    pub(crate) annot_tables: HashMap<AnnotId, Vec<TableId>>,
-    pub(crate) instances: HashMap<TableId, Vec<SummaryInstance>>,
-    pub(crate) summaries: HashMap<TableId, SummaryStorage>,
+    /// One entry per table, indexed by [`TableId`].
+    pub(crate) tables: Vec<TableEntry>,
+    pub(crate) by_name: HashMap<String, TableId>,
+    pub(crate) placements: HashMap<AnnotId, Placement>,
     pub(crate) annot_counter: Arc<AtomicU64>,
     pub(crate) next_instance: u32,
     pub(crate) next_obj: u64,
@@ -85,14 +102,11 @@ impl Database {
         let obs = Arc::new(MetricsRegistry::new());
         pool.attach_metrics(&obs);
         Self {
-            catalog: Catalog::with_pool(Arc::clone(&pool)),
             stats,
             pool,
-            annotations: HashMap::new(),
-            annot_home: HashMap::new(),
-            annot_tables: HashMap::new(),
-            instances: HashMap::new(),
-            summaries: HashMap::new(),
+            tables: Vec::new(),
+            by_name: HashMap::new(),
+            placements: HashMap::new(),
             annot_counter: Arc::new(AtomicU64::new(1)),
             next_instance: 1,
             next_obj: 1,
@@ -166,14 +180,19 @@ impl Database {
         self.revision
     }
 
-    /// Check that `table` is in the catalog and in every per-table map, so
-    /// a mutator can fail before it allocates an id or changes anything.
-    fn check_table(&self, table: TableId) -> Result<()> {
-        self.catalog.table(table)?;
-        let known = self.annotations.contains_key(&table)
-            && self.instances.contains_key(&table)
-            && self.summaries.contains_key(&table);
-        known.then_some(()).ok_or_else(|| table_not_found(table))
+    /// The entry of `table`, or `TableNotFound` — so a mutator can fail
+    /// before it allocates an id or changes anything.
+    fn entry(&self, table: TableId) -> Result<&TableEntry> {
+        self.tables
+            .get(table.0 as usize)
+            .ok_or_else(|| StorageError::TableNotFound(format!("#{}", table.0)).into())
+    }
+
+    /// [`Database::entry`], mutably.
+    fn entry_mut(&mut self, table: TableId) -> Result<&mut TableEntry> {
+        self.tables
+            .get_mut(table.0 as usize)
+            .ok_or_else(|| StorageError::TableNotFound(format!("#{}", table.0)).into())
     }
 
     /// Seal a top-level mutation: WAL-commit it, then advance the revision
@@ -206,34 +225,40 @@ impl Database {
     }
 
     fn create_table_inner(&mut self, name: &str, schema: Schema) -> Result<TableId> {
-        let id = self.catalog.create_table(name, schema)?;
-        self.annotations.insert(
-            id,
-            AnnotationStore::with_pool_and_counter(
+        if self.by_name.contains_key(name) {
+            return Err(StorageError::TableExists(name.to_string()).into());
+        }
+        let id = TableId(self.tables.len() as u32);
+        self.tables.push(TableEntry {
+            table: Table::with_pool(name, schema, Arc::clone(&self.pool)),
+            annotations: AnnotationStore::with_pool_and_counter(
                 Arc::clone(&self.pool),
                 Arc::clone(&self.annot_counter),
             ),
-        );
-        self.instances.insert(id, Vec::new());
-        self.summaries
-            .insert(id, SummaryStorage::with_pool(Arc::clone(&self.pool)));
+            instances: Vec::new(),
+            summaries: SummaryStorage::with_pool(Arc::clone(&self.pool)),
+        });
+        self.by_name.insert(name.to_string(), id);
         Ok(id)
     }
 
     /// Resolve a table name.
     pub fn table_id(&self, name: &str) -> Result<TableId> {
-        Ok(self.catalog.table_id(name)?)
+        self.by_name
+            .get(name)
+            .copied()
+            .ok_or_else(|| StorageError::TableNotFound(name.to_string()).into())
     }
 
     /// Borrow a table.
     pub fn table(&self, id: TableId) -> Result<&Table> {
-        Ok(self.catalog.table(id)?)
+        Ok(&self.entry(id)?.table)
     }
 
     /// Mutably borrow a table. A write through it bypasses the WAL, the
     /// delta journal and the revision, so only a restore may make one.
     pub(crate) fn table_mut(&mut self, id: TableId) -> Result<&mut Table> {
-        Ok(self.catalog.table_mut(id)?)
+        Ok(&mut self.entry_mut(id)?.table)
     }
 
     /// Insert a data tuple.
@@ -243,7 +268,7 @@ impl Database {
             tuple: tuple.clone(),
         });
         let values = tuple.clone();
-        let res = (|| Ok(self.catalog.table_mut(table)?.insert(tuple)?))();
+        let res = (|| Ok(self.table_mut(table)?.insert(tuple)?))();
         let res = self.finish_mutation(res);
         if let Ok(oid) = res {
             self.journal.record(
@@ -294,7 +319,7 @@ impl Database {
         oid: Oid,
         tuple: Tuple,
     ) -> Result<(bool, Tuple)> {
-        let t = self.catalog.table_mut(table)?;
+        let t = self.table_mut(table)?;
         let old = t.get(oid)?;
         let before = t.disk_tuple_loc(oid)?;
         t.update(oid, tuple)?;
@@ -322,10 +347,9 @@ impl Database {
     }
 
     fn delete_tuple_inner(&mut self, table: TableId, oid: Oid) -> Result<(SummaryDelta, Tuple)> {
-        self.check_table(table)?;
         // Capture the data values (for column-index maintenance) and final
         // label counts (for summary-index cleanup) before anything is gone.
-        let values = self.catalog.table(table)?.get(oid)?;
+        let values = self.table(table)?.get(oid)?;
         let objects = self.summaries_of(table, oid)?;
         let mut changes = Vec::new();
         for obj in &objects {
@@ -341,28 +365,16 @@ impl Database {
                 }
             }
         }
-        // Remove annotation postings (bodies survive if attached elsewhere).
-        let store = self
-            .annotations
-            .get_mut(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        for id in store.detach_tuple(oid) {
-            self.annot_home.remove(&id);
-            if let Some(tables) = self.annot_tables.get_mut(&id) {
-                tables.retain(|t| *t != table);
-                if tables.is_empty() {
-                    self.annot_tables.remove(&id);
-                }
-            }
+        // Remove the tuple's annotation postings. A body goes only with the
+        // last posting of any table.
+        for id in self.entry_mut(table)?.annotations.detach_tuple(oid) {
+            self.release_table(id, table)?;
         }
-        let storage = self
-            .summaries
-            .get_mut(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        if storage.contains(oid) {
-            storage.delete(oid)?;
+        let entry = self.entry_mut(table)?;
+        if entry.summaries.contains(oid) {
+            entry.summaries.delete(oid)?;
         }
-        self.catalog.table_mut(table)?.delete(oid)?;
+        entry.table.delete(oid)?;
         Ok((
             SummaryDelta {
                 table,
@@ -373,6 +385,21 @@ impl Database {
             },
             values,
         ))
+    }
+
+    /// `table` holds no posting for `id` any more: drop it from the
+    /// annotation's placement, and delete the body with the last table.
+    fn release_table(&mut self, id: AnnotId, table: TableId) -> Result<()> {
+        let Some(placement) = self.placements.get_mut(&id) else {
+            return Ok(());
+        };
+        placement.tables.retain(|t| *t != table);
+        if placement.tables.is_empty() {
+            let home = placement.home;
+            self.placements.remove(&id);
+            self.entry_mut(home)?.annotations.delete(id)?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -431,38 +458,27 @@ impl Database {
         indexable: bool,
         scope: Option<crate::instance::InstanceScope>,
     ) -> Result<(InstanceId, Vec<SummaryDelta>)> {
-        // Validate the table before allocating an instance id or touching
-        // any per-table map: an unknown table must come back as a proper
-        // `Err`, not a panic on the instances-map lookup (and without
-        // leaking an instance-id or half-linked state).
-        self.check_table(table)?;
-        let list = self
-            .instances
-            .get_mut(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        let id = InstanceId(self.next_instance);
-        self.next_instance += 1;
+        // The entry lookup fails an unknown table before an instance id is
+        // allocated or anything is half linked.
+        self.entry(table)?;
         let inst = SummaryInstance {
-            id,
+            id: InstanceId(self.next_instance),
             name: name.to_string(),
             kind,
             indexable,
             scope: scope.unwrap_or_default(),
         };
-        list.push(inst.clone());
+        self.next_instance += 1;
+        self.entry_mut(table)?.instances.push(inst.clone());
 
-        // Summarize existing annotations tuple by tuple.
-        let store = self
-            .annotations
-            .get(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        // `oids` comes in OID order: the index keys are big-endian.
-        let annotated: Vec<(Oid, Vec<AnnotId>)> = self
-            .catalog
-            .table(table)?
+        // Summarize existing annotations tuple by tuple. `oids` comes in
+        // OID order: the index keys are big-endian.
+        let entry = self.entry(table)?;
+        let annotated: Vec<(Oid, Vec<AnnotId>)> = entry
+            .table
             .oids()
             .into_iter()
-            .map(|o| (o, store.for_tuple(o)))
+            .map(|o| (o, entry.annotations.for_tuple(o)))
             .filter(|(_, ids)| !ids.is_empty())
             .collect();
         let mut deltas = Vec::with_capacity(annotated.len());
@@ -488,10 +504,7 @@ impl Database {
                     });
                 }
             }
-            let storage = self
-                .summaries
-                .get_mut(&table)
-                .ok_or_else(|| table_not_found(table))?;
+            let storage = &mut self.entry_mut(table)?.summaries;
             let mut set = storage.read(oid)?;
             set.push(obj);
             let created = storage.write(oid, &set)?;
@@ -503,7 +516,7 @@ impl Database {
                 changes,
             });
         }
-        Ok((id, deltas))
+        Ok((inst.id, deltas))
     }
 
     /// `Alter Table <table> Drop <InstanceName>`: unlink an instance and
@@ -526,23 +539,21 @@ impl Database {
     fn drop_instance_inner(&mut self, table: TableId, name: &str) -> Result<()> {
         // Resolve everything before unlinking: an unknown table or instance
         // leaves the database as it was.
-        self.check_table(table)?;
-        let (Some(list), Some(storage)) = (
-            self.instances.get_mut(&table),
-            self.summaries.get_mut(&table),
-        ) else {
-            return Err(table_not_found(table));
-        };
-        let Some(pos) = list.iter().position(|i| i.name == name) else {
+        let TableEntry {
+            instances,
+            summaries,
+            ..
+        } = self.entry_mut(table)?;
+        let Some(pos) = instances.iter().position(|i| i.name == name) else {
             return Err(CoreError::InstanceNotFound(name.to_string()));
         };
-        let id = list.remove(pos).id;
-        for oid in storage.oids() {
-            let mut set = storage.read(oid)?;
+        let id = instances.remove(pos).id;
+        for oid in summaries.oids() {
+            let mut set = summaries.read(oid)?;
             let before = set.len();
             set.retain(|o| o.instance_id != id);
             if set.len() != before {
-                storage.write(oid, &set)?;
+                summaries.write(oid, &set)?;
             }
         }
         Ok(())
@@ -550,10 +561,7 @@ impl Database {
 
     /// The instances linked to `table`.
     pub fn instances(&self, table: TableId) -> &[SummaryInstance] {
-        self.instances
-            .get(&table)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.entry(table).map_or(&[], |e| &e.instances)
     }
 
     /// Look up an instance by name on `table`.
@@ -602,25 +610,24 @@ impl Database {
         author: &str,
         attachments: Vec<Attachment>,
     ) -> Result<(AnnotId, Vec<SummaryDelta>)> {
-        // Validate before the store allocates an annotation id.
-        self.check_table(table)?;
         let revision = self.revision;
-        let mut oids: Vec<Oid> = attachments.iter().map(|a| a.oid).collect();
-        oids.sort_unstable();
-        oids.dedup();
-        let store = self
-            .annotations
-            .get_mut(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        let id = store.add(
+        let oids = distinct_oids(&attachments);
+        // The entry lookup fails an unknown table before the store
+        // allocates an annotation id.
+        let id = self.entry_mut(table)?.annotations.add(
             text.to_string(),
             category,
             author.to_string(),
             revision,
             attachments,
         )?;
-        self.annot_home.insert(id, table);
-        self.annot_tables.insert(id, vec![table]);
+        self.placements.insert(
+            id,
+            Placement {
+                home: table,
+                tables: vec![table],
+            },
+        );
         let annot = self.get_annotation(id)?;
         let deltas = self.apply_annotation_to_summaries(table, &annot, &oids)?;
         Ok((id, deltas))
@@ -655,18 +662,16 @@ impl Database {
         id: AnnotId,
         attachments: Vec<Attachment>,
     ) -> Result<Vec<SummaryDelta>> {
-        self.check_table(table)?;
+        self.entry(table)?;
         let annot = self.get_annotation(id)?;
-        let mut oids: Vec<Oid> = attachments.iter().map(|a| a.oid).collect();
-        oids.sort_unstable();
-        oids.dedup();
-        self.annotations
-            .get_mut(&table)
-            .ok_or_else(|| table_not_found(table))?
+        let oids = distinct_oids(&attachments);
+        self.entry_mut(table)?
+            .annotations
             .attach_external(id, attachments);
-        let tables = self.annot_tables.entry(id).or_default();
-        if !tables.contains(&table) {
-            tables.push(table);
+        if let Some(placement) = self.placements.get_mut(&id) {
+            if !placement.tables.contains(&table) {
+                placement.tables.push(table);
+            }
         }
         self.apply_annotation_to_summaries(table, &annot, &oids)
     }
@@ -677,36 +682,126 @@ impl Database {
         annot: &Annotation,
         oids: &[Oid],
     ) -> Result<Vec<SummaryDelta>> {
-        // Disjoint fields: the instances are read while the summary rows and
-        // the object counter change, so no instance (and no model) is cloned.
-        let insts = self
-            .instances
-            .get(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        let storage = self
-            .summaries
-            .get_mut(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        let mut deltas = Vec::with_capacity(oids.len());
-        for &oid in oids {
-            let mut set = storage.read(oid)?;
-            // Materialize missing objects for linked instances.
-            for inst in insts {
-                if !set.iter().any(|o| o.instance_id == inst.id) {
-                    set.push(inst.new_object(ObjId(self.next_obj), oid));
-                    self.next_obj += 1;
-                }
+        let mut next_obj = self.next_obj;
+        let res = self
+            .entry_mut(table)
+            .and_then(|entry| entry.apply_annotation(table, annot, oids, &mut next_obj));
+        self.next_obj = next_obj;
+        res
+    }
+
+    /// Restore an annotation under its original id (persistence replay):
+    /// the body lands in `home`'s store whether or not `home` still holds a
+    /// posting, postings in every attached table, and the linked instances
+    /// re-summarize it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn restore_annotation(
+        &mut self,
+        id: AnnotId,
+        home: TableId,
+        category: Category,
+        revision: u64,
+        author: &str,
+        text: &str,
+        per_table: Vec<(TableId, Vec<Attachment>)>,
+    ) -> Result<()> {
+        if per_table.is_empty() {
+            // A live body always has a posting somewhere.
+            return Err(CoreError::Corrupt(format!(
+                "annotation {} attached to no table",
+                id.0
+            )));
+        }
+        let add_body = |store: &mut AnnotationStore, atts: Vec<Attachment>| {
+            store.add_with_id(
+                id,
+                text.to_string(),
+                category,
+                author.to_string(),
+                revision,
+                atts,
+            )
+        };
+        if per_table.iter().all(|(t, _)| *t != home) {
+            add_body(&mut self.entry_mut(home)?.annotations, Vec::new())?;
+        }
+        for (t, atts) in &per_table {
+            let store = &mut self.entry_mut(*t)?.annotations;
+            if *t == home {
+                add_body(store, atts.clone())?;
+            } else {
+                store.attach_external(id, atts.clone());
             }
-            let mut changes = Vec::new();
-            for inst in insts {
-                if !inst.scope.includes(&annot.text) {
-                    continue;
-                }
-                let obj = set
-                    .iter_mut()
-                    .find(|o| o.instance_id == inst.id)
-                    .expect("materialized above");
-                if let Some((label, old, new)) = inst.add_annotation(obj, annot) {
+        }
+        let tables = per_table.iter().map(|(t, _)| *t).collect();
+        self.placements.insert(id, Placement { home, tables });
+        let annot = self.get_annotation(id)?;
+        for (t, atts) in per_table {
+            self.apply_annotation_to_summaries(t, &annot, &distinct_oids(&atts))?;
+        }
+        Ok(())
+    }
+
+    /// Delete a raw annotation everywhere, reversing its summary effects.
+    pub fn delete_annotation(&mut self, id: AnnotId) -> Result<Vec<SummaryDelta>> {
+        self.wal_log(|| WalOp::DeleteAnnotation { id });
+        let res = self.delete_annotation_inner(id);
+        let res = self.finish_mutation(res);
+        if let Ok(deltas) = &res {
+            self.journal
+                .record(self.revision, false, Vec::new(), deltas.clone());
+        }
+        res
+    }
+
+    fn delete_annotation_inner(&mut self, id: AnnotId) -> Result<Vec<SummaryDelta>> {
+        let placement = self
+            .placements
+            .get(&id)
+            .ok_or(CoreError::AnnotationNotFound(id.0))?;
+        let (home, tables) = (placement.home, placement.tables.clone());
+        let mut deltas = Vec::new();
+        for &table in &tables {
+            for oid in self.entry(table)?.annotations.tuples_of(id) {
+                // Each set is computed under a shared borrow (the resolver
+                // reads other tables' stores), then written.
+                let (set, changes) = self.summaries_without(table, oid, id)?;
+                self.entry_mut(table)?.summaries.write(oid, &set)?;
+                deltas.push(SummaryDelta {
+                    table,
+                    oid,
+                    created_row: false,
+                    deleted_row: false,
+                    changes,
+                });
+            }
+        }
+        for &table in &tables {
+            self.entry_mut(table)?.annotations.delete(id)?;
+        }
+        if !tables.contains(&home) {
+            // The home ran out of postings before the others did.
+            self.entry_mut(home)?.annotations.delete(id)?;
+        }
+        self.placements.remove(&id);
+        Ok(deltas)
+    }
+
+    /// The summary set of `table`'s tuple `oid` with annotation `id`'s
+    /// effect removed by every linked instance, and the label changes.
+    fn summaries_without(
+        &self,
+        table: TableId,
+        oid: Oid,
+        id: AnnotId,
+    ) -> Result<(Vec<SummaryObject>, Vec<LabelChange>)> {
+        let entry = self.entry(table)?;
+        let resolver = self.text_resolver();
+        let mut set = entry.summaries.read(oid)?;
+        let mut changes = Vec::new();
+        for inst in &entry.instances {
+            if let Some(obj) = set.iter_mut().find(|o| o.instance_id == inst.id) {
+                if let Some((label, old, new)) = inst.remove_annotation(obj, id, &resolver) {
                     changes.push(LabelChange {
                         instance: inst.id,
                         instance_name: inst.name.clone(),
@@ -716,7 +811,137 @@ impl Database {
                     });
                 }
             }
-            let created = !set.is_empty() && storage.write(oid, &set)?;
+        }
+        Ok((set, changes))
+    }
+
+    /// Fetch an annotation body from its home store.
+    pub fn get_annotation(&self, id: AnnotId) -> Result<Annotation> {
+        let placement = self
+            .placements
+            .get(&id)
+            .ok_or(CoreError::AnnotationNotFound(id.0))?;
+        Ok(self.entry(placement.home)?.annotations.get(id)?)
+    }
+
+    /// The annotation store of `table`.
+    #[allow(
+        clippy::expect_used,
+        reason = "callers hold a table id this database handed out, and tables are never dropped"
+    )]
+    pub fn annotation_store(&self, table: TableId) -> &AnnotationStore {
+        &self.entry(table).expect("table exists").annotations
+    }
+
+    /// A text resolver reading annotation bodies across all stores.
+    pub fn text_resolver(&self) -> impl Fn(AnnotId) -> Option<String> + '_ {
+        move |id: AnnotId| self.get_annotation(id).ok().map(|a| a.text)
+    }
+
+    /// Annotations attached to both tuples (possibly across tables) — the
+    /// common set the merge procedure de-duplicates.
+    pub fn common_annotations(
+        &self,
+        table_a: TableId,
+        oid_a: Oid,
+        table_b: TableId,
+        oid_b: Oid,
+    ) -> Vec<AnnotId> {
+        let on = |table, oid| {
+            self.entry(table)
+                .map(|e| e.annotations.for_tuple(oid))
+                .unwrap_or_default()
+        };
+        let b: std::collections::HashSet<AnnotId> = on(table_b, oid_b).into_iter().collect();
+        on(table_a, oid_a)
+            .into_iter()
+            .filter(|id| b.contains(id))
+            .collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Summaries
+    // ------------------------------------------------------------------
+
+    /// Read the summary set of a tuple from de-normalized storage.
+    pub fn summaries_of(&self, table: TableId, oid: Oid) -> Result<Vec<SummaryObject>> {
+        self.entry(table)?.summaries.read(oid)
+    }
+
+    /// The de-normalized summary storage of `table` (index layers read it
+    /// during bulk creation and for the Fig. 12/13 experiments).
+    #[allow(
+        clippy::expect_used,
+        reason = "callers hold a table id this database handed out, and tables are never dropped"
+    )]
+    pub fn summary_storage(&self, table: TableId) -> &SummaryStorage {
+        &self.entry(table).expect("table exists").summaries
+    }
+
+    /// The data tuple + its summary objects (the conceptual schema of §2.1).
+    pub fn annotated_tuple(&self, table: TableId, oid: Oid) -> Result<AnnotatedTuple> {
+        let values = self.table(table)?.get(oid)?;
+        let summaries = self.summaries_of(table, oid)?;
+        Ok(AnnotatedTuple {
+            source: Some((table, oid)),
+            values,
+            summaries,
+        })
+    }
+
+    /// Scan all tuples of a table with their summaries.
+    pub fn scan_annotated(&self, table: TableId) -> Result<Vec<AnnotatedTuple>> {
+        let entry = self.entry(table)?;
+        let mut out = Vec::with_capacity(entry.table.len());
+        for (oid, values) in entry.table.scan() {
+            out.push(AnnotatedTuple {
+                source: Some((table, oid)),
+                values,
+                summaries: entry.summaries.read(oid)?,
+            });
+        }
+        Ok(out)
+    }
+}
+
+impl TableEntry {
+    /// Fold annotation `annot` into the summary rows of tuples `oids`,
+    /// materializing an object for every linked instance a row lacks
+    /// (object ids drawn from `next_obj`).
+    fn apply_annotation(
+        &mut self,
+        table: TableId,
+        annot: &Annotation,
+        oids: &[Oid],
+        next_obj: &mut u64,
+    ) -> Result<Vec<SummaryDelta>> {
+        let mut deltas = Vec::with_capacity(oids.len());
+        for &oid in oids {
+            let mut set = self.summaries.read(oid)?;
+            let mut changes = Vec::new();
+            for inst in &self.instances {
+                let at = match set.iter().position(|o| o.instance_id == inst.id) {
+                    Some(at) => at,
+                    None => {
+                        set.push(inst.new_object(ObjId(*next_obj), oid));
+                        *next_obj += 1;
+                        set.len() - 1
+                    }
+                };
+                if !inst.scope.includes(&annot.text) {
+                    continue;
+                }
+                if let Some((label, old, new)) = inst.add_annotation(&mut set[at], annot) {
+                    changes.push(LabelChange {
+                        instance: inst.id,
+                        instance_name: inst.name.clone(),
+                        label,
+                        old: Some(old),
+                        new: Some(new),
+                    });
+                }
+            }
+            let created = !set.is_empty() && self.summaries.write(oid, &set)?;
             if created {
                 // First annotation on this tuple: indexes insert all k label
                 // keys (the §4.1.2 "Adding Annotation−Insertion" case), so
@@ -746,233 +971,14 @@ impl Database {
         }
         Ok(deltas)
     }
+}
 
-    /// Restore an annotation under its original id (persistence replay):
-    /// the body lands in `home`'s store, postings in every attached table,
-    /// and the linked instances re-summarize it.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore_annotation(
-        &mut self,
-        id: AnnotId,
-        home: TableId,
-        category: Category,
-        revision: u64,
-        author: &str,
-        text: &str,
-        per_table: Vec<(TableId, Vec<Attachment>)>,
-    ) -> Result<()> {
-        let mut tables = Vec::with_capacity(per_table.len());
-        for (t, atts) in &per_table {
-            let mut oids: Vec<Oid> = atts.iter().map(|a| a.oid).collect();
-            oids.sort_unstable();
-            oids.dedup();
-            let store = self
-                .annotations
-                .get_mut(t)
-                .ok_or_else(|| CoreError::Corrupt(format!("unknown table {t:?} in dump")))?;
-            if *t == home {
-                store.add_with_id(
-                    id,
-                    text.to_string(),
-                    category,
-                    author.to_string(),
-                    revision,
-                    atts.clone(),
-                )?;
-            } else {
-                store.attach_external(id, atts.clone());
-            }
-            tables.push(*t);
-        }
-        self.annot_home.insert(id, home);
-        self.annot_tables.insert(id, tables);
-        let annot = self.get_annotation(id)?;
-        for (t, atts) in per_table {
-            let mut oids: Vec<Oid> = atts.iter().map(|a| a.oid).collect();
-            oids.sort_unstable();
-            oids.dedup();
-            self.apply_annotation_to_summaries(t, &annot, &oids)?;
-        }
-        Ok(())
-    }
-
-    /// Delete a raw annotation everywhere, reversing its summary effects.
-    pub fn delete_annotation(&mut self, id: AnnotId) -> Result<Vec<SummaryDelta>> {
-        self.wal_log(|| WalOp::DeleteAnnotation { id });
-        let res = self.delete_annotation_inner(id);
-        let res = self.finish_mutation(res);
-        if let Ok(deltas) = &res {
-            self.journal
-                .record(self.revision, false, Vec::new(), deltas.clone());
-        }
-        res
-    }
-
-    fn delete_annotation_inner(&mut self, id: AnnotId) -> Result<Vec<SummaryDelta>> {
-        let tables = self
-            .annot_tables
-            .get(&id)
-            .cloned()
-            .ok_or(CoreError::AnnotationNotFound(id.0))?;
-        for &table in &tables {
-            self.check_table(table)?;
-        }
-        self.annot_tables.remove(&id);
-        let mut deltas = Vec::new();
-        for table in &tables {
-            let oids = self
-                .annotations
-                .get(table)
-                .ok_or_else(|| table_not_found(*table))?
-                .tuples_of(id);
-            let insts = self
-                .instances
-                .get(table)
-                .ok_or_else(|| table_not_found(*table))?
-                .clone();
-            for oid in oids {
-                let annotations = &self.annotations;
-                let annot_home = &self.annot_home;
-                let resolver = move |aid: AnnotId| -> Option<String> {
-                    let home = annot_home.get(&aid)?;
-                    annotations.get(home)?.get(aid).ok().map(|a| a.text)
-                };
-                let storage = self
-                    .summaries
-                    .get_mut(table)
-                    .ok_or_else(|| table_not_found(*table))?;
-                let mut set = storage.read(oid)?;
-                let mut changes = Vec::new();
-                for inst in &insts {
-                    if let Some(obj) = set.iter_mut().find(|o| o.instance_id == inst.id) {
-                        if let Some((label, old, new)) = inst.remove_annotation(obj, id, &resolver)
-                        {
-                            changes.push(LabelChange {
-                                instance: inst.id,
-                                instance_name: inst.name.clone(),
-                                label,
-                                old: Some(old),
-                                new: Some(new),
-                            });
-                        }
-                    }
-                }
-                storage.write(oid, &set)?;
-                deltas.push(SummaryDelta {
-                    table: *table,
-                    oid,
-                    created_row: false,
-                    deleted_row: false,
-                    changes,
-                });
-            }
-        }
-        for table in &tables {
-            self.annotations
-                .get_mut(table)
-                .ok_or_else(|| table_not_found(*table))?
-                .delete(id)?;
-        }
-        self.annot_home.remove(&id);
-        Ok(deltas)
-    }
-
-    /// Fetch an annotation body from its home store.
-    pub fn get_annotation(&self, id: AnnotId) -> Result<Annotation> {
-        let home = self
-            .annot_home
-            .get(&id)
-            .ok_or(CoreError::AnnotationNotFound(id.0))?;
-        let store = self
-            .annotations
-            .get(home)
-            .ok_or_else(|| table_not_found(*home))?;
-        Ok(store.get(id)?)
-    }
-
-    /// The annotation store of `table`.
-    pub fn annotation_store(&self, table: TableId) -> &AnnotationStore {
-        self.annotations.get(&table).expect("table exists")
-    }
-
-    /// A text resolver reading annotation bodies across all stores.
-    pub fn text_resolver(&self) -> impl Fn(AnnotId) -> Option<String> + '_ {
-        move |id: AnnotId| {
-            let home = self.annot_home.get(&id)?;
-            self.annotations.get(home)?.get(id).ok().map(|a| a.text)
-        }
-    }
-
-    /// Annotations attached to both tuples (possibly across tables) — the
-    /// common set the merge procedure de-duplicates.
-    pub fn common_annotations(
-        &self,
-        table_a: TableId,
-        oid_a: Oid,
-        table_b: TableId,
-        oid_b: Oid,
-    ) -> Vec<AnnotId> {
-        let a = self
-            .annotations
-            .get(&table_a)
-            .map(|s| s.for_tuple(oid_a))
-            .unwrap_or_default();
-        let b: std::collections::HashSet<AnnotId> = self
-            .annotations
-            .get(&table_b)
-            .map(|s| s.for_tuple(oid_b))
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
-        a.into_iter().filter(|id| b.contains(id)).collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Summaries
-    // ------------------------------------------------------------------
-
-    /// Read the summary set of a tuple from de-normalized storage.
-    pub fn summaries_of(&self, table: TableId, oid: Oid) -> Result<Vec<SummaryObject>> {
-        self.summaries
-            .get(&table)
-            .ok_or_else(|| table_not_found(table))?
-            .read(oid)
-    }
-
-    /// The de-normalized summary storage of `table` (index layers read it
-    /// during bulk creation and for the Fig. 12/13 experiments).
-    pub fn summary_storage(&self, table: TableId) -> &SummaryStorage {
-        self.summaries.get(&table).expect("table exists")
-    }
-
-    /// The data tuple + its summary objects (the conceptual schema of §2.1).
-    pub fn annotated_tuple(&self, table: TableId, oid: Oid) -> Result<AnnotatedTuple> {
-        let values = self.catalog.table(table)?.get(oid)?;
-        let summaries = self.summaries_of(table, oid)?;
-        Ok(AnnotatedTuple {
-            source: Some((table, oid)),
-            values,
-            summaries,
-        })
-    }
-
-    /// Scan all tuples of a table with their summaries.
-    pub fn scan_annotated(&self, table: TableId) -> Result<Vec<AnnotatedTuple>> {
-        let t = self.catalog.table(table)?;
-        let storage = self
-            .summaries
-            .get(&table)
-            .ok_or_else(|| table_not_found(table))?;
-        let mut out = Vec::with_capacity(t.len());
-        for (oid, values) in t.scan() {
-            out.push(AnnotatedTuple {
-                source: Some((table, oid)),
-                values,
-                summaries: storage.read(oid)?,
-            });
-        }
-        Ok(out)
-    }
+/// The distinct tuples of `attachments`, in OID order.
+fn distinct_oids(attachments: &[Attachment]) -> Vec<Oid> {
+    let mut oids: Vec<Oid> = attachments.iter().map(|a| a.oid).collect();
+    oids.sort_unstable();
+    oids.dedup();
+    oids
 }
 
 #[cfg(test)]
@@ -1281,6 +1287,102 @@ mod tests {
         // Deleting cleans up both tables.
         db.delete_annotation(id).unwrap();
         assert!(db.common_annotations(t, oids[0], t2, o2).is_empty());
+    }
+
+    /// Tables `A` and `B`, each with one tuple and classifier `C`, and an
+    /// annotation `x` whose body is home in `A` (on `a1`), also attached to
+    /// `B`'s `b1`.
+    fn shared_annotation() -> (Database, [(TableId, Oid); 2], AnnotId) {
+        let mut db = Database::new();
+        let mut side = |name: &str| {
+            let t = db
+                .create_table(name, Schema::of(&[("x", ColumnType::Int)]))
+                .unwrap();
+            let oid = db.insert_tuple(t, vec![Value::Int(1)]).unwrap();
+            db.link_instance(t, "C", classifier_kind(), false).unwrap();
+            (t, oid)
+        };
+        let ((a, a1), (b, b1)) = (side("A"), side("B"));
+        let (x, _) = db
+            .add_annotation(
+                a,
+                "observed disease outbreak with lesions",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(a1)],
+            )
+            .unwrap();
+        db.attach_annotation(b, x, vec![Attachment::row(b1)])
+            .unwrap();
+        (db, [(a, a1), (b, b1)], x)
+    }
+
+    /// `x` still resolves and zooms in behind `(table, oid)`, which still
+    /// counts it, and a restored dump reads the same summaries there.
+    fn assert_shared_survives(db: &Database, (table, oid): (TableId, Oid), x: AnnotId) {
+        assert_eq!(db.get_annotation(x).unwrap().id, x);
+        let zoomed =
+            crate::zoom::zoom_in(db, table, oid, "C", &crate::zoom::ZoomTarget::All).unwrap();
+        assert_eq!(zoomed.iter().map(|a| a.id).collect::<Vec<_>>(), vec![x]);
+        let live = db.summaries_of(table, oid).unwrap();
+        let Rep::Classifier(c) = &live[0].rep else {
+            panic!()
+        };
+        assert_eq!(c.count("Disease"), Some(1));
+        // Object ids are re-drawn on restore; the rest must match.
+        let observable = |set: Vec<SummaryObject>| -> Vec<(String, Rep)> {
+            set.into_iter().map(|o| (o.instance_name, o.rep)).collect()
+        };
+        let restored = Database::restore(&db.dump().unwrap()).unwrap();
+        assert_eq!(
+            observable(restored.summaries_of(table, oid).unwrap()),
+            observable(live)
+        );
+        assert_eq!(restored.get_annotation(x), db.get_annotation(x));
+    }
+
+    #[test]
+    fn deleting_an_external_tuple_keeps_a_shared_annotation() {
+        let (mut db, [a, b], x) = shared_annotation();
+        db.delete_tuple(b.0, b.1).unwrap();
+        assert_shared_survives(&db, a, x);
+        // The last holder goes, and the body with it.
+        db.delete_tuple(a.0, a.1).unwrap();
+        assert_eq!(
+            db.get_annotation(x),
+            Err(CoreError::AnnotationNotFound(x.0))
+        );
+        assert!(db.annotation_store(a.0).is_empty());
+    }
+
+    #[test]
+    fn deleting_the_home_tuple_keeps_a_shared_annotation() {
+        let (mut db, [a, b], x) = shared_annotation();
+        db.delete_tuple(a.0, a.1).unwrap();
+        assert_shared_survives(&db, b, x);
+        // The body stayed home, in `A`'s store, and goes with `B`'s posting.
+        assert!(db.annotation_store(a.0).stores_body(x));
+        db.delete_tuple(b.0, b.1).unwrap();
+        assert_eq!(
+            db.get_annotation(x),
+            Err(CoreError::AnnotationNotFound(x.0))
+        );
+        assert!(db.annotation_store(a.0).is_empty());
+    }
+
+    #[test]
+    fn deleting_a_shared_annotation_after_its_home_tuple_deletes_the_body() {
+        let (mut db, [a, b], x) = shared_annotation();
+        db.delete_tuple(a.0, a.1).unwrap();
+        let deltas = db.delete_annotation(x).unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].table, b.0);
+        assert_eq!(
+            db.get_annotation(x),
+            Err(CoreError::AnnotationNotFound(x.0))
+        );
+        assert!(db.annotation_store(a.0).is_empty());
+        assert!(db.annotation_store(b.0).for_tuple(b.1).is_empty());
     }
 
     #[test]

@@ -246,10 +246,7 @@ impl DeltaJournal {
             return;
         }
         self.entries.push_back(entry);
-        while self.entries.len() > self.retention {
-            let dropped = self.entries.pop_front().expect("non-empty");
-            self.truncated_through = dropped.revision;
-        }
+        self.truncate_to_retention();
     }
 
     /// Last revision that touched `table` (0 if never touched — or the
@@ -329,9 +326,14 @@ impl DeltaJournal {
     /// the rebuild-on-stale baseline for the maintenance experiment).
     pub fn set_retention(&mut self, retention: usize) {
         self.retention = retention;
-        while self.entries.len() > self.retention {
-            let dropped = self.entries.pop_front().expect("non-empty");
-            self.truncated_through = dropped.revision;
+        self.truncate_to_retention();
+    }
+
+    /// Drop the oldest entries until at most `retention` are left.
+    fn truncate_to_retention(&mut self) {
+        let excess = self.entries.len().saturating_sub(self.retention);
+        if let Some(last) = self.entries.drain(..excess).next_back() {
+            self.truncated_through = last.revision;
         }
     }
 

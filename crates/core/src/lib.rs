@@ -23,7 +23,11 @@
 //! * [`db`] — the [`db::Database`] facade tying tables, annotation stores,
 //!   instances, and summary storage together.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod algebra;
+#[cfg(test)]
+mod catalog;
 pub mod db;
 pub mod instance;
 pub mod journal;

@@ -20,14 +20,14 @@
 //! snapshot it extends, and [`Database::recover`](crate::recover) replays
 //! the committed log tail over it.
 
-use instn_annot::{AnnotId, AnnotationStore, Attachment, Category, ColumnSet};
+use instn_annot::{AnnotId, Attachment, Category, ColumnSet};
 use instn_mining::clustream::ClusterParams;
 use instn_mining::nb::NaiveBayes;
 use instn_storage::codec::{put_bytes, put_f64, put_str, put_u32, put_u64, Reader};
 use instn_storage::tuple::{decode_tuple, encode_tuple};
 use instn_storage::{ColumnType, Oid, Schema, TableId, Tuple};
 
-use crate::db::{table_not_found, Database};
+use crate::db::Database;
 use crate::instance::{InstanceKind, InstanceScope};
 use crate::{CoreError, Result};
 
@@ -221,17 +221,14 @@ pub(crate) fn split_trailer(bytes: &[u8]) -> Option<(&[u8], u32)> {
     Some((body, Reader::new(trailer).u32().ok()?))
 }
 
-/// One table's annotation store and its postings sorted by (annotation,
-/// tuple), with how far the dump's walk over ascending annotation ids has
-/// got in them.
-struct TableAnnotations<'a> {
-    table: TableId,
-    store: &'a AnnotationStore,
+/// One table's annotation postings sorted by (annotation, tuple), with how
+/// far the dump's walk over ascending annotation ids has got in them.
+struct TableAnnotations {
     postings: Vec<(Oid, AnnotId, ColumnSet)>,
     at: usize,
 }
 
-impl TableAnnotations<'_> {
+impl TableAnnotations {
     /// The postings of annotation `id`, in tuple order. Ids must be asked
     /// for in ascending order; asking for the same id again gives the same
     /// run.
@@ -266,10 +263,9 @@ impl Database {
         put_u64(&mut out, self.next_obj);
 
         // Tables (dense ids from 0): name, schema, tuples with OIDs.
-        let tables = self.catalog.list();
-        put_u32(&mut out, tables.len() as u32);
-        for (tid, _) in &tables {
-            let table = self.catalog.table(*tid)?;
+        put_u32(&mut out, self.tables.len() as u32);
+        for entry in &self.tables {
+            let table = &entry.table;
             put_str(&mut out, table.name());
             put_columns(&mut out, table.schema().columns());
             let oids = table.oids();
@@ -281,10 +277,9 @@ impl Database {
         }
 
         // Instances per table, in link order.
-        for (tid, _) in &tables {
-            let insts = self.instances(*tid);
-            put_u32(&mut out, insts.len() as u32);
-            for inst in insts {
+        for entry in &self.tables {
+            put_u32(&mut out, entry.instances.len() as u32);
+            for inst in &entry.instances {
                 put_str(&mut out, &inst.name);
                 out.push(inst.indexable as u8);
                 put_scope(&mut out, &inst.scope);
@@ -292,46 +287,34 @@ impl Database {
             }
         }
 
-        // Annotations in ascending id order with per-table attachments.
-        let mut homes: Vec<(AnnotId, TableId)> =
-            self.annot_home.iter().map(|(&id, &t)| (id, t)).collect();
-        homes.sort_unstable_by_key(|&(id, _)| id);
-        put_u64(&mut out, homes.len() as u64);
-        let mut annotations: Vec<TableAnnotations> = tables
+        // Annotations in ascending id order with per-table attachments. The
+        // home is written apart from the tables holding postings: it keeps
+        // the body after its own postings ran out.
+        let mut placements: Vec<_> = self.placements.iter().collect();
+        placements.sort_unstable_by_key(|&(id, _)| *id);
+        put_u64(&mut out, placements.len() as u64);
+        // Indexed by table id, like the entries.
+        let mut annotations: Vec<TableAnnotations> = self
+            .tables
             .iter()
-            .map(|&(table, _)| {
-                let store = self.annotation_store(table);
-                TableAnnotations {
-                    table,
-                    store,
-                    postings: store.postings_snapshot(),
-                    at: 0,
-                }
+            .map(|entry| TableAnnotations {
+                postings: entry.annotations.postings_snapshot(),
+                at: 0,
             })
             .collect();
-        for &(id, home) in &homes {
-            let annot = annotations
-                .iter()
-                .find(|t| t.table == home)
-                .ok_or_else(|| table_not_found(home))?
-                .store
-                .get(id)?;
+        for (&id, placement) in placements {
+            let annot = self.get_annotation(id)?;
             put_u64(&mut out, id.0);
-            put_u32(&mut out, home.0);
+            put_u32(&mut out, placement.home.0);
             out.push(annot.category.tag());
             put_u64(&mut out, annot.revision);
             put_str(&mut out, &annot.author);
             put_str(&mut out, &annot.text);
-            let attached_tables = self
-                .annot_tables
-                .get(&id)
-                .map_or(std::slice::from_ref(&home), Vec::as_slice);
-            put_u32(&mut out, attached_tables.len() as u32);
-            for t in attached_tables {
+            put_u32(&mut out, placement.tables.len() as u32);
+            for t in &placement.tables {
                 put_u32(&mut out, t.0);
                 let atts = annotations
-                    .iter_mut()
-                    .find(|a| a.table == *t)
+                    .get_mut(t.0 as usize)
                     .map_or(&[][..], |a| a.postings_of(id));
                 put_attachments(&mut out, atts.iter().map(|(oid, _, cs)| (*oid, cs)));
             }

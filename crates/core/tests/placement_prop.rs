@@ -1,0 +1,241 @@
+//! Property test: an annotation's body lives as long as any table holds a
+//! posting for it.
+//!
+//! Random op streams over two tables share annotations across them and
+//! within one, delete tuples on either side, delete annotations and link
+//! instances. After every op: each annotation a summary object counts, and
+//! each annotation posted on a live tuple, resolves through
+//! [`Database::get_annotation`]; a dump restores to the live summaries; and
+//! the restored database dumps the same bytes.
+
+use instn_annot::{AnnotId, Attachment, Category};
+use instn_core::db::Database;
+use instn_core::instance::{InstanceKind, InstanceScope};
+use instn_core::{CoreError, Rep, SummaryObject};
+use instn_mining::nb::NaiveBayes;
+use instn_storage::{ColumnType, Oid, Schema, TableId, Value};
+use proptest::prelude::*;
+
+const TEXTS: [&str; 5] = [
+    "observed disease outbreak with lesions near the lake",
+    "eating stonewort and foraging along the shore before migration",
+    "field station weather note for the volunteer season count",
+    "virus infection suspected, parasite load high",
+    "courtship song and preening in the flock at dawn",
+];
+
+fn classifier() -> InstanceKind {
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Behavior".into(), "Other".into()]);
+    model.train(
+        "disease outbreak infection virus parasite lesion",
+        "Disease",
+    );
+    model.train(
+        "eating foraging migration song nesting stonewort",
+        "Behavior",
+    );
+    model.train("field station weather note volunteer season", "Other");
+    InstanceKind::Classifier { model }
+}
+
+/// The database under test and what the stream knows of it.
+struct World {
+    db: Database,
+    tables: [TableId; 2],
+    live: [Vec<Oid>; 2],
+    /// Every annotation added, with the side it was added on (its home).
+    annotations: Vec<(AnnotId, usize)>,
+    linked: usize,
+}
+
+impl World {
+    fn new() -> Self {
+        let mut db = Database::new();
+        let mut tables = Vec::new();
+        let mut live = [Vec::new(), Vec::new()];
+        for (side, name) in ["A", "B"].into_iter().enumerate() {
+            let t = db
+                .create_table(name, Schema::of(&[("x", ColumnType::Int)]))
+                .unwrap();
+            for i in 0..3 {
+                live[side].push(db.insert_tuple(t, vec![Value::Int(i)]).unwrap());
+            }
+            db.link_instance(t, "C", classifier(), false).unwrap();
+            tables.push(t);
+        }
+        Self {
+            db,
+            tables: [tables[0], tables[1]],
+            live,
+            annotations: Vec::new(),
+            linked: 0,
+        }
+    }
+
+    /// Whether `oid` of `side` already holds a posting for `id`.
+    fn holds(&self, side: usize, oid: Oid, id: AnnotId) -> bool {
+        self.db
+            .annotation_store(self.tables[side])
+            .for_tuple(oid)
+            .contains(&id)
+    }
+
+    /// Attach annotation number `a` to a tuple of its home's side (`same`)
+    /// or of the other one, one it is not on yet.
+    fn attach(&mut self, a: usize, b: usize, same: bool) -> Result<(), TestCaseError> {
+        let Some(&(id, home)) = self.annotations.get(a % self.annotations.len().max(1)) else {
+            return Ok(());
+        };
+        let side = if same { home } else { 1 - home };
+        let Some(&oid) = self.live[side].get(b % self.live[side].len().max(1)) else {
+            return Ok(());
+        };
+        if self.holds(side, oid, id) {
+            return Ok(());
+        }
+        let alive = self.db.get_annotation(id).is_ok();
+        let res = self
+            .db
+            .attach_annotation(self.tables[side], id, vec![Attachment::row(oid)]);
+        if alive {
+            prop_assert!(res.is_ok(), "attach {id:?}: {res:?}");
+        } else {
+            prop_assert_eq!(res.err(), Some(CoreError::AnnotationNotFound(id.0)));
+        }
+        Ok(())
+    }
+
+    fn apply(&mut self, (op, side, a, b): (u8, usize, usize, usize)) -> Result<(), TestCaseError> {
+        let table = self.tables[side];
+        match op {
+            0 | 1 => {
+                let n = self.live[side].len();
+                if n == 0 {
+                    return Ok(());
+                }
+                let mut atts = vec![Attachment::row(self.live[side][b % n])];
+                if op == 1 && n > 1 {
+                    atts.push(Attachment::row(self.live[side][(b + 1) % n]));
+                }
+                let text = TEXTS[a % TEXTS.len()];
+                let (id, _) = self
+                    .db
+                    .add_annotation(table, text, Category::Other, "u", atts)
+                    .unwrap();
+                self.annotations.push((id, side));
+            }
+            2 => self.attach(a, b, false)?,
+            3 => self.attach(a, b, true)?,
+            4 => {
+                let n = self.live[side].len();
+                if n > 0 {
+                    let oid = self.live[side].remove(a % n);
+                    self.db.delete_tuple(table, oid).unwrap();
+                }
+            }
+            5 => {
+                let Some(&(id, _)) = self.annotations.get(a % self.annotations.len().max(1)) else {
+                    return Ok(());
+                };
+                let alive = self.db.get_annotation(id).is_ok();
+                let res = self.db.delete_annotation(id);
+                if alive {
+                    prop_assert!(res.is_ok(), "delete {id:?}: {res:?}");
+                } else {
+                    prop_assert_eq!(res.err(), Some(CoreError::AnnotationNotFound(id.0)));
+                }
+                prop_assert!(self.db.get_annotation(id).is_err());
+            }
+            6 => {
+                self.linked += 1;
+                let name = format!("L{}", self.linked);
+                let (kind, scope) = if a % 2 == 0 {
+                    (
+                        classifier(),
+                        InstanceScope::ContainsAny(vec!["disease".into()]),
+                    )
+                } else {
+                    let snippet = InstanceKind::Snippet {
+                        min_chars: 10,
+                        max_chars: 40,
+                    };
+                    (snippet, InstanceScope::All)
+                };
+                self.db
+                    .link_instance_scoped(table, &name, kind, false, Some(scope))
+                    .unwrap();
+            }
+            _ => {
+                let oid = self
+                    .db
+                    .insert_tuple(table, vec![Value::Int(a as i64)])
+                    .unwrap();
+                self.live[side].push(oid);
+            }
+        }
+        Ok(())
+    }
+
+    /// Every annotation a summary counts, or a live tuple holds a posting
+    /// for, resolves; the dump restores to the live summaries and dumps
+    /// back to itself.
+    fn check(&self) -> Result<(), TestCaseError> {
+        let dump = self.db.dump().unwrap();
+        let restored = Database::restore(&dump);
+        prop_assert!(restored.is_ok(), "restore: {:?}", restored.as_ref().err());
+        let restored = restored.unwrap();
+        for side in 0..2 {
+            let table = self.tables[side];
+            for &oid in &self.live[side] {
+                let set = self.db.summaries_of(table, oid).unwrap();
+                let counted = set.iter().flat_map(|o| o.all_annotations());
+                let posted = self.db.annotation_store(table).for_tuple(oid);
+                for id in counted.chain(posted) {
+                    let got = self.db.get_annotation(id);
+                    prop_assert!(got.is_ok(), "{id:?} on {table:?}/{oid:?}: {got:?}");
+                }
+                prop_assert_eq!(
+                    canonical(restored.summaries_of(table, oid).unwrap()),
+                    canonical(set),
+                    "{:?}/{:?}",
+                    table,
+                    oid
+                );
+            }
+        }
+        prop_assert!(restored.dump().unwrap() == dump, "restored dump differs");
+        Ok(())
+    }
+}
+
+/// A summary set as restore must give it back: object ids are re-drawn,
+/// replay folds annotations in id order, not in the order the stream
+/// attached them, so each representative's members are compared as a set,
+/// and an object every annotation left again is not replayed at all.
+fn canonical(set: Vec<SummaryObject>) -> Vec<(String, Rep)> {
+    set.into_iter()
+        .filter(|o| !o.is_empty())
+        .map(|o| {
+            let mut rep = o.rep;
+            match &mut rep {
+                Rep::Classifier(c) => c.elements.iter_mut().for_each(|e| e.sort_unstable()),
+                Rep::Snippet(s) => s.entries.sort_by_key(|e| e.source),
+                Rep::Cluster(_) => {}
+            }
+            (o.instance_name, rep)
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn shared_annotations_resolve_and_restore(
+        ops in prop::collection::vec((0u8..8, 0usize..2, 0usize..64, 0usize..64), 1..40)
+    ) {
+        let mut world = World::new();
+        for op in ops {
+            world.apply(op)?;
+            world.check()?;
+        }
+    }
+}

@@ -24,7 +24,6 @@
 //! * [`mod@tuple`] — values, tuples, schemas, and their byte encoding,
 //! * [`table`] — a heap-backed table with stable OIDs and an OID → heap
 //!   location B-Tree (the substrate behind the paper's `diskTupleLoc()`),
-//! * [`catalog`] — the table registry,
 //! * [`wal`] — a physical write-ahead log (length-prefixed, checksummed
 //!   records) with a deterministic fault injector; the buffer pool forces it
 //!   ahead of every page write-back so crash recovery can replay a
@@ -36,7 +35,6 @@
 
 pub mod btree;
 pub mod buffer;
-pub mod catalog;
 pub mod codec;
 pub mod error;
 pub mod heap;
@@ -49,13 +47,12 @@ pub mod wal;
 
 pub use btree::{BTree, Cursor, CursorDesc};
 pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey};
-pub use catalog::{Catalog, TableId};
 pub use error::StorageError;
 pub use heap::{HeapFile, RecordFormat, SharedRecord};
 pub use io::{IoScope, IoSnapshot, IoStats};
 pub use page::{PageId, RecordId, PAGE_SIZE};
 pub use pager::Pager;
-pub use table::{Oid, ScanCursor, Table};
+pub use table::{Oid, ScanCursor, Table, TableId};
 pub use tuple::{ColumnType, EncodedTuple, Schema, Tuple, TupleView, Value, ValueRef};
 pub use wal::{crc32, Crc32, FaultInjector, Lsn, Wal, WalRecordKind, WalScan};
 
@@ -77,7 +74,6 @@ const _: () = {
     assert_send_sync::<BTree<u64>>();
     assert_send_sync::<BTree<Oid>>();
     assert_send_sync::<Table>();
-    assert_send_sync::<Catalog>();
     assert_send_sync::<Wal>();
     assert_send_sync::<FaultInjector>();
     assert_send_sync::<IoStats>();

@@ -33,6 +33,11 @@ impl Oid {
     }
 }
 
+/// Identifier of a table within one database: dense from 0 in creation
+/// order, never reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TableId(pub u32);
+
 /// A user relation: schema + heap file + OID index.
 #[derive(Debug)]
 pub struct Table {
