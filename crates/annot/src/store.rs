@@ -78,7 +78,8 @@ impl AnnotationStore {
         self.heap.page_count()
     }
 
-    /// Add an annotation with its attachments; assigns the id.
+    /// Add an annotation with its attachments; assigns the id. Returns it
+    /// with the tuples it was posted on, like [`AnnotationStore::add_with_id`].
     pub fn add(
         &mut self,
         text: String,
@@ -86,31 +87,15 @@ impl AnnotationStore {
         author: String,
         revision: u64,
         attachments: Vec<Attachment>,
-    ) -> Result<AnnotId, StorageError> {
+    ) -> Result<(AnnotId, Vec<Oid>), StorageError> {
         let id = AnnotId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let annot = Annotation {
-            id,
-            text,
-            category,
-            author,
-            revision,
-        };
-        let rid = self.heap.insert(&annot.encode())?;
-        self.locations.insert(id, rid);
-        let mut oids = Vec::with_capacity(attachments.len());
-        for att in attachments {
-            self.postings
-                .entry(att.oid)
-                .or_default()
-                .push((id, att.columns));
-            oids.push(att.oid);
-        }
-        self.attachments.insert(id, oids);
-        Ok(id)
+        let posted = self.add_with_id(id, text, category, author, revision, attachments)?;
+        Ok((id, posted))
     }
 
     /// Add an annotation under an explicit id (persistence replay). The
-    /// shared id counter advances past it.
+    /// shared id counter advances past it. Returns the tuples it was posted
+    /// on (see [`AnnotationStore::attach_external`]).
     pub fn add_with_id(
         &mut self,
         id: AnnotId,
@@ -119,7 +104,7 @@ impl AnnotationStore {
         author: String,
         revision: u64,
         attachments: Vec<Attachment>,
-    ) -> Result<(), StorageError> {
+    ) -> Result<Vec<Oid>, StorageError> {
         if self.locations.contains_key(&id) {
             return Err(StorageError::TableExists(format!("annotation {}", id.0)));
         }
@@ -133,16 +118,29 @@ impl AnnotationStore {
         };
         let rid = self.heap.insert(&annot.encode())?;
         self.locations.insert(id, rid);
-        let mut oids = Vec::with_capacity(attachments.len());
+        Ok(self.post(id, attachments))
+    }
+
+    /// Post `id` on every attachment's tuple. A tuple holds at most one
+    /// posting per annotation: attaching it again widens that posting by
+    /// the attachment's columns. Returns the tuples newly posted, in OID
+    /// order; `attachments` keeps them in attachment order.
+    fn post(&mut self, id: AnnotId, attachments: Vec<Attachment>) -> Vec<Oid> {
+        let oids = self.attachments.entry(id).or_default();
+        oids.reserve_exact(attachments.len());
+        let mut posted = Vec::with_capacity(attachments.len());
         for att in attachments {
-            self.postings
-                .entry(att.oid)
-                .or_default()
-                .push((id, att.columns));
-            oids.push(att.oid);
+            let list = self.postings.entry(att.oid).or_default();
+            if !oids.contains(&att.oid) {
+                list.push((id, att.columns));
+                oids.push(att.oid);
+                posted.push(att.oid);
+            } else if let Some((_, cs)) = list.iter_mut().find(|(a, _)| *a == id) {
+                *cs = cs.union(&att.columns);
+            }
         }
-        self.attachments.insert(id, oids);
-        Ok(())
+        posted.sort_unstable();
+        posted
     }
 
     /// Every posting in this store, as `(tuple, annotation, columns)`
@@ -160,17 +158,11 @@ impl AnnotationStore {
 
     /// Attach an annotation *stored elsewhere* (another table's store) to
     /// tuples of this store's table. Only postings are recorded here; the
-    /// body stays in its home store.
-    pub fn attach_external(&mut self, id: AnnotId, attachments: Vec<Attachment>) {
-        let mut oids = self.attachments.remove(&id).unwrap_or_default();
-        for att in attachments {
-            self.postings
-                .entry(att.oid)
-                .or_default()
-                .push((id, att.columns));
-            oids.push(att.oid);
-        }
-        self.attachments.insert(id, oids);
+    /// body stays in its home store. Returns the tuples newly posted, in
+    /// OID order: a tuple already holding a posting for `id` only has it
+    /// widened by the attachment's columns.
+    pub fn attach_external(&mut self, id: AnnotId, attachments: Vec<Attachment>) -> Vec<Oid> {
+        self.post(id, attachments)
     }
 
     /// Whether this store holds the annotation *body* (not just postings).
@@ -321,6 +313,7 @@ mod tests {
     fn add(s: &mut AnnotationStore, text: &str, atts: Vec<Attachment>) -> AnnotId {
         s.add(text.into(), Category::Other, "t".into(), 1, atts)
             .unwrap()
+            .0
     }
 
     #[test]
@@ -411,7 +404,7 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(1));
         let mut home = AnnotationStore::with_counter(Arc::clone(&stats), Arc::clone(&counter));
         let mut other = AnnotationStore::with_counter(stats, counter);
-        let id = home
+        let (id, _) = home
             .add(
                 "shared note".into(),
                 Category::Comment,
@@ -420,12 +413,15 @@ mod tests {
                 vec![Attachment::row(Oid(1))],
             )
             .unwrap();
-        other.attach_external(id, vec![Attachment::row(Oid(9))]);
+        assert_eq!(
+            other.attach_external(id, vec![Attachment::row(Oid(9))]),
+            [Oid(9)]
+        );
         assert!(home.stores_body(id));
         assert!(!other.stores_body(id));
         assert_eq!(other.for_tuple(Oid(9)), vec![id]);
         // Ids never collide across the two stores.
-        let id2 = other
+        let (id2, _) = other
             .add(
                 "own note".into(),
                 Category::Comment,
@@ -438,6 +434,38 @@ mod tests {
         // Deleting the external posting works without a body.
         other.delete(id).unwrap();
         assert_eq!(other.for_tuple(Oid(9)), vec![id2]);
+    }
+
+    #[test]
+    fn a_second_attachment_to_a_tuple_widens_its_posting() {
+        let mut s = store();
+        let (id, posted) = s
+            .add(
+                "twice on one".into(),
+                Category::Other,
+                "t".into(),
+                1,
+                vec![
+                    Attachment::cells(Oid(2), &[1]),
+                    Attachment::cells(Oid(1), &[0]),
+                    Attachment::cells(Oid(2), &[3]),
+                ],
+            )
+            .unwrap();
+        assert_eq!(posted, [Oid(1), Oid(2)]);
+        assert_eq!(s.attachments_on(Oid(2)), [(id, ColumnSet::cells(&[1, 3]))]);
+        assert_eq!(s.tuples_of(id), [Oid(2), Oid(1)]);
+        // Attaching again posts only the tuple not yet held; a row
+        // attachment widens a cell posting to the whole row.
+        let posted = s.attach_external(id, vec![Attachment::row(Oid(1)), Attachment::row(Oid(3))]);
+        assert_eq!(posted, [Oid(3)]);
+        assert_eq!(s.attachments_on(Oid(1)), [(id, ColumnSet::Row)]);
+        assert_eq!(s.for_tuple(Oid(1)), [id]);
+        // The widened posting survives a projection keeping none of its
+        // first columns (paper Fig. 3 step 1 removes only cell effects).
+        assert_eq!(s.partition_by_projection(Oid(1), &[5]), (vec![id], vec![]));
+        assert_eq!(s.partition_by_projection(Oid(2), &[3]), (vec![id], vec![]));
+        assert_eq!(s.partition_by_projection(Oid(2), &[0]), (vec![], vec![id]));
     }
 
     #[test]

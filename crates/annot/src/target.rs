@@ -51,6 +51,14 @@ impl ColumnSet {
         }
     }
 
+    /// The columns either set covers: with a row attachment, the row.
+    pub(crate) fn union(&self, other: &ColumnSet) -> ColumnSet {
+        match (self, other) {
+            (ColumnSet::Cells(a), ColumnSet::Cells(b)) => ColumnSet::Cells(a | b),
+            _ => ColumnSet::Row,
+        }
+    }
+
     /// Columns covered by this set (empty for row-level).
     pub fn columns(&self) -> Vec<usize> {
         match self {

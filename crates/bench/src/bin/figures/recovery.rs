@@ -113,7 +113,7 @@ fn recovery_step(
             )?;
         }
         4 => {
-            db.bump_revision();
+            db.bump_revision()?;
         }
         5 => {
             if aids.is_empty() {
@@ -151,7 +151,7 @@ fn recovery_step(
             if let Some(oid) = extra.pop() {
                 db.delete_tuple(t, oid)?;
             } else {
-                db.bump_revision();
+                db.bump_revision()?;
             }
         }
     }

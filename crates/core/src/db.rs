@@ -22,6 +22,7 @@
 //! refreshed later) can replay the gap instead of rebuilding.
 
 use std::collections::HashMap;
+use std::ops::RangeFrom;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -30,12 +31,12 @@ use instn_obs::MetricsRegistry;
 use instn_storage::io::IoStats;
 use instn_storage::{BufferPool, Oid, Schema, StorageError, Table, TableId, Tuple, Wal};
 
-use crate::instance::{InstanceKind, SummaryInstance};
-use crate::journal::{DataChange, DeltaJournal, DEFAULT_JOURNAL_RETENTION};
+use crate::instance::{InstanceKind, InstanceScope, SummaryInstance};
+use crate::journal::{DataChange, Ddl, DeltaJournal, Effect, DEFAULT_JOURNAL_RETENTION};
 use crate::maintain::{LabelChange, SummaryDelta};
 use crate::recover::WalOp;
 use crate::storage::SummaryStorage;
-use crate::summary::{InstanceId, ObjId, SummaryObject};
+use crate::summary::{InstanceId, ObjId, Rep, SummaryObject};
 use crate::{AnnotatedTuple, CoreError, Result};
 
 /// Everything one user relation holds.
@@ -167,17 +168,14 @@ impl Database {
         self.journal.set_retention(retention);
     }
 
-    /// Advance the revision counter (used by versioned workloads).
-    pub fn bump_revision(&mut self) -> u64 {
-        self.wal_log(|| WalOp::BumpRevision);
-        self.revision += 1;
-        // A bare bump touches no table: the journal records nothing and no
-        // high-water mark moves, so indexes correctly skip maintenance.
-        // Keep the infallible signature: a failed commit force means a
-        // simulated crash already latched, and the very next fallible
-        // mutation surfaces it; recovery discards this uncommitted bump.
-        let _ = self.wal_finish(Ok(()));
-        self.revision
+    /// Advance the revision counter (used by versioned workloads). A bare
+    /// bump touches no table: the journal stores nothing and no high-water
+    /// mark moves, so indexes correctly skip maintenance. A failed commit
+    /// (a crash already latched) is returned; recovery discards the bump.
+    pub fn bump_revision(&mut self) -> Result<u64> {
+        let op = |_: &()| WalOp::BumpRevision;
+        self.commit((), op, |_, ()| Ok(((), Effect::default())))?;
+        Ok(self.revision)
     }
 
     /// The entry of `table`, or `TableNotFound` — so a mutator can fail
@@ -195,19 +193,27 @@ impl Database {
             .ok_or_else(|| StorageError::TableNotFound(format!("#{}", table.0)).into())
     }
 
-    /// Seal a top-level mutation: WAL-commit it, then advance the revision
-    /// counter on success so revision-stamped index registrations (see
-    /// `instn-query`) can detect that their view of this database is stale.
+    /// The one path every mutation commits through: log the `op` record of
+    /// `args` (built only with a WAL attached), `apply` the mutation to
+    /// them, commit and force the record (abort it if `apply` failed), then
+    /// advance the revision and seal the mutation's [`Effect`] into the
+    /// journal under it.
     ///
-    /// The bump itself is *not* WAL-logged: recovery replays committed ops
-    /// through these same public wrappers, so the recovered counter lands on
-    /// the identical value, and the checkpoint snapshot already persists it.
-    fn finish_mutation<T>(&mut self, res: Result<T>) -> Result<T> {
-        let res = self.wal_finish(res);
-        if res.is_ok() {
-            self.revision += 1;
-        }
-        res
+    /// The bump itself is *not* logged: recovery replays committed ops
+    /// through the public mutators, so through here, and the recovered
+    /// counter lands on the identical value.
+    fn commit<A, T>(
+        &mut self,
+        args: A,
+        op: impl FnOnce(&A) -> WalOp,
+        apply: impl FnOnce(&mut Self, A) -> Result<(T, Effect)>,
+    ) -> Result<T> {
+        self.wal_log(|| op(&args));
+        let res = apply(self, args);
+        let (value, effect) = self.wal_finish(res)?;
+        self.revision += 1;
+        self.journal.seal(self.revision, effect);
+        Ok(value)
     }
 
     // ------------------------------------------------------------------
@@ -216,30 +222,28 @@ impl Database {
 
     /// Create a user relation.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<TableId> {
-        self.wal_log(|| WalOp::CreateTable {
+        let op = |schema: &Schema| WalOp::CreateTable {
             name: name.to_string(),
             cols: schema.columns().to_vec(),
-        });
-        let res = self.create_table_inner(name, schema);
-        self.finish_mutation(res)
-    }
-
-    fn create_table_inner(&mut self, name: &str, schema: Schema) -> Result<TableId> {
-        if self.by_name.contains_key(name) {
-            return Err(StorageError::TableExists(name.to_string()).into());
-        }
-        let id = TableId(self.tables.len() as u32);
-        self.tables.push(TableEntry {
-            table: Table::with_pool(name, schema, Arc::clone(&self.pool)),
-            annotations: AnnotationStore::with_pool_and_counter(
-                Arc::clone(&self.pool),
-                Arc::clone(&self.annot_counter),
-            ),
-            instances: Vec::new(),
-            summaries: SummaryStorage::with_pool(Arc::clone(&self.pool)),
-        });
-        self.by_name.insert(name.to_string(), id);
-        Ok(id)
+        };
+        self.commit(schema, op, |db, schema| {
+            if db.by_name.contains_key(name) {
+                return Err(StorageError::TableExists(name.to_string()).into());
+            }
+            let id = TableId(db.tables.len() as u32);
+            let pool = &db.pool;
+            db.tables.push(TableEntry {
+                table: Table::with_pool(name, schema, Arc::clone(pool)),
+                annotations: AnnotationStore::with_pool_and_counter(
+                    Arc::clone(pool),
+                    Arc::clone(&db.annot_counter),
+                ),
+                instances: Vec::new(),
+                summaries: SummaryStorage::with_pool(Arc::clone(pool)),
+            });
+            db.by_name.insert(name.to_string(), id);
+            Ok((id, Effect::default()))
+        })
     }
 
     /// Resolve a table name.
@@ -263,22 +267,15 @@ impl Database {
 
     /// Insert a data tuple.
     pub fn insert_tuple(&mut self, table: TableId, tuple: Tuple) -> Result<Oid> {
-        self.wal_log(|| WalOp::InsertTuple {
+        let op = |tuple: &Tuple| WalOp::InsertTuple {
             table,
             tuple: tuple.clone(),
-        });
-        let values = tuple.clone();
-        let res = (|| Ok(self.table_mut(table)?.insert(tuple)?))();
-        let res = self.finish_mutation(res);
-        if let Ok(oid) = res {
-            self.journal.record(
-                self.revision,
-                false,
-                vec![DataChange::Insert { table, oid, values }],
-                Vec::new(),
-            );
-        }
-        res
+        };
+        self.commit(tuple, op, |db, tuple| {
+            let values = tuple.clone();
+            let oid = db.table_mut(table)?.insert(tuple)?;
+            Ok((oid, Effect::data(DataChange::Insert { table, oid, values })))
+        })
     }
 
     /// Update a data tuple's values in place. Returns `true` when the tuple
@@ -286,105 +283,56 @@ impl Database {
     /// relocation, and a backward-pointer index re-points that tuple when it
     /// catches up (`MaintainableIndex::catch_up` in `instn-index`).
     pub fn update_tuple(&mut self, table: TableId, oid: Oid, tuple: Tuple) -> Result<bool> {
-        self.wal_log(|| WalOp::UpdateTuple {
+        let op = |tuple: &Tuple| WalOp::UpdateTuple {
             table,
             oid,
             tuple: tuple.clone(),
-        });
-        let new_values = tuple.clone();
-        let res = self.update_tuple_inner(table, oid, tuple);
-        match self.finish_mutation(res) {
-            Ok((relocated, old)) => {
-                self.journal.record(
-                    self.revision,
-                    false,
-                    vec![DataChange::Update {
-                        table,
-                        oid,
-                        old,
-                        new: new_values,
-                        relocated,
-                    }],
-                    Vec::new(),
-                );
-                Ok(relocated)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn update_tuple_inner(
-        &mut self,
-        table: TableId,
-        oid: Oid,
-        tuple: Tuple,
-    ) -> Result<(bool, Tuple)> {
-        let t = self.table_mut(table)?;
-        let old = t.get(oid)?;
-        let before = t.disk_tuple_loc(oid)?;
-        t.update(oid, tuple)?;
-        let after = t.disk_tuple_loc(oid)?;
-        Ok((before != after, old))
+        };
+        self.commit(tuple, op, |db, tuple| {
+            let new = tuple.clone();
+            let t = db.table_mut(table)?;
+            let old = t.get(oid)?;
+            let before = t.disk_tuple_loc(oid)?;
+            t.update(oid, tuple)?;
+            let relocated = before != t.disk_tuple_loc(oid)?;
+            let change = DataChange::Update {
+                table,
+                oid,
+                old,
+                new,
+                relocated,
+            };
+            Ok((relocated, Effect::data(change)))
+        })
     }
 
     /// Delete a data tuple, its summary row, and its annotation postings.
     /// Returns the delta the indexes need to drop all of the tuple's keys.
     pub fn delete_tuple(&mut self, table: TableId, oid: Oid) -> Result<SummaryDelta> {
-        self.wal_log(|| WalOp::DeleteTuple { table, oid });
-        let res = self.delete_tuple_inner(table, oid);
-        match self.finish_mutation(res) {
-            Ok((delta, values)) => {
-                self.journal.record(
-                    self.revision,
-                    false,
-                    vec![DataChange::Delete { table, oid, values }],
-                    vec![delta.clone()],
-                );
-                Ok(delta)
+        let op = |_: &()| WalOp::DeleteTuple { table, oid };
+        self.commit((), op, |db, ()| {
+            // Capture the data values (for column-index maintenance) and
+            // final label counts (for summary-index cleanup) before
+            // anything is gone.
+            let values = db.table(table)?.get(oid)?;
+            let delta = deleted_row(table, oid, &db.summaries_of(table, oid)?);
+            // Remove the tuple's annotation postings. A body goes only with
+            // the last posting of any table.
+            for id in db.entry_mut(table)?.annotations.detach_tuple(oid) {
+                db.release_table(id, table)?;
             }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn delete_tuple_inner(&mut self, table: TableId, oid: Oid) -> Result<(SummaryDelta, Tuple)> {
-        // Capture the data values (for column-index maintenance) and final
-        // label counts (for summary-index cleanup) before anything is gone.
-        let values = self.table(table)?.get(oid)?;
-        let objects = self.summaries_of(table, oid)?;
-        let mut changes = Vec::new();
-        for obj in &objects {
-            if let crate::summary::Rep::Classifier(c) = &obj.rep {
-                for (label, &count) in c.labels.iter().zip(c.counts.iter()) {
-                    changes.push(LabelChange {
-                        instance: obj.instance_id,
-                        instance_name: obj.instance_name.clone(),
-                        label: label.clone(),
-                        old: Some(count),
-                        new: None,
-                    });
-                }
+            let entry = db.entry_mut(table)?;
+            if entry.summaries.contains(oid) {
+                entry.summaries.delete(oid)?;
             }
-        }
-        // Remove the tuple's annotation postings. A body goes only with the
-        // last posting of any table.
-        for id in self.entry_mut(table)?.annotations.detach_tuple(oid) {
-            self.release_table(id, table)?;
-        }
-        let entry = self.entry_mut(table)?;
-        if entry.summaries.contains(oid) {
-            entry.summaries.delete(oid)?;
-        }
-        entry.table.delete(oid)?;
-        Ok((
-            SummaryDelta {
-                table,
-                oid,
-                created_row: false,
-                deleted_row: true,
-                changes,
-            },
-            values,
-        ))
+            entry.table.delete(oid)?;
+            let effect = Effect {
+                data: vec![DataChange::Delete { table, oid, values }],
+                summary: vec![delta.clone()],
+                ddl: None,
+            };
+            Ok((delta, effect))
+        })
     }
 
     /// `table` holds no posting for `id` any more: drop it from the
@@ -429,38 +377,8 @@ impl Database {
         name: &str,
         kind: InstanceKind,
         indexable: bool,
-        scope: Option<crate::instance::InstanceScope>,
+        scope: Option<InstanceScope>,
     ) -> Result<(InstanceId, Vec<SummaryDelta>)> {
-        self.wal_log(|| WalOp::LinkInstance {
-            table,
-            name: name.to_string(),
-            kind: kind.clone(),
-            indexable,
-            scope: scope.clone().unwrap_or_default(),
-        });
-        let res = self.link_instance_scoped_inner(table, name, kind, indexable, scope);
-        let res = self.finish_mutation(res);
-        if let Ok((_, deltas)) = &res {
-            // Indexes replay the link's deltas like any others; cached
-            // plans see the DDL mark and replan.
-            self.journal
-                .record(self.revision, false, Vec::new(), deltas.clone());
-            self.journal.record_ddl(self.revision, table);
-        }
-        res
-    }
-
-    fn link_instance_scoped_inner(
-        &mut self,
-        table: TableId,
-        name: &str,
-        kind: InstanceKind,
-        indexable: bool,
-        scope: Option<crate::instance::InstanceScope>,
-    ) -> Result<(InstanceId, Vec<SummaryDelta>)> {
-        // The entry lookup fails an unknown table before an instance id is
-        // allocated or anything is half linked.
-        self.entry(table)?;
         let inst = SummaryInstance {
             id: InstanceId(self.next_instance),
             name: name.to_string(),
@@ -468,95 +386,85 @@ impl Database {
             indexable,
             scope: scope.unwrap_or_default(),
         };
-        self.next_instance += 1;
-        self.entry_mut(table)?.instances.push(inst.clone());
+        let op = |inst: &SummaryInstance| WalOp::LinkInstance {
+            table,
+            name: inst.name.clone(),
+            kind: inst.kind.clone(),
+            indexable,
+            scope: inst.scope.clone(),
+        };
+        self.commit(inst, op, |db, inst| db.link_instance_inner(table, inst))
+    }
 
-        // Summarize existing annotations tuple by tuple. `oids` comes in
-        // OID order: the index keys are big-endian.
-        let entry = self.entry(table)?;
-        let annotated: Vec<(Oid, Vec<AnnotId>)> = entry
-            .table
-            .oids()
-            .into_iter()
-            .map(|o| (o, entry.annotations.for_tuple(o)))
-            .filter(|(_, ids)| !ids.is_empty())
-            .collect();
-        let mut deltas = Vec::with_capacity(annotated.len());
-        for (oid, annot_ids) in annotated {
-            let mut obj = inst.new_object(ObjId(self.next_obj), oid);
-            self.next_obj += 1;
-            for aid in annot_ids {
-                let annot = self.get_annotation(aid)?;
-                if inst.scope.includes(&annot.text) {
-                    inst.add_annotation(&mut obj, &annot);
-                }
+    fn link_instance_inner(
+        &mut self,
+        table: TableId,
+        inst: SummaryInstance,
+    ) -> Result<((InstanceId, Vec<SummaryDelta>), Effect)> {
+        // The entry lookup fails an unknown table before the instance id is
+        // taken or anything is half linked.
+        let id = inst.id;
+        let instances = &mut self.entry_mut(table)?.instances;
+        instances.push(inst);
+        let linked = instances.len() - 1..;
+        self.next_instance += 1;
+        // Summarize existing annotations tuple by tuple, in OID order: the
+        // index keys are big-endian.
+        let mut deltas = Vec::new();
+        for oid in self.entry(table)?.table.oids() {
+            let ids = self.entry(table)?.annotations.for_tuple(oid);
+            if ids.is_empty() {
+                continue;
             }
-            // Record full label counts for bulk index creation.
-            let mut changes = Vec::new();
-            if let crate::summary::Rep::Classifier(c) = &obj.rep {
-                for (label, &count) in c.labels.iter().zip(c.counts.iter()) {
-                    changes.push(LabelChange {
-                        instance: obj.instance_id,
-                        instance_name: obj.instance_name.clone(),
-                        label: label.clone(),
-                        old: None,
-                        new: Some(count),
-                    });
-                }
-            }
-            let storage = &mut self.entry_mut(table)?.summaries;
-            let mut set = storage.read(oid)?;
-            set.push(obj);
-            let created = storage.write(oid, &set)?;
-            deltas.push(SummaryDelta {
-                table,
-                oid,
-                created_row: created,
-                deleted_row: false,
-                changes,
-            });
+            let annots = ids.into_iter().map(|id| self.get_annotation(id));
+            let annots = annots.collect::<Result<Vec<_>>>()?;
+            deltas.extend(self.fold(table, &[oid], &annots, linked.clone())?);
         }
-        Ok((inst.id, deltas))
+        // Indexes replay the link's deltas like any others; cached plans
+        // see the DDL mark and replan.
+        let effect = Effect {
+            summary: deltas.clone(),
+            ddl: Some(Ddl::Linked(table)),
+            ..Effect::default()
+        };
+        Ok(((id, deltas), effect))
     }
 
     /// `Alter Table <table> Drop <InstanceName>`: unlink an instance and
     /// remove its objects from every summary row.
     pub fn drop_instance(&mut self, table: TableId, name: &str) -> Result<()> {
-        self.wal_log(|| WalOp::DropInstance {
+        let op = |_: &()| WalOp::DropInstance {
             table,
             name: name.to_string(),
-        });
-        let res = self.drop_instance_inner(table, name);
-        let res = self.finish_mutation(res);
-        if res.is_ok() {
+        };
+        self.commit((), op, |db, ()| {
+            // Resolve everything before unlinking: an unknown table or
+            // instance leaves the database as it was.
+            let TableEntry {
+                instances,
+                summaries,
+                ..
+            } = db.entry_mut(table)?;
+            let Some(pos) = instances.iter().position(|i| i.name == name) else {
+                return Err(CoreError::InstanceNotFound(name.to_string()));
+            };
+            let id = instances.remove(pos).id;
+            for oid in summaries.oids() {
+                let mut set = summaries.read(oid)?;
+                let before = set.len();
+                set.retain(|o| o.instance_id != id);
+                if set.len() != before {
+                    summaries.write(oid, &set)?;
+                }
+            }
             // Removing an instance's objects from every summary row is not
             // expressible as per-label deltas — consumers must rebuild.
-            self.journal.record_structural(self.revision, vec![table]);
-        }
-        res
-    }
-
-    fn drop_instance_inner(&mut self, table: TableId, name: &str) -> Result<()> {
-        // Resolve everything before unlinking: an unknown table or instance
-        // leaves the database as it was.
-        let TableEntry {
-            instances,
-            summaries,
-            ..
-        } = self.entry_mut(table)?;
-        let Some(pos) = instances.iter().position(|i| i.name == name) else {
-            return Err(CoreError::InstanceNotFound(name.to_string()));
-        };
-        let id = instances.remove(pos).id;
-        for oid in summaries.oids() {
-            let mut set = summaries.read(oid)?;
-            let before = set.len();
-            set.retain(|o| o.instance_id != id);
-            if set.len() != before {
-                summaries.write(oid, &set)?;
-            }
-        }
-        Ok(())
+            let effect = Effect {
+                ddl: Some(Ddl::Dropped(table)),
+                ..Effect::default()
+            };
+            Ok(((), effect))
+        })
     }
 
     /// The instances linked to `table`.
@@ -577,7 +485,8 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Add a raw annotation attached to tuples of `table`, incrementally
-    /// updating every linked summary instance.
+    /// updating every linked summary instance. A tuple named twice is
+    /// posted once, over the union of the columns.
     pub fn add_annotation(
         &mut self,
         table: TableId,
@@ -586,114 +495,66 @@ impl Database {
         author: &str,
         attachments: Vec<Attachment>,
     ) -> Result<(AnnotId, Vec<SummaryDelta>)> {
-        self.wal_log(|| WalOp::AddAnnotation {
+        let op = |attachments: &Vec<Attachment>| WalOp::AddAnnotation {
             table,
             text: text.to_string(),
             category,
             author: author.to_string(),
             attachments: attachments.clone(),
-        });
-        let res = self.add_annotation_inner(table, text, category, author, attachments);
-        let res = self.finish_mutation(res);
-        if let Ok((_, deltas)) = &res {
-            self.journal
-                .record(self.revision, false, Vec::new(), deltas.clone());
-        }
-        res
-    }
-
-    fn add_annotation_inner(
-        &mut self,
-        table: TableId,
-        text: &str,
-        category: Category,
-        author: &str,
-        attachments: Vec<Attachment>,
-    ) -> Result<(AnnotId, Vec<SummaryDelta>)> {
-        let revision = self.revision;
-        let oids = distinct_oids(&attachments);
-        // The entry lookup fails an unknown table before the store
-        // allocates an annotation id.
-        let id = self.entry_mut(table)?.annotations.add(
-            text.to_string(),
-            category,
-            author.to_string(),
-            revision,
-            attachments,
-        )?;
-        self.placements.insert(
-            id,
-            Placement {
-                home: table,
-                tables: vec![table],
-            },
-        );
-        let annot = self.get_annotation(id)?;
-        let deltas = self.apply_annotation_to_summaries(table, &annot, &oids)?;
-        Ok((id, deltas))
+        };
+        self.commit(attachments, op, |db, attachments| {
+            let (text, author, revision) = (text.to_string(), author.to_string(), db.revision);
+            // The entry lookup fails an unknown table before the store
+            // allocates an annotation id.
+            let store = &mut db.entry_mut(table)?.annotations;
+            let (id, posted) = store.add(text, category, author, revision, attachments)?;
+            let tables = vec![table];
+            db.placements.insert(
+                id,
+                Placement {
+                    home: table,
+                    tables,
+                },
+            );
+            let annot = [db.get_annotation(id)?];
+            let deltas = db.fold(table, &posted, &annot, 0..)?;
+            Ok(((id, deltas.clone()), Effect::summary(deltas)))
+        })
     }
 
     /// Attach an existing annotation (stored under another table) to tuples
     /// of `table` — the cross-relation sharing the merge procedure must
-    /// de-duplicate.
+    /// de-duplicate. A tuple that already holds it keeps counting it once.
     pub fn attach_annotation(
         &mut self,
         table: TableId,
         id: AnnotId,
         attachments: Vec<Attachment>,
     ) -> Result<Vec<SummaryDelta>> {
-        self.wal_log(|| WalOp::AttachAnnotation {
+        let op = |attachments: &Vec<Attachment>| WalOp::AttachAnnotation {
             table,
             id,
             attachments: attachments.clone(),
-        });
-        let res = self.attach_annotation_inner(table, id, attachments);
-        let res = self.finish_mutation(res);
-        if let Ok(deltas) = &res {
-            self.journal
-                .record(self.revision, false, Vec::new(), deltas.clone());
-        }
-        res
-    }
-
-    fn attach_annotation_inner(
-        &mut self,
-        table: TableId,
-        id: AnnotId,
-        attachments: Vec<Attachment>,
-    ) -> Result<Vec<SummaryDelta>> {
-        self.entry(table)?;
-        let annot = self.get_annotation(id)?;
-        let oids = distinct_oids(&attachments);
-        self.entry_mut(table)?
-            .annotations
-            .attach_external(id, attachments);
-        if let Some(placement) = self.placements.get_mut(&id) {
-            if !placement.tables.contains(&table) {
-                placement.tables.push(table);
+        };
+        self.commit(attachments, op, |db, attachments| {
+            db.entry(table)?;
+            let annot = [db.get_annotation(id)?];
+            let store = &mut db.entry_mut(table)?.annotations;
+            let posted = store.attach_external(id, attachments);
+            if let Some(placement) = db.placements.get_mut(&id) {
+                if !placement.tables.contains(&table) {
+                    placement.tables.push(table);
+                }
             }
-        }
-        self.apply_annotation_to_summaries(table, &annot, &oids)
-    }
-
-    fn apply_annotation_to_summaries(
-        &mut self,
-        table: TableId,
-        annot: &Annotation,
-        oids: &[Oid],
-    ) -> Result<Vec<SummaryDelta>> {
-        let mut next_obj = self.next_obj;
-        let res = self
-            .entry_mut(table)
-            .and_then(|entry| entry.apply_annotation(table, annot, oids, &mut next_obj));
-        self.next_obj = next_obj;
-        res
+            let deltas = db.fold(table, &posted, &annot, 0..)?;
+            Ok((deltas.clone(), Effect::summary(deltas)))
+        })
     }
 
     /// Restore an annotation under its original id (persistence replay):
     /// the body lands in `home`'s store whether or not `home` still holds a
     /// posting, postings in every attached table, and the linked instances
-    /// re-summarize it.
+    /// re-summarize it — by the store calls and the fold the mutators use.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore_annotation(
         &mut self,
@@ -713,45 +574,40 @@ impl Database {
             )));
         }
         let add_body = |store: &mut AnnotationStore, atts: Vec<Attachment>| {
-            store.add_with_id(
-                id,
-                text.to_string(),
-                category,
-                author.to_string(),
-                revision,
-                atts,
-            )
+            let (text, author) = (text.to_string(), author.to_string());
+            store.add_with_id(id, text, category, author, revision, atts)
         };
         if per_table.iter().all(|(t, _)| *t != home) {
             add_body(&mut self.entry_mut(home)?.annotations, Vec::new())?;
         }
-        for (t, atts) in &per_table {
-            let store = &mut self.entry_mut(*t)?.annotations;
-            if *t == home {
-                add_body(store, atts.clone())?;
-            } else {
-                store.attach_external(id, atts.clone());
-            }
-        }
-        let tables = per_table.iter().map(|(t, _)| *t).collect();
-        self.placements.insert(id, Placement { home, tables });
-        let annot = self.get_annotation(id)?;
+        let mut posted = Vec::with_capacity(per_table.len());
         for (t, atts) in per_table {
-            self.apply_annotation_to_summaries(t, &annot, &distinct_oids(&atts))?;
+            let store = &mut self.entry_mut(t)?.annotations;
+            let oids = if t == home {
+                add_body(store, atts)?
+            } else {
+                store.attach_external(id, atts)
+            };
+            posted.push((t, oids));
+        }
+        let tables = posted.iter().map(|(t, _)| *t).collect();
+        self.placements.insert(id, Placement { home, tables });
+        let annot = [self.get_annotation(id)?];
+        for (t, oids) in posted {
+            self.fold(t, &oids, &annot, 0..)?;
         }
         Ok(())
     }
 
-    /// Delete a raw annotation everywhere, reversing its summary effects.
+    /// Delete a raw annotation everywhere, reversing its summary effects. A
+    /// tuple left without annotations loses its summary row, reported as a
+    /// deleted tuple's is.
     pub fn delete_annotation(&mut self, id: AnnotId) -> Result<Vec<SummaryDelta>> {
-        self.wal_log(|| WalOp::DeleteAnnotation { id });
-        let res = self.delete_annotation_inner(id);
-        let res = self.finish_mutation(res);
-        if let Ok(deltas) = &res {
-            self.journal
-                .record(self.revision, false, Vec::new(), deltas.clone());
-        }
-        res
+        let op = |_: &()| WalOp::DeleteAnnotation { id };
+        self.commit((), op, |db, ()| {
+            let deltas = db.delete_annotation_inner(id)?;
+            Ok((deltas.clone(), Effect::summary(deltas)))
+        })
     }
 
     fn delete_annotation_inner(&mut self, id: AnnotId) -> Result<Vec<SummaryDelta>> {
@@ -763,6 +619,14 @@ impl Database {
         let mut deltas = Vec::new();
         for &table in &tables {
             for oid in self.entry(table)?.annotations.tuples_of(id) {
+                if self.entry(table)?.annotations.for_tuple(oid) == [id] {
+                    let summaries = &mut self.entry_mut(table)?.summaries;
+                    deltas.push(deleted_row(table, oid, &summaries.read(oid)?));
+                    if summaries.contains(oid) {
+                        summaries.delete(oid)?;
+                    }
+                    continue;
+                }
                 // Each set is computed under a shared borrow (the resolver
                 // reads other tables' stores), then written.
                 let (set, changes) = self.summaries_without(table, oid, id)?;
@@ -785,6 +649,25 @@ impl Database {
         }
         self.placements.remove(&id);
         Ok(deltas)
+    }
+
+    /// [`TableEntry::fold`] of `annots` into each of `table`'s tuples
+    /// `oids`, in order, object ids drawn from this database.
+    fn fold(
+        &mut self,
+        table: TableId,
+        oids: &[Oid],
+        annots: &[Annotation],
+        linked: RangeFrom<usize>,
+    ) -> Result<Vec<SummaryDelta>> {
+        let mut next_obj = self.next_obj;
+        let res = self.entry_mut(table).and_then(|entry| {
+            oids.iter()
+                .map(|&oid| entry.fold(table, oid, annots, linked.clone(), &mut next_obj))
+                .collect()
+        });
+        self.next_obj = next_obj;
+        res
     }
 
     /// The summary set of `table`'s tuple `oid` with annotation `id`'s
@@ -905,33 +788,37 @@ impl Database {
 }
 
 impl TableEntry {
-    /// Fold annotation `annot` into the summary rows of tuples `oids`,
-    /// materializing an object for every linked instance a row lacks
-    /// (object ids drawn from `next_obj`).
-    fn apply_annotation(
+    /// Fold `annots` — distinct annotations `oid` has just been posted, or
+    /// all of its annotations for a just-linked instance — into the tuple's
+    /// summary row, for the instances `self.instances[linked]`, and write
+    /// the row back. An instance's missing object is materialized (its id
+    /// drawn from `next_obj`) and reported as a full label snapshot
+    /// (`old: None`); an object that already existed reports one increment
+    /// per annotation. This is the one place summaries absorb annotations:
+    /// add, attach, link and restore all fold here.
+    fn fold(
         &mut self,
         table: TableId,
-        annot: &Annotation,
-        oids: &[Oid],
+        oid: Oid,
+        annots: &[Annotation],
+        linked: RangeFrom<usize>,
         next_obj: &mut u64,
-    ) -> Result<Vec<SummaryDelta>> {
-        let mut deltas = Vec::with_capacity(oids.len());
-        for &oid in oids {
-            let mut set = self.summaries.read(oid)?;
-            let mut changes = Vec::new();
-            for inst in &self.instances {
-                let at = match set.iter().position(|o| o.instance_id == inst.id) {
-                    Some(at) => at,
-                    None => {
-                        set.push(inst.new_object(ObjId(*next_obj), oid));
-                        *next_obj += 1;
-                        set.len() - 1
-                    }
-                };
-                if !inst.scope.includes(&annot.text) {
-                    continue;
+    ) -> Result<SummaryDelta> {
+        let mut set = self.summaries.read(oid)?;
+        let mut changes = Vec::new();
+        for inst in self.instances.get(linked).unwrap_or_default() {
+            let (at, materialized) = match set.iter().position(|o| o.instance_id == inst.id) {
+                Some(at) => (at, false),
+                None => {
+                    set.push(inst.new_object(ObjId(*next_obj), oid));
+                    *next_obj += 1;
+                    (set.len() - 1, true)
                 }
-                if let Some((label, old, new)) = inst.add_annotation(&mut set[at], annot) {
+            };
+            let obj = &mut set[at];
+            for annot in annots.iter().filter(|a| inst.scope.includes(&a.text)) {
+                let change = inst.add_annotation(obj, annot);
+                if let (false, Some((label, old, new))) = (materialized, change) {
                     changes.push(LabelChange {
                         instance: inst.id,
                         instance_name: inst.name.clone(),
@@ -941,50 +828,62 @@ impl TableEntry {
                     });
                 }
             }
-            let created = !set.is_empty() && self.summaries.write(oid, &set)?;
-            if created {
-                // First annotation on this tuple: indexes insert all k label
-                // keys (the §4.1.2 "Adding Annotation−Insertion" case), so
-                // report the full label snapshot instead of one increment.
-                changes.clear();
-                for obj in &set {
-                    if let crate::summary::Rep::Classifier(c) = &obj.rep {
-                        for (label, &count) in c.labels.iter().zip(c.counts.iter()) {
-                            changes.push(LabelChange {
-                                instance: obj.instance_id,
-                                instance_name: obj.instance_name.clone(),
-                                label: label.clone(),
-                                old: None,
-                                new: Some(count),
-                            });
-                        }
-                    }
-                }
+            if materialized {
+                // Indexes insert all k label keys of a new object (the
+                // §4.1.2 "Adding Annotation−Insertion" case).
+                changes.extend(label_snapshot(obj, false));
             }
-            deltas.push(SummaryDelta {
-                table,
-                oid,
-                created_row: created,
-                deleted_row: false,
-                changes,
-            });
         }
-        Ok(deltas)
+        let created = !set.is_empty() && self.summaries.write(oid, &set)?;
+        Ok(SummaryDelta {
+            table,
+            oid,
+            created_row: created,
+            deleted_row: false,
+            changes,
+        })
     }
 }
 
-/// The distinct tuples of `attachments`, in OID order.
-fn distinct_oids(attachments: &[Attachment]) -> Vec<Oid> {
-    let mut oids: Vec<Oid> = attachments.iter().map(|a| a.oid).collect();
-    oids.sort_unstable();
-    oids.dedup();
-    oids
+/// Every classifier label count of `obj` as a key that appears (`old:
+/// None`) or, with `gone`, disappears (`new: None`).
+fn label_snapshot(obj: &SummaryObject, gone: bool) -> impl Iterator<Item = LabelChange> + '_ {
+    let counts = match &obj.rep {
+        Rep::Classifier(c) => Some(c.labels.iter().zip(&c.counts)),
+        _ => None,
+    };
+    counts.into_iter().flatten().map(move |(label, &count)| {
+        let (old, new) = if gone {
+            (Some(count), None)
+        } else {
+            (None, Some(count))
+        };
+        LabelChange {
+            instance: obj.instance_id,
+            instance_name: obj.instance_name.clone(),
+            label: label.clone(),
+            old,
+            new,
+        }
+    })
+}
+
+/// The delta of `table`'s tuple `oid` losing its summary row `set`: every
+/// key of the row goes (the tuple-deletion case of §4.1.2).
+fn deleted_row(table: TableId, oid: Oid, set: &[SummaryObject]) -> SummaryDelta {
+    SummaryDelta {
+        table,
+        oid,
+        created_row: false,
+        deleted_row: true,
+        changes: set.iter().flat_map(|o| label_snapshot(o, true)).collect(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::Rep;
+    use instn_annot::ColumnSet;
     use instn_mining::nb::NaiveBayes;
     use instn_storage::{ColumnType, Value};
 
@@ -1084,6 +983,15 @@ mod tests {
     #[test]
     fn delete_annotation_reverses_counts() {
         let (mut db, t, oids) = setup();
+        // Another annotation keeps the tuple annotated (and its row).
+        db.add_annotation(
+            t,
+            "eating stonewort migration",
+            Category::Behavior,
+            "u",
+            vec![Attachment::row(oids[1])],
+        )
+        .unwrap();
         let (id, _) = db
             .add_annotation(
                 t,
@@ -1329,16 +1237,153 @@ mod tests {
             panic!()
         };
         assert_eq!(c.count("Disease"), Some(1));
-        // Object ids are re-drawn on restore; the rest must match.
+        let [live, restored] = live_and_restored(db, table, oid);
+        assert_eq!(restored, live);
+        let restored = Database::restore(&db.dump().unwrap()).unwrap();
+        assert_eq!(restored.get_annotation(x), db.get_annotation(x));
+    }
+
+    /// The summaries of `table`'s tuple `oid`, live and after a dump
+    /// restore, as far as they are observable: object ids are re-drawn on
+    /// restore, the rest must match.
+    fn live_and_restored(db: &Database, table: TableId, oid: Oid) -> [Vec<(String, Rep)>; 2] {
         let observable = |set: Vec<SummaryObject>| -> Vec<(String, Rep)> {
             set.into_iter().map(|o| (o.instance_name, o.rep)).collect()
         };
         let restored = Database::restore(&db.dump().unwrap()).unwrap();
-        assert_eq!(
+        [
+            observable(db.summaries_of(table, oid).unwrap()),
             observable(restored.summaries_of(table, oid).unwrap()),
-            observable(live)
-        );
-        assert_eq!(restored.get_annotation(x), db.get_annotation(x));
+        ]
+    }
+
+    fn classifier_members(rep: &Rep) -> Vec<AnnotId> {
+        let Rep::Classifier(c) = rep else { panic!() };
+        c.elements.concat()
+    }
+
+    #[test]
+    fn attaching_an_annotation_a_tuple_holds_counts_it_once() {
+        let (mut db, [(a, a1), _], x) = shared_annotation();
+        let deltas = db
+            .attach_annotation(a, x, vec![Attachment::cells(a1, &[0])])
+            .unwrap();
+        let [live, restored] = live_and_restored(&db, a, a1);
+        assert_eq!(live, restored);
+        assert_eq!(classifier_members(&live[0].1), [x]);
+        assert!(deltas.is_empty(), "nothing newly posted: {deltas:?}");
+        let store = db.annotation_store(a);
+        assert_eq!(store.attachments_on(a1), [(x, ColumnSet::Row)]);
+    }
+
+    /// Table `T` with two columns and one tuple, holding annotation `x`
+    /// posted by one add as a row and as a cell of column 1.
+    fn row_and_cell_on_one_tuple() -> (Database, TableId, Oid, AnnotId) {
+        let mut db = Database::new();
+        let t = db
+            .create_table(
+                "T",
+                Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]),
+            )
+            .unwrap();
+        let o = db
+            .insert_tuple(t, vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        let (x, _) = db
+            .add_annotation(
+                t,
+                "disease outbreak",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(o), Attachment::cells(o, &[1])],
+            )
+            .unwrap();
+        (db, t, o, x)
+    }
+
+    #[test]
+    fn linking_counts_an_annotation_posted_twice_by_one_add_once() {
+        let (mut db, t, o, x) = row_and_cell_on_one_tuple();
+        db.link_instance(t, "C", classifier_kind(), true).unwrap();
+        let [live, restored] = live_and_restored(&db, t, o);
+        assert_eq!(live, restored);
+        assert_eq!(classifier_members(&live[0].1), [x]);
+    }
+
+    #[test]
+    fn a_row_annotation_survives_projection_beside_its_own_cell_posting() {
+        let (db, t, o, x) = row_and_cell_on_one_tuple();
+        // Fig. 3 step 1 strips only annotations on projected-away cells.
+        let store = db.annotation_store(t);
+        assert_eq!(store.partition_by_projection(o, &[0]), (vec![x], vec![]));
+        assert_eq!(store.attachments_on(o), [(x, ColumnSet::Row)]);
+    }
+
+    #[test]
+    fn deleting_a_tuples_last_annotation_deletes_its_summary_row() {
+        let (mut db, t, oids) = setup();
+        let (id, _) = db
+            .add_annotation(
+                t,
+                "disease virus outbreak",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(oids[1])],
+            )
+            .unwrap();
+        let deltas = db.delete_annotation(id).unwrap();
+        let [live, restored] = live_and_restored(&db, t, oids[1]);
+        assert_eq!(live, restored);
+        assert!(live.is_empty());
+        assert!(!db.summary_storage(t).contains(oids[1]));
+        // The delta drops every key of the row, as a tuple delete does.
+        assert_eq!(deltas.len(), 1);
+        assert!(deltas[0].deleted_row);
+        assert_eq!(deltas[0].changes.len(), 3);
+        assert!(deltas[0].changes.iter().all(|c| c.new.is_none()));
+        let disease = deltas[0].changes.iter().find(|c| c.label == "Disease");
+        assert_eq!(disease.unwrap().old, Some(1));
+    }
+
+    #[test]
+    fn members_are_stored_in_id_order_whatever_order_they_arrive_in() {
+        let (mut db, [(a, a1), (b, b1)], x) = shared_annotation();
+        let snippets = InstanceKind::Snippet {
+            min_chars: 10,
+            max_chars: 40,
+        };
+        db.link_instance(b, "S", snippets, false).unwrap();
+        db.delete_annotation(x).unwrap();
+        // `x` is re-added on `A`, `y` on `B`; `B`'s tuple then receives the
+        // older `x` after the newer `y`.
+        let (x, _) = db
+            .add_annotation(
+                a,
+                "observed disease outbreak with lesions",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(a1)],
+            )
+            .unwrap();
+        let (y, _) = db
+            .add_annotation(
+                b,
+                "virus infection suspected, parasite load high",
+                Category::Disease,
+                "u",
+                vec![Attachment::row(b1)],
+            )
+            .unwrap();
+        db.attach_annotation(b, x, vec![Attachment::row(b1)])
+            .unwrap();
+        let [live, restored] = live_and_restored(&db, b, b1);
+        assert_eq!(live, restored);
+        assert_eq!(classifier_members(&live[0].1), [x, y]);
+        let Rep::Snippet(s) = &live[1].1 else {
+            panic!()
+        };
+        let sources: Vec<AnnotId> = s.entries.iter().map(|e| e.source).collect();
+        assert_eq!(sources, [x, y]);
     }
 
     #[test]

@@ -125,7 +125,10 @@ impl SummaryInstance {
         }
     }
 
-    /// Incrementally fold a new annotation into `obj`.
+    /// Incrementally fold a new annotation into `obj`. Classifier members
+    /// and snippet entries are kept in annotation-id order, whatever order
+    /// annotations arrive in, so a restore (which replays in id order)
+    /// stores them as they were; cluster groups follow arrival order.
     ///
     /// For classifier objects, returns the `(label, old_count, new_count)`
     /// change so the Summary-BTree maintenance (§4.1.2, "Adding
@@ -141,7 +144,8 @@ impl SummaryInstance {
                 let li = model.classify(&annot.text);
                 let old = c.counts[li];
                 c.counts[li] += 1;
-                c.elements[li].push(annot.id);
+                let members = &mut c.elements[li];
+                members.insert(members.partition_point(|m| *m < annot.id), annot.id);
                 Some((c.labels[li].clone(), old, old + 1))
             }
             (
@@ -153,10 +157,12 @@ impl SummaryInstance {
             ) => {
                 if annot.text.len() > *min_chars {
                     let snip = LsaSummarizer::with_budget(*max_chars).summarize(&annot.text);
-                    s.entries.push(SnippetEntry {
+                    let at = s.entries.partition_point(|e| e.source < annot.id);
+                    let entry = SnippetEntry {
                         snippet: snip,
                         source: annot.id,
-                    });
+                    };
+                    s.entries.insert(at, entry);
                 }
                 None
             }

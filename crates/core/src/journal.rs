@@ -1,12 +1,13 @@
 //! Revision-stamped delta journal: the maintenance feed indexes replay.
 //!
-//! Every committed top-level mutation seals one [`JournalEntry`] under the
-//! revision the commit advanced the database to. The journal is a bounded
-//! ring: the newest `retention` entries are kept, older ones are truncated
-//! and the high-water mark of what was dropped is recorded in
-//! [`DeltaJournal::truncated_through`], so a consumer holding an index built
-//! at revision `B` can tell the difference between "nothing happened since
-//! `B`" and "things happened but the evidence is gone — bulk rebuild".
+//! The engine's one commit path seals every committed top-level mutation's
+//! effect as one [`JournalEntry`] under the revision the commit advanced
+//! the database to. The journal is a bounded ring: the newest `retention`
+//! entries are kept, older ones are truncated and the high-water mark of
+//! what was dropped is recorded in [`DeltaJournal::truncated_through`], so a
+//! consumer holding an index built at revision `B` can tell the difference
+//! between "nothing happened since `B`" and "things happened but the
+//! evidence is gone — bulk rebuild".
 //!
 //! Three per-table marks ([`TableMarks`]) live outside the ring and survive
 //! truncation, including a retention of zero:
@@ -133,6 +134,39 @@ pub struct TableMarks {
     pub ddl: u64,
 }
 
+/// What one committed mutation did, as [`DeltaJournal::seal`] needs it.
+#[derive(Debug, Default)]
+pub(crate) struct Effect {
+    pub(crate) data: Vec<DataChange>,
+    pub(crate) summary: Vec<SummaryDelta>,
+    pub(crate) ddl: Option<Ddl>,
+}
+
+impl Effect {
+    pub(crate) fn data(change: DataChange) -> Self {
+        Self {
+            data: vec![change],
+            ..Self::default()
+        }
+    }
+
+    pub(crate) fn summary(summary: Vec<SummaryDelta>) -> Self {
+        Self {
+            summary,
+            ..Self::default()
+        }
+    }
+}
+
+/// An instance linked to, or dropped from, a table.
+#[derive(Debug)]
+pub(crate) enum Ddl {
+    /// Its deltas carry the new label counts: indexes still replay.
+    Linked(TableId),
+    /// No delta expresses it: the entry is structural, consumers rebuild.
+    Dropped(TableId),
+}
+
 /// Source of [`DeltaJournal::generation`]s: process-wide, so no two
 /// journals — nor one journal before and after a reset — share one.
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
@@ -174,78 +208,49 @@ impl DeltaJournal {
         }
     }
 
-    /// Seal one committed mutation under `revision`. Entries must arrive in
-    /// strictly increasing revision order (the engine seals under its own
-    /// write path, so this holds by construction).
-    pub fn record(
-        &mut self,
-        revision: u64,
-        structural: bool,
-        data: Vec<DataChange>,
-        summary: Vec<SummaryDelta>,
-    ) {
+    /// Seal one committed mutation's effect under `revision` — the one way
+    /// into the journal, called only by the engine's commit path, so
+    /// revisions arrive strictly increasing. It touches the tables of its
+    /// changes and deltas, plus a table an instance was dropped from; either
+    /// DDL moves its table's DDL mark.
+    pub(crate) fn seal(&mut self, revision: u64, effect: Effect) {
         debug_assert!(
             self.entries.back().is_none_or(|e| e.revision < revision),
             "journal revisions must be monotone"
         );
-        let mut tables: Vec<TableId> = data
-            .iter()
-            .map(DataChange::table)
-            .chain(summary.iter().map(|d| d.table))
-            .collect();
+        let Effect { data, summary, ddl } = effect;
+        let changed = data.iter().map(DataChange::table);
+        let mut tables: Vec<TableId> = changed.chain(summary.iter().map(|d| d.table)).collect();
+        for &t in &tables {
+            self.marks.entry(t).or_default().changes += 1;
+        }
+        let structural = matches!(ddl, Some(Ddl::Dropped(_)));
+        if let Some(Ddl::Linked(t) | Ddl::Dropped(t)) = ddl {
+            let marks = self.marks.entry(t).or_default();
+            marks.ddl = marks.ddl.max(revision);
+            if structural {
+                tables.push(t);
+            }
+        }
         tables.sort_unstable();
         tables.dedup();
-        self.record_entry(JournalEntry {
+        for &t in &tables {
+            let marks = self.marks.entry(t).or_default();
+            marks.high_water = marks.high_water.max(revision);
+        }
+        if tables.is_empty() {
+            // A pure revision bump (e.g. `bump_revision`), or a link over
+            // no annotated tuple, moves no table's high-water mark; storing
+            // it would only evict useful entries.
+            return;
+        }
+        self.entries.push_back(JournalEntry {
             revision,
             tables,
             structural,
             data,
             summary,
         });
-    }
-
-    /// Seal a structural change on explicit tables (e.g. an instance drop,
-    /// whose effect deltas cannot express). A structural change is DDL: it
-    /// also moves each table's DDL mark.
-    pub fn record_structural(&mut self, revision: u64, tables: Vec<TableId>) {
-        let mut tables = tables;
-        tables.sort_unstable();
-        tables.dedup();
-        self.record_entry(JournalEntry {
-            revision,
-            tables,
-            structural: true,
-            data: Vec::new(),
-            summary: Vec::new(),
-        });
-    }
-
-    /// Move `table`'s DDL mark to `revision` for DDL whose effect the
-    /// entry's deltas do express (an instance link: its deltas carry the
-    /// new label counts, so indexes still replay rather than rebuild).
-    pub(crate) fn record_ddl(&mut self, revision: u64, table: TableId) {
-        let marks = self.marks.entry(table).or_default();
-        marks.ddl = marks.ddl.max(revision);
-    }
-
-    fn record_entry(&mut self, entry: JournalEntry) {
-        let changed = entry.data.iter().map(DataChange::table);
-        for t in changed.chain(entry.summary.iter().map(|d| d.table)) {
-            self.marks.entry(t).or_default().changes += 1;
-        }
-        for &t in &entry.tables {
-            let marks = self.marks.entry(t).or_default();
-            marks.high_water = marks.high_water.max(entry.revision);
-            if entry.structural {
-                marks.ddl = marks.ddl.max(entry.revision);
-            }
-        }
-        if entry.tables.is_empty() && !entry.structural {
-            // A pure revision bump (e.g. `bump_revision`) moves no table's
-            // high-water mark; storing it would only evict useful entries.
-            return;
-        }
-        self.entries.push_back(entry);
         self.truncate_to_retention();
     }
 
@@ -356,14 +361,14 @@ impl DeltaJournal {
 mod tests {
     use super::*;
 
-    fn entry_ins(rev: u64, table: u32, oid: u64) -> (u64, Vec<DataChange>) {
+    fn entry_ins(rev: u64, table: u32, oid: u64) -> (u64, DataChange) {
         (
             rev,
-            vec![DataChange::Insert {
+            DataChange::Insert {
                 table: TableId(table),
                 oid: Oid(oid),
                 values: vec![],
-            }],
+            },
         )
     }
 
@@ -371,9 +376,9 @@ mod tests {
     fn high_water_tracks_per_table() {
         let mut j = DeltaJournal::new(16);
         let (r, d) = entry_ins(2, 0, 1);
-        j.record(r, false, d, vec![]);
+        j.seal(r, Effect::data(d));
         let (r, d) = entry_ins(3, 1, 2);
-        j.record(r, false, d, vec![]);
+        j.seal(r, Effect::data(d));
         assert_eq!(j.table_high_water(TableId(0)), 2);
         assert_eq!(j.table_high_water(TableId(1)), 3);
         assert_eq!(j.table_high_water(TableId(9)), 0);
@@ -384,7 +389,7 @@ mod tests {
         let mut j = DeltaJournal::new(16);
         for rev in 2..=6 {
             let (r, d) = entry_ins(rev, 0, rev);
-            j.record(r, false, d, vec![]);
+            j.seal(r, Effect::data(d));
         }
         let revs: Vec<u64> = j.replay_range(3).unwrap().map(|e| e.revision).collect();
         assert_eq!(revs, vec![4, 5, 6]);
@@ -396,7 +401,7 @@ mod tests {
         let mut j = DeltaJournal::new(2);
         for rev in 2..=6 {
             let (r, d) = entry_ins(rev, 0, rev);
-            j.record(r, false, d, vec![]);
+            j.seal(r, Effect::data(d));
         }
         assert_eq!(j.len(), 2);
         assert_eq!(j.truncated_through(), 4);
@@ -408,7 +413,7 @@ mod tests {
     #[test]
     fn empty_bump_entries_are_not_stored() {
         let mut j = DeltaJournal::new(4);
-        j.record(2, false, vec![], vec![]);
+        j.seal(2, Effect::default());
         assert!(j.is_empty());
         assert_eq!(j.replay_range(1).unwrap().count(), 0);
     }
@@ -417,7 +422,7 @@ mod tests {
     fn retention_zero_always_truncates() {
         let mut j = DeltaJournal::new(0);
         let (r, d) = entry_ins(2, 0, 1);
-        j.record(r, false, d, vec![]);
+        j.seal(r, Effect::data(d));
         assert!(j.is_empty());
         assert_eq!(j.truncated_through(), 2);
         assert!(j.replay_range(1).is_none());
@@ -428,7 +433,7 @@ mod tests {
     fn reset_floors_unknown_tables() {
         let mut j = DeltaJournal::new(4);
         let (r, d) = entry_ins(2, 0, 1);
-        j.record(r, false, d, vec![]);
+        j.seal(r, Effect::data(d));
         j.reset(10);
         assert!(j.is_empty());
         assert_eq!(j.truncated_through(), 10);
@@ -436,6 +441,13 @@ mod tests {
         assert_eq!(j.table_high_water(TableId(7)), 10);
         assert!(j.replay_range(9).is_none());
         assert_eq!(j.replay_range(10).unwrap().count(), 0);
+    }
+
+    fn ddl(ddl: Ddl) -> Effect {
+        Effect {
+            ddl: Some(ddl),
+            ..Effect::default()
+        }
     }
 
     fn summary_delta(table: u32, oid: u64) -> SummaryDelta {
@@ -452,8 +464,15 @@ mod tests {
     fn change_counts_add_data_changes_and_summary_deltas_per_table() {
         let mut j = DeltaJournal::new(16);
         let (r, d) = entry_ins(2, 0, 1);
-        j.record(r, false, d, vec![summary_delta(0, 1), summary_delta(1, 7)]);
-        j.record(3, false, vec![], vec![summary_delta(0, 1)]);
+        j.seal(
+            r,
+            Effect {
+                data: vec![d],
+                summary: vec![summary_delta(0, 1), summary_delta(1, 7)],
+                ddl: None,
+            },
+        );
+        j.seal(3, Effect::summary(vec![summary_delta(0, 1)]));
         assert_eq!(j.table_marks(TableId(0)).changes, 3);
         assert_eq!(j.table_marks(TableId(1)).changes, 1);
         assert_eq!(j.table_marks(TableId(9)), TableMarks::default());
@@ -463,12 +482,18 @@ mod tests {
     fn change_counts_and_ddl_marks_survive_truncation() {
         for retention in [0, 2] {
             let mut j = DeltaJournal::new(retention);
-            j.record(2, false, vec![], vec![summary_delta(0, 1)]);
-            j.record_ddl(2, TableId(0));
-            j.record_structural(3, vec![TableId(1)]);
+            j.seal(
+                2,
+                Effect {
+                    summary: vec![summary_delta(0, 1)],
+                    ddl: Some(Ddl::Linked(TableId(0))),
+                    ..Effect::default()
+                },
+            );
+            j.seal(3, ddl(Ddl::Dropped(TableId(1))));
             for rev in 4..=9 {
                 let (r, d) = entry_ins(rev, 0, rev);
-                j.record(r, false, d, vec![]);
+                j.seal(r, Effect::data(d));
             }
             assert!(j.len() <= retention);
             assert!(j.replay_range(3).is_none(), "the ring lost the DDL entries");
@@ -482,12 +507,11 @@ mod tests {
     #[test]
     fn ddl_marks_move_only_on_ddl() {
         let mut j = DeltaJournal::new(16);
-        j.record(2, false, vec![], vec![summary_delta(0, 1)]);
+        j.seal(2, Effect::summary(vec![summary_delta(0, 1)]));
         assert_eq!(j.table_marks(TableId(0)).ddl, 0, "a delta is not DDL");
         // An instance link with no annotated rows records no delta but is
         // still DDL.
-        j.record(3, false, vec![], vec![]);
-        j.record_ddl(3, TableId(0));
+        j.seal(3, ddl(Ddl::Linked(TableId(0))));
         assert_eq!(j.table_marks(TableId(0)).ddl, 3);
         assert_eq!(j.table_high_water(TableId(0)), 2);
     }
@@ -496,8 +520,14 @@ mod tests {
     fn reset_floors_ddl_marks_and_starts_a_new_generation() {
         let mut j = DeltaJournal::new(4);
         let (r, d) = entry_ins(2, 0, 1);
-        j.record(r, false, d, vec![]);
-        j.record_ddl(2, TableId(0));
+        j.seal(
+            r,
+            Effect {
+                data: vec![d],
+                ddl: Some(Ddl::Linked(TableId(0))),
+                ..Effect::default()
+            },
+        );
         let before = j.generation();
         assert_ne!(before, DeltaJournal::new(4).generation());
         j.reset(10);
@@ -506,7 +536,7 @@ mod tests {
             let marks = j.table_marks(t);
             assert_eq!((marks.high_water, marks.changes, marks.ddl), (10, 0, 10));
         }
-        j.record_ddl(12, TableId(0));
+        j.seal(12, ddl(Ddl::Linked(TableId(0))));
         assert_eq!(j.table_marks(TableId(0)).ddl, 12);
     }
 
@@ -514,9 +544,9 @@ mod tests {
     fn gap_changes_counts_only_matching_table() {
         let mut j = DeltaJournal::new(16);
         let (r, d) = entry_ins(2, 0, 1);
-        j.record(r, false, d, vec![]);
+        j.seal(r, Effect::data(d));
         let (r, d) = entry_ins(3, 1, 2);
-        j.record(r, false, d, vec![]);
+        j.seal(r, Effect::data(d));
         assert_eq!(j.gap_changes(1, TableId(0)), Some(1));
         assert_eq!(j.gap_changes(1, TableId(1)), Some(1));
         assert_eq!(j.gap_changes(1, TableId(5)), Some(0));

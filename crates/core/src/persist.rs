@@ -508,7 +508,7 @@ mod tests {
             )
             .unwrap();
         db.delete_annotation(victim).unwrap();
-        db.bump_revision();
+        db.bump_revision().unwrap();
         db
     }
 

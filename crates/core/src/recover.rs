@@ -446,7 +446,7 @@ impl Database {
                 self.delete_annotation(id)?;
             }
             WalOp::BumpRevision => {
-                self.bump_revision();
+                self.bump_revision()?;
             }
         }
         Ok(())

@@ -101,7 +101,7 @@ fn apply_step(
             aids.push(id);
         }
         8 => {
-            db.bump_revision();
+            db.bump_revision()?;
         }
         9 => {
             let oid = db.insert_tuple(
@@ -164,7 +164,7 @@ fn apply_step(
             db.drop_instance(t, "Snip")?;
         }
         18 => {
-            db.bump_revision();
+            db.bump_revision()?;
         }
         19 => {
             db.update_tuple(

@@ -113,7 +113,7 @@ fn wal_after_every_op() -> Vec<u8> {
     db.drop_instance(birds, "K").unwrap();
     db.delete_annotation(id).unwrap();
     db.delete_tuple(birds, b).unwrap();
-    db.bump_revision();
+    db.bump_revision().unwrap();
     wal.durable_bytes()
 }
 

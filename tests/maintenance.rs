@@ -390,6 +390,9 @@ enum Op {
     Delete(usize),
     /// Annotate tuple `i % live`; `true` = disease, `false` = behavior.
     Annotate(usize, bool),
+    /// Delete annotation `j % held` of tuple `i % live` — possibly its
+    /// last, which deletes the tuple's summary row.
+    Unannotate(usize, usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -402,6 +405,7 @@ fn op() -> impl Strategy<Value = Op> {
         )),
         any::<usize>().prop_map(Op::Delete),
         (any::<usize>(), any::<bool>()).prop_map(|(i, d)| Op::Annotate(i, d)),
+        (any::<usize>(), any::<usize>()).prop_map(|(i, j)| Op::Unannotate(i, j)),
     ]
 }
 
@@ -442,6 +446,15 @@ fn apply_ops(db: &mut Database, t: TableId, oids: &mut Vec<Oid>, ops: &[Op]) {
                 };
                 db.add_annotation(t, text, cat, "u", vec![Attachment::row(oid)])
                     .unwrap();
+            }
+            Op::Unannotate(i, j) => {
+                if oids.is_empty() {
+                    continue;
+                }
+                let held = db.annotation_store(t).for_tuple(oids[i % oids.len()]);
+                if !held.is_empty() {
+                    db.delete_annotation(held[j % held.len()]).unwrap();
+                }
             }
         }
     }
