@@ -453,7 +453,10 @@ impl Database {
                 let mut set = summaries.read(oid)?;
                 let before = set.len();
                 set.retain(|o| o.instance_id != id);
-                if set.len() != before {
+                if set.is_empty() {
+                    // No summaries left: a restore writes no row either.
+                    summaries.delete(oid)?;
+                } else if set.len() != before {
                     summaries.write(oid, &set)?;
                 }
             }
@@ -630,7 +633,10 @@ impl Database {
                 // Each set is computed under a shared borrow (the resolver
                 // reads other tables' stores), then written.
                 let (set, changes) = self.summaries_without(table, oid, id)?;
-                self.entry_mut(table)?.summaries.write(oid, &set)?;
+                // A table with no instance linked keeps no summary rows.
+                if !set.is_empty() {
+                    self.entry_mut(table)?.summaries.write(oid, &set)?;
+                }
                 deltas.push(SummaryDelta {
                     table,
                     oid,
@@ -1148,6 +1154,46 @@ mod tests {
         assert!(db.summaries_of(t, oids[0]).unwrap().is_empty());
         assert!(db.instance_by_name(t, "ClassBird1").is_err());
         assert!(db.drop_instance(t, "ClassBird1").is_err());
+    }
+
+    #[test]
+    fn dropping_the_last_instance_deletes_the_summary_row() {
+        let (mut db, t, oids) = setup();
+        db.add_annotation(
+            t,
+            "disease",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oids[0])],
+        )
+        .unwrap();
+        db.drop_instance(t, "ClassBird1").unwrap();
+        let restored = Database::restore(&db.dump().unwrap()).unwrap();
+        assert_eq!(restored.summary_storage(t).len(), 0);
+        assert_eq!(db.summary_storage(t).len(), 0);
+    }
+
+    #[test]
+    fn delete_annotation_without_instances_writes_no_summary_row() {
+        let mut db = Database::new();
+        let t = db
+            .create_table("Plain", Schema::of(&[("id", ColumnType::Int)]))
+            .unwrap();
+        let oid = db.insert_tuple(t, vec![Value::Int(0)]).unwrap();
+        let mut ids = Vec::new();
+        for text in ["first note", "second note"] {
+            let atts = vec![Attachment::row(oid)];
+            ids.push(
+                db.add_annotation(t, text, Category::Other, "u", atts)
+                    .unwrap()
+                    .0,
+            );
+        }
+        db.delete_annotation(ids[0]).unwrap();
+        let restored = Database::restore(&db.dump().unwrap()).unwrap();
+        assert_eq!(restored.summary_storage(t).len(), 0);
+        assert_eq!(db.summary_storage(t).len(), 0);
+        assert_eq!(db.annotation_store(t).for_tuple(oid), [ids[1]]);
     }
 
     #[test]

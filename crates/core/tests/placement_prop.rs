@@ -1,14 +1,15 @@
 //! Property test: an annotation's body lives as long as any table holds a
 //! posting for it, and live, restored and recovered summaries agree.
 //!
-//! Random op streams over two tables share annotations across them and
-//! within one (attaching onto tuples that already hold the annotation
-//! too), delete tuples on either side, delete annotations and link
-//! instances. After every op: each annotation a summary object counts, and
-//! each annotation posted on a live tuple, resolves through
-//! [`Database::get_annotation`]; a dump restores to the live summaries
-//! (equal but for object ids) and dumps back to itself; and recovery from
-//! the checkpoint taken before the stream plus the durable log — every
+//! Random op streams over three tables — two with an instance linked, one
+//! with none — share annotations across them and within one (attaching
+//! onto tuples that already hold the annotation too), delete tuples on any
+//! side, delete annotations, and link and drop instances. After every op:
+//! each annotation a summary object counts, and each annotation posted on
+//! a live tuple, resolves through [`Database::get_annotation`]; a dump
+//! restores to the live summaries (equal but for object ids, with a row
+//! for the same tuples) and dumps back to itself; and recovery from the
+//! checkpoint taken before the stream plus the durable log — every
 //! committed op replayed through the mutators' one commit path — dumps the
 //! live dump's bytes and reads the live summaries, object ids included.
 
@@ -46,8 +47,8 @@ fn classifier() -> InstanceKind {
 /// The database under test and what the stream knows of it.
 struct World {
     db: Database,
-    tables: [TableId; 2],
-    live: [Vec<Oid>; 2],
+    tables: [TableId; 3],
+    live: [Vec<Oid>; 3],
     /// Every annotation added, with the side it was added on (its home).
     annotations: Vec<(AnnotId, usize)>,
     linked: usize,
@@ -60,22 +61,25 @@ impl World {
     fn new() -> Self {
         let mut db = Database::new();
         let mut tables = Vec::new();
-        let mut live = [Vec::new(), Vec::new()];
-        for (side, name) in ["A", "B"].into_iter().enumerate() {
+        let mut live = [Vec::new(), Vec::new(), Vec::new()];
+        // `N` starts with no instance linked.
+        for (side, name) in ["A", "B", "N"].into_iter().enumerate() {
             let t = db
                 .create_table(name, Schema::of(&[("x", ColumnType::Int)]))
                 .unwrap();
             for i in 0..3 {
                 live[side].push(db.insert_tuple(t, vec![Value::Int(i)]).unwrap());
             }
-            db.link_instance(t, "C", classifier(), false).unwrap();
+            if name != "N" {
+                db.link_instance(t, "C", classifier(), false).unwrap();
+            }
             tables.push(t);
         }
         let wal = db.enable_wal();
         let checkpoint = db.checkpoint().unwrap();
         Self {
             db,
-            tables: [tables[0], tables[1]],
+            tables: [tables[0], tables[1], tables[2]],
             live,
             annotations: Vec::new(),
             linked: 0,
@@ -85,12 +89,13 @@ impl World {
     }
 
     /// Attach annotation number `a` to a tuple of its home's side (`same`)
-    /// or of the other one, whether or not the tuple holds it already.
+    /// or of another one, whether or not the tuple holds it already.
     fn attach(&mut self, a: usize, b: usize, same: bool) -> Result<(), TestCaseError> {
         let Some(&(id, home)) = self.annotations.get(a % self.annotations.len().max(1)) else {
             return Ok(());
         };
-        let side = if same { home } else { 1 - home };
+        let side = if same { home } else { (home + 1 + b % 2) % 3 };
+        let b = b / 2;
         let Some(&oid) = self.live[side].get(b % self.live[side].len().max(1)) else {
             return Ok(());
         };
@@ -166,6 +171,17 @@ impl World {
                     .link_instance_scoped(table, &name, kind, false, Some(scope))
                     .unwrap();
             }
+            8 => {
+                let names: Vec<String> = self
+                    .db
+                    .instances(table)
+                    .iter()
+                    .map(|i| i.name.clone())
+                    .collect();
+                if let Some(name) = names.get(a % names.len().max(1)) {
+                    self.db.drop_instance(table, name).unwrap();
+                }
+            }
             _ => {
                 let oid = self
                     .db
@@ -189,8 +205,21 @@ impl World {
         let recovered = Database::recover(&self.checkpoint, &self.wal.durable_bytes());
         prop_assert!(recovered.is_ok(), "recover: {:?}", recovered.as_ref().err());
         let (recovered, _) = recovered.unwrap();
-        for side in 0..2 {
+        for side in 0..3 {
             let table = self.tables[side];
+            let rows = self.db.summary_storage(table).oids();
+            prop_assert_eq!(
+                &restored.summary_storage(table).oids(),
+                &rows,
+                "restored rows of {:?}",
+                table
+            );
+            prop_assert_eq!(
+                &recovered.summary_storage(table).oids(),
+                &rows,
+                "recovered rows of {:?}",
+                table
+            );
             for &oid in &self.live[side] {
                 let set = self.db.summaries_of(table, oid).unwrap();
                 let counted = set.iter().flat_map(|o| o.all_annotations());
@@ -230,7 +259,7 @@ fn observable(set: Vec<SummaryObject>) -> Vec<(String, Rep)> {
 proptest! {
     #[test]
     fn shared_annotations_resolve_and_restore(
-        ops in prop::collection::vec((0u8..8, 0usize..2, 0usize..64, 0usize..64), 1..40)
+        ops in prop::collection::vec((0u8..9, 0usize..3, 0usize..64, 0usize..64), 1..40)
     ) {
         let mut world = World::new();
         for op in ops {

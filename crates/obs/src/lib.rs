@@ -15,7 +15,8 @@ mod slowlog;
 mod trace;
 
 pub use metrics::{
-    bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS, METRIC_STRIPES,
+    bucket_upper, thread_hash, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
+    METRIC_STRIPES,
 };
 pub use slowlog::{SlowLog, SlowQueryEntry, DEFAULT_SLOWLOG_CAPACITY};
 pub use trace::{QueryTrace, SpanRecord};

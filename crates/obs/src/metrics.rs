@@ -9,6 +9,7 @@
 //! a predicted-not-taken branch, which is what the observability bench
 //! (`figures --exp observability`) measures against the enabled mode.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,13 +24,26 @@ pub const METRIC_STRIPES: usize = 16;
 #[derive(Default)]
 struct PadCell(AtomicU64);
 
-fn stripe_index() -> usize {
-    // Hash the thread id the same way IoStats does: cheap, stable within a
-    // thread, spread across threads.
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    (h.finish() as usize) % METRIC_STRIPES
+thread_local! {
+    static THREAD_HASH: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// A hash of the calling thread's id, computed on the thread's first call:
+/// stable within a thread, spread across threads. Striped counters (these
+/// and `instn_storage::io::IoStats`, on every page access) pick their
+/// stripe from it, so it inlines into theirs.
+#[inline]
+pub fn thread_hash() -> usize {
+    THREAD_HASH.with(|cached| {
+        cached.get().unwrap_or_else(|| {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            std::thread::current().id().hash(&mut h);
+            let hash = h.finish() as usize;
+            cached.set(Some(hash));
+            hash
+        })
+    })
 }
 
 /// A monotonically increasing counter.
@@ -65,7 +79,7 @@ impl Counter {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.stripes[stripe_index()]
+        self.stripes[thread_hash() % METRIC_STRIPES]
             .0
             .fetch_add(n, Ordering::Relaxed);
     }
@@ -247,7 +261,7 @@ impl Histogram {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let s = &self.stripes[stripe_index()];
+        let s = &self.stripes[thread_hash() % METRIC_STRIPES];
         s.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         s.sum.fetch_add(v, Ordering::Relaxed);
     }
@@ -302,6 +316,27 @@ mod tests {
         }
         c.add(5);
         assert_eq!(c.value(), 15);
+    }
+
+    #[test]
+    fn counts_from_many_threads_sum_exactly() {
+        let c = Counter::new(on());
+        let h = Histogram::new(on());
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (c, h) = (&c, &h);
+                scope.spawn(move || {
+                    for i in 0..1_000 {
+                        c.add(t + 1);
+                        h.record(i);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.value(), 1_000 * (1 + 2 + 3 + 4));
+        let s = h.snapshot();
+        assert_eq!(s.count, 4_000);
+        assert_eq!(s.sum, 4 * (0..1_000).sum::<u64>());
     }
 
     #[test]

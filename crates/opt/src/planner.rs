@@ -94,8 +94,8 @@ pub struct OptimizedPlan {
     pub physical: PhysicalPlan,
     /// Its estimated cost.
     pub cost: PlanCost,
-    /// The logical alternative it came from (EXPLAIN text).
-    pub explain: String,
+    /// The logical alternative it came from.
+    pub logical: LogicalPlan,
     /// Number of logical alternatives considered.
     pub considered: usize,
 }
@@ -105,7 +105,7 @@ pub struct Optimizer<'a> {
     db: &'a Database,
     stats: Arc<Statistics>,
     config: PlannerConfig,
-    rule_ctx: RuleContext,
+    rule_ctx: RuleContext<'a>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -146,23 +146,24 @@ impl<'a> Optimizer<'a> {
 
     /// Optimize a logical plan: enumerate, lower, cost, pick cheapest.
     pub fn optimize(&self, logical: &LogicalPlan) -> Result<OptimizedPlan> {
-        let alternatives =
+        let mut alternatives =
             enumerate_equivalent(logical, &self.rule_ctx, self.config.max_alternatives);
+        let considered = alternatives.len();
         let model = self.model();
-        let mut best: Option<(PhysicalPlan, PlanCost, String)> = None;
-        for alt in &alternatives {
+        let mut best: Option<(usize, PhysicalPlan, PlanCost)> = None;
+        for (i, alt) in alternatives.iter().enumerate() {
             let physical = self.lower_opt(alt, None)?;
             let cost = model.cost(&physical);
-            let better = match &best {
-                None => true,
-                Some((_, c, _)) => cost.total() < c.total(),
-            };
-            if better {
-                best = Some((physical, cost, format!("{alt}")));
+            if best
+                .as_ref()
+                .is_none_or(|(_, _, c)| cost.total() < c.total())
+            {
+                best = Some((i, physical, cost));
             }
         }
-        let (physical, mut cost, explain) =
+        let (chosen, physical, mut cost) =
             best.ok_or_else(|| QueryError::BadPlan("no alternative lowered".into()))?;
+        let logical = alternatives.swap_remove(chosen);
         // Parallelization post-pass: wrap eligible fragments in an Exchange
         // wherever the DOP-aware model prices the parallel plan cheaper
         // (small fragments stay serial — the morsel/worker startup tax
@@ -184,8 +185,8 @@ impl<'a> Optimizer<'a> {
         Ok(OptimizedPlan {
             physical,
             cost,
-            explain,
-            considered: alternatives.len(),
+            logical,
+            considered,
         })
     }
 
@@ -906,7 +907,7 @@ mod tests {
                 false,
             );
         let plan = opt.optimize(&logical).unwrap();
-        assert!(!contains_sort(&plan.physical), "{}", plan.explain);
+        assert!(!contains_sort(&plan.physical), "{}", plan.logical);
         // The chosen plan must start from the index scan.
         fn has_index_scan(p: &PhysicalPlan) -> bool {
             match p {

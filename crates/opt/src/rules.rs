@@ -23,53 +23,45 @@
 //! Each rewrite preserves the output column order, so predicates and
 //! projections above the rewritten node need no re-indexing.
 
-use std::collections::{HashMap, HashSet};
-
 use instn_core::db::Database;
 use instn_query::plan::{JoinPredicate, LogicalPlan};
-use instn_storage::{ColumnType, TableId};
+use instn_storage::{ColumnType, Schema};
 
 /// Side-condition context: which instances each table carries, and base
-/// table column types (for attribute-side tests and join-key types).
-#[derive(Debug, Clone, Default)]
-pub struct RuleContext {
-    table_instances: HashMap<String, HashSet<String>>,
-    table_columns: HashMap<String, Vec<ColumnType>>,
+/// table column types (for attribute-side tests and join-key types), read
+/// from the database as a rule asks.
+#[derive(Debug, Clone, Copy)]
+pub struct RuleContext<'a> {
+    db: &'a Database,
 }
 
-impl RuleContext {
-    /// Build from the live database.
-    pub fn from_db(db: &Database) -> RuleContext {
-        let mut ctx = RuleContext::default();
-        let mut tid = 0u32;
-        while let Ok(table) = db.table(TableId(tid)) {
-            let name = table.name().to_string();
-            let schema = table.schema();
-            let columns = (0..schema.arity()).filter_map(|i| schema.column_type(i));
-            ctx.table_columns.insert(name.clone(), columns.collect());
-            let insts: HashSet<String> = db
-                .instances(TableId(tid))
-                .iter()
-                .map(|i| i.name.clone())
-                .collect();
-            ctx.table_instances.insert(name, insts);
-            tid += 1;
-        }
-        ctx
+impl<'a> RuleContext<'a> {
+    /// Over the live database.
+    pub fn from_db(db: &'a Database) -> Self {
+        Self { db }
     }
 
-    /// Instances available on a plan subtree (union over its base tables).
-    pub fn subtree_instances(&self, plan: &LogicalPlan) -> HashSet<String> {
-        plan.tables()
-            .iter()
-            .flat_map(|t| self.table_instances.get(t).cloned().unwrap_or_default())
-            .collect()
+    /// The schema of base table `table`, if it exists.
+    fn schema(&self, table: &str) -> Option<&'a Schema> {
+        let id = self.db.table_id(table).ok()?;
+        Some(self.db.table(id).ok()?.schema())
+    }
+
+    /// Whether a base table of `plan` carries `instance`.
+    fn carries(&self, plan: &LogicalPlan, instance: &str) -> bool {
+        match plan {
+            LogicalPlan::Scan { table } => self
+                .db
+                .table_id(table)
+                .is_ok_and(|id| self.db.instances(id).iter().any(|i| i.name == instance)),
+            _ => plan.children().any(|input| self.carries(input, instance)),
+        }
     }
 
     /// Output arity of a plan.
     pub fn output_arity(&self, plan: &LogicalPlan) -> usize {
         match plan {
-            LogicalPlan::Scan { table } => self.table_columns.get(table).map_or(0, Vec::len),
+            LogicalPlan::Scan { table } => self.schema(table).map_or(0, Schema::arity),
             LogicalPlan::Select { input, .. }
             | LogicalPlan::SummarySelect { input, .. }
             | LogicalPlan::SummaryFilter { input, .. }
@@ -90,7 +82,7 @@ impl RuleContext {
     /// the end.
     pub fn column_type(&self, plan: &LogicalPlan, col: usize) -> Option<ColumnType> {
         match plan {
-            LogicalPlan::Scan { table } => self.table_columns.get(table)?.get(col).copied(),
+            LogicalPlan::Scan { table } => self.schema(table)?.column_type(col),
             LogicalPlan::Select { input, .. }
             | LogicalPlan::SummarySelect { input, .. }
             | LogicalPlan::SummaryFilter { input, .. }
@@ -135,14 +127,10 @@ fn instances_only_on(
     side: &LogicalPlan,
     other: &LogicalPlan,
 ) -> bool {
-    if instances.is_empty() {
-        return false;
-    }
-    let on_side = ctx.subtree_instances(side);
-    let on_other = ctx.subtree_instances(other);
-    instances
-        .iter()
-        .all(|i| on_side.contains(i) && !on_other.contains(i))
+    !instances.is_empty()
+        && instances
+            .iter()
+            .all(|i| ctx.carries(side, i) && !ctx.carries(other, i))
 }
 
 /// All plans reachable from `plan` by applying one rule at one node.
@@ -152,32 +140,28 @@ pub fn apply_rules_once(plan: &LogicalPlan, ctx: &RuleContext) -> Vec<LogicalPla
     out
 }
 
-/// Enumerate rule-equivalent plans up to `limit` alternatives (fixpoint
-/// bounded breadth-first closure).
+/// Enumerate rule-equivalent plans, `plan` first, up to `limit` (a bounded
+/// closure expanding the newest alternative first). An alternative is new
+/// when no plan found so far equals it structurally, which separates two
+/// plans exactly where their `Debug` renderings differ but for float
+/// literals: NaN (never lexed from SQL, which reads digits only) is unequal
+/// to itself, and `0.0 == -0.0` (the rules move predicates whole, so two
+/// alternatives never differ only in a zero's sign; `tests/enumerate_prop.rs`
+/// checks both zeros against a `Debug`-keyed enumeration).
 pub fn enumerate_equivalent(
     plan: &LogicalPlan,
     ctx: &RuleContext,
     limit: usize,
 ) -> Vec<LogicalPlan> {
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut all: Vec<LogicalPlan> = Vec::new();
-    let mut frontier = vec![plan.clone()];
-    seen.insert(format!("{plan:?}"));
-    all.push(plan.clone());
-    while let Some(mut p) = frontier.pop() {
-        if all.len() >= limit {
-            break;
-        }
-        let mut alts = Vec::new();
-        rewrite_node(&mut p, ctx, &mut alts);
-        for alt in alts {
-            let key = format!("{alt:?}");
-            if seen.insert(key) {
-                all.push(alt.clone());
-                frontier.push(alt);
-                if all.len() >= limit {
-                    break;
-                }
+    let mut all = vec![plan.clone()];
+    let mut frontier = vec![0]; // positions in `all` still to expand
+    let mut alts = Vec::new();
+    while let Some(next) = frontier.pop().filter(|_| all.len() < limit) {
+        rewrite_node(&mut all[next], ctx, &mut alts);
+        for alt in alts.drain(..) {
+            if all.len() < limit && !all.contains(&alt) {
+                frontier.push(all.len());
+                all.push(alt);
             }
         }
     }
@@ -345,9 +329,8 @@ fn local_rewrites(plan: &LogicalPlan, ctx: &RuleContext, out: &mut Vec<LogicalPl
             } = right.as_ref()
             {
                 let p_insts = p.referenced_instances();
-                let t_insts = ctx.subtree_instances(left);
                 let p_avoids_t =
-                    !p_insts.is_empty() && p_insts.iter().all(|i| !t_insts.contains(i));
+                    !p_insts.is_empty() && p_insts.iter().all(|i| !ctx.carries(left, i));
                 // c must not involve S's attributes: its right-side column
                 // must fall within R's arity.
                 let r_arity = ctx.output_arity(r);
@@ -422,27 +405,39 @@ fn push_selection_sides(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use instn_core::instance::InstanceKind;
     use instn_query::expr::{CmpOp, Expr, ObjectPred, SummaryExpr};
     use instn_storage::Value;
 
-    impl RuleContext {
-        /// `name` with `arity` columns, all `Int`, carrying `instances`.
-        fn with_table(mut self, name: &str, arity: usize, instances: &[&str]) -> Self {
-            self.table_columns
-                .insert(name.to_string(), vec![ColumnType::Int; arity]);
-            self.table_instances.insert(
-                name.to_string(),
-                instances.iter().map(|s| s.to_string()).collect(),
-            );
-            self
+    /// One table per `(name, arity, instances)`, every column `Int`.
+    fn db_of(tables: &[(&str, usize, &[&str])]) -> Database {
+        let mut db = Database::new();
+        let columns = [
+            ("a", ColumnType::Int),
+            ("b", ColumnType::Int),
+            ("c", ColumnType::Int),
+        ];
+        for &(name, arity, instances) in tables {
+            let t = db
+                .create_table(name, Schema::of(&columns[..arity]))
+                .unwrap();
+            for instance in instances {
+                let kind = InstanceKind::Snippet {
+                    min_chars: 10,
+                    max_chars: 40,
+                };
+                db.link_instance(t, instance, kind, false).unwrap();
+            }
         }
+        db
     }
 
-    fn ctx() -> RuleContext {
-        RuleContext::default()
-            .with_table("R", 3, &["ClassBird1", "TextSummary1"])
-            .with_table("S", 2, &["TextSummary1"])
-            .with_table("T", 3, &[])
+    fn db() -> Database {
+        db_of(&[
+            ("R", 3, &["ClassBird1", "TextSummary1"]),
+            ("S", 2, &["TextSummary1"]),
+            ("T", 3, &[]),
+        ])
     }
 
     fn jp() -> JoinPredicate {
@@ -454,7 +449,8 @@ mod tests {
 
     #[test]
     fn rule1_commutes_both_ways() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         let s_over_sigma = LogicalPlan::scan("R")
             .select(Expr::col_cmp(1, CmpOp::Eq, Value::Int(2)))
             .summary_select(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Gt, 5));
@@ -474,7 +470,8 @@ mod tests {
 
     #[test]
     fn rule2_pushes_s_below_join_only_when_instance_is_one_sided() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         // Predicate on ClassBird1: linked to R only -> pushable.
         let plan = LogicalPlan::scan("R")
             .join(LogicalPlan::scan("S"), jp())
@@ -517,7 +514,8 @@ mod tests {
 
     #[test]
     fn rule7_pushes_filter_to_owning_side() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         let plan = LogicalPlan::scan("R")
             .join(LogicalPlan::scan("T"), jp())
             .summary_filter(ObjectPred::NameEq("ClassBird1".into()));
@@ -531,7 +529,8 @@ mod tests {
 
     #[test]
     fn rule8_pushes_structural_filter_to_both_sides() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         let plan = LogicalPlan::scan("R")
             .join(LogicalPlan::scan("S"), jp())
             .summary_filter(ObjectPred::TypeEq(
@@ -559,7 +558,8 @@ mod tests {
 
     #[test]
     fn rule9_pushes_sigma_below_summary_join() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         let plan = LogicalPlan::scan("R")
             .summary_join(
                 LogicalPlan::scan("S"),
@@ -595,7 +595,8 @@ mod tests {
 
     #[test]
     fn rule10_pushes_summary_select_below_summary_join() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         let plan = LogicalPlan::scan("R")
             .summary_join(
                 LogicalPlan::scan("S"),
@@ -615,7 +616,8 @@ mod tests {
 
     #[test]
     fn rule11_swaps_join_order() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         // T ⋈ J(R, S) with c on T/R columns and p (TextSummary1) not on T.
         let inner = LogicalPlan::scan("R").summary_join(
             LogicalPlan::scan("S"),
@@ -639,10 +641,12 @@ mod tests {
     #[test]
     fn rule11_respects_side_conditions() {
         // p's instance IS linked to T -> no rewrite.
-        let c = RuleContext::default()
-            .with_table("R", 3, &["TextSummary1"])
-            .with_table("S", 2, &["TextSummary1"])
-            .with_table("T", 3, &["TextSummary1"]);
+        let db = db_of(&[
+            ("R", 3, &["TextSummary1"]),
+            ("S", 2, &["TextSummary1"]),
+            ("T", 3, &["TextSummary1"]),
+        ]);
+        let c = RuleContext::from_db(&db);
         let inner = LogicalPlan::scan("R").summary_join(
             LogicalPlan::scan("S"),
             JoinPredicate::CombinedContains {
@@ -664,7 +668,8 @@ mod tests {
     /// was.
     #[test]
     fn rewrites_reach_inside_both_sides_of_every_join() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         let side = |table: &str| {
             LogicalPlan::scan(table)
                 .select(Expr::col_cmp(1, CmpOp::Eq, Value::Int(2)))
@@ -698,7 +703,8 @@ mod tests {
 
     #[test]
     fn enumeration_bounded_and_includes_original() {
-        let c = ctx();
+        let db = db();
+        let c = RuleContext::from_db(&db);
         let plan = LogicalPlan::scan("R")
             .join(LogicalPlan::scan("S"), jp())
             .summary_select(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Gt, 5))

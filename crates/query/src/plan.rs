@@ -445,16 +445,11 @@ impl LogicalPlan {
         outer.into_iter().chain(inner)
     }
 
-    /// Names of all base tables referenced.
-    pub fn tables(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out
-    }
-
-    fn collect_tables(&self, out: &mut Vec<String>) {
-        match self {
-            LogicalPlan::Scan { table } => out.push(table.clone()),
+    /// The node's inputs, the outer (left) one first: what
+    /// [`LogicalPlan::children_mut`] gives, for reading.
+    pub fn children(&self) -> impl Iterator<Item = &LogicalPlan> {
+        let (outer, inner) = match self {
+            LogicalPlan::Scan { .. } => (None, None),
             LogicalPlan::Select { input, .. }
             | LogicalPlan::SummarySelect { input, .. }
             | LogicalPlan::SummaryFilter { input, .. }
@@ -462,13 +457,11 @@ impl LogicalPlan {
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::GroupBy { input, .. }
             | LogicalPlan::Distinct { input }
-            | LogicalPlan::Limit { input, .. } => input.collect_tables(out),
+            | LogicalPlan::Limit { input, .. } => (Some(&**input), None),
             LogicalPlan::Join { left, right, .. }
-            | LogicalPlan::SummaryJoin { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
-            }
-        }
+            | LogicalPlan::SummaryJoin { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        outer.into_iter().chain(inner)
     }
 
     fn fmt_indent(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
@@ -543,7 +536,11 @@ mod tests {
                 true,
             )
             .limit(10);
-        assert_eq!(plan.tables(), vec!["Birds".to_string()]);
+        let mut leaf = &plan;
+        while let Some(input) = leaf.children().next() {
+            leaf = input;
+        }
+        assert_eq!(leaf, &LogicalPlan::scan("Birds"));
         let shown = format!("{plan}");
         assert!(shown.contains("Limit(10)"));
         assert!(shown.contains("Sort(O desc)"));

@@ -146,16 +146,14 @@ impl PlanStamp {
 }
 
 /// A plan the cache holds: the physical plan plus everything a serving
-/// layer needs to answer without replanning (output header, EXPLAIN text,
-/// estimated cost) and the [`PlanStamp`] guarding its validity.
+/// layer needs to answer without replanning (output header, estimated
+/// cost) and the [`PlanStamp`] guarding its validity.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
     /// The optimized (possibly parallelized) physical plan.
     pub plan: Arc<PhysicalPlan>,
     /// Output column names, in order.
     pub columns: Vec<String>,
-    /// The optimizer's EXPLAIN rendering of the chosen alternative.
-    pub explain: String,
     /// Estimated total cost of the chosen plan.
     pub cost: f64,
     /// Journal position at planning time.
@@ -385,7 +383,6 @@ mod tests {
                 with_summaries: false,
             }),
             columns: vec!["x".into()],
-            explain: String::new(),
             cost: 1.0,
             stamp: PlanStamp::capture(db, tables.iter().copied()),
         }

@@ -143,7 +143,6 @@ fn build_plan(
     Ok(CachedPlan {
         plan: Arc::new(optimized.physical),
         columns: lowered.columns,
-        explain: optimized.explain,
         cost: optimized.cost.total(),
         stamp,
     })

@@ -37,7 +37,6 @@
 //! serial counts bit-identical to the pre-striping flat counters.
 
 use std::cell::Cell;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,24 +51,13 @@ const STRIPES: usize = HASH_STRIPES + PIN_STRIPES;
 thread_local! {
     /// Worker stripe override installed by [`IoStats::pin_worker`].
     static PINNED: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Lazily computed hash-band stripe for this thread (usize::MAX = unset).
-    static HASH_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 fn current_stripe() -> usize {
-    if let Some(slot) = PINNED.with(Cell::get) {
-        return HASH_STRIPES + slot;
+    match PINNED.with(Cell::get) {
+        Some(slot) => HASH_STRIPES + slot,
+        None => instn_obs::thread_hash() % HASH_STRIPES,
     }
-    HASH_SLOT.with(|s| {
-        let mut slot = s.get();
-        if slot == usize::MAX {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            slot = (h.finish() as usize) % HASH_STRIPES;
-            s.set(slot);
-        }
-        slot
-    })
 }
 
 /// One cache-line-aligned stripe of counters.

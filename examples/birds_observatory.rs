@@ -59,7 +59,7 @@ fn main() {
         "\nQ1 plan ({} alternatives considered, est. cost {:.1}):\n{}",
         chosen.considered,
         chosen.cost.total(),
-        chosen.explain
+        chosen.logical
     );
     let rows = ctx.execute(&chosen.physical).expect("executes");
     println!(
