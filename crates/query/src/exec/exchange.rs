@@ -122,8 +122,9 @@ struct WorkerOut<T> {
 /// `1` delegates the fragment to the ordinary serial operator tree —
 /// bit-identical output, metrics, and I/O charges — while anything else
 /// splits the leaf into morsels on a shared queue and drains it with a
-/// crossbeam-scoped worker pool. A worker runs the same compiled
-/// operators as the serial pipeline, one bound tree per morsel.
+/// worker pool: the coordinating thread and up to `dop − 1` scoped threads.
+/// A worker runs the same compiled operators as the serial pipeline, one
+/// bound tree per morsel.
 /// Workers return per-morsel outputs which the gather reassembles **in
 /// morsel order**, so parallel output equals the serial pipeline row for
 /// row, and partial aggregates merge associatively in that same order.
@@ -135,9 +136,10 @@ pub(super) struct ExchangeOp {
     pub(super) parallel: Option<ParallelRun>,
 }
 
-/// Run `frag` across `dop` workers. Each worker claims morsels off a shared
-/// queue, pulls the compiled chain bounded to the morsel through `drain`,
-/// and the per-morsel results meet in `gather` in morsel order.
+/// Run `frag` across `dop` workers, the calling thread among them. Each
+/// worker claims morsels off a shared queue, pulls the compiled chain
+/// bounded to the morsel through `drain`, and the per-morsel results meet in
+/// `gather` in morsel order.
 fn run_parallel<T: Send>(
     ctx: &Run<'_>,
     frag: &FragSpec<'_>,
@@ -189,45 +191,51 @@ fn run_parallel<T: Send>(
     // still reports its levels (with zero rows).
     let unopened = compile(frag.chain, None).metrics();
     let next = AtomicUsize::new(0);
+    // One worker's claim loop: pinned to its own stripe, it claims morsels
+    // off the shared queue until none is left.
+    let work = |w: usize| -> Result<WorkerOut<T>> {
+        let _pin = IoStats::pin_worker(w);
+        let before = stats.worker_snapshot(w);
+        let mut outs = Vec::new();
+        let mut fragment = unopened.clone();
+        let mut tally = RowTally::default();
+        loop {
+            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+            let Some(morsel) = morsels.get(i) else {
+                break;
+            };
+            let t0 = morsel_obs.as_ref().map(|_| std::time::Instant::now());
+            let mut node = compile(frag.chain, Some(morsel));
+            node.open(ctx)?;
+            outs.push((i, drain(&mut node, &mut tally)?));
+            node.close(ctx)?;
+            fragment.merge(&node.metrics());
+            tally.add(node.tally());
+            if let (Some((hist, count)), Some(t0)) = (&morsel_obs, t0) {
+                hist.record(instn_obs::elapsed_ns(t0));
+                count.inc();
+            }
+        }
+        Ok(WorkerOut {
+            outs,
+            fragment,
+            io: stats.worker_snapshot(w).since(&before),
+            tally,
+        })
+    };
+    // The coordinator is worker 0 — its pin nests inside the coordinator's
+    // and gives the stripe back when the loop ends — so only the other
+    // workers are spawned, and a one-morsel fragment spawns no thread.
     let joined: Vec<std::thread::Result<Result<WorkerOut<T>>>> =
         crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    let (morsels, next, drain) = (&morsels, &next, &drain);
-                    let (morsel_obs, unopened) = (&morsel_obs, &unopened);
-                    scope.spawn(move |_| -> Result<WorkerOut<T>> {
-                        let _pin = IoStats::pin_worker(w);
-                        let before = stats.worker_snapshot(w);
-                        let mut outs = Vec::new();
-                        let mut fragment = unopened.clone();
-                        let mut tally = RowTally::default();
-                        loop {
-                            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                            let Some(morsel) = morsels.get(i) else {
-                                break;
-                            };
-                            let t0 = morsel_obs.as_ref().map(|_| std::time::Instant::now());
-                            let mut node = compile(frag.chain, Some(morsel));
-                            node.open(ctx)?;
-                            outs.push((i, drain(&mut node, &mut tally)?));
-                            node.close(ctx)?;
-                            fragment.merge(&node.metrics());
-                            tally.add(node.tally());
-                            if let (Some((hist, count)), Some(t0)) = (morsel_obs, t0) {
-                                hist.record(instn_obs::elapsed_ns(t0));
-                                count.inc();
-                            }
-                        }
-                        Ok(WorkerOut {
-                            outs,
-                            fragment,
-                            io: stats.worker_snapshot(w).since(&before),
-                            tally,
-                        })
-                    })
-                })
+            let work = &work;
+            let handles: Vec<_> = (1..n_workers)
+                .map(|w| scope.spawn(move |_| work(w)))
                 .collect();
-            handles.into_iter().map(|h| h.join()).collect()
+            let own = work(0);
+            std::iter::once(Ok(own))
+                .chain(handles.into_iter().map(|h| h.join()))
+                .collect()
         })
         .unwrap_or_else(|e| std::panic::resume_unwind(e));
 
@@ -295,15 +303,12 @@ impl Operator for ExchangeOp {
                 ctx,
                 &frag,
                 dop,
-                |node, tally| {
-                    // Whatever serial operator sits above a gather (the
-                    // pipeline top, a sort feeding it, a join, DISTINCT)
-                    // owns the rows it is handed, so the worker that
-                    // fetched a surviving row decodes it — in parallel with
-                    // the other workers, not one by one after the gather.
+                |node, _tally| {
+                    // Rows cross the gather as fetched: whatever sits above
+                    // it decodes what it owns, and a sink that only reads
+                    // decodes nothing.
                     let mut rows = Vec::new();
-                    while let Some(mut row) = node.next(ctx)? {
-                        row.decode(tally);
+                    while let Some(row) = node.next(ctx)? {
                         rows.push(row);
                     }
                     Ok(rows)

@@ -201,6 +201,51 @@ fn parallel_metrics_report_workers_and_merged_fragment() {
     assert!(report.contains("[worker 0]"), "{report}");
 }
 
+/// A sink that reads every column and summary object of a row in place and
+/// keeps nothing, as the wire server's frame encoder does.
+#[derive(Default)]
+struct ReadingSink {
+    rows: usize,
+}
+
+impl RowSink for ReadingSink {
+    fn row(&mut self, row: FinishedRow<'_>) -> Result<()> {
+        row.read().for_each_column(&mut |_| {});
+        row.read().for_each_summary(&mut |_| {});
+        self.rows += 1;
+        Ok(())
+    }
+}
+
+#[test]
+fn rows_cross_the_gather_undecoded() {
+    let (db, t, _) = setup(24);
+    db.metrics().set_enabled(true);
+    let fetched = db.metrics().counter("exec_rows_fetched_total", "");
+    let materialized = db.metrics().counter("exec_rows_materialized_total", "");
+    let select_star = PhysicalPlan::Exchange {
+        input: Box::new(PhysicalPlan::SeqScan {
+            table: t,
+            with_summaries: true,
+        }),
+        dop: 2,
+    };
+    let mut ctx = ExecContext::new(&db);
+    ctx.config.morsel_rows = 4;
+    let mut sink = ReadingSink::default();
+    let metrics = ctx.execute_into(&select_star, &mut sink).unwrap();
+    assert_eq!(metrics.workers.len(), 2, "ran parallel");
+    assert_eq!((sink.rows, fetched.value()), (24, 24));
+    assert_eq!(
+        materialized.value(),
+        0,
+        "a sink that only reads decodes nothing at any DOP"
+    );
+    // The collecting sink owns its rows: each is decoded once, at the top.
+    assert_eq!(ctx.execute(&select_star).unwrap().len(), 24);
+    assert_eq!((fetched.value(), materialized.value()), (48, 24));
+}
+
 #[test]
 fn exchange_io_attribution_ignores_concurrent_noise() {
     let (db, t, _) = setup(24);

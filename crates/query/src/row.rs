@@ -144,15 +144,11 @@ impl Row {
         &mut self.0.summaries
     }
 
-    /// Decode, in place, whatever is still bytes.
-    pub fn decode(&mut self, tally: &mut RowTally) {
+    /// The row, owned (decoding whatever is still bytes): what leaves the
+    /// pipeline.
+    pub fn into_tuple(mut self, tally: &mut RowTally) -> AnnotatedTuple {
         self.values_mut(tally);
         self.summaries_mut(tally);
-    }
-
-    /// The row, owned: what leaves the pipeline.
-    pub fn into_tuple(mut self, tally: &mut RowTally) -> AnnotatedTuple {
-        self.decode(tally);
         let parts = *self.0;
         AnnotatedTuple {
             source: parts.source,

@@ -7,10 +7,26 @@ use crate::ast::{
 use crate::lexer::{lex, Token};
 use crate::{Result, SqlError};
 
+/// The deepest expression tree a statement may hold. Each parenthesis,
+/// `NOT`, `AND`, `OR`, comparison and `LIKE` is one level, so a chain of
+/// `k` operators is `k` levels deep as surely as `k` nested parentheses
+/// are. Lowering, planning, evaluating and dropping a statement all recurse
+/// over its expressions, and the planner gives each conjunct of a `WHERE`
+/// its own `Filter`, so a chain of summary-predicate `AND`s is also a plan
+/// that deep: the deepest recursion of all, of which about 85 levels fit a
+/// 2 MB stack (a wire server's worker thread) in an unoptimized build. A
+/// deeper statement is refused with a [`SqlError::Parse`] instead of
+/// overflowing the stack, which aborts the process.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Parse one statement (a trailing `;` is optional).
 pub fn parse(input: &str) -> Result<Statement> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.eat_semi();
     if p.pos != p.tokens.len() {
@@ -25,6 +41,21 @@ pub fn parse(input: &str) -> Result<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses and `NOT`s open around the expression being parsed.
+    depth: usize,
+}
+
+/// An expression and the height of its tree (a leaf is 1).
+type Tree = (AstExpr, usize);
+
+/// `height`, or the error for a tree deeper than [`MAX_EXPR_DEPTH`].
+fn bounded(height: usize) -> Result<usize> {
+    if height > MAX_EXPR_DEPTH {
+        return Err(SqlError::Parse(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        )));
+    }
+    Ok(height)
 }
 
 impl Parser {
@@ -282,32 +313,52 @@ impl Parser {
 
     // Expression grammar: or_expr.
     fn expr(&mut self) -> Result<AstExpr> {
-        let mut left = self.and_expr()?;
+        Ok(self.or_expr()?.0)
+    }
+
+    fn or_expr(&mut self) -> Result<Tree> {
+        let (mut left, mut height) = self.and_expr()?;
         while self.eat_kw("or") {
-            let right = self.and_expr()?;
+            let (right, h) = self.and_expr()?;
+            height = bounded(height.max(h) + 1)?;
             left = AstExpr::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn and_expr(&mut self) -> Result<AstExpr> {
-        let mut left = self.not_expr()?;
+    fn and_expr(&mut self) -> Result<Tree> {
+        let (mut left, mut height) = self.not_expr()?;
         while self.eat_kw("and") {
-            let right = self.not_expr()?;
+            let (right, h) = self.not_expr()?;
+            height = bounded(height.max(h) + 1)?;
             left = AstExpr::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn not_expr(&mut self) -> Result<AstExpr> {
+    fn not_expr(&mut self) -> Result<Tree> {
         if self.eat_kw("not") {
-            return Ok(AstExpr::Not(Box::new(self.not_expr()?)));
+            let (e, h) = self.nested(Self::not_expr)?;
+            return Ok((AstExpr::Not(Box::new(e)), h));
         }
         self.cmp_expr()
     }
 
-    fn cmp_expr(&mut self) -> Result<AstExpr> {
-        let left = self.primary()?;
+    /// Parse one level further in — inside a parenthesis or a `NOT` — with
+    /// `inner`, refusing before the recursion outgrows [`MAX_EXPR_DEPTH`].
+    /// The tree comes back one level taller than `inner` left it: the
+    /// parenthesis or `NOT` counts.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Tree>) -> Result<Tree> {
+        bounded(self.depth + 1)?;
+        self.depth += 1;
+        let tree = inner(self);
+        self.depth -= 1;
+        let (e, h) = tree?;
+        Ok((e, bounded(h + 1)?))
+    }
+
+    fn cmp_expr(&mut self) -> Result<Tree> {
+        let (left, lh) = self.primary()?;
         let op = match self.peek() {
             Some(Token::Eq) => Some(CmpOpAst::Eq),
             Some(Token::Ne) => Some(CmpOpAst::Ne),
@@ -319,7 +370,7 @@ impl Parser {
                 self.pos += 1;
                 match self.next() {
                     Some(Token::Str(p)) => {
-                        return Ok(AstExpr::Like(Box::new(left), p));
+                        return Ok((AstExpr::Like(Box::new(left), p), bounded(lh + 1)?));
                     }
                     other => {
                         return Err(SqlError::Parse(format!(
@@ -333,21 +384,27 @@ impl Parser {
         match op {
             Some(op) => {
                 self.pos += 1;
-                let right = self.primary()?;
-                Ok(AstExpr::Cmp(Box::new(left), op, Box::new(right)))
+                let (right, rh) = self.primary()?;
+                let height = bounded(lh.max(rh) + 1)?;
+                Ok((AstExpr::Cmp(Box::new(left), op, Box::new(right)), height))
             }
-            None => Ok(left),
+            None => Ok((left, lh)),
         }
     }
 
-    fn primary(&mut self) -> Result<AstExpr> {
+    fn primary(&mut self) -> Result<Tree> {
+        if self.peek() == Some(&Token::LParen) {
+            self.pos += 1;
+            let tree = self.nested(Self::or_expr)?;
+            self.expect(&Token::RParen)?;
+            return Ok(tree);
+        }
+        Ok((self.operand()?, 1))
+    }
+
+    /// A leaf: literal, column or summary chain.
+    fn operand(&mut self) -> Result<AstExpr> {
         match self.peek().cloned() {
-            Some(Token::LParen) => {
-                self.pos += 1;
-                let e = self.expr()?;
-                self.expect(&Token::RParen)?;
-                Ok(e)
-            }
             Some(Token::Int(n)) => {
                 self.pos += 1;
                 Ok(AstExpr::Lit(Lit::Int(n)))
@@ -569,6 +626,32 @@ mod tests {
         let s = parse("SELECT * FROM T WHERE NOT (a = 1 OR b = 2) AND c = 3").unwrap();
         let Statement::Select(sel) = s else { panic!() };
         assert!(matches!(sel.where_clause, Some(AstExpr::And(..))));
+    }
+
+    /// 100 000 levels of parentheses, of `NOT` and of `OR` are refused on a
+    /// 2 MB stack, with an error, not an overflow that aborts the process.
+    #[test]
+    fn expressions_too_deep_are_refused_on_a_2mb_stack() {
+        const N: usize = 100_000;
+        let cmp = "r.id = 1";
+        let statements = [
+            format!("{}{cmp}{}", "(".repeat(N), ")".repeat(N)),
+            format!("{}{cmp}", "NOT ".repeat(N)),
+            format!("{cmp}{}", format!(" OR {cmp}").repeat(N)),
+        ]
+        .map(|pred| format!("SELECT id FROM Birds r WHERE {pred}"));
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || statements.map(|sql| parse(&sql)))
+            .unwrap()
+            .join()
+            .expect("the parser fits its stack");
+        for result in parsed {
+            let Err(SqlError::Parse(msg)) = result else {
+                panic!("{result:?}")
+            };
+            assert!(msg.contains("deeper than"), "{msg}");
+        }
     }
 
     #[test]

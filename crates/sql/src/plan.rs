@@ -188,16 +188,10 @@ pub fn plan_select(
         PlanSource::CacheMiss
     };
     let started = Instant::now();
-    // With the cache disabled the session plans like the pre-cache engine:
-    // fresh statistics (a full analyze rescan) plus a fresh optimizer pass
-    // on every statement. That is the always-replan oracle
-    // `tests/plan_cache.rs` compares against; enabled sessions instead read
-    // the engine's statistics, caught up over the journal gap.
-    let stats = if matches!(source, PlanSource::CacheDisabled) {
-        Arc::new(Statistics::analyze(&db).map_err(instn_query::QueryError::from)?)
-    } else {
-        shared.indexes().statistics(&db)?.0
-    };
+    // Every plan reads the engine's statistics, caught up over the journal
+    // gap — a session with its cache off too: it replans every statement,
+    // but on statistics that are exact, not on a rescan of the database.
+    let stats = shared.indexes().statistics(&db)?.0;
     let config = planner_config(&db, &*shared.indexes().read()?, session);
     let entry = build_plan(&db, config, stats, sel)?;
     let plan_wall = instn_obs::elapsed_ns(started);
@@ -283,6 +277,53 @@ mod tests {
         // Registering an index bumps the engine's epoch and forces a replan.
         session.register_column_index(_t, 0).unwrap();
         assert_eq!(plan(&mut session, sql).source, PlanSource::CacheMiss);
+    }
+
+    /// A session with its plan cache off replans every statement, but on the
+    /// engine's statistics caught up over the journal: after DML it reads no
+    /// heap page to plan (a fresh analyze rescans the table), and it plans
+    /// what a cache-on session's miss plans.
+    #[test]
+    fn cache_off_plans_on_the_engine_statistics() {
+        let shared = SharedDatabase::new(crate::lower::tests::setup());
+        let sql = "SELECT * FROM Birds r \
+                   WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 2";
+        let mut off = shared.session();
+        off.plan_cache.set_enabled(false);
+        assert_eq!(plan(&mut off, sql).source, PlanSource::CacheDisabled);
+        shared
+            .with_write(|db| {
+                let birds = db.table_id("Birds")?;
+                let oid = db.insert_tuple(
+                    birds,
+                    vec![
+                        Value::Int(9),
+                        Value::Text("Swan 9".into()),
+                        Value::Text("fam1".into()),
+                    ],
+                )?;
+                db.add_annotation(
+                    birds,
+                    "disease outbreak virus",
+                    instn_annot::Category::Disease,
+                    "u",
+                    vec![instn_annot::Attachment::row(oid)],
+                )
+            })
+            .unwrap();
+        let heap_reads = || shared.with_read(|db| db.stats().snapshot().logical_heap_reads);
+        let before = heap_reads();
+        let replanned = plan(&mut off, sql);
+        assert_eq!(replanned.source, PlanSource::CacheDisabled);
+        assert_eq!(heap_reads(), before, "planning read no heap page");
+        let mut on = shared.session();
+        let missed = plan(&mut on, sql);
+        assert_eq!(missed.source, PlanSource::CacheMiss);
+        assert_eq!(
+            replanned.plan.plan.to_string(),
+            missed.plan.plan.to_string()
+        );
+        assert_eq!(replanned.plan.cost, missed.plan.cost);
     }
 
     #[test]

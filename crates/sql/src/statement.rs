@@ -337,6 +337,62 @@ mod tests {
         }
     }
 
+    /// Run `f` on a thread with a 2 MB stack, a wire server worker's.
+    fn on_2mb_stack<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(s, f)
+                .unwrap()
+                .join()
+                .unwrap()
+        })
+    }
+
+    /// The deepest expressions the parser accepts — nested parentheses, a
+    /// `NOT` chain, an `OR` chain and an `AND` chain of summary predicates,
+    /// each exactly `MAX_EXPR_DEPTH` levels — are lowered, planned,
+    /// executed (serially and under an Exchange), explained and dropped on
+    /// a 2 MB stack; one level more is a parse error.
+    #[test]
+    fn expressions_at_the_depth_bound_run_on_a_2mb_stack() {
+        use crate::parser::MAX_EXPR_DEPTH;
+        const CMP: &str = "r.id = 1";
+        const LABEL: &str = "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 0";
+        // A comparison is two levels (operator and operands); each
+        // parenthesis, `NOT`, `OR` or `AND` adds one.
+        let shapes = |extra: usize| -> Vec<String> {
+            let n = MAX_EXPR_DEPTH - 2 + extra;
+            vec![
+                format!("{}{CMP}{}", "(".repeat(n), ")".repeat(n)),
+                format!("{}{CMP}", "NOT ".repeat(n)),
+                format!("{CMP}{}", format!(" OR {CMP}").repeat(n)),
+                format!("{LABEL}{}", format!(" AND {LABEL}").repeat(n)),
+            ]
+        };
+        for pred in shapes(1) {
+            let sql = format!("SELECT id FROM Birds r WHERE {pred}");
+            assert!(
+                matches!(crate::parser::parse(&sql), Err(SqlError::Parse(_))),
+                "{sql}"
+            );
+        }
+        on_2mb_stack(|| {
+            let mut session = SharedDatabase::new(setup()).session();
+            for pred in shapes(0) {
+                for dop in [1, 2] {
+                    session.exec_config.dop = dop;
+                    for verb in ["SELECT", "EXPLAIN SELECT", "EXPLAIN ANALYZE SELECT"] {
+                        let sql = format!("{verb} * FROM Birds r WHERE {pred} ORDER BY r.id");
+                        if let Err(e) = run(&mut session, &sql) {
+                            panic!("{e}: {sql}");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn explain_analyze_executes_and_reports_io() {
         let mut session = SharedDatabase::new(setup()).session();

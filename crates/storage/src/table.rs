@@ -243,15 +243,31 @@ impl Table {
         )
     }
 
-    /// Split the live OID space into at most `ceil(len / morsel_rows)`
-    /// contiguous, disjoint, inclusive `[lo, hi]` ranges covering every
-    /// tuple in OID order. Concatenating range scans over the returned
-    /// ranges is equivalent to one full [`Table::scan`].
+    /// Split the OIDs from the first live tuple's to the last one issued
+    /// into at most `ceil(len / morsel_rows)` contiguous, disjoint,
+    /// inclusive `[lo, hi]` ranges of equal width (the last may be
+    /// narrower), in OID order: concatenating range scans over them is one
+    /// full [`Table::scan`]. The width is `morsel_rows` while the OIDs have
+    /// no holes, and wider when deletes left some, so a range may hold
+    /// fewer than `morsel_rows` tuples, or none. One probe of the OID index
+    /// finds the first live OID; the rest is arithmetic.
     pub fn morsel_ranges(&self, morsel_rows: usize) -> Vec<(Oid, Oid)> {
-        let oids = self.oids();
-        let step = morsel_rows.max(1);
-        oids.chunks(step)
-            .map(|c| (c[0], *c.last().expect("chunks are non-empty")))
+        let mut cur = self.oid_index.cursor(None, None);
+        let Some(first) = self
+            .oid_index
+            .cursor_next_ref(&mut cur)
+            .and_then(|(k, _)| Oid::from_key(k))
+        else {
+            return Vec::new();
+        };
+        let last = self.next_oid - 1;
+        let span = last - first.0 + 1;
+        let rows = morsel_rows.max(1) as u64;
+        let ranges = (self.tuple_count as u64).div_ceil(rows).max(1);
+        let width = rows.max(span.div_ceil(ranges));
+        (first.0..=last)
+            .step_by(width as usize)
+            .map(|lo| (Oid(lo), Oid(last.min(lo + (width - 1)))))
             .collect()
     }
 
@@ -478,19 +494,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn morsel_ranges_cover_scan_exactly() {
-        let mut t = Table::new("birds", birds_schema(), IoStats::new());
-        for i in 0..23 {
-            t.insert(bird(i)).unwrap();
-        }
-        t.delete(Oid(4)).unwrap();
-        t.delete(Oid(17)).unwrap();
+    /// Range scans over `t.morsel_ranges(morsel_rows)`, concatenated, are
+    /// the full scan, from at most `ceil(len / morsel_rows)` disjoint
+    /// ranges in OID order.
+    fn assert_morsels_cover_scan(t: &Table) {
         let full: Vec<(Oid, Tuple)> = t.scan().collect();
-        for morsel_rows in [1, 3, 7, 100] {
+        for morsel_rows in [1, 2, 3, 7, 100] {
             let ranges = t.morsel_ranges(morsel_rows);
-            // Disjoint and ordered.
+            assert!(ranges.iter().all(|(lo, hi)| lo <= hi));
             assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0));
+            assert!(
+                ranges.len() <= t.len().div_ceil(morsel_rows),
+                "morsel_rows={morsel_rows}: {} ranges for {} tuples",
+                ranges.len(),
+                t.len()
+            );
             let mut rejoined = Vec::new();
             for (lo, hi) in &ranges {
                 let mut cur = t.scan_open_range(Some(*lo), Some(*hi));
@@ -500,7 +518,54 @@ mod tests {
             }
             assert_eq!(rejoined, full, "morsel_rows={morsel_rows}");
         }
-        assert!(t.morsel_ranges(4).len() >= 21 / 4);
+    }
+
+    #[test]
+    fn morsel_ranges_cover_scan_exactly() {
+        let mut t = Table::new("birds", birds_schema(), IoStats::new());
+        for i in 0..23 {
+            t.insert(bird(i)).unwrap();
+        }
+        // Without holes the ranges are `morsel_rows` wide, as chunks of
+        // the OID list would be.
+        let ranges = t.morsel_ranges(4);
+        assert_eq!(ranges.len(), 6);
+        assert_eq!(ranges[0], (Oid(1), Oid(4)));
+        assert_eq!(ranges[5], (Oid(21), Oid(23)));
+        assert_morsels_cover_scan(&t);
+        // Holes at the head, in the middle and at the tail.
+        for oid in [1, 2, 3, 9, 10, 11, 12, 17, 22, 23] {
+            t.delete(Oid(oid)).unwrap();
+        }
+        assert_eq!(t.morsel_ranges(4).first().map(|r| r.0), Some(Oid(4)));
+        assert_morsels_cover_scan(&t);
+        // One live tuple: one range, whatever the morsel size.
+        for oid in [4, 5, 6, 7, 8, 13, 14, 15, 16, 18, 19, 21] {
+            t.delete(Oid(oid)).unwrap();
+        }
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.morsel_ranges(1), vec![(Oid(20), Oid(23))]);
+        assert_morsels_cover_scan(&t);
+        // None: no ranges.
+        t.delete(Oid(20)).unwrap();
+        assert!(t.morsel_ranges(4).is_empty());
+    }
+
+    #[test]
+    fn morsel_ranges_probe_the_oid_index_once() {
+        let stats = IoStats::new();
+        let mut t = Table::new("birds", birds_schema(), Arc::clone(&stats));
+        for i in 0..2_000 {
+            t.insert(bird(i)).unwrap();
+        }
+        let height = t.oid_index.height() as u64;
+        stats.reset();
+        assert_eq!(t.morsel_ranges(64).len(), 2_000usize.div_ceil(64));
+        let io = stats.snapshot();
+        assert!(
+            io.index_reads <= height && io.heap_reads == 0,
+            "one root-to-leaf descent ({height} nodes): {io:?}"
+        );
     }
 
     #[test]

@@ -137,6 +137,46 @@ proptest! {
         prop_assert_eq!(parallel, oracle);
     }
 
+    /// Deleted tuples leave holes in the OID span the heap morsels are cut
+    /// from — at the head, in the middle and at the tail — so a morsel may
+    /// hold fewer tuples than `morsel_rows`, or none: at DOP 2 and 4 the
+    /// gather is still the serial scan, row for row and level for level.
+    #[test]
+    fn parallel_scan_over_deleted_tuples_matches_serial(
+        counts in prop::collection::vec(0usize..4, 8..40),
+        keep in prop::collection::vec(0u8..3, 1..8),
+        head in 0usize..6,
+        tail in 0usize..6,
+        morsel_rows in 1usize..5,
+        four in any::<bool>(),
+        threshold in 0i64..4,
+    ) {
+        let (mut db, t) = build(&counts);
+        let oids = db.table(t).unwrap().oids();
+        let n = oids.len();
+        for (i, &oid) in oids.iter().enumerate() {
+            if i < head || i + tail >= n || keep[i % keep.len()] == 0 {
+                db.delete_tuple(t, oid).unwrap();
+            }
+        }
+        let plan = PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::SeqScan { table: t, with_summaries: true }),
+            pred: Expr::label_cmp("C", "Disease", CmpOp::Ge, threshold),
+        };
+        let mut ctx = ExecContext::new(&db);
+        let (serial, serial_metrics) = ctx.execute_with_metrics(&plan).unwrap();
+        ctx.config = parallel_ctx_config(morsel_rows);
+        let dop = if four { 4 } else { 2 };
+        let (parallel, metrics) = ctx
+            .execute_with_metrics(&PhysicalPlan::Exchange { input: Box::new(plan), dop })
+            .unwrap();
+        prop_assert_eq!(parallel, serial);
+        prop_assert_eq!(level_rows(&metrics.children[0]), level_rows(&serial_metrics));
+        let live = db.table(t).unwrap().len();
+        prop_assert!(metrics.workers.iter().map(|w| w.opens).sum::<u64>()
+            <= live.div_ceil(morsel_rows).max(1) as u64);
+    }
+
     /// Summary-BTree range-scan morsels (index entries in count order)
     /// gather back into the serial key order.
     #[test]

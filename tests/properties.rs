@@ -364,18 +364,89 @@ proptest! {
 }
 
 // --------------------------------------------------------------------
-// SQL front-end robustness: the parser never panics, and every statement
-// it accepts round-trips through the lexer.
+// SQL front-end robustness: whatever text a client sends, the parser
+// answers with a statement or an error — never a panic, never a stack
+// overflow — and every statement it accepts round-trips through the lexer.
 // --------------------------------------------------------------------
+
+/// Catalogue-shaped statements (the figures' and the benchmark's classes,
+/// DDL, zoom-in, EXPLAIN): what the mutations start from.
+const CATALOGUE: &[&str] = &[
+    "SELECT id, common_name, family FROM Birds r \
+     WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 2",
+    "SELECT id, common_name FROM Birds r \
+     WHERE r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') >= 3 \
+     AND common_name LIKE 'Swan%'",
+    "SELECT id, common_name FROM Birds r \
+     ORDER BY r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') DESC LIMIT 10",
+    "SELECT b.id, s.synonym FROM Birds b, Synonyms s \
+     WHERE b.id = s.bird_id AND NOT (b.id < 5 OR b.family <> 'Anatidae')",
+    "SELECT DISTINCT family FROM Birds WHERE weight > 1.5 GROUP BY family",
+    "EXPLAIN ANALYZE SELECT * FROM Birds r WHERE r.$.getSummaryObject('SimCluster').getSize() > 1;",
+    "ALTER TABLE Birds ADD INDEXABLE ClassBird1;",
+    "ZOOM IN ON ClassBird1 OF Birds TUPLE 42 LABEL 'Disease'",
+    "ANALYZE",
+];
+
+/// A code point drawn from all of Unicode (surrogates read as U+FFFD).
+fn unicode_char(u: u32) -> char {
+    char::from_u32(u % 0x11_0000).unwrap_or('\u{FFFD}')
+}
+
+proptest! {
+    /// Printable-ASCII garbage, arbitrary Unicode, a catalogue statement
+    /// with characters inserted, deleted and replaced, and `(`, `NOT ` and
+    /// `OR` repeated past the parser's depth bound: each parses to a
+    /// statement or an error, never a panic. A well-formed repetition
+    /// parses exactly when it is no deeper than `MAX_EXPR_DEPTH`.
+    #[test]
+    fn sql_parser_never_panics(
+        ascii in "[ -~]{0,120}",
+        unicode in prop::collection::vec(any::<u32>(), 0..80),
+        seed in 0usize..CATALOGUE.len(),
+        edits in prop::collection::vec((0u8..3, any::<usize>(), any::<u32>()), 0..6),
+        shape in 0u8..3,
+        n in 0usize..200,
+        closed in any::<bool>(),
+    ) {
+        let _ = insightnotes::sql::parse(&ascii);
+        let unicode: String = unicode.into_iter().map(unicode_char).collect();
+        let _ = insightnotes::sql::parse(&unicode);
+
+        let mut mutated: Vec<char> = CATALOGUE[seed].chars().collect();
+        for (op, at, u) in edits {
+            // Printable ASCII half the time: SQL's own characters are the
+            // ones that move a parse.
+            let c = if u % 2 == 0 { (0x20 + (u >> 1) % 0x5f) as u8 as char } else { unicode_char(u >> 1) };
+            match op {
+                0 => mutated.insert(at % (mutated.len() + 1), c),
+                _ if mutated.is_empty() => {}
+                1 => { mutated.remove(at % mutated.len()); }
+                _ => { let i = at % mutated.len(); mutated[i] = c; }
+            }
+        }
+        let _ = insightnotes::sql::parse(&mutated.into_iter().collect::<String>());
+
+        let cmp = "r.id = 1";
+        let pred = match shape {
+            0 => format!("{}{cmp}{}", "(".repeat(n), if closed { ")".repeat(n) } else { String::new() }),
+            1 => format!("{}{cmp}", "NOT ".repeat(n)),
+            _ => format!("{cmp}{}", format!(" OR {cmp}").repeat(n)),
+        };
+        let parsed = insightnotes::sql::parse(&format!("SELECT id FROM Birds r WHERE {pred}"));
+        let well_formed = shape != 0 || closed || n == 0;
+        // The comparison is two levels; each repeated term adds one.
+        let depth = n + 2;
+        prop_assert_eq!(
+            parsed.is_ok(),
+            well_formed && depth <= insightnotes::sql::parser::MAX_EXPR_DEPTH,
+            "shape {} n {} closed {}: {:?}", shape, n, closed, parsed
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn sql_parser_never_panics(input in "[ -~]{0,120}") {
-        // Any printable-ASCII garbage must produce Ok or Err, not a panic.
-        let _ = insightnotes::sql::parse(&input);
-    }
 
     #[test]
     fn sql_parser_accepts_generated_selects(

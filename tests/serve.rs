@@ -322,6 +322,36 @@ fn failed_statement_is_a_structured_error_not_a_disconnect() {
     server.shutdown().expect("drain");
 }
 
+/// A statement nested past the parser's depth bound — 10 000 parentheses
+/// in about 20 KB, or a 100 000-term `OR` chain in about 1.2 MB — is a parse
+/// error on the 2 MB stack of the connection's worker, not an overflow that
+/// aborts the server, and the connection answers its next query.
+#[test]
+fn too_deep_a_statement_is_a_parse_error_and_the_connection_serves_on() {
+    let server = start_server(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("admitted");
+    let cmp = "r.id = 1";
+    let oracle = oracle_payload(SELECT_ALL);
+    for pred in [
+        format!("{}{cmp}{}", "(".repeat(10_000), ")".repeat(10_000)),
+        format!("{cmp}{}", format!(" OR {cmp}").repeat(100_000)),
+    ] {
+        let sql = format!("SELECT id FROM Birds r WHERE {pred}");
+        match client.query(&sql).expect("roundtrip") {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Parse);
+                assert!(message.contains("deeper than"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let raw = client
+            .query_raw(SELECT_ALL, Duration::ZERO)
+            .expect("the connection still serves");
+        assert_eq!(raw, oracle);
+    }
+    server.shutdown().expect("drain");
+}
+
 #[test]
 fn prepared_statements_skip_parse_and_match_text_protocol() {
     let server = start_server(ServeConfig::default());
