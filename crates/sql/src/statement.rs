@@ -320,6 +320,7 @@ mod tests {
     use super::*;
     use crate::lower::tests::setup;
     use instn_query::SharedDatabase;
+    use instn_storage::Value;
     use std::sync::Arc;
 
     const DISEASE_OVER_5: &str = "EXPLAIN ANALYZE SELECT * FROM Birds r WHERE \
@@ -378,15 +379,32 @@ mod tests {
             );
         }
         on_2mb_stack(|| {
-            let mut session = SharedDatabase::new(setup()).session();
+            // Enough birds for three morsels, so that at DOP 2 the planner
+            // places an Exchange: its coordinator runs worker 0's chain on
+            // this stack, under the sort, and spawns one more worker.
+            let mut db = setup();
+            let birds = db.table_id("Birds").unwrap();
+            for i in 8..2 * instn_query::DEFAULT_MORSEL_ROWS as i64 + 60 {
+                let row = vec![
+                    Value::Int(i),
+                    Value::Text(format!("Wren {i}")),
+                    Value::Text("fam2".into()),
+                ];
+                db.insert_tuple(birds, row).unwrap();
+            }
+            let mut session = SharedDatabase::new(db).session();
             for pred in shapes(0) {
                 for dop in [1, 2] {
                     session.exec_config.dop = dop;
                     for verb in ["SELECT", "EXPLAIN SELECT", "EXPLAIN ANALYZE SELECT"] {
                         let sql = format!("{verb} * FROM Birds r WHERE {pred} ORDER BY r.id");
-                        if let Err(e) = run(&mut session, &sql) {
-                            panic!("{e}: {sql}");
-                        }
+                        let plan = match run(&mut session, &sql) {
+                            Ok(StatementOutcome::Explain(text)) => text,
+                            Ok(StatementOutcome::ExplainAnalyze(a)) => a.plan,
+                            Ok(_) => continue,
+                            Err(e) => panic!("{e}: {sql}"),
+                        };
+                        assert_eq!(plan.contains("Exchange"), dop == 2, "{sql}\n{plan}");
                     }
                 }
             }

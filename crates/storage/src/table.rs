@@ -243,15 +243,21 @@ impl Table {
         )
     }
 
-    /// Split the OIDs from the first live tuple's to the last one issued
-    /// into at most `ceil(len / morsel_rows)` contiguous, disjoint,
-    /// inclusive `[lo, hi]` ranges of equal width (the last may be
-    /// narrower), in OID order: concatenating range scans over them is one
-    /// full [`Table::scan`]. The width is `morsel_rows` while the OIDs have
-    /// no holes, and wider when deletes left some, so a range may hold
-    /// fewer than `morsel_rows` tuples, or none. One probe of the OID index
-    /// finds the first live OID; the rest is arithmetic.
+    /// Split the live OID space into at most `ceil(len / morsel_rows)`
+    /// contiguous, disjoint, inclusive `[lo, hi]` ranges in OID order:
+    /// concatenating range scans over them is one full [`Table::scan`].
+    ///
+    /// While at least half the OIDs from the first live tuple's to the
+    /// last one issued are live, the ranges cut that span into equal
+    /// widths (the last may be narrower): one probe of the OID index finds
+    /// the first live OID and the rest is arithmetic. The width is
+    /// `morsel_rows` without holes and at most `2 * morsel_rows` with
+    /// them, so no range holds more than twice a morsel, though one may
+    /// hold none. A table that is mostly holes cuts its live OIDs into
+    /// chunks of `morsel_rows` instead, as equal widths there would leave
+    /// a few ranges holding every row.
     pub fn morsel_ranges(&self, morsel_rows: usize) -> Vec<(Oid, Oid)> {
+        let rows = morsel_rows.max(1);
         let mut cur = self.oid_index.cursor(None, None);
         let Some(first) = self
             .oid_index
@@ -262,9 +268,15 @@ impl Table {
         };
         let last = self.next_oid - 1;
         let span = last - first.0 + 1;
-        let rows = morsel_rows.max(1) as u64;
-        let ranges = (self.tuple_count as u64).div_ceil(rows).max(1);
-        let width = rows.max(span.div_ceil(ranges));
+        let len = self.tuple_count as u64;
+        if span > 2 * len {
+            return self
+                .oids()
+                .chunks(rows)
+                .map(|c| (c[0], *c.last().expect("chunks are non-empty")))
+                .collect();
+        }
+        let width = (rows as u64).max(span.div_ceil(len.div_ceil(rows as u64)));
         (first.0..=last)
             .step_by(width as usize)
             .map(|lo| (Oid(lo), Oid(last.min(lo + (width - 1)))))
@@ -495,8 +507,9 @@ mod tests {
     }
 
     /// Range scans over `t.morsel_ranges(morsel_rows)`, concatenated, are
-    /// the full scan, from at most `ceil(len / morsel_rows)` disjoint
-    /// ranges in OID order.
+    /// the full scan, from disjoint ranges in OID order: at most
+    /// `ceil(len / morsel_rows)` of them, at least `ceil(len / (2 *
+    /// morsel_rows))`, none holding more than `2 * morsel_rows` tuples.
     fn assert_morsels_cover_scan(t: &Table) {
         let full: Vec<(Oid, Tuple)> = t.scan().collect();
         for morsel_rows in [1, 2, 3, 7, 100] {
@@ -504,7 +517,8 @@ mod tests {
             assert!(ranges.iter().all(|(lo, hi)| lo <= hi));
             assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0));
             assert!(
-                ranges.len() <= t.len().div_ceil(morsel_rows),
+                (t.len().div_ceil(2 * morsel_rows)..=t.len().div_ceil(morsel_rows))
+                    .contains(&ranges.len()),
                 "morsel_rows={morsel_rows}: {} ranges for {} tuples",
                 ranges.len(),
                 t.len()
@@ -512,9 +526,15 @@ mod tests {
             let mut rejoined = Vec::new();
             for (lo, hi) in &ranges {
                 let mut cur = t.scan_open_range(Some(*lo), Some(*hi));
+                let before = rejoined.len();
                 while let Some(pair) = t.scan_next(&mut cur) {
                     rejoined.push(pair);
                 }
+                assert!(
+                    rejoined.len() - before <= 2 * morsel_rows,
+                    "morsel_rows={morsel_rows}: [{lo:?}, {hi:?}] holds {}",
+                    rejoined.len() - before
+                );
             }
             assert_eq!(rejoined, full, "morsel_rows={morsel_rows}");
         }
@@ -533,18 +553,37 @@ mod tests {
         assert_eq!(ranges[0], (Oid(1), Oid(4)));
         assert_eq!(ranges[5], (Oid(21), Oid(23)));
         assert_morsels_cover_scan(&t);
-        // Holes at the head, in the middle and at the tail.
-        for oid in [1, 2, 3, 9, 10, 11, 12, 17, 22, 23] {
+        // Two holes keep as many morsels as chunks of the live OIDs.
+        t.delete(Oid(4)).unwrap();
+        t.delete(Oid(17)).unwrap();
+        assert!(t.morsel_ranges(4).len() >= 21 / 4);
+        assert_morsels_cover_scan(&t);
+        // Holes at the head, in the middle and at the tail: 12 of the 19
+        // OIDs from the first live one are live, so the ranges are cut
+        // from OID bounds.
+        for oid in [1, 2, 3, 9, 10, 11, 12, 22, 23] {
             t.delete(Oid(oid)).unwrap();
         }
-        assert_eq!(t.morsel_ranges(4).first().map(|r| r.0), Some(Oid(4)));
+        assert_eq!(t.len(), 12);
+        assert_eq!(t.morsel_ranges(4).first(), Some(&(Oid(5), Oid(11))));
+        assert_morsels_cover_scan(&t);
+        // Mostly holes, the live OIDs bunched at the tail: they are cut
+        // into chunks, where equal widths would put four in one range.
+        for oid in [6, 7, 8, 13, 14, 15, 16] {
+            t.delete(Oid(oid)).unwrap();
+        }
+        assert_eq!(t.len(), 5);
+        assert_eq!(
+            t.morsel_ranges(2),
+            vec![(Oid(5), Oid(18)), (Oid(19), Oid(20)), (Oid(21), Oid(21))]
+        );
         assert_morsels_cover_scan(&t);
         // One live tuple: one range, whatever the morsel size.
-        for oid in [4, 5, 6, 7, 8, 13, 14, 15, 16, 18, 19, 21] {
+        for oid in [5, 18, 19, 21] {
             t.delete(Oid(oid)).unwrap();
         }
         assert_eq!(t.len(), 1);
-        assert_eq!(t.morsel_ranges(1), vec![(Oid(20), Oid(23))]);
+        assert_eq!(t.morsel_ranges(1), vec![(Oid(20), Oid(20))]);
         assert_morsels_cover_scan(&t);
         // None: no ranges.
         t.delete(Oid(20)).unwrap();
