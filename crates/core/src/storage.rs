@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use instn_storage::io::IoStats;
 use instn_storage::page::RecordId;
-use instn_storage::{BufferPool, HeapFile, Oid, StorageError};
+use instn_storage::{BufferPool, FrameTicket, HeapFile, Oid, StorageError};
 
 use crate::summary::{encode_objects, EncodedSummaries, SummaryObject, SummarySetFormat};
 use crate::Result;
@@ -89,6 +89,24 @@ impl SummaryStorage {
     pub fn read_raw(&self, oid: Oid) -> Result<EncodedSummaries> {
         match self.rows.get(&oid) {
             Some(rid) => self.read_at_raw(*rid),
+            None => Ok(EncodedSummaries::default()),
+        }
+    }
+
+    /// [`SummaryStorage::read_raw`] for a scan that reads the rows of
+    /// consecutive tuples: the page read goes through `ticket`, so a re-read
+    /// of the page the last row was on skips the pool's lock (see
+    /// [`BufferPool::read_ticketed`]). The same charges.
+    pub fn read_raw_ticketed(
+        &self,
+        oid: Oid,
+        ticket: &mut FrameTicket,
+    ) -> Result<EncodedSummaries> {
+        match self.rows.get(&oid) {
+            Some(rid) => self
+                .heap
+                .get_checked_ticketed::<SummarySetFormat>(*rid, ticket)
+                .map(EncodedSummaries::checked),
             None => Ok(EncodedSummaries::default()),
         }
     }

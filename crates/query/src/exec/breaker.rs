@@ -347,7 +347,7 @@ const SPILL_HAS_SOURCE: u8 = 1;
 const SPILL_UNTOUCHED: u8 = 2;
 
 /// Serialize a row for sort spills: source, tuple record, summary row.
-pub(super) fn encode_annotated(row: &Row) -> Vec<u8> {
+pub(crate) fn encode_annotated(row: &Row) -> Vec<u8> {
     let (values, summaries) = (row.tuple_bytes(), row.summary_bytes());
     let mut out = Vec::with_capacity(17 + values.len() + summaries.len());
     let untouched = if row.is_untouched() {
@@ -368,7 +368,7 @@ pub(super) fn encode_annotated(row: &Row) -> Vec<u8> {
     out
 }
 
-pub(super) fn decode_annotated(bytes: &[u8]) -> Result<Row> {
+pub(crate) fn decode_annotated(bytes: &[u8]) -> Result<Row> {
     let mut r = Reader::new(bytes);
     let flag = r.u8()?;
     if flag & !(SPILL_HAS_SOURCE | SPILL_UNTOUCHED) != 0 {

@@ -26,7 +26,7 @@
 //!   one. Workers run the operators above, compiled per morsel with the
 //!   scan leaf bound to it — there is no second implementation of any.
 
-mod breaker;
+pub(crate) mod breaker;
 mod exchange;
 mod join;
 mod physical;
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use instn_core::db::Database;
 use instn_core::AnnotatedTuple;
 use instn_index::{BaselineIndex, SummaryBTree};
-use instn_storage::TableId;
+use instn_storage::{FrameTicket, TableId};
 
 use crate::dataindex::ColumnIndex;
 use crate::metrics::QueryMetrics;
@@ -580,6 +580,7 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             with_summaries: *with_summaries,
             morsel: morsel(),
             cursor: None,
+            summary_ticket: FrameTicket::default(),
         }),
         PhysicalPlan::SummaryIndexScan {
             index,

@@ -5,7 +5,7 @@
 use instn_core::db::Database;
 use instn_core::summary::EncodedSummaries;
 use instn_index::SummaryBTree;
-use instn_storage::{Oid, TableId, Value};
+use instn_storage::{FrameTicket, Oid, TableId, Value};
 
 use super::{Operator, Run};
 use crate::row::{Row, RowTally};
@@ -78,12 +78,15 @@ fn fetch_summaries(
 }
 
 /// Streaming sequential scan (OID order) — of the whole table, or of the one
-/// OID range a worker's tree is bound to.
+/// OID range a worker's tree is bound to. Its heap reads (the cursor's) and
+/// its summary-row reads each go through a [`FrameTicket`], as consecutive
+/// tuples' records share pages; point lookups take none.
 pub(super) struct SeqScanOp {
     pub(super) table: TableId,
     pub(super) with_summaries: bool,
     pub(super) morsel: Option<Morsel>,
     pub(super) cursor: Option<instn_storage::ScanCursor>,
+    pub(super) summary_ticket: FrameTicket,
 }
 
 impl Operator for SeqScanOp {
@@ -102,7 +105,14 @@ impl Operator for SeqScanOp {
         let Some((oid, tuple)) = ctx.db.table(self.table)?.scan_next_raw(cur) else {
             return Ok(None);
         };
-        let summaries = fetch_summaries(ctx.db, self.table, oid, self.with_summaries)?;
+        let summaries = self
+            .with_summaries
+            .then(|| {
+                ctx.db
+                    .summary_storage(self.table)
+                    .read_raw_ticketed(oid, &mut self.summary_ticket)
+            })
+            .transpose()?;
         Ok(Some(Row::fetched(self.table, oid, tuple, summaries, tally)))
     }
 

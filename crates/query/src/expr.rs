@@ -47,6 +47,12 @@ pub trait RowRead {
     fn for_each_column(&self, f: &mut dyn FnMut(ValueRef<'_>));
     /// Every object of the `$` set in stored order, likewise in one walk.
     fn for_each_summary(&self, f: &mut dyn FnMut(SummaryRef<'_>));
+    /// The data columns as the stored tuple record that was fetched
+    /// (`instn_storage::tuple::encode_tuple`'s form), while the row still
+    /// holds it; `None` once they are owned or projected.
+    fn values_record(&self) -> Option<&[u8]> {
+        None
+    }
 }
 
 impl RowRead for AnnotatedTuple {

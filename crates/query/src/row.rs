@@ -228,6 +228,17 @@ impl<'t> FinishedRow<'t> {
         f(FinishedRow::new(row, &mut RowTally::default()))
     }
 
+    /// Lend `f` the owned row `tuple` as a sort spill reads it back: every
+    /// part bytes again, as the spill record holds them.
+    pub fn lend_spilled<R>(
+        tuple: AnnotatedTuple,
+        f: impl FnOnce(FinishedRow<'_>) -> R,
+    ) -> Result<R> {
+        use crate::exec::breaker::{decode_annotated, encode_annotated};
+        let row = decode_annotated(&encode_annotated(&Row::owned(tuple)))?;
+        Ok(f(FinishedRow::new(row, &mut RowTally::default())))
+    }
+
     /// Source `(table, oid)` while the row is single-sourced.
     pub fn source(&self) -> Option<(TableId, Oid)> {
         self.row.source()
@@ -309,5 +320,9 @@ impl RowRead for Row {
             Some(raw) => raw.view().iter().map(SummaryRef::Encoded).for_each(f),
             None => self.0.summaries.iter().map(SummaryRef::Owned).for_each(f),
         }
+    }
+
+    fn values_record(&self) -> Option<&[u8]> {
+        self.0.raw_values.as_ref().map(EncodedTuple::as_bytes)
     }
 }

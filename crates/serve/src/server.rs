@@ -882,6 +882,7 @@ mod tests {
         ObjId, Rep, SnippetEntry, SnippetRep, SummaryObject,
     };
     use instn_query::RowRead;
+    use instn_storage::codec::{put_str, put_u32};
     use instn_storage::tuple::encode_tuple;
     use instn_storage::{ColumnType, EncodedTuple, Oid, Schema, TableId, Value};
     use proptest::prelude::*;
@@ -932,8 +933,8 @@ mod tests {
         })
     }
 
-    fn snippet() -> impl Strategy<Value = Rep> {
-        prop::collection::vec(("[ -~é✓]{0,24}", any::<u64>()), 0..4).prop_map(|entries| {
+    fn snippet(entries: std::ops::Range<usize>) -> impl Strategy<Value = Rep> {
+        prop::collection::vec(("[ -~é✓]{0,24}", any::<u64>()), entries).prop_map(|entries| {
             Rep::Snippet(SnippetRep {
                 entries: entries
                     .into_iter()
@@ -964,30 +965,42 @@ mod tests {
         })
     }
 
-    /// A result row: absent or present source, every value kind, and 0–4
-    /// summary objects of each family.
+    /// A result row: absent or present source, every value kind, 0–4
+    /// summary objects of each family and 0–1 snippet objects of 10–13
+    /// representatives (a digest's size of two digits).
     fn tuple() -> impl Strategy<Value = AnnotatedTuple> {
         (
             prop::option::of((any::<u32>(), any::<u64>())),
             prop::collection::vec(value(), 0..6),
             prop::collection::vec(object(classifier()), 0..5),
-            prop::collection::vec(object(snippet()), 0..5),
+            prop::collection::vec(object(snippet(0..4)), 0..5),
             prop::collection::vec(object(cluster()), 0..5),
+            prop::collection::vec(object(snippet(10..14)), 0..2),
         )
-            .prop_map(
-                |(source, values, classifiers, snippets, clusters)| AnnotatedTuple {
+            .prop_map(|(source, values, classifiers, snippets, clusters, wide)| {
+                AnnotatedTuple {
                     source: source.map(|(t, o)| (TableId(t), Oid(o))),
                     values,
-                    summaries: [classifiers, snippets, clusters].concat(),
-                },
-            )
+                    summaries: [classifiers, snippets, wide, clusters].concat(),
+                }
+            })
     }
 
-    /// `rows` through the serving sink, each lent as the executor lends it:
-    /// as a lazy row over its stored bytes (`Some(bare)`: whether an
-    /// unannotated tuple comes without a summary row, as a scan fetches it,
-    /// or with an empty one) or as an owned row (`None`).
-    fn streamed(columns: &[String], rows: &[AnnotatedTuple], lazy: Option<bool>) -> Vec<u8> {
+    /// How [`streamed`] lends each row to the serving sink.
+    #[derive(Debug, Clone, Copy)]
+    enum Lent {
+        /// A lazy row over its stored bytes, as a scan fetches it; `bare`:
+        /// whether an unannotated tuple comes without a summary row or with
+        /// an empty one.
+        Fetched { bare: bool },
+        /// An owned row.
+        Owned,
+        /// An owned row as a sort spill reads it back: bytes again.
+        Spilled,
+    }
+
+    /// `rows` through the serving sink, each lent as `lent` says.
+    fn streamed(columns: &[String], rows: &[AnnotatedTuple], lent: Lent) -> Vec<u8> {
         let mut frame = FrameBuf::new();
         let mut sink = FrameSink {
             out: frame.begin(),
@@ -995,16 +1008,29 @@ mod tests {
         };
         sink.columns(columns);
         for t in rows {
-            let Some(bare) = lazy else {
-                let rows = sink.rows.as_mut().expect("header written");
-                rows.row(sink.out, &(t.source, t as &dyn RowRead));
-                continue;
-            };
-            let tuple = EncodedTuple::new(encode_tuple(&t.values)).expect("well-formed");
-            let summaries = (!bare || !t.summaries.is_empty())
-                .then(|| EncodedSummaries::new(encode_objects(&t.summaries)).expect("well-formed"));
-            FinishedRow::lend_fetched(t.source, tuple, summaries, |row| sink.row(row))
-                .expect("under the cap");
+            match lent {
+                Lent::Fetched { bare } => {
+                    let tuple = EncodedTuple::new(encode_tuple(&t.values)).expect("well-formed");
+                    let summaries = (!bare || !t.summaries.is_empty()).then(|| {
+                        EncodedSummaries::new(encode_objects(&t.summaries)).expect("well-formed")
+                    });
+                    FinishedRow::lend_fetched(t.source, tuple, summaries, |row| sink.row(row))
+                }
+                Lent::Owned => {
+                    let rows = sink.rows.as_mut().expect("header written");
+                    rows.row(sink.out, &(t.source, t as &dyn RowRead));
+                    Ok(())
+                }
+                Lent::Spilled => FinishedRow::lend_spilled(t.clone(), |row| {
+                    assert!(
+                        row.read().values_record().is_some(),
+                        "spilled values are bytes"
+                    );
+                    sink.row(row)
+                })
+                .expect("spill record reads back"),
+            }
+            .expect("under the cap");
         }
         sink.rows.take().expect("header written").finish(sink.out);
         frame.payload().to_vec()
@@ -1012,8 +1038,9 @@ mod tests {
 
     proptest! {
         /// The serving path's payload is the collected path's, byte for byte:
-        /// rows encoded off the lazy row (or an owned one) as they finish ≡
-        /// `WireRow::from_tuple` of every row, then `Response::encode`.
+        /// rows encoded off the lazy row (or an owned one, or one read back
+        /// from a sort spill) as they finish ≡ `WireRow::from_tuple` of every
+        /// row, then `Response::encode`.
         #[test]
         fn streamed_rows_encode_as_collected_rows_do(
             columns in prop::collection::vec("[a-zé_]{0,10}", 0..5),
@@ -1025,13 +1052,59 @@ mod tests {
                 rows: rows.iter().map(WireRow::from_tuple).collect(),
             }
             .encode();
-            prop_assert_eq!(&streamed(&columns, &rows, Some(bare)), &collected, "lazy rows");
-            prop_assert_eq!(&streamed(&columns, &rows, None), &collected, "owned rows");
+            let lazy = streamed(&columns, &rows, Lent::Fetched { bare });
+            prop_assert_eq!(&lazy, &collected, "lazy rows");
+            prop_assert_eq!(&streamed(&columns, &rows, Lent::Owned), &collected, "owned rows");
+            prop_assert_eq!(&streamed(&columns, &rows, Lent::Spilled), &collected, "spilled rows");
             // Canonical: what the client decodes re-encodes to the same bytes
             // (compared as bytes, since NaN is not equal to itself).
             let decoded = Response::decode(&collected).expect("decodes");
             prop_assert_eq!(decoded.encode(), collected);
         }
+    }
+
+    /// A lent, untouched row's values go to the frame as its stored record,
+    /// byte for byte, and its digests are `name:size` with every digit.
+    #[test]
+    fn an_untouched_row_is_encoded_as_its_record() {
+        let values = vec![
+            Value::Int(-7),
+            Value::Text("Ardea ✓".into()),
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+        ];
+        let tuple = EncodedTuple::new(encode_tuple(&values)).expect("well-formed");
+        let mut rep = SnippetRep::default();
+        for i in 0..12 {
+            rep.entries.push(SnippetEntry {
+                snippet: format!("s{i}"),
+                source: AnnotId(i),
+            });
+        }
+        let object = SummaryObject {
+            obj_id: ObjId(1),
+            instance_id: InstanceId(2),
+            instance_name: "TextSummary1".into(),
+            tuple_id: Oid(3),
+            rep: Rep::Snippet(rep),
+        };
+        let summaries = EncodedSummaries::new(encode_objects(&[object])).expect("well-formed");
+        let mut out = Vec::new();
+        let mut rows = RowsEncoder::begin(&mut out, &[]);
+        let start = out.len();
+        FinishedRow::lend_fetched(None, tuple.clone(), Some(summaries), |row| {
+            assert_eq!(row.read().values_record(), Some(tuple.as_bytes()));
+            rows.row(&mut out, &(row.source(), row.read()));
+        });
+        let record = tuple.as_bytes();
+        // No source: one tag byte, then the values.
+        assert_eq!(&out[start..start + 1], [0]);
+        assert_eq!(&out[start + 1..start + 1 + record.len()], record);
+        let mut digests = Vec::new();
+        put_u32(&mut digests, 1);
+        put_str(&mut digests, "TextSummary1:12");
+        assert_eq!(&out[start + 1 + record.len()..], digests);
     }
 
     /// The client's side of a session: its hello, then `requests`, one frame

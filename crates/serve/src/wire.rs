@@ -31,7 +31,6 @@
 //! lets the serve benchmark assert byte-identical results against an
 //! in-process oracle.
 
-use std::fmt;
 use std::io::{Read, Write};
 
 use instn_core::AnnotatedTuple;
@@ -429,15 +428,25 @@ impl FrameReader {
 
 // ---- encoders --------------------------------------------------------
 
-/// [`put_str`] of text that is formatted straight into `out`, its length
-/// patched in behind it.
-fn put_display(out: &mut Vec<u8>, text: fmt::Arguments<'_>) {
-    let at = out.len();
-    put_u32(out, 0);
-    // Writing to a `Vec` cannot fail.
-    let _ = out.write_fmt(text);
-    let len = out.len() - at - 4;
-    patch_u32(out, at, len as u32);
+/// [`put_str`] of a summary object's `name:size` digest, the size in
+/// decimal.
+fn put_digest(out: &mut Vec<u8>, name: &str, size: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = size;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let digits = &digits[at..];
+    put_u32(out, (name.len() + 1 + digits.len()) as u32);
+    out.extend_from_slice(name.as_bytes());
+    out.push(b':');
+    out.extend_from_slice(digits);
 }
 
 fn put_strs(out: &mut Vec<u8>, strs: &[String]) {
@@ -597,10 +606,18 @@ impl Request {
 pub trait WireFields {
     /// `(table, oid)` provenance while single-sourced.
     fn source(&self) -> Option<(u32, u64)>;
+    /// The values' stored tuple record while the row still holds it, `None`
+    /// once they are owned or projected. A record is a `u32` count and then
+    /// each value through `put_value`, which is the values' wire form too,
+    /// so the encoder copies it whole.
+    fn record(&self) -> Option<&[u8]> {
+        None
+    }
     /// The data values, in order.
     fn values(&self, put: &mut dyn FnMut(ValueRef<'_>));
-    /// Each attached summary object's `name:size` digest, in order.
-    fn summaries(&self, put: &mut dyn FnMut(fmt::Arguments<'_>));
+    /// Append each attached summary object's `name:size` digest to `out`,
+    /// in order, as a wire string; how many were appended.
+    fn summaries(&self, out: &mut Vec<u8>) -> u32;
 }
 
 impl WireFields for WireRow {
@@ -612,10 +629,11 @@ impl WireFields for WireRow {
         self.values.iter().map(Value::as_ref).for_each(put);
     }
 
-    fn summaries(&self, put: &mut dyn FnMut(fmt::Arguments<'_>)) {
+    fn summaries(&self, out: &mut Vec<u8>) -> u32 {
         for s in &self.summaries {
-            put(format_args!("{s}"));
+            put_str(out, s);
         }
+        self.summaries.len() as u32
     }
 }
 
@@ -625,13 +643,21 @@ impl WireFields for (Option<(TableId, Oid)>, &dyn RowRead) {
         self.0.map(|(t, o)| (t.0, o.0))
     }
 
+    fn record(&self) -> Option<&[u8]> {
+        self.1.values_record()
+    }
+
     fn values(&self, put: &mut dyn FnMut(ValueRef<'_>)) {
         self.1.for_each_column(put);
     }
 
-    fn summaries(&self, put: &mut dyn FnMut(fmt::Arguments<'_>)) {
-        self.1
-            .for_each_summary(&mut |o| put(format_args!("{}:{}", o.summary_name(), o.size())));
+    fn summaries(&self, out: &mut Vec<u8>) -> u32 {
+        let mut n = 0;
+        self.1.for_each_summary(&mut |o| {
+            put_digest(out, o.summary_name(), o.size());
+            n += 1;
+        });
+        n
     }
 }
 
@@ -664,8 +690,10 @@ impl RowsEncoder {
         }
     }
 
-    /// Append one row. Value and summary counts are not asked for up
-    /// front: each is patched in once its items have been written.
+    /// Append one row: its values are the stored record, copied, when the
+    /// row still holds one. Otherwise value and summary counts are not
+    /// asked for up front: each is patched in once its items have been
+    /// written.
     pub fn row(&mut self, out: &mut Vec<u8>, row: &impl WireFields) {
         match row.source() {
             Some((t, o)) => {
@@ -675,21 +703,21 @@ impl RowsEncoder {
             }
             None => out.push(0),
         }
+        if let Some(record) = row.record() {
+            out.extend_from_slice(record);
+        } else {
+            let at = out.len();
+            put_u32(out, 0);
+            let mut values = 0u32;
+            row.values(&mut |v| {
+                put_value(out, v);
+                values += 1;
+            });
+            patch_u32(out, at, values);
+        }
         let at = out.len();
         put_u32(out, 0);
-        let mut values = 0u32;
-        row.values(&mut |v| {
-            put_value(out, v);
-            values += 1;
-        });
-        patch_u32(out, at, values);
-        let at = out.len();
-        put_u32(out, 0);
-        let mut summaries = 0u32;
-        row.summaries(&mut |s| {
-            put_display(out, s);
-            summaries += 1;
-        });
+        let summaries = row.summaries(out);
         patch_u32(out, at, summaries);
         self.rows += 1;
     }

@@ -54,6 +54,26 @@
 //! [`Access`] are produced after the lock is released, and the steady-state
 //! miss (one victim) allocates nothing.
 //!
+//! # Tickets
+//!
+//! A scan reads the page it is already on again and again (a heap page
+//! holds tens of tuples). [`BufferPool::read_ticketed`] lets such a reader
+//! skip the mutex: each locked read leaves it a [`FrameTicket`] naming the
+//! frame's slot and that slot's *generation*, and a later read of the same
+//! page whose ticket still validates is a hit taken without the lock.
+//!
+//! Under the lock, a slot's generation is bumped before the CLOCK hand
+//! clears its frame's reference bit, before its frame is evicted, and — for
+//! every slot — on [`BufferPool::set_capacity`], which may move frames. A
+//! ticket is taken right after its access set the reference bit, so a
+//! ticket that still validates proves the page is resident with its bit
+//! set: a locked read would be a hit that changes no state. The ticketed
+//! hit therefore charges exactly what that locked hit charges — one logical
+//! read, one cache hit, `bufferpool_hits_total` — and the counters, the
+//! victims and the hand are the same as without tickets. Generations live
+//! in chunks allocated on demand and never moved, so they can be read with
+//! no lock; a slot past the last chunk never gets a ticket.
+//!
 //! # Write-ahead ordering
 //!
 //! When a [`crate::wal::Wal`] is attached ([`BufferPool::set_wal`]), every
@@ -64,11 +84,13 @@
 //! log record describing it. Without a WAL attached, behaviour and counters
 //! are bit-identical to the WAL-less pool.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::io::IoStats;
 use crate::wal::{Lsn, Wal};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use instn_obs::{Counter, Gauge, MetricsRegistry};
 
@@ -149,6 +171,63 @@ pub struct Access {
     pub hit: bool,
     /// Frames evicted to make room (empty on hits and while under capacity).
     pub evicted: Evictions,
+}
+
+/// A reader's claim on the frame its last locked [`BufferPool::read_ticketed`]
+/// found, good for lock-free hits on the same page until the frame's
+/// generation moves (see the module docs). The default holds no claim.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameTicket(Option<Claim>);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Claim {
+    key: FrameKey,
+    kind: FileKind,
+    slot: usize,
+    generation: u64,
+}
+
+/// Slots per generation chunk.
+const GEN_CHUNK: usize = 1024;
+/// Generation chunks: slots from `GEN_CHUNK * GEN_CHUNKS` on take no ticket.
+const GEN_CHUNKS: usize = 64;
+
+/// Each frame slot's generation, in chunks allocated on demand and never
+/// reallocated, so a reader without the lock can load one while a locked
+/// access allocates another. Bumped only under the pool's lock.
+#[derive(Debug)]
+struct Generations([OnceLock<Box<[AtomicU64]>>; GEN_CHUNKS]);
+
+impl Default for Generations {
+    fn default() -> Self {
+        Self(std::array::from_fn(|_| OnceLock::new()))
+    }
+}
+
+impl Generations {
+    /// `slot`'s generation, if its chunk exists.
+    fn get(&self, slot: usize) -> Option<&AtomicU64> {
+        self.0.get(slot / GEN_CHUNK)?.get()?.get(slot % GEN_CHUNK)
+    }
+
+    /// `slot`'s generation, allocating its chunk; `None` past the chunks.
+    fn get_or_alloc(&self, slot: usize) -> Option<&AtomicU64> {
+        let chunk = self.0.get(slot / GEN_CHUNK)?.get_or_init(|| {
+            std::iter::repeat_with(AtomicU64::default)
+                .take(GEN_CHUNK)
+                .collect()
+        });
+        chunk.get(slot % GEN_CHUNK)
+    }
+
+    /// Void every ticket on `slot`. A slot whose chunk does not exist has
+    /// none to void. Only the pool's lock holder bumps, so a load and a
+    /// store do what a read-modify-write would.
+    fn bump(&self, slot: usize) {
+        if let Some(generation) = self.get(slot) {
+            generation.store(generation.load(Ordering::Relaxed) + 1, Ordering::Release);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -241,11 +320,17 @@ impl PoolState {
     }
 
     /// The frame of a slot the page table points at.
+    // The page table maps a slot only while a frame occupies it: `admit`
+    // maps after filling the slot, `reclaim` unmaps before emptying it.
+    #[allow(clippy::expect_used)]
     fn frame_mut(&mut self, slot: usize) -> &mut Frame {
         self.frames[slot].as_mut().expect("mapped slot is occupied")
     }
 
     /// Point `key`'s page-table entry at `slot` (`None` clears it).
+    // Page ids are arena indexes, so they fit `usize`; the frame table
+    // holds at most capacity plus pinned frames, far below `u32::MAX`.
+    #[allow(clippy::expect_used)]
     fn map(&mut self, key: FrameKey, slot: Option<usize>) {
         let slots = &mut self.files[key.file.0 as usize].slots;
         let page = usize::try_from(key.page).expect("page ids are arena indexes");
@@ -257,8 +342,9 @@ impl PoolState {
 
     /// Advance the hand to the next victim: clear reference bits until an
     /// unpinned, unreferenced frame comes under it, and leave the hand just
-    /// past that frame. `None` if every frame is pinned.
-    fn sweep(&mut self, steps: &mut u64) -> Option<usize> {
+    /// past that frame. `None` if every frame is pinned. A frame's tickets
+    /// are voided before its bit is cleared.
+    fn sweep(&mut self, gens: &Generations, steps: &mut u64) -> Option<usize> {
         let n = self.frames.len();
         // Two revolutions suffice: the first clears reference bits, the
         // second must find a victim unless everything is pinned.
@@ -271,6 +357,7 @@ impl PoolState {
                     if !frame.referenced {
                         return Some(slot);
                     }
+                    gens.bump(slot);
                     frame.referenced = false;
                 }
                 _ => {}
@@ -280,9 +367,12 @@ impl PoolState {
     }
 
     /// Sweep for one victim and take it out of its slot and out of the page
-    /// table; `None` if all are pinned.
-    fn reclaim(&mut self, out: &mut Reclaimed) -> Option<usize> {
-        let slot = self.sweep(&mut out.steps)?;
+    /// table, voiding its tickets first; `None` if all are pinned.
+    // `sweep` returns only a slot it found occupied.
+    #[allow(clippy::expect_used)]
+    fn reclaim(&mut self, gens: &Generations, out: &mut Reclaimed) -> Option<usize> {
+        let slot = self.sweep(gens, &mut out.steps)?;
+        gens.bump(slot);
         let frame = self.frames[slot].take().expect("victim slot is occupied");
         self.map(frame.key, None);
         self.resident -= 1;
@@ -299,13 +389,20 @@ impl PoolState {
     }
 
     /// Admit `key` (must not be resident), evicting down to `cap - 1` first.
-    fn admit(&mut self, cap: usize, key: FrameKey, dirty: bool, rec_lsn: Option<Lsn>) -> Reclaimed {
+    fn admit(
+        &mut self,
+        gens: &Generations,
+        cap: usize,
+        key: FrameKey,
+        dirty: bool,
+        rec_lsn: Option<Lsn>,
+    ) -> Reclaimed {
         let mut out = Reclaimed::default();
         // The incoming frame takes the last victim's slot, just behind the
         // hand; victims before it (a shrink-back) leave free slots.
         let mut reused = None;
         while self.resident >= cap {
-            let Some(slot) = self.reclaim(&mut out) else {
+            let Some(slot) = self.reclaim(gens, &mut out) else {
                 break; // all pinned: over-allocate rather than fail
             };
             self.free.extend(reused.replace(slot));
@@ -329,9 +426,9 @@ impl PoolState {
 
     /// Evict down to `cap` frames in one pass, then close the vacated slots:
     /// survivors keep their circular order and the hand its place in it.
-    fn shrink(&mut self, cap: usize) -> Reclaimed {
+    fn shrink(&mut self, gens: &Generations, cap: usize) -> Reclaimed {
         let mut out = Reclaimed::default();
-        while self.resident > cap && self.reclaim(&mut out).is_some() {}
+        while self.resident > cap && self.reclaim(gens, &mut out).is_some() {}
         let hand = self.frames[..self.hand].iter().flatten().count();
         self.frames.retain(Option::is_some);
         self.frames.shrink_to(cap);
@@ -368,6 +465,8 @@ pub struct BufferPool {
     capacity: AtomicUsize,
     state: Mutex<PoolState>,
     obs: OnceLock<PoolObs>,
+    /// Slot generations, read without the lock (see the module docs).
+    gens: Generations,
 }
 
 impl BufferPool {
@@ -381,6 +480,7 @@ impl BufferPool {
             capacity: AtomicUsize::new(capacity),
             state: Mutex::new(PoolState::default()),
             obs: OnceLock::new(),
+            gens: Generations::default(),
         })
     }
 
@@ -416,8 +516,14 @@ impl BufferPool {
         self.capacity.load(Ordering::Relaxed)
     }
 
+    /// The directory, taken over from a thread that panicked holding it.
+    /// What can panic under the lock does so before the directory changes
+    /// (indexing the page table of a `FileId` this pool never issued) or
+    /// is an invariant `expect` that holds; and the pool keeps residency
+    /// bookkeeping, never page bytes. So one failed access must not fail
+    /// every later one.
     fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().expect("buffer pool poisoned")
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Resize the pool. Shrinking evicts (with write-back of dirty frames)
@@ -431,10 +537,14 @@ impl BufferPool {
             // that a racing resize has already disabled.
             let mut st = self.lock();
             self.capacity.store(capacity, Ordering::Relaxed);
+            // A shrink moves frames between slots: void every ticket.
+            for slot in 0..st.frames.len() {
+                self.gens.bump(slot);
+            }
             if st.resident <= capacity {
                 return;
             }
-            st.shrink(capacity)
+            st.shrink(&self.gens, capacity)
         };
         self.settle(&reclaimed);
     }
@@ -458,14 +568,33 @@ impl BufferPool {
 
     /// Fetch a page for reading.
     pub fn read(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Read)
+        self.access(file, page, Op::Read, None)
+    }
+
+    /// [`BufferPool::read`] for a reader that comes back to the page it is
+    /// on: while `ticket` names this page and its frame's generation has
+    /// not moved, the read is a hit charged without taking the lock (the
+    /// same charges as a locked hit; see the module docs). Otherwise it is
+    /// a locked read that leaves `ticket` claiming the frame it found, or
+    /// no claim when nothing stays resident (capacity 0) or the slot is
+    /// past the generation chunks.
+    pub fn read_ticketed(&self, file: FileId, page: u64, ticket: &mut FrameTicket) -> Access {
+        let key = FrameKey { file, page };
+        if let Some(claim) = ticket.0.filter(|c| c.key == key) {
+            let current = self.gens.get(claim.slot).map(|g| g.load(Ordering::Acquire));
+            if current == Some(claim.generation) {
+                self.charge_logical(claim.kind, Op::Read);
+                return self.charge_hit(Op::Read);
+            }
+        }
+        self.access(file, page, Op::Read, Some(ticket))
     }
 
     /// Fetch a page for modification (read-modify-write). This is the charge
     /// the pager's `write` and the B-Tree's `write_node` pay: a logical read
     /// plus a logical write.
     pub fn write(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Write)
+        self.access(file, page, Op::Write, None)
     }
 
     /// Modify a page already fetched earlier in the same operation (e.g. a
@@ -474,7 +603,7 @@ impl BufferPool {
     /// write charge at these sites. If the frame was evicted since the fetch
     /// it is honestly re-read.
     pub fn mutate(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Mutate)
+        self.access(file, page, Op::Mutate, None)
     }
 
     /// Record creation of a brand-new page (heap allocation, B-Tree node
@@ -483,7 +612,7 @@ impl BufferPool {
     /// counts neither as a hit nor a miss. Re-allocation of a resident page
     /// id (possible after a clear) just dirties it.
     pub fn alloc(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Alloc)
+        self.access(file, page, Op::Alloc, None)
     }
 
     /// Pin a resident frame so eviction skips it. Returns `false` (no-op) if
@@ -562,8 +691,9 @@ impl BufferPool {
     // ------------------------------------------------------------------
 
     /// One access of the charging table: look the page up and update the
-    /// directory under the lock, then charge what that found.
-    fn access(&self, file: FileId, page: u64, op: Op) -> Access {
+    /// directory under the lock, then charge what that found. A `ticket`
+    /// is re-issued for the frame the access leaves resident.
+    fn access(&self, file: FileId, page: u64, op: Op, ticket: Option<&mut FrameTicket>) -> Access {
         let key = FrameKey { file, page };
         let (kind, outcome) = {
             let mut st = self.lock();
@@ -589,23 +719,25 @@ impl BufferPool {
                         }
                         Outcome::Hit
                     }
-                    None => Outcome::Miss(st.admit(cap, key, op.writes(), rec_lsn)),
+                    None => Outcome::Miss(st.admit(&self.gens, cap, key, op.writes(), rec_lsn)),
                 }
             };
+            if let Some(ticket) = ticket {
+                // The access just set the frame's reference bit.
+                let claim = st.slot_of(key).filter(|_| cap > 0).and_then(|slot| {
+                    let generation = self.gens.get_or_alloc(slot)?.load(Ordering::Relaxed);
+                    Some(Claim {
+                        key,
+                        kind,
+                        slot,
+                        generation,
+                    })
+                });
+                *ticket = FrameTicket(claim);
+            }
             (kind, outcome)
         };
-        if op.reads() {
-            match kind {
-                FileKind::Heap => self.stats.logical_heap_read(1),
-                FileKind::Index => self.stats.logical_index_read(1),
-            }
-        }
-        if op.writes() {
-            match kind {
-                FileKind::Heap => self.stats.logical_heap_write(1),
-                FileKind::Index => self.stats.logical_index_write(1),
-            }
-        }
+        self.charge_logical(kind, op);
         match outcome {
             Outcome::Disabled(wal) => {
                 if op.reads() {
@@ -616,18 +748,7 @@ impl BufferPool {
                 }
                 Access::default()
             }
-            Outcome::Hit => {
-                if op.fetches() {
-                    self.stats.cache_hit(1);
-                    if let Some(o) = self.obs.get() {
-                        o.hits.inc();
-                    }
-                }
-                Access {
-                    hit: true,
-                    evicted: Evictions::default(),
-                }
-            }
+            Outcome::Hit => self.charge_hit(op),
             Outcome::Miss(reclaimed) => {
                 if op.fetches() {
                     self.stats.cache_miss(1);
@@ -642,6 +763,38 @@ impl BufferPool {
                     evicted: reclaimed.evicted,
                 }
             }
+        }
+    }
+
+    /// The logical reads and writes of `op` on a page of `kind`.
+    #[inline]
+    fn charge_logical(&self, kind: FileKind, op: Op) {
+        if op.reads() {
+            match kind {
+                FileKind::Heap => self.stats.logical_heap_read(1),
+                FileKind::Index => self.stats.logical_index_read(1),
+            }
+        }
+        if op.writes() {
+            match kind {
+                FileKind::Heap => self.stats.logical_heap_write(1),
+                FileKind::Index => self.stats.logical_index_write(1),
+            }
+        }
+    }
+
+    /// What a hit costs beyond its logical charges.
+    #[inline]
+    fn charge_hit(&self, op: Op) -> Access {
+        if op.fetches() {
+            self.stats.cache_hit(1);
+            if let Some(o) = self.obs.get() {
+                o.hits.inc();
+            }
+        }
+        Access {
+            hit: true,
+            evicted: Evictions::default(),
         }
     }
 
@@ -926,6 +1079,125 @@ mod tests {
             wal.current_lsn(),
             "an immediate page write forces the full appended tail"
         );
+    }
+
+    #[test]
+    fn a_ticketed_hit_charges_what_a_locked_hit_does() {
+        let registry = MetricsRegistry::new();
+        registry.set_enabled(true);
+        let hits = registry.counter("bufferpool_hits_total", "");
+        let (pool, stats, heap, index) = pool(4);
+        pool.attach_metrics(&registry);
+        let mut ticket = FrameTicket::default();
+        assert!(!pool.read_ticketed(heap, 1, &mut ticket).hit);
+        assert!(ticket.0.is_some(), "the miss admitted the page");
+        let before = stats.snapshot();
+        assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
+        let ticketed = stats.snapshot().since(&before);
+        let before = stats.snapshot();
+        assert!(pool.read(heap, 1).hit);
+        assert_eq!(stats.snapshot().since(&before), ticketed);
+        assert_eq!(ticketed.logical_heap_reads, 1);
+        assert_eq!(ticketed.cache_hits, 1);
+        assert_eq!(hits.value(), 2);
+        // A ticket speaks for its page only; another page takes the lock
+        // and moves the ticket there.
+        assert!(!pool.read_ticketed(index, 0, &mut ticket).hit);
+        let before = stats.snapshot();
+        assert!(pool.read_ticketed(index, 0, &mut ticket).hit);
+        assert_eq!(stats.snapshot().since(&before).logical_index_reads, 1);
+    }
+
+    /// Whether `ticket` still holds for `key`: what the lock-free path tests.
+    fn holds(pool: &BufferPool, ticket: &FrameTicket, file: FileId, page: u64) -> bool {
+        ticket.0.is_some_and(|c| {
+            c.key == FrameKey { file, page }
+                && pool.gens.get(c.slot).map(|g| g.load(Ordering::Acquire)) == Some(c.generation)
+        })
+    }
+
+    #[test]
+    fn a_ticket_dies_with_its_frame_bit_or_slot() {
+        let mut ticket = FrameTicket::default();
+        {
+            // Eviction.
+            let (pool, _, heap, _) = pool(1);
+            pool.read_ticketed(heap, 1, &mut ticket);
+            assert!(holds(&pool, &ticket, heap, 1));
+            pool.read(heap, 2);
+            assert!(!holds(&pool, &ticket, heap, 1));
+            assert!(!pool.read_ticketed(heap, 1, &mut ticket).hit);
+        }
+        {
+            // The hand clearing the bit while the page stays resident.
+            let (pool, _, heap, _) = pool(2);
+            pool.read(heap, 2); // slot 0
+            pool.read_ticketed(heap, 1, &mut ticket); // slot 1
+            pool.read(heap, 3); // clears both bits, evicts page 2
+            assert!(pool.contains(heap, 1));
+            assert!(!holds(&pool, &ticket, heap, 1));
+            // The locked re-read is a hit that sets the bit again.
+            assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
+            assert!(holds(&pool, &ticket, heap, 1));
+        }
+        {
+            // `set_capacity`, even one that evicts nothing.
+            let (pool, _, heap, _) = pool(4);
+            pool.read_ticketed(heap, 1, &mut ticket);
+            pool.set_capacity(8);
+            assert!(!holds(&pool, &ticket, heap, 1));
+        }
+    }
+
+    #[test]
+    fn a_disabled_pool_gives_no_ticket() {
+        let mut ticket = FrameTicket::default();
+        {
+            let (pool, _, heap, _) = pool(0);
+            pool.read_ticketed(heap, 1, &mut ticket);
+            assert_eq!(ticket, FrameTicket::default());
+        }
+        // A frame pinned through a resize to 0 stays resident; a read of it
+        // is charged physically and leaves no ticket.
+        let (pool, stats, heap, _) = pool(2);
+        pool.read(heap, 1);
+        pool.pin(heap, 1);
+        pool.set_capacity(0);
+        assert!(pool.contains(heap, 1));
+        let before = stats.snapshot();
+        pool.read_ticketed(heap, 1, &mut ticket);
+        assert_eq!(ticket, FrameTicket::default());
+        let delta = stats.snapshot().since(&before);
+        assert_eq!((delta.heap_reads, delta.cache_hits), (1, 0));
+    }
+
+    #[test]
+    fn a_slot_past_the_chunks_takes_the_lock() {
+        let (pool, stats, heap, _) = pool(GEN_CHUNK * GEN_CHUNKS + 1);
+        for page in 0..=(GEN_CHUNK * GEN_CHUNKS) as u64 {
+            pool.alloc(heap, page);
+        }
+        let last = (GEN_CHUNK * GEN_CHUNKS) as u64;
+        let mut ticket = FrameTicket::default();
+        assert!(pool.read_ticketed(heap, last, &mut ticket).hit);
+        assert_eq!(ticket, FrameTicket::default());
+        assert!(pool.read_ticketed(heap, last, &mut ticket).hit);
+        assert_eq!(stats.snapshot().cache_hits, 2);
+    }
+
+    #[test]
+    fn a_poisoned_pool_keeps_serving() {
+        let (pool, stats, heap, _) = pool(4);
+        pool.read(heap, 1);
+        let poisoner = Arc::clone(&pool);
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.lock();
+            panic!("a thread dies holding the directory");
+        })
+        .join();
+        assert!(pool.state.is_poisoned());
+        assert!(pool.read(heap, 1).hit);
+        assert_eq!(stats.snapshot().cache_hits, 1);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! per record version: the page slot keeps the verdict of the check that
 //! accepted it.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, FrameTicket};
 use crate::codec::{put_u16, put_u32, put_u64, Reader};
 use crate::error::StorageError;
 use crate::io::IoStats;
@@ -274,7 +276,7 @@ impl HeapFile {
     /// Fetch the record at `rid`, copied out (one page read per chunk for
     /// oversized records).
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
-        Ok(match self.fetch(rid)? {
+        Ok(match self.fetch(rid, None)? {
             Fetched::Shared(record) => record.bytes()[1..].to_vec(),
             Fetched::Copied(payload) => payload,
         })
@@ -297,8 +299,28 @@ impl HeapFile {
         &self,
         rid: RecordId,
     ) -> std::result::Result<SharedRecord, F::Error> {
+        self.checked::<F>(rid, None)
+    }
+
+    /// [`HeapFile::get_checked`] for a scan that comes back to the page it
+    /// is on: the page read goes through `ticket` (see
+    /// [`BufferPool::read_ticketed`]), charging the same. An oversized
+    /// record leaves the ticket empty: its chunk reads take the lock.
+    pub fn get_checked_ticketed<F: RecordFormat>(
+        &self,
+        rid: RecordId,
+        ticket: &mut FrameTicket,
+    ) -> std::result::Result<SharedRecord, F::Error> {
+        self.checked::<F>(rid, Some(ticket))
+    }
+
+    fn checked<F: RecordFormat>(
+        &self,
+        rid: RecordId,
+        ticket: Option<&mut FrameTicket>,
+    ) -> std::result::Result<SharedRecord, F::Error> {
         const { assert!(F::VERDICT != 0, "verdict 0 means unchecked") };
-        match self.fetch(rid)? {
+        match self.fetch(rid, ticket)? {
             Fetched::Shared(record) => {
                 let shared = SharedRecord {
                     bytes: Arc::clone(record.bytes()),
@@ -317,10 +339,13 @@ impl HeapFile {
         }
     }
 
-    /// The record at `rid` as stored: one page read, plus one per chunk for
-    /// an oversized record.
-    fn fetch(&self, rid: RecordId) -> Result<Fetched<'_>> {
-        let page = self.pager.read(rid.page)?;
+    /// The record at `rid` as stored: one page read (through `ticket` when
+    /// given), plus one per chunk for an oversized record.
+    fn fetch(&self, rid: RecordId, mut ticket: Option<&mut FrameTicket>) -> Result<Fetched<'_>> {
+        let page = match ticket.as_deref_mut() {
+            Some(ticket) => self.pager.read_ticketed(rid.page, ticket)?,
+            None => self.pager.read(rid.page)?,
+        };
         let framed = page.get(rid.slot).ok_or(StorageError::RecordNotFound {
             page: rid.page.0,
             slot: rid.slot,
@@ -331,6 +356,9 @@ impl HeapFile {
                 None => Fetched::Copied(payload.to_vec()),
             }),
             Some((&TAG_DIRECTORY, _)) => {
+                if let Some(ticket) = ticket {
+                    *ticket = FrameTicket::default();
+                }
                 // Pin the directory's page for the duration of chunk
                 // assembly: the chunk reads must not evict the anchor of the
                 // multi-page operation in progress.
@@ -414,6 +442,8 @@ impl HeapFile {
     /// fail to assemble (truncated, deleted, or mis-tagged) is *skipped*
     /// and counted in [`HeapFile::corrupt_skipped`] — never silently
     /// yielded as an empty or partial payload.
+    // Every id `page_ids` yields is a page of the arena.
+    #[allow(clippy::expect_used)]
     pub fn scan(&self) -> impl Iterator<Item = (RecordId, Vec<u8>)> + '_ {
         self.pager.page_ids().flat_map(move |pid| {
             let page = self.pager.read(pid).expect("page ids are dense");

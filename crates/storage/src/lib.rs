@@ -46,7 +46,7 @@ pub mod tuple;
 pub mod wal;
 
 pub use btree::{BTree, Cursor, CursorDesc};
-pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey};
+pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey, FrameTicket};
 pub use error::StorageError;
 pub use heap::{HeapFile, RecordFormat, SharedRecord};
 pub use io::{IoScope, IoSnapshot, IoStats};

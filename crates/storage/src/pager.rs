@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use crate::buffer::{BufferPool, FileId, FileKind};
+use crate::buffer::{BufferPool, FileId, FileKind, FrameTicket};
 use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::page::{Page, PageId};
@@ -82,6 +82,18 @@ impl Pager {
             .get(id.0 as usize)
             .ok_or(StorageError::PageNotFound(id.0))?;
         self.pool.read(self.file, u64::from(id.0));
+        Ok(page)
+    }
+
+    /// [`Pager::read`] through a scan's `ticket`: the same charge, taken
+    /// without the pool's lock while the ticket holds (see
+    /// [`BufferPool::read_ticketed`]).
+    pub fn read_ticketed(&self, id: PageId, ticket: &mut FrameTicket) -> Result<&Page> {
+        let page = self
+            .pages
+            .get(id.0 as usize)
+            .ok_or(StorageError::PageNotFound(id.0))?;
+        self.pool.read_ticketed(self.file, u64::from(id.0), ticket);
         Ok(page)
     }
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use crate::btree::BTree;
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, FrameTicket};
 use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::io::IoStats;
@@ -198,7 +198,7 @@ impl Table {
     fn scan_fetch<T>(
         &self,
         rid: RecordId,
-        fetch: impl Fn(&Self, RecordId) -> Result<T>,
+        fetch: impl FnOnce(&Self, RecordId) -> Result<T>,
     ) -> Option<T> {
         let tuple = fetch(self, rid);
         if tuple.is_err() {
@@ -227,7 +227,7 @@ impl Table {
     /// shape pull-based executors need). The table must not be mutated
     /// while the cursor is live.
     pub fn scan_open(&self) -> ScanCursor {
-        ScanCursor(self.oid_index.cursor(None, None))
+        ScanCursor::new(self.oid_index.cursor(None, None))
     }
 
     /// Open a resumable scan over the *inclusive* OID range `[lo, hi]`
@@ -237,7 +237,7 @@ impl Table {
     pub fn scan_open_range(&self, lo: Option<Oid>, hi: Option<Oid>) -> ScanCursor {
         let lo = lo.map(Oid::to_key);
         let hi = hi.map(Oid::to_key);
-        ScanCursor(
+        ScanCursor::new(
             self.oid_index
                 .cursor(lo.as_ref().map(|k| &k[..]), hi.as_ref().map(|k| &k[..])),
         )
@@ -285,35 +285,60 @@ impl Table {
 
     /// Pull the next `(oid, tuple)` from a resumable scan.
     pub fn scan_next(&self, cur: &mut ScanCursor) -> Option<(Oid, Tuple)> {
-        self.scan_step(cur, Self::get_at)
+        self.scan_step(cur, |t, rid, ticket| {
+            Ok(t.get_at_ticketed(rid, ticket)?.view().to_owned())
+        })
     }
 
     /// [`Table::scan_next`] without the decode: same pages, same order, same
     /// skipping of unreadable rows, but the checked record stays bytes.
     pub fn scan_next_raw(&self, cur: &mut ScanCursor) -> Option<(Oid, EncodedTuple)> {
-        self.scan_step(cur, Self::get_at_raw)
+        self.scan_step(cur, Self::get_at_ticketed)
+    }
+
+    /// [`Table::get_at_raw`] with the heap page read through a scan's
+    /// ticket.
+    fn get_at_ticketed(&self, rid: RecordId, ticket: &mut FrameTicket) -> Result<EncodedTuple> {
+        self.heap
+            .get_checked_ticketed::<TupleFormat>(rid, ticket)
+            .map(EncodedTuple::checked)
     }
 
     fn scan_step<T>(
         &self,
         cur: &mut ScanCursor,
-        fetch: impl Fn(&Self, RecordId) -> Result<T>,
+        fetch: impl Fn(&Self, RecordId, &mut FrameTicket) -> Result<T>,
     ) -> Option<(Oid, T)> {
         loop {
-            let (k, &rid) = self.oid_index.cursor_next_ref(&mut cur.0)?;
+            let (k, &rid) = self.oid_index.cursor_next_ref(&mut cur.entries)?;
             let Some(oid) = Oid::from_key(k) else {
                 continue;
             };
-            if let Some(t) = self.scan_fetch(rid, &fetch) {
+            let ticket = &mut cur.ticket;
+            if let Some(t) = self.scan_fetch(rid, |t, rid| fetch(t, rid, ticket)) {
                 return Some((oid, t));
             }
         }
     }
 }
 
-/// Resumable position of a [`Table::scan_open`] sequential scan.
+/// Resumable position of a [`Table::scan_open`] sequential scan, with the
+/// ticket its heap page reads go through: consecutive tuples share a page,
+/// and a re-read of the page the scan is on skips the pool's lock.
 #[derive(Debug, Clone)]
-pub struct ScanCursor(crate::btree::Cursor);
+pub struct ScanCursor {
+    entries: crate::btree::Cursor,
+    ticket: FrameTicket,
+}
+
+impl ScanCursor {
+    fn new(entries: crate::btree::Cursor) -> Self {
+        Self {
+            entries,
+            ticket: FrameTicket::default(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

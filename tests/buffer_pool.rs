@@ -1,18 +1,21 @@
 //! Property-based tests for the storage buffer pool: CLOCK eviction,
 //! pinning, and dirty-page write-back checked against simple models (a
 //! pin/dirty model, and a reference CLOCK that predicts every victim), a
-//! pooled-vs-uncached HeapFile oracle under eviction pressure, and a guard
-//! on the work the hand does per eviction.
+//! pooled-vs-uncached HeapFile oracle under eviction pressure, ticketed
+//! (lock-free) re-reads against the locked reads they stand for — on one
+//! thread, and on a thread of their own beside one that evicts — and a
+//! guard on the work the hand does per eviction.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
 
 use insightnotes::obs::MetricsRegistry;
-use insightnotes::storage::buffer::{BufferPool, FileKind};
+use insightnotes::storage::buffer::{BufferPool, FileId, FileKind, FrameTicket};
 use insightnotes::storage::io::{IoSnapshot, IoStats};
-use insightnotes::storage::HeapFile;
+use insightnotes::storage::{HeapFile, RecordFormat, StorageError};
 
 // --------------------------------------------------------------------
 // Raw pool ops vs a pin/dirty model.
@@ -36,8 +39,6 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// Under arbitrary interleavings of reads, writes, pins, and unpins
     /// against a small pool:
     ///
@@ -112,48 +113,66 @@ proptest! {
         prop_assert_eq!(snap.heap_reads, snap.cache_misses);
     }
 
-    /// Random read/write/pin/unpin/`set_capacity` streams against the
-    /// reference CLOCK below: every access evicts the victims the model
+    /// Random read/write/ticketed-read/pin/unpin/`set_capacity` streams
+    /// against the reference CLOCK below, at capacity 0, a small one and
+    /// one that holds every page: every access evicts the victims the model
     /// names, in its order and with its dirty flags, the resident set and
-    /// the `IoStats` counters agree after every step.
+    /// the `IoStats` counters agree after every step. A ticketed read is
+    /// the model's plain read, whatever the resizes and sweeps between a
+    /// ticket and its use did.
     #[test]
     fn victims_follow_the_reference_clock(
         ops in prop::collection::vec(clock_op(), 1..400),
-        cap in 0usize..8,
+        cap in prop_oneof![0usize..8, Just(64usize)],
     ) {
         let stats = IoStats::new();
         let pool = BufferPool::new(Arc::clone(&stats), cap);
         let file = pool.register_file(FileKind::Heap);
         let mut model = ClockModel { cap, ..ClockModel::default() };
-        for op in ops {
-            match op {
-                ClockOp::Access(p, write) => {
-                    let page = u64::from(p);
-                    let access = if write { pool.write(file, page) } else { pool.read(file, page) };
-                    let (hit, victims) = model.access(page, write);
-                    prop_assert_eq!(access.hit, hit);
-                    let evicted: Vec<(u64, bool)> =
-                        access.evicted.iter().map(|e| (e.key.page, e.dirty)).collect();
-                    prop_assert_eq!(evicted, victims, "victims of page {}", page);
-                }
-                ClockOp::Pin(p) => {
-                    prop_assert_eq!(pool.pin(file, u64::from(p)), model.pin(u64::from(p), 1));
-                }
-                ClockOp::Unpin(p) => {
-                    pool.unpin(file, u64::from(p));
-                    model.pin(u64::from(p), -1);
-                }
-                ClockOp::SetCapacity(c) => {
-                    pool.set_capacity(c);
-                    model.set_capacity(c);
-                }
-            }
-            prop_assert_eq!(pool.resident(), model.slots.iter().flatten().count());
-            for page in 0..32 {
-                prop_assert_eq!(pool.contains(file, page), model.find(page).is_some());
-            }
-            prop_assert_eq!(stats.snapshot(), model.io);
+        let mut ticket = FrameTicket::default();
+        for op in &ops {
+            let did = apply(&pool, file, &mut ticket, op);
+            agree(&pool, file, &stats, &mut model, op, did)?;
         }
+    }
+
+    /// The same streams with every ticketed read on a thread of its own and
+    /// every other op — the reads, writes and resizes that evict its frames
+    /// and clear their bits — on another, in lock step: the ticket crosses
+    /// from the evicting thread's lock to the scanning thread's lock-free
+    /// check, and still never hits a frame it no longer speaks for.
+    #[test]
+    fn ticketed_reads_beside_an_evicting_thread_follow_the_clock(
+        ops in prop::collection::vec(clock_op(), 1..200),
+        cap in prop_oneof![0usize..8, Just(64usize)],
+    ) {
+        let stats = IoStats::new();
+        let pool = BufferPool::new(Arc::clone(&stats), cap);
+        let file = pool.register_file(FileKind::Heap);
+        let mut model = ClockModel { cap, ..ClockModel::default() };
+        std::thread::scope(|s| {
+            let (done_tx, done) = mpsc::channel::<Did>();
+            let worker = |w: usize| {
+                let (tx, rx) = mpsc::channel::<ClockOp>();
+                let (pool, done_tx) = (&pool, done_tx.clone());
+                s.spawn(move || {
+                    let _pin = IoStats::pin_worker(w);
+                    let mut ticket = FrameTicket::default();
+                    for op in rx {
+                        let _ = done_tx.send(apply(pool, file, &mut ticket, &op));
+                    }
+                });
+                tx
+            };
+            let (scanner, evictor) = (worker(0), worker(1));
+            for op in &ops {
+                let to = if matches!(op, ClockOp::TicketedRead(_)) { &scanner } else { &evictor };
+                to.send(op.clone()).expect("worker alive");
+                let did = done.recv().expect("worker answers");
+                agree(&pool, file, &stats, &mut model, op, did)?;
+            }
+            Ok(())
+        })?;
     }
 
     // ----------------------------------------------------------------
@@ -162,14 +181,24 @@ proptest! {
     // never change the logical work done.
     // ----------------------------------------------------------------
 
+    //
+    // A third file, over a pool of its own, reads through a ticket where
+    // the pooled one reads plainly: after every op the two pools' counters
+    // and resident pages must be the same.
+    // ----------------------------------------------------------------
+
     #[test]
     fn pooled_heap_file_agrees_with_uncached_oracle(
         ops in prop::collection::vec(heap_op(), 1..80),
-        cap in 1usize..6,
+        cap in prop_oneof![Just(0usize), 1usize..6, Just(256usize)],
     ) {
         let pooled_stats = IoStats::new();
         let mut pooled =
             HeapFile::with_pool(BufferPool::new(Arc::clone(&pooled_stats), cap));
+        let ticketed_stats = IoStats::new();
+        let mut ticketed =
+            HeapFile::with_pool(BufferPool::new(Arc::clone(&ticketed_stats), cap));
+        let mut ticket = FrameTicket::default();
         let oracle_stats = IoStats::new();
         let mut oracle = HeapFile::new(Arc::clone(&oracle_stats));
         let mut records = Vec::new();
@@ -178,17 +207,25 @@ proptest! {
                 HeapOp::Insert(size) => {
                     let payload = vec![(records.len() % 251) as u8; size];
                     let rid_p = pooled.insert(&payload).unwrap();
+                    let rid_t = ticketed.insert(&payload).unwrap();
                     let rid_o = oracle.insert(&payload).unwrap();
                     prop_assert_eq!(rid_p, rid_o, "placement must not depend on caching");
+                    prop_assert_eq!(rid_t, rid_o);
                     records.push((rid_p, payload));
                 }
-                HeapOp::Get(i) => {
+                HeapOp::Get(i) | HeapOp::TicketedGet(i) => {
                     if records.is_empty() {
                         continue;
                     }
                     let (rid, payload) = &records[i % records.len()];
                     prop_assert_eq!(&pooled.get(*rid).unwrap(), payload);
                     prop_assert_eq!(&oracle.get(*rid).unwrap(), payload);
+                    let read = if matches!(op, HeapOp::TicketedGet(_)) {
+                        ticketed.get_checked_ticketed::<AnyBytes>(*rid, &mut ticket).unwrap()
+                    } else {
+                        ticketed.get_checked::<AnyBytes>(*rid).unwrap()
+                    };
+                    prop_assert_eq!(read.payload(), &payload[..]);
                 }
                 HeapOp::Update(i, size) => {
                     if records.is_empty() {
@@ -198,11 +235,21 @@ proptest! {
                     let payload = vec![(size % 249) as u8; size];
                     let (rid, stored) = &mut records[slot];
                     let new_p = pooled.update(*rid, &payload).unwrap();
+                    let new_t = ticketed.update(*rid, &payload).unwrap();
                     let new_o = oracle.update(*rid, &payload).unwrap();
                     prop_assert_eq!(new_p, new_o);
+                    prop_assert_eq!(new_t, new_o);
                     *rid = new_p;
                     *stored = payload;
                 }
+            }
+            prop_assert_eq!(ticketed_stats.snapshot(), pooled_stats.snapshot());
+            for page in 0..pooled.page_count() as u64 {
+                prop_assert_eq!(
+                    ticketed.pool().contains(FileId(0), page),
+                    pooled.pool().contains(FileId(0), page),
+                    "page {} resident in one pool only", page
+                );
             }
         }
         // No record was lost or corrupted by evictions.
@@ -222,12 +269,26 @@ proptest! {
     }
 }
 
+/// A record format that accepts any bytes: `get_checked` as a plain read.
+struct AnyBytes;
+
+impl RecordFormat for AnyBytes {
+    const VERDICT: u8 = 200;
+    type Error = StorageError;
+
+    fn check(_: &[u8]) -> Result<(), StorageError> {
+        Ok(())
+    }
+}
+
 #[derive(Debug, Clone)]
 enum HeapOp {
     /// Insert a fresh record of the given size (spans pages past ~8 KB).
     Insert(usize),
     /// Re-read a previously stored record.
     Get(usize),
+    /// Re-read one through the ticket the last such read left.
+    TicketedGet(usize),
     /// Overwrite a record, possibly relocating it.
     Update(usize, usize),
 }
@@ -236,6 +297,7 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
     prop_oneof![
         (0usize..20_000).prop_map(HeapOp::Insert),
         any::<usize>().prop_map(HeapOp::Get),
+        any::<usize>().prop_map(HeapOp::TicketedGet),
         (any::<usize>(), 0usize..20_000).prop_map(|(i, s)| HeapOp::Update(i, s)),
     ]
 }
@@ -249,6 +311,8 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
 enum ClockOp {
     /// Read (`false`) or write (`true`) a page.
     Access(u8, bool),
+    /// Read a page through the one ticket the stream's reader holds.
+    TicketedRead(u8),
     Pin(u8),
     Unpin(u8),
     SetCapacity(usize),
@@ -258,10 +322,86 @@ fn clock_op() -> impl Strategy<Value = ClockOp> {
     prop_oneof![
         (any::<u8>(), any::<bool>()).prop_map(|(p, w)| ClockOp::Access(p % 32, w)),
         (any::<u8>(), any::<bool>()).prop_map(|(p, w)| ClockOp::Access(p % 32, w)),
+        // A scan re-reads the page it is on: mostly a few pages, repeated.
+        any::<u8>().prop_map(|p| ClockOp::TicketedRead(p % 4)),
+        any::<u8>().prop_map(|p| ClockOp::TicketedRead(p % 32)),
         any::<u8>().prop_map(|p| ClockOp::Pin(p % 32)),
         any::<u8>().prop_map(|p| ClockOp::Unpin(p % 32)),
         (0usize..8).prop_map(ClockOp::SetCapacity),
     ]
+}
+
+/// What one op did: the hit flag and victims of an access, `pin`'s answer.
+#[derive(Debug, Default, PartialEq)]
+struct Did {
+    hit: bool,
+    victims: Vec<(u64, bool)>,
+}
+
+fn apply(pool: &BufferPool, file: FileId, ticket: &mut FrameTicket, op: &ClockOp) -> Did {
+    let access = match *op {
+        ClockOp::Access(p, false) => pool.read(file, u64::from(p)),
+        ClockOp::Access(p, true) => pool.write(file, u64::from(p)),
+        ClockOp::TicketedRead(p) => pool.read_ticketed(file, u64::from(p), ticket),
+        ClockOp::Pin(p) => {
+            return Did {
+                hit: pool.pin(file, u64::from(p)),
+                victims: Vec::new(),
+            }
+        }
+        ClockOp::Unpin(p) => {
+            pool.unpin(file, u64::from(p));
+            Default::default()
+        }
+        ClockOp::SetCapacity(c) => {
+            pool.set_capacity(c);
+            Default::default()
+        }
+    };
+    Did {
+        hit: access.hit,
+        victims: access
+            .evicted
+            .iter()
+            .map(|e| (e.key.page, e.dirty))
+            .collect(),
+    }
+}
+
+/// Check what `op` did against the model's prediction, then the resident
+/// set and every counter.
+fn agree(
+    pool: &BufferPool,
+    file: FileId,
+    stats: &IoStats,
+    model: &mut ClockModel,
+    op: &ClockOp,
+    did: Did,
+) -> Result<(), TestCaseError> {
+    let predicted = match *op {
+        ClockOp::Access(p, write) => model.access(u64::from(p), write),
+        ClockOp::TicketedRead(p) => model.access(u64::from(p), false),
+        ClockOp::Pin(p) => (model.pin(u64::from(p), 1), Vec::new()),
+        ClockOp::Unpin(p) => {
+            model.pin(u64::from(p), -1);
+            (false, Vec::new())
+        }
+        ClockOp::SetCapacity(c) => {
+            model.set_capacity(c);
+            (false, Vec::new())
+        }
+    };
+    let predicted = Did {
+        hit: predicted.0,
+        victims: predicted.1,
+    };
+    prop_assert_eq!(did, predicted, "{:?}", op);
+    prop_assert_eq!(pool.resident(), model.slots.iter().flatten().count());
+    for page in 0..32 {
+        prop_assert_eq!(pool.contains(file, page), model.find(page).is_some());
+    }
+    prop_assert_eq!(stats.snapshot(), model.io);
+    Ok(())
 }
 
 #[derive(Debug, Default)]
@@ -371,6 +511,89 @@ impl ClockModel {
         self.free.clear();
         self.hand = if hand == self.slots.len() { 0 } else { hand };
     }
+}
+
+// --------------------------------------------------------------------
+// Tickets under real concurrency.
+// --------------------------------------------------------------------
+
+/// A scan's re-reads go lock-free: runs of reads of one page keep their
+/// ticket (a locked read would re-issue it with a new generation or slot),
+/// while the model still agrees on every hit, victim and counter.
+#[test]
+fn a_scans_repeat_reads_keep_their_ticket() {
+    let stats = IoStats::new();
+    let pool = BufferPool::new(Arc::clone(&stats), 2);
+    let file = pool.register_file(FileKind::Heap);
+    let mut model = ClockModel {
+        cap: 2,
+        ..ClockModel::default()
+    };
+    let mut ticket = FrameTicket::default();
+    let mut kept = 0;
+    for page in 0..6u8 {
+        for _ in 0..8 {
+            let before = ticket;
+            let op = ClockOp::TicketedRead(page);
+            let did = apply(&pool, file, &mut ticket, &op);
+            kept += usize::from(did.hit && ticket == before);
+            agree(&pool, file, &stats, &mut model, &op, did).unwrap();
+        }
+        // Another reader's miss between runs sweeps the hand over the frame.
+        let op = ClockOp::Access(20 + page, false);
+        let did = apply(&pool, file, &mut ticket, &op);
+        agree(&pool, file, &stats, &mut model, &op, did).unwrap();
+    }
+    assert_eq!(kept, 6 * 7, "every re-read within a run skipped the lock");
+}
+
+/// One thread scans with tickets while another reads other pages and
+/// resizes the pool, unsynchronized: every access is charged once, as a
+/// hit or a miss, on the stripe of the thread that made it, and every
+/// physical read is a miss.
+#[test]
+fn ticketed_scans_beside_evictions_charge_every_access_once() {
+    let stats = IoStats::new();
+    let pool = BufferPool::new(Arc::clone(&stats), 8);
+    let file = pool.register_file(FileKind::Heap);
+    let stop = AtomicBool::new(false);
+    let (scanned, evicting) = std::thread::scope(|s| {
+        let scanner = s.spawn(|| {
+            let _pin = IoStats::pin_worker(0);
+            let mut ticket = FrameTicket::default();
+            let mut reads = 0u64;
+            for _ in 0..100 {
+                for page in 0..16 {
+                    for _ in 0..20 {
+                        pool.read_ticketed(file, page, &mut ticket);
+                        reads += 1;
+                    }
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            reads
+        });
+        let evictor = s.spawn(|| {
+            let _pin = IoStats::pin_worker(1);
+            let mut reads = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                pool.read(file, 100 + (reads * 7) % 64);
+                reads += 1;
+                if reads.is_multiple_of(61) {
+                    pool.set_capacity(2 + (reads as usize / 61) % 8);
+                }
+            }
+            reads
+        });
+        (scanner.join().unwrap(), evictor.join().unwrap())
+    });
+    for (w, reads) in [(0, scanned), (1, evicting)] {
+        let s = stats.worker_snapshot(w);
+        assert_eq!(s.logical_heap_reads, reads, "stripe {w}");
+        assert_eq!(s.cache_hits + s.cache_misses, reads, "stripe {w}");
+        assert_eq!(s.heap_reads, s.cache_misses, "stripe {w}");
+    }
+    assert!(pool.resident() <= pool.capacity());
 }
 
 // --------------------------------------------------------------------
