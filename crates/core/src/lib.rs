@@ -48,8 +48,9 @@ pub use recover::RecoveryReport;
 pub use rollup::TableRollup;
 pub use storage::SummaryStorage;
 pub use summary::{
-    ClassifierRep, ClusterGroup, ClusterRep, EncodedSummaries, InstanceId, ObjId, ObjectView, Rep,
-    SnippetEntry, SnippetRep, SummaryObject, SummaryRef, SummarySetView, SummaryType,
+    ClassifierRep, ClusterGroup, ClusterRep, EncodedSummaries, InstanceId, LentSummaries, ObjId,
+    ObjectView, Rep, SnippetEntry, SnippetRep, SummaryObject, SummaryRef, SummarySetView,
+    SummaryType,
 };
 
 /// Crate-wide error type (storage errors plus engine-level conditions).

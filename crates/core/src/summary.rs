@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use instn_annot::AnnotId;
 use instn_storage::codec::{self, put_f32, put_str, put_u32, put_u64, Reader};
-use instn_storage::{Oid, RecordFormat, SharedRecord};
+use instn_storage::{Checked, Oid, RecordFormat, SharedRecord};
 
 use crate::{CoreError, Result};
 
@@ -403,24 +403,41 @@ impl<'a> SummarySetView<'a> {
         let trust_text = |t: &[u8]| {
             debug_assert!(std::str::from_utf8(t).is_ok());
             // SAFETY: `objects` and `count` are private and set only by
-            // `SummarySetView::parse` and `EncodedSummaries::view`. `parse`
-            // walked these bytes with the same `ObjectView::read` and
-            // `RepView::read`s this decode uses, finding every text — this
-            // one among them — to be UTF-8. An `EncodedSummaries` holds bytes
-            // `parse` accepted too: `new` runs it; `checked` takes a record a
-            // heap handed up through `get_checked::<SummarySetFormat>`, which
-            // returns a record only once `SummarySetFormat::check` (that is,
-            // `parse`) accepted it — in that read, or in an earlier one whose
-            // verdict the page slot kept. A slot stores the verdict (Release)
-            // only after the check succeeded, a reader loads it with
-            // Acquire, the record's bytes are an immutable `Arc<[u8]>`, and
-            // replacing a record installs a new, unset verdict with it; the
-            // bytes are borrowed immutably for `'a`, so they have not
+            // `SummarySetView::parse` and `SummarySetView::trusted`, which
+            // `EncodedSummaries::view` and `LentSummaries::view` call.
+            // `parse` walked these bytes with the same `ObjectView::read`
+            // and `RepView::read`s this decode uses, finding every text —
+            // this one among them — to be UTF-8. An `EncodedSummaries` holds
+            // bytes `parse` accepted too: `new` runs it; `checked` takes a
+            // record a heap handed up through
+            // `get_checked::<SummarySetFormat>`. A `LentSummaries` holds a
+            // `Checked<SummarySetFormat>`, which only the heap's checked read
+            // constructs (`get_checked_ticketed::<SummarySetFormat>`), and a
+            // `LentSummaries` is built only by `SummaryStorage` from that
+            // read (or empty); neither type has a public constructor that
+            // takes bytes. The checked read returns a record only once
+            // `SummarySetFormat::check` (that is, `parse`) accepted it — in
+            // that read, or in an earlier one whose verdict the page slot
+            // kept. A slot stores the verdict (Release) only after the check
+            // succeeded, a reader loads it with Acquire, the record's bytes
+            // are an immutable `Arc<[u8]>` — lent by the page or shared —
+            // and replacing a record installs a new, unset verdict with it;
+            // the bytes are borrowed immutably for `'a`, so they have not
             // changed since.
             Some(unsafe { String::from_utf8_unchecked(t.to_vec()) })
         };
         // `parse` accepted these bytes, so the decode cannot fail.
         decode_set(self.objects, self.count, self.count, trust_text).unwrap_or_default()
+    }
+
+    /// The reader over `row` without the walk: only for bytes a
+    /// [`SummarySetFormat`] check accepted, or none (the empty set; see
+    /// the SAFETY note in [`SummarySetView::to_owned`]).
+    #[inline]
+    fn trusted(row: &'a [u8]) -> Self {
+        let mut objects = Reader::new(row);
+        let count = objects.u32().unwrap_or_default() as usize;
+        SummarySetView { objects, count }
     }
 }
 
@@ -461,14 +478,39 @@ impl EncodedSummaries {
     /// The reader over the row.
     #[inline]
     pub fn view(&self) -> SummarySetView<'_> {
-        let mut objects = Reader::new(self.as_bytes());
-        let count = objects.u32().unwrap_or_default() as usize;
-        SummarySetView { objects, count }
+        SummarySetView::trusted(self.as_bytes())
     }
 
     /// The row as stored (empty for an unannotated tuple).
     pub fn as_bytes(&self) -> &[u8] {
         self.0.payload()
+    }
+}
+
+/// A summary row a scan read and checked, still lent by its page
+/// ([`crate::SummaryStorage::read_lent_ticketed`]), or the empty set of an
+/// unannotated tuple: read it in place, and keep it as
+/// [`EncodedSummaries`] only if it is wanted.
+#[derive(Debug, Default)]
+pub struct LentSummaries<'a>(Option<Checked<'a, SummarySetFormat>>);
+
+impl<'a> LentSummaries<'a> {
+    /// The row a checked read of an `R_SummaryStorage` heap lent.
+    pub(crate) fn checked(record: Checked<'a, SummarySetFormat>) -> Self {
+        Self(Some(record))
+    }
+
+    /// The reader over the row.
+    #[inline]
+    pub fn view(&self) -> SummarySetView<'_> {
+        SummarySetView::trusted(self.0.as_ref().map_or(&[], Checked::payload))
+    }
+
+    /// The row kept past the page's loan (a refcount).
+    pub fn into_encoded(self) -> EncodedSummaries {
+        self.0
+            .map(|record| EncodedSummaries(record.into_shared()))
+            .unwrap_or_default()
     }
 }
 

@@ -25,9 +25,15 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// A counter's value read from its owner when the registry renders.
+type ReadHook = Arc<dyn Fn() -> u64 + Send + Sync>;
+
 #[derive(Clone)]
 enum Metric {
     Counter(Counter),
+    /// A counter whose source of truth lives elsewhere (see
+    /// [`MetricsRegistry::counter_fn`]).
+    CounterFn(ReadHook),
     Gauge(Gauge),
     Histogram(Histogram),
 }
@@ -101,6 +107,28 @@ impl MetricsRegistry {
         }
     }
 
+    /// Register a counter that is read, not recorded: `read` is called
+    /// each time the registry renders. For a count a component already
+    /// keeps (the buffer pool's hits and misses are `IoStats` fields), so
+    /// the fact is counted once. The enabled flag does not gate it: it
+    /// shows whatever `read` answers. Idempotent by name (the first hook
+    /// wins); a name registered as another metric type panics.
+    pub fn counter_fn(
+        &self,
+        name: &str,
+        help: &str,
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        let mut m = self.metrics.lock().expect("registry lock poisoned");
+        match m
+            .entry(name.to_string())
+            .or_insert_with(|| (Metric::CounterFn(Arc::new(read)), help.to_string()))
+        {
+            (Metric::CounterFn(_), _) => {}
+            _ => panic!("metric {name:?} already registered with a different type"),
+        }
+    }
+
     /// Register (or fetch) a gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
         let mut m = self.metrics.lock().expect("registry lock poisoned");
@@ -153,6 +181,11 @@ impl MetricsRegistry {
                     let _ = writeln!(out, "# HELP {name} {help}");
                     let _ = writeln!(out, "# TYPE {name} counter");
                     let _ = writeln!(out, "{name} {}", c.value());
+                }
+                Metric::CounterFn(read) => {
+                    let _ = writeln!(out, "# HELP {name} {help}");
+                    let _ = writeln!(out, "# TYPE {name} counter");
+                    let _ = writeln!(out, "{name} {}", read());
                 }
                 Metric::Gauge(g) => {
                     let _ = writeln!(out, "# HELP {name} {help}");
@@ -270,6 +303,28 @@ mod tests {
         r.set_enabled(true);
         c.inc();
         assert_eq!(c.value(), 1);
+    }
+
+    #[test]
+    fn a_read_counter_renders_its_owners_value_enabled_or_not() {
+        let r = MetricsRegistry::new();
+        let owned = Arc::new(std::sync::atomic::AtomicU64::new(3));
+        let read = Arc::clone(&owned);
+        r.counter_fn("read_total", "kept elsewhere", move || {
+            read.load(Ordering::Relaxed)
+        });
+        r.counter_fn("read_total", "a second hook loses", || 99);
+        let value = |r: &MetricsRegistry| {
+            let samples = parse_prometheus(&r.render_prometheus()).expect("dump parses");
+            samples
+                .iter()
+                .find(|(n, _)| n == "read_total")
+                .map(|(_, v)| *v)
+        };
+        assert_eq!(value(&r), Some(3.0));
+        owned.store(5, Ordering::Relaxed);
+        r.set_enabled(true);
+        assert_eq!(value(&r), Some(5.0));
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::sync::Arc;
 use instn_core::db::Database;
 use instn_core::AnnotatedTuple;
 use instn_index::{BaselineIndex, SummaryBTree};
-use instn_storage::{FrameTicket, TableId};
+use instn_storage::TableId;
 
 use crate::dataindex::ColumnIndex;
 use crate::metrics::QueryMetrics;
@@ -442,6 +442,13 @@ trait Operator {
         ))
     }
 
+    /// The plan levels fused into this operator below its own node, leaf
+    /// first, each with the rows it emitted: they report the node's opens
+    /// and I/O. Empty for every operator but a scan with filters fused in.
+    fn fused_levels(&self) -> &[(String, u64)] {
+        &[]
+    }
+
     /// What an Exchange that ran parallel reports in place of metered
     /// children and I/O. `None` for every other operator.
     fn parallel_run(&self) -> Option<&ParallelRun> {
@@ -475,6 +482,9 @@ struct OpNode {
     logical_io: u64,
     /// Rows this operator itself fetched or turned owned.
     tally: RowTally,
+    /// Whether `close` is metered: this operator or one below it charges
+    /// I/O when it closes.
+    meter_close: bool,
 }
 
 impl OpNode {
@@ -496,8 +506,15 @@ impl OpNode {
         r
     }
 
+    /// Metered like a pull where a scan below settles its ticketed hits.
     fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        self.op.close(ctx)
+        if !self.meter_close {
+            return self.op.close(ctx);
+        }
+        let before = Self::io_snapshot(ctx);
+        let r = self.op.close(ctx);
+        self.charge(&before, ctx);
+        r
     }
 
     /// The meter: the calling thread's own counter stripe. A tree is pulled
@@ -541,13 +558,25 @@ impl OpNode {
 
     fn metrics(&self) -> OpMetrics {
         let exchange_io = self.exchange_io();
+        let mut children: Vec<OpMetrics> = self.op.children().iter().map(|c| c.metrics()).collect();
+        for (label, rows) in self.op.fused_levels() {
+            children = vec![OpMetrics {
+                label: label.clone(),
+                rows: *rows,
+                opens: self.opens,
+                physical_io: self.physical_io,
+                logical_io: self.logical_io,
+                children,
+                workers: Vec::new(),
+            }];
+        }
         let mut m = OpMetrics {
             label: self.label.clone(),
             rows: self.rows,
             opens: self.opens,
             physical_io: self.physical_io + exchange_io.total(),
             logical_io: self.logical_io + exchange_io.logical_total(),
-            children: self.op.children().iter().map(|c| c.metrics()).collect(),
+            children,
             workers: Vec::new(),
         };
         if let Some(run) = self.op.parallel_run() {
@@ -575,13 +604,7 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
         PhysicalPlan::SeqScan {
             table,
             with_summaries,
-        } => Box::new(SeqScanOp {
-            table: *table,
-            with_summaries: *with_summaries,
-            morsel: morsel(),
-            cursor: None,
-            summary_ticket: FrameTicket::default(),
-        }),
+        } => Box::new(SeqScanOp::new(*table, *with_summaries, morsel())),
         PhysicalPlan::SummaryIndexScan {
             index,
             label,
@@ -635,10 +658,13 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             morsel: morsel(),
             oids: Default::default(),
         }),
-        PhysicalPlan::Filter { input, pred } => Box::new(PipeOp {
-            child: compile(input, bound),
-            stage: pred.clone(),
-        }),
+        PhysicalPlan::Filter { input, pred } => match SeqScanOp::with_filters(plan, bound) {
+            Some(scan) => Box::new(scan),
+            None => Box::new(PipeOp {
+                child: compile(input, bound),
+                stage: pred.clone(),
+            }),
+        },
         PhysicalPlan::SummaryObjectFilter { input, pred } => Box::new(PipeOp {
             child: compile(input, bound),
             stage: pred.clone(),
@@ -742,5 +768,15 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
         physical_io: 0,
         logical_io: 0,
         tally: RowTally::default(),
+        meter_close: charges_at_close(plan),
     }
+}
+
+/// Whether closing `plan`'s operators can charge I/O: a sequential scan
+/// settles its tickets when it closes, and an Exchange may hold one.
+fn charges_at_close(plan: &PhysicalPlan) -> bool {
+    matches!(
+        plan,
+        PhysicalPlan::SeqScan { .. } | PhysicalPlan::Exchange { .. }
+    ) || plan.children().any(charges_at_close)
 }

@@ -3,12 +3,13 @@
 //! morsels a parallel fragment's leaf is split into.
 
 use instn_core::db::Database;
-use instn_core::summary::EncodedSummaries;
+use instn_core::summary::{EncodedSummaries, LentSummaries};
 use instn_index::SummaryBTree;
 use instn_storage::{FrameTicket, Oid, TableId, Value};
 
-use super::{Operator, Run};
-use crate::row::{Row, RowTally};
+use super::{Operator, PhysicalPlan, Run};
+use crate::expr::Expr;
+use crate::row::{LentRow, Row, RowTally};
 use crate::{QueryError, Result};
 
 /// One unit of a parallel fragment's work queue: a slice of the leaf's
@@ -80,13 +81,84 @@ fn fetch_summaries(
 /// Streaming sequential scan (OID order) — of the whole table, or of the one
 /// OID range a worker's tree is bound to. Its heap reads (the cursor's) and
 /// its summary-row reads each go through a [`FrameTicket`], as consecutive
-/// tuples' records share pages; point lookups take none.
+/// tuples' records share pages; point lookups take none. The tickets' hits
+/// are charged when they move to another page and when the scan closes.
+///
+/// The run of `Filter` nodes directly above the scan is fused into it
+/// ([`compile`](super::compile)): each tuple is tested on the records its
+/// pages lend, and only one that passes every filter becomes a [`Row`].
+/// The fused levels still report their own rows; their opens and I/O are
+/// the node's, as they were each level's when only the leaf read pages.
 pub(super) struct SeqScanOp {
-    pub(super) table: TableId,
-    pub(super) with_summaries: bool,
-    pub(super) morsel: Option<Morsel>,
-    pub(super) cursor: Option<instn_storage::ScanCursor>,
-    pub(super) summary_ticket: FrameTicket,
+    table: TableId,
+    with_summaries: bool,
+    morsel: Option<Morsel>,
+    cursor: Option<instn_storage::ScanCursor>,
+    summary_ticket: FrameTicket,
+    /// The fused `Filter` predicates, bottom up.
+    filters: Vec<Expr>,
+    /// The fused levels below the node's own — the scan, then each filter
+    /// but the top — with the rows each emitted, leaf first.
+    levels: Vec<(String, u64)>,
+}
+
+impl SeqScanOp {
+    /// A scan of `table` (bound to `morsel` in a worker's tree) with no
+    /// filter fused in.
+    pub(super) fn new(table: TableId, with_summaries: bool, morsel: Option<Morsel>) -> Self {
+        SeqScanOp {
+            table,
+            with_summaries,
+            morsel,
+            cursor: None,
+            summary_ticket: FrameTicket::default(),
+            filters: Vec::new(),
+            levels: Vec::new(),
+        }
+    }
+
+    /// `plan` as one scan when it is a run of `Filter`s directly over a
+    /// `SeqScan`, with those filters fused into it; `None` when anything
+    /// else sits in the run.
+    pub(super) fn with_filters(plan: &PhysicalPlan, bound: Option<&Morsel>) -> Option<Self> {
+        let mut leaf = plan;
+        while let PhysicalPlan::Filter { input, .. } = leaf {
+            leaf = input;
+        }
+        let PhysicalPlan::SeqScan {
+            table,
+            with_summaries,
+        } = leaf
+        else {
+            return None;
+        };
+        let (mut filters, mut levels) = (Vec::new(), Vec::new());
+        let mut at = plan;
+        while let PhysicalPlan::Filter { input, pred } = at {
+            filters.push(pred.clone());
+            levels.push((input.head(), 0));
+            at = input;
+        }
+        filters.reverse();
+        levels.reverse();
+        Some(SeqScanOp {
+            filters,
+            levels,
+            ..Self::new(*table, *with_summaries, bound.cloned())
+        })
+    }
+
+    /// Whether `row` passes every fused filter, counting it at each level
+    /// it reaches below the top.
+    fn passes(filters: &[Expr], levels: &mut [(String, u64)], row: &LentRow<'_>) -> Result<bool> {
+        for (pred, (_, rows)) in filters.iter().zip(levels) {
+            *rows += 1;
+            if !pred.eval_bool(row)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 impl Operator for SeqScanOp {
@@ -101,23 +173,34 @@ impl Operator for SeqScanOp {
     }
 
     fn next(&mut self, ctx: &Run<'_>, tally: &mut RowTally) -> Result<Option<Row>> {
+        let table = ctx.db.table(self.table)?;
+        let storage = ctx.db.summary_storage(self.table);
         let cur = self.cursor.as_mut().ok_or_else(unopened)?;
-        let Some((oid, tuple)) = ctx.db.table(self.table)?.scan_next_raw(cur) else {
-            return Ok(None);
-        };
-        let summaries = self
-            .with_summaries
-            .then(|| {
-                ctx.db
-                    .summary_storage(self.table)
-                    .read_raw_ticketed(oid, &mut self.summary_ticket)
-            })
-            .transpose()?;
-        Ok(Some(Row::fetched(self.table, oid, tuple, summaries, tally)))
+        while let Some((oid, tuple)) = table.scan_next_lent(cur) {
+            let summaries = if self.with_summaries {
+                storage.read_lent_ticketed(oid, &mut self.summary_ticket)?
+            } else {
+                LentSummaries::default()
+            };
+            tally.fetched += 1;
+            let row = LentRow::new(&tuple, &summaries);
+            if Self::passes(&self.filters, &mut self.levels, &row)? {
+                let summaries = self.with_summaries.then(|| summaries.into_encoded());
+                let source = Some((self.table, oid));
+                return Ok(Some(Row::encoded(
+                    source,
+                    tuple.into_encoded(),
+                    summaries,
+                    true,
+                )));
+            }
+        }
+        Ok(None)
     }
 
     fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.cursor = None;
+        self.summary_ticket.settle();
         Ok(())
     }
 
@@ -127,6 +210,10 @@ impl Operator for SeqScanOp {
             .into_iter()
             .map(|(lo, hi)| Morsel::Range(lo, hi))
             .collect())
+    }
+
+    fn fused_levels(&self) -> &[(String, u64)] {
+        &self.levels
     }
 }
 

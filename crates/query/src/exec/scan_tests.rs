@@ -162,3 +162,68 @@ fn limit_over_summary_index_scan_reads_proportional_to_k() {
     assert_eq!(io10, 10, "k=10 reads 10 heap pages");
     assert_eq!(io_all, 30, "unlimited scan reads every tuple");
 }
+
+/// A pooled scan's ticketed hits are charged when it closes. Stopped by an
+/// error mid-page, or dropped mid-page without a close, it still charges
+/// every read it made exactly once: what a `Limit` over the bare scan
+/// that read as many tuples charges, from the same reset residency.
+#[test]
+fn a_scan_ended_mid_page_charges_every_read_once() {
+    let (db, t, _) = setup(30);
+    let scan = PhysicalPlan::SeqScan {
+        table: t,
+        with_summaries: true,
+    };
+    let limit = |n| PhysicalPlan::Limit {
+        input: Box::new(scan.clone()),
+        n,
+    };
+    let reset = || {
+        db.set_cache_capacity(0);
+        db.set_cache_capacity(64);
+        db.stats().snapshot()
+    };
+    let mut ctx = ExecContext::new(&db);
+    let mut charged = |plan: &PhysicalPlan| {
+        let before = reset();
+        let failed = ctx.execute(plan).is_err();
+        (failed, db.stats().snapshot().since(&before))
+    };
+    let (_, read_five) = charged(&limit(5));
+    let (_, read_seven) = charged(&limit(7));
+    assert!(
+        read_seven.cache_hits > 0,
+        "the scan re-read the pages it was on"
+    );
+    // The seventh tuple reaches a filter that is not a predicate.
+    let failing = PhysicalPlan::Filter {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(scan.clone()),
+            pred: Expr::col_cmp(0, CmpOp::Ge, Value::Int(6)),
+        }),
+        pred: Expr::Column(0),
+    };
+    assert_eq!(charged(&failing), (true, read_seven));
+
+    let before = reset();
+    {
+        let indexes = ctx.indexes.read().unwrap();
+        let run = Run {
+            db: &db,
+            indexes: &indexes,
+            sort_mem: ctx.sort_mem,
+            config: ctx.config,
+        };
+        let mut node = compile(&scan, None);
+        node.open(&run).unwrap();
+        for _ in 0..5 {
+            assert!(node.next(&run).unwrap().is_some());
+        }
+        let so_far = db.stats().snapshot().since(&before);
+        assert!(
+            so_far.cache_hits < read_five.cache_hits,
+            "the ticketed hits wait in the scan's tickets"
+        );
+    }
+    assert_eq!(db.stats().snapshot().since(&before), read_five);
+}

@@ -12,10 +12,12 @@
 
 use std::borrow::Cow;
 
-use instn_core::summary::{encode_objects, EncodedSummaries, SummaryObject, SummaryRef};
+use instn_core::summary::{
+    encode_objects, EncodedSummaries, LentSummaries, SummaryObject, SummaryRef, SummarySetView,
+};
 use instn_core::AnnotatedTuple;
 use instn_storage::tuple::encode_tuple;
-use instn_storage::{EncodedTuple, Oid, TableId, Tuple, Value, ValueRef};
+use instn_storage::{EncodedTuple, LentTuple, Oid, TableId, Tuple, TupleView, Value, ValueRef};
 
 use crate::expr::{ObjectPred, RowRead};
 use crate::Result;
@@ -267,6 +269,53 @@ impl RowSink for Vec<AnnotatedTuple> {
     fn row(&mut self, row: FinishedRow<'_>) -> Result<()> {
         self.push(row.into_tuple());
         Ok(())
+    }
+}
+
+/// A tuple a scan is still deciding on: its tuple record and summary row
+/// as their pages lend them (an unannotated or non-propagating tuple's set
+/// is empty). The fused filters of a `SeqScan` read it in place, and only
+/// a tuple that passes them all is kept as a [`Row`].
+pub(crate) struct LentRow<'a> {
+    values: TupleView<'a>,
+    summaries: SummarySetView<'a>,
+}
+
+impl<'a> LentRow<'a> {
+    pub fn new(tuple: &'a LentTuple<'_>, summaries: &'a LentSummaries<'_>) -> Self {
+        LentRow {
+            values: tuple.view(),
+            summaries: summaries.view(),
+        }
+    }
+}
+
+impl RowRead for LentRow<'_> {
+    fn column(&self, i: usize) -> Option<ValueRef<'_>> {
+        self.values.get(i)
+    }
+
+    fn summary_count(&self) -> usize {
+        self.summaries.len()
+    }
+
+    fn summary_by_name(&self, name: &str) -> Option<SummaryRef<'_>> {
+        self.summaries
+            .iter()
+            .find(|o| o.is_named(name))
+            .map(SummaryRef::Encoded)
+    }
+
+    fn summary_by_index(&self, i: usize) -> Option<SummaryRef<'_>> {
+        self.summaries.iter().nth(i).map(SummaryRef::Encoded)
+    }
+
+    fn for_each_column(&self, f: &mut dyn FnMut(ValueRef<'_>)) {
+        self.values.iter().for_each(f)
+    }
+
+    fn for_each_summary(&self, f: &mut dyn FnMut(SummaryRef<'_>)) {
+        self.summaries.iter().map(SummaryRef::Encoded).for_each(f)
     }
 }
 

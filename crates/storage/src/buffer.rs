@@ -68,11 +68,18 @@
 //! ticket is taken right after its access set the reference bit, so a
 //! ticket that still validates proves the page is resident with its bit
 //! set: a locked read would be a hit that changes no state. The ticketed
-//! hit therefore charges exactly what that locked hit charges — one logical
-//! read, one cache hit, `bufferpool_hits_total` — and the counters, the
-//! victims and the hand are the same as without tickets. Generations live
-//! in chunks allocated on demand and never moved, so they can be read with
-//! no lock; a slot past the last chunk never gets a ticket.
+//! hit therefore costs exactly what that locked hit costs — one logical
+//! read and one cache hit — and the victims and the hand are the same as
+//! without tickets. Generations live in chunks allocated on demand and
+//! never moved, so they can be read with no lock; a slot past the last
+//! chunk never gets a ticket.
+//!
+//! A ticketed hit is not charged when it happens: it adds one to a count
+//! the ticket holds, and that count reaches [`IoStats`] as one add per
+//! counter when the ticket is settled — when it moves to another frame,
+//! when [`FrameTicket::settle`] is called, or when it is dropped. A scan
+//! settles when it closes, so every counter is the same as without tickets
+//! once the reader is done, but not between two of its reads.
 //!
 //! # Write-ahead ordering
 //!
@@ -175,9 +182,18 @@ pub struct Access {
 
 /// A reader's claim on the frame its last locked [`BufferPool::read_ticketed`]
 /// found, good for lock-free hits on the same page until the frame's
-/// generation moves (see the module docs). The default holds no claim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameTicket(Option<Claim>);
+/// generation moves, and the hits taken through it that are not charged
+/// yet (see the module docs). The default holds no claim. Dropping a
+/// ticket settles it, so no hit is lost; it is not `Clone`, so none is
+/// charged twice.
+#[derive(Debug, Default)]
+pub struct FrameTicket {
+    claim: Option<Claim>,
+    /// Lock-free hits on the claimed frame not yet charged.
+    pending: u64,
+    /// The counters of the pool that issued the claim: where `pending` goes.
+    stats: Option<Arc<IoStats>>,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Claim {
@@ -185,6 +201,43 @@ struct Claim {
     kind: FileKind,
     slot: usize,
     generation: u64,
+}
+
+impl FrameTicket {
+    /// Lock-free hits taken through this ticket and not charged yet.
+    pub fn pending(&self) -> u64 {
+        self.pending
+    }
+
+    /// Charge the pending hits — one logical read and one cache hit each,
+    /// in one add per counter to the calling thread's stripe — and keep
+    /// the claim.
+    pub fn settle(&mut self) {
+        let pending = std::mem::take(&mut self.pending);
+        if let (Some(claim), Some(stats), true) = (&self.claim, &self.stats, pending > 0) {
+            match claim.kind {
+                FileKind::Heap => stats.logical_heap_read(pending),
+                FileKind::Index => stats.logical_index_read(pending),
+            }
+            stats.cache_hit(pending);
+        }
+    }
+
+    /// Replace the claim, settling what the old one took first; the stats
+    /// handle is cloned only when the ticket moves to another pool.
+    fn reissue(&mut self, claim: Option<Claim>, stats: &Arc<IoStats>) {
+        self.settle();
+        self.claim = claim;
+        if claim.is_some() && !self.stats.as_ref().is_some_and(|s| Arc::ptr_eq(s, stats)) {
+            self.stats = Some(Arc::clone(stats));
+        }
+    }
+}
+
+impl Drop for FrameTicket {
+    fn drop(&mut self) {
+        self.settle();
+    }
 }
 
 /// Slots per generation chunk.
@@ -445,13 +498,11 @@ impl PoolState {
 
 /// Observability handles resolved once from a [`MetricsRegistry`]
 /// (`BufferPool::attach_metrics`). Recording is striped-atomic and
-/// no-ops while the registry is disabled; the counters shadow the
-/// `IoStats` cache fields so a live `\metrics` dump sees them without
-/// snapshotting I/O stripes.
+/// no-ops while the registry is disabled. Hits and misses are not among
+/// them: those two series read the `IoStats` cache counters when the
+/// registry is rendered.
 #[derive(Debug)]
 struct PoolObs {
-    hits: Counter,
-    misses: Counter,
     evictions: Counter,
     clock_steps: Counter,
     resident: Gauge,
@@ -487,10 +538,23 @@ impl BufferPool {
     /// Resolve metric handles from `registry` (idempotent; the first call
     /// wins). Until attached — and while the registry is disabled — every
     /// access records exactly what it did before this subsystem existed.
+    /// `bufferpool_hits_total` and `bufferpool_misses_total` are this
+    /// pool's `IoStats` cache counters, read when the registry renders:
+    /// they count whether or not the registry is enabled.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
+        let stats = Arc::clone(&self.stats);
+        registry.counter_fn(
+            "bufferpool_hits_total",
+            "buffer-pool page hits",
+            move || stats.snapshot().cache_hits,
+        );
+        let stats = Arc::clone(&self.stats);
+        registry.counter_fn(
+            "bufferpool_misses_total",
+            "buffer-pool page misses",
+            move || stats.snapshot().cache_misses,
+        );
         let _ = self.obs.set(PoolObs {
-            hits: registry.counter("bufferpool_hits_total", "buffer-pool page hits"),
-            misses: registry.counter("bufferpool_misses_total", "buffer-pool page misses"),
             evictions: registry
                 .counter("bufferpool_evictions_total", "buffer-pool frame evictions"),
             clock_steps: registry.counter(
@@ -573,20 +637,25 @@ impl BufferPool {
 
     /// [`BufferPool::read`] for a reader that comes back to the page it is
     /// on: while `ticket` names this page and its frame's generation has
-    /// not moved, the read is a hit charged without taking the lock (the
-    /// same charges as a locked hit; see the module docs). Otherwise it is
-    /// a locked read that leaves `ticket` claiming the frame it found, or
-    /// no claim when nothing stays resident (capacity 0) or the slot is
-    /// past the generation chunks.
+    /// not moved, the read is a hit taken without the lock and counted in
+    /// the ticket, to be charged — as what a locked hit charges — when the
+    /// ticket is settled (see the module docs). Otherwise it is a locked
+    /// read that settles the ticket and leaves it claiming the frame it
+    /// found, or no claim when nothing stays resident (capacity 0) or the
+    /// slot is past the generation chunks.
     pub fn read_ticketed(&self, file: FileId, page: u64, ticket: &mut FrameTicket) -> Access {
         let key = FrameKey { file, page };
-        if let Some(claim) = ticket.0.filter(|c| c.key == key) {
+        if let Some(claim) = ticket.claim.filter(|c| c.key == key) {
             let current = self.gens.get(claim.slot).map(|g| g.load(Ordering::Acquire));
             if current == Some(claim.generation) {
-                self.charge_logical(claim.kind, Op::Read);
-                return self.charge_hit(Op::Read);
+                ticket.pending += 1;
+                return Access {
+                    hit: true,
+                    evicted: Evictions::default(),
+                };
             }
         }
+        ticket.settle();
         self.access(file, page, Op::Read, Some(ticket))
     }
 
@@ -733,7 +802,7 @@ impl BufferPool {
                         generation,
                     })
                 });
-                *ticket = FrameTicket(claim);
+                ticket.reissue(claim, &self.stats);
             }
             (kind, outcome)
         };
@@ -752,9 +821,6 @@ impl BufferPool {
             Outcome::Miss(reclaimed) => {
                 if op.fetches() {
                     self.stats.cache_miss(1);
-                    if let Some(o) = self.obs.get() {
-                        o.misses.inc();
-                    }
                     self.charge_physical_read(kind);
                 }
                 self.settle(&reclaimed);
@@ -788,9 +854,6 @@ impl BufferPool {
     fn charge_hit(&self, op: Op) -> Access {
         if op.fetches() {
             self.stats.cache_hit(1);
-            if let Some(o) = self.obs.get() {
-                o.hits.inc();
-            }
         }
         Access {
             hit: true,
@@ -1084,33 +1147,51 @@ mod tests {
     #[test]
     fn a_ticketed_hit_charges_what_a_locked_hit_does() {
         let registry = MetricsRegistry::new();
-        registry.set_enabled(true);
-        let hits = registry.counter("bufferpool_hits_total", "");
         let (pool, stats, heap, index) = pool(4);
         pool.attach_metrics(&registry);
         let mut ticket = FrameTicket::default();
         assert!(!pool.read_ticketed(heap, 1, &mut ticket).hit);
-        assert!(ticket.0.is_some(), "the miss admitted the page");
+        assert!(ticket.claim.is_some(), "the miss admitted the page");
         let before = stats.snapshot();
         assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
+        assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
+        assert_eq!(
+            stats.snapshot(),
+            before,
+            "nothing is charged before a settle"
+        );
+        assert_eq!(ticket.pending(), 2);
+        ticket.settle();
         let ticketed = stats.snapshot().since(&before);
+        assert_eq!(ticket.pending(), 0);
         let before = stats.snapshot();
         assert!(pool.read(heap, 1).hit);
+        assert!(pool.read(heap, 1).hit);
         assert_eq!(stats.snapshot().since(&before), ticketed);
-        assert_eq!(ticketed.logical_heap_reads, 1);
-        assert_eq!(ticketed.cache_hits, 1);
-        assert_eq!(hits.value(), 2);
-        // A ticket speaks for its page only; another page takes the lock
-        // and moves the ticket there.
-        assert!(!pool.read_ticketed(index, 0, &mut ticket).hit);
+        assert_eq!(ticketed.logical_heap_reads, 2);
+        assert_eq!(ticketed.cache_hits, 2);
+        // The series read the counters when rendered, enabled or not.
+        let rendered = instn_obs::parse_prometheus(&registry.render_prometheus()).unwrap();
+        let hits = rendered.iter().find(|(n, _)| n == "bufferpool_hits_total");
+        assert_eq!(hits.map(|(_, v)| *v), Some(4.0));
+        // A ticket speaks for its page only; another page takes the lock,
+        // settles what the ticket took and moves it there.
+        assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
         let before = stats.snapshot();
+        assert!(!pool.read_ticketed(index, 0, &mut ticket).hit);
+        let moved = stats.snapshot().since(&before);
+        assert_eq!((moved.logical_heap_reads, moved.cache_hits), (1, 1));
+        assert_eq!((moved.logical_index_reads, moved.cache_misses), (1, 1));
         assert!(pool.read_ticketed(index, 0, &mut ticket).hit);
-        assert_eq!(stats.snapshot().since(&before).logical_index_reads, 1);
+        let before = stats.snapshot();
+        drop(ticket);
+        let dropped = stats.snapshot().since(&before);
+        assert_eq!((dropped.logical_index_reads, dropped.cache_hits), (1, 1));
     }
 
     /// Whether `ticket` still holds for `key`: what the lock-free path tests.
     fn holds(pool: &BufferPool, ticket: &FrameTicket, file: FileId, page: u64) -> bool {
-        ticket.0.is_some_and(|c| {
+        ticket.claim.is_some_and(|c| {
             c.key == FrameKey { file, page }
                 && pool.gens.get(c.slot).map(|g| g.load(Ordering::Acquire)) == Some(c.generation)
         })
@@ -1155,7 +1236,7 @@ mod tests {
         {
             let (pool, _, heap, _) = pool(0);
             pool.read_ticketed(heap, 1, &mut ticket);
-            assert_eq!(ticket, FrameTicket::default());
+            assert!(ticket.claim.is_none());
         }
         // A frame pinned through a resize to 0 stays resident; a read of it
         // is charged physically and leaves no ticket.
@@ -1166,7 +1247,7 @@ mod tests {
         assert!(pool.contains(heap, 1));
         let before = stats.snapshot();
         pool.read_ticketed(heap, 1, &mut ticket);
-        assert_eq!(ticket, FrameTicket::default());
+        assert!(ticket.claim.is_none());
         let delta = stats.snapshot().since(&before);
         assert_eq!((delta.heap_reads, delta.cache_hits), (1, 0));
     }
@@ -1180,7 +1261,7 @@ mod tests {
         let last = (GEN_CHUNK * GEN_CHUNKS) as u64;
         let mut ticket = FrameTicket::default();
         assert!(pool.read_ticketed(heap, last, &mut ticket).hit);
-        assert_eq!(ticket, FrameTicket::default());
+        assert!(ticket.claim.is_none());
         assert!(pool.read_ticketed(heap, last, &mut ticket).hit);
         assert_eq!(stats.snapshot().cache_hits, 2);
     }

@@ -11,10 +11,13 @@
 //! [`HeapFile::get_checked`] then hands up a [`SharedRecord`] — a refcount
 //! clone of the page's own bytes — checked against a [`RecordFormat`] once
 //! per record version: the page slot keeps the verdict of the check that
-//! accepted it.
+//! accepted it. A scan's [`HeapFile::get_checked_ticketed`] lends the
+//! checked record instead ([`Checked`]), so a record the scan drops costs
+//! no refcount.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -88,6 +91,58 @@ impl PartialEq for SharedRecord {
 }
 
 impl Eq for SharedRecord {}
+
+/// A record that `F`'s check accepted, as a checked read found it: lent by
+/// its page when the page shares it, else a copy. Only a checked read
+/// constructs one, so a `Checked<F>` always holds bytes `F::check`
+/// accepted; a format's owner may read them as such without checking
+/// again.
+pub struct Checked<'a, F> {
+    record: Lent<'a>,
+    format: PhantomData<fn() -> F>,
+}
+
+impl<F> std::fmt::Debug for Checked<'_, F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Checked").field(&self.record).finish()
+    }
+}
+
+#[derive(Debug)]
+enum Lent<'a> {
+    /// The page's shared record, framing included.
+    Page(&'a Arc<[u8]>),
+    Copied(SharedRecord),
+}
+
+impl<F> Checked<'_, F> {
+    fn new(record: Lent<'_>) -> Checked<'_, F> {
+        Checked {
+            record,
+            format: PhantomData,
+        }
+    }
+
+    /// The payload: the record without its framing.
+    #[inline]
+    pub fn payload(&self) -> &[u8] {
+        match &self.record {
+            Lent::Page(bytes) => bytes.get(1..).unwrap_or_default(),
+            Lent::Copied(record) => record.payload(),
+        }
+    }
+
+    /// The record kept past the borrow: a refcount of the page's bytes.
+    pub fn into_shared(self) -> SharedRecord {
+        match self.record {
+            Lent::Page(bytes) => SharedRecord {
+                bytes: Arc::clone(bytes),
+                start: 1,
+            },
+            Lent::Copied(record) => record,
+        }
+    }
+}
 
 /// The record at a location, as a read finds it.
 enum Fetched<'a> {
@@ -299,18 +354,19 @@ impl HeapFile {
         &self,
         rid: RecordId,
     ) -> std::result::Result<SharedRecord, F::Error> {
-        self.checked::<F>(rid, None)
+        self.checked::<F>(rid, None).map(Checked::into_shared)
     }
 
     /// [`HeapFile::get_checked`] for a scan that comes back to the page it
     /// is on: the page read goes through `ticket` (see
-    /// [`BufferPool::read_ticketed`]), charging the same. An oversized
-    /// record leaves the ticket empty: its chunk reads take the lock.
+    /// [`BufferPool::read_ticketed`]), and the record is lent, not cloned —
+    /// [`Checked::into_shared`] keeps it. An oversized record settles and
+    /// empties the ticket: its chunk reads take the lock.
     pub fn get_checked_ticketed<F: RecordFormat>(
         &self,
         rid: RecordId,
         ticket: &mut FrameTicket,
-    ) -> std::result::Result<SharedRecord, F::Error> {
+    ) -> std::result::Result<Checked<'_, F>, F::Error> {
         self.checked::<F>(rid, Some(ticket))
     }
 
@@ -318,23 +374,20 @@ impl HeapFile {
         &self,
         rid: RecordId,
         ticket: Option<&mut FrameTicket>,
-    ) -> std::result::Result<SharedRecord, F::Error> {
+    ) -> std::result::Result<Checked<'_, F>, F::Error> {
         const { assert!(F::VERDICT != 0, "verdict 0 means unchecked") };
         match self.fetch(rid, ticket)? {
             Fetched::Shared(record) => {
-                let shared = SharedRecord {
-                    bytes: Arc::clone(record.bytes()),
-                    start: 1,
-                };
+                let bytes = record.bytes();
                 if record.verdict() != F::VERDICT {
-                    F::check(shared.payload())?;
+                    F::check(bytes.get(1..).unwrap_or_default())?;
                     record.accept(F::VERDICT);
                 }
-                Ok(shared)
+                Ok(Checked::new(Lent::Page(bytes)))
             }
             Fetched::Copied(payload) => {
                 F::check(&payload)?;
-                Ok(SharedRecord::new(payload))
+                Ok(Checked::new(Lent::Copied(SharedRecord::new(payload))))
             }
         }
     }

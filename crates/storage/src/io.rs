@@ -36,6 +36,8 @@
 //! alone, for a meter that only wants what that thread did. A single-threaded caller always lands in one stripe, making
 //! serial counts bit-identical to the pre-striping flat counters.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -48,12 +48,12 @@ pub mod wal;
 pub use btree::{BTree, Cursor, CursorDesc};
 pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey, FrameTicket};
 pub use error::StorageError;
-pub use heap::{HeapFile, RecordFormat, SharedRecord};
+pub use heap::{Checked, HeapFile, RecordFormat, SharedRecord};
 pub use io::{IoScope, IoSnapshot, IoStats};
 pub use page::{PageId, RecordId, PAGE_SIZE};
 pub use pager::Pager;
 pub use table::{Oid, ScanCursor, Table, TableId};
-pub use tuple::{ColumnType, EncodedTuple, Schema, Tuple, TupleView, Value, ValueRef};
+pub use tuple::{ColumnType, EncodedTuple, LentTuple, Schema, Tuple, TupleView, Value, ValueRef};
 pub use wal::{crc32, Crc32, FaultInjector, Lsn, Wal, WalRecordKind, WalScan};
 
 /// Convenient crate-wide result alias.

@@ -6,6 +6,8 @@
 //! return its heap location so the Summary-BTree can store a *backward
 //! pointer* straight to the data tuple.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::Arc;
 
 use crate::btree::BTree;
@@ -14,7 +16,7 @@ use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::io::IoStats;
 use crate::page::RecordId;
-use crate::tuple::{encode_tuple, EncodedTuple, Schema, Tuple, TupleFormat};
+use crate::tuple::{encode_tuple, EncodedTuple, LentTuple, Schema, Tuple, TupleFormat};
 use crate::Result;
 
 /// System-assigned, stable tuple identifier (PostgreSQL-style OID).
@@ -189,22 +191,16 @@ impl Table {
     pub fn scan(&self) -> impl Iterator<Item = (Oid, Tuple)> + '_ {
         self.oid_index
             .range(None, None)
-            .filter_map(|(k, rid)| Some((Oid::from_key(&k)?, self.scan_fetch(rid, Self::get_at)?)))
+            .filter_map(|(k, rid)| Some((Oid::from_key(&k)?, self.scan_fetch(self.get_at(rid))?)))
     }
 
-    /// What `fetch` makes of the record a scan found at `rid`; `None`, and
-    /// one more in the heap's corrupt-skipped count, if the record cannot
-    /// be read or is not a tuple.
-    fn scan_fetch<T>(
-        &self,
-        rid: RecordId,
-        fetch: impl FnOnce(&Self, RecordId) -> Result<T>,
-    ) -> Option<T> {
-        let tuple = fetch(self, rid);
-        if tuple.is_err() {
+    /// The record a scan read; `None`, and one more in the heap's
+    /// corrupt-skipped count, if it could not be read or is not a tuple.
+    fn scan_fetch<T>(&self, read: Result<T>) -> Option<T> {
+        if read.is_err() {
             self.heap.note_corrupt_skipped();
         }
-        tuple.ok()
+        read.ok()
     }
 
     /// Rows scans have skipped because their record was unreadable or
@@ -273,7 +269,7 @@ impl Table {
             return self
                 .oids()
                 .chunks(rows)
-                .map(|c| (c[0], *c.last().expect("chunks are non-empty")))
+                .filter_map(|c| Some((*c.first()?, *c.last()?)))
                 .collect();
         }
         let width = (rows as u64).max(span.div_ceil(len.div_ceil(rows as u64)));
@@ -285,38 +281,26 @@ impl Table {
 
     /// Pull the next `(oid, tuple)` from a resumable scan.
     pub fn scan_next(&self, cur: &mut ScanCursor) -> Option<(Oid, Tuple)> {
-        self.scan_step(cur, |t, rid, ticket| {
-            Ok(t.get_at_ticketed(rid, ticket)?.view().to_owned())
-        })
+        self.scan_next_lent(cur)
+            .map(|(oid, tuple)| (oid, tuple.view().to_owned()))
     }
 
-    /// [`Table::scan_next`] without the decode: same pages, same order, same
-    /// skipping of unreadable rows, but the checked record stays bytes.
-    pub fn scan_next_raw(&self, cur: &mut ScanCursor) -> Option<(Oid, EncodedTuple)> {
-        self.scan_step(cur, Self::get_at_ticketed)
-    }
-
-    /// [`Table::get_at_raw`] with the heap page read through a scan's
-    /// ticket.
-    fn get_at_ticketed(&self, rid: RecordId, ticket: &mut FrameTicket) -> Result<EncodedTuple> {
-        self.heap
-            .get_checked_ticketed::<TupleFormat>(rid, ticket)
-            .map(EncodedTuple::checked)
-    }
-
-    fn scan_step<T>(
-        &self,
-        cur: &mut ScanCursor,
-        fetch: impl Fn(&Self, RecordId, &mut FrameTicket) -> Result<T>,
-    ) -> Option<(Oid, T)> {
+    /// [`Table::scan_next`] without the decode or the copy: same pages,
+    /// same order, same skipping of unreadable rows, but the checked record
+    /// stays where its page holds it until the caller keeps it
+    /// ([`LentTuple::into_encoded`]).
+    pub fn scan_next_lent(&self, cur: &mut ScanCursor) -> Option<(Oid, LentTuple<'_>)> {
         loop {
             let (k, &rid) = self.oid_index.cursor_next_ref(&mut cur.entries)?;
             let Some(oid) = Oid::from_key(k) else {
                 continue;
             };
-            let ticket = &mut cur.ticket;
-            if let Some(t) = self.scan_fetch(rid, |t, rid| fetch(t, rid, ticket)) {
-                return Some((oid, t));
+            let read = self
+                .heap
+                .get_checked_ticketed::<TupleFormat>(rid, &mut cur.ticket)
+                .map(LentTuple::checked);
+            if let Some(tuple) = self.scan_fetch(read) {
+                return Some((oid, tuple));
             }
         }
     }
@@ -324,8 +308,10 @@ impl Table {
 
 /// Resumable position of a [`Table::scan_open`] sequential scan, with the
 /// ticket its heap page reads go through: consecutive tuples share a page,
-/// and a re-read of the page the scan is on skips the pool's lock.
-#[derive(Debug, Clone)]
+/// and a re-read of the page the scan is on skips the pool's lock. Its
+/// hits are charged when the ticket moves to another page, and what is
+/// left when the cursor is dropped.
+#[derive(Debug)]
 pub struct ScanCursor {
     entries: crate::btree::Cursor,
     ticket: FrameTicket,

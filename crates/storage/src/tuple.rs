@@ -17,13 +17,15 @@
 //! leaves); a table fetch's is the heap page's own record, shared, and
 //! checked once per record version ([`crate::HeapFile::get_checked`]).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::codec::{self, put_f64, put_i64, put_str, put_u32, CodecError, Reader};
 use crate::error::StorageError;
-use crate::heap::{RecordFormat, SharedRecord};
+use crate::heap::{Checked, RecordFormat, SharedRecord};
 use crate::Result;
 
 /// Column data types supported by the engine.
@@ -425,24 +427,41 @@ impl<'a> TupleView<'a> {
         let trust_text = |t: &[u8]| {
             debug_assert!(std::str::from_utf8(t).is_ok());
             // SAFETY: `values` and `arity` are private and set only by
-            // `TupleView::parse` and `EncodedTuple::view`. `parse` walked
-            // these bytes with the same `read_value` this decode uses,
-            // finding every text — this one among them — to be UTF-8. An
-            // `EncodedTuple` holds bytes `parse` accepted too: `new` runs it;
-            // `checked` takes a record a heap handed up through
-            // `get_checked::<TupleFormat>`, which returns a record only once
-            // `TupleFormat::check` (that is, `parse`) accepted it — in that
-            // read, or in an earlier one whose verdict the page slot kept.
-            // A slot stores the verdict (Release) only after the check
-            // succeeded, a reader loads it with Acquire, the record's bytes
-            // are an immutable `Arc<[u8]>`, and replacing a record installs
-            // a new, unset verdict with it; the bytes are borrowed
-            // immutably for `'a`, so they have not changed since.
+            // `TupleView::parse` and `TupleView::trusted`, which
+            // `EncodedTuple::view` and `LentTuple::view` call. `parse`
+            // walked these bytes with the same `read_value` this decode
+            // uses, finding every text — this one among them — to be UTF-8.
+            // An `EncodedTuple` holds bytes `parse` accepted too: `new` runs
+            // it; `checked` takes a record a heap handed up through
+            // `get_checked::<TupleFormat>`. A `LentTuple` holds a
+            // `Checked<TupleFormat>`, which only the heap's checked read
+            // constructs (`get_checked_ticketed::<TupleFormat>`), and a
+            // `LentTuple` is built only by `Table`'s scan from that read;
+            // neither type has a public constructor that takes bytes. The
+            // checked read returns a record only once `TupleFormat::check`
+            // (that is, `parse`) accepted it — in that read, or in an
+            // earlier one whose verdict the page slot kept. A slot stores
+            // the verdict (Release) only after the check succeeded, a
+            // reader loads it with Acquire, the record's bytes are an
+            // immutable `Arc<[u8]>` — lent by the page or shared — and
+            // replacing a record installs a new, unset verdict with it;
+            // the bytes are borrowed immutably for `'a`, so they have not
+            // changed since.
             Ok(unsafe { String::from_utf8_unchecked(t.to_vec()) })
         };
         // `parse` accepted these bytes, so the decode cannot fail.
         let mut values = self.values;
         decode_values(&mut values, self.arity, self.arity, trust_text).unwrap_or_default()
+    }
+
+    /// The reader over `payload` without the walk: only for bytes a
+    /// [`TupleFormat`] check accepted (see the SAFETY note in
+    /// [`TupleView::to_owned`]).
+    #[inline]
+    fn trusted(payload: &'a [u8]) -> Self {
+        let mut values = Reader::new(payload);
+        let arity = values.u32().unwrap_or_default() as usize;
+        TupleView { values, arity }
     }
 }
 
@@ -460,8 +479,9 @@ impl RecordFormat for TupleFormat {
 }
 
 /// An encoded tuple record that [`TupleView::parse`] accepted, kept as
-/// bytes: what a raw fetch ([`crate::Table::scan_next_raw`]) hands up so a
-/// caller can read single columns without decoding the rest. A fetched one
+/// bytes: what a raw fetch ([`crate::Table::get_raw`], or a scan's
+/// [`LentTuple::into_encoded`]) hands up so a caller can read single
+/// columns without decoding the rest. A fetched one
 /// shares its heap page's record; cloning it is a refcount.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedTuple(SharedRecord);
@@ -482,14 +502,36 @@ impl EncodedTuple {
     /// The reader over the record.
     #[inline]
     pub fn view(&self) -> TupleView<'_> {
-        let mut values = Reader::new(self.0.payload());
-        let arity = values.u32().unwrap_or_default() as usize;
-        TupleView { values, arity }
+        TupleView::trusted(self.0.payload())
     }
 
     /// The record as stored.
     pub fn as_bytes(&self) -> &[u8] {
         self.0.payload()
+    }
+}
+
+/// A tuple record a table scan found and checked, still lent by its page
+/// ([`crate::Table::scan_next_lent`]): read it in place, and keep it as an
+/// [`EncodedTuple`] only if it is wanted.
+#[derive(Debug)]
+pub struct LentTuple<'a>(Checked<'a, TupleFormat>);
+
+impl<'a> LentTuple<'a> {
+    /// The record a checked read of a table's heap lent.
+    pub(crate) fn checked(record: Checked<'a, TupleFormat>) -> Self {
+        Self(record)
+    }
+
+    /// The reader over the record.
+    #[inline]
+    pub fn view(&self) -> TupleView<'_> {
+        TupleView::trusted(self.0.payload())
+    }
+
+    /// The record kept past the page's loan (a refcount).
+    pub fn into_encoded(self) -> EncodedTuple {
+        EncodedTuple(self.0.into_shared())
     }
 }
 

@@ -131,7 +131,7 @@ proptest! {
         let mut model = ClockModel { cap, ..ClockModel::default() };
         let mut ticket = FrameTicket::default();
         for op in &ops {
-            let did = apply(&pool, file, &mut ticket, op);
+            let did = apply(&pool, file, &stats, &mut ticket, op);
             agree(&pool, file, &stats, &mut model, op, did)?;
         }
     }
@@ -154,12 +154,12 @@ proptest! {
             let (done_tx, done) = mpsc::channel::<Did>();
             let worker = |w: usize| {
                 let (tx, rx) = mpsc::channel::<ClockOp>();
-                let (pool, done_tx) = (&pool, done_tx.clone());
+                let (pool, stats, done_tx) = (&pool, &stats, done_tx.clone());
                 s.spawn(move || {
                     let _pin = IoStats::pin_worker(w);
                     let mut ticket = FrameTicket::default();
                     for op in rx {
-                        let _ = done_tx.send(apply(pool, file, &mut ticket, &op));
+                        let _ = done_tx.send(apply(pool, file, stats, &mut ticket, &op));
                     }
                 });
                 tx
@@ -220,12 +220,19 @@ proptest! {
                     let (rid, payload) = &records[i % records.len()];
                     prop_assert_eq!(&pooled.get(*rid).unwrap(), payload);
                     prop_assert_eq!(&oracle.get(*rid).unwrap(), payload);
-                    let read = if matches!(op, HeapOp::TicketedGet(_)) {
-                        ticketed.get_checked_ticketed::<AnyBytes>(*rid, &mut ticket).unwrap()
+                    if matches!(op, HeapOp::TicketedGet(_)) {
+                        let before = ticketed_stats.snapshot();
+                        let read =
+                            ticketed.get_checked_ticketed::<AnyBytes>(*rid, &mut ticket).unwrap();
+                        prop_assert_eq!(read.payload(), &payload[..]);
+                        if ticket.pending() > 0 {
+                            prop_assert_eq!(ticketed_stats.snapshot(), before, "charged before a settle");
+                        }
+                        settle_exactly(&ticketed_stats, &mut ticket)?;
                     } else {
-                        ticketed.get_checked::<AnyBytes>(*rid).unwrap()
-                    };
-                    prop_assert_eq!(read.payload(), &payload[..]);
+                        let read = ticketed.get_checked::<AnyBytes>(*rid).unwrap();
+                        prop_assert_eq!(read.payload(), &payload[..]);
+                    }
                 }
                 HeapOp::Update(i, size) => {
                     if records.is_empty() {
@@ -331,6 +338,23 @@ fn clock_op() -> impl Strategy<Value = ClockOp> {
     ]
 }
 
+/// Settle `ticket` through the engine's call: the counters move by exactly
+/// its pending hits — a logical read and a cache hit each — and nothing
+/// else.
+fn settle_exactly(stats: &IoStats, ticket: &mut FrameTicket) -> Result<(), TestCaseError> {
+    let pending = ticket.pending();
+    let before = stats.snapshot();
+    ticket.settle();
+    let settled = IoSnapshot {
+        logical_heap_reads: pending,
+        cache_hits: pending,
+        ..IoSnapshot::default()
+    };
+    prop_assert_eq!(stats.snapshot().since(&before), settled);
+    prop_assert_eq!(ticket.pending(), 0);
+    Ok(())
+}
+
 /// What one op did: the hit flag and victims of an access, `pin`'s answer.
 #[derive(Debug, Default, PartialEq)]
 struct Did {
@@ -338,11 +362,27 @@ struct Did {
     victims: Vec<(u64, bool)>,
 }
 
-fn apply(pool: &BufferPool, file: FileId, ticket: &mut FrameTicket, op: &ClockOp) -> Did {
+/// Apply `op`; a ticketed read that took no lock must not have moved the
+/// counters, and the ticket is settled before anything is compared.
+fn apply(
+    pool: &BufferPool,
+    file: FileId,
+    stats: &IoStats,
+    ticket: &mut FrameTicket,
+    op: &ClockOp,
+) -> Did {
     let access = match *op {
         ClockOp::Access(p, false) => pool.read(file, u64::from(p)),
         ClockOp::Access(p, true) => pool.write(file, u64::from(p)),
-        ClockOp::TicketedRead(p) => pool.read_ticketed(file, u64::from(p), ticket),
+        ClockOp::TicketedRead(p) => {
+            let before = stats.snapshot();
+            let access = pool.read_ticketed(file, u64::from(p), ticket);
+            if ticket.pending() > 0 {
+                assert_eq!(stats.snapshot(), before, "charged before a settle");
+            }
+            settle_exactly(stats, ticket).expect("a settle charges the pending hits");
+            access
+        }
         ClockOp::Pin(p) => {
             return Did {
                 hit: pool.pin(file, u64::from(p)),
@@ -533,15 +573,29 @@ fn a_scans_repeat_reads_keep_their_ticket() {
     let mut kept = 0;
     for page in 0..6u8 {
         for _ in 0..8 {
-            let before = ticket;
+            let before = stats.snapshot();
+            let access = pool.read_ticketed(file, u64::from(page), &mut ticket);
+            // A read that kept its ticket took no lock and charged nothing
+            // yet: it waits in the ticket.
+            if ticket.pending() > 0 {
+                kept += 1;
+                assert_eq!(stats.snapshot(), before, "charged before a settle");
+            }
+            settle_exactly(&stats, &mut ticket).unwrap();
+            let did = Did {
+                hit: access.hit,
+                victims: access
+                    .evicted
+                    .iter()
+                    .map(|e| (e.key.page, e.dirty))
+                    .collect(),
+            };
             let op = ClockOp::TicketedRead(page);
-            let did = apply(&pool, file, &mut ticket, &op);
-            kept += usize::from(did.hit && ticket == before);
             agree(&pool, file, &stats, &mut model, &op, did).unwrap();
         }
         // Another reader's miss between runs sweeps the hand over the frame.
         let op = ClockOp::Access(20 + page, false);
-        let did = apply(&pool, file, &mut ticket, &op);
+        let did = apply(&pool, file, &stats, &mut ticket, &op);
         agree(&pool, file, &stats, &mut model, &op, did).unwrap();
     }
     assert_eq!(kept, 6 * 7, "every re-read within a run skipped the lock");
@@ -565,8 +619,20 @@ fn ticketed_scans_beside_evictions_charge_every_access_once() {
             for _ in 0..100 {
                 for page in 0..16 {
                     for _ in 0..20 {
+                        let before = stats.worker_snapshot(0);
                         pool.read_ticketed(file, page, &mut ticket);
                         reads += 1;
+                        if ticket.pending() > 0 {
+                            assert_eq!(stats.worker_snapshot(0), before, "charged before a settle");
+                        }
+                        let (pending, before) = (ticket.pending(), stats.worker_snapshot(0));
+                        ticket.settle();
+                        let settled = stats.worker_snapshot(0).since(&before);
+                        assert_eq!(
+                            (settled.logical_heap_reads, settled.cache_hits),
+                            (pending, pending)
+                        );
+                        assert_eq!(settled.total() + settled.cache_misses, 0);
                     }
                 }
             }

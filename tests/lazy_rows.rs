@@ -13,6 +13,15 @@
 //! report the oracle's survivor count at every level, and charge exactly the
 //! oracle's I/O — serially against the eager fetch, and under an Exchange
 //! against what the bare leaf costs there, whatever the stages above reject.
+//!
+//! With a buffer pool, a scan's re-reads of the page it is on go through
+//! tickets whose hits are charged when the scan moves on or closes, and a
+//! `SeqScan` tests the filters fused into it on the records its pages lend.
+//! The eager oracle's I/O does not carry over to a pool (its own index
+//! builds leave other pages resident), so a pooled run — the stages alone,
+//! or under a `Limit` that stops the scan mid-page — is held to the bare
+//! leaf run for as many leaf rows from the same reset residency: its
+//! `IoStats` delta and every level's I/O.
 
 use proptest::prelude::*;
 
@@ -347,6 +356,96 @@ fn level_rows(m: &OpMetrics) -> Vec<u64> {
     levels(m).iter().map(|l| l.rows).collect()
 }
 
+/// Empty the pool and give it `cap` frames again: every run that follows
+/// starts from the same residency.
+fn reset_pool(db: &Database, cap: usize) {
+    db.set_cache_capacity(0);
+    db.set_cache_capacity(cap);
+}
+
+/// `plan` run from a reset pool of `cap` frames: its rows, metrics, and the
+/// engine's `IoStats` delta.
+fn run_reset(
+    db: &Database,
+    ctx: &mut ExecContext<'_>,
+    cap: usize,
+    plan: &PhysicalPlan,
+) -> (Vec<AnnotatedTuple>, OpMetrics, IoSnapshot) {
+    reset_pool(db, cap);
+    let before = db.stats().snapshot();
+    let (rows, metrics) = ctx.execute_with_metrics(plan).unwrap();
+    (rows, metrics, db.stats().snapshot().since(&before))
+}
+
+/// `stages` over `leaf` under `limit` (none: the stages alone) from a
+/// reset pool of `cap` frames, against the bare leaf run for the leaf rows
+/// it read from the same residency: the rows are the oracle's (cut to the
+/// limit), every level's survivors are the oracle's, and the `IoStats`
+/// delta and every level's opens and I/O are the bare run's.
+#[allow(clippy::too_many_arguments)]
+fn pooled_agrees_with_bare_leaf(
+    db: &Database,
+    ctx: &mut ExecContext<'_>,
+    cap: usize,
+    leaf_plan: &PhysicalPlan,
+    fragment: &PhysicalPlan,
+    limit: Option<usize>,
+    oracle_rows: &[AnnotatedTuple],
+    oracle_levels: &[u64],
+) -> Result<(), TestCaseError> {
+    let limited = |input: &PhysicalPlan, n| PhysicalPlan::Limit {
+        input: Box::new(input.clone()),
+        n,
+    };
+    let plan = limit.map_or_else(|| fragment.clone(), |n| limited(fragment, n));
+    let (rows, metrics, io) = run_reset(db, ctx, cap, &plan);
+    let n = limit.unwrap_or(usize::MAX);
+    prop_assert_eq!(&rows[..], &oracle_rows[..n.min(oracle_rows.len())]);
+    let got_levels = level_rows(&metrics);
+    let leaf_rows = *got_levels.last().unwrap();
+    match limit {
+        None => prop_assert_eq!(&got_levels[..], oracle_levels),
+        Some(n) => {
+            prop_assert_eq!(got_levels[0], rows.len() as u64);
+            prop_assert!(leaf_rows <= oracle_levels[oracle_levels.len() - 1]);
+            prop_assert!(rows.len() <= n);
+        }
+    }
+    // A limit the stages filled stopped the leaf after the row that filled
+    // it; otherwise the leaf ran out.
+    let bare = match limit {
+        Some(n) if rows.len() == n => limited(leaf_plan, leaf_rows as usize),
+        _ => leaf_plan.clone(),
+    };
+    let (_, bare_metrics, bare_io) = run_reset(db, ctx, cap, &bare);
+    prop_assert_eq!(
+        io,
+        bare_io,
+        "cap {}: a fetch never waits to see whether the row survives",
+        cap
+    );
+    let bare_leaf = levels(&bare_metrics).pop().unwrap().clone();
+    prop_assert_eq!(bare_leaf.rows, leaf_rows);
+    for level in levels(&metrics) {
+        prop_assert_eq!(level.opens, 1);
+        prop_assert_eq!(
+            level.physical_io,
+            bare_io.total(),
+            "cap {}: {}",
+            cap,
+            &level.label
+        );
+        prop_assert_eq!(
+            level.logical_io,
+            bare_io.logical_total(),
+            "cap {}: {}",
+            cap,
+            &level.label
+        );
+    }
+    Ok(())
+}
+
 fn leaf_strategy() -> impl Strategy<Value = Leaf> {
     prop_oneof![
         Just(Leaf::Seq),
@@ -365,17 +464,30 @@ proptest! {
     /// the engine's `IoStats` delta, all equal eager materialization's —
     /// under a `Sort` + `Limit` top as well, whose key is read off the
     /// encoded row once per row.
+    ///
+    /// Then pooled, from reset residency, at a capacity that evicts (1–5
+    /// frames) or one that holds everything: the stages alone, and under a
+    /// bare `Limit`, against the bare leaf run.
     #[test]
     fn lazy_rows_equal_eager_materialization(
         counts in prop::collection::vec(0usize..6, 1..28),
         leaf in leaf_strategy(),
         stages in stages_strategy(),
         top in prop::option::of((0u8..3, any::<bool>(), 0usize..8)),
+        cap in prop_oneof![1usize..6, Just(4096usize)],
+        limit in 0usize..6,
     ) {
         let (db, t) = build(&counts);
         let (oracle_rows, oracle_levels, oracle_io) = eager(&db, t, leaf, &stages);
         let mut ctx = ExecContext::new(&db);
+        let leaf_plan = physical(&db, &mut ctx, t, leaf, &[]);
         let fragment = physical(&db, &mut ctx, t, leaf, &stages);
+        for limit in [None, Some(limit)] {
+            pooled_agrees_with_bare_leaf(
+                &db, &mut ctx, cap, &leaf_plan, &fragment, limit, &oracle_rows, &oracle_levels,
+            )?;
+        }
+        db.set_cache_capacity(0);
 
         let before = db.stats().snapshot();
         let (rows, metrics) = ctx.execute_with_metrics(&fragment).unwrap();
@@ -423,14 +535,17 @@ proptest! {
 
     /// Under an Exchange at DOP 4: the oracle's rows and per-level
     /// survivors again, and — since I/O happens in the leaf, at fetch — the
-    /// counts of the bare leaf run the same way, at every level and in
-    /// `IoStats`, whatever the stages above it reject or decode.
+    /// counts of the bare leaf run the same way from the same reset
+    /// residency, at every level and in `IoStats`, whatever the stages
+    /// above it reject or decode: with no pool, and with a 3-frame pool
+    /// whose tickets each worker settles as its morsel closes.
     #[test]
     fn lazy_rows_equal_eager_materialization_in_parallel(
         counts in prop::collection::vec(0usize..6, 1..28),
         leaf in leaf_strategy(),
         stages in stages_strategy(),
         morsel_rows in 1usize..9,
+        cap in prop_oneof![Just(0usize), Just(3usize)],
     ) {
         let (db, t) = build(&counts);
         let (oracle_rows, oracle_levels, _) = eager(&db, t, leaf, &stages);
@@ -440,12 +555,8 @@ proptest! {
         let bare = exchange(physical(&db, &mut ctx, t, leaf, &[]));
         let fragment = exchange(physical(&db, &mut ctx, t, leaf, &stages));
 
-        let before = db.stats().snapshot();
-        let (_, bare_metrics) = ctx.execute_with_metrics(&bare).unwrap();
-        let bare_io = db.stats().snapshot().since(&before);
-        let before = db.stats().snapshot();
-        let (rows, metrics) = ctx.execute_with_metrics(&fragment).unwrap();
-        let io = db.stats().snapshot().since(&before);
+        let (_, bare_metrics, bare_io) = run_reset(&db, &mut ctx, cap, &bare);
+        let (rows, metrics, io) = run_reset(&db, &mut ctx, cap, &fragment);
 
         prop_assert_eq!(rows, oracle_rows);
         prop_assert_eq!(level_rows(&metrics.children[0]), oracle_levels);
