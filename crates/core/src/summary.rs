@@ -397,6 +397,17 @@ impl<'a> SummarySetView<'a> {
         })
     }
 
+    /// `$.getSummaryObject(name)`: the object of the instance called
+    /// `name`, if the set holds one.
+    pub fn by_name(&self, name: &str) -> Option<ObjectView<'a>> {
+        self.iter().find(|o| o.is_named(name))
+    }
+
+    /// The `i`-th object in stored order.
+    pub fn get(&self, i: usize) -> Option<ObjectView<'a>> {
+        self.iter().nth(i)
+    }
+
     /// Copy every object out (one walk). The texts were checked once, by
     /// [`SummarySetView::parse`]; they are not checked again.
     pub fn to_owned(&self) -> Vec<SummaryObject> {

@@ -482,9 +482,6 @@ struct OpNode {
     logical_io: u64,
     /// Rows this operator itself fetched or turned owned.
     tally: RowTally,
-    /// Whether `close` is metered: this operator or one below it charges
-    /// I/O when it closes.
-    meter_close: bool,
 }
 
 impl OpNode {
@@ -506,11 +503,8 @@ impl OpNode {
         r
     }
 
-    /// Metered like a pull where a scan below settles its ticketed hits.
+    /// Metered like a pull: a scan below settles its ticketed hits here.
     fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
-        if !self.meter_close {
-            return self.op.close(ctx);
-        }
         let before = Self::io_snapshot(ctx);
         let r = self.op.close(ctx);
         self.charge(&before, ctx);
@@ -768,15 +762,5 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
         physical_io: 0,
         logical_io: 0,
         tally: RowTally::default(),
-        meter_close: charges_at_close(plan),
     }
-}
-
-/// Whether closing `plan`'s operators can charge I/O: a sequential scan
-/// settles its tickets when it closes, and an Exchange may hold one.
-fn charges_at_close(plan: &PhysicalPlan) -> bool {
-    matches!(
-        plan,
-        PhysicalPlan::SeqScan { .. } | PhysicalPlan::Exchange { .. }
-    ) || plan.children().any(charges_at_close)
 }

@@ -300,14 +300,11 @@ impl RowRead for LentRow<'_> {
     }
 
     fn summary_by_name(&self, name: &str) -> Option<SummaryRef<'_>> {
-        self.summaries
-            .iter()
-            .find(|o| o.is_named(name))
-            .map(SummaryRef::Encoded)
+        self.summaries.by_name(name).map(SummaryRef::Encoded)
     }
 
     fn summary_by_index(&self, i: usize) -> Option<SummaryRef<'_>> {
-        self.summaries.iter().nth(i).map(SummaryRef::Encoded)
+        self.summaries.get(i).map(SummaryRef::Encoded)
     }
 
     fn for_each_column(&self, f: &mut dyn FnMut(ValueRef<'_>)) {
@@ -336,11 +333,7 @@ impl RowRead for Row {
 
     fn summary_by_name(&self, name: &str) -> Option<SummaryRef<'_>> {
         match &self.0.raw_summaries {
-            Some(raw) => raw
-                .view()
-                .iter()
-                .find(|o| o.is_named(name))
-                .map(SummaryRef::Encoded),
+            Some(raw) => raw.view().by_name(name).map(SummaryRef::Encoded),
             None => self
                 .0
                 .summaries
@@ -352,7 +345,7 @@ impl RowRead for Row {
 
     fn summary_by_index(&self, i: usize) -> Option<SummaryRef<'_>> {
         match &self.0.raw_summaries {
-            Some(raw) => raw.view().iter().nth(i).map(SummaryRef::Encoded),
+            Some(raw) => raw.view().get(i).map(SummaryRef::Encoded),
             None => self.0.summaries.get(i).map(SummaryRef::Owned),
         }
     }
