@@ -290,6 +290,8 @@ impl<'a> LentRow<'a> {
     }
 }
 
+/// Read through the view accessors a [`Row`]'s still-encoded parts use, so
+/// the two read a record alike.
 impl RowRead for LentRow<'_> {
     fn column(&self, i: usize) -> Option<ValueRef<'_>> {
         self.values.get(i)
