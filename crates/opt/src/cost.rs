@@ -367,12 +367,18 @@ impl<'a> CostModel<'a> {
                     c / self.predicate_selectivity(pred, base).max(1e-6)
                 });
                 let (c, base) = self.cost_capped(input, inner_cap);
-                let sel = self.predicate_selectivity(pred, base);
+                // Each conjunct is tested on the rows the ones before it
+                // passed: what a stack of one filter per conjunct costs.
+                let (mut cpu, mut rows) = (c.cpu, c.rows);
+                for conjunct in pred.flatten_and() {
+                    cpu += rows;
+                    rows *= self.predicate_selectivity(conjunct, base);
+                }
                 (
                     PlanCost {
                         io: c.io,
-                        cpu: c.cpu + c.rows,
-                        rows: Self::cap_rows((c.rows * sel).max(0.0), cap),
+                        cpu,
+                        rows: Self::cap_rows(rows.max(0.0), cap),
                     },
                     base,
                 )

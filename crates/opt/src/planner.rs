@@ -204,24 +204,16 @@ impl<'a> Optimizer<'a> {
                 table: self.db.table_id(table)?,
                 with_summaries: true,
             },
-            LogicalPlan::Select { input, pred } | LogicalPlan::SummarySelect { input, pred } => {
-                let seq = PhysicalPlan::Filter {
-                    input: Box::new(self.lower_opt(input, limit)?),
-                    pred: pred.clone(),
-                };
-                // Index path: predicate conjunct answerable by a
+            LogicalPlan::Select { .. } | LogicalPlan::SummarySelect { .. } => {
+                // A run of σ and `S` is one selection: one `Filter` on the
+                // conjunction, bottom conjuncts first.
+                let (input, pred) = selection_run(plan);
+                let seq = filtered(self.lower_opt(input, limit)?, pred.clone());
+                // Index path: predicate conjuncts answerable by a
                 // Summary-BTree directly above a base scan. Both access
                 // paths are costed and the cheaper one wins.
-                if let LogicalPlan::Scan { table } = input.as_ref() {
-                    let tid = self.db.table_id(table)?;
-                    if let Some((scan, residual)) = self.try_index_path(tid, pred) {
-                        let indexed = match residual {
-                            Some(r) => PhysicalPlan::Filter {
-                                input: Box::new(scan),
-                                pred: r,
-                            },
-                            None => scan,
-                        };
+                if let (LogicalPlan::Scan { table }, Some(pred)) = (input, &pred) {
+                    if let Some(indexed) = self.try_index_path(self.db.table_id(table)?, pred) {
                         return Ok(self.cheaper_under(indexed, seq, limit));
                     }
                 }
@@ -371,8 +363,9 @@ impl<'a> Optimizer<'a> {
 
     /// An order-providing access path for `ORDER BY getLabelValue(instance,
     /// label)`: a full-range Summary-BTree scan in the requested direction,
-    /// with any selection re-applied on top. Only recognized directly above
-    /// a base scan (joins keep their own order-propagation analysis).
+    /// with the selection run, if any, re-applied on top. Only recognized
+    /// directly above a base scan (joins keep their own order-propagation
+    /// analysis).
     fn order_path(
         &self,
         input: &LogicalPlan,
@@ -380,15 +373,8 @@ impl<'a> Optimizer<'a> {
         label: &str,
         desc: bool,
     ) -> Result<Option<PhysicalPlan>> {
-        let (table, pred) = match input {
-            LogicalPlan::Scan { table } => (table, None),
-            LogicalPlan::Select { input, pred } | LogicalPlan::SummarySelect { input, pred } => {
-                match input.as_ref() {
-                    LogicalPlan::Scan { table } => (table, Some(pred)),
-                    _ => return Ok(None),
-                }
-            }
-            _ => return Ok(None),
+        let (LogicalPlan::Scan { table }, pred) = selection_run(input) else {
+            return Ok(None);
         };
         let tid = self.db.table_id(table)?;
         let Some(index) = self.config.summary_index_on(tid, instance) else {
@@ -402,22 +388,17 @@ impl<'a> Optimizer<'a> {
             propagate: true,
             reverse: desc,
         };
-        Ok(Some(match pred {
-            Some(p) => PhysicalPlan::Filter {
-                input: Box::new(scan),
-                pred: p.clone(),
-            },
-            None => scan,
-        }))
+        Ok(Some(filtered(scan, pred)))
     }
 
-    /// Try to answer (part of) a predicate with a Summary-BTree scan. The
-    /// first conjunct an index can answer picks the (instance, label); every
-    /// conjunct on that pair then narrows the one probe to `[lo, hi]`, so a
-    /// two-sided range fetches the tuples inside it and nothing else. Bounds
-    /// that contradict each other (`lo > hi`) are an empty scan.
-    fn try_index_path(&self, table: TableId, pred: &Expr) -> Option<(PhysicalPlan, Option<Expr>)> {
-        let conjuncts = flatten_and(pred);
+    /// Try to answer (part of) a predicate with a Summary-BTree scan, the
+    /// rest of it filtered above. The first conjunct an index can answer
+    /// picks the (instance, label); every conjunct on that pair then narrows
+    /// the one probe to `[lo, hi]`, so a two-sided range fetches the tuples
+    /// inside it and nothing else. Bounds that contradict each other
+    /// (`lo > hi`) are an empty scan.
+    fn try_index_path(&self, table: TableId, pred: &Expr) -> Option<PhysicalPlan> {
+        let conjuncts = pred.flatten_and();
         let ranges: Vec<_> = conjuncts.iter().map(|c| c.indexable_range()).collect();
         let (index, probe) = ranges.iter().flatten().find_map(|r| {
             let index = self.config.summary_index_on(table, &r.instance)?;
@@ -447,20 +428,34 @@ impl<'a> Optimizer<'a> {
             propagate: true,
             reverse: false,
         };
-        Some((scan, rest.into_iter().reduce(Expr::and)))
+        Some(filtered(scan, rest.into_iter().reduce(Expr::and)))
     }
 }
 
-/// Flatten an AND chain into conjuncts.
-fn flatten_and(pred: &Expr) -> Vec<&Expr> {
+/// `input` under a `Filter` on `pred`, or `input` itself when there is none.
+fn filtered(input: PhysicalPlan, pred: Option<Expr>) -> PhysicalPlan {
     match pred {
-        Expr::And(a, b) => {
-            let mut v = flatten_and(a);
-            v.extend(flatten_and(b));
-            v
-        }
-        other => vec![other],
+        Some(pred) => PhysicalPlan::Filter {
+            input: Box::new(input),
+            pred,
+        },
+        None => input,
     }
+}
+
+/// The run of σ / `S` nodes at the top of `plan` as one selection: the
+/// plan below the run and the `AND` of its predicates, bottom first (the
+/// order the run applies them in, which its cost reads); `(plan, None)`
+/// when `plan` is no selection.
+fn selection_run(plan: &LogicalPlan) -> (&LogicalPlan, Option<Expr>) {
+    let mut preds = Vec::new();
+    let mut at = plan;
+    while let LogicalPlan::Select { input, pred } | LogicalPlan::SummarySelect { input, pred } = at
+    {
+        preds.push(pred);
+        at = input;
+    }
+    (at, preds.into_iter().rev().cloned().reduce(Expr::and))
 }
 
 /// Recognize a `SummaryCmp { left, Eq, getLabelValue(instance, label) }`
@@ -1121,6 +1116,53 @@ mod tests {
             contains_sort(&plan.physical),
             "full ordering should still sort: {:?}",
             plan.physical
+        );
+    }
+
+    /// A σ over an `S` — the two selections SQL lowering gives one side —
+    /// under a summary `ORDER BY … LIMIT` plans to one `Filter` over the
+    /// ordered index scan: the order path reads the whole run.
+    #[test]
+    fn a_sigma_over_s_keeps_its_ordered_index_path() {
+        let (db, birds, _, _) = setup(200);
+        let config = PlannerConfig::default().with_summary_index("idx", birds, "ClassBird1", 2);
+        let opt = Optimizer::new(&db, config).unwrap();
+        let not = |e: Expr| Expr::Not(Box::new(e));
+        let summary = not(Expr::label_cmp("ClassBird1", "Disease", CmpOp::Lt, 0));
+        let data = not(Expr::col_cmp(0, CmpOp::Lt, Value::Int(0)));
+        let key = SortKey::Summary(SummaryExpr::label_value("ClassBird1", "Disease"));
+        let logical = LogicalPlan::scan("Birds")
+            .summary_select(summary.clone())
+            .select(data.clone())
+            .top_k(key, true, 5);
+        let plan = opt.optimize(&logical).unwrap().physical;
+        let PhysicalPlan::Limit { input, .. } = &plan else {
+            panic!("{plan}");
+        };
+        let PhysicalPlan::Filter { input, pred } = input.as_ref() else {
+            panic!("{plan}");
+        };
+        assert_eq!(*pred, Expr::and(summary, data), "one filter, S first");
+        assert!(
+            matches!(
+                input.as_ref(),
+                PhysicalPlan::SummaryIndexScan {
+                    lo: None,
+                    hi: None,
+                    reverse: true,
+                    ..
+                }
+            ),
+            "{plan}"
+        );
+        let naive = lower_naive(&db, &logical).unwrap();
+        assert_eq!(
+            disease_counts(&db, birds, &plan),
+            disease_counts(&db, birds, &naive)
+        );
+        assert_eq!(
+            disease_counts(&db, birds, &plan),
+            vec![199, 198, 197, 196, 195]
         );
     }
 

@@ -201,6 +201,35 @@ fn parallel_metrics_report_workers_and_merged_fragment() {
     assert!(report.contains("[worker 0]"), "{report}");
 }
 
+/// EXPLAIN ANALYZE of a conjunction fused into its scan under an Exchange:
+/// the merged fragment's `Filter` reports the result's rows and its scan
+/// every tuple of the table once, as serially.
+#[test]
+fn a_parallel_fused_conjunction_reports_result_and_table_rows() {
+    let (db, t, _) = setup(30);
+    let mut ctx = ExecContext::new(&db);
+    ctx.config.morsel_rows = 4;
+    let (serial, serial_metrics) = ctx.execute_with_metrics(&range_like_plan(t)).unwrap();
+    let (rows, metrics) = ctx
+        .execute_with_metrics(&PhysicalPlan::Exchange {
+            input: Box::new(range_like_plan(t)),
+            dop: 2,
+        })
+        .unwrap();
+    assert_eq!(rows, serial);
+    assert!(!metrics.workers.is_empty(), "ran parallel");
+    let [filter] = metrics.children.as_slice() else {
+        panic!("{}", metrics.render())
+    };
+    assert_eq!((filter.label.as_str(), filter.rows), ("Filter(σ/S)", 2));
+    let [scan] = filter.children.as_slice() else {
+        panic!("{}", metrics.render())
+    };
+    assert_eq!(scan.label, serial_metrics.children[0].label);
+    assert_eq!(scan.rows, 30, "every tuple once");
+    assert_eq!(scan.opens, 8, "one open per morsel");
+}
+
 /// A sink that reads every column and summary object of a row in place and
 /// keeps nothing, as the wire server's frame encoder does.
 #[derive(Default)]

@@ -442,11 +442,11 @@ trait Operator {
         ))
     }
 
-    /// The plan levels fused into this operator below its own node, leaf
-    /// first, each with the rows it emitted: they report the node's opens
-    /// and I/O. Empty for every operator but a scan with filters fused in.
-    fn fused_levels(&self) -> &[(String, u64)] {
-        &[]
+    /// The label of the scan fused into this operator below its own node:
+    /// it reports the tuples the node fetched, with the node's opens and
+    /// I/O. `None` for every operator but a scan with a filter fused in.
+    fn fused_leaf(&self) -> Option<String> {
+        None
     }
 
     /// What an Exchange that ran parallel reports in place of metered
@@ -553,16 +553,16 @@ impl OpNode {
     fn metrics(&self) -> OpMetrics {
         let exchange_io = self.exchange_io();
         let mut children: Vec<OpMetrics> = self.op.children().iter().map(|c| c.metrics()).collect();
-        for (label, rows) in self.op.fused_levels() {
-            children = vec![OpMetrics {
-                label: label.clone(),
-                rows: *rows,
+        if let Some(label) = self.op.fused_leaf() {
+            children.push(OpMetrics {
+                label,
+                rows: self.tally.fetched,
                 opens: self.opens,
                 physical_io: self.physical_io,
                 logical_io: self.logical_io,
-                children,
+                children: Vec::new(),
                 workers: Vec::new(),
-            }];
+            });
         }
         let mut m = OpMetrics {
             label: self.label.clone(),
@@ -598,7 +598,7 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
         PhysicalPlan::SeqScan {
             table,
             with_summaries,
-        } => Box::new(SeqScanOp::new(*table, *with_summaries, morsel())),
+        } => Box::new(SeqScanOp::new(*table, *with_summaries, morsel(), None)),
         PhysicalPlan::SummaryIndexScan {
             index,
             label,
@@ -652,9 +652,17 @@ fn compile(plan: &PhysicalPlan, bound: Option<&Morsel>) -> OpNode {
             morsel: morsel(),
             oids: Default::default(),
         }),
-        PhysicalPlan::Filter { input, pred } => match SeqScanOp::with_filters(plan, bound) {
-            Some(scan) => Box::new(scan),
-            None => Box::new(PipeOp {
+        PhysicalPlan::Filter { input, pred } => match input.as_ref() {
+            PhysicalPlan::SeqScan {
+                table,
+                with_summaries,
+            } => Box::new(SeqScanOp::new(
+                *table,
+                *with_summaries,
+                morsel(),
+                Some(pred.clone()),
+            )),
+            _ => Box::new(PipeOp {
                 child: compile(input, bound),
                 stage: pred.clone(),
             }),

@@ -84,80 +84,38 @@ fn fetch_summaries(
 /// tuples' records share pages; point lookups take none. The tickets' hits
 /// are charged when they move to another page and when the scan closes.
 ///
-/// The run of `Filter` nodes directly above the scan is fused into it
+/// A `Filter` directly above the scan is fused into it
 /// ([`compile`](super::compile)): each tuple is tested on the records its
-/// pages lend, and only one that passes every filter becomes a [`Row`].
-/// The fused levels still report their own rows; their opens and I/O are
-/// the node's, as they were each level's when only the leaf read pages.
+/// pages lend, and only one that passes becomes a [`Row`]. The node is the
+/// filter's; the scan level below it reports the tuples fetched, with the
+/// node's opens and I/O.
 pub(super) struct SeqScanOp {
     table: TableId,
     with_summaries: bool,
     morsel: Option<Morsel>,
     cursor: Option<instn_storage::ScanCursor>,
     summary_ticket: FrameTicket,
-    /// The fused `Filter` predicates, bottom up.
-    filters: Vec<Expr>,
-    /// The fused levels below the node's own — the scan, then each filter
-    /// but the top — with the rows each emitted, leaf first.
-    levels: Vec<(String, u64)>,
+    /// The fused `Filter`'s predicate.
+    filter: Option<Expr>,
 }
 
 impl SeqScanOp {
-    /// A scan of `table` (bound to `morsel` in a worker's tree) with no
-    /// filter fused in.
-    pub(super) fn new(table: TableId, with_summaries: bool, morsel: Option<Morsel>) -> Self {
+    /// A scan of `table` (bound to `morsel` in a worker's tree), testing
+    /// each tuple on `filter` when one is fused in.
+    pub(super) fn new(
+        table: TableId,
+        with_summaries: bool,
+        morsel: Option<Morsel>,
+        filter: Option<Expr>,
+    ) -> Self {
         SeqScanOp {
             table,
             with_summaries,
             morsel,
             cursor: None,
             summary_ticket: FrameTicket::default(),
-            filters: Vec::new(),
-            levels: Vec::new(),
+            filter,
         }
-    }
-
-    /// `plan` as one scan when it is a run of `Filter`s directly over a
-    /// `SeqScan`, with those filters fused into it; `None` when anything
-    /// else sits in the run.
-    pub(super) fn with_filters(plan: &PhysicalPlan, bound: Option<&Morsel>) -> Option<Self> {
-        let mut leaf = plan;
-        while let PhysicalPlan::Filter { input, .. } = leaf {
-            leaf = input;
-        }
-        let PhysicalPlan::SeqScan {
-            table,
-            with_summaries,
-        } = leaf
-        else {
-            return None;
-        };
-        let (mut filters, mut levels) = (Vec::new(), Vec::new());
-        let mut at = plan;
-        while let PhysicalPlan::Filter { input, pred } = at {
-            filters.push(pred.clone());
-            levels.push((input.head(), 0));
-            at = input;
-        }
-        filters.reverse();
-        levels.reverse();
-        Some(SeqScanOp {
-            filters,
-            levels,
-            ..Self::new(*table, *with_summaries, bound.cloned())
-        })
-    }
-
-    /// Whether `row` passes every fused filter, counting it at each level
-    /// it reaches below the top.
-    fn passes(filters: &[Expr], levels: &mut [(String, u64)], row: &LentRow<'_>) -> Result<bool> {
-        for (pred, (_, rows)) in filters.iter().zip(levels) {
-            *rows += 1;
-            if !pred.eval_bool(row)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 }
 
@@ -183,8 +141,11 @@ impl Operator for SeqScanOp {
                 LentSummaries::default()
             };
             tally.fetched += 1;
-            let row = LentRow::new(&tuple, &summaries);
-            if Self::passes(&self.filters, &mut self.levels, &row)? {
+            let passes = match &self.filter {
+                Some(pred) => pred.eval_bool(&LentRow::new(&tuple, &summaries))?,
+                None => true,
+            };
+            if passes {
                 let summaries = self.with_summaries.then(|| summaries.into_encoded());
                 let source = Some((self.table, oid));
                 return Ok(Some(Row::encoded(
@@ -212,8 +173,12 @@ impl Operator for SeqScanOp {
             .collect())
     }
 
-    fn fused_levels(&self) -> &[(String, u64)] {
-        &self.levels
+    fn fused_leaf(&self) -> Option<String> {
+        let leaf = PhysicalPlan::SeqScan {
+            table: self.table,
+            with_summaries: self.with_summaries,
+        };
+        self.filter.as_ref().map(|_| leaf.head())
     }
 }
 

@@ -117,6 +117,46 @@ fn metrics_report_rows_per_operator() {
     assert!(report.contains("SeqScan(table#0, +summaries) (rows=6"));
 }
 
+/// The `scan_range_like` shape as SQL plans it: one `Filter` on a
+/// two-sided label range and a `LIKE`, over the scan.
+fn range_like_plan(t: TableId) -> PhysicalPlan {
+    let disease = |op, n| Expr::label_cmp("ClassBird1", "Disease", op, n);
+    let like = Expr::Like(Box::new(Expr::Column(1)), "fam1%".into());
+    PhysicalPlan::Filter {
+        input: Box::new(PhysicalPlan::SeqScan {
+            table: t,
+            with_summaries: true,
+        }),
+        pred: [disease(CmpOp::Ge, 3), disease(CmpOp::Le, 9), like]
+            .into_iter()
+            .reduce(Expr::and)
+            .unwrap(),
+    }
+}
+
+/// EXPLAIN ANALYZE of a conjunction fused into its scan: the `Filter`
+/// reports the result's rows, the scan below it every tuple of the table,
+/// both with the one node's opens and I/O.
+#[test]
+fn a_fused_conjunction_reports_result_and_table_rows() {
+    let (db, t, _) = setup(30);
+    let mut ctx = ExecContext::new(&db);
+    let (rows, metrics) = ctx.execute_with_metrics(&range_like_plan(t)).unwrap();
+    // Birds 3 to 9 have 3 to 9 Disease annotations; 4 and 7 are fam1.
+    assert_eq!(rows.len(), 2);
+    assert_eq!((metrics.label.as_str(), metrics.rows), ("Filter(σ/S)", 2));
+    let [scan] = metrics.children.as_slice() else {
+        panic!("{}", metrics.render())
+    };
+    assert_eq!(scan.label, "SeqScan(table#0, +summaries)");
+    assert_eq!(scan.rows, 30);
+    assert!(scan.children.is_empty());
+    assert_eq!(
+        (scan.opens, scan.physical_io, scan.logical_io),
+        (metrics.opens, metrics.physical_io, metrics.logical_io)
+    );
+}
+
 /// Once LIMIT has produced its k tuples, further pulls charge no I/O at
 /// all (the child is never pulled again).
 #[test]

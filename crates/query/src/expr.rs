@@ -302,6 +302,15 @@ impl Expr {
         Expr::And(Box::new(a), Box::new(b))
     }
 
+    /// The conjuncts of this predicate's `AND` chain, left to right (just
+    /// itself when it is no `AND`): the one place a conjunction is split.
+    pub fn flatten_and(&self) -> Vec<&Expr> {
+        match self {
+            Expr::And(a, b) => [a.flatten_and(), b.flatten_and()].concat(),
+            other => vec![other],
+        }
+    }
+
     /// Evaluate to a value borrowed from the row or from this expression.
     pub fn eval_ref<'r, R: RowRead + ?Sized>(&'r self, row: &'r R) -> ValueRef<'r> {
         match self {
@@ -333,8 +342,13 @@ impl Expr {
         self.eval_ref(row).to_owned()
     }
 
-    /// Evaluate as a boolean predicate.
+    /// Evaluate as a boolean predicate. Each conjunct of a top-level `AND`
+    /// chain is a predicate of its own, tested left to right: one that is
+    /// not boolean is an error, as it is alone.
     pub fn eval_bool<R: RowRead + ?Sized>(&self, row: &R) -> Result<bool> {
+        if let Expr::And(a, b) = self {
+            return Ok(a.eval_bool(row)? && b.eval_bool(row)?);
+        }
         match self.eval_ref(row) {
             ValueRef::Bool(b) => Ok(b),
             ValueRef::Null => Ok(false),

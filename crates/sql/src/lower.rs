@@ -7,7 +7,9 @@
 //! * single-side data predicate → σ above that side's scan,
 //! * single-side summary predicate → `S` above that side's scan,
 //!
-//! and assembles scans → selections → join → GROUP BY → ORDER BY (data
+//! Each side gets at most one `S` and one σ, each the `AND` of that side's
+//! conjuncts of its kind in WHERE order, with the `S` below. Lowering
+//! assembles scans → selections → join → GROUP BY → ORDER BY (data
 //! column or the summary-based `O` sort) → projection → LIMIT. The produced
 //! logical plan is exactly what `instn_opt::Optimizer` rewrites with the
 //! §5.1 rules.
@@ -212,7 +214,7 @@ pub fn lower_select(db: &Database, stmt: &SelectStmt) -> Result<LoweredQuery> {
     }
 
     // Classify WHERE conjuncts.
-    let mut side_preds: Vec<Vec<(Expr, bool)>> = vec![Vec::new(), Vec::new()]; // (expr, is_summary)
+    let mut side_preds: Vec<Vec<Expr>> = vec![Vec::new(), Vec::new()];
     let mut join_preds: Vec<JoinPredicate> = Vec::new();
     if let Some(w) = &stmt.where_clause {
         for conj in split_and(w) {
@@ -220,16 +222,18 @@ pub fn lower_select(db: &Database, stmt: &SelectStmt) -> Result<LoweredQuery> {
         }
     }
 
-    // Per-side plans: scan + data selects + summary selects.
+    // Per-side plans: the scan, one `S` over the side's summary conjuncts,
+    // one σ over its data conjuncts (Rule 1 offers the other order).
     let mut sides: Vec<LogicalPlan> = Vec::new();
     for (i, b) in bindings.iter().enumerate() {
+        let (summary, data): (Vec<_>, Vec<_>) =
+            side_preds[i].drain(..).partition(Expr::uses_summaries);
         let mut p = LogicalPlan::scan(&b.table);
-        for (expr, is_summary) in side_preds[i].drain(..) {
-            p = if is_summary {
-                p.summary_select(expr)
-            } else {
-                p.select(expr)
-            };
+        if let Some(pred) = summary.into_iter().reduce(Expr::and) {
+            p = p.summary_select(pred);
+        }
+        if let Some(pred) = data.into_iter().reduce(Expr::and) {
+            p = p.select(pred);
         }
         sides.push(p);
     }
@@ -410,20 +414,15 @@ fn resolve_col_local(bindings: &[Binding], c: &ColRef, side: usize) -> Result<us
 fn classify_conjunct(
     bindings: &[Binding],
     conj: &AstExpr,
-    side_preds: &mut [Vec<(Expr, bool)>],
+    side_preds: &mut [Vec<Expr>],
     join_preds: &mut Vec<JoinPredicate>,
 ) -> Result<()> {
     let mask = sides_of(bindings, conj)?;
     match mask {
-        0 | 1 => {
-            let e = lower_expr(bindings, conj, 0)?;
-            let is_summary = e.uses_summaries();
-            side_preds[0].push((e, is_summary));
-        }
-        2 => {
-            let e = lower_expr(bindings, conj, 1)?;
-            let is_summary = e.uses_summaries();
-            side_preds[1].push((e, is_summary));
+        // No side (a constant) or side 0 → side 0; side 1 alone → side 1.
+        0..=2 => {
+            let side = usize::from(mask == 2);
+            side_preds[side].push(lower_expr(bindings, conj, side)?);
         }
         _ => {
             // Cross-side (mask 3: two FROM items give no other): must be a
@@ -704,6 +703,25 @@ pub(crate) mod tests {
         );
         // Swans are even ids: 2, 4, 6 have >= 2 disease annotations.
         assert_eq!(rows.len(), 3);
+    }
+
+    /// A conjunct that is no predicate fails the statement, alone or in a
+    /// side's selection with others.
+    #[test]
+    fn a_non_boolean_conjunct_is_an_error() {
+        let db = setup();
+        for pred in ["r.id", "r.id >= 0 AND r.id", "r.id AND r.id >= 0"] {
+            let sql = format!("SELECT * FROM Birds r WHERE {pred}");
+            let Statement::Select(sel) = crate::parser::parse(&sql).unwrap() else {
+                panic!("not a select")
+            };
+            let physical = lower_naive(&db, &lower_select(&db, &sel).unwrap().plan).unwrap();
+            let err = ExecContext::new(&db).execute(&physical).unwrap_err();
+            assert!(
+                matches!(err, instn_query::QueryError::NotBoolean(_)),
+                "{sql}: {err}"
+            );
+        }
     }
 
     #[test]

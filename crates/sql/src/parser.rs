@@ -10,14 +10,15 @@ use crate::{Result, SqlError};
 /// The deepest expression tree a statement may hold. Each parenthesis,
 /// `NOT`, `AND`, `OR`, comparison and `LIKE` is one level, so a chain of
 /// `k` operators is `k` levels deep as surely as `k` nested parentheses
-/// are. Lowering, planning, evaluating and dropping a statement all recurse
-/// over its expressions, and the planner gives each conjunct of a `WHERE`
-/// its own `Filter`, so a chain of summary-predicate `AND`s is also a plan
-/// that deep: the deepest recursion of all, of which about 85 levels fit a
-/// 2 MB stack (a wire server's worker thread) in an unoptimized build. A
+/// are. Parsing, lowering, planning, evaluating and dropping a statement
+/// all recurse over its expressions; a plan's depth does not grow with
+/// them, as a side's `WHERE` conjuncts share one `Filter`. The deepest
+/// recursion is the parser's own descent through nested parentheses, of
+/// which about 290 levels fit a 2 MB stack (a wire server's worker thread)
+/// in an unoptimized build, planned serially or under an Exchange. A
 /// deeper statement is refused with a [`SqlError::Parse`] instead of
 /// overflowing the stack, which aborts the process.
-pub const MAX_EXPR_DEPTH: usize = 64;
+pub const MAX_EXPR_DEPTH: usize = 200;
 
 /// Parse one statement (a trailing `;` is optional).
 pub fn parse(input: &str) -> Result<Statement> {

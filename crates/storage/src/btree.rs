@@ -20,6 +20,8 @@
 //! merging — matching PostgreSQL, whose B-Tree likewise defers page
 //! reclamation to vacuum.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, FileId, FileKind};
@@ -364,6 +366,10 @@ impl<V: Clone + PartialEq> BTree<V> {
 
     /// Advance a descending cursor, returning the next entry in reverse
     /// key order.
+    // Every internal node has a child: a new root gets two, a split leaves
+    // children on both halves, a bulk-built level is cut into non-empty
+    // chunks, and deletion removes leaf entries only.
+    #[allow(clippy::expect_used)]
     pub fn cursor_desc_next(&self, cur: &mut CursorDesc) -> Option<(Key, V)> {
         loop {
             let leaf = cur.leaf?;

@@ -498,12 +498,11 @@ impl PoolState {
 
 /// Observability handles resolved once from a [`MetricsRegistry`]
 /// (`BufferPool::attach_metrics`). Recording is striped-atomic and
-/// no-ops while the registry is disabled. Hits and misses are not among
-/// them: those two series read the `IoStats` cache counters when the
-/// registry is rendered.
+/// no-ops while the registry is disabled. Hits, misses and evictions are
+/// not among them: those three series read the `IoStats` cache counters
+/// when the registry is rendered.
 #[derive(Debug)]
 struct PoolObs {
-    evictions: Counter,
     clock_steps: Counter,
     resident: Gauge,
 }
@@ -538,9 +537,10 @@ impl BufferPool {
     /// Resolve metric handles from `registry` (idempotent; the first call
     /// wins). Until attached — and while the registry is disabled — every
     /// access records exactly what it did before this subsystem existed.
-    /// `bufferpool_hits_total` and `bufferpool_misses_total` are this
-    /// pool's `IoStats` cache counters, read when the registry renders:
-    /// they count whether or not the registry is enabled.
+    /// `bufferpool_hits_total`, `bufferpool_misses_total` and
+    /// `bufferpool_evictions_total` are this pool's `IoStats` cache
+    /// counters, read when the registry renders: they count whether or not
+    /// the registry is enabled.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         let stats = Arc::clone(&self.stats);
         registry.counter_fn(
@@ -554,9 +554,13 @@ impl BufferPool {
             "buffer-pool page misses",
             move || stats.snapshot().cache_misses,
         );
+        let stats = Arc::clone(&self.stats);
+        registry.counter_fn(
+            "bufferpool_evictions_total",
+            "buffer-pool frame evictions",
+            move || stats.snapshot().cache_evictions,
+        );
         let _ = self.obs.set(PoolObs {
-            evictions: registry
-                .counter("bufferpool_evictions_total", "buffer-pool frame evictions"),
             clock_steps: registry.counter(
                 "bufferpool_clock_steps_total",
                 "frames the CLOCK hand passed looking for victims",
@@ -873,7 +877,6 @@ impl BufferPool {
         }
         if let Some(o) = self.obs.get() {
             if reclaimed.steps > 0 {
-                o.evictions.add(evictions);
                 o.clock_steps.add(reclaimed.steps);
             }
             o.resident.set(reclaimed.resident as i64);
@@ -1187,6 +1190,34 @@ mod tests {
         drop(ticket);
         let dropped = stats.snapshot().since(&before);
         assert_eq!((dropped.logical_index_reads, dropped.cache_hits), (1, 1));
+    }
+
+    /// `bufferpool_evictions_total` is the pool's `IoStats` eviction count,
+    /// whether the CLOCK hand or a shrink reclaimed the frames, and whether
+    /// or not the registry is enabled.
+    #[test]
+    fn the_eviction_series_renders_the_pools_eviction_count() {
+        let registry = MetricsRegistry::new();
+        let (pool, stats, heap, _) = pool(3);
+        pool.attach_metrics(&registry);
+        let rendered = || {
+            let samples = instn_obs::parse_prometheus(&registry.render_prometheus()).unwrap();
+            let evictions = samples
+                .iter()
+                .find(|(n, _)| n == "bufferpool_evictions_total");
+            evictions.map(|(_, v)| *v)
+        };
+        for page in 0..8 {
+            pool.read(heap, page);
+        }
+        let by_clock = stats.snapshot().cache_evictions;
+        assert_eq!(by_clock, 5);
+        assert_eq!(rendered(), Some(by_clock as f64));
+        registry.set_enabled(true);
+        pool.set_capacity(1);
+        let after_shrink = stats.snapshot().cache_evictions;
+        assert_eq!(after_shrink, by_clock + 2);
+        assert_eq!(rendered(), Some(after_shrink as f64));
     }
 
     /// Whether `ticket` still holds for `key`: what the lock-free path tests.

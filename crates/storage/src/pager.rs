@@ -7,6 +7,8 @@
 //! direct-to-[`IoStats`] accounting bit for bit. This is the single funnel
 //! through which the benchmark harness observes "disk" traffic.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, FileId, FileKind, FrameTicket};

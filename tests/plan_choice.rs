@@ -176,9 +176,9 @@ fn explain(
     }
 }
 
-/// One golden entry per statement: a `-- name (dop N)` line, the
-/// statement, its `EXPLAIN` text.
-fn render_all() -> Vec<String> {
+/// A session on the small Birds corpus, the instance registry its `ALTER`
+/// reads, and the Birds and Synonyms tables.
+fn corpus() -> (Session, HashMap<String, InstanceKind>, TableId, TableId) {
     let BenchDb {
         db,
         birds,
@@ -190,8 +190,29 @@ fn render_all() -> Vec<String> {
         ..BenchConfig::default()
     });
     let registry = HashMap::from([("ClassBird2".to_string(), classbird2_kind(2015))]);
-    let shared = SharedDatabase::new(db);
-    let mut session = shared.session();
+    (SharedDatabase::new(db).session(), registry, birds, synonyms)
+}
+
+/// Make `ClassBird2` `INDEXABLE`, give `ClassBird1` a Summary-BTree (`cb1`)
+/// and `Synonyms.bird_id` a column index.
+fn add_indexes(
+    session: &mut Session,
+    registry: &HashMap<String, InstanceKind>,
+    birds: TableId,
+    synonyms: TableId,
+) {
+    let alter = parse("ALTER TABLE Birds ADD INDEXABLE ClassBird2").expect("parses");
+    run_statement(session, registry, "plan_choice", &alter).expect("links ClassBird2");
+    session
+        .register_summary_index("cb1", birds, "ClassBird1", PointerMode::Backward)
+        .expect("builds");
+    session.register_column_index(synonyms, 1).expect("builds");
+}
+
+/// One golden entry per statement: a `-- name (dop N)` line, the
+/// statement, its `EXPLAIN` text.
+fn render_all() -> Vec<String> {
+    let (mut session, registry, birds, synonyms) = corpus();
     let mut entries = Vec::new();
     let mut run = |session: &mut Session, list: Vec<(&str, usize, String)>| {
         for (name, dop, stmt) in list {
@@ -203,12 +224,7 @@ fn render_all() -> Vec<String> {
         }
     };
     run(&mut session, scan_statements());
-    let alter = parse("ALTER TABLE Birds ADD INDEXABLE ClassBird2").expect("parses");
-    run_statement(&mut session, &registry, "plan_choice", &alter).expect("links ClassBird2");
-    session
-        .register_summary_index("cb1", birds, "ClassBird1", PointerMode::Backward)
-        .expect("builds");
-    session.register_column_index(synonyms, 1).expect("builds");
+    add_indexes(&mut session, &registry, birds, synonyms);
     run(&mut session, indexed_statements());
     entries
 }
@@ -225,4 +241,75 @@ fn chosen_plans_match_the_golden_list() {
         );
     }
     assert_eq!(got.len(), want.len(), "golden list length");
+}
+
+/// The `sbt_range_like` statement plans to one Summary-BTree probe of its
+/// `[lo, hi]` with only the `LIKE` left to filter (as the planner's
+/// `same_label_conjuncts_merge_into_one_probe` pins for a hand-built
+/// conjunction): the probe fetches the tuples inside the range and no
+/// others, and the rows are the naive lowering's.
+#[test]
+fn a_sql_range_on_one_label_plans_to_one_probe() {
+    use insightnotes::query::exec::{ExecContext, PhysicalPlan};
+    use insightnotes::query::expr::Expr;
+    let (mut session, registry, birds, synonyms) = corpus();
+    add_indexes(&mut session, &registry, birds, synonyms);
+    session.exec_config.dop = 1;
+    let question = lv("r", "ClassBird2", "Question");
+    let sql = format!(
+        "SELECT id, common_name FROM Birds r WHERE {question} >= 2 AND {question} <= 6 \
+         AND common_name LIKE 'Swan%'"
+    );
+    let Ok(Statement::Select(sel)) = parse(&sql) else {
+        panic!("{sql}")
+    };
+    let planned = insightnotes::sql::plan_select(&mut session, &sel).expect("plans");
+    let plan: &PhysicalPlan = &planned.plan.plan;
+    let PhysicalPlan::Project { input, .. } = plan else {
+        panic!("{plan}")
+    };
+    let PhysicalPlan::Filter { input, pred } = input.as_ref() else {
+        panic!("{plan}")
+    };
+    assert!(
+        matches!(pred, Expr::Like(..)),
+        "only the LIKE stays: {pred:?}"
+    );
+    let PhysicalPlan::SummaryIndexScan { lo, hi, .. } = input.as_ref() else {
+        panic!("{plan}")
+    };
+    assert_eq!((*lo, *hi), (Some(2), Some(6)));
+
+    let (rows, metrics) = session
+        .with_ctx(|ctx| ctx.execute_with_metrics(plan))
+        .expect("runs");
+    let shared = session.shared().clone();
+    let (naive, in_range) = shared.with_read(|db| {
+        let lowered = insightnotes::sql::lower_select(db, &sel).expect("lowers");
+        let naive = insightnotes::query::lower::lower_naive(db, &lowered.plan).expect("lowers");
+        let mut ctx = ExecContext::new(db);
+        let in_range = format!("SELECT id FROM Birds r WHERE {question} >= 2 AND {question} <= 6");
+        let Ok(Statement::Select(range)) = parse(&in_range) else {
+            panic!("{in_range}")
+        };
+        let range = insightnotes::sql::lower_select(db, &range).expect("lowers");
+        let range = insightnotes::query::lower::lower_naive(db, &range.plan).expect("lowers");
+        (
+            ctx.execute(&naive).expect("runs"),
+            ctx.execute(&range).expect("runs").len() as u64,
+        )
+    });
+    let sources = |rows: &[AnnotatedTuple]| {
+        let mut sources: Vec<_> = rows.iter().map(|r| r.source).collect();
+        sources.sort();
+        sources
+    };
+    assert_eq!(sources(&rows), sources(&naive));
+    let filter = &metrics.children[0];
+    assert_eq!(filter.rows, rows.len() as u64);
+    assert_eq!(
+        filter.children[0].rows, in_range,
+        "the probe fetched the range"
+    );
+    assert!(in_range > filter.rows, "the LIKE drops some: {in_range}");
 }

@@ -406,7 +406,7 @@ proptest! {
         seed in 0usize..CATALOGUE.len(),
         edits in prop::collection::vec((0u8..3, any::<usize>(), any::<u32>()), 0..6),
         shape in 0u8..3,
-        n in 0usize..200,
+        n in 0usize..400,
         closed in any::<bool>(),
     ) {
         let _ = insightnotes::sql::parse(&ascii);
