@@ -23,6 +23,7 @@ use instn_storage::{Oid, Tuple};
 
 use crate::instance::{elect_representative, TextResolver};
 use crate::summary::{ClusterGroup, Rep, SummaryObject};
+use crate::IdHash;
 
 /// A data tuple travelling through a query plan together with its summary
 /// objects — the paper's `r = <a1..an, {s1..sk}>` conceptual schema.
@@ -136,9 +137,9 @@ pub fn project_eliminate(
 #[derive(Debug)]
 enum Seen {
     /// One id set per label, in label order.
-    Classifier(Vec<HashSet<AnnotId>>),
+    Classifier(Vec<HashSet<AnnotId, IdHash>>),
     /// The entries' source annotations.
-    Snippet(HashSet<AnnotId>),
+    Snippet(HashSet<AnnotId, IdHash>),
     /// Cluster groups re-partition as a whole ([`merge_cluster_groups`]).
     Cluster,
 }
@@ -361,7 +362,7 @@ fn merge_cluster_groups(
             continue;
         }
         let first = &groups[comp[0]];
-        let mut seen: HashSet<AnnotId> = HashSet::new();
+        let mut seen: HashSet<AnnotId, IdHash> = HashSet::default();
         let mut members: Vec<AnnotId> = Vec::new();
         let mut ls = vec![0.0f32; first.ls.len()];
         for &gi in &comp {

@@ -25,6 +25,8 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 pub mod algebra;
 #[cfg(test)]
 mod catalog;
@@ -104,3 +106,34 @@ const _: () = {
     assert_send_sync::<AnnotatedTuple>();
     assert_send_sync::<summary::SummaryObject>();
 };
+
+/// Hashes an id the engine assigned — an [`instn_storage::Oid`] or an
+/// [`instn_annot::AnnotId`] — with one widening multiply, folded (the high
+/// half of the 128-bit product xor the low half), so every bit of the key
+/// reaches every bit of the hash. The summary row map is probed once per
+/// scanned tuple and a merge's `Seen` sets once per merged annotation,
+/// where SipHash costs more than the probe; the keys are ids the engine
+/// assigned (or wrote into its own checkpoint), not values a client picks.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(n ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product >> 64) as u64 ^ product as u64;
+    }
+}
+
+/// The hasher of maps and sets keyed by engine-assigned ids ([`IdHasher`]).
+pub(crate) type IdHash = BuildHasherDefault<IdHasher>;

@@ -14,49 +14,22 @@
 //! [`instn_storage::HeapFile::get_checked`]).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use instn_storage::io::IoStats;
 use instn_storage::page::RecordId;
-use instn_storage::{BufferPool, FrameTicket, HeapFile, Oid, StorageError};
+use instn_storage::{BufferPool, HeapFile, Oid, StorageError};
 
 use crate::summary::{
     encode_objects, EncodedSummaries, LentSummaries, SummaryObject, SummarySetFormat,
 };
-use crate::Result;
-
-/// Hashes an [`Oid`] with one widening multiply, folded (the high half of
-/// the 128-bit product xor the low half), so every bit of the key reaches
-/// every bit of the hash. The row map is probed once per scanned tuple,
-/// where SipHash costs more than the probe; its keys are OIDs the engine
-/// assigned (or wrote into its own checkpoint), not values a client picks.
-#[derive(Default)]
-struct OidHasher(u64);
-
-impl Hasher for OidHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let product = u128::from(n ^ self.0) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (product >> 64) as u64 ^ product as u64;
-    }
-}
+use crate::{IdHash, Result};
 
 /// De-normalized summary storage for one user relation.
 #[derive(Debug)]
 pub struct SummaryStorage {
     heap: HeapFile,
-    rows: HashMap<Oid, RecordId, BuildHasherDefault<OidHasher>>,
+    rows: HashMap<Oid, RecordId, IdHash>,
 }
 
 impl SummaryStorage {
@@ -123,20 +96,16 @@ impl SummaryStorage {
     }
 
     /// [`SummaryStorage::read_raw`] for a scan that reads the rows of
-    /// consecutive tuples: the page read goes through `ticket`, so a re-read
-    /// of the page the last row was on skips the pool's lock (see
-    /// [`BufferPool::read_ticketed`]), and the checked row is lent by its
-    /// page until the scan keeps it ([`LentSummaries::into_encoded`]). The
-    /// same charges, once the ticket is settled.
-    pub fn read_lent_ticketed(
-        &self,
-        oid: Oid,
-        ticket: &mut FrameTicket,
-    ) -> Result<LentSummaries<'_>> {
+    /// consecutive tuples: the page read is logged in the calling thread's
+    /// read log (see [`BufferPool::read_logged`]), and the checked row is
+    /// lent by its page until the scan keeps it
+    /// ([`LentSummaries::into_encoded`]). The same charges, once the log
+    /// is applied.
+    pub fn read_lent(&self, oid: Oid) -> Result<LentSummaries<'_>> {
         match self.rows.get(&oid) {
             Some(rid) => self
                 .heap
-                .get_checked_ticketed::<SummarySetFormat>(*rid, ticket)
+                .get_lent::<SummarySetFormat>(*rid)
                 .map(LentSummaries::checked),
             None => Ok(LentSummaries::default()),
         }

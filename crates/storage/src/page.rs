@@ -14,8 +14,6 @@
 //! checks it only while the verdict is unset (see
 //! [`crate::HeapFile::get_checked`]).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 

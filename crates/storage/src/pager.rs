@@ -7,11 +7,9 @@
 //! direct-to-[`IoStats`] accounting bit for bit. This is the single funnel
 //! through which the benchmark harness observes "disk" traffic.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::sync::Arc;
 
-use crate::buffer::{BufferPool, FileId, FileKind, FrameTicket};
+use crate::buffer::{BufferPool, FileId, FileKind};
 use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::page::{Page, PageId};
@@ -87,15 +85,14 @@ impl Pager {
         Ok(page)
     }
 
-    /// [`Pager::read`] through a scan's `ticket`: the same charge, taken
-    /// without the pool's lock while the ticket holds (see
-    /// [`BufferPool::read_ticketed`]).
-    pub fn read_ticketed(&self, id: PageId, ticket: &mut FrameTicket) -> Result<&Page> {
+    /// [`Pager::read`] for a scan: the same charge, logged in the calling
+    /// thread's read log (see [`BufferPool::read_logged`]).
+    pub fn read_logged(&self, id: PageId) -> Result<&Page> {
         let page = self
             .pages
             .get(id.0 as usize)
             .ok_or(StorageError::PageNotFound(id.0))?;
-        self.pool.read_ticketed(self.file, u64::from(id.0), ticket);
+        self.pool.read_logged(self.file, u64::from(id.0));
         Ok(page)
     }
 

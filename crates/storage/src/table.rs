@@ -6,12 +6,10 @@
 //! return its heap location so the Summary-BTree can store a *backward
 //! pointer* straight to the data tuple.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::sync::Arc;
 
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, FrameTicket};
+use crate::buffer::{apply_read_log, BufferPool};
 use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::io::IoStats;
@@ -223,7 +221,7 @@ impl Table {
     /// shape pull-based executors need). The table must not be mutated
     /// while the cursor is live.
     pub fn scan_open(&self) -> ScanCursor {
-        ScanCursor::new(self.oid_index.cursor(None, None))
+        self.scan_open_range(None, None)
     }
 
     /// Open a resumable scan over the *inclusive* OID range `[lo, hi]`
@@ -233,10 +231,12 @@ impl Table {
     pub fn scan_open_range(&self, lo: Option<Oid>, hi: Option<Oid>) -> ScanCursor {
         let lo = lo.map(Oid::to_key);
         let hi = hi.map(Oid::to_key);
-        ScanCursor::new(
-            self.oid_index
-                .cursor(lo.as_ref().map(|k| &k[..]), hi.as_ref().map(|k| &k[..])),
-        )
+        let entries = self
+            .oid_index
+            .cursor(lo.as_ref().map(|k| &k[..]), hi.as_ref().map(|k| &k[..]));
+        ScanCursor {
+            entries: entries.logged(),
+        }
     }
 
     /// Split the live OID space into at most `ceil(len / morsel_rows)`
@@ -297,7 +297,7 @@ impl Table {
             };
             let read = self
                 .heap
-                .get_checked_ticketed::<TupleFormat>(rid, &mut cur.ticket)
+                .get_lent::<TupleFormat>(rid)
                 .map(LentTuple::checked);
             if let Some(tuple) = self.scan_fetch(read) {
                 return Some((oid, tuple));
@@ -306,23 +306,18 @@ impl Table {
     }
 }
 
-/// Resumable position of a [`Table::scan_open`] sequential scan, with the
-/// ticket its heap page reads go through: consecutive tuples share a page,
-/// and a re-read of the page the scan is on skips the pool's lock. Its
-/// hits are charged when the ticket moves to another page, and what is
-/// left when the cursor is dropped.
+/// Resumable position of a [`Table::scan_open`] sequential scan. Its
+/// OID-index leaf hops and heap page reads are logged in the calling
+/// thread's read log (see [`BufferPool::read_logged`]), as consecutive
+/// tuples share pages; dropping the cursor applies the log.
 #[derive(Debug)]
 pub struct ScanCursor {
     entries: crate::btree::Cursor,
-    ticket: FrameTicket,
 }
 
-impl ScanCursor {
-    fn new(entries: crate::btree::Cursor) -> Self {
-        Self {
-            entries,
-            ticket: FrameTicket::default(),
-        }
+impl Drop for ScanCursor {
+    fn drop(&mut self) {
+        apply_read_log();
     }
 }
 

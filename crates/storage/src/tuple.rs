@@ -17,8 +17,6 @@
 //! leaves); a table fetch's is the heap page's own record, shared, and
 //! checked once per record version ([`crate::HeapFile::get_checked`]).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -435,7 +433,7 @@ impl<'a> TupleView<'a> {
             // it; `checked` takes a record a heap handed up through
             // `get_checked::<TupleFormat>`. A `LentTuple` holds a
             // `Checked<TupleFormat>`, which only the heap's checked read
-            // constructs (`get_checked_ticketed::<TupleFormat>`), and a
+            // constructs (`get_lent::<TupleFormat>`), and a
             // `LentTuple` is built only by `Table`'s scan from that read;
             // neither type has a public constructor that takes bytes. The
             // checked read returns a record only once `TupleFormat::check`

@@ -33,9 +33,21 @@
 //! writing the frame back (eviction or [`crate::buffer::BufferPool::flush_all`]),
 //! so no page effect can "reach disk" before the log record describing it —
 //! the classic WAL rule, enforced in one place and unit-tested directly.
+//!
+//! # Poisoned locks
+//!
+//! A thread that panics holding the log's or the injector's lock does not
+//! take the log down with it. The injector's state is four scalars, each
+//! set in one store, so it stays consistent and its lock is taken over. The
+//! log's `durable` bytes and `flushed` position change only once a force
+//! has nothing left to fail on, so they stay consistent too; an append
+//! interrupted mid-record could leave part of a record in `pending`, so
+//! taking the lock over cuts `pending` back to the last whole record (the
+//! end [`Wal::current_lsn`] reports). A force past that end is an error,
+//! not a panic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::codec::{put_u32, Reader};
 use crate::error::StorageError;
@@ -219,23 +231,29 @@ impl FaultInjector {
     /// (1-based, counted from construction). `torn` makes the fatal log
     /// force land half its bytes instead of none.
     pub fn arm(&self, crash_at_event: u64, torn: bool) {
-        let mut st = self.state.lock().expect("fault injector poisoned");
+        let mut st = self.state();
         st.crash_at = Some(crash_at_event);
         st.torn = torn;
     }
 
     /// Durable-write events observed so far.
     pub fn events(&self) -> u64 {
-        self.state.lock().expect("fault injector poisoned").events
+        self.state().events
     }
 
     /// Whether the simulated process has crashed.
     pub fn crashed(&self) -> bool {
-        self.state.lock().expect("fault injector poisoned").crashed
+        self.state().crashed
+    }
+
+    /// The injector's state, taken over from a thread that panicked
+    /// holding it: every field is set in one store (see the module docs).
+    fn state(&self) -> MutexGuard<'_, FaultState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn on_write(&self) -> WriteOutcome {
-        let mut st = self.state.lock().expect("fault injector poisoned");
+        let mut st = self.state();
         if st.crashed {
             return WriteOutcome::Dropped;
         }
@@ -342,7 +360,7 @@ impl Wal {
             .map(|_| std::time::Instant::now());
         let tag = [kind as u8];
         let crc = Crc32::new().update(&tag).update(payload).finish();
-        let mut st = self.state.lock().expect("wal poisoned");
+        let mut st = self.state();
         put_u32(&mut st.pending, payload.len() as u32);
         put_u32(&mut st.pending, crc);
         st.pending.extend_from_slice(&tag);
@@ -359,6 +377,22 @@ impl Wal {
         Lsn(end)
     }
 
+    /// The log's state, taken over from a thread that panicked holding it
+    /// once any record it left half-appended is cut off (see the module
+    /// docs): `appended` is stored only after a whole record is.
+    fn state(&self) -> MutexGuard<'_, WalState> {
+        self.state.lock().unwrap_or_else(|poisoned| {
+            let mut st = poisoned.into_inner();
+            let whole = self
+                .appended
+                .load(Ordering::Relaxed)
+                .saturating_sub(st.flushed);
+            st.pending
+                .truncate(usize::try_from(whole).unwrap_or(usize::MAX));
+            st
+        })
+    }
+
     /// Lsn just past the last appended record.
     pub fn current_lsn(&self) -> Lsn {
         Lsn(self.appended.load(Ordering::Relaxed))
@@ -366,25 +400,32 @@ impl Wal {
 
     /// Lsn up to which the log is cleanly durable.
     pub fn flushed_lsn(&self) -> Lsn {
-        Lsn(self.state.lock().expect("wal poisoned").flushed)
+        Lsn(self.state().flushed)
     }
 
     /// Make the log durable up to (at least) `upto`. A no-op if already
     /// covered. Returns [`StorageError::Crashed`] when the fault injector
-    /// kills the write — cleanly (no bytes land) or torn (half land).
+    /// kills the write — cleanly (no bytes land) or torn (half land) — and
+    /// [`StorageError::LsnPastTail`] when `upto` is past the last record
+    /// appended.
     pub fn force(&self, upto: Lsn) -> Result<()> {
         let timer = self
             .obs
             .get()
             .filter(|o| o.fsync_ns.is_enabled())
             .map(|_| std::time::Instant::now());
-        let mut guard = self.state.lock().expect("wal poisoned");
+        let mut guard = self.state();
         let st = &mut *guard;
         if st.flushed >= upto.0 {
             return Ok(());
         }
         let take = (upto.0 - st.flushed) as usize;
-        debug_assert!(take <= st.pending.len(), "lsn beyond appended tail");
+        if take > st.pending.len() {
+            return Err(StorageError::LsnPastTail {
+                lsn: upto.0,
+                tail: st.flushed + st.pending.len() as u64,
+            });
+        }
         let outcome = self
             .fault
             .as_ref()
@@ -444,18 +485,18 @@ impl Wal {
 
     /// The bytes that would be found "on disk" after a crash right now.
     pub fn durable_bytes(&self) -> Vec<u8> {
-        self.state.lock().expect("wal poisoned").durable.clone()
+        self.state().durable.clone()
     }
 
     /// Bytes cleanly durable (excludes any torn tail).
     pub fn durable_len(&self) -> u64 {
-        self.state.lock().expect("wal poisoned").flushed
+        self.state().flushed
     }
 
     /// Truncate the log for a fresh generation (checkpoint). The caller must
     /// have flushed every dirty page first — see `Database::checkpoint`.
     pub fn reset(&self) {
-        let mut st = self.state.lock().expect("wal poisoned");
+        let mut st = self.state();
         st.pending.clear();
         st.durable.clear();
         st.flushed = 0;
@@ -659,5 +700,57 @@ mod tests {
         fault.arm(fault.events() + 1, false);
         assert_eq!(wal.page_write(), Err(StorageError::Crashed));
         assert!(fault.crashed());
+    }
+
+    /// A thread that dies holding the log's lock — after appending part of
+    /// a record — or the injector's lock leaves a log that keeps serving:
+    /// the partial record is cut off, every call answers, and a force past
+    /// the tail is an error.
+    #[test]
+    fn a_poisoned_log_keeps_serving_or_errors() {
+        let fault = FaultInjector::new();
+        let wal = Wal::with_faults(IoStats::new(), Arc::clone(&fault));
+        let a = wal.append(WalRecordKind::Op, b"whole");
+        wal.force(a).unwrap();
+        let b = wal.append(WalRecordKind::Op, b"appended, not forced");
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let mut st = wal.state.lock().unwrap();
+                    put_u32(&mut st.pending, 99);
+                    panic!("a thread dies mid-append");
+                })
+                .join();
+            let _ = s
+                .spawn(|| {
+                    let _held = fault.state.lock().unwrap();
+                    panic!("a thread dies holding the injector");
+                })
+                .join();
+        });
+        assert!(wal.state.is_poisoned() && fault.state.is_poisoned());
+        assert_eq!(wal.flushed_lsn(), a);
+        assert_eq!(wal.durable_len(), a.0);
+        assert_eq!(wal.current_lsn(), b);
+        let c = wal.append(WalRecordKind::Commit, b"");
+        assert_eq!(
+            wal.force(Lsn(c.0 + 1)),
+            Err(StorageError::LsnPastTail {
+                lsn: c.0 + 1,
+                tail: c.0
+            })
+        );
+        wal.force(c).unwrap();
+        let scan = Wal::scan(&wal.durable_bytes());
+        assert_eq!(scan.records.len(), 3, "the partial record was cut off");
+        assert_eq!(scan.trailing_bytes, 0);
+        // The injector's lock, taken over, still counts and crashes.
+        let events = fault.events();
+        assert!(events > 0 && !fault.crashed());
+        fault.arm(events + 1, false);
+        assert_eq!(wal.page_write(), Err(StorageError::Crashed));
+        assert!(fault.crashed());
+        wal.reset();
+        assert_eq!((wal.current_lsn(), wal.flushed_lsn()), (Lsn(0), Lsn(0)));
     }
 }

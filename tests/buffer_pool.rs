@@ -1,19 +1,21 @@
 //! Property-based tests for the storage buffer pool: CLOCK eviction,
 //! pinning, and dirty-page write-back checked against simple models (a
 //! pin/dirty model, and a reference CLOCK that predicts every victim), a
-//! pooled-vs-uncached HeapFile oracle under eviction pressure, ticketed
-//! (lock-free) re-reads against the locked reads they stand for — on one
-//! thread, and on a thread of their own beside one that evicts — and a
-//! guard on the work the hand does per eviction.
+//! pooled-vs-uncached HeapFile oracle under eviction pressure, logged reads
+//! against the synchronous reads they stand for — on one thread, against a
+//! twin pool and the reference CLOCK, and on threads of their own beside one
+//! that evicts — and a guard on the work the hand does per eviction.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
 
 use insightnotes::obs::MetricsRegistry;
-use insightnotes::storage::buffer::{BufferPool, FileId, FileKind, FrameTicket};
+use insightnotes::storage::buffer::{
+    apply_read_log, BufferPool, FileId, FileKind, READ_LOG_ENTRIES,
+};
 use insightnotes::storage::io::{IoSnapshot, IoStats};
 use insightnotes::storage::{HeapFile, RecordFormat, StorageError};
 
@@ -113,13 +115,13 @@ proptest! {
         prop_assert_eq!(snap.heap_reads, snap.cache_misses);
     }
 
-    /// Random read/write/ticketed-read/pin/unpin/`set_capacity` streams
-    /// against the reference CLOCK below, at capacity 0, a small one and
-    /// one that holds every page: every access evicts the victims the model
-    /// names, in its order and with its dirty flags, the resident set and
-    /// the `IoStats` counters agree after every step. A ticketed read is
-    /// the model's plain read, whatever the resizes and sweeps between a
-    /// ticket and its use did.
+    /// Random read/write/logged-read/apply/pin/unpin/`set_capacity`
+    /// streams on one thread against the reference CLOCK below, at capacity
+    /// 0, a small one and one that holds every page: every synchronous
+    /// access evicts the victims the model names, in its order and with its
+    /// dirty flags, and the resident set and the `IoStats` counters agree
+    /// after every step. The model reads a logged read at once: on one
+    /// thread, applying it later must come to the same.
     #[test]
     fn victims_follow_the_reference_clock(
         ops in prop::collection::vec(clock_op(), 1..400),
@@ -129,20 +131,25 @@ proptest! {
         let pool = BufferPool::new(Arc::clone(&stats), cap);
         let file = pool.register_file(FileKind::Heap);
         let mut model = ClockModel { cap, ..ClockModel::default() };
-        let mut ticket = FrameTicket::default();
         for op in &ops {
-            let did = apply(&pool, file, &stats, &mut ticket, op);
-            agree(&pool, file, &stats, &mut model, op, did)?;
+            let did = apply(&pool, file, op);
+            model.pending.push(op.clone());
+            if !matches!(op, ClockOp::LoggedRead(_)) {
+                agree(&pool, file, &stats, &mut model, did)?;
+            }
         }
+        apply_read_log();
+        agree(&pool, file, &stats, &mut model, Did::default())?;
     }
 
-    /// The same streams with every ticketed read on a thread of its own and
-    /// every other op — the reads, writes and resizes that evict its frames
-    /// and clear their bits — on another, in lock step: the ticket crosses
-    /// from the evicting thread's lock to the scanning thread's lock-free
-    /// check, and still never hits a frame it no longer speaks for.
+    /// The same streams with every logged read and apply on a thread of its
+    /// own and every other op — the reads, writes and resizes that evict
+    /// its frames and clear their bits — on another, in lock step. A logged
+    /// read takes effect when its log is applied: the model reads it then —
+    /// at an apply, when the log is full and a read of another page comes,
+    /// and when the reading thread's stripe pin is dropped.
     #[test]
-    fn ticketed_reads_beside_an_evicting_thread_follow_the_clock(
+    fn logged_reads_beside_an_evicting_thread_follow_the_clock(
         ops in prop::collection::vec(clock_op(), 1..200),
         cap in prop_oneof![0usize..8, Just(64usize)],
     ) {
@@ -150,41 +157,111 @@ proptest! {
         let pool = BufferPool::new(Arc::clone(&stats), cap);
         let file = pool.register_file(FileKind::Heap);
         let mut model = ClockModel { cap, ..ClockModel::default() };
+        let mut log = ModelLog::default();
         std::thread::scope(|s| {
             let (done_tx, done) = mpsc::channel::<Did>();
             let worker = |w: usize| {
                 let (tx, rx) = mpsc::channel::<ClockOp>();
-                let (pool, stats, done_tx) = (&pool, &stats, done_tx.clone());
+                let (pool, done_tx) = (&pool, done_tx.clone());
                 s.spawn(move || {
                     let _pin = IoStats::pin_worker(w);
-                    let mut ticket = FrameTicket::default();
                     for op in rx {
-                        let _ = done_tx.send(apply(pool, file, stats, &mut ticket, &op));
+                        let _ = done_tx.send(apply(pool, file, &op));
                     }
                 });
                 tx
             };
             let (scanner, evictor) = (worker(0), worker(1));
             for op in &ops {
-                let to = if matches!(op, ClockOp::TicketedRead(_)) { &scanner } else { &evictor };
-                to.send(op.clone()).expect("worker alive");
+                let scans = matches!(op, ClockOp::LoggedRead(_) | ClockOp::Apply);
+                (if scans { &scanner } else { &evictor })
+                    .send(op.clone())
+                    .expect("worker alive");
                 let did = done.recv().expect("worker answers");
-                agree(&pool, file, &stats, &mut model, op, did)?;
+                match *op {
+                    ClockOp::LoggedRead(p) => log.push(&mut model, p),
+                    ClockOp::Apply => log.apply(&mut model),
+                    _ => model.pending.push(op.clone()),
+                }
+                agree(&pool, file, &stats, &mut model, did)?;
             }
+            drop(scanner);
             Ok(())
         })?;
+        log.apply(&mut model);
+        agree(&pool, file, &stats, &mut model, Did::default())?;
+    }
+
+    /// Logged reads over several files interleaved with synchronous reads,
+    /// writes, mutates, allocs, pins, unpins and resizes, on one thread,
+    /// against a twin pool that is given the same ops with every read
+    /// synchronous: the counters, the resident set and the eviction count
+    /// agree after every synchronous op and after the final apply.
+    #[test]
+    fn logged_reads_equal_synchronous_reads(
+        ops in prop::collection::vec(twin_op(), 1..300),
+        cap in prop_oneof![Just(0usize), 1usize..6, Just(256usize)],
+    ) {
+        let twins = [(); 2].map(|_| {
+            let stats = IoStats::new();
+            let pool = BufferPool::new(Arc::clone(&stats), cap);
+            let files = [FileKind::Heap, FileKind::Index, FileKind::Heap]
+                .map(|kind| pool.register_file(kind));
+            (pool, stats, files)
+        });
+        let [(logged, logged_stats, files), (plain, plain_stats, _)] = &twins;
+        // The twin's copies of the logged reads wait until the logging
+        // pool's next synchronous op: a call into the twin would apply the
+        // log, as a call into any pool does.
+        let mut waiting = Vec::new();
+        let compare = |waiting: &mut Vec<(FileId, u64)>| -> Result<(), TestCaseError> {
+            for (file, page) in waiting.drain(..) {
+                plain.read(file, page);
+            }
+            prop_assert_eq!(logged_stats.snapshot(), plain_stats.snapshot());
+            prop_assert_eq!(logged.resident(), plain.resident());
+            for &file in files {
+                for page in 0..16 {
+                    prop_assert_eq!(logged.contains(file, page), plain.contains(file, page));
+                }
+            }
+            Ok(())
+        };
+        for op in &ops {
+            let TwinOp(what, f, page) = *op;
+            let file = files[f];
+            if what == TwinWhat::LoggedRead {
+                logged.read_logged(file, page);
+                waiting.push((file, page));
+                continue;
+            }
+            let call = |pool: &BufferPool| match what {
+                TwinWhat::LoggedRead | TwinWhat::Read => drop(pool.read(file, page)),
+                TwinWhat::Write => drop(pool.write(file, page)),
+                TwinWhat::Mutate => drop(pool.mutate(file, page)),
+                TwinWhat::Alloc => drop(pool.alloc(file, page)),
+                TwinWhat::Pin => drop(pool.pin(file, page)),
+                TwinWhat::Unpin => pool.unpin(file, page),
+                TwinWhat::SetCapacity => pool.set_capacity(page as usize),
+            };
+            call(logged);
+            for (file, page) in waiting.drain(..) {
+                plain.read(file, page);
+            }
+            call(plain);
+            compare(&mut waiting)?;
+        }
+        apply_read_log();
+        compare(&mut waiting)?;
     }
 
     // ----------------------------------------------------------------
     // HeapFile over a tiny pool vs the uncached oracle: eviction
     // pressure must never change what the file stores, and caching must
-    // never change the logical work done.
-    // ----------------------------------------------------------------
-
-    //
-    // A third file, over a pool of its own, reads through a ticket where
-    // the pooled one reads plainly: after every op the two pools' counters
-    // and resident pages must be the same.
+    // never change the logical work done. A third file, over a pool of
+    // its own, logs the reads the pooled one makes plainly: after every
+    // op, once its log is applied, the two pools' counters and resident
+    // pages must be the same.
     // ----------------------------------------------------------------
 
     #[test]
@@ -195,10 +272,8 @@ proptest! {
         let pooled_stats = IoStats::new();
         let mut pooled =
             HeapFile::with_pool(BufferPool::new(Arc::clone(&pooled_stats), cap));
-        let ticketed_stats = IoStats::new();
-        let mut ticketed =
-            HeapFile::with_pool(BufferPool::new(Arc::clone(&ticketed_stats), cap));
-        let mut ticket = FrameTicket::default();
+        let logged_stats = IoStats::new();
+        let mut logged = HeapFile::with_pool(BufferPool::new(Arc::clone(&logged_stats), cap));
         let oracle_stats = IoStats::new();
         let mut oracle = HeapFile::new(Arc::clone(&oracle_stats));
         let mut records = Vec::new();
@@ -207,30 +282,24 @@ proptest! {
                 HeapOp::Insert(size) => {
                     let payload = vec![(records.len() % 251) as u8; size];
                     let rid_p = pooled.insert(&payload).unwrap();
-                    let rid_t = ticketed.insert(&payload).unwrap();
+                    let rid_t = logged.insert(&payload).unwrap();
                     let rid_o = oracle.insert(&payload).unwrap();
                     prop_assert_eq!(rid_p, rid_o, "placement must not depend on caching");
                     prop_assert_eq!(rid_t, rid_o);
                     records.push((rid_p, payload));
                 }
-                HeapOp::Get(i) | HeapOp::TicketedGet(i) => {
+                HeapOp::Get(i) | HeapOp::LoggedGet(i) => {
                     if records.is_empty() {
                         continue;
                     }
                     let (rid, payload) = &records[i % records.len()];
                     prop_assert_eq!(&pooled.get(*rid).unwrap(), payload);
                     prop_assert_eq!(&oracle.get(*rid).unwrap(), payload);
-                    if matches!(op, HeapOp::TicketedGet(_)) {
-                        let before = ticketed_stats.snapshot();
-                        let read =
-                            ticketed.get_checked_ticketed::<AnyBytes>(*rid, &mut ticket).unwrap();
+                    if matches!(op, HeapOp::LoggedGet(_)) {
+                        let read = logged.get_lent::<AnyBytes>(*rid).unwrap();
                         prop_assert_eq!(read.payload(), &payload[..]);
-                        if ticket.pending() > 0 {
-                            prop_assert_eq!(ticketed_stats.snapshot(), before, "charged before a settle");
-                        }
-                        settle_exactly(&ticketed_stats, &mut ticket)?;
                     } else {
-                        let read = ticketed.get_checked::<AnyBytes>(*rid).unwrap();
+                        let read = logged.get_checked::<AnyBytes>(*rid).unwrap();
                         prop_assert_eq!(read.payload(), &payload[..]);
                     }
                 }
@@ -242,7 +311,7 @@ proptest! {
                     let payload = vec![(size % 249) as u8; size];
                     let (rid, stored) = &mut records[slot];
                     let new_p = pooled.update(*rid, &payload).unwrap();
-                    let new_t = ticketed.update(*rid, &payload).unwrap();
+                    let new_t = logged.update(*rid, &payload).unwrap();
                     let new_o = oracle.update(*rid, &payload).unwrap();
                     prop_assert_eq!(new_p, new_o);
                     prop_assert_eq!(new_t, new_o);
@@ -250,10 +319,11 @@ proptest! {
                     *stored = payload;
                 }
             }
-            prop_assert_eq!(ticketed_stats.snapshot(), pooled_stats.snapshot());
+            apply_read_log();
+            prop_assert_eq!(logged_stats.snapshot(), pooled_stats.snapshot());
             for page in 0..pooled.page_count() as u64 {
                 prop_assert_eq!(
-                    ticketed.pool().contains(FileId(0), page),
+                    logged.pool().contains(FileId(0), page),
                     pooled.pool().contains(FileId(0), page),
                     "page {} resident in one pool only", page
                 );
@@ -294,8 +364,8 @@ enum HeapOp {
     Insert(usize),
     /// Re-read a previously stored record.
     Get(usize),
-    /// Re-read one through the ticket the last such read left.
-    TicketedGet(usize),
+    /// Re-read one with its page read logged.
+    LoggedGet(usize),
     /// Overwrite a record, possibly relocating it.
     Update(usize, usize),
 }
@@ -304,7 +374,7 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
     prop_oneof![
         (0usize..20_000).prop_map(HeapOp::Insert),
         any::<usize>().prop_map(HeapOp::Get),
-        any::<usize>().prop_map(HeapOp::TicketedGet),
+        any::<usize>().prop_map(HeapOp::LoggedGet),
         (any::<usize>(), 0usize..20_000).prop_map(|(i, s)| HeapOp::Update(i, s)),
     ]
 }
@@ -318,8 +388,10 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
 enum ClockOp {
     /// Read (`false`) or write (`true`) a page.
     Access(u8, bool),
-    /// Read a page through the one ticket the stream's reader holds.
-    TicketedRead(u8),
+    /// Log a read of a page in the reading thread's log.
+    LoggedRead(u8),
+    /// Apply the reading thread's log.
+    Apply,
     Pin(u8),
     Unpin(u8),
     SetCapacity(usize),
@@ -330,29 +402,50 @@ fn clock_op() -> impl Strategy<Value = ClockOp> {
         (any::<u8>(), any::<bool>()).prop_map(|(p, w)| ClockOp::Access(p % 32, w)),
         (any::<u8>(), any::<bool>()).prop_map(|(p, w)| ClockOp::Access(p % 32, w)),
         // A scan re-reads the page it is on: mostly a few pages, repeated.
-        any::<u8>().prop_map(|p| ClockOp::TicketedRead(p % 4)),
-        any::<u8>().prop_map(|p| ClockOp::TicketedRead(p % 32)),
+        any::<u8>().prop_map(|p| ClockOp::LoggedRead(p % 4)),
+        any::<u8>().prop_map(|p| ClockOp::LoggedRead(p % 32)),
+        Just(ClockOp::Apply),
         any::<u8>().prop_map(|p| ClockOp::Pin(p % 32)),
         any::<u8>().prop_map(|p| ClockOp::Unpin(p % 32)),
         (0usize..8).prop_map(ClockOp::SetCapacity),
     ]
 }
 
-/// Settle `ticket` through the engine's call: the counters move by exactly
-/// its pending hits — a logical read and a cache hit each — and nothing
-/// else.
-fn settle_exactly(stats: &IoStats, ticket: &mut FrameTicket) -> Result<(), TestCaseError> {
-    let pending = ticket.pending();
-    let before = stats.snapshot();
-    ticket.settle();
-    let settled = IoSnapshot {
-        logical_heap_reads: pending,
-        cache_hits: pending,
-        ..IoSnapshot::default()
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TwinWhat {
+    LoggedRead,
+    Read,
+    Write,
+    Mutate,
+    Alloc,
+    Pin,
+    Unpin,
+    SetCapacity,
+}
+
+/// One op of the twin-pool stream: what, which of three files, which page
+/// (the capacity, for a resize).
+#[derive(Debug, Clone)]
+struct TwinOp(TwinWhat, usize, u64);
+
+fn twin_op() -> impl Strategy<Value = TwinOp> {
+    let on = |what: TwinWhat, pages: u64| {
+        (0usize..3, 0..pages).prop_map(move |(f, p)| TwinOp(what, f, p))
     };
-    prop_assert_eq!(stats.snapshot().since(&before), settled);
-    prop_assert_eq!(ticket.pending(), 0);
-    Ok(())
+    prop_oneof![
+        // Scans: runs over a few pages, and a spread that evicts.
+        on(TwinWhat::LoggedRead, 3),
+        on(TwinWhat::LoggedRead, 3),
+        on(TwinWhat::LoggedRead, 16),
+        on(TwinWhat::LoggedRead, 16),
+        on(TwinWhat::Read, 16),
+        on(TwinWhat::Write, 16),
+        on(TwinWhat::Mutate, 16),
+        on(TwinWhat::Alloc, 16),
+        on(TwinWhat::Pin, 16),
+        on(TwinWhat::Unpin, 16),
+        (0u64..8).prop_map(|c| TwinOp(TwinWhat::SetCapacity, 0, c)),
+    ]
 }
 
 /// What one op did: the hit flag and victims of an access, `pin`'s answer.
@@ -362,26 +455,19 @@ struct Did {
     victims: Vec<(u64, bool)>,
 }
 
-/// Apply `op`; a ticketed read that took no lock must not have moved the
-/// counters, and the ticket is settled before anything is compared.
-fn apply(
-    pool: &BufferPool,
-    file: FileId,
-    stats: &IoStats,
-    ticket: &mut FrameTicket,
-    op: &ClockOp,
-) -> Did {
+/// Apply `op` on the calling thread. A logged read and an apply report
+/// nothing: what they did shows in the counters and the resident set.
+fn apply(pool: &Arc<BufferPool>, file: FileId, op: &ClockOp) -> Did {
     let access = match *op {
         ClockOp::Access(p, false) => pool.read(file, u64::from(p)),
         ClockOp::Access(p, true) => pool.write(file, u64::from(p)),
-        ClockOp::TicketedRead(p) => {
-            let before = stats.snapshot();
-            let access = pool.read_ticketed(file, u64::from(p), ticket);
-            if ticket.pending() > 0 {
-                assert_eq!(stats.snapshot(), before, "charged before a settle");
-            }
-            settle_exactly(stats, ticket).expect("a settle charges the pending hits");
-            access
+        ClockOp::LoggedRead(p) => {
+            pool.read_logged(file, u64::from(p));
+            return Did::default();
+        }
+        ClockOp::Apply => {
+            apply_read_log();
+            return Did::default();
         }
         ClockOp::Pin(p) => {
             return Did {
@@ -408,34 +494,65 @@ fn apply(
     }
 }
 
-/// Check what `op` did against the model's prediction, then the resident
-/// set and every counter.
+/// A reading thread's log as the model keeps it: runs of reads of one
+/// page, read by the model when the pool would apply them.
+#[derive(Debug, Default)]
+struct ModelLog(Vec<(u8, u32)>);
+
+impl ModelLog {
+    fn push(&mut self, model: &mut ClockModel, page: u8) {
+        match self.0.last_mut() {
+            Some((last, reads)) if *last == page => *reads += 1,
+            _ => {
+                if self.0.len() == READ_LOG_ENTRIES {
+                    self.apply(model);
+                }
+                self.0.push((page, 1));
+            }
+        }
+    }
+
+    fn apply(&mut self, model: &mut ClockModel) {
+        for (page, reads) in self.0.drain(..) {
+            for _ in 0..reads {
+                model.access(u64::from(page), false);
+            }
+        }
+    }
+}
+
+/// Run the ops `model` has pending, check what the last of them did
+/// against its prediction, then the resident set and every counter.
 fn agree(
     pool: &BufferPool,
     file: FileId,
     stats: &IoStats,
     model: &mut ClockModel,
-    op: &ClockOp,
     did: Did,
 ) -> Result<(), TestCaseError> {
-    let predicted = match *op {
-        ClockOp::Access(p, write) => model.access(u64::from(p), write),
-        ClockOp::TicketedRead(p) => model.access(u64::from(p), false),
-        ClockOp::Pin(p) => (model.pin(u64::from(p), 1), Vec::new()),
-        ClockOp::Unpin(p) => {
-            model.pin(u64::from(p), -1);
-            (false, Vec::new())
-        }
-        ClockOp::SetCapacity(c) => {
-            model.set_capacity(c);
-            (false, Vec::new())
-        }
-    };
-    let predicted = Did {
-        hit: predicted.0,
-        victims: predicted.1,
-    };
-    prop_assert_eq!(did, predicted, "{:?}", op);
+    let mut predicted = Did::default();
+    for op in std::mem::take(&mut model.pending) {
+        let (hit, victims) = match op {
+            ClockOp::Access(p, write) => model.access(u64::from(p), write),
+            // A logged read reports nothing when it is made.
+            ClockOp::LoggedRead(p) => {
+                model.access(u64::from(p), false);
+                (false, Vec::new())
+            }
+            ClockOp::Apply => (false, Vec::new()),
+            ClockOp::Pin(p) => (model.pin(u64::from(p), 1), Vec::new()),
+            ClockOp::Unpin(p) => {
+                model.pin(u64::from(p), -1);
+                (false, Vec::new())
+            }
+            ClockOp::SetCapacity(c) => {
+                model.set_capacity(c);
+                (false, Vec::new())
+            }
+        };
+        predicted = Did { hit, victims };
+    }
+    prop_assert_eq!(did, predicted);
     prop_assert_eq!(pool.resident(), model.slots.iter().flatten().count());
     for page in 0..32 {
         prop_assert_eq!(pool.contains(file, page), model.find(page).is_some());
@@ -454,6 +571,8 @@ struct ModelFrame {
 
 #[derive(Debug, Default)]
 struct ClockModel {
+    /// Ops given to the pool that the model has not run yet.
+    pending: Vec<ClockOp>,
     cap: usize,
     slots: Vec<Option<ModelFrame>>,
     free: Vec<usize>,
@@ -554,14 +673,15 @@ impl ClockModel {
 }
 
 // --------------------------------------------------------------------
-// Tickets under real concurrency.
+// Read logs under real concurrency.
 // --------------------------------------------------------------------
 
-/// A scan's re-reads go lock-free: runs of reads of one page keep their
-/// ticket (a locked read would re-issue it with a new generation or slot),
-/// while the model still agrees on every hit, victim and counter.
+/// A run of reads of one page is one log entry: a scan that reads each of
+/// `READ_LOG_ENTRIES` pages eight times charges nothing until a read of
+/// one more page arrives, and then exactly what the reads would have
+/// synchronously — hits, misses and victims as the model predicts.
 #[test]
-fn a_scans_repeat_reads_keep_their_ticket() {
+fn a_scans_repeat_reads_are_one_log_entry() {
     let stats = IoStats::new();
     let pool = BufferPool::new(Arc::clone(&stats), 2);
     let file = pool.register_file(FileKind::Heap);
@@ -569,80 +689,66 @@ fn a_scans_repeat_reads_keep_their_ticket() {
         cap: 2,
         ..ClockModel::default()
     };
-    let mut ticket = FrameTicket::default();
-    let mut kept = 0;
-    for page in 0..6u8 {
+    for page in 0..READ_LOG_ENTRIES as u8 {
         for _ in 0..8 {
-            let before = stats.snapshot();
-            let access = pool.read_ticketed(file, u64::from(page), &mut ticket);
-            // A read that kept its ticket took no lock and charged nothing
-            // yet: it waits in the ticket.
-            if ticket.pending() > 0 {
-                kept += 1;
-                assert_eq!(stats.snapshot(), before, "charged before a settle");
-            }
-            settle_exactly(&stats, &mut ticket).unwrap();
-            let did = Did {
-                hit: access.hit,
-                victims: access
-                    .evicted
-                    .iter()
-                    .map(|e| (e.key.page, e.dirty))
-                    .collect(),
-            };
-            let op = ClockOp::TicketedRead(page);
-            agree(&pool, file, &stats, &mut model, &op, did).unwrap();
+            pool.read_logged(file, u64::from(page));
+            model.access(u64::from(page), false);
         }
-        // Another reader's miss between runs sweeps the hand over the frame.
-        let op = ClockOp::Access(20 + page, false);
-        let did = apply(&pool, file, &stats, &mut ticket, &op);
-        agree(&pool, file, &stats, &mut model, &op, did).unwrap();
+        assert_eq!(
+            stats.snapshot(),
+            IoSnapshot::default(),
+            "charged before an apply"
+        );
     }
-    assert_eq!(kept, 6 * 7, "every re-read within a run skipped the lock");
+    pool.read_logged(file, READ_LOG_ENTRIES as u64);
+    assert_eq!(stats.snapshot(), model.io, "the full log was applied");
+    model
+        .pending
+        .push(ClockOp::LoggedRead(READ_LOG_ENTRIES as u8));
+    apply_read_log();
+    agree(&pool, file, &stats, &mut model, Did::default()).unwrap();
 }
 
-/// One thread scans with tickets while another reads other pages and
-/// resizes the pool, unsynchronized: every access is charged once, as a
-/// hit or a miss, on the stripe of the thread that made it, and every
-/// physical read is a miss.
+/// Two threads log runs of reads while a third reads other pages and
+/// resizes the pool, unsynchronized: once every log is applied, every
+/// read is charged once, as a hit or a miss, on the stripe of the thread
+/// that logged it, and every physical read is a miss.
 #[test]
-fn ticketed_scans_beside_evictions_charge_every_access_once() {
+fn logged_scans_beside_evictions_charge_every_access_once() {
     let stats = IoStats::new();
     let pool = BufferPool::new(Arc::clone(&stats), 8);
     let file = pool.register_file(FileKind::Heap);
-    let stop = AtomicBool::new(false);
-    let (scanned, evicting) = std::thread::scope(|s| {
-        let scanner = s.spawn(|| {
-            let _pin = IoStats::pin_worker(0);
-            let mut ticket = FrameTicket::default();
-            let mut reads = 0u64;
-            for _ in 0..100 {
-                for page in 0..16 {
-                    for _ in 0..20 {
-                        let before = stats.worker_snapshot(0);
-                        pool.read_ticketed(file, page, &mut ticket);
-                        reads += 1;
-                        if ticket.pending() > 0 {
-                            assert_eq!(stats.worker_snapshot(0), before, "charged before a settle");
+    let scanning = AtomicUsize::new(2);
+    let reads = std::thread::scope(|s| {
+        let scanner = |w: usize| {
+            let (pool, stats, scanning) = (&pool, &stats, &scanning);
+            s.spawn(move || {
+                // Stops the evictor however this thread ends.
+                let _done = Done(scanning);
+                let _pin = IoStats::pin_worker(w);
+                let mut reads = 0u64;
+                for round in 0..100 {
+                    // Sixteen runs: one log, applied at the round's end.
+                    let before = stats.worker_snapshot(w);
+                    for page in 0..16 {
+                        for _ in 0..20 {
+                            pool.read_logged(file, (page + round * w as u64) % 24);
+                            reads += 1;
                         }
-                        let (pending, before) = (ticket.pending(), stats.worker_snapshot(0));
-                        ticket.settle();
-                        let settled = stats.worker_snapshot(0).since(&before);
-                        assert_eq!(
-                            (settled.logical_heap_reads, settled.cache_hits),
-                            (pending, pending)
-                        );
-                        assert_eq!(settled.total() + settled.cache_misses, 0);
+                    }
+                    assert_eq!(stats.worker_snapshot(w), before, "charged before an apply");
+                    if round % 2 == 0 {
+                        apply_read_log();
                     }
                 }
-            }
-            stop.store(true, Ordering::Relaxed);
-            reads
-        });
+                reads
+            })
+        };
+        let scanners = [scanner(0), scanner(1)];
         let evictor = s.spawn(|| {
-            let _pin = IoStats::pin_worker(1);
+            let _pin = IoStats::pin_worker(2);
             let mut reads = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            while scanning.load(Ordering::Relaxed) > 0 {
                 pool.read(file, 100 + (reads * 7) % 64);
                 reads += 1;
                 if reads.is_multiple_of(61) {
@@ -651,15 +757,25 @@ fn ticketed_scans_beside_evictions_charge_every_access_once() {
             }
             reads
         });
-        (scanner.join().unwrap(), evictor.join().unwrap())
+        let [a, b] = scanners.map(|t| t.join().unwrap());
+        [a, b, evictor.join().unwrap()]
     });
-    for (w, reads) in [(0, scanned), (1, evicting)] {
+    for (w, reads) in reads.into_iter().enumerate() {
         let s = stats.worker_snapshot(w);
         assert_eq!(s.logical_heap_reads, reads, "stripe {w}");
         assert_eq!(s.cache_hits + s.cache_misses, reads, "stripe {w}");
         assert_eq!(s.heap_reads, s.cache_misses, "stripe {w}");
     }
     assert!(pool.resident() <= pool.capacity());
+}
+
+/// Counts a scanning thread out when dropped.
+struct Done<'a>(&'a AtomicUsize);
+
+impl Drop for Done<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 // --------------------------------------------------------------------

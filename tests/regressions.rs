@@ -14,13 +14,24 @@
 //!    (DESIGN.md §8). The merge is now a canonical connected-components
 //!    partition, making two-phase `GroupBy` exact for multi-tuple
 //!    attachments — parallel output is bit-identical to serial.
+//!
+//! 3. A label range's estimated rows used to be the table's rows times
+//!    the fraction of *summary objects* in range, so on a table where few
+//!    tuples carry an object every range was priced as if all did, and an
+//!    indexed range lost to a sequential scan. A tuple with no object
+//!    never matches (its label value is NULL): the estimate is now the
+//!    objects in range over the table's rows.
 
 use insightnotes::annot::{Attachment, Category};
 use insightnotes::core::db::Database;
 use insightnotes::core::instance::InstanceKind;
+use insightnotes::index::PointerMode;
 use insightnotes::mining::clustream::ClusterParams;
 use insightnotes::mining::nb::NaiveBayes;
-use insightnotes::prelude::{ExecConfig, ExecContext, PhysicalPlan};
+use insightnotes::prelude::{
+    run_statement, ExecConfig, ExecContext, PhysicalPlan, SharedDatabase, StatementOutcome,
+};
+use insightnotes::sql::parse;
 use insightnotes::storage::{ColumnType, Schema, Value};
 
 /// Two text columns whose composite keys collide under the old
@@ -224,4 +235,65 @@ fn parallel_group_by_multituple_annotations_match_serial() {
             }
         }
     }
+}
+
+/// 2 200 birds, of which 240 carry a `C1` object (`Disease` counts
+/// `i % 7`, and a behaviour note each): an equality on the label matches
+/// about 34 tuples, and with a Summary-BTree on `C1` the probe is the
+/// plan. Priced over objects, the estimate was 1/7 of 2 200 tuples and
+/// the plan a `SeqScan` over the table's 110 or so pages.
+#[test]
+fn a_label_range_is_estimated_over_the_tables_tuples() {
+    let mut model = NaiveBayes::new(vec!["Disease".into(), "Behavior".into()]);
+    model.train("disease outbreak infection virus", "Disease");
+    model.train("eating foraging migration song", "Behavior");
+    let mut db = Database::new();
+    let birds = db
+        .create_table(
+            "Birds",
+            Schema::of(&[
+                ("id", ColumnType::Int),
+                ("name", ColumnType::Text),
+                ("descr", ColumnType::Text),
+            ]),
+        )
+        .unwrap();
+    db.link_instance(birds, "C1", InstanceKind::Classifier { model }, true)
+        .unwrap();
+    for i in 0..2_200i64 {
+        let row = vec![
+            Value::Int(i),
+            Value::Text(format!("bird {i}")),
+            Value::Text("d".repeat(400)),
+        ];
+        let oid = db.insert_tuple(birds, row).unwrap();
+        if i >= 240 {
+            continue;
+        }
+        let notes = std::iter::repeat_n(
+            ("disease outbreak virus", Category::Disease),
+            i as usize % 7,
+        )
+        .chain([("eating song", Category::Behavior)]);
+        for (text, category) in notes {
+            db.add_annotation(birds, text, category, "u", vec![Attachment::row(oid)])
+                .unwrap();
+        }
+    }
+    let engine = SharedDatabase::new(db);
+    let mut session = engine.session();
+    session.exec_config.dop = 1;
+    session
+        .register_summary_index("c1", birds, "C1", PointerMode::Backward)
+        .unwrap();
+    let sql = "EXPLAIN SELECT * FROM Birds r \
+               WHERE r.$.getSummaryObject('C1').getLabelValue('Disease') = 2";
+    let parsed = parse(sql).unwrap();
+    let Ok(StatementOutcome::Explain(plan)) =
+        run_statement(&mut session, &Default::default(), "regressions", &parsed)
+    else {
+        panic!("{sql} explains");
+    };
+    assert!(plan.contains("SummaryIndexScan"), "{plan}");
+    assert!(!plan.contains("SeqScan"), "{plan}");
 }
