@@ -41,7 +41,7 @@ impl SummaryStorage {
     /// Empty storage whose heap pages are cached by `pool`.
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         Self {
-            heap: HeapFile::sharing(pool),
+            heap: HeapFile::with_pool(pool),
             rows: HashMap::default(),
         }
     }

@@ -6,13 +6,13 @@
 //! stable [`RecordId`]s, which is what makes the Summary-BTree's backward
 //! pointers possible.
 //!
-//! [`HeapFile::get`] copies a record out. A heap built with
-//! [`HeapFile::sharing`] keeps its records shareable, and
-//! [`HeapFile::get_checked`] then hands up a [`SharedRecord`] — a refcount
-//! clone of the page's own bytes — checked against a [`RecordFormat`] once
-//! per record version: the page slot keeps the verdict of the check that
-//! accepted it. A scan's [`HeapFile::get_lent`] lends the checked record
-//! instead ([`Checked`]), so a record the scan drops costs no refcount.
+//! [`HeapFile::get`] copies a record out. [`HeapFile::get_checked`] hands
+//! up a [`SharedRecord`] instead — a refcount on the page's image and the
+//! record's span in it — checked against a [`RecordFormat`] once per record
+//! version: the page's directory keeps the verdict of the check that
+//! accepted it beside the image. A scan's [`HeapFile::get_lent`] lends the
+//! checked record ([`Checked`]), so a record the scan drops costs no
+//! refcount, and consecutive records are read from the same image.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,29 +55,41 @@ pub trait RecordFormat {
     fn check(payload: &[u8]) -> std::result::Result<(), Self::Error>;
 }
 
-/// A record as a fetch hands it up: the bytes its page holds — shared, not
-/// copied — and where the payload starts in them (after the heap's framing).
-/// Equality compares payloads; the default is the empty record, and
-/// allocates nothing.
+/// A record as a fetch hands it up: the image of the page that holds it —
+/// shared, not copied — and where the payload lies in it (after the heap's
+/// framing). Equality compares payloads; the default is the empty record,
+/// and allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SharedRecord {
     bytes: Arc<[u8]>,
     start: usize,
+    end: usize,
 }
 
 impl SharedRecord {
     /// A record no page holds (a spilled or hand-built one): `payload` itself.
     pub fn new(payload: impl Into<Arc<[u8]>>) -> Self {
+        let bytes: Arc<[u8]> = payload.into();
         Self {
-            bytes: payload.into(),
             start: 0,
+            end: bytes.len(),
+            bytes,
+        }
+    }
+
+    /// `image[start..end]`, kept: a refcount on the image.
+    pub(crate) fn in_image(image: &Arc<[u8]>, start: usize, end: usize) -> Self {
+        Self {
+            bytes: Arc::clone(image),
+            start,
+            end,
         }
     }
 
     /// The payload: the record without its framing.
     #[inline]
     pub fn payload(&self) -> &[u8] {
-        self.bytes.get(self.start..).unwrap_or_default()
+        self.bytes.get(self.start..self.end).unwrap_or_default()
     }
 }
 
@@ -90,7 +102,7 @@ impl PartialEq for SharedRecord {
 impl Eq for SharedRecord {}
 
 /// A record that `F`'s check accepted, as a checked read found it: lent by
-/// its page when the page shares it, else a copy. Only a checked read
+/// its page, or an oversized record's assembled copy. Only a checked read
 /// constructs one, so a `Checked<F>` always holds bytes `F::check`
 /// accepted; a format's owner may read them as such without checking
 /// again.
@@ -107,8 +119,12 @@ impl<F> std::fmt::Debug for Checked<'_, F> {
 
 #[derive(Debug)]
 enum Lent<'a> {
-    /// The page's shared record, framing included.
-    Page(&'a Arc<[u8]>),
+    /// The payload at `start..end` of its page's image.
+    Page {
+        image: &'a Arc<[u8]>,
+        start: usize,
+        end: usize,
+    },
     Copied(SharedRecord),
 }
 
@@ -124,18 +140,15 @@ impl<F> Checked<'_, F> {
     #[inline]
     pub fn payload(&self) -> &[u8] {
         match &self.record {
-            Lent::Page(bytes) => bytes.get(1..).unwrap_or_default(),
+            Lent::Page { image, start, end } => image.get(*start..*end).unwrap_or_default(),
             Lent::Copied(record) => record.payload(),
         }
     }
 
-    /// The record kept past the borrow: a refcount of the page's bytes.
+    /// The record kept past the borrow: a refcount on its page's image.
     pub fn into_shared(self) -> SharedRecord {
         match self.record {
-            Lent::Page(bytes) => SharedRecord {
-                bytes: Arc::clone(bytes),
-                start: 1,
-            },
+            Lent::Page { image, start, end } => SharedRecord::in_image(image, start, end),
             Lent::Copied(record) => record,
         }
     }
@@ -143,10 +156,9 @@ impl<F> Checked<'_, F> {
 
 /// The record at a location, as a read finds it.
 enum Fetched<'a> {
-    /// A simple record a page shares.
+    /// A simple record, where its page holds it.
     Shared(SharedSlot<'a>),
-    /// A copy: of an owned simple record, or of an oversized record's
-    /// chunks, assembled.
+    /// An oversized record's chunks, assembled.
     Copied(Vec<u8>),
 }
 
@@ -158,8 +170,6 @@ pub struct HeapFile {
     /// A real system keeps this in a free space map; consulting it is free.
     insert_hint: Option<PageId>,
     record_count: usize,
-    /// Whether records are inserted shared (see [`HeapFile::sharing`]).
-    shares: bool,
     /// Records a scan could not read or decode: oversized records whose
     /// chunk assembly failed, and rows a [`crate::Table`] scan found
     /// unreadable. Scans skip such records rather than yield garbage; this
@@ -175,26 +185,13 @@ impl HeapFile {
         Self::with_pool(BufferPool::disabled(stats))
     }
 
-    /// Create an empty heap file whose pages are cached by `pool`. Its
-    /// records are owned: every read copies.
+    /// Create an empty heap file whose pages are cached by `pool`.
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         Self {
             pager: Pager::with_pool(pool),
             insert_hint: None,
             record_count: 0,
-            shares: false,
             corrupt_skipped: AtomicU64::new(0),
-        }
-    }
-
-    /// [`HeapFile::with_pool`] for records that [`HeapFile::get_checked`]
-    /// hands up shared instead of copied: each costs a refcount header (16
-    /// bytes) more than an owned one, which a heap that is only ever copied
-    /// out of (annotation bodies, the baseline's replica) does not pay.
-    pub fn sharing(pool: Arc<BufferPool>) -> Self {
-        Self {
-            shares: true,
-            ..Self::with_pool(pool)
         }
     }
 
@@ -262,12 +259,7 @@ impl HeapFile {
                 pid
             }
         };
-        let page = self.pager.write(pid)?;
-        let slot = if self.shares {
-            page.insert_shared(framed)?
-        } else {
-            page.insert(framed)?
-        };
+        let slot = self.pager.write(pid)?.insert(framed)?;
         Ok(RecordId { page: pid, slot })
     }
 
@@ -329,7 +321,7 @@ impl HeapFile {
     /// oversized records).
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
         Ok(match self.fetch(rid, false)? {
-            Fetched::Shared(record) => record.bytes()[1..].to_vec(),
+            Fetched::Shared(record) => record.bytes().get(1..).unwrap_or_default().to_vec(),
             Fetched::Copied(payload) => payload,
         })
     }
@@ -342,11 +334,10 @@ impl HeapFile {
     /// every later read of this record version skips it. A record that
     /// fails is never marked and fails every read. Nothing else stores a
     /// verdict, and replacing a record resets it (see [`crate::page`]), so
-    /// a verdict speaks only for bytes its format's check accepted. A record
-    /// of a heap that is not [`HeapFile::sharing`] is copied and checked on
-    /// every read, and so is an oversized record, assembled: its chunks can
-    /// change apart from its directory, so no one slot's verdict could speak
-    /// for it.
+    /// a verdict speaks only for bytes its format's check accepted. An
+    /// oversized record is copied, assembled, and checked on every read:
+    /// its chunks can change apart from its directory, so no one slot's
+    /// verdict could speak for it.
     pub fn get_checked<F: RecordFormat>(
         &self,
         rid: RecordId,
@@ -373,12 +364,17 @@ impl HeapFile {
         const { assert!(F::VERDICT != 0, "verdict 0 means unchecked") };
         match self.fetch(rid, logged)? {
             Fetched::Shared(record) => {
-                let bytes = record.bytes();
                 if record.verdict() != F::VERDICT {
-                    F::check(bytes.get(1..).unwrap_or_default())?;
+                    F::check(record.bytes().get(1..).unwrap_or_default())?;
                     record.accept(F::VERDICT);
                 }
-                Ok(Checked::new(Lent::Page(bytes)))
+                // The payload follows the one-byte framing tag.
+                let (start, end) = record.span();
+                Ok(Checked::new(Lent::Page {
+                    image: record.image(),
+                    start: start + 1,
+                    end,
+                }))
             }
             Fetched::Copied(payload) => {
                 F::check(&payload)?;
@@ -395,16 +391,14 @@ impl HeapFile {
         } else {
             self.pager.read(rid.page)?
         };
-        let framed = page.get(rid.slot).ok_or(StorageError::RecordNotFound {
+        let record = page.shared(rid.slot).ok_or(StorageError::RecordNotFound {
             page: rid.page.0,
             slot: rid.slot,
         })?;
-        match framed.split_first() {
-            Some((&TAG_SIMPLE, payload)) => Ok(match page.shared(rid.slot) {
-                Some(record) => Fetched::Shared(record),
-                None => Fetched::Copied(payload.to_vec()),
-            }),
-            Some((&TAG_DIRECTORY, _)) => {
+        let framed = record.bytes();
+        match framed.first() {
+            Some(&TAG_SIMPLE) => Ok(Fetched::Shared(record)),
+            Some(&TAG_DIRECTORY) => {
                 // Pin the directory's page for the duration of chunk
                 // assembly: the chunk reads must not evict the anchor of the
                 // multi-page operation in progress.
@@ -423,7 +417,7 @@ impl HeapFile {
                 self.pager.unpin(rid.page);
                 assembled.map(Fetched::Copied)
             }
-            Some((&TAG_CHUNK, _)) => Err(StorageError::RecordNotFound {
+            Some(&TAG_CHUNK) => Err(StorageError::RecordNotFound {
                 page: rid.page.0,
                 slot: rid.slot,
             }),
@@ -488,35 +482,27 @@ impl HeapFile {
     /// fail to assemble (truncated, deleted, or mis-tagged) is *skipped*
     /// and counted in [`HeapFile::corrupt_skipped`] — never silently
     /// yielded as an empty or partial payload.
-    // Every id `page_ids` yields is a page of the arena.
-    #[allow(clippy::expect_used)]
     pub fn scan(&self) -> impl Iterator<Item = (RecordId, Vec<u8>)> + '_ {
-        self.pager.page_ids().flat_map(move |pid| {
-            let page = self.pager.read(pid).expect("page ids are dense");
-            let entries: Vec<(RecordId, Option<Vec<u8>>)> = page
-                .iter()
-                .filter_map(|(slot, data)| {
-                    let rid = RecordId { page: pid, slot };
-                    match data.first() {
-                        Some(&TAG_SIMPLE) => Some((rid, Some(data[1..].to_vec()))),
-                        // Chunks are assembled after the page borrow ends.
-                        Some(&TAG_DIRECTORY) => Some((rid, None)),
-                        _ => None,
-                    }
-                })
-                .collect();
-            entries
-                .into_iter()
-                .filter_map(move |(rid, data)| match data {
-                    Some(d) => Some((rid, d)),
-                    None => match self.get(rid) {
-                        Ok(d) => Some((rid, d)),
+        // `page_ids` yields only pages of the arena, which every read finds.
+        let pages = self
+            .pager
+            .page_ids()
+            .filter_map(|pid| Some((pid, self.pager.read(pid).ok()?)));
+        pages.flat_map(move |(pid, page)| {
+            page.iter().filter_map(move |(slot, framed)| {
+                let rid = RecordId { page: pid, slot };
+                match framed.split_first() {
+                    Some((&TAG_SIMPLE, payload)) => Some((rid, payload.to_vec())),
+                    Some((&TAG_DIRECTORY, _)) => match self.get(rid) {
+                        Ok(payload) => Some((rid, payload)),
                         Err(_) => {
                             self.note_corrupt_skipped();
                             None
                         }
                     },
-                })
+                    _ => None,
+                }
+            })
         })
     }
 }
@@ -527,10 +513,6 @@ mod tests {
 
     fn heap() -> HeapFile {
         HeapFile::new(IoStats::new())
-    }
-
-    fn sharing_heap() -> HeapFile {
-        HeapFile::sharing(BufferPool::disabled(IoStats::new()))
     }
 
     #[test]
@@ -814,7 +796,7 @@ mod tests {
 
     #[test]
     fn a_record_is_checked_once_per_version() {
-        let mut h = sharing_heap();
+        let mut h = heap();
         let rid = h.insert(b"alpha").unwrap();
         let start = checks();
         for _ in 0..3 {
@@ -842,7 +824,7 @@ mod tests {
 
     #[test]
     fn a_shared_read_is_the_page_record_not_a_copy() {
-        let mut h = sharing_heap();
+        let mut h = heap();
         let rid = h.insert(b"shared").unwrap();
         let a = h.get_checked::<Counted>(rid).unwrap();
         let b = h.get_checked::<Counted>(rid).unwrap();
@@ -854,20 +836,59 @@ mod tests {
     }
 
     #[test]
-    fn an_owned_record_is_copied_and_checked_on_every_read() {
-        let mut h = heap();
-        let rid = h.insert(b"owned").unwrap();
+    fn a_copying_read_pays_what_a_checked_read_pays_and_checks_nothing() {
+        let stats = IoStats::new();
+        let mut h = HeapFile::new(Arc::clone(&stats));
+        let rid = h.insert(b"record").unwrap();
         let start = checks();
-        let a = h.get_checked::<Counted>(rid).unwrap();
-        let b = h.get_checked::<Counted>(rid).unwrap();
-        assert_eq!((a.payload(), b.payload()), (&b"owned"[..], &b"owned"[..]));
-        assert_ne!(a.payload().as_ptr(), b.payload().as_ptr());
-        assert_eq!(checks() - start, 2);
+        let before = stats.snapshot();
+        let copied = h.get(rid).unwrap();
+        let copy_io = stats.snapshot().since(&before);
+        let before = stats.snapshot();
+        let shared = h.get_checked::<Counted>(rid).unwrap();
+        assert_eq!(stats.snapshot().since(&before), copy_io, "same page reads");
+        assert_eq!(
+            (&copied[..], shared.payload()),
+            (&b"record"[..], &b"record"[..])
+        );
+        assert_ne!(copied.as_ptr(), shared.payload().as_ptr(), "a copy");
+        h.get(rid).unwrap();
+        h.get_checked::<Counted>(rid).unwrap();
+        assert_eq!(checks() - start, 1, "only the first checked read checks");
+        // A refused record fails every checked read; the copying read
+        // still copies it.
+        h.update(rid, &[0xFF]).unwrap();
+        for _ in 0..2 {
+            assert!(h.get_checked::<Counted>(rid).is_err());
+        }
+        assert_eq!(h.get(rid).unwrap(), [0xFF]);
+        assert_eq!(checks() - start, 3);
+    }
+
+    #[test]
+    fn a_kept_record_is_a_refcount_on_its_page_and_outlives_writes() {
+        let mut h = heap();
+        let a = h.insert(b"first").unwrap();
+        let b = h.insert(b"second").unwrap();
+        let (ka, kb) = (
+            h.get_checked::<Counted>(a).unwrap(),
+            h.get_checked::<Counted>(b).unwrap(),
+        );
+        assert!(Arc::ptr_eq(&ka.bytes, &kb.bytes), "one image, two spans");
+        // Writes to the page leave both kept records as they were.
+        h.update(a, b"1st").unwrap();
+        h.delete(b).unwrap();
+        h.insert(&[9u8; 7000]).unwrap();
+        assert_eq!(
+            (ka.payload(), kb.payload()),
+            (&b"first"[..], &b"second"[..])
+        );
+        assert_eq!(h.get(a).unwrap(), b"1st");
     }
 
     #[test]
     fn a_verdict_speaks_only_for_its_own_format() {
-        let mut h = sharing_heap();
+        let mut h = heap();
         let rid = h.insert(b"x").unwrap();
         let start = checks();
         h.get_checked::<Counted>(rid).unwrap();
@@ -878,7 +899,7 @@ mod tests {
 
     #[test]
     fn an_oversized_record_is_checked_on_every_read() {
-        let mut h = sharing_heap();
+        let mut h = heap();
         let big = (0..20_000u32).map(|i| i as u8).collect::<Vec<u8>>();
         let rid = h.insert(&big).unwrap();
         let start = checks();

@@ -10,7 +10,8 @@
 //!
 //! * [`codec`] — the byte codec every binary format is written in: one
 //!   bounds-checked [`codec::Reader`] and its writers,
-//! * [`page`] — slotted 8 KiB pages holding variable-length records,
+//! * [`page`] — slotted 8 KiB pages holding variable-length records in one
+//!   shared image each,
 //! * [`pager`] — a page arena with an [`io::IoStats`] accounting layer that
 //!   counts every logical page read and write,
 //! * [`buffer`] — a fixed-capacity CLOCK buffer pool shared by all heap

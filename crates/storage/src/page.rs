@@ -1,23 +1,27 @@
 //! Slotted pages.
 //!
-//! A [`Page`] stores variable-length records behind a slot directory, exactly
-//! the layout textbooks (and PostgreSQL) use: records grow from the end of
-//! the page toward the front, the slot array grows from the front toward the
-//! end, and deleting a record leaves a dead slot so that [`RecordId`]s of the
-//! surviving records remain stable.
+//! A [`Page`] stores variable-length records behind a slot directory, the
+//! layout textbooks (and PostgreSQL) use: deleting a record leaves a dead
+//! slot so that [`RecordId`]s of the surviving records remain stable.
 //!
-//! A page keeps each record as one allocation, in one of two ways. An
-//! *owned* record is only ever copied out. A *shared* record (the pages of
-//! a heap built with [`crate::HeapFile::sharing`]) is an `Arc<[u8]>` beside
-//! a *verdict* — which format check, if any, has accepted exactly those
-//! bytes — so a fetch hands up a refcount clone instead of a copy, and
-//! checks it only while the verdict is unset (see
-//! [`crate::HeapFile::get_checked`]).
+//! All of a page's records lie in one shared 8 KiB image (`Arc<[u8]>`).
+//! The directory beside it holds each slot's `(offset, len)` in the image
+//! and a *verdict*: which format check, if any, has accepted exactly those
+//! bytes (see [`crate::HeapFile::get_checked`]). A fetch hands up a record
+//! as the image plus its span, so a scan reads a page's records from one
+//! allocation, lending one costs no refcount and keeping one costs a
+//! refcount on its page. A write to a page whose image a kept record still
+//! holds copies the image first (copy-on-write), so the kept record keeps
+//! its bytes. Records are written into the free gap at the end of the
+//! image; one that finds the gap too short compacts the page first, which
+//! moves records but keeps their slot numbers.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::error::StorageError;
+use crate::heap::SharedRecord;
 use crate::Result;
 
 /// Usable bytes per page. 8 KiB, matching PostgreSQL's default block size.
@@ -25,6 +29,9 @@ pub const PAGE_SIZE: usize = 8192;
 
 /// Per-slot bookkeeping overhead used when estimating capacity.
 const SLOT_OVERHEAD: usize = 8;
+
+// A record's offset and length in a page image are stored as `u16`s.
+const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
 
 /// Identifier of a page within a single [`crate::pager::Pager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,52 +60,62 @@ impl RecordId {
     }
 }
 
-/// A slot's record, or the hole a deleted one left.
+/// A slot of the directory: where its record lies in the image (`None`
+/// for the hole a deleted one left), and its verdict — which format check,
+/// if any, has accepted exactly those bytes: `0` none yet, otherwise that
+/// format's [`crate::RecordFormat::VERDICT`].
 ///
-/// A record's bytes never change while it lives: an update installs a new
-/// slot value, and for a shared record a new, unset verdict with it. So a
-/// verdict, once stored, speaks for exactly the bytes beside it.
+/// A record's bytes never change while it lives: an update writes a new
+/// record and resets the verdict, and so does reusing the slot. So a
+/// verdict, once stored, speaks for exactly the bytes its span covers.
 #[derive(Debug)]
-enum Slot {
-    /// A record fetches share, and the verdict of the format check that
-    /// accepted it: `0` none yet, otherwise that format's
-    /// [`crate::RecordFormat::VERDICT`].
-    Shared {
-        bytes: Arc<[u8]>,
-        verdict: AtomicU8,
-    },
-    /// A record only ever copied out (no refcount header to pay for).
-    Owned(Box<[u8]>),
-    Dead,
+struct DirEntry {
+    /// `(offset, len)` in the image.
+    span: Option<(u16, u16)>,
+    verdict: AtomicU8,
 }
 
-impl Slot {
-    fn shared(data: &[u8]) -> Self {
-        Slot::Shared {
-            bytes: Arc::from(data),
+impl DirEntry {
+    /// A fresh, unchecked record at `offset..offset + len` of the image
+    /// (both within `PAGE_SIZE`, so within `u16`).
+    fn live(offset: usize, len: usize) -> Self {
+        DirEntry {
+            span: Some((offset as u16, len as u16)),
             verdict: AtomicU8::new(0),
         }
     }
 
-    fn bytes(&self) -> Option<&[u8]> {
-        match self {
-            Slot::Shared { bytes, .. } => Some(bytes),
-            Slot::Owned(bytes) => Some(bytes),
-            Slot::Dead => None,
-        }
+    /// Where the record lies in the image, if the slot is live.
+    fn range(&self) -> Option<Range<usize>> {
+        let (offset, len) = self.span?;
+        let start = usize::from(offset);
+        Some(start..start + usize::from(len))
     }
 }
 
-/// A shared record as its slot holds it: the bytes and their verdict.
+/// A record as its page holds it: the image, where the record lies in it
+/// (framing included), and its verdict.
 pub(crate) struct SharedSlot<'a> {
-    bytes: &'a Arc<[u8]>,
+    image: &'a Arc<[u8]>,
+    start: usize,
+    end: usize,
     verdict: &'a AtomicU8,
 }
 
 impl<'a> SharedSlot<'a> {
+    /// The page image the record lies in.
+    pub(crate) fn image(&self) -> &'a Arc<[u8]> {
+        self.image
+    }
+
+    /// Where the record starts and ends in [`SharedSlot::image`].
+    pub(crate) fn span(&self) -> (usize, usize) {
+        (self.start, self.end)
+    }
+
     /// The record's bytes (framing included).
-    pub(crate) fn bytes(&self) -> &'a Arc<[u8]> {
-        self.bytes
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.image.get(self.start..self.end).unwrap_or_default()
     }
 
     /// Which format's check has accepted the bytes (`0`: none). Acquire
@@ -116,23 +133,42 @@ impl<'a> SharedSlot<'a> {
     }
 }
 
-/// A slotted page holding variable-length records.
+/// A slotted page holding variable-length records in one shared image.
 ///
-/// The implementation keeps each record as its own allocation but
-/// enforces the [`PAGE_SIZE`] byte budget (record bytes + slot overhead), so
-/// page counts — and therefore the simulated I/O of every experiment — match
-/// what a real on-disk layout would produce.
-#[derive(Debug, Default)]
+/// The byte budget (record bytes + 8 bytes of slot overhead per directory
+/// entry, within [`PAGE_SIZE`]) decides whether a record fits, so page
+/// counts — and therefore the simulated I/O of every experiment — match
+/// what a real on-disk layout would produce. The directory lives beside
+/// the image rather than in it, so the image always has room for every
+/// record the budget admits: a record that finds the free gap at the end
+/// too short first compacts the page.
+#[derive(Debug)]
 pub struct Page {
-    slots: Vec<Slot>,
+    /// The records, each at its slot's span; `top..` is the free gap.
+    image: Arc<[u8]>,
+    slots: Vec<DirEntry>,
+    /// End of the last record written into the image.
+    top: usize,
     used: usize,
     live: usize,
 }
 
+impl Default for Page {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Page {
-    /// A fresh, empty page.
+    /// A fresh, empty page: one allocation, its image.
     pub fn new() -> Self {
-        Self::default()
+        Page {
+            image: std::iter::repeat_n(0, PAGE_SIZE).collect(),
+            slots: Vec::new(),
+            top: 0,
+            used: 0,
+            live: 0,
+        }
     }
 
     /// Bytes currently consumed (record payloads + slot overhead).
@@ -160,18 +196,8 @@ impl Page {
         PAGE_SIZE - SLOT_OVERHEAD
     }
 
-    /// Insert an owned record, returning its slot number.
+    /// Insert a record, returning its slot number.
     pub fn insert(&mut self, data: &[u8]) -> Result<u16> {
-        self.insert_slot(data, |d| Slot::Owned(d.into()))
-    }
-
-    /// Insert a shared record (see the module docs), returning its slot
-    /// number.
-    pub fn insert_shared(&mut self, data: &[u8]) -> Result<u16> {
-        self.insert_slot(data, Slot::shared)
-    }
-
-    fn insert_slot(&mut self, data: &[u8], slot: fn(&[u8]) -> Slot) -> Result<u16> {
         if data.len() > Self::max_record_len() {
             return Err(StorageError::RecordTooLarge {
                 size: data.len(),
@@ -186,46 +212,103 @@ impl Page {
         }
         self.used += data.len() + SLOT_OVERHEAD;
         self.live += 1;
+        let entry = self.write(data);
         // Reuse a dead slot if available to keep the slot array compact.
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if matches!(s, Slot::Dead) {
-                *s = slot(data);
-                // Dead slot directory entries were already paid for.
-                self.used -= SLOT_OVERHEAD;
-                return Ok(i as u16);
-            }
+        if let Some(i) = self.slots.iter().position(|s| s.span.is_none()) {
+            self.slots[i] = entry;
+            // Dead slot directory entries were already paid for.
+            self.used -= SLOT_OVERHEAD;
+            return Ok(i as u16);
         }
-        self.slots.push(slot(data));
+        self.slots.push(entry);
         Ok((self.slots.len() - 1) as u16)
+    }
+
+    /// Write `data` into the free gap, compacting the page first if the gap
+    /// is too short, and return its new, unchecked directory entry. The
+    /// caller has checked the budget, which leaves room for every live
+    /// record and `data` once the page is compact.
+    fn write(&mut self, data: &[u8]) -> DirEntry {
+        if self.top + data.len() > PAGE_SIZE {
+            self.compact();
+        }
+        let (at, end) = (self.top, self.top + data.len());
+        self.image_mut()[at..end].copy_from_slice(data);
+        self.top = end;
+        DirEntry::live(at, data.len())
+    }
+
+    /// The image, for writing: copied first if a reader still holds it
+    /// (copy-on-write), so a record kept from it keeps its bytes.
+    fn image_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.image)
+    }
+
+    /// Move the live records to the front of the image, in image order,
+    /// leaving one free gap at the end. Slot numbers do not change, and
+    /// neither do verdicts: a record's bytes move unchanged.
+    fn compact(&mut self) {
+        let mut order: Vec<usize> = (0..self.slots.len())
+            .filter(|&i| self.slots[i].span.is_some())
+            .collect();
+        order.sort_unstable_by_key(|&i| self.slots[i].span);
+        let image = Arc::make_mut(&mut self.image);
+        let mut top = 0;
+        for i in order {
+            let Some(range) = self.slots[i].range() else {
+                continue;
+            };
+            let len = range.len();
+            // Taken in image order, each record moves towards the front
+            // over bytes no record still to move occupies.
+            image.copy_within(range, top);
+            self.slots[i].span = Some((top as u16, len as u16));
+            top += len;
+        }
+        self.top = top;
     }
 
     /// Fetch the record in `slot`.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        self.slots.get(slot as usize)?.bytes()
+        self.image.get(self.slots.get(slot as usize)?.range()?)
     }
 
-    /// The record in `slot` with its verdict, if it is a live shared one.
+    /// The record in `slot`, kept past the borrow: a refcount on the
+    /// page's image, which a later write to the page leaves as it is.
+    pub fn get_shared(&self, slot: u16) -> Option<SharedRecord> {
+        let record = self.shared(slot)?;
+        Some(SharedRecord::in_image(
+            record.image,
+            record.start,
+            record.end,
+        ))
+    }
+
+    /// The record in `slot` with its image and verdict, if it is live.
     pub(crate) fn shared(&self, slot: u16) -> Option<SharedSlot<'_>> {
-        match self.slots.get(slot as usize) {
-            Some(Slot::Shared { bytes, verdict }) => Some(SharedSlot { bytes, verdict }),
-            _ => None,
-        }
+        let entry = self.slots.get(slot as usize)?;
+        let range = entry.range()?;
+        Some(SharedSlot {
+            image: &self.image,
+            start: range.start,
+            end: range.end,
+            verdict: &entry.verdict,
+        })
     }
 
     /// Delete the record in `slot`. Returns the payload length freed.
     pub fn delete(&mut self, slot: u16) -> Option<usize> {
-        let len = self.get(slot)?.len();
+        let entry = self.slots.get_mut(slot as usize)?;
+        let (_, len) = entry.span.take()?;
         // Slot directory entry stays (keeps other RecordIds stable); only
-        // the payload bytes are reclaimed.
-        self.slots[slot as usize] = Slot::Dead;
-        self.used -= len;
+        // the payload bytes are reclaimed, by a later compaction.
+        self.used -= usize::from(len);
         self.live -= 1;
-        Some(len)
+        Some(usize::from(len))
     }
 
-    /// Replace the record in `slot` in place, if the new payload fits. The
-    /// record stays owned or shared as it was; a shared one starts over
-    /// unchecked.
+    /// Replace the record in `slot`, if the new payload fits. The slot
+    /// keeps its number; its record starts over unchecked.
     ///
     /// Returns `false` when it does not fit (caller must relocate).
     pub fn update(&mut self, slot: u16, data: &[u8]) -> Result<bool> {
@@ -236,11 +319,22 @@ impl Page {
         if new_used > PAGE_SIZE {
             return Ok(false);
         }
-        let s = &mut self.slots[slot as usize];
-        *s = match s {
-            Slot::Shared { .. } => Slot::shared(data),
-            _ => Slot::Owned(data.into()),
+        let i = slot as usize;
+        let entry = match self.slots[i].span {
+            // A record no longer than the old one takes the old one's place.
+            Some((offset, _)) if data.len() <= old_len => {
+                let at = usize::from(offset);
+                self.image_mut()[at..at + data.len()].copy_from_slice(data);
+                DirEntry::live(at, data.len())
+            }
+            // A longer one is written anew; the old bytes are not live
+            // while a compaction makes room for it.
+            _ => {
+                self.slots[i].span = None;
+                self.write(data)
+            }
         };
+        self.slots[i] = entry;
         self.used = new_used;
         Ok(true)
     }
@@ -250,7 +344,7 @@ impl Page {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| Some((i as u16, s.bytes()?)))
+            .filter_map(|(i, s)| Some((i as u16, self.image.get(s.range()?)?)))
     }
 }
 
@@ -333,7 +427,7 @@ mod tests {
     #[test]
     fn a_replaced_record_starts_unchecked() {
         let mut p = Page::new();
-        let s = p.insert_shared(b"abc").unwrap();
+        let s = p.insert(b"abc").unwrap();
         assert_eq!(p.shared(s).unwrap().verdict(), 0);
         p.shared(s).unwrap().accept(7);
         assert_eq!(p.shared(s).unwrap().verdict(), 7);
@@ -342,17 +436,56 @@ mod tests {
         assert_eq!(p.shared(s).unwrap().verdict(), 0, "update resets it");
         p.shared(s).unwrap().accept(7);
         p.delete(s).unwrap();
-        assert_eq!(p.insert_shared(b"x").unwrap(), s);
+        assert_eq!(p.insert(b"x").unwrap(), s);
         assert_eq!(p.shared(s).unwrap().verdict(), 0, "so does reuse");
     }
 
     #[test]
-    fn an_owned_record_stays_owned() {
+    fn every_record_is_a_span_of_the_one_image() {
         let mut p = Page::new();
-        let s = p.insert(b"abc").unwrap();
-        assert!(p.update(s, b"abcd").unwrap());
-        assert_eq!(p.get(s), Some(&b"abcd"[..]));
-        assert!(p.shared(s).is_none(), "no verdict to keep");
+        let a = p.insert(b"abc").unwrap();
+        let b = p.insert(b"defg").unwrap();
+        assert!(p.update(a, b"ab").unwrap());
+        let (ra, rb) = (p.shared(a).unwrap(), p.shared(b).unwrap());
+        assert!(Arc::ptr_eq(ra.image(), rb.image()));
+        assert_eq!((ra.bytes(), rb.bytes()), (&b"ab"[..], &b"defg"[..]));
+        assert_eq!(ra.image().len(), PAGE_SIZE);
+    }
+
+    #[test]
+    fn a_write_copies_an_image_a_reader_holds() {
+        let mut p = Page::new();
+        let s = p.insert(b"kept").unwrap();
+        let held = Arc::clone(p.shared(s).unwrap().image());
+        assert!(p.update(s, b"gone").unwrap());
+        assert_eq!(&held[..4], b"kept", "the held image is not written");
+        assert_eq!(p.get(s), Some(&b"gone"[..]));
+        assert!(!Arc::ptr_eq(&held, p.shared(s).unwrap().image()));
+        // Unshared now, the page writes its image in place.
+        let image = Arc::as_ptr(p.shared(s).unwrap().image());
+        assert!(p.update(s, b"here").unwrap());
+        assert_eq!(Arc::as_ptr(p.shared(s).unwrap().image()), image);
+    }
+
+    #[test]
+    fn a_short_gap_compacts_and_keeps_slot_numbers() {
+        let mut p = Page::new();
+        let a = p.insert(&[1u8; 3000]).unwrap();
+        let b = p.insert(&[2u8; 3000]).unwrap();
+        let c = p.insert(&[3u8; 1000]).unwrap();
+        p.delete(a).unwrap();
+        // 4000 bytes fit the budget but not the 1192-byte gap at the end.
+        assert!(p.fits(4000));
+        let d = p.insert(&[4u8; 4000]).unwrap();
+        assert_eq!(d, a, "the dead slot is reused");
+        assert_eq!(p.get(b), Some(&[2u8; 3000][..]));
+        assert_eq!(p.get(c), Some(&[3u8; 1000][..]));
+        assert_eq!(p.get(d), Some(&[4u8; 4000][..]));
+        // A record that grows past the gap compacts too.
+        assert!(p.update(c, &[5u8; 1100]).unwrap());
+        assert_eq!(p.get(b), Some(&[2u8; 3000][..]));
+        assert_eq!(p.get(c), Some(&[5u8; 1100][..]));
+        assert_eq!(p.get(d), Some(&[4u8; 4000][..]));
     }
 
     #[test]

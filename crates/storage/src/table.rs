@@ -60,7 +60,7 @@ impl Table {
         Self {
             name: name.into(),
             schema,
-            heap: HeapFile::sharing(Arc::clone(&pool)),
+            heap: HeapFile::with_pool(Arc::clone(&pool)),
             oid_index: BTree::new_in(pool),
             next_oid: 1,
             tuple_count: 0,

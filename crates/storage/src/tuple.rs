@@ -438,13 +438,16 @@ impl<'a> TupleView<'a> {
             // neither type has a public constructor that takes bytes. The
             // checked read returns a record only once `TupleFormat::check`
             // (that is, `parse`) accepted it — in that read, or in an
-            // earlier one whose verdict the page slot kept. A slot stores
-            // the verdict (Release) only after the check succeeded, a
-            // reader loads it with Acquire, the record's bytes are an
-            // immutable `Arc<[u8]>` — lent by the page or shared — and
-            // replacing a record installs a new, unset verdict with it;
-            // the bytes are borrowed immutably for `'a`, so they have not
-            // changed since.
+            // earlier one whose verdict the page kept. The verdict sits in
+            // the page's slot directory, beside the image: it is stored
+            // (Release) only after the check succeeded, and a reader loads
+            // it with Acquire. Replacing a record, or reusing its slot,
+            // resets it; a compaction moves a record's bytes unchanged. The
+            // record is a span of the page's image (`Arc<[u8]>`), lent by
+            // the page or kept by a refcount on it, and a write to a page
+            // copies the image first while anyone else holds it, so bytes
+            // lent or kept never change; they are borrowed immutably for
+            // `'a`, so they have not changed since.
             Ok(unsafe { String::from_utf8_unchecked(t.to_vec()) })
         };
         // `parse` accepted these bytes, so the decode cannot fail.
@@ -479,8 +482,8 @@ impl RecordFormat for TupleFormat {
 /// An encoded tuple record that [`TupleView::parse`] accepted, kept as
 /// bytes: what a raw fetch ([`crate::Table::get_raw`], or a scan's
 /// [`LentTuple::into_encoded`]) hands up so a caller can read single
-/// columns without decoding the rest. A fetched one
-/// shares its heap page's record; cloning it is a refcount.
+/// columns without decoding the rest. A fetched one is a span of its heap
+/// page's image; cloning it is a refcount on that image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedTuple(SharedRecord);
 

@@ -1,22 +1,24 @@
 //! Property test: the shared, checked-once fetch against the copying read.
 //!
-//! On a sharing heap `HeapFile::get_checked` hands up the page's own record
-//! and runs the format check only while the slot's verdict is unset. Over
-//! random inserts, updates (in place and relocating) and deletes of records
-//! of every size — oversized, chunked ones included — it must return
-//! exactly the bytes `HeapFile::get` copies, charge exactly the page reads
-//! `get` charges, fail exactly where `get` or the check does, and run the
-//! check once per record version: not again on a record it accepted, on
-//! every read of one it refused, and again once the record has changed. On
-//! a heap of owned records the same reads copy and check every time.
+//! `HeapFile::get_checked` hands up the page's own record — a span of the
+//! page's image — and runs the format check only while the slot's verdict
+//! is unset. Over random inserts, updates (in place and relocating) and
+//! deletes of records of every size — oversized, chunked ones included — it
+//! must return exactly the bytes `HeapFile::get` copies, charge exactly the
+//! page reads `get` charges, fail exactly where `get` or the check does,
+//! and run the check once per record version: not again on a simple record
+//! it accepted, on every read of one it refused, and again once the record
+//! has changed. An oversized record is assembled, so it is copied and
+//! checked on every read. A record kept from an earlier read keeps its
+//! bytes through every later write to its page.
 
 use std::cell::Cell;
 
 use instn_storage::page::Page;
 use instn_storage::tuple::encode_tuple;
 use instn_storage::{
-    BufferPool, ColumnType, HeapFile, IoStats, RecordFormat, RecordId, Schema, StorageError, Table,
-    Value,
+    BufferPool, ColumnType, HeapFile, IoStats, RecordFormat, RecordId, Schema, SharedRecord,
+    StorageError, Table, Value,
 };
 use proptest::prelude::*;
 
@@ -94,12 +96,7 @@ struct Live {
 
 /// Read `live` both ways, holding the shared read to the copying one and
 /// the check count to one check per version of a shared record.
-fn read_both(
-    h: &HeapFile,
-    shares: bool,
-    stats: &IoStats,
-    live: &mut Live,
-) -> Result<(), TestCaseError> {
+fn read_both(h: &HeapFile, stats: &IoStats, live: &mut Live) -> Result<(), TestCaseError> {
     let before = stats.snapshot();
     let copied = h.get(live.rid);
     let copy_io = stats.snapshot().since(&before);
@@ -115,7 +112,7 @@ fn read_both(
         }
         Ok(record) if !refused(&live.bytes) => {
             prop_assert_eq!(record.payload(), &live.bytes[..]);
-            let copied = !shares || oversized(&live.bytes);
+            let copied = oversized(&live.bytes);
             prop_assert_eq!(checked, u64::from(copied || !live.accepted));
             if !copied {
                 let again = h.get_checked::<Counted>(live.rid).unwrap();
@@ -132,12 +129,12 @@ proptest! {
     #[test]
     fn a_shared_read_is_the_copying_read_checked_once(
         ops in prop::collection::vec(op(), 1..40),
-        shares in any::<bool>(),
     ) {
         let stats = IoStats::new();
-        let pool = BufferPool::disabled(stats.clone());
-        let mut h = if shares { HeapFile::sharing(pool) } else { HeapFile::with_pool(pool) };
+        let mut h = HeapFile::with_pool(BufferPool::disabled(stats.clone()));
         let mut live: Vec<Live> = Vec::new();
+        // Records an earlier read kept, with the bytes they were read as.
+        let mut kept: Vec<(SharedRecord, Vec<u8>)> = Vec::new();
         for op in ops {
             match op {
                 Op::Insert(bytes) => {
@@ -157,13 +154,19 @@ proptest! {
                 }
                 Op::Read(i) if !live.is_empty() => {
                     let at = i % live.len();
-                    read_both(&h, shares, &stats, &mut live[at])?;
+                    read_both(&h, &stats, &mut live[at])?;
+                    if let Ok(record) = h.get_checked::<Counted>(live[at].rid) {
+                        kept.push((record, live[at].bytes.clone()));
+                    }
                 }
                 _ => {}
             }
+            for (record, bytes) in &kept {
+                prop_assert_eq!(record.payload(), &bytes[..], "a kept record keeps its bytes");
+            }
         }
         for l in &mut live {
-            read_both(&h, shares, &stats, l)?;
+            read_both(&h, &stats, l)?;
         }
     }
 

@@ -5,8 +5,9 @@
 //! folding one more member into a group costs that member, not the group so
 //! far.
 //!
-//! And one for the storage layer: a fetched record is the page's own,
-//! shared, so a scanned row costs its handle and nothing per record.
+//! And two for the storage layer: a fetched record is a span of its page's
+//! one image, shared, so a scanned row costs its handle and nothing per
+//! record, and filling a page allocates its image once.
 //! And one for the serving layer: a result row costs the server what
 //! fetching it costs, not a decoded summary set and a `String` per object.
 //! And one for the summary engine: classifying an annotation costs its score
@@ -36,8 +37,11 @@ use insightnotes::prelude::{
     SharedDatabase, SortKey, SummaryExpr,
 };
 use insightnotes::serve::Response;
+use insightnotes::storage::page::Page;
 use insightnotes::storage::wal::WAL_RECORD_HEADER;
-use insightnotes::storage::{ColumnType, IoStats, Schema, TableId, Value, Wal, WalRecordKind};
+use insightnotes::storage::{
+    ColumnType, IoStats, Schema, Table, TableId, Value, ValueRef, Wal, WalRecordKind,
+};
 
 struct Counting;
 
@@ -435,6 +439,61 @@ fn a_logged_write_allocates_nothing_on_a_warm_log() {
     assert!(
         per_pair < 0.1,
         "{allocated} allocations for {PAIRS} append + force pairs"
+    );
+}
+
+/// A page holds its records in one image: filling a page record by record
+/// allocates that image once and grows the slot directory (amortised
+/// doubling), not one allocation per record. And a table scan that keeps
+/// no row reads each record where its page holds it: nothing per record.
+/// (With one allocation per record, filling the page cost 170 and more.)
+#[test]
+fn a_page_is_one_allocation_and_a_scan_lends_its_records() {
+    let _turn = alone();
+    let (records, allocated) = allocations(|| {
+        let mut page = Page::new();
+        let mut records = 0u64;
+        while page.insert(&[7; 40]).is_ok() {
+            records += 1;
+        }
+        records
+    });
+    // 8 192 bytes at 48 a record (40 + 8 of slot overhead).
+    assert_eq!(records, 170);
+    // The image, then a directory of 4, 8, … 256 entries.
+    println!("allocations to fill a page of {records} records: {allocated}");
+    assert!(
+        allocated <= 8,
+        "{allocated} allocations for {records} records"
+    );
+
+    let mut table = Table::new(
+        "t",
+        Schema::of(&[("id", ColumnType::Int), ("name", ColumnType::Text)]),
+        IoStats::new(),
+    );
+    for i in 0..TUPLES as i64 {
+        table
+            .insert(vec![Value::Int(i), Value::Text(format!("bird-{i}"))])
+            .unwrap();
+    }
+    let scan = |table: &Table| {
+        let mut cursor = table.scan_open();
+        let mut sum = 0;
+        while let Some((_, tuple)) = table.scan_next_lent(&mut cursor) {
+            if let Some(ValueRef::Int(i)) = tuple.view().get(0) {
+                sum += i;
+            }
+        }
+        sum
+    };
+    scan(&table); // warm the thread's read log
+    let (sum, allocated) = allocations(|| scan(&table));
+    assert_eq!(sum, (0..TUPLES as i64).sum::<i64>());
+    println!("allocations to scan {TUPLES} tuples keeping none: {allocated}");
+    assert!(
+        allocated <= 4,
+        "{allocated} allocations for {TUPLES} lent records"
     );
 }
 
