@@ -100,6 +100,7 @@ struct TableStats {
     rows: u64,
     pages: u64,
     summary_pages: u64,
+    summary_rows: u64,
     /// Per instance name, per label (two levels so a lookup borrows the
     /// names instead of building a key). Holds only labels with objects,
     /// as a fresh analyze does.
@@ -115,6 +116,7 @@ impl TableStats {
             rows: db.table(table)?.len() as u64,
             pages: 0,
             summary_pages: 0,
+            summary_rows: 0,
             labels: HashMap::new(),
             built: Stamp::of(db),
         };
@@ -133,10 +135,13 @@ impl TableStats {
         Ok(stats)
     }
 
-    /// Re-read the heap and SummaryStorage page counts (O(1) accessors).
+    /// Re-read the heap and SummaryStorage page counts and the summary row
+    /// count (O(1) accessors).
     fn read_pages(&mut self, db: &Database) -> Result<()> {
         self.pages = db.table(self.table)?.page_count() as u64;
-        self.summary_pages = db.summary_storage(self.table).page_count() as u64;
+        let storage = db.summary_storage(self.table);
+        self.summary_pages = storage.page_count() as u64;
+        self.summary_rows = storage.len() as u64;
         Ok(())
     }
 
@@ -274,6 +279,12 @@ impl Statistics {
     pub fn summary_pages(&self, table: TableId) -> f64 {
         self.table_stats(table)
             .map_or(0.0, |t| t.summary_pages as f64)
+    }
+
+    /// SummaryStorage rows of a table: its tuples that have summaries.
+    pub fn summary_rows(&self, table: TableId) -> f64 {
+        self.table_stats(table)
+            .map_or(0.0, |t| t.summary_rows as f64)
     }
 
     /// Per-label statistics, if the label has objects on `table`.

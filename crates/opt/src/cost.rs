@@ -7,7 +7,8 @@
 //! * summary-based selection `S` estimates like σ, using the per-label
 //!   statistics (exact range selectivities),
 //! * the filter `F` estimates like π: one CPU unit per row (summary I/O is
-//!   sized by summary pages, not by an average object size),
+//!   sized by summary pages behind a buffer pool and by summary rows
+//!   without one, not by an average object size),
 //! * the summary join `J` estimates like ⋈, dividing the cross product by
 //!   the larger `NumDistinct` of the joined label,
 //! * index-answerable predicates are costed from the Summary-BTree's
@@ -210,7 +211,14 @@ impl<'a> CostModel<'a> {
                 let rows_eff = Self::cap_rows(rows, cap);
                 let mut io = self.stats.pages(*table).max(1.0);
                 if *with_summaries {
-                    io += self.stats.summary_pages(*table);
+                    // Behind a pool the scan meets the summary rows in OID
+                    // order, a page at a time; with none, every tuple's row
+                    // is a transfer of its own, as an index scan's is.
+                    io += if self.cache_pages == 0 {
+                        self.stats.summary_rows(*table)
+                    } else {
+                        self.stats.summary_pages(*table)
+                    };
                 }
                 // A capped scan stops after the cap'th tuple: charge the
                 // corresponding fraction of the pages.
@@ -730,6 +738,41 @@ mod tests {
         );
         // Cardinalities should roughly agree.
         assert!((c_seq.rows - c_idx.rows).abs() <= c_seq.rows.max(2.0));
+    }
+
+    /// Without a pool, a propagating scan's summary rows are read one by
+    /// one, each a transfer: the uncached model charges the row count,
+    /// which is what the scan pays. Behind a pool, consecutive rows share
+    /// a page, and the model charges the summary pages.
+    #[test]
+    fn uncached_seq_scan_pays_a_read_per_summary_row() {
+        use instn_query::exec::ExecContext;
+        let (db, t) = setup(200);
+        let stats = Statistics::analyze(&db).unwrap();
+        let info = IndexInfo::default();
+        let scan = |with_summaries| PhysicalPlan::SeqScan {
+            table: t,
+            with_summaries,
+        };
+        let summary_io =
+            |model: CostModel<'_>| model.cost(&scan(true)).io - model.cost(&scan(false)).io;
+        let storage = db.summary_storage(t);
+        assert_eq!(
+            summary_io(CostModel::new(&stats, &info)),
+            storage.len() as f64
+        );
+        assert_eq!(
+            summary_io(CostModel::with_cache_pages(&stats, &info, 64)),
+            storage.page_count() as f64
+        );
+        let mut ctx = ExecContext::new(&db);
+        let mut reads = |with_summaries| {
+            let before = db.stats().snapshot();
+            ctx.execute(&scan(with_summaries)).unwrap();
+            instn_storage::apply_read_log();
+            db.stats().snapshot().since(&before).heap_reads
+        };
+        assert_eq!(reads(true) - reads(false), storage.len() as u64);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! accepted it beside the image. A scan's [`HeapFile::get_lent`] lends the
 //! checked record ([`Checked`]), so a record the scan drops costs no
 //! refcount, and consecutive records are read from the same image.
+//!
+//! Free space: an insert takes the hinted page if the record fits there,
+//! else the file's last page if it fits there, and only else allocates a
+//! page. The hint is the page the last delete freed room in, or else the
+//! page last allocated, so holes are reused first; a record that outgrows
+//! its page and relocates fills the tail page instead of opening one.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,8 +172,9 @@ enum Fetched<'a> {
 #[derive(Debug)]
 pub struct HeapFile {
     pager: Pager,
-    /// Free-space hint: pages that recently had room, newest first.
-    /// A real system keeps this in a free space map; consulting it is free.
+    /// Free-space hint: the one page an insert tries first — the page the
+    /// last delete freed room in, or else the page last allocated. A real
+    /// system keeps this in a free space map; consulting it is free.
     insert_hint: Option<PageId>,
     record_count: usize,
     /// Records a scan could not read or decode: oversized records whose
@@ -236,24 +243,32 @@ impl HeapFile {
         self.pager.used_bytes()
     }
 
+    /// Payload bytes a new framed record can still take on `page`, as the
+    /// free-space map has it: [`Pager::peek`], no I/O charged. `None` for a
+    /// page the file does not have.
+    pub fn free_bytes(&self, page: PageId) -> Option<usize> {
+        self.pager.peek(page).map(Page::free_bytes)
+    }
+
     /// Largest payload that fits one framed record.
     fn chunk_capacity() -> usize {
         Page::max_record_len() - 1
     }
 
-    /// Insert raw framed bytes into some page with room.
+    /// Insert raw framed bytes by the free-space rule: the hinted page if
+    /// the record fits there, else the last page if it fits there, else a
+    /// fresh page (which becomes the hint). Both checks read the free-space
+    /// map ([`HeapFile::free_bytes`]), so only the page written is charged.
     fn insert_framed(&mut self, framed: &[u8]) -> Result<RecordId> {
-        let pid = match self.insert_hint {
-            Some(pid)
-                if self
-                    .pager
-                    .peek(pid)
-                    .map(|p| p.fits(framed.len()))
-                    .unwrap_or(false) =>
-            {
-                pid
-            }
-            _ => {
+        let len = framed.len();
+        let last = self.pager.page_count().checked_sub(1);
+        let room = [self.insert_hint, last.map(|i| PageId(i as u32))]
+            .into_iter()
+            .flatten()
+            .find(|&pid| self.free_bytes(pid).is_some_and(|free| len <= free));
+        let pid = match room {
+            Some(pid) => pid,
+            None => {
                 let pid = self.pager.allocate();
                 self.insert_hint = Some(pid);
                 pid
@@ -561,6 +576,58 @@ mod tests {
         assert_eq!(h.get(rid2).unwrap(), vec![3u8; 5000]);
         assert!(h.get(rid).is_err());
         assert_eq!(h.len(), 3);
+    }
+
+    /// Page 0 holds `small` and two 4 000-byte records, which leave it no
+    /// room for 3 000 bytes; page 1, the last, holds one 2 000-byte record.
+    fn two_pages() -> (HeapFile, RecordId) {
+        let mut h = heap();
+        let small = h.insert(b"small").unwrap();
+        h.insert(&[1u8; 4000]).unwrap();
+        h.insert(&[2u8; 4000]).unwrap();
+        let tail = h.insert(&[3u8; 2000]).unwrap();
+        assert_eq!((small.page, tail.page), (PageId(0), PageId(1)));
+        (h, small)
+    }
+
+    #[test]
+    fn a_relocated_record_fills_the_last_page() {
+        let (mut h, small) = two_pages();
+        let moved = h.update(small, &[4u8; 3000]).unwrap();
+        assert_eq!(moved.page, PageId(1), "the last page has room");
+        assert_eq!(h.page_count(), 2);
+        assert_eq!(h.get(moved).unwrap(), vec![4u8; 3000]);
+        assert!(h.get(small).is_err());
+    }
+
+    #[test]
+    fn a_freed_hinted_page_is_taken_before_the_last_page() {
+        let (mut h, small) = two_pages();
+        // The 4 000-byte record outgrows page 0 and moves to the last page;
+        // the hole it leaves stays the hint and takes the next record,
+        // which the last page has room for too.
+        let moved = h.update(RecordId::new(0, 1), &[5u8; 5000]).unwrap();
+        assert_eq!(moved.page, PageId(1));
+        let rid = h.insert(&[6u8; 100]).unwrap();
+        assert_eq!(rid.page, PageId(0), "the hole is reused first");
+        assert_eq!(h.page_count(), 2);
+        assert_eq!(h.get(small).unwrap(), b"small");
+    }
+
+    #[test]
+    fn an_insert_allocates_only_when_neither_page_fits() {
+        let (mut h, small) = two_pages();
+        // The delete hints page 0, where 3 000 bytes do not fit; the last
+        // page takes them.
+        h.delete(small).unwrap();
+        let rid = h.insert(&[6u8; 3000]).unwrap();
+        assert_eq!((rid.page, h.page_count()), (PageId(1), 2));
+        // 7 000 bytes fit neither page.
+        let rid = h.insert(&[7u8; 7000]).unwrap();
+        assert_eq!((rid.page, h.page_count()), (PageId(2), 3));
+        // The fresh page is the hint now; the next record fits it.
+        let next = h.insert(&[8u8; 1000]).unwrap();
+        assert_eq!((next.page, h.page_count()), (PageId(2), 3));
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //!    indexed range lost to a sequential scan. A tuple with no object
 //!    never matches (its label value is NULL): the estimate is now the
 //!    objects in range over the table's rows.
+//!
+//! 4. A summary row that outgrew its page was deleted and re-inserted, and
+//!    the re-insert tried only the page the delete had just freed — where
+//!    the row did not fit — so every relocation allocated a page: the
+//!    benchmark corpus's `R_SummaryStorage` was 23 % full. An insert now
+//!    takes the hinted page, else the heap's last page, and allocates only
+//!    if neither fits.
 
 use insightnotes::annot::{Attachment, Category};
 use insightnotes::core::db::Database;
@@ -296,4 +303,30 @@ fn a_label_range_is_estimated_over_the_tables_tuples() {
     };
     assert!(plan.contains("SummaryIndexScan"), "{plan}");
     assert!(!plan.contains("SeqScan"), "{plan}");
+}
+
+/// Regression 4: summary rows relocated by the summarization pass pack
+/// the heap's tail page instead of each taking a page of its own.
+#[test]
+fn relocated_summary_rows_fill_their_pages() {
+    use insightnotes::storage::PAGE_SIZE;
+    use instn_bench::workloads::{build_db, classbird2_kind, BenchConfig};
+    let mut bench = build_db(&BenchConfig::default());
+    let fill = |db: &Database| {
+        let storage = db.summary_storage(bench.birds);
+        let pages = storage.page_count();
+        assert!(pages >= 20, "{pages} summary pages");
+        storage.used_bytes() as f64 / (pages * PAGE_SIZE) as f64
+    };
+    // `ClassBird1` and `TextSummary1` are linked; link a third instance.
+    let linked = fill(&bench.db);
+    bench
+        .db
+        .link_instance(bench.birds, "ClassBird2", classbird2_kind(2015), false)
+        .unwrap();
+    let relinked = fill(&bench.db);
+    assert!(
+        linked >= 0.8 && relinked >= 0.8,
+        "summary heap fill {linked:.3}, then {relinked:.3}"
+    );
 }
