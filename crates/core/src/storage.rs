@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use instn_storage::io::IoStats;
 use instn_storage::page::RecordId;
-use instn_storage::{BufferPool, HeapFile, Oid, StorageError};
+use instn_storage::{BufferPool, HeapFile, Oid, ReadLog, StorageError};
 
 use crate::summary::{
     encode_objects, EncodedSummaries, LentSummaries, SummaryObject, SummarySetFormat,
@@ -95,17 +95,23 @@ impl SummaryStorage {
         }
     }
 
+    /// An empty read log of the summary heap, for
+    /// [`SummaryStorage::read_lent`].
+    pub fn read_log(&self) -> ReadLog {
+        self.heap.read_log()
+    }
+
     /// [`SummaryStorage::read_raw`] for a scan that reads the rows of
-    /// consecutive tuples: the page read is logged in the calling thread's
-    /// read log (see [`BufferPool::read_logged`]), and the checked row is
+    /// consecutive tuples: the page read is made in `log`, one of this
+    /// storage's ([`SummaryStorage::read_log`]), and the checked row is
     /// lent by its page until the scan keeps it
     /// ([`LentSummaries::into_encoded`]). The same charges, once the log
     /// is applied.
-    pub fn read_lent(&self, oid: Oid) -> Result<LentSummaries<'_>> {
+    pub fn read_lent(&self, oid: Oid, log: &mut ReadLog) -> Result<LentSummaries<'_>> {
         match self.rows.get(&oid) {
             Some(rid) => self
                 .heap
-                .get_lent::<SummarySetFormat>(*rid)
+                .get_lent::<SummarySetFormat>(*rid, log)
                 .map(LentSummaries::checked),
             None => Ok(LentSummaries::default()),
         }

@@ -769,7 +769,6 @@ mod tests {
         let mut reads = |with_summaries| {
             let before = db.stats().snapshot();
             ctx.execute(&scan(with_summaries)).unwrap();
-            instn_storage::apply_read_log();
             db.stats().snapshot().since(&before).heap_reads
         };
         assert_eq!(reads(true) - reads(false), storage.len() as u64);

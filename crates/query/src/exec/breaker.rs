@@ -58,10 +58,6 @@ impl<F: Fold> Operator for BreakerOp<F> {
     fn children(&self) -> Vec<&OpNode> {
         vec![&self.child]
     }
-
-    fn outer_mut(&mut self) -> Option<&mut OpNode> {
-        Some(&mut self.child)
-    }
 }
 
 /// Sort's fold: every row decorated with its key — evaluated once, as the

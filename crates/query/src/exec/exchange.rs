@@ -366,10 +366,6 @@ impl Operator for ExchangeOp {
         self.serial.as_ref().map(|n| vec![n]).unwrap_or_default()
     }
 
-    fn outer_mut(&mut self) -> Option<&mut OpNode> {
-        self.serial.as_mut()
-    }
-
     fn parallel_run(&self) -> Option<&ParallelRun> {
         self.parallel.as_ref()
     }

@@ -291,7 +291,6 @@ impl Operator for NestedLoopJoinOp {
                 let sieve = key
                     .filter(|_| s.outer_done || s.inner_reads == InnerReads::Again)
                     .and_then(|key| KeyBuckets::build(&s.block.keys, width, key));
-                self.left.settle(ctx);
                 self.right.open(ctx)?;
                 s.inner.clear();
                 while let Some(row) = self.right.next(ctx)? {
@@ -322,10 +321,6 @@ impl Operator for NestedLoopJoinOp {
 
     fn children(&self) -> Vec<&OpNode> {
         vec![&self.left, &self.right]
-    }
-
-    fn outer_mut(&mut self) -> Option<&mut OpNode> {
-        Some(&mut self.left)
     }
 }
 
@@ -374,7 +369,6 @@ impl<P: Probe> Operator for ProbeJoinOp<P> {
             let Some(l) = self.left.next(ctx)? else {
                 return Ok(None);
             };
-            self.left.settle(ctx);
             let hits = self.probe.lookup(ctx, &l)?;
             self.current = Some((l, hits, 0));
         }
@@ -387,10 +381,6 @@ impl<P: Probe> Operator for ProbeJoinOp<P> {
 
     fn children(&self) -> Vec<&OpNode> {
         vec![&self.left]
-    }
-
-    fn outer_mut(&mut self) -> Option<&mut OpNode> {
-        Some(&mut self.left)
     }
 }
 

@@ -545,3 +545,93 @@ fn a_sieved_inner_counts_the_pairs_of_the_whole_loop() {
     assert_eq!(rows.len(), 1, "Int(1) = Text(\"1\")");
     assert_eq!(compared.value(), 3 * 5);
 }
+
+/// Behind a 2–4 page pool, a nested-loop join's outer `SeqScan` still holds
+/// unapplied reads in its read logs while the inner runs: its heap and
+/// summary pages are fewer than a log's entries, so neither log fills and
+/// every outer read is applied when the outer closes, after the inner ran
+/// once per outer block. Each input is still charged exactly its own reads:
+/// its logical I/O is its bare run's (once per open), and the nodes'
+/// physical I/O sums to what `IoStats` saw.
+#[test]
+fn a_join_charges_each_input_its_own_reads_while_the_outer_log_is_pending() {
+    let mut db = Database::new();
+    let schema = Schema::of(&[("id", ColumnType::Int), ("note", ColumnType::Text)]);
+    let outer = db.create_table("Outer", schema.clone()).unwrap();
+    let inner = db.create_table("Inner", schema).unwrap();
+    let n_outer = 2 * NL_BLOCK_SIZE + NL_BLOCK_SIZE / 2;
+    let mut oids = Vec::new();
+    for i in 0..n_outer {
+        let row = vec![Value::Int(i as i64 % 7), Value::Text(format!("{i:040}"))];
+        oids.push(db.insert_tuple(outer, row).unwrap());
+    }
+    for i in 0..7 {
+        let row = vec![Value::Int(i), Value::Text(format!("inner {i}"))];
+        db.insert_tuple(inner, row).unwrap();
+    }
+    db.link_instance(outer, "ClassBird1", classifier_kind(), true)
+        .unwrap();
+    for &oid in oids.iter().step_by(5) {
+        db.add_annotation(
+            outer,
+            "disease outbreak infection",
+            Category::Disease,
+            "u",
+            vec![Attachment::row(oid)],
+        )
+        .unwrap();
+    }
+    let entries = instn_storage::buffer::READ_LOG_ENTRIES;
+    assert!(db.table(outer).unwrap().page_count() < entries);
+    assert!(db.summary_storage(outer).page_count() < entries);
+
+    let scan = |table, with_summaries| PhysicalPlan::SeqScan {
+        table,
+        with_summaries,
+    };
+    let plan = PhysicalPlan::NestedLoopJoin {
+        left: Box::new(scan(outer, true)),
+        right: Box::new(scan(inner, false)),
+        pred: JoinPredicate::DataEq {
+            left_col: 0,
+            right_col: 0,
+        },
+    };
+    for cap in 2..=4 {
+        db.set_cache_capacity(0);
+        db.set_cache_capacity(cap);
+        let mut ctx = ExecContext::new(&db);
+        // Nothing is kept: the inner re-runs once per outer block.
+        ctx.sort_mem = 0;
+        let bare = |ctx: &mut ExecContext<'_>, plan: &PhysicalPlan| {
+            let before = db.stats().snapshot();
+            ctx.execute(plan).unwrap();
+            db.stats().snapshot().since(&before).logical_total()
+        };
+        let bare_outer = bare(&mut ctx, &scan(outer, true));
+        let bare_inner = bare(&mut ctx, &scan(inner, false));
+
+        let before = db.stats().snapshot();
+        let (rows, m) = ctx.execute_with_metrics(&plan).unwrap();
+        let io = db.stats().snapshot().since(&before);
+        assert_eq!(rows.len(), n_outer, "cap {cap}");
+        let [left, right] = &m.children[..] else {
+            panic!("a join has two inputs")
+        };
+        assert_eq!(right.opens, 3, "cap {cap}");
+        assert_eq!(left.logical_io, bare_outer, "cap {cap}");
+        assert_eq!(right.logical_io, right.opens * bare_inner, "cap {cap}");
+        assert_eq!(
+            m.logical_io,
+            left.logical_io + right.logical_io,
+            "cap {cap}"
+        );
+        assert_eq!(m.logical_io, io.logical_total(), "cap {cap}");
+        assert_eq!(
+            m.physical_io,
+            left.physical_io + right.physical_io,
+            "cap {cap}"
+        );
+        assert_eq!(m.physical_io, io.total(), "cap {cap}");
+    }
+}

@@ -431,14 +431,6 @@ trait Operator {
         Vec::new()
     }
 
-    /// The input whose scan may have reads still logged when a call of
-    /// this operator returns: the one child of a single-input operator, a
-    /// join's outer (a join drains and closes its inner, or probes it
-    /// synchronously, before it returns). See [`OpNode::settle`].
-    fn outer_mut(&mut self) -> Option<&mut OpNode> {
-        None
-    }
-
     /// Enumerate this leaf's input as morsels of at most `rows` tuples, in
     /// output order. Only the scan leaves a parallel fragment may sit on
     /// ([`split_fragment`](exchange::split_fragment)) can; the Exchange
@@ -511,7 +503,7 @@ impl OpNode {
         r
     }
 
-    /// Metered like a pull: a scan below applies its logged reads here.
+    /// Metered like a pull: a scan below applies its read logs here.
     fn close(&mut self, ctx: &Run<'_>) -> Result<()> {
         let before = Self::io_snapshot(ctx);
         let r = self.op.close(ctx);
@@ -536,24 +528,6 @@ impl OpNode {
     fn add_io(&mut self, delta: &instn_storage::IoSnapshot) {
         self.physical_io += delta.total();
         self.logical_io += delta.logical_total();
-    }
-
-    /// Apply the thread's buffer-pool read log and charge what it cost to
-    /// this node and down its outer inputs, to the scan that logged it. A
-    /// scan's logged reads are charged when the log is applied, which in a
-    /// chain of single-input operators is always within the scan's own
-    /// calls. A join's inputs share the thread's log, so a join settles an
-    /// input before it reads another: each read is charged to the input
-    /// that made it, as if it had been charged when it was made.
-    fn settle(&mut self, ctx: &Run<'_>) {
-        let before = Self::io_snapshot(ctx);
-        instn_storage::apply_read_log();
-        let delta = Self::io_snapshot(ctx).since(&before);
-        let mut node = Some(self);
-        while let Some(n) = node {
-            n.add_io(&delta);
-            node = n.op.outer_mut();
-        }
     }
 
     /// This subtree's row tally (a parallel Exchange's workers included).

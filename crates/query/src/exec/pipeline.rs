@@ -43,10 +43,6 @@ impl<S: Stage> Operator for PipeOp<S> {
     fn children(&self) -> Vec<&OpNode> {
         vec![&self.child]
     }
-
-    fn outer_mut(&mut self) -> Option<&mut OpNode> {
-        Some(&mut self.child)
-    }
 }
 
 /// Tuple filter σ / summary selection `S`: the rows the predicate holds for.
@@ -129,9 +125,5 @@ impl Operator for LimitOp {
 
     fn children(&self) -> Vec<&OpNode> {
         vec![&self.child]
-    }
-
-    fn outer_mut(&mut self) -> Option<&mut OpNode> {
-        Some(&mut self.child)
     }
 }

@@ -5,7 +5,7 @@
 use instn_core::db::Database;
 use instn_core::summary::{EncodedSummaries, LentSummaries};
 use instn_index::SummaryBTree;
-use instn_storage::{Oid, TableId, Value};
+use instn_storage::{Oid, ReadLog, TableId, Value};
 
 use super::{Operator, PhysicalPlan, Run};
 use crate::expr::Expr;
@@ -79,11 +79,13 @@ fn fetch_summaries(
 }
 
 /// Streaming sequential scan (OID order) — of the whole table, or of the one
-/// OID range a worker's tree is bound to. Its OID-index leaf hops, heap reads
-/// and summary-row reads are logged in the thread's buffer-pool read log
-/// ([`instn_storage::BufferPool::read_logged`]), as consecutive tuples'
-/// records share pages; point lookups read at once. Closing the scan drops
-/// its cursor, which applies the log.
+/// OID range a worker's tree is bound to. Its heap reads are made in its
+/// cursor's read log and its summary-row reads in a read log of the summary
+/// heap beside it ([`instn_storage::ReadLog`]), as consecutive tuples'
+/// records share pages; OID-index leaf hops and point lookups read at once.
+/// A log full when the scan reads another page is applied in that pull, and
+/// closing the scan drops both logs, which applies them: each of the node's
+/// calls is charged exactly its own reads.
 ///
 /// A `Filter` directly above the scan is fused into it
 /// ([`compile`](super::compile)): each tuple is tested on the records its
@@ -95,6 +97,8 @@ pub(super) struct SeqScanOp {
     with_summaries: bool,
     morsel: Option<Morsel>,
     cursor: Option<instn_storage::ScanCursor>,
+    /// The summary heap's read log while the scan is open and propagates.
+    summary_log: Option<ReadLog>,
     /// The fused `Filter`'s predicate.
     filter: Option<Expr>,
 }
@@ -113,6 +117,7 @@ impl SeqScanOp {
             with_summaries,
             morsel,
             cursor: None,
+            summary_log: None,
             filter,
         }
     }
@@ -126,6 +131,9 @@ impl Operator for SeqScanOp {
             Some(_) => return Err(foreign_morsel()),
         };
         self.cursor = Some(ctx.db.table(self.table)?.scan_open_range(lo, hi));
+        self.summary_log = self
+            .with_summaries
+            .then(|| ctx.db.summary_storage(self.table).read_log());
         Ok(())
     }
 
@@ -134,10 +142,9 @@ impl Operator for SeqScanOp {
         let storage = ctx.db.summary_storage(self.table);
         let cur = self.cursor.as_mut().ok_or_else(unopened)?;
         while let Some((oid, tuple)) = table.scan_next_lent(cur) {
-            let summaries = if self.with_summaries {
-                storage.read_lent(oid)?
-            } else {
-                LentSummaries::default()
+            let summaries = match &mut self.summary_log {
+                Some(log) => storage.read_lent(oid, log)?,
+                None => LentSummaries::default(),
             };
             tally.fetched += 1;
             let passes = match &self.filter {
@@ -160,6 +167,7 @@ impl Operator for SeqScanOp {
 
     fn close(&mut self, _ctx: &Run<'_>) -> Result<()> {
         self.cursor = None;
+        self.summary_log = None;
         Ok(())
     }
 

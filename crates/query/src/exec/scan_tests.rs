@@ -163,10 +163,11 @@ fn limit_over_summary_index_scan_reads_proportional_to_k() {
     assert_eq!(io_all, 30, "unlimited scan reads every tuple");
 }
 
-/// A pooled scan's ticketed hits are charged when it closes. Stopped by an
-/// error mid-page, or dropped mid-page without a close, it still charges
-/// every read it made exactly once: what a `Limit` over the bare scan
-/// that read as many tuples charges, from the same reset residency.
+/// A pooled scan's reads wait in its read logs until a log fills or the
+/// scan closes. Stopped by an error mid-page, or dropped mid-page without a
+/// close, it still charges every read it made exactly once, when its logs
+/// drop: what a `Limit` over the bare scan that read as many tuples
+/// charges, from the same reset residency.
 #[test]
 fn a_scan_ended_mid_page_charges_every_read_once() {
     let (db, t, _) = setup(30);
@@ -222,7 +223,7 @@ fn a_scan_ended_mid_page_charges_every_read_once() {
         let so_far = db.stats().snapshot().since(&before);
         assert!(
             so_far.cache_hits < read_five.cache_hits,
-            "the ticketed hits wait in the scan's tickets"
+            "the scan's reads wait in its read logs"
         );
     }
     assert_eq!(db.stats().snapshot().since(&before), read_five);

@@ -20,6 +20,16 @@
 //!   `query_deadline` / `query_raw` (raw canonical payload bytes for
 //!   oracle comparison), `ping`, `shutdown_server`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod client;
 pub mod server;
 pub mod wire;

@@ -49,7 +49,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use instn_core::instance::InstanceKind;
@@ -234,29 +234,29 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let inner = Arc::new(ServeShared::new(shared, instances, config.clone())?);
-        let workers = (0..config.max_connections.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
+        // A thread that cannot be spawned returns its error; dropping the
+        // handle drains and joins the workers spawned before it.
+        let mut handle = ServerHandle {
+            inner: Arc::new(ServeShared::new(shared, instances, config.clone())?),
+            addr: local,
+            acceptor: None,
+            workers: Vec::new(),
+        };
+        for i in 0..config.max_connections.max(1) {
+            let inner = Arc::clone(&handle.inner);
+            handle.workers.push(
                 std::thread::Builder::new()
                     .name(format!("instn-serve-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn worker")
-            })
-            .collect();
-        let acceptor = {
-            let inner = Arc::clone(&inner);
+                    .spawn(move || worker_loop(&inner))?,
+            );
+        }
+        let inner = Arc::clone(&handle.inner);
+        handle.acceptor = Some(
             std::thread::Builder::new()
                 .name("instn-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &inner))
-                .expect("spawn acceptor")
-        };
-        Ok(ServerHandle {
-            inner,
-            addr: local,
-            acceptor: Some(acceptor),
-            workers,
-        })
+                .spawn(move || accept_loop(&listener, &inner))?,
+        );
+        Ok(handle)
     }
 }
 
@@ -341,7 +341,7 @@ fn accept_loop(listener: &TcpListener, sv: &ServeShared) {
         }
         let Ok(stream) = stream else { continue };
         let cap = sv.config.max_connections.max(1) + sv.config.accept_backlog;
-        let mut st = sv.state.lock().expect("accept state");
+        let mut st = taken_over(sv.state.lock());
         if st.active + st.queue.len() >= cap {
             drop(st);
             sv.metrics.rejected_total.inc();
@@ -354,15 +354,24 @@ fn accept_loop(listener: &TcpListener, sv: &ServeShared) {
     }
     // Drain: connections admitted but never picked up by a worker are
     // answered, not silently dropped.
-    let mut st = sv.state.lock().expect("accept state");
+    let mut st = taken_over(sv.state.lock());
     while let Some(s) = st.queue.pop_front() {
         reject(s, HandshakeStatus::ShuttingDown, sv.config.write_timeout);
     }
 }
 
+/// The accept state (or a wait on it), taken over from a thread that
+/// panicked holding it: the queue and the active count each change in one
+/// step, and nothing that can panic runs between them, so a poisoned state
+/// is still a consistent one, and one failed thread must not stop the
+/// acceptor and every worker.
+fn taken_over<T>(locked: LockResult<T>) -> T {
+    locked.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Pop the next admitted connection, or `None` once draining and empty.
 fn pop_connection(sv: &ServeShared) -> Option<TcpStream> {
-    let mut st = sv.state.lock().expect("accept state");
+    let mut st = taken_over(sv.state.lock());
     loop {
         if let Some(s) = st.queue.pop_front() {
             st.active += 1;
@@ -371,7 +380,7 @@ fn pop_connection(sv: &ServeShared) -> Option<TcpStream> {
         if sv.draining() {
             return None;
         }
-        let (next, _) = sv.cv.wait_timeout(st, POLL_SLICE).expect("accept state");
+        let (next, _) = taken_over(sv.cv.wait_timeout(st, POLL_SLICE));
         st = next;
     }
 }
@@ -380,9 +389,13 @@ fn worker_loop(sv: &ServeShared) {
     while let Some(stream) = pop_connection(sv) {
         sv.metrics.connections.add(1);
         let conn_id = sv.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        // An error here ends only this connection: a socket that could not
+        // be set up, a malformed hello, or a peer that stopped taking what
+        // it was sent. No one is left to answer, and a stall mid-request
+        // was already counted in `serve_slow_client_disconnects_total`.
         let _ = serve_connection(sv, stream, conn_id);
         sv.metrics.connections.sub(1);
-        let mut st = sv.state.lock().expect("accept state");
+        let mut st = taken_over(sv.state.lock());
         st.active -= 1;
     }
 }
@@ -809,6 +822,19 @@ fn run_parsed(
     }
 }
 
+/// The `\panic` debug statement: panic from *inside* the execution
+/// context, under the engine's read guard. Nothing is lost: the indexes
+/// live in the engine's registry, not the ctx. `catch_unwind` upstairs
+/// contains it.
+// Panicking is what the statement is for; it is served only with
+// `debug_statements` on.
+#[allow(clippy::panic, clippy::unreachable)]
+fn deliberate_panic(session: &mut Session) -> ! {
+    let _ =
+        session.try_with_ctx(|_| -> () { panic!("deliberate panic via \\panic debug statement") });
+    unreachable!("try_with_ctx propagates the closure's panic");
+}
+
 fn dispatch_statement(
     sv: &ServeShared,
     session: &mut Session,
@@ -820,12 +846,7 @@ fn dispatch_statement(
     let line = statement.trim();
     if sv.config.debug_statements {
         if line == "\\panic" {
-            // Panic from *inside* the execution context, under the engine's
-            // read guard. Nothing is lost: the indexes live in the engine's
-            // registry, not the ctx. `catch_unwind` upstairs contains it.
-            let _ = session
-                .try_with_ctx(|_| -> () { panic!("deliberate panic via \\panic debug statement") });
-            unreachable!("try_with_ctx propagates the closure's panic");
+            deliberate_panic(session);
         }
         if line == "\\registry" {
             return Some(match session.shared().indexes().read() {
@@ -1222,5 +1243,37 @@ mod tests {
         assert_eq!(sv.metrics.oversized_frames_total.value(), 1);
         assert_eq!(sv.metrics.slow_client_disconnects_total.value(), 0);
         assert_eq!(stream.input.len(), 1, "nothing is read past the bad prefix");
+    }
+
+    /// A thread that panics holding the accept state poisons it, and the
+    /// state is taken over: a worker still pops the queued connection, and
+    /// a worker waiting on an empty queue still sees the drain.
+    #[test]
+    fn a_poisoned_accept_state_keeps_serving() {
+        let sv = Arc::new(
+            ServeShared::new(shared(), HashMap::new(), ServeConfig::default())
+                .expect("engine is healthy"),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback");
+        let stream = TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        let poisoner = Arc::clone(&sv);
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.state.lock();
+            panic!("a thread dies holding the accept state");
+        })
+        .join();
+        assert!(sv.state.is_poisoned());
+        taken_over(sv.state.lock()).queue.push_back(stream);
+        assert!(pop_connection(&sv).is_some());
+        assert_eq!(taken_over(sv.state.lock()).active, 1);
+        let drain = {
+            let sv = Arc::clone(&sv);
+            std::thread::spawn(move || {
+                std::thread::sleep(3 * POLL_SLICE);
+                sv.shutting_down.store(true, Ordering::SeqCst);
+            })
+        };
+        assert!(pop_connection(&sv).is_none(), "the drain is seen");
+        drain.join().expect("drain thread");
     }
 }

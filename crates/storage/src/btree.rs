@@ -288,7 +288,6 @@ impl<V: Clone + PartialEq> BTree<V> {
             leaf: Some(leaf),
             pos,
             hi: hi.map(<[u8]>::to_vec),
-            logged: false,
         }
     }
 
@@ -321,11 +320,7 @@ impl<V: Clone + PartialEq> BTree<V> {
             cur.leaf = *next;
             cur.pos = 0;
             if let Some(next_leaf) = cur.leaf {
-                if cur.logged {
-                    self.pool.read_logged(self.file, next_leaf as u64);
-                } else {
-                    self.pool.read(self.file, next_leaf as u64);
-                }
+                self.pool.read(self.file, next_leaf as u64);
             }
         }
     }
@@ -547,20 +542,6 @@ pub struct Cursor {
     leaf: Option<usize>,
     pos: usize,
     hi: Option<Vec<u8>>,
-    /// Whether leaf hops are logged reads ([`Cursor::logged`]).
-    logged: bool,
-}
-
-impl Cursor {
-    /// This cursor with its leaf hops logged in the calling thread's read
-    /// log rather than read at once (see [`BufferPool::read_logged`]): for
-    /// a scan, whose other reads are logged too.
-    pub(crate) fn logged(self) -> Self {
-        Self {
-            logged: true,
-            ..self
-        }
-    }
 }
 
 /// Resumable descending scan position (see [`BTree::cursor_desc`]).

@@ -58,43 +58,17 @@
 //!
 //! A scan reads the page it is on again and again (a heap page holds tens
 //! of tuples), and a miss for every page it moves to. Taking the mutex for
-//! each of those reads makes concurrent scans queue on it. So a scan logs
-//! its page reads instead ([`BufferPool::read_logged`]): each thread keeps
-//! one read log, in the order the reads were issued, where a run of reads
-//! of one page is one entry with a count. The pool applies a log in one
-//! lock hold, charging each entry as that many [`BufferPool::read`] calls
-//! in a row through the same directory step, and adds what they cost to
-//! [`IoStats`] in one add per counter.
-//!
-//! A thread's log is applied
-//!
-//! * when it holds [`READ_LOG_ENTRIES`] entries and a read of another page
-//!   arrives;
-//! * before the thread's next call into any pool other than a logged read
-//!   of the same pool — a read, write, pin, resize or lookup — and before a
-//!   logged read of another pool;
-//! * before the thread's [`IoStats`] pin changes ([`IoStats::pin_worker`]
-//!   and its guard's drop), so its reads reach the stripe they were made
-//!   under;
-//! * on [`apply_read_log`], which a scan calls when its cursor closes or is
-//!   dropped.
-//!
-//! So one thread's directory operations run in exactly the order they
-//! would synchronously, and every counter is the same once its log is
-//! applied. A test that compares counters while a log is pending applies it
-//! first. With several threads, a logged read takes effect when its log is
-//! applied: another thread's accesses in between may evict the page or
-//! clear its bit first, and the read is then charged as the miss or hit it
-//! meets.
-//!
-//! Per-node I/O in `EXPLAIN ANALYZE` meters the pulling thread's stripe, so
-//! a logged read is charged to the operator whose call applies its log. In
-//! a chain of single-input operators over one scan that is always the
-//! scan's node (its pull when the log fills, its close otherwise). A join's
-//! inputs share the thread's log: the join applies it before it reads from
-//! its other input and charges the cost down the input that logged it, so
-//! each input is charged exactly its own reads. An Exchange worker's stripe
-//! gets its reads before its pin is dropped.
+//! each of those reads makes concurrent scans queue on it. So a scan makes
+//! its reads of one file in a [`ReadLog`] of its own, bound to the pool and
+//! the file: a run of reads of one page is one entry with a count. The log
+//! is applied in one lock hold, each entry charged as that many
+//! [`BufferPool::read`] calls in a row through the same directory step, and
+//! what they cost reaches [`IoStats`] in one add per counter. A log is
+//! applied when it holds [`READ_LOG_ENTRIES`] entries and a read of another
+//! page arrives, and when it is dropped; a logged read takes effect then,
+//! as the hit or miss it meets. Nothing else waits on a log, so no call
+//! into the pool has to apply one first: at capacity 0 every read is one
+//! physical read in any order.
 //!
 //! # Write-ahead ordering
 //!
@@ -108,7 +82,6 @@
 
 use crate::io::{IoSnapshot, IoStats};
 use crate::wal::{Lsn, Wal};
-use std::cell::{Cell, RefCell};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -194,102 +167,77 @@ pub struct Access {
     pub evicted: Evictions,
 }
 
-/// Entries a thread's read log holds before a read of another page applies
-/// it (see the module docs).
+/// Entries a [`ReadLog`] holds before a read of another page applies it.
 pub const READ_LOG_ENTRIES: usize = 64;
 
 /// One entry of a read log: `reads` reads of one page in a row.
 #[derive(Debug, Clone, Copy)]
 struct LogEntry {
-    key: FrameKey,
+    page: u64,
     reads: u64,
 }
 
-const NO_ENTRY: LogEntry = LogEntry {
-    key: FrameKey {
-        file: FileId(0),
-        page: 0,
-    },
-    reads: 0,
-};
-
-/// A thread's read log: the pool its entries are for (held only while
-/// there are entries, so the log keeps no pool alive), the entries in
-/// issue order, and a buffer for the dirty victims of an apply, kept for
-/// its capacity so a warm log allocates nothing.
-struct ReadLog {
-    pool: Option<Arc<BufferPool>>,
+/// A scan's reads of one file of one pool, charged when the log is applied
+/// (see the module docs): when it is full and a read of another page
+/// arrives, and when it is dropped. It keeps a buffer for the dirty
+/// victims of an apply, for its capacity, so a warm log allocates nothing.
+#[derive(Debug)]
+pub struct ReadLog {
+    pool: Arc<BufferPool>,
+    file: FileId,
     len: usize,
     entries: [LogEntry; READ_LOG_ENTRIES],
     dirty: Vec<Evicted>,
 }
 
-thread_local! {
-    /// Whether this thread's [`READ_LOG`] holds entries: what every call
-    /// into a pool checks, one load with no lazy initialisation.
-    static READ_LOG_PENDING: Cell<bool> = const { Cell::new(false) };
-    static READ_LOG: RefCell<ReadLog> = const {
-        RefCell::new(ReadLog {
-            pool: None,
-            len: 0,
-            entries: [NO_ENTRY; READ_LOG_ENTRIES],
-            dirty: Vec::new(),
-        })
-    };
-}
-
 impl ReadLog {
-    /// Log a read of `key` through `pool`, applying the log first when it
-    /// is for another pool or full.
-    fn push(&mut self, pool: &Arc<BufferPool>, key: FrameKey) {
-        let same_pool = self.pool.as_ref().is_some_and(|p| Arc::ptr_eq(p, pool));
-        if same_pool {
-            let last = &mut self.entries[self.len - 1];
-            if last.key == key {
+    /// An empty log of reads of `file` through `pool`.
+    pub fn new(pool: Arc<BufferPool>, file: FileId) -> Self {
+        Self {
+            pool,
+            file,
+            len: 0,
+            entries: [LogEntry { page: 0, reads: 0 }; READ_LOG_ENTRIES],
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Whether this log's reads are of `file` through `pool`.
+    pub(crate) fn is_for(&self, pool: &Arc<BufferPool>, file: FileId) -> bool {
+        Arc::ptr_eq(&self.pool, pool) && self.file == file
+    }
+
+    /// Log a read of `page`, to be charged as [`BufferPool::read`] when the
+    /// log is applied; a full log is applied first if `page` starts a run.
+    pub fn read(&mut self, page: u64) {
+        if let Some(last) = self.entries[..self.len].last_mut() {
+            if last.page == page {
                 last.reads += 1;
                 return;
             }
         }
-        if !same_pool || self.len == READ_LOG_ENTRIES {
+        if self.len == READ_LOG_ENTRIES {
             self.apply();
         }
-        if self.pool.is_none() {
-            self.pool = Some(Arc::clone(pool));
-        }
-        self.entries[self.len] = LogEntry { key, reads: 1 };
+        self.entries[self.len] = LogEntry { page, reads: 1 };
         self.len += 1;
-        READ_LOG_PENDING.with(|p| p.set(true));
     }
 
-    /// Empty the log and apply its entries to their pool (emptied first,
-    /// so an apply that panics is not repeated by the next call).
+    /// Empty the log and charge its entries (emptied first, so an apply
+    /// that panics is not repeated by the drop).
     fn apply(&mut self) {
         let len = std::mem::take(&mut self.len);
-        if let Some(pool) = self.pool.take() {
-            let _ = READ_LOG_PENDING.try_with(|p| p.set(false));
-            pool.apply_log(&self.entries[..len], &mut self.dirty);
+        if len > 0 {
+            self.pool
+                .apply_log(self.file, &self.entries[..len], &mut self.dirty);
         }
     }
 }
 
 impl Drop for ReadLog {
-    /// A thread that exits with reads logged still charges them.
     fn drop(&mut self) {
         self.apply();
     }
-}
-
-/// Apply the calling thread's read log, if it holds any reads (see the
-/// module docs). A scan calls this when its cursor closes or is dropped.
-pub fn apply_read_log() {
-    if !READ_LOG_PENDING.with(Cell::get) {
-        return;
-    }
-    let _ = READ_LOG.try_with(|log| {
-        if let Ok(mut log) = log.try_borrow_mut() {
-            log.apply();
-        }
-    });
 }
 
 #[derive(Debug)]
@@ -605,20 +553,13 @@ impl BufferPool {
         self.capacity.load(Ordering::Relaxed)
     }
 
-    /// The directory, for a call other than a logged read: the calling
-    /// thread's read log is applied first (see the module docs).
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
-        apply_read_log();
-        self.directory()
-    }
-
     /// The directory, taken over from a thread that panicked holding it.
     /// What can panic under the lock does so before the directory changes
     /// (indexing the page table of a `FileId` this pool never issued) or
     /// is an invariant `expect` that holds; and the pool keeps residency
     /// bookkeeping, never page bytes. So one failed access must not fail
     /// every later one.
-    fn directory(&self) -> MutexGuard<'_, PoolState> {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -638,7 +579,7 @@ impl BufferPool {
             }
             st.shrink(capacity)
         };
-        self.settle(&reclaimed);
+        self.charge_reclaimed(&reclaimed);
     }
 
     /// Register a file (heap or index arena) and obtain its [`FileId`].
@@ -661,14 +602,6 @@ impl BufferPool {
     /// Fetch a page for reading.
     pub fn read(&self, file: FileId, page: u64) -> Access {
         self.access(file, page, Op::Read)
-    }
-
-    /// Log a read of `page` in the calling thread's read log, to be
-    /// charged as [`BufferPool::read`] when the log is applied (see the
-    /// module docs). For a scan: its reads come in runs of one page.
-    pub fn read_logged(self: &Arc<Self>, file: FileId, page: u64) {
-        let key = FrameKey { file, page };
-        READ_LOG.with(|log| log.borrow_mut().push(self, key));
     }
 
     /// Fetch a page for modification (read-modify-write). This is the charge
@@ -801,7 +734,7 @@ impl BufferPool {
                     self.stats.cache_miss(1);
                     self.charge_physical_read(kind);
                 }
-                self.settle(&reclaimed);
+                self.charge_reclaimed(&reclaimed);
                 Access {
                     hit: false,
                     evicted: reclaimed.evicted,
@@ -810,47 +743,29 @@ impl BufferPool {
         }
     }
 
-    /// Apply a read log's `entries` in one lock hold: each is that many
-    /// [`BufferPool::read`]s in a row through the same directory step —
-    /// the first a hit or a miss, the rest hits on the frame it left with
-    /// its reference bit set (every one physical at capacity 0). The
-    /// write-back of dirty victims (collected in `dirty`) follows the lock,
-    /// and the counters move in one add each.
-    fn apply_log(&self, entries: &[LogEntry], dirty: &mut Vec<Evicted>) {
+    /// Apply a read log's `entries`, reads of `file`, in one lock hold:
+    /// each is that many [`BufferPool::read`]s in a row through the same
+    /// directory step — the first a hit or a miss, the rest hits on the
+    /// frame it left with its reference bit set (every one physical at
+    /// capacity 0). The write-back of dirty victims (collected in `dirty`)
+    /// follows the lock, and the counters move in one add each.
+    fn apply_log(&self, file: FileId, entries: &[LogEntry], dirty: &mut Vec<Evicted>) {
         let mut io = IoSnapshot::default();
+        let (mut logical, mut physical) = (0, 0);
         let mut steps = 0;
         let mut resident = None;
         let mut wal = None;
         dirty.clear();
-        {
-            let mut st = self.directory();
+        let kind = {
+            let mut st = self.lock();
             let cap = self.capacity.load(Ordering::Relaxed);
-            // Whether the entry before this one was a hit, which moves no
-            // reference bit but its own frame's and evicts nothing.
-            let mut after_hit = false;
-            for (i, &LogEntry { key, reads }) in entries.iter().enumerate() {
-                let kind = st.files[key.file.0 as usize].kind;
-                let (logical, physical) = match kind {
-                    FileKind::Heap => (&mut io.logical_heap_reads, &mut io.heap_reads),
-                    FileKind::Index => (&mut io.logical_index_reads, &mut io.index_reads),
-                };
-                *logical += reads;
-                // A scan alternates its heap and summary pages: a page read
-                // two entries back, with a hit between, is still resident
-                // with its bit set, so this read is a hit that changes
-                // nothing in the directory.
-                let again = after_hit && i >= 2 && entries[i - 2].key == key;
-                let outcome = if again {
-                    Outcome::Hit
-                } else {
-                    st.step(cap, key, Op::Read)
-                };
-                after_hit = matches!(outcome, Outcome::Hit);
-                match outcome {
-                    Outcome::Disabled(_) => *physical += reads,
+            for &LogEntry { page, reads } in entries {
+                logical += reads;
+                match st.step(cap, FrameKey { file, page }, Op::Read) {
+                    Outcome::Disabled(_) => physical += reads,
                     Outcome::Hit => io.cache_hits += reads,
                     Outcome::Miss(reclaimed) => {
-                        *physical += 1;
+                        physical += 1;
                         io.cache_misses += 1;
                         io.cache_hits += reads - 1;
                         io.cache_evictions += reclaimed.evicted.len() as u64;
@@ -861,6 +776,11 @@ impl BufferPool {
                     }
                 }
             }
+            st.files[file.0 as usize].kind
+        };
+        match kind {
+            FileKind::Heap => (io.logical_heap_reads, io.heap_reads) = (logical, physical),
+            FileKind::Index => (io.logical_index_reads, io.index_reads) = (logical, physical),
         }
         for victim in dirty.drain(..) {
             Self::force_ahead(wal.as_deref(), victim.rec_lsn);
@@ -909,7 +829,7 @@ impl BufferPool {
 
     /// Charge what reclaiming frames cost, once the lock is released: the
     /// write-back of each dirty victim, the eviction count, the metrics.
-    fn settle(&self, reclaimed: &Reclaimed) {
+    fn charge_reclaimed(&self, reclaimed: &Reclaimed) {
         for victim in reclaimed.evicted.iter().filter(|v| v.dirty) {
             self.charge_physical_write(reclaimed.wal.as_deref(), victim.kind, victim.rec_lsn);
         }
@@ -1202,16 +1122,18 @@ mod tests {
         let (pool, stats, heap, index) = pool(4);
         pool.attach_metrics(&registry);
         let before = stats.snapshot();
+        let mut heap_log = ReadLog::new(Arc::clone(&pool), heap);
+        let mut index_log = ReadLog::new(Arc::clone(&pool), index);
         for _ in 0..3 {
-            pool.read_logged(heap, 1);
+            heap_log.read(1);
         }
-        pool.read_logged(index, 0);
+        index_log.read(0);
         assert_eq!(
             stats.snapshot(),
             before,
             "nothing is charged before an apply"
         );
-        apply_read_log();
+        drop((heap_log, index_log));
         let logged = stats.snapshot().since(&before);
         let (twin, twin_stats, twin_heap, twin_index) = self::pool(4);
         for _ in 0..3 {
@@ -1228,59 +1150,73 @@ mod tests {
         let rendered = instn_obs::parse_prometheus(&registry.render_prometheus()).unwrap();
         let hits = rendered.iter().find(|(n, _)| n == "bufferpool_hits_total");
         assert_eq!(hits.map(|(_, v)| *v), Some(2.0));
-        // A second apply has nothing left to charge.
-        apply_read_log();
+        // An empty log has nothing to charge.
+        drop(ReadLog::new(Arc::clone(&pool), heap));
         assert_eq!(stats.snapshot().since(&before), logged);
     }
 
-    /// Every other call into a pool, a logged read of another pool and a
-    /// change of the thread's stripe pin each apply the log first, so the
-    /// call sees the directory the logged reads left.
+    /// A log is applied only when it fills or drops: every other call into
+    /// its pool, another log and a change of the thread's stripe pin leave
+    /// it pending, and see the directory without its reads.
     #[test]
-    fn a_log_is_applied_before_the_threads_next_other_call() {
+    fn a_log_is_applied_only_when_it_fills_or_drops() {
         type Call = fn(&BufferPool, FileId);
         let calls: [(&str, Call); 6] = [
-            ("contains", |p, f| assert!(p.contains(f, 1))),
-            ("pin", |p, f| assert!(p.pin(f, 1))),
-            ("resident", |p, _| assert_eq!(p.resident(), 1)),
-            ("read", |p, f| assert!(p.read(f, 1).hit)),
+            ("contains", |p, f| assert!(!p.contains(f, 1))),
+            ("pin", |p, f| assert!(!p.pin(f, 1))),
+            ("resident", |p, _| assert_eq!(p.resident(), 0)),
+            ("read", |p, f| assert!(!p.read(f, 1).hit)),
             ("set_capacity", |p, f| {
                 p.set_capacity(8);
-                assert!(p.contains(f, 1));
+                assert!(!p.contains(f, 1));
             }),
             ("register_file", |p, f| {
                 p.register_file(FileKind::Heap);
-                assert!(p.contains(f, 1));
+                assert!(!p.contains(f, 1));
             }),
         ];
         for (name, call) in calls {
             let (pool, stats, heap, _) = pool(4);
-            pool.read_logged(heap, 1);
+            let mut log = ReadLog::new(Arc::clone(&pool), heap);
+            log.read(1);
             call(&pool, heap);
-            assert!(stats.snapshot().cache_misses == 1, "{name}");
+            let synchronous = u64::from(name == "read");
+            assert_eq!(stats.snapshot().logical_heap_reads, synchronous, "{name}");
+            drop(log);
+            assert_eq!(
+                stats.snapshot().logical_heap_reads,
+                synchronous + 1,
+                "{name}"
+            );
+            assert!(pool.contains(heap, 1), "{name}");
         }
-        // A logged read of another pool applies this one's log.
+        // Logs of two pools on one thread: neither applies the other.
         let (pool, stats, heap, _) = self::pool(4);
         let (other, other_stats, other_heap, _) = self::pool(4);
-        pool.read_logged(heap, 1);
-        other.read_logged(other_heap, 1);
-        assert_eq!(stats.snapshot().logical_heap_reads, 1);
-        assert_eq!(other_stats.snapshot().logical_heap_reads, 0);
-        // A pin change applies it too, to the stripe it was made under.
+        let mut log = ReadLog::new(Arc::clone(&pool), heap);
+        let mut other_log = ReadLog::new(Arc::clone(&other), other_heap);
+        log.read(1);
+        other_log.read(1);
+        assert_eq!(stats.snapshot().logical_heap_reads, 0);
+        // Nor does a pin change: the reads reach the stripe the thread
+        // charges when the log drops.
         {
             let _pin = IoStats::pin_worker(3);
-            assert_eq!(other_stats.snapshot().logical_heap_reads, 1);
-            other.read_logged(other_heap, 1);
+            assert_eq!(other_stats.snapshot().logical_heap_reads, 0);
+            drop(other_log);
         }
         assert_eq!(other_stats.worker_snapshot(3).logical_heap_reads, 1);
+        drop(log);
+        assert_eq!(stats.snapshot().logical_heap_reads, 1);
     }
 
     #[test]
     fn a_disabled_pool_charges_logged_reads_physically() {
         let (pool, stats, heap, _) = pool(0);
-        pool.read_logged(heap, 1);
-        pool.read_logged(heap, 1);
-        apply_read_log();
+        let mut log = ReadLog::new(Arc::clone(&pool), heap);
+        log.read(1);
+        log.read(1);
+        drop(log);
         let s = stats.snapshot();
         assert_eq!((s.heap_reads, s.logical_heap_reads), (2, 2));
         assert_eq!(s.cache_hits + s.cache_misses, 0);
@@ -1292,29 +1228,29 @@ mod tests {
         pool.set_capacity(0);
         assert!(pool.contains(heap, 1));
         let before = stats.snapshot();
-        pool.read_logged(heap, 1);
-        apply_read_log();
+        ReadLog::new(Arc::clone(&pool), heap).read(1);
         let delta = stats.snapshot().since(&before);
         assert_eq!((delta.heap_reads, delta.cache_hits), (1, 0));
     }
 
     /// A run of reads of one page is one entry however long; a log of
     /// `READ_LOG_ENTRIES` entries is applied when a read of another page
-    /// arrives, and the new read starts the next log.
+    /// arrives, and the new read starts the log again.
     #[test]
     fn a_full_log_is_applied_when_another_page_arrives() {
         let (pool, stats, heap, _) = pool(READ_LOG_ENTRIES + 1);
+        let mut log = ReadLog::new(Arc::clone(&pool), heap);
         for page in 0..READ_LOG_ENTRIES as u64 {
             for _ in 0..3 {
-                pool.read_logged(heap, page);
+                log.read(page);
             }
         }
         assert_eq!(stats.snapshot().logical_heap_reads, 0);
-        pool.read_logged(heap, READ_LOG_ENTRIES as u64);
+        log.read(READ_LOG_ENTRIES as u64);
         let applied = stats.snapshot();
         assert_eq!(applied.logical_heap_reads, 3 * READ_LOG_ENTRIES as u64);
         assert_eq!(applied.cache_misses, READ_LOG_ENTRIES as u64);
-        apply_read_log();
+        drop(log);
         assert_eq!(stats.snapshot().cache_misses, READ_LOG_ENTRIES as u64 + 1);
     }
 
@@ -1330,8 +1266,7 @@ mod tests {
         let heap = pool.register_file(FileKind::Heap);
         let lsn = wal.append(WalRecordKind::Op, b"dirties page 1");
         pool.write(heap, 1);
-        pool.read_logged(heap, 2);
-        apply_read_log();
+        ReadLog::new(Arc::clone(&pool), heap).read(2);
         assert!(wal.flushed_lsn() >= lsn);
         let s = stats.snapshot();
         assert_eq!((s.heap_writes, s.cache_evictions), (1, 1));

@@ -24,7 +24,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, ReadLog};
 use crate::codec::{put_u16, put_u32, put_u64, Reader};
 use crate::error::StorageError;
 use crate::io::IoStats;
@@ -335,7 +335,7 @@ impl HeapFile {
     /// Fetch the record at `rid`, copied out (one page read per chunk for
     /// oversized records).
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
-        Ok(match self.fetch(rid, false)? {
+        Ok(match self.fetch(rid, None)? {
             Fetched::Shared(record) => record.bytes().get(1..).unwrap_or_default().to_vec(),
             Fetched::Copied(payload) => payload,
         })
@@ -357,27 +357,34 @@ impl HeapFile {
         &self,
         rid: RecordId,
     ) -> std::result::Result<SharedRecord, F::Error> {
-        self.checked::<F>(rid, false).map(Checked::into_shared)
+        self.checked::<F>(rid, None).map(Checked::into_shared)
     }
 
-    /// [`HeapFile::get_checked`] for a scan: the page read is logged (see
-    /// [`BufferPool::read_logged`]), and the record is lent, not cloned —
-    /// [`Checked::into_shared`] keeps it. An oversized record's chunk reads
-    /// are plain reads, which apply the log first.
+    /// An empty read log of this file, for [`HeapFile::get_lent`].
+    pub fn read_log(&self) -> ReadLog {
+        ReadLog::new(Arc::clone(self.pool()), self.pager.file_id())
+    }
+
+    /// [`HeapFile::get_checked`] for a scan: the page read is made in
+    /// `log`, one of this file's ([`HeapFile::read_log`]), and the record
+    /// is lent, not cloned — [`Checked::into_shared`] keeps it. An
+    /// oversized record is read at once, its chunks while its directory's
+    /// page is pinned.
     pub fn get_lent<F: RecordFormat>(
         &self,
         rid: RecordId,
+        log: &mut ReadLog,
     ) -> std::result::Result<Checked<'_, F>, F::Error> {
-        self.checked::<F>(rid, true)
+        self.checked::<F>(rid, Some(log))
     }
 
     fn checked<F: RecordFormat>(
         &self,
         rid: RecordId,
-        logged: bool,
+        log: Option<&mut ReadLog>,
     ) -> std::result::Result<Checked<'_, F>, F::Error> {
         const { assert!(F::VERDICT != 0, "verdict 0 means unchecked") };
-        match self.fetch(rid, logged)? {
+        match self.fetch(rid, log)? {
             Fetched::Shared(record) => {
                 if record.verdict() != F::VERDICT {
                     F::check(record.bytes().get(1..).unwrap_or_default())?;
@@ -398,15 +405,26 @@ impl HeapFile {
         }
     }
 
-    /// The record at `rid` as stored: one page read (`logged` or not),
-    /// plus one per chunk for an oversized record.
-    fn fetch(&self, rid: RecordId, logged: bool) -> Result<Fetched<'_>> {
-        let page = if logged {
-            self.pager.read_logged(rid.page)?
-        } else {
-            self.pager.read(rid.page)?
-        };
-        let record = page.shared(rid.slot).ok_or(StorageError::RecordNotFound {
+    /// The record at `rid` as stored: one page read, made in `log` if
+    /// given and the record is a simple one, plus one per chunk for an
+    /// oversized record.
+    fn fetch(&self, rid: RecordId, log: Option<&mut ReadLog>) -> Result<Fetched<'_>> {
+        let page = self
+            .pager
+            .peek(rid.page)
+            .ok_or(StorageError::PageNotFound(rid.page.0))?;
+        let record = page.shared(rid.slot);
+        let framed = record.as_ref().map_or(&[][..], SharedSlot::bytes);
+        match log {
+            Some(log) if framed.first() == Some(&TAG_SIMPLE) => {
+                debug_assert!(log.is_for(self.pool(), self.pager.file_id()));
+                log.read(u64::from(rid.page.0));
+            }
+            _ => {
+                self.pager.read(rid.page)?;
+            }
+        }
+        let record = record.ok_or(StorageError::RecordNotFound {
             page: rid.page.0,
             slot: rid.slot,
         })?;

@@ -151,11 +151,8 @@ impl IoStats {
     /// guard drops (nesting restores the previous pin). All counts this
     /// thread records while pinned are attributable via
     /// [`IoStats::worker_snapshot`]`(w)`; they still appear in the global
-    /// [`IoStats::snapshot`] like any other count. The thread's buffer-pool
-    /// read log is applied first, and again when the guard drops, so a
-    /// logged read reaches the stripe it was made under.
+    /// [`IoStats::snapshot`] like any other count.
     pub fn pin_worker(w: usize) -> WorkerPin {
-        crate::buffer::apply_read_log();
         let prev = PINNED.with(|p| p.replace(Some(w % PIN_STRIPES)));
         WorkerPin { prev }
     }
@@ -322,7 +319,6 @@ pub struct WorkerPin {
 
 impl Drop for WorkerPin {
     fn drop(&mut self) {
-        crate::buffer::apply_read_log();
         PINNED.with(|p| p.set(self.prev));
     }
 }

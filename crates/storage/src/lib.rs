@@ -49,9 +49,7 @@ pub mod tuple;
 pub mod wal;
 
 pub use btree::{BTree, Cursor, CursorDesc};
-pub use buffer::{
-    apply_read_log, Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey,
-};
+pub use buffer::{Access, BufferPool, Evicted, Evictions, FileId, FileKind, FrameKey, ReadLog};
 pub use error::StorageError;
 pub use heap::{Checked, HeapFile, RecordFormat, SharedRecord};
 pub use io::{IoScope, IoSnapshot, IoStats};

@@ -85,17 +85,6 @@ impl Pager {
         Ok(page)
     }
 
-    /// [`Pager::read`] for a scan: the same charge, logged in the calling
-    /// thread's read log (see [`BufferPool::read_logged`]).
-    pub fn read_logged(&self, id: PageId) -> Result<&Page> {
-        let page = self
-            .pages
-            .get(id.0 as usize)
-            .ok_or(StorageError::PageNotFound(id.0))?;
-        self.pool.read_logged(self.file, u64::from(id.0));
-        Ok(page)
-    }
-
     /// Write access to a page; charged as one logical read + one logical
     /// write (a page must be fetched before it can be modified).
     pub fn write(&mut self, id: PageId) -> Result<&mut Page> {

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use crate::btree::BTree;
-use crate::buffer::{apply_read_log, BufferPool};
+use crate::buffer::{BufferPool, ReadLog};
 use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::io::IoStats;
@@ -182,7 +182,8 @@ impl Table {
     /// Sequential scan over `(oid, tuple)` in OID order.
     ///
     /// Implemented as an index-ordered walk so OIDs are recoverable; charges
-    /// heap reads per record page as a table scan would.
+    /// one synchronous pool read per record, besides the OID index's
+    /// descent and leaf hops.
     ///
     /// A row whose record cannot be read or decoded is skipped and counted
     /// in [`Table::corrupt_skipped`], never dropped silently.
@@ -235,7 +236,8 @@ impl Table {
             .oid_index
             .cursor(lo.as_ref().map(|k| &k[..]), hi.as_ref().map(|k| &k[..]));
         ScanCursor {
-            entries: entries.logged(),
+            entries,
+            log: self.heap.read_log(),
         }
     }
 
@@ -297,7 +299,7 @@ impl Table {
             };
             let read = self
                 .heap
-                .get_lent::<TupleFormat>(rid)
+                .get_lent::<TupleFormat>(rid, &mut cur.log)
                 .map(LentTuple::checked);
             if let Some(tuple) = self.scan_fetch(read) {
                 return Some((oid, tuple));
@@ -306,19 +308,14 @@ impl Table {
     }
 }
 
-/// Resumable position of a [`Table::scan_open`] sequential scan. Its
-/// OID-index leaf hops and heap page reads are logged in the calling
-/// thread's read log (see [`BufferPool::read_logged`]), as consecutive
-/// tuples share pages; dropping the cursor applies the log.
+/// Resumable position of a [`Table::scan_open`] sequential scan, with the
+/// read log of its heap page reads (see [`ReadLog`]): consecutive tuples
+/// share pages. Its OID-index leaf hops are plain reads. Dropping the
+/// cursor applies the log.
 #[derive(Debug)]
 pub struct ScanCursor {
     entries: crate::btree::Cursor,
-}
-
-impl Drop for ScanCursor {
-    fn drop(&mut self) {
-        apply_read_log();
-    }
+    log: ReadLog,
 }
 
 #[cfg(test)]

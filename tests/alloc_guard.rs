@@ -487,7 +487,7 @@ fn a_page_is_one_allocation_and_a_scan_lends_its_records() {
         }
         sum
     };
-    scan(&table); // warm the thread's read log
+    scan(&table); // checks each record once; the measured scan only lends
     let (sum, allocated) = allocations(|| scan(&table));
     assert_eq!(sum, (0..TUPLES as i64).sum::<i64>());
     println!("allocations to scan {TUPLES} tuples keeping none: {allocated}");

@@ -1,10 +1,11 @@
 //! Property-based tests for the storage buffer pool: CLOCK eviction,
 //! pinning, and dirty-page write-back checked against simple models (a
 //! pin/dirty model, and a reference CLOCK that predicts every victim), a
-//! pooled-vs-uncached HeapFile oracle under eviction pressure, logged reads
-//! against the synchronous reads they stand for — on one thread, against a
-//! twin pool and the reference CLOCK, and on threads of their own beside one
-//! that evicts — and a guard on the work the hand does per eviction.
+//! pooled-vs-uncached HeapFile oracle under eviction pressure, read logs
+//! against the synchronous reads they stand for, replayed when each log is
+//! applied — on one thread, several logs against a twin pool and one against
+//! the reference CLOCK, and on threads of their own beside one that evicts —
+//! and a guard on the work the hand does per eviction.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,10 +14,9 @@ use std::sync::{mpsc, Arc};
 use proptest::prelude::*;
 
 use insightnotes::obs::MetricsRegistry;
-use insightnotes::storage::buffer::{
-    apply_read_log, BufferPool, FileId, FileKind, READ_LOG_ENTRIES,
-};
+use insightnotes::storage::buffer::{BufferPool, FileId, FileKind, ReadLog, READ_LOG_ENTRIES};
 use insightnotes::storage::io::{IoSnapshot, IoStats};
+use insightnotes::storage::page::Page;
 use insightnotes::storage::{HeapFile, RecordFormat, StorageError};
 
 // --------------------------------------------------------------------
@@ -120,8 +120,10 @@ proptest! {
     /// 0, a small one and one that holds every page: every synchronous
     /// access evicts the victims the model names, in its order and with its
     /// dirty flags, and the resident set and the `IoStats` counters agree
-    /// after every step. The model reads a logged read at once: on one
-    /// thread, applying it later must come to the same.
+    /// after every step. A logged read takes effect when its log is
+    /// applied — when the log is full and a read of another page comes, or
+    /// when it is dropped — and the model reads it then, whatever
+    /// synchronous ops came between.
     #[test]
     fn victims_follow_the_reference_clock(
         ops in prop::collection::vec(clock_op(), 1..400),
@@ -131,23 +133,24 @@ proptest! {
         let pool = BufferPool::new(Arc::clone(&stats), cap);
         let file = pool.register_file(FileKind::Heap);
         let mut model = ClockModel { cap, ..ClockModel::default() };
+        let mut log = ReadLog::new(Arc::clone(&pool), file);
+        let mut runs = Runs::default();
         for op in &ops {
-            let did = apply(&pool, file, op);
-            model.pending.push(op.clone());
-            if !matches!(op, ClockOp::LoggedRead(_)) {
-                agree(&pool, file, &stats, &mut model, did)?;
-            }
+            let did = apply(&pool, file, &mut log, op);
+            model.run(&mut runs, op);
+            agree(&pool, file, &stats, &mut model, did)?;
         }
-        apply_read_log();
+        drop(log);
+        model.replay(runs.take());
         agree(&pool, file, &stats, &mut model, Did::default())?;
     }
 
     /// The same streams with every logged read and apply on a thread of its
     /// own and every other op — the reads, writes and resizes that evict
     /// its frames and clear their bits — on another, in lock step. A logged
-    /// read takes effect when its log is applied: the model reads it then —
-    /// at an apply, when the log is full and a read of another page comes,
-    /// and when the reading thread's stripe pin is dropped.
+    /// read takes effect when its log is applied, and the model reads it
+    /// then: at an apply, when the log is full and a read of another page
+    /// comes, and when the reading thread ends.
     #[test]
     fn logged_reads_beside_an_evicting_thread_follow_the_clock(
         ops in prop::collection::vec(clock_op(), 1..200),
@@ -157,7 +160,7 @@ proptest! {
         let pool = BufferPool::new(Arc::clone(&stats), cap);
         let file = pool.register_file(FileKind::Heap);
         let mut model = ClockModel { cap, ..ClockModel::default() };
-        let mut log = ModelLog::default();
+        let mut runs = Runs::default();
         std::thread::scope(|s| {
             let (done_tx, done) = mpsc::channel::<Did>();
             let worker = |w: usize| {
@@ -165,8 +168,9 @@ proptest! {
                 let (pool, done_tx) = (&pool, done_tx.clone());
                 s.spawn(move || {
                     let _pin = IoStats::pin_worker(w);
+                    let mut log = ReadLog::new(Arc::clone(pool), file);
                     for op in rx {
-                        let _ = done_tx.send(apply(pool, file, &op));
+                        let _ = done_tx.send(apply(pool, file, &mut log, &op));
                     }
                 });
                 tx
@@ -178,25 +182,24 @@ proptest! {
                     .send(op.clone())
                     .expect("worker alive");
                 let did = done.recv().expect("worker answers");
-                match *op {
-                    ClockOp::LoggedRead(p) => log.push(&mut model, p),
-                    ClockOp::Apply => log.apply(&mut model),
-                    _ => model.pending.push(op.clone()),
-                }
+                model.run(&mut runs, op);
                 agree(&pool, file, &stats, &mut model, did)?;
             }
             drop(scanner);
             Ok(())
         })?;
-        log.apply(&mut model);
+        model.replay(runs.take());
         agree(&pool, file, &stats, &mut model, Did::default())?;
     }
 
-    /// Logged reads over several files interleaved with synchronous reads,
-    /// writes, mutates, allocs, pins, unpins and resizes, on one thread,
-    /// against a twin pool that is given the same ops with every read
-    /// synchronous: the counters, the resident set and the eviction count
-    /// agree after every synchronous op and after the final apply.
+    /// Four read logs on one thread — one for each of three files and a
+    /// second for the first — their reads interleaved with each other and
+    /// with synchronous reads, writes, mutates, allocs, pins, unpins and
+    /// resizes, against a twin pool that is given every synchronous op and
+    /// replays each log's runs as synchronous reads when that log is
+    /// applied (full and a read of another page comes, or dropped): the
+    /// counters, the resident set and the eviction count agree after every
+    /// op and after the logs are dropped.
     #[test]
     fn logged_reads_equal_synchronous_reads(
         ops in prop::collection::vec(twin_op(), 1..300),
@@ -210,14 +213,17 @@ proptest! {
             (pool, stats, files)
         });
         let [(logged, logged_stats, files), (plain, plain_stats, _)] = &twins;
-        // The twin's copies of the logged reads wait until the logging
-        // pool's next synchronous op: a call into the twin would apply the
-        // log, as a call into any pool does.
-        let mut waiting = Vec::new();
-        let compare = |waiting: &mut Vec<(FileId, u64)>| -> Result<(), TestCaseError> {
-            for (file, page) in waiting.drain(..) {
-                plain.read(file, page);
+        let log_files = LOG_FILES.map(|f| files[f]);
+        let mut logs = log_files.map(|file| ReadLog::new(Arc::clone(logged), file));
+        let mut runs: [Runs; 4] = Default::default();
+        let replay = |log: usize, runs: Vec<(u64, u32)>| {
+            for (page, reads) in runs {
+                for _ in 0..reads {
+                    plain.read(log_files[log], page);
+                }
             }
+        };
+        let compare = || -> Result<(), TestCaseError> {
             prop_assert_eq!(logged_stats.snapshot(), plain_stats.snapshot());
             prop_assert_eq!(logged.resident(), plain.resident());
             for &file in files {
@@ -228,40 +234,52 @@ proptest! {
             Ok(())
         };
         for op in &ops {
-            let TwinOp(what, f, page) = *op;
-            let file = files[f];
-            if what == TwinWhat::LoggedRead {
-                logged.read_logged(file, page);
-                waiting.push((file, page));
-                continue;
-            }
-            let call = |pool: &BufferPool| match what {
-                TwinWhat::LoggedRead | TwinWhat::Read => drop(pool.read(file, page)),
-                TwinWhat::Write => drop(pool.write(file, page)),
-                TwinWhat::Mutate => drop(pool.mutate(file, page)),
-                TwinWhat::Alloc => drop(pool.alloc(file, page)),
-                TwinWhat::Pin => drop(pool.pin(file, page)),
-                TwinWhat::Unpin => pool.unpin(file, page),
-                TwinWhat::SetCapacity => pool.set_capacity(page as usize),
+            let TwinOp(what, i, page) = *op;
+            let call = |pool: &BufferPool| {
+                let file = files[i];
+                match what {
+                    TwinWhat::LoggedRead | TwinWhat::Apply => {}
+                    TwinWhat::Read => drop(pool.read(file, page)),
+                    TwinWhat::Write => drop(pool.write(file, page)),
+                    TwinWhat::Mutate => drop(pool.mutate(file, page)),
+                    TwinWhat::Alloc => drop(pool.alloc(file, page)),
+                    TwinWhat::Pin => drop(pool.pin(file, page)),
+                    TwinWhat::Unpin => pool.unpin(file, page),
+                    TwinWhat::SetCapacity => pool.set_capacity(page as usize),
+                }
             };
-            call(logged);
-            for (file, page) in waiting.drain(..) {
-                plain.read(file, page);
+            match what {
+                TwinWhat::LoggedRead => {
+                    logs[i].read(page);
+                    replay(i, runs[i].push(page));
+                }
+                TwinWhat::Apply => {
+                    logs[i] = ReadLog::new(Arc::clone(logged), log_files[i]);
+                    replay(i, runs[i].take());
+                }
+                _ => {
+                    call(logged);
+                    call(plain);
+                }
             }
-            call(plain);
-            compare(&mut waiting)?;
+            compare()?;
         }
-        apply_read_log();
-        compare(&mut waiting)?;
+        // An array drops its elements in order.
+        drop(logs);
+        for (i, runs) in runs.iter_mut().enumerate() {
+            replay(i, runs.take());
+        }
+        compare()?;
     }
 
     // ----------------------------------------------------------------
     // HeapFile over a tiny pool vs the uncached oracle: eviction
     // pressure must never change what the file stores, and caching must
     // never change the logical work done. A third file, over a pool of
-    // its own, logs the reads the pooled one makes plainly: after every
-    // op, once its log is applied, the two pools' counters and resident
-    // pages must be the same.
+    // its own, makes in a read log the reads of simple records the pooled
+    // one makes plainly; the pooled one replays them when the log is
+    // applied (full and another page comes, or dropped). After every op
+    // the two pools' counters and resident pages must be the same.
     // ----------------------------------------------------------------
 
     #[test]
@@ -274,6 +292,15 @@ proptest! {
             HeapFile::with_pool(BufferPool::new(Arc::clone(&pooled_stats), cap));
         let logged_stats = IoStats::new();
         let mut logged = HeapFile::with_pool(BufferPool::new(Arc::clone(&logged_stats), cap));
+        let mut log = logged.read_log();
+        let mut runs = Runs::default();
+        let replay = |pooled: &HeapFile, runs: Vec<(u64, u32)>| {
+            for (page, reads) in runs {
+                for _ in 0..reads {
+                    pooled.pool().read(FileId(0), page);
+                }
+            }
+        };
         let oracle_stats = IoStats::new();
         let mut oracle = HeapFile::new(Arc::clone(&oracle_stats));
         let mut records = Vec::new();
@@ -293,15 +320,25 @@ proptest! {
                         continue;
                     }
                     let (rid, payload) = &records[i % records.len()];
-                    prop_assert_eq!(&pooled.get(*rid).unwrap(), payload);
                     prop_assert_eq!(&oracle.get(*rid).unwrap(), payload);
-                    if matches!(op, HeapOp::LoggedGet(_)) {
-                        let read = logged.get_lent::<AnyBytes>(*rid).unwrap();
-                        prop_assert_eq!(read.payload(), &payload[..]);
-                    } else {
+                    if matches!(op, HeapOp::Get(_)) {
+                        prop_assert_eq!(&pooled.get(*rid).unwrap(), payload);
                         let read = logged.get_checked::<AnyBytes>(*rid).unwrap();
                         prop_assert_eq!(read.payload(), &payload[..]);
+                    } else {
+                        let read = logged.get_lent::<AnyBytes>(*rid, &mut log).unwrap();
+                        prop_assert_eq!(read.payload(), &payload[..]);
+                        // An oversized record is read at once.
+                        if payload.len() < Page::max_record_len() {
+                            replay(&pooled, runs.push(u64::from(rid.page.0)));
+                        } else {
+                            prop_assert_eq!(&pooled.get(*rid).unwrap(), payload);
+                        }
                     }
+                }
+                HeapOp::Apply => {
+                    log = logged.read_log();
+                    replay(&pooled, runs.take());
                 }
                 HeapOp::Update(i, size) => {
                     if records.is_empty() {
@@ -319,7 +356,6 @@ proptest! {
                     *stored = payload;
                 }
             }
-            apply_read_log();
             prop_assert_eq!(logged_stats.snapshot(), pooled_stats.snapshot());
             for page in 0..pooled.page_count() as u64 {
                 prop_assert_eq!(
@@ -329,6 +365,9 @@ proptest! {
                 );
             }
         }
+        drop(log);
+        replay(&pooled, runs.take());
+        prop_assert_eq!(logged_stats.snapshot(), pooled_stats.snapshot());
         // No record was lost or corrupted by evictions.
         for (rid, payload) in &records {
             prop_assert_eq!(&pooled.get(*rid).unwrap(), payload);
@@ -364,8 +403,10 @@ enum HeapOp {
     Insert(usize),
     /// Re-read a previously stored record.
     Get(usize),
-    /// Re-read one with its page read logged.
+    /// Re-read one with its page read in the third file's read log.
     LoggedGet(usize),
+    /// Apply that log.
+    Apply,
     /// Overwrite a record, possibly relocating it.
     Update(usize, usize),
 }
@@ -375,6 +416,7 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
         (0usize..20_000).prop_map(HeapOp::Insert),
         any::<usize>().prop_map(HeapOp::Get),
         any::<usize>().prop_map(HeapOp::LoggedGet),
+        Just(HeapOp::Apply),
         (any::<usize>(), 0usize..20_000).prop_map(|(i, s)| HeapOp::Update(i, s)),
     ]
 }
@@ -388,9 +430,9 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
 enum ClockOp {
     /// Read (`false`) or write (`true`) a page.
     Access(u8, bool),
-    /// Log a read of a page in the reading thread's log.
+    /// Log a read of a page in the reading thread's read log.
     LoggedRead(u8),
-    /// Apply the reading thread's log.
+    /// Apply that log: drop it for a new one.
     Apply,
     Pin(u8),
     Unpin(u8),
@@ -414,6 +456,7 @@ fn clock_op() -> impl Strategy<Value = ClockOp> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum TwinWhat {
     LoggedRead,
+    Apply,
     Read,
     Write,
     Mutate,
@@ -423,14 +466,24 @@ enum TwinWhat {
     SetCapacity,
 }
 
-/// One op of the twin-pool stream: what, which of three files, which page
-/// (the capacity, for a resize).
+/// The file of each of the twin stream's four read logs: one for each of
+/// the three files, and a second for the first.
+const LOG_FILES: [usize; 4] = [0, 1, 2, 0];
+
+/// One op of the twin-pool stream: what, which of three files (which of the
+/// four logs, for a logged read or an apply), which page (the capacity, for
+/// a resize).
 #[derive(Debug, Clone)]
 struct TwinOp(TwinWhat, usize, u64);
 
 fn twin_op() -> impl Strategy<Value = TwinOp> {
     let on = |what: TwinWhat, pages: u64| {
-        (0usize..3, 0..pages).prop_map(move |(f, p)| TwinOp(what, f, p))
+        let of = if matches!(what, TwinWhat::LoggedRead) {
+            LOG_FILES.len()
+        } else {
+            3
+        };
+        (0..of, 0..pages).prop_map(move |(f, p)| TwinOp(what, f, p))
     };
     prop_oneof![
         // Scans: runs over a few pages, and a spread that evicts.
@@ -438,6 +491,7 @@ fn twin_op() -> impl Strategy<Value = TwinOp> {
         on(TwinWhat::LoggedRead, 3),
         on(TwinWhat::LoggedRead, 16),
         on(TwinWhat::LoggedRead, 16),
+        (0..LOG_FILES.len()).prop_map(|i| TwinOp(TwinWhat::Apply, i, 0)),
         on(TwinWhat::Read, 16),
         on(TwinWhat::Write, 16),
         on(TwinWhat::Mutate, 16),
@@ -455,18 +509,19 @@ struct Did {
     victims: Vec<(u64, bool)>,
 }
 
-/// Apply `op` on the calling thread. A logged read and an apply report
-/// nothing: what they did shows in the counters and the resident set.
-fn apply(pool: &Arc<BufferPool>, file: FileId, op: &ClockOp) -> Did {
+/// Apply `op` on the calling thread, its logged reads in `log`. A logged
+/// read and an apply report nothing: what they did shows in the counters
+/// and the resident set.
+fn apply(pool: &Arc<BufferPool>, file: FileId, log: &mut ReadLog, op: &ClockOp) -> Did {
     let access = match *op {
         ClockOp::Access(p, false) => pool.read(file, u64::from(p)),
         ClockOp::Access(p, true) => pool.write(file, u64::from(p)),
         ClockOp::LoggedRead(p) => {
-            pool.read_logged(file, u64::from(p));
+            log.read(u64::from(p));
             return Did::default();
         }
         ClockOp::Apply => {
-            apply_read_log();
+            *log = ReadLog::new(Arc::clone(pool), file);
             return Did::default();
         }
         ClockOp::Pin(p) => {
@@ -494,30 +549,34 @@ fn apply(pool: &Arc<BufferPool>, file: FileId, op: &ClockOp) -> Did {
     }
 }
 
-/// A reading thread's log as the model keeps it: runs of reads of one
-/// page, read by the model when the pool would apply them.
+/// A read log as a model keeps it: runs of reads of one page, in order.
 #[derive(Debug, Default)]
-struct ModelLog(Vec<(u8, u32)>);
+struct Runs(Vec<(u64, u32)>);
 
-impl ModelLog {
-    fn push(&mut self, model: &mut ClockModel, page: u8) {
+impl Runs {
+    /// Log a read of `page`; the runs a full log applies first when the
+    /// read starts a run, else none.
+    fn push(&mut self, page: u64) -> Vec<(u64, u32)> {
         match self.0.last_mut() {
-            Some((last, reads)) if *last == page => *reads += 1,
+            Some((last, reads)) if *last == page => {
+                *reads += 1;
+                Vec::new()
+            }
             _ => {
-                if self.0.len() == READ_LOG_ENTRIES {
-                    self.apply(model);
-                }
+                let applied = if self.0.len() == READ_LOG_ENTRIES {
+                    self.take()
+                } else {
+                    Vec::new()
+                };
                 self.0.push((page, 1));
+                applied
             }
         }
     }
 
-    fn apply(&mut self, model: &mut ClockModel) {
-        for (page, reads) in self.0.drain(..) {
-            for _ in 0..reads {
-                model.access(u64::from(page), false);
-            }
-        }
+    /// Empty the log: the runs an apply charges.
+    fn take(&mut self) -> Vec<(u64, u32)> {
+        std::mem::take(&mut self.0)
     }
 }
 
@@ -534,12 +593,9 @@ fn agree(
     for op in std::mem::take(&mut model.pending) {
         let (hit, victims) = match op {
             ClockOp::Access(p, write) => model.access(u64::from(p), write),
-            // A logged read reports nothing when it is made.
-            ClockOp::LoggedRead(p) => {
-                model.access(u64::from(p), false);
-                (false, Vec::new())
+            ClockOp::LoggedRead(_) | ClockOp::Apply => {
+                unreachable!("a log's reads reach the model when it is applied")
             }
-            ClockOp::Apply => (false, Vec::new()),
             ClockOp::Pin(p) => (model.pin(u64::from(p), 1), Vec::new()),
             ClockOp::Unpin(p) => {
                 model.pin(u64::from(p), -1);
@@ -581,6 +637,26 @@ struct ClockModel {
 }
 
 impl ClockModel {
+    /// Take `op`, as given to the pool with its logged reads in the log
+    /// `runs` models: a logged read or an apply runs what the log applies,
+    /// any other op waits for [`agree`].
+    fn run(&mut self, runs: &mut Runs, op: &ClockOp) {
+        match *op {
+            ClockOp::LoggedRead(p) => self.replay(runs.push(u64::from(p))),
+            ClockOp::Apply => self.replay(runs.take()),
+            _ => self.pending.push(op.clone()),
+        }
+    }
+
+    /// The synchronous reads `runs` stand for.
+    fn replay(&mut self, runs: Vec<(u64, u32)>) {
+        for (page, reads) in runs {
+            for _ in 0..reads {
+                self.access(page, false);
+            }
+        }
+    }
+
     fn find(&self, page: u64) -> Option<usize> {
         self.slots
             .iter()
@@ -689,10 +765,11 @@ fn a_scans_repeat_reads_are_one_log_entry() {
         cap: 2,
         ..ClockModel::default()
     };
-    for page in 0..READ_LOG_ENTRIES as u8 {
+    let mut log = ReadLog::new(Arc::clone(&pool), file);
+    for page in 0..READ_LOG_ENTRIES as u64 {
         for _ in 0..8 {
-            pool.read_logged(file, u64::from(page));
-            model.access(u64::from(page), false);
+            log.read(page);
+            model.access(page, false);
         }
         assert_eq!(
             stats.snapshot(),
@@ -700,19 +777,17 @@ fn a_scans_repeat_reads_are_one_log_entry() {
             "charged before an apply"
         );
     }
-    pool.read_logged(file, READ_LOG_ENTRIES as u64);
+    log.read(READ_LOG_ENTRIES as u64);
     assert_eq!(stats.snapshot(), model.io, "the full log was applied");
-    model
-        .pending
-        .push(ClockOp::LoggedRead(READ_LOG_ENTRIES as u8));
-    apply_read_log();
+    drop(log);
+    model.access(READ_LOG_ENTRIES as u64, false);
     agree(&pool, file, &stats, &mut model, Did::default()).unwrap();
 }
 
-/// Two threads log runs of reads while a third reads other pages and
-/// resizes the pool, unsynchronized: once every log is applied, every
-/// read is charged once, as a hit or a miss, on the stripe of the thread
-/// that logged it, and every physical read is a miss.
+/// Two threads log runs of reads, each in a log of its own, while a third
+/// reads other pages and resizes the pool, unsynchronized: once every log
+/// is applied, every read is charged once, as a hit or a miss, on the
+/// stripe of the thread that logged it, and every physical read is a miss.
 #[test]
 fn logged_scans_beside_evictions_charge_every_access_once() {
     let stats = IoStats::new();
@@ -726,19 +801,20 @@ fn logged_scans_beside_evictions_charge_every_access_once() {
                 // Stops the evictor however this thread ends.
                 let _done = Done(scanning);
                 let _pin = IoStats::pin_worker(w);
+                let mut log = ReadLog::new(Arc::clone(pool), file);
                 let mut reads = 0u64;
                 for round in 0..100 {
                     // Sixteen runs: one log, applied at the round's end.
                     let before = stats.worker_snapshot(w);
                     for page in 0..16 {
                         for _ in 0..20 {
-                            pool.read_logged(file, (page + round * w as u64) % 24);
+                            log.read((page + round * w as u64) % 24);
                             reads += 1;
                         }
                     }
                     assert_eq!(stats.worker_snapshot(w), before, "charged before an apply");
                     if round % 2 == 0 {
-                        apply_read_log();
+                        log = ReadLog::new(Arc::clone(pool), file);
                     }
                 }
                 reads

@@ -14,9 +14,9 @@
 //! oracle's I/O — serially against the eager fetch, and under an Exchange
 //! against what the bare leaf costs there, whatever the stages above reject.
 //!
-//! With a buffer pool, a scan's re-reads of the page it is on go through
-//! tickets whose hits are charged when the scan moves on or closes, and a
-//! `SeqScan` tests the filters fused into it on the records its pages lend.
+//! With a buffer pool, a `SeqScan` makes its heap and summary-row reads in
+//! read logs of its own, charged when a log fills or the scan closes, and
+//! tests the filters fused into it on the records its pages lend.
 //! The eager oracle's I/O does not carry over to a pool (its own index
 //! builds leave other pages resident), so a pooled run — the stages alone,
 //! or under a `Limit` that stops the scan mid-page — is held to the bare
@@ -538,7 +538,7 @@ proptest! {
     /// counts of the bare leaf run the same way from the same reset
     /// residency, at every level and in `IoStats`, whatever the stages
     /// above it reject or decode: with no pool, and with a 3-frame pool
-    /// whose tickets each worker settles as its morsel closes.
+    /// where each worker's scan applies its read logs as its morsel closes.
     #[test]
     fn lazy_rows_equal_eager_materialization_in_parallel(
         counts in prop::collection::vec(0usize..6, 1..28),
